@@ -48,8 +48,8 @@ pub use membership::{MemberState, MemberUpdate, MembershipView};
 pub use simworld::{AmoPumpKind, SimData, SimEv, SimLoc, SimMsg, SimWorld};
 
 use netsim::{
-    AmoKey, AmoOp, AmoResult, Engine, LocalityId, OpError, OpId, OpTable, OutcomeCounters,
-    PhysAddr, ServerPool, Time,
+    AmoKey, AmoOp, AmoResult, Engine, LocalityId, OpError, OpId, OpKind, OpTable, OutcomeCounters,
+    PhysAddr, ServerPool, Time, Verb,
 };
 use photon::PhotonWorld;
 use std::collections::HashMap;
@@ -392,21 +392,13 @@ impl OpSnapshot {
     }
 }
 
-pub(crate) enum OpPayload {
-    Put {
-        data: Vec<u8>,
-    },
-    Get {
-        len: u32,
-        scratch: Option<(PhysAddr, u8)>,
-    },
-    Amo {
-        op: AmoOp,
-    },
-}
-
 pub(crate) struct PendingOp {
-    pub payload: OpPayload,
+    /// The access itself: the same snapshot every issue path (RDMA, shm,
+    /// software, local commit) hands to the responder.
+    pub verb: Verb,
+    /// Landing buffer `(addr, class)` of a get's RDMA attempts, reused
+    /// across retries and freed when the op retires.
+    pub scratch: Option<(PhysAddr, u8)>,
     pub gva: Gva,
     pub ctx: OpId,
     pub attempts: u32,
@@ -566,10 +558,10 @@ impl GasLocal {
             .iter()
             .map(|(id, p)| OpSnapshot {
                 id,
-                kind: match p.payload {
-                    OpPayload::Put { .. } => "put",
-                    OpPayload::Get { .. } => "get",
-                    OpPayload::Amo { .. } => "amo",
+                kind: match p.verb.kind() {
+                    OpKind::Put => "put",
+                    OpKind::Get => "get",
+                    OpKind::Amo => "amo",
                 },
                 gva: p.gva,
                 attempts: p.attempts,

@@ -31,14 +31,12 @@
 
 use crate::check::{value_hash, WordEvent, WordOp};
 use crate::gva::Gva;
-use crate::{
-    GasMode, GasMsg, GasWorld, HistEvent, HistKind, OpPayload, OpPhase, OwnerHint, PendingOp,
-};
+use crate::{GasMode, GasMsg, GasWorld, HistEvent, HistKind, OpPhase, OwnerHint, PendingOp};
 use netsim::{
-    send_user_classed, AmoKey, AmoOp, AmoResult, Engine, FaultClass, LocalityId, NackReason,
-    OpError, OpId, OpKind, OpOutcome, PhysAddr, RdmaTarget, ShmDomain, Time, TraceKind,
+    send_user_classed, AmoOp, AmoResult, Applied, Engine, FaultClass, LocalityId, NackReason,
+    OpError, OpId, OpKind, OpOutcome, PhysAddr, RdmaTarget, ShmDomain, Time, TraceKind, Verb,
 };
-use photon::{pwc_amo, pwc_get, pwc_put};
+use photon::pwc;
 
 fn copy_time(per_byte_ps: u64, len: usize) -> Time {
     Time::from_ps(len as u64 * per_byte_ps)
@@ -48,18 +46,11 @@ fn copy_time(per_byte_ps: u64, len: usize) -> Time {
 fn record_latency<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, p: &PendingOp, done: Time) {
     let ns = done.saturating_sub(p.issued).as_ns();
     let g = eng.state.gas(loc);
-    match p.payload {
-        OpPayload::Put { .. } => g.put_latency.record(ns),
-        OpPayload::Get { .. } => g.get_latency.record(ns),
-        OpPayload::Amo { .. } => g.amo_latency.record(ns),
+    match p.verb.kind() {
+        OpKind::Put => g.put_latency.record(ns),
+        OpKind::Get => g.get_latency.record(ns),
+        OpKind::Amo => g.amo_latency.record(ns),
     }
-}
-
-/// The retry-stable responder-cache identity of an AMO: the initiator
-/// plus the *GAS-level* pending-op handle, which survives transport
-/// re-issue (photon attempt ids do not).
-fn amo_key(loc: LocalityId, op: OpId) -> AmoKey {
-    (loc, op.raw())
 }
 
 /// Append the word-level history events a completed AMO implies (no-op
@@ -150,7 +141,7 @@ fn log_amo_words<S: GasWorld>(
 /// RMWs leave an opaque marker that exempts their word from the strict
 /// rules, and gathers have no effect at all.
 fn log_amo_failure<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, p: &PendingOp) {
-    let OpPayload::Amo { op: amo } = &p.payload else {
+    let Verb::Amo { amo, .. } = &p.verb else {
         return;
     };
     if !eng.state.gas(loc).cfg.record_history {
@@ -226,6 +217,14 @@ fn hist_done<S: GasWorld>(
     }
 }
 
+/// Release the landing buffer an earlier RDMA get attempt left behind
+/// (no-op for every other op).
+fn free_scratch<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, p: &PendingOp) {
+    if let Some((addr, class)) = p.scratch {
+        eng.state.cluster().mem_mut(loc).free_block(addr, class);
+    }
+}
+
 fn scratch_class(len: u32) -> u8 {
     let needed = len.max(8);
     (u32::BITS - (needed - 1).leading_zeros()) as u8
@@ -266,13 +265,7 @@ fn fail_op<S: GasWorld>(
     outcome: OpOutcome,
 ) {
     log_amo_failure(eng, loc, &p);
-    if let OpPayload::Get {
-        scratch: Some((addr, class)),
-        ..
-    } = p.payload
-    {
-        eng.state.cluster().mem_mut(loc).free_block(addr, class);
-    }
+    free_scratch(eng, loc, &p);
     let g = eng.state.gas(loc);
     g.stats.ops_failed += 1;
     g.outcomes.record(outcome);
@@ -308,7 +301,11 @@ pub fn memput<S: GasWorld>(
     };
     let hist = hist_issue(g, loc, HistKind::Put, gva, data.len() as u32, vhash, now);
     let op = g.pending.insert(PendingOp {
-        payload: OpPayload::Put { data },
+        verb: Verb::Put {
+            data,
+            remote_tag: None,
+        },
+        scratch: None,
         gva,
         ctx,
         attempts: 0,
@@ -339,7 +336,10 @@ pub fn memget<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, gva: Gva, len: 
     let deadline = g.cfg.op_deadline.map(|d| now + d);
     let hist = hist_issue(g, loc, HistKind::Get, gva, len, 0, now);
     let op = g.pending.insert(PendingOp {
-        payload: OpPayload::Get { len, scratch: None },
+        // `local` names the scratch landing buffer once an RDMA attempt
+        // has allocated one.
+        verb: Verb::Get { len, local: 0 },
+        scratch: None,
         gva,
         ctx,
         attempts: 0,
@@ -381,15 +381,6 @@ pub fn get_many<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, gets: Vec<(Gv
     }
 }
 
-/// What shape of operation `issue` is routing (drives the fast-path
-/// choice; the payload itself stays in the table).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum IssueKind {
-    Put,
-    Get,
-    Amo,
-}
-
 /// Execute `amo` atomically against the word(s) at `gva`. Completion
 /// (with the observed/old values) arrives via [`GasWorld::gas_amo_done`]
 /// with `ctx`; terminal failure via [`GasWorld::gas_op_failed`].
@@ -397,8 +388,8 @@ enum IssueKind {
 /// Under [`GasMode::AgasNetwork`] the operation executes **at the target
 /// NIC** in the same visit that translates the virtual block — the target
 /// CPU schedules nothing on the hot path. AMOs are not idempotent, so the
-/// retry machinery shares one dedup identity per op (`amo_key`: the
-/// initiator plus the pending op's raw id, stable across re-issue)
+/// retry machinery shares one dedup identity per op (its [`Verb::Amo`]
+/// `key`: the initiator plus the pending op's raw id, stable across re-issue)
 /// with the target-side responder cache: a duplicated or re-issued
 /// request re-emits the remembered result instead of re-executing,
 /// whichever path (NIC, software fallback, post-migration local commit)
@@ -413,7 +404,8 @@ pub fn memamo<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, gva: Gva, amo: 
     g.stats.amos += 1;
     let deadline = g.cfg.op_deadline.map(|d| now + d);
     let op = g.pending.insert(PendingOp {
-        payload: OpPayload::Amo { op: amo },
+        verb: Verb::Amo { amo, key: (loc, 0) },
+        scratch: None,
         gva,
         ctx,
         attempts: 0,
@@ -426,6 +418,16 @@ pub fn memamo<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, gva: Gva, amo: 
         // byte-fingerprint history (workloads keep the slots disjoint).
         hist: None,
     });
+    // The retry-stable responder-cache identity: the initiator plus this
+    // *GAS-level* handle, which survives transport re-issue (photon attempt
+    // ids do not) — known only now that the insert has minted it.
+    if let Ok(PendingOp {
+        verb: Verb::Amo { key, .. },
+        ..
+    }) = g.pending.get_mut(op)
+    {
+        *key = (loc, op.raw());
+    }
     open_span(eng, loc, op);
     arm_sweep(eng, loc);
     issue(eng, loc, op);
@@ -439,12 +441,7 @@ fn issue<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) {
         let Ok(p) = g.pending.get(op) else {
             return; // reclaimed (deadline sweep) between schedule and fire
         };
-        let kind = match p.payload {
-            OpPayload::Put { .. } => IssueKind::Put,
-            OpPayload::Get { .. } => IssueKind::Get,
-            OpPayload::Amo { .. } => IssueKind::Amo,
-        };
-        (p.gva, kind, p.force_sw)
+        (p.gva, p.verb.kind(), p.force_sw)
     };
     let block = gva.block_key();
     let home = gva.home();
@@ -456,7 +453,7 @@ fn issue<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) {
             } else if try_shm(eng, loc, op, gva, home) {
                 // Co-located home: the access went over shared memory and
                 // the NIC never saw it.
-            } else if kind == IssueKind::Amo {
+            } else if kind == OpKind::Amo {
                 // PGAS NICs translate nothing, so there is no virtual
                 // path for a remote AMO to ride; the home's CPU executes
                 // it (the software handler resolves through the
@@ -471,7 +468,7 @@ fn issue<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) {
                     .expect("PGAS op on unallocated block");
                 let target = RdmaTarget::Phys(base + gva.offset());
                 eng.state.gas(loc).stats.remote_ops += 1;
-                issue_rdma(eng, loc, op, home, target, kind == IssueKind::Put);
+                issue_rdma(eng, loc, op, home, target);
             }
         }
         GasMode::AgasNetwork => {
@@ -493,16 +490,13 @@ fn issue<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) {
                     }
                     eng.state.gas(loc).stats.remote_ops += 1;
                     issue_sw(eng, loc, op, gva, target_loc);
-                } else if kind == IssueKind::Amo {
-                    eng.state.gas(loc).stats.remote_ops += 1;
-                    issue_amo_rdma(eng, loc, op, gva, target_loc);
                 } else {
                     let target = RdmaTarget::Virt {
                         block,
                         offset: gva.offset(),
                     };
                     eng.state.gas(loc).stats.remote_ops += 1;
-                    issue_rdma(eng, loc, op, target_loc, target, kind == IssueKind::Put);
+                    issue_rdma(eng, loc, op, target_loc, target);
                 }
             }
         }
@@ -545,8 +539,8 @@ fn issue_sw<S: GasWorld>(
         };
         p.phase = OpPhase::Sw;
         p.attempt = None; // any earlier photon attempt is superseded
-        match &p.payload {
-            OpPayload::Put { data } => (
+        match &p.verb {
+            Verb::Put { data, .. } => (
                 GasMsg::SwPut {
                     block,
                     offset: gva.offset(),
@@ -556,7 +550,7 @@ fn issue_sw<S: GasWorld>(
                 },
                 data.len() as u32,
             ),
-            OpPayload::Get { len, .. } => (
+            Verb::Get { len, .. } => (
                 GasMsg::SwGet {
                     block,
                     offset: gva.offset(),
@@ -566,12 +560,12 @@ fn issue_sw<S: GasWorld>(
                 },
                 ctrl,
             ),
-            OpPayload::Amo { op: amo } => (
+            Verb::Amo { amo, key } => (
                 GasMsg::SwAmo {
                     block,
                     offset: gva.offset(),
                     amo: amo.clone(),
-                    key: amo_key(loc, op),
+                    key: *key,
                     ctx: op,
                     reply_to: loc,
                 },
@@ -590,13 +584,6 @@ fn issue_sw<S: GasWorld>(
 }
 
 // ------------------------------------------------------- shm fast path
-
-/// The payload snapshot an intra-domain access carries to the target lane.
-enum ShmPayload {
-    Put { data: Vec<u8> },
-    Get { len: u32 },
-    Amo { amo: AmoOp },
-}
 
 /// Try the intra-domain shared-memory short-circuit for a remote op
 /// believed to live at `target_loc`. Returns `true` when the op took the
@@ -620,24 +607,16 @@ fn try_shm<S: GasWorld>(
     if target_loc == loc || !shm.same_domain(loc, target_loc) {
         return false;
     }
-    let payload = {
+    let verb = {
         let g = eng.state.gas(loc);
         let Ok(p) = g.pending.get_mut(op) else {
             return true; // reclaimed (deadline sweep); nothing to issue
         };
         p.phase = OpPhase::Shm;
         p.attempt = None; // any earlier photon attempt is superseded
-        match &p.payload {
-            OpPayload::Put { data } => ShmPayload::Put { data: data.clone() },
-            OpPayload::Get { len, .. } => ShmPayload::Get { len: *len },
-            OpPayload::Amo { op } => ShmPayload::Amo { amo: op.clone() },
-        }
+        p.verb.clone()
     };
-    let bytes = match &payload {
-        ShmPayload::Put { data } => data.len() as u32,
-        ShmPayload::Get { len } => *len,
-        ShmPayload::Amo { amo } => 8 * amo.touched_words() as u32,
-    };
+    let bytes = verb.touched_bytes();
     {
         let g = eng.state.gas(loc);
         g.stats.remote_ops += 1;
@@ -660,7 +639,7 @@ fn try_shm<S: GasWorld>(
     // engine's shm-aware lookahead, so the hop respects the window.
     let at = now + shm.access(bytes);
     eng.schedule_at_loc(at, target_loc, move |eng| {
-        shm_commit(eng, loc, target_loc, op, gva, payload, shm)
+        shm_commit(eng, loc, target_loc, op, gva, verb, shm)
     });
     true
 }
@@ -673,7 +652,7 @@ fn shm_commit<S: GasWorld>(
     target: LocalityId,
     op: OpId,
     gva: Gva,
-    payload: ShmPayload,
+    verb: Verb,
     shm: ShmDomain,
 ) {
     let block = gva.block_key();
@@ -696,72 +675,41 @@ fn shm_commit<S: GasWorld>(
         });
         return;
     };
-    let phys = base + gva.offset();
-    match payload {
-        ShmPayload::Put { data } => {
-            eng.state
-                .cluster()
-                .mem_mut(target)
-                .write(phys, &data)
-                .expect("shm put outside arena");
-            eng.schedule_at_loc(back, loc, move |eng| shm_put_finish(eng, loc, op));
-        }
-        ShmPayload::Get { len } => {
-            let data = eng
-                .state
-                .cluster()
-                .mem(target)
-                .read(phys, len as usize)
-                .expect("shm get outside arena")
-                .to_vec();
-            eng.schedule_at_loc(back, loc, move |eng| shm_get_finish(eng, loc, op, data));
-        }
-        ShmPayload::Amo { amo } => {
-            // Same dedup identity and responder cache as the NIC, software,
-            // and local-commit paths: a retry that switches paths still
-            // applies exactly once.
-            let key = amo_key(loc, op);
-            let cached = eng
-                .state
-                .cluster()
-                .loc_mut(target)
-                .nic
-                .amo
-                .lookup(key)
-                .cloned();
-            let result = match cached {
-                Some(r) => {
-                    eng.state.gas(target).stats.amo_replays += 1;
-                    r
-                }
-                None => {
-                    let r = {
-                        let slice = eng
-                            .state
-                            .cluster()
-                            .mem_mut(target)
-                            .slice_mut(base, gva.block_size() as usize)
-                            .expect("shm AMO storage outside arena");
-                        netsim::amo::execute(&amo, slice, gva.offset())
-                    };
-                    if amo.mutates() {
-                        eng.state
-                            .cluster()
-                            .loc_mut(target)
-                            .nic
-                            .amo
-                            .install(key, block, r.clone());
-                    }
-                    r
-                }
-            };
-            eng.schedule_at_loc(back, loc, move |eng| complete_amo(eng, loc, op, result));
-        }
-    }
+    let (size, offset) = (gva.block_size(), gva.offset());
+    let applied = apply_resident(eng, target, block, base, size, offset, &verb)
+        .expect("shm access outside its block");
+    eng.schedule_at_loc(back, loc, move |eng| match applied {
+        Applied::Put => complete_put(eng, loc, op),
+        Applied::Get(data) => complete_get(eng, loc, op, data),
+        Applied::Amo { result, .. } => complete_amo(eng, loc, op, result),
+    });
 }
 
-/// Finish a put that committed over shared memory (initiator's lane).
-fn shm_put_finish<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) {
+/// Apply `verb` at `offset` within `block`, resident as `size` bytes at
+/// `base` in `at`'s arena, through the one responder kernel
+/// ([`netsim::Locality::apply`]) the NIC uses — so an AMO retried across
+/// paths (NIC, software handler, shm, post-migration local commit) still
+/// applies exactly once. Counts a responder-cache replay; `None` means the
+/// access fell outside the block.
+fn apply_resident<S: GasWorld>(
+    eng: &mut Engine<S>,
+    at: LocalityId,
+    block: u64,
+    base: PhysAddr,
+    size: u64,
+    offset: u64,
+    verb: &Verb,
+) -> Option<Applied> {
+    let l = eng.state.cluster().loc_mut(at);
+    let applied = l.apply(block, base, size, offset, verb)?;
+    if let Applied::Amo { replayed: true, .. } = applied {
+        eng.state.gas(at).stats.amo_replays += 1;
+    }
+    Some(applied)
+}
+
+/// Finish a put whose write is acknowledged (software ack or shm commit).
+fn complete_put<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) {
     let p = match eng.state.gas(loc).pending.remove(op) {
         Ok(p) => p,
         Err(_) => {
@@ -776,8 +724,8 @@ fn shm_put_finish<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) {
     S::gas_put_done(eng, loc, p.ctx);
 }
 
-/// Finish a get that committed over shared memory (initiator's lane).
-fn shm_get_finish<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId, data: Vec<u8>) {
+/// Finish a get whose data arrived by value (software reply or shm commit).
+fn complete_get<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId, data: Vec<u8>) {
     let p = match eng.state.gas(loc).pending.remove(op) {
         Ok(p) => p,
         Err(_) => {
@@ -787,15 +735,9 @@ fn shm_get_finish<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId, d
     };
     let now = eng.now();
     record_latency(eng, loc, &p, now);
-    if let OpPayload::Get {
-        scratch: Some((addr, class)),
-        ..
-    } = p.payload
-    {
-        // An earlier RDMA attempt left a scratch buffer behind; the shm
-        // path never needs one.
-        eng.state.cluster().mem_mut(loc).free_block(addr, class);
-    }
+    // An earlier RDMA attempt may have left a scratch buffer behind; these
+    // paths never need one.
+    free_scratch(eng, loc, &p);
     let vhash = p.hist.map(|_| value_hash(&data));
     hist_done(eng, loc, p.hist, now, vhash);
     finish_ok(eng, loc, op);
@@ -827,103 +769,45 @@ fn hint_owner<S: GasWorld>(
         .unwrap_or(home)
 }
 
+/// Issue the one-sided access toward `target_loc` through photon: the
+/// target NIC translates (and, for an AMO, executes in the same visit), and
+/// the completion or NACK/forward outcome comes back like any PWC op.
 fn issue_rdma<S: GasWorld>(
     eng: &mut Engine<S>,
     loc: LocalityId,
     op: OpId,
     target_loc: LocalityId,
     target: RdmaTarget,
-    is_put: bool,
 ) {
-    if is_put {
-        let data = {
-            let g = eng.state.gas(loc);
-            let Ok(p) = g.pending.get_mut(op) else {
-                return;
-            };
-            p.phase = OpPhase::Rdma;
-            match &p.payload {
-                OpPayload::Put { data } => data.clone(),
-                OpPayload::Get { .. } | OpPayload::Amo { .. } => unreachable!(),
-            }
+    let (mut verb, scratch) = {
+        let g = eng.state.gas(loc);
+        let Ok(p) = g.pending.get_mut(op) else {
+            return;
         };
-        let att = pwc_put(eng, loc, target_loc, target, data, op, None, None);
-        if let Ok(p) = eng.state.gas(loc).pending.get_mut(op) {
-            p.attempt = Some(att);
-        }
-    } else {
-        // Ensure a scratch landing buffer exists (reused across retries).
-        let (len, scratch) = {
-            let g = eng.state.gas(loc);
-            let Ok(p) = g.pending.get_mut(op) else {
-                return;
-            };
-            p.phase = OpPhase::Rdma;
-            match &p.payload {
-                OpPayload::Get { len, scratch } => (*len, *scratch),
-                OpPayload::Put { .. } | OpPayload::Amo { .. } => unreachable!(),
-            }
-        };
-        let (addr, class) = match scratch {
-            Some(s) => s,
+        p.phase = OpPhase::Rdma;
+        (p.verb.clone(), p.scratch)
+    };
+    // A get lands in a scratch buffer from the runtime's pre-registered
+    // pool, allocated once and reused across retries.
+    if let Verb::Get { len, local } = &mut verb {
+        *local = match scratch {
+            Some((addr, _)) => addr,
             None => {
-                let class = scratch_class(len);
+                let class = scratch_class(*len);
                 let addr = eng
                     .state
                     .cluster()
                     .mem_mut(loc)
                     .alloc_block(class)
                     .expect("scratch allocation failed");
-                let g = eng.state.gas(loc);
-                if let Ok(p) = g.pending.get_mut(op) {
-                    if let OpPayload::Get { scratch, .. } = &mut p.payload {
-                        *scratch = Some((addr, class));
-                    }
+                if let Ok(p) = eng.state.gas(loc).pending.get_mut(op) {
+                    p.scratch = Some((addr, class));
                 }
-                (addr, class)
+                addr
             }
         };
-        let _ = class;
-        // Scratch buffers come from the runtime's pre-registered pool.
-        let att = pwc_get(eng, loc, target_loc, target, len, addr, op, None);
-        if let Ok(p) = eng.state.gas(loc).pending.get_mut(op) {
-            p.attempt = Some(att);
-        }
     }
-}
-
-/// Issue the one-sided NIC-executed AMO toward `target_loc`: translation
-/// and execution happen in the target NIC's single visit, and the
-/// completion (or NACK/forward outcome) comes back through the photon
-/// layer like any other PWC op.
-fn issue_amo_rdma<S: GasWorld>(
-    eng: &mut Engine<S>,
-    loc: LocalityId,
-    op: OpId,
-    gva: Gva,
-    target_loc: LocalityId,
-) {
-    let amo = {
-        let g = eng.state.gas(loc);
-        let Ok(p) = g.pending.get_mut(op) else {
-            return;
-        };
-        p.phase = OpPhase::Rdma;
-        match &p.payload {
-            OpPayload::Amo { op } => op.clone(),
-            _ => unreachable!(),
-        }
-    };
-    let att = pwc_amo(
-        eng,
-        loc,
-        target_loc,
-        gva.block_key(),
-        gva.offset(),
-        amo,
-        amo_key(loc, op),
-        op,
-    );
+    let att = pwc(eng, loc, target_loc, target, verb, op, None);
     if let Ok(p) = eng.state.gas(loc).pending.get_mut(op) {
         p.attempt = Some(att);
     }
@@ -944,11 +828,7 @@ fn commit_local<S: GasWorld>(
         let Ok(p) = g.pending.get(op) else {
             return;
         };
-        let len = match &p.payload {
-            OpPayload::Put { data } => data.len(),
-            OpPayload::Get { len, .. } => *len as usize,
-            OpPayload::Amo { op } => 8 * op.touched_words(),
-        };
+        let len = p.verb.touched_bytes() as usize;
         (p.gva, len, g.cfg.copy_per_byte_ps)
     };
     let block = gva.block_key();
@@ -967,7 +847,6 @@ fn commit_local<S: GasWorld>(
                 .base
         }),
     };
-    let phys = base + gva.offset();
     let g = eng.state.gas(loc);
     g.stats.local_ops += 1;
     let delay = g.cfg.local_op + copy_time(per_byte, len);
@@ -979,79 +858,28 @@ fn commit_local<S: GasWorld>(
     };
     record_latency(eng, loc, &p, now + delay);
     finish_ok(eng, loc, op);
-    let hist = p.hist;
-    match p.payload {
-        OpPayload::Put { data } => {
-            eng.state
-                .cluster()
-                .mem_mut(loc)
-                .write(phys, &data)
-                .expect("local memput out of bounds");
-            hist_done(eng, loc, hist, now, None);
-            let ctx = p.ctx;
+    free_scratch(eng, loc, &p);
+    // An AMO's earlier attempt may already have executed remotely (and its
+    // block since migrated here, responder-cache entries riding along);
+    // the shared kernel consults the cache before touching memory.
+    let (size, offset) = (gva.block_size(), gva.offset());
+    let applied = apply_resident(eng, loc, block, base, size, offset, &p.verb)
+        .expect("local op out of bounds");
+    let ctx = p.ctx;
+    match applied {
+        Applied::Put => {
+            hist_done(eng, loc, p.hist, now, None);
             eng.schedule(delay, move |eng| S::gas_put_done(eng, loc, ctx));
         }
-        OpPayload::Get { len, scratch } => {
-            if let Some((addr, class)) = scratch {
-                eng.state.cluster().mem_mut(loc).free_block(addr, class);
-            }
-            let data = eng
-                .state
-                .cluster()
-                .mem(loc)
-                .read(phys, len as usize)
-                .expect("local memget out of bounds")
-                .to_vec();
-            let vhash = hist.map(|_| value_hash(&data));
-            hist_done(eng, loc, hist, now, vhash);
-            let ctx = p.ctx;
+        Applied::Get(data) => {
+            let vhash = p.hist.map(|_| value_hash(&data));
+            hist_done(eng, loc, p.hist, now, vhash);
             eng.schedule(delay, move |eng| S::gas_get_done(eng, loc, ctx, data));
         }
-        OpPayload::Amo { op: amo } => {
-            // An earlier attempt may already have executed remotely (and
-            // its block since migrated here, cache entries riding along),
-            // so consult the responder cache before touching memory —
-            // AMOs must apply exactly once across path switches.
-            let key = amo_key(loc, op);
-            let block = gva.block_key();
-            let cached = eng
-                .state
-                .cluster()
-                .loc_mut(loc)
-                .nic
-                .amo
-                .lookup(key)
-                .cloned();
-            let result = match cached {
-                Some(r) => {
-                    eng.state.gas(loc).stats.amo_replays += 1;
-                    r
-                }
-                None => {
-                    let r = {
-                        let slice = eng
-                            .state
-                            .cluster()
-                            .mem_mut(loc)
-                            .slice_mut(base, gva.block_size() as usize)
-                            .expect("resident block outside arena");
-                        netsim::amo::execute(&amo, slice, gva.offset())
-                    };
-                    // Reads re-execute harmlessly; only mutations need
-                    // (and may consume) replay-cache slots.
-                    if amo.mutates() {
-                        eng.state
-                            .cluster()
-                            .loc_mut(loc)
-                            .nic
-                            .amo
-                            .install(key, block, r.clone());
-                    }
-                    r
-                }
-            };
-            log_amo_words(eng, loc, gva, &amo, &result, p.issued, now);
-            let ctx = p.ctx;
+        Applied::Amo { result, .. } => {
+            if let Verb::Amo { amo, .. } = &p.verb {
+                log_amo_words(eng, loc, gva, amo, &result, p.issued, now);
+            }
             eng.schedule(delay, move |eng| S::gas_amo_done(eng, loc, ctx, result));
         }
     }
@@ -1237,14 +1065,14 @@ pub fn on_pwc_complete<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, ctx: O
     };
     let now = eng.now();
     record_latency(eng, loc, &p, now);
-    match p.payload {
-        OpPayload::Put { .. } => {
+    match p.verb {
+        Verb::Put { .. } => {
             hist_done(eng, loc, p.hist, now, None);
             finish_ok(eng, loc, ctx);
             S::gas_put_done(eng, loc, p.ctx);
         }
-        OpPayload::Get { len, scratch } => {
-            let Some((addr, class)) = scratch else {
+        Verb::Get { len, .. } => {
+            let Some((addr, class)) = p.scratch else {
                 // Unreachable via the wire (gets allocate scratch before
                 // issue); counted as a violation rather than panicking.
                 let g = eng.state.gas(loc);
@@ -1276,7 +1104,7 @@ pub fn on_pwc_complete<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, ctx: O
             finish_ok(eng, loc, ctx);
             S::gas_get_done(eng, loc, p.ctx, data);
         }
-        OpPayload::Amo { .. } => {
+        Verb::Amo { .. } => {
             // AMOs complete through the result-carrying path; a bare
             // completion means crossed wires somewhere below us.
             let g = eng.state.gas(loc);
@@ -1310,7 +1138,7 @@ fn complete_amo<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, id: OpId, res
     };
     let now = eng.now();
     record_latency(eng, loc, &p, now);
-    let OpPayload::Amo { op: amo } = &p.payload else {
+    let Verb::Amo { amo, .. } = &p.verb else {
         // An AMO completion naming a put/get op: the wire protocol was
         // violated; fail the op rather than fabricating a result.
         let g = eng.state.gas(loc);
@@ -1425,44 +1253,8 @@ pub fn handle_msg<S: GasWorld>(eng: &mut Engine<S>, from: LocalityId, at: Locali
             handle_sw_access(eng, at, msg)
         }
         GasMsg::SwAmoReply { ctx, result } => complete_amo(eng, at, ctx, result),
-        GasMsg::SwPutAck { ctx } => {
-            let p = match eng.state.gas(at).pending.remove(ctx) {
-                Ok(p) => p,
-                Err(_) => {
-                    eng.state.gas(at).stats.stale_completions += 1;
-                    return;
-                }
-            };
-            let now = eng.now();
-            record_latency(eng, at, &p, now);
-            hist_done(eng, at, p.hist, now, None);
-            finish_ok(eng, at, ctx);
-            S::gas_put_done(eng, at, p.ctx);
-        }
-        GasMsg::SwGetReply { ctx, data } => {
-            let p = match eng.state.gas(at).pending.remove(ctx) {
-                Ok(p) => p,
-                Err(_) => {
-                    eng.state.gas(at).stats.stale_completions += 1;
-                    return;
-                }
-            };
-            let now = eng.now();
-            record_latency(eng, at, &p, now);
-            if let OpPayload::Get {
-                scratch: Some((addr, class)),
-                ..
-            } = p.payload
-            {
-                // A retry raced: the sw path answered an op that had a
-                // scratch buffer from an earlier RDMA attempt.
-                eng.state.cluster().mem_mut(at).free_block(addr, class);
-            }
-            let vhash = p.hist.map(|_| value_hash(&data));
-            hist_done(eng, at, p.hist, now, vhash);
-            finish_ok(eng, at, ctx);
-            S::gas_get_done(eng, at, p.ctx, data);
-        }
+        GasMsg::SwPutAck { ctx } => complete_put(eng, at, ctx),
+        GasMsg::SwGetReply { ctx, data } => complete_get(eng, at, ctx, data),
         GasMsg::SwRetry { ctx, block } => {
             if !eng.state.gas(at).pending.contains(ctx) {
                 eng.state.gas(at).stats.stale_completions += 1;
@@ -1728,89 +1520,27 @@ fn run_sw_access<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, msg: GasMsg) 
         ms.queued.push(msg);
         return;
     }
-    let entry = eng.state.gas(at).btt.lookup(block).copied();
-    let ctrl = eng.state.cluster_ref().config.ctrl_bytes;
-    match msg {
+    let (offset, verb, ctx, reply_to) = match msg {
         GasMsg::SwPut {
             offset,
             data,
             ctx,
             reply_to,
             ..
-        } => match entry {
-            Some(e) => {
-                if offset + data.len() as u64 > 1u64 << e.class {
-                    // Out-of-bounds software put: reject it as a protocol
-                    // violation rather than corrupting the arena.
-                    eng.state.gas(at).stats.protocol_violations += 1;
-                    return;
-                }
-                eng.state
-                    .cluster()
-                    .mem_mut(at)
-                    .write(e.base + offset, &data)
-                    .expect("BTT entry points outside arena");
-                eng.state.gas(at).stats.sw_puts_handled += 1;
-                send_user_classed(
-                    eng,
-                    at,
-                    reply_to,
-                    ctrl,
-                    S::wrap_gas(GasMsg::SwPutAck { ctx }),
-                    FaultClass::Completion,
-                );
-            }
-            None => {
-                send_user_classed(
-                    eng,
-                    at,
-                    reply_to,
-                    ctrl,
-                    S::wrap_gas(GasMsg::SwRetry { ctx, block }),
-                    FaultClass::Completion,
-                );
-            }
-        },
+        } => {
+            let verb = Verb::Put {
+                data,
+                remote_tag: None,
+            };
+            (offset, verb, ctx, reply_to)
+        }
         GasMsg::SwGet {
             offset,
             len,
             ctx,
             reply_to,
             ..
-        } => match entry {
-            Some(e) => {
-                if offset + len as u64 > 1u64 << e.class {
-                    eng.state.gas(at).stats.protocol_violations += 1;
-                    return;
-                }
-                let data = eng
-                    .state
-                    .cluster()
-                    .mem(at)
-                    .read(e.base + offset, len as usize)
-                    .expect("BTT entry points outside arena")
-                    .to_vec();
-                eng.state.gas(at).stats.sw_gets_handled += 1;
-                send_user_classed(
-                    eng,
-                    at,
-                    reply_to,
-                    len,
-                    S::wrap_gas(GasMsg::SwGetReply { ctx, data }),
-                    FaultClass::Completion,
-                );
-            }
-            None => {
-                send_user_classed(
-                    eng,
-                    at,
-                    reply_to,
-                    ctrl,
-                    S::wrap_gas(GasMsg::SwRetry { ctx, block }),
-                    FaultClass::Completion,
-                );
-            }
-        },
+        } => (offset, Verb::Get { len, local: 0 }, ctx, reply_to),
         GasMsg::SwAmo {
             offset,
             amo,
@@ -1818,79 +1548,58 @@ fn run_sw_access<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, msg: GasMsg) 
             ctx,
             reply_to,
             ..
-        } => {
-            // Resolve storage: the BTT under AGAS; under PGAS (where the
-            // BTT is empty by design) the replicated placement map — the
-            // home always owns, so no retry path is needed there.
-            let resolved = match entry {
-                Some(e) => Some((e.base, 1u64 << e.class)),
-                None if eng.state.gas_mode() == GasMode::Pgas => eng
-                    .state
-                    .pgas()
-                    .get(&block)
-                    .copied()
-                    .map(|base| (base, Gva(block).block_size())),
-                None => None,
-            };
-            let Some((base, size)) = resolved else {
-                send_user_classed(
-                    eng,
-                    at,
-                    reply_to,
-                    ctrl,
-                    S::wrap_gas(GasMsg::SwRetry { ctx, block }),
-                    FaultClass::Completion,
-                );
-                return;
-            };
-            if !amo.bounds_ok(offset, size) {
+        } => (offset, Verb::Amo { amo, key }, ctx, reply_to),
+        _ => unreachable!(),
+    };
+    // Resolve storage: the BTT under AGAS; under PGAS (where the BTT is
+    // empty by design) the replicated placement map — the home always
+    // owns, so no retry path is needed there.
+    let resolved = match eng.state.gas(at).btt.lookup(block).copied() {
+        Some(e) => Some((e.base, 1u64 << e.class)),
+        None if eng.state.gas_mode() == GasMode::Pgas => eng
+            .state
+            .pgas()
+            .get(&block)
+            .copied()
+            .map(|base| (base, Gva(block).block_size())),
+        None => None,
+    };
+    let ctrl = eng.state.cluster_ref().config.ctrl_bytes;
+    let (reply, wire) = match resolved {
+        None => (GasMsg::SwRetry { ctx, block }, ctrl),
+        Some((base, size)) => {
+            let Some(applied) = apply_resident(eng, at, block, base, size, offset, &verb) else {
+                // Out-of-bounds software access: reject it as a protocol
+                // violation rather than corrupting the arena.
                 eng.state.gas(at).stats.protocol_violations += 1;
                 return;
-            }
-            // The same responder cache the NIC path uses: a retry that
-            // degraded to the software path after its first attempt
-            // executed at the NIC still deduplicates.
-            let cached = eng.state.cluster().loc_mut(at).nic.amo.lookup(key).cloned();
-            let result = match cached {
-                Some(r) => {
-                    eng.state.gas(at).stats.amo_replays += 1;
-                    r
-                }
-                None => {
-                    let r = {
-                        let slice = eng
-                            .state
-                            .cluster()
-                            .mem_mut(at)
-                            .slice_mut(base, size as usize)
-                            .expect("AMO storage outside arena");
-                        netsim::amo::execute(&amo, slice, offset)
-                    };
-                    // Same policy as the NIC path: reads re-execute
-                    // harmlessly and never consume replay-cache slots.
-                    if amo.mutates() {
-                        eng.state
-                            .cluster()
-                            .loc_mut(at)
-                            .nic
-                            .amo
-                            .install(key, block, r.clone());
-                    }
-                    r
-                }
             };
-            eng.state.gas(at).stats.sw_amos_handled += 1;
-            send_user_classed(
-                eng,
-                at,
-                reply_to,
-                ctrl,
-                S::wrap_gas(GasMsg::SwAmoReply { ctx, result }),
-                FaultClass::Completion,
-            );
+            let stats = &mut eng.state.gas(at).stats;
+            match applied {
+                Applied::Put => {
+                    stats.sw_puts_handled += 1;
+                    (GasMsg::SwPutAck { ctx }, ctrl)
+                }
+                Applied::Get(data) => {
+                    stats.sw_gets_handled += 1;
+                    let wire = data.len() as u32;
+                    (GasMsg::SwGetReply { ctx, data }, wire)
+                }
+                Applied::Amo { result, .. } => {
+                    stats.sw_amos_handled += 1;
+                    (GasMsg::SwAmoReply { ctx, result }, ctrl)
+                }
+            }
         }
-        _ => unreachable!(),
-    }
+    };
+    send_user_classed(
+        eng,
+        at,
+        reply_to,
+        wire,
+        S::wrap_gas(reply),
+        FaultClass::Completion,
+    );
 }
 
 // ---------------------------------------------------------------- routing & pinning

@@ -15,7 +15,8 @@
 //!   a [`nic::Nic`] whose [`nic::XlateTable`] is the paper's contribution in
 //!   miniature: virtual-block → physical translation, forwarding tombstones
 //!   for migrated blocks, NACKs for unknown ones;
-//! * [`net::send_user`], [`net::rdma_put`], [`net::rdma_get`] — the timed
+//! * [`net::send_user`] and [`net::rdma_issue`] (with its
+//!   [`net::rdma_put`] / [`net::rdma_get`] shorthands) — the timed
 //!   operation state machines.
 //!
 //! Layers above implement [`net::Protocol`] to receive deliveries. See the
@@ -55,8 +56,8 @@ pub use faults::{
 pub use flatmap::{FlatTable, LruInsert};
 pub use memory::{MemError, Memory, PhysAddr};
 pub use net::{
-    rdma_amo, rdma_get, rdma_put, send_user, send_user_classed, AmoReq, Cluster, Envelope, GetReq,
-    Locality, NackReason, OpKind, Packet, Protocol, PutReq, RdmaTarget,
+    rdma_get, rdma_issue, rdma_put, send_user, send_user_classed, Access, Applied, Cluster,
+    Envelope, GetReq, Locality, NackReason, OpKind, Packet, Protocol, PutReq, RdmaTarget, Verb,
 };
 pub use nic::{LocalityId, Nic, Xlate, XlateEntry, XlateTable};
 pub use optable::{OpError, OpId, OpOutcome, OpTable, OutcomeCounters};

@@ -1,17 +1,21 @@
 //! Network operations over the simulated cluster.
 //!
-//! Three primitive operation classes, matching what the Photon middleware
+//! Two primitive operation classes, matching what the Photon middleware
 //! needs from the fabric:
 //!
 //! * [`send_user`] — a two-sided message delivered to the destination's
 //!   software handler ([`Protocol::deliver`]); target CPU cost is charged by
 //!   the layer that runs the handler.
-//! * [`rdma_put`] — a one-sided write. The destination may be a raw physical
-//!   address (classic registered-memory RDMA, the PGAS fast path) or a
-//!   *virtual* block key + offset, translated by the **target NIC's**
-//!   translation table with zero CPU involvement (the network-managed AGAS
-//!   path). Stale/unknown blocks produce NACKs or NIC-level forwarding.
-//! * [`rdma_get`] — the symmetric one-sided read.
+//! * [`rdma_issue`] — a one-sided [`Access`]: a write ([`rdma_put`]), a read
+//!   ([`rdma_get`]) or a NIC-executed active operation, told apart only by
+//!   their [`Verb`]. The target may be a raw physical address (classic
+//!   registered-memory RDMA, the PGAS fast path) or a *virtual* block key +
+//!   offset, translated by the **target NIC's** translation table with zero
+//!   CPU involvement (the network-managed AGAS path). Stale/unknown blocks
+//!   produce NACKs or NIC-level forwarding. All three kinds ride one
+//!   `issue → hop → arrive → commit` pipeline, and the commit applies the
+//!   access through the same kernel ([`Locality::apply`]) the software
+//!   paths above use.
 //!
 //! Every operation is decomposed into timed events: initiator-side CPU
 //! overhead, transmit-port serialization, wire latency, receive-port
@@ -409,15 +413,17 @@ fn deliver_at<S: Protocol>(
     packet: Packet<S::Msg>,
 ) {
     eng.schedule_at_loc(at, dst, move |eng| {
-        if matches!(
-            packet,
-            Packet::PutDone { .. } | Packet::GetDone { .. } | Packet::AmoDone { .. }
-        ) {
-            let now = eng.now();
-            eng.state
-                .cluster()
-                .tracer
-                .record(now, TraceKind::Completion { at: dst });
+        let now = eng.now();
+        let c = eng.state.cluster();
+        match packet {
+            Packet::PutDone { .. } | Packet::GetDone { .. } | Packet::AmoDone { .. } => {
+                c.tracer.record(now, TraceKind::Completion { at: dst });
+            }
+            Packet::Nack { .. } => {
+                c.tracer.record(now, TraceKind::Nack { from: src, to: dst });
+                c.loc_mut(dst).counters.nacks_recv += 1;
+            }
+            _ => {}
         }
         S::deliver(eng, Envelope { src, dst, packet });
     });
@@ -554,6 +560,204 @@ pub struct GetReq {
     pub class: FaultClass,
 }
 
+/// What a one-sided access does to the storage it resolves to: the
+/// kind-specific half of an [`Access`], and the snapshot every responder
+/// path — NIC commit, software handler, shared-memory commit, local commit
+/// — hands to [`Locality::apply`].
+#[derive(Clone, Debug)]
+pub enum Verb {
+    /// Write `data` (snapshotted at initiation, as hardware DMA would).
+    Put {
+        /// Payload.
+        data: Vec<u8>,
+        /// When set, a NIC commit also raises [`Packet::RemoteNote`] with
+        /// this tag at the target once the data is visible — Photon's
+        /// put-with-completion remote ledger entry.
+        remote_tag: Option<u64>,
+    },
+    /// Read `len` bytes.
+    Get {
+        /// Bytes to read.
+        len: u32,
+        /// Where a NIC commit's payload-return leg lands them: a physical
+        /// buffer in the *initiator's* arena.
+        local: PhysAddr,
+    },
+    /// Execute a NIC-level active operation on the block's words.
+    Amo {
+        /// The operation.
+        amo: AmoOp,
+        /// Retry-stable dedup identity checked against the responder
+        /// cache: the initiating locality plus the initiator's GAS-level
+        /// op id, unchanged across transport retries.
+        key: AmoKey,
+    },
+}
+
+impl Verb {
+    /// Which RDMA verb this is.
+    pub fn kind(&self) -> OpKind {
+        match self {
+            Verb::Put { .. } => OpKind::Put,
+            Verb::Get { .. } => OpKind::Get,
+            Verb::Amo { .. } => OpKind::Amo,
+        }
+    }
+
+    /// Bytes of responder storage the access touches — what DMA and copy
+    /// costs scale with.
+    pub fn touched_bytes(&self) -> u32 {
+        match self {
+            Verb::Put { data, .. } => data.len() as u32,
+            Verb::Get { len, .. } => *len,
+            Verb::Amo { amo, .. } => 8 * amo.touched_words() as u32,
+        }
+    }
+}
+
+/// What [`Locality::apply`] did.
+#[derive(Debug)]
+pub enum Applied {
+    /// The bytes were written.
+    Put,
+    /// The bytes read.
+    Get(Vec<u8>),
+    /// The op's result; `replayed` when it came from the responder cache
+    /// instead of a fresh execution.
+    Amo {
+        /// What the op observed/returned.
+        result: AmoResult,
+        /// Remembered from an earlier delivery of the same [`AmoKey`].
+        replayed: bool,
+    },
+}
+
+impl Locality {
+    /// The responder-side apply kernel: run `verb` at `offset` within the
+    /// `len`-byte resident extent at `base` (`block` tags responder-cache
+    /// entries so they migrate with their block). `None` means the access
+    /// fell outside the extent or the arena and nothing was touched.
+    ///
+    /// Every path that commits an access — the NIC, the software handler,
+    /// the shared-memory short-circuit, the initiator-local commit — goes
+    /// through here, so AMOs keep exactly-once semantics across path
+    /// switches: the responder cache is consulted before execution, and
+    /// only *mutating* ops install (reads re-execute harmlessly and must
+    /// not evict entries that do guard a mutation). The verb's
+    /// response-leg fields (`remote_tag`, `local`) play no part here.
+    pub fn apply(
+        &mut self,
+        block: u64,
+        base: PhysAddr,
+        len: u64,
+        offset: u64,
+        verb: &Verb,
+    ) -> Option<Applied> {
+        let fits = |n: u32| offset.checked_add(n as u64).is_some_and(|end| end <= len);
+        match verb {
+            Verb::Put { data, .. } => {
+                if !fits(data.len() as u32) {
+                    return None;
+                }
+                self.mem.write(base + offset, data).ok()?;
+                Some(Applied::Put)
+            }
+            Verb::Get { len: n, .. } => {
+                if !fits(*n) {
+                    return None;
+                }
+                let data = self.mem.read(base + offset, *n as usize).ok()?;
+                Some(Applied::Get(data.to_vec()))
+            }
+            Verb::Amo { amo, key } => {
+                if let Some(result) = self.nic.amo.lookup(*key).cloned() {
+                    return Some(Applied::Amo {
+                        result,
+                        replayed: true,
+                    });
+                }
+                if !amo.bounds_ok(offset, len) {
+                    return None;
+                }
+                let bytes = self.mem.slice_mut(base, len as usize).ok()?;
+                let result = amo::execute(amo, bytes, offset);
+                if amo.mutates() {
+                    self.nic.amo.install(*key, block, result.clone());
+                }
+                Some(Applied::Amo {
+                    result,
+                    replayed: false,
+                })
+            }
+        }
+    }
+}
+
+/// One one-sided access in flight — a put, get, or NIC-executed active
+/// operation. All three ride the same `issue → hop → arrive → commit`
+/// pipeline; only [`Verb`] (and the response leg it implies) differs.
+#[derive(Clone, Debug)]
+pub struct Access {
+    /// Locality whose NIC should commit the access (the believed owner).
+    pub target: LocalityId,
+    /// Where within the target it lands. AMOs always address a
+    /// [`RdmaTarget::Virt`] block: the NIC translates and executes in the
+    /// same visit, so the target CPU schedules zero events on the hit path.
+    pub at: RdmaTarget,
+    /// What to do there.
+    pub verb: Verb,
+    /// Completion token.
+    pub op: OpId,
+    /// Remaining NIC forwarding hops.
+    pub ttl: u8,
+    /// How the fault plane may abuse this request and its completions.
+    pub class: FaultClass,
+}
+
+impl Access {
+    /// Payload bytes of the request on the wire (initial leg and every
+    /// forwarding hop): a put carries its data; get and AMO requests are
+    /// control-sized (AMO operands ride in the request header).
+    fn wire_bytes(&self, cfg: &NetConfig) -> u32 {
+        match &self.verb {
+            Verb::Put { data, .. } => data.len() as u32,
+            Verb::Get { .. } | Verb::Amo { .. } => cfg.ctrl_bytes,
+        }
+    }
+}
+
+impl From<PutReq> for Access {
+    fn from(r: PutReq) -> Access {
+        Access {
+            target: r.target,
+            at: r.dst,
+            verb: Verb::Put {
+                data: r.data,
+                remote_tag: r.remote_tag,
+            },
+            op: r.op,
+            ttl: r.ttl,
+            class: r.class,
+        }
+    }
+}
+
+impl From<GetReq> for Access {
+    fn from(r: GetReq) -> Access {
+        Access {
+            target: r.target,
+            at: r.src,
+            verb: Verb::Get {
+                len: r.len,
+                local: r.local,
+            },
+            op: r.op,
+            ttl: r.ttl,
+            class: r.class,
+        }
+    }
+}
+
 /// The class of a NIC-generated response to a request of class `req`:
 /// exempt traffic stays exempt end to end; everything else completes as
 /// [`FaultClass::Completion`].
@@ -565,56 +769,88 @@ fn response_class(req: FaultClass) -> FaultClass {
     }
 }
 
-fn block_key_of(t: &RdmaTarget) -> u64 {
-    match t {
-        RdmaTarget::Phys(_) => 0,
-        RdmaTarget::Virt { block, .. } => *block,
-    }
-}
-
 /// Initiate a one-sided write from `initiator`.
 pub fn rdma_put<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: PutReq) {
+    rdma_issue(eng, initiator, req.into())
+}
+
+/// Initiate a one-sided read from `initiator`.
+pub fn rdma_get<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: GetReq) {
+    rdma_issue(eng, initiator, req.into())
+}
+
+/// Initiate any one-sided access from `initiator`: the single entry point
+/// of the pipeline.
+pub fn rdma_issue<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: Access) {
     let now = eng.now();
     let cfg = eng.state.cluster().config;
+    let bytes = req.wire_bytes(&cfg);
+    let kind = req.verb.kind();
     {
+        let (src, dst) = (initiator, req.target);
+        let touched = req.verb.touched_bytes();
         let c = eng.state.cluster();
-        c.tracer.record(
-            now,
-            TraceKind::PutInject {
-                src: initiator,
-                dst: req.target,
-                bytes: req.data.len() as u32,
-            },
-        );
-        let l = c.loc_mut(initiator);
-        l.counters.rdma_puts += 1;
-        l.counters.bytes_sent += req.data.len() as u64;
+        let counters = &mut c.loc_mut(initiator).counters;
+        counters.bytes_sent += bytes as u64;
+        let inject = match kind {
+            OpKind::Put => {
+                counters.rdma_puts += 1;
+                TraceKind::PutInject {
+                    src,
+                    dst,
+                    bytes: touched,
+                }
+            }
+            OpKind::Get => {
+                counters.rdma_gets += 1;
+                TraceKind::GetInject {
+                    src,
+                    dst,
+                    bytes: touched,
+                }
+            }
+            OpKind::Amo => {
+                counters.rdma_amos += 1;
+                TraceKind::AmoInject { src, dst }
+            }
+        };
+        c.tracer.record(now, inject);
     }
     if initiator == req.target {
-        // Loop-back: the local NIC still performs the translation, but no
+        // Loop-back: the local NIC still translates and commits, but no
         // wire or port serialization is paid.
         let at = now + cfg.loopback;
-        eng.schedule_at(at, move |eng| put_commit(eng, initiator, req, true));
+        eng.schedule_at(at, move |eng| commit(eng, initiator, req, true));
         return;
     }
-    let bytes = req.data.len() as u32;
     let dur = cfg.serialize(bytes);
     let tx_done = eng.state.cluster().tx(initiator, now + cfg.o_send, dur);
-    let hop_src = req.target;
+    // Kept from the per-kind chains this pipeline replaced: a put's first
+    // leg names the target as its own link source.
+    let hop_src = if kind == OpKind::Put {
+        req.target
+    } else {
+        initiator
+    };
     eng.defer_wire(move |eng| {
         let arrival = fabric_arrival(eng, tx_done, bytes);
-        schedule_put_hop(eng, initiator, hop_src, arrival, req);
+        hop(eng, initiator, hop_src, arrival, req);
     });
 }
 
-/// Schedule one wire hop of a put (initial leg or a forwarding hop),
-/// routing it through the fault plane.
-fn schedule_put_hop<S: Protocol>(
+/// Schedule one wire hop of a request (initial leg or a forwarding hop),
+/// routing it through the fault plane. Only a put carries a payload to
+/// corrupt: get and AMO requests are control messages, whose corruption
+/// draws already degrade to drops in the plane — a corrupted AMO can never
+/// execute; it vanishes and the initiator's deadline machinery retries it.
+/// Duplicated AMOs are safe because the responder cache replays instead of
+/// re-executing.
+fn hop<S: Protocol>(
     eng: &mut Engine<S>,
     initiator: LocalityId,
     hop_src: LocalityId,
     arrival: Time,
-    mut req: PutReq,
+    mut req: Access,
 ) {
     match fault_decide(eng, hop_src, req.target, req.class, true) {
         FaultVerdict::Drop => {}
@@ -624,99 +860,100 @@ fn schedule_put_hop<S: Protocol>(
             corrupt_mask,
         } => {
             if corrupt_mask != 0 {
-                apply_corruption(&mut req.data, corrupt_mask);
+                if let Verb::Put { data, .. } = &mut req.verb {
+                    apply_corruption(data, corrupt_mask);
+                }
             }
             if duplicate {
                 let copy = req.clone();
                 let spacing = fault_dup_delay(eng, hop_src, req.target);
                 eng.schedule_at_loc(arrival + extra_delay + spacing, copy.target, move |eng| {
-                    put_arrive(eng, initiator, copy)
+                    arrive(eng, initiator, copy)
                 });
             }
             let dst = req.target;
             eng.schedule_at_loc(arrival + extra_delay, dst, move |eng| {
-                put_arrive(eng, initiator, req)
+                arrive(eng, initiator, req)
             });
         }
     }
 }
 
-fn put_arrive<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: PutReq) {
+/// A request reached its current target's receive port: pay rx
+/// serialization plus, for virtual targets, the NIC's translation.
+fn arrive<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: Access) {
     let now = eng.now();
     let cfg = eng.state.cluster().config;
-    let dur = cfg.serialize(req.data.len() as u32);
+    let dur = cfg.serialize(req.wire_bytes(&cfg));
     let rx_done = eng.state.cluster().rx(req.target, now, dur);
-    let xlate_cost = match req.dst {
+    let xlate_cost = match req.at {
         RdmaTarget::Virt { .. } => cfg.xlate_ns,
         RdmaTarget::Phys(_) => Time::ZERO,
     };
     eng.schedule_at(rx_done + xlate_cost, move |eng| {
-        put_commit(eng, initiator, req, false)
+        commit(eng, initiator, req, false)
     });
 }
 
-/// Translate and commit a put at its current target; generate the ack,
-/// remote note, NACK, or forwarding hop.
-fn put_commit<S: Protocol>(
-    eng: &mut Engine<S>,
-    initiator: LocalityId,
-    mut req: PutReq,
-    local: bool,
-) {
+/// Translate and commit an access at its current target NIC; generate the
+/// completion, remote note, NACK, or forwarding hop. `local` marks a
+/// loop-back visit, whose responses skip the wire.
+fn commit<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, mut req: Access, local: bool) {
     let now = eng.now();
     let cfg = eng.state.cluster().config;
     let target = req.target;
-    let block = block_key_of(&req.dst);
-    let resolved: Result<PhysAddr, NackReason> = match req.dst {
-        RdmaTarget::Phys(addr) => Ok(addr),
-        RdmaTarget::Virt { block, offset } => {
-            let l = eng.state.cluster().loc_mut(target);
-            match l.nic.xlate.lookup(block) {
-                Xlate::Hit(entry) => {
-                    if offset + req.data.len() as u64 <= entry.len {
-                        l.counters.xlate_hits += 1;
-                        eng.state
-                            .cluster()
-                            .tracer
-                            .record(now, TraceKind::XlateHit { at: target, block });
-                        Ok(entry.base + offset)
-                    } else {
-                        Err(NackReason::Bounds)
+    let class = response_class(req.class);
+    let is_amo = req.verb.kind() == OpKind::Amo;
+    // A duplicated or retried AMO re-acks its remembered result instead of
+    // applying twice — before translation, so the replay needs no table
+    // entry and leaves the table's recency order alone.
+    if let Verb::Amo { key, .. } = &req.verb {
+        let l = eng.state.cluster().loc_mut(target);
+        if let Some(result) = l.nic.amo.lookup(*key).cloned() {
+            l.counters.amo_replays += 1;
+            let done = Packet::AmoDone { op: req.op, result };
+            respond(eng, target, initiator, done, now, local, class);
+            return;
+        }
+    }
+    let block = match req.at {
+        RdmaTarget::Phys(_) => 0,
+        RdmaTarget::Virt { block, .. } => block,
+    };
+    // The resident extent `(base, len)` the access resolved to, and its
+    // offset within it. A physical target is bounded by the arena alone.
+    let resolved = match req.at {
+        RdmaTarget::Phys(addr) => Ok((addr, u64::MAX, 0)),
+        RdmaTarget::Virt { offset, .. } => {
+            let c = eng.state.cluster();
+            match c.loc_mut(target).nic.xlate.lookup(block) {
+                Xlate::Hit(entry) => Ok((entry.base, entry.len, offset)),
+                Xlate::Forward(next) if cfg.nic_forwarding && req.ttl > 0 => {
+                    // Store-and-forward hop toward the new owner.
+                    let counters = &mut c.loc_mut(target).counters;
+                    counters.xlate_forwards += 1;
+                    if is_amo {
+                        counters.amo_forwarded += 1;
+                        crate::telemetry::record_amo(0, 0, 1);
                     }
+                    let at = target;
+                    c.tracer
+                        .record(now, TraceKind::XlateForward { at, next, block });
+                    let bytes = req.wire_bytes(&cfg);
+                    let tx_done = c.tx(target, now, cfg.serialize(bytes));
+                    req.target = next;
+                    req.ttl -= 1;
+                    eng.defer_wire(move |eng| {
+                        let arrival = fabric_arrival(eng, tx_done, bytes);
+                        hop(eng, initiator, target, arrival, req);
+                    });
+                    return;
                 }
-                Xlate::Forward(next) => {
-                    if cfg.nic_forwarding && req.ttl > 0 {
-                        // Store-and-forward hop toward the new owner.
-                        l.counters.xlate_forwards += 1;
-                        eng.state.cluster().tracer.record(
-                            now,
-                            TraceKind::XlateForward {
-                                at: target,
-                                next,
-                                block,
-                            },
-                        );
-                        let bytes = req.data.len() as u32;
-                        let dur = cfg.serialize(bytes);
-                        let tx_done = eng.state.cluster().tx(target, now, dur);
-                        req.target = next;
-                        req.ttl -= 1;
-                        eng.defer_wire(move |eng| {
-                            let arrival = fabric_arrival(eng, tx_done, bytes);
-                            schedule_put_hop(eng, initiator, target, arrival, req);
-                        });
-                        return;
-                    } else if cfg.nic_forwarding {
-                        Err(NackReason::TtlExceeded)
-                    } else {
-                        Err(NackReason::Miss)
-                    }
-                }
+                Xlate::Forward(_) if cfg.nic_forwarding => Err(NackReason::TtlExceeded),
+                Xlate::Forward(_) => Err(NackReason::Miss),
                 Xlate::Miss => {
-                    l.counters.xlate_misses += 1;
-                    eng.state
-                        .cluster()
-                        .tracer
+                    c.loc_mut(target).counters.xlate_misses += 1;
+                    c.tracer
                         .record(now, TraceKind::XlateMiss { at: target, block });
                     deliver_at(eng, now, target, target, Packet::XlateMiss { block });
                     Err(NackReason::Miss)
@@ -724,359 +961,136 @@ fn put_commit<S: Protocol>(
             }
         }
     };
-    match resolved {
-        Ok(addr) => {
-            let write_ok = eng
-                .state
-                .cluster()
-                .mem_mut(target)
-                .write(addr, &req.data)
-                .is_ok();
-            if !write_ok {
-                nack(
-                    eng,
-                    target,
-                    initiator,
-                    req.op,
-                    OpKind::Put,
-                    NackReason::Bounds,
-                    block,
-                    local,
-                    response_class(req.class),
-                );
-                return;
+    let c = eng.state.cluster();
+    let applied = resolved.and_then(|(base, len, offset)| {
+        c.loc_mut(target)
+            .apply(block, base, len, offset, &req.verb)
+            .ok_or(NackReason::Bounds)
+    });
+    let applied = match applied {
+        Ok(applied) => applied,
+        Err(reason) => {
+            if is_amo {
+                c.loc_mut(target).counters.amo_nacked += 1;
+                crate::telemetry::record_amo(0, 1, 0);
             }
-            let visible = now + cfg.dma(req.data.len() as u32);
-            if let Some(tag) = req.remote_tag {
-                let len = req.data.len() as u32;
-                deliver_at(
-                    eng,
-                    visible,
-                    target,
-                    target,
-                    Packet::RemoteNote { tag, len },
-                );
-            }
-            let op = req.op;
-            if local {
-                deliver_at(eng, visible, target, initiator, Packet::PutDone { op });
-            } else {
-                // Hardware ack: a control message back to the initiator.
-                eng.state.cluster().loc_mut(target).counters.ctrl_sent += 1;
-                let ctrl = cfg.serialize_ctrl();
-                let tx_done = eng.state.cluster().tx(target, visible, ctrl);
-                let class = response_class(req.class);
-                eng.defer_wire(move |eng| {
-                    let at = fabric_arrival(eng, tx_done, cfg.ctrl_bytes);
-                    deliver_ctrl_faulty(eng, at, target, initiator, Packet::PutDone { op }, class);
-                });
-            }
+            let nack = Packet::Nack {
+                op: req.op,
+                kind: req.verb.kind(),
+                reason,
+                block,
+            };
+            let ready = if local { now + cfg.loopback } else { now };
+            respond(eng, target, initiator, nack, ready, local, class);
+            return;
         }
-        Err(reason) => nack(
-            eng,
-            target,
-            initiator,
-            req.op,
-            OpKind::Put,
-            reason,
-            block,
-            local,
-            response_class(req.class),
+    };
+    if let RdmaTarget::Virt { .. } = req.at {
+        c.loc_mut(target).counters.xlate_hits += 1;
+        c.tracer
+            .record(now, TraceKind::XlateHit { at: target, block });
+    }
+    let visible = now + cfg.dma(req.verb.touched_bytes());
+    match (applied, req.verb) {
+        (Applied::Get(data), Verb::Get { local: buf, .. }) => get_reply(
+            eng, target, initiator, req.op, buf, data, visible, local, class,
         ),
+        (Applied::Put, Verb::Put { data, remote_tag }) => {
+            if let Some(tag) = remote_tag {
+                let len = data.len() as u32;
+                let note = Packet::RemoteNote { tag, len };
+                deliver_at(eng, visible, target, target, note);
+            }
+            let done = Packet::PutDone { op: req.op };
+            respond(eng, target, initiator, done, visible, local, class);
+        }
+        (Applied::Amo { result, .. }, _) => {
+            c.loc_mut(target).counters.amo_executed += 1;
+            crate::telemetry::record_amo(1, 0, 0);
+            let done = Packet::AmoDone { op: req.op, result };
+            respond(eng, target, initiator, done, visible, local, class);
+        }
+        _ => unreachable!("apply answers in the verb's own kind"),
     }
 }
 
-/// Initiate a one-sided read from `initiator`.
-pub fn rdma_get<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: GetReq) {
-    let now = eng.now();
-    let cfg = eng.state.cluster().config;
-    {
-        let c = eng.state.cluster();
-        c.tracer.record(
-            now,
-            TraceKind::GetInject {
-                src: initiator,
-                dst: req.target,
-                bytes: req.len,
-            },
-        );
-        let l = c.loc_mut(initiator);
-        l.counters.rdma_gets += 1;
-        l.counters.bytes_sent += cfg.ctrl_bytes as u64;
+/// Send a NIC-generated response — completion ack or NACK — from `target`
+/// back to `initiator` once it is `ready`: a loop-back visit delivers
+/// directly; a remote one rides a control message through the fault plane.
+fn respond<S: Protocol>(
+    eng: &mut Engine<S>,
+    target: LocalityId,
+    initiator: LocalityId,
+    packet: Packet<S::Msg>,
+    ready: Time,
+    local: bool,
+    class: FaultClass,
+) {
+    let counters = &mut eng.state.cluster().loc_mut(target).counters;
+    match packet {
+        Packet::Nack { .. } => counters.nacks_sent += 1,
+        _ if !local => counters.ctrl_sent += 1,
+        _ => {}
     }
-    if initiator == req.target {
-        let at = now + cfg.loopback;
-        eng.schedule_at(at, move |eng| get_commit(eng, initiator, req, true));
+    if local {
+        deliver_at(eng, ready, target, initiator, packet);
         return;
     }
-    let ctrl = cfg.serialize_ctrl();
-    let tx_done = eng.state.cluster().tx(initiator, now + cfg.o_send, ctrl);
+    let cfg = eng.state.cluster().config;
+    let tx_done = eng.state.cluster().tx(target, ready, cfg.serialize_ctrl());
+    let ctrl_bytes = cfg.ctrl_bytes;
     eng.defer_wire(move |eng| {
-        let arrival = fabric_arrival(eng, tx_done, cfg.ctrl_bytes);
-        schedule_get_hop(eng, initiator, initiator, arrival, req);
+        let at = fabric_arrival(eng, tx_done, ctrl_bytes);
+        deliver_ctrl_faulty(eng, at, target, initiator, packet, class);
     });
 }
 
-/// Schedule one wire hop of a get request (initial leg or a forwarding
-/// hop), routing it through the fault plane. Get requests are control
-/// messages: corruption draws already degrade to drops in the plane.
-fn schedule_get_hop<S: Protocol>(
-    eng: &mut Engine<S>,
-    initiator: LocalityId,
-    hop_src: LocalityId,
-    arrival: Time,
-    req: GetReq,
-) {
-    match fault_decide(eng, hop_src, req.target, req.class, true) {
-        FaultVerdict::Drop => {}
-        FaultVerdict::Deliver {
-            extra_delay,
-            duplicate,
-            ..
-        } => {
-            if duplicate {
-                let copy = req.clone();
-                let spacing = fault_dup_delay(eng, hop_src, req.target);
-                eng.schedule_at_loc(arrival + extra_delay + spacing, copy.target, move |eng| {
-                    get_arrive(eng, initiator, copy)
-                });
-            }
-            let dst = req.target;
-            eng.schedule_at_loc(arrival + extra_delay, dst, move |eng| {
-                get_arrive(eng, initiator, req)
-            });
-        }
-    }
-}
-
-fn get_arrive<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: GetReq) {
-    let now = eng.now();
-    let cfg = eng.state.cluster().config;
-    let ctrl = cfg.serialize_ctrl();
-    let rx_done = eng.state.cluster().rx(req.target, now, ctrl);
-    let xlate_cost = match req.src {
-        RdmaTarget::Virt { .. } => cfg.xlate_ns,
-        RdmaTarget::Phys(_) => Time::ZERO,
-    };
-    eng.schedule_at(rx_done + xlate_cost, move |eng| {
-        get_commit(eng, initiator, req, false)
-    });
-}
-
-fn get_commit<S: Protocol>(
-    eng: &mut Engine<S>,
-    initiator: LocalityId,
-    mut req: GetReq,
-    local: bool,
-) {
-    let now = eng.now();
-    let cfg = eng.state.cluster().config;
-    let target = req.target;
-    let block = block_key_of(&req.src);
-    let resolved: Result<PhysAddr, NackReason> = match req.src {
-        RdmaTarget::Phys(addr) => Ok(addr),
-        RdmaTarget::Virt { block, offset } => {
-            let l = eng.state.cluster().loc_mut(target);
-            match l.nic.xlate.lookup(block) {
-                Xlate::Hit(entry) => {
-                    if offset + req.len as u64 <= entry.len {
-                        l.counters.xlate_hits += 1;
-                        Ok(entry.base + offset)
-                    } else {
-                        Err(NackReason::Bounds)
-                    }
-                }
-                Xlate::Forward(next) => {
-                    if cfg.nic_forwarding && req.ttl > 0 {
-                        l.counters.xlate_forwards += 1;
-                        let ctrl = cfg.serialize_ctrl();
-                        let tx_done = eng.state.cluster().tx(target, now, ctrl);
-                        req.target = next;
-                        req.ttl -= 1;
-                        eng.defer_wire(move |eng| {
-                            let arrival = fabric_arrival(eng, tx_done, cfg.ctrl_bytes);
-                            schedule_get_hop(eng, initiator, target, arrival, req);
-                        });
-                        return;
-                    } else if cfg.nic_forwarding {
-                        Err(NackReason::TtlExceeded)
-                    } else {
-                        Err(NackReason::Miss)
-                    }
-                }
-                Xlate::Miss => {
-                    l.counters.xlate_misses += 1;
-                    deliver_at(eng, now, target, target, Packet::XlateMiss { block });
-                    Err(NackReason::Miss)
-                }
-            }
-        }
-    };
-    match resolved {
-        Ok(addr) => {
-            let data: Vec<u8> = match eng.state.cluster().mem(target).read(addr, req.len as usize) {
-                Ok(slice) => slice.to_vec(),
-                Err(_) => {
-                    nack(
-                        eng,
-                        target,
-                        initiator,
-                        req.op,
-                        OpKind::Get,
-                        NackReason::Bounds,
-                        block,
-                        local,
-                        response_class(req.class),
-                    );
-                    return;
-                }
-            };
-            let op = req.op;
-            let local_addr = req.local;
-            if local {
-                // Local get: a DMA-speed copy within the node.
-                let at = now + cfg.dma(req.len);
-                eng.schedule_at(at, move |eng| {
-                    eng.state
-                        .cluster()
-                        .mem_mut(initiator)
-                        .write(local_addr, &data)
-                        .expect("get local buffer out of bounds");
-                    S::deliver(
-                        eng,
-                        Envelope {
-                            src: target,
-                            dst: initiator,
-                            packet: Packet::GetDone { op },
-                        },
-                    );
-                });
-                return;
-            }
-            // Response: payload travels target → initiator.
-            {
-                let l = eng.state.cluster().loc_mut(target);
-                l.counters.bytes_sent += req.len as u64;
-                l.counters.ctrl_sent += 1;
-            }
-            let dur = cfg.serialize(req.len);
-            let ready = now + cfg.dma(req.len);
-            let tx_done = eng.state.cluster().tx(target, ready, dur);
-            let len = req.len;
-            let class = response_class(req.class);
-            eng.defer_wire(move |eng| {
-                let mut arrival = fabric_arrival(eng, tx_done, len);
-                match fault_decide(eng, target, initiator, class, true) {
-                    FaultVerdict::Drop => return,
-                    FaultVerdict::Deliver {
-                        extra_delay,
-                        duplicate,
-                        ..
-                    } => {
-                        arrival += extra_delay;
-                        if duplicate {
-                            // The duplicate's payload lands on a registration
-                            // the initiator may have retired; model the NIC
-                            // discarding the bytes while the completion event
-                            // still surfaces (the op table drops it as stale).
-                            let spacing = fault_dup_delay(eng, target, initiator);
-                            deliver_at(
-                                eng,
-                                arrival + spacing,
-                                target,
-                                initiator,
-                                Packet::GetDone { op },
-                            );
-                        }
-                    }
-                }
-                eng.schedule_at_loc(arrival, initiator, move |eng| {
-                    let now = eng.now();
-                    let dur = eng.state.cluster().config.serialize(data.len() as u32);
-                    let rx_done = eng.state.cluster().rx(initiator, now, dur);
-                    eng.schedule_at(rx_done, move |eng| {
-                        eng.state
-                            .cluster()
-                            .mem_mut(initiator)
-                            .write(local_addr, &data)
-                            .expect("get local buffer out of bounds");
-                        S::deliver(
-                            eng,
-                            Envelope {
-                                src: target,
-                                dst: initiator,
-                                packet: Packet::GetDone { op },
-                            },
-                        );
-                    });
-                });
-            });
-        }
-        Err(reason) => nack(
-            eng,
-            target,
-            initiator,
-            req.op,
-            OpKind::Get,
-            reason,
-            block,
-            local,
-            response_class(req.class),
-        ),
-    }
-}
-
-/// Emit a NACK control message from `target`'s NIC back to `initiator`.
+/// The get's own response leg: the payload travels `target → initiator`
+/// (tx, wire, fault verdict, rx at the initiator) and lands in `local_addr`
+/// before `GetDone` surfaces. A loop-back get is a DMA-speed copy within
+/// the node.
 #[allow(clippy::too_many_arguments)]
-fn nack<S: Protocol>(
+fn get_reply<S: Protocol>(
     eng: &mut Engine<S>,
     target: LocalityId,
     initiator: LocalityId,
     op: OpId,
-    kind: OpKind,
-    reason: NackReason,
-    block: u64,
+    local_addr: PhysAddr,
+    data: Vec<u8>,
+    ready: Time,
     local: bool,
     class: FaultClass,
 ) {
-    let now = eng.now();
-    let cfg = eng.state.cluster().config;
-    eng.state.cluster().loc_mut(target).counters.nacks_sent += 1;
-    let arrive = move |eng: &mut Engine<S>, at: Time| {
-        eng.schedule_at_loc(at, initiator, move |eng| {
-            let now = eng.now();
-            let c = eng.state.cluster();
-            c.tracer.record(
-                now,
-                TraceKind::Nack {
-                    from: target,
-                    to: initiator,
-                },
-            );
-            c.loc_mut(initiator).counters.nacks_recv += 1;
-            S::deliver(
-                eng,
-                Envelope {
-                    src: target,
-                    dst: initiator,
-                    packet: Packet::Nack {
-                        op,
-                        kind,
-                        reason,
-                        block,
-                    },
-                },
-            );
-        });
+    let len = data.len() as u32;
+    let land = move |eng: &mut Engine<S>| {
+        eng.state
+            .cluster()
+            .mem_mut(initiator)
+            .write(local_addr, &data)
+            .expect("get local buffer out of bounds");
+        S::deliver(
+            eng,
+            Envelope {
+                src: target,
+                dst: initiator,
+                packet: Packet::GetDone { op },
+            },
+        );
     };
     if local {
-        arrive(eng, now + cfg.loopback);
+        eng.schedule_at(ready, land);
         return;
     }
-    let ctrl = cfg.serialize_ctrl();
-    let tx_done = eng.state.cluster().tx(target, now, ctrl);
+    let cfg = eng.state.cluster().config;
+    {
+        let l = eng.state.cluster().loc_mut(target);
+        l.counters.bytes_sent += len as u64;
+        l.counters.ctrl_sent += 1;
+    }
+    let dur = cfg.serialize(len);
+    let tx_done = eng.state.cluster().tx(target, ready, dur);
     eng.defer_wire(move |eng| {
-        let mut at = fabric_arrival(eng, tx_done, cfg.ctrl_bytes);
+        let mut arrival = fabric_arrival(eng, tx_done, len);
         match fault_decide(eng, target, initiator, class, true) {
             FaultVerdict::Drop => return,
             FaultVerdict::Deliver {
@@ -1084,305 +1098,24 @@ fn nack<S: Protocol>(
                 duplicate,
                 ..
             } => {
-                at += extra_delay;
+                arrival += extra_delay;
                 if duplicate {
+                    // The duplicate's payload lands on a registration
+                    // the initiator may have retired; model the NIC
+                    // discarding the bytes while the completion event
+                    // still surfaces (the op table drops it as stale).
                     let spacing = fault_dup_delay(eng, target, initiator);
-                    arrive(eng, at + spacing);
+                    let done = Packet::GetDone { op };
+                    deliver_at(eng, arrival + spacing, target, initiator, done);
                 }
             }
         }
-        arrive(eng, at);
+        eng.schedule_at_loc(arrival, initiator, move |eng| {
+            let now = eng.now();
+            let rx_done = eng.state.cluster().rx(initiator, now, dur);
+            eng.schedule_at(rx_done, land);
+        });
     });
-}
-
-/// A NIC-executed active-operation request. AMO requests are control-sized
-/// on the wire (the operands ride in the request header); the target NIC
-/// translates the virtual block and applies the op **in the same visit**,
-/// so the target CPU schedules zero events on the hit path.
-#[derive(Clone, Debug)]
-pub struct AmoReq {
-    /// Locality whose NIC should execute the op (the believed owner).
-    pub target: LocalityId,
-    /// Virtual block key the op addresses.
-    pub block: u64,
-    /// Byte offset of the op's target word within the block
-    /// (scatter/gather carry their own per-word offsets).
-    pub offset: u64,
-    /// The operation the NIC executes.
-    pub amo: AmoOp,
-    /// Retry-stable dedup key checked against the target NIC's responder
-    /// cache: the initiating locality plus the initiator's GAS-level op
-    /// id, unchanged across transport retries.
-    pub key: AmoKey,
-    /// Completion token.
-    pub op: OpId,
-    /// Remaining NIC forwarding hops.
-    pub ttl: u8,
-    /// How the fault plane may abuse this request and its completions.
-    pub class: FaultClass,
-}
-
-/// Initiate a NIC-executed active operation from `initiator`.
-pub fn rdma_amo<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: AmoReq) {
-    let now = eng.now();
-    let cfg = eng.state.cluster().config;
-    {
-        let c = eng.state.cluster();
-        c.tracer.record(
-            now,
-            TraceKind::AmoInject {
-                src: initiator,
-                dst: req.target,
-            },
-        );
-        let l = c.loc_mut(initiator);
-        l.counters.rdma_amos += 1;
-        l.counters.bytes_sent += cfg.ctrl_bytes as u64;
-    }
-    if initiator == req.target {
-        // Loop-back: the local NIC still translates and executes, but no
-        // wire or port serialization is paid.
-        let at = now + cfg.loopback;
-        eng.schedule_at(at, move |eng| amo_commit(eng, initiator, req, true));
-        return;
-    }
-    let ctrl = cfg.serialize_ctrl();
-    let tx_done = eng.state.cluster().tx(initiator, now + cfg.o_send, ctrl);
-    eng.defer_wire(move |eng| {
-        let arrival = fabric_arrival(eng, tx_done, cfg.ctrl_bytes);
-        schedule_amo_hop(eng, initiator, initiator, arrival, req);
-    });
-}
-
-/// Schedule one wire hop of an AMO request (initial leg or a forwarding
-/// hop), routing it through the fault plane. AMO requests are control
-/// messages: corruption draws already degrade to drops in the plane, so a
-/// corrupted request can never execute — it vanishes and the initiator's
-/// deadline machinery retries it. Duplicated requests are safe because
-/// the target's responder cache replays instead of re-executing.
-fn schedule_amo_hop<S: Protocol>(
-    eng: &mut Engine<S>,
-    initiator: LocalityId,
-    hop_src: LocalityId,
-    arrival: Time,
-    req: AmoReq,
-) {
-    match fault_decide(eng, hop_src, req.target, req.class, true) {
-        FaultVerdict::Drop => {}
-        FaultVerdict::Deliver {
-            extra_delay,
-            duplicate,
-            ..
-        } => {
-            if duplicate {
-                let copy = req.clone();
-                let spacing = fault_dup_delay(eng, hop_src, req.target);
-                eng.schedule_at_loc(arrival + extra_delay + spacing, copy.target, move |eng| {
-                    amo_arrive(eng, initiator, copy)
-                });
-            }
-            let dst = req.target;
-            eng.schedule_at_loc(arrival + extra_delay, dst, move |eng| {
-                amo_arrive(eng, initiator, req)
-            });
-        }
-    }
-}
-
-fn amo_arrive<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: AmoReq) {
-    let now = eng.now();
-    let cfg = eng.state.cluster().config;
-    let ctrl = cfg.serialize_ctrl();
-    let rx_done = eng.state.cluster().rx(req.target, now, ctrl);
-    // The AMO always targets a virtual block: translation cost applies.
-    eng.schedule_at(rx_done + cfg.xlate_ns, move |eng| {
-        amo_commit(eng, initiator, req, false)
-    });
-}
-
-/// Send the `AmoDone` completion (or deliver it loop-back).
-#[allow(clippy::too_many_arguments)]
-fn amo_ack<S: Protocol>(
-    eng: &mut Engine<S>,
-    target: LocalityId,
-    initiator: LocalityId,
-    op: OpId,
-    result: AmoResult,
-    ready: Time,
-    local: bool,
-    class: FaultClass,
-) {
-    let packet = Packet::AmoDone { op, result };
-    if local {
-        deliver_at(eng, ready, target, initiator, packet);
-        return;
-    }
-    let cfg = eng.state.cluster().config;
-    eng.state.cluster().loc_mut(target).counters.ctrl_sent += 1;
-    let ctrl = cfg.serialize_ctrl();
-    let tx_done = eng.state.cluster().tx(target, ready, ctrl);
-    eng.defer_wire(move |eng| {
-        let at = fabric_arrival(eng, tx_done, cfg.ctrl_bytes);
-        deliver_ctrl_faulty(eng, at, target, initiator, packet, class);
-    });
-}
-
-/// Translate and execute an AMO at its current target NIC; generate the
-/// result ack, NACK, or forwarding hop. Mirrors `put_commit` with one
-/// addition: the responder cache is consulted *before* execution so a
-/// duplicated or retried request re-acks its remembered result instead of
-/// applying the op twice.
-fn amo_commit<S: Protocol>(
-    eng: &mut Engine<S>,
-    initiator: LocalityId,
-    mut req: AmoReq,
-    local: bool,
-) {
-    let now = eng.now();
-    let cfg = eng.state.cluster().config;
-    let target = req.target;
-    let block = req.block;
-    if let Some(cached) = eng
-        .state
-        .cluster()
-        .loc(target)
-        .nic
-        .amo
-        .lookup(req.key)
-        .cloned()
-    {
-        eng.state.cluster().loc_mut(target).counters.amo_replays += 1;
-        amo_ack(
-            eng,
-            target,
-            initiator,
-            req.op,
-            cached,
-            now,
-            local,
-            response_class(req.class),
-        );
-        return;
-    }
-    let resolved: Result<XlateEntry, NackReason> = {
-        let l = eng.state.cluster().loc_mut(target);
-        match l.nic.xlate.lookup(block) {
-            Xlate::Hit(entry) => {
-                if req.amo.bounds_ok(req.offset, entry.len) {
-                    l.counters.xlate_hits += 1;
-                    eng.state
-                        .cluster()
-                        .tracer
-                        .record(now, TraceKind::XlateHit { at: target, block });
-                    Ok(entry)
-                } else {
-                    Err(NackReason::Bounds)
-                }
-            }
-            Xlate::Forward(next) => {
-                if cfg.nic_forwarding && req.ttl > 0 {
-                    l.counters.xlate_forwards += 1;
-                    l.counters.amo_forwarded += 1;
-                    crate::telemetry::record_amo(0, 0, 1);
-                    eng.state.cluster().tracer.record(
-                        now,
-                        TraceKind::XlateForward {
-                            at: target,
-                            next,
-                            block,
-                        },
-                    );
-                    let ctrl = cfg.serialize_ctrl();
-                    let tx_done = eng.state.cluster().tx(target, now, ctrl);
-                    req.target = next;
-                    req.ttl -= 1;
-                    eng.defer_wire(move |eng| {
-                        let arrival = fabric_arrival(eng, tx_done, cfg.ctrl_bytes);
-                        schedule_amo_hop(eng, initiator, target, arrival, req);
-                    });
-                    return;
-                } else if cfg.nic_forwarding {
-                    Err(NackReason::TtlExceeded)
-                } else {
-                    Err(NackReason::Miss)
-                }
-            }
-            Xlate::Miss => {
-                l.counters.xlate_misses += 1;
-                eng.state
-                    .cluster()
-                    .tracer
-                    .record(now, TraceKind::XlateMiss { at: target, block });
-                deliver_at(eng, now, target, target, Packet::XlateMiss { block });
-                Err(NackReason::Miss)
-            }
-        }
-    };
-    match resolved {
-        Ok(entry) => {
-            let executed = {
-                let m = eng.state.cluster().mem_mut(target);
-                m.slice_mut(entry.base, entry.len as usize)
-                    .map(|bytes| amo::execute(&req.amo, bytes, req.offset))
-            };
-            let result = match executed {
-                Ok(r) => r,
-                Err(_) => {
-                    eng.state.cluster().loc_mut(target).counters.amo_nacked += 1;
-                    crate::telemetry::record_amo(0, 1, 0);
-                    nack(
-                        eng,
-                        target,
-                        initiator,
-                        req.op,
-                        OpKind::Amo,
-                        NackReason::Bounds,
-                        block,
-                        local,
-                        response_class(req.class),
-                    );
-                    return;
-                }
-            };
-            {
-                let l = eng.state.cluster().loc_mut(target);
-                l.counters.amo_executed += 1;
-                // Only mutations need replay protection; reads re-execute
-                // harmlessly and must not evict entries that do need it.
-                if req.amo.mutates() {
-                    l.nic.amo.install(req.key, block, result.clone());
-                }
-            }
-            crate::telemetry::record_amo(1, 0, 0);
-            let words = req.amo.touched_words() as u32;
-            let visible = now + cfg.dma(8 * words);
-            amo_ack(
-                eng,
-                target,
-                initiator,
-                req.op,
-                result,
-                visible,
-                local,
-                response_class(req.class),
-            );
-        }
-        Err(reason) => {
-            eng.state.cluster().loc_mut(target).counters.amo_nacked += 1;
-            crate::telemetry::record_amo(0, 1, 0);
-            nack(
-                eng,
-                target,
-                initiator,
-                req.op,
-                OpKind::Amo,
-                reason,
-                block,
-                local,
-                response_class(req.class),
-            );
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1865,13 +1598,14 @@ mod tests {
         assert!(eng.state.log.iter().any(|(_, _, d)| d == "note:1:4"));
     }
 
-    fn amo_req(target: LocalityId, block: u64, offset: u64, amo: AmoOp, op: OpId) -> AmoReq {
-        AmoReq {
+    fn amo_req(target: LocalityId, block: u64, offset: u64, amo: AmoOp, op: OpId) -> Access {
+        Access {
             target,
-            block,
-            offset,
-            amo,
-            key: (0, op.raw()),
+            at: RdmaTarget::Virt { block, offset },
+            verb: Verb::Amo {
+                amo,
+                key: (0, op.raw()),
+            },
             op,
             ttl: 2,
             class: FaultClass::Request,
@@ -1909,7 +1643,7 @@ mod tests {
         );
         seed_word(&mut eng, 1, base + 16, 40);
         let op = eng.state.cluster.alloc_op();
-        rdma_amo(
+        rdma_issue(
             &mut eng,
             0,
             amo_req(1, 0xA1, 16, AmoOp::FetchAdd { operand: 2 }, op),
@@ -1946,7 +1680,7 @@ mod tests {
         );
         seed_word(&mut eng, 1, base, 5);
         let op1 = eng.state.cluster.alloc_op();
-        rdma_amo(
+        rdma_issue(
             &mut eng,
             0,
             amo_req(
@@ -1968,7 +1702,7 @@ mod tests {
             "failed CAS still completes, with applied=false"
         );
         let op2 = eng.state.cluster.alloc_op();
-        rdma_amo(
+        rdma_issue(
             &mut eng,
             0,
             amo_req(
@@ -2002,7 +1736,7 @@ mod tests {
             },
         );
         let op1 = eng.state.cluster.alloc_op();
-        rdma_amo(
+        rdma_issue(
             &mut eng,
             0,
             amo_req(
@@ -2017,7 +1751,7 @@ mod tests {
             ),
         );
         let op2 = eng.state.cluster.alloc_op();
-        rdma_amo(
+        rdma_issue(
             &mut eng,
             0,
             amo_req(
@@ -2034,7 +1768,7 @@ mod tests {
         assert_eq!(read_word(&eng, 1, base + 8), 0x42);
         assert_eq!(read_word(&eng, 1, base + 32), 11);
         let op3 = eng.state.cluster.alloc_op();
-        rdma_amo(
+        rdma_issue(
             &mut eng,
             0,
             amo_req(
@@ -2058,7 +1792,7 @@ mod tests {
     fn amo_unknown_block_nacks_miss_and_raises_interrupt() {
         let mut eng = engine(2);
         let op = eng.state.cluster.alloc_op();
-        rdma_amo(
+        rdma_issue(
             &mut eng,
             0,
             amo_req(1, 0xDEAD, 0, AmoOp::FetchAdd { operand: 1 }, op),
@@ -2088,7 +1822,7 @@ mod tests {
             },
         );
         let op = eng.state.cluster.alloc_op();
-        rdma_amo(
+        rdma_issue(
             &mut eng,
             0,
             amo_req(1, 5, 60, AmoOp::FetchAdd { operand: 1 }, op),
@@ -2119,7 +1853,7 @@ mod tests {
             .retire_to_forward(0xAB, 2);
         seed_word(&mut eng, 2, base, 10);
         let op = eng.state.cluster.alloc_op();
-        rdma_amo(
+        rdma_issue(
             &mut eng,
             0,
             amo_req(1, 0xAB, 0, AmoOp::FetchAdd { operand: 1 }, op),
@@ -2151,7 +1885,7 @@ mod tests {
             .xlate
             .retire_to_forward(0xAB, 1);
         let op = eng.state.cluster.alloc_op();
-        rdma_amo(
+        rdma_issue(
             &mut eng,
             0,
             amo_req(1, 0xAB, 0, AmoOp::FetchAdd { operand: 1 }, op),
@@ -2180,9 +1914,9 @@ mod tests {
         seed_word(&mut eng, 1, base, 100);
         let op = eng.state.cluster.alloc_op();
         let req = amo_req(1, 3, 0, AmoOp::FetchAdd { operand: 1 }, op);
-        rdma_amo(&mut eng, 0, req.clone());
+        rdma_issue(&mut eng, 0, req.clone());
         eng.run();
-        rdma_amo(&mut eng, 0, req);
+        rdma_issue(&mut eng, 0, req);
         eng.run();
         assert_eq!(
             read_word(&eng, 1, base),
@@ -2217,7 +1951,7 @@ mod tests {
             },
         );
         let op = eng.state.cluster.alloc_op();
-        rdma_amo(
+        rdma_issue(
             &mut eng,
             0,
             amo_req(0, 1, 0, AmoOp::FetchAdd { operand: 7 }, op),

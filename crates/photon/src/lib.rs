@@ -32,9 +32,9 @@ pub use matching::{MatchQueue, Unexpected, ANY_TAG};
 pub use rcache::RegCache;
 
 use netsim::{
-    rdma_amo, rdma_get, rdma_put, send_user, AmoKey, AmoOp, AmoReq, AmoResult, Desc, DescSnapshot,
-    Engine, FaultClass, GetReq, LocalityId, NackReason, OpId, OpKind, OpTable, Packet, PhysAddr,
-    Protocol, PushOutcome, PutReq, RdmaTarget, Ring, RingSet, RingStats, Time, TraceKind,
+    rdma_issue, rdma_put, send_user, Access, AmoResult, Desc, DescSnapshot, Engine, FaultClass,
+    LocalityId, NackReason, OpId, OpKind, OpTable, Packet, PhysAddr, Protocol, PushOutcome, PutReq,
+    RdmaTarget, Ring, RingSet, RingStats, Time, TraceKind, Verb,
 };
 use std::collections::{HashMap, VecDeque};
 
@@ -108,13 +108,6 @@ enum Pending {
     RdvData { send_id: u64 },
 }
 
-/// A submission-ring descriptor payload: one not-yet-injected PWC op.
-enum RingOp {
-    Put(PutReq),
-    Get(GetReq),
-    Amo(AmoReq),
-}
-
 /// A completion buffered in the coalescing ring, waiting on the moderation
 /// timer or the batch threshold.
 enum CompEvent {
@@ -154,7 +147,7 @@ pub struct PhotonEndpoint {
     next_send_id: u64,
     remote_ledger: VecDeque<(u64, u32)>,
     /// Per-peer submission rings (`Some` iff [`PhotonConfig::ring`] is set).
-    subq: Option<RingSet<RingOp>>,
+    subq: Option<RingSet<Access>>,
     /// The completion-coalescing ring, moderated by
     /// [`netsim::RingConfig::moderation`].
     compq: Option<Ring<CompEvent>>,
@@ -333,8 +326,8 @@ pub trait PhotonWorld: Protocol {
     fn xlate_miss_local(eng: &mut Engine<Self>, loc: LocalityId, block: u64) {
         let _ = (eng, loc, block);
     }
-    /// An initiated PWC active operation ([`pwc_amo`]) executed at the
-    /// target NIC; `result` carries the fetched/old value(s). Worlds that
+    /// An initiated PWC active operation ([`pwc`] with a [`Verb::Amo`])
+    /// executed at the target NIC; `result` carries the fetched/old value(s). Worlds that
     /// never issue AMOs can keep the default (which drops the result).
     fn pwc_amo_complete(eng: &mut Engine<Self>, loc: LocalityId, ctx: OpId, result: AmoResult) {
         let _ = (eng, loc, ctx, result);
@@ -352,18 +345,17 @@ fn size_class_for(len: u32) -> u8 {
 
 // ------------------------------------------------------------------ rings
 
-/// Post one PWC op into the submission ring toward `dst`, flushing or
-/// arming the doorbell timer as the ring directs. Only called when
-/// [`PhotonConfig::ring`] is set.
-fn ring_submit<S: PhotonWorld>(
-    eng: &mut Engine<S>,
-    src: LocalityId,
-    dst: LocalityId,
-    item: RingOp,
-    bytes: u32,
-    kind: &'static str,
-) {
+/// Post one not-yet-injected PWC op into the submission ring toward its
+/// target, flushing or arming the doorbell timer as the ring directs. Only
+/// called when [`PhotonConfig::ring`] is set.
+fn ring_submit<S: PhotonWorld>(eng: &mut Engine<S>, src: LocalityId, req: Access) {
     let now = eng.now();
+    let dst = req.target;
+    let (kind, bytes) = match &req.verb {
+        Verb::Put { data, .. } => ("put", data.len() as u32),
+        Verb::Get { len, .. } => ("get", *len),
+        Verb::Amo { amo, .. } => ("amo", 8 * amo.wire_words() as u32),
+    };
     let rings = eng
         .state
         .endpoint(src)
@@ -373,7 +365,7 @@ fn ring_submit<S: PhotonWorld>(
     let outcome = rings.push(
         dst,
         Desc {
-            item,
+            item: req,
             bytes,
             kind,
             enqueued: now,
@@ -423,18 +415,14 @@ fn ring_doorbell<S: PhotonWorld>(eng: &mut Engine<S>, src: LocalityId, dst: Loca
     );
     let amos = batch
         .iter()
-        .filter(|d| matches!(d.item, RingOp::Amo(_)))
+        .filter(|d| d.item.verb.kind() == OpKind::Amo)
         .count() as u64;
     if amos >= 2 {
         eng.state.endpoint(src).stats.amo_batched += amos;
         netsim::telemetry::record_amo_batched(amos);
     }
     for desc in batch {
-        match desc.item {
-            RingOp::Put(req) => rdma_put(eng, src, req),
-            RingOp::Get(req) => rdma_get(eng, src, req),
-            RingOp::Amo(req) => rdma_amo(eng, src, req),
-        }
+        rdma_issue(eng, src, desc.item);
     }
 }
 
@@ -498,11 +486,82 @@ fn ring_deliver_completions<S: PhotonWorld>(eng: &mut Engine<S>, at: LocalityId)
 
 // ------------------------------------------------------------------ PWC
 
-/// One-sided put with completion. `ctx` returns via
-/// [`PhotonWorld::pwc_complete`] (or `pwc_failed`); `remote_tag`, if set,
-/// surfaces at the target via [`PhotonWorld::pwc_remote`]. `local_src`
-/// describes where the payload lives in the initiator's arena for
-/// registration-cost accounting (`None` = pre-registered pool).
+/// One-sided access with completion — the single PWC issue path. `ctx`
+/// returns via [`PhotonWorld::pwc_complete`] (puts, gets),
+/// [`PhotonWorld::pwc_amo_complete`] (AMOs: the target NIC translates the
+/// block and executes the op in the same visit), or `pwc_failed`. A put's
+/// `remote_tag`, if set, surfaces at the target via
+/// [`PhotonWorld::pwc_remote`]; `local_src` describes the initiator-side
+/// buffer for registration-cost accounting (`None` = pre-registered pool,
+/// e.g. the runtime's scratch allocator).
+///
+/// An AMO's [`Verb::Amo`] `key` is the caller's retry-stable dedup
+/// identity — it must survive re-issue (use the GAS-level op id, not this
+/// attempt's wire token) so the target's responder cache can recognize a
+/// retry of an already-executed op.
+pub fn pwc<S: PhotonWorld>(
+    eng: &mut Engine<S>,
+    src: LocalityId,
+    dst: LocalityId,
+    at: RdmaTarget,
+    verb: Verb,
+    ctx: OpId,
+    local_src: Option<(PhysAddr, u64)>,
+) -> OpId {
+    if let Verb::Put {
+        remote_tag: Some(tag),
+        ..
+    } = verb
+    {
+        assert_eq!(tag & RDV_NOTE_BIT, 0, "remote_tag bit 63 is reserved");
+    }
+    let kind = verb.kind();
+    let ep = eng.state.endpoint(src);
+    match kind {
+        OpKind::Put => ep.stats.pwc_puts += 1,
+        OpKind::Get => ep.stats.pwc_gets += 1,
+        OpKind::Amo => ep.stats.pwc_amos += 1,
+    }
+    let cfg = ep.cfg;
+    let reg_delay = match local_src {
+        Some((addr, len)) => ep.rcache.register(&cfg, addr, len),
+        None => Time::ZERO,
+    };
+    let ttl = eng.state.cluster_ref().config.forward_ttl;
+    // The wire token *is* the endpoint-table handle: the completion or
+    // NACK echoes it back, and a stale echo fails the generation check.
+    let op = eng.state.endpoint(src).ops.insert(Pending::Pwc { ctx });
+    let req = Access {
+        target: dst,
+        at,
+        verb,
+        op,
+        ttl,
+        class: FaultClass::Request,
+    };
+    if kind == OpKind::Amo {
+        // Operands ride in the control-sized request: there is no buffer
+        // to register, so the op injects inline.
+        inject(eng, src, req);
+    } else {
+        // Puts and gets inject from their own event, even when
+        // registration is free.
+        eng.schedule(reg_delay, move |eng| inject(eng, src, req));
+    }
+    op
+}
+
+/// Hand a built request to the fabric: through the submission ring when
+/// rings are on, directly otherwise.
+fn inject<S: PhotonWorld>(eng: &mut Engine<S>, src: LocalityId, req: Access) {
+    if eng.state.endpoint(src).subq.is_some() {
+        ring_submit(eng, src, req);
+    } else {
+        rdma_issue(eng, src, req);
+    }
+}
+
+/// One-sided put with completion: [`pwc`] with a [`Verb::Put`].
 #[allow(clippy::too_many_arguments)]
 pub fn pwc_put<S: PhotonWorld>(
     eng: &mut Engine<S>,
@@ -514,45 +573,13 @@ pub fn pwc_put<S: PhotonWorld>(
     remote_tag: Option<u64>,
     local_src: Option<(PhysAddr, u64)>,
 ) -> OpId {
-    if let Some(tag) = remote_tag {
-        assert_eq!(tag & RDV_NOTE_BIT, 0, "remote_tag bit 63 is reserved");
-    }
-    let ep = eng.state.endpoint(src);
-    ep.stats.pwc_puts += 1;
-    let cfg = ep.cfg;
-    let reg_delay = match local_src {
-        Some((addr, len)) => ep.rcache.register(&cfg, addr, len),
-        None => Time::ZERO,
-    };
-    let ttl = eng.state.cluster_ref().config.forward_ttl;
-    let ring_enabled = cfg.ring.is_some();
-    // The wire token *is* the endpoint-table handle: the completion or
-    // NACK echoes it back, and a stale echo fails the generation check.
-    let op = eng.state.endpoint(src).ops.insert(Pending::Pwc { ctx });
-    eng.schedule(reg_delay, move |eng| {
-        let bytes = data.len() as u32;
-        let req = PutReq {
-            target: dst,
-            dst: target,
-            data,
-            op,
-            remote_tag,
-            ttl,
-            class: FaultClass::Request,
-        };
-        if ring_enabled {
-            ring_submit(eng, src, dst, RingOp::Put(req), bytes, "put");
-        } else {
-            rdma_put(eng, src, req);
-        }
-    });
-    op
+    let verb = Verb::Put { data, remote_tag };
+    pwc(eng, src, dst, target, verb, ctx, local_src)
 }
 
-/// One-sided get with completion: reads `len` bytes from `target` at `dst`
-/// into the initiator's arena at `local`. `local_src` describes the landing
-/// buffer for registration-cost accounting (`None` = pre-registered pool,
-/// e.g. the runtime's scratch allocator).
+/// One-sided get with completion: [`pwc`] with a [`Verb::Get`], reading
+/// `len` bytes from `target` at `dst` into the initiator's arena at
+/// `local`.
 #[allow(clippy::too_many_arguments)]
 pub fn pwc_get<S: PhotonWorld>(
     eng: &mut Engine<S>,
@@ -564,76 +591,8 @@ pub fn pwc_get<S: PhotonWorld>(
     ctx: OpId,
     local_src: Option<(PhysAddr, u64)>,
 ) -> OpId {
-    let ep = eng.state.endpoint(src);
-    ep.stats.pwc_gets += 1;
-    let cfg = ep.cfg;
-    let reg_delay = match local_src {
-        Some((addr, l)) => ep.rcache.register(&cfg, addr, l),
-        None => Time::ZERO,
-    };
-    let ttl = eng.state.cluster_ref().config.forward_ttl;
-    let ring_enabled = cfg.ring.is_some();
-    let op = eng.state.endpoint(src).ops.insert(Pending::Pwc { ctx });
-    eng.schedule(reg_delay, move |eng| {
-        let req = GetReq {
-            target: dst,
-            src: target,
-            len,
-            local,
-            op,
-            ttl,
-            class: FaultClass::Request,
-        };
-        if ring_enabled {
-            ring_submit(eng, src, dst, RingOp::Get(req), len, "get");
-        } else {
-            rdma_get(eng, src, req);
-        }
-    });
-    op
-}
-
-/// One-sided active operation with completion: the target NIC translates
-/// `block` and executes `amo` in the same visit. `ctx` returns via
-/// [`PhotonWorld::pwc_amo_complete`] (or `pwc_failed` with
-/// [`OpKind::Amo`]). `key` is the caller's retry-stable dedup identity —
-/// it must survive re-issue (use the GAS-level op id, not this attempt's
-/// wire token) so the target's responder cache can recognize a retry of
-/// an already-executed op. Operands ride in the control-sized request;
-/// no registration cost applies.
-#[allow(clippy::too_many_arguments)]
-pub fn pwc_amo<S: PhotonWorld>(
-    eng: &mut Engine<S>,
-    src: LocalityId,
-    dst: LocalityId,
-    block: u64,
-    offset: u64,
-    amo: AmoOp,
-    key: AmoKey,
-    ctx: OpId,
-) -> OpId {
-    let ep = eng.state.endpoint(src);
-    ep.stats.pwc_amos += 1;
-    let ring_enabled = ep.cfg.ring.is_some();
-    let ttl = eng.state.cluster_ref().config.forward_ttl;
-    let op = eng.state.endpoint(src).ops.insert(Pending::Pwc { ctx });
-    let wire = 8 * amo.wire_words() as u32;
-    let req = AmoReq {
-        target: dst,
-        block,
-        offset,
-        amo,
-        key,
-        op,
-        ttl,
-        class: FaultClass::Request,
-    };
-    if ring_enabled {
-        ring_submit(eng, src, dst, RingOp::Amo(req), wire, "amo");
-    } else {
-        rdma_amo(eng, src, req);
-    }
-    op
+    let verb = Verb::Get { len, local };
+    pwc(eng, src, dst, target, verb, ctx, local_src)
 }
 
 // ------------------------------------------------------------------ two-sided
@@ -984,7 +943,7 @@ fn deliver_amo_done<S: PhotonWorld>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{Cluster, Envelope, NetConfig, XlateEntry};
+    use netsim::{AmoOp, Cluster, Envelope, NetConfig, XlateEntry};
 
     enum Msg {
         P(PhotonMsg),
@@ -1596,15 +1555,20 @@ mod tests {
             .write(base, &7u64.to_le_bytes())
             .unwrap();
         for i in 0..3u64 {
-            pwc_amo(
+            pwc(
                 &mut eng,
                 0,
                 1,
-                5,
-                0,
-                AmoOp::FetchAdd { operand: 1 },
-                (0, 1000 + i),
+                RdmaTarget::Virt {
+                    block: 5,
+                    offset: 0,
+                },
+                Verb::Amo {
+                    amo: AmoOp::FetchAdd { operand: 1 },
+                    key: (0, 1000 + i),
+                },
                 OpId::from_raw(i),
+                None,
             );
         }
         eng.run();
