@@ -825,16 +825,9 @@ pub fn rdma_issue<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: 
     }
     let dur = cfg.serialize(bytes);
     let tx_done = eng.state.cluster().tx(initiator, now + cfg.o_send, dur);
-    // Kept from the per-kind chains this pipeline replaced: a put's first
-    // leg names the target as its own link source.
-    let hop_src = if kind == OpKind::Put {
-        req.target
-    } else {
-        initiator
-    };
     eng.defer_wire(move |eng| {
         let arrival = fabric_arrival(eng, tx_done, bytes);
-        hop(eng, initiator, hop_src, arrival, req);
+        hop(eng, initiator, initiator, arrival, req);
     });
 }
 
@@ -1121,6 +1114,7 @@ fn get_reply<S: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{FaultPlan, LinkFlap, Partition};
     use crate::nic::XlateEntry;
 
     /// Minimal protocol: log every delivered envelope with its timestamp.
@@ -2007,5 +2001,103 @@ mod tests {
         let small = run_one(8);
         let big = run_one(65_536);
         assert!(big > small * 10, "{small} vs {big}");
+    }
+    const KINDS: [OpKind; 3] = [OpKind::Put, OpKind::Get, OpKind::Amo];
+    /// The block every generic access below addresses, the value its word 0
+    /// holds beforehand, and the value the put writes there.
+    const BLOCK: u64 = 0xB10C;
+    const SEED: u64 = 40;
+    const PUT: u64 = 0x1111_1111_1111_1111;
+
+    /// An 8-byte access of `kind` issued by locality 0: the put writes
+    /// [`PUT`], the get reads into `local`, the AMO fetch-adds 2.
+    fn access(
+        kind: OpKind,
+        target: LocalityId,
+        at: RdmaTarget,
+        local: PhysAddr,
+        op: OpId,
+    ) -> Access {
+        let verb = match kind {
+            OpKind::Put => Verb::Put {
+                data: PUT.to_le_bytes().to_vec(),
+                remote_tag: None,
+            },
+            OpKind::Get => Verb::Get { len: 8, local },
+            OpKind::Amo => Verb::Amo {
+                amo: AmoOp::FetchAdd { operand: 2 },
+                key: (0, op.raw()),
+            },
+        };
+        Access {
+            target,
+            at,
+            verb,
+            op,
+            ttl: 2,
+            class: FaultClass::Request,
+        }
+    }
+
+    /// Allocate [`BLOCK`] (1 KiB) at `owner`, translated by its NIC, with
+    /// word 0 holding [`SEED`]; returns its physical base.
+    fn install_block(eng: &mut Engine<TestWorld>, owner: LocalityId) -> PhysAddr {
+        let base = eng.state.cluster.mem_mut(owner).alloc_block(10).unwrap();
+        let entry = XlateEntry {
+            base,
+            len: 1024,
+            generation: 1,
+        };
+        eng.state.cluster.install_xlate(owner, BLOCK, entry);
+        seed_word(eng, owner, base, SEED);
+        base
+    }
+
+    #[test]
+    fn severed_request_link_drops_every_kind() {
+        // The request's first wire leg is the link initiator -> target: a
+        // flap or partition window covering it must drop the request
+        // before it reaches the target NIC, whatever the verb.
+        let until = Time::from_us(10);
+        for kind in KINDS {
+            for flap in [true, false] {
+                let mut plan = FaultPlan::lossless(9);
+                if flap {
+                    plan.flaps.push(LinkFlap {
+                        src: 0,
+                        dst: 1,
+                        from: Time::ZERO,
+                        to: until,
+                    });
+                } else {
+                    plan.partitions.push(Partition {
+                        from: Time::ZERO,
+                        to: until,
+                        group_a: vec![0],
+                    });
+                }
+                let mut eng = engine(2);
+                eng.state.cluster.faults = Some(FaultPlane::new(plan));
+                let base = install_block(&mut eng, 1);
+                let local = eng.state.cluster.mem_mut(0).alloc_block(10).unwrap();
+                let op = eng.state.cluster.alloc_op();
+                let at = RdmaTarget::Virt {
+                    block: BLOCK,
+                    offset: 0,
+                };
+                rdma_issue(&mut eng, 0, access(kind, 1, at, local, op));
+                eng.run();
+                let tag = format!("{kind:?}, flap={flap}");
+                assert!(eng.state.log.is_empty(), "{tag}: {:?}", eng.state.log);
+                assert_eq!(
+                    read_word(&eng, 1, base),
+                    SEED,
+                    "{tag}: target memory touched"
+                );
+                let stats = eng.state.cluster.faults.as_ref().unwrap().stats;
+                let want = if flap { (1, 0) } else { (0, 1) };
+                assert_eq!((stats.flap_drops, stats.partition_drops), want, "{tag}");
+            }
+        }
     }
 }
