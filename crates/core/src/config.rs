@@ -56,9 +56,6 @@ pub struct RecoveryPolicy {
     pub evac_batch: usize,
     /// Delay between evacuation pump rounds.
     pub evac_interval: Time,
-    /// Recover from replica copies instead of zero re-issue. Not yet
-    /// implemented — reserved so plans can declare intent (follow-up).
-    pub replicas: bool,
 }
 
 impl Default for RecoveryPolicy {
@@ -68,7 +65,6 @@ impl Default for RecoveryPolicy {
             generation_bump: 1 << 20,
             evac_batch: 4,
             evac_interval: Time::from_ns(2_000),
-            replicas: false,
         }
     }
 }

@@ -529,8 +529,7 @@ fn crash_notice<S: GasWorld>(
 /// Deterministically re-issue one lost block at `l`: a zero-filled
 /// replacement under a bumped generation, recorded as a
 /// [`HistKind::Recover`] event so the checker accepts post-recovery
-/// zeros. (Replica-sourced recovery is reserved in
-/// [`crate::config::RecoveryPolicy::replicas`].)
+/// zeros.
 fn reissue_block<S: GasWorld>(
     eng: &mut Engine<S>,
     l: LocalityId,

@@ -1114,7 +1114,7 @@ fn get_reply<S: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{FaultPlan, LinkFlap, Partition};
+    use crate::faults::{FaultPlan, FaultRates, LinkFlap, Partition};
     use crate::nic::XlateEntry;
 
     /// Minimal protocol: log every delivered envelope with its timestamp.
@@ -1203,395 +1203,6 @@ mod tests {
         assert_eq!(t_b - t_a, Time::from_ns(110));
     }
 
-    #[test]
-    fn rdma_put_phys_writes_and_completes() {
-        let mut eng = engine(2);
-        let addr = eng.state.cluster.mem_mut(1).alloc_block(10).unwrap();
-        let op = eng.state.cluster.alloc_op();
-        rdma_put(
-            &mut eng,
-            0,
-            PutReq {
-                target: 1,
-                dst: RdmaTarget::Phys(addr),
-                data: vec![7u8; 16],
-                op,
-                remote_tag: None,
-                ttl: 2,
-                class: FaultClass::Request,
-            },
-        );
-        eng.run();
-        assert_eq!(
-            eng.state.cluster.mem(1).read(addr, 16).unwrap(),
-            &[7u8; 16][..]
-        );
-        assert_eq!(eng.state.log.len(), 1);
-        assert_eq!(eng.state.log[0].1, 0); // completion at initiator
-        assert!(eng.state.log[0].2.starts_with("putdone"));
-    }
-
-    #[test]
-    fn rdma_put_virt_hit_with_remote_note() {
-        let mut eng = engine(2);
-        let base = eng.state.cluster.mem_mut(1).alloc_block(10).unwrap();
-        eng.state.cluster.install_xlate(
-            1,
-            0xB10C,
-            XlateEntry {
-                base,
-                len: 1024,
-                generation: 1,
-            },
-        );
-        let op = eng.state.cluster.alloc_op();
-        rdma_put(
-            &mut eng,
-            0,
-            PutReq {
-                target: 1,
-                dst: RdmaTarget::Virt {
-                    block: 0xB10C,
-                    offset: 64,
-                },
-                data: vec![9u8; 8],
-                op,
-                remote_tag: Some(77),
-                ttl: 2,
-                class: FaultClass::Request,
-            },
-        );
-        eng.run();
-        assert_eq!(
-            eng.state.cluster.mem(1).read(base + 64, 8).unwrap(),
-            &[9u8; 8][..]
-        );
-        let kinds: Vec<&str> = eng.state.log.iter().map(|(_, _, d)| d.as_str()).collect();
-        assert!(kinds.contains(&"note:77:8"), "{kinds:?}");
-        assert!(kinds.iter().any(|k| k.starts_with("putdone")), "{kinds:?}");
-        assert_eq!(eng.state.cluster.loc(1).counters.xlate_hits, 1);
-    }
-
-    #[test]
-    fn rdma_put_unknown_block_nacks_miss() {
-        let mut eng = engine(2);
-        let op = eng.state.cluster.alloc_op();
-        rdma_put(
-            &mut eng,
-            0,
-            PutReq {
-                target: 1,
-                dst: RdmaTarget::Virt {
-                    block: 0xDEAD,
-                    offset: 0,
-                },
-                data: vec![1u8; 8],
-                op,
-                remote_tag: None,
-                ttl: 2,
-                class: FaultClass::Request,
-            },
-        );
-        eng.run();
-        // The miss generates both a local table-miss interrupt at the
-        // target and a NACK back to the initiator.
-        let kinds: Vec<&str> = eng.state.log.iter().map(|(_, _, d)| d.as_str()).collect();
-        assert!(kinds.contains(&"xmiss:57005"), "{kinds:?}"); // 0xDEAD
-        assert!(
-            kinds.contains(&format!("nack:{op}:Miss").as_str()),
-            "{kinds:?}"
-        );
-        assert_eq!(eng.state.cluster.loc(1).counters.xlate_misses, 1);
-        assert_eq!(eng.state.cluster.loc(1).counters.nacks_sent, 1);
-        assert_eq!(eng.state.cluster.loc(0).counters.nacks_recv, 1);
-    }
-
-    #[test]
-    fn rdma_put_out_of_block_nacks_bounds() {
-        let mut eng = engine(2);
-        let base = eng.state.cluster.mem_mut(1).alloc_block(6).unwrap();
-        eng.state.cluster.install_xlate(
-            1,
-            5,
-            XlateEntry {
-                base,
-                len: 64,
-                generation: 1,
-            },
-        );
-        let op = eng.state.cluster.alloc_op();
-        rdma_put(
-            &mut eng,
-            0,
-            PutReq {
-                target: 1,
-                dst: RdmaTarget::Virt {
-                    block: 5,
-                    offset: 60,
-                },
-                data: vec![1u8; 8],
-                op,
-                remote_tag: None,
-                ttl: 2,
-                class: FaultClass::Request,
-            },
-        );
-        eng.run();
-        assert_eq!(eng.state.log[0].2, format!("nack:{op}:Bounds"));
-    }
-
-    #[test]
-    fn forwarding_chases_one_hop() {
-        let mut eng = engine(3);
-        // Block lives at 2; locality 1 holds a forwarding tombstone.
-        let base = eng.state.cluster.mem_mut(2).alloc_block(10).unwrap();
-        eng.state.cluster.install_xlate(
-            2,
-            0xAB,
-            XlateEntry {
-                base,
-                len: 1024,
-                generation: 2,
-            },
-        );
-        eng.state
-            .cluster
-            .loc_mut(1)
-            .nic
-            .xlate
-            .retire_to_forward(0xAB, 2);
-        let op = eng.state.cluster.alloc_op();
-        rdma_put(
-            &mut eng,
-            0,
-            PutReq {
-                target: 1,
-                dst: RdmaTarget::Virt {
-                    block: 0xAB,
-                    offset: 0,
-                },
-                data: vec![3u8; 4],
-                op,
-                remote_tag: None,
-                ttl: 2,
-                class: FaultClass::Request,
-            },
-        );
-        eng.run();
-        assert_eq!(
-            eng.state.cluster.mem(2).read(base, 4).unwrap(),
-            &[3u8; 4][..]
-        );
-        assert_eq!(eng.state.cluster.loc(1).counters.xlate_forwards, 1);
-        assert!(eng
-            .state
-            .log
-            .iter()
-            .any(|(_, _, d)| d.starts_with("putdone")));
-        // The ack comes from the *final* owner.
-        let done = eng
-            .state
-            .log
-            .iter()
-            .find(|(_, _, d)| d.starts_with("putdone"))
-            .unwrap();
-        assert_eq!(done.1, 0);
-    }
-
-    #[test]
-    fn forwarding_disabled_nacks_instead() {
-        let cfg = NetConfig {
-            nic_forwarding: false,
-            ..NetConfig::ideal()
-        };
-        let mut eng = Engine::new(TestWorld::new(3, cfg), 1);
-        eng.state
-            .cluster
-            .loc_mut(1)
-            .nic
-            .xlate
-            .retire_to_forward(0xAB, 2);
-        let op = eng.state.cluster.alloc_op();
-        rdma_put(
-            &mut eng,
-            0,
-            PutReq {
-                target: 1,
-                dst: RdmaTarget::Virt {
-                    block: 0xAB,
-                    offset: 0,
-                },
-                data: vec![3u8; 4],
-                op,
-                remote_tag: None,
-                ttl: 2,
-                class: FaultClass::Request,
-            },
-        );
-        eng.run();
-        assert_eq!(eng.state.log[0].2, format!("nack:{op}:Miss"));
-        assert_eq!(eng.state.cluster.loc(1).counters.xlate_forwards, 0);
-    }
-
-    #[test]
-    fn forwarding_ttl_exhaustion() {
-        let mut eng = engine(3);
-        // A forwarding loop 1 → 2 → 1 must terminate by TTL.
-        eng.state
-            .cluster
-            .loc_mut(1)
-            .nic
-            .xlate
-            .retire_to_forward(0xAB, 2);
-        eng.state
-            .cluster
-            .loc_mut(2)
-            .nic
-            .xlate
-            .retire_to_forward(0xAB, 1);
-        let op = eng.state.cluster.alloc_op();
-        rdma_put(
-            &mut eng,
-            0,
-            PutReq {
-                target: 1,
-                dst: RdmaTarget::Virt {
-                    block: 0xAB,
-                    offset: 0,
-                },
-                data: vec![3u8; 4],
-                op,
-                remote_tag: None,
-                ttl: 2,
-                class: FaultClass::Request,
-            },
-        );
-        eng.run();
-        assert_eq!(eng.state.log[0].2, format!("nack:{op}:TtlExceeded"));
-        let total = eng.state.cluster.total_counters();
-        assert_eq!(total.xlate_forwards, 2);
-    }
-
-    #[test]
-    fn rdma_get_round_trips_data() {
-        let mut eng = engine(2);
-        let remote = eng.state.cluster.mem_mut(1).alloc_block(10).unwrap();
-        eng.state
-            .cluster
-            .mem_mut(1)
-            .write(remote, &[5u8; 32])
-            .unwrap();
-        eng.state.cluster.install_xlate(
-            1,
-            0xCC,
-            XlateEntry {
-                base: remote,
-                len: 1024,
-                generation: 1,
-            },
-        );
-        let local = eng.state.cluster.mem_mut(0).alloc_block(10).unwrap();
-        let op = eng.state.cluster.alloc_op();
-        rdma_get(
-            &mut eng,
-            0,
-            GetReq {
-                target: 1,
-                src: RdmaTarget::Virt {
-                    block: 0xCC,
-                    offset: 0,
-                },
-                len: 32,
-                local,
-                op,
-                ttl: 2,
-                class: FaultClass::Request,
-            },
-        );
-        eng.run();
-        assert_eq!(
-            eng.state.cluster.mem(0).read(local, 32).unwrap(),
-            &[5u8; 32][..]
-        );
-        assert!(eng
-            .state
-            .log
-            .iter()
-            .any(|(_, l, d)| *l == 0 && d.starts_with("getdone")));
-    }
-
-    #[test]
-    fn rdma_get_miss_nacks() {
-        let mut eng = engine(2);
-        let local = eng.state.cluster.mem_mut(0).alloc_block(8).unwrap();
-        let op = eng.state.cluster.alloc_op();
-        rdma_get(
-            &mut eng,
-            0,
-            GetReq {
-                target: 1,
-                src: RdmaTarget::Virt {
-                    block: 0xF00,
-                    offset: 0,
-                },
-                len: 8,
-                local,
-                op,
-                ttl: 2,
-                class: FaultClass::Request,
-            },
-        );
-        eng.run();
-        let kinds: Vec<&str> = eng.state.log.iter().map(|(_, _, d)| d.as_str()).collect();
-        assert!(
-            kinds.contains(&format!("nack:{op}:Miss").as_str()),
-            "{kinds:?}"
-        );
-    }
-
-    #[test]
-    fn local_put_and_get_work() {
-        let mut eng = engine(1);
-        let base = eng.state.cluster.mem_mut(0).alloc_block(8).unwrap();
-        eng.state.cluster.install_xlate(
-            0,
-            1,
-            XlateEntry {
-                base,
-                len: 256,
-                generation: 1,
-            },
-        );
-        let op = eng.state.cluster.alloc_op();
-        rdma_put(
-            &mut eng,
-            0,
-            PutReq {
-                target: 0,
-                dst: RdmaTarget::Virt {
-                    block: 1,
-                    offset: 8,
-                },
-                data: vec![0xEE; 4],
-                op,
-                remote_tag: Some(1),
-                ttl: 2,
-                class: FaultClass::Request,
-            },
-        );
-        eng.run();
-        assert_eq!(
-            eng.state.cluster.mem(0).read(base + 8, 4).unwrap(),
-            &[0xEE; 4][..]
-        );
-        assert!(eng
-            .state
-            .log
-            .iter()
-            .any(|(_, _, d)| d.starts_with("putdone")));
-        assert!(eng.state.log.iter().any(|(_, _, d)| d == "note:1:4"));
-    }
-
     fn amo_req(target: LocalityId, block: u64, offset: u64, amo: AmoOp, op: OpId) -> Access {
         Access {
             target,
@@ -1620,43 +1231,6 @@ mod tests {
                 .try_into()
                 .unwrap(),
         )
-    }
-
-    #[test]
-    fn amo_fetch_add_executes_at_nic_without_target_events() {
-        let mut eng = engine(2);
-        let base = eng.state.cluster.mem_mut(1).alloc_block(10).unwrap();
-        eng.state.cluster.install_xlate(
-            1,
-            0xA1,
-            XlateEntry {
-                base,
-                len: 1024,
-                generation: 1,
-            },
-        );
-        seed_word(&mut eng, 1, base + 16, 40);
-        let op = eng.state.cluster.alloc_op();
-        rdma_issue(
-            &mut eng,
-            0,
-            amo_req(1, 0xA1, 16, AmoOp::FetchAdd { operand: 2 }, op),
-        );
-        eng.run();
-        assert_eq!(read_word(&eng, 1, base + 16), 42);
-        // One completion, at the initiator, carrying the old value.
-        assert_eq!(eng.state.log.len(), 1);
-        let (_, dst, ref desc) = eng.state.log[0];
-        assert_eq!(dst, 0);
-        assert_eq!(desc, &format!("amodone:{op}:40:true:[]"));
-        // Zero target-CPU involvement: no software deliveries at 1, and
-        // the hot path charges the NIC, not the message handler.
-        assert!(eng.state.log.iter().all(|&(_, d, _)| d != 1));
-        let t = eng.state.cluster.loc(1).counters.clone();
-        assert_eq!(t.sw_handler_runs, 0);
-        assert_eq!(t.amo_executed, 1);
-        assert_eq!(t.xlate_hits, 1);
-        assert_eq!(eng.state.cluster.loc(0).counters.rdma_amos, 1);
     }
 
     #[test]
@@ -1783,179 +1357,6 @@ mod tests {
     }
 
     #[test]
-    fn amo_unknown_block_nacks_miss_and_raises_interrupt() {
-        let mut eng = engine(2);
-        let op = eng.state.cluster.alloc_op();
-        rdma_issue(
-            &mut eng,
-            0,
-            amo_req(1, 0xDEAD, 0, AmoOp::FetchAdd { operand: 1 }, op),
-        );
-        eng.run();
-        let kinds: Vec<&str> = eng.state.log.iter().map(|(_, _, d)| d.as_str()).collect();
-        assert!(kinds.contains(&"xmiss:57005"), "{kinds:?}");
-        assert!(
-            kinds.contains(&format!("nack:{op}:Miss").as_str()),
-            "{kinds:?}"
-        );
-        assert_eq!(eng.state.cluster.loc(1).counters.amo_nacked, 1);
-        assert_eq!(eng.state.cluster.loc(1).counters.amo_executed, 0);
-    }
-
-    #[test]
-    fn amo_out_of_block_nacks_bounds() {
-        let mut eng = engine(2);
-        let base = eng.state.cluster.mem_mut(1).alloc_block(6).unwrap();
-        eng.state.cluster.install_xlate(
-            1,
-            5,
-            XlateEntry {
-                base,
-                len: 64,
-                generation: 1,
-            },
-        );
-        let op = eng.state.cluster.alloc_op();
-        rdma_issue(
-            &mut eng,
-            0,
-            amo_req(1, 5, 60, AmoOp::FetchAdd { operand: 1 }, op),
-        );
-        eng.run();
-        assert_eq!(eng.state.log[0].2, format!("nack:{op}:Bounds"));
-        assert_eq!(eng.state.cluster.loc(1).counters.amo_nacked, 1);
-    }
-
-    #[test]
-    fn amo_forwarding_chases_to_new_owner() {
-        let mut eng = engine(3);
-        let base = eng.state.cluster.mem_mut(2).alloc_block(10).unwrap();
-        eng.state.cluster.install_xlate(
-            2,
-            0xAB,
-            XlateEntry {
-                base,
-                len: 1024,
-                generation: 2,
-            },
-        );
-        eng.state
-            .cluster
-            .loc_mut(1)
-            .nic
-            .xlate
-            .retire_to_forward(0xAB, 2);
-        seed_word(&mut eng, 2, base, 10);
-        let op = eng.state.cluster.alloc_op();
-        rdma_issue(
-            &mut eng,
-            0,
-            amo_req(1, 0xAB, 0, AmoOp::FetchAdd { operand: 1 }, op),
-        );
-        eng.run();
-        assert_eq!(read_word(&eng, 2, base), 11, "op executed at new owner");
-        assert_eq!(eng.state.cluster.loc(1).counters.amo_forwarded, 1);
-        assert_eq!(eng.state.cluster.loc(2).counters.amo_executed, 1);
-        assert_eq!(
-            eng.state.log[0].2,
-            format!("amodone:{op}:10:true:[]"),
-            "completion comes from the final owner"
-        );
-    }
-
-    #[test]
-    fn amo_forwarding_ttl_exhaustion() {
-        let mut eng = engine(3);
-        eng.state
-            .cluster
-            .loc_mut(1)
-            .nic
-            .xlate
-            .retire_to_forward(0xAB, 2);
-        eng.state
-            .cluster
-            .loc_mut(2)
-            .nic
-            .xlate
-            .retire_to_forward(0xAB, 1);
-        let op = eng.state.cluster.alloc_op();
-        rdma_issue(
-            &mut eng,
-            0,
-            amo_req(1, 0xAB, 0, AmoOp::FetchAdd { operand: 1 }, op),
-        );
-        eng.run();
-        assert_eq!(eng.state.log[0].2, format!("nack:{op}:TtlExceeded"));
-        assert_eq!(eng.state.cluster.total_counters().amo_forwarded, 2);
-    }
-
-    #[test]
-    fn amo_duplicate_request_executes_once() {
-        // A retried request reuses its dedup key: the second delivery must
-        // replay the cached result, not re-execute (a re-executed
-        // fetch-add would double-count).
-        let mut eng = engine(2);
-        let base = eng.state.cluster.mem_mut(1).alloc_block(10).unwrap();
-        eng.state.cluster.install_xlate(
-            1,
-            3,
-            XlateEntry {
-                base,
-                len: 1024,
-                generation: 1,
-            },
-        );
-        seed_word(&mut eng, 1, base, 100);
-        let op = eng.state.cluster.alloc_op();
-        let req = amo_req(1, 3, 0, AmoOp::FetchAdd { operand: 1 }, op);
-        rdma_issue(&mut eng, 0, req.clone());
-        eng.run();
-        rdma_issue(&mut eng, 0, req);
-        eng.run();
-        assert_eq!(
-            read_word(&eng, 1, base),
-            101,
-            "second delivery must not apply"
-        );
-        let t = eng.state.cluster.loc(1).counters.clone();
-        assert_eq!(t.amo_executed, 1);
-        assert_eq!(t.amo_replays, 1);
-        // Both completions carry the same old value.
-        let descs: Vec<&str> = eng.state.log.iter().map(|(_, _, d)| d.as_str()).collect();
-        assert_eq!(
-            descs,
-            vec![
-                format!("amodone:{op}:100:true:[]").as_str(),
-                format!("amodone:{op}:100:true:[]").as_str(),
-            ]
-        );
-    }
-
-    #[test]
-    fn amo_loopback_executes_locally() {
-        let mut eng = engine(1);
-        let base = eng.state.cluster.mem_mut(0).alloc_block(8).unwrap();
-        eng.state.cluster.install_xlate(
-            0,
-            1,
-            XlateEntry {
-                base,
-                len: 256,
-                generation: 1,
-            },
-        );
-        let op = eng.state.cluster.alloc_op();
-        rdma_issue(
-            &mut eng,
-            0,
-            amo_req(0, 1, 0, AmoOp::FetchAdd { operand: 7 }, op),
-        );
-        eng.run();
-        assert_eq!(read_word(&eng, 0, base), 7);
-        assert_eq!(eng.state.log[0].2, format!("amodone:{op}:0:true:[]"));
-    }
-
-    #[test]
     fn oversubscription_throttles_disjoint_pairs() {
         // Two disjoint pairs send simultaneously. Full bisection: they do
         // not interact. 2:1 oversubscription on a 4-node fabric: the core
@@ -2002,6 +1403,7 @@ mod tests {
         let big = run_one(65_536);
         assert!(big > small * 10, "{small} vs {big}");
     }
+
     const KINDS: [OpKind; 3] = [OpKind::Put, OpKind::Get, OpKind::Amo];
     /// The block every generic access below addresses, the value its word 0
     /// holds beforehand, and the value the put writes there.
@@ -2010,7 +1412,8 @@ mod tests {
     const PUT: u64 = 0x1111_1111_1111_1111;
 
     /// An 8-byte access of `kind` issued by locality 0: the put writes
-    /// [`PUT`], the get reads into `local`, the AMO fetch-adds 2.
+    /// [`PUT`] (and asks for remote note 77), the get reads into `local`,
+    /// the AMO fetch-adds 2.
     fn access(
         kind: OpKind,
         target: LocalityId,
@@ -2021,7 +1424,7 @@ mod tests {
         let verb = match kind {
             OpKind::Put => Verb::Put {
                 data: PUT.to_le_bytes().to_vec(),
-                remote_tag: None,
+                remote_tag: Some(77),
             },
             OpKind::Get => Verb::Get { len: 8, local },
             OpKind::Amo => Verb::Amo {
@@ -2099,5 +1502,329 @@ mod tests {
                 assert_eq!((stats.flap_drops, stats.partition_drops), want, "{tag}");
             }
         }
+    }
+
+    /// The protocol situations one access can meet: the table's rows.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Case {
+        /// Raw physical target at locality 1 (no translation).
+        Phys,
+        /// Virtual target, block resident at locality 1.
+        VirtHit,
+        /// Virtual target, nothing installed at locality 1.
+        Miss,
+        /// Resident block, access straddling its end.
+        Bounds,
+        /// Locality 1 holds a tombstone toward the owner, locality 2.
+        Forward,
+        /// Same tombstone with `nic_forwarding` off.
+        ForwardOff,
+        /// A tombstone loop 1 -> 2 -> 1 that only the TTL breaks.
+        Ttl,
+        /// Initiator and owner are both locality 0.
+        Loopback,
+        /// Loop-back at a NIC with nothing installed.
+        LoopbackMiss,
+        /// The 0 -> 1 link delivers every request twice.
+        Duplicate,
+    }
+
+    /// The protocol table: one row per case, one `#[test]` per cell. A row
+    /// gives the expected outcome (`None` = completes, `Some` = NACKs with
+    /// that reason) and, per kind, the instant in ns under
+    /// [`NetConfig::ideal`] at which the initiator hears it. Every request
+    /// is 8 bytes on the wire here (ctrl = 8), so one leg is o_send 10 +
+    /// tx 18 + wire 100 + rx 18 (+ xlate 5 for a virtual target); acks and
+    /// NACKs cost tx 18 + wire 100, a get's payload another rx 18.
+    macro_rules! protocol_table {
+        ($($row:ident: $case:expr, $nack:expr, { $($kind:ident = $ns:expr),+ };)+) => {$(
+            mod $row {
+                use super::*;
+                $(
+                    #[test]
+                    #[allow(non_snake_case)]
+                    fn $kind() {
+                        run_cell($case, OpKind::$kind, $nack, Time::from_ns($ns));
+                    }
+                )+
+            }
+        )+};
+    }
+
+    protocol_table! {
+        phys:          Case::Phys,         None,                          { Put = 264, Get = 282 };
+        virt_hit:      Case::VirtHit,      None,                          { Put = 269, Get = 287, Amo = 269 };
+        miss:          Case::Miss,         Some(NackReason::Miss),        { Put = 269, Get = 269, Amo = 269 };
+        bounds:        Case::Bounds,       Some(NackReason::Bounds),      { Put = 269, Get = 269, Amo = 269 };
+        forward:       Case::Forward,      None,                          { Put = 410, Get = 428, Amo = 410 };
+        forward_off:   Case::ForwardOff,   Some(NackReason::Miss),        { Put = 269, Get = 269, Amo = 269 };
+        ttl:           Case::Ttl,          Some(NackReason::TtlExceeded), { Put = 551, Get = 551, Amo = 551 };
+        loopback:      Case::Loopback,     None,                          { Put = 20,  Get = 20,  Amo = 20 };
+        loopback_miss: Case::LoopbackMiss, Some(NackReason::Miss),        { Put = 40,  Get = 40,  Amo = 40 };
+        // The copy's answer trails by the plane's fixed 1 us spacing.
+        duplicate:     Case::Duplicate,    None,                          { Put = 269, Get = 287, Amo = 269 };
+    }
+
+    /// Build the world for `case`, issue one `kind` access from locality 0
+    /// (from its own NIC for the loop-back cases), and check the outcome,
+    /// its instant, the memory effect, every counter and the trace.
+    fn run_cell(case: Case, kind: OpKind, nack: Option<NackReason>, at: Time) {
+        let tag = format!("{case:?}/{kind:?}");
+        let cfg = NetConfig {
+            nic_forwarding: case != Case::ForwardOff,
+            ..NetConfig::ideal()
+        };
+        let mut eng = Engine::new(TestWorld::new(3, cfg), 1);
+        eng.state.cluster.tracer.enable(64);
+        let (target, owner) = match case {
+            Case::Loopback | Case::LoopbackMiss => (0, 0),
+            Case::Forward => (1, 2),
+            _ => (1, 1),
+        };
+        let resident = !matches!(
+            case,
+            Case::Miss | Case::ForwardOff | Case::Ttl | Case::LoopbackMiss
+        );
+        let base = resident.then(|| install_block(&mut eng, owner));
+        let mut tombstone = |at: LocalityId, next: LocalityId| {
+            let nic = &mut eng.state.cluster.loc_mut(at).nic;
+            nic.xlate.retire_to_forward(BLOCK, next);
+        };
+        match case {
+            Case::Forward | Case::ForwardOff => tombstone(1, 2),
+            Case::Ttl => {
+                tombstone(1, 2);
+                tombstone(2, 1);
+            }
+            Case::Duplicate => {
+                let mut plan = FaultPlan::lossless(3);
+                let twice = FaultRates {
+                    dup: 1.0,
+                    ..FaultRates::lossless()
+                };
+                plan.link_rates.push((0, 1, twice));
+                eng.state.cluster.faults = Some(FaultPlane::new(plan));
+            }
+            _ => {}
+        }
+        let dst = match case {
+            Case::Phys => RdmaTarget::Phys(base.unwrap()),
+            Case::Bounds => RdmaTarget::Virt {
+                block: BLOCK,
+                offset: 1020,
+            },
+            _ => RdmaTarget::Virt {
+                block: BLOCK,
+                offset: 0,
+            },
+        };
+        let local = eng.state.cluster.mem_mut(0).alloc_block(10).unwrap();
+        let op = eng.state.cluster.alloc_op();
+        rdma_issue(&mut eng, 0, access(kind, target, dst, local, op));
+        eng.run();
+
+        // What the initiator hears, and when. A duplicated request is
+        // answered twice, 1 us apart, with the same words.
+        let heard = match (nack, kind) {
+            (Some(reason), _) => format!("nack:{op}:{reason:?}"),
+            (None, OpKind::Put) => format!("putdone:{op}"),
+            (None, OpKind::Get) => format!("getdone:{op}"),
+            (None, OpKind::Amo) => format!("amodone:{op}:{SEED}:true:[]"),
+        };
+        let mut want = vec![(at, 0, heard.clone())];
+        if case == Case::Duplicate {
+            want.push((at + Time::from_us(1), 0, heard));
+        }
+        // What the committing NIC raises at its own host: the table-miss
+        // interrupt, or a put's remote note (one per commit).
+        let interrupt = matches!(case, Case::Miss | Case::LoopbackMiss);
+        let note = nack.is_none() && kind == OpKind::Put;
+        let log = &eng.state.log;
+        let side: Vec<&(Time, LocalityId, String)> = log
+            .iter()
+            .filter(|(_, _, d)| d.starts_with("xmiss") || d.starts_with("note"))
+            .collect();
+        let answers: Vec<_> = log.iter().filter(|e| !side.contains(e)).cloned().collect();
+        assert_eq!(answers, want, "{tag}");
+        let side_want = match (interrupt, note) {
+            (true, _) => vec![format!("xmiss:{BLOCK}")],
+            (_, true) => vec!["note:77:8".to_string(); want.len()],
+            _ => Vec::new(),
+        };
+        let side_at = if interrupt { target } else { owner };
+        assert!(
+            side.iter().all(|(_, l, _)| *l == side_at),
+            "{tag}: {side:?}"
+        );
+        let side: Vec<&String> = side.iter().map(|(_, _, d)| d).collect();
+        assert_eq!(side, side_want.iter().collect::<Vec<_>>(), "{tag}");
+
+        // Memory effect: applied exactly once on success, untouched on a
+        // NACK (the get lands [`SEED`] in the initiator's buffer).
+        if let Some(base) = base {
+            let word = match (nack, kind) {
+                (None, OpKind::Put) => PUT,
+                (None, OpKind::Amo) => SEED + 2,
+                _ => SEED,
+            };
+            assert_eq!(read_word(&eng, owner, base), word, "{tag}: owner word");
+        }
+        let landed = if nack.is_none() && kind == OpKind::Get {
+            SEED
+        } else {
+            0
+        };
+        assert_eq!(read_word(&eng, 0, local), landed, "{tag}: landing buffer");
+
+        // Counters.
+        let total = eng.state.cluster.total_counters();
+        let per_kind = [total.rdma_puts, total.rdma_gets, total.rdma_amos];
+        let issued: Vec<u64> = KINDS.iter().map(|k| (*k == kind) as u64).collect();
+        assert_eq!(per_kind.to_vec(), issued, "{tag}: issue counters");
+        let nacked = nack.is_some() as u64;
+        assert_eq!(
+            (total.nacks_sent, total.nacks_recv),
+            (nacked, nacked),
+            "{tag}"
+        );
+        let forwards = match case {
+            Case::Forward => 1,
+            Case::Ttl => 2,
+            _ => 0,
+        };
+        assert_eq!(total.xlate_forwards, forwards, "{tag}: forwards");
+        assert_eq!(total.xlate_misses, interrupt as u64, "{tag}: misses");
+        let commits = if nack.is_some() { 0 } else { want.len() as u64 };
+        let replays = (kind == OpKind::Amo && case == Case::Duplicate) as u64;
+        let hits = if case == Case::Phys {
+            0
+        } else {
+            commits - replays
+        };
+        assert_eq!(total.xlate_hits, hits, "{tag}: hits");
+        assert_eq!(
+            eng.state.cluster.loc(owner).counters.xlate_hits,
+            hits,
+            "{tag}"
+        );
+        assert_eq!(total.sw_handler_runs, 0, "{tag}: target CPU ran");
+        let amo = (kind == OpKind::Amo) as u64;
+        let amo_want = [
+            amo * (commits - replays),
+            amo * replays,
+            amo * nacked,
+            amo * forwards,
+        ];
+        let amo_got = [
+            total.amo_executed,
+            total.amo_replays,
+            total.amo_nacked,
+            total.amo_forwarded,
+        ];
+        assert_eq!(
+            amo_got, amo_want,
+            "{tag}: executed/replays/nacked/forwarded"
+        );
+        if let Some(plane) = &eng.state.cluster.faults {
+            assert_eq!(plane.stats.duplicated, 1, "{tag}");
+        }
+
+        // The translation outcome is traced for every kind, at the NIC
+        // that made it, in visit order.
+        let xlate_trace: Vec<TraceKind> = eng
+            .state
+            .cluster
+            .tracer
+            .events()
+            .iter()
+            .map(|e| e.kind)
+            .filter(|k| {
+                matches!(
+                    k,
+                    TraceKind::XlateHit { .. }
+                        | TraceKind::XlateForward { .. }
+                        | TraceKind::XlateMiss { .. }
+                )
+            })
+            .collect();
+        let block = BLOCK;
+        let fwd = |at, next| TraceKind::XlateForward { at, next, block };
+        let hit = TraceKind::XlateHit { at: owner, block };
+        let trace_want = match case {
+            Case::Phys | Case::Bounds | Case::ForwardOff => Vec::new(),
+            Case::Miss | Case::LoopbackMiss => vec![TraceKind::XlateMiss { at: target, block }],
+            Case::Forward => vec![fwd(1, 2), hit],
+            Case::Ttl => vec![fwd(1, 2), fwd(2, 1)],
+            Case::VirtHit | Case::Loopback => vec![hit],
+            Case::Duplicate => vec![hit; hits as usize],
+        };
+        assert_eq!(xlate_trace, trace_want, "{tag}: trace");
+    }
+
+    #[test]
+    fn apply_kernel_is_one_replay_policy_for_every_path() {
+        // The NIC commit, the software handler, the shm commit and the
+        // local commit all apply through `Locality::apply`; whichever of
+        // them a retry lands on, one dedup key applies at most once.
+        let mut eng = engine(2);
+        let base = install_block(&mut eng, 1);
+        let at = RdmaTarget::Virt {
+            block: BLOCK,
+            offset: 0,
+        };
+        let op = eng.state.cluster.alloc_op();
+        // First attempt: over the wire, executed by the NIC.
+        let first = access(OpKind::Amo, 1, at, 0, op);
+        let verb = first.verb.clone();
+        rdma_issue(&mut eng, 0, first);
+        eng.run();
+        assert_eq!(read_word(&eng, 1, base), SEED + 2);
+        // Retries of the same key through the kernel directly — what the
+        // software, shm and local paths call — replay the NIC's result.
+        for _ in 0..3 {
+            let l = eng.state.cluster.loc_mut(1);
+            match l.apply(BLOCK, base, 1024, 0, &verb) {
+                Some(Applied::Amo { result, replayed }) => {
+                    assert!(replayed);
+                    assert_eq!(result.old, SEED);
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+        assert_eq!(read_word(&eng, 1, base), SEED + 2, "applied exactly once");
+        assert_eq!(eng.state.cluster.loc(1).nic.amo.len(), 1);
+
+        // A read-only AMO never installs: it re-executes on every
+        // delivery and cannot evict an entry guarding a mutation.
+        let gather = Verb::Amo {
+            amo: AmoOp::Gather { offsets: vec![0] },
+            key: (0, 999),
+        };
+        for _ in 0..2 {
+            let l = eng.state.cluster.loc_mut(1);
+            match l.apply(BLOCK, base, 1024, 0, &gather) {
+                Some(Applied::Amo { result, replayed }) => {
+                    assert!(!replayed);
+                    assert_eq!(result.values, vec![SEED + 2]);
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+        assert_eq!(eng.state.cluster.loc(1).nic.amo.len(), 1);
+
+        // Out-of-extent accesses touch nothing, whatever the verb.
+        let l = eng.state.cluster.loc_mut(1);
+        for kind in KINDS {
+            let verb = access(kind, 1, at, 0, op).verb;
+            let verb = match verb {
+                Verb::Amo { amo, .. } => Verb::Amo { amo, key: (0, 7) },
+                v => v,
+            };
+            assert!(
+                l.apply(BLOCK, base, 1024, 1020, &verb).is_none(),
+                "{kind:?}"
+            );
+        }
+        assert_eq!(read_word(&eng, 1, base), SEED + 2);
     }
 }

@@ -327,8 +327,9 @@ pub trait PhotonWorld: Protocol {
         let _ = (eng, loc, block);
     }
     /// An initiated PWC active operation ([`pwc`] with a [`Verb::Amo`])
-    /// executed at the target NIC; `result` carries the fetched/old value(s). Worlds that
-    /// never issue AMOs can keep the default (which drops the result).
+    /// executed at the target NIC; `result` carries the fetched/old
+    /// value(s). Worlds that never issue AMOs can keep the default (which
+    /// drops the result).
     fn pwc_amo_complete(eng: &mut Engine<Self>, loc: LocalityId, ctx: OpId, result: AmoResult) {
         let _ = (eng, loc, ctx, result);
     }
@@ -511,7 +512,7 @@ pub fn pwc<S: PhotonWorld>(
     if let Verb::Put {
         remote_tag: Some(tag),
         ..
-    } = verb
+    } = &verb
     {
         assert_eq!(tag & RDV_NOTE_BIT, 0, "remote_tag bit 63 is reserved");
     }
