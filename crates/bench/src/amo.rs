@@ -18,7 +18,7 @@
 //! (`AgasNetwork`: the responder NIC performs the op during translation;
 //! [`netsim::telemetry`]'s `amo_executed` counts these) and the emulated
 //! round-trip (`AgasSoftware`: the request is bounced to the owner's CPU
-//! as a `SwAmo` message and executes as a software handler — the NIC
+//! as a `SwAccess` message and executes as a software handler — the NIC
 //! counters stay zero, which *is* the measurement). Simulated time is the
 //! measurand; wall-clock is reported only as context.
 

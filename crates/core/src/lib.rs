@@ -48,7 +48,7 @@ pub use membership::{MemberState, MemberUpdate, MembershipView};
 pub use simworld::{AmoPumpKind, SimData, SimEv, SimLoc, SimMsg, SimWorld};
 
 use netsim::{
-    AmoKey, AmoOp, AmoResult, Engine, LocalityId, OpError, OpId, OpKind, OpTable, OutcomeCounters,
+    AmoKey, AmoResult, Engine, LocalityId, OpError, OpId, OpKind, OpTable, OutcomeCounters,
     PhysAddr, ServerPool, Time, Verb,
 };
 use photon::PhotonWorld;
@@ -59,17 +59,26 @@ use std::fmt;
 /// [`GasWorld::wrap_gas`].
 #[derive(Debug)]
 pub enum GasMsg {
-    /// Software-AGAS remote write: handled by the owner's CPU.
-    SwPut {
+    /// Software remote access: the owner's **CPU** translates through its
+    /// BTT, applies `verb` and replies — every byte consumes target cores.
+    /// The AGAS-SW fast path for puts and gets, and for AMOs the emulated
+    /// baseline (PGAS, AGAS-SW, network-mode fallback) the NIC-executed
+    /// path is measured against. Answered by [`GasMsg::SwPutAck`],
+    /// [`GasMsg::SwGetReply`] or [`GasMsg::SwAmoReply`] by kind, or
+    /// [`GasMsg::SwRetry`] when the block is not resident.
+    SwAccess {
         /// Target block key.
         block: u64,
-        /// Byte offset within the block.
+        /// Byte offset within the block (word ops: of the target word;
+        /// scatter/gather carry their own offsets).
         offset: u64,
-        /// Payload.
-        data: Vec<u8>,
+        /// The access — the same snapshot the one-sided paths carry, so an
+        /// AMO's retry-stable `key` deduplicates against the NIC responder
+        /// cache even when a retry switches paths.
+        verb: Verb,
         /// Initiator's operation handle.
         ctx: OpId,
-        /// Where the ack goes.
+        /// Where the reply goes.
         reply_to: LocalityId,
     },
     /// Ack of a software write.
@@ -77,45 +86,12 @@ pub enum GasMsg {
         /// Initiator's operation handle.
         ctx: OpId,
     },
-    /// Software-AGAS remote read.
-    SwGet {
-        /// Target block key.
-        block: u64,
-        /// Byte offset within the block.
-        offset: u64,
-        /// Bytes requested.
-        len: u32,
-        /// Initiator's operation handle.
-        ctx: OpId,
-        /// Where the reply goes.
-        reply_to: LocalityId,
-    },
     /// Data reply of a software read.
     SwGetReply {
         /// Initiator's operation handle.
         ctx: OpId,
         /// The data.
         data: Vec<u8>,
-    },
-    /// Software-AGAS (or network-mode fallback) active operation: the
-    /// owner's CPU translates, executes the AMO, and replies with the
-    /// result — the emulated baseline the NIC-executed path is measured
-    /// against.
-    SwAmo {
-        /// Target block key.
-        block: u64,
-        /// Byte offset of the target word (word ops; scatter/gather carry
-        /// their own offsets).
-        offset: u64,
-        /// The operation.
-        amo: AmoOp,
-        /// Retry-stable dedup identity (shared with the NIC responder
-        /// cache, so a retry that switches paths still deduplicates).
-        key: AmoKey,
-        /// Initiator's operation handle.
-        ctx: OpId,
-        /// Where the reply goes.
-        reply_to: LocalityId,
     },
     /// Result reply of a software active operation.
     SwAmoReply {
@@ -396,9 +372,10 @@ pub(crate) struct PendingOp {
     /// The access itself: the same snapshot every issue path (RDMA, shm,
     /// software, local commit) hands to the responder.
     pub verb: Verb,
-    /// Landing buffer `(addr, class)` of a get's RDMA attempts, reused
-    /// across retries and freed when the op retires.
-    pub scratch: Option<(PhysAddr, u8)>,
+    /// Size class of the landing buffer a get's RDMA attempts share, once
+    /// one is allocated (its address is the verb's `local`); reused across
+    /// retries and freed when the op retires.
+    pub scratch: Option<u8>,
     pub gva: Gva,
     pub ctx: OpId,
     pub attempts: u32,
@@ -419,8 +396,26 @@ pub(crate) struct PendingOp {
     /// recognized as stale rather than double-completing.
     pub attempt: Option<OpId>,
     /// Index of this op's [`HistEvent`] in the issuing locality's history
-    /// log (only when [`GasConfig::record_history`] is on).
-    pub hist: Option<usize>,
+    /// log (only when [`GasConfig::record_history`] is on). `u32` keeps the
+    /// entry at 120 bytes: the table is touched twice per op, and its
+    /// footprint shows in host throughput.
+    pub hist: Option<u32>,
+}
+
+// Every op inserts and removes one entry, so the table's footprint is
+// host-time: 32 bytes more cost ~4 % of AGAS-SW GUPS throughput.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<PendingOp>() <= 120);
+
+impl PendingOp {
+    /// The get's landing buffer `(addr, class)`, if an RDMA attempt has
+    /// allocated one.
+    pub fn scratch(&self) -> Option<(PhysAddr, u8)> {
+        match (&self.verb, self.scratch) {
+            (Verb::Get { local, .. }, Some(class)) => Some((*local, class)),
+            _ => None,
+        }
+    }
 }
 
 pub(crate) struct MovingState {

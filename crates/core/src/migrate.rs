@@ -487,14 +487,10 @@ pub(crate) fn on_mig_ack<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, block
     };
     eng.state.gas(at).btt.remove(block);
     for msg in ms.queued {
-        let wire = match &msg {
-            GasMsg::SwPut { data, .. } => data.len() as u32,
-            GasMsg::SwGet { .. } => eng.state.cluster_ref().config.ctrl_bytes,
-            GasMsg::SwAmo { amo, .. } => {
-                eng.state.cluster_ref().config.ctrl_bytes + 8 * amo.wire_words() as u32
-            }
-            _ => unreachable!("only software accesses queue"),
+        let GasMsg::SwAccess { verb, .. } = &msg else {
+            unreachable!("only software accesses queue")
         };
+        let wire = crate::ops::sw_wire_bytes(verb, eng.state.cluster_ref().config.ctrl_bytes);
         send_user(eng, at, ms.dst, wire, S::wrap_gas(msg));
     }
 }

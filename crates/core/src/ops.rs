@@ -9,10 +9,9 @@
 //! * **PGAS** — the initiator *computes* the physical placement (home from
 //!   the address bits, physical base from the replicated allocation map)
 //!   and issues plain RDMA. No translation state anywhere; no mobility.
-//! * **AGAS-SW** — the initiator sends a two-sided [`GasMsg::SwPut`] /
-//!   [`GasMsg::SwGet`] parcel; the owner's **CPU** translates through its
-//!   BTT, performs the copy, and replies. Every byte of remote access
-//!   consumes target cores.
+//! * **AGAS-SW** — the initiator sends a two-sided [`GasMsg::SwAccess`]
+//!   parcel; the owner's **CPU** translates through its BTT, performs the
+//!   copy, and replies. Every byte of remote access consumes target cores.
 //! * **AGAS-NET** — the initiator issues RDMA on the *virtual* block key;
 //!   the owner's **NIC** translates. The target CPU is never involved; a
 //!   stale target answers with a NACK (or NIC-forwards), and the initiator
@@ -180,7 +179,7 @@ fn hist_issue(
     len: u32,
     value: u64,
     now: Time,
-) -> Option<usize> {
+) -> Option<u32> {
     if !g.cfg.record_history {
         return None;
     }
@@ -195,7 +194,7 @@ fn hist_issue(
         ok: false,
         loc,
     });
-    Some(g.history.len() - 1)
+    Some((g.history.len() - 1) as u32)
 }
 
 /// Mark an op's history event complete (and, for gets, record the value
@@ -203,12 +202,12 @@ fn hist_issue(
 fn hist_done<S: GasWorld>(
     eng: &mut Engine<S>,
     loc: LocalityId,
-    hist: Option<usize>,
+    hist: Option<u32>,
     now: Time,
     value: Option<u64>,
 ) {
     if let Some(i) = hist {
-        let e = &mut eng.state.gas(loc).history[i];
+        let e = &mut eng.state.gas(loc).history[i as usize];
         e.done = Some(now);
         e.ok = true;
         if let Some(v) = value {
@@ -220,7 +219,7 @@ fn hist_done<S: GasWorld>(
 /// Release the landing buffer an earlier RDMA get attempt left behind
 /// (no-op for every other op).
 fn free_scratch<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, p: &PendingOp) {
-    if let Some((addr, class)) = p.scratch {
+    if let Some((addr, class)) = p.scratch() {
         eng.state.cluster().mem_mut(loc).free_block(addr, class);
     }
 }
@@ -522,6 +521,16 @@ fn issue<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) {
     }
 }
 
+/// Payload bytes of a [`GasMsg::SwAccess`] on the wire: a put carries its
+/// data, a get is control-sized, an AMO adds its operand words.
+pub(crate) fn sw_wire_bytes(verb: &Verb, ctrl: u32) -> u32 {
+    match verb {
+        Verb::Put { data, .. } => data.len() as u32,
+        Verb::Get { .. } => ctrl,
+        Verb::Amo { amo, .. } => ctrl + 8 * amo.wire_words() as u32,
+    }
+}
+
 /// Issue the software (two-sided) remote access toward `target_loc`.
 fn issue_sw<S: GasWorld>(
     eng: &mut Engine<S>,
@@ -530,48 +539,23 @@ fn issue_sw<S: GasWorld>(
     gva: Gva,
     target_loc: LocalityId,
 ) {
-    let block = gva.block_key();
     let ctrl = eng.state.cluster_ref().config.ctrl_bytes;
-    let (msg, wire) = {
+    let verb = {
         let g = eng.state.gas(loc);
         let Ok(p) = g.pending.get_mut(op) else {
             return;
         };
         p.phase = OpPhase::Sw;
         p.attempt = None; // any earlier photon attempt is superseded
-        match &p.verb {
-            Verb::Put { data, .. } => (
-                GasMsg::SwPut {
-                    block,
-                    offset: gva.offset(),
-                    data: data.clone(),
-                    ctx: op,
-                    reply_to: loc,
-                },
-                data.len() as u32,
-            ),
-            Verb::Get { len, .. } => (
-                GasMsg::SwGet {
-                    block,
-                    offset: gva.offset(),
-                    len: *len,
-                    ctx: op,
-                    reply_to: loc,
-                },
-                ctrl,
-            ),
-            Verb::Amo { amo, key } => (
-                GasMsg::SwAmo {
-                    block,
-                    offset: gva.offset(),
-                    amo: amo.clone(),
-                    key: *key,
-                    ctx: op,
-                    reply_to: loc,
-                },
-                ctrl + 8 * amo.wire_words() as u32,
-            ),
-        }
+        p.verb.clone()
+    };
+    let wire = sw_wire_bytes(&verb, ctrl);
+    let msg = GasMsg::SwAccess {
+        block: gva.block_key(),
+        offset: gva.offset(),
+        verb,
+        ctx: op,
+        reply_to: loc,
     };
     send_user_classed(
         eng,
@@ -789,23 +773,18 @@ fn issue_rdma<S: GasWorld>(
     };
     // A get lands in a scratch buffer from the runtime's pre-registered
     // pool, allocated once and reused across retries.
-    if let Verb::Get { len, local } = &mut verb {
-        *local = match scratch {
-            Some((addr, _)) => addr,
-            None => {
-                let class = scratch_class(*len);
-                let addr = eng
-                    .state
-                    .cluster()
-                    .mem_mut(loc)
-                    .alloc_block(class)
-                    .expect("scratch allocation failed");
-                if let Ok(p) = eng.state.gas(loc).pending.get_mut(op) {
-                    p.scratch = Some((addr, class));
-                }
-                addr
-            }
-        };
+    if let (Verb::Get { len, local }, None) = (&mut verb, scratch) {
+        let class = scratch_class(*len);
+        *local = eng
+            .state
+            .cluster()
+            .mem_mut(loc)
+            .alloc_block(class)
+            .expect("scratch allocation failed");
+        if let Ok(p) = eng.state.gas(loc).pending.get_mut(op) {
+            p.verb = verb.clone();
+            p.scratch = Some(class);
+        }
     }
     let att = pwc(eng, loc, target_loc, target, verb, op, None);
     if let Ok(p) = eng.state.gas(loc).pending.get_mut(op) {
@@ -1072,7 +1051,7 @@ pub fn on_pwc_complete<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, ctx: O
             S::gas_put_done(eng, loc, p.ctx);
         }
         Verb::Get { len, .. } => {
-            let Some((addr, class)) = p.scratch else {
+            let Some((addr, class)) = p.scratch() else {
                 // Unreachable via the wire (gets allocate scratch before
                 // issue); counted as a violation rather than panicking.
                 let g = eng.state.gas(loc);
@@ -1249,9 +1228,7 @@ pub fn handle_msg<S: GasWorld>(eng: &mut Engine<S>, from: LocalityId, at: Locali
         }
     }
     match msg {
-        GasMsg::SwPut { .. } | GasMsg::SwGet { .. } | GasMsg::SwAmo { .. } => {
-            handle_sw_access(eng, at, msg)
-        }
+        GasMsg::SwAccess { .. } => handle_sw_access(eng, at, msg),
         GasMsg::SwAmoReply { ctx, result } => complete_amo(eng, at, ctx, result),
         GasMsg::SwPutAck { ctx } => complete_put(eng, at, ctx),
         GasMsg::SwGetReply { ctx, data } => complete_get(eng, at, ctx, data),
@@ -1476,12 +1453,10 @@ pub fn handle_msg<S: GasWorld>(eng: &mut Engine<S>, from: LocalityId, at: Locali
 /// Software-AGAS remote access at the (believed) owner: queue if the block
 /// is mid-migration, otherwise charge the CPU and run the handler.
 fn handle_sw_access<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, msg: GasMsg) {
-    let (block, data_len) = match &msg {
-        GasMsg::SwPut { block, data, .. } => (*block, data.len()),
-        GasMsg::SwGet { block, len, .. } => (*block, *len as usize),
-        GasMsg::SwAmo { block, amo, .. } => (*block, 8 * amo.touched_words()),
-        _ => unreachable!(),
+    let GasMsg::SwAccess { block, verb, .. } = &msg else {
+        unreachable!()
     };
+    let (block, data_len) = (*block, verb.touched_bytes() as usize);
     // Mid-migration: park the access; it is re-sent to the new owner on
     // MigAck (the initiator never notices).
     if let Some(ms) = eng.state.gas(at).moving.get_mut(&block) {
@@ -1508,11 +1483,15 @@ fn handle_sw_access<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, msg: GasMs
 }
 
 fn run_sw_access<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, msg: GasMsg) {
-    let block = match &msg {
-        GasMsg::SwPut { block, .. } | GasMsg::SwGet { block, .. } | GasMsg::SwAmo { block, .. } => {
-            *block
-        }
-        _ => unreachable!(),
+    let GasMsg::SwAccess {
+        block,
+        offset,
+        ref verb,
+        ctx,
+        reply_to,
+    } = msg
+    else {
+        unreachable!()
     };
     // Re-check residency at execution time: a migration may have started
     // while the handler sat in the CPU queue.
@@ -1520,37 +1499,6 @@ fn run_sw_access<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, msg: GasMsg) 
         ms.queued.push(msg);
         return;
     }
-    let (offset, verb, ctx, reply_to) = match msg {
-        GasMsg::SwPut {
-            offset,
-            data,
-            ctx,
-            reply_to,
-            ..
-        } => {
-            let verb = Verb::Put {
-                data,
-                remote_tag: None,
-            };
-            (offset, verb, ctx, reply_to)
-        }
-        GasMsg::SwGet {
-            offset,
-            len,
-            ctx,
-            reply_to,
-            ..
-        } => (offset, Verb::Get { len, local: 0 }, ctx, reply_to),
-        GasMsg::SwAmo {
-            offset,
-            amo,
-            key,
-            ctx,
-            reply_to,
-            ..
-        } => (offset, Verb::Amo { amo, key }, ctx, reply_to),
-        _ => unreachable!(),
-    };
     // Resolve storage: the BTT under AGAS; under PGAS (where the BTT is
     // empty by design) the replicated placement map — the home always
     // owns, so no retry path is needed there.
@@ -1568,7 +1516,7 @@ fn run_sw_access<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, msg: GasMsg) 
     let (reply, wire) = match resolved {
         None => (GasMsg::SwRetry { ctx, block }, ctrl),
         Some((base, size)) => {
-            let Some(applied) = apply_resident(eng, at, block, base, size, offset, &verb) else {
+            let Some(applied) = apply_resident(eng, at, block, base, size, offset, verb) else {
                 // Out-of-bounds software access: reject it as a protocol
                 // violation rather than corrupting the arena.
                 eng.state.gas(at).stats.protocol_violations += 1;

@@ -36,8 +36,8 @@ pub enum FaultClass {
     /// Protocol traffic with no recovery path (migration/free control
     /// messages, photon rendezvous control, loopback). Never touched.
     Bypass,
-    /// A retried request (RDMA put/get issue + forwarding hops, SwPut /
-    /// SwGet / DirQuery). May be dropped, duplicated, or delayed; a
+    /// A retried request (RDMA put/get issue + forwarding hops, SwAccess /
+    /// DirQuery). May be dropped, duplicated, or delayed; a
     /// corruption draw *degrades to a drop*, modeling a link-level CRC
     /// discard — one-sided data has no end-to-end checksum, so delivering
     /// it corrupted would silently poison memory.

@@ -771,17 +771,27 @@ fn response_class(req: FaultClass) -> FaultClass {
 
 /// Initiate a one-sided write from `initiator`.
 pub fn rdma_put<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: PutReq) {
-    rdma_issue(eng, initiator, req.into())
+    rdma_issue(eng, initiator, Access::from(req))
 }
 
 /// Initiate a one-sided read from `initiator`.
 pub fn rdma_get<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: GetReq) {
-    rdma_issue(eng, initiator, req.into())
+    rdma_issue(eng, initiator, Access::from(req))
 }
 
 /// Initiate any one-sided access from `initiator`: the single entry point
 /// of the pipeline.
-pub fn rdma_issue<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: Access) {
+///
+/// The request is boxed once here (pass a `Box<Access>` to reuse one the
+/// caller already made) and travels by pointer from then on, so every
+/// hop's event captures two words and stays inline in its queue slot
+/// whatever size [`Access`] grows to.
+pub fn rdma_issue<S: Protocol>(
+    eng: &mut Engine<S>,
+    initiator: LocalityId,
+    req: impl Into<Box<Access>>,
+) {
+    let req: Box<Access> = req.into();
     let now = eng.now();
     let cfg = eng.state.cluster().config;
     let bytes = req.wire_bytes(&cfg);
@@ -843,7 +853,7 @@ fn hop<S: Protocol>(
     initiator: LocalityId,
     hop_src: LocalityId,
     arrival: Time,
-    mut req: Access,
+    mut req: Box<Access>,
 ) {
     match fault_decide(eng, hop_src, req.target, req.class, true) {
         FaultVerdict::Drop => {}
@@ -874,7 +884,7 @@ fn hop<S: Protocol>(
 
 /// A request reached its current target's receive port: pay rx
 /// serialization plus, for virtual targets, the NIC's translation.
-fn arrive<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: Access) {
+fn arrive<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: Box<Access>) {
     let now = eng.now();
     let cfg = eng.state.cluster().config;
     let dur = cfg.serialize(req.wire_bytes(&cfg));
@@ -891,7 +901,12 @@ fn arrive<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: Access) 
 /// Translate and commit an access at its current target NIC; generate the
 /// completion, remote note, NACK, or forwarding hop. `local` marks a
 /// loop-back visit, whose responses skip the wire.
-fn commit<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, mut req: Access, local: bool) {
+fn commit<S: Protocol>(
+    eng: &mut Engine<S>,
+    initiator: LocalityId,
+    mut req: Box<Access>,
+    local: bool,
+) {
     let now = eng.now();
     let cfg = eng.state.cluster().config;
     let target = req.target;

@@ -147,7 +147,7 @@ pub struct PhotonEndpoint {
     next_send_id: u64,
     remote_ledger: VecDeque<(u64, u32)>,
     /// Per-peer submission rings (`Some` iff [`PhotonConfig::ring`] is set).
-    subq: Option<RingSet<Access>>,
+    subq: Option<RingSet<Box<Access>>>,
     /// The completion-coalescing ring, moderated by
     /// [`netsim::RingConfig::moderation`].
     compq: Option<Ring<CompEvent>>,
@@ -349,7 +349,7 @@ fn size_class_for(len: u32) -> u8 {
 /// Post one not-yet-injected PWC op into the submission ring toward its
 /// target, flushing or arming the doorbell timer as the ring directs. Only
 /// called when [`PhotonConfig::ring`] is set.
-fn ring_submit<S: PhotonWorld>(eng: &mut Engine<S>, src: LocalityId, req: Access) {
+fn ring_submit<S: PhotonWorld>(eng: &mut Engine<S>, src: LocalityId, req: Box<Access>) {
     let now = eng.now();
     let dst = req.target;
     let (kind, bytes) = match &req.verb {
@@ -532,14 +532,14 @@ pub fn pwc<S: PhotonWorld>(
     // The wire token *is* the endpoint-table handle: the completion or
     // NACK echoes it back, and a stale echo fails the generation check.
     let op = eng.state.endpoint(src).ops.insert(Pending::Pwc { ctx });
-    let req = Access {
+    let req = Box::new(Access {
         target: dst,
         at,
         verb,
         op,
         ttl,
         class: FaultClass::Request,
-    };
+    });
     if kind == OpKind::Amo {
         // Operands ride in the control-sized request: there is no buffer
         // to register, so the op injects inline.
@@ -554,7 +554,7 @@ pub fn pwc<S: PhotonWorld>(
 
 /// Hand a built request to the fabric: through the submission ring when
 /// rings are on, directly otherwise.
-fn inject<S: PhotonWorld>(eng: &mut Engine<S>, src: LocalityId, req: Access) {
+fn inject<S: PhotonWorld>(eng: &mut Engine<S>, src: LocalityId, req: Box<Access>) {
     if eng.state.endpoint(src).subq.is_some() {
         ring_submit(eng, src, req);
     } else {
