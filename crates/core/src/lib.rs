@@ -298,6 +298,41 @@ pub struct GasStats {
     pub blocks_recovered: u64,
     /// NIC forward entries purged because their next hop crashed.
     pub stale_xlate_dropped: u64,
+    /// Owner hints learned here from forwarded completions: the ack of an
+    /// op that chased a NIC forward names the block's current owner and
+    /// generation, so the next access goes direct.
+    pub hints_learned: u64,
+}
+
+impl GasStats {
+    /// Add `other`'s counts into `self` (cluster-wide totals).
+    pub fn merge(&mut self, other: &GasStats) {
+        self.puts += other.puts;
+        self.gets += other.gets;
+        self.amos += other.amos;
+        self.local_ops += other.local_ops;
+        self.remote_ops += other.remote_ops;
+        self.retries += other.retries;
+        self.dir_queries += other.dir_queries;
+        self.sw_puts_handled += other.sw_puts_handled;
+        self.sw_gets_handled += other.sw_gets_handled;
+        self.sw_amos_handled += other.sw_amos_handled;
+        self.amo_replays += other.amo_replays;
+        self.sw_fallbacks += other.sw_fallbacks;
+        self.migrations_started += other.migrations_started;
+        self.migrations_done += other.migrations_done;
+        self.stale_completions += other.stale_completions;
+        self.protocol_violations += other.protocol_violations;
+        self.deadline_exceeded += other.deadline_exceeded;
+        self.deadline_retries += other.deadline_retries;
+        self.ops_failed += other.ops_failed;
+        self.shm_ops += other.shm_ops;
+        self.shm_bytes += other.shm_bytes;
+        self.blocks_rehomed += other.blocks_rehomed;
+        self.blocks_recovered += other.blocks_recovered;
+        self.stale_xlate_dropped += other.stale_xlate_dropped;
+        self.hints_learned += other.hints_learned;
+    }
 }
 
 /// Where an in-flight op last was in its lifecycle (diagnostics: stuck-op
@@ -572,8 +607,8 @@ impl GasLocal {
 ///
 /// The world routes `Packet::User` payloads that decode to [`GasMsg`] into
 /// [`ops::handle_msg`], and forwards its [`PhotonWorld`] PWC callbacks to
-/// [`ops::on_pwc_complete`] / [`ops::on_pwc_failed`] (the GAS is the only
-/// issuer of PWC operations).
+/// [`ops::on_pwc_complete`] / [`ops::on_pwc_redirected`] /
+/// [`ops::on_pwc_failed`] (the GAS is the only issuer of PWC operations).
 pub trait GasWorld: PhotonWorld {
     /// Per-locality GAS state.
     fn gas(&mut self, loc: LocalityId) -> &mut GasLocal;

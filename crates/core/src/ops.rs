@@ -1104,6 +1104,37 @@ pub fn on_pwc_complete<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, ctx: O
     }
 }
 
+/// Route a [`photon::PhotonWorld::pwc_redirected`] callback here: the op's
+/// request reached its block only through a NIC forward, and the completion
+/// names the committing locality and its translation generation. Folding
+/// that into the owner cache makes the forward a one-time path compression
+/// — the next access to the block goes direct, with no NACK and no
+/// directory round trip. Newest-generation-wins in [`OwnerCache::update`]
+/// orders the hint against a late `DirReply`.
+///
+/// [`OwnerCache::update`]: crate::OwnerCache::update
+pub fn on_pwc_redirected<S: GasWorld>(
+    eng: &mut Engine<S>,
+    loc: LocalityId,
+    ctx: OpId,
+    owner: LocalityId,
+    generation: u32,
+) {
+    let g = eng.state.gas(loc);
+    // An ack that left `owner` just before it crashed must not re-plant
+    // the hint the crash notice purged (free when membership is inert).
+    if g.member.is_crashed(owner) {
+        return;
+    }
+    // A stale handle has no block to learn about; the completion callback
+    // that follows counts it.
+    if let Ok(p) = g.pending.get(ctx) {
+        let block = p.gva.block_key();
+        g.cache.update(block, OwnerHint { owner, generation });
+        g.stats.hints_learned += 1;
+    }
+}
+
 /// Finish a pending AMO with `result`, whichever path delivered it (NIC
 /// completion via [`on_pwc_amo_complete`], or a [`GasMsg::SwAmoReply`]).
 /// Stale or duplicated completions are counted and dropped.

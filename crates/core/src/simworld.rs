@@ -293,31 +293,7 @@ impl SimWorld {
     pub fn total_gas_stats(&self) -> GasStats {
         let mut total = GasStats::default();
         for g in &self.data.gas {
-            let s = g.stats;
-            total.puts += s.puts;
-            total.gets += s.gets;
-            total.amos += s.amos;
-            total.local_ops += s.local_ops;
-            total.remote_ops += s.remote_ops;
-            total.retries += s.retries;
-            total.dir_queries += s.dir_queries;
-            total.sw_puts_handled += s.sw_puts_handled;
-            total.sw_gets_handled += s.sw_gets_handled;
-            total.sw_amos_handled += s.sw_amos_handled;
-            total.amo_replays += s.amo_replays;
-            total.sw_fallbacks += s.sw_fallbacks;
-            total.migrations_started += s.migrations_started;
-            total.migrations_done += s.migrations_done;
-            total.stale_completions += s.stale_completions;
-            total.protocol_violations += s.protocol_violations;
-            total.deadline_exceeded += s.deadline_exceeded;
-            total.deadline_retries += s.deadline_retries;
-            total.ops_failed += s.ops_failed;
-            total.shm_ops += s.shm_ops;
-            total.shm_bytes += s.shm_bytes;
-            total.blocks_rehomed += s.blocks_rehomed;
-            total.blocks_recovered += s.blocks_recovered;
-            total.stale_xlate_dropped += s.stale_xlate_dropped;
+            total.merge(&g.stats);
         }
         total
     }
@@ -374,6 +350,15 @@ impl PhotonWorld for SimWorld {
     }
     fn pwc_complete(eng: &mut Engine<Self>, loc: LocalityId, ctx: OpId) {
         crate::ops::on_pwc_complete(eng, loc, ctx);
+    }
+    fn pwc_redirected(
+        eng: &mut Engine<Self>,
+        loc: LocalityId,
+        ctx: OpId,
+        owner: LocalityId,
+        generation: u32,
+    ) {
+        crate::ops::on_pwc_redirected(eng, loc, ctx, owner, generation);
     }
     fn pwc_remote(_eng: &mut Engine<Self>, _loc: LocalityId, _tag: u64, _len: u32) {}
     fn pwc_failed(

@@ -78,12 +78,23 @@ pub enum Packet<M> {
     /// A two-sided message from the layer above.
     User(M),
     /// An initiated put completed (remotely visible).
-    PutDone { op: OpId },
+    ///
+    /// Every completion's `moved` is the redirect hint: `Some(generation)`
+    /// when the request reached the committing NIC through at least one
+    /// forwarding hop — the block now lives at [`Envelope::src`] under that
+    /// translation generation, so the initiator can address it directly
+    /// next time. It rides in the ack's header (no extra bytes or message);
+    /// requests that went straight to the owner carry `None`.
+    PutDone { op: OpId, moved: Option<u32> },
     /// An initiated get completed (`local` buffer now holds the data).
-    GetDone { op: OpId },
+    GetDone { op: OpId, moved: Option<u32> },
     /// An initiated active operation executed at the target NIC; `result`
     /// carries the fetched/old value(s).
-    AmoDone { op: OpId, result: AmoResult },
+    AmoDone {
+        op: OpId,
+        result: AmoResult,
+        moved: Option<u32>,
+    },
     /// Remote-completion notification at the *target* of a put that carried
     /// a `remote_tag` (Photon's put-with-completion ledger entry).
     RemoteNote { tag: u64, len: u32 },
@@ -351,11 +362,18 @@ fn fault_dup_delay<S: Protocol>(eng: &mut Engine<S>, src: LocalityId, dst: Local
 fn clone_ctrl<M>(p: &Packet<M>) -> Option<Packet<M>> {
     match p {
         Packet::User(_) => None,
-        Packet::PutDone { op } => Some(Packet::PutDone { op: *op }),
-        Packet::GetDone { op } => Some(Packet::GetDone { op: *op }),
-        Packet::AmoDone { op, result } => Some(Packet::AmoDone {
+        Packet::PutDone { op, moved } => Some(Packet::PutDone {
+            op: *op,
+            moved: *moved,
+        }),
+        Packet::GetDone { op, moved } => Some(Packet::GetDone {
+            op: *op,
+            moved: *moved,
+        }),
+        Packet::AmoDone { op, result, moved } => Some(Packet::AmoDone {
             op: *op,
             result: result.clone(),
+            moved: *moved,
         }),
         Packet::RemoteNote { tag, len } => Some(Packet::RemoteNote {
             tag: *tag,
@@ -769,6 +787,19 @@ fn response_class(req: FaultClass) -> FaultClass {
     }
 }
 
+/// How a request reached the NIC visit that is about to commit it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Via {
+    /// The initiator's own NIC: no wire, and the responses skip it too.
+    Loopback,
+    /// The wire leg from the initiator: the initiator's guess was current.
+    Wire,
+    /// A forwarding hop from a NIC holding the block's tombstone: the
+    /// initiator's guess was stale, so the completion carries the redirect
+    /// hint (`moved`).
+    Forward,
+}
+
 /// Initiate a one-sided write from `initiator`.
 pub fn rdma_put<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: PutReq) {
     rdma_issue(eng, initiator, Access::from(req))
@@ -830,14 +861,14 @@ pub fn rdma_issue<S: Protocol>(
         // Loop-back: the local NIC still translates and commits, but no
         // wire or port serialization is paid.
         let at = now + cfg.loopback;
-        eng.schedule_at(at, move |eng| commit(eng, initiator, req, true));
+        eng.schedule_at(at, move |eng| commit(eng, initiator, req, Via::Loopback));
         return;
     }
     let dur = cfg.serialize(bytes);
     let tx_done = eng.state.cluster().tx(initiator, now + cfg.o_send, dur);
     eng.defer_wire(move |eng| {
         let arrival = fabric_arrival(eng, tx_done, bytes);
-        hop(eng, initiator, initiator, arrival, req);
+        hop(eng, initiator, initiator, arrival, req, Via::Wire);
     });
 }
 
@@ -854,6 +885,7 @@ fn hop<S: Protocol>(
     hop_src: LocalityId,
     arrival: Time,
     mut req: Box<Access>,
+    via: Via,
 ) {
     match fault_decide(eng, hop_src, req.target, req.class, true) {
         FaultVerdict::Drop => {}
@@ -871,12 +903,12 @@ fn hop<S: Protocol>(
                 let copy = req.clone();
                 let spacing = fault_dup_delay(eng, hop_src, req.target);
                 eng.schedule_at_loc(arrival + extra_delay + spacing, copy.target, move |eng| {
-                    arrive(eng, initiator, copy)
+                    arrive(eng, initiator, copy, via)
                 });
             }
             let dst = req.target;
             eng.schedule_at_loc(arrival + extra_delay, dst, move |eng| {
-                arrive(eng, initiator, req)
+                arrive(eng, initiator, req, via)
             });
         }
     }
@@ -884,7 +916,7 @@ fn hop<S: Protocol>(
 
 /// A request reached its current target's receive port: pay rx
 /// serialization plus, for virtual targets, the NIC's translation.
-fn arrive<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: Box<Access>) {
+fn arrive<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: Box<Access>, via: Via) {
     let now = eng.now();
     let cfg = eng.state.cluster().config;
     let dur = cfg.serialize(req.wire_bytes(&cfg));
@@ -894,40 +926,45 @@ fn arrive<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: Box<Acce
         RdmaTarget::Phys(_) => Time::ZERO,
     };
     eng.schedule_at(rx_done + xlate_cost, move |eng| {
-        commit(eng, initiator, req, false)
+        commit(eng, initiator, req, via)
     });
 }
 
 /// Translate and commit an access at its current target NIC; generate the
-/// completion, remote note, NACK, or forwarding hop. `local` marks a
-/// loop-back visit, whose responses skip the wire.
-fn commit<S: Protocol>(
-    eng: &mut Engine<S>,
-    initiator: LocalityId,
-    mut req: Box<Access>,
-    local: bool,
-) {
+/// completion, remote note, NACK, or forwarding hop. A [`Via::Loopback`]
+/// visit's responses skip the wire; a [`Via::Forward`] visit's completion
+/// carries the translation generation it committed under, which — with the
+/// ack's source — tells the initiator where the block lives now.
+fn commit<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, mut req: Box<Access>, via: Via) {
     let now = eng.now();
     let cfg = eng.state.cluster().config;
     let target = req.target;
     let class = response_class(req.class);
     let is_amo = req.verb.kind() == OpKind::Amo;
-    // A duplicated or retried AMO re-acks its remembered result instead of
-    // applying twice — before translation, so the replay needs no table
-    // entry and leaves the table's recency order alone.
-    if let Verb::Amo { key, .. } = &req.verb {
-        let l = eng.state.cluster().loc_mut(target);
-        if let Some(result) = l.nic.amo.lookup(*key).cloned() {
-            l.counters.amo_replays += 1;
-            let done = Packet::AmoDone { op: req.op, result };
-            respond(eng, target, initiator, done, now, local, class);
-            return;
-        }
-    }
+    let local = via == Via::Loopback;
     let block = match req.at {
         RdmaTarget::Phys(_) => 0,
         RdmaTarget::Virt { block, .. } => block,
     };
+    // A duplicated or retried AMO re-acks its remembered result instead of
+    // applying twice — before translation, so the replay needs no table
+    // entry and leaves the table's recency order alone (a forwarded replay
+    // peeks the generation for its hint without touching it either).
+    if let Verb::Amo { key, .. } = &req.verb {
+        let l = eng.state.cluster().loc_mut(target);
+        if let Some(result) = l.nic.amo.lookup(*key).cloned() {
+            l.counters.amo_replays += 1;
+            let moved = match via {
+                Via::Forward => l.nic.xlate.peek(block).map(|e| e.generation),
+                _ => None,
+            };
+            let op = req.op;
+            let done = Packet::AmoDone { op, result, moved };
+            respond(eng, target, initiator, done, now, local, class);
+            return;
+        }
+    }
+    let mut moved = None;
     // The resident extent `(base, len)` the access resolved to, and its
     // offset within it. A physical target is bounded by the arena alone.
     let resolved = match req.at {
@@ -935,7 +972,12 @@ fn commit<S: Protocol>(
         RdmaTarget::Virt { offset, .. } => {
             let c = eng.state.cluster();
             match c.loc_mut(target).nic.xlate.lookup(block) {
-                Xlate::Hit(entry) => Ok((entry.base, entry.len, offset)),
+                Xlate::Hit(entry) => {
+                    if via == Via::Forward {
+                        moved = Some(entry.generation);
+                    }
+                    Ok((entry.base, entry.len, offset))
+                }
                 Xlate::Forward(next) if cfg.nic_forwarding && req.ttl > 0 => {
                     // Store-and-forward hop toward the new owner.
                     let counters = &mut c.loc_mut(target).counters;
@@ -953,7 +995,7 @@ fn commit<S: Protocol>(
                     req.ttl -= 1;
                     eng.defer_wire(move |eng| {
                         let arrival = fabric_arrival(eng, tx_done, bytes);
-                        hop(eng, initiator, target, arrival, req);
+                        hop(eng, initiator, target, arrival, req, Via::Forward);
                     });
                     return;
                 }
@@ -1001,7 +1043,7 @@ fn commit<S: Protocol>(
     let visible = now + cfg.dma(req.verb.touched_bytes());
     match (applied, req.verb) {
         (Applied::Get(data), Verb::Get { local: buf, .. }) => get_reply(
-            eng, target, initiator, req.op, buf, data, visible, local, class,
+            eng, target, initiator, req.op, moved, buf, data, visible, local, class,
         ),
         (Applied::Put, Verb::Put { data, remote_tag }) => {
             if let Some(tag) = remote_tag {
@@ -1009,13 +1051,14 @@ fn commit<S: Protocol>(
                 let note = Packet::RemoteNote { tag, len };
                 deliver_at(eng, visible, target, target, note);
             }
-            let done = Packet::PutDone { op: req.op };
+            let done = Packet::PutDone { op: req.op, moved };
             respond(eng, target, initiator, done, visible, local, class);
         }
         (Applied::Amo { result, .. }, _) => {
             c.loc_mut(target).counters.amo_executed += 1;
             crate::telemetry::record_amo(1, 0, 0);
-            let done = Packet::AmoDone { op: req.op, result };
+            let op = req.op;
+            let done = Packet::AmoDone { op, result, moved };
             respond(eng, target, initiator, done, visible, local, class);
         }
         _ => unreachable!("apply answers in the verb's own kind"),
@@ -1055,14 +1098,15 @@ fn respond<S: Protocol>(
 
 /// The get's own response leg: the payload travels `target → initiator`
 /// (tx, wire, fault verdict, rx at the initiator) and lands in `local_addr`
-/// before `GetDone` surfaces. A loop-back get is a DMA-speed copy within
-/// the node.
+/// before `GetDone { op, moved }` surfaces. A loop-back get is a DMA-speed
+/// copy within the node.
 #[allow(clippy::too_many_arguments)]
 fn get_reply<S: Protocol>(
     eng: &mut Engine<S>,
     target: LocalityId,
     initiator: LocalityId,
     op: OpId,
+    moved: Option<u32>,
     local_addr: PhysAddr,
     data: Vec<u8>,
     ready: Time,
@@ -1081,7 +1125,7 @@ fn get_reply<S: Protocol>(
             Envelope {
                 src: target,
                 dst: initiator,
-                packet: Packet::GetDone { op },
+                packet: Packet::GetDone { op, moved },
             },
         );
     };
@@ -1113,7 +1157,7 @@ fn get_reply<S: Protocol>(
                     // discarding the bytes while the completion event
                     // still surfaces (the op table drops it as stale).
                     let spacing = fault_dup_delay(eng, target, initiator);
-                    let done = Packet::GetDone { op };
+                    let done = Packet::GetDone { op, moved };
                     deliver_at(eng, arrival + spacing, target, initiator, done);
                 }
             }
@@ -1156,17 +1200,24 @@ mod tests {
             &self.cluster
         }
         fn deliver(eng: &mut Engine<Self>, env: Envelope<String>) {
+            // A redirect hint logs as the pair the initiator learns: the
+            // ack's source and the generation it carries.
+            let hint = |moved: Option<u32>| match moved {
+                Some(generation) => format!(":moved({},{generation})", env.src),
+                None => String::new(),
+            };
             let desc = match env.packet {
                 Packet::User(s) => format!("user:{s}"),
-                Packet::PutDone { op } => format!("putdone:{op}"),
-                Packet::GetDone { op } => format!("getdone:{op}"),
-                Packet::AmoDone { op, result } => {
+                Packet::PutDone { op, moved } => format!("putdone:{op}{}", hint(moved)),
+                Packet::GetDone { op, moved } => format!("getdone:{op}{}", hint(moved)),
+                Packet::AmoDone { op, result, moved } => {
                     let vals: Vec<String> = result.values.iter().map(|v| v.to_string()).collect();
                     format!(
-                        "amodone:{op}:{}:{}:[{}]",
+                        "amodone:{op}:{}:{}:[{}]{}",
                         result.old,
                         result.applied,
-                        vals.join(",")
+                        vals.join(","),
+                        hint(moved)
                     )
                 }
                 Packet::RemoteNote { tag, len } => format!("note:{tag}:{len}"),
@@ -1425,6 +1476,8 @@ mod tests {
     const BLOCK: u64 = 0xB10C;
     const SEED: u64 = 40;
     const PUT: u64 = 0x1111_1111_1111_1111;
+    /// The translation generation [`install_block`] installs it under.
+    const GEN: u32 = 3;
 
     /// An 8-byte access of `kind` issued by locality 0: the put writes
     /// [`PUT`] (and asks for remote note 77), the get reads into `local`,
@@ -1464,7 +1517,7 @@ mod tests {
         let entry = XlateEntry {
             base,
             len: 1024,
-            generation: 1,
+            generation: GEN,
         };
         eng.state.cluster.install_xlate(owner, BLOCK, entry);
         seed_word(eng, owner, base, SEED);
@@ -1532,6 +1585,8 @@ mod tests {
         Bounds,
         /// Locality 1 holds a tombstone toward the owner, locality 2.
         Forward,
+        /// A tombstone chain 1 -> 2 -> 3 ending at the owner, locality 3.
+        Forward2,
         /// Same tombstone with `nic_forwarding` off.
         ForwardOff,
         /// A tombstone loop 1 -> 2 -> 1 that only the TTL breaks.
@@ -1542,6 +1597,9 @@ mod tests {
         LoopbackMiss,
         /// The 0 -> 1 link delivers every request twice.
         Duplicate,
+        /// [`Case::Forward`] behind that doubling link: both copies chase
+        /// the tombstone to locality 2.
+        DuplicateForward,
     }
 
     /// The protocol table: one row per case, one `#[test]` per cell. A row
@@ -1551,6 +1609,10 @@ mod tests {
     /// is 8 bytes on the wire here (ctrl = 8), so one leg is o_send 10 +
     /// tx 18 + wire 100 + rx 18 (+ xlate 5 for a virtual target); acks and
     /// NACKs cost tx 18 + wire 100, a get's payload another rx 18.
+    ///
+    /// A completion reached through a forward carries the redirect hint —
+    /// `moved == Some(GEN)` from the committing locality; every other
+    /// completion (phys, direct hit, loop-back) carries `None`.
     macro_rules! protocol_table {
         ($($row:ident: $case:expr, $nack:expr, { $($kind:ident = $ns:expr),+ };)+) => {$(
             mod $row {
@@ -1572,12 +1634,16 @@ mod tests {
         miss:          Case::Miss,         Some(NackReason::Miss),        { Put = 269, Get = 269, Amo = 269 };
         bounds:        Case::Bounds,       Some(NackReason::Bounds),      { Put = 269, Get = 269, Amo = 269 };
         forward:       Case::Forward,      None,                          { Put = 410, Get = 428, Amo = 410 };
+        forward2:      Case::Forward2,     None,                          { Put = 551, Get = 569, Amo = 551 };
         forward_off:   Case::ForwardOff,   Some(NackReason::Miss),        { Put = 269, Get = 269, Amo = 269 };
         ttl:           Case::Ttl,          Some(NackReason::TtlExceeded), { Put = 551, Get = 551, Amo = 551 };
         loopback:      Case::Loopback,     None,                          { Put = 20,  Get = 20,  Amo = 20 };
         loopback_miss: Case::LoopbackMiss, Some(NackReason::Miss),        { Put = 40,  Get = 40,  Amo = 40 };
         // The copy's answer trails by the plane's fixed 1 us spacing.
         duplicate:     Case::Duplicate,    None,                          { Put = 269, Get = 287, Amo = 269 };
+        // Both copies are forwarded, and both acks carry the same hint (the
+        // AMO's second, a replay, peeks it).
+        dup_forward:   Case::DuplicateForward, None,                      { Put = 410, Get = 428, Amo = 410 };
     }
 
     /// Build the world for `case`, issue one `kind` access from locality 0
@@ -1589,13 +1655,15 @@ mod tests {
             nic_forwarding: case != Case::ForwardOff,
             ..NetConfig::ideal()
         };
-        let mut eng = Engine::new(TestWorld::new(3, cfg), 1);
+        let mut eng = Engine::new(TestWorld::new(4, cfg), 1);
         eng.state.cluster.tracer.enable(64);
         let (target, owner) = match case {
             Case::Loopback | Case::LoopbackMiss => (0, 0),
-            Case::Forward => (1, 2),
+            Case::Forward | Case::DuplicateForward => (1, 2),
+            Case::Forward2 => (1, 3),
             _ => (1, 1),
         };
+        let duplicated = matches!(case, Case::Duplicate | Case::DuplicateForward);
         let resident = !matches!(
             case,
             Case::Miss | Case::ForwardOff | Case::Ttl | Case::LoopbackMiss
@@ -1606,12 +1674,19 @@ mod tests {
             nic.xlate.retire_to_forward(BLOCK, next);
         };
         match case {
-            Case::Forward | Case::ForwardOff => tombstone(1, 2),
+            Case::Forward | Case::ForwardOff | Case::DuplicateForward => tombstone(1, 2),
+            Case::Forward2 => {
+                tombstone(1, 2);
+                tombstone(2, 3);
+            }
             Case::Ttl => {
                 tombstone(1, 2);
                 tombstone(2, 1);
             }
-            Case::Duplicate => {
+            _ => {}
+        }
+        match case {
+            Case::Duplicate | Case::DuplicateForward => {
                 let mut plan = FaultPlan::lossless(3);
                 let twice = FaultRates {
                     dup: 1.0,
@@ -1638,16 +1713,28 @@ mod tests {
         rdma_issue(&mut eng, 0, access(kind, target, dst, local, op));
         eng.run();
 
-        // What the initiator hears, and when. A duplicated request is
-        // answered twice, 1 us apart, with the same words.
+        // What the initiator hears, and when: a forwarded completion names
+        // the committing locality and its generation, any other carries no
+        // hint. A duplicated request is answered twice, 1 us apart, with
+        // the same words.
+        let forwards = match case {
+            Case::Forward => 1,
+            Case::Forward2 | Case::Ttl | Case::DuplicateForward => 2,
+            _ => 0,
+        };
+        let hint = if forwards > 0 {
+            format!(":moved({owner},{GEN})")
+        } else {
+            String::new()
+        };
         let heard = match (nack, kind) {
             (Some(reason), _) => format!("nack:{op}:{reason:?}"),
-            (None, OpKind::Put) => format!("putdone:{op}"),
-            (None, OpKind::Get) => format!("getdone:{op}"),
-            (None, OpKind::Amo) => format!("amodone:{op}:{SEED}:true:[]"),
+            (None, OpKind::Put) => format!("putdone:{op}{hint}"),
+            (None, OpKind::Get) => format!("getdone:{op}{hint}"),
+            (None, OpKind::Amo) => format!("amodone:{op}:{SEED}:true:[]{hint}"),
         };
         let mut want = vec![(at, 0, heard.clone())];
-        if case == Case::Duplicate {
+        if duplicated {
             want.push((at + Time::from_us(1), 0, heard));
         }
         // What the committing NIC raises at its own host: the table-miss
@@ -1702,15 +1789,10 @@ mod tests {
             (nacked, nacked),
             "{tag}"
         );
-        let forwards = match case {
-            Case::Forward => 1,
-            Case::Ttl => 2,
-            _ => 0,
-        };
         assert_eq!(total.xlate_forwards, forwards, "{tag}: forwards");
         assert_eq!(total.xlate_misses, interrupt as u64, "{tag}: misses");
         let commits = if nack.is_some() { 0 } else { want.len() as u64 };
-        let replays = (kind == OpKind::Amo && case == Case::Duplicate) as u64;
+        let replays = (kind == OpKind::Amo && duplicated) as u64;
         let hits = if case == Case::Phys {
             0
         } else {
@@ -1769,11 +1851,85 @@ mod tests {
             Case::Phys | Case::Bounds | Case::ForwardOff => Vec::new(),
             Case::Miss | Case::LoopbackMiss => vec![TraceKind::XlateMiss { at: target, block }],
             Case::Forward => vec![fwd(1, 2), hit],
+            Case::Forward2 => vec![fwd(1, 2), fwd(2, 3), hit],
             Case::Ttl => vec![fwd(1, 2), fwd(2, 1)],
             Case::VirtHit | Case::Loopback => vec![hit],
             Case::Duplicate => vec![hit; hits as usize],
+            // The copy trails a full microsecond: it is forwarded only
+            // after the original has committed.
+            Case::DuplicateForward => {
+                [fwd(1, 2), hit, fwd(1, 2), hit][..2 + hits as usize].to_vec()
+            }
         };
         assert_eq!(xlate_trace, trace_want, "{tag}: trace");
+    }
+
+    #[test]
+    fn replayed_amo_after_a_forward_carries_the_hint() {
+        // The block lives at 2; locality 1 keeps its tombstone. The first
+        // attempt goes straight to the owner (no hint). A retry of the same
+        // key aimed at the stale owner is forwarded, answered from the
+        // responder cache — and still tells the initiator where it landed.
+        let mut eng = engine(3);
+        let base = install_block(&mut eng, 2);
+        eng.state
+            .cluster
+            .loc_mut(1)
+            .nic
+            .xlate
+            .retire_to_forward(BLOCK, 2);
+        let at = RdmaTarget::Virt {
+            block: BLOCK,
+            offset: 0,
+        };
+        let op = eng.state.cluster.alloc_op();
+        rdma_issue(&mut eng, 0, access(OpKind::Amo, 2, at, 0, op));
+        eng.run();
+        rdma_issue(&mut eng, 0, access(OpKind::Amo, 1, at, 0, op));
+        eng.run();
+        let heard: Vec<&str> = eng.state.log.iter().map(|(_, _, d)| d.as_str()).collect();
+        let done = format!("amodone:{op}:{SEED}:true:[]");
+        assert_eq!(heard, [done.clone(), format!("{done}:moved(2,{GEN})")]);
+        assert_eq!(read_word(&eng, 2, base), SEED + 2, "applied exactly once");
+        let owner = &eng.state.cluster.loc(2).counters;
+        assert_eq!((owner.amo_executed, owner.amo_replays), (1, 1));
+        // The replay peeked the generation: one translation hit, not two.
+        assert_eq!(owner.xlate_hits, 1);
+    }
+
+    #[test]
+    fn forward_from_the_initiators_own_nic_is_hinted() {
+        // Loop-back visit, but the local NIC holds only a tombstone: the
+        // request leaves through a forward hop, so its completion carries
+        // the hint even though the first visit paid no wire.
+        for kind in KINDS {
+            let mut eng = engine(2);
+            install_block(&mut eng, 1);
+            eng.state
+                .cluster
+                .loc_mut(0)
+                .nic
+                .xlate
+                .retire_to_forward(BLOCK, 1);
+            let at = RdmaTarget::Virt {
+                block: BLOCK,
+                offset: 0,
+            };
+            let local = eng.state.cluster.mem_mut(0).alloc_block(10).unwrap();
+            let op = eng.state.cluster.alloc_op();
+            rdma_issue(&mut eng, 0, access(kind, 0, at, local, op));
+            eng.run();
+            let heard: Vec<&String> = eng
+                .state
+                .log
+                .iter()
+                .filter(|(_, l, _)| *l == 0)
+                .map(|(_, _, d)| d)
+                .collect();
+            assert_eq!(heard.len(), 1, "{kind:?}: {heard:?}");
+            let hint = format!(":moved(1,{GEN})");
+            assert!(heard[0].ends_with(&hint), "{kind:?}: {heard:?}");
+        }
     }
 
     #[test]

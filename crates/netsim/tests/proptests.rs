@@ -161,8 +161,8 @@ impl Protocol for World {
     fn deliver(eng: &mut Engine<Self>, env: Envelope<u64>) {
         let tag = match env.packet {
             Packet::User(v) => v,
-            Packet::PutDone { op } => 1_000_000 + op.raw(),
-            Packet::GetDone { op } => 2_000_000 + op.raw(),
+            Packet::PutDone { op, .. } => 1_000_000 + op.raw(),
+            Packet::GetDone { op, .. } => 2_000_000 + op.raw(),
             Packet::AmoDone { op, .. } => 6_000_000 + op.raw(),
             Packet::RemoteNote { tag, .. } => 3_000_000 + tag,
             Packet::XlateMiss { block } => 5_000_000 + block,

@@ -62,9 +62,9 @@ impl Protocol for ToyWorld {
         let now = eng.now();
         let tag = match &env.packet {
             Packet::User(v) => 0x1_0000 ^ *v,
-            Packet::PutDone { op } => 0x2_0000 ^ op.raw(),
-            Packet::GetDone { op } => 0x3_0000 ^ op.raw(),
-            Packet::AmoDone { op, result } => 0x7_0000 ^ op.raw() ^ result.old,
+            Packet::PutDone { op, .. } => 0x2_0000 ^ op.raw(),
+            Packet::GetDone { op, .. } => 0x3_0000 ^ op.raw(),
+            Packet::AmoDone { op, result, .. } => 0x7_0000 ^ op.raw() ^ result.old,
             Packet::RemoteNote { tag, len } => 0x4_0000 ^ *tag ^ (u64::from(*len) << 20),
             Packet::XlateMiss { block } => 0x5_0000 ^ *block,
             Packet::Nack { op, .. } => 0x6_0000 ^ op.raw(),

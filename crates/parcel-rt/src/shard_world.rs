@@ -228,6 +228,15 @@ impl PhotonWorld for ShardWorld {
     fn pwc_complete(eng: &mut Engine<Self>, loc: LocalityId, ctx: OpId) {
         agas::ops::on_pwc_complete(eng, loc, ctx);
     }
+    fn pwc_redirected(
+        eng: &mut Engine<Self>,
+        loc: LocalityId,
+        ctx: OpId,
+        owner: LocalityId,
+        generation: u32,
+    ) {
+        agas::ops::on_pwc_redirected(eng, loc, ctx, owner, generation);
+    }
     fn pwc_remote(_eng: &mut Engine<Self>, _loc: LocalityId, _tag: u64, _len: u32) {}
     fn pwc_failed(
         eng: &mut Engine<Self>,

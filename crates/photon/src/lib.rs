@@ -108,13 +108,22 @@ enum Pending {
     RdvData { send_id: u64 },
 }
 
+/// A completion's redirect hint — `(owner, generation)`: the request was
+/// NIC-forwarded and committed at `owner` under that translation
+/// generation (the ack's source plus the packet's `moved`).
+type Redirect = (LocalityId, u32);
+
 /// A completion buffered in the coalescing ring, waiting on the moderation
 /// timer or the batch threshold.
 enum CompEvent {
     /// A `PutDone`/`GetDone` naming endpoint-table handle `op`.
-    Done { op: OpId },
+    Done { op: OpId, hint: Option<Redirect> },
     /// An `AmoDone` with its fetched result.
-    AmoDone { op: OpId, result: AmoResult },
+    AmoDone {
+        op: OpId,
+        result: AmoResult,
+        hint: Option<Redirect>,
+    },
 }
 
 struct RdvSend {
@@ -326,6 +335,24 @@ pub trait PhotonWorld: Protocol {
     fn xlate_miss_local(eng: &mut Engine<Self>, loc: LocalityId, block: u64) {
         let _ = (eng, loc, block);
     }
+    /// The PWC operation `ctx`, about to complete, reached its block only
+    /// through NIC forwarding: the block now lives at `owner` under
+    /// translation `generation`. Called just before [`pwc_complete`] /
+    /// [`pwc_amo_complete`], and only for forwarded completions; worlds
+    /// that keep owner hints fold it in so the next access goes direct.
+    /// The default ignores it.
+    ///
+    /// [`pwc_complete`]: PhotonWorld::pwc_complete
+    /// [`pwc_amo_complete`]: PhotonWorld::pwc_amo_complete
+    fn pwc_redirected(
+        eng: &mut Engine<Self>,
+        loc: LocalityId,
+        ctx: OpId,
+        owner: LocalityId,
+        generation: u32,
+    ) {
+        let _ = (eng, loc, ctx, owner, generation);
+    }
     /// An initiated PWC active operation ([`pwc`] with a [`Verb::Amo`])
     /// executed at the target NIC; `result` carries the fetched/old
     /// value(s). Worlds that never issue AMOs can keep the default (which
@@ -479,8 +506,8 @@ fn ring_deliver_completions<S: PhotonWorld>(eng: &mut Engine<S>, at: LocalityId)
     };
     for desc in batch {
         match desc.item {
-            CompEvent::Done { op } => deliver_done(eng, at, op),
-            CompEvent::AmoDone { op, result } => deliver_amo_done(eng, at, op, result),
+            CompEvent::Done { op, hint } => deliver_done(eng, at, op, hint),
+            CompEvent::AmoDone { op, result, hint } => deliver_amo_done(eng, at, op, result, hint),
         }
     }
 }
@@ -844,23 +871,25 @@ pub fn handle_msg<S: PhotonWorld>(
 /// packet here.
 pub fn handle_completion<S: PhotonWorld>(
     eng: &mut Engine<S>,
-    _from: LocalityId,
+    from: LocalityId,
     at: LocalityId,
     packet: Packet<S::Msg>,
 ) {
     match packet {
-        Packet::PutDone { op } | Packet::GetDone { op } => {
+        Packet::PutDone { op, moved } | Packet::GetDone { op, moved } => {
+            let hint = moved.map(|generation| (from, generation));
             if eng.state.endpoint(at).compq.is_some() {
-                ring_coalesce_completion(eng, at, CompEvent::Done { op });
+                ring_coalesce_completion(eng, at, CompEvent::Done { op, hint });
             } else {
-                deliver_done(eng, at, op);
+                deliver_done(eng, at, op, hint);
             }
         }
-        Packet::AmoDone { op, result } => {
+        Packet::AmoDone { op, result, moved } => {
+            let hint = moved.map(|generation| (from, generation));
             if eng.state.endpoint(at).compq.is_some() {
-                ring_coalesce_completion(eng, at, CompEvent::AmoDone { op, result });
+                ring_coalesce_completion(eng, at, CompEvent::AmoDone { op, result, hint });
             } else {
-                deliver_amo_done(eng, at, op, result);
+                deliver_amo_done(eng, at, op, result, hint);
             }
         }
         Packet::RemoteNote { tag, len } => {
@@ -912,10 +941,22 @@ pub fn handle_completion<S: PhotonWorld>(
     }
 }
 
-/// Deliver one `PutDone`/`GetDone` through the endpoint table.
-fn deliver_done<S: PhotonWorld>(eng: &mut Engine<S>, at: LocalityId, op: OpId) {
+/// Deliver one `PutDone`/`GetDone` through the endpoint table. A redirect
+/// hint is surfaced first, and only for a live PWC handle — a stale
+/// completion's hint is dropped with it.
+fn deliver_done<S: PhotonWorld>(
+    eng: &mut Engine<S>,
+    at: LocalityId,
+    op: OpId,
+    hint: Option<Redirect>,
+) {
     match eng.state.endpoint(at).ops.remove(op) {
-        Ok(Pending::Pwc { ctx }) => S::pwc_complete(eng, at, ctx),
+        Ok(Pending::Pwc { ctx }) => {
+            if let Some((owner, generation)) = hint {
+                S::pwc_redirected(eng, at, ctx, owner, generation);
+            }
+            S::pwc_complete(eng, at, ctx)
+        }
         Ok(Pending::RdvData { send_id }) => S::send_complete(eng, at, send_id),
         // Stale or unknown handle (slot already retired): a late
         // duplicate, or the op was dropped by fault injection.
@@ -929,9 +970,15 @@ fn deliver_amo_done<S: PhotonWorld>(
     at: LocalityId,
     op: OpId,
     result: AmoResult,
+    hint: Option<Redirect>,
 ) {
     match eng.state.endpoint(at).ops.remove(op) {
-        Ok(Pending::Pwc { ctx }) => S::pwc_amo_complete(eng, at, ctx, result),
+        Ok(Pending::Pwc { ctx }) => {
+            if let Some((owner, generation)) = hint {
+                S::pwc_redirected(eng, at, ctx, owner, generation);
+            }
+            S::pwc_amo_complete(eng, at, ctx, result)
+        }
         Ok(Pending::RdvData { .. }) => {
             // Rendezvous data never issues AMOs; an AmoDone naming a
             // rendezvous op is a protocol violation, not a crash.
@@ -955,8 +1002,14 @@ mod tests {
         PwcDone(u64),
         PwcRemote(u64, u32),
         PwcFail(u64),
+        /// `(ctx, owner, generation)` of a redirect hint.
+        Redirected(u64, u32, u32),
         AmoDone(u64, u64),
-        Recv { src: u32, tag: u64, len: usize },
+        Recv {
+            src: u32,
+            tag: u64,
+            len: usize,
+        },
         SendDone(u64),
     }
 
@@ -1004,6 +1057,17 @@ mod tests {
         fn pwc_complete(eng: &mut Engine<Self>, loc: LocalityId, ctx: OpId) {
             let now = eng.now();
             eng.state.events.push((now, loc, Event::PwcDone(ctx.raw())));
+        }
+        fn pwc_redirected(
+            eng: &mut Engine<Self>,
+            loc: LocalityId,
+            ctx: OpId,
+            owner: LocalityId,
+            generation: u32,
+        ) {
+            let now = eng.now();
+            let ev = Event::Redirected(ctx.raw(), owner, generation);
+            eng.state.events.push((now, loc, ev));
         }
         fn pwc_remote(eng: &mut Engine<Self>, loc: LocalityId, tag: u64, len: u32) {
             let now = eng.now();
@@ -1369,7 +1433,8 @@ mod tests {
         assert_eq!(events_of(&eng, 0), vec![&Event::PwcDone(4)]);
         // A late duplicate of the hardware ack echoes a retired handle: the
         // generation check drops it instead of double-completing.
-        handle_completion(&mut eng, 1, 0, Packet::<Msg>::PutDone { op });
+        let echo = Packet::<Msg>::PutDone { op, moved: None };
+        handle_completion(&mut eng, 1, 0, echo);
         assert_eq!(events_of(&eng, 0), vec![&Event::PwcDone(4)]);
         assert_eq!(eng.state.eps[0].stats.stale_completions, 1);
     }
@@ -1498,6 +1563,73 @@ mod tests {
         assert!(stats.coalesced >= 3, "expected coalescing, got {stats:?}");
         assert_eq!(eng.state.eps[0].ring_occupancy(), 0);
         assert_eq!(eng.state.eps[0].outstanding_ops(), 0);
+    }
+
+    #[test]
+    fn redirect_hint_survives_coalescing_and_dies_with_a_retired_handle() {
+        // Block 55 lives at locality 2 under generation 9; locality 1 (the
+        // initiator's stale guess) keeps the forwarding tombstone.
+        let mut eng = ring_world(3, netsim::RingConfig::default());
+        let base = eng.state.cluster.mem_mut(2).alloc_block(12).unwrap();
+        let entry = XlateEntry {
+            base,
+            len: 4096,
+            generation: 9,
+        };
+        eng.state.cluster.install_xlate(2, 55, entry);
+        eng.state
+            .cluster
+            .loc_mut(1)
+            .nic
+            .xlate
+            .retire_to_forward(55, 2);
+        let at = RdmaTarget::Virt {
+            block: 55,
+            offset: 0,
+        };
+        let put = pwc_put(
+            &mut eng,
+            0,
+            1,
+            at,
+            vec![7u8; 8],
+            OpId::from_raw(1),
+            None,
+            None,
+        );
+        let amo = Verb::Amo {
+            amo: AmoOp::FetchAdd { operand: 1 },
+            key: (0, 2),
+        };
+        pwc(&mut eng, 0, 1, at, amo, OpId::from_raw(2), None);
+        eng.run();
+        // Both completions sat in the coalescing ring and came out with
+        // their hint, each surfaced just before its completion callback.
+        assert!(
+            eng.state.eps[0].ring_stats().descs >= 4,
+            "2 requests + 2 acks"
+        );
+        // (The AMO injects inline, ahead of the put's own inject event.)
+        assert_eq!(
+            events_of(&eng, 0),
+            vec![
+                &Event::Redirected(2, 2, 9),
+                &Event::AmoDone(2, 0),
+                &Event::Redirected(1, 2, 9),
+                &Event::PwcDone(1),
+            ]
+        );
+        // A late echo of the hinted ack names a retired handle: it is
+        // counted stale and its hint is dropped with it.
+        let echo = Packet::<Msg>::PutDone {
+            op: put,
+            moved: Some(9),
+        };
+        handle_completion(&mut eng, 2, 0, echo);
+        eng.run();
+        assert_eq!(events_of(&eng, 0).len(), 4);
+        assert_eq!(eng.state.eps[0].stats.stale_completions, 1);
+        assert_eq!(eng.state.eps[0].ring_occupancy(), 0);
     }
 
     #[test]
