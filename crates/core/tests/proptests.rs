@@ -11,6 +11,7 @@ use common::{assert_consistent, Ev, World};
 use netsim::OpId;
 use netsim::{Engine, NetConfig};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -43,10 +44,38 @@ fn op_strategy(nloc: u32, nblocks: u64) -> impl Strategy<Value = Op> {
     ]
 }
 
-fn run_schedule(mode: GasMode, ops: &[Op], seed: u64) -> (Engine<World>, Vec<agas::Gva>) {
+/// Shadow ownership oracle: `(block key, generation) -> owner`, sampled
+/// from the BTTs after every event (a block's generation is minted by the
+/// hand-off that installs it, so whoever holds the entry owned the block at
+/// that generation).
+type Owned = HashMap<(u64, u32), u32>;
+
+/// Step the engine (`limit` events, or to quiescence), sampling `owned`.
+fn advance(eng: &mut Engine<World>, blocks: &[agas::Gva], owned: &mut Owned, limit: Option<u64>) {
+    let mut steps = 0;
+    while limit.is_none_or(|n| steps < n) && eng.step() {
+        steps += 1;
+        for (l, g) in eng.state.gas.iter().enumerate() {
+            for b in blocks {
+                if let Some(e) = g.btt.lookup(b.block_key()) {
+                    owned.insert((b.block_key(), e.generation), l as u32);
+                }
+            }
+        }
+    }
+}
+
+fn run_schedule(mode: GasMode, ops: &[Op], seed: u64) -> (Engine<World>, Vec<agas::Gva>, Owned) {
     let nloc = 4;
     let mut eng = Engine::new(World::new(nloc, mode, NetConfig::ideal()), seed);
+    for g in &mut eng.state.gas {
+        g.cfg.record_history = true;
+    }
     let arr = alloc_array(&mut eng, 8, 12, Distribution::Cyclic);
+    let mut owned = Owned::new();
+    for b in &arr.blocks {
+        owned.insert((b.block_key(), 1), b.home());
+    }
     for (ctx, op) in ops.iter().enumerate() {
         let ctx = ctx as u64;
         match *op {
@@ -66,10 +95,10 @@ fn run_schedule(mode: GasMode, ops: &[Op], seed: u64) -> (Engine<World>, Vec<aga
             }
         }
         // Interleave: advance the world a little between submissions.
-        eng.run_steps(3);
+        advance(&mut eng, &arr.blocks, &mut owned, Some(3));
     }
-    eng.run();
-    (eng, arr.blocks.clone())
+    advance(&mut eng, &arr.blocks, &mut owned, None);
+    (eng, arr.blocks.clone(), owned)
 }
 
 proptest! {
@@ -82,7 +111,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         for mode in GasMode::ALL {
-            let (eng, blocks) = run_schedule(mode, &ops, seed);
+            let (mut eng, blocks, owned) = run_schedule(mode, &ops, seed);
             let puts_submitted = ops
                 .iter()
                 .filter(|o| matches!(o, Op::Put { .. }))
@@ -112,6 +141,30 @@ proptest! {
                 "{:?}: dangling pending ops", mode
             );
             assert_consistent(&eng, &blocks);
+            // Every cached owner hint — from a directory reply, an
+            // installed migration, or a forwarded completion — is a fact
+            // that was once true: no newer than the directory's record,
+            // and naming the locality that owned the block at that
+            // generation.
+            for l in 0..4 {
+                for b in &blocks {
+                    let key = b.block_key();
+                    let Some(h) = eng.state.gas[l].cache.lookup(key) else {
+                        continue;
+                    };
+                    let rec = eng.state.gas[b.home() as usize].dir.peek(key).unwrap();
+                    prop_assert!(
+                        h.generation <= rec.generation,
+                        "{:?}: locality {} caches {:?} for {:#x}, directory has {:?}",
+                        mode, l, h, key, rec
+                    );
+                    prop_assert_eq!(
+                        owned.get(&(key, h.generation)),
+                        Some(&h.owner),
+                        "{:?}: locality {} caches {:?} for {:#x}", mode, l, h, key
+                    );
+                }
+            }
         }
     }
 
@@ -170,8 +223,8 @@ proptest! {
         seed in 0u64..1000,
     ) {
         for mode in [GasMode::AgasNetwork, GasMode::AgasSoftware] {
-            let (a, _) = run_schedule(mode, &ops, seed);
-            let (b, _) = run_schedule(mode, &ops, seed);
+            let (a, _, _) = run_schedule(mode, &ops, seed);
+            let (b, _, _) = run_schedule(mode, &ops, seed);
             prop_assert_eq!(a.trace_hash(), b.trace_hash());
             prop_assert_eq!(a.now(), b.now());
             prop_assert_eq!(a.state.events.len(), b.state.events.len());
