@@ -408,19 +408,20 @@ fn a3() {
         "ablation: stale access after migration — NIC forwarding vs NACK-only",
     );
     println!(
-        "{:<14} {:>12} {:>12} {:>9} {:>7} {:>9}",
-        "policy", "stale put", "fresh put", "forwards", "nacks", "retries"
+        "{:<14} {:>12} {:>12} {:>9} {:>7} {:>9} {:>7}",
+        "policy", "stale put", "fresh put", "forwards", "nacks", "retries", "hints"
     );
     for (label, fwd) in [("forwarding", true), ("NACK-only", false)] {
         let r = migration_race(fwd);
         println!(
-            "{:<14} {:>12} {:>12} {:>9} {:>7} {:>9}",
+            "{:<14} {:>12} {:>12} {:>9} {:>7} {:>9} {:>7}",
             label,
             format!("{}", r.stale_put_latency),
             format!("{}", r.fresh_put_latency),
             r.forwards,
             r.nacks,
-            r.retries
+            r.retries,
+            r.hints_learned
         );
     }
 }
@@ -582,6 +583,10 @@ struct PerfRow {
     blocks_rehomed: u64,
     blocks_recovered: u64,
     stale_xlate_dropped: u64,
+    /// Counters that belong to this row alone (read from the world it ran,
+    /// not from the process-wide telemetry): appended to the JSON object
+    /// and printed under the table.
+    extra: Vec<(&'static str, u64)>,
 }
 
 impl PerfRow {
@@ -604,6 +609,11 @@ impl PerfRow {
     }
 
     fn json(&self) -> String {
+        let extra: String = self
+            .extra
+            .iter()
+            .map(|(k, v)| format!(",\"{k}\":{v}"))
+            .collect();
         format!(
             concat!(
                 "{{\"id\":\"{}\",\"series\":\"{}\",\"sim_time_ps\":{},",
@@ -615,7 +625,7 @@ impl PerfRow {
                 "\"migration_ring_descs\":{},",
                 "\"members_joined\":{},\"members_drained\":{},",
                 "\"members_crashed\":{},\"blocks_rehomed\":{},",
-                "\"blocks_recovered\":{},\"stale_xlate_dropped\":{}}}"
+                "\"blocks_recovered\":{},\"stale_xlate_dropped\":{}{}}}"
             ),
             self.id,
             self.series,
@@ -639,7 +649,8 @@ impl PerfRow {
             self.members_crashed,
             self.blocks_rehomed,
             self.blocks_recovered,
-            self.stale_xlate_dropped
+            self.stale_xlate_dropped,
+            extra
         )
     }
 }
@@ -674,6 +685,7 @@ fn measure(id: &str, series: &str, f: impl FnOnce()) -> PerfRow {
         blocks_rehomed: d.blocks_rehomed,
         blocks_recovered: d.blocks_recovered,
         stale_xlate_dropped: d.stale_xlate_dropped,
+        extra: Vec::new(),
     }
 }
 
@@ -1760,7 +1772,8 @@ fn perf(json: bool) {
     // hammers its own favourite, so initiators bounce, query the
     // directory, and then re-translate the same block back to back — the
     // owner-cache one-entry memo's target shape.
-    let churn = measure("perf", "migration_churn", || {
+    let mut churn_extra = Vec::new();
+    let mut churn = measure("perf", "migration_churn", || {
         use std::rc::Rc;
         let mut rt = parcel_rt::Runtime::builder(4, GasMode::AgasNetwork)
             .seed(17)
@@ -1783,7 +1796,16 @@ fn perf(json: bool) {
         let n = rt.n();
         workloads::driver::pump_all(&mut rt.eng, n, 800, 8, issue, |_| {});
         rt.run();
+        // How often a migrated block was reached through a forward, and
+        // how many of those forwards taught the initiator the new owner.
+        let gas = rt.eng.state.total_gas_stats();
+        churn_extra = vec![
+            ("ops", gas.gets),
+            ("xlate_forwards", rt.counters().xlate_forwards),
+            ("hints_learned", gas.hints_learned),
+        ];
     });
+    churn.extra = churn_extra;
 
     // NIC-executed active operations: contended fetch-adds over the
     // network-managed mode, so the AMO commit path — and its telemetry
@@ -1828,6 +1850,10 @@ fn perf(json: bool) {
                 r.memo_hits,
                 r.amo_executed
             );
+        }
+        for r in rows.iter().filter(|r| !r.extra.is_empty()) {
+            let extra: Vec<String> = r.extra.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            println!("{}: {}", r.series, extra.join(" "));
         }
     }
 }

@@ -196,6 +196,9 @@ pub struct RaceRow {
     pub nacks: u64,
     /// Initiator retry cycles.
     pub retries: u64,
+    /// Owner hints the stale put's completion taught the initiator (a
+    /// forwarded ack names the new owner; a NACK teaches nothing).
+    pub hints_learned: u64,
 }
 
 /// A3 — the cost of a *stale* one-sided access after migration: with NIC
@@ -227,7 +230,8 @@ pub fn migration_race(forwarding: bool) -> RaceRow {
     let stale = *t_done.borrow() - t0;
     let c1 = rt.counters();
     let g1 = rt.eng.state.total_gas_stats();
-    // A fresh put (hint now corrected) for reference.
+    // A fresh put for reference: the hint is corrected by now, by the
+    // forwarded completion or by the directory reply.
     let t_done2 = Rc::new(RefCell::new(Time::ZERO));
     let t3 = t_done2.clone();
     let t1 = rt.now();
@@ -242,6 +246,7 @@ pub fn migration_race(forwarding: bool) -> RaceRow {
         forwards: c1.xlate_forwards - c0.xlate_forwards,
         nacks: c1.nacks_sent - c0.nacks_sent,
         retries: g1.retries - g0.retries,
+        hints_learned: g1.hints_learned - g0.hints_learned,
     }
 }
 

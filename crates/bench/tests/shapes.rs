@@ -177,6 +177,9 @@ fn a3_forwarding_beats_nack_for_stale_ops() {
     assert_eq!(fwd.nacks, 0);
     assert!(nack.nacks >= 1);
     assert_eq!(nack.forwards, 0);
+    // The forwarded completion corrects the hint: the next put is direct.
+    assert_eq!((fwd.hints_learned, nack.hints_learned), (1, 0));
+    assert_eq!(fwd.fresh_put_latency, nack.fresh_put_latency);
 }
 
 #[test]
