@@ -381,28 +381,37 @@ mod tests {
         let obs: Vec<(u64, u64)> = (0..200)
             .map(|i: u64| ((i * 37) % 400, (i * 91) % 2000))
             .collect();
-        let run = |mut c: WindowController| {
+        // Each run builds its own controller from the (never mutated)
+        // config. Passing two identical freshly-built controllers by value
+        // into a closure that mutates its parameter is miscompiled by
+        // rustc 1.95 at opt-level 3: MIR GVN folds the two argument
+        // temporaries into one local and the second run starts from the
+        // first run's final state (see CHANGES.md, PR 14).
+        let run = |cfg: AdaptiveWindow| {
+            let mut c = WindowController::new(cfg);
             let mut out = Vec::new();
             for &(e, p) in &obs {
                 out.push((c.observe(e, p), c.mult(), c.serial()));
             }
             out
         };
-        let a = run(WindowController::new(AdaptiveWindow::default()));
-        let b = run(WindowController::new(AdaptiveWindow::default()));
+        let a = run(AdaptiveWindow::default());
+        let b = run(AdaptiveWindow::default());
         assert_eq!(a, b);
+        assert_eq!(a[0], (WindowDecision::Held, 1, true), "starts fresh");
 
         let flushes: Vec<(u32, bool)> =
             (0..200).map(|i: u32| ((i * 13) % 70, i % 3 == 0)).collect();
-        let run = |mut c: RingController| {
+        let run = |cfg: AdaptiveRing| {
+            let mut c = RingController::new(cfg, 16);
             let mut out = Vec::new();
             for &(o, t) in &flushes {
                 out.push((c.on_flush(o, t), c.eff_batch()));
             }
             out
         };
-        let a = run(RingController::new(AdaptiveRing::default(), 16));
-        let b = run(RingController::new(AdaptiveRing::default(), 16));
+        let a = run(AdaptiveRing::default());
+        let b = run(AdaptiveRing::default());
         assert_eq!(a, b);
     }
 }
