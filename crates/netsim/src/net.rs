@@ -1524,6 +1524,12 @@ mod tests {
         base
     }
 
+    /// Leave a forwarding tombstone for [`BLOCK`] at `at`, pointing to `next`.
+    fn tombstone(eng: &mut Engine<TestWorld>, at: LocalityId, next: LocalityId) {
+        let nic = &mut eng.state.cluster.loc_mut(at).nic;
+        nic.xlate.retire_to_forward(BLOCK, next);
+    }
+
     #[test]
     fn severed_request_link_drops_every_kind() {
         // The request's first wire leg is the link initiator -> target: a
@@ -1669,19 +1675,15 @@ mod tests {
             Case::Miss | Case::ForwardOff | Case::Ttl | Case::LoopbackMiss
         );
         let base = resident.then(|| install_block(&mut eng, owner));
-        let mut tombstone = |at: LocalityId, next: LocalityId| {
-            let nic = &mut eng.state.cluster.loc_mut(at).nic;
-            nic.xlate.retire_to_forward(BLOCK, next);
-        };
         match case {
-            Case::Forward | Case::ForwardOff | Case::DuplicateForward => tombstone(1, 2),
+            Case::Forward | Case::ForwardOff | Case::DuplicateForward => tombstone(&mut eng, 1, 2),
             Case::Forward2 => {
-                tombstone(1, 2);
-                tombstone(2, 3);
+                tombstone(&mut eng, 1, 2);
+                tombstone(&mut eng, 2, 3);
             }
             Case::Ttl => {
-                tombstone(1, 2);
-                tombstone(2, 1);
+                tombstone(&mut eng, 1, 2);
+                tombstone(&mut eng, 2, 1);
             }
             _ => {}
         }
@@ -1872,12 +1874,7 @@ mod tests {
         // responder cache — and still tells the initiator where it landed.
         let mut eng = engine(3);
         let base = install_block(&mut eng, 2);
-        eng.state
-            .cluster
-            .loc_mut(1)
-            .nic
-            .xlate
-            .retire_to_forward(BLOCK, 2);
+        tombstone(&mut eng, 1, 2);
         let at = RdmaTarget::Virt {
             block: BLOCK,
             offset: 0,
@@ -1905,12 +1902,7 @@ mod tests {
         for kind in KINDS {
             let mut eng = engine(2);
             install_block(&mut eng, 1);
-            eng.state
-                .cluster
-                .loc_mut(0)
-                .nic
-                .xlate
-                .retire_to_forward(BLOCK, 1);
+            tombstone(&mut eng, 0, 1);
             let at = RdmaTarget::Virt {
                 block: BLOCK,
                 offset: 0,
