@@ -121,6 +121,10 @@ fn finish(rt: &Runtime, args: &Args, started: Time) {
         "gas            : {} puts, {} gets, {} retries, {} migrations",
         g.puts, g.gets, g.retries, g.migrations_done
     );
+    let stale = rt.eng.state.total_rt_stats().stale_lco_sets;
+    if stale > 0 {
+        println!("lco            : {stale} stale set(s) dropped (LCO already retired)");
+    }
     if args.bool("profile") {
         println!("action profile :");
         for (name, n, t) in rt.eng.state.action_profile() {

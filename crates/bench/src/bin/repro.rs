@@ -534,6 +534,9 @@ fn e14() {
             r.messages,
             r.batches
         );
+        if r.stale_lco_sets > 0 {
+            println!("{:<22} {} stale LCO set(s) dropped", "", r.stale_lco_sets);
+        }
     }
 }
 

@@ -520,6 +520,21 @@ pub struct CoalesceRow {
     pub messages: u64,
     /// Batches sent (0 when coalescing is off).
     pub batches: u64,
+    /// LCO sets dropped because their LCO had already retired (0 on a
+    /// fault-free run).
+    pub stale_lco_sets: u64,
+}
+
+impl CoalesceRow {
+    fn of(rt: &Runtime, elapsed: Time) -> CoalesceRow {
+        let stats = rt.eng.state.total_rt_stats();
+        CoalesceRow {
+            elapsed,
+            messages: rt.counters().msgs_sent,
+            batches: stats.batches_sent,
+            stale_lco_sets: stats.stale_lco_sets,
+        }
+    }
 }
 
 /// E14b compatibility wrapper (IB fabric).
@@ -553,12 +568,7 @@ pub fn parcel_flood(coalesce: bool, k: u64) -> CoalesceRow {
         }
     }
     rt.run();
-    let stats = rt.eng.state.total_rt_stats();
-    CoalesceRow {
-        elapsed: rt.now() - t0,
-        messages: rt.counters().msgs_sent,
-        batches: stats.batches_sent,
-    }
+    CoalesceRow::of(&rt, rt.now() - t0)
 }
 
 /// E14 — message-driven BFS with and without parcel coalescing.
@@ -582,12 +592,7 @@ pub fn bfs_coalescing(coalesce: bool) -> CoalesceRow {
         .boot();
     bfs::install(&mut rt, &cfg, &slot);
     let res = bfs::run(&mut rt, &cfg, &slot);
-    let stats = rt.eng.state.total_rt_stats();
-    CoalesceRow {
-        elapsed: res.elapsed,
-        messages: rt.counters().msgs_sent,
-        batches: stats.batches_sent,
-    }
+    CoalesceRow::of(&rt, res.elapsed)
 }
 
 /// E14b — GUPS (action variant) with and without parcel coalescing, on a
@@ -614,12 +619,7 @@ pub fn gups_coalescing_on(coalesce: bool, net: NetConfig) -> CoalesceRow {
         .boot();
     let table = gups::alloc_table(&mut rt, &cfg);
     let res = gups::run(&mut rt, &cfg, &table);
-    let stats = rt.eng.state.total_rt_stats();
-    CoalesceRow {
-        elapsed: res.elapsed,
-        messages: rt.counters().msgs_sent,
-        batches: stats.batches_sent,
-    }
+    CoalesceRow::of(&rt, res.elapsed)
 }
 
 /// E1b — latency *distribution* under load: mean and p99 of 8-byte puts

@@ -360,6 +360,24 @@ impl<T> OpTable<T> {
         self.get(id).is_ok()
     }
 
+    /// The handle of the op currently live in slot `index`, if any. For
+    /// layers that carry a handle in fewer than 64 bits (an LCO address
+    /// packs the index and a truncated generation): they recover the full
+    /// handle here and compare the bits they kept.
+    pub fn live_id(&self, index: u32) -> Option<OpId> {
+        let slot = self.slots.get(index as usize)?;
+        slot.value.as_ref().map(|_| OpId {
+            index,
+            generation: slot.generation,
+        })
+    }
+
+    /// Slots ever allocated — the high-water mark of simultaneously live
+    /// ops, since a freed slot is reused before the table grows.
+    pub fn capacity(&self) -> usize {
+        self.slots.len()
+    }
+
     /// Remove a live op, retiring its handle: the slot's generation is
     /// bumped so the handle (and any copy of it still in flight) can never
     /// match again.
@@ -453,6 +471,19 @@ mod tests {
             })
         );
         assert_eq!(t.get(b), Ok(&2));
+    }
+
+    #[test]
+    fn live_id_names_the_current_tenant_only() {
+        let mut t = OpTable::new();
+        assert_eq!(t.live_id(0), None);
+        let a = t.insert(1u32);
+        assert_eq!(t.live_id(a.index()), Some(a));
+        t.remove(a).unwrap();
+        assert_eq!(t.live_id(a.index()), None, "vacant slot has no tenant");
+        let b = t.insert(2u32);
+        assert_eq!(t.live_id(a.index()), Some(b));
+        assert_eq!(t.capacity(), 1, "the freed slot was reused");
     }
 
     #[test]

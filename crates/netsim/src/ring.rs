@@ -275,6 +275,19 @@ impl<T> Ring<T> {
     /// and invalidate any armed timer. Feeds the process-wide ring
     /// telemetry.
     pub fn drain(&mut self) -> Vec<Desc<T>> {
+        self.drain_map(|d| d)
+    }
+
+    /// [`Ring::drain`] for callers that put the batch straight on the wire:
+    /// the carried items alone, in post order, plus their summed payload
+    /// bytes — one allocation instead of a `Vec<Desc<T>>` and a second
+    /// vector to unwrap it into.
+    pub fn drain_items(&mut self) -> (Vec<T>, u32) {
+        let bytes = u32::try_from(self.bytes).expect("ring batch exceeds u32 bytes");
+        (self.drain_map(|d| d.item), bytes)
+    }
+
+    fn drain_map<U>(&mut self, mut f: impl FnMut(Desc<T>) -> U) -> Vec<U> {
         let n = self.len();
         let eff = self.eff_batch();
         let mut out = Vec::with_capacity(n);
@@ -282,7 +295,7 @@ impl<T> Ring<T> {
             let slot = (self.head % self.slots.len() as u64) as usize;
             let desc = self.slots[slot].take().expect("occupied ring slot");
             self.head += 1;
-            out.push(desc);
+            out.push(f(desc));
         }
         self.bytes = 0;
         self.epoch += 1;
@@ -366,6 +379,14 @@ impl<T> RingSet<T> {
         match self.rings.get_mut(&peer) {
             Some(r) => r.drain(),
             None => Vec::new(),
+        }
+    }
+
+    /// [`Ring::drain_items`] for the ring toward `peer`.
+    pub fn drain_items(&mut self, peer: LocalityId) -> (Vec<T>, u32) {
+        match self.rings.get_mut(&peer) {
+            Some(r) => r.drain_items(),
+            None => (Vec::new(), 0),
         }
     }
 
@@ -551,6 +572,19 @@ mod tests {
         assert!(set.is_empty());
         assert_eq!(set.stats().doorbells, 2);
         assert_eq!(set.stats().descs, 3);
+    }
+
+    #[test]
+    fn drain_items_matches_drain() {
+        let mut set: RingSet<u32> = RingSet::new(cfg(8, 100, u32::MAX));
+        assert_eq!(set.drain_items(1), (Vec::new(), 0));
+        set.push(1, desc(10, 24));
+        set.push(1, desc(11, 40));
+        assert_eq!(set.drain_items(1), (vec![10, 11], 64));
+        assert!(set.is_empty());
+        assert_eq!(set.stats().doorbells, 1);
+        assert_eq!(set.stats().coalesced, 1);
+        assert_eq!(set.ring(1).bytes(), 0);
     }
 
     #[test]

@@ -12,15 +12,34 @@
 //! LCOs occupy the reserved GVA size class [`LCO_CLASS`]; they live at
 //! their home locality and never migrate, so routing is pure address
 //! arithmetic in every GAS mode.
+//!
+//! **Lifecycle** (DESIGN.md §3.11). An LCO is a slot in its home's
+//! generational [`OpTable`]; its address packs the slot index and the low
+//! [`GEN_BITS`] bits of the slot's generation, so every lookup is an index
+//! plus a compare. It **retires on delivery**: firing while it holds a
+//! waiter hands the value to the waiters and frees the slot in the same
+//! step; firing with no waiter keeps the value for [`peek`] and for the
+//! first later `attach_*`, which consumes and retires it. Afterwards the
+//! address names nothing: a late set is counted in
+//! [`RtStats::stale_lco_sets`](crate::RtStats) and dropped, `peek` returns
+//! `None`, and an attach panics.
 
 use crate::parcel::{ActionId, Parcel, ACTION_LCO_SET};
 use crate::sched;
 use crate::world::{RtWorld, World};
 use agas::Gva;
-use netsim::{Engine, LocalityId};
+use netsim::{Engine, LocalityId, OpId, OpTable};
 
 /// The GVA size class reserved for LCOs (8-byte blocks, never in the BTT).
 pub const LCO_CLASS: u8 = 3;
+
+/// Low bits of an LCO address's 39-bit `seq` field that hold its table
+/// slot: at most 2^24 LCOs are live at one locality at a time.
+pub const SLOT_BITS: u32 = 24;
+/// The remaining 15 `seq` bits hold the low bits of the slot's generation.
+/// A retired address stays dead through `2^GEN_BITS - 1` reuses of its
+/// slot; the next reuse mints the same address again (DESIGN.md §3.11).
+pub const GEN_BITS: u32 = agas::gva::REST_BITS - LCO_CLASS as u32 - SLOT_BITS;
 
 /// Reduction operators over `u64` contributions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,11 +106,16 @@ enum Waiter {
 pub struct LcoState {
     kind: LcoKind,
     value: Option<Vec<u8>>,
-    waiters: Vec<Waiter>,
+    /// The first waiter, held inline: most LCOs get exactly one, and a
+    /// `Vec` would allocate for it.
+    first: Option<Waiter>,
+    /// Waiters after the first (non-empty only while `first` is set).
+    more: Vec<Waiter>,
 }
 
 impl LcoState {
-    /// Has the LCO triggered?
+    /// Has the LCO triggered? (If so it holds no waiter — it is keeping its
+    /// value for the first `attach_*`.)
     pub fn is_set(&self) -> bool {
         self.value.is_some()
     }
@@ -102,20 +126,76 @@ impl LcoState {
     }
 }
 
+/// A live LCO still holding an undelivered waiter (see [`pending`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PendingLco {
+    /// The LCO's address.
+    pub lco: Gva,
+    /// `"future"`, `"and"`, `"reduce"` or `"gather"`.
+    pub kind: &'static str,
+    /// Sets it still needs before it fires.
+    pub remaining: u64,
+    /// Continuations waiting on it.
+    pub waiters: usize,
+}
+
+/// Every LCO homed at `loc` that still holds a waiter, in slot order: the
+/// continuations a finished run never delivered.
+pub fn pending<W: RtWorld>(world: &W, loc: LocalityId) -> Vec<PendingLco> {
+    let table = &world.rt_ref(loc).lcos;
+    table
+        .iter()
+        .filter(|(_, s)| s.first.is_some())
+        .map(|(id, s)| {
+            let (kind, remaining) = match s.kind {
+                LcoKind::Future => ("future", 1),
+                LcoKind::And { remaining } => ("and", remaining),
+                LcoKind::Reduce { remaining, .. } => ("reduce", remaining),
+                LcoKind::Gather { remaining, .. } => ("gather", remaining),
+            };
+            PendingLco {
+                lco: address(loc, id),
+                kind,
+                remaining,
+                waiters: 1 + s.more.len(),
+            }
+        })
+        .collect()
+}
+
+/// The generation bits of `id` that fit in an address.
+fn packed_generation(id: OpId) -> u64 {
+    u64::from(id.generation()) & ((1 << GEN_BITS) - 1)
+}
+
+/// The address of the LCO in slot `id` of `loc`'s table.
+fn address(loc: LocalityId, id: OpId) -> Gva {
+    let seq = packed_generation(id) << SLOT_BITS | u64::from(id.index());
+    Gva::new(loc, LCO_CLASS, seq, 0)
+}
+
+/// The live entry of its home's `table` that `lco` names; `None` if the
+/// address was never minted or its LCO has retired (the slot is vacant, or
+/// a later tenant's generation is in it).
+fn resolve(table: &OpTable<LcoState>, lco: Gva) -> Option<OpId> {
+    debug_assert_eq!(lco.class(), LCO_CLASS, "not an LCO address: {lco:?}");
+    let seq = lco.seq();
+    let id = table.live_id((seq & ((1 << SLOT_BITS) - 1)) as u32)?;
+    (packed_generation(id) == seq >> SLOT_BITS).then_some(id)
+}
+
 fn new_lco<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, kind: LcoKind) -> Gva {
-    let rt = &mut eng.state.rt(loc);
-    let seq = rt.next_lco_seq;
-    rt.next_lco_seq += 1;
-    let gva = Gva::new(loc, LCO_CLASS, seq, 0);
-    eng.state.rt(loc).lcos.insert(
-        gva.0,
-        LcoState {
-            kind,
-            value: None,
-            waiters: Vec::new(),
-        },
+    let id = eng.state.rt(loc).lcos.insert(LcoState {
+        kind,
+        value: None,
+        first: None,
+        more: Vec::new(),
+    });
+    assert!(
+        id.index() < 1 << SLOT_BITS,
+        "more than 2^{SLOT_BITS} live LCOs at locality {loc}"
     );
-    gva
+    address(loc, id)
 }
 
 /// Create a future at `loc`.
@@ -215,13 +295,15 @@ pub fn lco_set<W: RtWorld>(eng: &mut Engine<W>, from: LocalityId, lco: Gva, valu
 
 /// Apply a set at the LCO's home (called by the scheduler for LCO parcels).
 pub(crate) fn apply<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, lco: Gva, value: Vec<u8>) {
-    eng.state.rt(loc).stats.lco_ops += 1;
-    let state = eng
-        .state
-        .rt(loc)
-        .lcos
-        .get_mut(&lco.0)
-        .unwrap_or_else(|| panic!("set of unknown LCO {lco:?}"));
+    let rt = eng.state.rt(loc);
+    let Some(id) = resolve(&rt.lcos, lco) else {
+        // Retired on delivery (or never minted): a duplicated or late set
+        // must not reach the slot's next tenant. Count and drop.
+        rt.stats.stale_lco_sets += 1;
+        return;
+    };
+    rt.stats.lco_ops += 1;
+    let state = rt.lcos.get_mut(id).expect("resolved LCO is live");
     let fired: Option<Vec<u8>> = match &mut state.kind {
         LcoKind::Future => {
             assert!(state.value.is_none(), "future {lco:?} set twice");
@@ -262,40 +344,70 @@ pub(crate) fn apply<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, lco: Gva, 
             })
         }
     };
-    if let Some(v) = fired {
-        state.value = Some(v.clone());
-        let waiters = std::mem::take(&mut state.waiters);
-        fire(eng, loc, waiters, v);
+    let Some(mut v) = fired else { return };
+    if state.first.is_none() {
+        // Nobody to hand it to yet: keep it for `peek` and the first attach.
+        state.value = Some(v);
+        return;
+    }
+    let state = rt.lcos.remove(id).expect("resolved LCO is live");
+    let mut waiters = state.first.into_iter().chain(state.more).peekable();
+    while let Some(w) = waiters.next() {
+        // The last (usually only) waiter takes the value itself.
+        let v = if waiters.peek().is_some() {
+            v.clone()
+        } else {
+            std::mem::take(&mut v)
+        };
+        deliver(eng, loc, w, v);
     }
 }
 
-fn fire<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, waiters: Vec<Waiter>, value: Vec<u8>) {
-    for w in waiters {
-        match w {
-            Waiter::Parcel {
-                target,
-                action,
-                mut prefix,
-                cont,
-            } => {
-                prefix.extend_from_slice(&value);
-                sched::send_parcel(
-                    eng,
-                    loc,
-                    Parcel {
-                        target,
-                        action,
-                        args: prefix,
-                        cont,
-                        src: loc,
-                        hops: 0,
-                    },
-                );
-            }
-            Waiter::Driver(id) => {
-                W::notify_driver(eng, loc, id, value.clone());
-            }
+fn deliver<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, waiter: Waiter, value: Vec<u8>) {
+    match waiter {
+        Waiter::Parcel {
+            target,
+            action,
+            mut prefix,
+            cont,
+        } => {
+            prefix.extend_from_slice(&value);
+            sched::send_parcel(
+                eng,
+                loc,
+                Parcel {
+                    target,
+                    action,
+                    args: prefix,
+                    cont,
+                    src: loc,
+                    hops: 0,
+                },
+            );
         }
+        Waiter::Driver(id) => W::notify_driver(eng, loc, id, value),
+    }
+}
+
+/// Register `waiter` at `lco`'s home — or, if the LCO already fired, hand
+/// it the kept value and retire the LCO.
+fn attach<W: RtWorld>(eng: &mut Engine<W>, lco: Gva, waiter: Waiter) {
+    let loc = lco.home();
+    let table = &mut eng.state.rt(loc).lcos;
+    let id = resolve(table, lco).unwrap_or_else(|| {
+        panic!(
+            "attach to {lco:?}: unknown LCO, or already retired on delivery \
+             (a fired LCO serves the waiters it holds, or else one later attach)"
+        )
+    });
+    let state = table.get_mut(id).expect("resolved LCO is live");
+    if state.value.is_some() {
+        let value = table.remove(id).expect("resolved LCO is live").value;
+        deliver(eng, loc, waiter, value.expect("checked set"));
+    } else if state.first.is_none() {
+        state.first = Some(waiter);
+    } else {
+        state.more.push(waiter);
     }
 }
 
@@ -310,36 +422,13 @@ pub fn attach_parcel<W: RtWorld>(
     prefix: Vec<u8>,
     cont: Option<Gva>,
 ) {
-    let loc = lco.home();
-    let state = eng
-        .state
-        .rt(loc)
-        .lcos
-        .get_mut(&lco.0)
-        .unwrap_or_else(|| panic!("attach to unknown LCO {lco:?}"));
-    if let Some(v) = state.value.clone() {
-        let mut args = prefix;
-        args.extend_from_slice(&v);
-        sched::send_parcel(
-            eng,
-            loc,
-            Parcel {
-                target,
-                action,
-                args,
-                cont,
-                src: loc,
-                hops: 0,
-            },
-        );
-    } else {
-        state.waiters.push(Waiter::Parcel {
-            target,
-            action,
-            prefix,
-            cont,
-        });
-    }
+    let waiter = Waiter::Parcel {
+        target,
+        action,
+        prefix,
+        cont,
+    };
+    attach(eng, lco, waiter);
 }
 
 /// When `lco` triggers, notify driver slot `id` through
@@ -348,26 +437,7 @@ pub fn attach_parcel<W: RtWorld>(
 /// it to a boxed callback, the sharded world records `(id, value)` for
 /// post-run inspection.
 pub fn attach_driver_slot<W: RtWorld>(eng: &mut Engine<W>, lco: Gva, id: u64) {
-    let loc = lco.home();
-    let ready = eng
-        .state
-        .rt(loc)
-        .lcos
-        .get(&lco.0)
-        .unwrap_or_else(|| panic!("wait on unknown LCO {lco:?}"))
-        .value
-        .clone();
-    if let Some(v) = ready {
-        W::notify_driver(eng, loc, id, v);
-    } else {
-        eng.state
-            .rt(loc)
-            .lcos
-            .get_mut(&lco.0)
-            .unwrap()
-            .waiters
-            .push(Waiter::Driver(id));
-    }
+    attach(eng, lco, Waiter::Driver(id));
 }
 
 /// When `lco` triggers, invoke `cb` with the value (driver-side waiting —
@@ -377,13 +447,13 @@ pub fn attach_driver(
     lco: Gva,
     cb: impl FnOnce(&mut Engine<World>, Vec<u8>) + 'static,
 ) {
-    let id = eng.state.next_driver_cb;
-    eng.state.next_driver_cb += 1;
-    eng.state.driver_cbs.insert(id, Box::new(cb));
-    attach_driver_slot(eng, lco, id);
+    let id = eng.state.driver_cbs.insert(Box::new(cb));
+    attach_driver_slot(eng, lco, id.raw());
 }
 
-/// Inspect an LCO's state (driver/diagnostics).
+/// Inspect a live LCO's state (driver/diagnostics); `None` once it has
+/// retired on delivery.
 pub fn peek<W: RtWorld>(world: &W, lco: Gva) -> Option<&LcoState> {
-    world.rt_ref(lco.home()).lcos.get(&lco.0)
+    let table = &world.rt_ref(lco.home()).lcos;
+    table.get(resolve(table, lco)?).ok()
 }

@@ -489,7 +489,10 @@ impl Runtime {
     /// protocol state; ring descriptors with kind, peer, bytes, and age —
     /// followed by the adaptive-controller state ([`Self::controller_report`])
     /// so a hang can be attributed to a mistuned batching controller at a
-    /// glance.
+    /// glance — and by the continuations that never ran
+    /// ([`Self::pending_lcos`], unfired driver slots). Those alone never
+    /// fail the check: a program may legitimately end holding a gate it
+    /// stopped caring about.
     pub fn assert_quiescent(&self) {
         let w = &self.eng.state;
         let now = self.eng.now();
@@ -520,11 +523,12 @@ impl Runtime {
             .collect();
         assert!(
             stuck.is_empty(),
-            "{} GAS op(s)/ring descriptor(s) still in flight after run():\n{}\n{}{}",
+            "{} GAS op(s)/ring descriptor(s) still in flight after run():\n{}\n{}{}\n{}",
             stuck.len(),
             stuck.join("\n"),
             membership,
-            self.controller_report()
+            self.controller_report(),
+            self.continuation_report()
         );
         for l in 0..w.cluster.len() as u32 {
             assert_eq!(
@@ -535,9 +539,38 @@ impl Runtime {
         }
         assert!(
             w.completions.is_empty(),
-            "{} completions never fired",
-            w.completions.len()
+            "{} completions never fired\n{}",
+            w.completions.len(),
+            self.continuation_report()
         );
+    }
+
+    /// Every live LCO still holding an undelivered waiter, in
+    /// locality-then-slot order — where a hung continuation chain stopped.
+    pub fn pending_lcos(&self) -> Vec<lco::PendingLco> {
+        (0..self.n())
+            .flat_map(|l| lco::pending(&self.eng.state, l))
+            .collect()
+    }
+
+    /// Render [`Self::pending_lcos`] and the count of driver callbacks
+    /// whose LCO never fired, for quiescence-failure messages.
+    fn continuation_report(&self) -> String {
+        let mut out = vec![format!(
+            "undelivered continuations: {} driver slot(s) never fired",
+            self.eng.state.live_driver_slots()
+        )];
+        for p in self.pending_lcos() {
+            out.push(format!(
+                "  locality {}: {} {:?} needs {} more set(s), holds {} waiter(s)",
+                p.lco.home(),
+                p.kind,
+                p.lco,
+                p.remaining,
+                p.waiters
+            ));
+        }
+        out.join("\n")
     }
 
     /// Render the feedback-controller state: the effective barrier-window

@@ -113,14 +113,14 @@ fn ring_submit<W: RtWorld>(
 /// Ring the doorbell: drain `from`'s submission ring toward `next` and send
 /// the whole batch as one wire message (summed payloads + one shared header).
 fn ring_doorbell<W: RtWorld>(eng: &mut Engine<W>, from: LocalityId, next: LocalityId) {
-    let descs = eng
+    let (parcels, wire) = eng
         .state
         .rt(from)
         .parcel_rings
         .as_mut()
         .expect("doorbell without rings configured")
-        .drain(next);
-    if descs.is_empty() {
+        .drain_items(next);
+    if parcels.is_empty() {
         return;
     }
     eng.state.rt(from).stats.batches_sent += 1;
@@ -130,11 +130,9 @@ fn ring_doorbell<W: RtWorld>(eng: &mut Engine<W>, from: LocalityId, next: Locali
         TraceKind::Doorbell {
             at: from,
             peer: next,
-            descs: descs.len() as u32,
+            descs: parcels.len() as u32,
         },
     );
-    let wire: u32 = descs.iter().map(|d| d.bytes).sum();
-    let parcels: Vec<Parcel> = descs.into_iter().map(|d| d.item).collect();
     send_user(eng, from, next, wire, W::wrap_batch(parcels));
 }
 
@@ -172,14 +170,13 @@ pub fn parcel_arrive<W: RtWorld>(
             let now = eng.now();
             let (_, finish) = eng.state.cpu(dst).admit(now, service);
             eng.state.cluster().loc_mut(dst).counters.cpu_busy += service;
-            let prof = eng
-                .state
-                .rt(dst)
-                .action_profile
-                .entry(parcel.action.0)
-                .or_insert((0, Time::ZERO));
-            prof.0 += 1;
-            prof.1 += service;
+            let prof = &mut eng.state.rt(dst).action_profile;
+            let id = parcel.action.0 as usize;
+            if prof.len() <= id {
+                prof.resize(id + 1, (0, Time::ZERO));
+            }
+            prof[id].0 += 1;
+            prof[id].1 += service;
             eng.schedule_at(finish, move |eng| execute(eng, dst, parcel));
         }
         agas::ops::Route::Forward(next) => {

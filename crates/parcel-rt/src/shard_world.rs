@@ -31,7 +31,6 @@ use netsim::{
     Packet, Protocol, ServerPool, SharedState, SplitWorld,
 };
 use photon::{PhotonConfig, PhotonEndpoint, PhotonMsg, PhotonWorld};
-use std::collections::HashMap;
 
 /// Wire message for the sharded runtime world.
 #[derive(Debug)]
@@ -111,15 +110,7 @@ impl ShardWorld {
                 cpus: (0..n).map(|_| ServerPool::new(rtcfg.workers)).collect(),
                 pgas: PgasMap::new(),
                 mode,
-                rt: (0..n)
-                    .map(|_| RtLocal {
-                        lcos: HashMap::new(),
-                        stats: RtStats::default(),
-                        action_profile: HashMap::new(),
-                        next_lco_seq: 0,
-                        parcel_rings: rtcfg.ring.map(netsim::RingSet::new),
-                    })
-                    .collect(),
+                rt: (0..n).map(|_| RtLocal::new(rtcfg.ring)).collect(),
                 rtcfg,
                 actions: Vec::new(),
                 locs: (0..n).map(|_| ShardRtLoc::default()).collect(),
@@ -160,11 +151,7 @@ impl ShardWorld {
     pub fn total_rt_stats(&self) -> RtStats {
         let mut total = RtStats::default();
         for r in &self.data.rt {
-            total.parcels_sent += r.stats.parcels_sent;
-            total.parcels_executed += r.stats.parcels_executed;
-            total.parcels_forwarded += r.stats.parcels_forwarded;
-            total.lco_ops += r.stats.lco_ops;
-            total.batches_sent += r.stats.batches_sent;
+            total.merge(&r.stats);
         }
         total
     }

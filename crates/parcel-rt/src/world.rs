@@ -10,7 +10,6 @@ use netsim::{
     OpTable, Packet, Protocol, RingConfig, RingSet, ServerPool, Time,
 };
 use photon::{PhotonConfig, PhotonEndpoint, PhotonMsg, PhotonWorld};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Marker for GAS operations that need no completion notification.
@@ -82,30 +81,46 @@ pub struct RtStats {
     pub lco_ops: u64,
     /// Coalesced batches injected from this locality.
     pub batches_sent: u64,
+    /// LCO sets dropped here because their LCO had already retired on
+    /// delivery (a duplicated or late `ACTION_LCO_SET`).
+    pub stale_lco_sets: u64,
+}
+
+impl RtStats {
+    /// Merge another locality's statistics into this one (for
+    /// cluster-wide totals).
+    pub fn merge(&mut self, other: &RtStats) {
+        self.parcels_sent += other.parcels_sent;
+        self.parcels_executed += other.parcels_executed;
+        self.parcels_forwarded += other.parcels_forwarded;
+        self.lco_ops += other.lco_ops;
+        self.batches_sent += other.batches_sent;
+        self.stale_lco_sets += other.stale_lco_sets;
+    }
 }
 
 /// Per-locality runtime state.
 pub struct RtLocal {
-    /// LCOs homed here, keyed by raw GVA bits.
-    pub lcos: HashMap<u64, LcoState>,
+    /// Live LCOs homed here; an LCO's address packs its slot and
+    /// generation (see [`crate::lco`]).
+    pub lcos: OpTable<LcoState>,
     /// Statistics.
     pub stats: RtStats,
-    /// Per-action profile: action id → (executions, CPU time charged) —
-    /// the APEX-style instrumentation HPX-5 shipped.
-    pub action_profile: HashMap<u32, (u64, Time)>,
-    pub(crate) next_lco_seq: u64,
+    /// Per-action profile, indexed by action id: (executions, CPU time
+    /// charged) — the APEX-style instrumentation HPX-5 shipped. Grows to
+    /// the highest id executed here.
+    pub action_profile: Vec<(u64, Time)>,
     /// Per-destination parcel submission rings (present when
     /// [`RtConfig::ring`] is set).
     pub(crate) parcel_rings: Option<RingSet<Parcel>>,
 }
 
 impl RtLocal {
-    fn new(ring: Option<RingConfig>) -> RtLocal {
+    pub(crate) fn new(ring: Option<RingConfig>) -> RtLocal {
         RtLocal {
-            lcos: HashMap::new(),
+            lcos: OpTable::new(),
             stats: RtStats::default(),
-            action_profile: HashMap::new(),
-            next_lco_seq: 0,
+            action_profile: Vec::new(),
             parcel_rings: ring.map(RingSet::new),
         }
     }
@@ -209,8 +224,9 @@ pub struct World {
     /// flight by the fault plane).
     pub corrupt_parcels: u64,
     pub(crate) completions: OpTable<Completion>,
-    pub(crate) driver_cbs: HashMap<u64, DriverCb>,
-    pub(crate) next_driver_cb: u64,
+    /// Driver callbacks waiting on an LCO; the `u64` slot id an LCO holds
+    /// for one is its [`OpId::raw`].
+    pub(crate) driver_cbs: OpTable<DriverCb>,
 }
 
 impl World {
@@ -241,8 +257,7 @@ impl World {
             stale_completions: 0,
             corrupt_parcels: 0,
             completions: OpTable::new(),
-            driver_cbs: HashMap::new(),
-            next_driver_cb: 0,
+            driver_cbs: OpTable::new(),
         }
     }
 
@@ -251,6 +266,11 @@ impl World {
     /// counted and dropped rather than corrupting a reused slot.
     pub fn new_completion(&mut self, c: Completion) -> OpId {
         self.completions.insert(c)
+    }
+
+    /// Driver callbacks still waiting for their LCO to fire.
+    pub fn live_driver_slots(&self) -> usize {
+        self.driver_cbs.len()
     }
 
     /// Number of localities.
@@ -268,22 +288,19 @@ impl World {
     /// Aggregate per-action profile across localities:
     /// `(name, executions, cpu time)` sorted by cpu time, heaviest first.
     pub fn action_profile(&self) -> Vec<(String, u64, Time)> {
-        let mut agg: HashMap<u32, (u64, Time)> = HashMap::new();
+        let mut agg = vec![(0u64, Time::ZERO); self.registry.len()];
         for r in &self.rt {
-            for (&id, &(n, t)) in &r.action_profile {
-                let e = agg.entry(id).or_insert((0, Time::ZERO));
+            for (e, &(n, t)) in agg.iter_mut().zip(&r.action_profile) {
                 e.0 += n;
                 e.1 += t;
             }
         }
-        let mut out: Vec<(String, u64, Time)> = agg
-            .into_iter()
+        let mut out: Vec<(String, u64, Time)> = (0u32..)
+            .zip(agg)
+            .filter(|&(_, (n, _))| n > 0)
             .map(|(id, (n, t))| {
-                (
-                    self.registry.name(crate::parcel::ActionId(id)).to_string(),
-                    n,
-                    t,
-                )
+                let name = self.registry.name(crate::parcel::ActionId(id));
+                (name.to_string(), n, t)
             })
             .collect();
         out.sort_by_key(|&(_, _, t)| std::cmp::Reverse(t));
@@ -294,11 +311,7 @@ impl World {
     pub fn total_rt_stats(&self) -> RtStats {
         let mut total = RtStats::default();
         for r in &self.rt {
-            total.parcels_sent += r.stats.parcels_sent;
-            total.parcels_executed += r.stats.parcels_executed;
-            total.parcels_forwarded += r.stats.parcels_forwarded;
-            total.lco_ops += r.stats.lco_ops;
-            total.batches_sent += r.stats.batches_sent;
+            total.merge(&r.stats);
         }
         total
     }
@@ -454,11 +467,8 @@ impl RtWorld for World {
         registry.get(id)(eng, ctx);
     }
     fn notify_driver(eng: &mut Engine<Self>, _loc: LocalityId, id: u64, value: Vec<u8>) {
-        let cb = eng
-            .state
-            .driver_cbs
-            .remove(&id)
-            .expect("driver waiter vanished");
+        let cb = eng.state.driver_cbs.remove(OpId::from_raw(id));
+        let cb = cb.expect("driver waiter vanished");
         eng.schedule(Time::ZERO, move |eng| cb(eng, value));
     }
 }
