@@ -46,8 +46,8 @@ impl OldXlate {
             *self.hits.entry(k).or_insert(0) += 1;
             return Xlate::Hit(e);
         }
-        if let Some(&hop) = self.forwards.get(&k) {
-            return Xlate::Forward(hop);
+        if let Some(&next) = self.forwards.get(&k) {
+            return Xlate::Forward { next, retired: 0 };
         }
         Xlate::Miss
     }

@@ -408,20 +408,21 @@ fn a3() {
         "ablation: stale access after migration — NIC forwarding vs NACK-only",
     );
     println!(
-        "{:<14} {:>12} {:>12} {:>9} {:>7} {:>9} {:>7}",
-        "policy", "stale put", "fresh put", "forwards", "nacks", "retries", "hints"
+        "{:<14} {:>12} {:>12} {:>9} {:>7} {:>9} {:>7} {:>7}",
+        "policy", "stale put", "fresh put", "forwards", "nacks", "retries", "hints", "parked"
     );
     for (label, fwd) in [("forwarding", true), ("NACK-only", false)] {
         let r = migration_race(fwd);
         println!(
-            "{:<14} {:>12} {:>12} {:>9} {:>7} {:>9} {:>7}",
+            "{:<14} {:>12} {:>12} {:>9} {:>7} {:>9} {:>7} {:>7}",
             label,
             format!("{}", r.stale_put_latency),
             format!("{}", r.fresh_put_latency),
             r.forwards,
             r.nacks,
             r.retries,
-            r.hints_learned
+            r.hints_learned,
+            r.parked
         );
     }
 }
@@ -717,9 +718,10 @@ fn ops_dump(json: bool) {
     rt.migrate(0, arr.block(2), 3);
     rt.migrate(1, arr.block(5), 0);
 
-    // Freeze the simulation a few hundred events in: plenty of ops are
-    // between issue and outcome, exactly what the dump is for.
-    rt.eng.run_steps(220);
+    // Freeze the simulation while both hand-offs are on the wire: the ops
+    // still between issue and outcome are the ones their blocks' new NICs
+    // hold parked, exactly what the dump is for.
+    rt.eng.run_steps(140);
     let now = rt.now();
     let snaps: Vec<(u32, Vec<agas::OpSnapshot>)> = (0..rt.n())
         .map(|l| (l, rt.eng.state.gas[l as usize].op_snapshots()))
@@ -741,13 +743,17 @@ fn ops_dump(json: bool) {
         println!(
             concat!(
                 "{{\"id\":\"ops\",\"in_flight_at_freeze\":{},",
-                "\"completed\":{},\"nacked\":{},\"retried\":{},",
+                "\"completed\":{},\"nacked\":{},\"nacked_miss\":{},",
+                "\"nacked_ttl\":{},\"nacked_bounds\":{},\"retried\":{},",
                 "\"deadline_exceeded\":{},\"protocol_violations\":{},",
                 "\"stale_completions\":{},\"ops_failed\":{}}}"
             ),
             in_flight,
             outcomes.completed,
-            outcomes.nacked,
+            outcomes.nacked(),
+            outcomes.nacked_miss,
+            outcomes.nacked_ttl,
+            outcomes.nacked_bounds,
             outcomes.retried,
             outcomes.deadline_exceeded,
             outcomes.protocol_violations,
@@ -1799,13 +1805,18 @@ fn perf(json: bool) {
         let n = rt.n();
         workloads::driver::pump_all(&mut rt.eng, n, 800, 8, issue, |_| {});
         rt.run();
-        // How often a migrated block was reached through a forward, and
-        // how many of those forwards taught the initiator the new owner.
+        // How often a migrated block was reached through a forward, how
+        // many of those forwards taught the initiator the new owner, how
+        // many outran the block and parked at its new NIC — and what was
+        // left for the NACK ladder.
         let gas = rt.eng.state.total_gas_stats();
+        let net = rt.counters();
         churn_extra = vec![
             ("ops", gas.gets),
-            ("xlate_forwards", rt.counters().xlate_forwards),
+            ("xlate_forwards", net.xlate_forwards),
             ("hints_learned", gas.hints_learned),
+            ("parked", net.xlate_parked),
+            ("nacks", net.nacks_sent),
         ];
     });
     churn.extra = churn_extra;

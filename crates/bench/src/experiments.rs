@@ -199,6 +199,9 @@ pub struct RaceRow {
     /// Owner hints the stale put's completion taught the initiator (a
     /// forwarded ack names the new owner; a NACK teaches nothing).
     pub hints_learned: u64,
+    /// Times the stale put waited at the new owner's NIC for the block to
+    /// land (0 here: A3 issues it after the hand-off has finished).
+    pub parked: u64,
 }
 
 /// A3 — the cost of a *stale* one-sided access after migration: with NIC
@@ -247,6 +250,7 @@ pub fn migration_race(forwarding: bool) -> RaceRow {
         nacks: c1.nacks_sent - c0.nacks_sent,
         retries: g1.retries - g0.retries,
         hints_learned: g1.hints_learned - g0.hints_learned,
+        parked: c1.xlate_parked - c0.xlate_parked,
     }
 }
 

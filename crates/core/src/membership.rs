@@ -274,13 +274,15 @@ pub fn join<S: GasWorld>(eng: &mut Engine<S>, joiner: LocalityId, donor: Localit
             if mode == GasMode::AgasNetwork && rec.owner != joiner {
                 // Warm translation: a forward at the serving home lets
                 // one-sided traffic chase straight to the believed owner
-                // instead of paying a software miss first.
+                // instead of paying a software miss first. The owner holds
+                // `rec.generation`, so the tombstone reads as retired one
+                // generation earlier.
                 eng.state
                     .cluster()
                     .loc_mut(joiner)
                     .nic
                     .xlate
-                    .retire_to_forward(b, rec.owner);
+                    .retire_to_forward(b, rec.owner, rec.generation.saturating_sub(1));
             }
         }
         eng.state.gas(joiner).stats.blocks_rehomed += warm.len() as u64;
@@ -460,7 +462,11 @@ fn crash_teardown<S: GasWorld>(eng: &mut Engine<S>, x: LocalityId) {
     for &(_, e) in &blocks {
         eng.state.cluster().mem_mut(x).free_block(e.base, e.class);
     }
-    eng.state.cluster().loc_mut(x).nic.xlate.flush_live();
+    // Requests parked at the dead NIC die with it, like any request that
+    // was on the wire toward `x`; their expiry timers find nothing.
+    let nic = &mut eng.state.cluster().loc_mut(x).nic;
+    nic.xlate.flush_live();
+    nic.parked.clear();
 }
 
 /// One survivor's crash handling: update the view, purge NIC forwards
@@ -575,7 +581,8 @@ fn reissue_block<S: GasWorld>(
         }
     }
     if mode == GasMode::AgasNetwork {
-        eng.state.cluster().install_xlate(
+        netsim::install_xlate(
+            eng,
             l,
             block,
             XlateEntry {

@@ -312,13 +312,15 @@ fn start_handoff<S: GasWorld>(
     );
     if mode == GasMode::AgasNetwork {
         // The paper's mechanism: the NIC keeps a forwarding tombstone so
-        // in-flight one-sided traffic chases the block in hardware.
+        // in-flight one-sided traffic chases the block in hardware. It
+        // remembers the generation the block leaves under, so `dst`'s NIC
+        // can tell these forwards run ahead of `MigData` and hold them.
         eng.state
             .cluster()
             .loc_mut(at)
             .nic
             .xlate
-            .retire_to_forward(block, dst);
+            .retire_to_forward(block, dst, entry.generation);
     }
     let size = 1usize << entry.class;
     let data = eng
@@ -426,7 +428,10 @@ pub(crate) fn on_mig_data<S: GasWorld>(
             },
         );
         if eng.state.gas_mode() == GasMode::AgasNetwork {
-            eng.state.cluster().install_xlate(
+            // After `amo.absorb` above: a request parked here ahead of the
+            // block may be the duplicate of an AMO the old owner executed.
+            netsim::install_xlate(
+                eng,
                 at,
                 block,
                 XlateEntry {

@@ -1189,7 +1189,8 @@ pub fn on_pwc_amo_complete<S: GasWorld>(
 /// local NIC missed its table for an incoming one-sided operation. If the
 /// block is in fact resident (the entry was evicted under capacity
 /// pressure), software reinstalls it — the hardware analogue of a TLB miss
-/// handler. The bounced initiator's retry then hits.
+/// handler. The bounced initiator's retry then hits, and a forwarded
+/// request the NIC parked on the miss is released by the install.
 pub fn on_xlate_miss<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, block: u64) {
     if eng.state.gas_mode() != GasMode::AgasNetwork {
         return;
@@ -1212,7 +1213,8 @@ pub fn on_xlate_miss<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, block: u
         if !eng.state.gas(loc).btt.is_resident(block) {
             return;
         }
-        eng.state.cluster().install_xlate(
+        netsim::install_xlate(
+            eng,
             loc,
             block,
             netsim::XlateEntry {

@@ -91,7 +91,7 @@ const GOLDEN_JITTER_PGAS: (u64, u64) = (0x3a1b_a271_08e7_3ff4, 2_155_000);
 const GOLDEN_JITTER_SW: (u64, u64) = (0x7b1b_771a_2630_7d1b, 6_591_400);
 const GOLDEN_JITTER_NET: (u64, u64) = (0x4a67_b315_e66f_9216, 2_165_000);
 const GOLDEN_MIG_SW: (u64, u64) = (0x50aa_0c4b_27e6_6b7e, 109_546_200);
-const GOLDEN_MIG_NET: (u64, u64) = (0xcaea_64fb_da86_07ad, 102_086_800);
+const GOLDEN_MIG_NET: (u64, u64) = (0x610c_3bb9_6353_3910, 105_152_800);
 
 #[test]
 fn lossless_plane_reproduces_the_golden_pins() {

@@ -8,8 +8,7 @@ use agas::migrate::migrate_block;
 use agas::ops::{memget, memput};
 use agas::{alloc_array, Distribution, GasMode};
 use common::{assert_consistent, Ev, World};
-use netsim::OpId;
-use netsim::{Engine, NetConfig};
+use netsim::{Engine, NetConfig, OpId, Xlate};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -141,6 +140,44 @@ proptest! {
                 "{:?}: dangling pending ops", mode
             );
             assert_consistent(&eng, &blocks);
+            // Along every tombstone chain the retired generations rise
+            // strictly, and the chain ends at a live entry newer than its
+            // last tombstone — what lets a NIC tell a forward that outran
+            // its block from one to pass on.
+            if mode == GasMode::AgasNetwork {
+                for b in &blocks {
+                    let key = b.block_key();
+                    for start in 0..4u32 {
+                        let (mut at, mut floor) = (start, 0);
+                        for _hop in 0..=ops.len() {
+                            match eng.state.cluster.loc_mut(at).nic.xlate.lookup(key) {
+                                Xlate::Forward { next, retired } => {
+                                    prop_assert!(
+                                        retired >= floor,
+                                        "{:#x}: tombstone at {} retired at {}, reached with floor {}",
+                                        key, at, retired, floor
+                                    );
+                                    (at, floor) = (next, retired + 1);
+                                }
+                                Xlate::Hit(e) => {
+                                    prop_assert!(
+                                        e.generation >= floor,
+                                        "{:#x}: live at {} under {}, reached with floor {}",
+                                        key, at, e.generation, floor
+                                    );
+                                    floor = u32::MAX;
+                                    break;
+                                }
+                                Xlate::Miss => break,
+                            }
+                        }
+                        prop_assert!(
+                            floor == u32::MAX || start == at,
+                            "{:#x}: the chain from {} ends in nothing at {}", key, start, at
+                        );
+                    }
+                }
+            }
             // Every cached owner hint — from a directory reply, an
             // installed migration, or a forwarded completion — is a fact
             // that was once true: no newer than the directory's record,

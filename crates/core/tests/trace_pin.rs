@@ -383,10 +383,10 @@ const GOLDEN_JITTER_PGAS: (u64, u64) = (0x3a1b_a271_08e7_3ff4, 2_155_000);
 const GOLDEN_JITTER_SW: (u64, u64) = (0x7b1b_771a_2630_7d1b, 6_591_400);
 const GOLDEN_JITTER_NET: (u64, u64) = (0x4a67_b315_e66f_9216, 2_165_000);
 const GOLDEN_MIG_SW: (u64, u64) = (0x50aa_0c4b_27e6_6b7e, 109_546_200);
-const GOLDEN_MIG_NET: (u64, u64) = (0xcaea_64fb_da86_07ad, 102_086_800);
-const GOLDEN_DEADLINE_11: (u64, u64) = (0x7d82_ca5b_de6f_587d, 40_000_000);
-const GOLDEN_DEADLINE_23: (u64, u64) = (0xe63a_b7da_7176_c2ea, 40_000_000);
-const GOLDEN_CAPACITY: (u64, u64) = (0x586b_435a_edab_8836, 165_135_600);
+const GOLDEN_MIG_NET: (u64, u64) = (0x610c_3bb9_6353_3910, 105_152_800);
+const GOLDEN_DEADLINE_11: (u64, u64) = (0x8b83_d450_9da3_a1a8, 58_836_000);
+const GOLDEN_DEADLINE_23: (u64, u64) = (0xf9ff_5a1c_07ca_fde1, 58_827_000);
+const GOLDEN_CAPACITY: (u64, u64) = (0xb4aa_cfed_da0d_3b1a, 312_092_600);
 const GOLDEN_FLUSH: (u64, u64) = (0xf28f_56b0_057b_a14c, 21_260_000);
 // Captured when the AMO subsystem landed (NIC-executed active operations).
 const GOLDEN_AMO_PGAS: (u64, u64) = (0x0c6b_7794_17b5_7bcc, 16_428_800);

@@ -56,10 +56,13 @@ pub use faults::{
 pub use flatmap::{FlatTable, LruInsert};
 pub use memory::{MemError, Memory, PhysAddr};
 pub use net::{
-    rdma_get, rdma_issue, rdma_put, send_user, send_user_classed, Access, Applied, Cluster,
-    Envelope, GetReq, Locality, NackReason, OpKind, Packet, Protocol, PutReq, RdmaTarget, Verb,
+    install_xlate, rdma_get, rdma_issue, rdma_put, send_user, send_user_classed, Access, Applied,
+    Cluster, Envelope, GetReq, Locality, NackReason, OpKind, Packet, Protocol, PutReq, RdmaTarget,
+    Verb,
 };
-pub use nic::{LocalityId, Nic, Xlate, XlateEntry, XlateTable};
+pub use nic::{
+    LocalityId, Nic, ParkQueue, Xlate, XlateEntry, XlateTable, PARK_DEPTH, PARK_TIMEOUT,
+};
 pub use optable::{OpError, OpId, OpOutcome, OpTable, OutcomeCounters};
 pub use queue::ServerPool;
 pub use ring::{Desc, DescSnapshot, PushOutcome, Ring, RingConfig, RingSet, RingStats};

@@ -12,7 +12,9 @@
 //!   registered-memory RDMA, the PGAS fast path) or a *virtual* block key +
 //!   offset, translated by the **target NIC's** translation table with zero
 //!   CPU involvement (the network-managed AGAS path). Stale/unknown blocks
-//!   produce NACKs or NIC-level forwarding. All three kinds ride one
+//!   produce NACKs or NIC-level forwarding; a forward that outruns the
+//!   block it chases parks at the destination NIC until
+//!   [`install_xlate`] lands the translation. All three kinds ride one
 //!   `issue → hop → arrive → commit` pipeline, and the commit applies the
 //!   access through the same kernel ([`Locality::apply`]) the software
 //!   paths above use.
@@ -28,7 +30,7 @@ use crate::config::NetConfig;
 use crate::engine::Engine;
 use crate::faults::{apply_corruption, FaultClass, FaultPlane, FaultVerdict};
 use crate::memory::{Memory, PhysAddr};
-use crate::nic::{LocalityId, Nic, Xlate, XlateEntry};
+use crate::nic::{LocalityId, Nic, Parked, Xlate, XlateEntry, PARK_TIMEOUT};
 use crate::optable::OpId;
 use crate::stats::Counters;
 use crate::time::Time;
@@ -261,7 +263,9 @@ impl Cluster {
         op
     }
 
-    /// Install a NIC translation entry at `loc`, counting evictions.
+    /// Install a NIC translation entry at `loc`, counting evictions. Set-up
+    /// code with no engine in hand uses this; once traffic flows, install
+    /// through [`install_xlate`] so requests parked for the block release.
     pub fn install_xlate(&mut self, loc: LocalityId, block_key: u64, entry: XlateEntry) {
         let l = self.loc_mut(loc);
         if l.nic.xlate.install(block_key, entry) {
@@ -728,11 +732,31 @@ pub struct Access {
     pub op: OpId,
     /// Remaining NIC forwarding hops.
     pub ttl: u8,
+    /// Lowest translation generation the block can have at `target`, as
+    /// the NIC that forwarded the request there knows it: the generation
+    /// its tombstone was retired at, plus one. 0 on the leg from the
+    /// initiator, which claims no such knowledge.
+    ///
+    /// Sixteen bits, saturating, because that is what fits beside `ttl`
+    /// and `class` without pushing the boxed request into the next
+    /// allocator size class (8 % of `gups_lanes2` host throughput). A
+    /// saturated floor only under-claims: a tombstone retired at 65 535 or
+    /// later is no longer recognised as stale and forwards on as it would
+    /// without parking.
+    pub floor: u16,
     /// How the fault plane may abuse this request and its completions.
     pub class: FaultClass,
 }
 
 impl Access {
+    /// The block key the access addresses (0 for a physical target).
+    pub(crate) fn block(&self) -> u64 {
+        match self.at {
+            RdmaTarget::Phys(_) => 0,
+            RdmaTarget::Virt { block, .. } => block,
+        }
+    }
+
     /// Payload bytes of the request on the wire (initial leg and every
     /// forwarding hop): a put carries its data; get and AMO requests are
     /// control-sized (AMO operands ride in the request header).
@@ -755,6 +779,7 @@ impl From<PutReq> for Access {
             },
             op: r.op,
             ttl: r.ttl,
+            floor: 0,
             class: r.class,
         }
     }
@@ -771,6 +796,7 @@ impl From<GetReq> for Access {
             },
             op: r.op,
             ttl: r.ttl,
+            floor: 0,
             class: r.class,
         }
     }
@@ -931,10 +957,18 @@ fn arrive<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: Box<Acce
 }
 
 /// Translate and commit an access at its current target NIC; generate the
-/// completion, remote note, NACK, or forwarding hop. A [`Via::Loopback`]
-/// visit's responses skip the wire; a [`Via::Forward`] visit's completion
-/// carries the translation generation it committed under, which — with the
-/// ack's source — tells the initiator where the block lives now.
+/// completion, remote note, NACK, or forwarding hop — or park the request.
+/// A [`Via::Loopback`] visit's responses skip the wire; a [`Via::Forward`]
+/// visit's completion carries the translation generation it committed
+/// under, which — with the ack's source — tells the initiator where the
+/// block lives now.
+///
+/// A forward hop stamps the request with a generation floor (the
+/// tombstone's retired generation plus one). A [`Via::Forward`] visit that
+/// finds no entry, or a tombstone retired *below* the floor, has outrun the
+/// block: the hand-off that wrote the forwarder's tombstone has not
+/// installed here yet. It parks ([`park`]) instead of NACKing or bouncing
+/// back along the stale tombstone; [`install_xlate`] re-enters it here.
 fn commit<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, mut req: Box<Access>, via: Via) {
     let now = eng.now();
     let cfg = eng.state.cluster().config;
@@ -942,10 +976,7 @@ fn commit<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, mut req: Box<
     let class = response_class(req.class);
     let is_amo = req.verb.kind() == OpKind::Amo;
     let local = via == Via::Loopback;
-    let block = match req.at {
-        RdmaTarget::Phys(_) => 0,
-        RdmaTarget::Virt { block, .. } => block,
-    };
+    let block = req.block();
     // A duplicated or retried AMO re-acks its remembered result instead of
     // applying twice — before translation, so the replay needs no table
     // entry and leaves the table's recency order alone (a forwarded replay
@@ -971,14 +1002,24 @@ fn commit<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, mut req: Box<
         RdmaTarget::Phys(addr) => Ok((addr, u64::MAX, 0)),
         RdmaTarget::Virt { offset, .. } => {
             let c = eng.state.cluster();
-            match c.loc_mut(target).nic.xlate.lookup(block) {
+            let nic = &mut c.loc_mut(target).nic;
+            // Only a request a tombstone sent here may wait for the block,
+            // and only at a NIC that can ever hold its entry.
+            let can_park = via == Via::Forward && nic.xlate.capacity() > 0 && nic.parked.has_room();
+            match nic.xlate.lookup(block) {
                 Xlate::Hit(entry) => {
                     if via == Via::Forward {
                         moved = Some(entry.generation);
                     }
                     Ok((entry.base, entry.len, offset))
                 }
-                Xlate::Forward(next) if cfg.nic_forwarding && req.ttl > 0 => {
+                Xlate::Forward { retired, .. } if can_park && retired < u32::from(req.floor) => {
+                    // This tombstone is older than the one that forwarded
+                    // the request: the block is on its way back here.
+                    park(eng, initiator, req);
+                    return;
+                }
+                Xlate::Forward { next, retired } if cfg.nic_forwarding && req.ttl > 0 => {
                     // Store-and-forward hop toward the new owner.
                     let counters = &mut c.loc_mut(target).counters;
                     counters.xlate_forwards += 1;
@@ -993,19 +1034,27 @@ fn commit<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, mut req: Box<
                     let tx_done = c.tx(target, now, cfg.serialize(bytes));
                     req.target = next;
                     req.ttl -= 1;
+                    req.floor = u16::try_from(retired.saturating_add(1)).unwrap_or(u16::MAX);
                     eng.defer_wire(move |eng| {
                         let arrival = fabric_arrival(eng, tx_done, bytes);
                         hop(eng, initiator, target, arrival, req, Via::Forward);
                     });
                     return;
                 }
-                Xlate::Forward(_) if cfg.nic_forwarding => Err(NackReason::TtlExceeded),
-                Xlate::Forward(_) => Err(NackReason::Miss),
+                Xlate::Forward { .. } if cfg.nic_forwarding => Err(NackReason::TtlExceeded),
+                Xlate::Forward { .. } => Err(NackReason::Miss),
                 Xlate::Miss => {
+                    // The interrupt is raised whether or not the request
+                    // waits: a resident-but-evicted entry is reinstalled by
+                    // software, and that install releases the park.
                     c.loc_mut(target).counters.xlate_misses += 1;
                     c.tracer
                         .record(now, TraceKind::XlateMiss { at: target, block });
                     deliver_at(eng, now, target, target, Packet::XlateMiss { block });
+                    if can_park {
+                        park(eng, initiator, req);
+                        return;
+                    }
                     Err(NackReason::Miss)
                 }
             }
@@ -1020,18 +1069,7 @@ fn commit<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, mut req: Box<
     let applied = match applied {
         Ok(applied) => applied,
         Err(reason) => {
-            if is_amo {
-                c.loc_mut(target).counters.amo_nacked += 1;
-                crate::telemetry::record_amo(0, 1, 0);
-            }
-            let nack = Packet::Nack {
-                op: req.op,
-                kind: req.verb.kind(),
-                reason,
-                block,
-            };
-            let ready = if local { now + cfg.loopback } else { now };
-            respond(eng, target, initiator, nack, ready, local, class);
+            nack(eng, initiator, &req, reason, local);
             return;
         }
     };
@@ -1062,6 +1100,79 @@ fn commit<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, mut req: Box<
             respond(eng, target, initiator, done, visible, local, class);
         }
         _ => unreachable!("apply answers in the verb's own kind"),
+    }
+}
+
+/// Refuse `req` at its current target NIC: NACK the initiator with `reason`.
+fn nack<S: Protocol>(
+    eng: &mut Engine<S>,
+    initiator: LocalityId,
+    req: &Access,
+    reason: NackReason,
+    local: bool,
+) {
+    let now = eng.now();
+    let c = eng.state.cluster();
+    let kind = req.verb.kind();
+    if kind == OpKind::Amo {
+        c.loc_mut(req.target).counters.amo_nacked += 1;
+        crate::telemetry::record_amo(0, 1, 0);
+    }
+    let nack = Packet::Nack {
+        op: req.op,
+        kind,
+        reason,
+        block: req.block(),
+    };
+    let ready = if local { now + c.config.loopback } else { now };
+    let class = response_class(req.class);
+    respond(eng, req.target, initiator, nack, ready, local, class);
+}
+
+/// Hold a forwarded request in its target NIC's park queue until
+/// [`install_xlate`] lands the block's translation there. The wait is
+/// bounded: after [`PARK_TIMEOUT`] the NIC gives up and answers what a
+/// chase that never caught the block always answered —
+/// [`NackReason::TtlExceeded`] — so the initiator recovers through the
+/// home directory.
+fn park<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: Box<Access>) {
+    let now = eng.now();
+    let target = req.target;
+    let l = eng.state.cluster().loc_mut(target);
+    l.counters.xlate_parked += 1;
+    let ticket = l.nic.parked.push(initiator, req);
+    eng.schedule_at(now + PARK_TIMEOUT, move |eng| {
+        let l = eng.state.cluster().loc_mut(target);
+        if let Some(Parked { initiator, req, .. }) = l.nic.parked.take_ticket(ticket) {
+            l.counters.xlate_park_expired += 1;
+            nack(eng, initiator, &req, NackReason::TtlExceeded, false);
+        }
+    });
+}
+
+/// Install a NIC translation entry at `loc` and release the requests
+/// parked there for `block`: the one way to install once traffic flows.
+/// Released requests re-enter the commit in arrival order, still as
+/// forwarded visits, so each completion carries the redirect hint. Callers
+/// moving a block in must absorb its responder-cache log *first* — a
+/// released duplicate of an AMO that already executed must replay.
+pub fn install_xlate<S: Protocol>(
+    eng: &mut Engine<S>,
+    loc: LocalityId,
+    block: u64,
+    entry: XlateEntry,
+) {
+    let c = eng.state.cluster();
+    c.install_xlate(loc, block, entry);
+    let nic = &mut c.loc_mut(loc).nic;
+    if nic.parked.is_empty() {
+        return;
+    }
+    // Nothing parks at a NIC whose table rejects installs, and an accepted
+    // install leaves the entry live: every released request hits.
+    debug_assert!(nic.xlate.peek(block).is_some());
+    for Parked { initiator, req, .. } in nic.parked.take_block(block) {
+        commit(eng, initiator, req, Via::Forward);
     }
 }
 
@@ -1279,6 +1390,7 @@ mod tests {
             },
             op,
             ttl: 2,
+            floor: 0,
             class: FaultClass::Request,
         }
     }
@@ -1506,28 +1618,36 @@ mod tests {
             verb,
             op,
             ttl: 2,
+            floor: 0,
             class: FaultClass::Request,
         }
     }
 
-    /// Allocate [`BLOCK`] (1 KiB) at `owner`, translated by its NIC, with
-    /// word 0 holding [`SEED`]; returns its physical base.
-    fn install_block(eng: &mut Engine<TestWorld>, owner: LocalityId) -> PhysAddr {
+    /// Allocate [`BLOCK`] (1 KiB) at `owner` with word 0 holding [`SEED`];
+    /// returns its physical base and the entry that will translate it.
+    fn place_block(eng: &mut Engine<TestWorld>, owner: LocalityId) -> (PhysAddr, XlateEntry) {
         let base = eng.state.cluster.mem_mut(owner).alloc_block(10).unwrap();
+        seed_word(eng, owner, base, SEED);
         let entry = XlateEntry {
             base,
             len: 1024,
             generation: GEN,
         };
+        (base, entry)
+    }
+
+    /// [`place_block`], translated by `owner`'s NIC from the start.
+    fn install_block(eng: &mut Engine<TestWorld>, owner: LocalityId) -> PhysAddr {
+        let (base, entry) = place_block(eng, owner);
         eng.state.cluster.install_xlate(owner, BLOCK, entry);
-        seed_word(eng, owner, base, SEED);
         base
     }
 
-    /// Leave a forwarding tombstone for [`BLOCK`] at `at`, pointing to `next`.
-    fn tombstone(eng: &mut Engine<TestWorld>, at: LocalityId, next: LocalityId) {
+    /// Leave a forwarding tombstone for [`BLOCK`] at `at`, pointing to
+    /// `next`, retired at generation `retired`.
+    fn tombstone(eng: &mut Engine<TestWorld>, at: LocalityId, next: LocalityId, retired: u32) {
         let nic = &mut eng.state.cluster.loc_mut(at).nic;
-        nic.xlate.retire_to_forward(BLOCK, next);
+        nic.xlate.retire_to_forward(BLOCK, next, retired);
     }
 
     #[test]
@@ -1593,9 +1713,12 @@ mod tests {
         Forward,
         /// A tombstone chain 1 -> 2 -> 3 ending at the owner, locality 3.
         Forward2,
+        /// The same chain, its first tombstone far older than the second:
+        /// a newer tombstone than the floor still forwards.
+        ForwardNewer,
         /// Same tombstone with `nic_forwarding` off.
         ForwardOff,
-        /// A tombstone loop 1 -> 2 -> 1 that only the TTL breaks.
+        /// A chain 1 -> 2 -> 3 -> ... one hop longer than the TTL.
         Ttl,
         /// Initiator and owner are both locality 0.
         Loopback,
@@ -1606,7 +1729,21 @@ mod tests {
         /// [`Case::Forward`] behind that doubling link: both copies chase
         /// the tombstone to locality 2.
         DuplicateForward,
+        /// [`Case::Forward`], but the forward outruns the block: locality 2
+        /// holds nothing until its install at [`LATE`].
+        ParkMiss,
+        /// As [`Case::ParkMiss`], with locality 2 still holding its older
+        /// tombstone back toward 1 from the block's previous stay.
+        ParkStale,
+        /// [`Case::ParkMiss`] whose install never comes.
+        ParkExpired,
+        /// [`Case::ParkMiss`] behind the doubling link: both copies park.
+        DupPark,
     }
+
+    /// When the park cases install the block at its new owner (ns): after
+    /// both copies of a duplicated request have arrived.
+    const LATE: u64 = 3_000;
 
     /// The protocol table: one row per case, one `#[test]` per cell. A row
     /// gives the expected outcome (`None` = completes, `Some` = NACKs with
@@ -1619,6 +1756,10 @@ mod tests {
     /// A completion reached through a forward carries the redirect hint —
     /// `moved == Some(GEN)` from the committing locality; every other
     /// completion (phys, direct hit, loop-back) carries `None`.
+    ///
+    /// A parked request commits at the install ([`LATE`]) and is acked
+    /// 118 ns on; an abandoned one is NACKed [`PARK_TIMEOUT`] after it
+    /// parked (at 292 ns, the instant [`Case::Forward`] commits).
     macro_rules! protocol_table {
         ($($row:ident: $case:expr, $nack:expr, { $($kind:ident = $ns:expr),+ };)+) => {$(
             mod $row {
@@ -1641,6 +1782,7 @@ mod tests {
         bounds:        Case::Bounds,       Some(NackReason::Bounds),      { Put = 269, Get = 269, Amo = 269 };
         forward:       Case::Forward,      None,                          { Put = 410, Get = 428, Amo = 410 };
         forward2:      Case::Forward2,     None,                          { Put = 551, Get = 569, Amo = 551 };
+        forward_newer_tombstone: Case::ForwardNewer, None,                { Put = 551, Get = 569, Amo = 551 };
         forward_off:   Case::ForwardOff,   Some(NackReason::Miss),        { Put = 269, Get = 269, Amo = 269 };
         ttl:           Case::Ttl,          Some(NackReason::TtlExceeded), { Put = 551, Get = 551, Amo = 551 };
         loopback:      Case::Loopback,     None,                          { Put = 20,  Get = 20,  Amo = 20 };
@@ -1650,6 +1792,12 @@ mod tests {
         // Both copies are forwarded, and both acks carry the same hint (the
         // AMO's second, a replay, peeks it).
         dup_forward:   Case::DuplicateForward, None,                      { Put = 410, Get = 428, Amo = 410 };
+        park_miss:     Case::ParkMiss,     None,                          { Put = 3118, Get = 3136, Amo = 3118 };
+        park_stale_tombstone: Case::ParkStale, None,                      { Put = 3118, Get = 3136, Amo = 3118 };
+        park_expired:  Case::ParkExpired,  Some(NackReason::TtlExceeded), { Put = 50_410, Get = 50_410, Amo = 50_410 };
+        // Both copies release at the install; the second ack queues one
+        // control serialization (18 ns) behind the first on the tx port.
+        dup_park:      Case::DupPark,      None,                          { Put = 3118, Get = 3136, Amo = 3118 };
     }
 
     /// Build the world for `case`, issue one `kind` access from locality 0
@@ -1663,41 +1811,71 @@ mod tests {
         };
         let mut eng = Engine::new(TestWorld::new(4, cfg), 1);
         eng.state.cluster.tracer.enable(64);
+        let parks = matches!(
+            case,
+            Case::ParkMiss | Case::ParkStale | Case::ParkExpired | Case::DupPark
+        );
         let (target, owner) = match case {
             Case::Loopback | Case::LoopbackMiss => (0, 0),
             Case::Forward | Case::DuplicateForward => (1, 2),
-            Case::Forward2 => (1, 3),
+            Case::Forward2 | Case::ForwardNewer => (1, 3),
+            _ if parks => (1, 2),
             _ => (1, 1),
         };
-        let duplicated = matches!(case, Case::Duplicate | Case::DuplicateForward);
+        let duplicated = matches!(
+            case,
+            Case::Duplicate | Case::DuplicateForward | Case::DupPark
+        );
         let resident = !matches!(
             case,
-            Case::Miss | Case::ForwardOff | Case::Ttl | Case::LoopbackMiss
+            Case::Miss | Case::ForwardOff | Case::Ttl | Case::LoopbackMiss | Case::ParkExpired
         );
-        let base = resident.then(|| install_block(&mut eng, owner));
+        let base = resident.then(|| {
+            if parks {
+                // The bytes are there; the translation lands at LATE.
+                let (base, entry) = place_block(&mut eng, owner);
+                eng.schedule_at_loc(Time::from_ns(LATE), owner, move |eng| {
+                    install_xlate(eng, owner, BLOCK, entry)
+                });
+                base
+            } else {
+                install_block(&mut eng, owner)
+            }
+        });
+        // Tombstones remember the generation they were retired at; along a
+        // chain it rises, ending one below the owner's GEN.
         match case {
-            Case::Forward | Case::ForwardOff | Case::DuplicateForward => tombstone(&mut eng, 1, 2),
+            Case::Forward | Case::ForwardOff | Case::DuplicateForward => {
+                tombstone(&mut eng, 1, 2, GEN - 1)
+            }
             Case::Forward2 => {
-                tombstone(&mut eng, 1, 2);
-                tombstone(&mut eng, 2, 3);
+                tombstone(&mut eng, 1, 2, GEN - 2);
+                tombstone(&mut eng, 2, 3, GEN - 1);
+            }
+            Case::ForwardNewer => {
+                tombstone(&mut eng, 1, 2, 0);
+                tombstone(&mut eng, 2, 3, GEN - 1);
             }
             Case::Ttl => {
-                tombstone(&mut eng, 1, 2);
-                tombstone(&mut eng, 2, 1);
+                tombstone(&mut eng, 1, 2, 1);
+                tombstone(&mut eng, 2, 3, 2);
+                tombstone(&mut eng, 3, 0, 3);
             }
+            Case::ParkStale => {
+                tombstone(&mut eng, 1, 2, GEN - 1);
+                tombstone(&mut eng, 2, 1, GEN - 2);
+            }
+            _ if parks => tombstone(&mut eng, 1, 2, GEN - 1),
             _ => {}
         }
-        match case {
-            Case::Duplicate | Case::DuplicateForward => {
-                let mut plan = FaultPlan::lossless(3);
-                let twice = FaultRates {
-                    dup: 1.0,
-                    ..FaultRates::lossless()
-                };
-                plan.link_rates.push((0, 1, twice));
-                eng.state.cluster.faults = Some(FaultPlane::new(plan));
-            }
-            _ => {}
+        if duplicated {
+            let mut plan = FaultPlan::lossless(3);
+            let twice = FaultRates {
+                dup: 1.0,
+                ..FaultRates::lossless()
+            };
+            plan.link_rates.push((0, 1, twice));
+            eng.state.cluster.faults = Some(FaultPlane::new(plan));
         }
         let dst = match case {
             Case::Phys => RdmaTarget::Phys(base.unwrap()),
@@ -1717,11 +1895,12 @@ mod tests {
 
         // What the initiator hears, and when: a forwarded completion names
         // the committing locality and its generation, any other carries no
-        // hint. A duplicated request is answered twice, 1 us apart, with
-        // the same words.
+        // hint. A duplicated request is answered twice with the same words,
+        // 1 us apart — or back to back when both copies parked.
         let forwards = match case {
-            Case::Forward => 1,
-            Case::Forward2 | Case::Ttl | Case::DuplicateForward => 2,
+            Case::Forward | Case::ParkMiss | Case::ParkStale | Case::ParkExpired => 1,
+            Case::Forward2 | Case::ForwardNewer | Case::Ttl => 2,
+            Case::DuplicateForward | Case::DupPark => 2,
             _ => 0,
         };
         let hint = if forwards > 0 {
@@ -1737,12 +1916,28 @@ mod tests {
         };
         let mut want = vec![(at, 0, heard.clone())];
         if duplicated {
-            want.push((at + Time::from_us(1), 0, heard));
+            let gap = match case {
+                // Released together: the get's 8 B payload and a control
+                // ack both serialize in 18 ns.
+                Case::DupPark => Time::from_ns(18),
+                _ => Time::from_us(1),
+            };
+            want.push((at + gap, 0, heard));
         }
-        // What the committing NIC raises at its own host: the table-miss
-        // interrupt, or a put's remote note (one per commit).
-        let interrupt = matches!(case, Case::Miss | Case::LoopbackMiss);
-        let note = nack.is_none() && kind == OpKind::Put;
+        // What NICs raise at their own hosts: a table-miss interrupt per
+        // miss (at the NIC that missed), then a put's remote note per
+        // commit (at the owner).
+        let (interrupts, miss_at) = match case {
+            Case::Miss | Case::LoopbackMiss => (1, target),
+            Case::ParkMiss | Case::ParkExpired => (1, owner),
+            Case::DupPark => (2, owner),
+            _ => (0, owner),
+        };
+        let notes = if nack.is_none() && kind == OpKind::Put {
+            want.len()
+        } else {
+            0
+        };
         let log = &eng.state.log;
         let side: Vec<&(Time, LocalityId, String)> = log
             .iter()
@@ -1750,18 +1945,11 @@ mod tests {
             .collect();
         let answers: Vec<_> = log.iter().filter(|e| !side.contains(e)).cloned().collect();
         assert_eq!(answers, want, "{tag}");
-        let side_want = match (interrupt, note) {
-            (true, _) => vec![format!("xmiss:{BLOCK}")],
-            (_, true) => vec!["note:77:8".to_string(); want.len()],
-            _ => Vec::new(),
-        };
-        let side_at = if interrupt { target } else { owner };
-        assert!(
-            side.iter().all(|(_, l, _)| *l == side_at),
-            "{tag}: {side:?}"
-        );
-        let side: Vec<&String> = side.iter().map(|(_, _, d)| d).collect();
-        assert_eq!(side, side_want.iter().collect::<Vec<_>>(), "{tag}");
+        let mut side_want = vec![(miss_at, format!("xmiss:{BLOCK}")); interrupts];
+        side_want.extend(vec![(owner, "note:77:8".to_string()); notes]);
+        let side: Vec<(LocalityId, String)> =
+            side.iter().map(|(_, l, d)| (*l, d.clone())).collect();
+        assert_eq!(side, side_want, "{tag}");
 
         // Memory effect: applied exactly once on success, untouched on a
         // NACK (the get lands [`SEED`] in the initiator's buffer).
@@ -1792,7 +1980,27 @@ mod tests {
             "{tag}"
         );
         assert_eq!(total.xlate_forwards, forwards, "{tag}: forwards");
-        assert_eq!(total.xlate_misses, interrupt as u64, "{tag}: misses");
+        assert_eq!(total.xlate_misses, interrupts as u64, "{tag}: misses");
+        // Every park happens at the owner-to-be, one per arriving copy, and
+        // none outlives the run: released by the install or expired.
+        let parked = if parks { want.len() as u64 } else { 0 };
+        let expired = (case == Case::ParkExpired) as u64;
+        assert_eq!(
+            (total.xlate_parked, total.xlate_park_expired),
+            (parked, expired),
+            "{tag}: parked/expired"
+        );
+        assert_eq!(
+            eng.state.cluster.loc(owner).counters.xlate_parked,
+            parked,
+            "{tag}"
+        );
+        for l in 0..4 {
+            assert!(
+                eng.state.cluster.loc(l).nic.parked.is_empty(),
+                "{tag}: park leaked at {l}"
+            );
+        }
         let commits = if nack.is_some() { 0 } else { want.len() as u64 };
         let replays = (kind == OpKind::Amo && duplicated) as u64;
         let hits = if case == Case::Phys {
@@ -1848,13 +2056,14 @@ mod tests {
             .collect();
         let block = BLOCK;
         let fwd = |at, next| TraceKind::XlateForward { at, next, block };
+        let miss = |at| TraceKind::XlateMiss { at, block };
         let hit = TraceKind::XlateHit { at: owner, block };
         let trace_want = match case {
             Case::Phys | Case::Bounds | Case::ForwardOff => Vec::new(),
-            Case::Miss | Case::LoopbackMiss => vec![TraceKind::XlateMiss { at: target, block }],
-            Case::Forward => vec![fwd(1, 2), hit],
-            Case::Forward2 => vec![fwd(1, 2), fwd(2, 3), hit],
-            Case::Ttl => vec![fwd(1, 2), fwd(2, 1)],
+            Case::Miss | Case::LoopbackMiss => vec![miss(target)],
+            Case::Forward | Case::ParkStale => vec![fwd(1, 2), hit],
+            Case::Forward2 | Case::ForwardNewer => vec![fwd(1, 2), fwd(2, 3), hit],
+            Case::Ttl => vec![fwd(1, 2), fwd(2, 3)],
             Case::VirtHit | Case::Loopback => vec![hit],
             Case::Duplicate => vec![hit; hits as usize],
             // The copy trails a full microsecond: it is forwarded only
@@ -1862,8 +2071,47 @@ mod tests {
             Case::DuplicateForward => {
                 [fwd(1, 2), hit, fwd(1, 2), hit][..2 + hits as usize].to_vec()
             }
+            // A parked miss is traced when it parks; the hit when the
+            // install releases it.
+            Case::ParkMiss => vec![fwd(1, 2), miss(2), hit],
+            Case::ParkExpired => vec![fwd(1, 2), miss(2)],
+            Case::DupPark => {
+                [fwd(1, 2), miss(2), fwd(1, 2), miss(2), hit, hit][..4 + hits as usize].to_vec()
+            }
         };
         assert_eq!(xlate_trace, trace_want, "{tag}: trace");
+    }
+
+    #[test]
+    fn a_saturated_floor_under_claims_and_parks_nothing_wrongly() {
+        // Generations past the floor's sixteen bits. Locality 1's tombstone
+        // (retired at 70 000) forwards with the floor saturated at 65 535,
+        // so locality 2's stale tombstone (69 999) is not recognised as
+        // stale: the request ping-pongs out its TTL, the answer it got
+        // before parking existed.
+        let mut eng = engine(3);
+        tombstone(&mut eng, 1, 2, 70_000);
+        tombstone(&mut eng, 2, 1, 69_999);
+        let at = RdmaTarget::Virt {
+            block: BLOCK,
+            offset: 0,
+        };
+        let op = eng.state.cluster.alloc_op();
+        rdma_issue(&mut eng, 0, access(OpKind::Get, 1, at, 0, op));
+        eng.run();
+        let heard: Vec<&str> = eng.state.log.iter().map(|(_, _, d)| d.as_str()).collect();
+        assert_eq!(heard, [format!("nack:{op}:TtlExceeded")]);
+        let total = eng.state.cluster.total_counters();
+        assert_eq!((total.xlate_forwards, total.xlate_parked), (2, 0));
+        // One generation below the saturation point the same shape parks.
+        let mut eng = engine(3);
+        tombstone(&mut eng, 1, 2, 65_534);
+        tombstone(&mut eng, 2, 1, 65_533);
+        let op = eng.state.cluster.alloc_op();
+        rdma_issue(&mut eng, 0, access(OpKind::Get, 1, at, 0, op));
+        eng.run();
+        let total = eng.state.cluster.total_counters();
+        assert_eq!((total.xlate_forwards, total.xlate_parked), (1, 1));
     }
 
     #[test]
@@ -1874,7 +2122,7 @@ mod tests {
         // responder cache — and still tells the initiator where it landed.
         let mut eng = engine(3);
         let base = install_block(&mut eng, 2);
-        tombstone(&mut eng, 1, 2);
+        tombstone(&mut eng, 1, 2, GEN - 1);
         let at = RdmaTarget::Virt {
             block: BLOCK,
             offset: 0,
@@ -1902,7 +2150,7 @@ mod tests {
         for kind in KINDS {
             let mut eng = engine(2);
             install_block(&mut eng, 1);
-            tombstone(&mut eng, 0, 1);
+            tombstone(&mut eng, 0, 1, GEN - 1);
             let at = RdmaTarget::Virt {
                 block: BLOCK,
                 offset: 0,

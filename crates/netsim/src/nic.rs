@@ -18,6 +18,7 @@
 use crate::amo::{AmoCache, AMO_CACHE_CAP};
 use crate::flatmap::FlatTable;
 use crate::memory::PhysAddr;
+use crate::net::Access;
 use crate::time::Time;
 
 /// Identifies a locality (a node of the simulated cluster).
@@ -41,8 +42,15 @@ pub struct XlateEntry {
 pub enum Xlate {
     /// The block is resident here.
     Hit(XlateEntry),
-    /// The block migrated; the NIC remembers where it went.
-    Forward(LocalityId),
+    /// The block migrated; the NIC remembers where it went and the
+    /// generation it left under — it is live at `next` (or beyond) under a
+    /// strictly newer one.
+    Forward {
+        /// Next hop.
+        next: LocalityId,
+        /// Translation generation the block had here when it left.
+        retired: u32,
+    },
     /// Unknown block (never installed, evicted, or forward expired).
     Miss,
 }
@@ -62,7 +70,8 @@ enum XState {
 }
 
 /// One flat-table slot payload: the live entry, the forward hop, and the
-/// inline per-entry hit counter, tagged by [`XState`].
+/// inline per-entry hit counter, tagged by [`XState`]. A forwarding slot
+/// keeps only `entry.generation` — the generation it was retired at.
 #[derive(Clone, Copy, Debug, Default)]
 struct XSlot {
     entry: XlateEntry,
@@ -112,7 +121,10 @@ impl XlateTable {
                     s.hits += 1;
                     Xlate::Hit(s.entry)
                 }
-                XState::Forward => Xlate::Forward(s.next_hop),
+                XState::Forward => Xlate::Forward {
+                    next: s.next_hop,
+                    retired: s.entry.generation,
+                },
                 XState::Ghost => Xlate::Miss,
             },
             None => Xlate::Miss,
@@ -184,8 +196,15 @@ impl XlateTable {
 
     /// Drop the live entry for `block_key`, leaving a forwarding tombstone
     /// pointing at `new_owner` (called on migration hand-off). The entry's
-    /// hit counter stays with the slot.
-    pub fn retire_to_forward(&mut self, block_key: u64, new_owner: LocalityId) {
+    /// hit counter stays with the slot, and the tombstone keeps the
+    /// `generation` the block is retired at: the software that writes the
+    /// tombstone supplies it (the live entry may have been evicted), and a
+    /// later visitor tells a stale tombstone from a current one by it.
+    pub fn retire_to_forward(&mut self, block_key: u64, new_owner: LocalityId, generation: u32) {
+        let retired = XlateEntry {
+            generation,
+            ..XlateEntry::default()
+        };
         match self.table.get_mut(block_key) {
             Some(s) => {
                 if s.state != XState::Forward {
@@ -193,13 +212,14 @@ impl XlateTable {
                 }
                 s.state = XState::Forward;
                 s.next_hop = new_owner;
-                s.entry = XlateEntry::default();
+                s.entry = retired;
                 self.table.unlist(block_key);
             }
             None => {
                 self.table.insert(
                     block_key,
                     XSlot {
+                        entry: retired,
                         next_hop: new_owner,
                         state: XState::Forward,
                         ..XSlot::default()
@@ -321,6 +341,12 @@ impl XlateTable {
         }
     }
 
+    /// Live entries the table has room for (0 = the "no NIC table"
+    /// ablation: every install is rejected).
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Number of live (non-forward) entries.
     pub fn live_entries(&self) -> usize {
         self.table.listed_len()
@@ -340,6 +366,88 @@ impl XlateTable {
     }
 }
 
+/// Most forwarded requests one NIC holds parked at a time; one more is
+/// refused and takes the path it would have taken without parking. The
+/// repository benchmark's `churn_mix` (16 initiators, window 8, 28 % of
+/// ops on one block) peaks at 11.
+pub const PARK_DEPTH: usize = 64;
+
+/// Longest a request stays parked before the NIC gives up on the block
+/// arriving and NACKs it. A hand-off window is the block's wire time plus
+/// the install handler — 5–10 µs for the benchmark's 8 KiB blocks.
+pub const PARK_TIMEOUT: Time = Time::from_us(50);
+
+/// A forwarded request held at the NIC it was forwarded to.
+pub(crate) struct Parked {
+    /// Names this park to its expiry timer.
+    pub(crate) ticket: u64,
+    /// Where the completion or NACK goes.
+    pub(crate) initiator: LocalityId,
+    /// The request, as it arrived.
+    pub(crate) req: Box<Access>,
+}
+
+/// The NIC's park queue: requests a tombstone forwarded here *ahead of the
+/// block itself* — the old owner's NIC flips to forwarding the instant a
+/// hand-off starts, the block's bytes and this NIC's entry follow
+/// microseconds later. Held in arrival order, bounded by [`PARK_DEPTH`] and
+/// [`PARK_TIMEOUT`], released by the install of the awaited translation.
+#[derive(Default)]
+pub struct ParkQueue {
+    items: Vec<Parked>,
+    next_ticket: u64,
+}
+
+impl ParkQueue {
+    /// Requests parked right now.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Is nothing parked?
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// Is there room for one more?
+    pub(crate) fn has_room(&self) -> bool {
+        self.items.len() < PARK_DEPTH
+    }
+
+    /// Park `req` behind the requests already waiting; returns its ticket.
+    pub(crate) fn push(&mut self, initiator: LocalityId, req: Box<Access>) -> u64 {
+        debug_assert!(self.has_room());
+        let ticket = self.next_ticket;
+        self.next_ticket += 1;
+        self.items.push(Parked {
+            ticket,
+            initiator,
+            req,
+        });
+        ticket
+    }
+
+    /// Remove every request waiting on `block`, in arrival order.
+    pub(crate) fn take_block(&mut self, block: u64) -> Vec<Parked> {
+        let (taken, kept) = std::mem::take(&mut self.items)
+            .into_iter()
+            .partition(|p| p.req.block() == block);
+        self.items = kept;
+        taken
+    }
+
+    /// Remove the request parked under `ticket`, if it is still waiting.
+    pub(crate) fn take_ticket(&mut self, ticket: u64) -> Option<Parked> {
+        let i = self.items.iter().position(|p| p.ticket == ticket)?;
+        Some(self.items.remove(i))
+    }
+
+    /// Drop everything parked (the NIC died).
+    pub fn clear(&mut self) {
+        self.items.clear();
+    }
+}
+
 /// One locality's NIC: parallel tx/rx ports (hardware queue pairs) and the
 /// translation table. Each port is a serial resource; a message occupies
 /// the earliest-free port of its direction.
@@ -352,6 +460,8 @@ pub struct Nic {
     /// executed AMOs by retry-stable key so duplicated or retried
     /// requests re-emit the cached result instead of re-executing.
     pub amo: AmoCache,
+    /// Forwarded requests waiting for their block's translation to land.
+    pub parked: ParkQueue,
 }
 
 fn reserve(ports: &mut [Time], earliest: Time, dur: Time) -> (Time, Time) {
@@ -377,6 +487,7 @@ impl Nic {
             rx_free: vec![Time::ZERO; ports],
             xlate: XlateTable::new(xlate_capacity),
             amo: AmoCache::new(AMO_CACHE_CAP),
+            parked: ParkQueue::default(),
         }
     }
 
@@ -427,8 +538,14 @@ mod tests {
     fn forward_tombstones() {
         let mut t = XlateTable::new(8);
         t.install(7, entry(0, 64, 1));
-        t.retire_to_forward(7, 3);
-        assert_eq!(t.lookup(7), Xlate::Forward(3));
+        t.retire_to_forward(7, 3, 1);
+        assert_eq!(
+            t.lookup(7),
+            Xlate::Forward {
+                next: 3,
+                retired: 1
+            }
+        );
         assert_eq!(t.live_entries(), 0);
         assert_eq!(t.forward_entries(), 1);
         // Re-installing (block migrated back) clears the tombstone.
@@ -438,10 +555,45 @@ mod tests {
     }
 
     #[test]
+    fn tombstone_keeps_the_retired_generation() {
+        let mut t = XlateTable::new(8);
+        // Retired from a live entry, and written cold (entry evicted
+        // earlier): both remember the generation software supplied.
+        t.install(7, entry(0, 64, 4));
+        t.retire_to_forward(7, 3, 4);
+        t.retire_to_forward(8, 2, 9);
+        assert_eq!(
+            t.lookup(7),
+            Xlate::Forward {
+                next: 3,
+                retired: 4
+            }
+        );
+        assert_eq!(
+            t.lookup(8),
+            Xlate::Forward {
+                next: 2,
+                retired: 9
+            }
+        );
+        // A re-retire (the block came back and left again) overwrites it.
+        t.install(7, entry(0, 64, 6));
+        t.retire_to_forward(7, 1, 6);
+        assert_eq!(
+            t.lookup(7),
+            Xlate::Forward {
+                next: 1,
+                retired: 6
+            }
+        );
+        assert_eq!(t.forward_entries(), 2);
+    }
+
+    #[test]
     fn invalidate_clears_everything() {
         let mut t = XlateTable::new(8);
         t.install(1, entry(0, 64, 1));
-        t.retire_to_forward(2, 5);
+        t.retire_to_forward(2, 5, 1);
         t.invalidate(1);
         t.invalidate(2);
         assert_eq!(t.lookup(1), Xlate::Miss);
@@ -454,19 +606,31 @@ mod tests {
         // Three tombstones: two transit the doomed hop 3 (one with parked
         // telemetry), one forwards elsewhere and must survive.
         t.install(10, entry(0, 64, 1));
-        t.retire_to_forward(10, 3);
-        assert_eq!(t.lookup(10), Xlate::Forward(3));
+        t.retire_to_forward(10, 3, 1);
+        assert_eq!(
+            t.lookup(10),
+            Xlate::Forward {
+                next: 3,
+                retired: 1
+            }
+        );
         t.install(11, entry(64, 64, 1));
         assert_eq!(t.lookup(11), Xlate::Hit(entry(64, 64, 1)));
-        t.retire_to_forward(11, 3);
-        t.retire_to_forward(12, 5);
+        t.retire_to_forward(11, 3, 1);
+        t.retire_to_forward(12, 5, 1);
         assert_eq!(t.forward_entries(), 3);
         assert_eq!(t.purge_forwards_via(3), 2);
         // Chains through the dead hop now miss (initiator re-chases via the
         // home directory) instead of re-injecting toward the crashed node.
         assert_eq!(t.lookup(10), Xlate::Miss);
         assert_eq!(t.lookup(11), Xlate::Miss);
-        assert_eq!(t.lookup(12), Xlate::Forward(5));
+        assert_eq!(
+            t.lookup(12),
+            Xlate::Forward {
+                next: 5,
+                retired: 1
+            }
+        );
         assert_eq!(t.forward_entries(), 1);
         // The hit earned while 11 was live survives the purge as a ghost.
         assert_eq!(t.take_hit_telemetry(), vec![(11, 1)]);
@@ -557,7 +721,7 @@ mod tests {
         t.lookup(7);
         t.lookup(7);
         // Retire keeps the counter on the tombstone; reinstall resumes it.
-        t.retire_to_forward(7, 3);
+        t.retire_to_forward(7, 3, 1);
         t.install(7, entry(0x40, 64, 2));
         t.lookup(7);
         assert_eq!(t.take_hit_telemetry(), vec![(7, 3)]);
@@ -600,8 +764,14 @@ mod tests {
         let mut t = XlateTable::new(8);
         t.install(7, entry(0, 64, 1));
         t.lookup(7);
-        t.retire_to_forward(7, 3);
-        assert_eq!(t.lookup(7), Xlate::Forward(3));
+        t.retire_to_forward(7, 3, 1);
+        assert_eq!(
+            t.lookup(7),
+            Xlate::Forward {
+                next: 3,
+                retired: 1
+            }
+        );
         // Expiring the tombstone ends forwarding but must keep the hit
         // counter for the balancer's next drain (the old implementation
         // silently dropped it).
@@ -615,7 +785,7 @@ mod tests {
     #[test]
     fn expire_forward_without_hits_frees_the_slot() {
         let mut t = XlateTable::new(8);
-        t.retire_to_forward(9, 2); // tombstone for a never-hit block
+        t.retire_to_forward(9, 2, 1); // tombstone for a never-hit block
         assert!(t.expire_forward(9));
         assert_eq!(t.lookup(9), Xlate::Miss);
         assert!(t.take_hit_telemetry().is_empty());

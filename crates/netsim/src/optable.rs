@@ -202,8 +202,15 @@ pub enum OpOutcome {
 pub struct OutcomeCounters {
     /// Ops that completed normally.
     pub completed: u64,
-    /// NACK bounces observed (per bounce, not per op).
-    pub nacked: u64,
+    /// NACK bounces observed (per bounce, not per op) whose NIC held no
+    /// entry for the block ([`NackReason::Miss`]).
+    pub nacked_miss: u64,
+    /// NACK bounces that ran out of forwarding hops, or out of time parked
+    /// behind a hand-off ([`NackReason::TtlExceeded`]).
+    pub nacked_ttl: u64,
+    /// NACK bounces for an access outside its block
+    /// ([`NackReason::Bounds`]).
+    pub nacked_bounds: u64,
     /// Re-issues after directory recovery (per retry, not per op).
     pub retried: u64,
     /// Ops reclaimed by the deadline sweep.
@@ -217,17 +224,28 @@ impl OutcomeCounters {
     pub fn record(&mut self, outcome: OpOutcome) {
         match outcome {
             OpOutcome::Completed => self.completed += 1,
-            OpOutcome::Nacked { .. } => self.nacked += 1,
+            OpOutcome::Nacked { reason } => match reason {
+                NackReason::Miss => self.nacked_miss += 1,
+                NackReason::TtlExceeded => self.nacked_ttl += 1,
+                NackReason::Bounds => self.nacked_bounds += 1,
+            },
             OpOutcome::Retried { .. } => self.retried += 1,
             OpOutcome::DeadlineExceeded { .. } => self.deadline_exceeded += 1,
             OpOutcome::ProtocolViolation => self.protocol_violations += 1,
         }
     }
 
+    /// NACK bounces observed, whatever the reason.
+    pub fn nacked(&self) -> u64 {
+        self.nacked_miss + self.nacked_ttl + self.nacked_bounds
+    }
+
     /// Merge another rollup into this one (for cluster-wide totals).
     pub fn merge(&mut self, other: &OutcomeCounters) {
         self.completed += other.completed;
-        self.nacked += other.nacked;
+        self.nacked_miss += other.nacked_miss;
+        self.nacked_ttl += other.nacked_ttl;
+        self.nacked_bounds += other.nacked_bounds;
         self.retried += other.retried;
         self.deadline_exceeded += other.deadline_exceeded;
         self.protocol_violations += other.protocol_violations;
@@ -238,9 +256,13 @@ impl fmt::Display for OutcomeCounters {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "completed {} | nacked {} | retried {} | deadline-exceeded {} | protocol-violations {}",
+            "completed {} | nacked {} (miss {}, ttl {}, bounds {}) | retried {} | \
+             deadline-exceeded {} | protocol-violations {}",
             self.completed,
-            self.nacked,
+            self.nacked(),
+            self.nacked_miss,
+            self.nacked_ttl,
+            self.nacked_bounds,
             self.retried,
             self.deadline_exceeded,
             self.protocol_violations
@@ -532,9 +554,14 @@ mod tests {
         let mut c = OutcomeCounters::default();
         c.record(OpOutcome::Completed);
         c.record(OpOutcome::Completed);
-        c.record(OpOutcome::Nacked {
-            reason: NackReason::Miss,
-        });
+        for reason in [
+            NackReason::Miss,
+            NackReason::TtlExceeded,
+            NackReason::TtlExceeded,
+            NackReason::Bounds,
+        ] {
+            c.record(OpOutcome::Nacked { reason });
+        }
         c.record(OpOutcome::Retried { attempt: 1 });
         c.record(OpOutcome::DeadlineExceeded {
             age: Time::from_ns(10),
@@ -542,7 +569,8 @@ mod tests {
         });
         c.record(OpOutcome::ProtocolViolation);
         assert_eq!(c.completed, 2);
-        assert_eq!(c.nacked, 1);
+        assert_eq!((c.nacked_miss, c.nacked_ttl, c.nacked_bounds), (1, 2, 1));
+        assert_eq!(c.nacked(), 4, "the total is the split's sum");
         assert_eq!(c.retried, 1);
         assert_eq!(c.deadline_exceeded, 1);
         assert_eq!(c.protocol_violations, 1);
@@ -550,6 +578,8 @@ mod tests {
         total.merge(&c);
         total.merge(&c);
         assert_eq!(total.completed, 4);
+        assert_eq!((total.nacked_ttl, total.nacked()), (4, 8));
+        assert!(format!("{total}").contains("nacked 8 (miss 2, ttl 4, bounds 2)"));
     }
 
     #[test]

@@ -34,6 +34,12 @@ pub struct Counters {
     pub xlate_forwards: u64,
     /// NIC translation-table evictions (capacity pressure).
     pub xlate_evictions: u64,
+    /// Forwarded requests this NIC parked because they outran the block
+    /// they chase (released by the block's install, or expired).
+    pub xlate_parked: u64,
+    /// Parked requests this NIC gave up on and NACKed (`xlate_parked`
+    /// minus this were released into a commit, or died with the NIC).
+    pub xlate_park_expired: u64,
     /// NACK control messages sent by this NIC.
     pub nacks_sent: u64,
     /// NACKs received by initiators at this locality.
@@ -81,6 +87,8 @@ impl Counters {
         self.xlate_misses += other.xlate_misses;
         self.xlate_forwards += other.xlate_forwards;
         self.xlate_evictions += other.xlate_evictions;
+        self.xlate_parked += other.xlate_parked;
+        self.xlate_park_expired += other.xlate_park_expired;
         self.nacks_sent += other.nacks_sent;
         self.nacks_recv += other.nacks_recv;
         self.ctrl_sent += other.ctrl_sent;

@@ -158,12 +158,13 @@ fn lru_churn_at_power_of_two_capacities() {
 // ------------------------------------------------------ XlateTable oracle
 
 /// The old `XlateTable` in miniature: a bounded MRU-first `Vec` of live
-/// entries, a forward map, and a hit-counter map that outlives eviction
-/// (the drain is compared sorted, as the real table now guarantees).
+/// entries, a forward map (next hop and the generation the tombstone was
+/// retired at), and a hit-counter map that outlives eviction (the drain is
+/// compared sorted, as the real table now guarantees).
 struct ShadowXlate {
     capacity: usize,
     live: Vec<(u64, XlateEntry)>, // MRU-first
-    forwards: HashMap<u64, u32>,
+    forwards: HashMap<u64, (u32, u32)>,
     hits: HashMap<u64, u64>,
 }
 
@@ -184,8 +185,8 @@ impl ShadowXlate {
             *self.hits.entry(k).or_insert(0) += 1;
             return Xlate::Hit(e.1);
         }
-        if let Some(&hop) = self.forwards.get(&k) {
-            return Xlate::Forward(hop);
+        if let Some(&(next, retired)) = self.forwards.get(&k) {
+            return Xlate::Forward { next, retired };
         }
         Xlate::Miss
     }
@@ -208,9 +209,9 @@ impl ShadowXlate {
         false
     }
 
-    fn retire_to_forward(&mut self, k: u64, hop: u32) {
+    fn retire_to_forward(&mut self, k: u64, hop: u32, generation: u32) {
         self.live.retain(|&(lk, _)| lk != k);
-        self.forwards.insert(k, hop);
+        self.forwards.insert(k, (hop, generation));
     }
 
     fn invalidate(&mut self, k: u64) -> u64 {
@@ -262,8 +263,10 @@ proptest! {
                     prop_assert_eq!(real.install(k, e), shadow.install(k, e), "install {} at step {}", k, i);
                 }
                 2 => {
-                    real.retire_to_forward(k, aux as u32);
-                    shadow.retire_to_forward(k, aux as u32);
+                    // The kept generation varies independently of the hop.
+                    let generation = (k as u32 * 3 + i as u32) % 5;
+                    real.retire_to_forward(k, aux as u32, generation);
+                    shadow.retire_to_forward(k, aux as u32, generation);
                 }
                 3 => prop_assert_eq!(real.invalidate(k), shadow.invalidate(k), "invalidate {} at step {}", k, i),
                 4 => prop_assert_eq!(real.expire_forward(k), shadow.expire_forward(k), "expire {} at step {}", k, i),

@@ -565,6 +565,7 @@ pub fn pwc<S: PhotonWorld>(
         verb,
         op,
         ttl,
+        floor: 0,
         class: FaultClass::Request,
     });
     if kind == OpKind::Amo {
@@ -1582,7 +1583,7 @@ mod tests {
             .loc_mut(1)
             .nic
             .xlate
-            .retire_to_forward(55, 2);
+            .retire_to_forward(55, 2, 8);
         let at = RdmaTarget::Virt {
             block: 55,
             offset: 0,
