@@ -253,8 +253,8 @@ fn e7() {
 fn e8() {
     header("E8", "skewed access + migration rebalancing (Fig.)");
     println!(
-        "{:<24} {:>12} {:>13} {:>11}",
-        "configuration", "makespan", "reads/s", "migrations"
+        "{:<24} {:>12} {:>13} {:>11} {:>8}",
+        "configuration", "makespan", "reads/s", "migrations", "refused"
     );
     let n = 8;
     let configs: Vec<(&str, GasMode, bool)> = vec![
@@ -270,11 +270,12 @@ fn e8() {
         .collect();
     for (label, r) in rows {
         println!(
-            "{:<24} {:>12} {:>13.0} {:>11}",
+            "{:<24} {:>12} {:>13.0} {:>11} {:>8}",
             label,
             format!("{}", r.elapsed),
             r.ops_per_sec,
-            r.migrations
+            r.migrations,
+            r.refused
         );
     }
 }
@@ -1805,14 +1806,19 @@ fn perf(json: bool) {
         let n = rt.n();
         workloads::driver::pump_all(&mut rt.eng, n, 800, 8, issue, |_| {});
         rt.run();
-        // How often a migrated block was reached through a forward, how
-        // many of those forwards taught the initiator the new owner, how
-        // many outran the block and parked at its new NIC — and what was
-        // left for the NACK ladder.
+        // What the balancer moved and what it refused to (a move that
+        // cannot lower the maximum only relocates it), how often a
+        // migrated block was reached through a forward, how many of those
+        // forwards taught the initiator the new owner, how many outran the
+        // block and parked at its new NIC — and what was left for the NACK
+        // ladder.
         let gas = rt.eng.state.total_gas_stats();
         let net = rt.counters();
+        let bal = rt.eng.state.balancer_stats;
         churn_extra = vec![
             ("ops", gas.gets),
+            ("migrations", bal.migrations),
+            ("refused", bal.refused),
             ("xlate_forwards", net.xlate_forwards),
             ("hints_learned", gas.hints_learned),
             ("parked", net.xlate_parked),

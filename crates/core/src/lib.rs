@@ -47,6 +47,7 @@ pub use gva::Gva;
 pub use membership::{MemberState, MemberUpdate, MembershipView};
 pub use simworld::{AmoPumpKind, SimData, SimEv, SimLoc, SimMsg, SimWorld};
 
+use netsim::flatmap::FlatTable;
 use netsim::{
     AmoKey, AmoResult, Engine, LocalityId, OpError, OpId, OpKind, OpTable, OutcomeCounters,
     PhysAddr, ServerPool, Time, Verb,
@@ -464,6 +465,9 @@ pub(crate) struct PendingInstall {
     pub old_owner: LocalityId,
 }
 
+/// Seed for the software heat map's flat table (fixed: deterministic runs).
+const HEAT_SEED: u64 = 0x4ea7_5eed;
+
 /// Per-locality GAS state.
 pub struct GasLocal {
     /// Cost parameters.
@@ -475,8 +479,8 @@ pub struct GasLocal {
     /// Directory shard (authoritative for blocks homed here).
     pub dir: Directory,
     /// Per-block software-access heat (the software analogue of the NIC's
-    /// hit telemetry; drained by load-balancing policies).
-    pub heat: HashMap<u64, u64>,
+    /// hit telemetry; drained by [`GasLocal::take_heat`]).
+    heat: FlatTable<u64>,
     /// Completion-latency histogram of memputs issued here (ns samples).
     pub put_latency: netsim::LogHistogram,
     /// Completion-latency histogram of memgets issued here (ns samples).
@@ -519,7 +523,7 @@ impl GasLocal {
             cfg,
             btt: Btt::new(),
             dir: Directory::new(),
-            heat: HashMap::new(),
+            heat: FlatTable::with_seed(HEAT_SEED),
             put_latency: netsim::LogHistogram::new(),
             get_latency: netsim::LogHistogram::new(),
             amo_latency: netsim::LogHistogram::new(),
@@ -537,6 +541,22 @@ impl GasLocal {
             deferred_frees: HashMap::new(),
             sweep_armed: false,
         }
+    }
+
+    /// Count one software access to `block` handled here.
+    #[inline]
+    pub(crate) fn note_heat(&mut self, block: u64) {
+        let (slot, _) = self.heat.upsert(block);
+        *self.heat.value_at(slot) += 1;
+    }
+
+    /// Drain the per-block software-access counts, **sorted by block key**
+    /// like [`netsim::nic::XlateTable::take_hit_telemetry`].
+    pub fn take_heat(&mut self) -> Vec<(u64, u64)> {
+        let mut out: Vec<(u64, u64)> = self.heat.iter().map(|(k, &hits, _)| (k, hits)).collect();
+        self.heat.clear();
+        out.sort_unstable_by_key(|&(k, _)| k);
+        out
     }
 
     pub(crate) fn alloc_seq(&mut self, class: u8) -> u64 {

@@ -1501,10 +1501,7 @@ fn handle_sw_access<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, msg: GasMs
         (g.cfg.sw_handler, g.cfg.copy_per_byte_ps)
     };
     let service = service + copy_time(per_byte, data_len);
-    {
-        let g = eng.state.gas(at);
-        *g.heat.entry(block).or_insert(0) += 1;
-    }
+    eng.state.gas(at).note_heat(block);
     let now = eng.now();
     let (_, finish) = eng.state.cpu(at).admit(now, service);
     {

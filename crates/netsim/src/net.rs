@@ -478,6 +478,28 @@ pub fn send_user_classed<S: Protocol>(
     msg: S::Msg,
     class: FaultClass,
 ) {
+    // The message rides through three nested events. One wider than a
+    // pointer would push each past the engine's inline event slot (a box
+    // and a copy of the message per event), so it is boxed once here and
+    // the events carry the pointer.
+    if size_of::<S::Msg>() > size_of::<usize>() {
+        send_held(eng, src, dst, wire_bytes, Box::new(msg), |m| *m, class);
+    } else {
+        send_held(eng, src, dst, wire_bytes, msg, |m| m, class);
+    }
+}
+
+/// [`send_user_classed`] over the message as its events hold it: `open`
+/// turns `held` back into the message at delivery.
+fn send_held<S: Protocol, H: 'static>(
+    eng: &mut Engine<S>,
+    src: LocalityId,
+    dst: LocalityId,
+    wire_bytes: u32,
+    held: H,
+    open: impl FnOnce(H) -> S::Msg + Copy + 'static,
+    class: FaultClass,
+) {
     let now = eng.now();
     let cfg = eng.state.cluster().config;
     {
@@ -503,7 +525,7 @@ pub fn send_user_classed<S: Protocol>(
                 Envelope {
                     src,
                     dst,
-                    packet: Packet::User(msg),
+                    packet: Packet::User(open(held)),
                 },
             );
         });
@@ -534,7 +556,7 @@ pub fn send_user_classed<S: Protocol>(
                     Envelope {
                         src,
                         dst,
-                        packet: Packet::User(msg),
+                        packet: Packet::User(open(held)),
                     },
                 );
             });

@@ -3,9 +3,10 @@
 //! The data is allocated **blocked**, so the Zipf-hot blocks all start on
 //! locality 0 — the naive-placement hotspot the paper's AGAS exists to fix.
 //! Every locality then streams Zipf-distributed `memget`s at the blocks.
-//! A driver-side rebalancer (standing in for HPX-5's load-balancing policy)
-//! periodically migrates the hottest blocks away from the most-loaded
-//! locality:
+//! A driver-side rebalancer counts accesses per block and, every
+//! `rebalance_every` accesses, asks the runtime balancer's policy
+//! ([`parcel_rt::balancer::plan`]) which blocks to migrate off the
+//! most-loaded localities:
 //!
 //! * **PGAS** — placement is frozen; locality 0's NIC serializes the hot
 //!   traffic forever;
@@ -18,7 +19,8 @@ use crate::driver::{pump_all, IssueFn};
 use agas::{Distribution, GlobalArray};
 use netsim::rng::{Xoshiro256, Zipf};
 use netsim::Time;
-use parcel_rt::Runtime;
+use parcel_rt::balancer::{plan, BlockHeat};
+use parcel_rt::{BalancerConfig, Runtime};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -73,13 +75,18 @@ pub struct SkewResult {
     pub ops_per_sec: f64,
     /// Migrations the rebalancer performed.
     pub migrations: u64,
+    /// Candidate moves the policy refused (they could not lower the
+    /// maximum).
+    pub refused: u64,
 }
 
 struct Balancer {
     owners: Vec<u32>,
+    /// Accesses per block since the last rebalance round.
     heat: Vec<u64>,
     completed: u64,
     migrations: u64,
+    refused: u64,
 }
 
 /// Allocate the skewed data set (blocked: hot blocks all start at loc 0).
@@ -108,6 +115,7 @@ pub fn run(rt: &mut Runtime, cfg: &SkewConfig, data: &GlobalArray) -> SkewResult
         heat: vec![0; cfg.blocks as usize],
         completed: 0,
         migrations: 0,
+        refused: 0,
     }));
 
     let data2 = data.clone();
@@ -148,17 +156,18 @@ pub fn run(rt: &mut Runtime, cfg: &SkewConfig, data: &GlobalArray) -> SkewResult
 
     let elapsed = rt.now() - start;
     let ops = cfg.ops_per_loc * n as u64;
-    let migrations = balancer.borrow().migrations;
+    let b = balancer.borrow();
     SkewResult {
         ops,
         elapsed,
         ops_per_sec: ops as f64 / elapsed.as_secs_f64(),
-        migrations,
+        migrations: b.migrations,
+        refused: b.refused,
     }
 }
 
-/// Greedy rebalance: move the hottest blocks off the most-loaded locality
-/// toward the least-loaded one.
+/// One rebalance round: hand the heat counted since the last round to the
+/// runtime balancer's policy ([`plan`]) and request the moves it returns.
 fn rebalance(
     eng: &mut netsim::Engine<parcel_rt::World>,
     b: &mut Balancer,
@@ -166,38 +175,36 @@ fn rebalance(
     cfg: &SkewConfig,
     from_loc: u32,
 ) {
-    let n = eng.state.n_localities();
-    for _ in 0..cfg.moves_per_round {
-        // Per-locality heat.
-        let mut load = vec![0u64; n as usize];
-        for (i, &owner) in b.owners.iter().enumerate() {
-            load[owner as usize] += b.heat[i];
-        }
-        let hottest_loc = (0..n).max_by_key(|&l| load[l as usize]).unwrap();
-        let coolest_loc = (0..n).min_by_key(|&l| load[l as usize]).unwrap();
-        if hottest_loc == coolest_loc || load[hottest_loc as usize] == 0 {
-            break;
-        }
-        // Hottest block currently on the hottest locality.
-        let candidate = (0..cfg.blocks as usize)
-            .filter(|&i| b.owners[i] == hottest_loc)
-            .max_by_key(|&i| b.heat[i]);
-        let Some(block_idx) = candidate else { break };
-        if b.heat[block_idx] == 0 {
-            break;
-        }
-        b.owners[block_idx] = coolest_loc;
-        b.migrations += 1;
+    // Blocks are named by their index in `data`.
+    let heat: Vec<BlockHeat> = (0..cfg.blocks)
+        .map(|i| BlockHeat {
+            block: i,
+            hits: b.heat[i as usize],
+            owner: b.owners[i as usize],
+        })
+        .collect();
+    // A round here is `rebalance_every` accesses — a few per block — so
+    // every touched block is a candidate, not only those above the
+    // runtime service's per-period floor.
+    let policy = BalancerConfig {
+        moves_per_round: cfg.moves_per_round,
+        min_heat: 1,
+        ..BalancerConfig::default()
+    };
+    let planned = plan(&heat, eng.state.n_localities(), &policy);
+    b.migrations += planned.moves.len() as u64;
+    b.refused += planned.refused;
+    for m in planned.moves {
+        b.owners[m.block as usize] = m.to;
         agas::migrate::migrate_block(
             eng,
             from_loc,
-            data.block(block_idx as u64),
-            coolest_loc,
+            data.block(m.block),
+            m.to,
             parcel_rt::NO_COMPLETION,
         );
-        // Decay so later rounds see fresh traffic.
-        b.heat[block_idx] /= 2;
     }
+    b.heat.fill(0);
 }
 
 #[cfg(test)]
