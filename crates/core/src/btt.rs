@@ -97,21 +97,9 @@ impl Btt {
         self.entries.get_mut(block_key)
     }
 
-    /// Is the block resident (owned and not mid-migration)?
+    /// Is the block resident (owned and not mid-migration)? A census read,
+    /// not a translation: it stays out of the lookup telemetry.
     pub fn is_resident(&self, block_key: u64) -> bool {
-        matches!(
-            self.entries.get(block_key),
-            Some(BttEntry {
-                state: BlockState::Resident,
-                ..
-            })
-        )
-    }
-
-    /// [`Btt::is_resident`] as a census read (the balancer charging heat
-    /// to owners, diagnostics): not a translation, so it stays out of the
-    /// lookup telemetry.
-    pub fn holds(&self, block_key: u64) -> bool {
         self.entries
             .peek(block_key)
             .is_some_and(|e| e.state == BlockState::Resident)
@@ -187,8 +175,8 @@ mod tests {
         let e = btt.lookup(100).unwrap();
         assert_eq!(e.base, 0x40);
         assert_eq!(e.generation, 1);
-        assert!(btt.is_resident(100) && btt.holds(100));
-        assert!(btt.lookup(200).is_none() && !btt.holds(200));
+        assert!(btt.is_resident(100));
+        assert!(btt.lookup(200).is_none());
         let removed = btt.remove(100).unwrap();
         assert_eq!(removed.base, 0x40);
         assert!(btt.lookup(100).is_none());
@@ -216,7 +204,7 @@ mod tests {
         let mut btt = Btt::new();
         btt.insert(1, 0, 6, 1);
         btt.set_moving(1);
-        assert!(!btt.is_resident(1) && !btt.holds(1));
+        assert!(!btt.is_resident(1));
         assert!(btt.pin(1).is_none());
     }
 

@@ -13,7 +13,7 @@
 //!    with no traffic, so simulations still quiesce.
 //!
 //! A migration parks every access to the block for one hand-off, so the
-//! policy only moves what pays for that. Three rules, each the fix for a
+//! policy only moves what pays for that. Two rules, each the fix for a
 //! measured defect:
 //!
 //! * **Fresh heat.** [`start`] discards the counters accumulated before
@@ -28,9 +28,11 @@
 //!   again next round.
 //!   A block too hot to move is skipped and the next-hottest that fits is
 //!   taken.
-//! * **No stall behind a pinned locality.** A locality with no admissible
-//!   move (one unsplittable hot block, say) is set aside for the round and
-//!   the next-hottest locality is considered.
+//!
+//! Only the hottest locality donates: once it has no admissible move (one
+//! unsplittable hot block, say) the round ends. Going on to the
+//! second-hottest was measured and does not pay where the hottest is the
+//! bottleneck — see ROADMAP 1(a).
 //!
 //! Telemetry gathering is modeled as free (a real implementation
 //! piggybacks it on existing collectives); the migrations themselves run
@@ -76,9 +78,6 @@ pub struct BalancerStats {
     pub migrations: u64,
     /// Candidate moves refused because they could not lower the maximum.
     pub refused: u64,
-    /// Locality-rounds in which an overloaded locality had no admissible
-    /// move and the policy went on to the next-hottest.
-    pub set_aside: u64,
 }
 
 /// One block's accesses over a round, charged to the locality holding it.
@@ -112,27 +111,26 @@ pub struct Plan {
     pub moves: Vec<Move>,
     /// Candidates skipped because `2·hits` exceeded the hot–cool gap.
     pub refused: u64,
-    /// Overloaded localities left alone for want of an admissible move.
-    pub set_aside: u64,
 }
 
 /// The balancing policy: a pure function of one round's heat.
 ///
-/// Greedy: while the hottest locality not yet set aside carries more than
+/// Greedy: while the hottest locality carries more than
 /// `imbalance_ratio ×` the coolest's load, move its hottest block that
 /// fits `2·hits ≤ hot − cool` to the coolest locality; blocks hotter than
-/// that are refused for the round, and a locality left with no candidate
-/// is set aside. Every move therefore strictly lowers
+/// that are refused for the round, and the round ends when the hottest
+/// locality has no candidate left. Every move therefore strictly lowers
 /// `max(donor, receiver)` and leaves the receiver no hotter than the
-/// donor. Ties break on `(load, locality)` and `(hits, block)`, so the
-/// order of `heat` does not matter.
+/// donor. A block nobody touched is never a candidate, whatever
+/// `min_heat` says. Ties break on `(load, locality)` and `(hits, block)`,
+/// so the order of `heat` does not matter.
 pub fn plan(heat: &[BlockHeat], n: u32, cfg: &BalancerConfig) -> Plan {
     let n = n as usize;
     let mut load = vec![0u64; n];
     let mut held: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n];
     for h in heat {
         load[h.owner as usize] += h.hits;
-        if h.hits >= cfg.min_heat {
+        if h.hits >= cfg.min_heat.max(1) {
             held[h.owner as usize].push((h.hits, h.block));
         }
     }
@@ -143,15 +141,13 @@ pub fn plan(heat: &[BlockHeat], n: u32, cfg: &BalancerConfig) -> Plan {
     // moved or refused. A donor's gap only shrinks within a round, so a
     // block refused once stays refused.
     let mut taken = vec![0usize; n];
-    let mut aside = vec![false; n];
     let mut out = Plan::default();
     while out.moves.len() < cfg.moves_per_round {
-        let Some(hot) = (0..n).filter(|&l| !aside[l]).max_by_key(|&l| (load[l], l)) else {
+        let by_load = |&l: &usize| (load[l], l);
+        let (Some(hot), Some(cool)) = ((0..n).max_by_key(by_load), (0..n).min_by_key(by_load))
+        else {
             break;
         };
-        let cool = (0..n)
-            .min_by_key(|&l| (load[l], l))
-            .expect("a cluster has localities");
         if hot == cool || (load[hot] as f64) <= (load[cool].max(1) as f64) * cfg.imbalance_ratio {
             break;
         }
@@ -163,9 +159,7 @@ pub fn plan(heat: &[BlockHeat], n: u32, cfg: &BalancerConfig) -> Plan {
         out.refused += too_hot as u64;
         taken[hot] += too_hot;
         let Some(&(hits, block)) = held[hot].get(taken[hot]) else {
-            aside[hot] = true;
-            out.set_aside += 1;
-            continue;
+            break;
         };
         taken[hot] += 1;
         load[hot] -= hits;
@@ -219,7 +213,7 @@ fn drain_hits(eng: &mut Engine<World>) -> Vec<(u64, LocalityId, u64)> {
 /// counted at both ends. A block resident nowhere is mid-hand-off and sits
 /// this round out.
 fn attribute(eng: &Engine<World>, seen: &[(u64, LocalityId, u64)]) -> Vec<BlockHeat> {
-    let holds = |loc: LocalityId, block| eng.state.gas[loc as usize].btt.holds(block);
+    let holds = |loc: LocalityId, block| eng.state.gas[loc as usize].btt.is_resident(block);
     let n = eng.state.n_localities();
     seen.chunk_by(|a, b| a.0 == b.0)
         .filter_map(|observed| {
@@ -255,7 +249,6 @@ fn round(eng: &mut Engine<World>, cfg: BalancerConfig, idle_rounds: u32) {
     let stats = &mut eng.state.balancer_stats;
     stats.migrations += planned.moves.len() as u64;
     stats.refused += planned.refused;
-    stats.set_aside += planned.set_aside;
     for m in planned.moves {
         agas::migrate::migrate_block(
             eng,
@@ -300,8 +293,7 @@ mod tests {
         for cool in [0, 40] {
             let p = plan(&heat(&[(1, 868, 2), (2, cool, 0), (3, 300, 1)]), 3, &cfg());
             assert_eq!(p.moves, [], "coolest at {cool}");
-            // Locality 1's lone 300 is as unsplittable as the 868.
-            assert_eq!((p.refused, p.set_aside), (2, 2));
+            assert_eq!(p.refused, 1);
         }
     }
 
@@ -325,29 +317,19 @@ mod tests {
         let moved: Vec<(u64, u64)> = p.moves.iter().map(|m| (m.block, m.hits)).collect();
         assert_eq!(moved, [(2, 300), (3, 100)]);
         assert!(p.moves.iter().all(|m| (m.from, m.to) == (0, 1)));
-        assert_eq!((p.refused, p.set_aside), (1, 0));
+        assert_eq!(p.refused, 1);
     }
 
     #[test]
-    fn a_pinned_locality_is_set_aside_and_the_next_hottest_spreads() {
-        // Locality 0 holds one unsplittable block; locality 1 is the
-        // second-hottest and can spread onto 2 and 3.
-        let h = heat(&[
-            (1, 1000, 0),
-            (2, 100, 1),
-            (3, 100, 1),
-            (4, 100, 1),
-            (5, 100, 1),
-        ]);
-        let p = plan(&h, 4, &cfg());
-        assert_eq!(
-            p.set_aside,
-            1 + 1,
-            "locality 0, then locality 1 once spread"
-        );
-        let moved: Vec<(u64, LocalityId, LocalityId)> =
-            p.moves.iter().map(|m| (m.block, m.from, m.to)).collect();
-        assert_eq!(moved, [(5, 1, 2), (4, 1, 3)]);
+    fn an_untouched_block_is_never_a_candidate() {
+        // With no heat floor the 0-hit block would "move" once the 5 is
+        // refused: a real hand-off that changes no load.
+        let no_floor = BalancerConfig {
+            min_heat: 0,
+            ..cfg()
+        };
+        let p = plan(&heat(&[(1, 5, 0), (2, 0, 0)]), 2, &no_floor);
+        assert_eq!((p.moves.len(), p.refused), (0, 1), "{p:?}");
     }
 
     #[test]
@@ -356,8 +338,7 @@ mod tests {
         assert_eq!(plan(&even, 3, &cfg()), Plan::default());
         // Below `min_heat` a block is no candidate, however skewed.
         let cold = heat(&[(1, 7, 0), (2, 7, 0), (3, 7, 0)]);
-        let p = plan(&cold, 3, &cfg());
-        assert_eq!((p.moves.len(), p.refused, p.set_aside), (0, 0, 1));
+        assert_eq!(plan(&cold, 3, &cfg()), Plan::default());
         assert_eq!(plan(&[], 3, &cfg()), Plan::default());
     }
 

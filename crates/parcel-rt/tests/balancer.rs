@@ -275,40 +275,6 @@ fn a_stationary_skew_converges() {
     }
 }
 
-/// A locality whose load is one unsplittable block must not stall the
-/// round: the second-hottest locality still spreads. (The loop used to
-/// look only at the single hottest locality, moved its one block back and
-/// forth, and never reached the next.)
-#[test]
-fn a_pinned_locality_does_not_stop_the_next_hottest() {
-    for mode in MOBILE {
-        let mut rt = Runtime::builder(4, mode).boot();
-        // Blocked: locality 0 holds blocks 0–3, locality 1 blocks 4–7.
-        let data = rt.alloc(16, 13, Distribution::Blocked);
-        rt.start_balancer(BalancerConfig {
-            period: Time::from_us(100),
-            min_heat: 4,
-            ..BalancerConfig::default()
-        });
-        // 70 % of gets hit block 0; blocks 4–7 take 7.5 % each.
-        traffic(&mut rt, &data, 2000, |loc, seq| {
-            match (seq + u64::from(loc)) % 40 {
-                r @ 28.. => 4 + r % 4,
-                _ => 0,
-            }
-        });
-        rt.run();
-        rt.assert_quiescent();
-        let at = placement(&rt, &data);
-        let owners: std::collections::HashSet<u32> = at[4..8].iter().copied().collect();
-        assert!(
-            owners.len() >= 3,
-            "{mode:?}: the second-hottest locality never spread: {at:?}"
-        );
-        assert!(rt.eng.state.balancer_stats.set_aside > 0, "{mode:?}");
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -348,7 +314,7 @@ proptest! {
         for m in &planned.moves {
             let src = heat.iter().find(|h| h.block == m.block).expect("planned an unknown block");
             prop_assert_eq!((src.hits, src.owner), (m.hits, m.from));
-            prop_assert!(m.hits >= min_heat && m.from != m.to);
+            prop_assert!(m.hits >= min_heat.max(1) && m.from != m.to);
             prop_assert!(moved.insert(m.block), "block {} planned twice", m.block);
             let (from, to) = (m.from as usize, m.to as usize);
             let before = load[from].max(load[to]);

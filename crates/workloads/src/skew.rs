@@ -6,7 +6,7 @@
 //! A driver-side rebalancer counts accesses per block and, every
 //! `rebalance_every` accesses, asks the runtime balancer's policy
 //! ([`parcel_rt::balancer::plan`]) which blocks to migrate off the
-//! most-loaded localities:
+//! most-loaded locality:
 //!
 //! * **PGAS** — placement is frozen; locality 0's NIC serializes the hot
 //!   traffic forever;
