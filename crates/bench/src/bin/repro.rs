@@ -577,10 +577,6 @@ struct PerfRow {
     amo_executed: u64,
     amo_nacked: u64,
     amo_forwarded: u64,
-    window_widened: u64,
-    window_narrowed: u64,
-    doorbell_batch_raised: u64,
-    doorbell_batch_lowered: u64,
     migration_ring_descs: u64,
     members_joined: u64,
     members_drained: u64,
@@ -625,8 +621,6 @@ impl PerfRow {
                 "\"wall_seconds\":{:.6},\"events\":{},\"events_per_sec\":{:.0},",
                 "\"xlate_lookups\":{},\"xlate_probes\":{},\"memo_hits\":{},",
                 "\"amo_executed\":{},\"amo_nacked\":{},\"amo_forwarded\":{},",
-                "\"window_widened\":{},\"window_narrowed\":{},",
-                "\"doorbell_batch_raised\":{},\"doorbell_batch_lowered\":{},",
                 "\"migration_ring_descs\":{},",
                 "\"members_joined\":{},\"members_drained\":{},",
                 "\"members_crashed\":{},\"blocks_rehomed\":{},",
@@ -644,10 +638,6 @@ impl PerfRow {
             self.amo_executed,
             self.amo_nacked,
             self.amo_forwarded,
-            self.window_widened,
-            self.window_narrowed,
-            self.doorbell_batch_raised,
-            self.doorbell_batch_lowered,
             self.migration_ring_descs,
             self.members_joined,
             self.members_drained,
@@ -679,10 +669,6 @@ fn measure(id: &str, series: &str, f: impl FnOnce()) -> PerfRow {
         amo_executed: d.amo_executed,
         amo_nacked: d.amo_nacked,
         amo_forwarded: d.amo_forwarded,
-        window_widened: d.window_widened,
-        window_narrowed: d.window_narrowed,
-        doorbell_batch_raised: d.doorbell_batch_raised,
-        doorbell_batch_lowered: d.doorbell_batch_lowered,
         migration_ring_descs: d.migration_ring_descs,
         members_joined: d.members_joined,
         members_drained: d.members_drained,
@@ -1420,7 +1406,7 @@ fn parallel(json: bool, max_shards: usize, cfg: &ParallelGupsConfig) {
             println!(
                 concat!(
                     "{{\"id\":\"parallel\",\"series\":\"gups_parallel\",\"shards\":{},",
-                    "\"localities\":{},\"host_cores\":{},\"single_core_caveat\":{},",
+                    "\"localities\":{},\"host_cores\":{},",
                     "\"updates\":{},\"events\":{},",
                     "\"sim_time_ps\":{},\"wall_seconds\":{:.6},\"events_per_sec\":{:.0},",
                     "\"speedup\":{:.4},\"trace_hash\":{},\"windows\":{},",
@@ -1429,7 +1415,6 @@ fn parallel(json: bool, max_shards: usize, cfg: &ParallelGupsConfig) {
                 r.shards,
                 r.localities,
                 cores,
-                cores < r.shards,
                 r.updates,
                 r.events,
                 r.sim.ps(),
@@ -1476,256 +1461,6 @@ fn parallel(json: bool, max_shards: usize, cfg: &ParallelGupsConfig) {
             "parallel runs DIVERGED from the sequential trace: {}",
             diverged.join(", ")
         );
-        std::process::exit(1);
-    }
-}
-
-/// `adaptive` — static-vs-adaptive controller ladder (DESIGN.md §3.8):
-/// the phased GUPS pump on the shm-domain FDR fabric across queue-depth
-/// regimes × AGAS modes × lane counts, with the barrier-window
-/// controller off and on, plus the burst-then-trickle ring A/B. Exits
-/// nonzero if any adaptive schedule diverges from the sequential trace,
-/// if the controller fails to engage (deep must widen, bursty must
-/// narrow), if adaptive loses to static on the deep regime, or if the
-/// ring controller fails to both raise and lower.
-fn adaptive(json: bool) {
-    header(
-        "adaptive",
-        "adaptive lookahead + doorbell controllers vs static presets",
-    );
-    let modes = [GasMode::AgasSoftware, GasMode::AgasNetwork];
-    let mut rows: Vec<AdaptiveLadderRow> = Vec::new();
-    // Strictly serial: each cell owns the machine while timed.
-    for regime in Regime::ALL {
-        for mode in modes {
-            rows.push(adaptive_gups(regime, mode, 1, false));
-            for shards in [2usize, 4, 8] {
-                rows.push(adaptive_gups(regime, mode, shards, false));
-                rows.push(adaptive_gups(regime, mode, shards, true));
-            }
-        }
-    }
-    if !json {
-        println!(
-            "{:<8} {:<9} {:>6} {:>9} {:>9} {:>9.9} {:>8} {:>7} {:>6} {:>6} {:>5} {:>4}",
-            "regime",
-            "mode",
-            "shards",
-            "adaptive",
-            "events",
-            "events/s",
-            "windows",
-            "serial",
-            "widen",
-            "narrow",
-            "mult",
-            "cap"
-        );
-    }
-    for r in &rows {
-        if json {
-            println!(
-                concat!(
-                    "{{\"id\":\"adaptive\",\"series\":\"{}/{}\",\"shards\":{},",
-                    "\"adaptive\":{},\"updates\":{},\"events\":{},",
-                    "\"sim_time_ps\":{},\"wall_seconds\":{:.6},",
-                    "\"events_per_sec\":{:.0},\"trace_hash\":{},\"windows\":{},",
-                    "\"serial_windows\":{},\"window_widened\":{},",
-                    "\"window_narrowed\":{},\"max_mult\":{},\"safe_cap\":{}}}"
-                ),
-                r.regime,
-                mode_name(r.mode),
-                r.shards,
-                r.adaptive,
-                r.updates,
-                r.events,
-                r.sim.ps(),
-                r.wall_secs,
-                r.events_per_sec(),
-                r.trace_hash,
-                r.windows,
-                r.serial_windows,
-                r.widened,
-                r.narrowed,
-                r.max_mult,
-                r.safe_cap,
-            );
-        } else {
-            println!(
-                "{:<8} {:<9} {:>6} {:>9} {:>9} {:>9.0} {:>8} {:>7} {:>6} {:>6} {:>5} {:>4}",
-                r.regime,
-                mode_name(r.mode),
-                r.shards,
-                r.adaptive,
-                r.events,
-                r.events_per_sec(),
-                r.windows,
-                r.serial_windows,
-                r.widened,
-                r.narrowed,
-                r.max_mult,
-                r.safe_cap,
-            );
-        }
-    }
-
-    let ring_rows = [adaptive_ring_ab(false), adaptive_ring_ab(true)];
-    for r in &ring_rows {
-        if json {
-            println!(
-                concat!(
-                    "{{\"id\":\"adaptive\",\"series\":\"ring_ab/{}\",",
-                    "\"ops\":{},\"trickle_ops\":{},\"ring_doorbells\":{},",
-                    "\"ring_descs\":{},\"doorbell_batch_raised\":{},",
-                    "\"doorbell_batch_lowered\":{},\"doorbells_per_op\":{:.4},",
-                    "\"burst_sim_ps\":{},\"trickle_latency_ps\":{},",
-                    "\"final_eff_batch\":{}}}"
-                ),
-                if r.adaptive { "adaptive" } else { "static" },
-                r.burst_ops,
-                r.trickle_ops,
-                r.doorbells,
-                r.descs,
-                r.batch_raised,
-                r.batch_lowered,
-                r.doorbells_per_op(),
-                r.burst_elapsed.ps(),
-                r.trickle_latency.ps(),
-                r.final_eff_batch,
-            );
-        } else {
-            println!(
-                "-- ring_ab/{}: {:.3} doorbells/op, trickle {} /op, eff batch {} (raised {}, lowered {})",
-                if r.adaptive { "adaptive" } else { "static" },
-                r.doorbells_per_op(),
-                r.trickle_latency,
-                r.final_eff_batch,
-                r.batch_raised,
-                r.batch_lowered,
-            );
-        }
-    }
-
-    let mut bad: Vec<String> = Vec::new();
-    for regime in Regime::ALL {
-        for mode in modes {
-            let cells: Vec<&AdaptiveLadderRow> = rows
-                .iter()
-                .filter(|r| r.regime == regime.name() && r.mode == mode)
-                .collect();
-            let gold = cells[0];
-            // Gate 1: every cell (lane count × controller) replays the
-            // sequential schedule bit-for-bit.
-            for r in &cells[1..] {
-                if (r.trace_hash, r.sim, r.events, r.updates)
-                    != (gold.trace_hash, gold.sim, gold.events, gold.updates)
-                {
-                    bad.push(format!(
-                        "{}/{} at {} shards (adaptive={}) diverged from the sequential trace",
-                        r.regime,
-                        mode_name(mode),
-                        r.shards,
-                        r.adaptive
-                    ));
-                }
-            }
-            for r in cells.iter().filter(|r| r.shards > 1) {
-                let twin = cells
-                    .iter()
-                    .find(|t| t.shards == r.shards && t.adaptive != r.adaptive)
-                    .expect("every rung ran both sides");
-                let (ad, st) = if r.adaptive { (r, twin) } else { (twin, r) };
-                if !r.adaptive {
-                    continue; // handle each rung once
-                }
-                match regime {
-                    Regime::Deep => {
-                        // Gate 2: under deep queues the controller must
-                        // widen to the fabric cap and cross strictly fewer
-                        // barriers; wall throughput must at least hold
-                        // (generous floor: the host may be 1-core).
-                        if ad.widened == 0 || ad.max_mult < ad.safe_cap {
-                            bad.push(format!(
-                                "deep/{}/{}: controller never reached the safe cap (mult {} of {})",
-                                mode_name(mode),
-                                ad.shards,
-                                ad.max_mult,
-                                ad.safe_cap
-                            ));
-                        }
-                        if ad.windows >= st.windows {
-                            bad.push(format!(
-                                "deep/{}/{}: adaptive crossed {} barriers, static {}",
-                                mode_name(mode),
-                                ad.shards,
-                                ad.windows,
-                                st.windows
-                            ));
-                        }
-                        if ad.events_per_sec() < 0.8 * st.events_per_sec() {
-                            bad.push(format!(
-                                "deep/{}/{}: adaptive {:.0} ev/s vs static {:.0}",
-                                mode_name(mode),
-                                ad.shards,
-                                ad.events_per_sec(),
-                                st.events_per_sec()
-                            ));
-                        }
-                    }
-                    Regime::Bursty => {
-                        // Gate 3: each burst's drain tail must walk the
-                        // multiplier back down — widen *and* narrow.
-                        if ad.widened == 0 || ad.narrowed == 0 {
-                            bad.push(format!(
-                                "bursty/{}/{}: widened {} / narrowed {} (controller never cycled)",
-                                mode_name(mode),
-                                ad.shards,
-                                ad.widened,
-                                ad.narrowed
-                            ));
-                        }
-                    }
-                    Regime::Shallow => {
-                        // Gate 4: shallow windows must run serially rather
-                        // than pay thread hand-offs for near-empty work.
-                        if ad.serial_windows == 0 {
-                            bad.push(format!(
-                                "shallow/{}/{}: no serial windows",
-                                mode_name(mode),
-                                ad.shards
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let (st, ad) = (&ring_rows[0], &ring_rows[1]);
-    if ad.doorbells >= st.doorbells {
-        bad.push(format!(
-            "ring_ab: adaptive rang {} doorbells, static {}",
-            ad.doorbells, st.doorbells
-        ));
-    }
-    if ad.trickle_latency > st.trickle_latency {
-        bad.push(format!(
-            "ring_ab: adaptive trickle latency {} above static {}",
-            ad.trickle_latency, st.trickle_latency
-        ));
-    }
-    if ad.batch_raised == 0 || ad.batch_lowered == 0 {
-        bad.push(format!(
-            "ring_ab: AIMD never cycled (raised {}, lowered {})",
-            ad.batch_raised, ad.batch_lowered
-        ));
-    }
-    if st.batch_raised + st.batch_lowered != 0 {
-        bad.push("ring_ab: static run touched the adaptive counters".into());
-    }
-    if !bad.is_empty() {
-        for b in &bad {
-            eprintln!("adaptive gate FAILED: {b}");
-        }
         std::process::exit(1);
     }
 }
@@ -1956,7 +1691,6 @@ fn main() {
             }
         }
         "parallel" => parallel(json, shards.unwrap_or(8), &par_cfg),
-        "adaptive" => adaptive(json),
         "amo" => amo(json, amo_ops),
         "ring" => ring(json, ring_ops),
         "ops" => ops_dump(json),
@@ -1985,7 +1719,6 @@ fn main() {
             perf(json);
             amo(json, amo_ops);
             ring(json, ring_ops);
-            adaptive(json);
             if let Some(k) = shards {
                 parallel(json, k, &par_cfg);
             }
@@ -1996,7 +1729,7 @@ fn main() {
             Some((name, f)) => run_one(name, f),
             None => {
                 eprintln!(
-                    "unknown experiment {id:?}; use one of: all perf parallel adaptive amo ring ops chaos membership {}",
+                    "unknown experiment {id:?}; use one of: all perf parallel amo ring ops chaos membership {}",
                     experiments
                         .iter()
                         .map(|(n, _)| *n)

@@ -7,13 +7,11 @@
 //! implementation. All results are **simulated time** — the model's output,
 //! deterministic for a given seed.
 
-pub mod adaptive;
 pub mod amo;
 pub mod experiments;
 pub mod parallel;
 pub mod ring;
 
-pub use adaptive::*;
 pub use amo::*;
 pub use experiments::*;
 pub use parallel::*;

@@ -593,14 +593,6 @@ impl GasLocal {
             .map_or_else(Vec::new, |r| r.snapshots(now))
     }
 
-    /// Per-peer effective doorbell batch of the control rings' AIMD
-    /// controllers (empty when adaptive batching is off).
-    pub fn ctrl_ring_eff_batches(&self) -> Vec<(LocalityId, usize)> {
-        self.ctrl_rings
-            .as_ref()
-            .map_or_else(Vec::new, netsim::RingSet::eff_batches)
-    }
-
     /// Diagnostic snapshots of every in-flight op issued here, in slot
     /// order (deterministic).
     pub fn op_snapshots(&self) -> Vec<OpSnapshot> {

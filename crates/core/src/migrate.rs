@@ -67,7 +67,7 @@ pub(crate) fn send_ctrl<S: GasWorld>(
         PushOutcome::Armed(epoch) => {
             // Arm the doorbell timer on the *sender's* lane; the epoch
             // guard stands the timer down if a flush got there first.
-            let delay = rings.effective_delay(dst);
+            let delay = rings.config().doorbell_delay;
             eng.schedule_at_loc(now + delay, src, move |eng| {
                 let due = eng
                     .state

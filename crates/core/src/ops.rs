@@ -619,8 +619,9 @@ fn try_shm<S: GasWorld>(
     );
     // The commit runs on the target's lane (its arena, BTT, and responder
     // cache live there); the hop is a simulation artifact of shard
-    // ownership, not a message. `access()` >= `load_store` >= the sharded
-    // engine's shm-aware lookahead, so the hop respects the window.
+    // ownership, not a message. It either stays on one lane or crosses
+    // a domain that straddles lanes, where the sharded engine's lookahead
+    // is `load_store` <= `access()`: the hop respects the window.
     let at = now + shm.access(bytes);
     eng.schedule_at_loc(at, target_loc, move |eng| {
         shm_commit(eng, loc, target_loc, op, gva, verb, shm)

@@ -8,7 +8,7 @@ use agas::migrate::{free_block, migrate_block};
 use agas::ops::{memget, memput};
 use agas::{alloc_array, Distribution, GasConfig, GasLocal, GasMode};
 use common::{assert_consistent, Ev, World};
-use netsim::{AdaptiveRing, Engine, NetConfig, OpId, RingConfig, Time};
+use netsim::{Engine, NetConfig, OpId, RingConfig, Time};
 
 /// Build an engine whose GAS layer posts control traffic through rings.
 fn ring_engine(n: usize, mode: GasMode, ring: RingConfig) -> Engine<World> {
@@ -35,7 +35,6 @@ fn ctrl_ring_batches_migration_traffic_and_converges() {
         let ring = RingConfig {
             doorbell_batch: 4,
             doorbell_delay: Time::from_ns(300),
-            adaptive: Some(AdaptiveRing::default()),
             ..RingConfig::default()
         };
         let mut eng = ring_engine(3, mode, ring);

@@ -12,13 +12,20 @@
 //! A pin failure here with a passing `trace_pin.rs` means the sharded
 //! engine (or `SimWorld`) diverged from sequential execution; a failure in
 //! both means the protocol itself moved.
+//!
+//! The suite also pins the synchronisation window itself
+//! (`window_is_the_smallest_cross_lane_delay`): its width on plain,
+//! shared-memory and lane-straddling fabrics, and that the widest sound
+//! window still replays the sequential schedule.
 
 use agas::migrate::migrate_block;
 use agas::ops::{memamo, memget, memput};
 use agas::{
     alloc_array, membership, Distribution, GasMode, GlobalArray, MemberState, OwnerCache, SimWorld,
 };
-use netsim::{AmoOp, Engine, LocalityId, NetConfig, OpId, ShardedEngine, Time};
+use netsim::{
+    AmoOp, Engine, LocalityId, NetConfig, OpId, ShardMap, ShardedEngine, ShmDomain, Time,
+};
 
 /// Shard counts every scenario must reproduce its pin under. `None` is
 /// the plain sequential engine (the control that ties this suite to
@@ -100,6 +107,21 @@ impl Harness {
         match self {
             Harness::Seq(e) => (e.trace_hash(), e.now().ps()),
             Harness::Shard(s) => (s.trace_hash(), s.now().ps()),
+        }
+    }
+
+    fn events_executed(&self) -> u64 {
+        match self {
+            Harness::Seq(e) => e.events_executed(),
+            Harness::Shard(s) => s.events_executed(),
+        }
+    }
+
+    /// The sharded engine's window width and windows crossed so far.
+    fn window(&self) -> Option<(Time, u64)> {
+        match self {
+            Harness::Seq(_) => None,
+            Harness::Shard(s) => Some((s.lookahead(), s.stats().windows)),
         }
     }
 }
@@ -398,6 +420,79 @@ fn member_mix(mode: GasMode, shards: Option<usize>) -> (u64, u64) {
         }
     }
     h.finish()
+}
+
+/// `(trace_hash, now, events_executed, pump_completed)` of a GUPS-pump run.
+type PumpWitness = (u64, u64, u64, u64);
+
+/// The self-pumping GUPS kernel: every locality chains 8 random puts, each
+/// issued from the previous one's completion. Returns the run's witness
+/// and, when sharded, the window width and the windows the one `run()`
+/// crossed.
+fn gups_pump(
+    n: usize,
+    mode: GasMode,
+    net: NetConfig,
+    shards: Option<usize>,
+) -> (PumpWitness, Option<(Time, u64)>) {
+    let mut h = Harness::new(n, mode, net, 42, shards);
+    let arr = h.alloc(n as u64, 13);
+    h.world().set_pump_blocks(arr.blocks.clone());
+    for l in 0..n as u32 {
+        h.world().arm_gups(l, 8, 42);
+        h.issue(l, move |eng| SimWorld::pump_prime(eng, l));
+    }
+    let (hash, now) = h.finish();
+    let witness = (hash, now, h.events_executed(), h.world().pump_completed());
+    (witness, h.window())
+}
+
+#[test]
+fn window_is_the_smallest_cross_lane_delay() {
+    let fdr = NetConfig::ib_fdr();
+    let shm = ShmDomain::node(4);
+    let shm_fdr = NetConfig {
+        shm: Some(shm),
+        ..fdr
+    };
+    assert!(shm.load_store < fdr.latency);
+    for mode in [GasMode::AgasSoftware, GasMode::AgasNetwork] {
+        // (a) 32 localities in 4-locality domains: at 1/2/4/8 lanes every
+        // domain sits inside one lane, so the window is the wire latency
+        // even though intra-domain hops are 11x shorter, and the run
+        // crosses no more barriers than that width allows.
+        let (reference, _) = gups_pump(32, mode, shm_fdr, None);
+        assert_eq!(reference.3, 32 * 8, "{mode:?}: pump fell short");
+        for shards in GRID {
+            let (got, window) = gups_pump(32, mode, shm_fdr, shards);
+            assert_eq!(got, reference, "{mode:?} shards={shards:?}: diverged");
+            if let Some((lookahead, windows)) = window {
+                assert_eq!(lookahead, fdr.latency, "{mode:?} shards={shards:?}");
+                let bound = got.1.div_ceil(lookahead.ps()) + 1;
+                assert!(
+                    windows <= bound,
+                    "{mode:?} shards={shards:?}: {windows} windows over {} ps, bound {bound}",
+                    got.1
+                );
+            }
+        }
+
+        // (b) 6 localities on 2 lanes split {0,1,2} / {3,4,5}: domain
+        // {0,1,2,3} straddles the boundary, so a load/store hop can cross
+        // lanes and the window must shrink to it.
+        let map = ShardMap::new(2, 6);
+        assert_ne!(map.lane_of(2), map.lane_of(3));
+        let (reference, _) = gups_pump(6, mode, shm_fdr, None);
+        let (got, window) = gups_pump(6, mode, shm_fdr, Some(2));
+        assert_eq!(got, reference, "{mode:?}: straddling domain diverged");
+        assert_eq!(window.map(|w| w.0), Some(shm.load_store), "{mode:?}");
+
+        // (c) No shared memory: the window is the wire latency.
+        for shards in [1, 2, 4, 8] {
+            let (_, window) = gups_pump(8, mode, fdr, Some(shards));
+            assert_eq!(window.map(|w| w.0), Some(fdr.latency), "{mode:?} {shards}");
+        }
+    }
 }
 
 #[test]

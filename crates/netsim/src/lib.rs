@@ -22,7 +22,6 @@
 //! Layers above implement [`net::Protocol`] to receive deliveries. See the
 //! repository `DESIGN.md` for how this substitutes for the paper's testbed.
 
-pub mod adaptive;
 pub mod amo;
 pub mod config;
 pub mod engine;
@@ -43,9 +42,6 @@ pub mod time;
 pub mod timewheel;
 pub mod trace;
 
-pub use adaptive::{
-    AdaptiveRing, AdaptiveWindow, RingController, RingDecision, WindowController, WindowDecision,
-};
 pub use amo::{AmoCache, AmoKey, AmoOp, AmoResult};
 pub use config::{NetConfig, ShmDomain};
 pub use engine::Engine;

@@ -25,7 +25,6 @@
 //! lane and drain when they fire, which keeps the sharded engine's
 //! lane-aliasing contract intact.
 
-use crate::adaptive::{AdaptiveRing, RingController, RingDecision};
 use crate::nic::LocalityId;
 use crate::telemetry;
 use crate::time::Time;
@@ -35,7 +34,10 @@ use std::collections::BTreeMap;
 ///
 /// `None` at the embedding layer (photon/parcel-rt) means rings are off and
 /// every operation is its own doorbell — the pre-ring schedules, kept
-/// bit-identical for the golden trace pins.
+/// bit-identical for the golden trace pins. A ring flushes at exactly
+/// `doorbell_batch` descriptors and its timer waits exactly
+/// `doorbell_delay`; callers arming the timer read it from
+/// [`RingSet::config`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RingConfig {
     /// Bounded ring occupancy, in descriptors. A push that fills the ring
@@ -52,10 +54,6 @@ pub struct RingConfig {
     /// Byte budget per batch: a push that brings buffered payload bytes to
     /// or above this flushes, bounding added latency for bulk traffic.
     pub max_bytes: u32,
-    /// Occupancy-driven AIMD adjustment of the effective doorbell batch
-    /// (see [`RingController`]). `None` (the default) pins the batch at
-    /// `doorbell_batch` — the static schedules the golden pins cover.
-    pub adaptive: Option<AdaptiveRing>,
 }
 
 impl Default for RingConfig {
@@ -66,7 +64,6 @@ impl Default for RingConfig {
             doorbell_delay: Time::from_us(5),
             moderation: Time::from_us(1),
             max_bytes: 8192,
-            adaptive: None,
         }
     }
 }
@@ -161,8 +158,6 @@ pub struct Ring<T> {
     bytes: u64,
     /// Bumped on every drain; stale timers compare epochs and stand down.
     epoch: u64,
-    /// The AIMD doorbell controller, when [`RingConfig::adaptive`] is set.
-    ctrl: Option<RingController>,
     stats: RingStats,
 }
 
@@ -173,9 +168,6 @@ impl<T> Ring<T> {
         let mut slots = Vec::with_capacity(depth);
         slots.resize_with(depth, || None);
         Ring {
-            ctrl: cfg
-                .adaptive
-                .map(|a| RingController::new(a, cfg.doorbell_batch as u32)),
             cfg,
             slots,
             head: 0,
@@ -211,35 +203,6 @@ impl<T> Ring<T> {
         self.stats
     }
 
-    /// The flush threshold currently in force: the AIMD controller's
-    /// effective batch when adaptive, the configured static batch
-    /// otherwise.
-    pub fn eff_batch(&self) -> usize {
-        self.ctrl
-            .as_ref()
-            .map_or(self.cfg.doorbell_batch, |c| c.eff_batch() as usize)
-    }
-
-    /// The doorbell-timer delay currently in force. The adaptive
-    /// controller scales the configured delay with its effective batch
-    /// (a small batch should also flush sooner), never above the
-    /// configured `doorbell_delay`.
-    pub fn effective_delay(&self) -> Time {
-        match &self.ctrl {
-            Some(c) => {
-                let base = self.cfg.doorbell_batch.max(1) as u64;
-                let scaled = self.cfg.doorbell_delay.ps() * u64::from(c.eff_batch()) / base;
-                Time::from_ps(scaled.min(self.cfg.doorbell_delay.ps())).max(Time::from_ps(1))
-            }
-            None => self.cfg.doorbell_delay,
-        }
-    }
-
-    /// The AIMD controller's state, when adaptive.
-    pub fn controller(&self) -> Option<&RingController> {
-        self.ctrl.as_ref()
-    }
-
     /// Post one descriptor. Returns what the caller must do: flush now,
     /// arm the timer for the returned epoch, or nothing.
     pub fn push(&mut self, desc: Desc<T>) -> PushOutcome {
@@ -253,7 +216,7 @@ impl<T> Ring<T> {
         if occ > self.stats.max_occupancy {
             self.stats.max_occupancy = occ;
         }
-        if occ >= self.eff_batch()
+        if occ >= self.cfg.doorbell_batch
             || self.bytes >= self.cfg.max_bytes as u64
             || occ == self.slots.len()
         {
@@ -288,9 +251,7 @@ impl<T> Ring<T> {
     }
 
     fn drain_map<U>(&mut self, mut f: impl FnMut(Desc<T>) -> U) -> Vec<U> {
-        let n = self.len();
-        let eff = self.eff_batch();
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::with_capacity(self.len());
         while self.head != self.tail {
             let slot = (self.head % self.slots.len() as u64) as usize;
             let desc = self.slots[slot].take().expect("occupied ring slot");
@@ -304,18 +265,6 @@ impl<T> Ring<T> {
             self.stats.descs += out.len() as u64;
             self.stats.coalesced += out.len() as u64 - 1;
             telemetry::record_ring(1, out.len() as u64, out.len() as u64 - 1);
-            if let Some(c) = self.ctrl.as_mut() {
-                // Infer the flush cause from occupancy: a drain at or past
-                // the effective batch was producer-forced (raise); anything
-                // shorter was a timer/byte-budget flush (candidate lower).
-                // Occupancy at drain time is a pure function of the
-                // simulated schedule, so the AIMD walk is deterministic.
-                match c.on_flush(n as u32, n < eff) {
-                    RingDecision::Raised => telemetry::record_doorbell_adapt(1, 0),
-                    RingDecision::Lowered => telemetry::record_doorbell_adapt(0, 1),
-                    RingDecision::Held => {}
-                }
-            }
         }
         out
     }
@@ -430,24 +379,6 @@ impl<T> RingSet<T> {
             total.absorb(&ring.stats());
         }
         total
-    }
-
-    /// The doorbell-timer delay in force toward `peer` (the configured
-    /// static delay until the ring materializes).
-    pub fn effective_delay(&self, peer: LocalityId) -> Time {
-        self.rings
-            .get(&peer)
-            .map_or(self.cfg.doorbell_delay, Ring::effective_delay)
-    }
-
-    /// Per-peer effective doorbell batch, in peer order — the controller
-    /// state a quiescence report renders. Empty when adaptive is off.
-    pub fn eff_batches(&self) -> Vec<(LocalityId, usize)> {
-        self.rings
-            .iter()
-            .filter(|(_, r)| r.controller().is_some())
-            .map(|(&p, r)| (p, r.eff_batch()))
-            .collect()
     }
 }
 
@@ -604,53 +535,5 @@ mod tests {
         assert_eq!(c.max_bytes, 8192);
         assert_eq!(c.doorbell_delay, Time::from_us(5));
         assert!(c.depth >= c.doorbell_batch);
-        assert_eq!(c.adaptive, None, "adaptive must default off");
-    }
-
-    #[test]
-    fn adaptive_ring_walks_its_batch_with_load() {
-        let acfg = AdaptiveRing {
-            floor: 2,
-            ceil: 32,
-            add: 4,
-            ewma_shift: 2,
-        };
-        let mut r: Ring<u32> = Ring::new(RingConfig {
-            doorbell_batch: 8,
-            adaptive: Some(acfg),
-            ..RingConfig::default()
-        });
-        assert_eq!(r.eff_batch(), 8);
-        // Sustained full batches raise the threshold toward the ceiling…
-        for round in 0..20u32 {
-            let mut flushed = false;
-            for i in 0..r.eff_batch() as u32 {
-                flushed = r.push(desc(round * 100 + i, 1)) == PushOutcome::Flush;
-            }
-            assert!(flushed, "filling the effective batch must flush");
-            r.drain();
-        }
-        assert_eq!(r.eff_batch(), 32);
-        assert!(r.effective_delay() >= RingConfig::default().doorbell_delay);
-        // …and trickle flushes (timer path: drain below the batch) walk it
-        // back down to the floor, shrinking the timer delay with it.
-        for i in 0..40u32 {
-            r.push(desc(1000 + i, 1));
-            r.drain();
-        }
-        assert_eq!(r.eff_batch(), 2);
-        assert!(r.effective_delay() < RingConfig::default().doorbell_delay);
-        assert!(r.controller().is_some());
-    }
-
-    #[test]
-    fn static_ring_ignores_controller_paths() {
-        let mut r: Ring<u32> = Ring::new(cfg(8, 3, u32::MAX));
-        assert_eq!(r.eff_batch(), 3);
-        assert_eq!(r.effective_delay(), r.cfg.doorbell_delay);
-        assert!(r.controller().is_none());
-        r.push(desc(0, 1));
-        r.drain();
-        assert_eq!(r.eff_batch(), 3, "static batch never moves");
     }
 }

@@ -7,12 +7,14 @@
 //! and worker thread, and synchronizes them with the classic conservative
 //! PDES argument specialized to our LogGP fabric:
 //!
-//! > Every cross-locality message incurs at least the wire latency `L`
-//! > (`NetConfig::latency`) between the event that sends it and the event
-//! > that receives it. Therefore, if `t_min` is the globally earliest
-//! > pending event, no lane can receive a *new* event below
-//! > `t_min + L` from another lane — all lanes may execute their pending
-//! > events with `time < t_min + L` concurrently without ever seeing a
+//! > Every event one lane schedules onto another lies at least the
+//! > *lookahead* `W` in its future: the wire latency `L`
+//! > (`NetConfig::latency`), or the shared-memory load/store cost when a
+//! > cheaper shm domain straddles a lane boundary
+//! > ([`ShardedEngine::lookahead`]). Therefore, if `t_min` is the globally
+//! > earliest pending event, no lane can receive a *new* event below
+//! > `t_min + W` from another lane — all lanes may execute their pending
+//! > events with `time < t_min + W` concurrently without ever seeing a
 //! > straggler.
 //!
 //! The subtle part is not safety but *bit-exact determinism*: the merged
@@ -42,7 +44,6 @@
 //! See `DESIGN.md` §3.5 for the full safety argument and the telemetry
 //! this module records ([`ShardStats`]).
 
-use crate::adaptive::{AdaptiveWindow, WindowController, WindowDecision};
 use crate::engine::{trace_mix, Engine, EventSlot};
 use crate::net::Protocol;
 use crate::nic::LocalityId;
@@ -154,7 +155,7 @@ impl<S> Engine<S> {
                         dest == ctx.lane || at >= ctx.window_end,
                         "cross-shard event below the lookahead window \
                          (at={at}, window_end={}): the protocol scheduled \
-                         a remote event closer than the wire latency",
+                         a cross-lane event closer than the lookahead",
                         ctx.window_end
                     );
                     ctx.staged.push((at, dest, claim, slot));
@@ -350,14 +351,14 @@ pub struct ShardStats {
     pub lane_events: Vec<u64>,
     /// Busy wall nanoseconds per lane.
     pub lane_busy_ns: Vec<u64>,
-    /// Windows the adaptive controller executed inline on the control
-    /// thread (too shallow to amortize a thread hand-off).
+    /// Reserved, always 0: the standalone benchmark builds this struct
+    /// literally, so the field stays until a benchmark change drops it.
     pub serial_windows: u64,
-    /// Adaptive widening steps taken.
+    /// Reserved, always 0 (as [`ShardStats::serial_windows`]).
     pub widened: u64,
-    /// Adaptive narrowing steps taken.
+    /// Reserved, always 0 (as [`ShardStats::serial_windows`]).
     pub narrowed: u64,
-    /// Widest window multiplier the controller reached.
+    /// Reserved, always 0 (as [`ShardStats::serial_windows`]).
     pub max_mult_seen: u32,
 }
 
@@ -386,8 +387,8 @@ impl ShardStats {
 /// The sharded counterpart of [`Engine`]: same world, same observable
 /// `(time, seq)` execution and trace hash, N-way parallel windows.
 ///
-/// Construction requires a [`SplitWorld`] and a positive wire latency
-/// (the lookahead). Tracing must be disabled — the tracer is a single
+/// Construction requires a [`SplitWorld`] and a positive lookahead.
+/// Tracing must be disabled — the tracer is a single
 /// shared buffer whose interleaving would be nondeterministic.
 pub struct ShardedEngine<W: SplitWorld> {
     // Field order matters: lane engines hold aliases of the control
@@ -395,12 +396,8 @@ pub struct ShardedEngine<W: SplitWorld> {
     lanes: Vec<Mutex<Engine<W>>>,
     control: Engine<W>,
     map: ShardMap,
+    /// The synchronisation window's width (see [`ShardedEngine::lookahead`]).
     lookahead: Time,
-    /// Widest window multiplier that is provably safe on this fabric
-    /// (see [`ShardedEngine::safe_window_cap`]).
-    safe_cap: u32,
-    /// The adaptive window controller, when enabled.
-    adaptive: Option<WindowController>,
     stats: ShardStats,
 }
 
@@ -408,39 +405,27 @@ impl<W: SplitWorld> ShardedEngine<W> {
     /// Build a sharded engine over `state` with (at most) `shards` lanes.
     pub fn new(state: W, seed: u64, shards: usize) -> ShardedEngine<W> {
         let locs = state.cluster_ref().len();
-        let wire_latency = state.cluster_ref().config.latency;
-        let mut lookahead = wire_latency;
         let map = ShardMap::new(shards, locs);
-        // The smallest delay any *cross-lane* event can have. Shared-memory
-        // domains bypass the wire: their cross-locality hops arrive after
-        // the load/store cost rather than the wire latency, so the
-        // conservative lookahead must shrink to match — but only hops that
-        // actually cross a lane constrain the window. When every shm domain
-        // falls entirely inside one lane (contiguous domains, contiguous
-        // lanes — the common partition), cross-lane traffic still pays the
-        // full wire latency, and the adaptive controller may widen the
-        // window up to `wire_latency / lookahead` without ever admitting a
-        // straggler.
-        let mut min_cross_lane = wire_latency;
+        // The smallest delay at which an event on one lane can schedule an
+        // event onto another. Wire messages pay the wire latency. Hops
+        // inside a shared-memory domain bypass the wire and arrive after
+        // the load/store cost, but they bound the window only when some
+        // domain straddles a lane boundary: domains and lanes are both
+        // contiguous, so in the common partition every domain sits inside
+        // one lane and cross-lane traffic still pays the full wire latency.
+        // (Contiguity also makes neighbours enough to find a straddle.)
+        let mut lookahead = state.cluster_ref().config.latency;
         if let Some(shm) = state.cluster_ref().config.shm {
-            if shm.size > 1 && shm.load_store < lookahead {
+            let straddles =
+                |l: LocalityId| shm.same_domain(l - 1, l) && map.lane_of(l - 1) != map.lane_of(l);
+            if shm.load_store < lookahead && (1..locs as LocalityId).any(straddles) {
                 lookahead = shm.load_store;
-                let domain = shm.size as usize;
-                let spans_lanes = (0..locs).step_by(domain).any(|start| {
-                    let end = (start + domain - 1).min(locs - 1);
-                    map.lane_of(start as LocalityId) != map.lane_of(end as LocalityId)
-                });
-                if spans_lanes {
-                    min_cross_lane = shm.load_store;
-                }
             }
         }
         assert!(
             lookahead > Time::ZERO,
-            "sharded execution requires a positive wire latency for lookahead"
+            "sharded execution requires a positive lookahead"
         );
-        let safe_cap =
-            u32::try_from((min_cross_lane.ps() / lookahead.ps()).max(1)).unwrap_or(u32::MAX);
         assert!(
             !state.cluster_ref().tracer.is_enabled(),
             "tracing is not supported in sharded runs (shared trace buffer)"
@@ -476,8 +461,6 @@ impl<W: SplitWorld> ShardedEngine<W> {
             control,
             map,
             lookahead,
-            safe_cap,
-            adaptive: None,
             stats: ShardStats::new(map.lanes()),
         }
     }
@@ -492,37 +475,12 @@ impl<W: SplitWorld> ShardedEngine<W> {
         self.lanes.len()
     }
 
-    /// The lookahead window width (the fabric's wire latency `L`).
+    /// The synchronisation window's width: the smallest delay at which an
+    /// event on one lane can schedule an event onto another. The wire
+    /// latency `L`, or `shm.load_store` when a shared-memory domain cheaper
+    /// than the wire straddles a lane boundary.
     pub fn lookahead(&self) -> Time {
         self.lookahead
-    }
-
-    /// Widest window multiplier that can never admit a straggler: the
-    /// floor of (minimum cross-lane event delay) / (base lookahead). 1 on
-    /// plain fabrics, `wire_latency / shm.load_store` when a shared-memory
-    /// domain shrank the lookahead but every domain sits inside one lane.
-    pub fn safe_window_cap(&self) -> u32 {
-        self.safe_cap
-    }
-
-    /// Turn the adaptive window controller on. `max_mult` is clamped to
-    /// [`ShardedEngine::safe_window_cap`]; widening past it would break
-    /// the conservative-window argument, not just determinism.
-    pub fn set_adaptive(&mut self, mut cfg: AdaptiveWindow) {
-        cfg.max_mult = cfg.max_mult.clamp(1, self.safe_cap);
-        self.adaptive = Some(WindowController::new(cfg));
-    }
-
-    /// The adaptive window controller's current state, when enabled
-    /// (effective multiplier rendering for quiescence reports).
-    pub fn window_controller(&self) -> Option<&WindowController> {
-        self.adaptive.as_ref()
-    }
-
-    /// The barrier-window width the next window will use.
-    pub fn effective_window(&self) -> Time {
-        let mult = self.adaptive.as_ref().map_or(1, WindowController::mult);
-        self.lookahead * u64::from(mult)
     }
 
     /// The current instant of virtual time.
@@ -682,7 +640,6 @@ impl<W: SplitWorld> ShardedEngine<W> {
         let control = &mut self.control;
         let stats = &mut self.stats;
         let lookahead = self.lookahead;
-        let adaptive = &mut self.adaptive;
 
         let epoch = AtomicU64::new(0);
         let done = AtomicU64::new(0);
@@ -711,15 +668,7 @@ impl<W: SplitWorld> ShardedEngine<W> {
                         break;
                     }
                 }
-                // The adaptive controller may widen the window to
-                // `mult * L` (mult capped at the fabric's safe multiplier)
-                // and may execute a shallow window inline. Both choices are
-                // pure functions of the merged deterministic schedule, and
-                // any sound window partition replays the same `(time, seq)`
-                // order, so the trace hash is unaffected either way.
-                let mult = adaptive.as_ref().map_or(1, WindowController::mult);
-                let serial = adaptive.as_ref().is_some_and(WindowController::serial);
-                let mut we = ws + lookahead * u64::from(mult);
+                let mut we = ws + lookahead;
                 if let Some(d) = deadline {
                     // Never execute past the deadline; `d` itself is
                     // still eligible (pop_before is exclusive).
@@ -738,69 +687,22 @@ impl<W: SplitWorld> ShardedEngine<W> {
                     }
                 }
 
+                // Release the lanes and wait for the window to complete.
                 let par0 = Instant::now();
-                let exec0 = control.executed;
-                if serial {
-                    // Too shallow to amortize a thread hand-off: run each
-                    // lane's window inline on this thread. The lane logs
-                    // (and therefore the barrier replay) are identical to
-                    // what the workers would have produced.
-                    for lane in lanes {
-                        let mut eng = lane.lock().expect("lane lock");
-                        let busy0 = Instant::now();
-                        let ran = lane_run_window(&mut eng);
-                        let busy = busy0.elapsed().as_nanos() as u64;
-                        if let ShardRole::Lane(ctx) = &mut eng.shard {
-                            ctx.window_busy_ns = busy;
-                            ctx.busy_total_ns += busy;
-                            ctx.events_total += ran;
-                        }
-                    }
-                    stats.serial_windows += 1;
-                } else {
-                    // Release the lanes and wait for the window to
-                    // complete.
-                    cur_epoch += 1;
-                    epoch.store(cur_epoch, Ordering::Release);
-                    let mut spins = 0u32;
-                    while done.load(Ordering::Acquire) < n as u64 {
-                        backoff(&mut spins);
-                    }
-                    done.store(0, Ordering::Relaxed);
+                cur_epoch += 1;
+                epoch.store(cur_epoch, Ordering::Release);
+                let mut spins = 0u32;
+                while done.load(Ordering::Acquire) < n as u64 {
+                    backoff(&mut spins);
                 }
+                done.store(0, Ordering::Relaxed);
                 let par_ns = par0.elapsed().as_nanos() as u64;
 
                 let replay0 = Instant::now();
                 let max_busy = replay_window(control, lanes);
                 stats.windows += 1;
-                if !serial {
-                    stats.barrier_wait_ns += par_ns.saturating_sub(max_busy);
-                }
+                stats.barrier_wait_ns += par_ns.saturating_sub(max_busy);
                 stats.replay_ns += replay0.elapsed().as_nanos() as u64;
-
-                if let Some(ctrl) = adaptive.as_mut() {
-                    // Both observations are global functions of the merged
-                    // schedule — independent of lane count and thread
-                    // timing — so the controller's decision sequence (and
-                    // with it every window boundary) replays identically.
-                    let executed = control.executed - exec0;
-                    let pending: usize = lanes
-                        .iter()
-                        .map(|l| l.lock().expect("lane lock").queue.len())
-                        .sum();
-                    match ctrl.observe(executed, pending as u64) {
-                        WindowDecision::Widened => {
-                            stats.widened += 1;
-                            crate::telemetry::record_window_adapt(1, 0);
-                        }
-                        WindowDecision::Narrowed => {
-                            stats.narrowed += 1;
-                            crate::telemetry::record_window_adapt(0, 1);
-                        }
-                        WindowDecision::Held => {}
-                    }
-                    stats.max_mult_seen = stats.max_mult_seen.max(ctrl.mult());
-                }
             }
 
             stop.store(true, Ordering::Release);

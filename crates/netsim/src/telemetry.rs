@@ -24,10 +24,6 @@ static RING_COALESCED: AtomicU64 = AtomicU64::new(0);
 static AMO_BATCHED: AtomicU64 = AtomicU64::new(0);
 static SHM_OPS: AtomicU64 = AtomicU64::new(0);
 static SHM_BYTES: AtomicU64 = AtomicU64::new(0);
-static WINDOW_WIDENED: AtomicU64 = AtomicU64::new(0);
-static WINDOW_NARROWED: AtomicU64 = AtomicU64::new(0);
-static DOORBELL_BATCH_RAISED: AtomicU64 = AtomicU64::new(0);
-static DOORBELL_BATCH_LOWERED: AtomicU64 = AtomicU64::new(0);
 static MIGRATION_RING_DESCS: AtomicU64 = AtomicU64::new(0);
 static MEMBERS_JOINED: AtomicU64 = AtomicU64::new(0);
 static MEMBERS_DRAINED: AtomicU64 = AtomicU64::new(0);
@@ -104,28 +100,6 @@ pub fn record_shm(ops: u64, bytes: u64) {
     }
     if bytes > 0 {
         SHM_BYTES.fetch_add(bytes, Ordering::Relaxed);
-    }
-}
-
-/// Fold adaptive window-controller decisions into the process totals
-/// (called by the shard barrier after each window).
-pub fn record_window_adapt(widened: u64, narrowed: u64) {
-    if widened > 0 {
-        WINDOW_WIDENED.fetch_add(widened, Ordering::Relaxed);
-    }
-    if narrowed > 0 {
-        WINDOW_NARROWED.fetch_add(narrowed, Ordering::Relaxed);
-    }
-}
-
-/// Fold adaptive doorbell-controller decisions into the process totals
-/// (called by [`crate::ring::Ring::drain`] when an AIMD step fires).
-pub fn record_doorbell_adapt(raised: u64, lowered: u64) {
-    if raised > 0 {
-        DOORBELL_BATCH_RAISED.fetch_add(raised, Ordering::Relaxed);
-    }
-    if lowered > 0 {
-        DOORBELL_BATCH_LOWERED.fetch_add(lowered, Ordering::Relaxed);
     }
 }
 
@@ -214,15 +188,6 @@ pub struct Snapshot {
     pub shm_ops: u64,
     /// Payload bytes moved by those shared-memory operations.
     pub shm_bytes: u64,
-    /// Barrier windows the adaptive controller widened.
-    pub window_widened: u64,
-    /// Barrier windows the adaptive controller narrowed.
-    pub window_narrowed: u64,
-    /// AIMD additive-increase steps taken by ring doorbell controllers.
-    pub doorbell_batch_raised: u64,
-    /// AIMD multiplicative-decrease steps taken by ring doorbell
-    /// controllers.
-    pub doorbell_batch_lowered: u64,
     /// Migration control messages that posted through a descriptor ring.
     pub migration_ring_descs: u64,
     /// Localities that completed a Joining → Active transition.
@@ -257,10 +222,6 @@ impl Snapshot {
             amo_batched: self.amo_batched - earlier.amo_batched,
             shm_ops: self.shm_ops - earlier.shm_ops,
             shm_bytes: self.shm_bytes - earlier.shm_bytes,
-            window_widened: self.window_widened - earlier.window_widened,
-            window_narrowed: self.window_narrowed - earlier.window_narrowed,
-            doorbell_batch_raised: self.doorbell_batch_raised - earlier.doorbell_batch_raised,
-            doorbell_batch_lowered: self.doorbell_batch_lowered - earlier.doorbell_batch_lowered,
             migration_ring_descs: self.migration_ring_descs - earlier.migration_ring_descs,
             members_joined: self.members_joined - earlier.members_joined,
             members_drained: self.members_drained - earlier.members_drained,
@@ -289,10 +250,6 @@ pub fn snapshot() -> Snapshot {
         amo_batched: AMO_BATCHED.load(Ordering::Relaxed),
         shm_ops: SHM_OPS.load(Ordering::Relaxed),
         shm_bytes: SHM_BYTES.load(Ordering::Relaxed),
-        window_widened: WINDOW_WIDENED.load(Ordering::Relaxed),
-        window_narrowed: WINDOW_NARROWED.load(Ordering::Relaxed),
-        doorbell_batch_raised: DOORBELL_BATCH_RAISED.load(Ordering::Relaxed),
-        doorbell_batch_lowered: DOORBELL_BATCH_LOWERED.load(Ordering::Relaxed),
         migration_ring_descs: MIGRATION_RING_DESCS.load(Ordering::Relaxed),
         members_joined: MEMBERS_JOINED.load(Ordering::Relaxed),
         members_drained: MEMBERS_DRAINED.load(Ordering::Relaxed),

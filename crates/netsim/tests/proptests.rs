@@ -488,78 +488,6 @@ proptest! {
         }
     }
 
-    /// The adaptive window controller is a pure function of its observed
-    /// history: identical observation sequences produce identical decision
-    /// sequences (and identical final state), and the multiplier never
-    /// leaves `[1, max_mult]` no matter the history.
-    #[test]
-    fn window_controller_is_pure_and_bounded(
-        max_mult in 1u32..12,
-        widen_at in 1u64..2_000,
-        narrow_at in 0u64..200,
-        hysteresis in 0u32..5,
-        serial_below in 0u64..40,
-        obs in proptest::collection::vec((0u64..5_000, 0u64..10_000), 0..400),
-    ) {
-        use netsim::{AdaptiveWindow, WindowController};
-        let cfg = AdaptiveWindow {
-            max_mult,
-            widen_at,
-            narrow_at,
-            hysteresis,
-            serial_below,
-            ewma_shift: 2,
-        };
-        let run = |cfg: AdaptiveWindow| {
-            let mut c = WindowController::new(cfg);
-            let mut log = Vec::new();
-            for &(e, p) in &obs {
-                let d = c.observe(e, p);
-                log.push((d, c.mult(), c.serial(), c.ewma()));
-            }
-            (log, c)
-        };
-        let (log_a, end_a) = run(cfg);
-        let (log_b, end_b) = run(cfg);
-        prop_assert_eq!(&log_a, &log_b, "controller decisions depend on more than history");
-        prop_assert_eq!(end_a, end_b);
-        for &(_, mult, _, _) in &log_a {
-            prop_assert!(mult >= 1 && mult <= max_mult.max(1), "mult {} escaped bounds", mult);
-        }
-    }
-
-    /// The AIMD ring controller is likewise pure and bounded: identical
-    /// flush histories give identical decision sequences, and the
-    /// effective batch never leaves `[floor, ceil]`.
-    #[test]
-    fn ring_controller_is_pure_and_bounded(
-        floor in 1u32..16,
-        extra in 0u32..64,
-        add in 1u32..8,
-        base in 1u32..128,
-        flushes in proptest::collection::vec((0u32..200, any::<bool>()), 0..400),
-    ) {
-        use netsim::{AdaptiveRing, RingController};
-        let cfg = AdaptiveRing { floor, ceil: floor + extra, add, ewma_shift: 2 };
-        let run = |cfg: AdaptiveRing| {
-            let mut c = RingController::new(cfg, base);
-            let mut log = Vec::new();
-            for &(occ, timer) in &flushes {
-                let d = c.on_flush(occ, timer);
-                log.push((d, c.eff_batch(), c.ewma()));
-            }
-            (log, c)
-        };
-        let (log_a, end_a) = run(cfg);
-        let (log_b, end_b) = run(cfg);
-        prop_assert_eq!(&log_a, &log_b, "controller decisions depend on more than history");
-        prop_assert_eq!(end_a, end_b);
-        for &(_, batch, _) in &log_a {
-            prop_assert!(batch >= floor && batch <= floor + extra,
-                "eff_batch {} escaped [{}, {}]", batch, floor, floor + extra);
-        }
-    }
-
     /// The same push/drain schedule over a `RingSet` replays bit-identically:
     /// drain contents, doorbell/desc/coalesce counters, and occupancy peaks
     /// are pure functions of the op sequence (the determinism the moderation

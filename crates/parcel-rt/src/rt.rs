@@ -487,9 +487,8 @@ impl Runtime {
     /// catch protocol leaks early. On failure one unified report lists
     /// every stuck item — GAS ops with kind, GVA, age, attempts, and last
     /// protocol state; ring descriptors with kind, peer, bytes, and age —
-    /// followed by the adaptive-controller state ([`Self::controller_report`])
-    /// so a hang can be attributed to a mistuned batching controller at a
-    /// glance — and by the continuations that never ran
+    /// followed by each locality's membership view and by the
+    /// continuations that never ran
     /// ([`Self::pending_lcos`], unfired driver slots). Those alone never
     /// fail the check: a program may legitimately end holding a gate it
     /// stopped caring about.
@@ -523,11 +522,10 @@ impl Runtime {
             .collect();
         assert!(
             stuck.is_empty(),
-            "{} GAS op(s)/ring descriptor(s) still in flight after run():\n{}\n{}{}\n{}",
+            "{} GAS op(s)/ring descriptor(s) still in flight after run():\n{}\n{}{}",
             stuck.len(),
             stuck.join("\n"),
             membership,
-            self.controller_report(),
             self.continuation_report()
         );
         for l in 0..w.cluster.len() as u32 {
@@ -569,36 +567,6 @@ impl Runtime {
                 p.remaining,
                 p.waiters
             ));
-        }
-        out.join("\n")
-    }
-
-    /// Render the feedback-controller state: the effective barrier-window
-    /// multiplier and every ring's effective doorbell batch. The sequential
-    /// runtime always reports a ×1 window (adaptive lookahead lives in
-    /// [`netsim::ShardedEngine`]); per-ring lines appear only where an AIMD
-    /// controller is attached and list `(peer, effective batch)` pairs.
-    pub fn controller_report(&self) -> String {
-        let w = &self.eng.state;
-        let mut out = vec![
-            "controller state:".to_string(),
-            "  window multiplier: x1 (sequential engine)".to_string(),
-        ];
-        for l in 0..w.cluster.len() as u32 {
-            let parcel = w.rt[l as usize]
-                .parcel_rings
-                .as_ref()
-                .map_or_else(Vec::new, netsim::RingSet::eff_batches);
-            if !parcel.is_empty() {
-                out.push(format!("  locality {l}: parcel ring eff_batch {parcel:?}"));
-            }
-            let ctrl = w.gas[l as usize].ctrl_ring_eff_batches();
-            if !ctrl.is_empty() {
-                out.push(format!("  locality {l}: ctrl ring eff_batch {ctrl:?}"));
-            }
-        }
-        if out.len() == 2 {
-            out.push("  (no adaptive ring controllers attached)".to_string());
         }
         out.join("\n")
     }

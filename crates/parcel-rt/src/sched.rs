@@ -85,15 +85,7 @@ fn ring_submit<W: RtWorld>(
     match rings.push(next, desc) {
         PushOutcome::Flush => ring_doorbell(eng, from, next),
         PushOutcome::Armed(epoch) => {
-            // The adaptive controller may have shrunk the effective batch
-            // — and with it the moderation delay — since construction.
-            let delay = eng
-                .state
-                .rt(from)
-                .parcel_rings
-                .as_ref()
-                .expect("rings vanished")
-                .effective_delay(next);
+            let delay = rings.config().doorbell_delay;
             eng.schedule_at_loc(now + delay, from, move |eng| {
                 let due = eng
                     .state

@@ -19,7 +19,7 @@
 //! [`crate::world::RtWorld`]), so a workload replayed here
 //! schedules the same protocol traffic — and the sharded engine contracts
 //! to reproduce the sequential `(time, seq)` order bit-for-bit at any lane
-//! count, adaptive windows included.
+//! count.
 
 use crate::lco;
 use crate::parcel::{ActionCtx, ActionId, Parcel};

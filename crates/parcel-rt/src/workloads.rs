@@ -7,8 +7,8 @@
 //! a [`WorkloadResult`] carrying both the application answer (checked
 //! against a pure reference recursion) and the full `(trace_hash, now)`
 //! schedule witness, so tests can assert *lane-count independence*: the
-//! same program at 1/2/4/8 lanes — adaptive windows on or off — must
-//! reproduce the sequential schedule bit-for-bit.
+//! same program at 1/2/4/8 lanes must reproduce the sequential schedule
+//! bit-for-bit.
 //!
 //! All three address parcels to a cyclically distributed **anchor array**
 //! (one block per locality). Anchors are the first allocation of their
@@ -23,7 +23,7 @@ use crate::sched;
 use crate::shard_world::ShardWorld;
 use crate::world::{RtConfig, Transport};
 use agas::{alloc_array, Distribution, GasMode, GlobalArray, Gva};
-use netsim::{AdaptiveWindow, Engine, LocalityId, NetConfig, RingConfig, ShardedEngine};
+use netsim::{Engine, LocalityId, NetConfig, RingConfig, ShardedEngine};
 
 /// Size class of the per-locality anchor blocks.
 pub const ANCHOR_CLASS: u8 = 12;
@@ -48,8 +48,6 @@ pub struct WorkloadSpec {
     pub seed: u64,
     /// `None` = sequential engine; `Some(k)` = `ShardedEngine` at `k` lanes.
     pub lanes: Option<usize>,
-    /// Adaptive lookahead windows (sharded runs only).
-    pub adaptive: Option<AdaptiveWindow>,
     /// Parcel submission rings (coalescing doorbells), if any.
     pub ring: Option<RingConfig>,
 }
@@ -64,7 +62,6 @@ impl WorkloadSpec {
             net: NetConfig::ideal(),
             seed: 42,
             lanes: None,
-            adaptive: None,
             ring: None,
         }
     }
@@ -103,17 +100,11 @@ pub enum Harness {
 }
 
 impl Harness {
-    /// Wrap `world` per the spec's `lanes` / `adaptive` choices.
+    /// Wrap `world` per the spec's `lanes` choice.
     pub fn new(world: ShardWorld, spec: &WorkloadSpec) -> Harness {
         match spec.lanes {
             None => Harness::Seq(Engine::new(world, spec.seed)),
-            Some(k) => {
-                let mut s = ShardedEngine::new(world, spec.seed, k);
-                if let Some(cfg) = spec.adaptive {
-                    s.set_adaptive(cfg);
-                }
-                Harness::Shard(s)
-            }
+            Some(k) => Harness::Shard(ShardedEngine::new(world, spec.seed, k)),
         }
     }
 

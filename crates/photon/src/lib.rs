@@ -264,15 +264,6 @@ impl PhotonEndpoint {
         total
     }
 
-    /// Effective doorbell batch per active submission-ring peer — the
-    /// flush threshold in force right now, which an adaptive controller
-    /// may have walked away from the configured `doorbell_batch`.
-    pub fn sub_ring_eff_batches(&self) -> Vec<(LocalityId, usize)> {
-        self.subq
-            .as_ref()
-            .map_or_else(Vec::new, netsim::RingSet::eff_batches)
-    }
-
     /// Remaining eager credits toward `peer`.
     pub fn credits_to(&self, peer: LocalityId) -> usize {
         *self.credits.get(&peer).unwrap_or(&self.cfg.ledger_slots)
@@ -402,10 +393,7 @@ fn ring_submit<S: PhotonWorld>(eng: &mut Engine<S>, src: LocalityId, req: Box<Ac
     match outcome {
         PushOutcome::Flush => ring_doorbell(eng, src, dst),
         PushOutcome::Armed(epoch) => {
-            // The adaptive controller scales the timer with its effective
-            // batch (a small batch should also flush sooner); static rings
-            // get the configured delay unchanged.
-            let delay = rings.effective_delay(dst);
+            let delay = rings.config().doorbell_delay;
             eng.schedule(delay, move |eng| {
                 let due = eng
                     .state
