@@ -1,10 +1,9 @@
 //! Criterion microbenches of the simulation substrate itself (engine,
-//! LRU, PRNG, memory arena) — the components every experiment's wall-clock
+//! PRNG, memory arena) — the components every experiment's wall-clock
 //! cost is built from.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use netsim::engine::Engine;
-use netsim::lru::LruMap;
 use netsim::memory::Memory;
 use netsim::rng::{mix64, Xoshiro256, Zipf};
 use netsim::time::Time;
@@ -36,23 +35,6 @@ fn bench_engine(c: &mut Criterion) {
             eng.schedule(Time::ZERO, tick);
             eng.run();
             black_box(eng.state)
-        });
-    });
-    g.finish();
-}
-
-fn bench_lru(c: &mut Criterion) {
-    let mut g = c.benchmark_group("lru");
-    g.bench_function("churn_64k_over_4k", |b| {
-        b.iter(|| {
-            let mut lru: LruMap<u64, u64> = LruMap::new(4096);
-            for i in 0..65_536u64 {
-                let k = mix64(i) % 16_384;
-                if lru.get(&k).is_none() {
-                    lru.insert(k, i);
-                }
-            }
-            black_box(lru.len())
         });
     });
     g.finish();
@@ -102,5 +84,5 @@ fn bench_memory(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(substrate, bench_engine, bench_lru, bench_rng, bench_memory);
+criterion_group!(substrate, bench_engine, bench_rng, bench_memory);
 criterion_main!(substrate);

@@ -1613,6 +1613,31 @@ fn perf(json: bool) {
     }
 }
 
+/// `host` — the core count and the paired-loop ratio: what a wall-clock
+/// point recorded on this machine has to state beside it.
+fn host(json: bool) {
+    header("host", "hardware threads and what two of them share");
+    let h = probe_host();
+    let (lo, hi) = (
+        h.paired_ratios[0],
+        h.paired_ratios[h.paired_ratios.len() - 1],
+    );
+    println!(
+        "nproc {}; an ALU-bound loop beside its twin takes {:.2}x as long as alone \
+         (median of {} rounds, {lo:.2}-{hi:.2})",
+        h.nproc,
+        h.paired_ratio(),
+        h.paired_ratios.len()
+    );
+    if json {
+        println!(
+            "{{\"id\":\"host\",\"nproc\":{},\"paired_ratio\":{:.3},\"paired_ratio_min\":{lo:.3},\"paired_ratio_max\":{hi:.3}}}",
+            h.nproc,
+            h.paired_ratio()
+        );
+    }
+}
+
 /// Pop `--name N` / `--name=N` from `args`, so flag values are never
 /// mistaken for positional arguments (subcommand, chaos seed).
 fn take_opt(args: &mut Vec<String>, name: &str) -> Option<u64> {
@@ -1694,6 +1719,7 @@ fn main() {
         "amo" => amo(json, amo_ops),
         "ring" => ring(json, ring_ops),
         "ops" => ops_dump(json),
+        "host" => host(json),
         "chaos" => {
             let seed = args
                 .iter()
@@ -1729,7 +1755,7 @@ fn main() {
             Some((name, f)) => run_one(name, f),
             None => {
                 eprintln!(
-                    "unknown experiment {id:?}; use one of: all perf parallel amo ring ops chaos membership {}",
+                    "unknown experiment {id:?}; use one of: all perf parallel amo ring ops host chaos membership {}",
                     experiments
                         .iter()
                         .map(|(n, _)| *n)

@@ -9,10 +9,12 @@
 
 pub mod amo;
 pub mod experiments;
+pub mod host;
 pub mod parallel;
 pub mod ring;
 
 pub use amo::*;
 pub use experiments::*;
+pub use host::*;
 pub use parallel::*;
 pub use ring::*;

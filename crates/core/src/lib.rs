@@ -56,32 +56,41 @@ use photon::PhotonWorld;
 use std::collections::HashMap;
 use std::fmt;
 
+/// The request of a [`GasMsg::SwAccess`].
+#[derive(Debug)]
+pub struct SwAccess {
+    /// Target block key.
+    pub block: u64,
+    /// Byte offset within the block (word ops: of the target word;
+    /// scatter/gather carry their own offsets).
+    pub offset: u64,
+    /// The access — the same snapshot the one-sided paths carry, so an
+    /// AMO's retry-stable `key` deduplicates against the NIC responder
+    /// cache even when a retry switches paths.
+    pub verb: Verb,
+    /// Initiator's operation handle.
+    pub ctx: OpId,
+    /// Where the reply goes.
+    pub reply_to: LocalityId,
+}
+
 /// GAS wire-protocol messages, embedded into the world's message enum via
 /// [`GasWorld::wrap_gas`].
 #[derive(Debug)]
 pub enum GasMsg {
     /// Software remote access: the owner's **CPU** translates through its
-    /// BTT, applies `verb` and replies — every byte consumes target cores.
-    /// The AGAS-SW fast path for puts and gets, and for AMOs the emulated
-    /// baseline (PGAS, AGAS-SW, network-mode fallback) the NIC-executed
-    /// path is measured against. Answered by [`GasMsg::SwPutAck`],
-    /// [`GasMsg::SwGetReply`] or [`GasMsg::SwAmoReply`] by kind, or
-    /// [`GasMsg::SwRetry`] when the block is not resident.
-    SwAccess {
-        /// Target block key.
-        block: u64,
-        /// Byte offset within the block (word ops: of the target word;
-        /// scatter/gather carry their own offsets).
-        offset: u64,
-        /// The access — the same snapshot the one-sided paths carry, so an
-        /// AMO's retry-stable `key` deduplicates against the NIC responder
-        /// cache even when a retry switches paths.
-        verb: Verb,
-        /// Initiator's operation handle.
-        ctx: OpId,
-        /// Where the reply goes.
-        reply_to: LocalityId,
-    },
+    /// BTT, applies the request's verb and replies — every byte consumes
+    /// target cores. The AGAS-SW fast path for puts and gets, and for AMOs
+    /// the emulated baseline (PGAS, AGAS-SW, network-mode fallback) the
+    /// NIC-executed path is measured against. Answered by
+    /// [`GasMsg::SwPutAck`], [`GasMsg::SwGetReply`] or
+    /// [`GasMsg::SwAmoReply`] by kind, or [`GasMsg::SwRetry`] when the block
+    /// is not resident.
+    ///
+    /// Boxed by the initiator, once: the wire events, this message, a
+    /// mid-migration queue and the target's handler event all pass the same
+    /// box along.
+    SwAccess(Box<SwAccess>),
     /// Ack of a software write.
     SwPutAck {
         /// Initiator's operation handle.
@@ -456,7 +465,10 @@ impl PendingOp {
 
 pub(crate) struct MovingState {
     pub dst: LocalityId,
-    pub queued: Vec<GasMsg>,
+    /// Requests parked until the hand-off completes, in the boxes they
+    /// arrived in and will be re-sent in.
+    #[allow(clippy::vec_box)]
+    pub queued: Vec<Box<SwAccess>>,
 }
 
 pub(crate) struct PendingInstall {

@@ -491,12 +491,8 @@ pub(crate) fn on_mig_ack<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, block
         return;
     };
     eng.state.gas(at).btt.remove(block);
-    for msg in ms.queued {
-        let GasMsg::SwAccess { verb, .. } = &msg else {
-            unreachable!("only software accesses queue")
-        };
-        let wire = crate::ops::sw_wire_bytes(verb, eng.state.cluster_ref().config.ctrl_bytes);
-        send_user(eng, at, ms.dst, wire, S::wrap_gas(msg));
+    for acc in ms.queued {
+        crate::ops::send_sw_access(eng, at, ms.dst, acc, netsim::FaultClass::Bypass);
     }
 }
 

@@ -30,10 +30,13 @@
 
 use crate::check::{value_hash, WordEvent, WordOp};
 use crate::gva::Gva;
-use crate::{GasMode, GasMsg, GasWorld, HistEvent, HistKind, OpPhase, OwnerHint, PendingOp};
+use crate::{
+    GasMode, GasMsg, GasWorld, HistEvent, HistKind, OpPhase, OwnerHint, PendingOp, SwAccess,
+};
 use netsim::{
-    send_user_classed, AmoOp, AmoResult, Applied, Engine, FaultClass, LocalityId, NackReason,
-    OpError, OpId, OpKind, OpOutcome, PhysAddr, RdmaTarget, ShmDomain, Time, TraceKind, Verb,
+    send_held, send_user_classed, AmoOp, AmoResult, Applied, Engine, FaultClass, LocalityId,
+    NackReason, OpError, OpId, OpKind, OpOutcome, PhysAddr, RdmaTarget, ShmDomain, Time, TraceKind,
+    Verb,
 };
 use photon::pwc;
 
@@ -301,7 +304,7 @@ pub fn memput<S: GasWorld>(
     let hist = hist_issue(g, loc, HistKind::Put, gva, data.len() as u32, vhash, now);
     let op = g.pending.insert(PendingOp {
         verb: Verb::Put {
-            data,
+            data: data.into(),
             remote_tag: None,
         },
         scratch: None,
@@ -521,16 +524,6 @@ fn issue<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) {
     }
 }
 
-/// Payload bytes of a [`GasMsg::SwAccess`] on the wire: a put carries its
-/// data, a get is control-sized, an AMO adds its operand words.
-pub(crate) fn sw_wire_bytes(verb: &Verb, ctrl: u32) -> u32 {
-    match verb {
-        Verb::Put { data, .. } => data.len() as u32,
-        Verb::Get { .. } => ctrl,
-        Verb::Amo { amo, .. } => ctrl + 8 * amo.wire_words() as u32,
-    }
-}
-
 /// Issue the software (two-sided) remote access toward `target_loc`.
 fn issue_sw<S: GasWorld>(
     eng: &mut Engine<S>,
@@ -539,7 +532,6 @@ fn issue_sw<S: GasWorld>(
     gva: Gva,
     target_loc: LocalityId,
 ) {
-    let ctrl = eng.state.cluster_ref().config.ctrl_bytes;
     let verb = {
         let g = eng.state.gas(loc);
         let Ok(p) = g.pending.get_mut(op) else {
@@ -549,22 +541,34 @@ fn issue_sw<S: GasWorld>(
         p.attempt = None; // any earlier photon attempt is superseded
         p.verb.clone()
     };
-    let wire = sw_wire_bytes(&verb, ctrl);
-    let msg = GasMsg::SwAccess {
+    let acc = Box::new(SwAccess {
         block: gva.block_key(),
         offset: gva.offset(),
         verb,
         ctx: op,
         reply_to: loc,
+    });
+    send_sw_access(eng, loc, target_loc, acc, FaultClass::Request);
+}
+
+/// Put a [`GasMsg::SwAccess`] on the wire. A put carries its data, a get
+/// is control-sized, an AMO adds its operand words. The wire events hold
+/// the request's own box, so sending allocates nothing.
+pub(crate) fn send_sw_access<S: GasWorld>(
+    eng: &mut Engine<S>,
+    src: LocalityId,
+    dst: LocalityId,
+    acc: Box<SwAccess>,
+    class: FaultClass,
+) {
+    let ctrl = eng.state.cluster_ref().config.ctrl_bytes;
+    let wire = match &acc.verb {
+        Verb::Put { data, .. } => data.len() as u32,
+        Verb::Get { .. } => ctrl,
+        Verb::Amo { amo, .. } => ctrl + 8 * amo.wire_words() as u32,
     };
-    send_user_classed(
-        eng,
-        loc,
-        target_loc,
-        wire,
-        S::wrap_gas(msg),
-        FaultClass::Request,
-    );
+    let open = |acc| S::wrap_gas(GasMsg::SwAccess(acc));
+    send_held(eng, src, dst, wire, acc, open, class);
 }
 
 // ------------------------------------------------------- shm fast path
@@ -1262,7 +1266,7 @@ pub fn handle_msg<S: GasWorld>(eng: &mut Engine<S>, from: LocalityId, at: Locali
         }
     }
     match msg {
-        GasMsg::SwAccess { .. } => handle_sw_access(eng, at, msg),
+        GasMsg::SwAccess(acc) => handle_sw_access(eng, at, acc),
         GasMsg::SwAmoReply { ctx, result } => complete_amo(eng, at, ctx, result),
         GasMsg::SwPutAck { ctx } => complete_put(eng, at, ctx),
         GasMsg::SwGetReply { ctx, data } => complete_get(eng, at, ctx, data),
@@ -1486,15 +1490,12 @@ pub fn handle_msg<S: GasWorld>(eng: &mut Engine<S>, from: LocalityId, at: Locali
 
 /// Software-AGAS remote access at the (believed) owner: queue if the block
 /// is mid-migration, otherwise charge the CPU and run the handler.
-fn handle_sw_access<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, msg: GasMsg) {
-    let GasMsg::SwAccess { block, verb, .. } = &msg else {
-        unreachable!()
-    };
-    let (block, data_len) = (*block, verb.touched_bytes() as usize);
+fn handle_sw_access<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, acc: Box<SwAccess>) {
+    let (block, data_len) = (acc.block, acc.verb.touched_bytes() as usize);
     // Mid-migration: park the access; it is re-sent to the new owner on
     // MigAck (the initiator never notices).
     if let Some(ms) = eng.state.gas(at).moving.get_mut(&block) {
-        ms.queued.push(msg);
+        ms.queued.push(acc);
         return;
     }
     let (service, per_byte) = {
@@ -1510,24 +1511,21 @@ fn handle_sw_access<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, msg: GasMs
         l.counters.cpu_busy += service;
         l.counters.sw_handler_runs += 1;
     }
-    eng.schedule_at(finish, move |eng| run_sw_access(eng, at, msg));
+    eng.schedule_at(finish, move |eng| run_sw_access(eng, at, acc));
 }
 
-fn run_sw_access<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, msg: GasMsg) {
-    let GasMsg::SwAccess {
+fn run_sw_access<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, acc: Box<SwAccess>) {
+    let SwAccess {
         block,
         offset,
         ref verb,
         ctx,
         reply_to,
-    } = msg
-    else {
-        unreachable!()
-    };
+    } = *acc;
     // Re-check residency at execution time: a migration may have started
     // while the handler sat in the CPU queue.
     if let Some(ms) = eng.state.gas(at).moving.get_mut(&block) {
-        ms.queued.push(msg);
+        ms.queued.push(acc);
         return;
     }
     // Resolve storage: the BTT under AGAS; under PGAS (where the BTT is

@@ -1,0 +1,236 @@
+//! What the layers allocate, held to a budget.
+//!
+//! A counting global allocator (per thread, so the tests of this binary do
+//! not see each other) measures the three things the stack promises about
+//! its own footprint:
+//!
+//! * an endpoint that has not registered a buffer holds no registration
+//!   table;
+//! * a remote put in steady state allocates the request that crosses the
+//!   wire and, past the inline limit, one shared payload buffer — no copy
+//!   per holder, no box per nested event;
+//! * a retry re-sends the payload the op already holds: a put that bounces
+//!   through the directory, or loses its completion and is re-issued by the
+//!   deadline sweep, allocates no second buffer and still writes the right
+//!   bytes.
+//!
+//! The caller's own `Vec` is built outside the counted region every time.
+
+use agas::migrate::migrate_block;
+use agas::ops::memput;
+use agas::{alloc_array, Distribution, GasMode, GlobalArray, Gva, SimWorld};
+use netsim::{Engine, NetConfig, OpId, Payload, Time};
+use photon::{PhotonConfig, PhotonEndpoint};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Puts issued before counting starts.
+const WARM: u64 = 4096;
+
+/// Allocations this large are payload buffers in these tests.
+const BIG: usize = 1024;
+
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct Tally {
+    allocs: u64,
+    bytes: u64,
+    big: u64,
+}
+
+thread_local! {
+    static TALLY: Cell<Tally> = const { Cell::new(Tally { allocs: 0, bytes: 0, big: 0 }) };
+}
+
+struct Counting;
+
+fn count(size: usize) {
+    TALLY.with(|t| {
+        let mut v = t.get();
+        v.allocs += 1;
+        v.bytes += size as u64;
+        v.big += u64::from(size >= BIG);
+        t.set(v);
+    });
+}
+
+// SAFETY: every request is forwarded unchanged to the system allocator; the
+// tally is a `Cell` in const-initialised thread-local storage with no
+// destructor, so touching it neither allocates nor can outlive its thread.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Run `f`; report what this thread allocated meanwhile.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, Tally) {
+    let before = TALLY.with(Cell::get);
+    let r = f();
+    let after = TALLY.with(Cell::get);
+    let spent = Tally {
+        allocs: after.allocs - before.allocs,
+        bytes: after.bytes - before.bytes,
+        big: after.big - before.big,
+    };
+    (r, spent)
+}
+
+/// A quiet world of `n` localities with one 4 KiB block homed at each.
+fn world(n: usize, mode: GasMode, net: NetConfig) -> (Engine<SimWorld>, GlobalArray) {
+    let mut eng = Engine::new(SimWorld::new(n, mode, net), 42);
+    eng.state.data.record_events = false;
+    let arr = alloc_array(&mut eng, n as u64, 12, Distribution::Cyclic);
+    eng.run();
+    (eng, arr)
+}
+
+/// The bytes of `gva`'s block as its current owner holds them.
+fn block_bytes(eng: &mut Engine<SimWorld>, gva: Gva, len: usize) -> Vec<u8> {
+    let key = gva.block_key();
+    let data = &mut *eng.state.data;
+    let (owner, base) = data
+        .gas
+        .iter_mut()
+        .enumerate()
+        .find_map(|(l, g)| g.btt.lookup(key).map(|e| (l as u32, e.base)))
+        .expect("block has an owner");
+    data.cluster.mem(owner).read(base, len).unwrap().to_vec()
+}
+
+/// Allocations per remote `len`-byte put from locality 0, in steady state:
+/// `WARM` puts so every time-wheel bucket, table and histogram has grown to
+/// its working size, then 256 counted ones.
+fn per_put(mode: GasMode, len: usize) -> f64 {
+    let (mut eng, arr) = world(2, mode, NetConfig::ib_fdr());
+    let gva = arr.block(1);
+    let put = |eng: &mut Engine<SimWorld>, i: u64, data: Vec<u8>| {
+        memput(eng, 0, gva, data, OpId::from_raw(i));
+        eng.run();
+    };
+    for i in 0..WARM {
+        put(&mut eng, i, vec![i as u8; len]);
+    }
+    let mut payloads: Vec<Vec<u8>> = (0..256).rev().map(|i| vec![i as u8; len]).collect();
+    let ((), spent) = counted(|| {
+        for i in 0..256 {
+            put(&mut eng, WARM + i, payloads.pop().unwrap());
+        }
+    });
+    assert_eq!(eng.state.put_acks(), WARM + 256);
+    assert_eq!(eng.state.op_failures(), 0);
+    assert_eq!(block_bytes(&mut eng, gva, len), vec![255; len]);
+    spent.allocs as f64 / 256.0
+}
+
+#[test]
+fn an_endpoint_holds_no_table_until_it_registers_a_buffer() {
+    let (ep, spent) = counted(|| PhotonEndpoint::new(PhotonConfig::default()));
+    assert!(spent.bytes < 4096, "a fresh endpoint allocated {spent:?}");
+    assert_eq!(ep.rcache_stats(), (0, 0));
+}
+
+#[test]
+fn a_payload_clone_never_allocates() {
+    for len in [1, 8, 22, 23, 64, 4096] {
+        let p = Payload::from(vec![9u8; len]);
+        let (q, spent) = counted(|| p.clone());
+        assert_eq!(spent, Tally::default(), "cloning {len} bytes");
+        assert_eq!(*q, *p);
+    }
+}
+
+#[test]
+fn a_small_network_put_allocates_only_its_request() {
+    // The boxed `Access`; the payload rides inline and the ack by value.
+    assert_eq!(per_put(GasMode::AgasNetwork, 8), 1.0);
+}
+
+#[test]
+fn a_larger_network_put_adds_one_shared_buffer() {
+    assert_eq!(per_put(GasMode::AgasNetwork, 64), 2.0);
+}
+
+#[test]
+fn a_software_put_allocates_its_request_and_its_reply() {
+    // The boxed `SwAccess`, carried through to the handler, and the boxed
+    // `SwPutAck` message.
+    assert_eq!(per_put(GasMode::AgasSoftware, 8), 2.0);
+}
+
+#[test]
+fn a_put_retried_through_the_directory_reuses_its_payload() {
+    // No forwarding hops: the first attempt meets the tombstone the
+    // migration left at the home and is refused.
+    let net = NetConfig {
+        forward_ttl: 0,
+        ..NetConfig::ib_fdr()
+    };
+    let (mut eng, arr) = world(3, GasMode::AgasNetwork, net);
+    let gva = arr.block(1);
+    migrate_block(&mut eng, 0, gva, 2, OpId::from_raw(900));
+    eng.run();
+    let data: Vec<u8> = (0..2048).map(|i| (i % 251) as u8).collect();
+    let payload = data.clone();
+    let ((), spent) = counted(|| {
+        memput(&mut eng, 0, gva, payload, OpId::from_raw(1));
+        eng.run();
+    });
+    let stats = eng.state.data.gas[0].stats;
+    assert_eq!((stats.retries, stats.dir_queries), (1, 1));
+    assert_eq!(eng.state.total_counters().nacks_sent, 1);
+    assert_eq!(eng.state.put_acks(), 1);
+    assert_eq!(
+        spent.big, 1,
+        "one payload buffer for both attempts: {spent:?}"
+    );
+    assert_eq!(block_bytes(&mut eng, gva, 2048), data);
+}
+
+#[test]
+fn a_put_reissued_after_a_lost_completion_still_carries_its_bytes() {
+    let (mut eng, arr) = world(2, GasMode::AgasNetwork, NetConfig::ib_fdr());
+    for g in &mut eng.state.data.gas {
+        g.cfg.op_deadline = Some(Time::from_us(20));
+        g.cfg.sweep_interval = Time::from_us(5);
+        g.cfg.retry_on_deadline = true;
+    }
+    let gva = arr.block(1);
+    let data: Vec<u8> = (0..2048).map(|i| (i % 239) as u8).collect();
+    let payload = data.clone();
+    // The endpoint forgets the attempt while it is on the wire, so its ack
+    // comes back stale; once the write has landed it is wiped, so only a
+    // re-issue carrying the original bytes can restore it.
+    eng.schedule(Time::from_ns(150), |eng| {
+        assert_eq!(eng.state.data.eps[0].drop_pending_ops(), 1);
+    });
+    eng.schedule(Time::from_us(10), move |eng| {
+        let data = &mut *eng.state.data;
+        let base = data.gas[1].btt.lookup(gva.block_key()).unwrap().base;
+        let mem = data.cluster.mem_mut(1);
+        assert_eq!(mem.read(base, 4).unwrap(), [0, 1, 2, 3]);
+        mem.write(base, &[0u8; 2048]).unwrap();
+    });
+    let ((), spent) = counted(|| {
+        memput(&mut eng, 0, gva, payload, OpId::from_raw(1));
+        eng.run();
+    });
+    assert_eq!(eng.state.data.gas[0].stats.deadline_retries, 1);
+    assert_eq!(eng.state.total_counters().rdma_puts, 2);
+    assert_eq!((eng.state.put_acks(), eng.state.op_failures()), (1, 0));
+    assert_eq!(
+        spent.big, 1,
+        "one payload buffer for both attempts: {spent:?}"
+    );
+    assert_eq!(block_bytes(&mut eng, gva, 2048), data);
+}

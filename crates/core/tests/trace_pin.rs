@@ -376,7 +376,7 @@ fn pin_member_mix() {
     );
 }
 
-// Captured from the seed implementation (std HashMap / LruMap translation
+// Captured from the seed implementation (std HashMap / slab-LRU translation
 // structures) — see module docs. The flat-table rewrite must reproduce
 // these exactly.
 const GOLDEN_JITTER_PGAS: (u64, u64) = (0x3a1b_a271_08e7_3ff4, 2_155_000);

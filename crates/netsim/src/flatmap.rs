@@ -15,9 +15,9 @@
 //! displacement and backward-shift deletion relocate slots, so every
 //! relocation is logged and the list links repaired afterwards in two
 //! phases (read all final links, then write) — index translation is
-//! exact, and the recency order is bit-for-bit identical to the old
-//! slab-backed `LruMap`'s, which the trace-hash pins and shadow proptests
-//! enforce.
+//! exact, and the recency order is bit-for-bit that of a slab-backed
+//! hash-map-plus-list LRU (the structure this table replaced), which the
+//! trace-hash pins and the shadow proptests' model LRU enforce.
 //!
 //! Lookup-path calls (`get`, `get_mut`, `lookup*`) count into
 //! process-wide translation telemetry ([`crate::telemetry`]), batched
@@ -65,8 +65,7 @@ impl<V: Copy + Default> Default for Slot<V> {
     }
 }
 
-/// Outcome of [`FlatTable::insert_lru`], mirroring the old `LruMap::insert`
-/// contract exactly.
+/// Outcome of [`FlatTable::insert_lru`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LruInsert<V> {
     /// Capacity is zero: the pair is handed straight back.
@@ -277,7 +276,7 @@ impl<V: Copy + Default> FlatTable<V> {
         &mut s.value
     }
 
-    /// Insert with the old `LruMap` contract: zero `capacity` rejects,
+    /// Insert as a capacity-bounded LRU map does: zero `capacity` rejects,
     /// replacement refreshes recency, a full list evicts its tail (fully
     /// removed) before the new entry is listed at the front.
     pub fn insert_lru(&mut self, key: u64, value: V, capacity: usize) -> LruInsert<V> {

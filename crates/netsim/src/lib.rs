@@ -27,11 +27,11 @@ pub mod config;
 pub mod engine;
 pub mod faults;
 pub mod flatmap;
-pub mod lru;
 pub mod memory;
 pub mod net;
 pub mod nic;
 pub mod optable;
+pub mod payload;
 pub mod queue;
 pub mod ring;
 pub mod rng;
@@ -52,14 +52,15 @@ pub use faults::{
 pub use flatmap::{FlatTable, LruInsert};
 pub use memory::{MemError, Memory, PhysAddr};
 pub use net::{
-    install_xlate, rdma_get, rdma_issue, rdma_put, send_user, send_user_classed, Access, Applied,
-    Cluster, Envelope, GetReq, Locality, NackReason, OpKind, Packet, Protocol, PutReq, RdmaTarget,
-    Verb,
+    install_xlate, rdma_get, rdma_issue, rdma_put, send_held, send_user, send_user_classed, Access,
+    Applied, Cluster, Envelope, GetReq, Locality, NackReason, OpKind, Packet, Protocol, PutReq,
+    RdmaTarget, Verb,
 };
 pub use nic::{
     LocalityId, Nic, ParkQueue, Xlate, XlateEntry, XlateTable, PARK_DEPTH, PARK_TIMEOUT,
 };
 pub use optable::{OpError, OpId, OpOutcome, OpTable, OutcomeCounters};
+pub use payload::Payload;
 pub use queue::ServerPool;
 pub use ring::{Desc, DescSnapshot, PushOutcome, Ring, RingConfig, RingSet, RingStats};
 pub use shard::{ShardMap, ShardStats, ShardedEngine, SharedState, SplitWorld};

@@ -32,6 +32,7 @@ use crate::faults::{apply_corruption, FaultClass, FaultPlane, FaultVerdict};
 use crate::memory::{Memory, PhysAddr};
 use crate::nic::{LocalityId, Nic, Parked, Xlate, XlateEntry, PARK_TIMEOUT};
 use crate::optable::OpId;
+use crate::payload::Payload;
 use crate::stats::Counters;
 use crate::time::Time;
 use crate::trace::{TraceKind, Tracer};
@@ -426,7 +427,7 @@ fn deliver_ctrl_faulty<S: Protocol>(
     }
 }
 
-/// Deliver `packet` to `dst` at absolute time `at` (helper).
+/// Deliver `packet` to `dst` at absolute time `at`.
 fn deliver_at<S: Protocol>(
     eng: &mut Engine<S>,
     at: Time,
@@ -434,21 +435,39 @@ fn deliver_at<S: Protocol>(
     dst: LocalityId,
     packet: Packet<S::Msg>,
 ) {
-    eng.schedule_at_loc(at, dst, move |eng| {
-        let now = eng.now();
-        let c = eng.state.cluster();
-        match packet {
-            Packet::PutDone { .. } | Packet::GetDone { .. } | Packet::AmoDone { .. } => {
-                c.tracer.record(now, TraceKind::Completion { at: dst });
-            }
-            Packet::Nack { .. } => {
-                c.tracer.record(now, TraceKind::Nack { from: src, to: dst });
-                c.loc_mut(dst).counters.nacks_recv += 1;
-            }
-            _ => {}
+    match packet {
+        // A put's ack is two words; with its endpoints it exactly fills the
+        // engine's inline event slot. It travels by value and is rebuilt
+        // on delivery, where capturing a whole `Packet` (as wide as the
+        // widest `S::Msg`) would box every ack.
+        Packet::PutDone { op, moved } => eng.schedule_at_loc(at, dst, move |eng| {
+            deliver_now(eng, src, dst, Packet::PutDone { op, moved })
+        }),
+        packet => eng.schedule_at_loc(at, dst, move |eng| deliver_now(eng, src, dst, packet)),
+    }
+}
+
+/// The delivery event of [`deliver_at`]: trace and count the arrival, then
+/// hand the packet to the protocol.
+fn deliver_now<S: Protocol>(
+    eng: &mut Engine<S>,
+    src: LocalityId,
+    dst: LocalityId,
+    packet: Packet<S::Msg>,
+) {
+    let now = eng.now();
+    let c = eng.state.cluster();
+    match packet {
+        Packet::PutDone { .. } | Packet::GetDone { .. } | Packet::AmoDone { .. } => {
+            c.tracer.record(now, TraceKind::Completion { at: dst });
         }
-        S::deliver(eng, Envelope { src, dst, packet });
-    });
+        Packet::Nack { .. } => {
+            c.tracer.record(now, TraceKind::Nack { from: src, to: dst });
+            c.loc_mut(dst).counters.nacks_recv += 1;
+        }
+        _ => {}
+    }
+    S::deliver(eng, Envelope { src, dst, packet });
 }
 
 /// Send a two-sided message of `wire_bytes` payload bytes from `src` to
@@ -490,8 +509,11 @@ pub fn send_user_classed<S: Protocol>(
 }
 
 /// [`send_user_classed`] over the message as its events hold it: `open`
-/// turns `held` back into the message at delivery.
-fn send_held<S: Protocol, H: 'static>(
+/// turns `held` back into the message at delivery. A sender whose message
+/// already lives in a box passes the box as `held` and rebuilds the message
+/// around it, so the send allocates nothing; `held` must stay within a
+/// pointer or each of the three events boxes its own copy.
+pub fn send_held<S: Protocol, H: 'static>(
     eng: &mut Engine<S>,
     src: LocalityId,
     dst: LocalityId,
@@ -612,8 +634,8 @@ pub struct GetReq {
 pub enum Verb {
     /// Write `data` (snapshotted at initiation, as hardware DMA would).
     Put {
-        /// Payload.
-        data: Vec<u8>,
+        /// Payload: one snapshot, shared by every holder of the verb.
+        data: Payload,
         /// When set, a NIC commit also raises [`Packet::RemoteNote`] with
         /// this tag at the target once the data is visible — Photon's
         /// put-with-completion remote ledger entry.
@@ -796,7 +818,7 @@ impl From<PutReq> for Access {
             target: r.target,
             at: r.dst,
             verb: Verb::Put {
-                data: r.data,
+                data: r.data.into(),
                 remote_tag: r.remote_tag,
             },
             op: r.op,
@@ -944,7 +966,11 @@ fn hop<S: Protocol>(
         } => {
             if corrupt_mask != 0 {
                 if let Verb::Put { data, .. } = &mut req.verb {
-                    apply_corruption(data, corrupt_mask);
+                    // Only this copy goes bad: the initiator's retry still
+                    // holds the bytes it snapshotted.
+                    let mut bytes = data.to_vec();
+                    apply_corruption(&mut bytes, corrupt_mask);
+                    *data = bytes.into();
                 }
             }
             if duplicate {
@@ -1247,7 +1273,10 @@ fn get_reply<S: Protocol>(
     class: FaultClass,
 ) {
     let len = data.len() as u32;
-    let land = move |eng: &mut Engine<S>| {
+    // The landing rides two nested events (arrival, then rx done). Boxed
+    // once here, both carry the pointer inline; left bare, each would box
+    // its own copy of the captures.
+    let land = Box::new(move |eng: &mut Engine<S>| {
         eng.state
             .cluster()
             .mem_mut(initiator)
@@ -1261,7 +1290,7 @@ fn get_reply<S: Protocol>(
                 packet: Packet::GetDone { op, moved },
             },
         );
-    };
+    });
     if local {
         eng.schedule_at(ready, land);
         return;
@@ -1625,7 +1654,7 @@ mod tests {
     ) -> Access {
         let verb = match kind {
             OpKind::Put => Verb::Put {
-                data: PUT.to_le_bytes().to_vec(),
+                data: PUT.to_le_bytes().to_vec().into(),
                 remote_tag: Some(77),
             },
             OpKind::Get => Verb::Get { len: 8, local },
@@ -1777,7 +1806,11 @@ mod tests {
     ///
     /// A completion reached through a forward carries the redirect hint —
     /// `moved == Some(GEN)` from the committing locality; every other
-    /// completion (phys, direct hit, loop-back) carries `None`.
+    /// completion (phys, direct hit, loop-back) carries `None`. A put's ack
+    /// crosses its delivery event by value and is rebuilt on the far side
+    /// ([`deliver_at`]): the `Put` cells of `forward2` and `dup_forward` are
+    /// what hold the rebuilt packet — both copies of it — to the hint and
+    /// the source the ack left with.
     ///
     /// A parked request commits at the install ([`LATE`]) and is acked
     /// 118 ns on; an abandoned one is NACKed [`PARK_TIMEOUT`] after it

@@ -2,8 +2,8 @@
 //!
 //! Three oracles:
 //! * plain map mode vs `std::collections::HashMap`;
-//! * LRU mode (`insert_lru` / touching `lookup`) vs the slab
-//!   [`netsim::lru::LruMap`] it replaced;
+//! * LRU mode (`insert_lru` / touching `lookup`) vs [`ModelLru`], the
+//!   contract of the slab LRU map it replaced written as a plain `Vec`;
 //! * the full [`netsim::nic::XlateTable`] vs a naive shadow built from the
 //!   *old* implementation's three maps (live LRU + forward map + hit map).
 //!
@@ -11,7 +11,6 @@
 //! boundaries where Robin-Hood growth and wraparound bugs live.
 
 use netsim::flatmap::{FlatTable, LruInsert};
-use netsim::lru::LruMap;
 use netsim::nic::{Xlate, XlateEntry, XlateTable};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -50,8 +49,45 @@ proptest! {
 
 // ----------------------------------------------------------- LRU oracle
 
+/// A capacity-bounded LRU map in its plainest form: a `Vec` kept
+/// most-recently-used first. Zero capacity hands an insert straight back,
+/// a replacement refreshes recency, a full map evicts its last entry.
+struct ModelLru {
+    cap: usize,
+    items: Vec<(u64, u64)>,
+}
+
+impl ModelLru {
+    fn new(cap: usize) -> ModelLru {
+        ModelLru {
+            cap,
+            items: Vec::new(),
+        }
+    }
+
+    fn take(&mut self, k: u64) -> Option<u64> {
+        let pos = self.items.iter().position(|&(ik, _)| ik == k)?;
+        Some(self.items.remove(pos).1)
+    }
+
+    fn insert(&mut self, k: u64, v: u64) -> Option<(u64, u64)> {
+        if self.cap == 0 {
+            return Some((k, v));
+        }
+        self.take(k);
+        self.items.insert(0, (k, v));
+        (self.items.len() > self.cap).then(|| self.items.pop().expect("over capacity"))
+    }
+
+    fn get(&mut self, k: u64) -> Option<u64> {
+        let v = self.take(k)?;
+        self.items.insert(0, (k, v));
+        Some(v)
+    }
+}
+
 proptest! {
-    /// LRU mode matches the slab `LruMap` it replaced: same eviction
+    /// LRU mode matches the slab LRU map it replaced: same eviction
     /// victims, same touch ordering, same final MRU-first iteration.
     #[test]
     fn lru_mode_matches_lrumap(
@@ -60,7 +96,7 @@ proptest! {
         ops in proptest::collection::vec((0u8..3, 0u64..24, 0u64..1000), 0..500),
     ) {
         let mut flat: FlatTable<u64> = FlatTable::with_seed(seed);
-        let mut oracle: LruMap<u64, u64> = LruMap::new(cap);
+        let mut oracle = ModelLru::new(cap);
         for (op, k, v) in ops {
             match op {
                 0 => {
@@ -70,14 +106,13 @@ proptest! {
                     };
                     prop_assert_eq!(got, oracle.insert(k, v));
                 }
-                1 => prop_assert_eq!(flat.lookup(k).map(|m| *m), oracle.get(&k).copied()),
-                _ => prop_assert_eq!(flat.remove(k), oracle.remove(&k)),
+                1 => prop_assert_eq!(flat.lookup(k).map(|m| *m), oracle.get(k)),
+                _ => prop_assert_eq!(flat.remove(k), oracle.take(k)),
             }
-            prop_assert_eq!(flat.len(), oracle.len());
+            prop_assert_eq!(flat.len(), oracle.items.len());
         }
         let got: Vec<(u64, u64)> = flat.iter_lru().map(|(k, v)| (k, *v)).collect();
-        let want: Vec<(u64, u64)> = oracle.iter().map(|(k, v)| (*k, *v)).collect();
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(got, oracle.items);
     }
 }
 
@@ -133,7 +168,7 @@ fn lru_churn_at_power_of_two_capacities() {
     for k in 1..=7u32 {
         for cap in [(1usize << k) - 1, 1usize << k] {
             let mut flat: FlatTable<u64> = FlatTable::with_seed(42);
-            let mut oracle: LruMap<u64, u64> = LruMap::new(cap);
+            let mut oracle = ModelLru::new(cap);
             for i in 0..(cap as u64 * 4) {
                 let kk = (i * 7) % (cap as u64 * 2); // revisit keys: touches + replaces
                 let got = match flat.insert_lru(kk, i, cap) {
@@ -144,13 +179,12 @@ fn lru_churn_at_power_of_two_capacities() {
                 if i % 3 == 0 {
                     assert_eq!(
                         flat.lookup(i % cap as u64).map(|m| *m),
-                        oracle.get(&(i % cap as u64)).copied()
+                        oracle.get(i % cap as u64)
                     );
                 }
             }
             let got: Vec<_> = flat.iter_lru().map(|(kk, v)| (kk, *v)).collect();
-            let want: Vec<_> = oracle.iter().map(|(kk, v)| (*kk, *v)).collect();
-            assert_eq!(got, want, "cap {cap}");
+            assert_eq!(got, oracle.items, "cap {cap}");
         }
     }
 }

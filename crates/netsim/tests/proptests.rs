@@ -2,7 +2,7 @@
 
 use netsim::engine::Engine;
 use netsim::faults::FaultClass;
-use netsim::lru::LruMap;
+use netsim::flatmap::{FlatTable, LruInsert};
 use netsim::net::{rdma_put, send_user, Cluster, Envelope, Packet, Protocol, PutReq, RdmaTarget};
 use netsim::nic::XlateEntry;
 use netsim::queue::ServerPool;
@@ -51,14 +51,14 @@ proptest! {
 // ---------------------------------------------------------------- LRU
 
 proptest! {
-    /// The slab LRU behaves identically to a naive shadow implementation
-    /// under arbitrary interleavings of insert/get/remove.
+    /// The flat table's LRU mode behaves identically to a naive shadow
+    /// implementation under arbitrary interleavings of insert/get/remove.
     #[test]
     fn lru_matches_shadow(
         cap in 1usize..12,
         ops in proptest::collection::vec((0u8..3, 0u64..24, 0u64..1000), 0..400),
     ) {
-        let mut lru: LruMap<u64, u64> = LruMap::new(cap);
+        let mut lru: FlatTable<u64> = FlatTable::with_seed(0x1c0);
         // Shadow: Vec in MRU-first order.
         let mut shadow: Vec<(u64, u64)> = Vec::new();
         for (op, k, v) in ops {
@@ -72,12 +72,11 @@ proptest! {
                         shadow.insert(0, (k, v));
                         if shadow.len() > cap {
                             let (ek, ev) = shadow.pop().unwrap();
-                            let evicted = lru.insert(k, v);
-                            prop_assert_eq!(evicted, Some((ek, ev)));
+                            prop_assert_eq!(lru.insert_lru(k, v, cap), LruInsert::Evicted(ek, ev));
                             continue;
                         }
                     }
-                    prop_assert_eq!(lru.insert(k, v), None);
+                    prop_assert!(!matches!(lru.insert_lru(k, v, cap), LruInsert::Evicted(..)));
                 }
                 1 => {
                     // get (touches recency)
@@ -85,22 +84,22 @@ proptest! {
                     if let Some(pos) = expect {
                         let entry = shadow.remove(pos);
                         shadow.insert(0, entry);
-                        prop_assert_eq!(lru.get(&k), Some(&entry.1));
+                        prop_assert_eq!(lru.lookup(k).copied(), Some(entry.1));
                     } else {
-                        prop_assert_eq!(lru.get(&k), None);
+                        prop_assert_eq!(lru.lookup(k), None);
                     }
                 }
                 _ => {
                     // remove
                     let expect = shadow.iter().position(|&(sk, _)| sk == k)
                         .map(|pos| shadow.remove(pos).1);
-                    prop_assert_eq!(lru.remove(&k), expect);
+                    prop_assert_eq!(lru.remove(k), expect);
                 }
             }
             prop_assert_eq!(lru.len(), shadow.len());
         }
         // Final recency order must agree.
-        let got: Vec<(u64, u64)> = lru.iter().map(|(k, v)| (*k, *v)).collect();
+        let got: Vec<(u64, u64)> = lru.iter_lru().map(|(k, v)| (k, *v)).collect();
         prop_assert_eq!(got, shadow);
     }
 }

@@ -228,10 +228,13 @@ fn world_digest(w: &ToyWorld) -> u64 {
     trace_mix(h, dh.finish())
 }
 
+/// Driver code run against the (control) engine.
+type Issue = Box<dyn FnOnce(&mut Engine<ToyWorld>)>;
+
 /// The common face of `Engine<ToyWorld>` and `ShardedEngine<ToyWorld>` the
 /// shadow runner drives.
 trait Driver {
-    fn issue(&mut self, loc: LocalityId, f: Box<dyn FnOnce(&mut Engine<ToyWorld>)>);
+    fn issue(&mut self, loc: LocalityId, f: Issue);
     fn clock(&self) -> Time;
     fn go(&mut self) -> u64;
     fn go_until(&mut self, t: Time) -> u64;
@@ -240,7 +243,7 @@ trait Driver {
 }
 
 impl Driver for Engine<ToyWorld> {
-    fn issue(&mut self, _loc: LocalityId, f: Box<dyn FnOnce(&mut Engine<ToyWorld>)>) {
+    fn issue(&mut self, _loc: LocalityId, f: Issue) {
         f(self);
     }
     fn clock(&self) -> Time {
@@ -267,7 +270,7 @@ impl Driver for Engine<ToyWorld> {
 }
 
 impl Driver for ShardedEngine<ToyWorld> {
-    fn issue(&mut self, loc: LocalityId, f: Box<dyn FnOnce(&mut Engine<ToyWorld>)>) {
+    fn issue(&mut self, loc: LocalityId, f: Issue) {
         self.drive_at(loc, |eng| f(eng));
     }
     fn clock(&self) -> Time {
@@ -429,7 +432,6 @@ fn chaotic_plan(seed: u64) -> FaultPlan {
             delay_p: 0.05,
             delay_min_ns: 100,
             delay_max_ns: 2_500,
-            ..FaultRates::lossless()
         },
         link_rates: vec![(
             0,
@@ -500,6 +502,37 @@ fn shadow_lossless_plan_is_free() {
 #[test]
 fn shadow_more_lanes_than_localities_clamps() {
     assert_shadow(3, NetConfig::ib_fdr(), None, 11, &[8]);
+}
+
+/// Two lanes over four localities (0–1 and 2–3), with `event` due on
+/// locality `at`'s lane 10 ns in.
+fn two_lanes_with(
+    at: LocalityId,
+    event: impl FnOnce(&mut Engine<ToyWorld>) + 'static,
+) -> ShardedEngine<ToyWorld> {
+    let mut sh = ShardedEngine::new(build_world(4, NetConfig::ib_fdr(), None), 1, 2);
+    sh.drive_at(at, |eng| eng.schedule(Time::from_ns(10), event));
+    sh
+}
+
+/// A panic on a lane thread surfaces from `run` with its own message; the
+/// barrier used to wait forever for the dead lane.
+#[test]
+#[should_panic(expected = "boom on lane 1")]
+fn lane_panic_propagates_from_run() {
+    two_lanes_with(3, |_| panic!("boom on lane 1")).run();
+}
+
+/// The lookahead assertion is such a panic: an event that reaches across
+/// the lane boundary 1 ns ahead, far inside the wire-latency window.
+#[test]
+#[should_panic(expected = "below the lookahead window")]
+fn cross_lane_event_below_the_lookahead_panics() {
+    let mut sh = two_lanes_with(0, |eng| {
+        let at = eng.now() + Time::from_ns(1);
+        eng.schedule_at_loc(at, 3, |_| {});
+    });
+    sh.run_until(Time::from_us(1));
 }
 
 mod prop {

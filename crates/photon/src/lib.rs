@@ -166,7 +166,7 @@ impl PhotonEndpoint {
     /// Create an endpoint with the given configuration.
     pub fn new(cfg: PhotonConfig) -> PhotonEndpoint {
         PhotonEndpoint {
-            rcache: RegCache::new(&cfg),
+            rcache: RegCache::new(),
             stats: PhotonStats::default(),
             ops: OpTable::new(),
             matching: MatchQueue::new(),
@@ -590,6 +590,7 @@ pub fn pwc_put<S: PhotonWorld>(
     remote_tag: Option<u64>,
     local_src: Option<(PhysAddr, u64)>,
 ) -> OpId {
+    let data = data.into();
     let verb = Verb::Put { data, remote_tag };
     pwc(eng, src, dst, target, verb, ctx, local_src)
 }
