@@ -1367,7 +1367,9 @@ fn ring(json: bool, ops: u64) {
 /// and then at each lane count up to `--shards`. Wall-clock throughput
 /// scales with lanes (given enough host cores); the simulated results —
 /// trace hash, clock, event and update counts — must be bit-identical at
-/// every lane count, and the process exits nonzero if they are not.
+/// every lane count, and the process exits nonzero if they are not. JSON
+/// rows carry the host probe's paired ratio (`repro host`, ≈ 10 s): a
+/// threaded wall-clock point says nothing without it.
 fn parallel(json: bool, max_shards: usize, cfg: &ParallelGupsConfig) {
     header(
         "parallel",
@@ -1377,6 +1379,11 @@ fn parallel(json: bool, max_shards: usize, cfg: &ParallelGupsConfig) {
         ),
     );
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let host_pair_ratio = if json {
+        probe_host().paired_ratio()
+    } else {
+        0.0
+    };
     // Runs are strictly serial: each one owns the machine while timed.
     let rows: Vec<ParallelGupsRow> = shard_ladder(max_shards)
         .into_iter()
@@ -1406,15 +1413,17 @@ fn parallel(json: bool, max_shards: usize, cfg: &ParallelGupsConfig) {
             println!(
                 concat!(
                     "{{\"id\":\"parallel\",\"series\":\"gups_parallel\",\"shards\":{},",
-                    "\"localities\":{},\"host_cores\":{},",
+                    "\"localities\":{},\"host_cores\":{},\"host_pair_ratio\":{:.3},",
                     "\"updates\":{},\"events\":{},",
                     "\"sim_time_ps\":{},\"wall_seconds\":{:.6},\"events_per_sec\":{:.0},",
                     "\"speedup\":{:.4},\"trace_hash\":{},\"windows\":{},",
-                    "\"sync_overhead\":{:.4},\"utilization\":[{}]}}"
+                    "\"sync_overhead\":{:.4},\"barrier_ns_per_event\":{:.2},",
+                    "\"utilization\":[{}]}}"
                 ),
                 r.shards,
                 r.localities,
                 cores,
+                host_pair_ratio,
                 r.updates,
                 r.events,
                 r.sim.ps(),
@@ -1424,6 +1433,7 @@ fn parallel(json: bool, max_shards: usize, cfg: &ParallelGupsConfig) {
                 r.trace_hash,
                 r.windows,
                 r.sync_overhead,
+                r.barrier_ns_per_event,
                 util,
             );
         } else {

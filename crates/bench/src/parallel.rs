@@ -6,7 +6,8 @@
 //! once on the sequential engine and once per requested lane count on the
 //! sharded engine. The fabric is wire-pure (no jitter, no faults, full
 //! bisection), so lanes execute their windows fully in parallel and the
-//! barrier replay is the only serial section.
+//! barrier — a minimum over the lanes' next pending times — is the only
+//! serial section.
 //!
 //! Unlike every other experiment in this crate, the measurement here is
 //! **wall-clock**, not simulated time: the point is the simulator's own
@@ -64,8 +65,11 @@ pub struct ParallelGupsRow {
     pub windows: u64,
     /// Per-lane busy/wall utilization (empty when sequential).
     pub utilization: Vec<f64>,
-    /// Fraction of wall time in barrier waits + serial replay.
+    /// Fraction of wall time in barrier waits + the barrier's serial part.
     pub sync_overhead: f64,
+    /// That time in wall nanoseconds per executed event (0 when sequential):
+    /// what the shard layer costs over the engine beneath it.
+    pub barrier_ns_per_event: f64,
 }
 
 impl ParallelGupsRow {
@@ -111,6 +115,7 @@ pub fn parallel_gups(cfg: &ParallelGupsConfig, shards: usize) -> ParallelGupsRow
             windows: 0,
             utilization: Vec::new(),
             sync_overhead: 0.0,
+            barrier_ns_per_event: 0.0,
         }
     } else {
         let mut sh = ShardedEngine::new(world, cfg.seed, shards);
@@ -123,17 +128,20 @@ pub fn parallel_gups(cfg: &ParallelGupsConfig, shards: usize) -> ParallelGupsRow
         sh.run();
         let wall_secs = t.elapsed().as_secs_f64();
         let stats = sh.stats().clone();
+        let events = sh.events_executed();
         ParallelGupsRow {
             shards,
             localities: n,
             updates: sh.state().pump_completed(),
-            events: sh.events_executed(),
+            events,
             trace_hash: sh.trace_hash(),
             sim: sh.now(),
             wall_secs,
             windows: stats.windows,
             utilization: stats.utilization(),
             sync_overhead: stats.sync_overhead(),
+            barrier_ns_per_event: (stats.barrier_wait_ns + stats.replay_ns) as f64
+                / events.max(1) as f64,
         }
     }
 }

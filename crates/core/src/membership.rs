@@ -18,7 +18,7 @@
 //! ```
 //!
 //! Every transition is an engine *event*, scheduled per locality with
-//! [`netsim::Engine::schedule_at_loc`] so a sharded replay executes the
+//! [`netsim::Engine::schedule_at_loc`] so a sharded run executes the
 //! same mutations on the same lanes at the same instants — the membership
 //! chaos cells pin bit-identical trace hashes at 1/2/4/8 lanes.
 //!
@@ -220,7 +220,7 @@ fn next_active(view: &MembershipView, loc: LocalityId, n: usize) -> Option<Local
 // The functions below are called from driver code (between engine runs, or
 // via `ShardedEngine::drive`): they may read any locality's state to plan
 // the transition, but every *mutation* is packaged as a per-locality event
-// so sharded replay stays bit-identical.
+// so a sharded run stays bit-identical.
 
 /// Immediately set `loc`'s state in every view (driver phase, before
 /// traffic) — marks a boot-reserved locality `Joining` so workloads skip

@@ -853,18 +853,22 @@ fn commit_local<S: GasWorld>(
     match applied {
         Applied::Put => {
             hist_done(eng, loc, p.hist, now, None);
-            eng.schedule(delay, move |eng| S::gas_put_done(eng, loc, ctx));
+            eng.schedule_at_loc(now + delay, loc, move |eng| S::gas_put_done(eng, loc, ctx));
         }
         Applied::Get(data) => {
             let vhash = p.hist.map(|_| value_hash(&data));
             hist_done(eng, loc, p.hist, now, vhash);
-            eng.schedule(delay, move |eng| S::gas_get_done(eng, loc, ctx, data));
+            eng.schedule_at_loc(now + delay, loc, move |eng| {
+                S::gas_get_done(eng, loc, ctx, data)
+            });
         }
         Applied::Amo { result, .. } => {
             if let Verb::Amo { amo, .. } = &p.verb {
                 log_amo_words(eng, loc, gva, amo, &result, p.issued, now);
             }
-            eng.schedule(delay, move |eng| S::gas_amo_done(eng, loc, ctx, result));
+            eng.schedule_at_loc(now + delay, loc, move |eng| {
+                S::gas_amo_done(eng, loc, ctx, result)
+            });
         }
     }
 }
@@ -958,7 +962,8 @@ pub(crate) fn arm_sweep<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId) {
     }
     g.sweep_armed = true;
     let interval = g.cfg.sweep_interval;
-    eng.schedule(interval, move |eng| sweep(eng, loc));
+    let at = eng.now() + interval;
+    eng.schedule_at_loc(at, loc, move |eng| sweep(eng, loc));
 }
 
 /// Reclaim every in-flight op whose deadline has passed, delivering a

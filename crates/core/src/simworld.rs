@@ -5,8 +5,8 @@
 //! The integration tests' traditional `World` keeps one shared event log,
 //! which is fine sequentially but unusable across shard lanes. `SimWorld`
 //! is its lane-safe twin: identical construction defaults, identical
-//! protocol dispatch (so any workload replayed on it schedules the exact
-//! same `(time, seq)` event sequence and reproduces the same golden trace
+//! protocol dispatch (so any workload run on it schedules the exact
+//! same `(time, key)` events and reproduces the same golden trace
 //! hashes), but every driver-visible observation — completion events,
 //! audit expectations, mismatch counters — lives in a *per-locality*
 //! record that only the owning lane touches.

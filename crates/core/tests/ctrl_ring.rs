@@ -130,7 +130,7 @@ fn ctrl_ring_free_protocol_converges() {
 fn batch_of_one_ring_matches_the_direct_schedule() {
     // A ring that flushes on every push is the ad-hoc send in disguise:
     // each control message hits the wire synchronously, in the same event,
-    // at the same time — so the full `(time, seq)` trace is bit-identical
+    // at the same time — so the full `(time, key)` trace is bit-identical
     // to running with `ctrl_ring: None`.
     let run = |ring: Option<RingConfig>| {
         let mut w = World::new(4, GasMode::AgasNetwork, NetConfig::ideal());

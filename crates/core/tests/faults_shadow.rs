@@ -9,11 +9,14 @@
 //! keeps fault-injection hooks out of the simulator's timing model.
 
 mod common;
+#[path = "common/golden.rs"]
+mod golden;
 
 use agas::migrate::migrate_block;
 use agas::ops::{memget, memput};
 use agas::{alloc_array, Distribution, GasMode};
 use common::World;
+use golden::*;
 use netsim::{Engine, FaultPlan, FaultPlane, NetConfig, OpId};
 use proptest::prelude::*;
 
@@ -26,7 +29,7 @@ fn jittery() -> NetConfig {
 
 /// The trace_pin `jitter_puts` scenario, with an optional fault plan
 /// installed before any traffic flows.
-fn jitter_puts(mode: GasMode, seed: u64, plan: Option<FaultPlan>) -> (u64, u64) {
+fn jitter_puts(mode: GasMode, seed: u64, plan: Option<FaultPlan>) -> Pin {
     let mut eng = Engine::new(World::new(3, mode, jittery()), seed);
     if let Some(p) = plan {
         eng.state.cluster.faults = Some(FaultPlane::new(p));
@@ -52,11 +55,11 @@ fn jitter_puts(mode: GasMode, seed: u64, plan: Option<FaultPlan>) -> (u64, u64) 
         );
     }
     eng.run();
-    (eng.trace_hash(), eng.now().ps())
+    (eng.trace_hash(), eng.now().ps(), eng.events_executed())
 }
 
 /// The trace_pin `migration_mix` scenario, with an optional fault plan.
-fn migration_mix(mode: GasMode, plan: Option<FaultPlan>) -> (u64, u64) {
+fn migration_mix(mode: GasMode, plan: Option<FaultPlan>) -> Pin {
     let mut eng = Engine::new(World::new(4, mode, jittery()), 11);
     if let Some(p) = plan {
         eng.state.cluster.faults = Some(FaultPlane::new(p));
@@ -82,16 +85,8 @@ fn migration_mix(mode: GasMode, plan: Option<FaultPlan>) -> (u64, u64) {
         eng.run_steps(40);
     }
     eng.run();
-    (eng.trace_hash(), eng.now().ps())
+    (eng.trace_hash(), eng.now().ps(), eng.events_executed())
 }
-
-// The committed golden pins (see trace_pin.rs) that the lossless plane must
-// reproduce exactly.
-const GOLDEN_JITTER_PGAS: (u64, u64) = (0x3a1b_a271_08e7_3ff4, 2_155_000);
-const GOLDEN_JITTER_SW: (u64, u64) = (0x7b1b_771a_2630_7d1b, 6_591_400);
-const GOLDEN_JITTER_NET: (u64, u64) = (0x4a67_b315_e66f_9216, 2_165_000);
-const GOLDEN_MIG_SW: (u64, u64) = (0x50aa_0c4b_27e6_6b7e, 109_546_200);
-const GOLDEN_MIG_NET: (u64, u64) = (0x610c_3bb9_6353_3910, 105_152_800);
 
 #[test]
 fn lossless_plane_reproduces_the_golden_pins() {

@@ -1,10 +1,11 @@
 //! The golden trace pins, replayed on the sharded engine.
 //!
-//! `trace_pin.rs` pins the sequential `(trace_hash, now)` of five
-//! workloads. The hashes fold every executed `(time, seq)` pair, so they
-//! are a complete witness of execution order — and the sharded engine
-//! contracts to reproduce that order bit-for-bit at any shard count. This
-//! suite re-runs the same five scenarios on [`agas::SimWorld`] (the
+//! `trace_pin.rs` pins the sequential `(trace_hash, now, events)` of seven
+//! workloads. The hashes sum every executed `(time, key)` pair, and a key
+//! carries its origin's schedule count, so they witness what every
+//! locality executed and in what order — and the sharded engine
+//! contracts to reproduce that bit-for-bit at any shard count. This
+//! suite re-runs the same scenarios on [`agas::SimWorld`] (the
 //! `Send` twin of the integration `World`, with identical construction
 //! defaults and protocol dispatch) sequentially *and* under shard counts
 //! {1, 2, 4, 8}, asserting the very same golden constants.
@@ -18,11 +19,15 @@
 //! shared-memory and lane-straddling fabrics, and that the widest sound
 //! window still replays the sequential schedule.
 
+#[path = "common/golden.rs"]
+mod golden;
+
 use agas::migrate::migrate_block;
 use agas::ops::{memamo, memget, memput};
 use agas::{
     alloc_array, membership, Distribution, GasMode, GlobalArray, MemberState, OwnerCache, SimWorld,
 };
+use golden::*;
 use netsim::{
     AmoOp, Engine, LocalityId, NetConfig, OpId, ShardMap, ShardedEngine, ShmDomain, Time,
 };
@@ -102,18 +107,11 @@ impl Harness {
         };
     }
 
-    fn finish(&mut self) -> (u64, u64) {
+    fn finish(&mut self) -> Pin {
         self.run();
         match self {
-            Harness::Seq(e) => (e.trace_hash(), e.now().ps()),
-            Harness::Shard(s) => (s.trace_hash(), s.now().ps()),
-        }
-    }
-
-    fn events_executed(&self) -> u64 {
-        match self {
-            Harness::Seq(e) => e.events_executed(),
-            Harness::Shard(s) => s.events_executed(),
+            Harness::Seq(e) => (e.trace_hash(), e.now().ps(), e.events_executed()),
+            Harness::Shard(s) => (s.trace_hash(), s.now().ps(), s.events_executed()),
         }
     }
 
@@ -126,16 +124,16 @@ impl Harness {
     }
 }
 
-fn check(name: &str, shards: Option<usize>, got: (u64, u64), want: (u64, u64)) {
+fn check(name: &str, shards: Option<usize>, got: Pin, want: Pin) {
     assert_eq!(
         got, want,
-        "{name} (shards={shards:?}): pin moved — observed (hash, ps) = ({:#018x}, {})",
-        got.0, got.1
+        "{name} (shards={shards:?}): pin moved — observed (hash, ps, events) = ({:#018x}, {}, {})",
+        got.0, got.1, got.2
     );
 }
 
 /// Remote puts + read-back on a jittery fabric (see `trace_pin.rs`).
-fn jitter_puts(mode: GasMode, seed: u64, shards: Option<usize>) -> (u64, u64) {
+fn jitter_puts(mode: GasMode, seed: u64, shards: Option<usize>) -> Pin {
     let mut h = Harness::new(3, mode, jittery(), seed, shards);
     let arr = h.alloc(4, 12);
     for i in 0..30u64 {
@@ -157,7 +155,7 @@ fn jitter_puts(mode: GasMode, seed: u64, shards: Option<usize>) -> (u64, u64) {
 }
 
 /// Puts racing migrations under jitter.
-fn migration_mix(mode: GasMode, shards: Option<usize>) -> (u64, u64) {
+fn migration_mix(mode: GasMode, shards: Option<usize>) -> Pin {
     let mut h = Harness::new(4, mode, jittery(), 11, shards);
     let arr = h.alloc(4, 12);
     for round in 0..6u64 {
@@ -191,7 +189,7 @@ fn migration_mix(mode: GasMode, shards: Option<usize>) -> (u64, u64) {
 
 /// The deadline-sweep fault scenario: locality 0 forgets its in-flight
 /// wire ops and the sweep converts the silence into failures.
-fn deadline_fault(seed: u64, shards: Option<usize>) -> (u64, u64) {
+fn deadline_fault(seed: u64, shards: Option<usize>) -> Pin {
     let mut h = Harness::new(4, GasMode::AgasNetwork, jittery(), seed, shards);
     for g in &mut h.world().data.gas {
         g.cfg.op_deadline = Some(Time::from_us(40));
@@ -222,7 +220,7 @@ fn deadline_fault(seed: u64, shards: Option<usize>) -> (u64, u64) {
 }
 
 /// Capacity pressure: tiny NIC table + tiny owner caches.
-fn capacity_pressure(shards: Option<usize>) -> (u64, u64) {
+fn capacity_pressure(shards: Option<usize>) -> Pin {
     let net = NetConfig {
         xlate_capacity: 4,
         ..NetConfig::ideal()
@@ -264,7 +262,7 @@ fn capacity_pressure(shards: Option<usize>) -> (u64, u64) {
 }
 
 /// A NIC firmware reset mid-run: flush + miss-driven reinstall paths.
-fn flush_recovery(shards: Option<usize>) -> (u64, u64) {
+fn flush_recovery(shards: Option<usize>) -> Pin {
     let mut h = Harness::new(4, GasMode::AgasNetwork, NetConfig::ideal(), 23, shards);
     let arr = h.alloc(8, 12);
     for i in 0..60u64 {
@@ -286,7 +284,7 @@ fn flush_recovery(shards: Option<usize>) -> (u64, u64) {
 }
 
 /// NIC-executed AMOs racing migrations under jitter (see `trace_pin.rs`).
-fn amo_mix(mode: GasMode, shards: Option<usize>) -> (u64, u64) {
+fn amo_mix(mode: GasMode, shards: Option<usize>) -> Pin {
     let mut h = Harness::new(4, mode, jittery(), 19, shards);
     let arr = h.alloc(4, 12);
     for i in 0..40u64 {
@@ -366,7 +364,7 @@ fn amo_mix(mode: GasMode, shards: Option<usize>) -> (u64, u64) {
 /// drain, and — under the AGAS modes — crash + recovery, with every
 /// transition a per-locality engine event so shard counts cannot reorder
 /// it.
-fn member_mix(mode: GasMode, shards: Option<usize>) -> (u64, u64) {
+fn member_mix(mode: GasMode, shards: Option<usize>) -> Pin {
     let mut h = Harness::new(4, mode, jittery(), 29, shards);
     h.drive(|eng| membership::mark(eng, 3, MemberState::Joining));
     let arr = h.alloc(8, 12);
@@ -442,8 +440,8 @@ fn gups_pump(
         h.world().arm_gups(l, 8, 42);
         h.issue(l, move |eng| SimWorld::pump_prime(eng, l));
     }
-    let (hash, now) = h.finish();
-    let witness = (hash, now, h.events_executed(), h.world().pump_completed());
+    let (hash, now, events) = h.finish();
+    let witness = (hash, now, events, h.world().pump_completed());
     (witness, h.window())
 }
 
@@ -626,21 +624,3 @@ fn shard_pin_member_mix() {
         );
     }
 }
-
-// The exact constants from `trace_pin.rs`: the sharded engine must land on
-// the sequential hashes, not merely be self-consistent.
-const GOLDEN_JITTER_PGAS: (u64, u64) = (0x3a1b_a271_08e7_3ff4, 2_155_000);
-const GOLDEN_JITTER_SW: (u64, u64) = (0x7b1b_771a_2630_7d1b, 6_591_400);
-const GOLDEN_JITTER_NET: (u64, u64) = (0x4a67_b315_e66f_9216, 2_165_000);
-const GOLDEN_MIG_SW: (u64, u64) = (0x50aa_0c4b_27e6_6b7e, 109_546_200);
-const GOLDEN_MIG_NET: (u64, u64) = (0x610c_3bb9_6353_3910, 105_152_800);
-const GOLDEN_DEADLINE_11: (u64, u64) = (0x8b83_d450_9da3_a1a8, 58_836_000);
-const GOLDEN_DEADLINE_23: (u64, u64) = (0xf9ff_5a1c_07ca_fde1, 58_827_000);
-const GOLDEN_CAPACITY: (u64, u64) = (0xb4aa_cfed_da0d_3b1a, 312_092_600);
-const GOLDEN_FLUSH: (u64, u64) = (0xf28f_56b0_057b_a14c, 21_260_000);
-const GOLDEN_AMO_PGAS: (u64, u64) = (0x0c6b_7794_17b5_7bcc, 16_428_800);
-const GOLDEN_AMO_SW: (u64, u64) = (0xd8c6_19aa_c5c3_b3e3, 38_448_400);
-const GOLDEN_AMO_NET: (u64, u64) = (0x9911_6ab8_7299_1a1b, 24_746_800);
-const GOLDEN_MEMBER_PGAS: (u64, u64) = (0x5e47_706e_d8f4_81fb, 21_898_800);
-const GOLDEN_MEMBER_SW: (u64, u64) = (0x8ab1_8722_e778_5b6f, 59_989_200);
-const GOLDEN_MEMBER_NET: (u64, u64) = (0x93bf_22a4_bb30_2218, 47_268_200);

@@ -1,22 +1,21 @@
 //! Golden trace-hash pins.
 //!
 //! Each scenario below runs a deterministic workload and asserts the
-//! engine's final `(trace_hash, now)` against a value captured on the
-//! tier-1 suites **before** the flat translation-table rewrite. Any change
-//! to observable scheduling — eviction order, lookup outcomes, retry
-//! timing — shifts these hashes; a refactor of the translation structures
-//! must leave them bit-for-bit unchanged.
-//!
-//! If a *deliberate* protocol change moves a hash, re-capture with:
-//! `cargo test -p agas --test trace_pin -- --nocapture` (each test prints
-//! its observed pair on failure).
+//! engine's final `(trace_hash, now, events executed)` against the table in
+//! `common/golden.rs`. Any change to observable scheduling — eviction
+//! order, lookup outcomes, retry timing, which of two same-instant events
+//! runs first — shifts these values; a refactor must leave them
+//! bit-for-bit unchanged.
 
 mod common;
+#[path = "common/golden.rs"]
+mod golden;
 
 use agas::migrate::migrate_block;
 use agas::ops::{memamo, memget, memput};
 use agas::{alloc_array, membership, Distribution, GasMode, MemberState, OwnerCache};
 use common::World;
+use golden::*;
 use netsim::{AmoOp, Engine, NetConfig, OpId, Time};
 
 fn jittery() -> NetConfig {
@@ -26,21 +25,21 @@ fn jittery() -> NetConfig {
     }
 }
 
-fn finish(eng: &mut Engine<World>) -> (u64, u64) {
+fn finish(eng: &mut Engine<World>) -> Pin {
     eng.run();
-    (eng.trace_hash(), eng.now().ps())
+    (eng.trace_hash(), eng.now().ps(), eng.events_executed())
 }
 
-fn check(name: &str, got: (u64, u64), want: (u64, u64)) {
+fn check(name: &str, got: Pin, want: Pin) {
     assert_eq!(
         got, want,
-        "{name}: trace pin moved — observed (hash, ps) = ({:#018x}, {})",
-        got.0, got.1
+        "{name}: trace pin moved — observed (hash, ps, events) = ({:#018x}, {}, {})",
+        got.0, got.1, got.2
     );
 }
 
 /// Remote puts + read-back on a jittery fabric, one pin per GAS mode.
-fn jitter_puts(mode: GasMode, seed: u64) -> (u64, u64) {
+fn jitter_puts(mode: GasMode, seed: u64) -> Pin {
     let mut eng = Engine::new(World::new(3, mode, jittery()), seed);
     let arr = alloc_array(&mut eng, 4, 12, Distribution::Cyclic);
     for i in 0..30u64 {
@@ -66,7 +65,7 @@ fn jitter_puts(mode: GasMode, seed: u64) -> (u64, u64) {
 }
 
 /// Puts racing migrations under jitter (the tier-1 migration mix).
-fn migration_mix(mode: GasMode) -> (u64, u64) {
+fn migration_mix(mode: GasMode) -> Pin {
     let mut eng = Engine::new(World::new(4, mode, jittery()), 11);
     let arr = alloc_array(&mut eng, 4, 12, Distribution::Cyclic);
     for round in 0..6u64 {
@@ -93,7 +92,7 @@ fn migration_mix(mode: GasMode) -> (u64, u64) {
 
 /// The deadline-sweep fault scenario: locality 0 forgets its in-flight
 /// wire ops and the sweep converts the silence into failures.
-fn deadline_fault(seed: u64) -> (u64, u64) {
+fn deadline_fault(seed: u64) -> Pin {
     let mut eng = Engine::new(World::new(4, GasMode::AgasNetwork, jittery()), seed);
     for g in &mut eng.state.gas {
         g.cfg.op_deadline = Some(Time::from_us(40));
@@ -115,7 +114,7 @@ fn deadline_fault(seed: u64) -> (u64, u64) {
 
 /// Capacity pressure: a 4-entry NIC table and 3-entry owner caches force
 /// constant evictions, pinning the exact LRU eviction order.
-fn capacity_pressure() -> (u64, u64) {
+fn capacity_pressure() -> Pin {
     let net = NetConfig {
         xlate_capacity: 4,
         ..NetConfig::ideal()
@@ -158,7 +157,7 @@ fn capacity_pressure() -> (u64, u64) {
 }
 
 /// A NIC firmware reset mid-run: flush + miss-driven reinstall paths.
-fn flush_recovery() -> (u64, u64) {
+fn flush_recovery() -> Pin {
     let mut eng = Engine::new(World::new(4, GasMode::AgasNetwork, NetConfig::ideal()), 23);
     let arr = alloc_array(&mut eng, 8, 12, Distribution::Cyclic);
     for i in 0..60u64 {
@@ -182,7 +181,7 @@ fn flush_recovery() -> (u64, u64) {
 /// NIC-executed AMOs racing migrations under jitter: fetch-adds, CAS,
 /// scatters, and a gather audit, with churn forcing the NACK/forward arms
 /// of the AMO commit path into the pinned schedule.
-fn amo_mix(mode: GasMode) -> (u64, u64) {
+fn amo_mix(mode: GasMode) -> Pin {
     let mut eng = Engine::new(World::new(4, mode, jittery()), 19);
     let arr = alloc_array(&mut eng, 4, 12, Distribution::Cyclic);
     for i in 0..40u64 {
@@ -248,7 +247,7 @@ fn amo_mix(mode: GasMode) -> (u64, u64) {
 /// and (under the AGAS modes) a member crashes after a seeded migration so
 /// recovery re-issues its home blocks. Every transition is an engine
 /// event, so the whole ladder lands in the trace hash.
-fn member_mix(mode: GasMode) -> (u64, u64) {
+fn member_mix(mode: GasMode) -> Pin {
     let mut eng = Engine::new(World::new(4, mode, jittery()), 29);
     membership::mark(&mut eng, 3, MemberState::Joining);
     let arr = alloc_array(&mut eng, 8, 12, Distribution::Cyclic);
@@ -375,24 +374,3 @@ fn pin_member_mix() {
         GOLDEN_MEMBER_NET,
     );
 }
-
-// Captured from the seed implementation (std HashMap / slab-LRU translation
-// structures) — see module docs. The flat-table rewrite must reproduce
-// these exactly.
-const GOLDEN_JITTER_PGAS: (u64, u64) = (0x3a1b_a271_08e7_3ff4, 2_155_000);
-const GOLDEN_JITTER_SW: (u64, u64) = (0x7b1b_771a_2630_7d1b, 6_591_400);
-const GOLDEN_JITTER_NET: (u64, u64) = (0x4a67_b315_e66f_9216, 2_165_000);
-const GOLDEN_MIG_SW: (u64, u64) = (0x50aa_0c4b_27e6_6b7e, 109_546_200);
-const GOLDEN_MIG_NET: (u64, u64) = (0x610c_3bb9_6353_3910, 105_152_800);
-const GOLDEN_DEADLINE_11: (u64, u64) = (0x8b83_d450_9da3_a1a8, 58_836_000);
-const GOLDEN_DEADLINE_23: (u64, u64) = (0xf9ff_5a1c_07ca_fde1, 58_827_000);
-const GOLDEN_CAPACITY: (u64, u64) = (0xb4aa_cfed_da0d_3b1a, 312_092_600);
-const GOLDEN_FLUSH: (u64, u64) = (0xf28f_56b0_057b_a14c, 21_260_000);
-// Captured when the AMO subsystem landed (NIC-executed active operations).
-const GOLDEN_AMO_PGAS: (u64, u64) = (0x0c6b_7794_17b5_7bcc, 16_428_800);
-const GOLDEN_AMO_SW: (u64, u64) = (0xd8c6_19aa_c5c3_b3e3, 38_448_400);
-const GOLDEN_AMO_NET: (u64, u64) = (0x9911_6ab8_7299_1a1b, 24_746_800);
-// Captured when the elastic membership plane landed (join / drain / crash).
-const GOLDEN_MEMBER_PGAS: (u64, u64) = (0x5e47_706e_d8f4_81fb, 21_898_800);
-const GOLDEN_MEMBER_SW: (u64, u64) = (0x8ab1_8722_e778_5b6f, 59_989_200);
-const GOLDEN_MEMBER_NET: (u64, u64) = (0x93bf_22a4_bb30_2218, 47_268_200);

@@ -6,10 +6,42 @@
 //!
 //! * **causality** — events run in nondecreasing time order; scheduling in
 //!   the past is a bug and panics in debug builds (clamped in release);
-//! * **determinism** — ties at the same instant break by schedule order
-//!   (a monotone sequence number), so a given seed and program produce an
-//!   identical execution on every run and platform. A running hash of
-//!   `(time, seq)` pairs ([`Engine::trace_hash`]) lets tests assert this.
+//! * **determinism** — ties at the same instant break by the event's *key*:
+//!   the locality that scheduled it, then that locality's own schedule
+//!   counter (see [the key layout](#event-keys)). A given seed and program
+//!   produce an identical execution on every run and platform, and — because
+//!   no part of the key is a global counter — on every partition of the
+//!   localities across [`ShardedEngine`](crate::ShardedEngine) lanes. A
+//!   running sum over the executed `(time, key)` pairs
+//!   ([`Engine::trace_hash`]) lets tests assert this.
+//!
+//! # Event keys
+//!
+//! A queue entry is ordered by `(time, key)`; the key is one `u64`:
+//!
+//! ```text
+//!  63        50 49 48            14 13         0
+//! +------------+--+----------------+------------+
+//! |   origin   |w |    counter     |    dest    |
+//! +------------+--+----------------+------------+
+//! ```
+//!
+//! * **origin** — who scheduled the event: the locality whose event was
+//!   executing, or 0 for code outside any event (the *driver*: set-up,
+//!   tests, a workload's issue loop). A locality `l` is stored as `l + 1`,
+//!   so 14 bits hold at most [`MAX_LOCALITIES`] of them.
+//! * **w** — set for schedules made inside an [`Engine::defer_wire`] tail,
+//!   which draw from a second per-origin counter: a tail numbers its events
+//!   the same whether it ran inline or was deferred to a shard barrier.
+//! * **counter** — the origin's schedule count at the time, 35 bits.
+//! * **dest** — the locality the event runs on (same encoding as origin;
+//!   0 for a plain schedule from the driver). It is unique per
+//!   `(origin, w, counter)` already and takes no part in the hash: it is
+//!   how the engine knows which locality is executing, so a plain
+//!   [`Engine::schedule`] inherits it, and how a shard lane checks that an
+//!   event is its own.
+//!
+//! Running out of either field is an assertion, not a wrap.
 //!
 //! # Hot-path layout
 //!
@@ -25,7 +57,8 @@
 //!   bit-for-bit identical to the old `BinaryHeap` (proved by the
 //!   shadow-model proptest in `tests/timewheel_shadow.rs`);
 //! * the trace hash advances by a single 64×64→128-bit multiply per word
-//!   ([`trace_mix`]) rather than a byte-at-a-time FNV loop.
+//!   ([`trace_mix`]) rather than a byte-at-a-time FNV loop, and by an
+//!   addition per event — a sum, so shard lanes add theirs in any order.
 
 use crate::nic::LocalityId;
 use crate::rng::Xoshiro256;
@@ -141,7 +174,7 @@ pub struct Engine<S> {
     /// The simulated world. Public: events address it directly.
     pub state: S,
     pub(crate) now: Time,
-    pub(crate) seq: u64,
+    pub(crate) keys: KeySource,
     pub(crate) queue: TimeWheel<EventSlot<S>>,
     pub(crate) rng: Xoshiro256,
     pub(crate) executed: u64,
@@ -152,23 +185,112 @@ pub struct Engine<S> {
     pub(crate) shard: ShardRole<S>,
 }
 
-/// Initial trace-hash value (the FNV-1a offset basis, kept from the original
-/// byte-loop hash; any nonzero constant would do).
+/// Bits of a key that hold a locality (origin or destination).
+const LOC_BITS: u32 = 14;
+/// Bits of a key that hold the origin's schedule counter.
+const CTR_BITS: u32 = 35;
+const WIRE_SHIFT: u32 = LOC_BITS + CTR_BITS;
+const ORIGIN_SHIFT: u32 = WIRE_SHIFT + 1;
+const DEST_MASK: u64 = (1 << LOC_BITS) - 1;
+
+/// The most localities an engine can tell apart: a key stores locality `l`
+/// as `l + 1` in 14 bits, 0 being the driver.
+pub const MAX_LOCALITIES: usize = (1 << LOC_BITS) - 1;
+
+/// The origin (and destination) code of code that runs outside any event.
+pub(crate) const DRIVER: u64 = 0;
+
+/// How a key stores locality `loc`.
+#[inline]
+pub(crate) fn loc_code(loc: LocalityId) -> u64 {
+    assert!(
+        (loc as usize) < MAX_LOCALITIES,
+        "locality {loc} does not fit an event key: at most {MAX_LOCALITIES} localities"
+    );
+    u64::from(loc) + 1
+}
+
+/// The destination code of `key`: the locality its event runs on.
+#[inline]
+pub(crate) fn key_dest(key: u64) -> u64 {
+    key & DEST_MASK
+}
+
+/// Where an engine's keys come from: who is executing, and how many events
+/// each origin has scheduled so far.
+pub(crate) struct KeySource {
+    /// The code of the locality whose event is executing; [`DRIVER`]
+    /// between events.
+    pub(crate) cur: u64,
+    /// Whether a [`Engine::defer_wire`] tail is running.
+    pub(crate) in_tail: bool,
+    /// Per origin code: its schedule counter and its wire-tail counter.
+    /// Grows to the highest origin that has scheduled anything.
+    ctr: Vec<[u64; 2]>,
+}
+
+impl KeySource {
+    fn new() -> KeySource {
+        KeySource {
+            cur: DRIVER,
+            in_tail: false,
+            ctr: vec![[0; 2]],
+        }
+    }
+
+    /// `origin`'s wire-tail counter.
+    pub(crate) fn wire_ctr(&mut self, origin: u64) -> &mut u64 {
+        &mut self.slot(origin)[1]
+    }
+
+    #[inline]
+    fn slot(&mut self, origin: u64) -> &mut [u64; 2] {
+        let o = origin as usize;
+        if o >= self.ctr.len() {
+            self.ctr.resize(o + 1, [0; 2]);
+        }
+        &mut self.ctr[o]
+    }
+
+    /// The key of the next event the executing origin schedules onto
+    /// destination code `dest`.
+    #[inline]
+    pub(crate) fn next(&mut self, dest: u64) -> u64 {
+        let (origin, wire) = (self.cur, self.in_tail);
+        let ctr = &mut self.slot(origin)[usize::from(wire)];
+        let n = *ctr;
+        assert!(
+            n >> CTR_BITS == 0,
+            "origin {origin} has scheduled 2^{CTR_BITS} events: the event key's counter is full"
+        );
+        *ctr = n + 1;
+        origin << ORIGIN_SHIFT | u64::from(wire) << WIRE_SHIFT | n << LOC_BITS | dest
+    }
+}
+
+/// Seed of each executed event's hash term (the FNV-1a offset basis, kept
+/// from the original byte-loop hash; any nonzero constant would do).
 const TRACE_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// One step of the engine's execution-trace hash: fold `value` into `hash`
-/// with a single 64×64→128-bit multiply (a mum-style mix).
+/// One step of a running hash: fold `value` into `hash` with a single
+/// 64×64→128-bit multiply (a mum-style mix).
 ///
-/// This replaced a byte-at-a-time FNV-1a loop (16 multiplies per event); it
-/// keeps the properties the determinism tests rely on — a pure function of
-/// the `(hash, value)` pair with fixed constants, so identical executions
-/// hash identically on every platform, and order sensitivity, so reordered
-/// executions diverge.
+/// This replaced a byte-at-a-time FNV-1a loop (16 multiplies per event). It
+/// is a pure function of the `(hash, value)` pair with fixed constants, so
+/// identical inputs hash identically on every platform, and folding is
+/// order-sensitive.
 #[inline]
 pub fn trace_mix(hash: u64, value: u64) -> u64 {
     const K: u64 = 0x9e37_79b9_7f4a_7c15; // 2^64 / phi, odd
     let m = u128::from(hash ^ value) * u128::from(K);
     (m as u64) ^ ((m >> 64) as u64) ^ hash.rotate_left(32)
+}
+
+/// The term one executed event adds to [`Engine::trace_hash`]: a
+/// [`trace_mix`] of its time and of its key without the destination field.
+#[inline]
+pub fn event_mix(time: Time, key: u64) -> u64 {
+    trace_mix(trace_mix(TRACE_SEED, time.ps()), key >> LOC_BITS)
 }
 
 impl<S> Engine<S> {
@@ -177,11 +299,11 @@ impl<S> Engine<S> {
         Engine {
             state,
             now: Time::ZERO,
-            seq: 0,
+            keys: KeySource::new(),
             queue: TimeWheel::new(),
             rng: Xoshiro256::seed_from_u64(seed),
             executed: 0,
-            trace_hash: TRACE_SEED,
+            trace_hash: 0,
             shard: ShardRole::Seq,
         }
     }
@@ -204,11 +326,14 @@ impl<S> Engine<S> {
         self.queue.len()
     }
 
-    /// Running [`trace_mix`] hash over the `(time, seq)` pairs of executed
+    /// Wrapping sum of [`event_mix`] over the `(time, key)` pairs of executed
     /// events.
     ///
     /// Two runs of the same program with the same seed must produce the same
-    /// hash; the determinism property tests rely on this.
+    /// hash; the determinism property tests rely on this. A sum does not
+    /// depend on the order of its terms — the order is in the keys: an
+    /// execution that reorders two events of one locality hands the later
+    /// schedules different counters.
     #[inline]
     pub fn trace_hash(&self) -> u64 {
         self.trace_hash
@@ -240,7 +365,13 @@ impl<S> Engine<S> {
         self.schedule_at(at, event);
     }
 
-    /// Schedule `event` at the absolute instant `at`.
+    /// Schedule `event` at the absolute instant `at`, on the locality whose
+    /// event is executing.
+    ///
+    /// Outside any event there is no such locality: the event, and whatever
+    /// it goes on to schedule, belongs to the driver. Code that issues work
+    /// *for* a locality from outside an event names it with
+    /// [`Engine::schedule_at_loc`].
     ///
     /// Scheduling in the past violates causality: debug builds panic,
     /// release builds clamp to `now`.
@@ -248,46 +379,45 @@ impl<S> Engine<S> {
     where
         F: FnOnce(&mut Engine<S>) + 'static,
     {
-        debug_assert!(
-            at >= self.now,
-            "event scheduled in the past: {at} < {}",
-            self.now
-        );
-        let at = at.max(self.now);
-        if let ShardRole::Seq = self.shard {
-            let seq = self.seq;
-            self.seq += 1;
-            self.queue.push(at, seq, EventSlot::new(event));
-        } else {
+        let at = self.clamp(at);
+        if let ShardRole::Control(_) = self.shard {
             self.shard_schedule(at, None, EventSlot::new(event));
+        } else {
+            // On a lane too: the executing locality is the lane's own.
+            let key = self.keys.next(self.keys.cur);
+            self.queue.push(at, key, EventSlot::new(event));
         }
     }
 
     /// Schedule `event` at the absolute instant `at`, naming the locality
     /// whose state it touches.
     ///
-    /// On a plain sequential engine this is exactly [`Engine::schedule_at`];
-    /// the locality is advisory. In a sharded run it routes the event to the
-    /// lane owning `loc`, which is how cross-shard messages find the right
-    /// time-wheel. Protocol code must use this form for any event that runs
-    /// on a *different* locality than the one scheduling it.
+    /// Protocol code must use this form for any event that runs on a
+    /// *different* locality than the one scheduling it, and on every path
+    /// the driver can enter: the named locality is the one executing while
+    /// the event runs, so everything the event schedules is keyed to it. In
+    /// a sharded run it also routes the event to the lane owning `loc`.
     pub fn schedule_at_loc<F>(&mut self, at: Time, loc: LocalityId, event: F)
     where
         F: FnOnce(&mut Engine<S>) + 'static,
     {
+        let at = self.clamp(at);
+        if let ShardRole::Seq = self.shard {
+            let key = self.keys.next(loc_code(loc));
+            self.queue.push(at, key, EventSlot::new(event));
+        } else {
+            self.shard_schedule(at, Some(loc), EventSlot::new(event));
+        }
+    }
+
+    #[inline]
+    fn clamp(&self, at: Time) -> Time {
         debug_assert!(
             at >= self.now,
             "event scheduled in the past: {at} < {}",
             self.now
         );
-        let at = at.max(self.now);
-        if let ShardRole::Seq = self.shard {
-            let seq = self.seq;
-            self.seq += 1;
-            self.queue.push(at, seq, EventSlot::new(event));
-        } else {
-            self.shard_schedule(at, Some(loc), EventSlot::new(event));
-        }
+        at.max(self.now)
     }
 
     /// Run `tail` now — or, on a concurrent shard lane, defer it to the
@@ -295,10 +425,12 @@ impl<S> Engine<S> {
     ///
     /// Wire-path code wraps its *shared-state* half in this: switch-port
     /// reservation, jitter draws, the fault plane. On a sequential engine
-    /// the closure runs inline immediately (zero behaviour change); on a
-    /// lane whose current window is wire-pure (no jitter, no faults, no
-    /// switch contention model) it also runs inline, because the tail then
-    /// touches nothing shared. Only impure lanes pay the deferral.
+    /// the closure runs inline immediately; on a lane whose current window
+    /// is wire-pure (no jitter, no faults, no switch contention model) it
+    /// also runs inline, because the tail then touches nothing shared. Only
+    /// impure lanes pay the deferral. Either way the events a tail
+    /// schedules are keyed from its origin's wire counter, so when it ran
+    /// makes no difference to them.
     pub fn defer_wire<F>(&mut self, tail: F)
     where
         F: FnOnce(&mut Engine<S>) + 'static,
@@ -306,21 +438,31 @@ impl<S> Engine<S> {
         if self.defers_wire() {
             self.push_wire_tail(EventSlot::new(tail));
         } else {
+            let outer = std::mem::replace(&mut self.keys.in_tail, true);
             tail(self);
+            self.keys.in_tail = outer;
         }
+    }
+
+    /// Execute one popped event: advance the clock to it, count and hash
+    /// it, and run it as its destination locality.
+    #[inline]
+    pub(crate) fn dispatch(&mut self, time: Time, key: u64, ev: EventSlot<S>) {
+        debug_assert!(time >= self.now, "causality violated");
+        self.now = time;
+        self.executed += 1;
+        self.trace_hash = self.trace_hash.wrapping_add(event_mix(time, key));
+        self.keys.cur = key_dest(key);
+        ev.run(self);
+        self.keys.cur = DRIVER;
     }
 
     /// Execute the next pending event, if any. Returns `false` when idle.
     pub fn step(&mut self) -> bool {
-        let Some((time, seq, ev)) = self.queue.pop() else {
+        let Some((time, key, ev)) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(time >= self.now, "causality violated");
-        self.now = time;
-        self.executed += 1;
-        self.trace_hash = trace_mix(self.trace_hash, time.ps());
-        self.trace_hash = trace_mix(self.trace_hash, seq);
-        ev.run(self);
+        self.dispatch(time, key, ev);
         true
     }
 
@@ -390,6 +532,92 @@ mod tests {
         }
         eng.run();
         assert_eq!(eng.state, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn ties_break_by_origin_then_by_its_counter() {
+        // Three localities schedule onto locality 9 at one instant, in the
+        // order 2, 0, 1, 2: the events run by origin, then by each origin's
+        // own count — whatever order the schedules were made in.
+        let mut eng = Engine::new(Vec::<(u32, u32)>::new(), 0);
+        let at = Time::from_ns(50);
+        for (origin, nth) in [(2, 0), (0, 0), (1, 0), (2, 1)] {
+            eng.schedule_at_loc(Time::from_ns(10 + nth), origin, move |e| {
+                e.schedule_at_loc(at, 9, move |e| e.state.push((origin, nth as u32)));
+            });
+        }
+        // The driver's own event at that instant goes first: origin 0.
+        eng.schedule_at_loc(at, 9, |e| e.state.push((99, 0)));
+        eng.run();
+        assert_eq!(eng.state, [(99, 0), (0, 0), (1, 0), (2, 0), (2, 1)]);
+    }
+
+    #[test]
+    fn a_plain_schedule_inherits_the_executing_locality() {
+        // Locality 3's event schedules plainly; the child runs as locality
+        // 3 too, so its own child is keyed to origin 3 and beats origin 5.
+        let mut eng = Engine::new(Vec::<&str>::new(), 0);
+        let at = Time::from_ns(20);
+        eng.schedule_at_loc(Time::from_ns(1), 5, move |e| {
+            e.schedule_at(at, |e| e.state.push("from 5"));
+        });
+        eng.schedule_at_loc(Time::from_ns(2), 3, move |e| {
+            e.schedule(Time::from_ns(1), move |e| {
+                e.schedule_at(at, |e| e.state.push("from 3, two plain hops down"));
+            });
+        });
+        eng.run();
+        assert_eq!(eng.state, ["from 3, two plain hops down", "from 5"]);
+    }
+
+    #[test]
+    fn a_wire_tail_numbers_its_events_apart() {
+        // A tail's schedules draw from the origin's wire counter, so the
+        // schedule made after the tail gets the key it would have got had
+        // the tail run later — and wire events sort after plain ones.
+        let mut eng = Engine::new(Vec::<&str>::new(), 0);
+        let at = Time::from_ns(5);
+        eng.defer_wire(move |e| e.schedule_at(at, |e| e.state.push("wire")));
+        eng.schedule_at(at, |e| e.state.push("plain"));
+        eng.run();
+        assert_eq!(eng.state, ["plain", "wire"]);
+        // The same program without the tail hands "plain" the same key:
+        // one event fewer, and the hashes differ by exactly the wire event.
+        let mut bare = Engine::new(Vec::<&str>::new(), 0);
+        bare.schedule_at(at, |e| e.state.push("plain"));
+        bare.run();
+        let wire_key = 1 << WIRE_SHIFT;
+        assert_eq!(
+            eng.trace_hash(),
+            bare.trace_hash().wrapping_add(event_mix(at, wire_key))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 16383 localities")]
+    fn a_locality_beyond_the_key_field_is_refused() {
+        let mut eng = Engine::new((), 0);
+        eng.schedule_at_loc(Time::ZERO, MAX_LOCALITIES as LocalityId, |_| {});
+    }
+
+    #[test]
+    fn the_last_locality_fits_the_key_field() {
+        let mut eng = Engine::new(0u32, 0);
+        let last = MAX_LOCALITIES as LocalityId - 1;
+        eng.schedule_at_loc(Time::ZERO, last, |e| {
+            e.schedule(Time::from_ns(1), |e| e.state += 1);
+        });
+        eng.run();
+        assert_eq!(eng.state, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "the event key's counter is full")]
+    fn a_full_origin_counter_is_refused() {
+        let mut eng = Engine::new((), 0);
+        eng.keys.ctr[DRIVER as usize][0] = (1 << CTR_BITS) - 1;
+        eng.schedule(Time::ZERO, |_| {}); // the last key the field holds
+        eng.schedule(Time::ZERO, |_| {});
     }
 
     #[test]

@@ -540,7 +540,7 @@ pub fn send_held<S: Protocol, H: 'static>(
     }
     if src == dst {
         let at = now + cfg.loopback;
-        eng.schedule_at(at, move |eng| {
+        eng.schedule_at_loc(at, dst, move |eng| {
             eng.state.cluster().loc_mut(dst).counters.msgs_recv += 1;
             S::deliver(
                 eng,
@@ -931,7 +931,9 @@ pub fn rdma_issue<S: Protocol>(
         // Loop-back: the local NIC still translates and commits, but no
         // wire or port serialization is paid.
         let at = now + cfg.loopback;
-        eng.schedule_at(at, move |eng| commit(eng, initiator, req, Via::Loopback));
+        eng.schedule_at_loc(at, initiator, move |eng| {
+            commit(eng, initiator, req, Via::Loopback)
+        });
         return;
     }
     let dur = cfg.serialize(bytes);

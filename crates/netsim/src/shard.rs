@@ -4,7 +4,7 @@
 //! The sequential [`Engine`] executes one event at a time;
 //! every experiment is single-core. This module partitions the cluster's
 //! localities into `N` contiguous *lanes*, each with its own time-wheel
-//! and worker thread, and synchronizes them with the classic conservative
+//! and thread, and synchronizes them with the classic conservative
 //! PDES argument specialized to our LogGP fabric:
 //!
 //! > Every event one lane schedules onto another lies at least the
@@ -17,51 +17,41 @@
 //! > events with `time < t_min + W` concurrently without ever seeing a
 //! > straggler.
 //!
-//! The subtle part is not safety but *bit-exact determinism*: the merged
-//! execution must replay the sequential engine's `(time, seq)` order —
-//! including the `seq` values themselves, because the trace hash folds
-//! them in. Lanes therefore do not assign sequence numbers at all. Inside
-//! a window a lane orders its own newly scheduled events with provisional
-//! keys (`PROV_BIT | claim`) and counts one *claim* per schedule; at the
-//! window barrier the control engine merges the lane logs by `(time,
-//! resolved seq)` — which *is* the sequential execution order — and walks
-//! each event's claims and deferred tails in program order, assigning real
-//! sequence numbers from the single global counter exactly as the
-//! sequential engine would have. Cross-lane and beyond-window
-//! events are staged during the window and committed with their resolved
-//! sequence numbers afterwards, so between windows every queued event
-//! carries its final sequential key.
+//! *Bit-exact determinism* then costs nothing, because nothing in an
+//! event's `(time, key)` is global: the key names the locality that
+//! scheduled the event and that locality's own schedule count (see
+//! [`crate::engine`]). A lane executes its events in `(time, key)` order;
+//! other lanes' events only interleave with that order, so each locality
+//! runs the same events in the same order as on the sequential engine and
+//! hands out the same keys, and the trace hash — a sum over executed
+//! events — is the sum of the lanes' sums. A lane pushes the events it
+//! schedules for itself straight into its wheel and hands the rest to the
+//! destination lane's inbox when its window ends; the destination drains
+//! it when its next window starts. The barrier moves no event.
 //!
 //! Shared wire state (the switch-contention clock, the jitter RNG, the
 //! fault plane) cannot be touched concurrently. Protocol code wraps that
 //! slice of each wire operation in [`Engine::defer_wire`]; on a lane whose
 //! window is *wire-pure* (no jitter, no faults, no switch model — the
 //! common benchmark fabric) the closure runs inline because it touches
-//! nothing shared, otherwise it is logged in the lane's window log and
-//! replayed serially at the barrier, on the control engine, in merged
-//! order — which again reproduces the sequential RNG draw order exactly.
+//! nothing shared. Otherwise the lane logs it, and the barrier runs the
+//! logged tails serially on the control engine in the order the sequential
+//! engine would have reached them — the one thing a window still merges.
 //!
-//! See `DESIGN.md` §3.5 for the full safety argument and the telemetry
-//! this module records ([`ShardStats`]).
+//! See `DESIGN.md` §3.5 for the full argument and the telemetry this
+//! module records ([`ShardStats`]).
 
-use crate::engine::{trace_mix, Engine, EventSlot};
+use crate::engine::{key_dest, loc_code, Engine, EventSlot, DRIVER, MAX_LOCALITIES};
 use crate::net::Protocol;
 use crate::nic::LocalityId;
 use crate::time::Time;
 use std::any::Any;
 use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
-
-/// High bit marking a lane-provisional queue key. A provisional event is
-/// always scheduled *and popped* within the same window (its time is below
-/// the window end), so provisional keys never survive a barrier. Setting
-/// the top bit makes them order after every final sequence number at the
-/// same instant, matching the sequential engine (a just-scheduled event
-/// has a larger seq than anything already pending).
-pub(crate) const PROV_BIT: u64 = 1 << 63;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
 /// The part an [`Engine`] plays in a sharded run.
 pub(crate) enum ShardRole<S> {
@@ -70,71 +60,31 @@ pub(crate) enum ShardRole<S> {
     Seq,
     /// One lane of a [`ShardedEngine`], executing a window concurrently.
     Lane(Box<LaneCtx<S>>),
-    /// The control engine: owns the world, the global sequence counter,
-    /// the RNG, and the trace hash; runs barriers, tails, and drive-phase
-    /// code.
+    /// The control engine: owns the world and the RNG; runs drive-phase
+    /// code and deferred wire tails. It executes no events.
     Control(Box<ControlCtx<S>>),
 }
 
-/// One executed event in a lane's window log: its time, its queue key
-/// (possibly provisional), and where its claims and deferred tails end.
-struct Rec {
+/// An event on its way into a lane's wheel, final key and all.
+type Routed<S> = (Time, u64, EventSlot<S>);
+
+/// A [`Engine::defer_wire`] closure a lane logged for the barrier.
+struct Tail<S> {
+    /// When the deferring event ran.
     time: Time,
-    key: u64,
-    /// The lane's claim counter after the event: it made the claims from
-    /// the previous record's count up to this one.
-    claims_end: u32,
-    /// Exclusive end of the event's range in [`LaneLog::tails`].
-    tails_end: u32,
+    /// The largest key the lane had executed at `time` by then: the tail's
+    /// place among the other lanes' tails (see [`run_tails`]).
+    order: u64,
+    /// The code of the locality that deferred it.
+    origin: u64,
+    slot: EventSlot<S>,
 }
 
-/// Entries of capacity each window-log vector keeps from one window to the
-/// next: several steady windows' worth (`gups_lanes2` logs ≈ 800 per lane
-/// per window). What a burst grows beyond it — a set-up sweep's windows
-/// log many times that — goes back at the barrier; kept, it idles for the
-/// rest of the run and shows in peak RSS (+18 MB there).
-const LOG_KEEP: usize = 4096;
-
-/// What one lane logs during a window for the barrier to replay. The
-/// barrier reads it in place and clears it, so the vectors keep their
-/// capacity (up to [`LOG_KEEP`]) from window to window.
-struct LaneLog<S> {
-    /// Events executed this window.
-    recs: Vec<Rec>,
-    /// [`Engine::defer_wire`] closures to replay serially, each with the
-    /// lane's claim counter when it was deferred — its place among the
-    /// event's claims. Sparse: a wire-pure window logs none.
-    tails: Vec<(u32, Option<EventSlot<S>>)>,
-    /// Events scheduled at/after `window_end` or onto another lane:
-    /// `(time, destination lane, claim, event)`.
-    staged: Vec<(Time, u32, u32, EventSlot<S>)>,
-    /// Barrier scratch: `seqs[claim]` is the resolved global sequence
-    /// number of that claim.
-    seqs: Vec<u64>,
-}
-
-impl<S> LaneLog<S> {
-    fn new() -> LaneLog<S> {
-        LaneLog {
-            recs: Vec::new(),
-            tails: Vec::new(),
-            staged: Vec::new(),
-            seqs: Vec::new(),
-        }
-    }
-
-    /// Empty the log for the next window.
-    fn reset(&mut self) {
-        fn recycle<T>(v: &mut Vec<T>) {
-            v.clear();
-            v.shrink_to(LOG_KEEP);
-        }
-        recycle(&mut self.recs);
-        recycle(&mut self.tails);
-        recycle(&mut self.staged);
-        recycle(&mut self.seqs);
-    }
-}
+/// Entries of capacity a per-window buffer keeps from one window to the
+/// next: several steady windows' worth (`gups_lanes2` sends ≈ 400 events
+/// across per lane per window). What a set-up burst grows beyond it goes
+/// back, or it idles for the rest of the run and shows in peak RSS.
+const KEEP: usize = 4096;
 
 pub(crate) struct LaneCtx<S> {
     /// This lane's index.
@@ -144,73 +94,66 @@ pub(crate) struct LaneCtx<S> {
     window_end: Time,
     /// Whether `defer_wire` tails may run inline this window.
     wire_pure: bool,
-    /// Dense per-window counter of schedules (provisional key source).
-    claims: u32,
-    log: LaneLog<S>,
-    /// Wall-clock nanoseconds this lane spent executing in the current
-    /// window (read by the barrier for utilization telemetry).
-    window_busy_ns: u64,
-    /// Cumulative busy nanoseconds and events across the run.
-    busy_total_ns: u64,
-    events_total: u64,
+    /// The instant the lane is executing and the largest key it has
+    /// executed there (tracked in impure windows only).
+    instant: (Time, u64),
+    /// Deferred tails, in execution order. A wire-pure window logs none.
+    tails: Vec<Tail<S>>,
+    /// Events scheduled onto other lanes this window, by destination lane.
+    out: Vec<Vec<Routed<S>>>,
+    /// The earliest time in `out`, in picoseconds.
+    sent_min: u64,
 }
 
 pub(crate) struct ControlCtx<S> {
     map: ShardMap,
-    /// Lane attribution for plain `schedule_at` calls on the control
-    /// engine: the lane of the event being replayed/micro-stepped, or the
-    /// lane named by [`ShardedEngine::drive_at`]. `None` (drive phase,
-    /// tail replay) makes locality-less scheduling a hard error, which is
-    /// what forces protocol tails onto `schedule_at_loc`.
-    cur_lane: Option<u32>,
-    /// Events routed but not yet inserted into lane queues (the control
-    /// engine cannot borrow the lanes while an event borrows it):
-    /// `(time, lane, seq, event)`.
-    outbox: Vec<(Time, u32, u64, EventSlot<S>)>,
+    /// The locality [`ShardedEngine::drive_at`] named, which a plain
+    /// `schedule` from the driver lands on. `None` (plain
+    /// [`ShardedEngine::drive`]) makes one a hard error, which is what
+    /// forces driver-reachable protocol paths onto `schedule_at_loc`.
+    drive_loc: Option<LocalityId>,
+    /// Events routed but not yet in a lane's inbox (the control engine
+    /// cannot borrow the lanes while code borrows it), by destination lane.
+    outbox: Vec<(u32, Routed<S>)>,
 }
 
 impl<S> Engine<S> {
-    /// Role-aware scheduling; `loc` is the locality the event will touch
-    /// (`None` = the scheduling locality's own lane).
+    /// Scheduling on a sharded engine: `loc` is the locality the event will
+    /// touch (`None` = a plain schedule on the control engine).
     pub(crate) fn shard_schedule(&mut self, at: Time, loc: Option<LocalityId>, slot: EventSlot<S>) {
         match &mut self.shard {
-            ShardRole::Seq => {
-                let seq = self.seq;
-                self.seq += 1;
-                self.queue.push(at, seq, slot);
-            }
+            ShardRole::Seq => unreachable!("the sequential engine schedules for itself"),
             ShardRole::Lane(ctx) => {
-                let dest = loc.map_or(ctx.lane, |l| ctx.map.lane_of(l));
-                let claim = ctx.claims;
-                ctx.claims += 1;
-                if dest == ctx.lane && at < ctx.window_end {
-                    // Executes later this same window, on this lane: a
-                    // provisional key keeps intra-lane order until the
-                    // barrier resolves the real sequence number.
-                    self.queue.push(at, PROV_BIT | u64::from(claim), slot);
-                } else {
-                    assert!(
-                        dest == ctx.lane || at >= ctx.window_end,
-                        "cross-shard event below the lookahead window \
-                         (at={at}, window_end={}): the protocol scheduled \
-                         a cross-lane event closer than the lookahead",
-                        ctx.window_end
-                    );
-                    ctx.log.staged.push((at, dest, claim, slot));
+                let loc = loc.expect("a lane's plain schedules stay on its wheel");
+                let dest = loc_code(loc);
+                let key = self.keys.next(dest);
+                if dest == self.keys.cur || ctx.map.lane_of(loc) == ctx.lane {
+                    self.queue.push(at, key, slot);
+                    return;
                 }
+                assert!(
+                    at >= ctx.window_end,
+                    "cross-shard event below the lookahead window \
+                     (at={at}, window_end={}): the protocol scheduled \
+                     a cross-lane event closer than the lookahead",
+                    ctx.window_end
+                );
+                ctx.sent_min = ctx.sent_min.min(at.ps());
+                ctx.out[ctx.map.lane_of(loc) as usize].push((at, key, slot));
             }
             ShardRole::Control(ctx) => {
-                let lane = match loc {
-                    Some(l) => ctx.map.lane_of(l),
-                    None => ctx.cur_lane.expect(
+                // A replayed tail schedules as the locality that deferred
+                // it; driver code has to say.
+                let loc = loc.unwrap_or_else(|| match self.keys.cur {
+                    DRIVER => ctx.drive_loc.expect(
                         "locality-less schedule on the sharded control engine \
                          outside a lane context; use schedule_at_loc (or \
                          ShardedEngine::drive_at) so the event can be routed",
                     ),
-                };
-                let seq = self.seq;
-                self.seq += 1;
-                ctx.outbox.push((at, lane, seq, slot));
+                    code => (code - 1) as LocalityId,
+                });
+                let key = self.keys.next(loc_code(loc));
+                ctx.outbox.push((ctx.map.lane_of(loc), (at, key, slot)));
             }
         }
     }
@@ -221,10 +164,15 @@ impl<S> Engine<S> {
     }
 
     pub(crate) fn push_wire_tail(&mut self, slot: EventSlot<S>) {
-        match &mut self.shard {
-            ShardRole::Lane(ctx) => ctx.log.tails.push((ctx.claims, Some(slot))),
-            _ => unreachable!("wire tail pushed outside a lane"),
-        }
+        let ShardRole::Lane(ctx) = &mut self.shard else {
+            unreachable!("wire tail pushed outside a lane")
+        };
+        ctx.tails.push(Tail {
+            time: ctx.instant.0,
+            order: ctx.instant.1,
+            origin: self.keys.cur,
+            slot,
+        });
     }
 }
 
@@ -257,12 +205,6 @@ impl ShardMap {
     #[inline]
     pub fn lanes(&self) -> usize {
         self.lanes as usize
-    }
-
-    /// Number of localities.
-    #[inline]
-    pub fn locs(&self) -> usize {
-        self.locs as usize
     }
 }
 
@@ -380,8 +322,8 @@ pub struct ShardStats {
     /// Aggregate nanoseconds the barrier spent waiting on stragglers
     /// (per-window parallel wall time minus the busiest lane's work).
     pub barrier_wait_ns: u64,
-    /// Nanoseconds spent in serial barrier replay (merge + sequence
-    /// resolution + deferred tails + staged commits).
+    /// Nanoseconds in the barrier's serial part: finding the next window
+    /// and, in an impure window, running the deferred wire tails.
     pub replay_ns: u64,
     /// Total wall nanoseconds inside `run`/`run_until`/`run_steps`.
     pub wall_ns: u64,
@@ -416,14 +358,61 @@ impl ShardStats {
     }
 
     /// Fraction of wall time lost to synchronization (barrier waits plus
-    /// serial replay), in `[0, 1]`.
+    /// the barrier's serial part), in `[0, 1]`.
     pub fn sync_overhead(&self) -> f64 {
         (self.barrier_wait_ns + self.replay_ns) as f64 / self.wall_ns.max(1) as f64
     }
 }
 
-/// The sharded counterpart of [`Engine`]: same world, same observable
-/// `(time, seq)` execution and trace hash, N-way parallel windows.
+/// One lane as the threads share it.
+struct Lane<W> {
+    /// The lane's engine: held by whoever runs its window, by the control
+    /// thread between windows.
+    eng: Mutex<Engine<W>>,
+    /// Events other lanes and the control engine scheduled onto this one;
+    /// the lane moves them into its wheel when its next window starts.
+    inbox: Mutex<Vec<Routed<W>>>,
+    /// The earliest time pending on this lane or sent by it last window, in
+    /// picoseconds (`u64::MAX` = none): published as the lane reports done,
+    /// so the barrier finds the next window without asking.
+    next: AtomicU64,
+    /// Wall nanoseconds the lane's last window took.
+    busy_ns: AtomicU64,
+}
+
+impl<W> Lane<W> {
+    fn eng(&self) -> MutexGuard<'_, Engine<W>> {
+        self.eng.lock().expect("lane lock")
+    }
+
+    /// Hand `ev` to the lane and account for it in `next`.
+    fn deliver(&self, ev: Routed<W>) {
+        self.next.fetch_min(ev.0.ps(), Ordering::Relaxed);
+        self.inbox.lock().expect("inbox lock").push(ev);
+    }
+
+    /// Move the inbox into the wheel.
+    fn take_inbox(&self, eng: &mut Engine<W>) {
+        let mut inbox = self.inbox.lock().expect("inbox lock");
+        for (at, key, slot) in inbox.drain(..) {
+            eng.queue.push(at, key, slot);
+        }
+        inbox.shrink_to(KEEP);
+    }
+
+    /// Between windows: everything pending is in the wheel and `next` is
+    /// its earliest time.
+    fn settle(&self) -> MutexGuard<'_, Engine<W>> {
+        let mut eng = self.eng();
+        self.take_inbox(&mut eng);
+        let next = eng.queue.next_time().map_or(u64::MAX, Time::ps);
+        self.next.store(next, Ordering::Relaxed);
+        eng
+    }
+}
+
+/// The sharded counterpart of [`Engine`]: same world, same `(time, key)`
+/// per event and the same trace hash, N-way parallel windows.
 ///
 /// Construction requires a [`SplitWorld`] and a positive lookahead.
 /// Tracing must be disabled — the tracer is a single
@@ -431,18 +420,25 @@ impl ShardStats {
 pub struct ShardedEngine<W: SplitWorld> {
     // Field order matters: lane engines hold aliases of the control
     // engine's world and must drop first.
-    lanes: Vec<Mutex<Engine<W>>>,
+    lanes: Vec<Lane<W>>,
+    /// Owns the world; its clock, event count and hash are the lanes',
+    /// folded after every run.
     control: Engine<W>,
-    map: ShardMap,
     /// The synchronisation window's width (see [`ShardedEngine::lookahead`]).
     lookahead: Time,
     stats: ShardStats,
+    /// Wire tails the control thread ran and events it moved at barriers.
+    barrier_work: (u64, u64),
 }
 
 impl<W: SplitWorld> ShardedEngine<W> {
     /// Build a sharded engine over `state` with (at most) `shards` lanes.
     pub fn new(state: W, seed: u64, shards: usize) -> ShardedEngine<W> {
         let locs = state.cluster_ref().len();
+        assert!(
+            locs <= MAX_LOCALITIES,
+            "{locs} localities do not fit an event key: at most {MAX_LOCALITIES}"
+        );
         let map = ShardMap::new(shards, locs);
         // The smallest delay at which an event on one lane can schedule an
         // event onto another. Wire messages pay the wire latency. Hops
@@ -471,7 +467,7 @@ impl<W: SplitWorld> ShardedEngine<W> {
         let mut control = Engine::new(state, seed);
         control.shard = ShardRole::Control(Box::new(ControlCtx {
             map,
-            cur_lane: None,
+            drive_loc: None,
             outbox: Vec::new(),
         }));
         let lanes = (0..map.lanes() as u32)
@@ -483,32 +479,26 @@ impl<W: SplitWorld> ShardedEngine<W> {
                     map,
                     window_end: Time::ZERO,
                     wire_pure: false,
-                    claims: 0,
-                    log: LaneLog::new(),
-                    window_busy_ns: 0,
-                    busy_total_ns: 0,
-                    events_total: 0,
+                    instant: (Time::ZERO, 0),
+                    tails: Vec::new(),
+                    out: (0..map.lanes()).map(|_| Vec::new()).collect(),
+                    sent_min: u64::MAX,
                 }));
-                Mutex::new(eng)
+                Lane {
+                    eng: Mutex::new(eng),
+                    inbox: Mutex::new(Vec::new()),
+                    next: AtomicU64::new(u64::MAX),
+                    busy_ns: AtomicU64::new(0),
+                }
             })
             .collect();
         ShardedEngine {
             lanes,
             control,
-            map,
             lookahead,
             stats: ShardStats::new(map.lanes()),
+            barrier_work: (0, 0),
         }
-    }
-
-    /// The locality → lane partition.
-    pub fn map(&self) -> ShardMap {
-        self.map
-    }
-
-    /// Number of lanes.
-    pub fn shards(&self) -> usize {
-        self.lanes.len()
     }
 
     /// The synchronisation window's width: the smallest delay at which an
@@ -531,14 +521,11 @@ impl<W: SplitWorld> ShardedEngine<W> {
 
     /// Events currently pending across all lanes.
     pub fn events_pending(&mut self) -> usize {
-        self.lanes
-            .iter_mut()
-            .map(|l| l.get_mut().expect("lane lock").events_pending())
-            .sum()
+        self.lanes.iter().map(|l| l.settle().events_pending()).sum()
     }
 
-    /// Running `(time, seq)` trace hash — bit-identical to the sequential
-    /// engine's for the same program and seed.
+    /// The trace hash — bit-identical to the sequential engine's for the
+    /// same program and seed: the sum of the lanes' sums.
     pub fn trace_hash(&self) -> u64 {
         self.control.trace_hash()
     }
@@ -558,24 +545,43 @@ impl<W: SplitWorld> ShardedEngine<W> {
         &self.stats
     }
 
+    /// What the control thread did at barriers so far: deferred wire tails
+    /// it ran, and events it moved into lanes (the ones those tails
+    /// scheduled). Both stay 0 on a wire-pure fabric.
+    #[doc(hidden)]
+    pub fn barrier_work(&self) -> (u64, u64) {
+        self.barrier_work
+    }
+
+    /// Test hook: queue `event` for locality `loc` on lane `lane`, whether
+    /// or not that lane owns it.
+    #[doc(hidden)]
+    pub fn push_on_lane<F>(&mut self, lane: usize, at: Time, loc: LocalityId, event: F)
+    where
+        F: FnOnce(&mut Engine<W>) + 'static,
+    {
+        let key = self.control.keys.next(loc_code(loc));
+        self.lanes[lane].deliver((at, key, EventSlot::new(event)));
+    }
+
     /// Run drive-phase code against the control engine (allocation
     /// collectives, config pokes). Plain `schedule_at` calls panic here —
     /// use [`ShardedEngine::drive_at`] when the closure schedules events.
     pub fn drive<R>(&mut self, f: impl FnOnce(&mut Engine<W>) -> R) -> R {
-        self.set_cur_lane(None);
         let r = f(&mut self.control);
-        self.drain_outbox();
+        move_outbox(&mut self.control, &self.lanes);
         r
     }
 
     /// Run drive-phase code attributed to locality `loc`: plain schedules
-    /// inside `f` (op issues, injected faults) land on `loc`'s lane.
+    /// inside `f` (injected faults, test pokes) land on `loc`'s lane. The
+    /// events are the driver's all the same — keyed exactly as if `f` had
+    /// run against a sequential engine.
     pub fn drive_at<R>(&mut self, loc: LocalityId, f: impl FnOnce(&mut Engine<W>) -> R) -> R {
-        let lane = self.map.lane_of(loc);
-        self.set_cur_lane(Some(lane));
+        control_ctx(&mut self.control).drive_loc = Some(loc);
         let r = f(&mut self.control);
-        self.set_cur_lane(None);
-        self.drain_outbox();
+        control_ctx(&mut self.control).drive_loc = None;
+        move_outbox(&mut self.control, &self.lanes);
         r
     }
 
@@ -590,362 +596,352 @@ impl<W: SplitWorld> ShardedEngine<W> {
         self.run_windows(Some(deadline))
     }
 
-    /// Run at most `n` further events, one at a time, in exact global
-    /// `(time, seq)` order (serial; used by workloads that interleave
-    /// driver code with bounded progress).
+    /// Run at most `n` further events, one at a time, in the sequential
+    /// engine's order (serial; used by workloads that interleave driver
+    /// code with bounded progress).
     pub fn run_steps(&mut self, n: u64) -> u64 {
         let wall0 = Instant::now();
-        let start = self.control.executed;
-        let t0 = self.control.now;
+        let (start, t0) = (self.control.executed, self.control.now);
         for _ in 0..n {
             if !self.step_one() {
                 break;
             }
         }
-        let ran = self.control.executed - start;
-        crate::telemetry::record_run(ran, (self.control.now - t0).ps());
-        self.stats.wall_ns += wall0.elapsed().as_nanos() as u64;
-        ran
+        self.finish_run(start, t0, wall0)
     }
 
-    fn set_cur_lane(&mut self, lane: Option<u32>) {
-        match &mut self.control.shard {
-            ShardRole::Control(ctx) => ctx.cur_lane = lane,
-            _ => unreachable!("control engine lost its role"),
-        }
-    }
-
-    /// Move routed events from the control outbox into lane queues.
-    fn drain_outbox(&mut self) {
-        let outbox = match &mut self.control.shard {
-            ShardRole::Control(ctx) if !ctx.outbox.is_empty() => std::mem::take(&mut ctx.outbox),
-            _ => return,
-        };
-        for (at, lane, seq, slot) in outbox {
-            self.lanes[lane as usize]
-                .get_mut()
-                .expect("lane lock")
-                .queue
-                .push(at, seq, slot);
-        }
-    }
-
-    /// Pop and execute the single globally earliest event. Valid between
-    /// windows, where every queued key is final.
+    /// Pop and execute the single globally earliest event, on its lane's
+    /// engine: a one-event window.
     fn step_one(&mut self) -> bool {
-        let mut best: Option<(Time, u64, usize)> = None;
-        for (i, l) in self.lanes.iter_mut().enumerate() {
-            let eng = l.get_mut().expect("lane lock");
-            if let Some((t, k)) = eng.queue.next_key() {
-                if best.is_none_or(|(bt, bk, _)| (t, k) < (bt, bk)) {
-                    best = Some((t, k, i));
-                }
-            }
-        }
-        let Some((_, key, lane)) = best else {
+        let heads = self.lanes.iter().enumerate();
+        let first = heads.filter_map(|(i, l)| Some((l.settle().queue.next_key()?, i)));
+        let Some(((time, _), lane)) = first.min() else {
             return false;
         };
-        debug_assert_eq!(key & PROV_BIT, 0, "provisional key between windows");
-        let (time, seq, slot) = self.lanes[lane]
-            .get_mut()
-            .expect("lane lock")
-            .queue
-            .pop()
-            .expect("peeked event vanished");
-        self.set_cur_lane(Some(lane as u32));
-        let control = &mut self.control;
-        control.now = time;
-        control.executed += 1;
-        control.trace_hash = trace_mix(control.trace_hash, time.ps());
-        control.trace_hash = trace_mix(control.trace_hash, seq);
-        slot.run(control);
-        self.set_cur_lane(None);
-        self.drain_outbox();
+        let wire_pure = self.control.state.cluster_ref().wire_is_pure();
+        let mut eng = self.lanes[lane].eng();
+        lane_run_window(&mut eng, time + self.lookahead, wire_pure, 1);
+        hand_over(&mut eng, &self.lanes);
+        drop(eng);
+        if !wire_pure {
+            run_tails(&mut self.control, &self.lanes, &mut self.barrier_work);
+        }
         true
+    }
+
+    /// Fold the lanes' clocks, counts and hashes into the control engine
+    /// and the run's wall time into the stats. Returns events executed
+    /// since `start`.
+    fn finish_run(&mut self, start: u64, t0: Time, wall0: Instant) -> u64 {
+        let control = &mut self.control;
+        (control.executed, control.trace_hash) = (0, 0);
+        for (i, lane) in self.lanes.iter_mut().enumerate() {
+            let eng = lane.eng.get_mut().expect("lane lock");
+            control.now = control.now.max(eng.now);
+            control.executed += eng.executed;
+            control.trace_hash = control.trace_hash.wrapping_add(eng.trace_hash);
+            self.stats.lane_events[i] = eng.executed;
+        }
+        self.stats.wall_ns += wall0.elapsed().as_nanos() as u64;
+        let ran = control.executed - start;
+        crate::telemetry::record_run(ran, (control.now - t0).ps());
+        ran
     }
 
     /// The windowed parallel loop shared by `run` and `run_until`.
     fn run_windows(&mut self, deadline: Option<Time>) -> u64 {
         let wall0 = Instant::now();
-        let start = self.control.executed;
-        let t0 = self.control.now;
-        let n = self.lanes.len();
-        self.set_cur_lane(None);
+        let (start, t0) = (self.control.executed, self.control.now);
+        self.lanes.iter().for_each(|lane| drop(lane.settle()));
 
-        let lanes: &[Mutex<Engine<W>>] = &self.lanes;
+        let lanes: &[Lane<W>] = &self.lanes;
         let control = &mut self.control;
         let stats = &mut self.stats;
+        let barrier_work = &mut self.barrier_work;
         let lookahead = self.lookahead;
+        let sync = WindowSync {
+            epoch: AtomicU64::new(0),
+            window_end: AtomicU64::new(0),
+            wire_pure: AtomicBool::new(false),
+            done: AtomicUsize::new(0),
+            stop: AtomicBool::new(false),
+            panicked: Mutex::new(None),
+            control: std::thread::current(),
+            pause: match std::thread::available_parallelism() {
+                Ok(cores) if cores.get() >= lanes.len() => PAUSE_FOR,
+                _ => Duration::ZERO,
+            },
+        };
 
-        let epoch = AtomicU64::new(0);
-        let done = AtomicU64::new(0);
-        let stop = AtomicBool::new(false);
-        // The payload of the first panic on a lane thread this run.
-        let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-
-        rayon::scope(|s| {
-            for lane in lanes {
-                let (epoch, done, stop, panicked) = (&epoch, &done, &stop, &panicked);
-                s.spawn(move |_| lane_worker(lane, epoch, done, stop, panicked));
-            }
-            // However this body ends — quiescence, a lane's panic resumed
-            // below, a panic in replayed code — the workers must be let go,
-            // or the scope waits on them forever.
-            let _release = ReleaseLanes {
-                epoch: &epoch,
-                stop: &stop,
-            };
-
-            let mut cur_epoch = 0u64;
-            loop {
-                // Global minimum pending time across lanes.
-                let mut window_start: Option<Time> = None;
-                for lane in lanes {
-                    let mut eng = lane.lock().expect("lane lock");
-                    if let Some(t) = eng.queue.next_time() {
-                        window_start = Some(window_start.map_or(t, |w| w.min(t)));
-                    }
+        std::thread::scope(|s| {
+            // The control thread runs lane 0 itself: N lanes are N threads.
+            let workers: Vec<Thread> = (1..lanes.len())
+                .map(|i| {
+                    let sync = &sync;
+                    s.spawn(move || lane_worker(lanes, i, sync))
+                        .thread()
+                        .clone()
+                })
+                .collect();
+            let windows = catch_unwind(AssertUnwindSafe(|| loop {
+                let next = lanes
+                    .iter()
+                    .map(|l| l.next.load(Ordering::Relaxed))
+                    .min()
+                    .expect("at least one lane");
+                if next == u64::MAX {
+                    break;
                 }
-                let Some(ws) = window_start else { break };
+                let ws = Time::from_ps(next);
+                let mut we = ws + lookahead;
                 if let Some(d) = deadline {
                     if ws > d {
                         control.now = d;
                         break;
                     }
-                }
-                let mut we = ws + lookahead;
-                if let Some(d) = deadline {
                     // Never execute past the deadline; `d` itself is
                     // still eligible (pop_before is exclusive).
                     we = we.min(Time::from_ps(d.ps() + 1));
                 }
                 let wire_pure = control.state.cluster_ref().wire_is_pure();
-                for lane in lanes {
-                    let mut eng = lane.lock().expect("lane lock");
-                    let ctx = lane_ctx(&mut eng);
-                    ctx.window_end = we;
-                    ctx.wire_pure = wire_pure;
-                    ctx.claims = 0;
-                }
 
-                // Release the lanes and wait for the window to complete.
+                // Release the lanes, run lane 0, wait for the rest.
                 let par0 = Instant::now();
-                cur_epoch += 1;
-                epoch.store(cur_epoch, Ordering::Release);
-                let mut spins = 0u32;
-                while done.load(Ordering::Acquire) < n as u64 {
-                    backoff(&mut spins);
-                }
-                done.store(0, Ordering::Relaxed);
+                sync.window_end.store(we.ps(), Ordering::Relaxed);
+                sync.wire_pure.store(wire_pure, Ordering::Relaxed);
+                sync.epoch.fetch_add(1, Ordering::Release);
+                workers.iter().for_each(Thread::unpark);
+                run_lane(lanes, 0, &sync);
+                wait_until(sync.pause, || {
+                    sync.done.load(Ordering::Acquire) == workers.len()
+                });
+                sync.done.store(0, Ordering::Relaxed);
                 let par_ns = par0.elapsed().as_nanos() as u64;
-                if let Some(payload) = panicked.lock().expect("panic slot lock").take() {
+                if let Some(payload) = sync.panicked.lock().expect("panic slot lock").take() {
                     resume_unwind(payload);
                 }
 
-                let replay0 = Instant::now();
-                let max_busy = replay_window(control, lanes);
+                let serial0 = Instant::now();
+                if !wire_pure {
+                    run_tails(control, lanes, barrier_work);
+                }
+                let mut max_busy = 0;
+                for (lane, total) in lanes.iter().zip(&mut stats.lane_busy_ns) {
+                    let busy = lane.busy_ns.load(Ordering::Relaxed);
+                    *total += busy;
+                    max_busy = busy.max(max_busy);
+                }
                 stats.windows += 1;
                 stats.barrier_wait_ns += par_ns.saturating_sub(max_busy);
-                stats.replay_ns += replay0.elapsed().as_nanos() as u64;
+                stats.replay_ns += serial0.elapsed().as_nanos() as u64;
+            }));
+            // However the loop ended — quiescence, a lane's panic resumed
+            // in it, a panic in a replayed tail — the workers must be let
+            // go, or the scope waits on them forever.
+            sync.stop.store(true, Ordering::Relaxed);
+            sync.epoch.fetch_add(1, Ordering::Release);
+            workers.iter().for_each(Thread::unpark);
+            if let Err(payload) = windows {
+                resume_unwind(payload);
             }
         });
 
-        for (i, lane) in self.lanes.iter_mut().enumerate() {
-            let eng = lane.get_mut().expect("lane lock");
-            if let ShardRole::Lane(ctx) = &eng.shard {
-                self.stats.lane_events[i] = ctx.events_total;
-                self.stats.lane_busy_ns[i] = ctx.busy_total_ns;
+        self.finish_run(start, t0, wall0)
+    }
+}
+
+/// What the control thread and the lane workers share for one `run` call.
+struct WindowSync {
+    /// Ticks once per window (and once more to let the workers go).
+    epoch: AtomicU64,
+    /// The window the tick announces: its exclusive end in picoseconds,
+    /// and whether wire tails may run inline.
+    window_end: AtomicU64,
+    wire_pure: AtomicBool,
+    /// Workers that finished the current window.
+    done: AtomicUsize,
+    stop: AtomicBool,
+    /// The payload of the first panic on a lane this run.
+    panicked: Mutex<Option<Box<dyn Any + Send>>>,
+    control: Thread,
+    /// How long a waiter pauses before parking (see [`PAUSE_FOR`]).
+    pause: Duration,
+}
+
+/// How long a waiter pauses before it parks, when every lane has a hardware
+/// thread to itself: lanes finish a window within tens of microseconds of
+/// each other, so the pause usually sees the hand-off, and `spin_loop`
+/// leaves the execution ports to a sibling thread meanwhile. With more
+/// lanes than hardware threads a waiter parks at once: whoever it waits for
+/// needs its core.
+const PAUSE_FOR: Duration = Duration::from_micros(100);
+
+/// Wait for `ready`: pause for up to `pause`, then park. Whoever makes
+/// `ready` true unparks this thread afterwards.
+fn wait_until(pause: Duration, ready: impl Fn() -> bool) {
+    let t0 = Instant::now();
+    while !pause.is_zero() && t0.elapsed() < pause {
+        for _ in 0..64 {
+            if ready() {
+                return;
             }
+            std::hint::spin_loop();
         }
-        self.stats.wall_ns += wall0.elapsed().as_nanos() as u64;
-        let ran = self.control.executed - start;
-        crate::telemetry::record_run(ran, (self.control.now - t0).ps());
-        ran
+    }
+    while !ready() {
+        std::thread::park();
     }
 }
 
-/// Exponential-ish waiting: spin briefly, then start yielding.
-#[inline]
-fn backoff(spins: &mut u32) {
-    *spins = spins.wrapping_add(1);
-    if *spins & 0x3ff == 0 {
-        std::thread::yield_now();
-    } else {
-        std::hint::spin_loop();
-    }
-}
-
-/// Tells the lane workers to exit when dropped.
-struct ReleaseLanes<'a> {
-    epoch: &'a AtomicU64,
-    stop: &'a AtomicBool,
-}
-
-impl Drop for ReleaseLanes<'_> {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        self.epoch.fetch_add(1, Ordering::Release);
-    }
-}
-
-/// One lane's worker loop: wait for an epoch tick, drain the lane's
-/// window, report done. Lives for the whole `run` call. A panic inside the
-/// window is parked in `panicked` for the control thread to resume, and the
-/// lane still reports done: the barrier must see every lane arrive to
-/// notice that one of them died.
-fn lane_worker<S>(
-    lane: &Mutex<Engine<S>>,
-    epoch: &AtomicU64,
-    done: &AtomicU64,
-    stop: &AtomicBool,
-    panicked: &Mutex<Option<Box<dyn Any + Send>>>,
-) {
+/// One lane's worker loop: wait for an epoch tick, run the lane's window,
+/// report done. Lives for the whole `run` call.
+fn lane_worker<S>(lanes: &[Lane<S>], lane: usize, sync: &WindowSync) {
     let mut seen = 0u64;
     loop {
-        let mut spins = 0u32;
-        loop {
-            let e = epoch.load(Ordering::Acquire);
-            if e != seen {
-                seen = e;
-                break;
-            }
-            backoff(&mut spins);
-        }
-        if stop.load(Ordering::Acquire) {
+        wait_until(sync.pause, || sync.epoch.load(Ordering::Acquire) != seen);
+        seen = sync.epoch.load(Ordering::Acquire);
+        if sync.stop.load(Ordering::Relaxed) {
             return;
         }
-        let mut eng = lane.lock().expect("lane lock");
-        let busy0 = Instant::now();
-        // Caught with the lane's guard still held, so the lock is released
-        // unpoisoned and the parked message is the one that surfaces.
-        let ran = catch_unwind(AssertUnwindSafe(|| lane_run_window(&mut eng)));
-        let busy = busy0.elapsed().as_nanos() as u64;
-        match ran {
-            Ok(ran) => {
-                let ctx = lane_ctx(&mut eng);
-                ctx.window_busy_ns = busy;
-                ctx.busy_total_ns += busy;
-                ctx.events_total += ran;
-            }
-            Err(payload) => {
-                panicked
-                    .lock()
-                    .expect("panic slot lock")
-                    .get_or_insert(payload);
-            }
-        }
-        drop(eng);
-        done.fetch_add(1, Ordering::Release);
+        run_lane(lanes, lane, sync);
+        sync.done.fetch_add(1, Ordering::Release);
+        sync.control.unpark();
     }
 }
 
-/// Execute every event on this lane with `time < window_end`, logging each
-/// as a [`Rec`]. Newly scheduled in-window events join the same drain via
-/// provisional keys.
-fn lane_run_window<S>(eng: &mut Engine<S>) -> u64 {
-    let window_end = lane_ctx(eng).window_end;
-    let mut ran = 0u64;
-    while let Some((time, key, slot)) = eng.queue.pop_before(window_end) {
-        debug_assert!(time >= eng.now, "lane causality violated");
-        eng.now = time;
-        eng.executed += 1;
-        slot.run(eng);
-        let ctx = lane_ctx(eng);
-        ctx.log.recs.push(Rec {
-            time,
-            key,
-            claims_end: ctx.claims,
-            tails_end: ctx.log.tails.len() as u32,
-        });
+/// Run lane `lane`'s share of the announced window and publish what the
+/// barrier needs from it. A panic inside the window is parked in
+/// `sync.panicked` for the control thread to resume once every lane has
+/// arrived — the barrier must see them all to notice that one died — and
+/// caught with the lane's guard still held, so the lock is released
+/// unpoisoned and the parked message is the one that surfaces.
+fn run_lane<S>(lanes: &[Lane<S>], lane: usize, sync: &WindowSync) {
+    let me = &lanes[lane];
+    let mut eng = me.eng();
+    let busy0 = Instant::now();
+    let window_end = Time::from_ps(sync.window_end.load(Ordering::Relaxed));
+    let wire_pure = sync.wire_pure.load(Ordering::Relaxed);
+    let ran = catch_unwind(AssertUnwindSafe(|| {
+        me.take_inbox(&mut eng);
+        lane_run_window(&mut eng, window_end, wire_pure, u64::MAX);
+        let sent_min = hand_over(&mut eng, lanes);
+        eng.queue
+            .next_time()
+            .map_or(sent_min, |t| t.ps().min(sent_min))
+    }));
+    match ran {
+        Ok(next) => me.next.store(next, Ordering::Relaxed),
+        Err(payload) => {
+            let mut slot = sync.panicked.lock().expect("panic slot lock");
+            slot.get_or_insert(payload);
+        }
+    }
+    let busy = busy0.elapsed().as_nanos() as u64;
+    me.busy_ns.store(busy, Ordering::Relaxed);
+}
+
+/// Execute up to `limit` events on this lane with `time < window_end`.
+/// Events the lane schedules for itself inside the window join the same
+/// drain.
+fn lane_run_window<S>(eng: &mut Engine<S>, window_end: Time, wire_pure: bool, limit: u64) {
+    let ctx = lane_ctx(eng);
+    ctx.window_end = window_end;
+    ctx.wire_pure = wire_pure;
+    ctx.instant = (Time::ZERO, 0);
+    let mut ran = 0;
+    while ran < limit {
+        let Some((time, key, slot)) = eng.queue.pop_before(window_end) else {
+            break;
+        };
+        let (ctx, dest) = (lane_ctx(eng), key_dest(key));
+        debug_assert!(
+            dest != DRIVER && ctx.map.lane_of((dest - 1) as LocalityId) == ctx.lane,
+            "lane {} popped an event at {time} for locality {}, which it does not own \
+             (-1: the driver, which no lane does)",
+            ctx.lane,
+            dest as i64 - 1
+        );
+        if !wire_pure {
+            let at_instant = if ctx.instant.0 == time {
+                ctx.instant.1
+            } else {
+                0
+            };
+            ctx.instant = (time, at_instant.max(key));
+        }
+        eng.dispatch(time, key, slot);
         ran += 1;
     }
-    ran
 }
 
-/// The serial barrier: merge lane logs into the sequential `(time, seq)`
-/// order, assign real sequence numbers to every claim, fold the trace
-/// hash, replay deferred wire tails, and commit staged cross-window /
-/// cross-lane events with their resolved keys. The logs are read where
-/// they lie — the lanes are idle, so the control thread holds every lane
-/// for the duration — and cleared, not dropped. Returns the busiest lane's
-/// window wall time (for barrier-wait telemetry).
-fn replay_window<S>(control: &mut Engine<S>, lanes: &[Mutex<Engine<S>>]) -> u64 {
-    let n = lanes.len();
-    let mut lanes: Vec<_> = lanes
-        .iter()
-        .map(|lane| lane.lock().expect("lane lock"))
-        .collect();
-    let max_busy = lanes
+/// Give the events `eng`'s lane scheduled onto other lanes to their
+/// inboxes. Returns the earliest of their times in picoseconds.
+fn hand_over<S>(eng: &mut Engine<S>, lanes: &[Lane<S>]) -> u64 {
+    let ctx = lane_ctx(eng);
+    let sent = ctx
+        .out
         .iter_mut()
-        .map(|eng| lane_ctx(eng).window_busy_ns)
-        .max()
-        .unwrap_or(0);
+        .zip(lanes)
+        .filter(|(out, _)| !out.is_empty());
+    for (out, lane) in sent {
+        lane.inbox.lock().expect("inbox lock").append(out);
+        out.shrink_to(KEEP);
+    }
+    std::mem::replace(&mut ctx.sent_min, u64::MAX)
+}
 
-    // Claims resolve strictly before any event that needs them: a
-    // provisional event's parent precedes it in the same lane log, and the
-    // merge preserves per-lane log order.
-    let mut heads = vec![0usize; n];
-    let mut tail_heads = vec![0usize; n];
+/// The serial part of an impure window: run the wire tails the lanes
+/// deferred, on the control engine, in the order the sequential engine
+/// reaches them, and hand the events they schedule to their lanes; count
+/// both into `work`.
+///
+/// The sequential engine always executes the smallest pending `(time,
+/// key)`, which is the smallest among the lanes' next events: a merge of
+/// the lanes' execution sequences by their heads. A lane's keys at one
+/// instant need not ascend — a zero-delay event can carry a smaller key
+/// than its parent — but once the merge takes an event it takes every
+/// smaller-keyed successor at that instant straight after, so it emits
+/// events in the order of the largest key their lane had reached:
+/// [`Tail::order`].
+fn run_tails<S>(control: &mut Engine<S>, lanes: &[Lane<S>], work: &mut (u64, u64)) {
+    let mut engs: Vec<_> = lanes.iter().map(Lane::eng).collect();
+    let logs = engs
+        .iter_mut()
+        .map(|eng| std::mem::take(&mut lane_ctx(eng).tails));
+    let mut heads: Vec<_> = logs.map(|log| log.into_iter().peekable()).collect();
     loop {
-        let mut best: Option<(usize, Time, u64)> = None;
-        for (lane, eng) in lanes.iter_mut().enumerate() {
-            let log = &lane_ctx(eng).log;
-            if let Some(rec) = log.recs.get(heads[lane]) {
-                let key = if rec.key & PROV_BIT != 0 {
-                    log.seqs[(rec.key & !PROV_BIT) as usize]
-                } else {
-                    rec.key
-                };
-                if best.is_none_or(|(_, bt, bk)| (rec.time, key) < (bt, bk)) {
-                    best = Some((lane, rec.time, key));
-                }
-            }
-        }
-        let Some((lane, time, seq)) = best else { break };
-        let log = &mut lane_ctx(&mut lanes[lane]).log;
-        let Rec {
-            claims_end,
-            tails_end,
-            ..
-        } = log.recs[heads[lane]];
-        heads[lane] += 1;
-        control.now = time;
-        control.executed += 1;
-        control.trace_hash = trace_mix(control.trace_hash, time.ps());
-        control.trace_hash = trace_mix(control.trace_hash, seq);
-        // The event's claims and tails in program order: a replayed tail
-        // draws its own sequence numbers between the claims around it.
-        for (claims_before, tail) in &mut log.tails[tail_heads[lane]..tails_end as usize] {
-            resolve_claims(&mut log.seqs, *claims_before, &mut control.seq);
-            tail.take().expect("tail replayed twice").run(control);
-        }
-        tail_heads[lane] = tails_end as usize;
-        resolve_claims(&mut log.seqs, claims_end, &mut control.seq);
+        let first = heads
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(lane, head)| head.peek().map(|t| ((t.time, t.order), lane)))
+            .min();
+        let Some((_, lane)) = first else { break };
+        let tail = heads[lane].next().expect("peeked tail");
+        // The tail runs as the locality that deferred it, on that
+        // locality's wire counter — which lives with its lane, because a
+        // pure window's tails advance it there.
+        let lane_ctr = engs[lane].keys.wire_ctr(tail.origin);
+        control.now = tail.time;
+        control.keys.cur = tail.origin;
+        control.keys.in_tail = true;
+        *control.keys.wire_ctr(tail.origin) = *lane_ctr;
+        tail.slot.run(control);
+        *lane_ctr = *control.keys.wire_ctr(tail.origin);
+        control.keys.in_tail = false;
+        control.keys.cur = DRIVER;
+        work.0 += 1;
     }
+    work.1 += move_outbox(control, lanes);
+}
 
-    // Staged events carry their claim's resolved sequence number into the
-    // destination lane — after this, every queued key is final again.
-    for lane in 0..n {
-        let log = &mut lane_ctx(&mut lanes[lane]).log;
-        let mut staged = std::mem::take(&mut log.staged);
-        let seqs = std::mem::take(&mut log.seqs);
-        for (at, dest, claim, slot) in staged.drain(..) {
-            lanes[dest as usize]
-                .queue
-                .push(at, seqs[claim as usize], slot);
-        }
-        let log = &mut lane_ctx(&mut lanes[lane]).log;
-        log.staged = staged;
-        log.seqs = seqs;
-        log.reset();
+/// Move the control engine's routed events into their lanes' inboxes.
+fn move_outbox<S>(control: &mut Engine<S>, lanes: &[Lane<S>]) -> u64 {
+    let outbox = &mut control_ctx(control).outbox;
+    let moved = outbox.len() as u64;
+    for (lane, ev) in outbox.drain(..) {
+        lanes[lane as usize].deliver(ev);
     }
-    let ShardRole::Control(ctx) = &mut control.shard else {
-        unreachable!("control engine lost its role")
-    };
-    for (at, lane, seq, slot) in ctx.outbox.drain(..) {
-        lanes[lane as usize].queue.push(at, seq, slot);
-    }
-    max_busy
+    moved
 }
 
 /// The lane half of a lane engine.
@@ -956,12 +952,11 @@ fn lane_ctx<S>(eng: &mut Engine<S>) -> &mut LaneCtx<S> {
     }
 }
 
-/// Give every claim below `upto` that has none yet the next global
-/// sequence number.
-fn resolve_claims(seqs: &mut Vec<u64>, upto: u32, next_seq: &mut u64) {
-    while seqs.len() < upto as usize {
-        seqs.push(*next_seq);
-        *next_seq += 1;
+/// The control half of the control engine.
+fn control_ctx<S>(eng: &mut Engine<S>) -> &mut ControlCtx<S> {
+    match &mut eng.shard {
+        ShardRole::Control(ctx) => ctx,
+        _ => unreachable!("control engine lost its role"),
     }
 }
 
@@ -994,17 +989,5 @@ mod tests {
         assert_eq!(*alias, 43);
         drop(alias);
         assert_eq!(*owner, 43);
-    }
-
-    #[test]
-    fn provisional_keys_order_after_final_ones() {
-        // A provisional key at the same instant must sort after every
-        // final sequence number, like a fresh sequential seq would.
-        let at = Time::from_ns(5);
-        let mut q = crate::timewheel::TimeWheel::new();
-        q.push(at, PROV_BIT, "first claim of the window");
-        q.push(at, PROV_BIT - 1, "largest final seq");
-        assert_eq!(q.pop(), Some((at, PROV_BIT - 1, "largest final seq")));
-        assert_eq!(q.pop(), Some((at, PROV_BIT, "first claim of the window")));
     }
 }

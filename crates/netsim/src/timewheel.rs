@@ -12,18 +12,21 @@
 //!   bitmap finds the next nonempty bucket in a few word scans.
 //! * **level 1 — the current quantum**: when the wheel advances to a
 //!   bucket, the bucket `Vec` is swapped into place (recycling capacity,
-//!   copying nothing) and sorted *descending* by `(time, seq)` once, so
+//!   copying nothing) and sorted *descending* by `(time, key)` once, so
 //!   pops are plain `Vec::pop` calls off the tail — no per-event heap
 //!   sifting. Events scheduled *into* the active quantum (zero-delay
-//!   reschedules) land in a small side-heap; each pop takes whichever head
-//!   is earlier, so ordering holds even while the quantum drains.
+//!   reschedules) extend that tail when they sort before it and land in a
+//!   small side-heap otherwise; each pop takes whichever head is earlier,
+//!   so ordering holds even while the quantum drains.
 //! * **overflow heap**: events beyond the wheel horizon go to an ordinary
 //!   heap and merge back quantum-by-quantum as the wheel reaches them.
 //!
-//! Pop order is strictly ascending `(time, seq)` — bit-for-bit the order a
-//! single `BinaryHeap` would produce (`tests/timewheel_shadow.rs` proves
-//! this against a reference model) — so the engine's determinism guarantee
-//! is unchanged.
+//! Every pop returns the smallest pending `(time, key)` — bit-for-bit what
+//! a single `BinaryHeap` would return (`tests/timewheel_shadow.rs` proves
+//! this against a reference model). Keys need not arrive in order: the
+//! engine's keys name the scheduling locality first, so an entry pushed at
+//! the instant being drained may sort *below* the one just popped, and
+//! simply becomes the next pop.
 
 use crate::time::Time;
 use std::cmp::Ordering;
@@ -48,18 +51,18 @@ fn quantum(t: Time) -> u64 {
 
 struct Entry<T> {
     time: Time,
-    seq: u64,
+    key: u64,
     value: T,
 }
 
 impl<T> Entry<T> {
     #[inline]
     fn key(&self) -> (Time, u64) {
-        (self.time, self.seq)
+        (self.time, self.key)
     }
 }
 
-// Order by (time, seq) only, inverted so `BinaryHeap` (a max-heap) pops the
+// Order by (time, key) only, inverted so `BinaryHeap` (a max-heap) pops the
 // earliest entry first. The value takes no part in ordering.
 impl<T> PartialEq for Entry<T> {
     fn eq(&self, other: &Self) -> bool {
@@ -78,8 +81,8 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// A priority queue of `(Time, seq, T)` entries that pops in strictly
-/// ascending `(time, seq)` order, optimized for near-future insertion.
+/// A priority queue of `(Time, key, T)` entries that pops the smallest
+/// pending `(time, key)`, optimized for near-future insertion.
 ///
 /// ```
 /// use netsim::{TimeWheel, Time};
@@ -87,14 +90,14 @@ impl<T> Ord for Entry<T> {
 /// let mut q = TimeWheel::new();
 /// q.push(Time::from_ns(20), 0, "late");
 /// q.push(Time::from_ns(5), 1, "early");
-/// q.push(Time::from_ns(5), 2, "tie breaks by seq");
+/// q.push(Time::from_ns(5), 2, "tie breaks by key");
 /// assert_eq!(q.pop(), Some((Time::from_ns(5), 1, "early")));
-/// assert_eq!(q.pop(), Some((Time::from_ns(5), 2, "tie breaks by seq")));
+/// assert_eq!(q.pop(), Some((Time::from_ns(5), 2, "tie breaks by key")));
 /// assert_eq!(q.pop(), Some((Time::from_ns(20), 0, "late")));
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct TimeWheel<T> {
-    /// The active quantum's events, sorted descending by `(time, seq)`:
+    /// The active quantum's events, sorted descending by `(time, key)`:
     /// `cur.pop()` yields them in ascending order.
     cur: Vec<Entry<T>>,
     /// Events pushed into the active quantum after it was sorted.
@@ -137,15 +140,16 @@ impl<T> TimeWheel<T> {
         self.len == 0
     }
 
-    /// Insert an entry. `seq` must be unique per queue (the engine's
-    /// schedule counter); `(time, seq)` must be `>=` every entry already
-    /// popped, or pop order is unspecified.
-    pub fn push(&mut self, time: Time, seq: u64, value: T) {
+    /// Insert an entry. `key` must be unique per queue (the engine's event
+    /// key) and `time` no earlier than the last popped entry's, or pop
+    /// order is unspecified. At that same instant any key will do, below
+    /// the last popped one included.
+    pub fn push(&mut self, time: Time, key: u64, value: T) {
         // `cur_q` lags real time only while the queue is empty; the first
         // pop's advance re-syncs it, so no re-anchoring is needed here.
         let q = quantum(time);
         self.len += 1;
-        let entry = Entry { time, seq, value };
+        let entry = Entry { time, key, value };
         let dq = q.wrapping_sub(self.cur_q);
         if dq.wrapping_sub(1) < SLOTS as u64 - 1 {
             // 1 <= q - cur_q < SLOTS: inside the wheel horizon.
@@ -166,7 +170,7 @@ impl<T> TimeWheel<T> {
         }
     }
 
-    /// The earliest pending `(time, seq)`'s time, if any. Advances the
+    /// The earliest pending `(time, key)`'s time, if any. Advances the
     /// wheel's internal cursor but removes nothing.
     #[inline]
     pub fn next_time(&mut self) -> Option<Time> {
@@ -184,7 +188,7 @@ impl<T> TimeWheel<T> {
         }
     }
 
-    /// The earliest pending `(time, seq)` key, if any. Advances the wheel's
+    /// The earliest pending `(time, key)`, if any. Advances the wheel's
     /// internal cursor but removes nothing.
     ///
     /// The sharded engine's micro-stepper uses this to find the globally
@@ -218,7 +222,7 @@ impl<T> TimeWheel<T> {
         self.pop()
     }
 
-    /// Remove and return the earliest entry by `(time, seq)`.
+    /// Remove and return the earliest entry by `(time, key)`.
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, u64, T)> {
         let from_extra = loop {
@@ -239,7 +243,7 @@ impl<T> TimeWheel<T> {
             self.cur.pop()?
         };
         self.len -= 1;
-        Some((e.time, e.seq, e.value))
+        Some((e.time, e.key, e.value))
     }
 
     /// Advance to the next quantum that has events (the active one is
@@ -337,7 +341,7 @@ mod tests {
     #[test]
     fn pops_in_time_seq_order() {
         let mut q = TimeWheel::new();
-        // Same instant: seq breaks the tie, regardless of push order.
+        // Same instant: the key breaks the tie, regardless of push order.
         q.push(Time::from_ns(10), 5, ());
         q.push(Time::from_ns(10), 2, ());
         q.push(Time::from_ns(3), 9, ());
@@ -347,6 +351,24 @@ mod tests {
         assert_eq!(q.pop(), Some((Time::from_ns(10), 5, ())));
         assert_eq!(q.pop(), None);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn a_key_below_the_last_popped_one_pops_next() {
+        // A zero-delay event may carry a smaller key than its parent (the
+        // key names the scheduling locality first): it is simply the
+        // smallest pending entry, whether it extends the sorted tail or
+        // shares the side-heap with larger keys.
+        let at = Time::from_ns(10);
+        let mut q = TimeWheel::new();
+        q.push(at, 50, "parent");
+        q.push(at, 60, "sibling");
+        assert_eq!(q.pop(), Some((at, 50, "parent")));
+        q.push(at, 70, "late child");
+        q.push(at, 10, "early child");
+        q.push(at, 5, "earlier child");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.1).collect();
+        assert_eq!(order, [5, 10, 60, 70]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Shadow-mode equivalence: the sharded engine must replay the sequential
+//! Shadow-mode equivalence: the sharded engine must match the sequential
 //! engine bit-for-bit.
 //!
 //! A toy [`SplitWorld`] runs the same randomly generated program — bouncing
@@ -6,15 +6,17 @@
 //! driving — once on the plain sequential [`Engine`] and once per shard
 //! count on [`ShardedEngine`]. At every control point the `(trace hash,
 //! clock, executed count, world digest)` snapshot must be identical: the
-//! trace hash folds every executed `(time, seq)` pair, so equality proves
-//! the merged parallel pop order *is* the sequential order, and the world
-//! digest (per-locality delivery logs + memory contents + counters + fault
-//! stats) proves the events also observed identical state.
+//! trace hash sums every executed `(time, key)` pair, and a key names its
+//! event's origin and that origin's schedule count, so equality proves each
+//! locality ran the same events in the same order; the world digest
+//! (per-locality delivery logs + memory contents + counters + fault stats)
+//! proves the events also observed identical state.
 //!
 //! Three fabrics cover the three tail regimes: wire-pure (tails inline on
 //! the lanes), jittery (tails deferred for the RNG), and faulty (tails
 //! deferred for the fault plane, including drops/dups/corruption/flaps/
-//! partitions).
+//! partitions). Deferred tails draw the shared RNG streams, so there the
+//! digest also proves the barrier ran them in the sequential order.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -150,6 +152,8 @@ enum Step {
     Until(u64),
     /// Drain to quiescence.
     Run,
+    /// Install (or remove) the fault plane between runs.
+    Faults(Option<FaultPlan>),
 }
 
 fn gen_program(seed: u64, n: usize, count: usize) -> Vec<Step> {
@@ -235,6 +239,7 @@ type Issue = Box<dyn FnOnce(&mut Engine<ToyWorld>)>;
 /// shadow runner drives.
 trait Driver {
     fn issue(&mut self, loc: LocalityId, f: Issue);
+    fn world(&mut self) -> &mut ToyWorld;
     fn clock(&self) -> Time;
     fn go(&mut self) -> u64;
     fn go_until(&mut self, t: Time) -> u64;
@@ -245,6 +250,9 @@ trait Driver {
 impl Driver for Engine<ToyWorld> {
     fn issue(&mut self, _loc: LocalityId, f: Issue) {
         f(self);
+    }
+    fn world(&mut self) -> &mut ToyWorld {
+        &mut self.state
     }
     fn clock(&self) -> Time {
         self.now()
@@ -272,6 +280,9 @@ impl Driver for Engine<ToyWorld> {
 impl Driver for ShardedEngine<ToyWorld> {
     fn issue(&mut self, loc: LocalityId, f: Issue) {
         self.drive_at(loc, |eng| f(eng));
+    }
+    fn world(&mut self) -> &mut ToyWorld {
+        self.state()
     }
     fn clock(&self) -> Time {
         self.now()
@@ -379,19 +390,33 @@ fn apply(d: &mut dyn Driver, bases: &[PhysAddr], step: &Step, snaps: &mut Vec<Sn
             d.go();
             snaps.push(d.snapshot());
         }
+        Step::Faults(ref plan) => {
+            d.world().data.cluster.faults = plan.clone().map(FaultPlane::new);
+        }
     }
 }
 
 /// Run `program` sequentially and under every shard count in `shards`,
 /// asserting snapshot-for-snapshot equality.
 fn assert_shadow(n: usize, cfg: NetConfig, plan: Option<FaultPlan>, seed: u64, shards: &[usize]) {
-    let program = gen_program(seed, n, 64);
+    assert_program_shadows(&gen_program(seed, n, 64), n, cfg, plan, seed, shards);
+}
 
+/// [`assert_shadow`] over a given program. Returns what the control thread
+/// did at the barriers of each sharded run ([`ShardedEngine::barrier_work`]).
+fn assert_program_shadows(
+    program: &[Step],
+    n: usize,
+    cfg: NetConfig,
+    plan: Option<FaultPlan>,
+    seed: u64,
+    shards: &[usize],
+) -> Vec<(u64, u64)> {
     let world = build_world(n, cfg, plan.clone());
     let bases = world.data.bases.clone();
     let mut reference = Engine::new(world, 42);
     let mut ref_snaps = Vec::new();
-    for step in &program {
+    for step in program {
         apply(&mut reference, &bases, step, &mut ref_snaps);
     }
     assert!(
@@ -403,19 +428,25 @@ fn assert_shadow(n: usize, cfg: NetConfig, plan: Option<FaultPlan>, seed: u64, s
         "degenerate program: no events"
     );
 
+    let mut barrier_work = Vec::new();
     for &k in shards {
         let world = build_world(n, cfg, plan.clone());
         let mut sharded = ShardedEngine::new(world, 42, k);
         let mut snaps = Vec::new();
-        for step in &program {
+        for step in program {
             apply(&mut sharded, &bases, step, &mut snaps);
         }
         assert_eq!(
             snaps, ref_snaps,
             "sharded run (shards={k}, seed={seed}) diverged from sequential"
         );
+        barrier_work.push(sharded.barrier_work());
     }
+    barrier_work
 }
+
+/// Lane counts every fabric is shadowed under.
+const LANES: [usize; 5] = [1, 2, 3, 4, 8];
 
 fn jittery(mut cfg: NetConfig) -> NetConfig {
     cfg.jitter_ns = 400;
@@ -459,16 +490,16 @@ fn chaotic_plan(seed: u64) -> FaultPlan {
 fn shadow_pure_fabric_matches_sequential() {
     // ib_fdr is wire-pure: lanes run their defer_wire tails inline.
     for seed in [1, 7, 1234] {
-        assert_shadow(12, NetConfig::ib_fdr(), None, seed, &[1, 2, 4, 8]);
+        assert_shadow(12, NetConfig::ib_fdr(), None, seed, &LANES);
     }
 }
 
 #[test]
 fn shadow_jittery_fabric_matches_sequential() {
     // Jitter draws from the global engine RNG: tails must defer to the
-    // barrier and replay in merged order.
+    // barrier and run there in the sequential engine's order.
     for seed in [3, 99] {
-        assert_shadow(10, jittery(NetConfig::ideal()), None, seed, &[1, 2, 4, 8]);
+        assert_shadow(10, jittery(NetConfig::ideal()), None, seed, &LANES);
     }
 }
 
@@ -482,7 +513,7 @@ fn shadow_faulty_fabric_matches_sequential() {
             jittery(NetConfig::ib_fdr()),
             Some(chaotic_plan(seed ^ 0xfeed)),
             seed,
-            &[2, 4, 8],
+            &LANES,
         );
     }
 }
@@ -502,6 +533,58 @@ fn shadow_lossless_plan_is_free() {
 #[test]
 fn shadow_more_lanes_than_localities_clamps() {
     assert_shadow(3, NetConfig::ib_fdr(), None, 11, &[8]);
+}
+
+/// On a wire-pure fabric the barrier is a minimum over the lanes' published
+/// times and nothing else: the control thread runs no tail and moves no
+/// event, at any lane count. An impure fabric is where it still works.
+#[test]
+fn pure_windows_leave_the_control_thread_nothing_to_do() {
+    let program = gen_program(7, 12, 64);
+    let work = assert_program_shadows(&program, 12, NetConfig::ib_fdr(), None, 7, &LANES);
+    assert_eq!(work, [(0, 0); 5], "tails run / events moved per lane count");
+    let cfg = jittery(NetConfig::ib_fdr());
+    let work = assert_program_shadows(&program, 12, cfg, None, 7, &LANES);
+    assert!(
+        work.iter().all(|&(tails, moved)| tails > 0 && moved > 0),
+        "a jittery fabric defers its tails: {work:?}"
+    );
+}
+
+/// A fault plane installed mid-run and removed again: windows go pure →
+/// impure → pure, so the same origins' tails run inline on their lanes,
+/// then deferred on the control engine, then inline again. Each origin's
+/// wire counter has to carry across both hand-overs for the tails' events
+/// to keep the keys the sequential engine gives them.
+#[test]
+fn a_fault_window_opening_mid_run_keeps_the_wire_counters_in_step() {
+    for seed in [5, 77] {
+        let mut program = gen_program(seed, 10, 96);
+        program.insert(32, Step::Faults(Some(chaotic_plan(seed))));
+        program.insert(64, Step::Faults(None));
+        let cfg = NetConfig::ib_fdr();
+        let work = assert_program_shadows(&program, 10, cfg, None, seed, &LANES);
+        assert!(
+            work.iter().all(|&(tails, _)| tails > 0),
+            "the impure stretch deferred no tail: {work:?}"
+        );
+    }
+}
+
+/// The event key holds a locality in 14 bits: a cluster one locality over
+/// is refused up front, with the limit in the message.
+#[test]
+#[should_panic(expected = "at most 16383")]
+fn a_cluster_too_large_for_the_event_key_is_refused() {
+    let n = netsim::engine::MAX_LOCALITIES + 1;
+    let world = ToyWorld {
+        data: SharedState::new(ToyData {
+            cluster: Cluster::new(n, NetConfig::ib_fdr(), 0),
+            hits: Vec::new(),
+            bases: Vec::new(),
+        }),
+    };
+    ShardedEngine::new(world, 1, 2);
 }
 
 /// Two lanes over four localities (0–1 and 2–3), with `event` due on
@@ -533,6 +616,20 @@ fn cross_lane_event_below_the_lookahead_panics() {
         eng.schedule_at_loc(at, 3, |_| {});
     });
     sh.run_until(Time::from_us(1));
+}
+
+/// Debug builds check every event a lane pops against the lane's share of
+/// the localities: one queued on the wrong lane fails the run, naming the
+/// locality, the lane and the event's time.
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(
+    expected = "lane 0 popped an event at 10.000ns for locality 3, which it does not own"
+)]
+fn a_misrouted_event_is_caught_by_the_lane_that_pops_it() {
+    let mut sh = ShardedEngine::new(build_world(4, NetConfig::ib_fdr(), None), 1, 2);
+    sh.push_on_lane(0, Time::from_ns(10), 3, |_| {});
+    sh.run();
 }
 
 mod prop {

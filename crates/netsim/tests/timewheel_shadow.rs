@@ -1,19 +1,20 @@
-//! Shadow-model equivalence: the two-level [`TimeWheel`] must pop in
-//! exactly the order the seed engine's single `BinaryHeap` did, for *any*
-//! schedule — that is what keeps every trace hash in the repository stable
-//! across the queue swap.
+//! Shadow-model equivalence: the two-level [`TimeWheel`] must pop exactly
+//! what a single `BinaryHeap` would, for *any* schedule — that is what
+//! makes an execution a function of its `(time, key)` pairs alone.
 //!
 //! Two models are checked:
 //!
-//! * the raw queue against a `BinaryHeap<Reverse<(time, seq)>>`, under
+//! * the raw queue against a `BinaryHeap<Reverse<(time, key)>>`, under
 //!   arbitrary interleavings of pushes (zero-delay ties, in-horizon,
-//!   horizon-crossing) and pops;
+//!   horizon-crossing) and pops — with arbitrary keys, so a push at the
+//!   instant being drained lands below the last popped key as often as
+//!   above it, the way an engine key that names its origin first does;
 //! * a full [`Engine`] run against an abstract replay of the same schedule
-//!   on a reference heap, comparing executed-event counts and the running
-//!   [`trace_mix`] hash — including events that re-schedule themselves at
+//!   on a reference heap, comparing executed-event counts and the
+//!   [`event_mix`] sum — including events that re-schedule themselves at
 //!   the *same instant* (zero delay) and across the wheel horizon.
 
-use netsim::engine::trace_mix;
+use netsim::engine::{event_mix, trace_mix};
 use netsim::{Engine, Time, TimeWheel};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -22,19 +23,25 @@ use std::collections::BinaryHeap;
 
 #[derive(Clone, Debug)]
 enum Op {
-    /// Push at `now + delay_ps`, where `now` is the last popped time.
-    Push(u64),
+    /// Push at `now + delay_ps`, where `now` is the last popped time, with
+    /// this value above the push's index as its key (the index alone keeps
+    /// keys unique).
+    Push(u64, u64),
     Pop,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
+    // Few distinct key prefixes, so same-instant entries collide on them
+    // and the index decides, as an origin's counter does.
+    let key = 0u64..8;
     prop_oneof![
         // Within the wheel horizon (grain 8.2 ns × 1024 slots ≈ 8.4 µs).
-        4 => (0u64..6_000_000).prop_map(Op::Push),
+        4 => (0u64..6_000_000, key.clone()).prop_map(|(d, k)| Op::Push(d, k)),
         // Beyond the horizon: exercises the overflow heap and its merge.
-        1 => (6_000_000u64..60_000_000).prop_map(Op::Push),
-        // Same-instant ties: seq must break them.
-        1 => Just(Op::Push(0)),
+        1 => (6_000_000u64..60_000_000, key.clone()).prop_map(|(d, k)| Op::Push(d, k)),
+        // Same-instant ties: the key must break them, from either side of
+        // the one just popped.
+        3 => key.prop_map(|k| Op::Push(0, k)),
         4 => Just(Op::Pop),
     ]
 }
@@ -46,7 +53,7 @@ proptest! {
     fn wheel_pops_in_heap_order(ops in vec(op_strategy(), 1..200)) {
         let mut wheel: TimeWheel<()> = TimeWheel::new();
         let mut shadow: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-        let mut seq = 0u64;
+        let mut pushed = 0u64;
         let mut now = 0u64;
         let mut wheel_hash = 0x1234_5678_9abc_def0u64;
         let mut shadow_hash = wheel_hash;
@@ -68,12 +75,13 @@ proptest! {
 
         for op in ops {
             match op {
-                Op::Push(delay) => {
+                Op::Push(delay, prefix) => {
                     let at = now + delay;
+                    let key = prefix << 32 | pushed;
+                    pushed += 1;
                     prop_assert_eq!(wheel.next_time().is_none(), shadow.is_empty());
-                    wheel.push(Time::from_ps(at), seq, ());
-                    shadow.push(Reverse((at, seq)));
-                    seq += 1;
+                    wheel.push(Time::from_ps(at), key, ());
+                    shadow.push(Reverse((at, key)));
                 }
                 Op::Pop => pop_both(&mut wheel, &mut shadow, &mut now),
             }
@@ -98,12 +106,26 @@ fn step_of(chain: u8) -> u64 {
     }
 }
 
-fn run_chain(e: &mut Engine<u64>, chain: u8) {
+/// Localities the chains hop between.
+const LOCS: u32 = 4;
+
+/// The key layout of `netsim::engine`: origin above bit 50, the origin's
+/// schedule count above bit 14, the destination below; a locality `l` is
+/// stored as `l + 1`, the driver as 0.
+fn model_key(origin: u64, count: u64, dest: u64) -> u64 {
+    origin << 50 | count << 14 | dest
+}
+
+/// Where a chain event on `loc` sends its successor.
+fn hop(loc: u32, chain: u8) -> u32 {
+    (loc + u32::from(chain)) % LOCS
+}
+
+fn run_chain(e: &mut Engine<u64>, chain: u8, loc: u32) {
     e.state += 1;
     if chain > 0 {
-        e.schedule(Time::from_ps(step_of(chain)), move |e| {
-            run_chain(e, chain - 1);
-        });
+        let (at, next) = (e.now() + Time::from_ps(step_of(chain)), hop(loc, chain));
+        e.schedule_at_loc(at, next, move |e| run_chain(e, chain - 1, next));
     }
 }
 
@@ -111,41 +133,48 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// A full engine run hashes identically to a reference replay of the
-    /// same schedule on a plain `BinaryHeap` — seq-for-seq, tick-for-tick.
+    /// same schedule on a plain `BinaryHeap` — key-for-key, tick-for-tick.
+    /// The chains hop between localities, so keys carry every origin, and a
+    /// zero-delay hop onto a lower-numbered locality schedules below the
+    /// key being executed.
     #[test]
     fn engine_trace_matches_heap_replay(
-        entries in vec((0u64..20_000_000u64, 0u8..6u8), 1..40),
+        entries in vec((0u64..20_000_000u64, 0u8..6u8, 0u32..LOCS), 1..40),
     ) {
         // Real engine: each entry seeds a self-rescheduling chain.
         let mut eng = Engine::new(0u64, 7);
         let mut model_hash = eng.trace_hash();
-        for &(delay, chain) in &entries {
-            eng.schedule(Time::from_ps(delay), move |e| run_chain(e, chain));
+        for &(delay, chain, loc) in &entries {
+            eng.schedule_at_loc(Time::from_ps(delay), loc, move |e| run_chain(e, chain, loc));
         }
         let executed = eng.run();
 
-        // Reference model: a max-heap over Reverse<(time, seq)> replaying
-        // the exact scheduling logic in the abstract.
-        let mut heap: BinaryHeap<Reverse<(u64, u64, u8)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        for &(delay, chain) in &entries {
-            heap.push(Reverse((delay, seq, chain)));
-            seq += 1;
+        // Reference model: a max-heap over Reverse<(time, key)> replaying
+        // the exact scheduling logic in the abstract, one schedule counter
+        // per origin.
+        let mut heap: BinaryHeap<Reverse<(u64, u64, u8, u32)>> = BinaryHeap::new();
+        let mut counts = [0u64; LOCS as usize + 1];
+        let mut next_key = |origin: u64, dest: u32| {
+            let count = &mut counts[origin as usize];
+            *count += 1;
+            model_key(origin, *count - 1, u64::from(dest) + 1)
+        };
+        for &(delay, chain, loc) in &entries {
+            heap.push(Reverse((delay, next_key(0, loc), chain, loc)));
         }
         let mut model_count = 0u64;
-        let mut model_state = 0u64;
-        while let Some(Reverse((t, s, chain))) = heap.pop() {
-            model_hash = trace_mix(trace_mix(model_hash, t), s);
+        while let Some(Reverse((t, key, chain, loc))) = heap.pop() {
+            model_hash = model_hash.wrapping_add(event_mix(Time::from_ps(t), key));
             model_count += 1;
-            model_state += 1;
             if chain > 0 {
-                heap.push(Reverse((t + step_of(chain), seq, chain - 1)));
-                seq += 1;
+                let next = hop(loc, chain);
+                let key = next_key(u64::from(loc) + 1, next);
+                heap.push(Reverse((t + step_of(chain), key, chain - 1, next)));
             }
         }
 
         prop_assert_eq!(executed, model_count);
-        prop_assert_eq!(eng.state, model_state);
+        prop_assert_eq!(eng.state, model_count);
         prop_assert_eq!(eng.trace_hash(), model_hash);
     }
 }

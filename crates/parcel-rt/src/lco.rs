@@ -276,7 +276,7 @@ pub fn lco_set<W: RtWorld>(eng: &mut Engine<W>, from: LocalityId, lco: Gva, valu
         let now = eng.now();
         let (_, finish) = eng.state.cpu(from).admit(now, service);
         eng.state.cluster().loc_mut(from).counters.cpu_busy += service;
-        eng.schedule_at(finish, move |eng| apply(eng, home, lco, value));
+        eng.schedule_at_loc(finish, home, move |eng| apply(eng, home, lco, value));
     } else {
         sched::send_parcel(
             eng,

@@ -466,10 +466,11 @@ impl RtWorld for World {
         let registry = eng.state.registry.clone();
         registry.get(id)(eng, ctx);
     }
-    fn notify_driver(eng: &mut Engine<Self>, _loc: LocalityId, id: u64, value: Vec<u8>) {
+    fn notify_driver(eng: &mut Engine<Self>, loc: LocalityId, id: u64, value: Vec<u8>) {
         let cb = eng.state.driver_cbs.remove(OpId::from_raw(id));
         let cb = cb.expect("driver waiter vanished");
-        eng.schedule(Time::ZERO, move |eng| cb(eng, value));
+        let now = eng.now();
+        eng.schedule_at_loc(now, loc, move |eng| cb(eng, value));
     }
 }
 

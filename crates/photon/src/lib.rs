@@ -394,7 +394,7 @@ fn ring_submit<S: PhotonWorld>(eng: &mut Engine<S>, src: LocalityId, req: Box<Ac
         PushOutcome::Flush => ring_doorbell(eng, src, dst),
         PushOutcome::Armed(epoch) => {
             let delay = rings.config().doorbell_delay;
-            eng.schedule(delay, move |eng| {
+            eng.schedule_at_loc(now + delay, src, move |eng| {
                 let due = eng
                     .state
                     .endpoint(src)
@@ -469,7 +469,7 @@ fn ring_coalesce_completion<S: PhotonWorld>(eng: &mut Engine<S>, at: LocalityId,
                 .ring
                 .expect("ring cfg")
                 .moderation;
-            eng.schedule(moderation, move |eng| {
+            eng.schedule_at_loc(now + moderation, at, move |eng| {
                 let due = eng
                     .state
                     .endpoint(at)
@@ -563,7 +563,8 @@ pub fn pwc<S: PhotonWorld>(
     } else {
         // Puts and gets inject from their own event, even when
         // registration is free.
-        eng.schedule(reg_delay, move |eng| inject(eng, src, req));
+        let at = eng.now() + reg_delay;
+        eng.schedule_at_loc(at, src, move |eng| inject(eng, src, req));
     }
     op
 }
@@ -683,7 +684,8 @@ fn inject_eager<S: PhotonWorld>(
         S::wrap(PhotonMsg::Eager { tag, send_id, data }),
     );
     // The payload is buffered/injected; the local buffer is reusable now.
-    eng.schedule(Time::ZERO, move |eng| S::send_complete(eng, src, send_id));
+    let now = eng.now();
+    eng.schedule_at_loc(now, src, move |eng| S::send_complete(eng, src, send_id));
 }
 
 /// Post a receive for `tag` (or [`ANY_TAG`]) at `loc`. Matching messages —
@@ -718,7 +720,10 @@ fn consume_eager<S: PhotonWorld>(
     ep.stats.credits_returned += 1;
     let ctrl = eng.state.cluster_ref().config.ctrl_bytes;
     send_user(eng, loc, src, ctrl, S::wrap(PhotonMsg::CreditReturn));
-    eng.schedule(copy, move |eng| S::recv_complete(eng, loc, src, tag, data));
+    let at = eng.now() + copy;
+    eng.schedule_at_loc(at, loc, move |eng| {
+        S::recv_complete(eng, loc, src, tag, data)
+    });
 }
 
 fn start_rdv_recv<S: PhotonWorld>(

@@ -40,7 +40,8 @@ pub fn pump(
 ) {
     assert!(window >= 1, "pump needs a window of at least 1");
     if total == 0 {
-        eng.schedule(netsim::Time::ZERO, on_done);
+        let now = eng.now();
+        eng.schedule_at_loc(now, loc, on_done);
         return;
     }
     let st = Rc::new(RefCell::new(PumpState {

@@ -272,16 +272,17 @@ pub fn run_mpsc(cfg: &MpscConfig) -> MpscReport {
         produced: 0,
     }));
 
+    let now = rt.eng.now();
     for p in 1..n {
         let st2 = st.clone();
         let items = cfg.items_per_producer;
-        rt.eng.schedule(Time::ZERO, move |eng| {
+        rt.eng.schedule_at_loc(now, p, move |eng| {
             mpsc_produce(eng, st2, p, 0, items);
         });
     }
     let st2 = st.clone();
     rt.eng
-        .schedule(Time::ZERO, move |eng| mpsc_consume(eng, st2));
+        .schedule_at_loc(now, 0, move |eng| mpsc_consume(eng, st2));
     rt.run();
 
     let s = st.borrow();
@@ -500,35 +501,37 @@ pub fn run_hashmap(cfg: &HashMapConfig) -> HashMapReport {
 
     // Phase 1: all localities insert concurrently — private keys plus the
     // shared set everybody races for.
+    let now = rt.eng.now();
     for l in 0..n {
         for i in 0..cfg.keys_per_loc {
             let st2 = st.clone();
             let key = hm_key(cfg.seed, l, i);
             rt.eng
-                .schedule(Time::ZERO, move |eng| hm_insert(eng, st2, l, key, 0));
+                .schedule_at_loc(now, l, move |eng| hm_insert(eng, st2, l, key, 0));
         }
         for i in 0..cfg.shared_keys {
             let st2 = st.clone();
             let key = hm_shared_key(cfg.seed, i);
             rt.eng
-                .schedule(Time::ZERO, move |eng| hm_insert(eng, st2, l, key, 0));
+                .schedule_at_loc(now, l, move |eng| hm_insert(eng, st2, l, key, 0));
         }
     }
     rt.run();
 
     // Phase 2: every locality looks up its own keys and the shared set.
+    let now = rt.eng.now();
     for l in 0..n {
         for i in 0..cfg.keys_per_loc {
             let st2 = st.clone();
             let key = hm_key(cfg.seed, l, i);
             rt.eng
-                .schedule(Time::ZERO, move |eng| hm_lookup(eng, st2, l, key, 0));
+                .schedule_at_loc(now, l, move |eng| hm_lookup(eng, st2, l, key, 0));
         }
         for i in 0..cfg.shared_keys {
             let st2 = st.clone();
             let key = hm_shared_key(cfg.seed, i);
             rt.eng
-                .schedule(Time::ZERO, move |eng| hm_lookup(eng, st2, l, key, 0));
+                .schedule_at_loc(now, l, move |eng| hm_lookup(eng, st2, l, key, 0));
         }
     }
     rt.run();
@@ -753,11 +756,13 @@ pub fn run_deque(cfg: &DequeConfig) -> DequeReport {
         conflicts: 0,
     }));
     let st2 = st.clone();
-    rt.eng.schedule(Time::ZERO, move |eng| dq_owner(eng, st2));
+    let now = rt.eng.now();
+    rt.eng
+        .schedule_at_loc(now, 0, move |eng| dq_owner(eng, st2));
     for thief in 1..n {
         let st2 = st.clone();
         rt.eng
-            .schedule(Time::ZERO, move |eng| dq_thief(eng, st2, thief));
+            .schedule_at_loc(now, thief, move |eng| dq_thief(eng, st2, thief));
     }
     rt.run();
 

@@ -12,40 +12,6 @@ pub mod prelude {
     pub use crate::{IntoParallelRefIterator, ParIter, ParMap};
 }
 
-/// A scope in which worker closures borrowing the environment can be
-/// spawned — the `rayon::scope` shape, implemented on
-/// [`std::thread::scope`].
-///
-/// The sharded simulation engine uses this for indexed dispatch over its
-/// shard lanes: one long-lived spawn per lane, each borrowing its lane's
-/// queue from the caller's stack, all joined when the scope ends. Unlike
-/// real rayon there is no pool: every `spawn` is an OS thread, which is
-/// the right trade for a handful of lane workers that each own a core.
-pub fn scope<'env, F, R>(f: F) -> R
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R + Send,
-    R: Send,
-{
-    std::thread::scope(|s| f(&Scope { inner: s }))
-}
-
-/// The scope handle passed to [`scope`] closures and spawned bodies.
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawn `body` on its own scoped thread; it may itself spawn onto
-    /// the same scope. All spawns are joined before [`scope`] returns.
-    pub fn spawn<F>(&self, body: F)
-    where
-        F: FnOnce(&Scope<'scope, 'env>) + Send + 'scope,
-    {
-        let inner = self.inner;
-        inner.spawn(move || body(&Scope { inner }));
-    }
-}
-
 /// Types whose references can be iterated in parallel (slices, arrays,
 /// `Vec` via deref).
 pub trait IntoParallelRefIterator<'a> {
