@@ -511,10 +511,18 @@ fn ring_deliver_completions<S: PhotonWorld>(eng: &mut Engine<S>, at: LocalityId)
 /// buffer for registration-cost accounting (`None` = pre-registered pool,
 /// e.g. the runtime's scratch allocator).
 ///
-/// An AMO's [`Verb::Amo`] `key` is the caller's retry-stable dedup
-/// identity — it must survive re-issue (use the GAS-level op id, not this
-/// attempt's wire token) so the target's responder cache can recognize a
-/// retry of an already-executed op.
+/// The op is posted from the caller: it reaches the fabric (or the
+/// submission ring) before `pwc` returns, so its first wire leg is keyed
+/// from whoever issued it. The one wait PWC models is registration — a
+/// `local_src` that misses the registration cache is posted by a single
+/// event at `now + reg_delay`.
+///
+/// An AMO's operands ride in the control-sized request, so an AMO
+/// registers nothing whatever `local_src` says. Its [`Verb::Amo`] `key` is
+/// the caller's retry-stable dedup identity — it must survive re-issue
+/// (use the GAS-level op id, not this attempt's wire token) so the
+/// target's responder cache can recognize a retry of an already-executed
+/// op.
 pub fn pwc<S: PhotonWorld>(
     eng: &mut Engine<S>,
     src: LocalityId,
@@ -540,8 +548,8 @@ pub fn pwc<S: PhotonWorld>(
     }
     let cfg = ep.cfg;
     let reg_delay = match local_src {
-        Some((addr, len)) => ep.rcache.register(&cfg, addr, len),
-        None => Time::ZERO,
+        Some((addr, len)) if kind != OpKind::Amo => ep.rcache.register(&cfg, addr, len),
+        _ => Time::ZERO,
     };
     let ttl = eng.state.cluster_ref().config.forward_ttl;
     // The wire token *is* the endpoint-table handle: the completion or
@@ -556,13 +564,9 @@ pub fn pwc<S: PhotonWorld>(
         floor: 0,
         class: FaultClass::Request,
     });
-    if kind == OpKind::Amo {
-        // Operands ride in the control-sized request: there is no buffer
-        // to register, so the op injects inline.
+    if reg_delay == Time::ZERO {
         inject(eng, src, req);
     } else {
-        // Puts and gets inject from their own event, even when
-        // registration is free.
         let at = eng.now() + reg_delay;
         eng.schedule_at_loc(at, src, move |eng| inject(eng, src, req));
     }
@@ -828,23 +832,21 @@ pub fn handle_msg<S: PhotonWorld>(
                 .endpoint(at)
                 .ops
                 .insert(Pending::RdvData { send_id });
-            let data = rdv.data;
-            let ttl = eng.state.cluster_ref().config.forward_ttl;
-            eng.schedule(reg_delay, move |eng| {
-                rdma_put(
-                    eng,
-                    at,
-                    PutReq {
-                        target: from,
-                        dst: RdmaTarget::Phys(dst),
-                        data,
-                        op,
-                        remote_tag: Some(RDV_NOTE_BIT | send_id),
-                        ttl,
-                        class: FaultClass::Payload,
-                    },
-                );
-            });
+            let req = PutReq {
+                target: from,
+                dst: RdmaTarget::Phys(dst),
+                data: rdv.data,
+                op,
+                remote_tag: Some(RDV_NOTE_BIT | send_id),
+                ttl: eng.state.cluster_ref().config.forward_ttl,
+                class: FaultClass::Payload,
+            };
+            // As in `pwc`: an event only when registration takes time.
+            if reg_delay == Time::ZERO {
+                rdma_put(eng, at, req);
+            } else {
+                eng.schedule(reg_delay, move |eng| rdma_put(eng, at, req));
+            }
         }
         PhotonMsg::CreditReturn => {
             let ep = eng.state.endpoint(at);
@@ -1519,6 +1521,62 @@ mod tests {
     }
 
     #[test]
+    fn pwc_injects_from_the_caller_unless_registration_takes_time() {
+        let mut eng = world(2);
+        install_block(&mut eng, 1, 9);
+        let at = RdmaTarget::Virt {
+            block: 9,
+            offset: 0,
+        };
+        let local = eng.state.cluster.mem_mut(0).alloc_block(12).unwrap();
+        let gets = |eng: &Engine<World>| eng.state.cluster.loc(0).counters.rdma_gets;
+        let get = |eng: &mut Engine<World>, id, local_src| {
+            pwc_get(eng, 0, 1, at, 8, local, OpId::from_raw(id), local_src);
+        };
+        // Pre-registered: on the wire before `pwc` returns, nothing left
+        // to run at the issue instant.
+        get(&mut eng, 1, None);
+        assert_eq!(gets(&eng), 1);
+        assert_eq!(eng.run_until(eng.now()), 0);
+        eng.run();
+        // A first-touch buffer waits for its pin in one event, then injects.
+        let t0 = eng.now();
+        let pending = eng.events_pending();
+        get(&mut eng, 2, Some((local, 8)));
+        assert_eq!((gets(&eng), eng.events_pending()), (1, pending + 1));
+        let cfg = PhotonConfig::default();
+        eng.run_until(t0 + cfg.reg_base + cfg.reg_per_page);
+        assert_eq!(gets(&eng), 2);
+        // The pin is cached now: the next get from that buffer is inline.
+        get(&mut eng, 3, Some((local, 8)));
+        assert_eq!(gets(&eng), 3);
+        eng.run();
+        assert_eq!(eng.state.eps[0].rcache_stats(), (1, 1));
+        assert_eq!(eng.state.eps[0].outstanding_ops(), 0);
+    }
+
+    #[test]
+    fn amo_registers_nothing_whatever_local_src_says() {
+        let mut eng = world(2);
+        install_block(&mut eng, 1, 5);
+        let local = eng.state.cluster.mem_mut(0).alloc_block(12).unwrap();
+        let amo = Verb::Amo {
+            amo: AmoOp::FetchAdd { operand: 1 },
+            key: (0, 1),
+        };
+        let at = RdmaTarget::Virt {
+            block: 5,
+            offset: 0,
+        };
+        pwc(&mut eng, 0, 1, at, amo, OpId::from_raw(1), Some((local, 8)));
+        // Its operands ride in the request: no pin, no wait, already posted.
+        assert_eq!(eng.state.cluster.loc(0).counters.rdma_amos, 1);
+        assert_eq!(eng.state.eps[0].rcache_stats(), (0, 0));
+        eng.run();
+        assert_eq!(events_of(&eng, 0), vec![&Event::AmoDone(1, 0)]);
+    }
+
+    #[test]
     fn ring_batches_puts_under_one_doorbell() {
         let mut eng = ring_world(
             2,
@@ -1604,14 +1662,15 @@ mod tests {
             eng.state.eps[0].ring_stats().descs >= 4,
             "2 requests + 2 acks"
         );
-        // (The AMO injects inline, ahead of the put's own inject event.)
+        // Both inject from the caller, in issue order: the put lands
+        // first, so the AMO fetches the bytes it wrote.
         assert_eq!(
             events_of(&eng, 0),
             vec![
-                &Event::Redirected(2, 2, 9),
-                &Event::AmoDone(2, 0),
                 &Event::Redirected(1, 2, 9),
                 &Event::PwcDone(1),
+                &Event::Redirected(2, 2, 9),
+                &Event::AmoDone(2, 0x0707_0707_0707_0707),
             ]
         );
         // A late echo of the hinted ack names a retired handle: it is
