@@ -6,16 +6,19 @@
 //! properties make it usable as a *test* instrument rather than a noise
 //! generator:
 //!
-//! 1. **Reproducibility.** The plane owns a private [`Xoshiro256`] stream
-//!    seeded from `plan.seed`, independent of the engine's RNG. A chaos run
-//!    is a pure function of `(engine seed, FaultPlan)` — rerunning it
-//!    yields bit-identical schedules, counters, and trace hashes.
+//! 1. **Reproducibility.** Every draw for one message comes from a
+//!    generator keyed by `(plan.seed, sending locality, that locality's
+//!    wire-message count)` ([`FaultPlane::draws`]), and its verdict is
+//!    charged to the sender's own [`FaultStats`]. The plane itself holds
+//!    nothing an event writes, so a verdict is the same whenever, and on
+//!    whichever shard lane, the sender makes it. A chaos run is a pure
+//!    function of `(engine seed, FaultPlan)` — rerunning it yields
+//!    bit-identical schedules, counters, and trace hashes.
 //! 2. **Pay-for-what-you-use.** A lossless plan (all rates zero, no
 //!    windows) takes a draw-free early-out in [`FaultPlane::decide`], so
-//!    installing it perturbs neither the engine RNG nor the event
-//!    schedule: golden trace pins recorded without a fault plane must stay
-//!    bit-for-bit identical with a lossless one installed (see
-//!    `crates/core/tests/faults_shadow.rs`).
+//!    installing it perturbs no event schedule: golden trace pins recorded
+//!    without a fault plane must stay bit-for-bit identical with a
+//!    lossless one installed (see `crates/core/tests/faults_shadow.rs`).
 //!
 //! Not every message is fair game. The GAS/photon stack retransmits
 //! *requests* (deadline sweep + bounce) and tolerates duplicate
@@ -198,6 +201,18 @@ impl FaultStats {
     pub fn total_drops(&self) -> u64 {
         self.dropped + self.corrupt_drops + self.flap_drops + self.partition_drops
     }
+
+    /// Add `other`'s counts into `self`.
+    pub fn merge(&mut self, other: &FaultStats) {
+        self.delivered += other.delivered;
+        self.dropped += other.dropped;
+        self.duplicated += other.duplicated;
+        self.delayed += other.delayed;
+        self.corrupted += other.corrupted;
+        self.corrupt_drops += other.corrupt_drops;
+        self.flap_drops += other.flap_drops;
+        self.partition_drops += other.partition_drops;
+    }
 }
 
 /// What the plane decided for one message.
@@ -225,31 +240,33 @@ impl FaultVerdict {
     };
 }
 
-/// The live injector: a plan plus its private RNG stream and counters.
+/// Salt between a plan's seed and its generators, so a plan seeded like
+/// the engine still draws apart from the engine's transit jitter.
+const DRAW_SALT: u64 = 0xfa17_b1a5_e5ee_d5a1;
+
+/// The live injector: a plan, read-only while events run. Its draws and
+/// counters belong to the sending locality ([`FaultPlane::draws`]).
 #[derive(Clone, Debug)]
 pub struct FaultPlane {
     /// The installed plan.
     pub plan: FaultPlan,
-    /// Injection counters.
-    pub stats: FaultStats,
-    rng: Xoshiro256,
     lossless: bool,
 }
 
 impl FaultPlane {
     /// Build the injector for `plan`.
     pub fn new(plan: FaultPlan) -> FaultPlane {
-        let rng = Xoshiro256::seed_from_u64(plan.seed);
         let lossless = plan.rates.is_lossless()
             && plan.link_rates.iter().all(|(_, _, r)| r.is_lossless())
             && plan.flaps.is_empty()
             && plan.partitions.is_empty();
-        FaultPlane {
-            plan,
-            stats: FaultStats::default(),
-            rng,
-            lossless,
-        }
+        FaultPlane { plan, lossless }
+    }
+
+    /// The generator for every draw of the `n`-th wire message `src` sends:
+    /// its verdict and, if duplicated, its copy's spacing.
+    pub fn draws(&self, src: LocalityId, n: u64) -> Xoshiro256 {
+        Xoshiro256::keyed(self.plan.seed ^ DRAW_SALT, u64::from(src), n)
     }
 
     fn rates_for(&self, src: LocalityId, dst: LocalityId) -> FaultRates {
@@ -280,69 +297,69 @@ impl FaultPlane {
         None
     }
 
-    /// Decide the fate of one message.
+    /// Decide the fate of one message from `src`, drawing from `rng` (the
+    /// message's [`FaultPlane::draws`]) and counting into `stats` (the
+    /// sender's).
     ///
     /// `can_dup` is false for messages the caller cannot clone (user
     /// messages carry an opaque `Protocol::Msg`); the dup draw is still
-    /// made so the stream is independent of payload type, but the verdict
-    /// suppresses the duplicate.
+    /// made, but the verdict suppresses the duplicate.
+    #[allow(clippy::too_many_arguments)]
     pub fn decide(
-        &mut self,
+        &self,
         now: Time,
         src: LocalityId,
         dst: LocalityId,
         class: FaultClass,
         can_dup: bool,
+        rng: &mut Xoshiro256,
+        stats: &mut FaultStats,
     ) -> FaultVerdict {
         if !class.faultable() {
             return FaultVerdict::CLEAN;
         }
-        // Draw-free early-out: a lossless plan must not advance the
-        // stream, so installing it is schedule-invisible.
+        // Draw-free early-out for a plan that can do nothing.
         if self.lossless {
-            self.stats.delivered += 1;
+            stats.delivered += 1;
             return FaultVerdict::CLEAN;
         }
         if let Some(flap) = self.window_drop(now, src, dst) {
             if flap {
-                self.stats.flap_drops += 1;
+                stats.flap_drops += 1;
             } else {
-                self.stats.partition_drops += 1;
+                stats.partition_drops += 1;
             }
             return FaultVerdict::Drop;
         }
         let rates = self.rates_for(src, dst);
         if rates.is_lossless() {
-            self.stats.delivered += 1;
+            stats.delivered += 1;
             return FaultVerdict::CLEAN;
         }
 
-        // Fixed draw order per message keeps the stream aligned across
-        // verdicts: drop, corrupt, dup, delay_p (+ spike magnitude).
-        let drop = self.rng.next_f64() < rates.drop;
-        let corrupt = self.rng.next_f64() < rates.corrupt;
-        let dup = self.rng.next_f64() < rates.dup;
-        let delay = self.rng.next_f64() < rates.delay_p;
+        // Fixed draw order per message: drop, corrupt, dup, delay_p (+
+        // spike magnitude), then the corruption mask.
+        let drop = rng.next_f64() < rates.drop;
+        let corrupt = rng.next_f64() < rates.corrupt;
+        let dup = rng.next_f64() < rates.dup;
+        let delay = rng.next_f64() < rates.delay_p;
         let extra_delay = if delay && rates.delay_max_ns > 0 {
-            Time::from_ns(
-                self.rng
-                    .range_inclusive(rates.delay_min_ns, rates.delay_max_ns),
-            )
+            Time::from_ns(rng.range_inclusive(rates.delay_min_ns, rates.delay_max_ns))
         } else {
             Time::ZERO
         };
-        let corrupt_mask = if corrupt { self.rng.next_u64() | 1 } else { 0 };
+        let corrupt_mask = if corrupt { rng.next_u64() | 1 } else { 0 };
 
         // Payload has no retransmit: never drop/dup it, but corruption is
         // delivered (the end-to-end checksum is the detector under test).
         if class == FaultClass::Payload {
             if delay {
-                self.stats.delayed += 1;
+                stats.delayed += 1;
             }
             if corrupt {
-                self.stats.corrupted += 1;
+                stats.corrupted += 1;
             } else if extra_delay == Time::ZERO {
-                self.stats.delivered += 1;
+                stats.delivered += 1;
             }
             return FaultVerdict::Deliver {
                 extra_delay,
@@ -352,24 +369,24 @@ impl FaultPlane {
         }
 
         if drop {
-            self.stats.dropped += 1;
+            stats.dropped += 1;
             return FaultVerdict::Drop;
         }
         // One-sided request/completion data has no end-to-end checksum;
         // model link-CRC discard instead of delivering poisoned bytes.
         if corrupt {
-            self.stats.corrupt_drops += 1;
+            stats.corrupt_drops += 1;
             return FaultVerdict::Drop;
         }
         let duplicate = dup && can_dup;
         if duplicate {
-            self.stats.duplicated += 1;
+            stats.duplicated += 1;
         }
         if delay {
-            self.stats.delayed += 1;
+            stats.delayed += 1;
         }
         if !duplicate && extra_delay == Time::ZERO {
-            self.stats.delivered += 1;
+            stats.delivered += 1;
         }
         FaultVerdict::Deliver {
             extra_delay,
@@ -383,9 +400,10 @@ impl FaultPlane {
     /// never-ending [`LinkFlap`] windows in both directions against each of
     /// the `n` localities, so every faultable message touching `dead` is
     /// dropped before any rate draw. Traffic between surviving localities
-    /// keeps its exact verdict stream: flap checks precede (and never
-    /// consume) RNG draws, and links whose rates are lossless still take
-    /// the draw-free early-out.
+    /// keeps its exact verdicts: each message's draws are its own, and
+    /// links whose rates are lossless still take the draw-free early-out.
+    /// It edits the plan, so it runs between runs (drive phase), never
+    /// from an event.
     ///
     /// [`FaultClass::Bypass`] traffic still bypasses the plane; a crashed
     /// locality must discard it at its own message handler.
@@ -408,16 +426,14 @@ impl FaultPlane {
         self.lossless = false;
     }
 
-    /// Delay for a duplicate's second copy, drawn from the link's spike
+    /// Delay for a duplicate's second copy, drawn from `rng` (the message's
+    /// [`FaultPlane::draws`], after its verdict) out of the link's spike
     /// distribution (or a fixed 1 µs when the plan has no spikes) so the
     /// two copies never collapse onto the same instant.
-    pub fn dup_delay(&mut self, src: LocalityId, dst: LocalityId) -> Time {
+    pub fn dup_delay(&self, src: LocalityId, dst: LocalityId, rng: &mut Xoshiro256) -> Time {
         let rates = self.rates_for(src, dst);
         if rates.delay_max_ns > 0 {
-            Time::from_ns(
-                self.rng
-                    .range_inclusive(rates.delay_min_ns.max(1), rates.delay_max_ns),
-            )
+            Time::from_ns(rng.range_inclusive(rates.delay_min_ns.max(1), rates.delay_max_ns))
         } else {
             Time::from_us(1)
         }
@@ -443,42 +459,76 @@ mod tests {
         FaultPlan::uniform(7, p)
     }
 
+    /// One sending locality as the wire drives the plane: each message
+    /// draws from its own [`FaultPlane::draws`] and counts into the
+    /// sender's stats.
+    #[derive(Default)]
+    struct Sender {
+        sent: u64,
+        stats: FaultStats,
+    }
+
+    impl Sender {
+        fn send(
+            &mut self,
+            fp: &FaultPlane,
+            now: Time,
+            src: LocalityId,
+            dst: LocalityId,
+            class: FaultClass,
+        ) -> FaultVerdict {
+            let mut rng = fp.draws(src, self.sent);
+            self.sent += 1;
+            fp.decide(now, src, dst, class, true, &mut rng, &mut self.stats)
+        }
+    }
+
     #[test]
     fn lossless_plan_is_draw_free_and_clean() {
-        let mut fp = FaultPlane::new(FaultPlan::lossless(42));
-        let mut witness = Xoshiro256::seed_from_u64(42);
-        let expect = witness.next_u64();
+        let fp = FaultPlane::new(FaultPlan::lossless(42));
+        let mut rng = fp.draws(0, 0);
+        let expect = fp.draws(0, 0).next_u64();
+        let mut stats = FaultStats::default();
         for i in 0..1000 {
-            let v = fp.decide(Time::from_ns(i), 0, 1, FaultClass::Request, true);
+            let v = fp.decide(
+                Time::from_ns(i),
+                0,
+                1,
+                FaultClass::Request,
+                true,
+                &mut rng,
+                &mut stats,
+            );
             assert_eq!(v, FaultVerdict::CLEAN);
         }
-        assert_eq!(fp.stats.total_drops(), 0);
-        assert_eq!(fp.stats.delivered, 1000);
-        // The private stream never advanced.
-        assert_eq!(fp.rng.next_u64(), expect);
+        assert_eq!(stats.total_drops(), 0);
+        assert_eq!(stats.delivered, 1000);
+        // The generator it was handed never advanced.
+        assert_eq!(rng.next_u64(), expect);
     }
 
     #[test]
     fn bypass_class_is_never_touched() {
-        let mut fp = FaultPlane::new(plan(1.0));
+        let fp = FaultPlane::new(plan(1.0));
+        let mut tx = Sender::default();
         for i in 0..100 {
-            let v = fp.decide(Time::from_ns(i), 0, 1, FaultClass::Bypass, true);
+            let v = tx.send(&fp, Time::from_ns(i), 0, 1, FaultClass::Bypass);
             assert_eq!(v, FaultVerdict::CLEAN);
         }
-        assert_eq!(fp.stats.total_drops(), 0);
+        assert_eq!(tx.stats, FaultStats::default());
     }
 
     #[test]
     fn same_seed_same_verdict_stream() {
-        let mut a = FaultPlane::new(plan(0.3));
-        let mut b = FaultPlane::new(plan(0.3));
+        let (a, b) = (FaultPlane::new(plan(0.3)), FaultPlane::new(plan(0.3)));
+        let (mut ta, mut tb) = (Sender::default(), Sender::default());
         for i in 0..2000 {
-            let va = a.decide(Time::from_ns(i), 0, 1, FaultClass::Request, true);
-            let vb = b.decide(Time::from_ns(i), 0, 1, FaultClass::Request, true);
+            let va = ta.send(&a, Time::from_ns(i), 0, 1, FaultClass::Request);
+            let vb = tb.send(&b, Time::from_ns(i), 0, 1, FaultClass::Request);
             assert_eq!(va, vb);
         }
-        assert_eq!(a.stats, b.stats);
-        assert!(a.stats.dropped > 0, "p=0.3 over 2000 draws must drop");
+        assert_eq!(ta.stats, tb.stats);
+        assert!(ta.stats.dropped > 0, "p=0.3 over 2000 draws must drop");
     }
 
     #[test]
@@ -487,14 +537,15 @@ mod tests {
             corrupt: 1.0,
             ..FaultRates::lossless()
         };
-        let mut fp = FaultPlane::new(FaultPlan {
+        let fp = FaultPlane::new(FaultPlan {
             rates,
             ..FaultPlan::lossless(9)
         });
-        let v = fp.decide(Time::ZERO, 0, 1, FaultClass::Request, true);
+        let mut tx = Sender::default();
+        let v = tx.send(&fp, Time::ZERO, 0, 1, FaultClass::Request);
         assert_eq!(v, FaultVerdict::Drop);
-        assert_eq!(fp.stats.corrupt_drops, 1);
-        assert_eq!(fp.stats.corrupted, 0);
+        assert_eq!(tx.stats.corrupt_drops, 1);
+        assert_eq!(tx.stats.corrupted, 0);
     }
 
     #[test]
@@ -505,12 +556,13 @@ mod tests {
             corrupt: 1.0,
             ..FaultRates::lossless()
         };
-        let mut fp = FaultPlane::new(FaultPlan {
+        let fp = FaultPlane::new(FaultPlan {
             rates,
             ..FaultPlan::lossless(9)
         });
+        let mut tx = Sender::default();
         for _ in 0..50 {
-            match fp.decide(Time::ZERO, 0, 1, FaultClass::Payload, true) {
+            match tx.send(&fp, Time::ZERO, 0, 1, FaultClass::Payload) {
                 FaultVerdict::Deliver {
                     duplicate,
                     corrupt_mask,
@@ -522,13 +574,13 @@ mod tests {
                 FaultVerdict::Drop => panic!("payload must never be dropped"),
             }
         }
-        assert_eq!(fp.stats.corrupted, 50);
-        assert_eq!(fp.stats.total_drops(), 0);
+        assert_eq!(tx.stats.corrupted, 50);
+        assert_eq!(tx.stats.total_drops(), 0);
     }
 
     #[test]
     fn flap_window_severs_only_its_link_and_window() {
-        let mut fp = FaultPlane::new(FaultPlan {
+        let fp = FaultPlane::new(FaultPlan {
             flaps: vec![LinkFlap {
                 src: 0,
                 dst: 1,
@@ -537,62 +589,48 @@ mod tests {
             }],
             ..FaultPlan::lossless(3)
         });
-        assert_eq!(
-            fp.decide(Time::from_ns(150), 0, 1, FaultClass::Request, true),
-            FaultVerdict::Drop
-        );
-        assert_eq!(
-            fp.decide(Time::from_ns(150), 1, 0, FaultClass::Request, true),
-            FaultVerdict::CLEAN,
-            "reverse direction unaffected"
-        );
-        assert_eq!(
-            fp.decide(Time::from_ns(250), 0, 1, FaultClass::Request, true),
-            FaultVerdict::CLEAN,
-            "outside the window"
-        );
-        assert_eq!(fp.stats.flap_drops, 1);
+        let mut tx = Sender::default();
+        let mut send = |t, src, dst| tx.send(&fp, Time::from_ns(t), src, dst, FaultClass::Request);
+        assert_eq!(send(150, 0, 1), FaultVerdict::Drop);
+        let reverse = send(150, 1, 0);
+        assert_eq!(reverse, FaultVerdict::CLEAN, "reverse direction unaffected");
+        let later = send(250, 0, 1);
+        assert_eq!(later, FaultVerdict::CLEAN, "outside the window");
+        assert_eq!(tx.stats.flap_drops, 1);
     }
 
     #[test]
     fn sever_locality_blackholes_both_directions_forever() {
         let mut fp = FaultPlane::new(FaultPlan::lossless(42));
-        let mut witness = Xoshiro256::seed_from_u64(42);
-        let expect = witness.next_u64();
         fp.sever_locality(2, 4, Time::from_us(1));
+        let mut rng = fp.draws(0, 0);
+        let expect = fp.draws(0, 0).next_u64();
+        let mut stats = FaultStats::default();
+        let mut decide =
+            |t, src, dst, class| fp.decide(t, src, dst, class, true, &mut rng, &mut stats);
         // Before the cut the links are alive.
-        assert_eq!(
-            fp.decide(Time::from_ns(10), 0, 2, FaultClass::Request, true),
-            FaultVerdict::CLEAN
-        );
+        let before = decide(Time::from_ns(10), 0, 2, FaultClass::Request);
+        assert_eq!(before, FaultVerdict::CLEAN);
         // After it, everything touching locality 2 is dropped...
         for t in [Time::from_us(1), Time::from_ms(5)] {
-            assert_eq!(
-                fp.decide(t, 0, 2, FaultClass::Request, true),
-                FaultVerdict::Drop
-            );
-            assert_eq!(
-                fp.decide(t, 2, 3, FaultClass::Completion, true),
-                FaultVerdict::Drop
-            );
+            assert_eq!(decide(t, 0, 2, FaultClass::Request), FaultVerdict::Drop);
+            assert_eq!(decide(t, 2, 3, FaultClass::Completion), FaultVerdict::Drop);
         }
         // ...while survivor↔survivor traffic stays clean and draw-free.
+        let survivors = decide(Time::from_ms(5), 0, 1, FaultClass::Request);
+        assert_eq!(survivors, FaultVerdict::CLEAN);
         assert_eq!(
-            fp.decide(Time::from_ms(5), 0, 1, FaultClass::Request, true),
-            FaultVerdict::CLEAN
-        );
-        assert_eq!(
-            fp.decide(Time::from_ms(5), 2, 2, FaultClass::Bypass, true),
+            decide(Time::from_ms(5), 2, 2, FaultClass::Bypass),
             FaultVerdict::CLEAN,
             "bypass traffic is the crashed handler's problem, not the wire's"
         );
-        assert_eq!(fp.stats.flap_drops, 4);
-        assert_eq!(fp.rng.next_u64(), expect, "severing never consumes draws");
+        assert_eq!(stats.flap_drops, 4);
+        assert_eq!(rng.next_u64(), expect, "severing never consumes draws");
     }
 
     #[test]
     fn partition_severs_cross_group_traffic_both_ways() {
-        let mut fp = FaultPlane::new(FaultPlan {
+        let fp = FaultPlane::new(FaultPlan {
             partitions: vec![Partition {
                 from: Time::ZERO,
                 to: Time::from_us(1),
@@ -600,25 +638,27 @@ mod tests {
             }],
             ..FaultPlan::lossless(5)
         });
+        let mut tx = Sender::default();
+        let t = Time::from_ns(10);
         assert_eq!(
-            fp.decide(Time::from_ns(10), 0, 2, FaultClass::Request, true),
+            tx.send(&fp, t, 0, 2, FaultClass::Request),
             FaultVerdict::Drop
         );
         assert_eq!(
-            fp.decide(Time::from_ns(10), 2, 1, FaultClass::Completion, true),
+            tx.send(&fp, t, 2, 1, FaultClass::Completion),
             FaultVerdict::Drop
         );
         assert_eq!(
-            fp.decide(Time::from_ns(10), 0, 1, FaultClass::Request, true),
+            tx.send(&fp, t, 0, 1, FaultClass::Request),
             FaultVerdict::CLEAN,
             "intra-group traffic flows"
         );
-        assert_eq!(fp.stats.partition_drops, 2);
+        assert_eq!(tx.stats.partition_drops, 2);
     }
 
     #[test]
     fn link_override_replaces_default_rates() {
-        let mut fp = FaultPlane::new(FaultPlan {
+        let fp = FaultPlane::new(FaultPlan {
             rates: FaultRates {
                 drop: 1.0,
                 ..FaultRates::lossless()
@@ -626,13 +666,14 @@ mod tests {
             link_rates: vec![(0, 1, FaultRates::lossless())],
             ..FaultPlan::lossless(11)
         });
+        let mut tx = Sender::default();
         assert_eq!(
-            fp.decide(Time::ZERO, 0, 1, FaultClass::Request, true),
+            tx.send(&fp, Time::ZERO, 0, 1, FaultClass::Request),
             FaultVerdict::CLEAN,
             "override link is clean"
         );
         assert_eq!(
-            fp.decide(Time::ZERO, 1, 0, FaultClass::Request, true),
+            tx.send(&fp, Time::ZERO, 1, 0, FaultClass::Request),
             FaultVerdict::Drop,
             "default link drops"
         );
@@ -656,9 +697,9 @@ mod tests {
 
     #[test]
     fn dup_delay_is_never_zero() {
-        let mut fp = FaultPlane::new(plan(0.5));
-        for _ in 0..100 {
-            assert!(fp.dup_delay(0, 1) > Time::ZERO);
+        let fp = FaultPlane::new(plan(0.5));
+        for n in 0..100 {
+            assert!(fp.dup_delay(0, 1, &mut fp.draws(0, n)) > Time::ZERO);
         }
     }
 }

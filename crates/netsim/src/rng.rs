@@ -65,6 +65,17 @@ impl Xoshiro256 {
         Xoshiro256 { s }
     }
 
+    /// The generator of the `n`-th draw site of `stream` under `seed`.
+    ///
+    /// A pure function of the three: whoever opens site `n` gets the same
+    /// numbers, whatever else drew before it and on whichever thread —
+    /// counter-based randomness (Salmon et al., "Parallel Random Numbers:
+    /// As Easy as 1, 2, 3", SC'11), here a [`mix64`] chain feeding
+    /// [`Xoshiro256::seed_from_u64`].
+    pub fn keyed(seed: u64, stream: u64, n: u64) -> Xoshiro256 {
+        Xoshiro256::seed_from_u64(mix64(mix64(mix64(seed) ^ stream) ^ n))
+    }
+
     /// Next 64-bit output.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {

@@ -1502,7 +1502,7 @@ mod tests {
         assert_eq!(events_of(&eng, 0), vec![&Event::PwcDone(3)]);
         assert_eq!(eng.state.eps[0].stats.stale_completions, 3);
         assert_eq!(eng.state.eps[0].outstanding_ops(), 0);
-        let stats = eng.state.cluster.faults.as_ref().unwrap().stats;
+        let stats = eng.state.cluster.fault_stats();
         assert_eq!(stats.duplicated, 3, "one request dup + one dup per ack");
     }
 

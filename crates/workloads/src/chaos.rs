@@ -438,12 +438,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         gas: world.total_gas_stats(),
         outcomes: world.total_outcomes(),
         net: world.cluster.total_counters(),
-        faults: world
-            .cluster
-            .faults
-            .as_ref()
-            .map(|f| f.stats)
-            .unwrap_or_default(),
+        faults: world.cluster.fault_stats(),
         violations,
         trace_hash: rt.eng.trace_hash(),
         end: rt.now(),
