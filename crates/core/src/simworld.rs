@@ -626,9 +626,12 @@ fn amo_pump_ctx(loc: LocalityId, p: &mut AmoPump) -> OpId {
 // lane. The shared structures (`pgas`, `pump_blocks`, `mode`,
 // `record_events`, the cluster-wide config) are read-only at event time:
 // `pgas` is only written on the allocation (drive-phase) and runtime-free
-// paths, and sharded workloads must not issue runtime frees. Shared wire
-// state is confined to netsim's own `defer_wire` tails. Event closures
-// capture only owned buffers and `Copy` data.
+// paths, and sharded workloads must not issue runtime frees. The wire is
+// the sender's: netsim keys each message's jitter and fault draws by its
+// sending locality and counts fault verdicts there, events only read the
+// fault plane, and `ShardedEngine::new` keeps an oversubscribed switch
+// core on one lane. Event closures capture only owned buffers and `Copy`
+// data.
 unsafe impl SplitWorld for SimWorld {
     fn lane_handle(&mut self, _lane: u32, _map: ShardMap) -> SimWorld {
         SimWorld {

@@ -335,7 +335,8 @@ impl RtWorld for ShardWorld {
 // `actions`, cluster-wide config) are read-only at event time — actions
 // and the PGAS map are populated during the drive phase, and sharded
 // workloads must not issue runtime frees. Cross-locality effects travel
-// exclusively as messages through netsim's `defer_wire` tails.
+// exclusively as netsim messages, whose wire draws and fault counts
+// belong to the sending locality.
 unsafe impl SplitWorld for ShardWorld {
     fn lane_handle(&mut self, _lane: u32, _map: ShardMap) -> ShardWorld {
         ShardWorld {
