@@ -1363,13 +1363,14 @@ fn ring(json: bool, ops: u64) {
 
 /// `parallel [--shards N] [--locs N] [--updates N]` — the sharded-engine
 /// scaling series (DESIGN.md §3.5): the self-pumping GUPS workload on
-/// network-managed AGAS over the FDR fabric, run on the sequential engine
-/// and then at each lane count up to `--shards`. Wall-clock throughput
-/// scales with lanes (given enough host cores); the simulated results —
-/// trace hash, clock, event and update counts — must be bit-identical at
-/// every lane count, and the process exits nonzero if they are not. JSON
-/// rows carry the host probe's paired ratio (`repro host`, ≈ 10 s): a
-/// threaded wall-clock point says nothing without it.
+/// network-managed AGAS, on each of [`parallel_fabrics`] (FDR, then FDR
+/// with transit jitter), run on the sequential engine and then at each
+/// lane count up to `--shards`. Wall-clock throughput scales with lanes
+/// (given enough host cores); the simulated results — trace hash, clock,
+/// event and update counts — must be bit-identical at every lane count of
+/// a series, and the process exits nonzero if they are not. JSON rows
+/// carry the host probe's paired ratio (`repro host`, ≈ 10 s): a threaded
+/// wall-clock point says nothing without it.
 fn parallel(json: bool, max_shards: usize, cfg: &ParallelGupsConfig) {
     header(
         "parallel",
@@ -1384,88 +1385,95 @@ fn parallel(json: bool, max_shards: usize, cfg: &ParallelGupsConfig) {
     } else {
         0.0
     };
-    // Runs are strictly serial: each one owns the machine while timed.
-    let rows: Vec<ParallelGupsRow> = shard_ladder(max_shards)
-        .into_iter()
-        .map(|k| parallel_gups(cfg, k))
-        .collect();
-    let base = rows[0].events_per_sec();
     if !json {
         println!("(host has {cores} core(s); speedup needs cores >= shards)");
-        println!(
-            "{:>7} {:>11} {:>9} {:>13} {:>8} {:>9} {:>7} {:>11}",
-            "shards", "events", "wall s", "events/sec", "speedup", "windows", "sync%", "util"
-        );
     }
-    for r in &rows {
-        let speedup = if base > 0.0 {
-            r.events_per_sec() / base
-        } else {
-            0.0
-        };
-        if json {
-            let util = r
-                .utilization
-                .iter()
-                .map(|u| format!("{u:.4}"))
-                .collect::<Vec<_>>()
-                .join(",");
+    let mut diverged = Vec::new();
+    for (series, net) in parallel_fabrics() {
+        // Runs are strictly serial: each one owns the machine while timed.
+        let rows: Vec<ParallelGupsRow> = shard_ladder(max_shards)
+            .into_iter()
+            .map(|k| parallel_gups(cfg, net, k))
+            .collect();
+        let base = rows[0].events_per_sec();
+        if !json {
+            println!("{series} (jitter {} ns)", net.jitter_ns);
             println!(
-                concat!(
-                    "{{\"id\":\"parallel\",\"series\":\"gups_parallel\",\"shards\":{},",
-                    "\"localities\":{},\"host_cores\":{},\"host_pair_ratio\":{:.3},",
-                    "\"updates\":{},\"events\":{},",
-                    "\"sim_time_ps\":{},\"wall_seconds\":{:.6},\"events_per_sec\":{:.0},",
-                    "\"speedup\":{:.4},\"trace_hash\":{},\"windows\":{},",
-                    "\"sync_overhead\":{:.4},\"barrier_ns_per_event\":{:.2},",
-                    "\"utilization\":[{}]}}"
-                ),
-                r.shards,
-                r.localities,
-                cores,
-                host_pair_ratio,
-                r.updates,
-                r.events,
-                r.sim.ps(),
-                r.wall_secs,
-                r.events_per_sec(),
-                speedup,
-                r.trace_hash,
-                r.windows,
-                r.sync_overhead,
-                r.barrier_ns_per_event,
-                util,
-            );
-        } else {
-            let util = if r.utilization.is_empty() {
-                "-".into()
-            } else {
-                let min = r.utilization.iter().cloned().fold(f64::INFINITY, f64::min);
-                let max = r.utilization.iter().cloned().fold(0.0f64, f64::max);
-                format!("{min:.2}-{max:.2}")
-            };
-            println!(
-                "{:>7} {:>11} {:>9.3} {:>13.0} {:>7.2}x {:>9} {:>6.1}% {:>11}",
-                r.shards,
-                r.events,
-                r.wall_secs,
-                r.events_per_sec(),
-                speedup,
-                r.windows,
-                r.sync_overhead * 100.0,
-                util,
+                "{:>7} {:>11} {:>9} {:>13} {:>8} {:>9} {:>7} {:>11}",
+                "shards", "events", "wall s", "events/sec", "speedup", "windows", "sync%", "util"
             );
         }
+        for r in &rows {
+            let speedup = if base > 0.0 {
+                r.events_per_sec() / base
+            } else {
+                0.0
+            };
+            if json {
+                let util = r
+                    .utilization
+                    .iter()
+                    .map(|u| format!("{u:.4}"))
+                    .collect::<Vec<_>>()
+                    .join(",");
+                println!(
+                    concat!(
+                        "{{\"id\":\"parallel\",\"series\":\"{}\",\"shards\":{},",
+                        "\"localities\":{},\"host_cores\":{},\"host_pair_ratio\":{:.3},",
+                        "\"updates\":{},\"events\":{},",
+                        "\"sim_time_ps\":{},\"wall_seconds\":{:.6},\"events_per_sec\":{:.0},",
+                        "\"speedup\":{:.4},\"trace_hash\":{},\"windows\":{},",
+                        "\"sync_overhead\":{:.4},\"barrier_ns_per_event\":{:.2},",
+                        "\"utilization\":[{}]}}"
+                    ),
+                    series,
+                    r.shards,
+                    r.localities,
+                    cores,
+                    host_pair_ratio,
+                    r.updates,
+                    r.events,
+                    r.sim.ps(),
+                    r.wall_secs,
+                    r.events_per_sec(),
+                    speedup,
+                    r.trace_hash,
+                    r.windows,
+                    r.sync_overhead,
+                    r.barrier_ns_per_event,
+                    util,
+                );
+            } else {
+                let util = if r.utilization.is_empty() {
+                    "-".into()
+                } else {
+                    let min = r.utilization.iter().cloned().fold(f64::INFINITY, f64::min);
+                    let max = r.utilization.iter().cloned().fold(0.0f64, f64::max);
+                    format!("{min:.2}-{max:.2}")
+                };
+                println!(
+                    "{:>7} {:>11} {:>9.3} {:>13.0} {:>7.2}x {:>9} {:>6.1}% {:>11}",
+                    r.shards,
+                    r.events,
+                    r.wall_secs,
+                    r.events_per_sec(),
+                    speedup,
+                    r.windows,
+                    r.sync_overhead * 100.0,
+                    util,
+                );
+            }
+        }
+        let gold = &rows[0];
+        diverged.extend(
+            rows.iter()
+                .filter(|r| {
+                    (r.trace_hash, r.sim, r.events, r.updates)
+                        != (gold.trace_hash, gold.sim, gold.events, gold.updates)
+                })
+                .map(|r| format!("{series} at {} shards", r.shards)),
+        );
     }
-    let gold = &rows[0];
-    let diverged: Vec<String> = rows
-        .iter()
-        .filter(|r| {
-            (r.trace_hash, r.sim, r.events, r.updates)
-                != (gold.trace_hash, gold.sim, gold.events, gold.updates)
-        })
-        .map(|r| format!("{} shards", r.shards))
-        .collect();
     if !diverged.is_empty() {
         eprintln!(
             "parallel runs DIVERGED from the sequential trace: {}",

@@ -2,12 +2,13 @@
 //!
 //! Drives the self-pumping GUPS generator in [`SimWorld`] — every put
 //! completion immediately issues the next random-block put from the
-//! completing locality — over network-managed AGAS on the FDR fabric,
-//! once on the sequential engine and once per requested lane count on the
-//! sharded engine. The fabric is wire-pure (no jitter, no faults, full
-//! bisection), so lanes execute their windows fully in parallel and the
-//! barrier — a minimum over the lanes' next pending times — is the only
-//! serial section.
+//! completing locality — over network-managed AGAS, once on the
+//! sequential engine and once per requested lane count on the sharded
+//! engine, on two fixed fabrics ([`parallel_fabrics`]): FDR, and FDR with
+//! transit jitter. Every message draws its jitter from a generator keyed by
+//! its sender, so on both fabrics lanes execute their windows fully in
+//! parallel and the barrier — a minimum over the lanes' next pending times
+//! — is the only serial section.
 //!
 //! Unlike every other experiment in this crate, the measurement here is
 //! **wall-clock**, not simulated time: the point is the simulator's own
@@ -90,10 +91,24 @@ fn arm(world: &mut SimWorld, cfg: &ParallelGupsConfig) {
     }
 }
 
-/// Run the pump to quiescence at `shards` lanes (1 = sequential engine).
-pub fn parallel_gups(cfg: &ParallelGupsConfig, shards: usize) -> ParallelGupsRow {
+/// The fabrics `repro parallel` runs its lane ladder on, by series name:
+/// FDR, and FDR with 50 ns of transit jitter.
+pub fn parallel_fabrics() -> [(&'static str, NetConfig); 2] {
+    let jittery = NetConfig {
+        jitter_ns: 50,
+        ..NetConfig::ib_fdr()
+    };
+    [
+        ("gups_parallel", NetConfig::ib_fdr()),
+        ("gups_parallel_jitter", jittery),
+    ]
+}
+
+/// Run the pump on `net` to quiescence at `shards` lanes (1 = sequential
+/// engine).
+pub fn parallel_gups(cfg: &ParallelGupsConfig, net: NetConfig, shards: usize) -> ParallelGupsRow {
     let n = cfg.localities;
-    let mut world = SimWorld::new(n, GasMode::AgasNetwork, NetConfig::ib_fdr());
+    let mut world = SimWorld::new(n, GasMode::AgasNetwork, net);
     arm(&mut world, cfg);
     if shards <= 1 {
         let mut eng = Engine::new(world, cfg.seed);
