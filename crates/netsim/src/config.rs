@@ -228,12 +228,6 @@ impl NetConfig {
         self.msg_gap + Time::from_ps(bytes * self.gap_per_byte_ps)
     }
 
-    /// Serialization time of a control message.
-    #[inline]
-    pub fn serialize_ctrl(&self) -> Time {
-        self.serialize(self.ctrl_bytes)
-    }
-
     /// Target-side DMA time for `n` bytes.
     #[inline]
     pub fn dma(&self, n: u32) -> Time {
