@@ -18,7 +18,7 @@
 //! that.
 
 use agas::{alloc_array, Distribution, GasMode, SimWorld};
-use netsim::{Engine, NetConfig, ShardedEngine, Time};
+use netsim::{Harness, NetConfig, Time};
 use std::time::Instant;
 
 /// Workload shape for one parallel-scaling series.
@@ -110,54 +110,31 @@ pub fn parallel_gups(cfg: &ParallelGupsConfig, net: NetConfig, shards: usize) ->
     let n = cfg.localities;
     let mut world = SimWorld::new(n, GasMode::AgasNetwork, net);
     arm(&mut world, cfg);
-    if shards <= 1 {
-        let mut eng = Engine::new(world, cfg.seed);
-        let arr = alloc_array(&mut eng, n as u64, cfg.block_class, Distribution::Cyclic);
-        eng.state.set_pump_blocks(arr.blocks.clone());
-        let t = Instant::now();
-        for l in 0..n as u32 {
-            SimWorld::pump_prime(&mut eng, l);
-        }
-        eng.run();
-        ParallelGupsRow {
-            shards: 1,
-            localities: n,
-            updates: eng.state.pump_completed(),
-            events: eng.events_executed(),
-            trace_hash: eng.trace_hash(),
-            sim: eng.now(),
-            wall_secs: t.elapsed().as_secs_f64(),
-            windows: 0,
-            utilization: Vec::new(),
-            sync_overhead: 0.0,
-            barrier_ns_per_event: 0.0,
-        }
-    } else {
-        let mut sh = ShardedEngine::new(world, cfg.seed, shards);
-        let arr = sh.drive(|e| alloc_array(e, n as u64, cfg.block_class, Distribution::Cyclic));
-        sh.state().set_pump_blocks(arr.blocks.clone());
-        let t = Instant::now();
-        for l in 0..n as u32 {
-            sh.drive_at(l, move |e| SimWorld::pump_prime(e, l));
-        }
-        sh.run();
-        let wall_secs = t.elapsed().as_secs_f64();
-        let stats = sh.stats().clone();
-        let events = sh.events_executed();
-        ParallelGupsRow {
-            shards,
-            localities: n,
-            updates: sh.state().pump_completed(),
-            events,
-            trace_hash: sh.trace_hash(),
-            sim: sh.now(),
-            wall_secs,
-            windows: stats.windows,
-            utilization: stats.utilization(),
-            sync_overhead: stats.sync_overhead(),
-            barrier_ns_per_event: (stats.barrier_wait_ns + stats.replay_ns) as f64
-                / events.max(1) as f64,
-        }
+    let mut h = Harness::new(world, cfg.seed, (shards > 1).then_some(shards));
+    let arr = h.drive(|e| alloc_array(e, n as u64, cfg.block_class, Distribution::Cyclic));
+    h.world().set_pump_blocks(arr.blocks.clone());
+    let t = Instant::now();
+    for l in 0..n as u32 {
+        h.drive_at(l, move |e| SimWorld::pump_prime(e, l));
+    }
+    h.run();
+    let wall_secs = t.elapsed().as_secs_f64();
+    let (trace_hash, sim_ps, events) = h.witness();
+    // The sequential engine has no lanes: its stats are all zero.
+    let stats = h.sharded().map(|s| s.stats().clone()).unwrap_or_default();
+    ParallelGupsRow {
+        shards: shards.max(1),
+        localities: n,
+        updates: h.world_ref().pump_completed(),
+        events,
+        trace_hash,
+        sim: Time::from_ps(sim_ps),
+        wall_secs,
+        windows: stats.windows,
+        utilization: stats.utilization(),
+        sync_overhead: stats.sync_overhead(),
+        barrier_ns_per_event: (stats.barrier_wait_ns + stats.replay_ns) as f64
+            / events.max(1) as f64,
     }
 }
 

@@ -2,14 +2,14 @@
 //! sequential [`Engine`] and the sharded
 //! [`ShardedEngine`](netsim::ShardedEngine).
 //!
-//! The integration tests' traditional `World` keeps one shared event log,
-//! which is fine sequentially but unusable across shard lanes. `SimWorld`
-//! is its lane-safe twin: identical construction defaults, identical
-//! protocol dispatch (so any workload run on it schedules the exact
-//! same `(time, key)` events and reproduces the same golden trace
-//! hashes), but every driver-visible observation — completion events,
-//! audit expectations, mismatch counters — lives in a *per-locality*
-//! record that only the owning lane touches.
+//! This is the GAS world the protocol tests, the golden trace pins and the
+//! parallel benchmarks all run on. Every driver-visible observation —
+//! completion events, audit expectations, mismatch counters — lives in a
+//! *per-locality* record that only the owning lane touches, so a program
+//! schedules the same `(time, key)` events and lands on the same trace
+//! hash on either engine. Drivers read completions through
+//! [`SimWorld::events`], or [`SimWorld::drain_events`] when they react to
+//! each one as it arrives.
 //!
 //! It also carries the self-pumping GUPS load generator used by the
 //! parallel-scaling benchmark: each locality holds a private RNG and an
@@ -229,13 +229,22 @@ impl SimWorld {
         self.data.locs[loc as usize].expect.insert(ctx.raw(), value);
     }
 
-    /// Drain every per-locality event log into one time-ordered list.
-    pub fn drain_events(&mut self) -> Vec<(Time, LocalityId, SimEv)> {
-        let mut out = Vec::new();
-        for (l, sl) in self.data.locs.iter_mut().enumerate() {
-            out.extend(sl.events.drain(..).map(|(t, ev)| (t, l as LocalityId, ev)));
-        }
+    /// Every per-locality event log merged into one list, ordered by time
+    /// and then locality; the logs stay as they are.
+    pub fn events(&self) -> Vec<(Time, LocalityId, SimEv)> {
+        let mut out: Vec<_> = (0..)
+            .zip(&self.data.locs)
+            .flat_map(|(l, sl)| sl.events.iter().map(move |(t, ev)| (*t, l, ev.clone())))
+            .collect();
         out.sort_by_key(|&(t, l, _)| (t, l));
+        out
+    }
+
+    /// [`SimWorld::events`], emptying the logs: what a driver that reacts
+    /// to completions as they arrive reads after each step.
+    pub fn drain_events(&mut self) -> Vec<(Time, LocalityId, SimEv)> {
+        let out = self.events();
+        self.data.locs.iter_mut().for_each(|sl| sl.events.clear());
         out
     }
 

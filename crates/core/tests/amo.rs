@@ -11,26 +11,26 @@ mod common;
 
 use agas::migrate::migrate_block;
 use agas::ops::memamo;
-use agas::{alloc_array, Distribution, GasMode};
-use common::{assert_consistent, engine, Ev, World};
+use agas::{alloc_array, Distribution, GasMode, SimEv, SimWorld};
+use common::{assert_consistent, engine};
 use netsim::{AmoOp, AmoResult, Engine, FaultPlan, FaultPlane, NetConfig, OpId};
 
-fn amo_result(eng: &Engine<World>, ctx: u64) -> Option<AmoResult> {
-    eng.state.events.iter().find_map(|(_, _, e)| match e {
-        Ev::AmoDone(c, r) if *c == ctx => Some(r.clone()),
+fn amo_result(eng: &Engine<SimWorld>, ctx: u64) -> Option<AmoResult> {
+    eng.state.events().iter().find_map(|(_, _, e)| match e {
+        SimEv::AmoDone(c, r) if *c == ctx => Some(r.clone()),
         _ => None,
     })
 }
 
-fn mig_done(eng: &Engine<World>, ctx: u64) -> bool {
+fn mig_done(eng: &Engine<SimWorld>, ctx: u64) -> bool {
     eng.state
-        .events
+        .events()
         .iter()
-        .any(|(_, _, e)| matches!(e, Ev::MigDone(c, _) if *c == ctx))
+        .any(|(_, _, e)| matches!(e, SimEv::MigDone(c, _) if *c == ctx))
 }
 
 /// Atomically read the 8-byte word at `gva` via a no-op fetch-add.
-fn read_word(eng: &mut Engine<World>, loc: u32, gva: agas::Gva, ctx: u64) -> u64 {
+fn read_word(eng: &mut Engine<SimWorld>, loc: u32, gva: agas::Gva, ctx: u64) -> u64 {
     memamo(
         eng,
         loc,
@@ -160,14 +160,14 @@ fn nic_executes_without_target_cpu() {
         eng.run();
         assert!(amo_result(&eng, i as u64).is_some(), "op {i} incomplete");
     }
-    let total = eng.state.cluster.total_counters();
+    let total = eng.state.total_counters();
     assert_eq!(total.rdma_amos, 5, "all five kinds ride the NIC path");
     assert_eq!(total.amo_executed, 5);
     assert_eq!(total.sw_handler_runs, 0, "target CPU never ran a handler");
-    let stats = &eng.state.gas[0].stats;
+    let stats = &eng.state.data.gas[0].stats;
     assert_eq!(stats.amos, 5);
     assert_eq!(stats.remote_ops, 5);
-    for g in &eng.state.gas {
+    for g in &eng.state.data.gas {
         assert_eq!(g.stats.sw_amos_handled, 0);
     }
 }
@@ -188,9 +188,9 @@ fn local_fast_path_all_modes() {
         );
         eng.run();
         assert_eq!(amo_result(&eng, 1).expect("local AMO incomplete").old, 0);
-        let g = &eng.state.gas[0];
+        let g = &eng.state.data.gas[0];
         assert_eq!(g.stats.local_ops, 1, "{mode:?}: local path not taken");
-        let total = eng.state.cluster.total_counters();
+        let total = eng.state.total_counters();
         assert_eq!(total.rdma_amos + total.msgs_sent, 0, "{mode:?}");
     }
 }
@@ -211,8 +211,8 @@ fn software_modes_run_target_handler() {
         );
         eng.run();
         assert_eq!(amo_result(&eng, 1).expect("sw AMO incomplete").old, 0);
-        assert_eq!(eng.state.cluster.total_counters().rdma_amos, 0, "{mode:?}");
-        assert_eq!(eng.state.gas[1].stats.sw_amos_handled, 1, "{mode:?}");
+        assert_eq!(eng.state.total_counters().rdma_amos, 0, "{mode:?}");
+        assert_eq!(eng.state.data.gas[1].stats.sw_amos_handled, 1, "{mode:?}");
         assert_eq!(read_word(&mut eng, 0, arr.block(1), 90), 5, "{mode:?}");
     }
 }
@@ -273,9 +273,9 @@ fn amo_racing_migration_never_lost_or_doubled() {
     }
     eng.run();
     assert!(mig_done(&eng, 5000));
-    assert!(eng.state.gas[3].btt.is_resident(gva.block_key()));
+    assert!(eng.state.data.gas[3].btt.is_resident(gva.block_key()));
     assert_eq!(read_word(&mut eng, 2, gva, 9999), 2 * n);
-    let total = eng.state.cluster.total_counters();
+    let total = eng.state.total_counters();
     assert_eq!(total.amo_executed, 2 * n + 1, "each increment applied once");
     assert_consistent(&eng, &arr.blocks);
 }
@@ -297,12 +297,12 @@ fn replay_cache_travels_with_migrating_block() {
         );
     }
     eng.run();
-    assert!(!eng.state.cluster.loc_mut(1).nic.amo.is_empty());
+    assert!(!eng.state.data.cluster.loc_mut(1).nic.amo.is_empty());
     migrate_block(&mut eng, 0, gva, 2, OpId::from_raw(100));
     eng.run();
     assert!(mig_done(&eng, 100));
-    assert!(eng.state.cluster.loc_mut(1).nic.amo.is_empty());
-    assert_eq!(eng.state.cluster.loc_mut(2).nic.amo.len(), 4);
+    assert!(eng.state.data.cluster.loc_mut(1).nic.amo.is_empty());
+    assert_eq!(eng.state.data.cluster.loc_mut(2).nic.amo.len(), 4);
 }
 
 #[test]
@@ -311,7 +311,7 @@ fn faulty_network_applies_each_amo_exactly_once() {
     // still lands on exactly N and the word history stays clean.
     for seed in [11u64, 23, 47] {
         let mut eng = Engine::new(
-            World::new(3, GasMode::AgasNetwork, NetConfig::ideal()),
+            SimWorld::new(3, GasMode::AgasNetwork, NetConfig::ideal()),
             seed,
         );
         // Dropped traffic only recovers through the deadline sweep.
@@ -321,10 +321,10 @@ fn faulty_network_applies_each_amo_exactly_once() {
             retry_on_deadline: true,
             ..agas::GasConfig::default()
         };
-        for g in &mut eng.state.gas {
+        for g in &mut eng.state.data.gas {
             *g = agas::GasLocal::new(cfg);
         }
-        eng.state.cluster.faults = Some(FaultPlane::new(FaultPlan::uniform(seed, 0.15)));
+        eng.state.data.cluster.faults = Some(FaultPlane::new(FaultPlan::uniform(seed, 0.15)));
         let arr = alloc_array(&mut eng, 3, 12, Distribution::Cyclic);
         let gva = arr.block(1);
         let n = 40u64;
@@ -341,9 +341,9 @@ fn faulty_network_applies_each_amo_exactly_once() {
         let done = (0..n).filter(|i| amo_result(&eng, *i).is_some()).count() as u64;
         let failed = eng
             .state
-            .events
+            .events()
             .iter()
-            .filter(|(_, _, e)| matches!(e, Ev::OpFailed(c, _) if *c < n))
+            .filter(|(_, _, e)| matches!(e, SimEv::OpFailed(c, _) if *c < n))
             .count() as u64;
         assert_eq!(done + failed, n, "seed {seed}: every op resolved");
         assert_eq!(failed, 0, "seed {seed}: retry machinery should recover");
@@ -358,10 +358,13 @@ fn faulty_network_applies_each_amo_exactly_once() {
 fn duplicated_requests_hit_replay_cache() {
     // A dup-heavy plan (no drops) must produce replay-cache hits and still
     // count each increment once.
-    let mut eng = Engine::new(World::new(2, GasMode::AgasNetwork, NetConfig::ideal()), 7);
+    let mut eng = Engine::new(
+        SimWorld::new(2, GasMode::AgasNetwork, NetConfig::ideal()),
+        7,
+    );
     let mut plan = FaultPlan::lossless(7);
     plan.rates.dup = 0.5;
-    eng.state.cluster.faults = Some(FaultPlane::new(plan));
+    eng.state.data.cluster.faults = Some(FaultPlane::new(plan));
     let arr = alloc_array(&mut eng, 2, 12, Distribution::Cyclic);
     let gva = arr.block(1);
     let n = 40u64;
@@ -375,7 +378,7 @@ fn duplicated_requests_hit_replay_cache() {
         );
     }
     eng.run();
-    let total = eng.state.cluster.total_counters();
+    let total = eng.state.total_counters();
     assert!(total.amo_replays > 0, "dups should have hit the cache");
     assert_eq!(total.amo_executed, n, "fresh executions match issued ops");
     assert_eq!(read_word(&mut eng, 0, gva, 9000), n);
@@ -387,7 +390,7 @@ fn nic_table_miss_nacks_then_recovers() {
     // A 1-entry NIC translation table: the second block's first AMO misses,
     // NACKs with an interrupt-driven install, and the retry lands.
     let mut eng = Engine::new(
-        World::new(
+        SimWorld::new(
             2,
             GasMode::AgasNetwork,
             NetConfig {
@@ -411,7 +414,7 @@ fn nic_table_miss_nacks_then_recovers() {
     for i in 0..4 {
         assert_eq!(read_word(&mut eng, 0, arr.block(i), 100 + i), 1);
     }
-    let total = eng.state.cluster.total_counters();
+    let total = eng.state.total_counters();
     assert!(total.amo_nacked > 0, "capacity-1 table must have missed");
     assert_eq!(total.amo_executed, 4 + 4, "4 increments + 4 read-backs");
 }

@@ -1,12 +1,12 @@
 //! The golden pins: `(trace_hash, final ps, events executed)` of the pinned
-//! scenarios, one table for `trace_pin.rs` (sequential engine),
-//! `shard_pin.rs` (the same programs at 1 / 2 / 4 / 8 lanes) and
-//! `faults_shadow.rs` (a lossless fault plane must land on them too).
+//! scenarios in `pins.rs`, one table for `shard_pin.rs` (the sequential
+//! engine and 1 / 2 / 4 / 8 lanes) and `faults_shadow.rs` (a lossless fault
+//! plane must land on them too).
 //!
 //! If a *deliberate* protocol change moves a pin, re-capture with
-//! `cargo test -p agas --test trace_pin -- --nocapture` (each test prints
-//! its observed triple on failure) and record old → new with the one cause
-//! in CHANGES.md.
+//! `cargo test -p agas --test shard_pin -- --nocapture` (each test prints
+//! its observed triple on failure, the sequential row first) and record
+//! old → new with the one cause in CHANGES.md.
 #![allow(dead_code)] // not every test binary checks every pin
 
 pub type Pin = (u64, u64, u64);

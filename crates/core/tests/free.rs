@@ -4,15 +4,15 @@ mod common;
 
 use agas::migrate::{free_block, migrate_block};
 use agas::ops::{memput, pin, unpin};
-use agas::{alloc_array, Distribution, GasMode};
-use common::{engine, Ev};
+use agas::{alloc_array, Distribution, GasMode, SimEv, SimWorld};
+use common::engine;
 use netsim::OpId;
 
-fn free_done(eng: &netsim::Engine<common::World>, ctx: u64) -> bool {
+fn free_done(eng: &netsim::Engine<SimWorld>, ctx: u64) -> bool {
     eng.state
-        .events
+        .events()
         .iter()
-        .any(|(_, _, e)| matches!(e, Ev::FreeDone(c, _) if *c == ctx))
+        .any(|(_, _, e)| matches!(e, SimEv::FreeDone(c, _) if *c == ctx))
 }
 
 #[test]
@@ -23,22 +23,23 @@ fn free_releases_storage_and_records() {
         let gva = arr.block(1);
         memput(&mut eng, 0, gva, vec![1; 64], OpId::from_raw(1));
         eng.run();
-        let live_before = eng.state.cluster.mem(1).live_blocks();
+        let live_before = eng.state.data.cluster.mem(1).live_blocks();
         free_block(&mut eng, 0, gva, OpId::from_raw(2));
         eng.run();
         assert!(free_done(&eng, 2), "{mode:?}");
-        assert_eq!(eng.state.cluster.mem(1).live_blocks(), live_before - 1);
+        assert_eq!(eng.state.data.cluster.mem(1).live_blocks(), live_before - 1);
         assert!(
-            !eng.state.gas[1].btt.is_resident(gva.block_key()),
+            !eng.state.data.gas[1].btt.is_resident(gva.block_key()),
             "{mode:?}"
         );
         assert!(
-            eng.state.gas[1].dir.peek(gva.block_key()).is_none(),
+            eng.state.data.gas[1].dir.peek(gva.block_key()).is_none(),
             "{mode:?}"
         );
         if mode == GasMode::AgasNetwork {
             assert!(eng
                 .state
+                .data
                 .cluster
                 .loc(1)
                 .nic
@@ -61,8 +62,8 @@ fn free_chases_migrated_block() {
     free_block(&mut eng, 0, gva, OpId::from_raw(2));
     eng.run();
     assert!(free_done(&eng, 2));
-    assert!(!eng.state.gas[3].btt.is_resident(gva.block_key()));
-    assert!(eng.state.gas[1].dir.peek(gva.block_key()).is_none());
+    assert!(!eng.state.data.gas[3].btt.is_resident(gva.block_key()));
+    assert!(eng.state.data.gas[1].dir.peek(gva.block_key()).is_none());
 }
 
 #[test]
@@ -74,11 +75,11 @@ fn free_waits_for_pins() {
     free_block(&mut eng, 0, gva, OpId::from_raw(9));
     eng.run();
     assert!(!free_done(&eng, 9), "free must wait for the pin");
-    assert!(eng.state.gas[1].btt.is_resident(gva.block_key()));
+    assert!(eng.state.data.gas[1].btt.is_resident(gva.block_key()));
     unpin(&mut eng, 1, gva);
     eng.run();
     assert!(free_done(&eng, 9));
-    assert!(!eng.state.gas[1].btt.is_resident(gva.block_key()));
+    assert!(!eng.state.data.gas[1].btt.is_resident(gva.block_key()));
 }
 
 #[test]
@@ -92,7 +93,7 @@ fn free_racing_migration_converges() {
     eng.run();
     assert!(free_done(&eng, 2));
     for l in 0..4 {
-        assert!(!eng.state.gas[l].btt.is_resident(gva.block_key()));
+        assert!(!eng.state.data.gas[l].btt.is_resident(gva.block_key()));
     }
 }
 
@@ -109,7 +110,7 @@ fn arena_storage_is_reusable_after_free() {
     eng.run();
     assert!(eng
         .state
-        .events
+        .events()
         .iter()
-        .any(|(_, _, e)| matches!(e, Ev::PutDone(2))));
+        .any(|(_, _, e)| matches!(e, SimEv::PutDone(2))));
 }

@@ -3,22 +3,22 @@
 mod common;
 
 use agas::ops::{memget, memput};
-use agas::{alloc_array, free_array, Distribution, GasMode};
-use common::{assert_consistent, engine, Ev};
+use agas::{alloc_array, free_array, Distribution, GasMode, SimEv, SimWorld};
+use common::{assert_consistent, engine};
 use netsim::OpId;
 use netsim::Time;
 
-fn find_put_done(eng: &netsim::Engine<common::World>, ctx: u64) -> Option<Time> {
+fn find_put_done(eng: &netsim::Engine<SimWorld>, ctx: u64) -> Option<Time> {
     eng.state
-        .events
+        .events()
         .iter()
-        .find(|(_, _, e)| *e == Ev::PutDone(ctx))
+        .find(|(_, _, e)| *e == SimEv::PutDone(ctx))
         .map(|(t, _, _)| *t)
 }
 
-fn find_get_data(eng: &netsim::Engine<common::World>, ctx: u64) -> Option<Vec<u8>> {
-    eng.state.events.iter().find_map(|(_, _, e)| match e {
-        Ev::GetDone(c, d) if *c == ctx => Some(d.clone()),
+fn find_get_data(eng: &netsim::Engine<SimWorld>, ctx: u64) -> Option<Vec<u8>> {
+    eng.state.events().iter().find_map(|(_, _, e)| match e {
+        SimEv::GetDone(c, d) if *c == ctx => Some(d.clone()),
         _ => None,
     })
 }
@@ -56,11 +56,11 @@ fn local_fast_path_all_modes() {
         memget(&mut eng, 0, gva, 16, OpId::from_raw(2));
         eng.run();
         assert_eq!(find_get_data(&eng, 2).unwrap(), vec![7; 16], "{mode:?}");
-        let g = &eng.state.gas[0];
+        let g = &eng.state.data.gas[0];
         assert_eq!(g.stats.local_ops, 2, "{mode:?}: local path not taken");
         assert_eq!(g.stats.remote_ops, 0, "{mode:?}");
         // No network operations at all.
-        let total = eng.state.cluster.total_counters();
+        let total = eng.state.total_counters();
         assert_eq!(
             total.rdma_puts + total.rdma_gets + total.msgs_sent,
             0,
@@ -77,7 +77,7 @@ fn protocol_structure_differs_by_mode() {
         let arr = alloc_array(&mut eng, 2, 12, Distribution::Cyclic);
         memput(&mut eng, 0, arr.block(1), vec![1; 64], OpId::from_raw(1));
         eng.run();
-        eng.state.cluster.total_counters()
+        eng.state.total_counters()
     };
 
     let pgas = run(GasMode::Pgas);
@@ -123,7 +123,7 @@ fn stale_cache_recovers_via_directory() {
         let mut eng = engine(4, mode);
         let arr = alloc_array(&mut eng, 4, 12, Distribution::Cyclic);
         let gva = arr.block(2); // homed at locality 2
-        eng.state.gas[0].cache.update(
+        eng.state.data.gas[0].cache.update(
             gva.block_key(),
             agas::OwnerHint {
                 owner: 3, // wrong!
@@ -133,7 +133,10 @@ fn stale_cache_recovers_via_directory() {
         memput(&mut eng, 0, gva, vec![9; 32], OpId::from_raw(7));
         eng.run();
         assert!(find_put_done(&eng, 7).is_some(), "{mode:?}");
-        assert!(eng.state.gas[0].stats.retries >= 1, "{mode:?}: no bounce?");
+        assert!(
+            eng.state.data.gas[0].stats.retries >= 1,
+            "{mode:?}: no bounce?"
+        );
         memget(&mut eng, 0, gva, 32, OpId::from_raw(8));
         eng.run();
         assert_eq!(find_get_data(&eng, 8).unwrap(), vec![9; 32], "{mode:?}");
@@ -149,8 +152,11 @@ fn alloc_array_places_and_registers() {
         for (i, gva) in arr.blocks.iter().enumerate() {
             assert_eq!(gva.home(), (i % 3) as u32);
             let owner = gva.home() as usize;
-            assert!(eng.state.gas[owner].btt.is_resident(gva.block_key()));
-            assert!(eng.state.gas[owner].dir.peek(gva.block_key()).is_some());
+            assert!(eng.state.data.gas[owner].btt.is_resident(gva.block_key()));
+            assert!(eng.state.data.gas[owner]
+                .dir
+                .peek(gva.block_key())
+                .is_some());
         }
         assert_consistent(&eng, &arr.blocks);
     }
@@ -161,14 +167,18 @@ fn free_array_releases_everything() {
     for mode in GasMode::ALL {
         let mut eng = engine(3, mode);
         let arr = alloc_array(&mut eng, 6, 10, Distribution::Cyclic);
-        let live_before: u64 = (0..3).map(|l| eng.state.cluster.mem(l).live_blocks()).sum();
+        let live_before: u64 = (0..3)
+            .map(|l| eng.state.data.cluster.mem(l).live_blocks())
+            .sum();
         assert_eq!(live_before, 6);
         free_array(&mut eng, &arr);
-        let live_after: u64 = (0..3).map(|l| eng.state.cluster.mem(l).live_blocks()).sum();
+        let live_after: u64 = (0..3)
+            .map(|l| eng.state.data.cluster.mem(l).live_blocks())
+            .sum();
         assert_eq!(live_after, 0, "{mode:?}");
         for l in 0..3 {
-            assert!(eng.state.gas[l].btt.is_empty(), "{mode:?}");
-            assert!(eng.state.gas[l].dir.is_empty(), "{mode:?}");
+            assert!(eng.state.data.gas[l].btt.is_empty(), "{mode:?}");
+            assert!(eng.state.data.gas[l].dir.is_empty(), "{mode:?}");
         }
     }
 }
@@ -193,9 +203,9 @@ fn many_concurrent_puts_all_complete() {
         eng.run();
         let done = eng
             .state
-            .events
+            .events()
             .iter()
-            .filter(|(_, _, e)| matches!(e, Ev::PutDone(_)))
+            .filter(|(_, _, e)| matches!(e, SimEv::PutDone(_)))
             .count();
         assert_eq!(done as u64, n_ops, "{mode:?}");
         assert_consistent(&eng, &arr.blocks);
@@ -243,7 +253,7 @@ fn nic_table_capacity_pressure_still_correct() {
     // A 2-entry NIC table thrashes but never corrupts data (experiment E6's
     // correctness backstop).
     let mut eng = netsim::Engine::new(
-        common::World::new(
+        SimWorld::new(
             2,
             GasMode::AgasNetwork,
             netsim::NetConfig {
@@ -269,7 +279,7 @@ fn nic_table_capacity_pressure_still_correct() {
         eng.run();
         assert_eq!(find_get_data(&eng, 100 + i).unwrap(), vec![i as u8 + 1; 16]);
     }
-    let total = eng.state.cluster.total_counters();
+    let total = eng.state.total_counters();
     assert!(total.xlate_evictions > 0, "table should have thrashed");
     assert!(total.nacks_sent > 0, "misses should have NACKed");
 }

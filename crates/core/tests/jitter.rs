@@ -6,8 +6,8 @@ mod common;
 
 use agas::migrate::migrate_block;
 use agas::ops::{memget, memput};
-use agas::{alloc_array, Distribution, GasMode};
-use common::{assert_consistent, Ev, World};
+use agas::{alloc_array, Distribution, GasMode, SimEv, SimWorld};
+use common::assert_consistent;
 use netsim::OpId;
 use netsim::{Engine, NetConfig};
 use proptest::prelude::*;
@@ -22,7 +22,7 @@ fn jittery() -> NetConfig {
 #[test]
 fn ops_complete_under_heavy_jitter() {
     for mode in GasMode::ALL {
-        let mut eng = Engine::new(World::new(4, mode, jittery()), 7);
+        let mut eng = Engine::new(SimWorld::new(4, mode, jittery()), 7);
         let arr = alloc_array(&mut eng, 8, 12, Distribution::Cyclic);
         for i in 0..100u64 {
             let gva = arr.block(i % 8).with_offset((i / 8) * 32);
@@ -37,9 +37,9 @@ fn ops_complete_under_heavy_jitter() {
         eng.run();
         let done = eng
             .state
-            .events
+            .events()
             .iter()
-            .filter(|(_, _, e)| matches!(e, Ev::PutDone(_)))
+            .filter(|(_, _, e)| matches!(e, SimEv::PutDone(_)))
             .count();
         assert_eq!(done, 100, "{mode:?}");
         assert_consistent(&eng, &arr.blocks);
@@ -55,9 +55,10 @@ fn ops_complete_under_heavy_jitter() {
             );
         }
         eng.run();
+        let events = eng.state.events();
         for i in 0..100u64 {
-            let ok = eng.state.events.iter().any(|(_, _, e)| {
-                matches!(e, Ev::GetDone(c, d) if *c == 1000 + i && d == &vec![(i + 1) as u8; 32])
+            let ok = events.iter().any(|(_, _, e)| {
+                matches!(e, SimEv::GetDone(c, d) if *c == 1000 + i && d == &vec![(i + 1) as u8; 32])
             });
             assert!(ok, "{mode:?}: op {i} corrupted under jitter");
         }
@@ -67,7 +68,7 @@ fn ops_complete_under_heavy_jitter() {
 #[test]
 fn migrations_survive_jitter() {
     for mode in [GasMode::AgasSoftware, GasMode::AgasNetwork] {
-        let mut eng = Engine::new(World::new(4, mode, jittery()), 11);
+        let mut eng = Engine::new(SimWorld::new(4, mode, jittery()), 11);
         let arr = alloc_array(&mut eng, 4, 12, Distribution::Cyclic);
         // Interleave puts and migrations on every block.
         for round in 0..6u64 {
@@ -93,9 +94,9 @@ fn migrations_survive_jitter() {
         assert_consistent(&eng, &arr.blocks);
         let migs = eng
             .state
-            .events
+            .events()
             .iter()
-            .filter(|(_, _, e)| matches!(e, Ev::MigDone(..)))
+            .filter(|(_, _, e)| matches!(e, SimEv::MigDone(..)))
             .count();
         assert_eq!(migs, 24, "{mode:?}");
         // All writes present.
@@ -111,11 +112,12 @@ fn migrations_survive_jitter() {
             }
         }
         eng.run();
+        let events = eng.state.events();
         for round in 0..6u64 {
             for b in 0..4u64 {
                 let want = vec![(round * 4 + b + 1) as u8; 16];
-                let ok = eng.state.events.iter().any(|(_, _, e)| {
-                    matches!(e, Ev::GetDone(c, d) if *c == 5000 + round * 4 + b && d == &want)
+                let ok = events.iter().any(|(_, _, e)| {
+                    matches!(e, SimEv::GetDone(c, d) if *c == 5000 + round * 4 + b && d == &want)
                 });
                 assert!(ok, "{mode:?}: write r{round} b{b} lost under jitter");
             }
@@ -136,7 +138,7 @@ proptest! {
     ) {
         for mode in [GasMode::AgasSoftware, GasMode::AgasNetwork] {
             let net = NetConfig { jitter_ns: jitter, ..NetConfig::ideal() };
-            let mut eng = Engine::new(World::new(4, mode, net), seed);
+            let mut eng = Engine::new(SimWorld::new(4, mode, net), seed);
             let arr = alloc_array(&mut eng, 8, 12, Distribution::Cyclic);
             let mut puts = 0;
             for (i, &(from, block, kind)) in ops.iter().enumerate() {
@@ -152,9 +154,9 @@ proptest! {
             eng.run();
             let done = eng
                 .state
-                .events
+                .events()
                 .iter()
-                .filter(|(_, _, e)| matches!(e, Ev::PutDone(_)))
+                .filter(|(_, _, e)| matches!(e, SimEv::PutDone(_)))
                 .count();
             prop_assert_eq!(done, puts, "{:?}", mode);
             assert_consistent(&eng, &arr.blocks);
@@ -166,7 +168,7 @@ proptest! {
     #[test]
     fn jitter_is_deterministic(seed in 0u64..1000) {
         let run = || {
-            let mut eng = Engine::new(World::new(3, GasMode::AgasNetwork, jittery()), seed);
+            let mut eng = Engine::new(SimWorld::new(3, GasMode::AgasNetwork, jittery()), seed);
             let arr = alloc_array(&mut eng, 4, 12, Distribution::Cyclic);
             for i in 0..30u64 {
                 memput(&mut eng, (i % 3) as u32, arr.block(i % 4), vec![1; 8], OpId::from_raw(i));
@@ -183,7 +185,10 @@ proptest! {
 /// every operation still completes with correct data.
 #[test]
 fn nic_table_flush_mid_run_recovers() {
-    let mut eng = Engine::new(World::new(4, GasMode::AgasNetwork, NetConfig::ideal()), 23);
+    let mut eng = Engine::new(
+        SimWorld::new(4, GasMode::AgasNetwork, NetConfig::ideal()),
+        23,
+    );
     let arr = alloc_array(&mut eng, 8, 12, Distribution::Cyclic);
     for i in 0..60u64 {
         // (i+1)%4 ≠ home((i%8)) for every i: all ops are remote.
@@ -197,7 +202,7 @@ fn nic_table_flush_mid_run_recovers() {
         if i == 30 {
             // Reset every NIC's table while half the traffic is in flight.
             for l in 0..4u32 {
-                eng.state.cluster.loc_mut(l).nic.xlate.flush_live();
+                eng.state.data.cluster.loc_mut(l).nic.xlate.flush_live();
             }
         }
         eng.run_steps(10);
@@ -205,12 +210,12 @@ fn nic_table_flush_mid_run_recovers() {
     eng.run();
     let done = eng
         .state
-        .events
+        .events()
         .iter()
-        .filter(|(_, _, e)| matches!(e, Ev::PutDone(_)))
+        .filter(|(_, _, e)| matches!(e, SimEv::PutDone(_)))
         .count();
     assert_eq!(done, 60, "flush lost operations");
-    let total = eng.state.cluster.total_counters();
+    let total = eng.state.total_counters();
     assert!(total.xlate_misses > 0, "flush should have caused misses");
     // Every write still readable.
     for i in 0..60u64 {
@@ -223,9 +228,10 @@ fn nic_table_flush_mid_run_recovers() {
         );
     }
     eng.run();
+    let events = eng.state.events();
     for i in 0..60u64 {
-        let ok = eng.state.events.iter().any(|(_, _, e)| {
-            matches!(e, Ev::GetDone(c, d) if *c == 1000 + i && d == &vec![(i + 1) as u8; 64])
+        let ok = events.iter().any(|(_, _, e)| {
+            matches!(e, SimEv::GetDone(c, d) if *c == 1000 + i && d == &vec![(i + 1) as u8; 64])
         });
         assert!(ok, "op {i} corrupted by the table flush");
     }

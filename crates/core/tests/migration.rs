@@ -5,21 +5,21 @@ mod common;
 
 use agas::migrate::migrate_block;
 use agas::ops::{memget, memput, pin, unpin};
-use agas::{alloc_array, Distribution, GasMode};
-use common::{assert_consistent, engine, Ev, World};
+use agas::{alloc_array, Distribution, GasMode, SimEv, SimWorld};
+use common::{assert_consistent, engine};
 use netsim::OpId;
 use netsim::{Engine, NetConfig};
 
-fn mig_done(eng: &Engine<World>, ctx: u64) -> bool {
+fn mig_done(eng: &Engine<SimWorld>, ctx: u64) -> bool {
     eng.state
-        .events
+        .events()
         .iter()
-        .any(|(_, _, e)| matches!(e, Ev::MigDone(c, _) if *c == ctx))
+        .any(|(_, _, e)| matches!(e, SimEv::MigDone(c, _) if *c == ctx))
 }
 
-fn get_data(eng: &Engine<World>, ctx: u64) -> Option<Vec<u8>> {
-    eng.state.events.iter().find_map(|(_, _, e)| match e {
-        Ev::GetDone(c, d) if *c == ctx => Some(d.clone()),
+fn get_data(eng: &Engine<SimWorld>, ctx: u64) -> Option<Vec<u8>> {
+    eng.state.events().iter().find_map(|(_, _, e)| match e {
+        SimEv::GetDone(c, d) if *c == ctx => Some(d.clone()),
         _ => None,
     })
 }
@@ -37,11 +37,11 @@ fn migration_preserves_data_and_consistency() {
         assert!(mig_done(&eng, 2), "{mode:?}");
         // New owner is 3; directory agrees; data intact.
         assert!(
-            eng.state.gas[3].btt.is_resident(gva.block_key()),
+            eng.state.data.gas[3].btt.is_resident(gva.block_key()),
             "{mode:?}"
         );
         assert!(
-            !eng.state.gas[1].btt.is_resident(gva.block_key()),
+            !eng.state.data.gas[1].btt.is_resident(gva.block_key()),
             "{mode:?}"
         );
         assert_consistent(&eng, &arr.blocks);
@@ -63,7 +63,7 @@ fn migration_bumps_generation() {
     migrate_block(&mut eng, 0, gva, 0, OpId::from_raw(3));
     eng.run();
     assert!(mig_done(&eng, 1) && mig_done(&eng, 2) && mig_done(&eng, 3));
-    let e = eng.state.gas[0].btt.lookup(gva.block_key()).unwrap();
+    let e = eng.state.data.gas[0].btt.lookup(gva.block_key()).unwrap();
     assert_eq!(e.generation, 4); // 1 + three migrations
     assert_consistent(&eng, &arr.blocks);
 }
@@ -75,8 +75,10 @@ fn migrate_to_current_owner_is_trivial() {
     migrate_block(&mut eng, 0, arr.block(1), 1, OpId::from_raw(9));
     eng.run();
     assert!(mig_done(&eng, 9));
-    assert!(eng.state.gas[1].btt.is_resident(arr.block(1).block_key()));
-    assert_eq!(eng.state.cluster.total_counters().migrations_out, 0);
+    assert!(eng.state.data.gas[1]
+        .btt
+        .is_resident(arr.block(1).block_key()));
+    assert_eq!(eng.state.total_counters().migrations_out, 0);
 }
 
 #[test]
@@ -109,9 +111,9 @@ fn puts_racing_migration_are_applied_exactly_once() {
         assert!(mig_done(&eng, 1000), "{mode:?}");
         let puts_done = eng
             .state
-            .events
+            .events()
             .iter()
-            .filter(|(_, _, e)| matches!(e, Ev::PutDone(_)))
+            .filter(|(_, _, e)| matches!(e, SimEv::PutDone(_)))
             .count();
         assert_eq!(puts_done, 64, "{mode:?}: lost put completions");
         // Every offset readable with its value at the new owner.
@@ -154,7 +156,7 @@ fn nic_forwarding_rescues_in_flight_puts() {
     }
     eng.run();
     assert!(mig_done(&eng, 1));
-    let total = eng.state.cluster.total_counters();
+    let total = eng.state.total_counters();
     assert!(
         total.xlate_forwards > 0 || total.nacks_sent > 0,
         "migration window never exercised"
@@ -179,7 +181,7 @@ fn forwarding_disabled_still_converges_via_home() {
         nic_forwarding: false,
         ..NetConfig::ideal()
     };
-    let mut eng = Engine::new(World::new(4, GasMode::AgasNetwork, net), 42);
+    let mut eng = Engine::new(SimWorld::new(4, GasMode::AgasNetwork, net), 42);
     let arr = alloc_array(&mut eng, 2, 20, Distribution::Cyclic);
     let gva = arr.block(1);
     migrate_block(&mut eng, 1, gva, 2, OpId::from_raw(1));
@@ -194,7 +196,7 @@ fn forwarding_disabled_still_converges_via_home() {
     }
     eng.run();
     assert!(mig_done(&eng, 1));
-    let total = eng.state.cluster.total_counters();
+    let total = eng.state.total_counters();
     assert_eq!(total.xlate_forwards, 0);
     for i in 0..8u64 {
         memget(
@@ -219,11 +221,11 @@ fn pinned_block_defers_migration_until_unpin() {
     migrate_block(&mut eng, 0, gva, 2, OpId::from_raw(7));
     eng.run();
     assert!(!mig_done(&eng, 7), "migration must wait for the pin");
-    assert!(eng.state.gas[1].btt.is_resident(gva.block_key()));
+    assert!(eng.state.data.gas[1].btt.is_resident(gva.block_key()));
     unpin(&mut eng, 1, gva);
     eng.run();
     assert!(mig_done(&eng, 7));
-    assert!(eng.state.gas[2].btt.is_resident(gva.block_key()));
+    assert!(eng.state.data.gas[2].btt.is_resident(gva.block_key()));
     assert_consistent(&eng, &arr.blocks);
 }
 
@@ -260,7 +262,7 @@ fn migration_counters_track_moves() {
         );
     }
     eng.run();
-    let total = eng.state.cluster.total_counters();
+    let total = eng.state.total_counters();
     assert_eq!(total.migrations_out, 6);
     assert_eq!(total.migrations_in, 6);
     assert_consistent(&eng, &arr.blocks);
@@ -276,7 +278,7 @@ fn forward_chains_of_depth_k_resolve_with_exactly_k_hops() {
             forward_ttl: 5, // chain depth 4 needs ttl ≥ 4 to avoid NACKs
             ..NetConfig::ideal()
         };
-        let mut eng = Engine::new(World::new(6, GasMode::AgasNetwork, net), 42);
+        let mut eng = Engine::new(SimWorld::new(6, GasMode::AgasNetwork, net), 42);
         let arr = alloc_array(&mut eng, 6, 12, Distribution::Cyclic);
         let gva = arr.block(1); // homed and initially owned at 1
         memput(&mut eng, 0, gva, vec![0x77; 64], OpId::from_raw(1));
@@ -292,11 +294,11 @@ fn forward_chains_of_depth_k_resolve_with_exactly_k_hops() {
             eng.run();
             assert!(mig_done(&eng, 10 + i as u64), "k={k} hop {i}");
         }
-        let before = eng.state.cluster.total_counters().xlate_forwards;
+        let before = eng.state.total_counters().xlate_forwards;
         memget(&mut eng, 0, gva, 64, OpId::from_raw(99));
         eng.run();
         assert_eq!(get_data(&eng, 99).unwrap(), vec![0x77; 64], "k={k}");
-        let forwards = eng.state.cluster.total_counters().xlate_forwards - before;
+        let forwards = eng.state.total_counters().xlate_forwards - before;
         assert_eq!(forwards, k as u64, "k={k}: wrong forwarding-chain depth");
         assert_consistent(&eng, &arr.blocks);
     }
@@ -317,6 +319,7 @@ fn expired_forward_tombstone_recovers_via_directory() {
     assert!(mig_done(&eng, 2));
     assert!(
         eng.state
+            .data
             .cluster
             .loc_mut(1)
             .nic
@@ -324,17 +327,17 @@ fn expired_forward_tombstone_recovers_via_directory() {
             .expire_forward(gva.block_key()),
         "old owner should hold a live tombstone"
     );
-    let nacks_before = eng.state.cluster.total_counters().nacks_sent;
-    let retries_before = eng.state.gas[0].stats.retries;
+    let nacks_before = eng.state.total_counters().nacks_sent;
+    let retries_before = eng.state.data.gas[0].stats.retries;
     memget(&mut eng, 0, gva, 32, OpId::from_raw(3)); // stale hint → locality 1
     eng.run();
     assert_eq!(get_data(&eng, 3).unwrap(), vec![0x3C; 32]);
     assert!(
-        eng.state.cluster.total_counters().nacks_sent > nacks_before,
+        eng.state.total_counters().nacks_sent > nacks_before,
         "expired tombstone must NACK rather than forward"
     );
     assert!(
-        eng.state.gas[0].stats.retries > retries_before,
+        eng.state.data.gas[0].stats.retries > retries_before,
         "recovery must go through the bounce path"
     );
     assert_consistent(&eng, &arr.blocks);
@@ -374,7 +377,11 @@ fn concurrent_migrations_of_same_block_serialize() {
     assert_consistent(&eng, &arr.blocks);
     // Exactly one resident copy somewhere.
     let owners = (0..4)
-        .filter(|&l| eng.state.gas[l as usize].btt.is_resident(gva.block_key()))
+        .filter(|&l| {
+            eng.state.data.gas[l as usize]
+                .btt
+                .is_resident(gva.block_key())
+        })
         .count();
     assert_eq!(owners, 1);
 }

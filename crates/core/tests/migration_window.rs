@@ -13,8 +13,8 @@ mod common;
 use agas::membership::crash;
 use agas::migrate::migrate_block;
 use agas::ops::{memamo, memget, memput};
-use agas::{alloc_array, Distribution, GasConfig, GasLocal, GasMode, Gva};
-use common::{assert_consistent, Ev, World};
+use agas::{alloc_array, Distribution, GasConfig, GasLocal, GasMode, Gva, SimEv, SimWorld};
+use common::assert_consistent;
 use netsim::{AmoOp, Counters, Engine, LocalityId, NetConfig, OpId, Time};
 use std::collections::BTreeSet;
 
@@ -28,7 +28,7 @@ const MIG_CTX: u64 = 1 << 48;
 
 /// What one hammer run observed.
 struct Hammered {
-    eng: Engine<World>,
+    eng: Engine<SimWorld>,
     gva: Gva,
     /// FetchAdds issued (every one completed, or the run panicked).
     adds: u64,
@@ -39,19 +39,19 @@ struct Hammered {
 impl Hammered {
     /// Cluster-wide `(retries, dir_queries)`.
     fn recoveries(&self) -> (u64, u64) {
-        let stats = self.eng.state.gas.iter().map(|g| g.stats);
+        let stats = self.eng.state.data.gas.iter().map(|g| g.stats);
         stats.fold((0, 0), |(r, q), s| (r + s.retries, q + s.dir_queries))
     }
 
     fn counters(&self) -> Counters {
-        self.eng.state.cluster.total_counters()
+        self.eng.state.total_counters()
     }
 }
 
 /// Op `seq` of initiator `loc`: a FetchAdd on the block's first word, a
 /// put of `seq` into the initiator's own slot, or a read-back of it.
 /// Returns how many FetchAdds that was.
-fn issue(eng: &mut Engine<World>, gva: Gva, loc: LocalityId, seq: u64) -> u64 {
+fn issue(eng: &mut Engine<SimWorld>, gva: Gva, loc: LocalityId, seq: u64) -> u64 {
     let ctx = OpId::from_raw(u64::from(loc) << 32 | seq);
     let slot = gva.with_offset(256 + u64::from(loc) * 16);
     match seq % 3 {
@@ -66,8 +66,8 @@ fn issue(eng: &mut Engine<World>, gva: Gva, loc: LocalityId, seq: u64) -> u64 {
 /// while it migrates `A -> B -> A -> ...` `migrations` times; issuing stops
 /// when the last migration completes and the run drains.
 fn hammer(net: NetConfig, migrations: u64) -> Hammered {
-    let mut eng = Engine::new(World::new(10, GasMode::AgasNetwork, net), 7);
-    for g in &mut eng.state.gas {
+    let mut eng = Engine::new(SimWorld::new(10, GasMode::AgasNetwork, net), 7);
+    for g in &mut eng.state.data.gas {
         g.cfg.record_history = true;
     }
     let arr = alloc_array(&mut eng, 10, 12, Distribution::Cyclic);
@@ -83,13 +83,13 @@ fn hammer(net: NetConfig, migrations: u64) -> Hammered {
     migrate_block(&mut eng, 0, gva, B, OpId::from_raw(MIG_CTX));
     let mut moved = 0;
     let mut olds = Vec::new();
-    let mut seen = 0;
+    // Completions are read as they arrive, each step's batch drained before
+    // the next: an op is issued from every completion it frees up.
+    let mut completed = 0;
     while eng.step() {
-        while seen < eng.state.events.len() {
-            let (_, loc, ev) = eng.state.events[seen].clone();
-            seen += 1;
+        for (_, loc, ev) in eng.state.drain_events() {
             match ev {
-                Ev::MigDone(..) => {
+                SimEv::MigDone(..) => {
                     moved += 1;
                     if moved < migrations {
                         let to = if moved % 2 == 0 { B } else { A };
@@ -97,10 +97,11 @@ fn hammer(net: NetConfig, migrations: u64) -> Hammered {
                     }
                     continue;
                 }
-                Ev::OpFailed(ctx, err) => panic!("op {ctx:#x} failed: {err}"),
-                Ev::AmoDone(_, r) => olds.push(r.old),
+                SimEv::OpFailed(ctx, err) => panic!("op {ctx:#x} failed: {err}"),
+                SimEv::AmoDone(_, r) => olds.push(r.old),
                 _ => {}
             }
+            completed += 1;
             if moved < migrations {
                 let seq = next_seq[loc as usize];
                 next_seq[loc as usize] += 1;
@@ -110,12 +111,6 @@ fn hammer(net: NetConfig, migrations: u64) -> Hammered {
     }
     assert_eq!(moved, migrations, "every migration completed");
     let issued: u64 = next_seq.iter().sum();
-    let completed = eng
-        .state
-        .events
-        .iter()
-        .filter(|(_, _, e)| !matches!(e, Ev::MigDone(..)))
-        .count() as u64;
     assert_eq!(completed, issued, "every op completed exactly once");
     assert_quiescent(&eng);
     if net.xlate_capacity == 0 {
@@ -134,11 +129,19 @@ fn hammer(net: NetConfig, migrations: u64) -> Hammered {
 }
 
 /// Nothing in flight anywhere: no GAS op, no photon op, no parked request.
-fn assert_quiescent(eng: &Engine<World>) {
-    for l in 0..eng.state.cluster.len() {
-        assert_eq!(eng.state.gas[l].outstanding_ops(), 0, "locality {l}: GAS");
-        assert_eq!(eng.state.eps[l].outstanding_ops(), 0, "locality {l}: PWC");
-        let parked = eng.state.cluster.loc(l as u32).nic.parked.len();
+fn assert_quiescent(eng: &Engine<SimWorld>) {
+    for l in 0..eng.state.data.cluster.len() {
+        assert_eq!(
+            eng.state.data.gas[l].outstanding_ops(),
+            0,
+            "locality {l}: GAS"
+        );
+        assert_eq!(
+            eng.state.data.eps[l].outstanding_ops(),
+            0,
+            "locality {l}: PWC"
+        );
+        let parked = eng.state.data.cluster.loc(l as u32).nic.parked.len();
         assert_eq!(parked, 0, "locality {l}: parked requests");
     }
 }
@@ -152,11 +155,11 @@ fn assert_adds_counted_once(h: &mut Hammered) {
     let total = h
         .eng
         .state
-        .events
+        .events()
         .iter()
         .rev()
         .find_map(|(_, _, e)| match e {
-            Ev::AmoDone(c, r) if *c == ctx.raw() => Some(r.old),
+            SimEv::AmoDone(c, r) if *c == ctx.raw() => Some(r.old),
             _ => None,
         });
     assert_eq!(total, Some(h.adds), "lost or double-applied increments");
@@ -175,7 +178,7 @@ fn a_hammered_block_migrates_fifty_times_without_one_retry() {
     assert!(net.xlate_parked > 0, "no forward ever outran its block");
     // Parks happen only where the block is headed.
     for l in 0..INITIATORS {
-        assert_eq!(h.eng.state.cluster.loc(l).counters.xlate_parked, 0);
+        assert_eq!(h.eng.state.data.cluster.loc(l).counters.xlate_parked, 0);
     }
     assert_adds_counted_once(&mut h);
 }
@@ -209,7 +212,10 @@ fn the_nack_only_arms_never_park() {
 
 #[test]
 fn a_destination_that_dies_holding_parked_requests_strands_nothing() {
-    let mut eng = Engine::new(World::new(4, GasMode::AgasNetwork, NetConfig::ideal()), 3);
+    let mut eng = Engine::new(
+        SimWorld::new(4, GasMode::AgasNetwork, NetConfig::ideal()),
+        3,
+    );
     // Lost messages surface only through the deadline sweep.
     let cfg = GasConfig {
         op_deadline: Some(Time::from_us(300)),
@@ -217,7 +223,7 @@ fn a_destination_that_dies_holding_parked_requests_strands_nothing() {
         retry_on_deadline: true,
         ..GasConfig::default()
     };
-    for g in &mut eng.state.gas {
+    for g in &mut eng.state.data.gas {
         *g = GasLocal::new(cfg);
     }
     let arr = alloc_array(&mut eng, 4, 12, Distribution::Cyclic);
@@ -230,23 +236,24 @@ fn a_destination_that_dies_holding_parked_requests_strands_nothing() {
     }
     // ... and 2 dies with forwarded requests parked at its NIC, the block
     // still on the wire.
-    while eng.state.cluster.loc(2).nic.parked.is_empty() {
+    while eng.state.data.cluster.loc(2).nic.parked.is_empty() {
         assert!(eng.step(), "no request ever parked at the destination");
     }
-    assert!(!eng.state.gas[2].btt.is_resident(gva.block_key()));
+    assert!(!eng.state.data.gas[2].btt.is_resident(gva.block_key()));
     crash(&mut eng, 2);
     eng.run(); // returns: nothing waits forever
 
-    assert!(eng.state.cluster.total_counters().xlate_parked > 0);
+    assert!(eng.state.total_counters().xlate_parked > 0);
     for seq in 0..ops {
         let outcomes = eng
             .state
-            .events
+            .events()
             .iter()
             .filter(|(_, _, e)| match e {
-                Ev::PutDone(c) | Ev::GetDone(c, _) | Ev::AmoDone(c, _) | Ev::OpFailed(c, _) => {
-                    *c == seq
-                }
+                SimEv::PutDone(c)
+                | SimEv::GetDone(c, _)
+                | SimEv::AmoDone(c, _)
+                | SimEv::OpFailed(c, _) => *c == seq,
                 _ => false,
             })
             .count();

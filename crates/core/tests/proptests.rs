@@ -6,8 +6,8 @@ mod common;
 
 use agas::migrate::migrate_block;
 use agas::ops::{memget, memput};
-use agas::{alloc_array, Distribution, GasMode};
-use common::{assert_consistent, Ev, World};
+use agas::{alloc_array, Distribution, GasMode, SimEv, SimWorld};
+use common::assert_consistent;
 use netsim::{Engine, NetConfig, OpId, Xlate};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -50,11 +50,16 @@ fn op_strategy(nloc: u32, nblocks: u64) -> impl Strategy<Value = Op> {
 type Owned = HashMap<(u64, u32), u32>;
 
 /// Step the engine (`limit` events, or to quiescence), sampling `owned`.
-fn advance(eng: &mut Engine<World>, blocks: &[agas::Gva], owned: &mut Owned, limit: Option<u64>) {
+fn advance(
+    eng: &mut Engine<SimWorld>,
+    blocks: &[agas::Gva],
+    owned: &mut Owned,
+    limit: Option<u64>,
+) {
     let mut steps = 0;
     while limit.is_none_or(|n| steps < n) && eng.step() {
         steps += 1;
-        for (l, g) in eng.state.gas.iter().enumerate() {
+        for (l, g) in eng.state.data.gas.iter().enumerate() {
             for b in blocks {
                 if let Some(e) = g.btt.lookup(b.block_key()) {
                     owned.insert((b.block_key(), e.generation), l as u32);
@@ -64,10 +69,10 @@ fn advance(eng: &mut Engine<World>, blocks: &[agas::Gva], owned: &mut Owned, lim
     }
 }
 
-fn run_schedule(mode: GasMode, ops: &[Op], seed: u64) -> (Engine<World>, Vec<agas::Gva>, Owned) {
+fn run_schedule(mode: GasMode, ops: &[Op], seed: u64) -> (Engine<SimWorld>, Vec<agas::Gva>, Owned) {
     let nloc = 4;
-    let mut eng = Engine::new(World::new(nloc, mode, NetConfig::ideal()), seed);
-    for g in &mut eng.state.gas {
+    let mut eng = Engine::new(SimWorld::new(nloc, mode, NetConfig::ideal()), seed);
+    for g in &mut eng.state.data.gas {
         g.cfg.record_history = true;
     }
     let arr = alloc_array(&mut eng, 8, 12, Distribution::Cyclic);
@@ -122,20 +127,20 @@ proptest! {
             };
             let puts_done = eng
                 .state
-                .events
+                .events()
                 .iter()
-                .filter(|(_, _, e)| matches!(e, Ev::PutDone(_)))
+                .filter(|(_, _, e)| matches!(e, SimEv::PutDone(_)))
                 .count();
             let migs_done = eng
                 .state
-                .events
+                .events()
                 .iter()
-                .filter(|(_, _, e)| matches!(e, Ev::MigDone(..)))
+                .filter(|(_, _, e)| matches!(e, SimEv::MigDone(..)))
                 .count();
             prop_assert_eq!(puts_done, puts_submitted, "{:?}: lost puts", mode);
             prop_assert_eq!(migs_done, migs_submitted, "{:?}: lost migrations", mode);
             prop_assert_eq!(
-                (0..4).map(|l| eng.state.gas[l].outstanding_ops()).sum::<usize>(),
+                (0..4).map(|l| eng.state.data.gas[l].outstanding_ops()).sum::<usize>(),
                 0,
                 "{:?}: dangling pending ops", mode
             );
@@ -150,7 +155,7 @@ proptest! {
                     for start in 0..4u32 {
                         let (mut at, mut floor) = (start, 0);
                         for _hop in 0..=ops.len() {
-                            match eng.state.cluster.loc_mut(at).nic.xlate.lookup(key) {
+                            match eng.state.data.cluster.loc_mut(at).nic.xlate.lookup(key) {
                                 Xlate::Forward { next, retired } => {
                                     prop_assert!(
                                         retired >= floor,
@@ -186,10 +191,10 @@ proptest! {
             for l in 0..4 {
                 for b in &blocks {
                     let key = b.block_key();
-                    let Some(h) = eng.state.gas[l].cache.lookup(key) else {
+                    let Some(h) = eng.state.data.gas[l].cache.lookup(key) else {
                         continue;
                     };
-                    let rec = eng.state.gas[b.home() as usize].dir.peek(key).unwrap();
+                    let rec = eng.state.data.gas[b.home() as usize].dir.peek(key).unwrap();
                     prop_assert!(
                         h.generation <= rec.generation,
                         "{:?}: locality {} caches {:?} for {:#x}, directory has {:?}",
@@ -221,7 +226,7 @@ proptest! {
             .filter(|&(b, s, _)| seen.insert((b, s)))
             .collect();
         for mode in GasMode::ALL {
-            let mut eng = Engine::new(World::new(4, mode, NetConfig::ideal()), seed);
+            let mut eng = Engine::new(SimWorld::new(4, mode, NetConfig::ideal()), seed);
             let arr = alloc_array(&mut eng, 8, 12, Distribution::Cyclic);
             let mut ctx = 0;
             let mut mig_iter = migs.iter();
@@ -243,8 +248,8 @@ proptest! {
             }
             eng.run();
             for (i, &(_, _, val)) in writes.iter().enumerate() {
-                let got = eng.state.events.iter().find_map(|(_, _, e)| match e {
-                    Ev::GetDone(c, d) if *c == 10_000 + i as u64 => Some(d.clone()),
+                let got = eng.state.events().iter().find_map(|(_, _, e)| match e {
+                    SimEv::GetDone(c, d) if *c == 10_000 + i as u64 => Some(d.clone()),
                     _ => None,
                 });
                 prop_assert_eq!(got, Some(vec![val; 256]), "{:?}: slot {} wrong", mode, i);
@@ -264,7 +269,7 @@ proptest! {
             let (b, _, _) = run_schedule(mode, &ops, seed);
             prop_assert_eq!(a.trace_hash(), b.trace_hash());
             prop_assert_eq!(a.now(), b.now());
-            prop_assert_eq!(a.state.events.len(), b.state.events.len());
+            prop_assert_eq!(a.state.events().len(), b.state.events().len());
         }
     }
 }

@@ -8,8 +8,8 @@ mod common;
 use agas::membership::crash;
 use agas::migrate::migrate_block;
 use agas::ops::{handle_msg, memamo, memget, memput, on_pwc_redirected};
-use agas::{alloc_array, Distribution, GasMode, GasMsg, Gva, OwnerHint};
-use common::{assert_consistent, engine, Ev, World};
+use agas::{alloc_array, Distribution, GasMode, GasMsg, Gva, OwnerHint, SimEv, SimWorld};
+use common::{assert_consistent, engine};
 use netsim::{AmoOp, Counters, Engine, NetConfig, OpId};
 
 /// Messages on the wire: requests, forwarding hops, acks/payload replies,
@@ -25,34 +25,34 @@ fn wire_msgs(c: &Counters) -> u64 {
 }
 
 /// Run `issue` to quiescence; report `(forward hops, wire messages)` it cost.
-fn cost(eng: &mut Engine<World>, issue: impl FnOnce(&mut Engine<World>)) -> (u64, u64) {
-    let before = eng.state.cluster.total_counters();
+fn cost(eng: &mut Engine<SimWorld>, issue: impl FnOnce(&mut Engine<SimWorld>)) -> (u64, u64) {
+    let before = eng.state.total_counters();
     issue(eng);
     eng.run();
-    let after = eng.state.cluster.total_counters();
+    let after = eng.state.total_counters();
     (
         after.xlate_forwards - before.xlate_forwards,
         wire_msgs(&after) - wire_msgs(&before),
     )
 }
 
-fn migrate(eng: &mut Engine<World>, gva: Gva, to: u32, ctx: u64) {
+fn migrate(eng: &mut Engine<SimWorld>, gva: Gva, to: u32, ctx: u64) {
     migrate_block(eng, 0, gva, to, OpId::from_raw(ctx));
     eng.run();
     assert!(eng
         .state
-        .events
+        .events()
         .iter()
-        .any(|(_, _, e)| matches!(e, Ev::MigDone(c, _) if *c == ctx)));
+        .any(|(_, _, e)| matches!(e, SimEv::MigDone(c, _) if *c == ctx)));
 }
 
-fn hint(eng: &mut Engine<World>, loc: usize, gva: Gva) -> Option<OwnerHint> {
-    eng.state.gas[loc].cache.lookup(gva.block_key())
+fn hint(eng: &mut Engine<SimWorld>, loc: usize, gva: Gva) -> Option<OwnerHint> {
+    eng.state.data.gas[loc].cache.lookup(gva.block_key())
 }
 
-fn get_data(eng: &Engine<World>, ctx: u64) -> Option<Vec<u8>> {
-    eng.state.events.iter().find_map(|(_, _, e)| match e {
-        Ev::GetDone(c, d) if *c == ctx => Some(d.clone()),
+fn get_data(eng: &Engine<SimWorld>, ctx: u64) -> Option<Vec<u8>> {
+    eng.state.events().iter().find_map(|(_, _, e)| match e {
+        SimEv::GetDone(c, d) if *c == ctx => Some(d.clone()),
         _ => None,
     })
 }
@@ -91,9 +91,9 @@ fn only_the_first_access_after_a_migration_is_forwarded() {
     let mut want = vec![0xA1; 64];
     want.extend([0xA2; 64]);
     assert_eq!(get_data(&eng, 3), Some(want));
-    let stats = eng.state.gas[3].stats;
+    let stats = eng.state.data.gas[3].stats;
     assert_eq!((stats.hints_learned, stats.retries), (1, 0));
-    assert_eq!(eng.state.cluster.total_counters().nacks_sent, 0);
+    assert_eq!(eng.state.total_counters().nacks_sent, 0);
     assert_consistent(&eng, &arr.blocks);
 }
 
@@ -178,10 +178,13 @@ fn a_crash_purges_learned_hints_and_a_late_ack_cannot_replant_them() {
     assert_eq!(hint(&mut eng, 3, gva), None, "crash notice drops the hint");
     // An ack that left 2 just before it died surfaces afterwards.
     memput(&mut eng, 3, gva, vec![2; 8], OpId::from_raw(2));
-    let op = eng.state.gas[3].op_snapshots()[0].id;
+    let op = eng.state.data.gas[3].op_snapshots()[0].id;
     on_pwc_redirected(&mut eng, 3, op, 2, 2);
     assert_eq!(hint(&mut eng, 3, gva), None);
-    assert_eq!(eng.state.gas[3].stats.hints_learned, 1, "only the live one");
+    assert_eq!(
+        eng.state.data.gas[3].stats.hints_learned, 1,
+        "only the live one"
+    );
     eng.run();
 }
 
@@ -191,19 +194,19 @@ fn ttl_exhaustion_still_nacks_and_recovers_through_the_home() {
         forward_ttl: 1,
         ..NetConfig::ideal()
     };
-    let mut eng = Engine::new(World::new(5, GasMode::AgasNetwork, net), 42);
+    let mut eng = Engine::new(SimWorld::new(5, GasMode::AgasNetwork, net), 42);
     let arr = alloc_array(&mut eng, 5, 12, Distribution::Cyclic);
     let gva = arr.block(1);
     migrate(&mut eng, gva, 2, 900);
     migrate(&mut eng, gva, 3, 901); // chain 1 -> 2 -> 3, one hop allowed
 
-    let before = eng.state.cluster.total_counters().nacks_sent;
+    let before = eng.state.total_counters().nacks_sent;
     let bounced = cost(&mut eng, |e| {
         memput(e, 4, gva, vec![0xEE; 16], OpId::from_raw(1))
     });
     assert_eq!(bounced.0, 1, "the one hop the TTL allows");
-    assert_eq!(eng.state.cluster.total_counters().nacks_sent - before, 1);
-    let stats = eng.state.gas[4].stats;
+    assert_eq!(eng.state.total_counters().nacks_sent - before, 1);
+    let stats = eng.state.data.gas[4].stats;
     // A NACK teaches nothing; the directory does.
     assert_eq!((stats.retries, stats.hints_learned), (1, 0));
     assert_eq!(hint(&mut eng, 4, gva).map(|h| h.owner), Some(3));

@@ -1,13 +1,13 @@
 //! Ring-batched schedules, replayed under the sharded engine.
 //!
-//! The golden pins (`trace_pin.rs`, `shard_pin.rs`) all run with rings
-//! disabled — that keeps their hashes stable across the ring refactor.
-//! This suite covers the *enabled* side: with descriptor rings posting
-//! batched doorbells and moderation timers coalescing completions, the
-//! schedule is still a pure function of the seed, so the sequential run's
-//! `(trace_hash, now, events)` must be reproduced bit-for-bit under shard
-//! lane counts {1, 2, 4, 8}, and the chaos drop/corrupt cells must stay
-//! violation-free and lane-invariant with every op issued through rings.
+//! The golden pins (`shard_pin.rs`) all run with rings disabled — that
+//! keeps their hashes stable across the ring refactor. This suite covers
+//! the *enabled* side: with descriptor rings posting batched doorbells and
+//! moderation timers coalescing completions, the schedule is still a pure
+//! function of the seed, so the sequential run's `(trace_hash, now,
+//! events)` must be reproduced bit-for-bit under shard lane counts
+//! {1, 2, 4, 8}, and the chaos drop/corrupt cells must stay violation-free
+//! and lane-invariant with every op issued through rings.
 //!
 //! Shared-memory domains shrink the sharded engine's lookahead window (the
 //! load/store short-circuit is cheaper than any wire hop), so the shm
@@ -18,8 +18,7 @@ use agas::migrate::migrate_block;
 use agas::ops::{get_many, memamo, memget, memput, put_many};
 use agas::{alloc_array, Distribution, GasMode, GlobalArray, SimWorld};
 use netsim::{
-    AmoOp, Engine, FaultPlan, FaultPlane, FaultRates, LocalityId, NetConfig, OpId, RingConfig,
-    ShardedEngine, ShmDomain, Time,
+    AmoOp, FaultPlan, FaultPlane, FaultRates, Harness, NetConfig, OpId, RingConfig, ShmDomain, Time,
 };
 use photon::PhotonConfig;
 
@@ -45,62 +44,18 @@ fn jittery() -> NetConfig {
     }
 }
 
-enum Harness {
-    Seq(Engine<SimWorld>),
-    Shard(ShardedEngine<SimWorld>),
+fn harness(n: usize, net: NetConfig, seed: u64, lanes: Option<usize>) -> Harness<SimWorld> {
+    let world = SimWorld::with_photon(n, GasMode::AgasNetwork, net, ring_photon());
+    Harness::new(world, seed, lanes)
 }
 
-impl Harness {
-    fn new(n: usize, net: NetConfig, seed: u64, shards: Option<usize>) -> Harness {
-        let world = SimWorld::with_photon(n, GasMode::AgasNetwork, net, ring_photon());
-        match shards {
-            None => Harness::Seq(Engine::new(world, seed)),
-            Some(k) => Harness::Shard(ShardedEngine::new(world, seed, k)),
-        }
-    }
+fn alloc(h: &mut Harness<SimWorld>, blocks: u64) -> GlobalArray {
+    h.drive(|e| alloc_array(e, blocks, 12, Distribution::Cyclic))
+}
 
-    fn world(&mut self) -> &mut SimWorld {
-        match self {
-            Harness::Seq(e) => &mut e.state,
-            Harness::Shard(s) => s.state(),
-        }
-    }
-
-    fn issue(&mut self, loc: LocalityId, f: impl FnOnce(&mut Engine<SimWorld>) + 'static) {
-        match self {
-            Harness::Seq(e) => f(e),
-            Harness::Shard(s) => s.drive_at(loc, f),
-        }
-    }
-
-    fn alloc(&mut self, blocks: u64, class: u8) -> GlobalArray {
-        match self {
-            Harness::Seq(e) => alloc_array(e, blocks, class, Distribution::Cyclic),
-            Harness::Shard(s) => s.drive(|e| alloc_array(e, blocks, class, Distribution::Cyclic)),
-        }
-    }
-
-    fn run(&mut self) {
-        match self {
-            Harness::Seq(e) => e.run(),
-            Harness::Shard(s) => s.run(),
-        };
-    }
-
-    fn run_steps(&mut self, n: u64) {
-        match self {
-            Harness::Seq(e) => e.run_steps(n),
-            Harness::Shard(s) => s.run_steps(n),
-        };
-    }
-
-    fn finish(&mut self) -> (u64, u64, u64) {
-        self.run();
-        match self {
-            Harness::Seq(e) => (e.trace_hash(), e.now().ps(), e.events_executed()),
-            Harness::Shard(s) => (s.trace_hash(), s.now().ps(), s.events_executed()),
-        }
-    }
+fn finish(h: &mut Harness<SimWorld>) -> (u64, u64, u64) {
+    h.run();
+    h.witness()
 }
 
 /// Run `scenario` across the whole lane grid and demand every run lands on
@@ -123,12 +78,12 @@ fn lane_invariant(name: &str, scenario: impl Fn(Option<usize>) -> (u64, u64, u64
 /// targets one peer, so descriptors pile into one ring and share
 /// doorbells; partial tails drain on the moderation timer.
 fn vectored_bursts(shards: Option<usize>) -> (u64, u64, u64) {
-    let mut h = Harness::new(4, jittery(), 31, shards);
-    let arr = h.alloc(8, 12);
+    let mut h = harness(4, jittery(), 31, shards);
+    let arr = alloc(&mut h, 8);
     for round in 0..6u64 {
         for loc in 0..4u32 {
             let blocks = arr.blocks.clone();
-            h.issue(loc, move |eng| {
+            h.drive_at(loc, move |eng| {
                 let puts = (0..6u64)
                     .map(|i| {
                         let b = (round + i + u64::from(loc)) % 8;
@@ -147,7 +102,7 @@ fn vectored_bursts(shards: Option<usize>) -> (u64, u64, u64) {
     }
     for loc in 0..4u32 {
         let blocks = arr.blocks.clone();
-        h.issue(loc, move |eng| {
+        h.drive_at(loc, move |eng| {
             let gets = (0..8u64)
                 .map(|b| {
                     (
@@ -166,19 +121,19 @@ fn vectored_bursts(shards: Option<usize>) -> (u64, u64, u64) {
         stats.doorbells > 0 && stats.coalesced > 0,
         "rings never engaged: {stats:?}"
     );
-    h.finish()
+    finish(&mut h)
 }
 
 /// Fetch-adds, compare-swaps, and a migration racing through the rings:
 /// same-responder AMOs share doorbells (the `amo_batched` path) while the
 /// home moves underneath them.
 fn amo_ring_mix(shards: Option<usize>) -> (u64, u64, u64) {
-    let mut h = Harness::new(4, jittery(), 37, shards);
-    let arr = h.alloc(4, 12);
+    let mut h = harness(4, jittery(), 37, shards);
+    let arr = alloc(&mut h, 4);
     for i in 0..32u64 {
         let loc = (i % 4) as u32;
         let gva = arr.block(i % 4).with_offset((i % 8) * 8);
-        h.issue(loc, move |eng| {
+        h.drive_at(loc, move |eng| {
             memamo(
                 eng,
                 loc,
@@ -189,7 +144,7 @@ fn amo_ring_mix(shards: Option<usize>) -> (u64, u64, u64) {
         });
         if i % 6 == 5 {
             let cas = arr.block((i + 1) % 4);
-            h.issue(loc, move |eng| {
+            h.drive_at(loc, move |eng| {
                 memamo(
                     eng,
                     loc,
@@ -204,7 +159,7 @@ fn amo_ring_mix(shards: Option<usize>) -> (u64, u64, u64) {
         }
         if i % 16 == 9 {
             let mig = arr.block(i % 4);
-            h.issue(loc, move |eng| {
+            h.drive_at(loc, move |eng| {
                 migrate_block(
                     eng,
                     loc,
@@ -216,7 +171,7 @@ fn amo_ring_mix(shards: Option<usize>) -> (u64, u64, u64) {
         }
         h.run_steps(10);
     }
-    h.finish()
+    finish(&mut h)
 }
 
 /// Mixed intra-/inter-domain traffic with an [`ShmDomain`] of size 2:
@@ -228,18 +183,18 @@ fn shm_domain_mix(shards: Option<usize>) -> (u64, u64, u64) {
         shm: Some(ShmDomain::node(2)),
         ..jittery()
     };
-    let mut h = Harness::new(4, net, 43, shards);
-    let arr = h.alloc(8, 12);
+    let mut h = harness(4, net, 43, shards);
+    let arr = alloc(&mut h, 8);
     for i in 0..40u64 {
         let loc = (i % 4) as u32;
         // Even ops stay inside the domain (peer = partner locality), odd
         // ops cross it.
         let gva = arr.block((i * 3) % 8).with_offset((i % 4) * 32);
-        h.issue(loc, move |eng| {
+        h.drive_at(loc, move |eng| {
             memput(eng, loc, gva, vec![(i + 1) as u8; 32], OpId::from_raw(i));
         });
         if i % 3 == 2 {
-            h.issue(loc, move |eng| {
+            h.drive_at(loc, move |eng| {
                 memamo(
                     eng,
                     loc,
@@ -254,11 +209,11 @@ fn shm_domain_mix(shards: Option<usize>) -> (u64, u64, u64) {
     for i in 0..16u64 {
         let loc = ((i + 1) % 4) as u32;
         let gva = arr.block(i % 8);
-        h.issue(loc, move |eng| {
+        h.drive_at(loc, move |eng| {
             memget(eng, loc, gva, 32, OpId::from_raw(2000 + i));
         });
     }
-    h.finish()
+    finish(&mut h)
 }
 
 #[test]
@@ -298,11 +253,8 @@ fn chaos_cell(rates: FaultRates, seed: u64, shards: Option<usize>) -> (u64, u64,
         g.cfg.retry_on_deadline = true;
         g.cfg.record_history = true;
     }
-    let mut h = match shards {
-        None => Harness::Seq(Engine::new(world, seed)),
-        Some(k) => Harness::Shard(ShardedEngine::new(world, seed, k)),
-    };
-    let arr = h.alloc(8, 12);
+    let mut h = Harness::new(world, seed, shards);
+    let arr = alloc(&mut h, 8);
     let mut puts = 0u64;
     let mut gets = 0u64;
     for round in 0..10u64 {
@@ -310,7 +262,7 @@ fn chaos_cell(rates: FaultRates, seed: u64, shards: Option<usize>) -> (u64, u64,
             let wb = (round + 3 * u64::from(l)) % 8;
             let gva = arr.block(wb).with_offset(64 + u64::from(l) * 8);
             let ctx = OpId::from_raw(puts);
-            h.issue(l, move |eng| {
+            h.drive_at(l, move |eng| {
                 memput(eng, l, gva, vec![l as u8 + 1; 8], ctx);
             });
             puts += 1;
@@ -318,14 +270,14 @@ fn chaos_cell(rates: FaultRates, seed: u64, shards: Option<usize>) -> (u64, u64,
             let owner = (l + 1) % 4;
             let gva = arr.block(rb).with_offset(64 + u64::from(owner) * 8);
             let ctx = OpId::from_raw((1 << 40) | gets);
-            h.issue(l, move |eng| {
+            h.drive_at(l, move |eng| {
                 memget(eng, l, gva, 8, ctx);
             });
             gets += 1;
         }
         h.run_steps(64);
     }
-    let witness = h.finish();
+    let witness = finish(&mut h);
     // Correctness inside every cell: full accounting, consistent history.
     let blocks = arr.blocks.clone();
     let w = h.world();

@@ -22,14 +22,11 @@
 
 use agas::check::Violation;
 use agas::ops::{memget, memput};
-use agas::{
-    alloc_array, migrate::migrate_block, Distribution, GasMode, GasStats, GlobalArray, Gva,
-    SimWorld,
-};
+use agas::{alloc_array, migrate::migrate_block, Distribution, GasMode, GasStats, Gva, SimWorld};
 use netsim::rng::mix64;
 use netsim::{
-    Counters, Engine, FaultPlan, FaultPlane, FaultRates, FaultStats, LinkFlap, LocalityId,
-    NetConfig, OpId, OutcomeCounters, Partition, ShardedEngine, Time,
+    Counters, FaultPlan, FaultPlane, FaultRates, FaultStats, Harness, LinkFlap, NetConfig, OpId,
+    OutcomeCounters, Partition, Time,
 };
 
 const LOCALITIES: usize = 4;
@@ -104,44 +101,6 @@ fn partition_plan(seed: u64) -> FaultPlan {
     }
 }
 
-enum Harness {
-    Seq(Engine<SimWorld>),
-    Shard(ShardedEngine<SimWorld>),
-}
-
-impl Harness {
-    fn world(&mut self) -> &mut SimWorld {
-        match self {
-            Harness::Seq(e) => &mut e.state,
-            Harness::Shard(s) => s.state(),
-        }
-    }
-    fn issue(&mut self, loc: LocalityId, f: impl FnOnce(&mut Engine<SimWorld>) + 'static) {
-        match self {
-            Harness::Seq(e) => f(e),
-            Harness::Shard(s) => s.drive_at(loc, f),
-        }
-    }
-    fn run_steps(&mut self, n: u64) {
-        match self {
-            Harness::Seq(e) => e.run_steps(n),
-            Harness::Shard(s) => s.run_steps(n),
-        };
-    }
-    fn run(&mut self) {
-        match self {
-            Harness::Seq(e) => e.run(),
-            Harness::Shard(s) => s.run(),
-        };
-    }
-    fn hash_now_events(&self) -> (u64, u64, u64) {
-        match self {
-            Harness::Seq(e) => (e.trace_hash(), e.now().ps(), e.events_executed()),
-            Harness::Shard(s) => (s.trace_hash(), s.now().ps(), s.events_executed()),
-        }
-    }
-}
-
 /// Everything a cell asserts on — and everything that must match between
 /// the sequential and sharded runs.
 #[derive(Debug, Clone, PartialEq)]
@@ -192,14 +151,8 @@ fn run_cell(
         g.cfg.retry_on_deadline = true;
         g.cfg.record_history = true;
     }
-    let mut h = match shards {
-        None => Harness::Seq(Engine::new(world, seed)),
-        Some(k) => Harness::Shard(ShardedEngine::new(world, seed, k)),
-    };
-    let arr: GlobalArray = match &mut h {
-        Harness::Seq(e) => alloc_array(e, BLOCKS, 12, Distribution::Cyclic),
-        Harness::Shard(s) => s.drive(|e| alloc_array(e, BLOCKS, 12, Distribution::Cyclic)),
-    };
+    let mut h = Harness::new(world, seed, shards);
+    let arr = h.drive(|e| alloc_array(e, BLOCKS, 12, Distribution::Cyclic));
 
     let mut puts_issued = 0u64;
     let mut gets_issued = 0u64;
@@ -211,7 +164,7 @@ fn run_cell(
             let val = slot_value(wb, l);
             let gva = arr.block(wb).with_offset(slot_offset(l));
             let ctx = OpId::from_raw(puts_issued);
-            h.issue(l, move |eng| {
+            h.drive_at(l, move |eng| {
                 memput(eng, l, gva, val.to_le_bytes().to_vec(), ctx);
             });
             puts_issued += 1;
@@ -223,7 +176,7 @@ fn run_cell(
             let gva = arr.block(rb).with_offset(slot_offset(owner));
             let ctx = OpId::from_raw((1 << 40) | gets_issued);
             h.world().expect_value(l, ctx, slot_value(rb, owner));
-            h.issue(l, move |eng| {
+            h.drive_at(l, move |eng| {
                 memget(eng, l, gva, 8, ctx);
             });
             gets_issued += 1;
@@ -235,7 +188,7 @@ fn run_cell(
             let to = ((k + 1) % u64::from(n)) as u32;
             let gva = arr.block(k % BLOCKS);
             let ctx = OpId::from_raw((1 << 41) | migrations_issued);
-            h.issue(from, move |eng| {
+            h.drive_at(from, move |eng| {
                 migrate_block(eng, from, gva, to, ctx);
             });
             migrations_issued += 1;
@@ -245,7 +198,7 @@ fn run_cell(
     }
     h.run();
 
-    let (trace_hash, end_ps, events) = h.hash_now_events();
+    let (trace_hash, end_ps, events) = h.witness();
     let blocks: Vec<Gva> = arr.blocks.clone();
     let w = h.world();
     Report {

@@ -7,35 +7,35 @@
 mod common;
 
 use agas::ops::{memamo, memget, memput};
-use agas::{alloc_array, Distribution, GasMode};
-use common::{assert_consistent, Ev, World};
+use agas::{alloc_array, Distribution, GasMode, SimEv, SimWorld};
+use common::assert_consistent;
 use netsim::{AmoOp, AmoResult, Engine, NetConfig, OpId, ShmDomain, Time};
 
 /// Four localities, two shm domains: {0,1} and {2,3}.
-fn shm_engine(mode: GasMode) -> Engine<World> {
+fn shm_engine(mode: GasMode) -> Engine<SimWorld> {
     let net = NetConfig {
         shm: Some(ShmDomain::node(2)),
         ..NetConfig::ideal()
     };
-    Engine::new(World::new(4, mode, net), 42)
+    Engine::new(SimWorld::new(4, mode, net), 42)
 }
 
-fn get_data(eng: &Engine<World>, ctx: u64) -> Option<Vec<u8>> {
-    eng.state.events.iter().find_map(|(_, _, e)| match e {
-        Ev::GetDone(c, d) if *c == ctx => Some(d.clone()),
+fn get_data(eng: &Engine<SimWorld>, ctx: u64) -> Option<Vec<u8>> {
+    eng.state.events().iter().find_map(|(_, _, e)| match e {
+        SimEv::GetDone(c, d) if *c == ctx => Some(d.clone()),
         _ => None,
     })
 }
 
-fn amo_result(eng: &Engine<World>, ctx: u64) -> Option<AmoResult> {
-    eng.state.events.iter().find_map(|(_, _, e)| match e {
-        Ev::AmoDone(c, r) if *c == ctx => Some(r.clone()),
+fn amo_result(eng: &Engine<SimWorld>, ctx: u64) -> Option<AmoResult> {
+    eng.state.events().iter().find_map(|(_, _, e)| match e {
+        SimEv::AmoDone(c, r) if *c == ctx => Some(r.clone()),
         _ => None,
     })
 }
 
-fn wire_messages(eng: &Engine<World>) -> u64 {
-    let c = eng.state.cluster.total_counters();
+fn wire_messages(eng: &Engine<SimWorld>) -> u64 {
+    let c = eng.state.total_counters();
     c.msgs_sent + c.rdma_puts + c.rdma_gets
 }
 
@@ -65,7 +65,7 @@ fn intra_domain_ops_send_zero_messages() {
         eng.run();
         assert_eq!(amo_result(&eng, 3).unwrap().old, 0, "{mode:?}");
         assert_eq!(wire_messages(&eng), 0, "{mode:?}: shm ops hit the wire");
-        let g = &eng.state.gas[0];
+        let g = &eng.state.data.gas[0];
         assert_eq!(g.stats.shm_ops, 3, "{mode:?}: ops missed the shm path");
         assert_eq!(g.stats.shm_bytes, 64 + 64 + 8, "{mode:?}");
         assert_consistent(&eng, &arr.blocks);
@@ -88,7 +88,7 @@ fn cross_domain_ops_still_ride_the_fabric() {
             wire_messages(&eng) > 0,
             "{mode:?}: cross-domain op skipped the fabric"
         );
-        assert_eq!(eng.state.gas[0].stats.shm_ops, 0, "{mode:?}");
+        assert_eq!(eng.state.data.gas[0].stats.shm_ops, 0, "{mode:?}");
         assert_consistent(&eng, &arr.blocks);
     }
 }
@@ -101,7 +101,7 @@ fn local_ops_bypass_the_domain_accounting() {
     let arr = alloc_array(&mut eng, 8, 12, Distribution::Cyclic);
     memput(&mut eng, 0, arr.block(0), vec![3; 16], OpId::from_raw(1));
     eng.run();
-    let g = &eng.state.gas[0];
+    let g = &eng.state.data.gas[0];
     assert_eq!(g.stats.local_ops, 1);
     assert_eq!(g.stats.shm_ops, 0);
     assert_eq!(wire_messages(&eng), 0);
@@ -135,7 +135,7 @@ fn shm_amos_serialize_against_each_other() {
     assert_eq!(amo_result(&eng, 500).unwrap().old, 32);
     // Locality 1's 16 AMOs + the read-back are local; locality 0's 16
     // took the shm path. Nothing touched the wire.
-    assert_eq!(eng.state.gas[0].stats.shm_ops, 16);
+    assert_eq!(eng.state.data.gas[0].stats.shm_ops, 16);
     assert_eq!(wire_messages(&eng), 0);
 }
 
@@ -143,16 +143,16 @@ fn shm_amos_serialize_against_each_other() {
 fn shm_access_beats_the_wire() {
     // The same put, A/B: inside a domain vs. over the (ideal) fabric.
     let timed_put = |net: NetConfig| {
-        let mut eng = Engine::new(World::new(4, GasMode::AgasNetwork, net), 42);
+        let mut eng = Engine::new(SimWorld::new(4, GasMode::AgasNetwork, net), 42);
         let arr = alloc_array(&mut eng, 4, 12, Distribution::Cyclic);
         let t0 = eng.now();
         memput(&mut eng, 0, arr.block(1), vec![1; 256], OpId::from_raw(1));
         eng.run();
         let done = eng
             .state
-            .events
+            .events()
             .iter()
-            .find(|(_, _, e)| matches!(e, Ev::PutDone(1)))
+            .find(|(_, _, e)| matches!(e, SimEv::PutDone(1)))
             .map(|(t, _, _)| *t)
             .expect("put incomplete");
         done - t0

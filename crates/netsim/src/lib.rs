@@ -63,7 +63,7 @@ pub use optable::{OpError, OpId, OpOutcome, OpTable, OutcomeCounters};
 pub use payload::Payload;
 pub use queue::ServerPool;
 pub use ring::{Desc, DescSnapshot, PushOutcome, Ring, RingConfig, RingSet, RingStats};
-pub use shard::{ShardMap, ShardStats, ShardedEngine, SharedState, SplitWorld};
+pub use shard::{Harness, ShardMap, ShardStats, ShardedEngine, SharedState, SplitWorld};
 pub use stats::{Counters, LogHistogram, TimeWeighted};
 pub use time::Time;
 pub use timewheel::TimeWheel;

@@ -700,6 +700,110 @@ impl<W: SplitWorld> ShardedEngine<W> {
     }
 }
 
+/// One program, run on the sequential [`Engine`] or on a [`ShardedEngine`]:
+/// the one place that chooses between them. Driver code written against it
+/// runs unchanged on either, which is what a sequential-versus-sharded
+/// comparison needs.
+pub enum Harness<W: SplitWorld> {
+    /// The sequential engine.
+    Seq(Engine<W>),
+    /// The sharded engine.
+    Shard(ShardedEngine<W>),
+}
+
+impl<W: SplitWorld> Harness<W> {
+    /// The sequential engine when `lanes` is `None`, else a sharded engine
+    /// with (at most) that many lanes.
+    pub fn new(world: W, seed: u64, lanes: Option<usize>) -> Harness<W> {
+        match lanes {
+            None => Harness::Seq(Engine::new(world, seed)),
+            Some(k) => Harness::Shard(ShardedEngine::new(world, seed, k)),
+        }
+    }
+
+    /// The world. Only call between runs.
+    pub fn world(&mut self) -> &mut W {
+        match self {
+            Harness::Seq(e) => &mut e.state,
+            Harness::Shard(s) => s.state(),
+        }
+    }
+
+    /// Shared view of the world.
+    pub fn world_ref(&self) -> &W {
+        match self {
+            Harness::Seq(e) => &e.state,
+            Harness::Shard(s) => s.state_ref(),
+        }
+    }
+
+    /// Run locality-neutral driver code (as [`ShardedEngine::drive`]).
+    pub fn drive<R>(&mut self, f: impl FnOnce(&mut Engine<W>) -> R) -> R {
+        match self {
+            Harness::Seq(e) => f(e),
+            Harness::Shard(s) => s.drive(f),
+        }
+    }
+
+    /// Run driver code attributed to locality `loc` (as
+    /// [`ShardedEngine::drive_at`]).
+    pub fn drive_at<R>(&mut self, loc: LocalityId, f: impl FnOnce(&mut Engine<W>) -> R) -> R {
+        match self {
+            Harness::Seq(e) => f(e),
+            Harness::Shard(s) => s.drive_at(loc, f),
+        }
+    }
+
+    /// Run until the event queues drain. Returns events executed.
+    pub fn run(&mut self) -> u64 {
+        match self {
+            Harness::Seq(e) => e.run(),
+            Harness::Shard(s) => s.run(),
+        }
+    }
+
+    /// Run until quiescence or `deadline` (as [`Engine::run_until`]).
+    pub fn run_until(&mut self, deadline: Time) -> u64 {
+        match self {
+            Harness::Seq(e) => e.run_until(deadline),
+            Harness::Shard(s) => s.run_until(deadline),
+        }
+    }
+
+    /// Run at most `n` further events.
+    pub fn run_steps(&mut self, n: u64) -> u64 {
+        match self {
+            Harness::Seq(e) => e.run_steps(n),
+            Harness::Shard(s) => s.run_steps(n),
+        }
+    }
+
+    /// Events currently pending.
+    pub fn events_pending(&mut self) -> usize {
+        match self {
+            Harness::Seq(e) => e.events_pending(),
+            Harness::Shard(s) => s.events_pending(),
+        }
+    }
+
+    /// `(trace_hash, now in ps, events executed)`: equal on both engines
+    /// for the same program and seed.
+    pub fn witness(&self) -> (u64, u64, u64) {
+        match self {
+            Harness::Seq(e) => (e.trace_hash(), e.now().ps(), e.events_executed()),
+            Harness::Shard(s) => (s.trace_hash(), s.now().ps(), s.events_executed()),
+        }
+    }
+
+    /// The sharded engine (its window and stats), if this run is sharded.
+    pub fn sharded(&self) -> Option<&ShardedEngine<W>> {
+        match self {
+            Harness::Seq(_) => None,
+            Harness::Shard(s) => Some(s),
+        }
+    }
+}
+
 /// What the control thread and the lane workers share for one `run` call.
 struct WindowSync {
     /// Ticks once per window (and once more to let the workers go).

@@ -26,8 +26,9 @@ use netsim::rng::Xoshiro256;
 use netsim::shard::ShardMap;
 use netsim::{
     rdma_get, rdma_put, send_user_classed, Cluster, Engine, Envelope, FaultClass, FaultPlan,
-    FaultPlane, FaultRates, GetReq, LinkFlap, LocalityId, NetConfig, OpId, Packet, Partition,
-    PhysAddr, Protocol, PutReq, RdmaTarget, ShardedEngine, SharedState, SplitWorld, Time,
+    FaultPlane, FaultRates, GetReq, Harness, LinkFlap, LocalityId, NetConfig, OpId, Packet,
+    Partition, PhysAddr, Protocol, PutReq, RdmaTarget, ShardedEngine, SharedState, SplitWorld,
+    Time,
 };
 
 /// Bytes in each locality's scratch block (memory class 12).
@@ -230,94 +231,27 @@ fn world_digest(w: &ToyWorld) -> u64 {
     trace_mix(h, dh.finish())
 }
 
-/// Driver code run against the (control) engine.
-type Issue = Box<dyn FnOnce(&mut Engine<ToyWorld>)>;
-
-/// The common face of `Engine<ToyWorld>` and `ShardedEngine<ToyWorld>` the
-/// shadow runner drives.
-trait Driver {
-    fn issue(&mut self, loc: LocalityId, f: Issue);
-    fn world(&mut self) -> &mut ToyWorld;
-    fn clock(&self) -> Time;
-    fn go(&mut self) -> u64;
-    fn go_until(&mut self, t: Time) -> u64;
-    fn go_steps(&mut self, n: u64) -> u64;
-    fn snapshot(&mut self) -> Snapshot;
-}
-
-impl Driver for Engine<ToyWorld> {
-    fn issue(&mut self, _loc: LocalityId, f: Issue) {
-        f(self);
-    }
-    fn world(&mut self) -> &mut ToyWorld {
-        &mut self.state
-    }
-    fn clock(&self) -> Time {
-        self.now()
-    }
-    fn go(&mut self) -> u64 {
-        self.run()
-    }
-    fn go_until(&mut self, t: Time) -> u64 {
-        self.run_until(t)
-    }
-    fn go_steps(&mut self, n: u64) -> u64 {
-        self.run_steps(n)
-    }
-    fn snapshot(&mut self) -> Snapshot {
-        Snapshot {
-            trace_hash: self.trace_hash(),
-            now_ps: self.now().ps(),
-            executed: self.events_executed(),
-            pending: self.events_pending(),
-            digest: world_digest(&self.state),
-        }
+fn snapshot(h: &mut Harness<ToyWorld>) -> Snapshot {
+    let (trace_hash, now_ps, executed) = h.witness();
+    Snapshot {
+        trace_hash,
+        now_ps,
+        executed,
+        pending: h.events_pending(),
+        digest: world_digest(h.world_ref()),
     }
 }
 
-impl Driver for ShardedEngine<ToyWorld> {
-    fn issue(&mut self, loc: LocalityId, f: Issue) {
-        self.drive_at(loc, |eng| f(eng));
-    }
-    fn world(&mut self) -> &mut ToyWorld {
-        self.state()
-    }
-    fn clock(&self) -> Time {
-        self.now()
-    }
-    fn go(&mut self) -> u64 {
-        self.run()
-    }
-    fn go_until(&mut self, t: Time) -> u64 {
-        self.run_until(t)
-    }
-    fn go_steps(&mut self, n: u64) -> u64 {
-        self.run_steps(n)
-    }
-    fn snapshot(&mut self) -> Snapshot {
-        Snapshot {
-            trace_hash: self.trace_hash(),
-            now_ps: self.now().ps(),
-            executed: self.events_executed(),
-            pending: self.events_pending(),
-            digest: world_digest(self.state_ref()),
-        }
-    }
-}
-
-fn apply(d: &mut dyn Driver, bases: &[PhysAddr], step: &Step, snaps: &mut Vec<Snapshot>) {
+fn apply(h: &mut Harness<ToyWorld>, bases: &[PhysAddr], step: &Step, snaps: &mut Vec<Snapshot>) {
     match *step {
         Step::Send {
             src,
             dst,
             hops,
             bytes,
-        } => d.issue(
-            src,
-            Box::new(move |eng| {
-                send_user_classed(eng, src, dst, bytes, hops, FaultClass::Request);
-            }),
-        ),
+        } => h.drive_at(src, move |eng| {
+            send_user_classed(eng, src, dst, bytes, hops, FaultClass::Request);
+        }),
         Step::Put {
             src,
             dst,
@@ -327,24 +261,21 @@ fn apply(d: &mut dyn Driver, bases: &[PhysAddr], step: &Step, snaps: &mut Vec<Sn
         } => {
             let base_dst = bases[dst as usize];
             let data: Vec<u8> = (0..len).map(|k| (op ^ k as u64) as u8).collect();
-            d.issue(
-                src,
-                Box::new(move |eng| {
-                    rdma_put(
-                        eng,
-                        src,
-                        PutReq {
-                            target: dst,
-                            dst: RdmaTarget::Phys(base_dst + offset),
-                            data,
-                            op: OpId::from_raw(op),
-                            remote_tag: if op % 3 == 0 { Some(op) } else { None },
-                            ttl: 3,
-                            class: FaultClass::Request,
-                        },
-                    );
-                }),
-            );
+            h.drive_at(src, move |eng| {
+                rdma_put(
+                    eng,
+                    src,
+                    PutReq {
+                        target: dst,
+                        dst: RdmaTarget::Phys(base_dst + offset),
+                        data,
+                        op: OpId::from_raw(op),
+                        remote_tag: if op % 3 == 0 { Some(op) } else { None },
+                        ttl: 3,
+                        class: FaultClass::Request,
+                    },
+                );
+            });
         }
         Step::Get {
             src,
@@ -355,41 +286,39 @@ fn apply(d: &mut dyn Driver, bases: &[PhysAddr], step: &Step, snaps: &mut Vec<Sn
         } => {
             let base_dst = bases[dst as usize];
             let base_src = bases[src as usize];
-            d.issue(
-                src,
-                Box::new(move |eng| {
-                    rdma_get(
-                        eng,
-                        src,
-                        GetReq {
-                            target: dst,
-                            src: RdmaTarget::Phys(base_dst + offset),
-                            len,
-                            local: base_src + offset,
-                            op: OpId::from_raw(op),
-                            ttl: 3,
-                            class: FaultClass::Request,
-                        },
-                    );
-                }),
-            );
+            h.drive_at(src, move |eng| {
+                rdma_get(
+                    eng,
+                    src,
+                    GetReq {
+                        target: dst,
+                        src: RdmaTarget::Phys(base_dst + offset),
+                        len,
+                        local: base_src + offset,
+                        op: OpId::from_raw(op),
+                        ttl: 3,
+                        class: FaultClass::Request,
+                    },
+                );
+            });
         }
         Step::Steps(n) => {
-            d.go_steps(n);
-            snaps.push(d.snapshot());
+            h.run_steps(n);
+            snaps.push(snapshot(h));
         }
         Step::Until(ns) => {
             // The generated cursor can fall behind the clock after a full
             // drain; never ask the engine to run to the past.
-            d.go_until(Time::from_ns(ns).max(d.clock()));
-            snaps.push(d.snapshot());
+            let now = Time::from_ps(h.witness().1);
+            h.run_until(Time::from_ns(ns).max(now));
+            snaps.push(snapshot(h));
         }
         Step::Run => {
-            d.go();
-            snaps.push(d.snapshot());
+            h.run();
+            snaps.push(snapshot(h));
         }
         Step::Faults(ref plan) => {
-            d.world().data.cluster.faults = plan.clone().map(FaultPlane::new);
+            h.world().data.cluster.faults = plan.clone().map(FaultPlane::new);
         }
     }
 }
@@ -409,31 +338,25 @@ fn assert_program_shadows(
     seed: u64,
     shards: &[usize],
 ) {
-    let world = build_world(n, cfg, plan.clone());
-    let bases = world.data.bases.clone();
-    let mut reference = Engine::new(world, 42);
-    let mut ref_snaps = Vec::new();
-    for step in program {
-        apply(&mut reference, &bases, step, &mut ref_snaps);
-    }
-    assert!(
-        ref_snaps.last().expect("program ends with Run").pending == 0,
-        "reference program did not quiesce"
-    );
-    assert!(
-        reference.events_executed() > 0,
-        "degenerate program: no events"
-    );
-
-    for &k in shards {
+    let run = |lanes| {
         let world = build_world(n, cfg, plan.clone());
-        let mut sharded = ShardedEngine::new(world, 42, k);
+        let bases = world.data.bases.clone();
+        let mut h = Harness::new(world, 42, lanes);
         let mut snaps = Vec::new();
         for step in program {
-            apply(&mut sharded, &bases, step, &mut snaps);
+            apply(&mut h, &bases, step, &mut snaps);
         }
+        snaps
+    };
+    let reference = run(None);
+    let last = reference.last().expect("program ends with Run");
+    assert!(last.pending == 0, "reference program did not quiesce");
+    assert!(last.executed > 0, "degenerate program: no events");
+
+    for &k in shards {
         assert_eq!(
-            snaps, ref_snaps,
+            run(Some(k)),
+            reference,
             "sharded run (shards={k}, seed={seed}) diverged from sequential"
         );
     }

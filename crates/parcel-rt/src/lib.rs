@@ -58,7 +58,7 @@ pub use netsim::RingConfig;
 pub use parcel::{ActionCtx, ActionFn, ActionId, ActionRegistry, Parcel};
 pub use rt::{Runtime, RuntimeBuilder};
 pub use sched::{reply, send_parcel};
-pub use shard_world::{lco_ctx, ShardAction, ShardMsg, ShardRtData, ShardRtLoc, ShardWorld};
+pub use shard_world::{lco_ctx, ShardAction, ShardRtData, ShardRtLoc, ShardWorld};
 pub use world::{
     decode_amo_result, encode_amo_result, fire_completion, Completion, Msg, RtConfig, RtLocal,
     RtStats, RtWorld, Transport, World, NO_COMPLETION, PARCEL_TAG,

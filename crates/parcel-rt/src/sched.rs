@@ -14,7 +14,7 @@
 
 use crate::lco::{self, LCO_CLASS};
 use crate::parcel::{ActionCtx, Parcel, ACTION_LCO_SET};
-use crate::world::{RtWorld, Transport, PARCEL_TAG};
+use crate::world::{Msg, RtWorld, Transport, PARCEL_TAG};
 
 use netsim::{send_user, Desc, Engine, LocalityId, PushOutcome, Time, TraceKind};
 
@@ -49,7 +49,7 @@ pub(crate) fn transmit<W: RtWorld>(
                 return;
             }
             let wire = parcel.wire_size();
-            send_user(eng, from, next, wire, W::wrap_parcel(parcel));
+            send_user(eng, from, next, wire, Msg::Parcel(parcel));
         }
         Transport::Isir => {
             // Serialize and go through the tag-matching two-sided path
@@ -125,7 +125,7 @@ fn ring_doorbell<W: RtWorld>(eng: &mut Engine<W>, from: LocalityId, next: Locali
             descs: parcels.len() as u32,
         },
     );
-    send_user(eng, from, next, wire, W::wrap_batch(parcels));
+    send_user(eng, from, next, wire, Msg::ParcelBatch(parcels));
 }
 
 /// A parcel arrived at `dst` (called from the world's packet dispatch).

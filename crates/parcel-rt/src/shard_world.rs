@@ -3,8 +3,9 @@
 //!
 //! The classic [`World`](crate::World) keeps boxed-closure actions behind
 //! an `Rc` and driver callbacks in a shared map — fine sequentially,
-//! unusable across shard lanes. `ShardWorld` is its lane-safe twin, built
-//! the way [`agas::SimWorld`] mirrors the integration `World`:
+//! unusable across shard lanes. `ShardWorld` keeps the same per-locality
+//! state, the same wire enum ([`Msg`]) and the same protocol dispatch, with
+//! every piece of driver state made per-locality:
 //!
 //! * actions are plain `fn` pointers (`Send + Sync`, registered before
 //!   boot, read-only at event time);
@@ -16,14 +17,15 @@
 //!
 //! The scheduler and LCO layers are the very same generic code the classic
 //! world runs ([`crate::sched`], [`crate::lco`] over
-//! [`crate::world::RtWorld`]), so a workload replayed here
-//! schedules the same protocol traffic — and the sharded engine contracts
-//! to reproduce the sequential `(time, seq)` order bit-for-bit at any lane
-//! count.
+//! [`crate::world::RtWorld`]), so a workload replayed here schedules the
+//! same protocol traffic. Every event is keyed by the locality that
+//! scheduled it and that locality's schedule count, so the sharded engine
+//! executes each locality's events in the sequential engine's order, with
+//! the same trace hash, at any lane count.
 
 use crate::lco;
-use crate::parcel::{ActionCtx, ActionId, Parcel};
-use crate::world::{RtConfig, RtLocal, RtStats, RtWorld, Transport};
+use crate::parcel::{ActionCtx, ActionId};
+use crate::world::{Msg, RtConfig, RtLocal, RtStats, RtWorld, Transport};
 use agas::{GasConfig, GasLocal, GasMode, GasMsg, GasWorld, Gva, PgasMap};
 use netsim::shard::ShardMap;
 use netsim::{
@@ -31,19 +33,6 @@ use netsim::{
     Packet, Protocol, ServerPool, SharedState, SplitWorld,
 };
 use photon::{PhotonConfig, PhotonEndpoint, PhotonMsg, PhotonWorld};
-
-/// Wire message for the sharded runtime world.
-#[derive(Debug)]
-pub enum ShardMsg {
-    /// Photon middleware traffic.
-    Photon(PhotonMsg),
-    /// GAS protocol traffic.
-    Gas(GasMsg),
-    /// An application parcel.
-    Parcel(Parcel),
-    /// A coalesced batch of parcels for one destination.
-    ParcelBatch(Vec<Parcel>),
-}
 
 /// A lane-safe action body: a plain `fn` pointer (no captures, `Send`).
 pub type ShardAction = fn(&mut Engine<ShardWorld>, ActionCtx);
@@ -178,7 +167,7 @@ fn complete(eng: &mut Engine<ShardWorld>, loc: LocalityId, ctx: OpId, data: Vec<
 }
 
 impl Protocol for ShardWorld {
-    type Msg = ShardMsg;
+    type Msg = Msg;
 
     fn cluster(&mut self) -> &mut Cluster {
         &mut self.data.cluster
@@ -188,14 +177,14 @@ impl Protocol for ShardWorld {
         &self.data.cluster
     }
 
-    fn deliver(eng: &mut Engine<Self>, env: Envelope<ShardMsg>) {
+    fn deliver(eng: &mut Engine<Self>, env: Envelope<Msg>) {
         match env.packet {
-            Packet::User(ShardMsg::Photon(p)) => photon::handle_msg(eng, env.src, env.dst, p),
-            Packet::User(ShardMsg::Gas(g)) => agas::ops::handle_msg(eng, env.src, env.dst, g),
-            Packet::User(ShardMsg::Parcel(p)) => {
+            Packet::User(Msg::Photon(p)) => photon::handle_msg(eng, env.src, env.dst, p),
+            Packet::User(Msg::Gas(g)) => agas::ops::handle_msg(eng, env.src, env.dst, g),
+            Packet::User(Msg::Parcel(p)) => {
                 crate::sched::parcel_arrive(eng, env.src, env.dst, p);
             }
-            Packet::User(ShardMsg::ParcelBatch(batch)) => {
+            Packet::User(Msg::ParcelBatch(batch)) => {
                 for p in batch {
                     crate::sched::parcel_arrive(eng, env.src, env.dst, p);
                 }
@@ -209,8 +198,8 @@ impl PhotonWorld for ShardWorld {
     fn endpoint(&mut self, loc: LocalityId) -> &mut PhotonEndpoint {
         &mut self.data.eps[loc as usize]
     }
-    fn wrap(msg: PhotonMsg) -> ShardMsg {
-        ShardMsg::Photon(msg)
+    fn wrap(msg: PhotonMsg) -> Msg {
+        Msg::Photon(msg)
     }
     fn pwc_complete(eng: &mut Engine<Self>, loc: LocalityId, ctx: OpId) {
         agas::ops::on_pwc_complete(eng, loc, ctx);
@@ -268,8 +257,8 @@ impl GasWorld for ShardWorld {
     fn cpu(&mut self, loc: LocalityId) -> &mut ServerPool {
         &mut self.data.cpus[loc as usize]
     }
-    fn wrap_gas(msg: GasMsg) -> ShardMsg {
-        ShardMsg::Gas(msg)
+    fn wrap_gas(msg: GasMsg) -> Msg {
+        Msg::Gas(msg)
     }
     fn gas_put_done(eng: &mut Engine<Self>, loc: LocalityId, ctx: OpId) {
         complete(eng, loc, ctx, Vec::new());
@@ -306,12 +295,6 @@ impl RtWorld for ShardWorld {
     }
     fn rtcfg(&self) -> RtConfig {
         self.data.rtcfg
-    }
-    fn wrap_parcel(p: Parcel) -> ShardMsg {
-        ShardMsg::Parcel(p)
-    }
-    fn wrap_batch(b: Vec<Parcel>) -> ShardMsg {
-        ShardMsg::ParcelBatch(b)
     }
     fn run_action(eng: &mut Engine<Self>, id: ActionId, ctx: ActionCtx) {
         // The table is read-only after boot; copy the `fn` pointer out so

@@ -2,11 +2,12 @@
 //!
 //! Three small message-driven programs — a ping-pong, a divide-and-conquer
 //! reduction spray, and a BFS-style spawn tree — written as lane-safe
-//! `fn`-pointer actions over [`ShardWorld`], runnable on the sequential
-//! [`Engine`] and on the [`ShardedEngine`] at any lane count. Each returns
-//! a [`WorkloadResult`] carrying both the application answer (checked
-//! against a pure reference recursion) and the full `(trace_hash, now)`
-//! schedule witness, so tests can assert *lane-count independence*: the
+//! `fn`-pointer actions over [`ShardWorld`], run through a [`Harness`] on
+//! the sequential [`Engine`] or on the sharded one at any lane count. Each
+//! returns a [`WorkloadResult`] carrying both the application answer
+//! (checked against a pure reference recursion) and the full
+//! `(trace_hash, now)` schedule witness, so tests can assert *lane-count
+//! independence*: the
 //! same program at 1/2/4/8 lanes must reproduce the sequential schedule
 //! bit-for-bit.
 //!
@@ -23,7 +24,7 @@ use crate::sched;
 use crate::shard_world::ShardWorld;
 use crate::world::{RtConfig, Transport};
 use agas::{alloc_array, Distribution, GasMode, GlobalArray, Gva};
-use netsim::{Engine, LocalityId, NetConfig, RingConfig, ShardedEngine};
+use netsim::{Engine, Harness, LocalityId, NetConfig, RingConfig};
 
 /// Size class of the per-locality anchor blocks.
 pub const ANCHOR_CLASS: u8 = 12;
@@ -74,7 +75,7 @@ pub struct WorkloadResult {
     pub value: u64,
     /// The reference answer the run must match.
     pub expected: u64,
-    /// Folded `(time, seq)` execution-order witness.
+    /// Folded `(time, key)` execution-order witness.
     pub trace_hash: u64,
     /// Completion time, picoseconds.
     pub now_ps: u64,
@@ -86,68 +87,6 @@ impl WorkloadResult {
     /// Did the run compute the reference answer?
     pub fn correct(&self) -> bool {
         self.value == self.expected
-    }
-}
-
-/// One workload harness: the same `ShardWorld` program driven either by
-/// the sequential engine or by the sharded one.
-#[allow(clippy::large_enum_variant)] // one per run; not worth a heap hop
-pub enum Harness {
-    /// Sequential control.
-    Seq(Engine<ShardWorld>),
-    /// Sharded run.
-    Shard(ShardedEngine<ShardWorld>),
-}
-
-impl Harness {
-    /// Wrap `world` per the spec's `lanes` choice.
-    pub fn new(world: ShardWorld, spec: &WorkloadSpec) -> Harness {
-        match spec.lanes {
-            None => Harness::Seq(Engine::new(world, spec.seed)),
-            Some(k) => Harness::Shard(ShardedEngine::new(world, spec.seed, k)),
-        }
-    }
-
-    /// Run driver code (allocations, seed parcels) attributed to `loc`.
-    pub fn drive_at<R>(
-        &mut self,
-        loc: LocalityId,
-        f: impl FnOnce(&mut Engine<ShardWorld>) -> R,
-    ) -> R {
-        match self {
-            Harness::Seq(e) => f(e),
-            Harness::Shard(s) => s.drive_at(loc, f),
-        }
-    }
-
-    /// Run driver code on the control engine (locality-neutral).
-    pub fn drive<R>(&mut self, f: impl FnOnce(&mut Engine<ShardWorld>) -> R) -> R {
-        match self {
-            Harness::Seq(e) => f(e),
-            Harness::Shard(s) => s.drive(f),
-        }
-    }
-
-    /// Drain the event queue; returns `(trace_hash, now_ps)`.
-    pub fn finish(&mut self) -> (u64, u64) {
-        match self {
-            Harness::Seq(e) => {
-                e.run();
-                (e.trace_hash(), e.now().ps())
-            }
-            Harness::Shard(s) => {
-                s.run();
-                (s.trace_hash(), s.now().ps())
-            }
-        }
-    }
-
-    /// Read-only world access (after a run).
-    pub fn world_ref(&self) -> &ShardWorld {
-        match self {
-            Harness::Seq(e) => &e.state,
-            Harness::Shard(s) => s.state_ref(),
-        }
     }
 }
 
@@ -185,7 +124,7 @@ fn send(
     );
 }
 
-fn build(spec: &WorkloadSpec) -> (Harness, GlobalArray) {
+fn build(spec: &WorkloadSpec) -> (Harness<ShardWorld>, GlobalArray) {
     let rtcfg = RtConfig {
         transport: Transport::Pwc,
         ring: spec.ring,
@@ -193,7 +132,7 @@ fn build(spec: &WorkloadSpec) -> (Harness, GlobalArray) {
     };
     let mut world = ShardWorld::new(spec.n, spec.mode, spec.net, rtcfg);
     install(&mut world);
-    let mut h = Harness::new(world, spec);
+    let mut h = Harness::new(world, spec.seed, spec.lanes);
     let n = spec.n as u64;
     let anchors = h.drive(|e| alloc_array(e, n, ANCHOR_CLASS, Distribution::Cyclic));
     let seq0 = anchors.block(0).seq();
@@ -204,8 +143,9 @@ fn build(spec: &WorkloadSpec) -> (Harness, GlobalArray) {
     (h, anchors)
 }
 
-fn collect(mut h: Harness, lco: Gva, expected: u64) -> WorkloadResult {
-    let (trace_hash, now_ps) = h.finish();
+fn collect(mut h: Harness<ShardWorld>, lco: Gva, expected: u64) -> WorkloadResult {
+    h.run();
+    let (trace_hash, now_ps, _) = h.witness();
     let w = h.world_ref();
     let value = lco::peek(w, lco)
         .and_then(|s| s.value())

@@ -143,18 +143,15 @@ impl RtLocal {
 /// notification channel. Implemented by the classic single-threaded
 /// [`World`] (closure actions, driver callbacks) and by the lane-safe
 /// [`crate::ShardWorld`] (fn-pointer actions, recorded notifications) —
-/// one scheduler/LCO implementation serves both.
-pub trait RtWorld: GasWorld {
+/// one scheduler/LCO implementation serves both. Both carry the one wire
+/// enum [`Msg`], so the scheduler builds parcel messages directly.
+pub trait RtWorld: GasWorld + Protocol<Msg = Msg> {
     /// Per-locality runtime state.
     fn rt(&mut self, loc: LocalityId) -> &mut RtLocal;
     /// Shared access to per-locality runtime state (diagnostics).
     fn rt_ref(&self, loc: LocalityId) -> &RtLocal;
     /// Runtime tuning (uniform across the cluster).
     fn rtcfg(&self) -> RtConfig;
-    /// Embed a parcel into the world's wire enum.
-    fn wrap_parcel(p: Parcel) -> Self::Msg;
-    /// Embed a coalesced parcel batch into the world's wire enum.
-    fn wrap_batch(b: Vec<Parcel>) -> Self::Msg;
     /// Invoke the registered action body (the table's representation is
     /// the world's business: boxed closures here, `fn` pointers in the
     /// sharded world).
@@ -451,12 +448,6 @@ impl RtWorld for World {
     }
     fn rtcfg(&self) -> RtConfig {
         self.rtcfg
-    }
-    fn wrap_parcel(p: Parcel) -> Msg {
-        Msg::Parcel(p)
-    }
-    fn wrap_batch(b: Vec<Parcel>) -> Msg {
-        Msg::ParcelBatch(b)
     }
     fn run_action(
         eng: &mut Engine<Self>,

@@ -1812,79 +1812,11 @@ mod tests {
         assert_eq!(plain.0, ringed.0);
         assert_eq!(plain.1, ringed.1);
     }
-}
-
-#[cfg(test)]
-mod ledger_tests {
-    use super::*;
-    use netsim::{Cluster, Envelope, NetConfig, RdmaTarget, XlateEntry};
-
-    struct W {
-        cluster: Cluster,
-        eps: Vec<PhotonEndpoint>,
-    }
-
-    impl Protocol for W {
-        type Msg = PhotonMsg;
-        fn cluster(&mut self) -> &mut Cluster {
-            &mut self.cluster
-        }
-        fn cluster_ref(&self) -> &Cluster {
-            &self.cluster
-        }
-        fn deliver(eng: &mut Engine<Self>, env: Envelope<PhotonMsg>) {
-            match env.packet {
-                Packet::User(p) => handle_msg(eng, env.src, env.dst, p),
-                other => handle_completion(eng, env.src, env.dst, other),
-            }
-        }
-    }
-
-    impl PhotonWorld for W {
-        fn endpoint(&mut self, loc: LocalityId) -> &mut PhotonEndpoint {
-            &mut self.eps[loc as usize]
-        }
-        fn wrap(msg: PhotonMsg) -> PhotonMsg {
-            msg
-        }
-        fn pwc_complete(_: &mut Engine<Self>, _: LocalityId, _: OpId) {}
-        fn pwc_remote(_: &mut Engine<Self>, _: LocalityId, _: u64, _: u32) {}
-        fn pwc_failed(
-            _: &mut Engine<Self>,
-            _: LocalityId,
-            _: OpId,
-            _: OpKind,
-            _: NackReason,
-            _: u64,
-        ) {
-        }
-        fn recv_complete(_: &mut Engine<Self>, _: LocalityId, _: LocalityId, _: u64, _: Vec<u8>) {}
-        fn send_complete(_: &mut Engine<Self>, _: LocalityId, _: u64) {}
-    }
-
-    use netsim::Engine;
 
     #[test]
     fn remote_ledger_accumulates_and_drains() {
-        let mut eng = Engine::new(
-            W {
-                cluster: Cluster::new(2, NetConfig::ideal(), 1 << 20),
-                eps: (0..2)
-                    .map(|_| PhotonEndpoint::new(PhotonConfig::default()))
-                    .collect(),
-            },
-            3,
-        );
-        let base = eng.state.cluster.mem_mut(1).alloc_block(12).unwrap();
-        eng.state.cluster.install_xlate(
-            1,
-            5,
-            XlateEntry {
-                base,
-                len: 4096,
-                generation: 1,
-            },
-        );
+        let mut eng = world(2);
+        install_block(&mut eng, 1, 5);
         for tag in 0..4u64 {
             pwc_put(
                 &mut eng,
@@ -1910,25 +1842,8 @@ mod ledger_tests {
 
     #[test]
     fn remote_ledger_is_capacity_bounded() {
-        let mut eng = Engine::new(
-            W {
-                cluster: Cluster::new(2, NetConfig::ideal(), 1 << 24),
-                eps: (0..2)
-                    .map(|_| PhotonEndpoint::new(PhotonConfig::default()))
-                    .collect(),
-            },
-            3,
-        );
-        let base = eng.state.cluster.mem_mut(1).alloc_block(12).unwrap();
-        eng.state.cluster.install_xlate(
-            1,
-            5,
-            XlateEntry {
-                base,
-                len: 4096,
-                generation: 1,
-            },
-        );
+        let mut eng = world(2);
+        install_block(&mut eng, 1, 5);
         // Overflow the 4096-entry ring: oldest entries must be dropped,
         // never unbounded growth.
         for tag in 0..4200u64 {
