@@ -27,8 +27,10 @@
 //! events — is the sum of the lanes' sums. A lane pushes the events it
 //! schedules for itself straight into its wheel and hands the rest to the
 //! destination lane's inbox when its window ends; the destination drains
-//! it when its next window starts. The barrier moves no event and runs no
-//! protocol code: it is a minimum over the times the lanes publish.
+//! it when its next window starts. Drive-phase code runs between windows,
+//! while the lanes are idle, so its events go straight into the lanes'
+//! wheels. The barrier moves no event and runs no protocol code: it is a
+//! minimum over the times the lanes publish.
 //!
 //! The wire needs no exception. Every random draw a message makes — its
 //! transit jitter, its fault verdict — is keyed by its sender and the
@@ -92,8 +94,9 @@ pub(crate) struct ControlCtx<S> {
     /// [`ShardedEngine::drive`]) makes one a hard error, which is what
     /// forces driver-reachable protocol paths onto `schedule_at_loc`.
     drive_loc: Option<LocalityId>,
-    /// Events routed but not yet in a lane's inbox (the control engine
-    /// cannot borrow the lanes while code borrows it), by destination lane.
+    /// Events routed but not yet in their lane's wheel (the control engine
+    /// cannot borrow the lanes while drive code borrows it), by destination
+    /// lane.
     outbox: Vec<(u32, Routed<S>)>,
 }
 
@@ -333,8 +336,9 @@ struct Lane<W> {
     /// The lane's engine: held by whoever runs its window, by the control
     /// thread between windows.
     eng: Mutex<Engine<W>>,
-    /// Events other lanes and the control engine scheduled onto this one;
-    /// the lane moves them into its wheel when its next window starts.
+    /// Events other lanes scheduled onto this one; the lane moves them
+    /// into its wheel when its next window starts. (Drive-phase events go
+    /// straight into the wheel: the lanes are idle then.)
     inbox: Mutex<Vec<Routed<W>>>,
     /// The earliest time pending on this lane or sent by it last window, in
     /// picoseconds (`u64::MAX` = none): published as the lane reports done,
@@ -347,12 +351,6 @@ struct Lane<W> {
 impl<W> Lane<W> {
     fn eng(&self) -> MutexGuard<'_, Engine<W>> {
         self.eng.lock().expect("lane lock")
-    }
-
-    /// Hand `ev` to the lane and account for it in `next`.
-    fn deliver(&self, ev: Routed<W>) {
-        self.next.fetch_min(ev.0.ps(), Ordering::Relaxed);
-        self.inbox.lock().expect("inbox lock").push(ev);
     }
 
     /// Move the inbox into the wheel.
@@ -520,7 +518,10 @@ impl<W: SplitWorld> ShardedEngine<W> {
         F: FnOnce(&mut Engine<W>) + 'static,
     {
         let key = self.control.keys.next(loc_code(loc));
-        self.lanes[lane].deliver((at, key, EventSlot::new(event)));
+        self.lanes[lane]
+            .eng()
+            .queue
+            .push(at, key, EventSlot::new(event));
     }
 
     /// Run drive-phase code against the control engine (allocation
@@ -930,10 +931,18 @@ fn hand_over<S>(eng: &mut Engine<S>, lanes: &[Lane<S>]) -> u64 {
     std::mem::replace(&mut ctx.sent_min, u64::MAX)
 }
 
-/// Move the control engine's routed events into their lanes' inboxes.
+/// Push the control engine's routed events straight into their lanes'
+/// wheels, locking a lane once per run of events bound for it. The lanes
+/// are idle between runs, and [`Lane::settle`] publishes each lane's `next`
+/// before anything reads it.
 fn move_outbox<S>(control: &mut Engine<S>, lanes: &[Lane<S>]) {
-    for (lane, ev) in control_ctx(control).outbox.drain(..) {
-        lanes[lane as usize].deliver(ev);
+    let mut outbox = control_ctx(control).outbox.drain(..).peekable();
+    while let Some((lane, (at, key, slot))) = outbox.next() {
+        let mut eng = lanes[lane as usize].eng();
+        eng.queue.push(at, key, slot);
+        while let Some((_, (at, key, slot))) = outbox.next_if(|ev| ev.0 == lane) {
+            eng.queue.push(at, key, slot);
+        }
     }
 }
 

@@ -6,20 +6,32 @@
 //! workloads, however, schedule overwhelmingly into the near future. This
 //! queue exploits that:
 //!
-//! * **level 0 — the wheel**: virtual time is quantized into `2^GRAIN_LOG2`
-//!   picosecond buckets; the next `SLOTS` quanta each own an unsorted
-//!   `Vec`. A push inside that horizon is an O(1) `Vec::push`; an occupancy
-//!   bitmap finds the next nonempty bucket in a few word scans.
-//! * **level 1 — the current quantum**: when the wheel advances to a
-//!   bucket, the bucket `Vec` is swapped into place (recycling capacity,
-//!   copying nothing) and sorted *descending* by `(time, key)` once, so
-//!   pops are plain `Vec::pop` calls off the tail — no per-event heap
-//!   sifting. Events scheduled *into* the active quantum (zero-delay
-//!   reschedules) extend that tail when they sort before it and land in a
-//!   small side-heap otherwise; each pop takes whichever head is earlier,
-//!   so ordering holds even while the quantum drains.
-//! * **overflow heap**: events beyond the wheel horizon go to an ordinary
-//!   heap and merge back quantum-by-quantum as the wheel reaches them.
+//! * **level 0 — the fine wheel**: virtual time is quantized into
+//!   `2^GRAIN_LOG2` picosecond quanta; the next `SLOTS` quanta (≈ 8.4 µs)
+//!   each own an unsorted `Vec`. A push inside that horizon is an O(1)
+//!   `Vec::push`; an occupancy bitmap finds the next nonempty bucket in a
+//!   few word scans.
+//! * **the active quantum**: when the wheel advances to a bucket, the
+//!   bucket `Vec` is swapped into place (recycling capacity, copying
+//!   nothing) and sorted *descending* by `(time, key)` once, so pops are
+//!   plain `Vec::pop` calls off the tail — no per-event heap sifting.
+//!   Events scheduled *into* the active quantum (zero-delay reschedules)
+//!   extend that tail when they sort before it and land in a small
+//!   side-heap otherwise; each pop takes whichever head is earlier, so
+//!   ordering holds even while the quantum drains.
+//! * **level 1 — the coarse wheel**: `SLOTS` more unsorted buckets, each
+//!   `2^L1_SHIFT` quanta (≈ 4.2 µs) wide, with their own bitmap; horizon
+//!   ≈ 4.3 ms. A push beyond level 0's horizon lands in its bucket in
+//!   O(1). Once the next level-1 bucket starts no later than anything else
+//!   pending, the wheel *cascades* it: the cursor moves to the quantum just
+//!   before the bucket's start, and the bucket's entries are re-filed into
+//!   level-0 slots, to be sorted once per quantum like every other event.
+//!   A set-up burst of many requests queued on one transmit port lands
+//!   here.
+//! * **overflow heap**: only events beyond level 1's horizon go to an
+//!   ordinary heap. They merge back quantum-by-quantum through the
+//!   side-heap as the wheel reaches them, next to any level-0 or cascaded
+//!   entries of the same quantum.
 //!
 //! Every pop returns the smallest pending `(time, key)` — bit-for-bit what
 //! a single `BinaryHeap` would return (`tests/timewheel_shadow.rs` proves
@@ -37,16 +49,59 @@ use std::collections::BinaryHeap;
 /// across buckets instead of piling into one.
 const GRAIN_LOG2: u32 = 13;
 
-/// Buckets in the wheel; with the grain above the horizon is ≈ 8.4 µs of
-/// virtual time. Must be a power of two.
+/// Buckets per level; with the grain above level 0's horizon is ≈ 8.4 µs
+/// of virtual time. Must be a power of two.
 const SLOTS: usize = 1024;
 
-/// Occupancy-bitmap words.
+/// Occupancy-bitmap words per level.
 const WORDS: usize = SLOTS / 64;
+
+/// log2 of a level-1 bucket's width in level-0 quanta: 512 quanta ≈ 4.2
+/// µs, half of level 0's horizon, so that with the cursor parked just
+/// before a bucket's start the bucket's whole span lies inside level 0.
+const L1_SHIFT: u32 = 9;
+
+/// `TimeWheel::level1_next` while level 1 is empty: above every quantum.
+const NO_BUCKET: u64 = u64::MAX;
 
 #[inline]
 fn quantum(t: Time) -> u64 {
     t.ps() >> GRAIN_LOG2
+}
+
+/// The smallest index `> cur` whose bit is set in `bits`, where bit `i %
+/// SLOTS` stands for index `i` and every set index lies in `(cur, cur +
+/// SLOTS)`.
+fn next_occupied(bits: &[u64; WORDS], cur: u64) -> Option<u64> {
+    let base = (cur % SLOTS as u64) as usize;
+    // Scan bits (base+1..SLOTS), then the wrapped range (0..base]. Bit
+    // `base` itself cannot be set: it would stand for `cur`.
+    let s = scan(bits, base + 1, SLOTS).or_else(|| scan(bits, 0, base + 1))?;
+    let offset = ((s + SLOTS - base) % SLOTS) as u64;
+    debug_assert!(offset > 0, "occupied bit on the cursor's own slot");
+    Some(cur + offset)
+}
+
+/// Index of the first set bit of `bits` in `[lo, hi)`, scanning a word at a
+/// time.
+fn scan(bits: &[u64; WORDS], lo: usize, hi: usize) -> Option<usize> {
+    if lo >= hi {
+        return None;
+    }
+    let first = lo / 64;
+    for (i, mut word) in bits[first..=(hi - 1) / 64].iter().copied().enumerate() {
+        let word_lo = (first + i) * 64;
+        if word_lo < lo {
+            word &= !0 << (lo - word_lo);
+        }
+        if word_lo + 64 > hi {
+            word &= (1 << (hi - word_lo)) - 1;
+        }
+        if word != 0 {
+            return Some(word_lo + word.trailing_zeros() as usize);
+        }
+    }
+    None
 }
 
 struct Entry<T> {
@@ -102,16 +157,35 @@ pub struct TimeWheel<T> {
     cur: Vec<Entry<T>>,
     /// Events pushed into the active quantum after it was sorted.
     extra: BinaryHeap<Entry<T>>,
-    /// The active quantum index (`time >> GRAIN_LOG2`).
+    /// The active quantum index (`time >> GRAIN_LOG2`), the wheel's
+    /// cursor.
     cur_q: u64,
-    /// Unsorted near-future buckets; slot `q % SLOTS` holds quantum `q`
-    /// for `cur_q < q < cur_q + SLOTS`.
+    /// Level 0, unsorted near-future buckets: slot `q % SLOTS` holds
+    /// quantum `q` for `cur_q < q < cur_q + SLOTS`. A slot keeps its
+    /// capacity from one lap to the next.
     slots: Box<[Vec<Entry<T>>]>,
-    /// One bit per slot: set iff the slot's `Vec` is nonempty.
+    /// One bit per level-0 slot: set iff the slot's `Vec` is nonempty.
     occupied: [u64; WORDS],
-    /// Events beyond the wheel horizon.
+    /// The first quantum of level 1's earliest nonempty bucket, or
+    /// `NO_BUCKET` while level 1 is empty: `advance` reads this one word
+    /// and touches level 1 only when a bucket is due.
+    level1_next: u64,
+    /// Level 1, out of line: the near-future path never touches it.
+    level1: Box<Level1<T>>,
+    /// Events beyond level 1's horizon.
     overflow: BinaryHeap<Entry<T>>,
     len: usize,
+}
+
+/// Level 1 of a [`TimeWheel`].
+struct Level1<T> {
+    /// Unsorted far-future buckets: slot `b % SLOTS` holds the quanta `b <<
+    /// L1_SHIFT ..` of bucket `b`, for every `b` with `cur_q < b <<
+    /// L1_SHIFT` and `b < (cur_q >> L1_SHIFT) + SLOTS`. A bucket's storage
+    /// is released when it cascades.
+    buckets: [Vec<Entry<T>>; SLOTS],
+    /// One bit per bucket: set iff its `Vec` is nonempty.
+    occupied: [u64; WORDS],
 }
 
 impl<T> TimeWheel<T> {
@@ -123,6 +197,11 @@ impl<T> TimeWheel<T> {
             cur_q: 0,
             slots: (0..SLOTS).map(|_| Vec::new()).collect(),
             occupied: [0; WORDS],
+            level1_next: NO_BUCKET,
+            level1: Box::new(Level1 {
+                buckets: std::array::from_fn(|_| Vec::new()),
+                occupied: [0; WORDS],
+            }),
             overflow: BinaryHeap::new(),
             len: 0,
         }
@@ -152,10 +231,8 @@ impl<T> TimeWheel<T> {
         let entry = Entry { time, key, value };
         let dq = q.wrapping_sub(self.cur_q);
         if dq.wrapping_sub(1) < SLOTS as u64 - 1 {
-            // 1 <= q - cur_q < SLOTS: inside the wheel horizon.
-            let s = (q % SLOTS as u64) as usize;
-            self.slots[s].push(entry);
-            self.occupied[s / 64] |= 1 << (s % 64);
+            // 1 <= q - cur_q < SLOTS: inside level 0's horizon.
+            self.file(q, entry);
         } else if q <= self.cur_q {
             // Active-quantum push. `cur` is sorted descending and popped
             // from the back; an entry earlier than the tail extends that
@@ -166,8 +243,33 @@ impl<T> TimeWheel<T> {
                 _ => self.cur.push(entry),
             }
         } else {
+            self.push_far(q, entry);
+        }
+    }
+
+    /// File `entry`, of quantum `q >= cur_q + SLOTS`, in its level-1 bucket,
+    /// or in the overflow heap if it lies beyond level 1's horizon too. Out
+    /// of line, so that `push` is no larger than its near-future path.
+    #[inline(never)]
+    fn push_far(&mut self, q: u64, entry: Entry<T>) {
+        let b = q >> L1_SHIFT;
+        // `b > cur_q >> L1_SHIFT`: the bucket starts after the cursor.
+        if b - (self.cur_q >> L1_SHIFT) < SLOTS as u64 {
+            let s = (b % SLOTS as u64) as usize;
+            self.level1.buckets[s].push(entry);
+            self.level1.occupied[s / 64] |= 1 << (s % 64);
+            self.level1_next = self.level1_next.min(b << L1_SHIFT);
+        } else {
             self.overflow.push(entry);
         }
+    }
+
+    /// File `entry`, of quantum `q` inside level 0's horizon, in its slot.
+    #[inline]
+    fn file(&mut self, q: u64, entry: Entry<T>) {
+        let s = (q % SLOTS as u64) as usize;
+        self.slots[s].push(entry);
+        self.occupied[s / 64] |= 1 << (s % 64);
     }
 
     /// The earliest pending `(time, key)`'s time, if any. Advances the
@@ -248,10 +350,18 @@ impl<T> TimeWheel<T> {
 
     /// Advance to the next quantum that has events (the active one is
     /// drained), sorting its wheel bucket in place and merging any overflow
-    /// entries of the same quantum. Returns `false` if nothing is pending.
+    /// entries of the same quantum. A level-1 bucket that starts no later
+    /// than that quantum cascades into level 0 first. Returns `false` if
+    /// nothing is pending.
     fn advance(&mut self) -> bool {
-        let wheel_next = self.next_wheel_quantum();
+        let mut wheel_next = next_occupied(&self.occupied, self.cur_q);
         let over_next = self.overflow.peek().map(|e| quantum(e.time));
+        let due = wheel_next
+            .unwrap_or(NO_BUCKET)
+            .min(over_next.unwrap_or(NO_BUCKET));
+        if self.level1_next <= due && self.level1_next != NO_BUCKET {
+            wheel_next = self.cascade();
+        }
         let next_q = match (wheel_next, over_next) {
             (Some(a), Some(b)) => a.min(b),
             (Some(a), None) => a,
@@ -289,42 +399,29 @@ impl<T> TimeWheel<T> {
         true
     }
 
-    /// The smallest quantum `> cur_q` with a nonempty wheel bucket.
-    fn next_wheel_quantum(&self) -> Option<u64> {
-        let base = (self.cur_q % SLOTS as u64) as usize;
-        // Pending wheel quanta lie in (cur_q, cur_q + SLOTS), i.e. slot
-        // offsets 1..SLOTS from `base`: scan bits (base+1..SLOTS), then the
-        // wrapped range (0..base]. Slot `base` itself cannot be occupied —
-        // its quantum was drained when the wheel advanced onto it.
-        let s = self
-            .scan(base + 1, SLOTS)
-            .or_else(|| self.scan(0, base + 1))?;
-        let offset = ((s + SLOTS - base) % SLOTS) as u64;
-        debug_assert!(offset > 0, "occupied bit on the active slot");
-        Some(self.cur_q + offset)
-    }
-
-    /// Index of the first set occupancy bit in `[lo, hi)`, scanning a word
-    /// at a time.
-    fn scan(&self, lo: usize, hi: usize) -> Option<usize> {
-        if lo >= hi {
-            return None;
+    /// Cascade level 1's earliest bucket, which starts no later than
+    /// anything else pending: park the cursor on the quantum just before
+    /// the bucket's start, which puts the bucket's whole span inside level
+    /// 0's horizon, and re-file its entries there. Called with the active
+    /// quantum drained; returns the next level-0 quantum after it.
+    #[inline(never)]
+    fn cascade(&mut self) -> Option<u64> {
+        let start = self.level1_next;
+        debug_assert!(self.cur_q < start, "the cursor passed a level-1 bucket");
+        self.cur_q = start - 1;
+        let b = start >> L1_SHIFT;
+        let s = (b % SLOTS as u64) as usize;
+        self.level1.occupied[s / 64] &= !(1 << (s % 64));
+        // Take the storage along: a bucket is reused once per ≈ 4.3 ms
+        // lap, and the capacity a set-up burst leaves behind would sit
+        // idle for the rest of the run.
+        for e in std::mem::take(&mut self.level1.buckets[s]) {
+            self.file(quantum(e.time), e);
         }
-        let last = (hi - 1) / 64;
-        for w in lo / 64..=last {
-            let mut word = self.occupied[w];
-            let word_lo = w * 64;
-            if word_lo < lo {
-                word &= !0 << (lo - word_lo);
-            }
-            if word_lo + 64 > hi {
-                word &= (1 << (hi - word_lo)) - 1;
-            }
-            if word != 0 {
-                return Some(word_lo + word.trailing_zeros() as usize);
-            }
-        }
-        None
+        // The other buckets lie in (b, b + SLOTS).
+        self.level1_next =
+            next_occupied(&self.level1.occupied, b).map_or(NO_BUCKET, |b| b << L1_SHIFT);
+        next_occupied(&self.occupied, self.cur_q)
     }
 }
 
@@ -383,6 +480,144 @@ mod tests {
         assert_eq!(q.pop(), Some((Time::from_ms(5), 0, "far")));
         assert_eq!(q.pop(), Some((Time::from_ms(5), 2, "far tie")));
         assert_eq!(q.pop(), None);
+    }
+
+    /// The start of quantum `q`, plus `ps`.
+    fn at_q(q: u64, ps: u64) -> Time {
+        Time::from_ps((q << GRAIN_LOG2) + ps)
+    }
+
+    /// Entries in level 1.
+    fn level1_len<T>(q: &TimeWheel<T>) -> usize {
+        q.level1.buckets.iter().map(Vec::len).sum()
+    }
+
+    /// Whether level 1 holds no entries and no storage.
+    fn level1_is_released<T>(q: &TimeWheel<T>) -> bool {
+        q.level1_next == NO_BUCKET
+            && q.level1.occupied == [0; WORDS]
+            && q.level1.buckets.iter().all(|b| b.capacity() == 0)
+    }
+
+    #[test]
+    fn a_buckets_first_and_last_quantum_cascade_in_order() {
+        let mut q = TimeWheel::new();
+        let first = 10 << L1_SHIFT;
+        let last = first + (1 << L1_SHIFT) - 1;
+        // The neighbours' edges, pushed first: the last quantum of bucket
+        // 9 and the first of bucket 11.
+        q.push(at_q(first - 1, (1 << GRAIN_LOG2) - 1), 0, "bucket 9 end");
+        q.push(at_q(last + 1, 0), 1, "bucket 11 start");
+        q.push(
+            at_q(last, (1 << GRAIN_LOG2) - 1),
+            2,
+            "last ps of the last quantum",
+        );
+        q.push(at_q(last, 0), 3, "last quantum");
+        q.push(at_q(first, 0), 4, "first quantum");
+        q.push(at_q(first, 0), 5, "first quantum, tie");
+        assert_eq!((level1_len(&q), q.overflow.len()), (6, 0));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.1).collect();
+        assert_eq!(order, [0, 4, 5, 3, 2, 1]);
+        assert!(level1_is_released(&q));
+    }
+
+    #[test]
+    fn a_level0_entry_and_a_cascaded_entry_share_a_quantum() {
+        let mut q = TimeWheel::new();
+        let shared = (3 << L1_SHIFT) + 64;
+        q.push(at_q(shared, 100), 20, "cascaded");
+        q.push(at_q(700, 0), 1, "near");
+        assert_eq!(level1_len(&q), 1);
+        assert_eq!(q.pop(), Some((at_q(700, 0), 1, "near")));
+        // From quantum 700 the shared quantum is inside level 0, while its
+        // bucket has not cascaded yet.
+        q.push(at_q(shared, 100), 10, "level 0, same instant");
+        q.push(at_q(shared, 50), 30, "level 0, earlier");
+        assert_eq!(level1_len(&q), 1);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.1).collect();
+        assert_eq!(order, [30, 10, 20]);
+    }
+
+    #[test]
+    fn a_heap_entry_and_a_cascaded_entry_share_a_quantum() {
+        let mut q = TimeWheel::new();
+        // Bucket 1 100 lies past level 1's horizon from the origin; bucket
+        // 1 000 does not.
+        let shared = 1_100 << L1_SHIFT;
+        q.push(at_q(shared, 7), 5, "heap");
+        q.push(at_q(shared, 9), 6, "heap, later");
+        q.push(at_q(1_000 << L1_SHIFT, 0), 1, "level 1");
+        assert_eq!((q.overflow.len(), level1_len(&q)), (2, 1));
+        assert_eq!(q.pop().map(|e| e.1), Some(1));
+        // Now the shared quantum is inside level 1's horizon.
+        q.push(at_q(shared, 7), 9, "level 1, same instant");
+        q.push(at_q(shared, 8), 2, "level 1, between");
+        assert_eq!((q.overflow.len(), level1_len(&q)), (2, 2));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.1).collect();
+        assert_eq!(order, [5, 9, 2, 6]);
+        assert!(level1_is_released(&q));
+    }
+
+    #[test]
+    fn a_bucket_waits_for_an_earlier_heap_entry() {
+        let mut q = TimeWheel::new();
+        let start = 1_100 << L1_SHIFT;
+        // From the origin, 600 quanta before bucket 1 100 is heap.
+        q.push(at_q(start - 600, 0), 1, "heap");
+        q.push(at_q(1_000 << L1_SHIFT, 0), 0, "level 1");
+        assert_eq!(q.pop().map(|e| e.1), Some(0));
+        // Bucket 1 100 is level 1 now. Cascading it before the heap entry
+        // had popped would leave the cursor 600 quanta behind entries that
+        // reach 900 and 1 030 quanta past it.
+        q.push(at_q(start + 430, 0), 3, "level 1, later");
+        q.push(at_q(start + 300, 0), 2, "level 1");
+        assert_eq!((q.overflow.len(), level1_len(&q)), (1, 2));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.1).collect();
+        assert_eq!(order, [1, 2, 3]);
+    }
+
+    #[test]
+    fn a_push_at_the_instant_being_drained_after_a_cascade() {
+        let mut q = TimeWheel::new();
+        let t = at_q(5 << L1_SHIFT, 123);
+        q.push(t, 10, "a");
+        q.push(t, 20, "b");
+        q.push(t + Time::from_ns(1), 15, "c");
+        assert_eq!(level1_len(&q), 3);
+        // The first pop cascades the bucket and leaves the cursor on `t`.
+        assert_eq!(q.pop(), Some((t, 10, "a")));
+        assert_eq!(level1_len(&q), 0);
+        q.push(t, 5, "below the last popped key");
+        q.push(t, 30, "above the pending one");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.1).collect();
+        assert_eq!(order, [5, 20, 30, 15]);
+    }
+
+    #[test]
+    fn a_set_up_burst_drains_in_order_without_the_heap() {
+        // 262 144 requests at once, spread over 100 µs: the shape of a
+        // driver issuing every locality's gets at t = 0 onto ports that
+        // serialise them.
+        const N: u64 = 1 << 18;
+        let span = Time::from_us(100).ps();
+        let mut q = TimeWheel::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for key in 0..N {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            q.push(Time::from_ps((x >> 11) % span), key, ());
+        }
+        assert!(level1_len(&q) > 0 && q.overflow.is_empty());
+        let mut last = None;
+        let mut popped = 0;
+        while let Some((t, key, ())) = q.pop() {
+            assert!(last < Some((t, key)), "order violated at {t}/{key}");
+            last = Some((t, key));
+            popped += 1;
+        }
+        assert_eq!(popped, N);
+        assert_eq!(q.overflow.capacity(), 0, "the burst reached the heap");
+        assert!(level1_is_released(&q));
     }
 
     #[test]

@@ -147,6 +147,15 @@ enum Step {
         len: u32,
         op: u64,
     },
+    /// `count` driver events on `src`, spread over the next `span_ns`,
+    /// each sending one message: a set-up burst.
+    Burst {
+        src: LocalityId,
+        count: u64,
+        span_ns: u64,
+    },
+    /// A control point that runs nothing.
+    Look,
     /// Exact serial micro-stepping: at most this many events.
     Steps(u64),
     /// Bounded progress: run until this absolute instant (ns).
@@ -302,6 +311,24 @@ fn apply(h: &mut Harness<ToyWorld>, bases: &[PhysAddr], step: &Step, snaps: &mut
                 );
             });
         }
+        Step::Burst {
+            src,
+            count,
+            span_ns,
+        } => h.drive_at(src, move |eng| {
+            let n = eng.state.data.cluster.len() as u64;
+            let now = eng.now();
+            for i in 0..count {
+                let r = trace_mix(u64::from(src), i);
+                let at = now + Time::from_ps(r % (span_ns * 1_000));
+                let dst = ((r >> 20) % n) as LocalityId;
+                let hops = r >> 40 & 0x3;
+                eng.schedule_at_loc(at, src, move |e| {
+                    send_user_classed(e, src, dst, 64, hops, FaultClass::Request);
+                });
+            }
+        }),
+        Step::Look => snaps.push(snapshot(h)),
         Step::Steps(n) => {
             h.run_steps(n);
             snaps.push(snapshot(h));
@@ -461,6 +488,26 @@ fn a_fault_plane_installed_and_removed_mid_run_shadows() {
         program.insert(64, Step::Faults(None));
         assert_program_shadows(&program, 10, NetConfig::ib_fdr(), None, seed, &LANES);
     }
+}
+
+/// A set-up burst: thousands of driver events per locality, spread over
+/// ≈ 100 µs, so most of them queue past the time wheel's fine level. The
+/// sharded engine pushes them straight into the lanes' wheels, so
+/// `events_pending` and `run_steps` right after a drive, and a second
+/// burst into wheels that are mid-run, must all see them.
+#[test]
+fn drive_phase_bursts_shadow() {
+    let n = 8;
+    let burst = |src, count| Step::Burst {
+        src,
+        count,
+        span_ns: 100_000,
+    };
+    let mut program: Vec<Step> = (0..n).map(|src| burst(src, 2_000)).collect();
+    program.extend([Step::Look, Step::Steps(64), Step::Until(40_000)]);
+    program.extend((0..n).rev().map(|src| burst(src, 1_000)));
+    program.extend([Step::Look, Step::Steps(1), Step::Run]);
+    assert_program_shadows(&program, n as usize, NetConfig::ib_fdr(), None, 9, &LANES);
 }
 
 /// The event key holds a locality in 14 bits: a cluster one locality over

@@ -5,14 +5,19 @@
 //! Two models are checked:
 //!
 //! * the raw queue against a `BinaryHeap<Reverse<(time, key)>>`, under
-//!   arbitrary interleavings of pushes (zero-delay ties, in-horizon,
-//!   horizon-crossing) and pops — with arbitrary keys, so a push at the
-//!   instant being drained lands below the last popped key as often as
-//!   above it, the way an engine key that names its origin first does;
+//!   arbitrary interleavings of pops and pushes into every level — the
+//!   active quantum (zero-delay ties), level 0, level 1 and the overflow
+//!   heap past level 1's horizon — plus bursts of a few hundred pushes at
+//!   once, the way a driver issues its set-up requests. Keys are
+//!   arbitrary, so a push at the instant being drained lands below the
+//!   last popped key as often as above it, the way an engine key that
+//!   names its origin first does;
 //! * a full [`Engine`] run against an abstract replay of the same schedule
 //!   on a reference heap, comparing executed-event counts and the
 //!   [`event_mix`] sum — including events that re-schedule themselves at
-//!   the *same instant* (zero delay) and across the wheel horizon.
+//!   the *same instant* (zero delay) and across the level-0 horizon.
+//!
+//! Both run `PROPTEST_CASES` cases (64 by default).
 
 use netsim::engine::{event_mix, trace_mix};
 use netsim::{Engine, Time, TimeWheel};
@@ -27,6 +32,13 @@ enum Op {
     /// this value above the push's index as its key (the index alone keeps
     /// keys unique).
     Push(u64, u64),
+    /// `count` pushes at once, spread over `now .. now + span_ps`, with
+    /// the given key prefix.
+    Burst {
+        count: u64,
+        span_ps: u64,
+        prefix: u64,
+    },
     Pop,
 }
 
@@ -35,20 +47,25 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     // and the index decides, as an origin's counter does.
     let key = 0u64..8;
     prop_oneof![
-        // Within the wheel horizon (grain 8.2 ns × 1024 slots ≈ 8.4 µs).
+        // Within level 0's horizon (grain 8.2 ns × 1024 slots ≈ 8.4 µs).
         4 => (0u64..6_000_000, key.clone()).prop_map(|(d, k)| Op::Push(d, k)),
-        // Beyond the horizon: exercises the overflow heap and its merge.
+        // Beyond level 0: level 1 (buckets of ≈ 4.2 µs, horizon ≈ 4.3 ms)
+        // and its cascade.
         1 => (6_000_000u64..60_000_000, key.clone()).prop_map(|(d, k)| Op::Push(d, k)),
+        // Beyond level 1: the overflow heap and its merge.
+        1 => (4_400_000_000u64..20_000_000_000, key.clone()).prop_map(|(d, k)| Op::Push(d, k)),
         // Same-instant ties: the key must break them, from either side of
         // the one just popped.
-        3 => key.prop_map(|k| Op::Push(0, k)),
+        3 => key.clone().prop_map(|k| Op::Push(0, k)),
+        // A set-up burst: hundreds of requests over tens of µs.
+        1 => (100u64..400, 10_000_000u64..80_000_000, key).prop_map(|(count, span_ps, prefix)| {
+            Op::Burst { count, span_ps, prefix }
+        }),
         4 => Just(Op::Pop),
     ]
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
     #[test]
     fn wheel_pops_in_heap_order(ops in vec(op_strategy(), 1..200)) {
         let mut wheel: TimeWheel<()> = TimeWheel::new();
@@ -73,15 +90,27 @@ proptest! {
             }
         };
 
+        let mut push_both = |wheel: &mut TimeWheel<()>,
+                             shadow: &mut BinaryHeap<Reverse<(u64, u64)>>,
+                             at: u64,
+                             prefix: u64| {
+            let key = prefix << 32 | pushed;
+            pushed += 1;
+            wheel.push(Time::from_ps(at), key, ());
+            shadow.push(Reverse((at, key)));
+        };
+
         for op in ops {
             match op {
                 Op::Push(delay, prefix) => {
-                    let at = now + delay;
-                    let key = prefix << 32 | pushed;
-                    pushed += 1;
                     prop_assert_eq!(wheel.next_time().is_none(), shadow.is_empty());
-                    wheel.push(Time::from_ps(at), key, ());
-                    shadow.push(Reverse((at, key)));
+                    push_both(&mut wheel, &mut shadow, now + delay, prefix);
+                }
+                Op::Burst { count, span_ps, prefix } => {
+                    for i in 0..count {
+                        let delay = trace_mix(now ^ i, span_ps) % span_ps;
+                        push_both(&mut wheel, &mut shadow, now + delay, prefix);
+                    }
                 }
                 Op::Pop => pop_both(&mut wheel, &mut shadow, &mut now),
             }
@@ -130,8 +159,6 @@ fn run_chain(e: &mut Engine<u64>, chain: u8, loc: u32) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
     /// A full engine run hashes identically to a reference replay of the
     /// same schedule on a plain `BinaryHeap` — key-for-key, tick-for-tick.
     /// The chains hop between localities, so keys carry every origin, and a
