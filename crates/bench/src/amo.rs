@@ -16,14 +16,14 @@
 //!
 //! Each workload runs as an A/B between the NIC-executed path
 //! (`AgasNetwork`: the responder NIC performs the op during translation;
-//! [`netsim::telemetry`]'s `amo_executed` counts these) and the emulated
+//! the cluster's [`netsim::Counters::amo_executed`] counts these) and the emulated
 //! round-trip (`AgasSoftware`: the request is bounced to the owner's CPU
 //! as a `SwAccess` message and executes as a software handler — the NIC
 //! counters stay zero, which *is* the measurement). Simulated time is the
 //! measurand; wall-clock is reported only as context.
 
 use agas::{alloc_array, AmoPumpKind, Distribution, GasMode, SimWorld};
-use netsim::{telemetry, Engine, NetConfig, Time};
+use netsim::{Engine, NetConfig, Time};
 use std::time::Instant;
 
 /// Workload shape for one AMO contention series.
@@ -78,11 +78,12 @@ pub struct AmoBenchRow {
     pub sim: Time,
     /// Wall-clock seconds (context only; the series measures `sim`).
     pub wall_secs: f64,
-    /// AMOs executed at a NIC ([`telemetry`] delta; zero in software mode).
+    /// AMOs executed at a NIC, summed over the cell's own cluster (zero in
+    /// software mode).
     pub nic_executed: u64,
-    /// AMO requests NACKed back to initiators (telemetry delta).
+    /// AMO requests NACKed back to initiators.
     pub nic_nacked: u64,
-    /// AMO requests re-injected through forwarding entries (telemetry delta).
+    /// AMO requests re-injected through forwarding entries.
     pub nic_forwarded: u64,
 }
 
@@ -134,14 +135,14 @@ pub fn amo_bench(cfg: &AmoBenchConfig, kind: AmoPumpKind, mode: GasMode) -> AmoB
     // the wire to the same responder, the worst-case contention shape.
     let arr = alloc_array(&mut eng, 1, cfg.block_class, Distribution::Single(0));
     eng.state.set_pump_blocks(arr.blocks.clone());
-    let before = telemetry::snapshot();
     let t = Instant::now();
     for l in 0..n as u32 {
         SimWorld::amo_pump_prime(&mut eng, l);
     }
     eng.run();
     let wall_secs = t.elapsed().as_secs_f64();
-    let d = telemetry::snapshot().since(before);
+    // Set-up executes no AMO, so the world's totals are the cell's.
+    let c = eng.state.total_counters();
     AmoBenchRow {
         kind,
         mode,
@@ -155,8 +156,8 @@ pub fn amo_bench(cfg: &AmoBenchConfig, kind: AmoPumpKind, mode: GasMode) -> AmoB
         trace_hash: eng.trace_hash(),
         sim: eng.now(),
         wall_secs,
-        nic_executed: d.amo_executed,
-        nic_nacked: d.amo_nacked,
-        nic_forwarded: d.amo_forwarded,
+        nic_executed: c.amo_executed,
+        nic_nacked: c.amo_nacked,
+        nic_forwarded: c.amo_forwarded,
     }
 }

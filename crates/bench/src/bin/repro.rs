@@ -574,16 +574,6 @@ struct PerfRow {
     xlate_lookups: u64,
     xlate_probes: u64,
     memo_hits: u64,
-    amo_executed: u64,
-    amo_nacked: u64,
-    amo_forwarded: u64,
-    migration_ring_descs: u64,
-    members_joined: u64,
-    members_drained: u64,
-    members_crashed: u64,
-    blocks_rehomed: u64,
-    blocks_recovered: u64,
-    stale_xlate_dropped: u64,
     /// Counters that belong to this row alone (read from the world it ran,
     /// not from the process-wide telemetry): appended to the JSON object
     /// and printed under the table.
@@ -619,12 +609,7 @@ impl PerfRow {
             concat!(
                 "{{\"id\":\"{}\",\"series\":\"{}\",\"sim_time_ps\":{},",
                 "\"wall_seconds\":{:.6},\"events\":{},\"events_per_sec\":{:.0},",
-                "\"xlate_lookups\":{},\"xlate_probes\":{},\"memo_hits\":{},",
-                "\"amo_executed\":{},\"amo_nacked\":{},\"amo_forwarded\":{},",
-                "\"migration_ring_descs\":{},",
-                "\"members_joined\":{},\"members_drained\":{},",
-                "\"members_crashed\":{},\"blocks_rehomed\":{},",
-                "\"blocks_recovered\":{},\"stale_xlate_dropped\":{}{}}}"
+                "\"xlate_lookups\":{},\"xlate_probes\":{},\"memo_hits\":{}{}}}"
             ),
             self.id,
             self.series,
@@ -635,16 +620,6 @@ impl PerfRow {
             self.xlate_lookups,
             self.xlate_probes,
             self.memo_hits,
-            self.amo_executed,
-            self.amo_nacked,
-            self.amo_forwarded,
-            self.migration_ring_descs,
-            self.members_joined,
-            self.members_drained,
-            self.members_crashed,
-            self.blocks_rehomed,
-            self.blocks_recovered,
-            self.stale_xlate_dropped,
             extra
         )
     }
@@ -666,16 +641,6 @@ fn measure(id: &str, series: &str, f: impl FnOnce()) -> PerfRow {
         xlate_lookups: d.xlate_lookups,
         xlate_probes: d.xlate_probes,
         memo_hits: d.memo_hits,
-        amo_executed: d.amo_executed,
-        amo_nacked: d.amo_nacked,
-        amo_forwarded: d.amo_forwarded,
-        migration_ring_descs: d.migration_ring_descs,
-        members_joined: d.members_joined,
-        members_drained: d.members_drained,
-        members_crashed: d.members_crashed,
-        blocks_rehomed: d.blocks_rehomed,
-        blocks_recovered: d.blocks_recovered,
-        stale_xlate_dropped: d.stale_xlate_dropped,
         extra: Vec::new(),
     }
 }
@@ -916,11 +881,8 @@ fn membership(json: bool, seed: u64) {
         );
     }
     let mut bad: Vec<String> = Vec::new();
-    // Sequential on purpose: each cell's membership telemetry is read as a
-    // global-counter delta around its run.
     for mode in GasMode::ALL {
         for (label, plan) in &mixes {
-            let before = telemetry::snapshot();
             let r = run_chaos(&ChaosConfig {
                 mode,
                 plan: plan.clone(),
@@ -931,7 +893,7 @@ fn membership(json: bool, seed: u64) {
                 membership: true,
                 ..ChaosConfig::default()
             });
-            let d = telemetry::snapshot().since(before);
+            let g = &r.gas;
             if json {
                 println!(
                     concat!(
@@ -949,12 +911,12 @@ fn membership(json: bool, seed: u64) {
                     r.end.ps(),
                     r.events,
                     r.trace_hash,
-                    d.members_joined,
-                    d.members_drained,
-                    d.members_crashed,
-                    r.gas.blocks_rehomed,
-                    r.gas.blocks_recovered,
-                    r.gas.stale_xlate_dropped,
+                    g.members_joined,
+                    g.members_drained,
+                    g.members_crashed,
+                    g.blocks_rehomed,
+                    g.blocks_recovered,
+                    g.stale_xlate_dropped,
                     r.issued(),
                     r.acked(),
                     r.op_failures,
@@ -965,23 +927,23 @@ fn membership(json: bool, seed: u64) {
                     "{:<10} {:<9} {:>6} {:>7} {:>7} {:>8} {:>9} {:>6} {:>7} {:>5} {:>5}",
                     mode.label(),
                     label,
-                    d.members_joined,
-                    d.members_drained,
-                    d.members_crashed,
-                    r.gas.blocks_rehomed,
-                    r.gas.blocks_recovered,
-                    r.gas.stale_xlate_dropped,
+                    g.members_joined,
+                    g.members_drained,
+                    g.members_crashed,
+                    g.blocks_rehomed,
+                    g.blocks_recovered,
+                    g.stale_xlate_dropped,
                     r.op_failures,
                     if r.accounted() { "ok" } else { "LEAK" },
                     r.violations.len()
                 );
             }
             let ok = r.passed()
-                && d.members_joined == 1
-                && d.members_drained == 1
-                && r.gas.blocks_rehomed > 0
+                && g.members_joined == 1
+                && g.members_drained == 1
+                && g.blocks_rehomed > 0
                 && (!mode.supports_migration()
-                    || (d.members_crashed == 1 && r.gas.blocks_recovered > 0));
+                    || (g.members_crashed == 1 && g.blocks_recovered > 0));
             if !ok {
                 bad.push(format!("{}/{}", mode.label(), label));
             }
@@ -999,7 +961,7 @@ fn membership(json: bool, seed: u64) {
 /// op in one NIC visit) and the emulated round-trip (`agas-sw`: the
 /// request bounces to the owner's CPU). `ns/op` is simulated round-trip
 /// time per completed logical op — the headline comparison. Exits nonzero
-/// if any cell leaks ops, or if the NIC/software telemetry split does not
+/// if any cell leaks ops, or if the NIC/software counter split does not
 /// match the mode (NIC mode must execute at the NIC; software mode must
 /// never touch the NIC counters).
 fn amo(json: bool, ops_per_loc: u64) {
@@ -1011,8 +973,6 @@ fn amo(json: bool, ops_per_loc: u64) {
     );
     let kinds = [AmoPumpKind::FetchAdd, AmoPumpKind::CasRetry];
     let modes = [GasMode::AgasSoftware, GasMode::AgasNetwork];
-    // Cells run strictly serially: the NIC counters are process-wide
-    // telemetry deltas, and concurrent cells would bleed into each other.
     let mut rows: Vec<AmoBenchRow> = Vec::new();
     for kind in kinds {
         for locs in [2usize, 4, 8, 16] {
@@ -1193,7 +1153,6 @@ fn ring(json: bool, ops: u64) {
         "ring",
         &format!("descriptor-ring issue path: doorbell batching + shm crossover ({ops} ops)"),
     );
-    // Every cell reads process-wide telemetry deltas: strictly serial.
     let rungs = [0usize, 1, 4, 16];
     let ladder: Vec<RingLadderRow> = rungs.iter().map(|&b| ring_ladder_row(b, ops)).collect();
     if !json {
@@ -1581,16 +1540,23 @@ fn perf(json: bool) {
     churn.extra = churn_extra;
 
     // NIC-executed active operations: contended fetch-adds over the
-    // network-managed mode, so the AMO commit path — and its telemetry
-    // counters — run hot. (The emulated modes leave these at zero; see
-    // `repro amo` for the full A/B.)
-    let amo = measure("perf", "amo_agas_net", || {
-        std::hint::black_box(amo_bench(
+    // network-managed mode, so the AMO commit path runs hot. The row
+    // carries its own cluster's NIC AMO counters. (The emulated modes
+    // leave these at zero; see `repro amo` for the full A/B.)
+    let mut amo_extra = Vec::new();
+    let mut amo = measure("perf", "amo_agas_net", || {
+        let r = amo_bench(
             &AmoBenchConfig::default(),
             agas::AmoPumpKind::FetchAdd,
             GasMode::AgasNetwork,
-        ));
+        );
+        amo_extra = vec![
+            ("amo_executed", r.nic_executed),
+            ("amo_nacked", r.nic_nacked),
+            ("amo_forwarded", r.nic_forwarded),
+        ];
     });
+    amo.extra = amo_extra;
 
     let rows = [dispatch, chain, parcels, gups, churn, amo];
     if json {
@@ -1599,7 +1565,7 @@ fn perf(json: bool) {
         }
     } else {
         println!(
-            "{:<18} {:>12} {:>10} {:>14} {:>14} {:>12} {:>8} {:>10} {:>9}",
+            "{:<18} {:>12} {:>10} {:>14} {:>14} {:>12} {:>8} {:>10}",
             "series",
             "events",
             "wall s",
@@ -1607,12 +1573,11 @@ fn perf(json: bool) {
             "sim time",
             "xl lookups",
             "pr/lk",
-            "memo hits",
-            "amo exec"
+            "memo hits"
         );
         for r in &rows {
             println!(
-                "{:<18} {:>12} {:>10.3} {:>14.0} {:>14} {:>12} {:>8.2} {:>10} {:>9}",
+                "{:<18} {:>12} {:>10.3} {:>14.0} {:>14} {:>12} {:>8.2} {:>10}",
                 r.series,
                 r.events,
                 r.wall_secs,
@@ -1620,8 +1585,7 @@ fn perf(json: bool) {
                 format!("{}", r.sim),
                 r.xlate_lookups,
                 r.probes_per_lookup(),
-                r.memo_hits,
-                r.amo_executed
+                r.memo_hits
             );
         }
         for r in rows.iter().filter(|r| !r.extra.is_empty()) {

@@ -14,13 +14,12 @@
 //!
 //! Plus the AMO-batching cell backing the `repro amo` gate: multiple
 //! fetch-adds to one responder must share a single ring doorbell
-//! (telemetry `amo_batched`).
+//! (photon's `amo_batched`).
 //!
-//! Telemetry counters are process-wide deltas, so every kernel here runs
-//! strictly serially (no rayon).
+//! Every count is read from the kernel's own runtime.
 
 use agas::{Distribution, GasMode};
-use netsim::{telemetry, AmoOp, NetConfig, RingConfig, ShmDomain, Time};
+use netsim::{AmoOp, NetConfig, RingConfig, RingStats, ShmDomain, Time};
 use parcel_rt::{Runtime, NO_COMPLETION};
 use photon::PhotonConfig;
 use std::cell::RefCell;
@@ -51,7 +50,7 @@ pub struct RingLadderRow {
     pub ops: u64,
     /// Simulated time to quiescence.
     pub elapsed: Time,
-    /// Events executed (telemetry delta).
+    /// Events executed.
     pub events: u64,
     /// Wire messages sent.
     pub msgs: u64,
@@ -101,7 +100,8 @@ pub fn ring_ladder_row(batch: usize, ops: u64) -> RingLadderRow {
     let arr = rt.alloc(8, 16, Distribution::Single(1));
     let blocks = arr.blocks.clone();
     let msgs0 = rt.counters().msgs_sent;
-    let before = telemetry::snapshot();
+    let events0 = rt.eng.events_executed();
+    let rings0 = ring_totals(&rt);
     let t0 = rt.now();
     let puts: Vec<_> = (0..ops)
         .map(|i| {
@@ -112,19 +112,31 @@ pub fn ring_ladder_row(batch: usize, ops: u64) -> RingLadderRow {
     agas::ops::put_many(&mut rt.eng, 0, puts);
     rt.run();
     rt.assert_quiescent();
-    let d = telemetry::snapshot().since(before);
-    let stats = rt.eng.state.eps[0].ring_stats();
+    let rings = ring_totals(&rt);
     RingLadderRow {
         batch,
         ops,
         elapsed: rt.now() - t0,
-        events: d.events,
+        events: rt.eng.events_executed() - events0,
         msgs: rt.counters().msgs_sent - msgs0,
-        doorbells: d.ring_doorbells,
-        descs: d.ring_descs,
-        coalesced: d.ring_coalesced,
-        max_occupancy: stats.max_occupancy,
+        doorbells: rings.doorbells - rings0.doorbells,
+        descs: rings.descs - rings0.descs,
+        coalesced: rings.coalesced - rings0.coalesced,
+        max_occupancy: rt.eng.state.eps[0].ring_stats().max_occupancy,
     }
+}
+
+/// Doorbell, descriptor and coalescing counts summed over every photon
+/// endpoint's submission and completion rings.
+fn ring_totals(rt: &Runtime) -> RingStats {
+    let mut total = RingStats::default();
+    for ep in &rt.eng.state.eps {
+        let s = ep.ring_stats();
+        total.doorbells += s.doorbells;
+        total.descs += s.descs;
+        total.coalesced += s.coalesced;
+    }
+    total
 }
 
 /// One size point of the shm-vs-network crossover.
@@ -206,7 +218,7 @@ pub struct AmoRingRow {
     /// Fetch-adds issued.
     pub amos: u64,
     /// AMOs that shared a ring doorbell with another AMO to the same
-    /// responder (telemetry `amo_batched`).
+    /// responder (photon's `amo_batched`, summed over endpoints).
     pub amo_batched: u64,
     /// Ring doorbells rung.
     pub doorbells: u64,
@@ -225,7 +237,7 @@ pub fn amo_ring_batching(per_initiator: u64) -> AmoRingRow {
         .boot();
     let arr = rt.alloc(1, 13, Distribution::Single(0));
     let hot = arr.block(0);
-    let before = telemetry::snapshot();
+    let doorbells0 = ring_totals(&rt).doorbells;
     let t0 = rt.now();
     for l in 1..4u32 {
         for _ in 0..per_initiator {
@@ -234,12 +246,11 @@ pub fn amo_ring_batching(per_initiator: u64) -> AmoRingRow {
     }
     rt.run();
     rt.assert_quiescent();
-    let d = telemetry::snapshot().since(before);
     let counter = u64::from_le_bytes(rt.read_block(hot)[..8].try_into().unwrap());
     AmoRingRow {
         amos: 3 * per_initiator,
-        amo_batched: d.amo_batched,
-        doorbells: d.ring_doorbells,
+        amo_batched: rt.eng.state.eps.iter().map(|ep| ep.stats.amo_batched).sum(),
+        doorbells: ring_totals(&rt).doorbells - doorbells0,
         elapsed: rt.now() - t0,
         counter,
     }

@@ -183,6 +183,32 @@ fn a3_forwarding_beats_nack_for_stale_ops() {
 }
 
 #[test]
+fn concurrent_amo_cells_count_only_their_own_nic_ops() {
+    let cfg = AmoBenchConfig::default();
+    let kind = agas::AmoPumpKind::FetchAdd;
+    let alone = amo_bench(&cfg, kind, GasMode::AgasNetwork);
+    // Both cells start together, so their runs overlap.
+    let start = std::sync::Barrier::new(2);
+    let cell = |mode| {
+        start.wait();
+        amo_bench(&cfg, kind, mode)
+    };
+    let (sw, net) = std::thread::scope(|s| {
+        let sw = s.spawn(|| cell(GasMode::AgasSoftware));
+        let net = s.spawn(|| cell(GasMode::AgasNetwork));
+        (sw.join().unwrap(), net.join().unwrap())
+    });
+    assert_eq!(sw.nic_executed, 0, "the emulated cell saw NIC AMOs");
+    let nic = |r: &AmoBenchRow| (r.nic_executed, r.nic_nacked, r.nic_forwarded, r.trace_hash);
+    assert!(alone.nic_executed > 0);
+    assert_eq!(
+        nic(&net),
+        nic(&alone),
+        "the NIC cell's counts moved beside another cell"
+    );
+}
+
+#[test]
 fn e1b_sw_has_the_fat_tail() {
     let (_, p99_net) = loaded_latency(GasMode::AgasNetwork);
     let (_, p99_sw) = loaded_latency(GasMode::AgasSoftware);

@@ -1,6 +1,6 @@
 //! GAS-layer tuning parameters.
 
-use netsim::{RingConfig, Time};
+use netsim::Time;
 
 /// Which global-address-space implementation is active.
 ///
@@ -43,12 +43,14 @@ impl GasMode {
 
 /// How the membership plane recovers and evacuates blocks when the
 /// locality set changes (see `core::membership`).
+///
+/// Crash recovery always re-issues: every block whose directory record
+/// names the crashed locality as owner comes back at the locality serving
+/// its home as a zero-filled, generation-bumped replacement, and the dead
+/// home's census (including blocks still alive on survivors) is installed
+/// at the take-over locality.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecoveryPolicy {
-    /// Re-issue a crashed locality's home-directory blocks as zero-filled,
-    /// generation-bumped replacements at the serving home. Off means the
-    /// blocks are simply lost (callers must stop checking them).
-    pub reissue_home_blocks: bool,
     /// Generation bump applied to re-issued blocks, large enough to
     /// dominate any in-flight migration commit racing the recovery.
     pub generation_bump: u32,
@@ -61,7 +63,6 @@ pub struct RecoveryPolicy {
 impl Default for RecoveryPolicy {
     fn default() -> RecoveryPolicy {
         RecoveryPolicy {
-            reissue_home_blocks: true,
             generation_bump: 1 << 20,
             evac_batch: 4,
             evac_interval: Time::from_ns(2_000),
@@ -106,12 +107,6 @@ pub struct GasConfig {
     /// [`crate::GasLocal::history`] for the serializability checker. Off by
     /// default (zero cost, zero memory growth).
     pub record_history: bool,
-    /// Post migration/free control traffic (requests, acks, directory
-    /// commits) through per-peer descriptor rings instead of one ad-hoc
-    /// send per message, sharing doorbells exactly like the data path.
-    /// `None` (the default) keeps the pre-ring schedules bit-identical
-    /// for the golden trace pins.
-    pub ctrl_ring: Option<RingConfig>,
     /// Membership-plane recovery/evacuation tuning. Inert until a
     /// membership event fires (the defaults change no schedule).
     pub recovery: RecoveryPolicy,
@@ -131,7 +126,6 @@ impl Default for GasConfig {
             sweep_interval: Time::from_ns(2_000),
             retry_on_deadline: false,
             record_history: false,
-            ctrl_ring: None,
             recovery: RecoveryPolicy::default(),
         }
     }

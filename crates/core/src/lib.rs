@@ -228,10 +228,6 @@ pub enum GasMsg {
         /// The freed block.
         block: u64,
     },
-    /// Several control messages toward one peer that shared a doorbell on
-    /// the sender's control ring ([`GasConfig::ctrl_ring`]): one wire
-    /// message, unpacked and dispatched in post order at the receiver.
-    CtrlBatch(Vec<GasMsg>),
     /// A membership transition broadcast over the wire (a drain's final
     /// `Left`, carrying the re-homed block set).
     Member {
@@ -308,6 +304,13 @@ pub struct GasStats {
     pub blocks_recovered: u64,
     /// NIC forward entries purged because their next hop crashed.
     pub stale_xlate_dropped: u64,
+    /// Joining → Active transitions completed (counted at the joiner).
+    pub members_joined: u64,
+    /// Draining → Left transitions completed (counted at the drained
+    /// locality).
+    pub members_drained: u64,
+    /// Localities declared Crashed (counted at the take-over locality).
+    pub members_crashed: u64,
     /// Owner hints learned here from forwarded completions: the ack of an
     /// op that chased a NIC forward names the block's current owner and
     /// generation, so the next access goes direct.
@@ -341,6 +344,9 @@ impl GasStats {
         self.blocks_rehomed += other.blocks_rehomed;
         self.blocks_recovered += other.blocks_recovered;
         self.stale_xlate_dropped += other.stale_xlate_dropped;
+        self.members_joined += other.members_joined;
+        self.members_drained += other.members_drained;
+        self.members_crashed += other.members_crashed;
         self.hints_learned += other.hints_learned;
     }
 }
@@ -514,9 +520,6 @@ pub struct GasLocal {
     /// This locality's view of the elastic membership plane (inert — zero
     /// overhead, zero schedule change — until a membership event fires).
     pub member: MembershipView,
-    /// Per-peer control-message rings ([`GasConfig::ctrl_ring`]):
-    /// migration/free protocol traffic batches here and shares doorbells.
-    pub(crate) ctrl_rings: Option<netsim::RingSet<GasMsg>>,
     pub(crate) pending: OpTable<PendingOp>,
     pub(crate) next_seq: HashMap<u8, u64>,
     pub(crate) moving: HashMap<u64, MovingState>,
@@ -544,7 +547,6 @@ impl GasLocal {
             history: Vec::new(),
             word_history: Vec::new(),
             member: MembershipView::default(),
-            ctrl_rings: cfg.ctrl_ring.map(netsim::RingSet::new),
             pending: OpTable::new(),
             next_seq: HashMap::new(),
             moving: HashMap::new(),
@@ -587,22 +589,6 @@ impl GasLocal {
     /// `false` when [`GasConfig::op_deadline`] is `None`.
     pub fn sweep_armed(&self) -> bool {
         self.sweep_armed
-    }
-
-    /// Buffered control descriptors across this locality's migration
-    /// control rings (0 when [`GasConfig::ctrl_ring`] is off).
-    pub fn ctrl_ring_occupancy(&self) -> usize {
-        self.ctrl_rings
-            .as_ref()
-            .map_or(0, netsim::RingSet::occupancy)
-    }
-
-    /// Stuck-descriptor snapshots of the control rings, for quiescence
-    /// reports.
-    pub fn ctrl_ring_snapshots(&self, now: Time) -> Vec<netsim::DescSnapshot> {
-        self.ctrl_rings
-            .as_ref()
-            .map_or_else(Vec::new, |r| r.snapshots(now))
     }
 
     /// Diagnostic snapshots of every in-flight op issued here, in slot

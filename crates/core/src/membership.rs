@@ -285,9 +285,9 @@ pub fn join<S: GasWorld>(eng: &mut Engine<S>, joiner: LocalityId, donor: Localit
                     .retire_to_forward(b, rec.owner, rec.generation.saturating_sub(1));
             }
         }
-        eng.state.gas(joiner).stats.blocks_rehomed += warm.len() as u64;
-        netsim::telemetry::record_membership(1, 0, 0);
-        netsim::telemetry::record_blocks_rehomed(warm.len() as u64);
+        let stats = &mut eng.state.gas(joiner).stats;
+        stats.blocks_rehomed += warm.len() as u64;
+        stats.members_joined += 1;
     });
     let retired: Vec<u64> = slice.iter().map(|&(b, _)| b).collect();
     eng.schedule_at_loc(t, donor, move |eng| {
@@ -405,9 +405,10 @@ fn finish_drain<S: GasWorld>(eng: &mut Engine<S>, d: LocalityId) {
         let u = update.clone();
         send_ctrl(eng, d, l, ctrl, GasMsg::Member { update: u });
     }
-    eng.state.gas(d).member.apply(n, &update);
-    eng.state.gas(d).dir.clear();
-    netsim::telemetry::record_membership(0, 1, 0);
+    let g = eng.state.gas(d);
+    g.member.apply(n, &update);
+    g.dir.clear();
+    g.stats.members_drained += 1;
 }
 
 /// Crash `x`: sever every link to and from it (draw-free — survivor
@@ -438,7 +439,6 @@ pub fn crash<S: GasWorld>(eng: &mut Engine<S>, x: LocalityId) {
             crash_notice(eng, l, x, takeover, &census, mode);
         });
     }
-    netsim::telemetry::record_membership(0, 0, 1);
 }
 
 /// `x`'s own last event: everything it held is gone. Pins die with it,
@@ -499,15 +499,9 @@ fn crash_notice<S: GasWorld>(
         .nic
         .xlate
         .purge_forwards_via(x);
-    if dropped > 0 {
-        eng.state.gas(l).stats.stale_xlate_dropped += dropped;
-        netsim::telemetry::record_stale_xlate_dropped(dropped);
-    }
+    eng.state.gas(l).stats.stale_xlate_dropped += dropped;
     eng.state.gas(l).cache.purge_owner(x);
     let policy = eng.state.gas(l).cfg.recovery;
-    if !policy.reissue_home_blocks {
-        return;
-    }
     // Blocks homed *here* whose only copy died at x.
     let lost: Vec<(u64, OwnerRec)> = eng
         .state
@@ -521,6 +515,7 @@ fn crash_notice<S: GasWorld>(
         reissue_block(eng, l, b, rec.generation + policy.generation_bump, mode);
     }
     if l == takeover {
+        eng.state.gas(l).stats.members_crashed += 1;
         // The dead home's shard is ours now: install the census, and
         // re-issue the records whose owner died with their home.
         for &(b, rec) in census {
@@ -592,7 +587,6 @@ fn reissue_block<S: GasWorld>(
             },
         );
     }
-    netsim::telemetry::record_blocks_recovered(1);
 }
 
 // ---------------------------------------------------------------- handlers

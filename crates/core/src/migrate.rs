@@ -27,19 +27,14 @@
 
 use crate::gva::Gva;
 use crate::{GasMode, GasMsg, GasWorld, MovingState, PendingInstall};
-use netsim::{send_user, Desc, Engine, LocalityId, OpId, PushOutcome, Time, XlateEntry};
+use netsim::{send_user, Engine, LocalityId, OpId, Time, XlateEntry};
 
 const MAX_ROUTE_HOPS: u8 = 64;
 
-/// Send one migration/free *control* message from `src` to `dst`.
-///
-/// With [`crate::GasConfig::ctrl_ring`] set, the message posts into the
-/// sender's per-peer control ring and shares a doorbell with other control
-/// traffic toward the same peer — batches travel as one
-/// [`GasMsg::CtrlBatch`] wire message. With rings off (the default) this
-/// is exactly the old ad-hoc `send_user`, so every golden schedule is
-/// unchanged. Bulk `MigData` payloads and queued data-path accesses never
-/// ride the control ring.
+/// Send one migration/free/membership *control* message from `src` to
+/// `dst`: the one place those protocols' control messages leave a
+/// locality. Bulk `MigData` payloads and queued data-path accesses go out
+/// elsewhere.
 pub(crate) fn send_ctrl<S: GasWorld>(
     eng: &mut Engine<S>,
     src: LocalityId,
@@ -47,63 +42,7 @@ pub(crate) fn send_ctrl<S: GasWorld>(
     bytes: u32,
     msg: GasMsg,
 ) {
-    let now = eng.now();
-    let g = eng.state.gas(src);
-    let Some(rings) = g.ctrl_rings.as_mut() else {
-        send_user(eng, src, dst, bytes, S::wrap_gas(msg));
-        return;
-    };
-    netsim::telemetry::record_migration_ring(1);
-    match rings.push(
-        dst,
-        Desc {
-            item: msg,
-            bytes,
-            kind: "migrate",
-            enqueued: now,
-        },
-    ) {
-        PushOutcome::Flush => ctrl_doorbell(eng, src, dst),
-        PushOutcome::Armed(epoch) => {
-            // Arm the doorbell timer on the *sender's* lane; the epoch
-            // guard stands the timer down if a flush got there first.
-            let delay = rings.config().doorbell_delay;
-            eng.schedule_at_loc(now + delay, src, move |eng| {
-                let due = eng
-                    .state
-                    .gas(src)
-                    .ctrl_rings
-                    .as_ref()
-                    .is_some_and(|r| r.timer_due(dst, epoch));
-                if due {
-                    ctrl_doorbell(eng, src, dst);
-                }
-            });
-        }
-        PushOutcome::Buffered => {}
-    }
-}
-
-/// Ring the control-ring doorbell toward `dst`: drain the ring and put
-/// the whole batch on the wire as one message.
-fn ctrl_doorbell<S: GasWorld>(eng: &mut Engine<S>, src: LocalityId, dst: LocalityId) {
-    let batch = eng
-        .state
-        .gas(src)
-        .ctrl_rings
-        .as_mut()
-        .map_or_else(Vec::new, |r| r.drain(dst));
-    if batch.is_empty() {
-        return;
-    }
-    let bytes: u32 = batch.iter().map(|d| d.bytes).sum();
-    let mut msgs: Vec<GasMsg> = batch.into_iter().map(|d| d.item).collect();
-    let wire = if msgs.len() == 1 {
-        msgs.pop().expect("one-element batch")
-    } else {
-        GasMsg::CtrlBatch(msgs)
-    };
-    send_user(eng, src, dst, bytes, S::wrap_gas(wire));
+    send_user(eng, src, dst, bytes, S::wrap_gas(msg));
 }
 
 /// Request that `gva`'s block move to `dst`. Completion arrives via

@@ -611,7 +611,6 @@ fn try_shm<S: GasWorld>(
         g.stats.shm_ops += 1;
         g.stats.shm_bytes += bytes as u64;
     }
-    netsim::telemetry::record_shm(1, bytes as u64);
     let now = eng.now();
     eng.state.cluster().tracer.record(
         now,
@@ -1416,14 +1415,6 @@ pub fn handle_msg<S: GasWorld>(eng: &mut Engine<S>, from: LocalityId, at: Locali
             });
         }
         GasMsg::DirUpdateAck { block } => crate::migrate::on_dir_update_ack(eng, at, block),
-        GasMsg::CtrlBatch(msgs) => {
-            // A control-ring doorbell delivered several control messages in
-            // one wire message; unpack in post order so the batch behaves
-            // exactly like the same messages sent back-to-back.
-            for m in msgs {
-                handle_msg(eng, from, at, m);
-            }
-        }
         GasMsg::MigRequest {
             block,
             dst,
@@ -1490,7 +1481,6 @@ pub fn handle_msg<S: GasWorld>(eng: &mut Engine<S>, from: LocalityId, at: Locali
             crate::membership::on_dir_handoff(eng, at, records, from)
         }
     }
-    let _ = from;
 }
 
 /// Software-AGAS remote access at the (believed) owner: queue if the block

@@ -1052,7 +1052,6 @@ fn commit<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, mut req: Box<
                     counters.xlate_forwards += 1;
                     if is_amo {
                         counters.amo_forwarded += 1;
-                        crate::telemetry::record_amo(0, 0, 1);
                     }
                     let at = target;
                     c.tracer
@@ -1116,7 +1115,6 @@ fn commit<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, mut req: Box<
         }
         (Applied::Amo { result, .. }, _) => {
             c.loc_mut(target).counters.amo_executed += 1;
-            crate::telemetry::record_amo(1, 0, 0);
             let op = req.op;
             let done = Packet::AmoDone { op, result, moved };
             respond(eng, target, initiator, done, visible, local, class);
@@ -1138,7 +1136,6 @@ fn nack<S: Protocol>(
     let kind = req.verb.kind();
     if kind == OpKind::Amo {
         c.loc_mut(req.target).counters.amo_nacked += 1;
-        crate::telemetry::record_amo(0, 1, 0);
     }
     let nack = Packet::Nack {
         op: req.op,

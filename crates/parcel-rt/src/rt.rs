@@ -505,9 +505,6 @@ impl Runtime {
                     stuck.push(format!("  locality {l}: {}", d.render()));
                 }
             }
-            for d in w.gas[l as usize].ctrl_ring_snapshots(now) {
-                stuck.push(format!("  locality {l}: {}", d.render()));
-            }
             for d in w.eps[l as usize].ring_snapshots(l, now) {
                 stuck.push(format!("  locality {l}: {}", d.render()));
             }

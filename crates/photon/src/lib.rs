@@ -435,7 +435,6 @@ fn ring_doorbell<S: PhotonWorld>(eng: &mut Engine<S>, src: LocalityId, dst: Loca
         .count() as u64;
     if amos >= 2 {
         eng.state.endpoint(src).stats.amo_batched += amos;
-        netsim::telemetry::record_amo_batched(amos);
     }
     for desc in batch {
         rdma_issue(eng, src, desc.item);

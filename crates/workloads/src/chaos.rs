@@ -526,6 +526,17 @@ mod tests {
             });
             assert!(r.passed(), "{mode:?}: {r:?}");
             assert!(r.gas.blocks_rehomed > 0, "{mode:?}: join re-homed nothing");
+            // PGAS's schedule has no crash (`ChaosConfig::membership`).
+            let crashed = u64::from(mode.supports_migration());
+            assert_eq!(
+                (
+                    r.gas.members_joined,
+                    r.gas.members_drained,
+                    r.gas.members_crashed
+                ),
+                (1, 1, crashed),
+                "{mode:?}: joined/drained/crashed"
+            );
             if mode.supports_migration() {
                 assert!(
                     r.gas.blocks_recovered > 0,
