@@ -20,11 +20,10 @@
 //! round-trip (`AgasSoftware`: the request is bounced to the owner's CPU
 //! as a `SwAccess` message and executes as a software handler — the NIC
 //! counters stay zero, which *is* the measurement). Simulated time is the
-//! measurand; wall-clock is reported only as context.
+//! measurand.
 
 use agas::{alloc_array, AmoPumpKind, Distribution, GasMode, SimWorld};
 use netsim::{Engine, NetConfig, Time};
-use std::time::Instant;
 
 /// Workload shape for one AMO contention series.
 #[derive(Clone, Copy, Debug)]
@@ -76,8 +75,6 @@ pub struct AmoBenchRow {
     pub trace_hash: u64,
     /// Final simulated clock.
     pub sim: Time,
-    /// Wall-clock seconds (context only; the series measures `sim`).
-    pub wall_secs: f64,
     /// AMOs executed at a NIC, summed over the cell's own cluster (zero in
     /// software mode).
     pub nic_executed: u64,
@@ -135,12 +132,10 @@ pub fn amo_bench(cfg: &AmoBenchConfig, kind: AmoPumpKind, mode: GasMode) -> AmoB
     // the wire to the same responder, the worst-case contention shape.
     let arr = alloc_array(&mut eng, 1, cfg.block_class, Distribution::Single(0));
     eng.state.set_pump_blocks(arr.blocks.clone());
-    let t = Instant::now();
     for l in 0..n as u32 {
         SimWorld::amo_pump_prime(&mut eng, l);
     }
     eng.run();
-    let wall_secs = t.elapsed().as_secs_f64();
     // Set-up executes no AMO, so the world's totals are the cell's.
     let c = eng.state.total_counters();
     AmoBenchRow {
@@ -155,7 +150,6 @@ pub fn amo_bench(cfg: &AmoBenchConfig, kind: AmoPumpKind, mode: GasMode) -> AmoB
         events: eng.events_executed(),
         trace_hash: eng.trace_hash(),
         sim: eng.now(),
-        wall_secs,
         nic_executed: c.amo_executed,
         nic_nacked: c.amo_nacked,
         nic_forwarded: c.amo_forwarded,

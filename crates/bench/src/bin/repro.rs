@@ -4,31 +4,27 @@
 //! ```sh
 //! cargo run --release -p bench --bin repro -- all     # everything
 //! cargo run --release -p bench --bin repro -- e1      # one experiment
-//! cargo run --release -p bench --bin repro -- perf    # engine throughput
 //! cargo run --release -p bench --bin repro -- chaos   # fault-injection matrix
 //! cargo run --release -p bench --bin repro -- amo     # NIC active-op A/B series
-//! cargo run --release -p bench --bin repro -- --json all
+//! cargo run --release -p bench --bin repro -- --json amo
 //! ```
 //!
 //! All numbers are **simulated time** on the deterministic model: rerunning
 //! any experiment reproduces it bit-for-bit. Parameter sweeps run their
-//! (independent) simulations in parallel with rayon.
+//! (independent) simulations in parallel with rayon. Host wall-clock
+//! throughput is the standalone benchmark's job (`benchmark/`).
 //!
-//! With `--json`, every experiment additionally emits one machine-readable
-//! summary row per run as a JSON line (the only stdout lines starting with
-//! `{`): experiment id, series, simulated time swept, wall-clock seconds,
-//! events executed, events/second, and the translation fast-path counters
-//! (`xlate_lookups`, `xlate_probes`, `memo_hits` — see EXPERIMENTS.md).
-//! `perf` measures the engine's wall-clock event throughput on hot-path
-//! workloads and reports the same rows; its `gups_agas_net` series drives
-//! the NIC translation table and owner caches hard enough that the
-//! translation counters are meaningfully nonzero.
+//! The experiments (E1–A3) print paper-style tables. The series (`ops`,
+//! `chaos`, `membership`, `amo`, `ring`, `parallel`) print each row from
+//! one field list: an aligned table whose header is the field names, or
+//! with `--json` one `{"id":…,…}` line per row with the same fields (the
+//! only stdout lines starting with `{`). Each series checks its own gate
+//! and exits 1 naming every failed check; a bad argument exits 2.
 
 use agas::GasMode;
 use bench::*;
-use netsim::{telemetry, NetConfig, Time};
+use netsim::NetConfig;
 use rayon::prelude::*;
-use std::time::Instant;
 
 fn header(id: &str, title: &str) {
     println!();
@@ -564,84 +560,109 @@ fn e15() {
     }
 }
 
-/// One machine-readable measurement row (`--json`).
-struct PerfRow {
-    id: String,
-    series: String,
-    sim: Time,
-    wall_secs: f64,
-    events: u64,
-    xlate_lookups: u64,
-    xlate_probes: u64,
-    memo_hits: u64,
-    /// Counters that belong to this row alone (read from the world it ran,
-    /// not from the process-wide telemetry): appended to the JSON object
-    /// and printed under the table.
-    extra: Vec<(&'static str, u64)>,
+/// One cell of a series row: its table text and its JSON value.
+struct Cell(String, String);
+
+macro_rules! int_cells {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Cell {
+            fn from(v: $t) -> Cell {
+                Cell(v.to_string(), v.to_string())
+            }
+        }
+    )*};
+}
+int_cells!(u64, usize, u32);
+
+impl From<String> for Cell {
+    fn from(v: String) -> Cell {
+        let json = format!("\"{v}\"");
+        Cell(v, json)
+    }
 }
 
-impl PerfRow {
-    fn events_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.events as f64 / self.wall_secs
-        } else {
-            0.0
-        }
+/// A float with this many decimals.
+impl From<(f64, usize)> for Cell {
+    fn from((v, d): (f64, usize)) -> Cell {
+        Cell(format!("{v:.d$}"), format!("{v:.d$}"))
     }
+}
 
-    /// Mean slots examined per translation lookup (1.0 = every lookup hit
-    /// its home slot).
-    fn probes_per_lookup(&self) -> f64 {
-        if self.xlate_lookups > 0 {
-            self.xlate_probes as f64 / self.xlate_lookups as f64
-        } else {
-            0.0
-        }
+/// A float list, each with this many decimals.
+impl From<(Vec<f64>, usize)> for Cell {
+    fn from((v, d): (Vec<f64>, usize)) -> Cell {
+        let text: Vec<String> = v.iter().map(|x| format!("{x:.d$}")).collect();
+        let text = text.join(",");
+        Cell(text.clone(), format!("[{text}]"))
     }
+}
 
-    fn json(&self) -> String {
-        let extra: String = self
-            .extra
+/// One row of a series: its id and its named cells, in print order.
+struct Row {
+    id: &'static str,
+    cells: Vec<(&'static str, Cell)>,
+}
+
+/// `row!(id; "key" => value, ...)`: each field named once. A value is an
+/// integer, a `String`, `(float, decimals)` or `(float list, decimals)`.
+macro_rules! row {
+    ($id:expr; $($k:literal => $v:expr),* $(,)?) => {
+        Row { id: $id, cells: vec![$(($k, Cell::from($v))),*] }
+    };
+}
+
+/// Print `rows` (one shape of one series) as `{"id":…,…}` JSON lines, or
+/// as an aligned table whose header is the keys.
+fn print_rows(json: bool, rows: &[Row]) {
+    if json {
+        for r in rows {
+            let cells: String = r
+                .cells
+                .iter()
+                .map(|(k, Cell(_, json))| format!(",\"{k}\":{json}"))
+                .collect();
+            println!("{{\"id\":\"{}\"{cells}}}", r.id);
+        }
+        return;
+    }
+    let Some(first) = rows.first() else { return };
+    let text: Vec<Vec<&str>> = rows
+        .iter()
+        .map(|r| r.cells.iter().map(|(_, Cell(t, _))| t.as_str()).collect())
+        .collect();
+    // Strings align left, numbers right; each column as wide as its widest.
+    let columns: Vec<(usize, bool)> = first
+        .cells
+        .iter()
+        .enumerate()
+        .map(|(i, (key, Cell(_, json)))| {
+            let width = text.iter().map(|t| t[i].len()).fold(key.len(), usize::max);
+            (width, json.starts_with('"'))
+        })
+        .collect();
+    let line = |cells: Vec<&str>| {
+        let padded: Vec<String> = cells
             .iter()
-            .map(|(k, v)| format!(",\"{k}\":{v}"))
+            .zip(&columns)
+            .map(|(c, &(w, left))| {
+                if left {
+                    format!("{c:<w$}")
+                } else {
+                    format!("{c:>w$}")
+                }
+            })
             .collect();
-        format!(
-            concat!(
-                "{{\"id\":\"{}\",\"series\":\"{}\",\"sim_time_ps\":{},",
-                "\"wall_seconds\":{:.6},\"events\":{},\"events_per_sec\":{:.0},",
-                "\"xlate_lookups\":{},\"xlate_probes\":{},\"memo_hits\":{}{}}}"
-            ),
-            self.id,
-            self.series,
-            self.sim.ps(),
-            self.wall_secs,
-            self.events,
-            self.events_per_sec(),
-            self.xlate_lookups,
-            self.xlate_probes,
-            self.memo_hits,
-            extra
-        )
-    }
+        println!("{}", padded.join(" ").trim_end());
+    };
+    line(first.cells.iter().map(|(k, _)| *k).collect());
+    text.into_iter().for_each(line);
 }
 
-/// Run `f`, measuring wall clock and the engine-telemetry delta it causes.
-fn measure(id: &str, series: &str, f: impl FnOnce()) -> PerfRow {
-    let before = telemetry::snapshot();
-    let t = Instant::now();
-    f();
-    let wall_secs = t.elapsed().as_secs_f64();
-    let d = telemetry::snapshot().since(before);
-    PerfRow {
-        id: id.into(),
-        series: series.into(),
-        sim: Time::from_ps(d.sim_ps),
-        wall_secs,
-        events: d.events,
-        xlate_lookups: d.xlate_lookups,
-        xlate_probes: d.xlate_probes,
-        memo_hits: d.memo_hits,
-        extra: Vec::new(),
+/// Exit 1 naming every failed check of `series`, if any failed.
+fn gate(series: &str, bad: Vec<String>) {
+    if !bad.is_empty() {
+        eprintln!("{series} cells FAILED:\n  {}", bad.join("\n  "));
+        std::process::exit(1);
     }
 }
 
@@ -689,44 +710,34 @@ fn ops_dump(json: bool) {
     }
 
     rt.run();
-    let outcomes = rt.eng.state.total_outcomes();
+    let o = rt.eng.state.total_outcomes();
     let stats = rt.eng.state.total_gas_stats();
-    if json {
-        println!(
-            concat!(
-                "{{\"id\":\"ops\",\"in_flight_at_freeze\":{},",
-                "\"completed\":{},\"nacked\":{},\"nacked_miss\":{},",
-                "\"nacked_ttl\":{},\"nacked_bounds\":{},\"retried\":{},",
-                "\"deadline_exceeded\":{},\"protocol_violations\":{},",
-                "\"stale_completions\":{},\"ops_failed\":{}}}"
-            ),
-            in_flight,
-            outcomes.completed,
-            outcomes.nacked(),
-            outcomes.nacked_miss,
-            outcomes.nacked_ttl,
-            outcomes.nacked_bounds,
-            outcomes.retried,
-            outcomes.deadline_exceeded,
-            outcomes.protocol_violations,
-            stats.stale_completions,
-            stats.ops_failed,
-        );
-    } else {
-        println!("-- after quiescence:");
-        println!("  outcomes: {outcomes}");
-        println!(
-            "  stale completions {} | ops failed {}",
-            stats.stale_completions, stats.ops_failed
-        );
-    }
+    print_rows(
+        json,
+        &[row!("ops";
+            "in_flight_at_freeze" => in_flight,
+            "completed" => o.completed,
+            "nacked" => o.nacked(),
+            "nacked_miss" => o.nacked_miss,
+            "nacked_ttl" => o.nacked_ttl,
+            "nacked_bounds" => o.nacked_bounds,
+            "retried" => o.retried,
+            "deadline_exceeded" => o.deadline_exceeded,
+            "protocol_violations" => o.protocol_violations,
+            "stale_completions" => stats.stale_completions,
+            "ops_failed" => stats.ops_failed,
+        )],
+    );
 }
 
 /// `chaos [seed]` — the fault-injection matrix (DESIGN.md §3.4): every GAS
 /// mode under seeded fault mixes with migration churn, reporting
 /// injection, recovery, and the history checker's verdict. Exits nonzero
-/// if any cell fails its gate. Fully deterministic for a given seed,
-/// including `--json` output (no wall-clock fields).
+/// if any cell fails its gate: zero violations, full op accounting, no
+/// corrupt get data, and on the loss-heavy mixes (drop5, corrupt4) nonzero
+/// injection and deadline recovery — a fault plane that silently stops
+/// injecting cannot pass. Fully deterministic for a given seed, including
+/// `--json` output (no wall-clock fields).
 fn chaos(json: bool, seed: u64) {
     use netsim::FaultPlan;
     use workloads::chaos::{corrupt_mix, drop_mix, run_chaos, ChaosConfig};
@@ -749,99 +760,58 @@ fn chaos(json: bool, seed: u64) {
                 .map(move |(label, plan)| (mode, *label, plan.clone()))
         })
         .collect();
-    let rows: Vec<_> = cells
+    let runs: Vec<_> = cells
         .par_iter()
-        .map(|(mode, label, plan)| {
-            let r = run_chaos(&ChaosConfig {
+        .map(|(mode, _, plan)| {
+            run_chaos(&ChaosConfig {
                 mode: *mode,
                 plan: plan.clone(),
                 seed,
                 rounds: 20,
                 churn: 3,
                 ..ChaosConfig::default()
-            });
-            (*mode, *label, r)
+            })
         })
         .collect();
-    if !json {
-        println!(
-            "{:<10} {:<9} {:>7} {:>5} {:>6} {:>8} {:>8} {:>6} {:>6} {:>7} {:>5} {:>5}",
-            "mode",
-            "mix",
-            "dropped",
-            "dup",
-            "crpt",
-            "retries",
-            "dl-retry",
-            "fwds",
-            "nacks",
-            "failed",
-            "acct",
-            "viol"
-        );
-    }
-    for (mode, label, r) in &rows {
-        if json {
-            println!(
-                concat!(
-                    "{{\"id\":\"chaos\",\"series\":\"{}/{}\",\"seed\":{},",
-                    "\"sim_time_ps\":{},\"events\":{},\"trace_hash\":{},",
-                    "\"delivered\":{},\"dropped\":{},\"duplicated\":{},",
-                    "\"corrupted\":{},\"corrupt_drops\":{},",
-                    "\"retries\":{},\"deadline_retries\":{},\"sw_fallbacks\":{},",
-                    "\"xlate_forwards\":{},\"nacks_sent\":{},",
-                    "\"issued\":{},\"acked\":{},\"ops_failed\":{},",
-                    "\"data_mismatches\":{},\"violations\":{}}}"
-                ),
-                mode.label(),
-                label,
-                seed,
-                r.end.ps(),
-                r.events,
-                r.trace_hash,
-                r.faults.delivered,
-                r.faults.total_drops(),
-                r.faults.duplicated,
-                r.faults.corrupted,
-                r.faults.corrupt_drops,
-                r.gas.retries,
-                r.gas.deadline_retries,
-                r.gas.sw_fallbacks,
-                r.net.xlate_forwards,
-                r.net.nacks_sent,
-                r.issued(),
-                r.acked(),
-                r.op_failures,
-                r.data_mismatches,
-                r.violations.len(),
-            );
-        } else {
-            println!(
-                "{:<10} {:<9} {:>7} {:>5} {:>6} {:>8} {:>8} {:>6} {:>6} {:>7} {:>5} {:>5}",
-                mode.label(),
-                label,
-                r.faults.total_drops(),
-                r.faults.duplicated,
-                r.faults.corrupted + r.faults.corrupt_drops,
-                r.gas.retries,
-                r.gas.deadline_retries,
-                r.net.xlate_forwards,
-                r.net.nacks_sent,
-                r.op_failures,
-                if r.accounted() { "ok" } else { "LEAK" },
-                r.violations.len()
-            );
+    let mut rows = Vec::new();
+    let mut bad = Vec::new();
+    for ((mode, label, _), r) in cells.iter().zip(&runs) {
+        let series = format!("{}/{label}", mode.label());
+        if !r.passed() {
+            bad.push(format!("{series}: history, accounting or get data failed"));
         }
+        let lossy = matches!(*label, "drop5" | "corrupt4");
+        if lossy && r.gas.deadline_retries == 0 {
+            bad.push(format!("{series}: deadline recovery never fired"));
+        }
+        if lossy && r.faults.total_drops() + r.faults.corrupt_drops == 0 {
+            bad.push(format!("{series}: nothing was injected"));
+        }
+        rows.push(row!("chaos";
+            "series" => series,
+            "seed" => seed,
+            "sim_time_ps" => r.end.ps(),
+            "events" => r.events,
+            "trace_hash" => r.trace_hash,
+            "delivered" => r.faults.delivered,
+            "dropped" => r.faults.total_drops(),
+            "duplicated" => r.faults.duplicated,
+            "corrupted" => r.faults.corrupted,
+            "corrupt_drops" => r.faults.corrupt_drops,
+            "retries" => r.gas.retries,
+            "deadline_retries" => r.gas.deadline_retries,
+            "sw_fallbacks" => r.gas.sw_fallbacks,
+            "xlate_forwards" => r.net.xlate_forwards,
+            "nacks_sent" => r.net.nacks_sent,
+            "issued" => r.issued(),
+            "acked" => r.acked(),
+            "ops_failed" => r.op_failures,
+            "data_mismatches" => r.data_mismatches,
+            "violations" => r.violations.len(),
+        ));
     }
-    let bad: Vec<_> = rows
-        .iter()
-        .filter(|(_, _, r)| !r.passed())
-        .map(|(mode, label, _)| format!("{}/{}", mode.label(), label))
-        .collect();
-    if !bad.is_empty() {
-        eprintln!("chaos cells FAILED: {}", bad.join(", "));
-        std::process::exit(1);
-    }
+    print_rows(json, &rows);
+    gate("chaos", bad);
 }
 
 /// `membership [seed]` — the elastic membership plane (DESIGN.md §3.9):
@@ -864,23 +834,8 @@ fn membership(json: bool, seed: u64) {
         ("lossless", FaultPlan::lossless(9 ^ seed)),
         ("drop2", drop_mix(21 ^ seed, 0.02)),
     ];
-    if !json {
-        println!(
-            "{:<10} {:<9} {:>6} {:>7} {:>7} {:>8} {:>9} {:>6} {:>7} {:>5} {:>5}",
-            "mode",
-            "mix",
-            "joined",
-            "drained",
-            "crashed",
-            "rehomed",
-            "recovered",
-            "stale",
-            "failed",
-            "acct",
-            "viol"
-        );
-    }
-    let mut bad: Vec<String> = Vec::new();
+    let mut rows = Vec::new();
+    let mut bad = Vec::new();
     for mode in GasMode::ALL {
         for (label, plan) in &mixes {
             let r = run_chaos(&ChaosConfig {
@@ -894,50 +849,7 @@ fn membership(json: bool, seed: u64) {
                 ..ChaosConfig::default()
             });
             let g = &r.gas;
-            if json {
-                println!(
-                    concat!(
-                        "{{\"id\":\"membership\",\"series\":\"{}/{}\",\"seed\":{},",
-                        "\"sim_time_ps\":{},\"events\":{},\"trace_hash\":{},",
-                        "\"members_joined\":{},\"members_drained\":{},",
-                        "\"members_crashed\":{},\"blocks_rehomed\":{},",
-                        "\"blocks_recovered\":{},\"stale_xlate_dropped\":{},",
-                        "\"issued\":{},\"acked\":{},\"op_failures\":{},",
-                        "\"violations\":{}}}"
-                    ),
-                    mode.label(),
-                    label,
-                    seed,
-                    r.end.ps(),
-                    r.events,
-                    r.trace_hash,
-                    g.members_joined,
-                    g.members_drained,
-                    g.members_crashed,
-                    g.blocks_rehomed,
-                    g.blocks_recovered,
-                    g.stale_xlate_dropped,
-                    r.issued(),
-                    r.acked(),
-                    r.op_failures,
-                    r.violations.len(),
-                );
-            } else {
-                println!(
-                    "{:<10} {:<9} {:>6} {:>7} {:>7} {:>8} {:>9} {:>6} {:>7} {:>5} {:>5}",
-                    mode.label(),
-                    label,
-                    g.members_joined,
-                    g.members_drained,
-                    g.members_crashed,
-                    g.blocks_rehomed,
-                    g.blocks_recovered,
-                    g.stale_xlate_dropped,
-                    r.op_failures,
-                    if r.accounted() { "ok" } else { "LEAK" },
-                    r.violations.len()
-                );
-            }
+            let series = format!("{}/{label}", mode.label());
             let ok = r.passed()
                 && g.members_joined == 1
                 && g.members_drained == 1
@@ -945,25 +857,40 @@ fn membership(json: bool, seed: u64) {
                 && (!mode.supports_migration()
                     || (g.members_crashed == 1 && g.blocks_recovered > 0));
             if !ok {
-                bad.push(format!("{}/{}", mode.label(), label));
+                bad.push(series.clone());
             }
+            rows.push(row!("membership";
+                "series" => series,
+                "seed" => seed,
+                "sim_time_ps" => r.end.ps(),
+                "events" => r.events,
+                "trace_hash" => r.trace_hash,
+                "members_joined" => g.members_joined,
+                "members_drained" => g.members_drained,
+                "members_crashed" => g.members_crashed,
+                "blocks_rehomed" => g.blocks_rehomed,
+                "blocks_recovered" => g.blocks_recovered,
+                "stale_xlate_dropped" => g.stale_xlate_dropped,
+                "issued" => r.issued(),
+                "acked" => r.acked(),
+                "op_failures" => r.op_failures,
+                "violations" => r.violations.len(),
+            ));
         }
     }
-    if !bad.is_empty() {
-        eprintln!("membership cells FAILED: {}", bad.join(", "));
-        std::process::exit(1);
-    }
+    print_rows(json, &rows);
+    gate("membership", bad);
 }
 
 /// `amo [--ops N]` — the NIC-executed active-operation series (DESIGN.md
 /// §3.6): contended fetch-add and CAS-retry throughput on one hot block,
 /// each as an A/B between NIC-side execution (`agas-net`: translation +
 /// op in one NIC visit) and the emulated round-trip (`agas-sw`: the
-/// request bounces to the owner's CPU). `ns/op` is simulated round-trip
-/// time per completed logical op — the headline comparison. Exits nonzero
-/// if any cell leaks ops, or if the NIC/software counter split does not
-/// match the mode (NIC mode must execute at the NIC; software mode must
-/// never touch the NIC counters).
+/// request bounces to the owner's CPU). `ns_per_op` is simulated
+/// round-trip time per completed logical op — the headline comparison.
+/// Exits nonzero if any cell leaks ops, or if the NIC/software counter
+/// split does not match the mode (NIC mode must execute at the NIC;
+/// software mode must never touch the NIC counters).
 fn amo(json: bool, ops_per_loc: u64) {
     use agas::AmoPumpKind;
 
@@ -973,7 +900,7 @@ fn amo(json: bool, ops_per_loc: u64) {
     );
     let kinds = [AmoPumpKind::FetchAdd, AmoPumpKind::CasRetry];
     let modes = [GasMode::AgasSoftware, GasMode::AgasNetwork];
-    let mut rows: Vec<AmoBenchRow> = Vec::new();
+    let mut cells: Vec<AmoBenchRow> = Vec::new();
     for kind in kinds {
         for locs in [2usize, 4, 8, 16] {
             for mode in modes {
@@ -982,81 +909,41 @@ fn amo(json: bool, ops_per_loc: u64) {
                     ops_per_loc,
                     ..AmoBenchConfig::default()
                 };
-                rows.push(amo_bench(&cfg, kind, mode));
+                cells.push(amo_bench(&cfg, kind, mode));
             }
         }
     }
-    if !json {
-        println!(
-            "{:<5} {:<9} {:>5} {:>7} {:>8} {:>9} {:>8} {:>9} {:>6} {:>5} {:>9} {:>10}",
-            "kind",
-            "mode",
-            "locs",
-            "ops",
-            "retries",
-            "ns/op",
-            "ops/us",
-            "nic-exec",
-            "nacks",
-            "fwd",
-            "events",
-            "sim time"
-        );
-    }
-    for r in &rows {
-        if json {
-            println!(
-                concat!(
-                    "{{\"id\":\"amo\",\"series\":\"{}/{}\",\"localities\":{},",
-                    "\"ops\":{},\"budget\":{},\"cas_retries\":{},\"amo_acks\":{},",
-                    "\"op_failures\":{},\"events\":{},\"sim_time_ps\":{},",
-                    "\"wall_seconds\":{:.6},\"ns_per_op\":{:.1},",
-                    "\"ops_per_sim_us\":{:.3},\"trace_hash\":{},",
-                    "\"amo_executed\":{},\"amo_nacked\":{},\"amo_forwarded\":{}}}"
-                ),
-                r.kind_label(),
-                r.mode.label(),
-                r.localities,
-                r.ops,
-                r.budget,
-                r.cas_retries,
-                r.amo_acks,
-                r.op_failures,
-                r.events,
-                r.sim.ps(),
-                r.wall_secs,
-                r.ns_per_op(),
-                r.ops_per_sim_us(),
-                r.trace_hash,
-                r.nic_executed,
-                r.nic_nacked,
-                r.nic_forwarded,
-            );
-        } else {
-            println!(
-                "{:<5} {:<9} {:>5} {:>7} {:>8} {:>9.1} {:>8.3} {:>9} {:>6} {:>5} {:>9} {:>10}",
-                r.kind_label(),
-                r.mode.label(),
-                r.localities,
-                r.ops,
-                r.cas_retries,
-                r.ns_per_op(),
-                r.ops_per_sim_us(),
-                r.nic_executed,
-                r.nic_nacked,
-                r.nic_forwarded,
-                r.events,
-                format!("{}", r.sim)
-            );
-        }
-    }
+    let rows: Vec<Row> = cells
+        .iter()
+        .map(|r| {
+            row!("amo";
+                "series" => format!("{}/{}", r.kind_label(), r.mode.label()),
+                "localities" => r.localities,
+                "ops" => r.ops,
+                "budget" => r.budget,
+                "cas_retries" => r.cas_retries,
+                "amo_acks" => r.amo_acks,
+                "op_failures" => r.op_failures,
+                "events" => r.events,
+                "sim_time_ps" => r.sim.ps(),
+                "ns_per_op" => (r.ns_per_op(), 1),
+                "ops_per_sim_us" => (r.ops_per_sim_us(), 3),
+                "trace_hash" => r.trace_hash,
+                "amo_executed" => r.nic_executed,
+                "amo_nacked" => r.nic_nacked,
+                "amo_forwarded" => r.nic_forwarded,
+            )
+        })
+        .collect();
+    print_rows(json, &rows);
     if !json {
         // The A/B in one line per shape: how much simulated round-trip
         // time the NIC-side execution saves at each contention level.
         for kind in kinds {
             for locs in [2usize, 4, 8, 16] {
                 let find = |mode: GasMode| {
-                    rows.iter()
+                    cells
+                        .iter()
                         .find(|r| r.kind == kind && r.mode == mode && r.localities == locs)
                         .expect("every cell ran")
                 };
@@ -1072,7 +959,7 @@ fn amo(json: bool, ops_per_loc: u64) {
         }
     }
     let mut bad: Vec<String> = Vec::new();
-    for r in &rows {
+    for r in &cells {
         let tag = format!("{}/{}/{}", r.kind_label(), r.mode.label(), r.localities);
         if !r.clean() {
             bad.push(format!(
@@ -1095,7 +982,7 @@ fn amo(json: bool, ops_per_loc: u64) {
             _ => {}
         }
     }
-    let cas_retries: u64 = rows
+    let cas_retries: u64 = cells
         .iter()
         .filter(|r| r.kind == AmoPumpKind::CasRetry)
         .map(|r| r.cas_retries)
@@ -1103,41 +990,7 @@ fn amo(json: bool, ops_per_loc: u64) {
     if cas_retries == 0 {
         bad.push("no CAS ever lost the race — the workload is not contended".into());
     }
-    // The ring-enabled cell: AMOs issued through the submission rings must
-    // share doorbells when several target the same responder.
-    let ab = amo_ring_batching(64);
-    if json {
-        println!(
-            concat!(
-                "{{\"id\":\"amo\",\"series\":\"ring_batch\",\"amos\":{},",
-                "\"amo_batched\":{},\"ring_doorbells\":{},\"sim_time_ps\":{},",
-                "\"counter\":{}}}"
-            ),
-            ab.amos,
-            ab.amo_batched,
-            ab.doorbells,
-            ab.elapsed.ps(),
-            ab.counter,
-        );
-    } else {
-        println!(
-            "-- ring batching: {} of {} fetch-adds shared a doorbell ({} doorbells)",
-            ab.amo_batched, ab.amos, ab.doorbells
-        );
-    }
-    if ab.amo_batched == 0 {
-        bad.push("ring_batch: concurrent AMOs never shared a ring doorbell".into());
-    }
-    if ab.counter != ab.amos {
-        bad.push(format!(
-            "ring_batch: counter {} after {} fetch-adds",
-            ab.counter, ab.amos
-        ));
-    }
-    if !bad.is_empty() {
-        eprintln!("amo cells FAILED:\n  {}", bad.join("\n  "));
-        std::process::exit(1);
-    }
+    gate("amo", bad);
 }
 
 /// `ring [--ops N]` — the descriptor-ring issue-path series (DESIGN.md
@@ -1145,144 +998,107 @@ fn amo(json: bool, ops_per_loc: u64) {
 /// the photon submission rings at increasing `doorbell_batch`), the
 /// shm-vs-network crossover (intra-domain puts/gets short-circuit the NIC
 /// with zero wire messages), and the AMO-batching cell. Exits nonzero if
-/// rings fail to batch (descriptors per doorbell, occupancy), if an
-/// intra-domain op touches the wire or loses to the network path, or if
-/// concurrent AMOs never share a doorbell.
+/// disabled rings ring, if doorbells do not fall strictly from batch 1 to
+/// 4 to 16, if batch-16 rings do not coalesce and fill (≥ 8 descriptors
+/// per doorbell and in flight), if an intra-domain op touches the wire or
+/// loses to the network path, or if concurrent AMOs never share a
+/// doorbell.
 fn ring(json: bool, ops: u64) {
     header(
         "ring",
         &format!("descriptor-ring issue path: doorbell batching + shm crossover ({ops} ops)"),
     );
-    let rungs = [0usize, 1, 4, 16];
-    let ladder: Vec<RingLadderRow> = rungs.iter().map(|&b| ring_ladder_row(b, ops)).collect();
-    if !json {
-        println!(
-            "{:>6} {:>7} {:>12} {:>10} {:>9} {:>7} {:>8} {:>7} {:>8}",
-            "batch", "ops", "sim time", "doorbells", "descs", "coal", "desc/db", "occ", "db/op"
-        );
-    }
-    for r in &ladder {
-        if json {
-            println!(
-                concat!(
-                    "{{\"id\":\"ring\",\"series\":\"ladder/batch{}\",\"ops\":{},",
-                    "\"sim_time_ps\":{},\"events\":{},\"messages\":{},",
-                    "\"ring_doorbells\":{},\"ring_descs\":{},\"ring_coalesced\":{},",
-                    "\"max_occupancy\":{},\"descs_per_doorbell\":{:.3},",
-                    "\"doorbells_per_op\":{:.4}}}"
-                ),
-                r.batch,
-                r.ops,
-                r.elapsed.ps(),
-                r.events,
-                r.msgs,
-                r.doorbells,
-                r.descs,
-                r.coalesced,
-                r.max_occupancy,
-                r.descs_per_doorbell(),
-                r.doorbells_per_op(),
-            );
-        } else {
-            println!(
-                "{:>6} {:>7} {:>12} {:>10} {:>9} {:>7} {:>8.2} {:>7} {:>8.4}",
-                if r.batch == 0 {
-                    "off".into()
-                } else {
-                    r.batch.to_string()
-                },
-                r.ops,
-                format!("{}", r.elapsed),
-                r.doorbells,
-                r.descs,
-                r.coalesced,
-                r.descs_per_doorbell(),
-                r.max_occupancy,
-                r.doorbells_per_op(),
-            );
-        }
-    }
-    let sizes = [8u32, 256, 4096, 65536];
-    let cross: Vec<ShmCrossRow> = sizes.iter().map(|&s| shm_cross_row(s)).collect();
-    if !json {
-        println!(
-            "{:>9} {:>12} {:>12} {:>12} {:>12} {:>9} {:>9}",
-            "size", "net put", "shm put", "net get", "shm get", "speedup", "shm msgs"
-        );
-    }
-    for c in &cross {
-        if json {
-            println!(
-                concat!(
-                    "{{\"id\":\"ring\",\"series\":\"shm_cross/{}\",",
-                    "\"net_put_ps\":{},\"shm_put_ps\":{},",
-                    "\"net_get_ps\":{},\"shm_get_ps\":{},",
-                    "\"put_speedup\":{:.3},\"shm_msgs\":{},\"shm_ops\":{}}}"
-                ),
-                c.size,
-                c.net_put.ps(),
-                c.shm_put.ps(),
-                c.net_get.ps(),
-                c.shm_get.ps(),
-                c.put_speedup(),
-                c.shm_msgs,
-                c.shm_ops,
-            );
-        } else {
-            println!(
-                "{:>9} {:>12} {:>12} {:>12} {:>12} {:>8.2}x {:>9}",
-                c.size,
-                format!("{}", c.net_put),
-                format!("{}", c.shm_put),
-                format!("{}", c.net_get),
-                format!("{}", c.shm_get),
-                c.put_speedup(),
-                c.shm_msgs,
-            );
-        }
-    }
+    let ladder: Vec<RingLadderRow> = [0usize, 1, 4, 16]
+        .iter()
+        .map(|&b| ring_ladder_row(b, ops))
+        .collect();
+    let rows: Vec<Row> = ladder
+        .iter()
+        .map(|r| {
+            row!("ring";
+                "series" => format!("ladder/batch{}", r.batch),
+                "ops" => r.ops,
+                "sim_time_ps" => r.elapsed.ps(),
+                "events" => r.events,
+                "messages" => r.msgs,
+                "ring_doorbells" => r.doorbells,
+                "ring_descs" => r.descs,
+                "ring_coalesced" => r.coalesced,
+                "max_occupancy" => r.max_occupancy,
+                "descs_per_doorbell" => (r.descs_per_doorbell(), 3),
+                "doorbells_per_op" => (r.doorbells_per_op(), 4),
+            )
+        })
+        .collect();
+    print_rows(json, &rows);
+    let cross: Vec<ShmCrossRow> = [8u32, 256, 4096, 65536]
+        .iter()
+        .map(|&s| shm_cross_row(s))
+        .collect();
+    let rows: Vec<Row> = cross
+        .iter()
+        .map(|c| {
+            row!("ring";
+                "series" => format!("shm_cross/{}", c.size),
+                "net_put_ps" => c.net_put.ps(),
+                "shm_put_ps" => c.shm_put.ps(),
+                "net_get_ps" => c.net_get.ps(),
+                "shm_get_ps" => c.shm_get.ps(),
+                "put_speedup" => (c.put_speedup(), 3),
+                "shm_msgs" => c.shm_msgs,
+                "shm_ops" => c.shm_ops,
+            )
+        })
+        .collect();
+    print_rows(json, &rows);
+    // AMOs issued through the submission rings must share doorbells when
+    // several target the same responder, without losing an increment.
     let ab = amo_ring_batching(64);
-    if json {
-        println!(
-            concat!(
-                "{{\"id\":\"ring\",\"series\":\"amo_batch\",\"amos\":{},",
-                "\"amo_batched\":{},\"ring_doorbells\":{},\"sim_time_ps\":{},",
-                "\"counter\":{}}}"
-            ),
-            ab.amos,
-            ab.amo_batched,
-            ab.doorbells,
-            ab.elapsed.ps(),
-            ab.counter,
-        );
-    } else {
-        println!(
-            "amo batching: {} fetch-adds, {} shared a doorbell ({} doorbells), counter {}",
-            ab.amos, ab.amo_batched, ab.doorbells, ab.counter
-        );
-    }
+    print_rows(
+        json,
+        &[row!("ring";
+            "series" => "amo_batch".to_string(),
+            "amos" => ab.amos,
+            "amo_batched" => ab.amo_batched,
+            "ring_doorbells" => ab.doorbells,
+            "sim_time_ps" => ab.elapsed.ps(),
+            "counter" => ab.counter,
+        )],
+    );
     let mut bad: Vec<String> = Vec::new();
-    let rung = |b: usize| ladder.iter().find(|r| r.batch == b).expect("rung ran");
-    let (b1, b16) = (rung(1), rung(16));
-    if b16.doorbells == 0 {
-        bad.push("batch16: rings never rang a doorbell".into());
+    if ab.amo_batched == 0 {
+        bad.push("amo_batch: concurrent AMOs never shared a ring doorbell".into());
     }
-    if b16.descs_per_doorbell() < 2.0 {
+    if ab.counter != ab.amos {
+        bad.push(format!(
+            "amo_batch: counter {} after {} fetch-adds",
+            ab.counter, ab.amos
+        ));
+    }
+    let rung = |b: usize| ladder.iter().find(|r| r.batch == b).expect("rung ran");
+    let (b0, b1, b4, b16) = (rung(0), rung(1), rung(4), rung(16));
+    if b0.doorbells != 0 {
+        bad.push(format!(
+            "batch0: disabled rings rang {} doorbells",
+            b0.doorbells
+        ));
+    }
+    if !(b1.doorbells > b4.doorbells && b4.doorbells > b16.doorbells && b16.doorbells > 0) {
+        bad.push(format!(
+            "doorbells {} / {} / {} at batch 1 / 4 / 16 — not strictly falling",
+            b1.doorbells, b4.doorbells, b16.doorbells
+        ));
+    }
+    if b16.descs_per_doorbell() < 8.0 {
         bad.push(format!(
             "batch16: {:.2} descs/doorbell — descriptors are not batching",
             b16.descs_per_doorbell()
         ));
     }
-    if b16.max_occupancy < 2 {
+    if b16.max_occupancy < 8 {
         bad.push(format!(
-            "batch16: max ring occupancy {} — ops never queued behind each other",
+            "batch16: max ring occupancy {} — rings never filled",
             b16.max_occupancy
-        ));
-    }
-    if b16.doorbells >= b1.doorbells {
-        bad.push(format!(
-            "batch16 rang {} doorbells vs batch1's {} — batching did not reduce doorbell events",
-            b16.doorbells, b1.doorbells
         ));
     }
     for c in &cross {
@@ -1305,19 +1121,7 @@ fn ring(json: bool, ops: u64) {
             ));
         }
     }
-    if ab.amo_batched == 0 {
-        bad.push("amo_batch: concurrent AMOs never shared a ring doorbell".into());
-    }
-    if ab.counter != ab.amos {
-        bad.push(format!(
-            "amo_batch: counter {} after {} fetch-adds",
-            ab.counter, ab.amos
-        ));
-    }
-    if !bad.is_empty() {
-        eprintln!("ring cells FAILED:\n  {}", bad.join("\n  "));
-        std::process::exit(1);
-    }
+    gate("ring", bad);
 }
 
 /// `parallel [--shards N] [--locs N] [--updates N]` — the sharded-engine
@@ -1327,9 +1131,12 @@ fn ring(json: bool, ops: u64) {
 /// lane count up to `--shards`. Wall-clock throughput scales with lanes
 /// (given enough host cores); the simulated results — trace hash, clock,
 /// event and update counts — must be bit-identical at every lane count of
-/// a series, and the process exits nonzero if they are not. JSON rows
-/// carry the host probe's paired ratio (`repro host`, ≈ 10 s): a threaded
-/// wall-clock point says nothing without it.
+/// a series, the two series must hash differently (a jitter that stopped
+/// drawing would not), and every sharded row must report windows, one
+/// utilization per lane, a sync overhead in [0, 1] and a non-negative
+/// barrier cost; the process exits nonzero otherwise. Rows carry the host
+/// probe's paired ratio (`repro host`, ≈ 10 s), which must be positive: a
+/// threaded wall-clock point says nothing without it.
 fn parallel(json: bool, max_shards: usize, cfg: &ParallelGupsConfig) {
     header(
         "parallel",
@@ -1339,260 +1146,74 @@ fn parallel(json: bool, max_shards: usize, cfg: &ParallelGupsConfig) {
         ),
     );
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let host_pair_ratio = if json {
-        probe_host().paired_ratio()
-    } else {
-        0.0
-    };
-    if !json {
-        println!("(host has {cores} core(s); speedup needs cores >= shards)");
+    let host_pair_ratio = probe_host().paired_ratio();
+    let mut rows = Vec::new();
+    let mut bad = Vec::new();
+    if host_pair_ratio <= 0.0 {
+        bad.push(format!(
+            "host probe returned paired ratio {host_pair_ratio}"
+        ));
     }
-    let mut diverged = Vec::new();
+    let mut hashes = Vec::new();
     for (series, net) in parallel_fabrics() {
         // Runs are strictly serial: each one owns the machine while timed.
-        let rows: Vec<ParallelGupsRow> = shard_ladder(max_shards)
+        let runs: Vec<ParallelGupsRow> = shard_ladder(max_shards)
             .into_iter()
             .map(|k| parallel_gups(cfg, net, k))
             .collect();
-        let base = rows[0].events_per_sec();
-        if !json {
-            println!("{series} (jitter {} ns)", net.jitter_ns);
-            println!(
-                "{:>7} {:>11} {:>9} {:>13} {:>8} {:>9} {:>7} {:>11}",
-                "shards", "events", "wall s", "events/sec", "speedup", "windows", "sync%", "util"
-            );
-        }
-        for r in &rows {
+        let (gold, base) = (&runs[0], runs[0].events_per_sec());
+        hashes.push(gold.trace_hash);
+        for r in &runs {
+            let tag = format!("{series} at {} shards", r.shards);
+            if (r.trace_hash, r.sim, r.events, r.updates)
+                != (gold.trace_hash, gold.sim, gold.events, gold.updates)
+            {
+                bad.push(format!("{tag}: diverged from the sequential trace"));
+            }
+            let sharded_ok = r.windows > 0
+                && r.utilization.len() == r.shards
+                && (0.0..=1.0).contains(&r.sync_overhead)
+                && r.barrier_ns_per_event >= 0.0;
+            if r.shards > 1 && !sharded_ok {
+                bad.push(format!(
+                    "{tag}: {} windows, {} utilization entries, sync overhead {}, \
+                     barrier {} ns/event",
+                    r.windows,
+                    r.utilization.len(),
+                    r.sync_overhead,
+                    r.barrier_ns_per_event
+                ));
+            }
             let speedup = if base > 0.0 {
                 r.events_per_sec() / base
             } else {
                 0.0
             };
-            if json {
-                let util = r
-                    .utilization
-                    .iter()
-                    .map(|u| format!("{u:.4}"))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                println!(
-                    concat!(
-                        "{{\"id\":\"parallel\",\"series\":\"{}\",\"shards\":{},",
-                        "\"localities\":{},\"host_cores\":{},\"host_pair_ratio\":{:.3},",
-                        "\"updates\":{},\"events\":{},",
-                        "\"sim_time_ps\":{},\"wall_seconds\":{:.6},\"events_per_sec\":{:.0},",
-                        "\"speedup\":{:.4},\"trace_hash\":{},\"windows\":{},",
-                        "\"sync_overhead\":{:.4},\"barrier_ns_per_event\":{:.2},",
-                        "\"utilization\":[{}]}}"
-                    ),
-                    series,
-                    r.shards,
-                    r.localities,
-                    cores,
-                    host_pair_ratio,
-                    r.updates,
-                    r.events,
-                    r.sim.ps(),
-                    r.wall_secs,
-                    r.events_per_sec(),
-                    speedup,
-                    r.trace_hash,
-                    r.windows,
-                    r.sync_overhead,
-                    r.barrier_ns_per_event,
-                    util,
-                );
-            } else {
-                let util = if r.utilization.is_empty() {
-                    "-".into()
-                } else {
-                    let min = r.utilization.iter().cloned().fold(f64::INFINITY, f64::min);
-                    let max = r.utilization.iter().cloned().fold(0.0f64, f64::max);
-                    format!("{min:.2}-{max:.2}")
-                };
-                println!(
-                    "{:>7} {:>11} {:>9.3} {:>13.0} {:>7.2}x {:>9} {:>6.1}% {:>11}",
-                    r.shards,
-                    r.events,
-                    r.wall_secs,
-                    r.events_per_sec(),
-                    speedup,
-                    r.windows,
-                    r.sync_overhead * 100.0,
-                    util,
-                );
-            }
-        }
-        let gold = &rows[0];
-        diverged.extend(
-            rows.iter()
-                .filter(|r| {
-                    (r.trace_hash, r.sim, r.events, r.updates)
-                        != (gold.trace_hash, gold.sim, gold.events, gold.updates)
-                })
-                .map(|r| format!("{series} at {} shards", r.shards)),
-        );
-    }
-    if !diverged.is_empty() {
-        eprintln!(
-            "parallel runs DIVERGED from the sequential trace: {}",
-            diverged.join(", ")
-        );
-        std::process::exit(1);
-    }
-}
-
-/// Engine throughput on hot-path workloads (wall-clock events/sec).
-fn perf(json: bool) {
-    header(
-        "perf",
-        "engine wall-clock throughput (real time, not simulated)",
-    );
-
-    // Random-delay schedule/dispatch: the substrate microbench pattern,
-    // repeated until the measurement is comfortably long.
-    let dispatch = measure("perf", "dispatch_random", || {
-        for rep in 0..40u64 {
-            let mut eng = netsim::Engine::new(0u64, rep);
-            for i in 0..10_000u64 {
-                let d = netsim::rng::mix64(rep * 10_000 + i) % 1_000_000;
-                eng.schedule(Time::from_ps(d), move |e| e.state = e.state.wrapping_add(i));
-            }
-            eng.run();
-        }
-    });
-
-    // A self-rescheduling event chain: queue stays near-empty, measures
-    // per-event fixed cost.
-    let chain = measure("perf", "event_chain", || {
-        let mut eng = netsim::Engine::new(0u64, 1);
-        fn tick(e: &mut netsim::Engine<u64>) {
-            e.state += 1;
-            if e.state < 400_000 {
-                e.schedule(Time::from_ns(1), tick);
-            }
-        }
-        eng.schedule(Time::ZERO, tick);
-        eng.run();
-    });
-
-    // A full runtime workload: parcel dispatch through the simulated NIC.
-    let parcels = measure("perf", "parcel_rate_pwc", || {
-        std::hint::black_box(parcel_rate(parcel_rt::Transport::Pwc));
-    });
-
-    // The translation fast path under fire: GUPS over the network-managed
-    // mode drives every update through the NIC translation table and the
-    // initiator owner caches, so the xlate_* and memo counters are hot.
-    // (The runtime drops inside the closure, flushing batched counters
-    // before the after-snapshot.)
-    let gups = measure("perf", "gups_agas_net", || {
-        std::hint::black_box(gups_scaling(GasMode::AgasNetwork, 8, NetConfig::ib_fdr()));
-    });
-
-    // Migration churn: the balancer moves hot blocks while every locality
-    // hammers its own favourite, so initiators bounce, query the
-    // directory, and then re-translate the same block back to back — the
-    // owner-cache one-entry memo's target shape.
-    let mut churn_extra = Vec::new();
-    let mut churn = measure("perf", "migration_churn", || {
-        use std::rc::Rc;
-        let mut rt = parcel_rt::Runtime::builder(4, GasMode::AgasNetwork)
-            .seed(17)
-            .boot();
-        let data = rt.alloc(16, 13, agas::Distribution::Blocked);
-        rt.start_balancer(parcel_rt::BalancerConfig {
-            period: Time::from_us(100),
-            moves_per_round: 2,
-            min_heat: 4,
-            ..parcel_rt::BalancerConfig::default()
-        });
-        let blocks = data.blocks.clone();
-        let issue: Rc<workloads::driver::IssueFn> = Rc::new(move |eng, loc, _seq, ctx| {
-            // Each locality chases one hot block (all start on loc 0):
-            // repeated translations of the same key, bounced by the
-            // balancer's migrations.
-            let gva = blocks[(loc % 4) as usize];
-            agas::ops::memget(eng, loc, gva, 512, ctx);
-        });
-        let n = rt.n();
-        workloads::driver::pump_all(&mut rt.eng, n, 800, 8, issue, |_| {});
-        rt.run();
-        // What the balancer moved and what it refused to (a move that
-        // cannot lower the maximum only relocates it), how often a
-        // migrated block was reached through a forward, how many of those
-        // forwards taught the initiator the new owner, how many outran the
-        // block and parked at its new NIC — and what was left for the NACK
-        // ladder.
-        let gas = rt.eng.state.total_gas_stats();
-        let net = rt.counters();
-        let bal = rt.eng.state.balancer_stats;
-        churn_extra = vec![
-            ("ops", gas.gets),
-            ("migrations", bal.migrations),
-            ("refused", bal.refused),
-            ("xlate_forwards", net.xlate_forwards),
-            ("hints_learned", gas.hints_learned),
-            ("parked", net.xlate_parked),
-            ("nacks", net.nacks_sent),
-        ];
-    });
-    churn.extra = churn_extra;
-
-    // NIC-executed active operations: contended fetch-adds over the
-    // network-managed mode, so the AMO commit path runs hot. The row
-    // carries its own cluster's NIC AMO counters. (The emulated modes
-    // leave these at zero; see `repro amo` for the full A/B.)
-    let mut amo_extra = Vec::new();
-    let mut amo = measure("perf", "amo_agas_net", || {
-        let r = amo_bench(
-            &AmoBenchConfig::default(),
-            agas::AmoPumpKind::FetchAdd,
-            GasMode::AgasNetwork,
-        );
-        amo_extra = vec![
-            ("amo_executed", r.nic_executed),
-            ("amo_nacked", r.nic_nacked),
-            ("amo_forwarded", r.nic_forwarded),
-        ];
-    });
-    amo.extra = amo_extra;
-
-    let rows = [dispatch, chain, parcels, gups, churn, amo];
-    if json {
-        for r in &rows {
-            println!("{}", r.json());
-        }
-    } else {
-        println!(
-            "{:<18} {:>12} {:>10} {:>14} {:>14} {:>12} {:>8} {:>10}",
-            "series",
-            "events",
-            "wall s",
-            "events/sec",
-            "sim time",
-            "xl lookups",
-            "pr/lk",
-            "memo hits"
-        );
-        for r in &rows {
-            println!(
-                "{:<18} {:>12} {:>10.3} {:>14.0} {:>14} {:>12} {:>8.2} {:>10}",
-                r.series,
-                r.events,
-                r.wall_secs,
-                r.events_per_sec(),
-                format!("{}", r.sim),
-                r.xlate_lookups,
-                r.probes_per_lookup(),
-                r.memo_hits
-            );
-        }
-        for r in rows.iter().filter(|r| !r.extra.is_empty()) {
-            let extra: Vec<String> = r.extra.iter().map(|(k, v)| format!("{k}={v}")).collect();
-            println!("{}: {}", r.series, extra.join(" "));
+            rows.push(row!("parallel";
+                "series" => series.to_string(),
+                "shards" => r.shards,
+                "localities" => r.localities,
+                "host_cores" => cores,
+                "host_pair_ratio" => (host_pair_ratio, 3),
+                "updates" => r.updates,
+                "events" => r.events,
+                "sim_time_ps" => r.sim.ps(),
+                "wall_seconds" => (r.wall_secs, 6),
+                "events_per_sec" => (r.events_per_sec(), 0),
+                "speedup" => (speedup, 4),
+                "trace_hash" => r.trace_hash,
+                "windows" => r.windows,
+                "sync_overhead" => (r.sync_overhead, 4),
+                "barrier_ns_per_event" => (r.barrier_ns_per_event, 2),
+                "utilization" => (r.utilization.clone(), 4),
+            ));
         }
     }
+    if hashes[0] == hashes[1] {
+        bad.push("the jittery series hashed like the plain one: it drew no jitter".into());
+    }
+    print_rows(json, &rows);
+    gate("parallel", bad);
 }
 
 /// `host` — the core count and the paired-loop ratio: what a wall-clock
@@ -1621,33 +1242,52 @@ fn host(json: bool) {
 }
 
 /// Pop `--name N` / `--name=N` from `args`, so flag values are never
-/// mistaken for positional arguments (subcommand, chaos seed).
-fn take_opt(args: &mut Vec<String>, name: &str) -> Option<u64> {
-    if let Some(i) = args.iter().position(|a| a == name) {
-        let v = args.get(i + 1).and_then(|v| v.parse().ok());
-        args.drain(i..(i + 2).min(args.len()));
-        return v;
-    }
+/// mistaken for positional arguments (subcommand, chaos seed). A flag
+/// without a value, or with one that is not a number, is an error that
+/// names the flag.
+fn take_opt(args: &mut Vec<String>, name: &str) -> Result<Option<u64>, String> {
     let pfx = format!("{name}=");
-    if let Some(i) = args.iter().position(|a| a.starts_with(&pfx)) {
-        let v = args[i][pfx.len()..].parse().ok();
-        args.remove(i);
-        return v;
+    let Some(i) = args.iter().position(|a| a == name || a.starts_with(&pfx)) else {
+        return Ok(None);
+    };
+    let flag = args.remove(i);
+    let value = match flag.strip_prefix(&pfx) {
+        Some(v) => v.to_string(),
+        None if i < args.len() => args.remove(i),
+        None => return Err(format!("{name} needs a value")),
+    };
+    match value.parse() {
+        Ok(v) => Ok(Some(v)),
+        Err(_) => Err(format!("{name}: {value:?} is not a number")),
     }
-    None
+}
+
+/// The seed after `chaos` / `membership` (101 when absent).
+fn seed_arg(args: &[String]) -> Result<u64, String> {
+    match args.iter().filter(|a| !a.starts_with('-')).nth(1) {
+        None => Ok(101),
+        Some(s) => s.parse().map_err(|_| format!("seed {s:?} is not a number")),
+    }
+}
+
+/// Print a command-line error and exit 2.
+fn usage_error(msg: String) -> ! {
+    eprintln!("repro: {msg}");
+    std::process::exit(2);
 }
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let shards = take_opt(&mut args, "--shards").map(|n| n.max(1) as usize);
+    let mut opt = |name: &str| take_opt(&mut args, name).unwrap_or_else(|e| usage_error(e));
+    let shards = opt("--shards").map(|n| n.max(1) as usize);
     let mut par_cfg = ParallelGupsConfig::default();
-    if let Some(n) = take_opt(&mut args, "--locs") {
+    if let Some(n) = opt("--locs") {
         par_cfg.localities = n.max(1) as usize;
     }
-    if let Some(n) = take_opt(&mut args, "--updates") {
+    if let Some(n) = opt("--updates") {
         par_cfg.updates_per_loc = n.max(1);
     }
-    let ops_flag = take_opt(&mut args, "--ops");
+    let ops_flag = opt("--ops");
     let amo_ops = ops_flag.map_or(AmoBenchConfig::default().ops_per_loc, |n| n.max(1));
     let ring_ops = ops_flag.map_or(2048, |n| n.max(1));
     let json = args.iter().any(|a| a == "--json");
@@ -1680,51 +1320,23 @@ fn main() {
         ("a2", a2),
         ("a3", a3),
     ];
+    let seed = || seed_arg(&args).unwrap_or_else(|e| usage_error(e));
     println!(
         "nmvgas reconstructed evaluation — deterministic simulation results \
          (simulated time; see DESIGN.md §5 and EXPERIMENTS.md)"
     );
-    let run_one = |name: &str, f: &fn()| {
-        let row = measure(name, "experiment", f);
-        if json {
-            println!("{}", row.json());
-        }
-    };
     match what.as_str() {
-        "perf" => {
-            perf(json);
-            if let Some(k) = shards {
-                parallel(json, k, &par_cfg);
-            }
-        }
         "parallel" => parallel(json, shards.unwrap_or(8), &par_cfg),
         "amo" => amo(json, amo_ops),
         "ring" => ring(json, ring_ops),
         "ops" => ops_dump(json),
         "host" => host(json),
-        "chaos" => {
-            let seed = args
-                .iter()
-                .filter(|a| !a.starts_with('-'))
-                .nth(1)
-                .and_then(|a| a.parse().ok())
-                .unwrap_or(101);
-            chaos(json, seed);
-        }
-        "membership" => {
-            let seed = args
-                .iter()
-                .filter(|a| !a.starts_with('-'))
-                .nth(1)
-                .and_then(|a| a.parse().ok())
-                .unwrap_or(101);
-            membership(json, seed);
-        }
+        "chaos" => chaos(json, seed()),
+        "membership" => membership(json, seed()),
         "all" => {
-            for (name, f) in &experiments {
-                run_one(name, f);
+            for (_, f) in &experiments {
+                f();
             }
-            perf(json);
             amo(json, amo_ops);
             ring(json, ring_ops);
             if let Some(k) = shards {
@@ -1734,18 +1346,52 @@ fn main() {
             membership(json, 101);
         }
         id => match experiments.iter().find(|(name, _)| *name == id) {
-            Some((name, f)) => run_one(name, f),
+            Some((_, f)) => f(),
             None => {
-                eprintln!(
-                    "unknown experiment {id:?}; use one of: all perf parallel amo ring ops host chaos membership {}",
-                    experiments
-                        .iter()
-                        .map(|(n, _)| *n)
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                );
-                std::process::exit(2);
+                let ids: Vec<&str> = experiments.iter().map(|(n, _)| *n).collect();
+                usage_error(format!(
+                    "unknown experiment {id:?}; use one of: all parallel amo ring ops host chaos membership {}",
+                    ids.join(" ")
+                ))
             }
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(s: &[&str]) -> Vec<String> {
+        s.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn flags_take_separate_and_joined_values() {
+        let mut a = args(&["ring", "--ops", "64", "--shards=4", "--json"]);
+        assert_eq!(take_opt(&mut a, "--ops"), Ok(Some(64)));
+        assert_eq!(take_opt(&mut a, "--shards"), Ok(Some(4)));
+        assert_eq!(take_opt(&mut a, "--locs"), Ok(None));
+        assert_eq!(a, args(&["ring", "--json"]));
+    }
+
+    #[test]
+    fn missing_or_bad_values_are_errors_naming_the_flag() {
+        for bad in [
+            &["amo", "--ops"][..],
+            &["--ops", "x"],
+            &["--ops=x"],
+            &["--ops", "--json"],
+        ] {
+            let e = take_opt(&mut args(bad), "--ops").unwrap_err();
+            assert!(e.contains("--ops"), "{e}");
+        }
+    }
+
+    #[test]
+    fn seeds_default_to_101_and_reject_garbage() {
+        assert_eq!(seed_arg(&args(&["chaos", "--json"])), Ok(101));
+        assert_eq!(seed_arg(&args(&["chaos", "7"])), Ok(7));
+        assert!(seed_arg(&args(&["membership", "abc"])).is_err());
     }
 }

@@ -254,6 +254,62 @@ pub fn migration_race(forwarding: bool) -> RaceRow {
     }
 }
 
+/// What the balancer and the NICs did under [`migration_churn`].
+#[derive(Clone, Copy, Debug)]
+pub struct ChurnRow {
+    /// Gets completed.
+    pub ops: u64,
+    /// Blocks the balancer moved.
+    pub migrations: u64,
+    /// Moves it refused (a move that cannot lower the maximum only
+    /// relocates it).
+    pub refused: u64,
+    /// Accesses that reached a migrated block through a NIC forward.
+    pub xlate_forwards: u64,
+    /// Forwarded completions that taught the initiator the new owner.
+    pub hints_learned: u64,
+    /// Forwards that outran a hand-off and parked at the new owner's NIC.
+    pub parked: u64,
+    /// NACKs left for the retry ladder.
+    pub nacks: u64,
+}
+
+/// Migration churn: the balancer moves hot blocks while every locality
+/// hammers its own favourite, so initiators bounce, query the directory,
+/// and then re-translate the same block back to back — the owner-cache
+/// one-entry memo's target shape. The runtime drops before this returns,
+/// so its batched memo hits have reached `netsim::telemetry`.
+pub fn migration_churn() -> ChurnRow {
+    let mut rt = Runtime::builder(4, GasMode::AgasNetwork).seed(17).boot();
+    let data = rt.alloc(16, 13, Distribution::Blocked);
+    rt.start_balancer(parcel_rt::BalancerConfig {
+        period: Time::from_us(100),
+        moves_per_round: 2,
+        min_heat: 4,
+        ..parcel_rt::BalancerConfig::default()
+    });
+    let blocks = data.blocks.clone();
+    let issue: Rc<IssueFn> = Rc::new(move |eng, loc, _seq, ctx| {
+        // Each locality chases one hot block (all start on loc 0).
+        agas::ops::memget(eng, loc, blocks[(loc % 4) as usize], 512, ctx);
+    });
+    let n = rt.n();
+    workloads::driver::pump_all(&mut rt.eng, n, 800, 8, issue, |_| {});
+    rt.run();
+    let gas = rt.eng.state.total_gas_stats();
+    let net = rt.counters();
+    let bal = rt.eng.state.balancer_stats;
+    ChurnRow {
+        ops: gas.gets,
+        migrations: bal.migrations,
+        refused: bal.refused,
+        xlate_forwards: net.xlate_forwards,
+        hints_learned: gas.hints_learned,
+        parked: net.xlate_parked,
+        nacks: net.nacks_sent,
+    }
+}
+
 /// E8 — one row of the skewed-access/rebalancing table.
 pub fn skew_row(mode: GasMode, rebalance: bool, n: usize) -> skew::SkewResult {
     let cfg = SkewConfig {

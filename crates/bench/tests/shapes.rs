@@ -183,6 +183,50 @@ fn a3_forwarding_beats_nack_for_stale_ops() {
 }
 
 #[test]
+fn migration_churn_collapses_forwards_and_parks() {
+    let before = netsim::telemetry::snapshot();
+    let r = migration_churn();
+    let memo_hits = netsim::telemetry::snapshot().since(before).memo_hits;
+    assert!(memo_hits > 0, "churn never hit the owner-cache memo");
+    assert!(
+        r.hints_learned > 0,
+        "no forwarded completion taught its initiator"
+    );
+    // Forwards stay a one-time cost per (initiator, migration).
+    assert!(
+        (r.xlate_forwards as f64) < r.ops as f64 * 0.1,
+        "forward chains are not collapsing: {r:?}"
+    );
+    // Forwards that outrun a hand-off park at the new owner's NIC instead
+    // of NACKing.
+    assert!(r.parked > 0, "no forward ever parked behind a hand-off");
+    assert!(
+        (r.nacks as f64) < r.ops as f64 * 0.001,
+        "the migration window is NACKing again: {r:?}"
+    );
+    // The balancer refuses moves that cannot lower the maximum; one that
+    // relocates the hottest block every round makes 4.
+    assert!(
+        r.migrations < 4,
+        "the balancer relocates the maximum again: {r:?}"
+    );
+    assert!(r.refused > 0, "the balancer never refused a move");
+}
+
+#[test]
+fn translation_counters_are_live() {
+    // Other tests only add lookups, each with its own (>=) probes.
+    let before = netsim::telemetry::snapshot();
+    gups_scaling(GasMode::AgasNetwork, 8, NetConfig::ib_fdr());
+    let d = netsim::telemetry::snapshot().since(before);
+    assert!(d.xlate_lookups > 0, "GUPS drove no NIC translations");
+    assert!(
+        d.xlate_probes >= d.xlate_lookups,
+        "probe count below lookup count: {d:?}"
+    );
+}
+
+#[test]
 fn concurrent_amo_cells_count_only_their_own_nic_ops() {
     let cfg = AmoBenchConfig::default();
     let kind = agas::AmoPumpKind::FetchAdd;

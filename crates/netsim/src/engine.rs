@@ -420,11 +420,8 @@ impl<S> Engine<S> {
     /// Run until the event queue drains (quiescence). Returns events executed.
     pub fn run(&mut self) -> u64 {
         let start = self.executed;
-        let t0 = self.now;
         while self.step() {}
-        let ran = self.executed - start;
-        crate::telemetry::record_run(ran, (self.now - t0).ps());
-        ran
+        self.executed - start
     }
 
     /// Run until the queue drains or the clock would pass `deadline`.
@@ -434,7 +431,6 @@ impl<S> Engine<S> {
     /// the clock stays at the last executed event.
     pub fn run_until(&mut self, deadline: Time) -> u64 {
         let start = self.executed;
-        let t0 = self.now;
         while let Some(next) = self.queue.next_time() {
             if next > deadline {
                 self.now = deadline;
@@ -442,19 +438,14 @@ impl<S> Engine<S> {
             }
             self.step();
         }
-        let ran = self.executed - start;
-        crate::telemetry::record_run(ran, (self.now - t0).ps());
-        ran
+        self.executed - start
     }
 
     /// Run at most `n` further events.
     pub fn run_steps(&mut self, n: u64) -> u64 {
         let start = self.executed;
-        let t0 = self.now;
         while self.executed - start < n && self.step() {}
-        let ran = self.executed - start;
-        crate::telemetry::record_run(ran, (self.now - t0).ps());
-        ran
+        self.executed - start
     }
 }
 

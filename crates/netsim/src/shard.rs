@@ -560,14 +560,13 @@ impl<W: SplitWorld> ShardedEngine<W> {
     /// engine's order (serial; used by workloads that interleave driver
     /// code with bounded progress).
     pub fn run_steps(&mut self, n: u64) -> u64 {
-        let wall0 = Instant::now();
-        let (start, t0) = (self.control.executed, self.control.now);
+        let (wall0, start) = (Instant::now(), self.control.executed);
         for _ in 0..n {
             if !self.step_one() {
                 break;
             }
         }
-        self.finish_run(start, t0, wall0)
+        self.finish_run(start, wall0)
     }
 
     /// Pop and execute the single globally earliest event, on its lane's
@@ -587,7 +586,7 @@ impl<W: SplitWorld> ShardedEngine<W> {
     /// Fold the lanes' clocks, counts and hashes into the control engine
     /// and the run's wall time into the stats. Returns events executed
     /// since `start`.
-    fn finish_run(&mut self, start: u64, t0: Time, wall0: Instant) -> u64 {
+    fn finish_run(&mut self, start: u64, wall0: Instant) -> u64 {
         let control = &mut self.control;
         (control.executed, control.trace_hash) = (0, 0);
         for (i, lane) in self.lanes.iter_mut().enumerate() {
@@ -598,15 +597,12 @@ impl<W: SplitWorld> ShardedEngine<W> {
             self.stats.lane_events[i] = eng.executed;
         }
         self.stats.wall_ns += wall0.elapsed().as_nanos() as u64;
-        let ran = control.executed - start;
-        crate::telemetry::record_run(ran, (control.now - t0).ps());
-        ran
+        control.executed - start
     }
 
     /// The windowed parallel loop shared by `run` and `run_until`.
     fn run_windows(&mut self, deadline: Option<Time>) -> u64 {
-        let wall0 = Instant::now();
-        let (start, t0) = (self.control.executed, self.control.now);
+        let (wall0, start) = (Instant::now(), self.control.executed);
         self.lanes.iter().for_each(|lane| drop(lane.settle()));
 
         let lanes: &[Lane<W>] = &self.lanes;
@@ -697,7 +693,7 @@ impl<W: SplitWorld> ShardedEngine<W> {
             }
         });
 
-        self.finish_run(start, t0, wall0)
+        self.finish_run(start, wall0)
     }
 }
 

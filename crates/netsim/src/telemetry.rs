@@ -1,17 +1,12 @@
-//! Process-wide counters of simulation work, for wall-clock throughput
-//! reporting (`repro perf`, the standalone benchmark).
+//! Process-wide counters for the standalone benchmark's per-layer
+//! metrics.
 //!
 //! The rule: a static here only for a count with no per-world owner.
 //! Everything a cluster, endpoint or GAS locality can count for itself
-//! (`Counters`, photon's endpoint stats, `agas::GasStats`) is counted
-//! there, once, and read from there. Eight counts remain:
+//! (`Counters`, photon's endpoint stats, `agas::GasStats`), and every
+//! engine's own event count (`events_executed()`), is counted there, once,
+//! and read from there. Six counts remain:
 //!
-//! - `events`, `sim_ps`: every [`Engine`](crate::Engine) run loop adds its
-//!   executed-event count and virtual-time advance when it finishes — one
-//!   relaxed atomic add per `run*` call, nothing per event. Their job is to
-//!   sum work across *many* engines (a rayon sweep, a whole experiment), so
-//!   `repro`'s `measure` can report events/second for a closure that builds
-//!   and drops its worlds internally.
 //! - `xlate_lookups`, `xlate_probes`, `memo_hits`: the translation cells of
 //!   [`crate::flatmap::FlatTable`] batch lookups and probes here, flushed
 //!   on a threshold and on drop. A table has no handle on the world that
@@ -27,22 +22,12 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-static EVENTS: AtomicU64 = AtomicU64::new(0);
-static SIM_PS: AtomicU64 = AtomicU64::new(0);
 static XLATE_LOOKUPS: AtomicU64 = AtomicU64::new(0);
 static XLATE_PROBES: AtomicU64 = AtomicU64::new(0);
 static XLATE_MEMO_HITS: AtomicU64 = AtomicU64::new(0);
 static RING_DOORBELLS: AtomicU64 = AtomicU64::new(0);
 static RING_DESCS: AtomicU64 = AtomicU64::new(0);
 static RING_COALESCED: AtomicU64 = AtomicU64::new(0);
-
-/// Fold one finished engine run into the process totals.
-pub(crate) fn record_run(events: u64, sim_advance_ps: u64) {
-    if events > 0 {
-        EVENTS.fetch_add(events, Ordering::Relaxed);
-        SIM_PS.fetch_add(sim_advance_ps, Ordering::Relaxed);
-    }
-}
 
 /// Fold a batch of translation-path work into the process totals.
 ///
@@ -77,11 +62,6 @@ pub fn record_ring(doorbells: u64, descs: u64, coalesced: u64) {
 /// Totals accumulated so far (monotone; see [`Snapshot::since`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Snapshot {
-    /// Events executed across all engines in this process.
-    pub events: u64,
-    /// Virtual picoseconds swept, summed over engine runs (a volume of
-    /// simulated time, not a single clock: parallel sweeps each count).
-    pub sim_ps: u64,
     /// Translation lookups served by the flat tables (BTT, owner cache,
     /// directory, NIC table).
     pub xlate_lookups: u64,
@@ -103,8 +83,6 @@ impl Snapshot {
     /// The work done between `earlier` and `self`.
     pub fn since(self, earlier: Snapshot) -> Snapshot {
         Snapshot {
-            events: self.events - earlier.events,
-            sim_ps: self.sim_ps - earlier.sim_ps,
             xlate_lookups: self.xlate_lookups - earlier.xlate_lookups,
             xlate_probes: self.xlate_probes - earlier.xlate_probes,
             memo_hits: self.memo_hits - earlier.memo_hits,
@@ -118,34 +96,11 @@ impl Snapshot {
 /// Read the current process totals.
 pub fn snapshot() -> Snapshot {
     Snapshot {
-        events: EVENTS.load(Ordering::Relaxed),
-        sim_ps: SIM_PS.load(Ordering::Relaxed),
         xlate_lookups: XLATE_LOOKUPS.load(Ordering::Relaxed),
         xlate_probes: XLATE_PROBES.load(Ordering::Relaxed),
         memo_hits: XLATE_MEMO_HITS.load(Ordering::Relaxed),
         ring_doorbells: RING_DOORBELLS.load(Ordering::Relaxed),
         ring_descs: RING_DESCS.load(Ordering::Relaxed),
         ring_coalesced: RING_COALESCED.load(Ordering::Relaxed),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn engine_runs_accumulate() {
-        use crate::{Engine, Time};
-        let before = snapshot();
-        let mut eng = Engine::new(0u64, 1);
-        for i in 0..100u64 {
-            eng.schedule(Time::from_ns(i), |e| e.state += 1);
-        }
-        eng.run();
-        let delta = snapshot().since(before);
-        // Other tests may run engines concurrently; ours contributes at
-        // least its own events and simulated span.
-        assert!(delta.events >= 100);
-        assert!(delta.sim_ps >= Time::from_ns(99).ps());
     }
 }

@@ -6,7 +6,8 @@
 //! sample takes long enough to time reliably, and the median of several
 //! samples is reported as `ns/iter` (with iterations/sec alongside).
 //! No statistics beyond that — this harness exists so `cargo bench` runs
-//! hermetically offline; trend tracking lives in `repro perf --json`.
+//! hermetically offline; trend tracking lives in the repository benchmark
+//! (`benchmark/`).
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
