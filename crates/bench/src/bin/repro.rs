@@ -15,7 +15,7 @@
 //! throughput is the standalone benchmark's job (`benchmark/`).
 //!
 //! The experiments (E1–A3) print paper-style tables. The series (`ops`,
-//! `chaos`, `membership`, `amo`, `ring`, `parallel`) print each row from
+//! `chaos`, `membership`, `amo`, `shm`, `parallel`) print each row from
 //! one field list: an aligned table whose header is the field names, or
 //! with `--json` one `{"id":…,…}` line per row with the same fields (the
 //! only stdout lines starting with `{`). Each series checks its own gate
@@ -993,44 +993,12 @@ fn amo(json: bool, ops_per_loc: u64) {
     gate("amo", bad);
 }
 
-/// `ring [--ops N]` — the descriptor-ring issue-path series (DESIGN.md
-/// §3.7): a doorbell-batching ladder (vectored `put_many` bursts through
-/// the photon submission rings at increasing `doorbell_batch`), the
-/// shm-vs-network crossover (intra-domain puts/gets short-circuit the NIC
-/// with zero wire messages), and the AMO-batching cell. Exits nonzero if
-/// disabled rings ring, if doorbells do not fall strictly from batch 1 to
-/// 4 to 16, if batch-16 rings do not coalesce and fill (≥ 8 descriptors
-/// per doorbell and in flight), if an intra-domain op touches the wire or
-/// loses to the network path, or if concurrent AMOs never share a
-/// doorbell.
-fn ring(json: bool, ops: u64) {
-    header(
-        "ring",
-        &format!("descriptor-ring issue path: doorbell batching + shm crossover ({ops} ops)"),
-    );
-    let ladder: Vec<RingLadderRow> = [0usize, 1, 4, 16]
-        .iter()
-        .map(|&b| ring_ladder_row(b, ops))
-        .collect();
-    let rows: Vec<Row> = ladder
-        .iter()
-        .map(|r| {
-            row!("ring";
-                "series" => format!("ladder/batch{}", r.batch),
-                "ops" => r.ops,
-                "sim_time_ps" => r.elapsed.ps(),
-                "events" => r.events,
-                "messages" => r.msgs,
-                "ring_doorbells" => r.doorbells,
-                "ring_descs" => r.descs,
-                "ring_coalesced" => r.coalesced,
-                "max_occupancy" => r.max_occupancy,
-                "descs_per_doorbell" => (r.descs_per_doorbell(), 3),
-                "doorbells_per_op" => (r.doorbells_per_op(), 4),
-            )
-        })
-        .collect();
-    print_rows(json, &rows);
+/// `shm` — the shared-memory crossover (DESIGN.md §3.7): one put and one
+/// get per size over the network AGAS path and inside a two-locality
+/// [`netsim::ShmDomain`]. Exits nonzero if an intra-domain op touches the
+/// wire, misses the load/store short-circuit, or loses to the network path.
+fn shm(json: bool) {
+    header("shm", "shared-memory crossover: network AGAS vs load/store");
     let cross: Vec<ShmCrossRow> = [8u32, 256, 4096, 65536]
         .iter()
         .map(|&s| shm_cross_row(s))
@@ -1038,7 +1006,7 @@ fn ring(json: bool, ops: u64) {
     let rows: Vec<Row> = cross
         .iter()
         .map(|c| {
-            row!("ring";
+            row!("shm";
                 "series" => format!("shm_cross/{}", c.size),
                 "net_put_ps" => c.net_put.ps(),
                 "shm_put_ps" => c.shm_put.ps(),
@@ -1051,56 +1019,7 @@ fn ring(json: bool, ops: u64) {
         })
         .collect();
     print_rows(json, &rows);
-    // AMOs issued through the submission rings must share doorbells when
-    // several target the same responder, without losing an increment.
-    let ab = amo_ring_batching(64);
-    print_rows(
-        json,
-        &[row!("ring";
-            "series" => "amo_batch".to_string(),
-            "amos" => ab.amos,
-            "amo_batched" => ab.amo_batched,
-            "ring_doorbells" => ab.doorbells,
-            "sim_time_ps" => ab.elapsed.ps(),
-            "counter" => ab.counter,
-        )],
-    );
     let mut bad: Vec<String> = Vec::new();
-    if ab.amo_batched == 0 {
-        bad.push("amo_batch: concurrent AMOs never shared a ring doorbell".into());
-    }
-    if ab.counter != ab.amos {
-        bad.push(format!(
-            "amo_batch: counter {} after {} fetch-adds",
-            ab.counter, ab.amos
-        ));
-    }
-    let rung = |b: usize| ladder.iter().find(|r| r.batch == b).expect("rung ran");
-    let (b0, b1, b4, b16) = (rung(0), rung(1), rung(4), rung(16));
-    if b0.doorbells != 0 {
-        bad.push(format!(
-            "batch0: disabled rings rang {} doorbells",
-            b0.doorbells
-        ));
-    }
-    if !(b1.doorbells > b4.doorbells && b4.doorbells > b16.doorbells && b16.doorbells > 0) {
-        bad.push(format!(
-            "doorbells {} / {} / {} at batch 1 / 4 / 16 — not strictly falling",
-            b1.doorbells, b4.doorbells, b16.doorbells
-        ));
-    }
-    if b16.descs_per_doorbell() < 8.0 {
-        bad.push(format!(
-            "batch16: {:.2} descs/doorbell — descriptors are not batching",
-            b16.descs_per_doorbell()
-        ));
-    }
-    if b16.max_occupancy < 8 {
-        bad.push(format!(
-            "batch16: max ring occupancy {} — rings never filled",
-            b16.max_occupancy
-        ));
-    }
     for c in &cross {
         if c.shm_msgs != 0 {
             bad.push(format!(
@@ -1121,7 +1040,7 @@ fn ring(json: bool, ops: u64) {
             ));
         }
     }
-    gate("ring", bad);
+    gate("shm", bad);
 }
 
 /// `parallel [--shards N] [--locs N] [--updates N]` — the sharded-engine
@@ -1289,7 +1208,6 @@ fn main() {
     }
     let ops_flag = opt("--ops");
     let amo_ops = ops_flag.map_or(AmoBenchConfig::default().ops_per_loc, |n| n.max(1));
-    let ring_ops = ops_flag.map_or(2048, |n| n.max(1));
     let json = args.iter().any(|a| a == "--json");
     let what = args
         .iter()
@@ -1328,7 +1246,7 @@ fn main() {
     match what.as_str() {
         "parallel" => parallel(json, shards.unwrap_or(8), &par_cfg),
         "amo" => amo(json, amo_ops),
-        "ring" => ring(json, ring_ops),
+        "shm" => shm(json),
         "ops" => ops_dump(json),
         "host" => host(json),
         "chaos" => chaos(json, seed()),
@@ -1338,7 +1256,7 @@ fn main() {
                 f();
             }
             amo(json, amo_ops);
-            ring(json, ring_ops);
+            shm(json);
             if let Some(k) = shards {
                 parallel(json, k, &par_cfg);
             }
@@ -1350,7 +1268,7 @@ fn main() {
             None => {
                 let ids: Vec<&str> = experiments.iter().map(|(n, _)| *n).collect();
                 usage_error(format!(
-                    "unknown experiment {id:?}; use one of: all parallel amo ring ops host chaos membership {}",
+                    "unknown experiment {id:?}; use one of: all parallel amo shm ops host chaos membership {}",
                     ids.join(" ")
                 ))
             }
@@ -1368,11 +1286,11 @@ mod tests {
 
     #[test]
     fn flags_take_separate_and_joined_values() {
-        let mut a = args(&["ring", "--ops", "64", "--shards=4", "--json"]);
+        let mut a = args(&["amo", "--ops", "64", "--shards=4", "--json"]);
         assert_eq!(take_opt(&mut a, "--ops"), Ok(Some(64)));
         assert_eq!(take_opt(&mut a, "--shards"), Ok(Some(4)));
         assert_eq!(take_opt(&mut a, "--locs"), Ok(None));
-        assert_eq!(a, args(&["ring", "--json"]));
+        assert_eq!(a, args(&["amo", "--json"]));
     }
 
     #[test]

@@ -10,10 +10,10 @@ pub mod amo;
 pub mod experiments;
 pub mod host;
 pub mod parallel;
-pub mod ring;
+pub mod shm;
 
 pub use amo::*;
 pub use experiments::*;
 pub use host::*;
 pub use parallel::*;
-pub use ring::*;
+pub use shm::*;

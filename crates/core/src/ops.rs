@@ -357,32 +357,6 @@ pub fn memget<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, gva: Gva, len: 
     issue(eng, loc, op);
 }
 
-/// Vectored [`memput`]: issue every `(gva, data, ctx)` write at the same
-/// instant. Each element completes (or fails) independently through
-/// [`GasWorld::gas_put_done`] / [`GasWorld::gas_op_failed`]. Same-instant
-/// issue is what the photon descriptor rings batch on: a vectored put whose
-/// elements share a responder packs into one submission batch and rides a
-/// single doorbell instead of one per element.
-pub fn put_many<S: GasWorld>(
-    eng: &mut Engine<S>,
-    loc: LocalityId,
-    puts: Vec<(Gva, Vec<u8>, OpId)>,
-) {
-    for (gva, data, ctx) in puts {
-        memput(eng, loc, gva, data, ctx);
-    }
-}
-
-/// Vectored [`memget`]: issue every `(gva, len, ctx)` read at the same
-/// instant. Each element completes independently through
-/// [`GasWorld::gas_get_done`]; with descriptor rings enabled, same-peer
-/// elements share one doorbell (see [`put_many`]).
-pub fn get_many<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, gets: Vec<(Gva, u32, OpId)>) {
-    for (gva, len, ctx) in gets {
-        memget(eng, loc, gva, len, ctx);
-    }
-}
-
 /// Execute `amo` atomically against the word(s) at `gva`. Completion
 /// (with the observed/old values) arrives via [`GasWorld::gas_amo_done`]
 /// with `ctx`; terminal failure via [`GasWorld::gas_op_failed`].

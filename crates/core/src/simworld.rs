@@ -160,17 +160,12 @@ impl SimWorld {
     /// 256 MiB arenas, default photon/GAS configs, two CPU workers per
     /// locality.
     pub fn new(n: usize, mode: GasMode, net: NetConfig) -> SimWorld {
-        SimWorld::with_photon(n, mode, net, PhotonConfig::default())
-    }
-
-    /// [`SimWorld::new`] with an explicit photon configuration — how the
-    /// ring benchmarks and shadow tests turn the descriptor-ring issue
-    /// path on without disturbing the default-config schedules.
-    pub fn with_photon(n: usize, mode: GasMode, net: NetConfig, pcfg: PhotonConfig) -> SimWorld {
         SimWorld {
             data: SharedState::new(SimData {
                 cluster: Cluster::new(n, net, 1 << 28),
-                eps: (0..n).map(|_| PhotonEndpoint::new(pcfg)).collect(),
+                eps: (0..n)
+                    .map(|_| PhotonEndpoint::new(PhotonConfig::default()))
+                    .collect(),
                 gas: (0..n)
                     .map(|_| GasLocal::new(GasConfig::default()))
                     .collect(),

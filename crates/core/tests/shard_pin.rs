@@ -18,16 +18,21 @@
 //! The suite also pins the synchronisation window itself
 //! (`window_is_the_smallest_cross_lane_delay`): its width on plain,
 //! shared-memory and lane-straddling fabrics, and that the widest sound
-//! window still replays the sequential schedule.
+//! window still replays the sequential schedule. And
+//! `shm_domain_mix_is_lane_invariant` runs puts, AMOs and gets over a
+//! jittery shared-memory domain, where the load/store short-circuit
+//! shrinks the window, and demands the sequential witness at every lane
+//! count.
 
 #[path = "common/golden.rs"]
 mod golden;
 #[path = "common/pins.rs"]
 mod pins;
 
+use agas::ops::{memamo, memget, memput};
 use agas::{alloc_array, Distribution, GasMode, SimWorld};
 use golden::*;
-use netsim::{Harness, NetConfig, ShardMap, ShmDomain, Time};
+use netsim::{AmoOp, Harness, NetConfig, OpId, ShardMap, ShmDomain, Time};
 use pins::*;
 
 /// `(trace_hash, now, events_executed, pump_completed)` of a GUPS-pump run.
@@ -102,6 +107,62 @@ fn window_is_the_smallest_cross_lane_delay() {
             let (_, window) = gups_pump(8, mode, fdr, Some(shards));
             assert_eq!(window.map(|w| w.0), Some(fdr.latency), "{mode:?} {shards}");
         }
+    }
+}
+
+/// Mixed intra-/inter-domain traffic with a [`ShmDomain`] of size 2:
+/// localities {0,1} and {2,3} short-circuit the NIC inside their domain
+/// (zero wire messages, load/store costs) while cross-domain ops still
+/// ride the fabric. Returns `(trace_hash, now, events)`.
+fn shm_domain_mix(lanes: Option<usize>) -> (u64, u64, u64) {
+    let net = NetConfig {
+        shm: Some(ShmDomain::node(2)),
+        ..jittery()
+    };
+    let mut h = Harness::new(SimWorld::new(4, GasMode::AgasNetwork, net), 43, lanes);
+    let arr = h.drive(|e| alloc_array(e, 8, 12, Distribution::Cyclic));
+    for i in 0..40u64 {
+        let loc = (i % 4) as u32;
+        // Some ops stay inside the domain, the rest cross it.
+        let gva = arr.block((i * 3) % 8).with_offset((i % 4) * 32);
+        h.drive_at(loc, move |eng| {
+            memput(eng, loc, gva, vec![(i + 1) as u8; 32], OpId::from_raw(i));
+        });
+        if i % 3 == 2 {
+            h.drive_at(loc, move |eng| {
+                memamo(
+                    eng,
+                    loc,
+                    gva,
+                    AmoOp::FetchAdd { operand: i },
+                    OpId::from_raw(600 + i),
+                );
+            });
+        }
+        h.run_steps(12);
+    }
+    for i in 0..16u64 {
+        let loc = ((i + 1) % 4) as u32;
+        let gva = arr.block(i % 8);
+        h.drive_at(loc, move |eng| {
+            memget(eng, loc, gva, 32, OpId::from_raw(2000 + i));
+        });
+    }
+    h.run();
+    h.witness()
+}
+
+#[test]
+fn shm_domain_mix_is_lane_invariant() {
+    let reference = shm_domain_mix(None);
+    for lanes in GRID {
+        let got = shm_domain_mix(lanes);
+        assert_eq!(
+            got, reference,
+            "shm_domain_mix (lanes={lanes:?}): diverged from the sequential run — \
+             observed (hash, ps, events) = ({:#018x}, {}, {})",
+            got.0, got.1, got.2
+        );
     }
 }
 

@@ -126,11 +126,6 @@ impl<V: Copy + Default> FlatTable<V> {
         self.listed
     }
 
-    /// Allocated slot count (power of two; 0 before the first insert).
-    pub fn slot_capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     #[inline]
     fn home(&self, key: u64) -> usize {
         (mix(self.seed, key) as usize) & self.mask

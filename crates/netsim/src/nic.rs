@@ -501,16 +501,6 @@ impl Nic {
     pub fn rx_reserve(&mut self, earliest: Time, dur: Time) -> (Time, Time) {
         reserve(&mut self.rx_free, earliest, dur)
     }
-
-    /// Earliest instant any transmit port is idle.
-    pub fn tx_free_at(&self) -> Time {
-        self.tx_free.iter().copied().min().unwrap_or(Time::ZERO)
-    }
-
-    /// Earliest instant any receive port is idle.
-    pub fn rx_free_at(&self) -> Time {
-        self.rx_free.iter().copied().min().unwrap_or(Time::ZERO)
-    }
 }
 
 #[cfg(test)]

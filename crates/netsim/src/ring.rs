@@ -1,29 +1,27 @@
-//! Descriptor rings: the unified submission/completion issue path.
+//! Descriptor rings: batched submission behind one doorbell.
 //!
 //! Real NICs do not take one doorbell per operation. The initiator posts
 //! descriptors into a bounded submission ring and rings the doorbell once
-//! per *batch*; the NIC likewise coalesces completions and raises one
-//! moderated interrupt for many finished descriptors. This module models
-//! that shape once, so every layer that used to batch ad hoc (photon's
-//! per-op sends, `parcel-rt`'s bespoke coalescer) issues through the same
-//! abstraction:
+//! per *batch*. `parcel-rt` issues parcels through these rings, and there
+//! a doorbell changes the wire: the drained batch leaves as one message.
+//! Photon's one-sided ops have no ring: the model charges every op its
+//! own send overhead and serialization whether or not a ring drained it,
+//! so a ring there would only add waiting and timer events.
 //!
 //! * [`Ring`] — one bounded per-peer ring: descriptors accumulate until a
 //!   batch-size, byte-budget, or occupancy limit forces a flush
-//!   ([`PushOutcome::Flush`]), or until a caller-scheduled doorbell/
-//!   moderation timer fires. Timers are invalidated by *epoch*: every
-//!   [`Ring::drain`] bumps the epoch, so a timer armed against a ring that
-//!   has since flushed finds a stale epoch and does nothing — exactly the
-//!   arm-once/flush-cancels semantics a real moderation timer has, without
-//!   any event cancellation machinery.
+//!   ([`PushOutcome::Flush`]), or until a caller-scheduled doorbell timer
+//!   fires. Timers are invalidated by *epoch*: every [`Ring::drain`] bumps
+//!   the epoch, so a timer armed against a ring that has since flushed
+//!   finds a stale epoch and does nothing — arm-once/flush-cancels
+//!   semantics without any event cancellation machinery.
 //! * [`RingSet`] — the per-(locality, peer) collection, deterministic
 //!   iteration order, with pooled occupancy/doorbell/coalesce statistics
 //!   and stuck-descriptor snapshots for quiescence reports.
 //!
-//! The ring layer is pure bookkeeping: it never touches the engine. Callers
-//! (photon, parcel-rt) schedule the doorbell/moderation events on their own
-//! lane and drain when they fire, which keeps the sharded engine's
-//! lane-aliasing contract intact.
+//! The ring layer is pure bookkeeping: it never touches the engine. The
+//! caller schedules the doorbell timer on its own lane and drains when it
+//! fires, which keeps the sharded engine's lane-aliasing contract intact.
 
 use crate::nic::LocalityId;
 use crate::telemetry;
@@ -32,9 +30,9 @@ use std::collections::BTreeMap;
 
 /// Configuration of the descriptor-ring issue path.
 ///
-/// `None` at the embedding layer (photon/parcel-rt) means rings are off and
-/// every operation is its own doorbell — the pre-ring schedules, kept
-/// bit-identical for the golden trace pins. A ring flushes at exactly
+/// `None` at the embedding layer (`parcel-rt`) means rings are off and
+/// every parcel is its own message — the schedules the golden trace pins
+/// are built on. A ring flushes at exactly
 /// `doorbell_batch` descriptors and its timer waits exactly
 /// `doorbell_delay`; callers arming the timer read it from
 /// [`RingSet::config`].
@@ -48,9 +46,6 @@ pub struct RingConfig {
     /// Longest a partially filled submission ring waits before ringing its
     /// doorbell anyway.
     pub doorbell_delay: Time,
-    /// Completion-coalescing moderation window: completions buffer at most
-    /// this long before the coalesced interrupt fires.
-    pub moderation: Time,
     /// Byte budget per batch: a push that brings buffered payload bytes to
     /// or above this flushes, bounding added latency for bulk traffic.
     pub max_bytes: u32,
@@ -62,7 +57,6 @@ impl Default for RingConfig {
             depth: 256,
             doorbell_batch: 16,
             doorbell_delay: Time::from_us(5),
-            moderation: Time::from_us(1),
             max_bytes: 8192,
         }
     }
@@ -87,8 +81,8 @@ pub enum PushOutcome {
     /// A flush condition hit (batch size, byte budget, or full ring):
     /// drain now and issue the batch under one doorbell.
     Flush,
-    /// First descriptor of a fresh batch: schedule the doorbell/moderation
-    /// timer against this epoch. A later drain invalidates it.
+    /// First descriptor of a fresh batch: schedule the doorbell timer
+    /// against this epoch. A later drain invalidates it.
     Armed(u64),
     /// Buffered behind an already-armed timer; nothing to do.
     Buffered,
@@ -140,7 +134,7 @@ impl DescSnapshot {
     }
 }
 
-/// One bounded submission/completion ring toward a single peer.
+/// One bounded submission ring toward a single peer.
 ///
 /// Storage is a fixed `depth`-slot buffer addressed by free-running
 /// head/tail counters (`slot = counter % depth`), so slot indices genuinely

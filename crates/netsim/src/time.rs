@@ -70,18 +70,6 @@ impl Time {
         self.0 / NS
     }
 
-    /// This instant expressed in fractional microseconds.
-    #[inline]
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / US as f64
-    }
-
-    /// This instant expressed in fractional nanoseconds.
-    #[inline]
-    pub fn as_ns_f64(self) -> f64 {
-        self.0 as f64 / NS as f64
-    }
-
     /// This instant expressed in fractional seconds.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {

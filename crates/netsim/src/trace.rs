@@ -206,11 +206,6 @@ impl Tracer {
         self.events.clear();
     }
 
-    /// Stop recording (events retained for inspection).
-    pub fn disable(&mut self) {
-        self.enabled = false;
-    }
-
     /// Is recording active?
     #[inline]
     pub fn is_enabled(&self) -> bool {

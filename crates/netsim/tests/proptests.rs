@@ -406,7 +406,7 @@ proptest! {
         };
         for (op, b) in ops {
             if op == 0 && !shadow.is_empty() {
-                // A spontaneous doorbell (the moderation timer firing).
+                // A spontaneous doorbell (the doorbell timer firing).
                 check_drain(&mut ring, &mut shadow, &mut delivered);
             } else {
                 let seq = next;
@@ -489,7 +489,7 @@ proptest! {
 
     /// The same push/drain schedule over a `RingSet` replays bit-identically:
     /// drain contents, doorbell/desc/coalesce counters, and occupancy peaks
-    /// are pure functions of the op sequence (the determinism the moderation
+    /// are pure functions of the op sequence (the determinism the doorbell
     /// timers lean on).
     #[test]
     fn ringset_replays_identically(

@@ -39,7 +39,6 @@
 //! the full protocol and pay full cost.
 
 use crate::world::World;
-use agas::GasMode;
 use netsim::{Engine, LocalityId, Time};
 
 /// Balancer policy parameters.
@@ -261,20 +260,11 @@ fn round(eng: &mut Engine<World>, cfg: BalancerConfig, idle_rounds: u32) {
     eng.schedule(cfg.period, move |eng| round(eng, cfg, 0));
 }
 
-/// Convenience: the heat source active under `mode` (documentation aid).
-pub fn telemetry_source(mode: GasMode) -> &'static str {
-    match mode {
-        GasMode::Pgas => "none (static placement)",
-        GasMode::AgasSoftware => "software handler heat map",
-        GasMode::AgasNetwork => "NIC translation-table hit counters",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Runtime;
-    use agas::Distribution;
+    use agas::{Distribution, GasMode};
 
     fn heat(rows: &[(u64, u64, LocalityId)]) -> Vec<BlockHeat> {
         rows.iter()

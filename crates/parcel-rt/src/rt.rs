@@ -10,7 +10,7 @@ use crate::collective::{self, Collectives};
 use crate::lco::{self, ReduceOp};
 use crate::parcel::{ActionCtx, ActionId, ActionRegistry, Parcel};
 use crate::sched;
-use crate::world::{Completion, Msg, RtConfig, World, NO_COMPLETION};
+use crate::world::{Completion, RtConfig, World, NO_COMPLETION};
 use agas::{alloc_array, Distribution, GasConfig, GasMode, GlobalArray, Gva};
 use netsim::{Engine, FaultPlan, FaultPlane, LocalityId, NetConfig, Time};
 use photon::PhotonConfig;
@@ -494,14 +494,13 @@ impl Runtime {
     }
 
     /// Assert the cluster is truly quiescent: no pending GAS operations,
-    /// no descriptors sitting in any submission/completion ring (parcel
-    /// rings and photon endpoint rings alike), no outstanding PWC ops, no
-    /// undelivered completions. Call after `run()` in tests/drivers to
-    /// catch protocol leaks early. On failure one unified report lists
-    /// every stuck item — GAS ops with kind, GVA, age, attempts, and last
-    /// protocol state; ring descriptors with kind, peer, bytes, and age —
-    /// followed by each locality's membership view and by the
-    /// continuations that never ran
+    /// no descriptors sitting in any parcel submission ring, no
+    /// outstanding PWC ops, no undelivered completions. Call after `run()`
+    /// in tests/drivers to catch protocol leaks early. On failure one
+    /// unified report lists every stuck item — GAS ops with kind, GVA, age,
+    /// attempts, and last protocol state; ring descriptors with kind, peer,
+    /// bytes, and age — followed by each locality's membership view and by
+    /// the continuations that never ran
     /// ([`Self::pending_lcos`], unfired driver slots). Those alone never
     /// fail the check: a program may legitimately end holding a gate it
     /// stopped caring about.
@@ -517,9 +516,6 @@ impl Runtime {
                 for d in rings.snapshots(now) {
                     stuck.push(format!("  locality {l}: {}", d.render()));
                 }
-            }
-            for d in w.eps[l as usize].ring_snapshots(l, now) {
-                stuck.push(format!("  locality {l}: {}", d.render()));
             }
         }
         let membership: String = (0..w.cluster.len() as u32)
@@ -584,10 +580,5 @@ impl Runtime {
     /// Cluster-wide hardware counters.
     pub fn counters(&self) -> netsim::Counters {
         self.eng.state.cluster.total_counters()
-    }
-
-    /// Send a raw two-sided message (exposed for transport experiments).
-    pub fn raw_send(&mut self, src: LocalityId, dst: LocalityId, bytes: u32, msg: Msg) {
-        netsim::send_user(&mut self.eng, src, dst, bytes, msg);
     }
 }

@@ -62,7 +62,7 @@ pub(crate) fn transmit<W: RtWorld>(
 
 /// Post `parcel` as a descriptor into `from`'s submission ring toward
 /// `next`, ringing the doorbell when the batch threshold trips and arming
-/// the moderation timer when the ring transitions from empty.
+/// the doorbell timer when the ring transitions from empty.
 fn ring_submit<W: RtWorld>(
     eng: &mut Engine<W>,
     from: LocalityId,

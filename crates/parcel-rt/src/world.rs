@@ -41,8 +41,7 @@ pub struct RtConfig {
     /// sends every parcel immediately). Parcels post as descriptors into
     /// the shared [`netsim::ring`] layer and one doorbell per drain sends
     /// the whole batch as a single wire message — the message-aggregation
-    /// optimization the AM++/HPX graph papers lean on, now expressed on
-    /// the same rings photon issues through.
+    /// optimization the AM++/HPX graph papers lean on.
     pub ring: Option<RingConfig>,
     /// Worker threads per locality (the CPU pool shared by actions and GAS
     /// software handlers).

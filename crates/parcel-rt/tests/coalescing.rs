@@ -93,7 +93,7 @@ fn doorbell_timer_drains_partial_batches() {
     let count = Rc::new(Cell::new(0u32));
     let c2 = count.clone();
     let bump = b.register("bump", move |_, _| c2.set(c2.get() + 1));
-    // Huge thresholds: only the moderation timer can ring the doorbell.
+    // Huge thresholds: only the doorbell timer can drain the ring.
     let mut rt = b.rt_config(ringed(1_000_000, Time::from_us(3))).boot();
     let arr = rt.alloc(2, 12, Distribution::Cyclic);
     for _ in 0..5 {

@@ -1,6 +1,6 @@
 //! Photon middleware tuning parameters.
 
-use netsim::{RingConfig, Time};
+use netsim::Time;
 
 /// Configuration of a [`crate::PhotonEndpoint`].
 ///
@@ -31,11 +31,6 @@ pub struct PhotonConfig {
     pub reg_per_page: Time,
     /// Page size for registration accounting.
     pub page_bytes: u64,
-    /// Descriptor-ring issue path: when set, PWC puts/gets/AMOs post into
-    /// per-peer submission rings (batched doorbells) and NIC completions
-    /// coalesce under the moderation timer. `None` (the default) keeps the
-    /// one-doorbell-per-op schedules the golden trace pins are built on.
-    pub ring: Option<RingConfig>,
 }
 
 impl Default for PhotonConfig {
@@ -50,7 +45,6 @@ impl Default for PhotonConfig {
             reg_base: Time::from_us(10),
             reg_per_page: Time::from_ns(180),
             page_bytes: 4096,
-            ring: None,
         }
     }
 }
@@ -66,15 +60,5 @@ mod tests {
         assert!(c.ledger_slots >= 1);
         assert!(c.rcache_enabled);
         assert!(c.reg_base > Time::ZERO);
-        assert!(c.ring.is_none(), "rings are strictly opt-in");
-    }
-
-    #[test]
-    fn ring_config_is_opt_in() {
-        let c = PhotonConfig {
-            ring: Some(RingConfig::default()),
-            ..PhotonConfig::default()
-        };
-        assert_eq!(c.ring.unwrap().doorbell_batch, 16);
     }
 }

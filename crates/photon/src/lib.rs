@@ -32,9 +32,8 @@ pub use matching::{MatchQueue, Unexpected, ANY_TAG};
 pub use rcache::RegCache;
 
 use netsim::{
-    rdma_issue, rdma_put, send_user, Access, AmoResult, Desc, DescSnapshot, Engine, FaultClass,
-    LocalityId, NackReason, OpId, OpKind, OpTable, Packet, PhysAddr, Protocol, PushOutcome, PutReq,
-    RdmaTarget, Ring, RingSet, RingStats, Time, TraceKind, Verb,
+    rdma_issue, rdma_put, send_user, Access, AmoResult, Engine, FaultClass, LocalityId, NackReason,
+    OpId, OpKind, OpTable, Packet, PhysAddr, Protocol, PutReq, RdmaTarget, Time, Verb,
 };
 use std::collections::{HashMap, VecDeque};
 
@@ -98,9 +97,6 @@ pub struct PhotonStats {
     /// Control messages that violated the protocol state machine (e.g. a
     /// CTS for an unknown rendezvous send), dropped.
     pub protocol_violations: u64,
-    /// AMO descriptors that shared a submission doorbell with another AMO
-    /// to the same responder (only counted with the ring path enabled).
-    pub amo_batched: u64,
 }
 
 enum Pending {
@@ -112,19 +108,6 @@ enum Pending {
 /// NIC-forwarded and committed at `owner` under that translation
 /// generation (the ack's source plus the packet's `moved`).
 type Redirect = (LocalityId, u32);
-
-/// A completion buffered in the coalescing ring, waiting on the moderation
-/// timer or the batch threshold.
-enum CompEvent {
-    /// A `PutDone`/`GetDone` naming endpoint-table handle `op`.
-    Done { op: OpId, hint: Option<Redirect> },
-    /// An `AmoDone` with its fetched result.
-    AmoDone {
-        op: OpId,
-        result: AmoResult,
-        hint: Option<Redirect>,
-    },
-}
 
 struct RdvSend {
     dst: LocalityId,
@@ -155,11 +138,6 @@ pub struct PhotonEndpoint {
     rdv_recvs: HashMap<u64, RdvRecv>,
     next_send_id: u64,
     remote_ledger: VecDeque<(u64, u32)>,
-    /// Per-peer submission rings (`Some` iff [`PhotonConfig::ring`] is set).
-    subq: Option<RingSet<Box<Access>>>,
-    /// The completion-coalescing ring, moderated by
-    /// [`netsim::RingConfig::moderation`].
-    compq: Option<Ring<CompEvent>>,
 }
 
 impl PhotonEndpoint {
@@ -176,8 +154,6 @@ impl PhotonEndpoint {
             rdv_recvs: HashMap::new(),
             next_send_id: 0,
             remote_ledger: VecDeque::new(),
-            subq: cfg.ring.map(RingSet::new),
-            compq: cfg.ring.map(Ring::new),
             cfg,
         }
     }
@@ -225,43 +201,6 @@ impl PhotonEndpoint {
     /// The matching engine (exposed for tests and diagnostics).
     pub fn match_queue(&self) -> &MatchQueue {
         &self.matching
-    }
-
-    /// Descriptors waiting in the submission and completion rings (0 with
-    /// rings disabled) — drained work that has not yet entered the fabric
-    /// or reached its callback.
-    pub fn ring_occupancy(&self) -> usize {
-        self.subq.as_ref().map_or(0, RingSet::occupancy) + self.compq.as_ref().map_or(0, Ring::len)
-    }
-
-    /// Stuck-descriptor snapshots across both rings, for quiescence
-    /// reports. `loc` names this endpoint's locality (completion-ring
-    /// entries are local, so they report it as their peer).
-    pub fn ring_snapshots(&self, loc: LocalityId, now: Time) -> Vec<DescSnapshot> {
-        let mut out = self
-            .subq
-            .as_ref()
-            .map_or_else(Vec::new, |r| r.snapshots(now));
-        if let Some(c) = &self.compq {
-            out.extend(c.snapshots(loc, now));
-        }
-        out
-    }
-
-    /// Pooled doorbell/occupancy/coalesce counters across both rings.
-    pub fn ring_stats(&self) -> RingStats {
-        let mut total = self
-            .subq
-            .as_ref()
-            .map_or_else(RingStats::default, RingSet::stats);
-        if let Some(c) = &self.compq {
-            let cs = c.stats();
-            total.doorbells += cs.doorbells;
-            total.descs += cs.descs;
-            total.coalesced += cs.coalesced;
-            total.max_occupancy = total.max_occupancy.max(cs.max_occupancy);
-        }
-        total
     }
 
     /// Remaining eager credits toward `peer`.
@@ -362,143 +301,6 @@ fn size_class_for(len: u32) -> u8 {
     (u32::BITS - (needed - 1).leading_zeros()) as u8
 }
 
-// ------------------------------------------------------------------ rings
-
-/// Post one not-yet-injected PWC op into the submission ring toward its
-/// target, flushing or arming the doorbell timer as the ring directs. Only
-/// called when [`PhotonConfig::ring`] is set.
-fn ring_submit<S: PhotonWorld>(eng: &mut Engine<S>, src: LocalityId, req: Box<Access>) {
-    let now = eng.now();
-    let dst = req.target;
-    let (kind, bytes) = match &req.verb {
-        Verb::Put { data, .. } => ("put", data.len() as u32),
-        Verb::Get { len, .. } => ("get", *len),
-        Verb::Amo { amo, .. } => ("amo", 8 * amo.wire_words() as u32),
-    };
-    let rings = eng
-        .state
-        .endpoint(src)
-        .subq
-        .as_mut()
-        .expect("ring_submit with rings disabled");
-    let outcome = rings.push(
-        dst,
-        Desc {
-            item: req,
-            bytes,
-            kind,
-            enqueued: now,
-        },
-    );
-    match outcome {
-        PushOutcome::Flush => ring_doorbell(eng, src, dst),
-        PushOutcome::Armed(epoch) => {
-            let delay = rings.config().doorbell_delay;
-            eng.schedule_at_loc(now + delay, src, move |eng| {
-                let due = eng
-                    .state
-                    .endpoint(src)
-                    .subq
-                    .as_ref()
-                    .is_some_and(|r| r.timer_due(dst, epoch));
-                if due {
-                    ring_doorbell(eng, src, dst);
-                }
-            });
-        }
-        PushOutcome::Buffered => {}
-    }
-}
-
-/// Ring the submission doorbell toward `dst`: drain the ring and inject
-/// every descriptor, in post order, under this one event.
-fn ring_doorbell<S: PhotonWorld>(eng: &mut Engine<S>, src: LocalityId, dst: LocalityId) {
-    let batch = match eng.state.endpoint(src).subq.as_mut() {
-        Some(rings) => rings.drain(dst),
-        None => return,
-    };
-    if batch.is_empty() {
-        return;
-    }
-    let now = eng.now();
-    eng.state.cluster().tracer.record(
-        now,
-        TraceKind::Doorbell {
-            at: src,
-            peer: dst,
-            descs: batch.len() as u32,
-        },
-    );
-    let amos = batch
-        .iter()
-        .filter(|d| d.item.verb.kind() == OpKind::Amo)
-        .count() as u64;
-    if amos >= 2 {
-        eng.state.endpoint(src).stats.amo_batched += amos;
-    }
-    for desc in batch {
-        rdma_issue(eng, src, desc.item);
-    }
-}
-
-/// Buffer one NIC completion in the coalescing ring, flushing or arming
-/// the moderation timer as the ring directs. Only called when
-/// [`PhotonConfig::ring`] is set.
-fn ring_coalesce_completion<S: PhotonWorld>(eng: &mut Engine<S>, at: LocalityId, ev: CompEvent) {
-    let now = eng.now();
-    let ring = eng
-        .state
-        .endpoint(at)
-        .compq
-        .as_mut()
-        .expect("completion coalescing with rings disabled");
-    let outcome = ring.push(Desc {
-        item: ev,
-        bytes: 0,
-        kind: "completion",
-        enqueued: now,
-    });
-    match outcome {
-        PushOutcome::Flush => ring_deliver_completions(eng, at),
-        PushOutcome::Armed(epoch) => {
-            let moderation = eng
-                .state
-                .endpoint(at)
-                .cfg
-                .ring
-                .expect("ring cfg")
-                .moderation;
-            eng.schedule_at_loc(now + moderation, at, move |eng| {
-                let due = eng
-                    .state
-                    .endpoint(at)
-                    .compq
-                    .as_ref()
-                    .is_some_and(|r| r.timer_due(epoch));
-                if due {
-                    ring_deliver_completions(eng, at);
-                }
-            });
-        }
-        PushOutcome::Buffered => {}
-    }
-}
-
-/// The coalesced interrupt: drain the completion ring and deliver every
-/// buffered completion through the normal endpoint-table path.
-fn ring_deliver_completions<S: PhotonWorld>(eng: &mut Engine<S>, at: LocalityId) {
-    let batch = match eng.state.endpoint(at).compq.as_mut() {
-        Some(ring) => ring.drain(),
-        None => return,
-    };
-    for desc in batch {
-        match desc.item {
-            CompEvent::Done { op, hint } => deliver_done(eng, at, op, hint),
-            CompEvent::AmoDone { op, result, hint } => deliver_amo_done(eng, at, op, result, hint),
-        }
-    }
-}
-
 // ------------------------------------------------------------------ PWC
 
 /// One-sided access with completion — the single PWC issue path. `ctx`
@@ -510,11 +312,10 @@ fn ring_deliver_completions<S: PhotonWorld>(eng: &mut Engine<S>, at: LocalityId)
 /// buffer for registration-cost accounting (`None` = pre-registered pool,
 /// e.g. the runtime's scratch allocator).
 ///
-/// The op is posted from the caller: it reaches the fabric (or the
-/// submission ring) before `pwc` returns, so its first wire leg is keyed
-/// from whoever issued it. The one wait PWC models is registration — a
-/// `local_src` that misses the registration cache is posted by a single
-/// event at `now + reg_delay`.
+/// The op is posted from the caller: it reaches the fabric before `pwc`
+/// returns, so its first wire leg is keyed from whoever issued it. The one
+/// wait PWC models is registration — a `local_src` that misses the
+/// registration cache is posted by a single event at `now + reg_delay`.
 ///
 /// An AMO's operands ride in the control-sized request, so an AMO
 /// registers nothing whatever `local_src` says. Its [`Verb::Amo`] `key` is
@@ -564,22 +365,12 @@ pub fn pwc<S: PhotonWorld>(
         class: FaultClass::Request,
     });
     if reg_delay == Time::ZERO {
-        inject(eng, src, req);
+        rdma_issue(eng, src, req);
     } else {
         let at = eng.now() + reg_delay;
-        eng.schedule_at_loc(at, src, move |eng| inject(eng, src, req));
+        eng.schedule_at_loc(at, src, move |eng| rdma_issue(eng, src, req));
     }
     op
-}
-
-/// Hand a built request to the fabric: through the submission ring when
-/// rings are on, directly otherwise.
-fn inject<S: PhotonWorld>(eng: &mut Engine<S>, src: LocalityId, req: Box<Access>) {
-    if eng.state.endpoint(src).subq.is_some() {
-        ring_submit(eng, src, req);
-    } else {
-        rdma_issue(eng, src, req);
-    }
 }
 
 /// One-sided put with completion: [`pwc`] with a [`Verb::Put`].
@@ -874,19 +665,11 @@ pub fn handle_completion<S: PhotonWorld>(
     match packet {
         Packet::PutDone { op, moved } | Packet::GetDone { op, moved } => {
             let hint = moved.map(|generation| (from, generation));
-            if eng.state.endpoint(at).compq.is_some() {
-                ring_coalesce_completion(eng, at, CompEvent::Done { op, hint });
-            } else {
-                deliver_done(eng, at, op, hint);
-            }
+            deliver_done(eng, at, op, hint);
         }
         Packet::AmoDone { op, result, moved } => {
             let hint = moved.map(|generation| (from, generation));
-            if eng.state.endpoint(at).compq.is_some() {
-                ring_coalesce_completion(eng, at, CompEvent::AmoDone { op, result, hint });
-            } else {
-                deliver_amo_done(eng, at, op, result, hint);
-            }
+            deliver_amo_done(eng, at, op, result, hint);
         }
         Packet::RemoteNote { tag, len } => {
             if tag & RDV_NOTE_BIT != 0 {
@@ -1110,14 +893,6 @@ mod tests {
 
     fn world(n: usize) -> Engine<World> {
         Engine::new(World::new(n, PhotonConfig::default()), 5)
-    }
-
-    fn ring_world(n: usize, ring: netsim::RingConfig) -> Engine<World> {
-        let pcfg = PhotonConfig {
-            ring: Some(ring),
-            ..PhotonConfig::default()
-        };
-        Engine::new(World::new(n, pcfg), 5)
     }
 
     fn events_of(eng: &Engine<World>, loc: LocalityId) -> Vec<&Event> {
@@ -1576,52 +1351,10 @@ mod tests {
     }
 
     #[test]
-    fn ring_batches_puts_under_one_doorbell() {
-        let mut eng = ring_world(
-            2,
-            netsim::RingConfig {
-                doorbell_batch: 4,
-                ..netsim::RingConfig::default()
-            },
-        );
-        let base = install_block(&mut eng, 1, 77);
-        for i in 0..4u64 {
-            pwc_put(
-                &mut eng,
-                0,
-                1,
-                RdmaTarget::Virt {
-                    block: 77,
-                    offset: i * 64,
-                },
-                vec![i as u8 + 1; 64],
-                OpId::from_raw(i),
-                None,
-                None,
-            );
-        }
-        eng.run();
-        for i in 0..4u64 {
-            assert_eq!(
-                eng.state.cluster.mem(1).read(base + i * 64, 64).unwrap(),
-                &[i as u8 + 1; 64][..]
-            );
-            assert!(events_of(&eng, 0).contains(&&Event::PwcDone(i)));
-        }
-        let stats = eng.state.eps[0].ring_stats();
-        // Four descriptors entered the fabric under a single submission
-        // doorbell (completions add their own ring doorbells).
-        assert!(stats.descs >= 4, "expected 4+ descs, got {stats:?}");
-        assert!(stats.coalesced >= 3, "expected coalescing, got {stats:?}");
-        assert_eq!(eng.state.eps[0].ring_occupancy(), 0);
-        assert_eq!(eng.state.eps[0].outstanding_ops(), 0);
-    }
-
-    #[test]
-    fn redirect_hint_survives_coalescing_and_dies_with_a_retired_handle() {
+    fn redirect_hint_precedes_each_completion_and_dies_with_a_retired_handle() {
         // Block 55 lives at locality 2 under generation 9; locality 1 (the
         // initiator's stale guess) keeps the forwarding tombstone.
-        let mut eng = ring_world(3, netsim::RingConfig::default());
+        let mut eng = world(3);
         let base = eng.state.cluster.mem_mut(2).alloc_block(12).unwrap();
         let entry = XlateEntry {
             base,
@@ -1655,14 +1388,9 @@ mod tests {
         };
         pwc(&mut eng, 0, 1, at, amo, OpId::from_raw(2), None);
         eng.run();
-        // Both completions sat in the coalescing ring and came out with
-        // their hint, each surfaced just before its completion callback.
-        assert!(
-            eng.state.eps[0].ring_stats().descs >= 4,
-            "2 requests + 2 acks"
-        );
         // Both inject from the caller, in issue order: the put lands
-        // first, so the AMO fetches the bytes it wrote.
+        // first, so the AMO fetches the bytes it wrote. Each completion
+        // carries its hint, surfaced just before its completion callback.
         assert_eq!(
             events_of(&eng, 0),
             vec![
@@ -1682,134 +1410,6 @@ mod tests {
         eng.run();
         assert_eq!(events_of(&eng, 0).len(), 4);
         assert_eq!(eng.state.eps[0].stats.stale_completions, 1);
-        assert_eq!(eng.state.eps[0].ring_occupancy(), 0);
-    }
-
-    #[test]
-    fn ring_doorbell_timer_flushes_partial_batch() {
-        let mut eng = ring_world(2, netsim::RingConfig::default());
-        let base = install_block(&mut eng, 1, 9);
-        // Two puts: far below the 16-descriptor batch, so only the
-        // doorbell_delay timer can inject them.
-        for i in 0..2u64 {
-            pwc_put(
-                &mut eng,
-                0,
-                1,
-                RdmaTarget::Virt {
-                    block: 9,
-                    offset: i * 8,
-                },
-                vec![0xEE; 8],
-                OpId::from_raw(i),
-                None,
-                None,
-            );
-        }
-        eng.run();
-        assert_eq!(
-            eng.state.cluster.mem(1).read(base, 8).unwrap(),
-            &[0xEE; 8][..]
-        );
-        assert!(events_of(&eng, 0).contains(&&Event::PwcDone(0)));
-        assert!(events_of(&eng, 0).contains(&&Event::PwcDone(1)));
-        assert_eq!(eng.state.eps[0].ring_occupancy(), 0);
-        // Ring-path latency includes the doorbell delay.
-        let done_at = eng
-            .state
-            .events
-            .iter()
-            .find(|(_, l, e)| *l == 0 && matches!(e, Event::PwcDone(0)))
-            .map(|(t, _, _)| *t)
-            .unwrap();
-        assert!(done_at >= netsim::RingConfig::default().doorbell_delay);
-    }
-
-    #[test]
-    fn ring_batches_amos_and_counts_them() {
-        let mut eng = ring_world(
-            2,
-            netsim::RingConfig {
-                doorbell_batch: 3,
-                ..netsim::RingConfig::default()
-            },
-        );
-        let base = install_block(&mut eng, 1, 5);
-        eng.state
-            .cluster
-            .mem_mut(1)
-            .write(base, &7u64.to_le_bytes())
-            .unwrap();
-        for i in 0..3u64 {
-            pwc(
-                &mut eng,
-                0,
-                1,
-                RdmaTarget::Virt {
-                    block: 5,
-                    offset: 0,
-                },
-                Verb::Amo {
-                    amo: AmoOp::FetchAdd { operand: 1 },
-                    key: (0, 1000 + i),
-                },
-                OpId::from_raw(i),
-                None,
-            );
-        }
-        eng.run();
-        let olds: Vec<u64> = eng
-            .state
-            .events
-            .iter()
-            .filter_map(|(_, l, e)| match e {
-                Event::AmoDone(_, old) if *l == 0 => Some(*old),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(olds, vec![7, 8, 9], "FIFO ring order preserves AMO order");
-        assert_eq!(eng.state.eps[0].stats.amo_batched, 3);
-        assert_eq!(eng.state.eps[0].outstanding_ops(), 0);
-    }
-
-    #[test]
-    fn ring_disabled_matches_legacy_issue_path() {
-        // The same workload with and without a never-batching ring: the
-        // ring adds scheduling hops but must not change outcomes.
-        let outcome = |ring: Option<netsim::RingConfig>| {
-            let pcfg = PhotonConfig {
-                ring,
-                ..PhotonConfig::default()
-            };
-            let mut eng = Engine::new(World::new(2, pcfg), 5);
-            let base = install_block(&mut eng, 1, 77);
-            for i in 0..5u64 {
-                pwc_put(
-                    &mut eng,
-                    0,
-                    1,
-                    RdmaTarget::Virt {
-                        block: 77,
-                        offset: i * 8,
-                    },
-                    vec![i as u8; 8],
-                    OpId::from_raw(i),
-                    None,
-                    None,
-                );
-            }
-            eng.run();
-            let mem: Vec<u8> = eng.state.cluster.mem(1).read(base, 40).unwrap().to_vec();
-            let dones = events_of(&eng, 0).len();
-            (mem, dones)
-        };
-        let plain = outcome(None);
-        let ringed = outcome(Some(netsim::RingConfig {
-            doorbell_batch: 1,
-            ..netsim::RingConfig::default()
-        }));
-        assert_eq!(plain.0, ringed.0);
-        assert_eq!(plain.1, ringed.1);
     }
 
     #[test]

@@ -27,7 +27,6 @@ use agas::{Distribution, GasConfig, GasMode, GasStats, Gva};
 use netsim::rng::mix64;
 use netsim::{Counters, FaultPlan, FaultRates, FaultStats, OutcomeCounters, Time};
 use parcel_rt::{ArgWriter, RtConfig, Runtime, Transport};
-use photon::PhotonConfig;
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -58,9 +57,6 @@ pub struct ChaosConfig {
     /// slot table), exercising the AMO request/completion classes and the
     /// responder replay cache under faults.
     pub amos: bool,
-    /// Photon endpoint tuning for the run; set `ring` to drive every op
-    /// through the descriptor-ring issue path under the fault plane.
-    pub photon: PhotonConfig,
     /// Run the elastic-membership schedule (requires `localities >= 4`):
     /// the last locality starts `Joining` and joins (taking a slice of
     /// locality 0's directory shard) at ¼ of the rounds; locality 2 drains
@@ -85,7 +81,6 @@ impl Default for ChaosConfig {
             churn: 4,
             spawns: false,
             amos: false,
-            photon: PhotonConfig::default(),
             membership: false,
         }
     }
@@ -229,7 +224,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     );
     let mut b = Runtime::builder(n as usize, cfg.mode)
         .seed(cfg.seed)
-        .photon(cfg.photon)
         .faults(cfg.plan.clone())
         .gas_config(GasConfig {
             op_deadline: Some(Time::from_us(300)),
