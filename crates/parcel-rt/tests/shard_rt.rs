@@ -21,8 +21,12 @@ fn jittery() -> NetConfig {
 }
 
 /// Run `f` across the lane grid and assert every run reproduces the
-/// sequential result exactly.
-fn grid(name: &str, f: impl Fn(&WorkloadSpec) -> WorkloadResult, base: WorkloadSpec) {
+/// sequential result exactly; returns that result.
+fn grid(
+    name: &str,
+    f: impl Fn(&WorkloadSpec) -> WorkloadResult,
+    base: WorkloadSpec,
+) -> WorkloadResult {
     let mut reference: Option<WorkloadResult> = None;
     for lanes in LANES {
         let spec = WorkloadSpec { lanes, ..base };
@@ -41,6 +45,7 @@ fn grid(name: &str, f: impl Fn(&WorkloadSpec) -> WorkloadResult, base: WorkloadS
             ),
         }
     }
+    reference.expect("LANES is not empty")
 }
 
 #[test]
@@ -76,10 +81,20 @@ fn bfs_tree_is_lane_independent() {
     }
 }
 
+/// `(trace_hash, now_ps, parcels_executed)` of the two batched runs below,
+/// captured on the sequential engine. Any change to when a batch flushes,
+/// when its timer fires or what it puts on the wire moves these.
+const SPRAY_RING_PIN: (u64, u64, u64) = (15_599_631_126_018_519_732, 4_369_200, 6);
+const BFS_RING_PIN: (u64, u64, u64) = (17_341_536_091_105_473_138, 4_409_800, 6);
+
+fn pin(r: &WorkloadResult) -> (u64, u64, u64) {
+    (r.trace_hash, r.now_ps, r.parcels_executed)
+}
+
 #[test]
 fn ringed_parcels_stay_lane_independent() {
-    // Submission rings batch parcels into shared doorbells; the coalesced
-    // schedule must still replay identically across lanes.
+    // Per-peer batches share one doorbell; the batched schedule must
+    // equal its pin sequentially and replay identically across lanes.
     let ring = RingConfig {
         doorbell_batch: 4,
         doorbell_delay: Time::from_ns(300),
@@ -89,6 +104,12 @@ fn ringed_parcels_stay_lane_independent() {
         ring: Some(ring),
         ..WorkloadSpec::new(6, GasMode::AgasNetwork)
     };
-    grid("spray_reduce+ring", spray_reduce, spec);
-    grid("bfs_tree+ring", bfs_tree, spec);
+    let spray = grid("spray_reduce+ring", spray_reduce, spec);
+    assert_eq!(
+        pin(&spray),
+        SPRAY_RING_PIN,
+        "spray_reduce+ring schedule moved"
+    );
+    let bfs = grid("bfs_tree+ring", bfs_tree, spec);
+    assert_eq!(pin(&bfs), BFS_RING_PIN, "bfs_tree+ring schedule moved");
 }
