@@ -86,6 +86,17 @@ fn fabric_of(s: &str) -> NetConfig {
     }
 }
 
+fn transport_of(s: &str) -> Transport {
+    match s {
+        "pwc" => Transport::Pwc,
+        "isir" => Transport::Isir,
+        other => {
+            eprintln!("unknown --transport {other:?} (pwc | isir)");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn builder(args: &Args) -> (usize, GasMode, NetConfig, RtConfig) {
     let locs: usize = args.get("locs", 8);
     let mode = mode_of(&args.str("mode", "net"));
@@ -93,15 +104,9 @@ fn builder(args: &Args) -> (usize, GasMode, NetConfig, RtConfig) {
     net.jitter_ns = args.get("jitter-ns", 0u64);
     net.oversubscription = args.get("oversub", 1u64);
     net.nic_ports = args.get("ports", 1usize);
-    if let Some(cap) = args.flags.get("xlate-capacity") {
-        net.xlate_capacity = cap.parse().unwrap_or(usize::MAX);
-    }
+    net.xlate_capacity = args.get("xlate-capacity", net.xlate_capacity);
     let rt = RtConfig {
-        transport: if args.str("transport", "pwc") == "isir" {
-            Transport::Isir
-        } else {
-            Transport::Pwc
-        },
+        transport: transport_of(&args.str("transport", "pwc")),
         ring: args.bool("coalesce").then(netsim::RingConfig::default),
         workers: args.get("workers", 4),
         ..RtConfig::default()

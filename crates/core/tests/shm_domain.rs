@@ -1,7 +1,7 @@
 //! Protocol-level tests of the shared-memory domain short-circuit: puts,
 //! gets, and AMOs between co-located localities pay load/store costs and
 //! send **zero wire messages**, while cross-domain ops (and co-located
-//! ops with rings, after a migration race) still behave exactly like the
+//! ops after a migration race) still behave exactly like the
 //! network path.
 
 mod common;

@@ -70,6 +70,34 @@ impl Default for ShmDomain {
     }
 }
 
+/// When a locality's per-peer parcel batch leaves as one wire message.
+///
+/// `None` at the embedding layer (`parcel_rt::RtConfig::ring`) means every
+/// parcel is its own message — the schedules the golden trace pins are
+/// built on. A batch flushes when it reaches `doorbell_batch` parcels or
+/// `max_bytes` wire bytes; otherwise the timer its first parcel armed
+/// flushes it `doorbell_delay` later.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RingConfig {
+    /// Parcel count that flushes a batch.
+    pub doorbell_batch: usize,
+    /// Longest a partial batch waits before it is sent anyway.
+    pub doorbell_delay: Time,
+    /// Byte budget per batch: a push that brings its wire bytes to or
+    /// above this flushes, bounding added latency for bulk traffic.
+    pub max_bytes: u32,
+}
+
+impl Default for RingConfig {
+    fn default() -> RingConfig {
+        RingConfig {
+            doorbell_batch: 16,
+            doorbell_delay: Time::from_us(5),
+            max_bytes: 8192,
+        }
+    }
+}
+
 /// Parameters of the simulated network, NICs, and per-locality CPU model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NetConfig {
@@ -249,6 +277,14 @@ impl Default for NetConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ring_config_defaults_mirror_the_old_coalescer() {
+        let c = RingConfig::default();
+        assert_eq!(c.doorbell_batch, 16);
+        assert_eq!(c.doorbell_delay, Time::from_us(5));
+        assert_eq!(c.max_bytes, 8192);
+    }
 
     #[test]
     fn gbps_conversion() {

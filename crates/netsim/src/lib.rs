@@ -33,7 +33,6 @@ pub mod nic;
 pub mod optable;
 pub mod payload;
 pub mod queue;
-pub mod ring;
 pub mod rng;
 pub mod shard;
 pub mod stats;
@@ -43,7 +42,7 @@ pub mod timewheel;
 pub mod trace;
 
 pub use amo::{AmoCache, AmoKey, AmoOp, AmoResult};
-pub use config::{NetConfig, ShmDomain};
+pub use config::{NetConfig, RingConfig, ShmDomain};
 pub use engine::Engine;
 pub use faults::{
     apply_corruption, FaultClass, FaultPlan, FaultPlane, FaultRates, FaultStats, FaultVerdict,
@@ -62,7 +61,6 @@ pub use nic::{
 pub use optable::{OpError, OpId, OpOutcome, OpTable, OutcomeCounters};
 pub use payload::Payload;
 pub use queue::ServerPool;
-pub use ring::{Desc, DescSnapshot, PushOutcome, Ring, RingConfig, RingSet, RingStats};
 pub use shard::{Harness, ShardMap, ShardStats, ShardedEngine, SharedState, SplitWorld};
 pub use stats::{Counters, LogHistogram, TimeWeighted};
 pub use time::Time;

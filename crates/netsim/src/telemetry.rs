@@ -12,9 +12,10 @@
 //!   on a threshold and on drop. A table has no handle on the world that
 //!   holds it, so these have no per-world owner to report to; the GAS
 //!   layer's one-entry memos report their hits through the same call.
-//! - `ring_doorbells`, `ring_descs`, `ring_coalesced`: each
-//!   [`crate::ring::Ring`] also keeps its own [`crate::RingStats`], but the
-//!   standalone benchmark reads these three through [`snapshot`]
+//! - `ring_doorbells`, `ring_descs`, `ring_coalesced`: parcel-rt's batch
+//!   drain (`sched::ring_doorbell`) records each doorbell here. Its world
+//!   counts batches in `RtStats::batches_sent` too, but the standalone
+//!   benchmark reads these three through [`snapshot`]
 //!   (`benchmark/API_SURFACE.md`), so they stay.
 //!
 //! Harnesses take a [`snapshot`] before and after a workload and report the
@@ -46,9 +47,9 @@ pub fn record_translation(lookups: u64, probes: u64, memo_hits: u64) {
     }
 }
 
-/// Fold one descriptor-ring doorbell into the process totals (called by
-/// [`crate::ring::Ring::drain`]). `coalesced` is the number of descriptors
-/// that shared the doorbell with an earlier one — the saved per-op events.
+/// Fold one batch doorbell into the process totals (called by parcel-rt's
+/// batch drain). `coalesced` is the number of parcels that shared the
+/// doorbell with an earlier one — the saved per-op messages.
 pub fn record_ring(doorbells: u64, descs: u64, coalesced: u64) {
     if doorbells > 0 {
         RING_DOORBELLS.fetch_add(doorbells, Ordering::Relaxed);
@@ -71,11 +72,11 @@ pub struct Snapshot {
     /// Translations satisfied by a one-entry last-translation memo
     /// (dependent-access workloads: chase, sssp).
     pub memo_hits: u64,
-    /// Descriptor-ring doorbells rung (one per non-empty drain).
+    /// Parcel-batch doorbells rung (one per drain).
     pub ring_doorbells: u64,
-    /// Descriptors that passed through rings.
+    /// Parcels that left in batches.
     pub ring_descs: u64,
-    /// Descriptors that shared a doorbell with an earlier one.
+    /// Parcels that shared a doorbell with an earlier one.
     pub ring_coalesced: u64,
 }
 

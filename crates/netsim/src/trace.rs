@@ -109,14 +109,14 @@ pub enum TraceKind {
         /// retries exhausted (`false`).
         ok: bool,
     },
-    /// A descriptor-ring doorbell rang: one batch of descriptors entered
-    /// the fabric under a single submission event.
+    /// A parcel-batch doorbell rang: one batch of parcels entered the
+    /// fabric as a single wire message.
     Doorbell {
-        /// The ringing locality.
+        /// The sending locality.
         at: LocalityId,
-        /// The peer the ring points at.
+        /// The peer the batch is for.
         peer: LocalityId,
-        /// Descriptors in the batch.
+        /// Parcels in the batch.
         descs: u32,
     },
     /// An intra-domain operation bypassed the NIC over shared memory.

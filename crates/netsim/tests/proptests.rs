@@ -357,168 +357,3 @@ proptest! {
         }
     }
 }
-
-// ---------------------------------------------------------------- rings
-
-use netsim::{Desc, PushOutcome, Ring, RingConfig, RingSet};
-
-fn rdesc(seq: u64, bytes: u32) -> Desc<u64> {
-    Desc {
-        item: seq,
-        bytes,
-        kind: "put",
-        enqueued: Time::ZERO,
-    }
-}
-
-proptest! {
-    /// Push/drain interleavings against a naive shadow queue: FIFO order
-    /// across slot wraparound, occupancy bounded by `depth`, byte
-    /// accounting exact, and every flush outcome matching the configured
-    /// thresholds. Tiny depths with long op streams force the free-running
-    /// head/tail counters to wrap many times.
-    #[test]
-    fn ring_matches_shadow(
-        depth in 1usize..8,
-        batch in 1usize..12,
-        max_bytes in 1u32..200,
-        ops in proptest::collection::vec((0u8..5, 1u32..64), 0..400),
-    ) {
-        let cfg = RingConfig {
-            depth,
-            doorbell_batch: batch,
-            max_bytes,
-            ..RingConfig::default()
-        };
-        let mut ring: Ring<u64> = Ring::new(cfg);
-        let mut shadow: std::collections::VecDeque<(u64, u32)> = Default::default();
-        let mut next = 0u64;
-        let mut delivered: Vec<u64> = Vec::new();
-        let check_drain = |ring: &mut Ring<u64>,
-                               shadow: &mut std::collections::VecDeque<(u64, u32)>,
-                               delivered: &mut Vec<u64>| {
-            for d in ring.drain() {
-                let (want, wb) = shadow.pop_front().expect("ring ahead of shadow");
-                prop_assert_eq!((d.item, d.bytes), (want, wb));
-                delivered.push(d.item);
-            }
-            prop_assert!(shadow.is_empty(), "drain left shadow residue");
-        };
-        for (op, b) in ops {
-            if op == 0 && !shadow.is_empty() {
-                // A spontaneous doorbell (the doorbell timer firing).
-                check_drain(&mut ring, &mut shadow, &mut delivered);
-            } else {
-                let seq = next;
-                next += 1;
-                let outcome = ring.push(rdesc(seq, b));
-                shadow.push_back((seq, b));
-                let occ = shadow.len();
-                let bytes: u64 = shadow.iter().map(|&(_, sb)| sb as u64).sum();
-                let must_flush =
-                    occ >= batch || bytes >= max_bytes as u64 || occ == depth;
-                match outcome {
-                    PushOutcome::Flush => {
-                        prop_assert!(must_flush, "flush below every threshold");
-                        check_drain(&mut ring, &mut shadow, &mut delivered);
-                    }
-                    PushOutcome::Armed(_) => {
-                        prop_assert!(!must_flush, "armed past a flush threshold");
-                        prop_assert_eq!(occ, 1);
-                    }
-                    PushOutcome::Buffered => {
-                        prop_assert!(!must_flush, "buffered past a flush threshold");
-                        prop_assert!(occ > 1);
-                    }
-                }
-            }
-            prop_assert_eq!(ring.len(), shadow.len());
-            prop_assert!(ring.len() <= depth);
-            prop_assert_eq!(
-                ring.bytes(),
-                shadow.iter().map(|&(_, sb)| sb as u64).sum::<u64>()
-            );
-        }
-        check_drain(&mut ring, &mut shadow, &mut delivered);
-        // Exactly-once delivery, in post order, across every wraparound.
-        prop_assert_eq!(delivered, (0..next).collect::<Vec<_>>());
-    }
-
-    /// A timer armed against epoch E stays due exactly until the next
-    /// drain: pushes never invalidate it, every drain does, and a due
-    /// timer always has descriptors behind it.
-    #[test]
-    fn ring_timer_epoch_discipline(ops in proptest::collection::vec(0u8..4, 1..300)) {
-        let cfg = RingConfig {
-            depth: 16,
-            doorbell_batch: usize::MAX,
-            max_bytes: u32::MAX,
-            ..RingConfig::default()
-        };
-        let mut ring: Ring<u64> = Ring::new(cfg);
-        // (epoch the timer was armed with, has a drain happened since).
-        let mut armed: Option<(u64, bool)> = None;
-        for op in ops {
-            if op == 3 {
-                ring.drain();
-                if let Some(a) = armed.as_mut() {
-                    a.1 = true;
-                }
-            } else {
-                match ring.push(rdesc(0, 1)) {
-                    PushOutcome::Armed(e) => armed = Some((e, false)),
-                    PushOutcome::Flush => {
-                        // Full ring: the caller-contract drain.
-                        ring.drain();
-                        if let Some(a) = armed.as_mut() {
-                            a.1 = true;
-                        }
-                    }
-                    PushOutcome::Buffered => {}
-                }
-            }
-            if let Some((e, drained_since)) = armed {
-                prop_assert_eq!(
-                    ring.timer_due(e),
-                    !drained_since && !ring.is_empty(),
-                    "timer_due diverged from the epoch model"
-                );
-            }
-        }
-    }
-
-    /// The same push/drain schedule over a `RingSet` replays bit-identically:
-    /// drain contents, doorbell/desc/coalesce counters, and occupancy peaks
-    /// are pure functions of the op sequence (the determinism the doorbell
-    /// timers lean on).
-    #[test]
-    fn ringset_replays_identically(
-        ops in proptest::collection::vec((0u32..5, 1u32..48), 0..300),
-    ) {
-        let run = |ops: &[(u32, u32)]| {
-            let cfg = RingConfig {
-                doorbell_batch: 4,
-                ..RingConfig::default()
-            };
-            let mut rs: RingSet<u64> = RingSet::new(cfg);
-            let mut log: Vec<(u32, u64)> = Vec::new();
-            let mut seq = 0u64;
-            for &(peer, b) in ops {
-                seq += 1;
-                if let PushOutcome::Flush = rs.push(peer, rdesc(seq, b)) {
-                    for d in rs.drain(peer) {
-                        log.push((peer, d.item));
-                    }
-                }
-            }
-            for peer in rs.busy_peers() {
-                for d in rs.drain(peer) {
-                    log.push((peer, d.item));
-                }
-            }
-            let s = rs.stats();
-            (log, s.doorbells, s.descs, s.coalesced, s.max_occupancy)
-        };
-        prop_assert_eq!(run(&ops), run(&ops));
-    }
-}

@@ -60,6 +60,6 @@ pub use rt::{Runtime, RuntimeBuilder};
 pub use sched::{reply, send_parcel};
 pub use shard_world::{lco_ctx, ShardAction, ShardRtData, ShardRtLoc, ShardWorld};
 pub use world::{
-    decode_amo_result, encode_amo_result, fire_completion, Completion, Msg, RtConfig, RtLocal,
-    RtStats, RtWorld, Transport, World, NO_COMPLETION, PARCEL_TAG,
+    decode_amo_result, encode_amo_result, fire_completion, Completion, Msg, RingStats, RtConfig,
+    RtLocal, RtStats, RtWorld, Transport, World, NO_COMPLETION, PARCEL_TAG,
 };

@@ -494,13 +494,13 @@ impl Runtime {
     }
 
     /// Assert the cluster is truly quiescent: no pending GAS operations,
-    /// no descriptors sitting in any parcel submission ring, no
-    /// outstanding PWC ops, no undelivered completions. Call after `run()`
-    /// in tests/drivers to catch protocol leaks early. On failure one
-    /// unified report lists every stuck item — GAS ops with kind, GVA, age,
-    /// attempts, and last protocol state; ring descriptors with kind, peer,
-    /// bytes, and age — followed by each locality's membership view and by
-    /// the continuations that never ran
+    /// no parcels waiting in any per-peer batch, no outstanding PWC ops, no
+    /// undelivered completions. Call after `run()` in tests/drivers to
+    /// catch protocol leaks early. On failure one unified report lists
+    /// every stuck item — GAS ops with kind, GVA, age, attempts, and last
+    /// protocol state; waiting batches with peer, parcel count, bytes, and
+    /// the oldest parcel's age — followed by each locality's membership
+    /// view and by the continuations that never ran
     /// ([`Self::pending_lcos`], unfired driver slots). Those alone never
     /// fail the check: a program may legitimately end holding a gate it
     /// stopped caring about.
@@ -512,9 +512,9 @@ impl Runtime {
             for s in w.gas[l as usize].op_snapshots() {
                 stuck.push(format!("  locality {l}: {}", s.render(now)));
             }
-            if let Some(rings) = &w.rt[l as usize].parcel_rings {
-                for d in rings.snapshots(now) {
-                    stuck.push(format!("  locality {l}: {}", d.render()));
+            for (peer, b) in (0u32..).zip(&w.rt[l as usize].batches) {
+                if let Some(line) = b.report(peer, now) {
+                    stuck.push(format!("  locality {l}: {line}"));
                 }
             }
         }
@@ -528,7 +528,7 @@ impl Runtime {
             .collect();
         assert!(
             stuck.is_empty(),
-            "{} GAS op(s)/ring descriptor(s) still in flight after run():\n{}\n{}{}",
+            "{} GAS op(s)/parcel batch(es) still in flight after run():\n{}\n{}{}",
             stuck.len(),
             stuck.join("\n"),
             membership,

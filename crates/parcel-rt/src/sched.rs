@@ -7,6 +7,15 @@
 //! and application actions fight for the same cores, which is precisely
 //! the contention the network-managed design removes.
 //!
+//! With [`RtConfig::ring`](crate::RtConfig::ring) set, a parcel bound for
+//! another locality waits in a per-peer `PeerBatch` instead of going out
+//! alone. A batch flushes when it reaches `doorbell_batch` parcels or
+//! `max_bytes` wire bytes, or when the timer armed by its first parcel
+//! fires `doorbell_delay` later; the flush sends every parcel, in push
+//! order, as one `ParcelBatch` message. Each flush bumps the batch's epoch,
+//! so a timer armed before it finds a newer epoch and does nothing. Local
+//! parcels never wait.
+//!
 //! Everything here is generic over [`RtWorld`], so the same scheduler
 //! drives the classic single-threaded [`crate::World`] and the lane-safe
 //! [`crate::ShardWorld`] running under a
@@ -16,9 +25,44 @@ use crate::lco::{self, LCO_CLASS};
 use crate::parcel::{ActionCtx, Parcel, ACTION_LCO_SET};
 use crate::world::{Msg, RtWorld, Transport, PARCEL_TAG};
 
-use netsim::{send_user, Desc, Engine, LocalityId, PushOutcome, Time, TraceKind};
+use netsim::{send_user, telemetry, Engine, LocalityId, RingConfig, Time, TraceKind};
 
 const MAX_PARCEL_HOPS: u8 = 64;
+
+/// One locality's parcels waiting for one peer.
+#[derive(Debug, Default)]
+pub(crate) struct PeerBatch {
+    /// Waiting parcels in push order. The buffer keeps its capacity from
+    /// one batch to the next.
+    parcels: Vec<Parcel>,
+    /// Summed wire bytes of `parcels`.
+    bytes: u32,
+    /// Flushes so far; a timer carries the epoch it was armed in.
+    epoch: u64,
+    /// When the batch went non-empty.
+    since: Time,
+    /// Parcels this peer's flushes have sent.
+    sent: u64,
+}
+
+impl PeerBatch {
+    /// Parcels this peer's flushes have sent.
+    pub(crate) fn sent(&self) -> u64 {
+        self.sent
+    }
+
+    /// A quiescence-report line for a waiting batch, `None` when empty.
+    pub(crate) fn report(&self, peer: LocalityId, now: Time) -> Option<String> {
+        (!self.parcels.is_empty()).then(|| {
+            format!(
+                "parcel batch peer={peer} parcels={} bytes={} oldest_age={}",
+                self.parcels.len(),
+                self.bytes,
+                now - self.since
+            )
+        })
+    }
+}
 
 /// Inject `parcel` from `from`: route it toward the believed owner of its
 /// target and send (loop-back when the first hop is local).
@@ -42,10 +86,11 @@ pub(crate) fn transmit<W: RtWorld>(
     next: LocalityId,
     parcel: Parcel,
 ) {
-    match eng.state.rtcfg().transport {
+    let cfg = eng.state.rtcfg();
+    match cfg.transport {
         Transport::Pwc => {
-            if from != next && eng.state.rt(from).parcel_rings.is_some() {
-                ring_submit(eng, from, next, parcel);
+            if let Some(ring) = cfg.ring.filter(|_| from != next) {
+                ring_submit(eng, from, next, parcel, ring);
                 return;
             }
             let wire = parcel.wire_size();
@@ -60,69 +105,57 @@ pub(crate) fn transmit<W: RtWorld>(
     }
 }
 
-/// Post `parcel` as a descriptor into `from`'s submission ring toward
-/// `next`, ringing the doorbell when the batch threshold trips and arming
-/// the doorbell timer when the ring transitions from empty.
+/// Add `parcel` to `from`'s batch toward `next`: flush it when it reaches
+/// a limit, or arm its timer when it was empty.
 fn ring_submit<W: RtWorld>(
     eng: &mut Engine<W>,
     from: LocalityId,
     next: LocalityId,
     parcel: Parcel,
+    ring: RingConfig,
 ) {
     let now = eng.now();
-    let desc = Desc {
-        bytes: parcel.wire_size(),
-        item: parcel,
-        kind: "parcel",
-        enqueued: now,
-    };
-    let rings = eng
-        .state
-        .rt(from)
-        .parcel_rings
-        .as_mut()
-        .expect("ring_submit without rings configured");
-    match rings.push(next, desc) {
-        PushOutcome::Flush => ring_doorbell(eng, from, next),
-        PushOutcome::Armed(epoch) => {
-            let delay = rings.config().doorbell_delay;
-            eng.schedule_at_loc(now + delay, from, move |eng| {
-                let due = eng
-                    .state
-                    .rt(from)
-                    .parcel_rings
-                    .as_ref()
-                    .is_some_and(|r| r.timer_due(next, epoch));
-                if due {
-                    ring_doorbell(eng, from, next);
-                }
-            });
-        }
-        PushOutcome::Buffered => {}
+    let batches = &mut eng.state.rt(from).batches;
+    if batches.len() <= next as usize {
+        batches.resize_with(next as usize + 1, PeerBatch::default);
+    }
+    let b = &mut batches[next as usize];
+    if b.parcels.is_empty() {
+        b.since = now;
+    }
+    b.bytes += parcel.wire_size();
+    b.parcels.push(parcel);
+    if b.parcels.len() >= ring.doorbell_batch || b.bytes >= ring.max_bytes {
+        ring_doorbell(eng, from, next);
+    } else if b.parcels.len() == 1 {
+        let epoch = b.epoch;
+        eng.schedule_at_loc(now + ring.doorbell_delay, from, move |eng| {
+            if eng.state.rt(from).batches[next as usize].epoch == epoch {
+                ring_doorbell(eng, from, next);
+            }
+        });
     }
 }
 
-/// Ring the doorbell: drain `from`'s submission ring toward `next` and send
-/// the whole batch as one wire message (summed payloads + one shared header).
+/// Ring the doorbell: send `from`'s non-empty batch toward `next` as one
+/// wire message (summed payloads + one shared header) and start a new one.
 fn ring_doorbell<W: RtWorld>(eng: &mut Engine<W>, from: LocalityId, next: LocalityId) {
-    let (parcels, wire) = eng
-        .state
-        .rt(from)
-        .parcel_rings
-        .as_mut()
-        .expect("doorbell without rings configured")
-        .drain_items(next);
-    if parcels.is_empty() {
-        return;
-    }
-    eng.state.rt(from).stats.batches_sent += 1;
+    let rt = eng.state.rt(from);
+    let b = &mut rt.batches[next as usize];
+    let parcels: Vec<Parcel> = b.parcels.drain(..).collect();
+    let wire = std::mem::take(&mut b.bytes);
+    b.epoch += 1;
+    let n = parcels.len() as u64;
+    b.sent += n;
+    rt.stats.batches_sent += 1;
+    telemetry::record_ring(1, n, n - 1);
     let now = eng.now();
     eng.state.cluster().tracer.record(
         now,
         TraceKind::Doorbell {
             at: from,
             peer: next,
-            descs: parcels.len() as u32,
+            descs: n as u32,
         },
     );
     send_user(eng, from, next, wire, Msg::ParcelBatch(parcels));

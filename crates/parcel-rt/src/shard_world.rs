@@ -99,7 +99,7 @@ impl ShardWorld {
                 cpus: (0..n).map(|_| ServerPool::new(rtcfg.workers)).collect(),
                 pgas: PgasMap::new(),
                 mode,
-                rt: (0..n).map(|_| RtLocal::new(rtcfg.ring)).collect(),
+                rt: (0..n).map(|_| RtLocal::new()).collect(),
                 rtcfg,
                 actions: Vec::new(),
                 locs: (0..n).map(|_| ShardRtLoc::default()).collect(),

@@ -49,13 +49,13 @@ pub struct WorkloadSpec {
     pub seed: u64,
     /// `None` = sequential engine; `Some(k)` = `ShardedEngine` at `k` lanes.
     pub lanes: Option<usize>,
-    /// Parcel submission rings (coalescing doorbells), if any.
+    /// Per-peer parcel batching (coalescing doorbells), if any.
     pub ring: Option<RingConfig>,
 }
 
 impl WorkloadSpec {
     /// A small default cluster: `n` localities, ideal fabric, seed 42,
-    /// sequential engine, no rings.
+    /// sequential engine, no batching.
     pub fn new(n: usize, mode: GasMode) -> WorkloadSpec {
         WorkloadSpec {
             n,

@@ -3,11 +3,11 @@
 
 use crate::lco::LcoState;
 use crate::parcel::{ActionRegistry, Parcel};
-use crate::sched;
+use crate::sched::{self, PeerBatch};
 use agas::{GasConfig, GasLocal, GasMode, GasMsg, GasWorld, PgasMap};
 use netsim::{
     AmoResult, Cluster, Engine, Envelope, LocalityId, NackReason, NetConfig, OpError, OpId, OpKind,
-    OpTable, Packet, Protocol, RingConfig, RingSet, ServerPool, Time,
+    OpTable, Packet, Protocol, RingConfig, ServerPool, Time,
 };
 use photon::{PhotonConfig, PhotonEndpoint, PhotonMsg, PhotonWorld};
 use std::rc::Rc;
@@ -37,11 +37,11 @@ pub enum Transport {
 pub struct RtConfig {
     /// Parcel network backend.
     pub transport: Transport,
-    /// Per-destination parcel submission rings (PWC transport only; `None`
-    /// sends every parcel immediately). Parcels post as descriptors into
-    /// the shared [`netsim::ring`] layer and one doorbell per drain sends
-    /// the whole batch as a single wire message — the message-aggregation
-    /// optimization the AM++/HPX graph papers lean on.
+    /// Per-peer parcel batching (PWC transport only; `None` sends every
+    /// parcel immediately). A parcel for another locality waits in that
+    /// peer's batch, and each flush sends the whole batch as a single wire
+    /// message — the message-aggregation optimization the AM++/HPX graph
+    /// papers lean on. The flush rules are in [`crate::sched`].
     pub ring: Option<RingConfig>,
     /// Worker threads per locality (the CPU pool shared by actions and GAS
     /// software handlers).
@@ -109,31 +109,34 @@ pub struct RtLocal {
     /// charged) — the APEX-style instrumentation HPX-5 shipped. Grows to
     /// the highest id executed here.
     pub action_profile: Vec<(u64, Time)>,
-    /// Per-destination parcel submission rings (present when
-    /// [`RtConfig::ring`] is set).
-    pub(crate) parcel_rings: Option<RingSet<Parcel>>,
+    /// Per-peer parcel batches, indexed by peer; grows to the highest peer
+    /// a parcel waited for, and stays empty unless [`RtConfig::ring`] is set.
+    pub(crate) batches: Vec<PeerBatch>,
+}
+
+/// Parcel-batching counts of one locality. Its doorbells are
+/// [`RtStats::batches_sent`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RingStats {
+    /// Parcels that left in batches.
+    pub descs: u64,
 }
 
 impl RtLocal {
-    pub(crate) fn new(ring: Option<RingConfig>) -> RtLocal {
+    pub(crate) fn new() -> RtLocal {
         RtLocal {
             lcos: OpTable::new(),
             stats: RtStats::default(),
             action_profile: Vec::new(),
-            parcel_rings: ring.map(RingSet::new),
+            batches: Vec::new(),
         }
     }
 
-    /// Parcels currently buffered in this locality's submission rings.
-    pub fn ring_occupancy(&self) -> usize {
-        self.parcel_rings.as_ref().map_or(0, RingSet::occupancy)
-    }
-
-    /// Pooled ring counters for this locality's parcel rings.
-    pub fn ring_stats(&self) -> netsim::RingStats {
-        self.parcel_rings
-            .as_ref()
-            .map_or_else(Default::default, RingSet::stats)
+    /// This locality's parcel-batching counts.
+    pub fn ring_stats(&self) -> RingStats {
+        RingStats {
+            descs: self.batches.iter().map(PeerBatch::sent).sum(),
+        }
     }
 }
 
@@ -245,7 +248,7 @@ impl World {
             cpus: (0..n).map(|_| ServerPool::new(rtcfg.workers)).collect(),
             pgas_map: PgasMap::new(),
             mode,
-            rt: (0..n).map(|_| RtLocal::new(rtcfg.ring)).collect(),
+            rt: (0..n).map(|_| RtLocal::new()).collect(),
             rtcfg,
             registry: Rc::new(registry),
             balancer_stats: crate::balancer::BalancerStats::default(),

@@ -1,14 +1,56 @@
 //! Property tests at the runtime layer: random parcel/LCO programs, LCO
-//! semantics against oracles, and coalescing/transport equivalence.
+//! semantics against oracles, coalescing/transport equivalence, and the
+//! per-peer parcel batches against a shadow model of their flush rules.
 
 use agas::{Distribution, GasMode};
-use parcel_rt::{ArgWriter, ReduceOp, RingConfig, RtConfig, Runtime, Transport};
+use netsim::{Time, TraceKind};
+use parcel_rt::parcel::PARCEL_HEADER_BYTES;
+use parcel_rt::{ArgWriter, Parcel, ReduceOp, RingConfig, RtConfig, Runtime, Transport};
 use proptest::prelude::*;
 use std::cell::{Cell, RefCell};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 /// Gathered (rank, payload) pairs, shared with driver callbacks.
 type Gathered = Rc<RefCell<Vec<(u32, Vec<u8>)>>>;
+
+/// The doorbells `(time, peer, parcels)` the flush rules predict for
+/// pushes `(time, peer, wire bytes)` in time order. Timers never tie with
+/// a push (the caller keeps them apart).
+fn shadow_doorbells(cfg: RingConfig, pushes: &[(Time, u32, u32)]) -> Vec<(Time, u32, u32)> {
+    let mut batch = [(0u32, 0u32, 0u64); 4]; // per peer: (parcels, bytes, epoch)
+    let mut timers = BinaryHeap::new(); // Reverse((due, peer, epoch))
+    let mut out = Vec::new();
+    let end = (Time::MAX, 0, 0);
+    for &(t, peer, bytes) in pushes.iter().chain([&end]) {
+        while let Some(&Reverse((due, p, epoch))) = timers.peek() {
+            if due > t {
+                break;
+            }
+            timers.pop();
+            let b = &mut batch[p as usize];
+            if b.2 == epoch {
+                out.push((due, p, b.0));
+                *b = (0, 0, epoch + 1);
+            }
+        }
+        if t == Time::MAX {
+            break;
+        }
+        let b = &mut batch[peer as usize];
+        b.0 += 1;
+        b.1 += bytes;
+        if b.0 as usize >= cfg.doorbell_batch || b.1 >= cfg.max_bytes {
+            out.push((t, peer, b.0));
+            *b = (0, 0, b.2 + 1);
+        } else if b.0 == 1 {
+            timers.push(Reverse((t + cfg.doorbell_delay, peer, b.2)));
+        }
+    }
+    out.sort();
+    out
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -110,6 +152,72 @@ proptest! {
         let baseline = run(Transport::Pwc, false);
         prop_assert_eq!(run(Transport::Pwc, true), baseline.clone());
         prop_assert_eq!(run(Transport::Isir, false), baseline);
+    }
+
+    /// Random parcel streams from locality 0 to three peers: every flush
+    /// happens exactly when the shadow model says — at the count limit, at
+    /// the byte budget, or when the timer armed by a batch's first parcel
+    /// fires while that batch is still waiting (a timer from an earlier,
+    /// already-flushed batch does nothing) — and every parcel runs once.
+    #[test]
+    fn batches_match_shadow(
+        batch in 1usize..6,
+        max_bytes in 24u32..300,
+        delay_steps in 1u64..40,
+        ops in proptest::collection::vec((1u32..4, 0u64..30, 0usize..64), 1..80),
+    ) {
+        // Pushes land on multiples of 100 ns and timers 50 ns past one,
+        // so no timer ties with a push.
+        let cfg = RingConfig {
+            doorbell_batch: batch,
+            doorbell_delay: Time::from_ns(delay_steps * 100 + 50),
+            max_bytes,
+        };
+        let mut b = Runtime::builder(4, GasMode::AgasNetwork);
+        let ran = Rc::new(Cell::new(0usize));
+        let r = ran.clone();
+        let id = b.register("count", move |_, _| r.set(r.get() + 1));
+        let mut rt = b
+            .rt_config(RtConfig {
+                ring: Some(cfg),
+                ..RtConfig::default()
+            })
+            .boot();
+        let arr = rt.alloc(4, 12, Distribution::Cyclic);
+        rt.run();
+        rt.eng.state.cluster.tracer.enable(1 << 16);
+        let mut t = Time::from_ns(rt.now().ps().div_ceil(100_000) * 100 + 100);
+        let mut pushes = Vec::new();
+        for &(peer, gap, len) in &ops {
+            t += Time::from_ns(gap * 100);
+            pushes.push((t, peer, len as u32 + PARCEL_HEADER_BYTES));
+            let parcel = Parcel {
+                target: arr.block(u64::from(peer)),
+                action: id,
+                args: vec![0; len],
+                cont: None,
+                src: 0,
+                hops: 0,
+            };
+            rt.eng.schedule_at_loc(t, 0, move |eng| parcel_rt::send_parcel(eng, 0, parcel));
+        }
+        rt.run();
+        rt.assert_quiescent();
+        prop_assert_eq!(ran.get(), ops.len());
+        let mut got: Vec<(Time, u32, u32)> = rt
+            .eng
+            .state
+            .cluster
+            .tracer
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceKind::Doorbell { at: 0, peer, descs } => Some((e.t, peer, descs)),
+                _ => None,
+            })
+            .collect();
+        got.sort();
+        prop_assert_eq!(got, shadow_doorbells(cfg, &pushes));
     }
 
     /// Random and-gate fan-ins always fire exactly once after the last set.

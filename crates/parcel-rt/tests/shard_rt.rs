@@ -3,7 +3,7 @@
 //! Every workload in [`parcel_rt::workloads`] must produce the same
 //! answer *and* the same folded `(time, seq)` schedule on the sequential
 //! engine and on the sharded engine at 1/2/4/8 lanes — with and without
-//! parcel submission rings, in both AGAS modes. The trace hash folds every
+//! per-peer parcel batching, in both AGAS modes. The trace hash folds every
 //! executed event, so equality here is a complete witness that sharded
 //! execution replayed the sequential schedule bit-for-bit.
 
