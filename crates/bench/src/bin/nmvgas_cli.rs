@@ -17,6 +17,40 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
+/// Every flag some workload reads; any other flag is refused rather than
+/// silently ignored.
+const FLAGS: &[&str] = &[
+    "workload",
+    "mode",
+    "locs",
+    "fabric",
+    "jitter-ns",
+    "oversub",
+    "ports",
+    "xlate-capacity",
+    "transport",
+    "coalesce",
+    "workers",
+    "profile",
+    "utilization",
+    "cells",
+    "ops",
+    "window",
+    "actions",
+    "px",
+    "py",
+    "tile",
+    "iters",
+    "flop-us",
+    "vertices",
+    "chords",
+    "read-bytes",
+    "theta",
+    "rebalance-every",
+    "class",
+    "rounds",
+];
+
 struct Args {
     flags: HashMap<String, String>,
 }
@@ -30,6 +64,10 @@ impl Args {
                 eprintln!("unexpected argument {a:?} (flags are --name [value])");
                 std::process::exit(2);
             };
+            if !FLAGS.contains(&name) {
+                eprintln!("unknown flag --{name} (known: --{})", FLAGS.join(" --"));
+                std::process::exit(2);
+            }
             let value = match it.peek() {
                 Some(v) if !v.starts_with("--") => it.next().unwrap(),
                 _ => "true".to_string(),
@@ -229,29 +267,6 @@ fn main() {
             );
             finish(&rt, &args, t0);
         }
-        "sssp" => {
-            let cfg = workloads::sssp::SsspConfig {
-                vertices: args.get("vertices", 1024u32),
-                chords: args.get("chords", 2u32),
-                max_weight: args.get("max-weight", 8u32),
-                ..workloads::sssp::SsspConfig::default()
-            };
-            let slot = Rc::new(RefCell::new(None));
-            let mut b = Runtime::builder(locs, mode);
-            workloads::sssp::register_actions(&mut b, slot.clone());
-            let mut rt = b.net(net).rt_config(rtcfg).boot();
-            workloads::sssp::install(&mut rt, &cfg, &slot);
-            let t0 = rt.now();
-            let res = workloads::sssp::run(&mut rt, &cfg, &slot);
-            let got = workloads::sssp::read_labels(&rt, &slot);
-            let expect = slot.borrow().as_ref().unwrap().graph.dijkstra(cfg.root);
-            assert_eq!(got, expect, "SSSP verification failed");
-            println!(
-                "relaxations    : {} ({:.2}x overshoot, verified)",
-                res.relaxations, res.overshoot
-            );
-            finish(&rt, &args, t0);
-        }
         "skew" => {
             let cfg = workloads::skew::SkewConfig {
                 ops_per_loc: args.get("ops", 1u64 << 10),
@@ -293,9 +308,7 @@ fn main() {
             finish(&rt, &args, t0);
         }
         other => {
-            eprintln!(
-                "unknown --workload {other:?} (gups | stencil | bfs | sssp | skew | transpose)"
-            );
+            eprintln!("unknown --workload {other:?} (gups | stencil | bfs | skew | transpose)");
             std::process::exit(2);
         }
     }

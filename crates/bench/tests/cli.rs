@@ -1,5 +1,6 @@
-//! `nmvgas-cli` refuses malformed flag values with exit code 2 instead of
-//! running with a silently substituted default.
+//! `nmvgas-cli` refuses malformed flag values, unknown flags and unknown
+//! workloads with exit code 2 instead of running with a silently
+//! substituted default.
 
 use std::process::Command;
 
@@ -28,6 +29,25 @@ fn unknown_transport_exits_2() {
         assert_eq!(code, 2, "--transport {bad}: {err}");
         assert!(err.contains("unknown --transport"), "{err}");
     }
+}
+
+#[test]
+fn unknown_flag_exits_2() {
+    for bad in ["--opps", "--max-weight", "--seed"] {
+        let (code, err) = exit_code(&[bad, "5", "--ops", "16"]);
+        assert_eq!(code, 2, "{bad}: {err}");
+        assert!(err.contains(&format!("unknown flag {bad}")), "{err}");
+    }
+}
+
+#[test]
+fn unknown_workload_exits_2() {
+    let (code, err) = exit_code(&["--workload", "sssp", "--locs", "2"]);
+    assert_eq!(code, 2, "{err}");
+    assert!(
+        err.contains("unknown --workload \"sssp\" (gups | stencil | bfs | skew | transpose)"),
+        "{err}"
+    );
 }
 
 #[test]

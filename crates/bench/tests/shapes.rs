@@ -164,6 +164,24 @@ fn e14_flood_coalescing_wins_where_rate_bound() {
 }
 
 #[test]
+fn e15_transpose_is_fabric_bound() {
+    let mut last: Option<[f64; 3]> = None;
+    for factor in [1u64, 2, 4] {
+        let gbps = GasMode::ALL.map(|mode| transpose_bandwidth(mode, factor));
+        let (lo, hi) = gbps
+            .iter()
+            .fold((f64::MAX, 0f64), |(lo, hi), &g| (lo.min(g), hi.max(g)));
+        assert!(hi <= lo * 1.03, "factor {factor}: modes spread {gbps:?}");
+        if let Some(prev) = last {
+            for (p, g) in prev.iter().zip(&gbps) {
+                assert!(g < p, "factor {factor}: {gbps:?} not below {prev:?}");
+            }
+        }
+        last = Some(gbps);
+    }
+}
+
+#[test]
 fn a1_rcache_saves_time() {
     assert!(rcache_ablation(true) < rcache_ablation(false));
 }

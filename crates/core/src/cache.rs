@@ -8,7 +8,7 @@
 //!
 //! Backed by [`netsim::flatmap::FlatTable`] (exact LRU bound, one probe
 //! sequence per access), plus a **one-entry last-translation memo**: for
-//! dependent-access patterns (pointer chase, sssp frontier) that hammer
+//! dependent-access patterns (pointer chase, BFS label relaxation) that hammer
 //! the same block repeatedly, a memo hit re-validates a remembered slot
 //! index with a single slot read instead of a probe sequence. Memo hits
 //! are counted into [`netsim::telemetry`].

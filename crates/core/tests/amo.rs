@@ -308,7 +308,9 @@ fn replay_cache_travels_with_migrating_block() {
 #[test]
 fn faulty_network_applies_each_amo_exactly_once() {
     // Drops force retries, duplicates hit the replay cache: the counter
-    // still lands on exactly N and the word history stays clean.
+    // still lands on exactly N, exactly one of the racing CASes on the
+    // second word applies, a gather over both words sees only values some
+    // writer produced, and the word history stays clean.
     for seed in [11u64, 23, 47] {
         let mut eng = Engine::new(
             SimWorld::new(3, GasMode::AgasNetwork, NetConfig::ideal()),
@@ -319,6 +321,7 @@ fn faulty_network_applies_each_amo_exactly_once() {
             op_deadline: Some(netsim::Time::from_us(300)),
             sweep_interval: netsim::Time::from_us(30),
             retry_on_deadline: true,
+            record_history: true,
             ..agas::GasConfig::default()
         };
         for g in &mut eng.state.data.gas {
@@ -337,19 +340,54 @@ fn faulty_network_applies_each_amo_exactly_once() {
                 OpId::from_raw(i),
             );
         }
+        // Every locality races to swap the second word from 0.
+        let cas = |loc: u32| n + u64::from(loc);
+        for loc in 0..3u32 {
+            memamo(
+                &mut eng,
+                loc,
+                gva.with_offset(8),
+                AmoOp::CompareSwap {
+                    expected: 0,
+                    desired: u64::from(loc) + 1,
+                },
+                OpId::from_raw(cas(loc)),
+            );
+        }
         eng.run();
-        let done = (0..n).filter(|i| amo_result(&eng, *i).is_some()).count() as u64;
+        let issued = n + 3;
+        let done = (0..issued)
+            .filter(|i| amo_result(&eng, *i).is_some())
+            .count() as u64;
         let failed = eng
             .state
             .events()
             .iter()
-            .filter(|(_, _, e)| matches!(e, SimEv::OpFailed(c, _) if *c < n))
+            .filter(|(_, _, e)| matches!(e, SimEv::OpFailed(c, _) if *c < issued))
             .count() as u64;
-        assert_eq!(done + failed, n, "seed {seed}: every op resolved");
+        assert_eq!(done + failed, issued, "seed {seed}: every op resolved");
         assert_eq!(failed, 0, "seed {seed}: retry machinery should recover");
-        // Quiesce any in-flight duplicates, then audit the counter.
-        let v = read_word(&mut eng, 2, gva, 9000);
-        assert_eq!(v, n, "seed {seed}: lost or double-applied increments");
+        let winners: Vec<u32> = (0..3u32)
+            .filter(|&loc| amo_result(&eng, cas(loc)).unwrap().applied)
+            .collect();
+        assert_eq!(winners.len(), 1, "seed {seed}: CAS winners {winners:?}");
+        // Quiesce any in-flight duplicates, then audit both words.
+        memamo(
+            &mut eng,
+            2,
+            gva,
+            AmoOp::Gather {
+                offsets: vec![0, 8],
+            },
+            OpId::from_raw(9000),
+        );
+        eng.run();
+        let r = amo_result(&eng, 9000).expect("gather incomplete");
+        assert_eq!(
+            r.values,
+            vec![n, u64::from(winners[0]) + 1],
+            "seed {seed}: lost or double-applied AMOs"
+        );
         assert_consistent(&eng, &arr.blocks);
     }
 }

@@ -70,7 +70,7 @@ pub struct Snapshot {
     /// xlate_lookups` = mean probe length).
     pub xlate_probes: u64,
     /// Translations satisfied by a one-entry last-translation memo
-    /// (dependent-access workloads: chase, sssp).
+    /// (dependent-access workloads such as the pointer chase).
     pub memo_hits: u64,
     /// Parcel-batch doorbells rung (one per drain).
     pub ring_doorbells: u64,

@@ -302,7 +302,14 @@ mod tests {
         let slot = Rc::new(RefCell::new(None));
         let mut b = Runtime::builder(4, GasMode::AgasNetwork);
         register_actions(&mut b, slot.clone());
-        let mut rt = b.boot();
+        // Wire jitter reorders relax parcels, so labels are lowered out of
+        // depth order and must still converge.
+        let mut rt = b
+            .net(netsim::NetConfig {
+                jitter_ns: 800,
+                ..netsim::NetConfig::ib_fdr()
+            })
+            .boot();
         install(&mut rt, &cfg, &slot);
         // Launch the traversal, then immediately churn every label block.
         let relax = rt.eng.state.registry_lookup("bfs_relax").unwrap();

@@ -4,14 +4,12 @@
 //! walker follows `hops` links, each hop requiring the previous hop's
 //! result. Nothing pipelines, so total time ÷ hops is the *full* remote
 //! access latency of the active GAS mode — the sharpest translation-cost
-//! amplifier available (the `memget` variant), and a parcel-forwarding
-//! microbenchmark (the parcel variant, where the chase moves to the data
-//! instead of pulling the data to the chase).
+//! amplifier available.
 
 use agas::{Distribution, GlobalArray};
 use netsim::rng::Xoshiro256;
 use netsim::Time;
-use parcel_rt::{ArgReader, ArgWriter, Runtime, RuntimeBuilder};
+use parcel_rt::Runtime;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -146,75 +144,6 @@ pub fn run_memget(rt: &mut Runtime, cfg: &ChaseConfig, ring: &GlobalArray) -> Ch
     }
 }
 
-/// Register the parcel-chase action (before boot).
-pub fn register_actions(b: &mut RuntimeBuilder, ring_slot: Rc<RefCell<Option<GlobalArray>>>) {
-    b.register("chase_hop", move |eng, ctx| {
-        let mut r = ArgReader::new(&ctx.args);
-        let remaining = r.u64();
-        let done_lco = r.gva();
-        // Read the next link from the pinned target cell.
-        let phys = ctx.target_phys();
-        let next = u64::from_le_bytes(
-            eng.state
-                .cluster
-                .mem(ctx.loc)
-                .read(phys, 8)
-                .unwrap()
-                .try_into()
-                .unwrap(),
-        );
-        if remaining == 0 {
-            // The link in the final cell is the cell the walk ends on.
-            parcel_rt::lco_set(eng, ctx.loc, done_lco, next.to_le_bytes().to_vec());
-            return;
-        }
-        let ring = ring_slot.borrow().clone().expect("ring not installed");
-        let target = ring.at_byte(next * 8);
-        let args = ArgWriter::new().u64(remaining - 1).gva(done_lco).finish();
-        parcel_rt::send_parcel(
-            eng,
-            ctx.loc,
-            parcel_rt::Parcel {
-                target,
-                action: eng.state.registry_lookup("chase_hop").unwrap(),
-                args,
-                cont: None,
-                src: ctx.loc,
-                hops: 0,
-            },
-        );
-    });
-}
-
-/// Walk the ring by *moving the computation*: a chain of parcels, each
-/// reading its cell locally and spawning the next hop.
-pub fn run_parcels(rt: &mut Runtime, cfg: &ChaseConfig, ring: &GlobalArray) -> ChaseResult {
-    let start = rt.now();
-    let done = rt.new_future(0);
-    let chase = rt
-        .eng
-        .state
-        .registry_lookup("chase_hop")
-        .expect("parcel chase requires register_actions() before boot");
-    let args = ArgWriter::new().u64(cfg.hops - 1).gva(done).finish();
-    let target = ring.at_byte(0);
-    rt.spawn(0, target, chase, args, None);
-    let out: Rc<RefCell<Option<u64>>> = Rc::new(RefCell::new(None));
-    let o2 = out.clone();
-    rt.wait_lco(done, move |_, v| {
-        *o2.borrow_mut() = Some(u64::from_le_bytes(v.try_into().unwrap()));
-    });
-    rt.run();
-    let final_cell = out.borrow().expect("parcel chase did not finish");
-    let elapsed = rt.now() - start;
-    ChaseResult {
-        hops: cfg.hops,
-        elapsed,
-        per_hop: elapsed / cfg.hops.max(1),
-        final_cell,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,22 +168,6 @@ mod tests {
             let res = run_memget(&mut rt, &cfg, &ring);
             assert_eq!(res.final_cell, expect, "{mode:?}");
             assert!(res.per_hop > Time::ZERO);
-        }
-    }
-
-    #[test]
-    fn parcel_chase_matches_memget_chase() {
-        let cfg = small();
-        for mode in GasMode::ALL {
-            let slot = Rc::new(RefCell::new(None));
-            let mut b = Runtime::builder(4, mode);
-            register_actions(&mut b, slot.clone());
-            let mut rt = b.boot();
-            let ring = build_ring(&mut rt, &cfg);
-            *slot.borrow_mut() = Some(ring.clone());
-            let expect = expected_final(&rt, &ring, &cfg);
-            let res = run_parcels(&mut rt, &cfg, &ring);
-            assert_eq!(res.final_cell, expect, "{mode:?}");
         }
     }
 

@@ -3,13 +3,18 @@
 //! The workloads the reconstructed evaluation (DESIGN.md §5) runs:
 //!
 //! * [`gups`] — GUPS/RandomAccess uniform-random remote updates (E5, E6);
-//! * [`stencil`] — 2-D halo-exchange application proxy (E9);
-//! * [`chase`] — dependent pointer chase, the latency amplifier (used in
-//!   E1/E2 verification and the parcel-forwarding comparison);
+//! * [`stencil`] — 2-D halo-exchange application proxy (E9), and
+//!   [`stencil3d`] its 3-D variant (E9b);
+//! * [`chase`] — dependent pointer chase, the latency amplifier (the
+//!   translation-pressure end-to-end test walks it);
 //! * [`skew`] — Zipf-skewed access with migration rebalancing (E8);
-//! * [`bfs`] — message-driven breadth-first search (irregular graph class);
-//! * [`lockfree`] — distributed lock-free structures (MPSC queue, hash
-//!   map, work-stealing deque) built on NIC-executed active operations;
+//! * [`bfs`] — message-driven breadth-first search (irregular graph class,
+//!   E13);
+//! * [`transpose`] — all-to-all tile transpose (E15);
+//! * [`chaos`] — the history-checked fault-injection and membership
+//!   driver (`repro chaos`, `repro membership`);
+//! * [`lockfree`] — a distributed lock-free MPSC queue built on
+//!   NIC-executed active operations, whose block migrates mid-run;
 //! * [`driver`] — the windowed asynchronous-operation pumps all of them
 //!   are built on.
 //!
@@ -23,7 +28,6 @@ pub mod driver;
 pub mod gups;
 pub mod lockfree;
 pub mod skew;
-pub mod sssp;
 pub mod stencil;
 pub mod stencil3d;
 pub mod transpose;
@@ -32,12 +36,8 @@ pub use bfs::{BfsConfig, BfsResult, Graph};
 pub use chaos::{corrupt_mix, drop_mix, run_chaos, ChaosConfig, ChaosReport};
 pub use chase::{ChaseConfig, ChaseResult};
 pub use gups::{GupsConfig, GupsResult};
-pub use lockfree::{
-    run_deque, run_hashmap, run_mpsc, DequeConfig, DequeReport, HashMapConfig, HashMapReport,
-    MpscConfig, MpscReport,
-};
+pub use lockfree::{run_mpsc, MpscConfig, MpscReport};
 pub use skew::{SkewConfig, SkewResult};
-pub use sssp::{SsspConfig, SsspResult, WeightedGraph};
 pub use stencil::{StencilConfig, StencilResult};
 pub use stencil3d::{Stencil3dConfig, Stencil3dResult};
 pub use transpose::{TransposeConfig, TransposeResult};
