@@ -228,6 +228,22 @@ fn local_parcels_bypass_the_ring() {
     rt.run();
 }
 
+/// `(trace_hash, now_ps, parcels_executed)` of the batched GUPS run below
+/// for each `(doorbell_batch, doorbell_delay)`. Any change to when a batch
+/// flushes, when its timer fires or what it puts on the wire moves these.
+const GUPS_RING_PINS: [(usize, Time, (u64, u64, u64)); 2] = [
+    (
+        16,
+        Time::from_us(5),
+        (16_586_772_718_932_356_472, 348_975_496, 600),
+    ),
+    (
+        4,
+        Time::from_ns(300),
+        (16_008_514_082_668_945_893, 136_719_168, 600),
+    ),
+];
+
 #[test]
 fn ring_batching_preserves_gups_checksum() {
     let cfg = workloads::gups::GupsConfig {
@@ -238,10 +254,21 @@ fn ring_batching_preserves_gups_checksum() {
         ..workloads::gups::GupsConfig::default()
     };
     let expect = workloads::gups::expected_checksum(&cfg, 3);
-    let mut b = Runtime::builder(3, GasMode::AgasNetwork);
-    workloads::gups::register_actions(&mut b);
-    let mut rt = b.rt_config(ringed(16, Time::from_us(5))).boot();
-    let table = workloads::gups::alloc_table(&mut rt, &cfg);
-    workloads::gups::run(&mut rt, &cfg, &table);
-    assert_eq!(workloads::gups::table_checksum(&rt, &table), expect);
+    for (batch, delay, pin) in GUPS_RING_PINS {
+        let mut b = Runtime::builder(3, GasMode::AgasNetwork);
+        workloads::gups::register_actions(&mut b);
+        let mut rt = b.rt_config(ringed(batch, delay)).boot();
+        let table = workloads::gups::alloc_table(&mut rt, &cfg);
+        workloads::gups::run(&mut rt, &cfg, &table);
+        assert_eq!(workloads::gups::table_checksum(&rt, &table), expect);
+        let got = (
+            rt.eng.trace_hash(),
+            rt.now().ps(),
+            rt.eng.state.total_rt_stats().parcels_executed,
+        );
+        assert_eq!(
+            got, pin,
+            "batch={batch} delay={delay}: batched schedule moved"
+        );
+    }
 }
