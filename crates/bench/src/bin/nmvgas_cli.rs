@@ -149,6 +149,10 @@ fn builder(args: &Args) -> (usize, GasMode, NetConfig, RtConfig) {
         workers: args.get("workers", 4),
         ..RtConfig::default()
     };
+    if rt.ring.is_some() && rt.transport == Transport::Isir {
+        eprintln!("--coalesce batches PWC parcels only; drop it or use --transport pwc");
+        std::process::exit(2);
+    }
     (locs, mode, net, rt)
 }
 

@@ -515,12 +515,14 @@ pub fn bisection_bandwidth(oversubscription: u64) -> f64 {
 }
 
 /// E13 — message-driven BFS: traversal rate vs localities and transport.
+/// The 4 096 labels fill 64 blocks of 512 B, so every locality count in
+/// the sweep (up to 32) homes labels to relax.
 pub fn bfs_teps(n: usize, transport: parcel_rt::Transport) -> f64 {
     use workloads::bfs::{self, BfsConfig};
     let cfg = BfsConfig {
         vertices: 4096,
         chords: 3,
-        block_class: 12,
+        block_class: 9,
         root: 0,
         seed: 2016,
     };

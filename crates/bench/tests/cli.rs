@@ -1,6 +1,6 @@
-//! `nmvgas-cli` refuses malformed flag values, unknown flags and unknown
-//! workloads with exit code 2 instead of running with a silently
-//! substituted default.
+//! `nmvgas-cli` refuses malformed flag values, unknown flags, unknown
+//! workloads and flag combinations the runtime cannot honour with exit
+//! code 2 instead of running with a silently substituted default.
 
 use std::process::Command;
 
@@ -29,6 +29,13 @@ fn unknown_transport_exits_2() {
         assert_eq!(code, 2, "--transport {bad}: {err}");
         assert!(err.contains("unknown --transport"), "{err}");
     }
+}
+
+#[test]
+fn coalesce_over_isir_exits_2() {
+    let (code, err) = exit_code(&["--transport", "isir", "--coalesce", "--locs", "2"]);
+    assert_eq!(code, 2, "{err}");
+    assert!(err.contains("--coalesce batches PWC parcels only"), "{err}");
 }
 
 #[test]

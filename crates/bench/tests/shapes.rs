@@ -109,6 +109,31 @@ fn e8_mobility_beats_static_placement() {
     );
 }
 
+/// Per-iteration times `(PGAS, SW, NET)`: NET within 0.1 % of PGAS, SW
+/// behind NET and within 3 % of PGAS.
+fn assert_halo_modes_agree(what: &str, [p, s, n]: [Time; 3]) {
+    let (p, s, n) = (p.ps() as f64, s.ps() as f64, n.ps() as f64);
+    assert!((n - p).abs() <= p * 0.001, "{what}: NET {n} vs PGAS {p}");
+    assert!(s > n, "{what}: SW {s} must trail NET {n}");
+    assert!(
+        s <= p * 1.03,
+        "{what}: SW {s} more than 3 % behind PGAS {p}"
+    );
+}
+
+#[test]
+fn e9_halo_exchange_modes_agree() {
+    let net = NetConfig::ib_fdr();
+    for n in [4usize, 16, 64] {
+        let t = GasMode::ALL.map(|mode| stencil_row(mode, n, net).per_iter);
+        assert_halo_modes_agree(&format!("E9 at {n} localities"), t);
+    }
+    for n in [4usize, 16] {
+        let t = GasMode::ALL.map(|mode| stencil3d_row(mode, n).per_iter);
+        assert_halo_modes_agree(&format!("E9b at {n} localities"), t);
+    }
+}
+
 #[test]
 fn e10_footprints_are_structural() {
     let p = protocol_footprint(GasMode::Pgas, true);
@@ -148,6 +173,21 @@ fn e12_oversubscription_caps_aggregate_bandwidth() {
     assert!(full > eighth * 3.0, "full={full} eighth={eighth}");
     // 8:1 on 8 nodes = one link's worth.
     assert!(eighth < 7.5, "eighth={eighth} exceeds one link");
+}
+
+#[test]
+fn e13_bfs_scales_with_localities() {
+    let mut last = 0.0;
+    for n in [2usize, 4, 8, 16, 32] {
+        let pwc = bfs_teps(n, parcel_rt::Transport::Pwc);
+        let isir = bfs_teps(n, parcel_rt::Transport::Isir);
+        assert!(
+            pwc > last,
+            "{n} localities: PWC {pwc} TEPS not above {last}"
+        );
+        assert!(pwc > isir, "{n} localities: PWC {pwc} vs ISIR {isir}");
+        last = pwc;
+    }
 }
 
 #[test]

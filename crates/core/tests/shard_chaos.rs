@@ -16,9 +16,8 @@
 //!   clamps to the cell's four localities).
 //!
 //! One cell adds transit jitter to its faults. Parcel-spawning cells are
-//! out of scope here: the parcel runtime's sharded world
-//! (`parcel_rt::ShardWorld`) has its own lane-independence suite,
-//! `parcel-rt/tests/shard_rt.rs`.
+//! out of scope here: the parcel runtime's world holds `Rc`s and runs on
+//! the sequential engine only.
 
 use agas::check::Violation;
 use agas::ops::{memget, memput};

@@ -13,6 +13,10 @@
 //! their home locality and never migrate, so routing is pure address
 //! arithmetic in every GAS mode.
 //!
+//! A waiter is either a parcel to spawn ([`attach_parcel`]) or a driver
+//! callback ([`attach_driver`]); the callback lives in
+//! [`World`]'s table and the LCO holds only its handle.
+//!
 //! **Lifecycle** (DESIGN.md §3.11). An LCO is a slot in its home's
 //! generational [`OpTable`]; its address packs the slot index and the low
 //! [`GEN_BITS`] bits of the slot's generation, so every lookup is an index
@@ -26,7 +30,7 @@
 
 use crate::parcel::{ActionId, Parcel, ACTION_LCO_SET};
 use crate::sched;
-use crate::world::{RtWorld, World};
+use crate::world::World;
 use agas::Gva;
 use netsim::{Engine, LocalityId, OpId, OpTable};
 
@@ -98,8 +102,9 @@ enum Waiter {
         prefix: Vec<u8>,
         cont: Option<Gva>,
     },
-    /// Invoke a driver callback (benchmark harness / example drivers).
-    Driver(u64),
+    /// Invoke the driver callback this handle names in
+    /// [`World`]'s table (benchmark harness / example drivers).
+    Driver(OpId),
 }
 
 /// One LCO's state, stored at its home locality.
@@ -141,8 +146,8 @@ pub struct PendingLco {
 
 /// Every LCO homed at `loc` that still holds a waiter, in slot order: the
 /// continuations a finished run never delivered.
-pub fn pending<W: RtWorld>(world: &W, loc: LocalityId) -> Vec<PendingLco> {
-    let table = &world.rt_ref(loc).lcos;
+pub fn pending(world: &World, loc: LocalityId) -> Vec<PendingLco> {
+    let table = &world.rt[loc as usize].lcos;
     table
         .iter()
         .filter(|(_, s)| s.first.is_some())
@@ -184,8 +189,8 @@ fn resolve(table: &OpTable<LcoState>, lco: Gva) -> Option<OpId> {
     (packed_generation(id) == seq >> SLOT_BITS).then_some(id)
 }
 
-fn new_lco<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, kind: LcoKind) -> Gva {
-    let id = eng.state.rt(loc).lcos.insert(LcoState {
+fn new_lco(eng: &mut Engine<World>, loc: LocalityId, kind: LcoKind) -> Gva {
+    let id = eng.state.rt[loc as usize].lcos.insert(LcoState {
         kind,
         value: None,
         first: None,
@@ -199,18 +204,18 @@ fn new_lco<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, kind: LcoKind) -> G
 }
 
 /// Create a future at `loc`.
-pub fn new_future<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId) -> Gva {
+pub fn new_future(eng: &mut Engine<World>, loc: LocalityId) -> Gva {
     new_lco(eng, loc, LcoKind::Future)
 }
 
 /// Create an and-gate at `loc` that triggers after `n` sets.
-pub fn new_and<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, n: u64) -> Gva {
+pub fn new_and(eng: &mut Engine<World>, loc: LocalityId, n: u64) -> Gva {
     assert!(n > 0, "and-gate needs at least one input");
     new_lco(eng, loc, LcoKind::And { remaining: n })
 }
 
 /// Create a reduce LCO at `loc` over `n` contributions.
-pub fn new_reduce<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, n: u64, op: ReduceOp) -> Gva {
+pub fn new_reduce(eng: &mut Engine<World>, loc: LocalityId, n: u64, op: ReduceOp) -> Gva {
     assert!(n > 0, "reduction needs at least one input");
     new_lco(
         eng,
@@ -225,7 +230,7 @@ pub fn new_reduce<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, n: u64, op: 
 
 /// Create a gather LCO at `loc` over `n` rank-prefixed contributions
 /// (see [`set_gather`] / [`decode_gather`]).
-pub fn new_gather<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, n: u64) -> Gva {
+pub fn new_gather(eng: &mut Engine<World>, loc: LocalityId, n: u64) -> Gva {
     assert!(n > 0, "gather needs at least one input");
     new_lco(
         eng,
@@ -238,13 +243,7 @@ pub fn new_gather<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, n: u64) -> G
 }
 
 /// Contribute `value` from `rank` to a gather LCO.
-pub fn set_gather<W: RtWorld>(
-    eng: &mut Engine<W>,
-    from: LocalityId,
-    lco: Gva,
-    rank: u32,
-    value: &[u8],
-) {
+pub fn set_gather(eng: &mut Engine<World>, from: LocalityId, lco: Gva, rank: u32, value: &[u8]) {
     let mut buf = Vec::with_capacity(value.len() + 4);
     buf.extend_from_slice(&rank.to_le_bytes());
     buf.extend_from_slice(value);
@@ -266,16 +265,16 @@ pub fn decode_gather(bytes: &[u8]) -> Vec<(u32, Vec<u8>)> {
 }
 
 /// Set/contribute to `lco` from `from`. Remote sets travel as parcels.
-pub fn lco_set<W: RtWorld>(eng: &mut Engine<W>, from: LocalityId, lco: Gva, value: Vec<u8>) {
+pub fn lco_set(eng: &mut Engine<World>, from: LocalityId, lco: Gva, value: Vec<u8>) {
     debug_assert_eq!(lco.class(), LCO_CLASS, "lco_set on a non-LCO address");
     let home = lco.home();
     if home == from {
         // Local set still pays a small scheduler cost for determinism with
         // the remote path's handler charge.
-        let service = eng.state.rtcfg().lco_op;
+        let service = eng.state.rtcfg.lco_op;
         let now = eng.now();
-        let (_, finish) = eng.state.cpu(from).admit(now, service);
-        eng.state.cluster().loc_mut(from).counters.cpu_busy += service;
+        let (_, finish) = eng.state.cpus[from as usize].admit(now, service);
+        eng.state.cluster.loc_mut(from).counters.cpu_busy += service;
         eng.schedule_at_loc(finish, home, move |eng| apply(eng, home, lco, value));
     } else {
         sched::send_parcel(
@@ -294,8 +293,8 @@ pub fn lco_set<W: RtWorld>(eng: &mut Engine<W>, from: LocalityId, lco: Gva, valu
 }
 
 /// Apply a set at the LCO's home (called by the scheduler for LCO parcels).
-pub(crate) fn apply<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, lco: Gva, value: Vec<u8>) {
-    let rt = eng.state.rt(loc);
+pub(crate) fn apply(eng: &mut Engine<World>, loc: LocalityId, lco: Gva, value: Vec<u8>) {
+    let rt = &mut eng.state.rt[loc as usize];
     let Some(id) = resolve(&rt.lcos, lco) else {
         // Retired on delivery (or never minted): a duplicated or late set
         // must not reach the slot's next tenant. Count and drop.
@@ -363,7 +362,7 @@ pub(crate) fn apply<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, lco: Gva, 
     }
 }
 
-fn deliver<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, waiter: Waiter, value: Vec<u8>) {
+fn deliver(eng: &mut Engine<World>, loc: LocalityId, waiter: Waiter, value: Vec<u8>) {
     match waiter {
         Waiter::Parcel {
             target,
@@ -385,15 +384,20 @@ fn deliver<W: RtWorld>(eng: &mut Engine<W>, loc: LocalityId, waiter: Waiter, val
                 },
             );
         }
-        Waiter::Driver(id) => W::notify_driver(eng, loc, id, value),
+        Waiter::Driver(id) => {
+            let cb = eng.state.driver_cbs.remove(id);
+            let cb = cb.expect("driver waiter vanished");
+            let now = eng.now();
+            eng.schedule_at_loc(now, loc, move |eng| cb(eng, value));
+        }
     }
 }
 
 /// Register `waiter` at `lco`'s home — or, if the LCO already fired, hand
 /// it the kept value and retire the LCO.
-fn attach<W: RtWorld>(eng: &mut Engine<W>, lco: Gva, waiter: Waiter) {
+fn attach(eng: &mut Engine<World>, lco: Gva, waiter: Waiter) {
     let loc = lco.home();
-    let table = &mut eng.state.rt(loc).lcos;
+    let table = &mut eng.state.rt[loc as usize].lcos;
     let id = resolve(table, lco).unwrap_or_else(|| {
         panic!(
             "attach to {lco:?}: unknown LCO, or already retired on delivery \
@@ -414,8 +418,8 @@ fn attach<W: RtWorld>(eng: &mut Engine<W>, lco: Gva, waiter: Waiter) {
 /// When `lco` triggers, spawn `action` at `target` with `prefix ++ value`
 /// as arguments. Must be called at the LCO's home locality (driver code can
 /// always do this; actions receive LCO homes explicitly).
-pub fn attach_parcel<W: RtWorld>(
-    eng: &mut Engine<W>,
+pub fn attach_parcel(
+    eng: &mut Engine<World>,
     lco: Gva,
     target: Gva,
     action: ActionId,
@@ -431,29 +435,21 @@ pub fn attach_parcel<W: RtWorld>(
     attach(eng, lco, waiter);
 }
 
-/// When `lco` triggers, notify driver slot `id` through
-/// [`RtWorld::notify_driver`] — immediately if the LCO already fired.
-/// The world decides what a slot means: the classic [`crate::World`] maps
-/// it to a boxed callback, the sharded world records `(id, value)` for
-/// post-run inspection.
-pub fn attach_driver_slot<W: RtWorld>(eng: &mut Engine<W>, lco: Gva, id: u64) {
-    attach(eng, lco, Waiter::Driver(id));
-}
-
 /// When `lco` triggers, invoke `cb` with the value (driver-side waiting —
-/// how benchmarks and examples observe completion).
+/// how benchmarks and examples observe completion) — at once, as a new
+/// event at the LCO's home, if the LCO already fired.
 pub fn attach_driver(
     eng: &mut Engine<World>,
     lco: Gva,
     cb: impl FnOnce(&mut Engine<World>, Vec<u8>) + 'static,
 ) {
     let id = eng.state.driver_cbs.insert(Box::new(cb));
-    attach_driver_slot(eng, lco, id.raw());
+    attach(eng, lco, Waiter::Driver(id));
 }
 
 /// Inspect a live LCO's state (driver/diagnostics); `None` once it has
 /// retired on delivery.
-pub fn peek<W: RtWorld>(world: &W, lco: Gva) -> Option<&LcoState> {
-    let table = &world.rt_ref(lco.home()).lcos;
+pub fn peek(world: &World, lco: Gva) -> Option<&LcoState> {
+    let table = &world.rt[lco.home() as usize].lcos;
     table.get(resolve(table, lco)?).ok()
 }

@@ -43,23 +43,20 @@ pub mod lco;
 pub mod parcel;
 pub mod rt;
 pub mod sched;
-pub mod shard_world;
-pub mod workloads;
 pub mod world;
 
 pub use balancer::{BalancerConfig, BalancerStats};
 pub use codec::{ArgReader, ArgWriter};
 pub use collective::{barrier, gather_ranks};
 pub use lco::{
-    attach_driver, attach_driver_slot, attach_parcel, decode_gather, lco_set, new_and, new_future,
-    new_gather, new_reduce, peek, set_gather, ReduceOp,
+    attach_driver, attach_parcel, decode_gather, lco_set, new_and, new_future, new_gather,
+    new_reduce, peek, set_gather, ReduceOp,
 };
 pub use netsim::RingConfig;
 pub use parcel::{ActionCtx, ActionFn, ActionId, ActionRegistry, Parcel};
 pub use rt::{Runtime, RuntimeBuilder};
 pub use sched::{reply, send_parcel};
-pub use shard_world::{lco_ctx, ShardAction, ShardRtData, ShardRtLoc, ShardWorld};
 pub use world::{
     decode_amo_result, encode_amo_result, fire_completion, Completion, Msg, RingStats, RtConfig,
-    RtLocal, RtStats, RtWorld, Transport, World, NO_COMPLETION, PARCEL_TAG,
+    RtLocal, RtStats, Transport, World, NO_COMPLETION, PARCEL_TAG,
 };

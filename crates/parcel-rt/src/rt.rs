@@ -10,7 +10,7 @@ use crate::collective::{self, Collectives};
 use crate::lco::{self, ReduceOp};
 use crate::parcel::{ActionCtx, ActionId, ActionRegistry, Parcel};
 use crate::sched;
-use crate::world::{Completion, RtConfig, World, NO_COMPLETION};
+use crate::world::{Completion, RtConfig, Transport, World, NO_COMPLETION, PARCEL_TAG};
 use agas::{alloc_array, Distribution, GasConfig, GasMode, GlobalArray, Gva};
 use netsim::{Engine, FaultPlan, FaultPlane, LocalityId, NetConfig, Time};
 use photon::PhotonConfig;
@@ -106,8 +106,15 @@ impl RuntimeBuilder {
     }
 
     /// Boot the cluster. Panics on a fault plan that is not lossless when
-    /// no operation deadline is set (see [`Self::faults`]).
+    /// no operation deadline is set (see [`Self::faults`]), and on parcel
+    /// batching ([`RtConfig::ring`]) over the ISIR transport, which sends
+    /// every parcel on its own.
     pub fn boot(mut self) -> Runtime {
+        assert!(
+            self.rt.ring.is_none() || self.rt.transport == Transport::Pwc,
+            "RtConfig::ring batches PWC parcels only: the ISIR transport would \
+             send every parcel unbatched"
+        );
         if let Some(plan) = &self.faults {
             assert!(
                 plan.is_lossless() || self.gas.op_deadline.is_some(),
@@ -130,11 +137,11 @@ impl RuntimeBuilder {
             world.cluster.faults = Some(FaultPlane::new(plan));
         }
         let mut eng = Engine::new(world, self.seed);
-        if self.rt.transport == crate::world::Transport::Isir {
+        if self.rt.transport == Transport::Isir {
             // Arm the tag-matching engine: one standing wildcard-class
             // receive per locality, re-posted on every delivery.
             for loc in 0..self.n as u32 {
-                photon::post_recv(&mut eng, loc, crate::world::PARCEL_TAG);
+                photon::post_recv(&mut eng, loc, PARCEL_TAG);
             }
         }
         let anchors = collective::alloc_anchors(&mut eng);

@@ -14,16 +14,14 @@
 //! fires `doorbell_delay` later; the flush sends every parcel, in push
 //! order, as one `ParcelBatch` message. Each flush bumps the batch's epoch,
 //! so a timer armed before it finds a newer epoch and does nothing. Local
-//! parcels never wait.
-//!
-//! Everything here is generic over [`RtWorld`], so the same scheduler
-//! drives the classic single-threaded [`crate::World`] and the lane-safe
-//! [`crate::ShardWorld`] running under a
-//! [`ShardedEngine`](netsim::ShardedEngine).
+//! parcels never wait. Batching is a PWC feature: ISIR parcels go through
+//! the tag-matching engine one by one, and
+//! [`RuntimeBuilder::boot`](crate::RuntimeBuilder::boot) refuses a ring
+//! on that transport.
 
 use crate::lco::{self, LCO_CLASS};
 use crate::parcel::{ActionCtx, Parcel, ACTION_LCO_SET};
-use crate::world::{Msg, RtWorld, Transport, PARCEL_TAG};
+use crate::world::{Msg, Transport, World, PARCEL_TAG};
 
 use netsim::{send_user, telemetry, Engine, LocalityId, RingConfig, Time, TraceKind};
 
@@ -66,8 +64,8 @@ impl PeerBatch {
 
 /// Inject `parcel` from `from`: route it toward the believed owner of its
 /// target and send (loop-back when the first hop is local).
-pub fn send_parcel<W: RtWorld>(eng: &mut Engine<W>, from: LocalityId, parcel: Parcel) {
-    eng.state.rt(from).stats.parcels_sent += 1;
+pub fn send_parcel(eng: &mut Engine<World>, from: LocalityId, parcel: Parcel) {
+    eng.state.rt[from as usize].stats.parcels_sent += 1;
     let first_hop = if parcel.target.class() == LCO_CLASS {
         parcel.target.home()
     } else {
@@ -80,13 +78,13 @@ pub fn send_parcel<W: RtWorld>(eng: &mut Engine<W>, from: LocalityId, parcel: Pa
 }
 
 /// Put a parcel on the wire toward `next` using the configured transport.
-pub(crate) fn transmit<W: RtWorld>(
-    eng: &mut Engine<W>,
+pub(crate) fn transmit(
+    eng: &mut Engine<World>,
     from: LocalityId,
     next: LocalityId,
     parcel: Parcel,
 ) {
-    let cfg = eng.state.rtcfg();
+    let cfg = eng.state.rtcfg;
     match cfg.transport {
         Transport::Pwc => {
             if let Some(ring) = cfg.ring.filter(|_| from != next) {
@@ -107,15 +105,15 @@ pub(crate) fn transmit<W: RtWorld>(
 
 /// Add `parcel` to `from`'s batch toward `next`: flush it when it reaches
 /// a limit, or arm its timer when it was empty.
-fn ring_submit<W: RtWorld>(
-    eng: &mut Engine<W>,
+fn ring_submit(
+    eng: &mut Engine<World>,
     from: LocalityId,
     next: LocalityId,
     parcel: Parcel,
     ring: RingConfig,
 ) {
     let now = eng.now();
-    let batches = &mut eng.state.rt(from).batches;
+    let batches = &mut eng.state.rt[from as usize].batches;
     if batches.len() <= next as usize {
         batches.resize_with(next as usize + 1, PeerBatch::default);
     }
@@ -130,7 +128,7 @@ fn ring_submit<W: RtWorld>(
     } else if b.parcels.len() == 1 {
         let epoch = b.epoch;
         eng.schedule_at_loc(now + ring.doorbell_delay, from, move |eng| {
-            if eng.state.rt(from).batches[next as usize].epoch == epoch {
+            if eng.state.rt[from as usize].batches[next as usize].epoch == epoch {
                 ring_doorbell(eng, from, next);
             }
         });
@@ -139,8 +137,8 @@ fn ring_submit<W: RtWorld>(
 
 /// Ring the doorbell: send `from`'s non-empty batch toward `next` as one
 /// wire message (summed payloads + one shared header) and start a new one.
-fn ring_doorbell<W: RtWorld>(eng: &mut Engine<W>, from: LocalityId, next: LocalityId) {
-    let rt = eng.state.rt(from);
+fn ring_doorbell(eng: &mut Engine<World>, from: LocalityId, next: LocalityId) {
+    let rt = &mut eng.state.rt[from as usize];
     let b = &mut rt.batches[next as usize];
     let parcels: Vec<Parcel> = b.parcels.drain(..).collect();
     let wire = std::mem::take(&mut b.bytes);
@@ -150,7 +148,7 @@ fn ring_doorbell<W: RtWorld>(eng: &mut Engine<W>, from: LocalityId, next: Locali
     rt.stats.batches_sent += 1;
     telemetry::record_ring(1, n, n - 1);
     let now = eng.now();
-    eng.state.cluster().tracer.record(
+    eng.state.cluster.tracer.record(
         now,
         TraceKind::Doorbell {
             at: from,
@@ -162,12 +160,7 @@ fn ring_doorbell<W: RtWorld>(eng: &mut Engine<W>, from: LocalityId, next: Locali
 }
 
 /// A parcel arrived at `dst` (called from the world's packet dispatch).
-pub fn parcel_arrive<W: RtWorld>(
-    eng: &mut Engine<W>,
-    _src: LocalityId,
-    dst: LocalityId,
-    parcel: Parcel,
-) {
+pub fn parcel_arrive(eng: &mut Engine<World>, _src: LocalityId, dst: LocalityId, parcel: Parcel) {
     // LCO parcels: handled at the LCO's home with a light CPU charge.
     if parcel.target.class() == LCO_CLASS {
         let home = parcel.target.home();
@@ -176,10 +169,10 @@ pub fn parcel_arrive<W: RtWorld>(
             return;
         }
         debug_assert_eq!(parcel.action, ACTION_LCO_SET, "non-set parcel at an LCO");
-        let service = eng.state.rtcfg().lco_op;
+        let service = eng.state.rtcfg.lco_op;
         let now = eng.now();
-        let (_, finish) = eng.state.cpu(dst).admit(now, service);
-        eng.state.cluster().loc_mut(dst).counters.cpu_busy += service;
+        let (_, finish) = eng.state.cpus[dst as usize].admit(now, service);
+        eng.state.cluster.loc_mut(dst).counters.cpu_busy += service;
         let (lco, value) = (parcel.target, parcel.args);
         eng.schedule_at(finish, move |eng| lco::apply(eng, dst, lco, value));
         return;
@@ -187,15 +180,13 @@ pub fn parcel_arrive<W: RtWorld>(
     match agas::ops::route(&mut eng.state, dst, parcel.target) {
         agas::ops::Route::Local { .. } => {
             // Charge the action dispatch + argument handling to a worker.
-            let (base_cost, per_byte) = {
-                let c = eng.state.rtcfg();
-                (c.action_base, c.recv_per_byte_ps)
-            };
-            let service = base_cost + Time::from_ps(parcel.args.len() as u64 * per_byte);
+            let c = eng.state.rtcfg;
+            let service =
+                c.action_base + Time::from_ps(parcel.args.len() as u64 * c.recv_per_byte_ps);
             let now = eng.now();
-            let (_, finish) = eng.state.cpu(dst).admit(now, service);
-            eng.state.cluster().loc_mut(dst).counters.cpu_busy += service;
-            let prof = &mut eng.state.rt(dst).action_profile;
+            let (_, finish) = eng.state.cpus[dst as usize].admit(now, service);
+            eng.state.cluster.loc_mut(dst).counters.cpu_busy += service;
+            let prof = &mut eng.state.rt[dst as usize].action_profile;
             let id = parcel.action.0 as usize;
             if prof.len() <= id {
                 prof.resize(id + 1, (0, Time::ZERO));
@@ -219,7 +210,7 @@ pub fn parcel_arrive<W: RtWorld>(
     }
 }
 
-fn forward<W: RtWorld>(eng: &mut Engine<W>, at: LocalityId, mut parcel: Parcel, next: LocalityId) {
+fn forward(eng: &mut Engine<World>, at: LocalityId, mut parcel: Parcel, next: LocalityId) {
     assert!(
         parcel.hops < MAX_PARCEL_HOPS,
         "parcel to {:?} forwarded {} times (routing loop?)",
@@ -227,7 +218,7 @@ fn forward<W: RtWorld>(eng: &mut Engine<W>, at: LocalityId, mut parcel: Parcel, 
         parcel.hops
     );
     parcel.hops += 1;
-    eng.state.rt(at).stats.parcels_forwarded += 1;
+    eng.state.rt[at as usize].stats.parcels_forwarded += 1;
     // A long chase means the target block is churning: back off so the
     // migration can commit instead of racing our retransmissions.
     let delay = if parcel.hops > 4 {
@@ -242,13 +233,13 @@ fn forward<W: RtWorld>(eng: &mut Engine<W>, at: LocalityId, mut parcel: Parcel, 
 }
 
 /// Run the action: pin the target block, invoke the handler, unpin.
-fn execute<W: RtWorld>(eng: &mut Engine<W>, dst: LocalityId, parcel: Parcel) {
+fn execute(eng: &mut Engine<World>, dst: LocalityId, parcel: Parcel) {
     let Some((base, class)) = agas::ops::pin(&mut eng.state, dst, parcel.target) else {
         // The block moved while the parcel queued; chase it.
         parcel_arrive(eng, dst, dst, parcel);
         return;
     };
-    eng.state.rt(dst).stats.parcels_executed += 1;
+    eng.state.rt[dst as usize].stats.parcels_executed += 1;
     let target = parcel.target;
     let ctx = ActionCtx {
         loc: dst,
@@ -259,13 +250,14 @@ fn execute<W: RtWorld>(eng: &mut Engine<W>, dst: LocalityId, parcel: Parcel) {
         cont: parcel.cont,
         src: parcel.src,
     };
-    W::run_action(eng, parcel.action, ctx);
+    let registry = eng.state.registry.clone();
+    registry.get(parcel.action)(eng, ctx);
     agas::ops::unpin(eng, dst, target);
 }
 
 /// Send `value` to an action's continuation LCO, if it has one. The usual
 /// last line of an action that produces a result.
-pub fn reply<W: RtWorld>(eng: &mut Engine<W>, ctx: &ActionCtx, value: Vec<u8>) {
+pub fn reply(eng: &mut Engine<World>, ctx: &ActionCtx, value: Vec<u8>) {
     if let Some(cont) = ctx.cont {
         lco::lco_set(eng, ctx.loc, cont, value);
     }

@@ -1,5 +1,9 @@
-//! The concrete simulated world: cluster + Photon endpoints + GAS state +
-//! runtime schedulers, with all the protocol glue traits implemented.
+//! The simulated world: cluster + Photon endpoints + GAS state + runtime
+//! schedulers, with all the protocol glue traits implemented. It is the
+//! runtime's one world: the scheduler ([`crate::sched`]) and the LCO layer
+//! ([`crate::lco`]) take `&mut Engine<World>` and reach its fields
+//! directly. It runs on the sequential [`Engine`] only — actions are boxed
+//! closures behind an `Rc` and driver callbacks capture `Rc`s.
 
 use crate::lco::LcoState;
 use crate::parcel::{ActionRegistry, Parcel};
@@ -37,8 +41,9 @@ pub enum Transport {
 pub struct RtConfig {
     /// Parcel network backend.
     pub transport: Transport,
-    /// Per-peer parcel batching (PWC transport only; `None` sends every
-    /// parcel immediately). A parcel for another locality waits in that
+    /// Per-peer parcel batching (`None` sends every parcel immediately).
+    /// PWC transport only: [`crate::RuntimeBuilder::boot`] refuses it with
+    /// [`Transport::Isir`]. A parcel for another locality waits in that
     /// peer's batch, and each flush sends the whole batch as a single wire
     /// message — the message-aggregation optimization the AM++/HPX graph
     /// papers lean on. The flush rules are in [`crate::sched`].
@@ -140,33 +145,6 @@ impl RtLocal {
     }
 }
 
-/// World hooks the parcel scheduler and LCO layer need beyond
-/// [`GasWorld`]: runtime state, the action table, and the driver
-/// notification channel. Implemented by the classic single-threaded
-/// [`World`] (closure actions, driver callbacks) and by the lane-safe
-/// [`crate::ShardWorld`] (fn-pointer actions, recorded notifications) —
-/// one scheduler/LCO implementation serves both. Both carry the one wire
-/// enum [`Msg`], so the scheduler builds parcel messages directly.
-pub trait RtWorld: GasWorld + Protocol<Msg = Msg> {
-    /// Per-locality runtime state.
-    fn rt(&mut self, loc: LocalityId) -> &mut RtLocal;
-    /// Shared access to per-locality runtime state (diagnostics).
-    fn rt_ref(&self, loc: LocalityId) -> &RtLocal;
-    /// Runtime tuning (uniform across the cluster).
-    fn rtcfg(&self) -> RtConfig;
-    /// Invoke the registered action body (the table's representation is
-    /// the world's business: boxed closures here, `fn` pointers in the
-    /// sharded world).
-    fn run_action(
-        eng: &mut Engine<Self>,
-        id: crate::parcel::ActionId,
-        ctx: crate::parcel::ActionCtx,
-    );
-    /// An LCO a driver was waiting on (slot `id`, see
-    /// [`crate::lco::attach_driver_slot`]) fired with `value`.
-    fn notify_driver(eng: &mut Engine<Self>, loc: LocalityId, id: u64, value: Vec<u8>);
-}
-
 /// The wire message enum: everything that travels between localities.
 #[derive(Debug)]
 pub enum Msg {
@@ -223,8 +201,8 @@ pub struct World {
     /// flight by the fault plane).
     pub corrupt_parcels: u64,
     pub(crate) completions: OpTable<Completion>,
-    /// Driver callbacks waiting on an LCO; the `u64` slot id an LCO holds
-    /// for one is its [`OpId::raw`].
+    /// Driver callbacks waiting on an LCO, keyed by the handle the LCO's
+    /// waiter holds.
     pub(crate) driver_cbs: OpTable<DriverCb>,
 }
 
@@ -438,32 +416,6 @@ impl PhotonWorld for World {
     }
     fn pwc_amo_complete(eng: &mut Engine<Self>, loc: LocalityId, ctx: OpId, result: AmoResult) {
         agas::ops::on_pwc_amo_complete(eng, loc, ctx, result);
-    }
-}
-
-impl RtWorld for World {
-    fn rt(&mut self, loc: LocalityId) -> &mut RtLocal {
-        &mut self.rt[loc as usize]
-    }
-    fn rt_ref(&self, loc: LocalityId) -> &RtLocal {
-        &self.rt[loc as usize]
-    }
-    fn rtcfg(&self) -> RtConfig {
-        self.rtcfg
-    }
-    fn run_action(
-        eng: &mut Engine<Self>,
-        id: crate::parcel::ActionId,
-        ctx: crate::parcel::ActionCtx,
-    ) {
-        let registry = eng.state.registry.clone();
-        registry.get(id)(eng, ctx);
-    }
-    fn notify_driver(eng: &mut Engine<Self>, loc: LocalityId, id: u64, value: Vec<u8>) {
-        let cb = eng.state.driver_cbs.remove(OpId::from_raw(id));
-        let cb = cb.expect("driver waiter vanished");
-        let now = eng.now();
-        eng.schedule_at_loc(now, loc, move |eng| cb(eng, value));
     }
 }
 

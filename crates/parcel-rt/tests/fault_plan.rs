@@ -1,9 +1,10 @@
-//! The builder's fault-plan guard: a plan that can drop messages needs an
-//! operation deadline, a lossless one boots as before.
+//! The builder's boot guards: a fault plan that can drop messages needs
+//! an operation deadline, a lossless one boots as before; parcel batching
+//! needs the PWC transport.
 
 use agas::{Distribution, GasMode};
-use netsim::FaultPlan;
-use parcel_rt::Runtime;
+use netsim::{FaultPlan, RingConfig};
+use parcel_rt::{RtConfig, Runtime, Transport};
 
 #[test]
 #[should_panic(expected = "op_deadline")]
@@ -25,4 +26,16 @@ fn lossless_plan_without_a_deadline_boots_and_quiesces() {
     rt.run();
     rt.assert_quiescent();
     assert_eq!(rt.read_block(arr.block(3))[..64], [7u8; 64]);
+}
+
+#[test]
+#[should_panic(expected = "RtConfig::ring")]
+fn ring_over_isir_is_refused() {
+    Runtime::builder(2, GasMode::AgasNetwork)
+        .rt_config(RtConfig {
+            transport: Transport::Isir,
+            ring: Some(RingConfig::default()),
+            ..RtConfig::default()
+        })
+        .boot();
 }
