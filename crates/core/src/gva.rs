@@ -35,6 +35,11 @@ pub const MIN_CLASS: u8 = 3;
 /// Largest legal size class (1 GiB blocks; leaves ≥ 12 bits of seq).
 pub const MAX_CLASS: u8 = 30;
 
+// A one-sided request stores a physical target under this block word. Its
+// size-class field is out of range, so no GVA's block key equals it.
+const _: () =
+    assert!((netsim::PHYS_BLOCK >> REST_BITS) & ((1 << CLASS_BITS) - 1) > MAX_CLASS as u64);
+
 /// A global virtual address.
 ///
 /// ```

@@ -423,47 +423,101 @@ pub(crate) struct PendingOp {
     /// The access itself: the same snapshot every issue path (RDMA, shm,
     /// software, local commit) hands to the responder.
     pub verb: Verb,
-    /// Size class of the landing buffer a get's RDMA attempts share, once
-    /// one is allocated (its address is the verb's `local`); reused across
-    /// retries and freed when the op retires.
-    pub scratch: Option<u8>,
     pub gva: Gva,
     pub ctx: OpId,
-    pub attempts: u32,
     /// When the operation was submitted (for the latency histograms and
     /// the stuck-op age report).
     pub issued: Time,
     /// Absolute instant after which the deadline sweep reclaims the op
-    /// (`None` when [`GasConfig::op_deadline`] is off).
-    pub deadline: Option<Time>,
+    /// ([`Time::MAX`] when [`GasConfig::op_deadline`] is off).
+    pub deadline: Time,
+    /// The endpoint-table handle of the op's current photon attempt
+    /// ([`OpId::NONE`] when none is live), so a bounce can retire it and a
+    /// completion of a superseded attempt is recognized as stale rather
+    /// than double-completing.
+    pub attempt: OpId,
+    /// Index of this op's [`HistEvent`] in the issuing locality's history
+    /// log ([`NO_HIST`] unless [`GasConfig::record_history`] is on); read
+    /// it through [`PendingOp::hist`].
+    hist: u32,
+    /// Bounce/retry cycles consumed so far; saturates, and a saturated
+    /// count exhausts the retry budget whatever `max_attempts` says.
+    pub attempts: u16,
     /// Last lifecycle state, for diagnostics.
     pub phase: OpPhase,
-    /// Set after repeated NIC-table misses: degrade this operation to the
-    /// software (two-sided) path, as real network-managed tables do under
-    /// capacity thrash.
-    pub force_sw: bool,
-    /// The endpoint-table handle of the op's current photon attempt, so a
-    /// bounce can retire it and a completion of a superseded attempt is
-    /// recognized as stale rather than double-completing.
-    pub attempt: Option<OpId>,
-    /// Index of this op's [`HistEvent`] in the issuing locality's history
-    /// log (only when [`GasConfig::record_history`] is on). `u32` keeps the
-    /// entry at 120 bytes: the table is touched twice per op, and its
-    /// footprint shows in host throughput.
-    pub hist: Option<u32>,
+    /// [`FORCE_SW`] and [`SCRATCH`].
+    flags: u8,
 }
 
+/// [`PendingOp::hist`]'s "not recorded" word.
+const NO_HIST: u32 = u32::MAX;
+/// Set after repeated NIC-table misses: degrade this operation to the
+/// software (two-sided) path, as real network-managed tables do under
+/// capacity thrash.
+const FORCE_SW: u8 = 1;
+/// A get's RDMA attempts have allocated their shared landing buffer: its
+/// address is the verb's `local`, its class follows from the length.
+const SCRATCH: u8 = 2;
+
 // Every op inserts and removes one entry, so the table's footprint is
-// host-time: 32 bytes more cost ~4 % of AGAS-SW GUPS throughput.
+// host-time (32 bytes more cost ~4 % of AGAS-SW GUPS throughput) and, with
+// many ops outstanding, memory: a 96-byte slot per op in flight.
 #[cfg(target_pointer_width = "64")]
-const _: () = assert!(std::mem::size_of::<PendingOp>() <= 120);
+const _: () = assert!(std::mem::size_of::<PendingOp>() <= 88);
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(OpTable::<PendingOp>::SLOT_BYTES <= 96);
 
 impl PendingOp {
+    /// A freshly submitted op: no attempt, no retries, no landing buffer.
+    pub fn new(
+        verb: Verb,
+        gva: Gva,
+        ctx: OpId,
+        issued: Time,
+        deadline: Option<Time>,
+        hist: Option<u32>,
+    ) -> PendingOp {
+        PendingOp {
+            verb,
+            gva,
+            ctx,
+            issued,
+            deadline: deadline.unwrap_or(Time::MAX),
+            attempt: OpId::NONE,
+            hist: hist.unwrap_or(NO_HIST),
+            attempts: 0,
+            phase: OpPhase::Issued,
+            flags: 0,
+        }
+    }
+
+    /// Index of this op's history event, if one was recorded.
+    pub fn hist(&self) -> Option<u32> {
+        (self.hist != NO_HIST).then_some(self.hist)
+    }
+
+    /// Whether the op has been degraded to the software path.
+    pub fn force_sw(&self) -> bool {
+        self.flags & FORCE_SW != 0
+    }
+
+    /// Degrade the op to the software path for the rest of its life.
+    pub fn set_force_sw(&mut self) {
+        self.flags |= FORCE_SW;
+    }
+
+    /// Record that the verb's `local` names an allocated landing buffer.
+    pub fn set_scratch(&mut self) {
+        self.flags |= SCRATCH;
+    }
+
     /// The get's landing buffer `(addr, class)`, if an RDMA attempt has
     /// allocated one.
     pub fn scratch(&self) -> Option<(PhysAddr, u8)> {
-        match (&self.verb, self.scratch) {
-            (Verb::Get { local, .. }, Some(class)) => Some((*local, class)),
+        match self.verb {
+            Verb::Get { len, local } if self.flags & SCRATCH != 0 => {
+                Some((local, ops::scratch_class(len)))
+            }
             _ => None,
         }
     }
@@ -604,9 +658,9 @@ impl GasLocal {
                     OpKind::Amo => "amo",
                 },
                 gva: p.gva,
-                attempts: p.attempts,
+                attempts: u32::from(p.attempts),
                 issued: p.issued,
-                deadline: p.deadline,
+                deadline: (p.deadline != Time::MAX).then_some(p.deadline),
                 phase: p.phase,
             })
             .collect()

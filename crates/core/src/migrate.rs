@@ -677,8 +677,14 @@ pub(crate) fn on_dir_unregister<S: GasWorld>(
 /// Called when a block's pin count drops to zero: start one deferred
 /// migration (later requests re-chase through the home).
 pub(crate) fn retry_deferred<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, block: u64) {
+    let g = eng.state.gas(at);
+    // Every pinned access unpins through here; outside a migration or a
+    // free both maps are empty, and the answer needs no hashing.
+    if g.deferred_frees.is_empty() && g.deferred_migs.is_empty() {
+        return;
+    }
     // Deferred frees take priority: once freed, nothing else can apply.
-    if let Some(frees) = eng.state.gas(at).deferred_frees.remove(&block) {
+    if let Some(frees) = g.deferred_frees.remove(&block) {
         let mut frees = frees.into_iter();
         if let Some((ctx, reply_to)) = frees.next() {
             assert!(

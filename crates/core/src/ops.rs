@@ -227,7 +227,8 @@ fn free_scratch<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, p: &PendingOp
     }
 }
 
-fn scratch_class(len: u32) -> u8 {
+/// Size class of the landing buffer a `len`-byte get's RDMA attempts share.
+pub(crate) fn scratch_class(len: u32) -> u8 {
     let needed = len.max(8);
     (u32::BITS - (needed - 1).leading_zeros()) as u8
 }
@@ -302,22 +303,10 @@ pub fn memput<S: GasWorld>(
         0
     };
     let hist = hist_issue(g, loc, HistKind::Put, gva, data.len() as u32, vhash, now);
-    let op = g.pending.insert(PendingOp {
-        verb: Verb::Put {
-            data: data.into(),
-            remote_tag: None,
-        },
-        scratch: None,
-        gva,
-        ctx,
-        attempts: 0,
-        issued: now,
-        deadline,
-        phase: OpPhase::Issued,
-        force_sw: false,
-        attempt: None,
-        hist,
-    });
+    let verb = Verb::put(data.into(), None);
+    let op = g
+        .pending
+        .insert(PendingOp::new(verb, gva, ctx, now, deadline, hist));
     open_span(eng, loc, op);
     arm_sweep(eng, loc);
     issue(eng, loc, op);
@@ -337,21 +326,12 @@ pub fn memget<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, gva: Gva, len: 
     g.stats.gets += 1;
     let deadline = g.cfg.op_deadline.map(|d| now + d);
     let hist = hist_issue(g, loc, HistKind::Get, gva, len, 0, now);
-    let op = g.pending.insert(PendingOp {
-        // `local` names the scratch landing buffer once an RDMA attempt
-        // has allocated one.
-        verb: Verb::Get { len, local: 0 },
-        scratch: None,
-        gva,
-        ctx,
-        attempts: 0,
-        issued: now,
-        deadline,
-        phase: OpPhase::Issued,
-        force_sw: false,
-        attempt: None,
-        hist,
-    });
+    // `local` names the scratch landing buffer once an RDMA attempt has
+    // allocated one.
+    let verb = Verb::Get { len, local: 0 };
+    let op = g
+        .pending
+        .insert(PendingOp::new(verb, gva, ctx, now, deadline, hist));
     open_span(eng, loc, op);
     arm_sweep(eng, loc);
     issue(eng, loc, op);
@@ -379,30 +359,21 @@ pub fn memamo<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, gva: Gva, amo: 
     let g = eng.state.gas(loc);
     g.stats.amos += 1;
     let deadline = g.cfg.op_deadline.map(|d| now + d);
-    let op = g.pending.insert(PendingOp {
-        verb: Verb::Amo { amo, key: (loc, 0) },
-        scratch: None,
-        gva,
-        ctx,
-        attempts: 0,
-        issued: now,
-        deadline,
-        phase: OpPhase::Issued,
-        force_sw: false,
-        attempt: None,
-        // AMO words are checked by the word-level oracle, not the
-        // byte-fingerprint history (workloads keep the slots disjoint).
-        hist: None,
-    });
+    // AMO words are checked by the word-level oracle, not the
+    // byte-fingerprint history (workloads keep the slots disjoint).
+    let verb = Verb::amo(amo, (loc, 0));
+    let op = g
+        .pending
+        .insert(PendingOp::new(verb, gva, ctx, now, deadline, None));
     // The retry-stable responder-cache identity: the initiator plus this
     // *GAS-level* handle, which survives transport re-issue (photon attempt
     // ids do not) — known only now that the insert has minted it.
     if let Ok(PendingOp {
-        verb: Verb::Amo { key, .. },
+        verb: Verb::Amo { key_op, .. },
         ..
     }) = g.pending.get_mut(op)
     {
-        *key = (loc, op.raw());
+        *key_op = op.raw();
     }
     open_span(eng, loc, op);
     arm_sweep(eng, loc);
@@ -417,7 +388,7 @@ fn issue<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) {
         let Ok(p) = g.pending.get(op) else {
             return; // reclaimed (deadline sweep) between schedule and fire
         };
-        (p.gva, p.verb.kind(), p.force_sw)
+        (p.gva, p.verb.kind(), p.force_sw())
     };
     let block = gva.block_key();
     let home = gva.home();
@@ -512,7 +483,7 @@ fn issue_sw<S: GasWorld>(
             return;
         };
         p.phase = OpPhase::Sw;
-        p.attempt = None; // any earlier photon attempt is superseded
+        p.attempt = OpId::NONE; // any earlier photon attempt is superseded
         p.verb.clone()
     };
     let acc = Box::new(SwAccess {
@@ -575,7 +546,7 @@ fn try_shm<S: GasWorld>(
             return true; // reclaimed (deadline sweep); nothing to issue
         };
         p.phase = OpPhase::Shm;
-        p.attempt = None; // any earlier photon attempt is superseded
+        p.attempt = OpId::NONE; // any earlier photon attempt is superseded
         p.verb.clone()
     };
     let bytes = verb.touched_bytes();
@@ -661,7 +632,7 @@ fn apply_resident<S: GasWorld>(
     size: u64,
     offset: u64,
     verb: &Verb,
-) -> Option<Applied> {
+) -> Option<Applied<Vec<u8>>> {
     let l = eng.state.cluster().loc_mut(at);
     let applied = l.apply(block, base, size, offset, verb)?;
     if let Applied::Amo { replayed: true, .. } = applied {
@@ -681,7 +652,7 @@ fn complete_put<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) {
     };
     let now = eng.now();
     record_latency(eng, loc, &p, now);
-    hist_done(eng, loc, p.hist, now, None);
+    hist_done(eng, loc, p.hist(), now, None);
     finish_ok(eng, loc, op);
     S::gas_put_done(eng, loc, p.ctx);
 }
@@ -700,8 +671,8 @@ fn complete_get<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId, dat
     // An earlier RDMA attempt may have left a scratch buffer behind; these
     // paths never need one.
     free_scratch(eng, loc, &p);
-    let vhash = p.hist.map(|_| value_hash(&data));
-    hist_done(eng, loc, p.hist, now, vhash);
+    let vhash = p.hist().map(|_| value_hash(&data));
+    hist_done(eng, loc, p.hist(), now, vhash);
     finish_ok(eng, loc, op);
     S::gas_get_done(eng, loc, p.ctx, data);
 }
@@ -747,26 +718,25 @@ fn issue_rdma<S: GasWorld>(
             return;
         };
         p.phase = OpPhase::Rdma;
-        (p.verb.clone(), p.scratch)
+        (p.verb.clone(), p.scratch())
     };
     // A get lands in a scratch buffer from the runtime's pre-registered
     // pool, allocated once and reused across retries.
     if let (Verb::Get { len, local }, None) = (&mut verb, scratch) {
-        let class = scratch_class(*len);
         *local = eng
             .state
             .cluster()
             .mem_mut(loc)
-            .alloc_block(class)
+            .alloc_block(scratch_class(*len))
             .expect("scratch allocation failed");
         if let Ok(p) = eng.state.gas(loc).pending.get_mut(op) {
             p.verb = verb.clone();
-            p.scratch = Some(class);
+            p.set_scratch();
         }
     }
     let att = pwc(eng, loc, target_loc, target, verb, op, None);
     if let Ok(p) = eng.state.gas(loc).pending.get_mut(op) {
-        p.attempt = Some(att);
+        p.attempt = att;
     }
 }
 
@@ -825,12 +795,12 @@ fn commit_local<S: GasWorld>(
     let ctx = p.ctx;
     match applied {
         Applied::Put => {
-            hist_done(eng, loc, p.hist, now, None);
+            hist_done(eng, loc, p.hist(), now, None);
             eng.schedule_at_loc(now + delay, loc, move |eng| S::gas_put_done(eng, loc, ctx));
         }
         Applied::Get(data) => {
-            let vhash = p.hist.map(|_| value_hash(&data));
-            hist_done(eng, loc, p.hist, now, vhash);
+            let vhash = p.hist().map(|_| value_hash(&data));
+            hist_done(eng, loc, p.hist(), now, vhash);
             eng.schedule_at_loc(now + delay, loc, move |eng| {
                 S::gas_get_done(eng, loc, ctx, data)
             });
@@ -863,15 +833,16 @@ fn bounce<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId, block: u6
         let Ok(p) = g.pending.get_mut(op) else {
             return; // completed (or reclaimed) concurrently; nothing to retry
         };
-        let stale_attempt = p.attempt.take();
-        p.attempts += 1;
+        let stale_attempt = std::mem::replace(&mut p.attempt, OpId::NONE);
+        p.attempts = p.attempts.saturating_add(1);
         p.phase = OpPhase::DirRecovery;
-        let attempts = p.attempts;
+        let saturated = p.attempts == u16::MAX;
+        let attempts = u32::from(p.attempts);
         let mut sw_fallback = false;
-        if !p.force_sw && attempts >= 3 {
+        if !p.force_sw() && attempts >= 3 {
             // Persistent NIC-table misses (capacity thrash): degrade to the
             // software path, which cannot miss at the true owner.
-            p.force_sw = true;
+            p.set_force_sw();
             sw_fallback = true;
         }
         g.stats.retries += 1;
@@ -881,13 +852,14 @@ fn bounce<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId, block: u6
             g.stats.sw_fallbacks += 1;
         }
         g.outcomes.record(OpOutcome::Retried { attempt: attempts });
-        (attempts > g.cfg.max_attempts, attempts, stale_attempt)
+        let give_up = attempts > g.cfg.max_attempts || saturated;
+        (give_up, attempts, stale_attempt)
     };
     // Retire the superseded photon attempt so a late echo of it (a delayed
     // or duplicated completion) is dropped as stale instead of completing
     // the re-issued op, and so a lost completion can't leak endpoint state.
-    if let Some(att) = stale_attempt {
-        eng.state.endpoint(loc).cancel_op(att);
+    if !stale_attempt.is_none() {
+        eng.state.endpoint(loc).cancel_op(stale_attempt);
     }
     if give_up {
         let Ok(p) = eng.state.gas(loc).pending.remove(op) else {
@@ -965,7 +937,7 @@ fn sweep<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId) {
             .gas(loc)
             .pending
             .iter()
-            .filter(|(_, p)| p.deadline.is_some_and(|d| d <= now) && p.attempts < max_attempts)
+            .filter(|(_, p)| p.deadline <= now && u32::from(p.attempts) < max_attempts)
             .map(|(id, p)| (id, p.gva.block_key()))
             .collect();
         for (id, block) in candidates {
@@ -974,7 +946,7 @@ fn sweep<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId) {
                 let Ok(p) = g.pending.get_mut(id) else {
                     continue;
                 };
-                p.deadline = Some(now + extension);
+                p.deadline = now + extension;
                 // A Backoff-phase op already has its re-issue scheduled;
                 // extending the deadline is the whole recovery.
                 p.phase == OpPhase::Backoff
@@ -989,10 +961,10 @@ fn sweep<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId) {
         .state
         .gas(loc)
         .pending
-        .drain_filter(|_, p| p.deadline.is_some_and(|d| d <= now));
+        .drain_filter(|_, p| p.deadline <= now);
     for (id, p) in expired {
         let age = now.saturating_sub(p.issued);
-        let attempts = p.attempts;
+        let attempts = u32::from(p.attempts);
         eng.state.gas(loc).stats.deadline_exceeded += 1;
         fail_op(
             eng,
@@ -1029,7 +1001,7 @@ pub fn on_pwc_complete<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, ctx: O
     record_latency(eng, loc, &p, now);
     match p.verb {
         Verb::Put { .. } => {
-            hist_done(eng, loc, p.hist, now, None);
+            hist_done(eng, loc, p.hist(), now, None);
             finish_ok(eng, loc, ctx);
             S::gas_put_done(eng, loc, p.ctx);
         }
@@ -1061,8 +1033,8 @@ pub fn on_pwc_complete<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, ctx: O
                 .expect("scratch vanished")
                 .to_vec();
             eng.state.cluster().mem_mut(loc).free_block(addr, class);
-            let vhash = p.hist.map(|_| value_hash(&data));
-            hist_done(eng, loc, p.hist, now, vhash);
+            let vhash = p.hist().map(|_| value_hash(&data));
+            hist_done(eng, loc, p.hist(), now, vhash);
             finish_ok(eng, loc, ctx);
             S::gas_get_done(eng, loc, p.ctx, data);
         }

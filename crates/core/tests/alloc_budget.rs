@@ -8,7 +8,11 @@
 //!   table;
 //! * a remote put in steady state allocates the request that crosses the
 //!   wire and, past the inline limit, one shared payload buffer — no copy
-//!   per holder, no box per nested event;
+//!   per holder, no box per nested event; a small remote get allocates its
+//!   request and one landing record that carries the bytes inline;
+//! * an outstanding get holds a fixed number of live heap bytes across the
+//!   layers (GAS pending op, photon slot, boxed request, queued event,
+//!   landing buffer), so a record that regrows fails;
 //! * a retry re-sends the payload the op already holds: a put that bounces
 //!   through the directory, or loses its completion and is re-issued by the
 //!   deadline sweep, allocates no second buffer and still writes the right
@@ -17,7 +21,7 @@
 //! The caller's own `Vec` is built outside the counted region every time.
 
 use agas::migrate::migrate_block;
-use agas::ops::memput;
+use agas::ops::{memget, memput};
 use agas::{alloc_array, Distribution, GasMode, GlobalArray, Gva, SimWorld};
 use netsim::{Engine, NetConfig, OpId, Payload, Time};
 use photon::{PhotonConfig, PhotonEndpoint};
@@ -35,10 +39,20 @@ struct Tally {
     allocs: u64,
     bytes: u64,
     big: u64,
+    /// Bytes handed back (requested sizes, like `bytes`).
+    freed: u64,
+}
+
+impl Tally {
+    /// Requested bytes still allocated.
+    fn live(&self) -> i64 {
+        self.bytes as i64 - self.freed as i64
+    }
 }
 
 thread_local! {
-    static TALLY: Cell<Tally> = const { Cell::new(Tally { allocs: 0, bytes: 0, big: 0 }) };
+    static TALLY: Cell<Tally> =
+        const { Cell::new(Tally { allocs: 0, bytes: 0, big: 0, freed: 0 }) };
 }
 
 struct Counting;
@@ -53,6 +67,14 @@ fn count(size: usize) {
     });
 }
 
+fn count_free(size: usize) {
+    TALLY.with(|t| {
+        let mut v = t.get();
+        v.freed += size as u64;
+        t.set(v);
+    });
+}
+
 // SAFETY: every request is forwarded unchanged to the system allocator; the
 // tally is a `Cell` in const-initialised thread-local storage with no
 // destructor, so touching it neither allocates nor can outlive its thread.
@@ -62,10 +84,12 @@ unsafe impl GlobalAlloc for Counting {
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_free(layout.size());
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        count_free(layout.size());
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -82,6 +106,7 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, Tally) {
         allocs: after.allocs - before.allocs,
         bytes: after.bytes - before.bytes,
         big: after.big - before.big,
+        freed: after.freed - before.freed,
     };
     (r, spent)
 }
@@ -133,6 +158,28 @@ fn per_put(mode: GasMode, len: usize) -> f64 {
     spent.allocs as f64 / 256.0
 }
 
+/// Allocations per remote `len`-byte get from locality 0, in steady state
+/// (as [`per_put`]).
+fn per_get(mode: GasMode, len: u32) -> f64 {
+    let (mut eng, arr) = world(2, mode, NetConfig::ib_fdr());
+    let gva = arr.block(1);
+    let get = |eng: &mut Engine<SimWorld>, i: u64| {
+        memget(eng, 0, gva, len, OpId::from_raw(i));
+        eng.run();
+    };
+    for i in 0..WARM {
+        get(&mut eng, i);
+    }
+    let ((), spent) = counted(|| {
+        for i in 0..256 {
+            get(&mut eng, WARM + i);
+        }
+    });
+    assert_eq!(eng.state.get_acks(), WARM + 256);
+    assert_eq!(eng.state.op_failures(), 0);
+    spent.allocs as f64 / 256.0
+}
+
 #[test]
 fn an_endpoint_holds_no_table_until_it_registers_a_buffer() {
     let (ep, spent) = counted(|| PhotonEndpoint::new(PhotonConfig::default()));
@@ -159,6 +206,13 @@ fn a_small_network_put_allocates_only_its_request() {
 #[test]
 fn a_larger_network_put_adds_one_shared_buffer() {
     assert_eq!(per_put(GasMode::AgasNetwork, 64), 2.0);
+}
+
+#[test]
+fn a_small_network_get_allocates_its_request_and_one_landing_record() {
+    // The boxed `Access` and the boxed landing, which carries the 8 read
+    // bytes inline; the third is the `Vec` the completion hands the caller.
+    assert_eq!(per_get(GasMode::AgasNetwork, 8), 3.0);
 }
 
 #[test]
@@ -233,4 +287,51 @@ fn a_put_reissued_after_a_lost_completion_still_carries_its_bytes() {
         "one payload buffer for both attempts: {spent:?}"
     );
     assert_eq!(block_bytes(&mut eng, gva, 2048), data);
+}
+
+/// Gets issued per locality by [`live_bytes_per_outstanding_get`].
+const OUTSTANDING: u64 = 4096;
+
+/// Live heap bytes one outstanding 8-byte AGAS-NET get holds, summed over
+/// every layer, as [`live_bytes_per_outstanding_get`] measures them
+/// (requested sizes, not allocator chunks): the GAS pending-op slot (96),
+/// photon's endpoint slot (16) and the boxed `Access` (72) — 184 — plus
+/// the request's queued wire event with its share of the time wheel's
+/// bucket growth, and its 8-byte landing buffer's share of the arena's
+/// growth (15).
+const LIVE_BYTES_PER_GET: i64 = 278;
+
+#[test]
+fn an_outstanding_get_holds_its_byte_budget() {
+    let per_op = live_bytes_per_outstanding_get();
+    assert!(
+        (per_op - LIVE_BYTES_PER_GET).abs() < 8,
+        "{per_op} live bytes per outstanding get, budget {LIVE_BYTES_PER_GET}"
+    );
+}
+
+/// Issue [`OUTSTANDING`] 8-byte gets from each of 8 localities to the next
+/// locality's block without running the engine, on a fresh world; return
+/// the live heap bytes that added, per get. Every table starts empty, so
+/// the figure includes each slab's growth (4 096 is a power of two, so a
+/// doubling `Vec` ends exactly full).
+fn live_bytes_per_outstanding_get() -> i64 {
+    const N: usize = 8;
+    let (mut eng, arr) = world(N, GasMode::AgasNetwork, NetConfig::ib_fdr());
+    let ((), spent) = counted(|| {
+        for loc in 0..N as u32 {
+            let gva = arr.block((u64::from(loc) + 1) % N as u64);
+            for i in 0..OUTSTANDING {
+                memget(&mut eng, loc, gva, 8, OpId::from_raw(i));
+            }
+        }
+    });
+    let ops = N as i64 * OUTSTANDING as i64;
+    for g in &eng.state.data.gas {
+        assert_eq!(g.outstanding_ops(), OUTSTANDING as usize);
+    }
+    eng.run();
+    assert_eq!(eng.state.get_acks(), ops as u64);
+    assert_eq!(eng.state.op_failures(), 0);
+    spent.live() / ops
 }

@@ -110,7 +110,7 @@ fn all_kinds_round_trip_all_modes() {
             0,
             gva,
             AmoOp::Scatter {
-                writes: vec![(16, 0x1111), (24, 0x2222)],
+                writes: Box::new([(16, 0x1111), (24, 0x2222)]),
             },
             OpId::from_raw(5),
         );
@@ -120,7 +120,7 @@ fn all_kinds_round_trip_all_modes() {
             0,
             gva,
             AmoOp::Gather {
-                offsets: vec![0, 8, 16, 24],
+                offsets: Box::new([0, 8, 16, 24]),
             },
             OpId::from_raw(6),
         );
@@ -149,10 +149,10 @@ fn nic_executes_without_target_cpu() {
             value: 9,
         },
         AmoOp::Scatter {
-            writes: vec![(8, 1), (16, 2)],
+            writes: Box::new([(8, 1), (16, 2)]),
         },
         AmoOp::Gather {
-            offsets: vec![0, 8],
+            offsets: Box::new([0, 8]),
         },
     ];
     for (i, op) in ops.into_iter().enumerate() {
@@ -377,7 +377,7 @@ fn faulty_network_applies_each_amo_exactly_once() {
             2,
             gva,
             AmoOp::Gather {
-                offsets: vec![0, 8],
+                offsets: Box::new([0, 8]),
             },
             OpId::from_raw(9000),
         );

@@ -250,7 +250,7 @@ pub fn amo_mix(mode: GasMode, lanes: Option<usize>, plan: Option<FaultPlan>) -> 
                     loc,
                     sc,
                     AmoOp::Scatter {
-                        writes: vec![(112, i), (120, i + 1)],
+                        writes: Box::new([(112, i), (120, i + 1)]),
                     },
                     OpId::from_raw(700 + i),
                 );
@@ -279,7 +279,7 @@ pub fn amo_mix(mode: GasMode, lanes: Option<usize>, plan: Option<FaultPlan>) -> 
                 loc,
                 gva,
                 AmoOp::Gather {
-                    offsets: vec![0, 8, 16, 24],
+                    offsets: Box::new([0, 8, 16, 24]),
                 },
                 OpId::from_raw(2000 + i),
             );

@@ -51,14 +51,19 @@ pub enum AmoOp {
     /// Write each `(offset, value)` word into the block, in order.
     Scatter {
         /// `(byte offset within block, word value)` pairs.
-        writes: Vec<(u64, u64)>,
+        writes: Box<[(u64, u64)]>,
     },
     /// Read the word at each offset; results come back in request order.
     Gather {
         /// Byte offsets within the block to read.
-        offsets: Vec<u64>,
+        offsets: Box<[u64]>,
     },
 }
+
+// Every in-flight AMO holds one inside its `Verb`: boxed slices, not
+// `Vec`s, keep it at the two-word operand of `CompareSwap` plus the tag.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(size_of::<AmoOp>() <= 24);
 
 impl AmoOp {
     /// Short label for traces and bench rows.
@@ -374,7 +379,7 @@ mod tests {
         let mut b = vec![0u8; 64];
         let w = execute(
             &AmoOp::Scatter {
-                writes: vec![(0, 11), (24, 22), (56, 33)],
+                writes: Box::new([(0, 11), (24, 22), (56, 33)]),
             },
             &mut b,
             0,
@@ -382,7 +387,7 @@ mod tests {
         assert!(w.applied);
         let r = execute(
             &AmoOp::Gather {
-                offsets: vec![56, 0, 24],
+                offsets: Box::new([56, 0, 24]),
             },
             &mut b,
             0,
@@ -397,12 +402,12 @@ mod tests {
         assert!(!op.bounds_ok(57, 64), "word straddles the block end");
         assert!(!op.bounds_ok(u64::MAX - 3, u64::MAX), "offset overflow");
         let sc = AmoOp::Scatter {
-            writes: vec![(0, 1), (64, 2)],
+            writes: Box::new([(0, 1), (64, 2)]),
         };
         assert!(!sc.bounds_ok(0, 64));
         assert!(sc.bounds_ok(0, 72));
         let ga = AmoOp::Gather {
-            offsets: vec![0, 56],
+            offsets: Box::new([0, 56]),
         };
         assert!(ga.bounds_ok(0, 64));
         assert!(!ga.bounds_ok(0, 63));
@@ -419,8 +424,14 @@ mod tests {
         .mutates());
         assert!(AmoOp::MaskedPut { mask: 1, value: 1 }.mutates());
         assert!(!AmoOp::MaskedPut { mask: 0, value: 7 }.mutates());
-        assert!(AmoOp::Scatter { writes: vec![] }.mutates());
-        assert!(!AmoOp::Gather { offsets: vec![0] }.mutates());
+        assert!(AmoOp::Scatter {
+            writes: Box::new([])
+        }
+        .mutates());
+        assert!(!AmoOp::Gather {
+            offsets: Box::new([0])
+        }
+        .mutates());
     }
 
     #[test]

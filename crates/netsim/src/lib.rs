@@ -53,7 +53,7 @@ pub use memory::{MemError, Memory, PhysAddr};
 pub use net::{
     install_xlate, rdma_get, rdma_issue, rdma_put, send_held, send_user, send_user_classed, Access,
     Applied, Cluster, Envelope, GetReq, Locality, NackReason, OpKind, Packet, Protocol, PutReq,
-    RdmaTarget, Verb,
+    RdmaTarget, Verb, PHYS_BLOCK,
 };
 pub use nic::{
     LocalityId, Nic, ParkQueue, Xlate, XlateEntry, XlateTable, PARK_DEPTH, PARK_TIMEOUT,

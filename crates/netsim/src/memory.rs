@@ -6,8 +6,6 @@
 //! GVA encoding's size classes — with a bump pointer for fresh storage and a
 //! per-class free list for reuse (blocks are freed on migration hand-off).
 
-use std::collections::HashMap;
-
 /// A physical address: a byte offset into one locality's arena.
 pub type PhysAddr = u64;
 
@@ -24,7 +22,9 @@ pub enum MemError {
 pub struct Memory {
     data: Vec<u8>,
     limit: usize,
-    free: HashMap<u8, Vec<PhysAddr>>,
+    /// Freed blocks by size class (LIFO), indexed by class: every RDMA get
+    /// allocates and frees a landing buffer here.
+    free: Vec<Vec<PhysAddr>>,
     allocated_bytes: u64,
     live_blocks: u64,
 }
@@ -35,7 +35,7 @@ impl Memory {
         Memory {
             data: Vec::new(),
             limit,
-            free: HashMap::new(),
+            free: Vec::new(),
             allocated_bytes: 0,
             live_blocks: 0,
         }
@@ -55,7 +55,8 @@ impl Memory {
     /// bytes), zero-initialized.
     pub fn alloc_block(&mut self, class: u8) -> Result<PhysAddr, MemError> {
         let size = 1usize << class;
-        let addr = if let Some(addr) = self.free.get_mut(&class).and_then(Vec::pop) {
+        let reused = self.free.get_mut(usize::from(class)).and_then(Vec::pop);
+        let addr = if let Some(addr) = reused {
             // Reused storage must be zeroed: a migrated-in block overwrites
             // it anyway, but fresh allocations observe zeros.
             let a = addr as usize;
@@ -76,7 +77,11 @@ impl Memory {
 
     /// Return a block of size class `class` at `addr` to the free list.
     pub fn free_block(&mut self, addr: PhysAddr, class: u8) {
-        self.free.entry(class).or_default().push(addr);
+        let class_ix = usize::from(class);
+        if self.free.len() <= class_ix {
+            self.free.resize_with(class_ix + 1, Vec::new);
+        }
+        self.free[class_ix].push(addr);
         self.allocated_bytes = self.allocated_bytes.saturating_sub(1 << class);
         self.live_blocks = self.live_blocks.saturating_sub(1);
     }

@@ -37,6 +37,7 @@ use crate::rng::Xoshiro256;
 use crate::stats::Counters;
 use crate::time::Time;
 use crate::trace::{TraceKind, Tracer};
+use std::num::NonZeroU64;
 
 /// Which RDMA verb an `OpId` belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,6 +75,11 @@ pub enum RdmaTarget {
     /// `offset` is the byte offset within the block.
     Virt { block: u64, offset: u64 },
 }
+
+/// The block word an [`Access`] stores for a [`RdmaTarget::Phys`] target.
+/// No GVA block key encodes as it (its size-class field would be 63), so a
+/// virtual target never collides with it.
+pub const PHYS_BLOCK: u64 = u64::MAX;
 
 /// What arrives at a locality: either an upper-layer message or a
 /// NIC-generated notification.
@@ -630,8 +636,10 @@ pub enum Verb {
         data: Payload,
         /// When set, a NIC commit also raises [`Packet::RemoteNote`] with
         /// this tag at the target once the data is visible — Photon's
-        /// put-with-completion remote ledger entry.
-        remote_tag: Option<u64>,
+        /// put-with-completion remote ledger entry. Stored plus one, so
+        /// `None` needs no discriminant word: build it with [`Verb::put`]
+        /// and read it with [`Verb::remote_tag`].
+        remote_tag: Option<NonZeroU64>,
     },
     /// Read `len` bytes.
     Get {
@@ -646,13 +654,60 @@ pub enum Verb {
         /// The operation.
         amo: AmoOp,
         /// Retry-stable dedup identity checked against the responder
-        /// cache: the initiating locality plus the initiator's GAS-level
-        /// op id, unchanged across transport retries.
-        key: AmoKey,
+        /// cache, [`Verb::amo_key`]: the initiating locality (this field)
+        /// plus the initiator's GAS-level op id (`key_op`), unchanged
+        /// across transport retries. Held as two fields, not an [`AmoKey`]
+        /// pair, so this word fills the padding beside the tag.
+        key_loc: LocalityId,
+        /// The op-id half of the dedup identity.
+        key_op: u64,
     },
 }
 
+// One rides in every in-flight access (the boxed `Access`, the GAS-level
+// pending op, the software request), so its size is per-op memory.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(size_of::<Verb>() <= 40);
+
 impl Verb {
+    /// A put of `data`; `remote_tag`, when set, raises
+    /// [`Packet::RemoteNote`] at the target once the data is visible.
+    /// `u64::MAX` is not a valid tag.
+    pub fn put(data: Payload, remote_tag: Option<u64>) -> Verb {
+        let remote_tag = remote_tag.map(|tag| {
+            NonZeroU64::new(tag.wrapping_add(1)).expect("remote_tag u64::MAX is reserved")
+        });
+        Verb::Put { data, remote_tag }
+    }
+
+    /// An active operation deduplicated at the responder under `key`.
+    pub fn amo(amo: AmoOp, key: AmoKey) -> Verb {
+        let (key_loc, key_op) = key;
+        Verb::Amo {
+            amo,
+            key_loc,
+            key_op,
+        }
+    }
+
+    /// A put's remote-completion tag, if it asked for one.
+    pub fn remote_tag(&self) -> Option<u64> {
+        match self {
+            Verb::Put { remote_tag, .. } => remote_tag.map(|t| t.get() - 1),
+            _ => None,
+        }
+    }
+
+    /// An AMO's responder-cache identity.
+    pub fn amo_key(&self) -> Option<AmoKey> {
+        match *self {
+            Verb::Amo {
+                key_loc, key_op, ..
+            } => Some((key_loc, key_op)),
+            _ => None,
+        }
+    }
+
     /// Which RDMA verb this is.
     pub fn kind(&self) -> OpKind {
         match self {
@@ -673,13 +728,16 @@ impl Verb {
     }
 }
 
-/// What [`Locality::apply`] did.
+/// What [`Locality::apply`] did. A read's bytes come back in the container
+/// the caller names: a [`Payload`] on the NIC's reply leg, where a small
+/// read rides inline and allocates nothing, or a `Vec` where the bytes go
+/// straight to the initiator.
 #[derive(Debug)]
-pub enum Applied {
+pub enum Applied<B = Payload> {
     /// The bytes were written.
     Put,
     /// The bytes read.
-    Get(Vec<u8>),
+    Get(B),
     /// The op's result; `replayed` when it came from the responder cache
     /// instead of a fresh execution.
     Amo {
@@ -703,14 +761,14 @@ impl Locality {
     /// only *mutating* ops install (reads re-execute harmlessly and must
     /// not evict entries that do guard a mutation). The verb's
     /// response-leg fields (`remote_tag`, `local`) play no part here.
-    pub fn apply(
+    pub fn apply<B: for<'a> From<&'a [u8]>>(
         &mut self,
         block: u64,
         base: PhysAddr,
         len: u64,
         offset: u64,
         verb: &Verb,
-    ) -> Option<Applied> {
+    ) -> Option<Applied<B>> {
         let fits = |n: u32| offset.checked_add(n as u64).is_some_and(|end| end <= len);
         match verb {
             Verb::Put { data, .. } => {
@@ -725,10 +783,15 @@ impl Locality {
                     return None;
                 }
                 let data = self.mem.read(base + offset, *n as usize).ok()?;
-                Some(Applied::Get(data.to_vec()))
+                Some(Applied::Get(data.into()))
             }
-            Verb::Amo { amo, key } => {
-                if let Some(result) = self.nic.amo.lookup(*key).cloned() {
+            Verb::Amo {
+                amo,
+                key_loc,
+                key_op,
+            } => {
+                let key = (*key_loc, *key_op);
+                if let Some(result) = self.nic.amo.lookup(key).cloned() {
                     return Some(Applied::Amo {
                         result,
                         replayed: true,
@@ -740,7 +803,7 @@ impl Locality {
                 let bytes = self.mem.slice_mut(base, len as usize).ok()?;
                 let result = amo::execute(amo, bytes, offset);
                 if amo.mutates() {
-                    self.nic.amo.install(*key, block, result.clone());
+                    self.nic.amo.install(key, block, result.clone());
                 }
                 Some(Applied::Amo {
                     result,
@@ -758,10 +821,12 @@ impl Locality {
 pub struct Access {
     /// Locality whose NIC should commit the access (the believed owner).
     pub target: LocalityId,
-    /// Where within the target it lands. AMOs always address a
-    /// [`RdmaTarget::Virt`] block: the NIC translates and executes in the
-    /// same visit, so the target CPU schedules zero events on the hit path.
-    pub at: RdmaTarget,
+    /// Where within the target it lands, as two words read back through
+    /// [`Access::at`]: the block key of a [`RdmaTarget::Virt`] target, or
+    /// [`PHYS_BLOCK`] for a physical one ...
+    block: u64,
+    /// ... and the offset within the block, or the physical address.
+    offset: u64,
     /// What to do there.
     pub verb: Verb,
     /// Completion token.
@@ -774,8 +839,9 @@ pub struct Access {
     /// initiator, which claims no such knowledge.
     ///
     /// Sixteen bits, saturating, because that is what fits beside `ttl`
-    /// and `class` without pushing the boxed request into the next
-    /// allocator size class (8 % of `gups_lanes2` host throughput). A
+    /// and `class` in the record's last word: one more word would push the
+    /// boxed request from the 80-byte allocator chunk into the 96-byte one
+    /// (a size class up cost 8 % of `gups_lanes2` host throughput). A
     /// saturated floor only under-claims: a tombstone retired at 65 535 or
     /// later is no longer recognised as stale and forwards on as it would
     /// without parking.
@@ -784,12 +850,61 @@ pub struct Access {
     pub class: FaultClass,
 }
 
+// Every outstanding one-sided access holds one box of these: 72 bytes is a
+// glibc 80-byte chunk.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(size_of::<Access>() <= 72);
+
 impl Access {
+    /// A request from the initiator's own NIC: no forwarding floor yet.
+    /// AMOs always address a [`RdmaTarget::Virt`] block: the NIC
+    /// translates and executes in the same visit, so the target CPU
+    /// schedules zero events on the hit path.
+    pub fn new(
+        target: LocalityId,
+        at: RdmaTarget,
+        verb: Verb,
+        op: OpId,
+        ttl: u8,
+        class: FaultClass,
+    ) -> Access {
+        let (block, offset) = match at {
+            RdmaTarget::Phys(addr) => (PHYS_BLOCK, addr),
+            RdmaTarget::Virt { block, offset } => {
+                debug_assert_ne!(block, PHYS_BLOCK, "block key {PHYS_BLOCK:#x} is reserved");
+                (block, offset)
+            }
+        };
+        Access {
+            target,
+            block,
+            offset,
+            verb,
+            op,
+            ttl,
+            floor: 0,
+            class,
+        }
+    }
+
+    /// Where within the target the access lands.
+    pub fn at(&self) -> RdmaTarget {
+        if self.block == PHYS_BLOCK {
+            RdmaTarget::Phys(self.offset)
+        } else {
+            RdmaTarget::Virt {
+                block: self.block,
+                offset: self.offset,
+            }
+        }
+    }
+
     /// The block key the access addresses (0 for a physical target).
     pub(crate) fn block(&self) -> u64 {
-        match self.at {
-            RdmaTarget::Phys(_) => 0,
-            RdmaTarget::Virt { block, .. } => block,
+        if self.block == PHYS_BLOCK {
+            0
+        } else {
+            self.block
         }
     }
 
@@ -806,35 +921,18 @@ impl Access {
 
 impl From<PutReq> for Access {
     fn from(r: PutReq) -> Access {
-        Access {
-            target: r.target,
-            at: r.dst,
-            verb: Verb::Put {
-                data: r.data.into(),
-                remote_tag: r.remote_tag,
-            },
-            op: r.op,
-            ttl: r.ttl,
-            floor: 0,
-            class: r.class,
-        }
+        let verb = Verb::put(r.data.into(), r.remote_tag);
+        Access::new(r.target, r.dst, verb, r.op, r.ttl, r.class)
     }
 }
 
 impl From<GetReq> for Access {
     fn from(r: GetReq) -> Access {
-        Access {
-            target: r.target,
-            at: r.src,
-            verb: Verb::Get {
-                len: r.len,
-                local: r.local,
-            },
-            op: r.op,
-            ttl: r.ttl,
-            floor: 0,
-            class: r.class,
-        }
+        let verb = Verb::Get {
+            len: r.len,
+            local: r.local,
+        };
+        Access::new(r.target, r.src, verb, r.op, r.ttl, r.class)
     }
 }
 
@@ -974,7 +1072,7 @@ fn arrive<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: Box<Acce
     let cfg = eng.state.cluster().config;
     let dur = cfg.serialize(req.wire_bytes(&cfg));
     let rx_done = eng.state.cluster().rx(req.target, now, dur);
-    let xlate_cost = match req.at {
+    let xlate_cost = match req.at() {
         RdmaTarget::Virt { .. } => cfg.xlate_ns,
         RdmaTarget::Phys(_) => Time::ZERO,
     };
@@ -1008,9 +1106,9 @@ fn commit<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, mut req: Box<
     // applying twice — before translation, so the replay needs no table
     // entry and leaves the table's recency order alone (a forwarded replay
     // peeks the generation for its hint without touching it either).
-    if let Verb::Amo { key, .. } = &req.verb {
+    if let Some(key) = req.verb.amo_key() {
         let l = eng.state.cluster().loc_mut(target);
-        if let Some(result) = l.nic.amo.lookup(*key).cloned() {
+        if let Some(result) = l.nic.amo.lookup(key).cloned() {
             l.counters.amo_replays += 1;
             let moved = match via {
                 Via::Forward => l.nic.xlate.peek(block).map(|e| e.generation),
@@ -1025,7 +1123,7 @@ fn commit<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, mut req: Box<
     let mut moved = None;
     // The resident extent `(base, len)` the access resolved to, and its
     // offset within it. A physical target is bounded by the arena alone.
-    let resolved = match req.at {
+    let resolved = match req.at() {
         RdmaTarget::Phys(addr) => Ok((addr, u64::MAX, 0)),
         RdmaTarget::Virt { offset, .. } => {
             let c = eng.state.cluster();
@@ -1094,7 +1192,7 @@ fn commit<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, mut req: Box<
             return;
         }
     };
-    if let RdmaTarget::Virt { .. } = req.at {
+    if let RdmaTarget::Virt { .. } = req.at() {
         c.loc_mut(target).counters.xlate_hits += 1;
         c.tracer
             .record(now, TraceKind::XlateHit { at: target, block });
@@ -1104,9 +1202,9 @@ fn commit<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, mut req: Box<
         (Applied::Get(data), Verb::Get { local: buf, .. }) => get_reply(
             eng, target, initiator, req.op, moved, buf, data, visible, local, class,
         ),
-        (Applied::Put, Verb::Put { data, remote_tag }) => {
-            if let Some(tag) = remote_tag {
-                let len = data.len() as u32;
+        (Applied::Put, verb @ Verb::Put { .. }) => {
+            if let Some(tag) = verb.remote_tag() {
+                let len = verb.touched_bytes();
                 let note = Packet::RemoteNote { tag, len };
                 deliver_at(eng, visible, target, target, note);
             }
@@ -1241,7 +1339,7 @@ fn get_reply<S: Protocol>(
     op: OpId,
     moved: Option<u32>,
     local_addr: PhysAddr,
-    data: Vec<u8>,
+    data: Payload,
     ready: Time,
     local: bool,
     class: FaultClass,
@@ -1497,18 +1595,9 @@ mod tests {
     }
 
     fn amo_req(target: LocalityId, block: u64, offset: u64, amo: AmoOp, op: OpId) -> Access {
-        Access {
-            target,
-            at: RdmaTarget::Virt { block, offset },
-            verb: Verb::Amo {
-                amo,
-                key: (0, op.raw()),
-            },
-            op,
-            ttl: 2,
-            floor: 0,
-            class: FaultClass::Request,
-        }
+        let at = RdmaTarget::Virt { block, offset };
+        let verb = Verb::amo(amo, (0, op.raw()));
+        Access::new(target, at, verb, op, 2, FaultClass::Request)
     }
 
     fn seed_word(eng: &mut Engine<TestWorld>, loc: LocalityId, addr: PhysAddr, val: u64) {
@@ -1621,7 +1710,7 @@ mod tests {
                 9,
                 0,
                 AmoOp::Scatter {
-                    writes: vec![(32, 11), (40, 22)],
+                    writes: Box::new([(32, 11), (40, 22)]),
                 },
                 op2,
             ),
@@ -1638,7 +1727,7 @@ mod tests {
                 9,
                 0,
                 AmoOp::Gather {
-                    offsets: vec![40, 32, 8],
+                    offsets: Box::new([40, 32, 8]),
                 },
                 op3,
             ),
@@ -1718,25 +1807,11 @@ mod tests {
         op: OpId,
     ) -> Access {
         let verb = match kind {
-            OpKind::Put => Verb::Put {
-                data: PUT.to_le_bytes().to_vec().into(),
-                remote_tag: Some(77),
-            },
+            OpKind::Put => Verb::put(PUT.to_le_bytes().to_vec().into(), Some(77)),
             OpKind::Get => Verb::Get { len: 8, local },
-            OpKind::Amo => Verb::Amo {
-                amo: AmoOp::FetchAdd { operand: 2 },
-                key: (0, op.raw()),
-            },
+            OpKind::Amo => Verb::amo(AmoOp::FetchAdd { operand: 2 }, (0, op.raw())),
         };
-        Access {
-            target,
-            at,
-            verb,
-            op,
-            ttl: 2,
-            floor: 0,
-            class: FaultClass::Request,
-        }
+        Access::new(target, at, verb, op, 2, FaultClass::Request)
     }
 
     /// Allocate [`BLOCK`] (1 KiB) at `owner` with word 0 holding [`SEED`];
@@ -2314,7 +2389,7 @@ mod tests {
         // software, shm and local paths call — replay the NIC's result.
         for _ in 0..3 {
             let l = eng.state.cluster.loc_mut(1);
-            match l.apply(BLOCK, base, 1024, 0, &verb) {
+            match l.apply::<Payload>(BLOCK, base, 1024, 0, &verb) {
                 Some(Applied::Amo { result, replayed }) => {
                     assert!(replayed);
                     assert_eq!(result.old, SEED);
@@ -2327,13 +2402,15 @@ mod tests {
 
         // A read-only AMO never installs: it re-executes on every
         // delivery and cannot evict an entry guarding a mutation.
-        let gather = Verb::Amo {
-            amo: AmoOp::Gather { offsets: vec![0] },
-            key: (0, 999),
-        };
+        let gather = Verb::amo(
+            AmoOp::Gather {
+                offsets: Box::new([0]),
+            },
+            (0, 999),
+        );
         for _ in 0..2 {
             let l = eng.state.cluster.loc_mut(1);
-            match l.apply(BLOCK, base, 1024, 0, &gather) {
+            match l.apply::<Payload>(BLOCK, base, 1024, 0, &gather) {
                 Some(Applied::Amo { result, replayed }) => {
                     assert!(!replayed);
                     assert_eq!(result.values, vec![SEED + 2]);
@@ -2348,11 +2425,11 @@ mod tests {
         for kind in KINDS {
             let verb = access(kind, 1, at, 0, op).verb;
             let verb = match verb {
-                Verb::Amo { amo, .. } => Verb::Amo { amo, key: (0, 7) },
+                Verb::Amo { amo, .. } => Verb::amo(amo, (0, 7)),
                 v => v,
             };
             assert!(
-                l.apply(BLOCK, base, 1024, 1020, &verb).is_none(),
+                l.apply::<Payload>(BLOCK, base, 1024, 1020, &verb).is_none(),
                 "{kind:?}"
             );
         }

@@ -299,6 +299,10 @@ impl<T> Default for OpTable<T> {
 }
 
 impl<T> OpTable<T> {
+    /// Bytes each slot takes: a table's footprint per op it has ever held
+    /// at once.
+    pub const SLOT_BYTES: usize = std::mem::size_of::<Slot<T>>();
+
     /// An empty table.
     pub fn new() -> OpTable<T> {
         OpTable {

@@ -29,16 +29,22 @@ enum Repr {
 // `PendingOp` and the boxed `Access` are sized around a `Vec` here.
 const _: () = assert!(size_of::<Payload>() == size_of::<Vec<u8>>());
 
-impl From<Vec<u8>> for Payload {
-    fn from(data: Vec<u8>) -> Payload {
+impl From<&[u8]> for Payload {
+    fn from(data: &[u8]) -> Payload {
         if data.len() <= INLINE {
             let mut bytes = [0; INLINE];
-            bytes[..data.len()].copy_from_slice(&data);
+            bytes[..data.len()].copy_from_slice(data);
             let len = data.len() as u8;
             Payload(Repr::Inline { len, bytes })
         } else {
             Payload(Repr::Shared(data.into()))
         }
+    }
+}
+
+impl From<Vec<u8>> for Payload {
+    fn from(data: Vec<u8>) -> Payload {
+        data.as_slice().into()
     }
 }
 

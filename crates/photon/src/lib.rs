@@ -100,8 +100,25 @@ pub struct PhotonStats {
 }
 
 enum Pending {
-    Pwc { ctx: OpId },
-    RdvData { send_id: u64 },
+    Pwc {
+        ctx: OpId,
+    },
+    /// A rendezvous payload put. Its `u64` send id is held as two halves
+    /// ([`split_id`]), so the enum is 4-aligned like [`OpId`].
+    RdvData {
+        send_id: [u32; 2],
+    },
+}
+
+// One slot per outstanding one-sided op.
+const _: () = assert!(OpTable::<Pending>::SLOT_BYTES <= 16);
+
+fn split_id(send_id: u64) -> [u32; 2] {
+    [send_id as u32, (send_id >> 32) as u32]
+}
+
+fn join_id([lo, hi]: [u32; 2]) -> u64 {
+    u64::from(hi) << 32 | u64::from(lo)
 }
 
 /// A completion's redirect hint — `(owner, generation)`: the request was
@@ -332,11 +349,7 @@ pub fn pwc<S: PhotonWorld>(
     ctx: OpId,
     local_src: Option<(PhysAddr, u64)>,
 ) -> OpId {
-    if let Verb::Put {
-        remote_tag: Some(tag),
-        ..
-    } = &verb
-    {
+    if let Some(tag) = verb.remote_tag() {
         assert_eq!(tag & RDV_NOTE_BIT, 0, "remote_tag bit 63 is reserved");
     }
     let kind = verb.kind();
@@ -355,15 +368,7 @@ pub fn pwc<S: PhotonWorld>(
     // The wire token *is* the endpoint-table handle: the completion or
     // NACK echoes it back, and a stale echo fails the generation check.
     let op = eng.state.endpoint(src).ops.insert(Pending::Pwc { ctx });
-    let req = Box::new(Access {
-        target: dst,
-        at,
-        verb,
-        op,
-        ttl,
-        floor: 0,
-        class: FaultClass::Request,
-    });
+    let req = Box::new(Access::new(dst, at, verb, op, ttl, FaultClass::Request));
     if reg_delay == Time::ZERO {
         rdma_issue(eng, src, req);
     } else {
@@ -385,8 +390,7 @@ pub fn pwc_put<S: PhotonWorld>(
     remote_tag: Option<u64>,
     local_src: Option<(PhysAddr, u64)>,
 ) -> OpId {
-    let data = data.into();
-    let verb = Verb::Put { data, remote_tag };
+    let verb = Verb::put(data.into(), remote_tag);
     pwc(eng, src, dst, target, verb, ctx, local_src)
 }
 
@@ -617,11 +621,9 @@ pub fn handle_msg<S: PhotonWorld>(
                 Some((addr, len)) => eng.state.endpoint(at).rcache.register(&cfg, addr, len),
                 None => Time::ZERO,
             };
-            let op = eng
-                .state
-                .endpoint(at)
-                .ops
-                .insert(Pending::RdvData { send_id });
+            let op = eng.state.endpoint(at).ops.insert(Pending::RdvData {
+                send_id: split_id(send_id),
+            });
             let req = PutReq {
                 target: from,
                 dst: RdmaTarget::Phys(dst),
@@ -736,7 +738,7 @@ fn deliver_done<S: PhotonWorld>(
             }
             S::pwc_complete(eng, at, ctx)
         }
-        Ok(Pending::RdvData { send_id }) => S::send_complete(eng, at, send_id),
+        Ok(Pending::RdvData { send_id }) => S::send_complete(eng, at, join_id(send_id)),
         // Stale or unknown handle (slot already retired): a late
         // duplicate, or the op was dropped by fault injection.
         Err(_) => eng.state.endpoint(at).stats.stale_completions += 1,
@@ -1334,10 +1336,7 @@ mod tests {
         let mut eng = world(2);
         install_block(&mut eng, 1, 5);
         let local = eng.state.cluster.mem_mut(0).alloc_block(12).unwrap();
-        let amo = Verb::Amo {
-            amo: AmoOp::FetchAdd { operand: 1 },
-            key: (0, 1),
-        };
+        let amo = Verb::amo(AmoOp::FetchAdd { operand: 1 }, (0, 1));
         let at = RdmaTarget::Virt {
             block: 5,
             offset: 0,
@@ -1382,10 +1381,7 @@ mod tests {
             None,
             None,
         );
-        let amo = Verb::Amo {
-            amo: AmoOp::FetchAdd { operand: 1 },
-            key: (0, 2),
-        };
+        let amo = Verb::amo(AmoOp::FetchAdd { operand: 1 }, (0, 2));
         pwc(&mut eng, 0, 1, at, amo, OpId::from_raw(2), None);
         eng.run();
         // Both inject from the caller, in issue order: the put lands
