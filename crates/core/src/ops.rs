@@ -1496,7 +1496,11 @@ fn run_sw_access<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, acc: Box<SwAc
             match applied {
                 Applied::Put => {
                     stats.sw_puts_handled += 1;
-                    (GasMsg::SwPutAck { ctx }, ctrl)
+                    // The ack is its `OpId`: the events hold that by value,
+                    // not a boxed message.
+                    let open = |ctx| S::wrap_gas(GasMsg::SwPutAck { ctx });
+                    send_held(eng, at, reply_to, ctrl, ctx, open, FaultClass::Completion);
+                    return;
                 }
                 Applied::Get(data) => {
                     stats.sw_gets_handled += 1;

@@ -12,9 +12,13 @@
 //!   `Vec::push`; an occupancy bitmap finds the next nonempty bucket in a
 //!   few word scans.
 //! * **the active quantum**: when the wheel advances to a bucket, the
-//!   bucket `Vec` is swapped into place (recycling capacity, copying
-//!   nothing) and sorted *descending* by `(time, key)` once, so pops are
-//!   plain `Vec::pop` calls off the tail — no per-event heap sifting.
+//!   bucket `Vec` is moved into place (copying nothing) and sorted
+//!   *descending* by `(time, key)` once, so pops are plain `Vec::pop`
+//!   calls off the tail — no per-event heap sifting. The spent buffer goes
+//!   onto one LIFO spare pool, and a slot takes a spare when its first
+//!   entry arrives: an empty slot holds no storage, so the wheel keeps
+//!   buffers for the slots that are busy at one instant, not for every
+//!   slot a dense quantum ever passed through.
 //!   Events scheduled *into* the active quantum (zero-delay reschedules)
 //!   extend that tail when they sort before it and land in a small
 //!   side-heap otherwise; each pop takes whichever head is earlier, so
@@ -161,9 +165,12 @@ pub struct TimeWheel<T> {
     /// cursor.
     cur_q: u64,
     /// Level 0, unsorted near-future buckets: slot `q % SLOTS` holds
-    /// quantum `q` for `cur_q < q < cur_q + SLOTS`. A slot keeps its
-    /// capacity from one lap to the next.
+    /// quantum `q` for `cur_q < q < cur_q + SLOTS`. An empty slot holds no
+    /// allocation.
     slots: Box<[Vec<Entry<T>>]>,
+    /// Empty buffers that `advance` took back, most recent last; `file`
+    /// hands them to slots that fill.
+    spare: Vec<Vec<Entry<T>>>,
     /// One bit per level-0 slot: set iff the slot's `Vec` is nonempty.
     occupied: [u64; WORDS],
     /// The first quantum of level 1's earliest nonempty bucket, or
@@ -196,6 +203,7 @@ impl<T> TimeWheel<T> {
             extra: BinaryHeap::new(),
             cur_q: 0,
             slots: (0..SLOTS).map(|_| Vec::new()).collect(),
+            spare: Vec::new(),
             occupied: [0; WORDS],
             level1_next: NO_BUCKET,
             level1: Box::new(Level1 {
@@ -268,7 +276,13 @@ impl<T> TimeWheel<T> {
     #[inline]
     fn file(&mut self, q: u64, entry: Entry<T>) {
         let s = (q % SLOTS as u64) as usize;
-        self.slots[s].push(entry);
+        let slot = &mut self.slots[s];
+        if slot.capacity() == 0 {
+            if let Some(buf) = self.spare.pop() {
+                *slot = buf;
+            }
+        }
+        slot.push(entry);
         self.occupied[s / 64] |= 1 << (s % 64);
     }
 
@@ -372,9 +386,13 @@ impl<T> TimeWheel<T> {
         if wheel_next == Some(next_q) {
             let s = (next_q % SLOTS as u64) as usize;
             self.occupied[s / 64] &= !(1 << (s % 64));
-            // Swap, don't drain: the bucket becomes `cur` wholesale and the
-            // spent `cur` allocation recycles as the empty bucket.
-            std::mem::swap(&mut self.cur, &mut self.slots[s]);
+            // Move, don't drain: the bucket becomes `cur` wholesale, and the
+            // spent `cur` allocation goes to the pool, not to the slot it
+            // emptied, which may not fill again for a lap.
+            let spent = std::mem::replace(&mut self.cur, std::mem::take(&mut self.slots[s]));
+            if spent.capacity() > 0 {
+                self.spare.push(spent);
+            }
             if self.cur.len() > 1 {
                 // One descending sort per quantum beats a per-event heap
                 // sift. Kept as `sort_unstable_by`: the clippy-preferred
@@ -618,6 +636,31 @@ mod tests {
         assert_eq!(popped, N);
         assert_eq!(q.overflow.capacity(), 0, "the burst reached the heap");
         assert!(level1_is_released(&q));
+    }
+
+    #[test]
+    fn a_drained_wheel_keeps_storage_for_its_busiest_instant_only() {
+        // A dense quantum, drained before the next one fills: the closed
+        // loop's synchronised waves, marching across two laps of level 0.
+        const BURST: u64 = 256;
+        let mut q = TimeWheel::new();
+        let mut key = 0;
+        for quantum in 1..=2 * SLOTS as u64 {
+            for i in 0..BURST {
+                q.push(at_q(quantum, i), key, ());
+                key += 1;
+            }
+            for _ in 0..BURST {
+                assert!(q.pop().is_some());
+            }
+        }
+        assert!(q.is_empty());
+        let buffers = q.slots.iter().chain(&q.spare).chain([&q.cur]);
+        let held: usize = buffers.map(Vec::capacity).sum();
+        assert!(
+            held <= 4 * BURST as usize,
+            "{held} entries of level-0 capacity kept after draining"
+        );
     }
 
     #[test]

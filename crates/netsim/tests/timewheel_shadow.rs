@@ -12,12 +12,16 @@
 //!   arbitrary, so a push at the instant being drained lands below the
 //!   last popped key as often as above it, the way an engine key that
 //!   names its origin first does;
+//! * the raw queue against the same heap under a closed loop's waves: dense
+//!   bursts into one quantum at a time, marching forward across more than
+//!   two laps of level 0 with pops interleaved, so buckets empty, give
+//!   their storage back and refill in other slots;
 //! * a full [`Engine`] run against an abstract replay of the same schedule
 //!   on a reference heap, comparing executed-event counts and the
 //!   [`event_mix`] sum — including events that re-schedule themselves at
 //!   the *same instant* (zero delay) and across the level-0 horizon.
 //!
-//! Both run `PROPTEST_CASES` cases (64 by default).
+//! Each runs `PROPTEST_CASES` cases (64 by default).
 
 use netsim::engine::{event_mix, trace_mix};
 use netsim::{Engine, Time, TimeWheel};
@@ -65,61 +69,135 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// A wheel and its reference heap, fed the same pushes and checked on
+/// every pop.
+struct Shadowed {
+    wheel: TimeWheel<()>,
+    shadow: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Pushes so far: the low half of each key, which keeps keys unique.
+    pushed: u64,
+    /// The last popped time.
+    now: u64,
+    wheel_hash: u64,
+    shadow_hash: u64,
+}
+
+impl Shadowed {
+    fn new() -> Shadowed {
+        Shadowed {
+            wheel: TimeWheel::new(),
+            shadow: BinaryHeap::new(),
+            pushed: 0,
+            now: 0,
+            wheel_hash: 0x1234_5678_9abc_def0,
+            shadow_hash: 0x1234_5678_9abc_def0,
+        }
+    }
+
+    /// Push at `at` with `prefix` above the push's index as the key.
+    fn push(&mut self, at: u64, prefix: u64) {
+        let key = prefix << 32 | self.pushed;
+        self.pushed += 1;
+        self.wheel.push(Time::from_ps(at), key, ());
+        self.shadow.push(Reverse((at, key)));
+    }
+
+    fn pop(&mut self) {
+        let got = self.wheel.pop().map(|(t, s, ())| (t.ps(), s));
+        let want = self.shadow.pop().map(|Reverse(pair)| pair);
+        prop_assert_eq!(got, want);
+        if let Some((t, s)) = got {
+            self.now = t;
+            self.wheel_hash = trace_mix(trace_mix(self.wheel_hash, t), s);
+        }
+        if let Some((t, s)) = want {
+            self.shadow_hash = trace_mix(trace_mix(self.shadow_hash, t), s);
+        }
+    }
+
+    /// Pop until both are empty; every remaining entry must agree too.
+    fn drain(mut self) {
+        while !self.wheel.is_empty() || !self.shadow.is_empty() {
+            self.pop();
+        }
+        prop_assert_eq!(self.wheel_hash, self.shadow_hash);
+    }
+}
+
 proptest! {
     #[test]
     fn wheel_pops_in_heap_order(ops in vec(op_strategy(), 1..200)) {
-        let mut wheel: TimeWheel<()> = TimeWheel::new();
-        let mut shadow: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-        let mut pushed = 0u64;
-        let mut now = 0u64;
-        let mut wheel_hash = 0x1234_5678_9abc_def0u64;
-        let mut shadow_hash = wheel_hash;
-
-        let mut pop_both = |wheel: &mut TimeWheel<()>,
-                            shadow: &mut BinaryHeap<Reverse<(u64, u64)>>,
-                            now: &mut u64| {
-            let got = wheel.pop().map(|(t, s, ())| (t.ps(), s));
-            let want = shadow.pop().map(|Reverse(pair)| pair);
-            prop_assert_eq!(got, want);
-            if let Some((t, s)) = got {
-                *now = t;
-                wheel_hash = trace_mix(trace_mix(wheel_hash, t), s);
-            }
-            if let Some((t, s)) = want {
-                shadow_hash = trace_mix(trace_mix(shadow_hash, t), s);
-            }
-        };
-
-        let mut push_both = |wheel: &mut TimeWheel<()>,
-                             shadow: &mut BinaryHeap<Reverse<(u64, u64)>>,
-                             at: u64,
-                             prefix: u64| {
-            let key = prefix << 32 | pushed;
-            pushed += 1;
-            wheel.push(Time::from_ps(at), key, ());
-            shadow.push(Reverse((at, key)));
-        };
-
+        let mut q = Shadowed::new();
         for op in ops {
             match op {
                 Op::Push(delay, prefix) => {
-                    prop_assert_eq!(wheel.next_time().is_none(), shadow.is_empty());
-                    push_both(&mut wheel, &mut shadow, now + delay, prefix);
+                    prop_assert_eq!(q.wheel.next_time().is_none(), q.shadow.is_empty());
+                    q.push(q.now + delay, prefix);
                 }
                 Op::Burst { count, span_ps, prefix } => {
                     for i in 0..count {
-                        let delay = trace_mix(now ^ i, span_ps) % span_ps;
-                        push_both(&mut wheel, &mut shadow, now + delay, prefix);
+                        let delay = trace_mix(q.now ^ i, span_ps) % span_ps;
+                        q.push(q.now + delay, prefix);
                     }
                 }
-                Op::Pop => pop_both(&mut wheel, &mut shadow, &mut now),
+                Op::Pop => q.pop(),
             }
         }
-        // Drain: every remaining entry must agree too.
-        while !wheel.is_empty() || !shadow.is_empty() {
-            pop_both(&mut wheel, &mut shadow, &mut now);
+        q.drain();
+    }
+}
+
+/// The wheel's grain: one level-0 quantum, 2^13 ps.
+const QUANTUM_PS: u64 = 1 << 13;
+
+/// Level-0 slots in one lap of the wheel.
+const LAP: u64 = 1024;
+
+/// One wave of a closed loop: `count` pushes into the quantum `step`
+/// quanta after the previous wave's, at offsets below `spread_ps` into
+/// it, then `pops` pops.
+#[derive(Clone, Debug)]
+struct Wave {
+    step: u64,
+    count: u64,
+    spread_ps: u64,
+    prefix: u64,
+    pops: u64,
+}
+
+fn wave_strategy() -> impl Strategy<Value = Wave> {
+    (2u64..6, 1u64..160, 1u64..=QUANTUM_PS, 0u64..8, 0u64..200).prop_map(
+        |(step, count, spread_ps, prefix, pops)| Wave {
+            step,
+            count,
+            spread_ps,
+            prefix,
+            pops,
+        },
+    )
+}
+
+proptest! {
+    /// Dense same-quantum bursts whose quanta march forward across more
+    /// than two laps of level 0, with pops interleaved: buckets fill,
+    /// drain, hand their storage back and refill in another slot, and a
+    /// backlog that outlives a lap spills into level 1.
+    #[test]
+    fn marching_bursts_pop_in_heap_order(waves in vec(wave_strategy(), 1100..1200)) {
+        let mut q = Shadowed::new();
+        let mut quantum = 0;
+        for w in waves {
+            quantum += w.step;
+            for i in 0..w.count {
+                let offset = trace_mix(quantum ^ i, w.spread_ps) % w.spread_ps;
+                q.push(quantum * QUANTUM_PS + offset, w.prefix);
+            }
+            for _ in 0..w.pops {
+                q.pop();
+            }
         }
-        prop_assert_eq!(wheel_hash, shadow_hash);
+        prop_assert!(quantum >= 2 * LAP, "the waves crossed {quantum} quanta");
+        q.drain();
     }
 }
 
