@@ -1,18 +1,21 @@
-//! The pinned scenarios: seven deterministic programs on [`SimWorld`] whose
+//! The pinned scenarios: eight deterministic programs on [`SimWorld`] whose
 //! `(trace_hash, now, events executed)` are the golden constants in
 //! `golden.rs`. `shard_pin.rs` runs them on the sequential engine and at
-//! every lane count of [`GRID`]; `faults_shadow.rs` runs them with a
-//! lossless fault plane installed, which must land on the same pins.
+//! every lane count of [`GRID`] (`free_mix` on the sequential engine
+//! only); `faults_shadow.rs` runs them with a lossless fault plane
+//! installed, which must land on the same pins.
 //!
-//! Each scenario takes the lane count (`None` = the sequential engine) and
-//! an optional fault plan, installed before any traffic flows.
+//! Each scenario takes an optional fault plan, installed before any traffic
+//! flows, and all but `free_mix` take the lane count (`None` = the
+//! sequential engine).
 #![allow(dead_code)] // not every test binary runs every scenario
 
 use crate::golden::Pin;
-use agas::migrate::migrate_block;
-use agas::ops::{memamo, memget, memput};
+use agas::migrate::{free_block, migrate_block};
+use agas::ops::{memamo, memget, memput, pin, unpin};
 use agas::{
-    alloc_array, membership, Distribution, GasMode, GlobalArray, MemberState, OwnerCache, SimWorld,
+    alloc_array, membership, BlockState, Distribution, GasMode, GlobalArray, MemberState,
+    OwnerCache, SimEv, SimWorld,
 };
 use netsim::{AmoOp, FaultPlan, FaultPlane, Harness, NetConfig, OpId, Time};
 
@@ -352,4 +355,106 @@ pub fn member_mix(mode: GasMode, lanes: Option<usize>, plan: Option<FaultPlan>) 
         }
     }
     finish(h)
+}
+
+/// The runtime free path as a pinned schedule, on the sequential engine
+/// only: `SimWorld`'s `SplitWorld` contract forbids runtime frees on lanes.
+/// Under the AGAS modes a free chases a migrated block, a free is issued
+/// while a hand-off is in flight, a block migrates to its current owner,
+/// and two migrations wait on one pin — on `unpin` the first hands off and
+/// the second re-chases through the home. In every mode a free waits on a
+/// pin released by `unpin` (PGAS pins do not defer) and the rest of the
+/// array is freed through `free_block`. Every free and migration must
+/// complete and no block may stay resident.
+pub fn free_mix(mode: GasMode, plan: Option<FaultPlan>) -> Pin {
+    let mut h = harness(4, mode, jittery(), 31, None, plan);
+    let arr = alloc(&mut h, 8);
+    for i in 0..16u64 {
+        let gva = arr.block(i % 8).with_offset((i / 8) * 32);
+        let loc = ((i + 1) % 4) as u32;
+        h.drive_at(loc, move |eng| {
+            memput(eng, loc, gva, vec![(i + 1) as u8; 32], OpId::from_raw(i));
+        });
+        h.run_steps(8);
+    }
+    h.run();
+    let mut migrations = 0;
+    if mode.supports_migration() {
+        // A free chasing a migrated block: block 1 moves 1 → 3, then
+        // locality 0 frees it through its home (1).
+        let b1 = arr.block(1);
+        h.drive_at(1, move |eng| {
+            migrate_block(eng, 1, b1, 3, OpId::from_raw(900));
+        });
+        h.run();
+        h.drive_at(0, move |eng| free_block(eng, 0, b1, OpId::from_raw(800)));
+        // A free issued mid-hand-off: block 3 moves 3 → 0, and once its
+        // owner has flipped it to Moving, locality 1 frees it.
+        let b3 = arr.block(3);
+        h.drive_at(2, move |eng| {
+            migrate_block(eng, 2, b3, 0, OpId::from_raw(901));
+        });
+        let key3 = b3.block_key();
+        while h.world_ref().data.gas[3]
+            .btt
+            .lookup(key3)
+            .is_none_or(|e| e.state != BlockState::Moving)
+        {
+            assert!(h.run_steps(1) > 0, "block 3 never started moving");
+        }
+        h.drive_at(1, move |eng| free_block(eng, 1, b3, OpId::from_raw(801)));
+        // A migration to the block's current owner: block 4 stays at 0.
+        let b4 = arr.block(4);
+        h.drive_at(2, move |eng| {
+            migrate_block(eng, 2, b4, 0, OpId::from_raw(902));
+        });
+        h.run();
+        // Two migrations deferred by one pin on block 6 (owner 2).
+        let b6 = arr.block(6);
+        assert!(pin(h.world(), 2, b6).is_some());
+        h.drive_at(0, move |eng| {
+            migrate_block(eng, 0, b6, 1, OpId::from_raw(903));
+        });
+        h.drive_at(3, move |eng| {
+            migrate_block(eng, 3, b6, 0, OpId::from_raw(904));
+        });
+        h.run();
+        h.drive_at(2, move |eng| unpin(eng, 2, b6));
+        h.run();
+        migrations = 5;
+    }
+    // A free deferred by a pin on block 2 (owner 2), released by `unpin`.
+    let b2 = arr.block(2);
+    assert!(pin(h.world(), 2, b2).is_some());
+    h.drive_at(0, move |eng| free_block(eng, 0, b2, OpId::from_raw(802)));
+    h.run();
+    h.drive_at(2, move |eng| unpin(eng, 2, b2));
+    h.run();
+    // Free the rest of the array.
+    let freed_already = if mode.supports_migration() {
+        vec![1, 2, 3]
+    } else {
+        vec![2]
+    };
+    for b in (0..8u64).filter(|b| !freed_already.contains(b)) {
+        let gva = arr.block(b);
+        let loc = ((b + 1) % 4) as u32;
+        h.drive_at(loc, move |eng| {
+            free_block(eng, loc, gva, OpId::from_raw(810 + b));
+        });
+        h.run_steps(6);
+    }
+    h.run();
+    let events = h.world_ref().events();
+    let count = |f: fn(&SimEv) -> bool| events.iter().filter(|(_, _, e)| f(e)).count();
+    assert_eq!(count(|e| matches!(e, SimEv::FreeDone(..))), 8, "{mode:?}");
+    assert_eq!(
+        count(|e| matches!(e, SimEv::MigDone(..))),
+        migrations,
+        "{mode:?}"
+    );
+    for g in &h.world_ref().data.gas {
+        assert!(g.btt.is_empty(), "{mode:?}: a freed block stayed resident");
+    }
+    h.witness()
 }

@@ -40,6 +40,18 @@ fn lossless_plane_reproduces_the_golden_pins() {
 }
 
 #[test]
+fn lossless_plane_reproduces_the_free_pins() {
+    for (name, mode, want) in [
+        ("free_mix/pgas", GasMode::Pgas, GOLDEN_FREE_PGAS),
+        ("free_mix/sw", GasMode::AgasSoftware, GOLDEN_FREE_SW),
+        ("free_mix/net", GasMode::AgasNetwork, GOLDEN_FREE_NET),
+    ] {
+        let plan = Some(FaultPlan::lossless(0xDEAD_BEEF));
+        check(name, None, free_mix(mode, plan), want);
+    }
+}
+
+#[test]
 fn lossless_plane_is_invisible_regardless_of_its_seed() {
     // Different plan seeds must yield identical traces when the plan is
     // lossless.

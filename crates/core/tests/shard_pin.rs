@@ -1,6 +1,6 @@
 //! The golden trace pins, on the sequential engine and at every lane count.
 //!
-//! The seven pinned scenarios (`common/pins.rs`) each assert
+//! The eight pinned scenarios (`common/pins.rs`) each assert
 //! `(trace_hash, now, events)` against the golden table
 //! (`common/golden.rs`). The hashes sum every executed `(time, key)` pair,
 //! and a key carries its origin's schedule count, so they witness what
@@ -9,7 +9,8 @@
 //! same-instant events runs first — shifts them; a refactor must leave them
 //! bit-for-bit unchanged. Each scenario runs on the sequential engine and
 //! under lane counts {1, 2, 4, 8}: the sharded engine contracts to
-//! reproduce the sequential run bit-for-bit.
+//! reproduce the sequential run bit-for-bit. `free_mix` is the exception:
+//! lanes must not free at runtime, so it pins the sequential engine only.
 //!
 //! A failure on the sequential row means the protocol itself moved; a
 //! failure only on lane rows means the sharded engine diverged from
@@ -295,5 +296,18 @@ fn shard_pin_member_mix() {
             member_mix(GasMode::AgasNetwork, shards, None),
             GOLDEN_MEMBER_NET,
         );
+    }
+}
+
+/// Runtime frees are sequential-only (`SimWorld`'s `SplitWorld` contract),
+/// so `free_mix` pins the sequential engine alone.
+#[test]
+fn pin_free_mix() {
+    for (name, mode, want) in [
+        ("free_mix/pgas", GasMode::Pgas, GOLDEN_FREE_PGAS),
+        ("free_mix/sw", GasMode::AgasSoftware, GOLDEN_FREE_SW),
+        ("free_mix/net", GasMode::AgasNetwork, GOLDEN_FREE_NET),
+    ] {
+        check(name, None, free_mix(mode, None), want);
     }
 }
