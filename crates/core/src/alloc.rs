@@ -127,31 +127,6 @@ pub fn alloc_array<S: GasWorld>(
     }
 }
 
-/// Free a global array (driver-time; the cluster must be quiescent).
-/// Releases arena storage, BTT/directory records, NIC entries, and PGAS
-/// registry entries at whatever locality currently owns each block.
-pub fn free_array<S: GasWorld>(eng: &mut Engine<S>, array: &GlobalArray) {
-    for gva in &array.blocks {
-        let key = gva.block_key();
-        let home = gva.home();
-        let rec = eng.state.gas(home).dir.lookup(key);
-        let owner = rec.owner;
-        let entry = eng
-            .state
-            .gas(owner)
-            .btt
-            .remove(key)
-            .expect("free of a block its owner does not hold");
-        eng.state
-            .cluster()
-            .mem_mut(owner)
-            .free_block(entry.base, entry.class);
-        eng.state.cluster().loc_mut(owner).nic.xlate.invalidate(key);
-        eng.state.gas(home).dir.unregister(key);
-        eng.state.pgas().remove(&key);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -33,7 +33,7 @@ pub mod migrate;
 pub mod ops;
 pub mod simworld;
 
-pub use alloc::{alloc_array, free_array, GlobalArray, PgasMap};
+pub use alloc::{alloc_array, GlobalArray, PgasMap};
 pub use btt::{BlockState, Btt, BttEntry};
 pub use cache::{OwnerCache, OwnerHint};
 pub use check::{
@@ -72,6 +72,34 @@ pub struct SwAccess {
     pub ctx: OpId,
     /// Where the reply goes.
     pub reply_to: LocalityId,
+}
+
+/// What an [`OwnerReq`] asks a block's current owner to do: the two
+/// operations that change where a block lives.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OwnerOp {
+    /// Move the block to `dst`.
+    Migrate {
+        /// Destination locality.
+        dst: LocalityId,
+    },
+    /// Release the block and retire its directory record.
+    Free,
+}
+
+/// A migrate or free request, routed requester → home → current owner.
+#[derive(Clone, Copy, Debug)]
+pub struct OwnerReq {
+    /// Block key.
+    pub block: u64,
+    /// What the owner is asked to do.
+    pub op: OwnerOp,
+    /// Requester's op handle for the completion callback.
+    pub ctx: OpId,
+    /// The requester.
+    pub reply_to: LocalityId,
+    /// Routing hops consumed (guards against pathological chases).
+    pub hops: u8,
 }
 
 /// GAS wire-protocol messages, embedded into the world's message enum via
@@ -154,20 +182,8 @@ pub enum GasMsg {
         /// Block key.
         block: u64,
     },
-    /// Request to migrate `block` to `dst`; routed via the home to the
-    /// current owner.
-    MigRequest {
-        /// Block key.
-        block: u64,
-        /// Destination locality.
-        dst: LocalityId,
-        /// Requester's op handle for the completion callback.
-        ctx: OpId,
-        /// The requester.
-        reply_to: LocalityId,
-        /// Routing hops consumed (guards against pathological chases).
-        hops: u8,
-    },
+    /// Migrate or free a block; routed via the home to the current owner.
+    OwnerRequest(OwnerReq),
     /// The block's bytes, moving from old owner to new owner.
     MigData {
         /// Block key.
@@ -201,17 +217,6 @@ pub enum GasMsg {
         /// The migrated block.
         block: u64,
     },
-    /// Free a block at runtime; routed via the home to the current owner.
-    FreeRequest {
-        /// Block key.
-        block: u64,
-        /// Requester op handle.
-        ctx: OpId,
-        /// The requester.
-        reply_to: LocalityId,
-        /// Routing hops consumed.
-        hops: u8,
-    },
     /// Owner → home: retire the directory record for a freed block.
     DirUnregister {
         /// Block key.
@@ -239,8 +244,6 @@ pub enum GasMsg {
     DirHandoff {
         /// The shard's records, sorted by block key.
         records: Vec<(u64, OwnerRec)>,
-        /// The departing locality.
-        from: LocalityId,
     },
 }
 
@@ -578,8 +581,8 @@ pub struct GasLocal {
     pub(crate) next_seq: HashMap<u8, u64>,
     pub(crate) moving: HashMap<u64, MovingState>,
     pub(crate) pending_installs: HashMap<u64, PendingInstall>,
-    pub(crate) deferred_migs: HashMap<u64, Vec<(LocalityId, OpId, LocalityId)>>,
-    pub(crate) deferred_frees: HashMap<u64, Vec<(OpId, LocalityId)>>,
+    /// Owner requests waiting for a pinned block's pins to drain.
+    pub(crate) deferred: HashMap<u64, Vec<OwnerReq>>,
     /// Is the deadline sweep scheduled for this locality?
     pub(crate) sweep_armed: bool,
 }
@@ -605,8 +608,7 @@ impl GasLocal {
             next_seq: HashMap::new(),
             moving: HashMap::new(),
             pending_installs: HashMap::new(),
-            deferred_migs: HashMap::new(),
-            deferred_frees: HashMap::new(),
+            deferred: HashMap::new(),
             sweep_armed: false,
         }
     }
@@ -625,6 +627,18 @@ impl GasLocal {
         self.heat.clear();
         out.sort_unstable_by_key(|&(k, _)| k);
         out
+    }
+
+    /// The directory record of a block homed here. With the membership
+    /// plane live a home can be asked about a record that moved (join
+    /// slice or hand-off in flight), and `None` says so; without it the
+    /// home must know every block homed at it, and a miss panics.
+    pub(crate) fn dir_record(&mut self, block: u64) -> Option<OwnerRec> {
+        if self.member.is_enabled() {
+            self.dir.lookup_opt(block)
+        } else {
+            Some(self.dir.lookup(block))
+        }
     }
 
     pub(crate) fn alloc_seq(&mut self, class: u8) -> u64 {

@@ -385,13 +385,7 @@ fn finish_drain<S: GasWorld>(eng: &mut Engine<S>, d: LocalityId) {
     let records = eng.state.gas(d).dir.records();
     let rehomed: Vec<u64> = records.iter().map(|&(b, _)| b).collect();
     let ctrl = eng.state.cluster_ref().config.ctrl_bytes;
-    send_ctrl(
-        eng,
-        d,
-        takeover,
-        ctrl,
-        GasMsg::DirHandoff { records, from: d },
-    );
+    send_ctrl(eng, d, takeover, ctrl, GasMsg::DirHandoff { records });
     let update = MemberUpdate {
         loc: d,
         state: MemberState::Left,
@@ -453,8 +447,7 @@ fn crash_teardown<S: GasWorld>(eng: &mut Engine<S>, x: LocalityId) {
         g.member.evac.clear();
         g.moving.clear();
         g.pending_installs.clear();
-        g.deferred_migs.clear();
-        g.deferred_frees.clear();
+        g.deferred.clear();
         g.dir.clear();
         let _ = g.pending.drain_filter(|_, _| true);
     }
@@ -608,12 +601,10 @@ pub(crate) fn on_dir_handoff<S: GasWorld>(
     eng: &mut Engine<S>,
     at: LocalityId,
     records: Vec<(u64, OwnerRec)>,
-    from: LocalityId,
 ) {
     for (b, rec) in records {
         eng.state.gas(at).dir.install(b, rec);
     }
-    let _ = from;
 }
 
 #[cfg(test)]

@@ -1,22 +1,26 @@
-//! The block-migration protocol.
+//! The owner-request protocol: block migration and runtime free.
 //!
 //! Migration is what AGAS buys over PGAS, and handling it cheaply is what
-//! the network-managed design buys over software AGAS. The protocol:
+//! the network-managed design buys over software AGAS. Migrate and free
+//! are the two operations that change where a block lives, and both travel
+//! as one [`GasMsg::OwnerRequest`] routed requester → home → owner:
 //!
 //! ```text
-//!  requester ──MigRequest──▶ home ──MigRequest──▶ owner
-//!                                                   │ pins drained?
-//!                                                   │ BTT→Moving, NIC→forward-tombstone
-//!                                                   ▼
-//!                                          new owner ◀──MigData(bytes, gen+1)
-//!                                                   │ install BTT (+NIC entry)
-//!                                                   ├──DirUpdate──▶ home
-//!                                                   ◀──DirUpdateAck─┘
-//!                                                   ├──MigAck──▶ old owner (drain queued accesses)
-//!                                                   └──MigDone──▶ requester
+//!  requester ──OwnerRequest──▶ home ──OwnerRequest──▶ owner
+//!                                                       │ pinned? defer until unpin
+//!                                                       │ hand-off in flight? re-chase via home
+//!  Migrate:                                             │ BTT→Moving, NIC→forward-tombstone
+//!                                              new owner ◀──MigData(bytes, gen+1)
+//!                                                       │ install BTT (+NIC entry)
+//!                                                       ├──DirUpdate──▶ home
+//!                                                       ◀──DirUpdateAck─┘
+//!                                                       ├──MigAck──▶ old owner (drain queued accesses)
+//!                                                       └──MigDone──▶ requester
+//!  Free: the owner releases the block and its BTT/NIC entries
+//!        ──DirUnregister──▶ home ──FreeDone──▶ requester
 //! ```
 //!
-//! In-flight traffic during the window:
+//! In-flight traffic during a migration window:
 //! * network-managed: the old owner's NIC holds a **forwarding tombstone**,
 //!   so RDMA ops chase the block with one extra hop (or NACK back to the
 //!   initiator when forwarding is disabled — ablation A3);
@@ -26,7 +30,9 @@
 //!   re-resolve through the home, whose record is updated before MigDone.
 
 use crate::gva::Gva;
-use crate::{GasMode, GasMsg, GasWorld, MovingState, PendingInstall};
+use crate::{
+    GasMode, GasMsg, GasWorld, MemberState, MovingState, OwnerOp, OwnerReq, PendingInstall,
+};
 use netsim::{send_user, Engine, LocalityId, OpId, Time, XlateEntry};
 
 const MAX_ROUTE_HOPS: u8 = 64;
@@ -59,141 +65,133 @@ pub fn migrate_block<S: GasWorld>(
         eng.state.gas_mode().supports_migration(),
         "migration requested under PGAS"
     );
+    request(eng, loc, gva, OwnerOp::Migrate { dst }, ctx);
+}
+
+/// Free `gva`'s block at runtime. Completion arrives via
+/// [`GasWorld::gas_free_done`] with `ctx`. The caller must guarantee no
+/// operations are in flight against the block (freeing live data is the
+/// distributed use-after-free; the simulator panics when it detects it).
+pub fn free_block<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, gva: Gva, ctx: OpId) {
+    request(eng, loc, gva, OwnerOp::Free, ctx);
+}
+
+/// Send an owner request for `gva`'s block from `loc` to its home.
+fn request<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, gva: Gva, op: OwnerOp, ctx: OpId) {
     let block = gva.block_key();
     // Membership may have re-homed the block's directory record; aim the
     // request at whoever serves the home role in this locality's view.
     let home = eng.state.gas_ref(loc).member.resolve(block, gva.home());
     let ctrl = eng.state.cluster_ref().config.ctrl_bytes;
-    send_ctrl(
-        eng,
-        loc,
-        home,
-        ctrl,
-        GasMsg::MigRequest {
-            block,
-            dst,
-            ctx,
-            reply_to: loc,
-            hops: 0,
-        },
-    );
+    let req = OwnerReq {
+        block,
+        op,
+        ctx,
+        reply_to: loc,
+        hops: 0,
+    };
+    send_ctrl(eng, loc, home, ctrl, GasMsg::OwnerRequest(req));
 }
 
-/// A migration request arrived at `at` (the home, the owner, or a stale
+/// An owner request arrived at `at` (the home, the owner, or a stale
 /// former owner).
-pub(crate) fn on_mig_request<S: GasWorld>(
-    eng: &mut Engine<S>,
-    at: LocalityId,
-    block: u64,
-    dst: LocalityId,
-    ctx: OpId,
-    reply_to: LocalityId,
-    hops: u8,
-) {
-    if hops >= MAX_ROUTE_HOPS {
+pub(crate) fn on_owner_request<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, req: OwnerReq) {
+    if req.hops >= MAX_ROUTE_HOPS {
         // A request that chased this long is stale or forged: drop it and
         // count the violation (the requester's deadline sweep reclaims it).
         eng.state.gas(at).stats.protocol_violations += 1;
         return;
     }
-    let ctrl = eng.state.cluster_ref().config.ctrl_bytes;
     let g = eng.state.gas(at);
-    if dst != at && g.member.is_enabled() && g.member.state_of(dst) != crate::MemberState::Active {
-        // The destination left (or is leaving) the cluster between request
-        // and arrival: complete as a no-op rather than strand the block on
-        // a dying locality. The requester's ctx resolves normally.
-        send_ctrl(eng, at, reply_to, ctrl, GasMsg::MigDone { ctx, block });
-        return;
+    if let OwnerOp::Migrate { dst } = req.op {
+        if dst != at && g.member.is_enabled() && g.member.state_of(dst) != MemberState::Active {
+            // The destination left (or is leaving) the cluster between
+            // request and arrival: complete as a no-op rather than strand
+            // the block on a dying locality. The requester's ctx resolves
+            // normally.
+            mig_done(eng, at, req);
+            return;
+        }
     }
-    let g = eng.state.gas(at);
-    if let Some(entry) = g.btt.lookup(block) {
-        if dst == at {
+    if let Some(entry) = g.btt.lookup(req.block) {
+        if req.op == (OwnerOp::Migrate { dst: at }) {
             // Already here: trivially complete.
-            send_ctrl(eng, at, reply_to, ctrl, GasMsg::MigDone { ctx, block });
-            return;
+            mig_done(eng, at, req);
+        } else if entry.pins > 0 {
+            g.deferred.entry(req.block).or_default().push(req);
+        } else if g.moving.contains_key(&req.block) {
+            // A hand-off is already in flight: chase it.
+            rechase(eng, at, req);
+        } else {
+            serve(eng, at, req);
         }
-        if entry.pins > 0 {
-            g.deferred_migs
-                .entry(block)
-                .or_default()
-                .push((dst, ctx, reply_to));
-            return;
-        }
-        if g.moving.contains_key(&block) {
-            // A hand-off is already in flight; chase it with exponential
-            // backoff so a churning block cannot exhaust the hop budget.
-            let backoff = g.cfg.retry_backoff * (1u64 << hops.min(12));
-            resend_request_via_home(eng, at, block, dst, ctx, reply_to, hops, backoff);
-            return;
-        }
-        start_handoff(eng, at, block, dst, ctx, reply_to);
         return;
     }
-    let serving = g.member.resolve(block, Gva(block).home());
-    if at == serving {
-        // Authoritative routing through the directory (software cost).
-        let service = eng.state.gas(at).cfg.dir_lookup;
-        let now = eng.now();
-        let (_, finish) = eng.state.cpu(at).admit(now, service);
-        {
-            let l = eng.state.cluster().loc_mut(at);
-            l.counters.cpu_busy += service;
-            l.counters.dir_lookups += 1;
-        }
-        eng.schedule_at(finish, move |eng| {
-            let g = eng.state.gas(at);
-            let rec = if g.member.is_enabled() {
-                g.dir.lookup_opt(block)
-            } else {
-                Some(g.dir.lookup(block))
-            };
-            let Some(rec) = rec else {
-                // Record in flight to us (hand-off racing the request):
-                // re-chase after a backoff so the hop budget isn't burned.
-                let backoff = eng.state.gas(at).cfg.retry_backoff * (1u64 << hops.min(12));
-                resend_request_via_home(eng, at, block, dst, ctx, reply_to, hops, backoff);
-                return;
-            };
-            let owner = rec.owner;
-            let ctrl = eng.state.cluster_ref().config.ctrl_bytes;
-            let next = if owner == at {
-                Gva(block).home()
-            } else {
-                owner
-            };
-            send_ctrl(
-                eng,
-                at,
-                next,
-                ctrl,
-                GasMsg::MigRequest {
-                    block,
-                    dst,
-                    ctx,
-                    reply_to,
-                    hops: hops + 1,
-                },
-            );
-        });
-    } else {
-        // Stale delivery: bounce through the home, backing off as the chase
-        // lengthens (the block is actively churning).
-        let backoff = eng.state.gas(at).cfg.retry_backoff * (1u64 << hops.min(12));
-        resend_request_via_home(eng, at, block, dst, ctx, reply_to, hops, backoff);
+    if at != g.member.resolve(req.block, Gva(req.block).home()) {
+        // Stale delivery: bounce through the home.
+        rechase(eng, at, req);
+        return;
+    }
+    // Authoritative routing through the directory (software cost).
+    at_home(eng, at, move |eng| {
+        let Some(rec) = eng.state.gas(at).dir_record(req.block) else {
+            // Record in flight to us (hand-off racing the request).
+            rechase(eng, at, req);
+            return;
+        };
+        let next = match req.op {
+            OwnerOp::Migrate { .. } if rec.owner == at => Gva(req.block).home(),
+            _ => rec.owner,
+        };
+        let ctrl = eng.state.cluster_ref().config.ctrl_bytes;
+        let req = OwnerReq {
+            hops: req.hops + 1,
+            ..req
+        };
+        send_ctrl(eng, at, next, ctrl, GasMsg::OwnerRequest(req));
+    });
+}
+
+/// Charge `at`'s CPU one directory lookup, then run `then` when the
+/// lookup finishes: every directory service at a home starts here.
+pub(crate) fn at_home<S: GasWorld>(
+    eng: &mut Engine<S>,
+    at: LocalityId,
+    then: impl FnOnce(&mut Engine<S>) + 'static,
+) {
+    let service = eng.state.gas(at).cfg.dir_lookup;
+    let now = eng.now();
+    let (_, finish) = eng.state.cpu(at).admit(now, service);
+    let l = eng.state.cluster().loc_mut(at);
+    l.counters.cpu_busy += service;
+    l.counters.dir_lookups += 1;
+    eng.schedule_at(finish, then);
+}
+
+/// Carry out `req` at the block's unpinned, resident owner `at`.
+fn serve<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, req: OwnerReq) {
+    match req.op {
+        OwnerOp::Migrate { dst } => start_handoff(eng, at, req, dst),
+        OwnerOp::Free => commit_free(eng, at, req),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn resend_request_via_home<S: GasWorld>(
-    eng: &mut Engine<S>,
-    at: LocalityId,
-    block: u64,
-    dst: LocalityId,
-    ctx: OpId,
-    reply_to: LocalityId,
-    hops: u8,
-    delay: Time,
-) {
+/// Complete a migration that had nothing to move.
+fn mig_done<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, req: OwnerReq) {
+    let ctrl = eng.state.cluster_ref().config.ctrl_bytes;
+    let (ctx, block) = (req.ctx, req.block);
+    send_ctrl(eng, at, req.reply_to, ctrl, GasMsg::MigDone { ctx, block });
+}
+
+/// Re-send `req` through the home after a back-off that doubles with its
+/// hop count, so a churning block cannot exhaust the hop budget.
+fn rechase<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, req: OwnerReq) {
+    let backoff = eng.state.gas(at).cfg.retry_backoff * (1u64 << req.hops.min(12));
+    resend_via_home(eng, at, req, backoff);
+}
+
+/// Send `req` one hop further, from `at` to the serving home, after `delay`.
+fn resend_via_home<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, req: OwnerReq, delay: Time) {
     eng.schedule(delay, move |eng| {
         // Resolve the serving home at *send* time: by the time a backoff
         // fires, a drain hand-off or crash takeover may have moved the
@@ -202,33 +200,57 @@ fn resend_request_via_home<S: GasWorld>(
             .state
             .gas_ref(at)
             .member
-            .resolve(block, Gva(block).home());
+            .resolve(req.block, Gva(req.block).home());
         let ctrl = eng.state.cluster_ref().config.ctrl_bytes;
-        send_ctrl(
-            eng,
-            at,
-            home,
-            ctrl,
-            GasMsg::MigRequest {
-                block,
-                dst,
-                ctx,
-                reply_to,
-                hops: hops + 1,
-            },
-        );
+        let req = OwnerReq {
+            hops: req.hops + 1,
+            ..req
+        };
+        send_ctrl(eng, at, home, ctrl, GasMsg::OwnerRequest(req));
     });
 }
 
-/// Begin the hand-off at the current owner.
-fn start_handoff<S: GasWorld>(
-    eng: &mut Engine<S>,
-    at: LocalityId,
-    block: u64,
-    dst: LocalityId,
-    ctx: OpId,
-    reply_to: LocalityId,
-) {
+/// Called when a block's pin count drops to zero: run what waited on it.
+/// A deferred free wins (once freed, nothing else can apply) and a second
+/// one is a double free; otherwise the first migration starts and the rest
+/// re-chase through the home.
+pub(crate) fn retry_deferred<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, block: u64) {
+    let g = eng.state.gas(at);
+    // Every pinned access unpins through here; outside a migration or a
+    // free the map is empty, and the answer needs no hashing.
+    if g.deferred.is_empty() {
+        return;
+    }
+    let Some(waiting) = g.deferred.remove(&block) else {
+        return;
+    };
+    let mut frees = waiting.iter().filter(|r| r.op == OwnerOp::Free);
+    if let Some(&free) = frees.next() {
+        assert!(
+            frees.next().is_none(),
+            "double free of block {block:#x} detected"
+        );
+        commit_free(eng, at, free);
+        return;
+    }
+    let Some((&first, rest)) = waiting.split_first() else {
+        return;
+    };
+    for &req in rest {
+        // Re-route the rest through the home; they will find the new owner.
+        resend_via_home(eng, at, OwnerReq { hops: 0, ..req }, Time::ZERO);
+    }
+    serve(eng, at, first);
+}
+
+/// Begin the hand-off to `dst` at the current owner.
+fn start_handoff<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, req: OwnerReq, dst: LocalityId) {
+    let OwnerReq {
+        block,
+        ctx,
+        reply_to,
+        ..
+    } = req;
     let mode = eng.state.gas_mode();
     let g = eng.state.gas(at);
     // One BTT probe: snapshot the entry and flip it to Moving in place
@@ -435,167 +457,14 @@ pub(crate) fn on_mig_ack<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, block
     }
 }
 
-/// Free `gva`'s block at runtime. Completion arrives via
-/// [`GasWorld::gas_free_done`] with `ctx`. The caller must guarantee no
-/// operations are in flight against the block (freeing live data is the
-/// distributed use-after-free; the simulator panics when it detects it).
-pub fn free_block<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, gva: Gva, ctx: OpId) {
-    let block = gva.block_key();
-    let home = eng.state.gas_ref(loc).member.resolve(block, gva.home());
-    let ctrl = eng.state.cluster_ref().config.ctrl_bytes;
-    send_ctrl(
-        eng,
-        loc,
-        home,
-        ctrl,
-        GasMsg::FreeRequest {
-            block,
-            ctx,
-            reply_to: loc,
-            hops: 0,
-        },
-    );
-}
-
-/// A free request arrived at `at` (the home, the owner, or a stale node).
-pub(crate) fn on_free_request<S: GasWorld>(
-    eng: &mut Engine<S>,
-    at: LocalityId,
-    block: u64,
-    ctx: OpId,
-    reply_to: LocalityId,
-    hops: u8,
-) {
-    if hops >= MAX_ROUTE_HOPS {
-        eng.state.gas(at).stats.protocol_violations += 1;
-        return;
-    }
-    let g = eng.state.gas(at);
-    if let Some(entry) = g.btt.lookup(block) {
-        if entry.pins > 0 {
-            g.deferred_frees
-                .entry(block)
-                .or_default()
-                .push((ctx, reply_to));
-            return;
-        }
-        if g.moving.contains_key(&block) {
-            let backoff = g.cfg.retry_backoff * (1u64 << hops.min(12));
-            eng.schedule(backoff, move |eng| {
-                let home = eng
-                    .state
-                    .gas_ref(at)
-                    .member
-                    .resolve(block, Gva(block).home());
-                let ctrl = eng.state.cluster_ref().config.ctrl_bytes;
-                send_ctrl(
-                    eng,
-                    at,
-                    home,
-                    ctrl,
-                    GasMsg::FreeRequest {
-                        block,
-                        ctx,
-                        reply_to,
-                        hops: hops + 1,
-                    },
-                );
-            });
-            return;
-        }
-        commit_free(eng, at, block, ctx, reply_to);
-        return;
-    }
-    let serving = g.member.resolve(block, Gva(block).home());
-    if at == serving {
-        let service = eng.state.gas(at).cfg.dir_lookup;
-        let now = eng.now();
-        let (_, finish) = eng.state.cpu(at).admit(now, service);
-        {
-            let l = eng.state.cluster().loc_mut(at);
-            l.counters.cpu_busy += service;
-            l.counters.dir_lookups += 1;
-        }
-        eng.schedule_at(finish, move |eng| {
-            let g = eng.state.gas(at);
-            let rec = if g.member.is_enabled() {
-                g.dir.lookup_opt(block)
-            } else {
-                Some(g.dir.lookup(block))
-            };
-            let Some(rec) = rec else {
-                // Record in flight to us (hand-off racing the free):
-                // re-chase after a backoff.
-                let backoff = eng.state.gas(at).cfg.retry_backoff * (1u64 << hops.min(12));
-                eng.schedule(backoff, move |eng| {
-                    let home = eng
-                        .state
-                        .gas_ref(at)
-                        .member
-                        .resolve(block, Gva(block).home());
-                    let ctrl = eng.state.cluster_ref().config.ctrl_bytes;
-                    send_ctrl(
-                        eng,
-                        at,
-                        home,
-                        ctrl,
-                        GasMsg::FreeRequest {
-                            block,
-                            ctx,
-                            reply_to,
-                            hops: hops + 1,
-                        },
-                    );
-                });
-                return;
-            };
-            let ctrl = eng.state.cluster_ref().config.ctrl_bytes;
-            send_ctrl(
-                eng,
-                at,
-                rec.owner,
-                ctrl,
-                GasMsg::FreeRequest {
-                    block,
-                    ctx,
-                    reply_to,
-                    hops: hops + 1,
-                },
-            );
-        });
-    } else {
-        let backoff = eng.state.gas(at).cfg.retry_backoff * (1u64 << hops.min(12));
-        eng.schedule(backoff, move |eng| {
-            let home = eng
-                .state
-                .gas_ref(at)
-                .member
-                .resolve(block, Gva(block).home());
-            let ctrl = eng.state.cluster_ref().config.ctrl_bytes;
-            send_ctrl(
-                eng,
-                at,
-                home,
-                ctrl,
-                GasMsg::FreeRequest {
-                    block,
-                    ctx,
-                    reply_to,
-                    hops: hops + 1,
-                },
-            );
-        });
-    }
-}
-
 /// Release the block at its owner and retire the directory record.
-fn commit_free<S: GasWorld>(
-    eng: &mut Engine<S>,
-    at: LocalityId,
-    block: u64,
-    ctx: OpId,
-    reply_to: LocalityId,
-) {
+fn commit_free<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, req: OwnerReq) {
+    let OwnerReq {
+        block,
+        ctx,
+        reply_to,
+        ..
+    } = req;
     let Some(entry) = eng.state.gas(at).btt.remove(block) else {
         // The block already left (racing free/migration): stale request.
         eng.state.gas(at).stats.protocol_violations += 1;
@@ -607,9 +476,6 @@ fn commit_free<S: GasWorld>(
         .free_block(entry.base, entry.class);
     eng.state.cluster().loc_mut(at).nic.xlate.invalidate(block);
     eng.state.gas(at).cache.invalidate(block);
-    if eng.state.gas_mode() == GasMode::Pgas {
-        // Unreachable (free routes via AGAS machinery), kept for clarity.
-    }
     let home = eng
         .state
         .gas_ref(at)
@@ -637,15 +503,7 @@ pub(crate) fn on_dir_unregister<S: GasWorld>(
     ctx: OpId,
     reply_to: LocalityId,
 ) {
-    let service = eng.state.gas(at).cfg.dir_lookup;
-    let now = eng.now();
-    let (_, finish) = eng.state.cpu(at).admit(now, service);
-    {
-        let l = eng.state.cluster().loc_mut(at);
-        l.counters.cpu_busy += service;
-        l.counters.dir_lookups += 1;
-    }
-    eng.schedule_at(finish, move |eng| {
+    at_home(eng, at, move |eng| {
         let g = eng.state.gas(at);
         if g.dir.unregister(block).is_none() && g.member.is_enabled() {
             // The record moved with a membership hand-off; retire it at
@@ -672,45 +530,4 @@ pub(crate) fn on_dir_unregister<S: GasWorld>(
         let ctrl = eng.state.cluster_ref().config.ctrl_bytes;
         send_ctrl(eng, at, reply_to, ctrl, GasMsg::FreeDone { ctx, block });
     });
-}
-
-/// Called when a block's pin count drops to zero: start one deferred
-/// migration (later requests re-chase through the home).
-pub(crate) fn retry_deferred<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, block: u64) {
-    let g = eng.state.gas(at);
-    // Every pinned access unpins through here; outside a migration or a
-    // free both maps are empty, and the answer needs no hashing.
-    if g.deferred_frees.is_empty() && g.deferred_migs.is_empty() {
-        return;
-    }
-    // Deferred frees take priority: once freed, nothing else can apply.
-    if let Some(frees) = g.deferred_frees.remove(&block) {
-        let mut frees = frees.into_iter();
-        if let Some((ctx, reply_to)) = frees.next() {
-            assert!(
-                frees.next().is_none(),
-                "double free of block {block:#x} detected"
-            );
-            eng.state.gas(at).deferred_migs.remove(&block);
-            commit_free(eng, at, block, ctx, reply_to);
-            return;
-        }
-    }
-    let Some(mut waiting) = eng.state.gas(at).deferred_migs.remove(&block) else {
-        return;
-    };
-    if waiting.is_empty() {
-        return;
-    }
-    let (dst, ctx, reply_to) = waiting.remove(0);
-    for (dst2, ctx2, reply2) in waiting {
-        // Re-route the rest through the home; they will find the new owner.
-        resend_request_via_home(eng, at, block, dst2, ctx2, reply2, 0, Time::ZERO);
-    }
-    if dst == at {
-        let ctrl = eng.state.cluster_ref().config.ctrl_bytes;
-        send_ctrl(eng, at, reply_to, ctrl, GasMsg::MigDone { ctx, block });
-    } else {
-        start_handoff(eng, at, block, dst, ctx, reply_to);
-    }
 }

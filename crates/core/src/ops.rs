@@ -1233,27 +1233,11 @@ pub fn handle_msg<S: GasWorld>(eng: &mut Engine<S>, from: LocalityId, at: Locali
             reply_to,
         } => {
             // Directory lookups are software: they occupy the home's CPU.
-            let service = eng.state.gas(at).cfg.dir_lookup;
-            let now = eng.now();
-            let (_, finish) = eng.state.cpu(at).admit(now, service);
-            {
-                let l = eng.state.cluster().loc_mut(at);
-                l.counters.cpu_busy += service;
-                l.counters.dir_lookups += 1;
-            }
-            eng.schedule_at(finish, move |eng| {
-                // With the membership plane live, a query can legitimately
-                // land at a home whose record moved (join slice or hand-off
-                // in flight): answer SwRetry so the initiator re-resolves
-                // through its (by then updated) view, bounded by its
-                // attempts budget. Without membership the old invariant
-                // stands: the home must know every block homed at it.
-                let enabled = eng.state.gas_ref(at).member.is_enabled();
-                let rec = if enabled {
-                    eng.state.gas(at).dir.lookup_opt(block)
-                } else {
-                    Some(eng.state.gas(at).dir.lookup(block))
-                };
+            crate::migrate::at_home(eng, at, move |eng| {
+                // A record that moved (membership) answers SwRetry, so the
+                // initiator re-resolves through its (by then updated) view,
+                // bounded by its attempts budget.
+                let rec = eng.state.gas(at).dir_record(block);
                 let ctrl = eng.state.cluster_ref().config.ctrl_bytes;
                 let reply = match rec {
                     Some(rec) => GasMsg::DirReply {
@@ -1306,15 +1290,7 @@ pub fn handle_msg<S: GasWorld>(eng: &mut Engine<S>, from: LocalityId, at: Locali
             generation,
             reply_to,
         } => {
-            let service = eng.state.gas(at).cfg.dir_lookup;
-            let now = eng.now();
-            let (_, finish) = eng.state.cpu(at).admit(now, service);
-            {
-                let l = eng.state.cluster().loc_mut(at);
-                l.counters.cpu_busy += service;
-                l.counters.dir_lookups += 1;
-            }
-            eng.schedule_at(finish, move |eng| {
+            crate::migrate::at_home(eng, at, move |eng| {
                 let g = eng.state.gas(at);
                 if g.member.is_enabled() && g.dir.lookup_opt(block).is_none() {
                     // The record isn't homed here (any more / yet). If the
@@ -1361,13 +1337,7 @@ pub fn handle_msg<S: GasWorld>(eng: &mut Engine<S>, from: LocalityId, at: Locali
             });
         }
         GasMsg::DirUpdateAck { block } => crate::migrate::on_dir_update_ack(eng, at, block),
-        GasMsg::MigRequest {
-            block,
-            dst,
-            ctx,
-            reply_to,
-            hops,
-        } => crate::migrate::on_mig_request(eng, at, block, dst, ctx, reply_to, hops),
+        GasMsg::OwnerRequest(req) => crate::migrate::on_owner_request(eng, at, req),
         GasMsg::MigData {
             block,
             class,
@@ -1410,12 +1380,6 @@ pub fn handle_msg<S: GasWorld>(eng: &mut Engine<S>, from: LocalityId, at: Locali
             }
             S::gas_migrate_done(eng, at, ctx, block);
         }
-        GasMsg::FreeRequest {
-            block,
-            ctx,
-            reply_to,
-            hops,
-        } => crate::migrate::on_free_request(eng, at, block, ctx, reply_to, hops),
         GasMsg::DirUnregister {
             block,
             ctx,
@@ -1423,9 +1387,7 @@ pub fn handle_msg<S: GasWorld>(eng: &mut Engine<S>, from: LocalityId, at: Locali
         } => crate::migrate::on_dir_unregister(eng, at, block, ctx, reply_to),
         GasMsg::FreeDone { ctx, block } => S::gas_free_done(eng, at, ctx, block),
         GasMsg::Member { update } => crate::membership::on_member_update(eng, at, update),
-        GasMsg::DirHandoff { records, from } => {
-            crate::membership::on_dir_handoff(eng, at, records, from)
-        }
+        GasMsg::DirHandoff { records } => crate::membership::on_dir_handoff(eng, at, records),
     }
 }
 

@@ -2,8 +2,9 @@
 
 mod common;
 
+use agas::migrate::free_block;
 use agas::ops::{memget, memput};
-use agas::{alloc_array, free_array, Distribution, GasMode, SimEv, SimWorld};
+use agas::{alloc_array, Distribution, GasMode, SimEv, SimWorld};
 use common::{assert_consistent, engine};
 use netsim::OpId;
 use netsim::Time;
@@ -171,7 +172,17 @@ fn free_array_releases_everything() {
             .map(|l| eng.state.data.cluster.mem(l).live_blocks())
             .sum();
         assert_eq!(live_before, 6);
-        free_array(&mut eng, &arr);
+        for (i, &gva) in (0..).zip(&arr.blocks) {
+            free_block(&mut eng, (i as u32 + 1) % 3, gva, OpId::from_raw(i));
+        }
+        eng.run();
+        let freed = eng
+            .state
+            .events()
+            .iter()
+            .filter(|(_, _, e)| matches!(e, SimEv::FreeDone(..)))
+            .count();
+        assert_eq!(freed, 6, "{mode:?}");
         let live_after: u64 = (0..3)
             .map(|l| eng.state.data.cluster.mem(l).live_blocks())
             .sum();

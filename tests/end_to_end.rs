@@ -231,7 +231,10 @@ fn alloc_free_cycles_are_clean() {
         let arr = rt.alloc(9, 10, Distribution::Cyclic);
         rt.memput(0, arr.block(4), vec![round as u8; 16]);
         rt.run();
-        agas::free_array(&mut rt.eng, &arr);
+        for &gva in &arr.blocks {
+            rt.free_block_cb(0, gva, |_, _| {});
+        }
+        rt.run();
         let live: u64 = (0..3)
             .map(|l| rt.eng.state.cluster.mem(l).live_blocks())
             .sum();
