@@ -8,8 +8,10 @@
 //!   table;
 //! * a remote put in steady state allocates the request that crosses the
 //!   wire and, past the inline limit, one shared payload buffer — no copy
-//!   per holder, no box per nested event; a small remote get allocates its
-//!   request and one landing record that carries the bytes inline;
+//!   per holder, no box per nested event; a remote get or AMO allocates
+//!   only its request, whose box carries the answer home (a small get's
+//!   bytes inline), plus, for a get, the `Vec` its completion hands the
+//!   caller — also while a burst of thousands drains;
 //! * an outstanding get holds a fixed number of live heap bytes across the
 //!   layers (GAS pending op, photon slot, boxed request, queued event,
 //!   landing buffer), so a record that regrows fails;
@@ -25,9 +27,9 @@
 //! The caller's own `Vec` is built outside the counted region every time.
 
 use agas::migrate::migrate_block;
-use agas::ops::{memget, memput};
+use agas::ops::{memamo, memget, memput};
 use agas::{alloc_array, Distribution, GasMode, GlobalArray, Gva, SimWorld};
-use netsim::{Engine, NetConfig, OpId, Payload, Time};
+use netsim::{AmoOp, Engine, NetConfig, OpId, Payload, Time};
 use photon::{PhotonConfig, PhotonEndpoint};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -162,26 +164,34 @@ fn per_put(mode: GasMode, len: usize) -> f64 {
     spent.allocs as f64 / 256.0
 }
 
-/// Allocations per remote `len`-byte get from locality 0, in steady state
-/// (as [`per_put`]).
-fn per_get(mode: GasMode, len: u32) -> f64 {
+/// Allocations per remote op from locality 0, in steady state (as
+/// [`per_put`]); `issue` starts op `i` on `gva`.
+fn per_op(mode: GasMode, issue: impl Fn(&mut Engine<SimWorld>, Gva, u64)) -> f64 {
     let (mut eng, arr) = world(2, mode, NetConfig::ib_fdr());
     let gva = arr.block(1);
-    let get = |eng: &mut Engine<SimWorld>, i: u64| {
-        memget(eng, 0, gva, len, OpId::from_raw(i));
+    let op = |eng: &mut Engine<SimWorld>, i: u64| {
+        issue(eng, gva, i);
         eng.run();
     };
     for i in 0..WARM {
-        get(&mut eng, i);
+        op(&mut eng, i);
     }
     let ((), spent) = counted(|| {
         for i in 0..256 {
-            get(&mut eng, WARM + i);
+            op(&mut eng, WARM + i);
         }
     });
-    assert_eq!(eng.state.get_acks(), WARM + 256);
+    let acks = eng.state.get_acks() + eng.state.amo_acks();
+    assert_eq!(acks, WARM + 256);
     assert_eq!(eng.state.op_failures(), 0);
     spent.allocs as f64 / 256.0
+}
+
+/// Allocations per remote `len`-byte get from locality 0 ([`per_op`]).
+fn per_get(mode: GasMode, len: u32) -> f64 {
+    per_op(mode, |eng, gva, i| {
+        memget(eng, 0, gva, len, OpId::from_raw(i))
+    })
 }
 
 #[test]
@@ -213,10 +223,56 @@ fn a_larger_network_put_adds_one_shared_buffer() {
 }
 
 #[test]
-fn a_small_network_get_allocates_its_request_and_one_landing_record() {
-    // The boxed `Access` and the boxed landing, which carries the 8 read
-    // bytes inline; the third is the `Vec` the completion hands the caller.
-    assert_eq!(per_get(GasMode::AgasNetwork, 8), 3.0);
+fn a_small_network_get_allocates_its_request_and_the_callers_vec() {
+    // The boxed `Access`, which carries the 8 read bytes home inline, and
+    // the `Vec` the completion hands the caller.
+    assert_eq!(per_get(GasMode::AgasNetwork, 8), 2.0);
+}
+
+#[test]
+fn a_network_amo_allocates_only_its_request() {
+    // The boxed `Access`, which carries the result home.
+    let fetch_add = |eng: &mut Engine<SimWorld>, gva, i| {
+        memamo(
+            eng,
+            0,
+            gva,
+            AmoOp::FetchAdd { operand: 1 },
+            OpId::from_raw(i),
+        )
+    };
+    assert_eq!(per_op(GasMode::AgasNetwork, fetch_add), 1.0);
+}
+
+/// Gets issued per locality by
+/// [`a_burst_of_gets_drains_without_a_record_per_reply`].
+const BURST: u64 = 4096;
+
+#[test]
+fn a_burst_of_gets_drains_without_a_record_per_reply() {
+    // 8 localities each issue BURST 8-byte gets to the next one's block,
+    // then the engine drains them all. Each reply rides its request's box
+    // home, so the drain allocates only the `Vec` each completion hands
+    // its caller, plus queue growth.
+    const N: usize = 8;
+    let (mut eng, arr) = world(N, GasMode::AgasNetwork, NetConfig::ib_fdr());
+    for loc in 0..N as u32 {
+        let gva = arr.block((u64::from(loc) + 1) % N as u64);
+        for i in 0..BURST {
+            memget(&mut eng, loc, gva, 8, OpId::from_raw(i));
+        }
+    }
+    let ((), spent) = counted(|| {
+        eng.run();
+    });
+    let gets = N as u64 * BURST;
+    assert_eq!(eng.state.get_acks(), gets);
+    assert_eq!(eng.state.op_failures(), 0);
+    let per_get = spent.allocs as f64 / gets as f64;
+    assert!(
+        per_get <= 1.05,
+        "{per_get:.3} allocations per get while the burst drained"
+    );
 }
 
 #[test]

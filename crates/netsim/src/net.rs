@@ -397,44 +397,10 @@ fn launch<S: Protocol>(
     }
 }
 
-/// Rebuild a NIC-generated control packet for duplicate delivery. User
-/// messages carry an opaque payload and cannot be cloned here.
-fn clone_ctrl<M>(p: &Packet<M>) -> Option<Packet<M>> {
-    match p {
-        Packet::User(_) => None,
-        Packet::PutDone { op, moved } => Some(Packet::PutDone {
-            op: *op,
-            moved: *moved,
-        }),
-        Packet::GetDone { op, moved } => Some(Packet::GetDone {
-            op: *op,
-            moved: *moved,
-        }),
-        Packet::AmoDone { op, result, moved } => Some(Packet::AmoDone {
-            op: *op,
-            result: result.clone(),
-            moved: *moved,
-        }),
-        Packet::RemoteNote { tag, len } => Some(Packet::RemoteNote {
-            tag: *tag,
-            len: *len,
-        }),
-        Packet::XlateMiss { block } => Some(Packet::XlateMiss { block: *block }),
-        Packet::Nack {
-            op,
-            kind,
-            reason,
-            block,
-        } => Some(Packet::Nack {
-            op: *op,
-            kind: *kind,
-            reason: *reason,
-            block: *block,
-        }),
-    }
-}
-
-/// Deliver `packet` to `dst` at absolute time `at`.
+/// Deliver a packet that has no request box to ride in — a put's ack, a
+/// table-miss interrupt, a remote note, a fault-plane duplicate's copy —
+/// to `dst` at absolute time `at`. Gets, AMOs and NACKs come home in their
+/// request's box instead ([`respond`], [`get_reply`]).
 fn deliver_at<S: Protocol>(
     eng: &mut Engine<S>,
     at: Time,
@@ -446,7 +412,8 @@ fn deliver_at<S: Protocol>(
         // A put's ack is two words; with its endpoints it exactly fills the
         // engine's inline event slot. It travels by value and is rebuilt
         // on delivery, where capturing a whole `Packet` (as wide as the
-        // widest `S::Msg`) would box every ack.
+        // widest `S::Msg`) would box every ack. The rarer packets take
+        // that box.
         Packet::PutDone { op, moved } => eng.schedule_at_loc(at, dst, move |eng| {
             deliver_now(eng, src, dst, Packet::PutDone { op, moved })
         }),
@@ -815,20 +782,21 @@ impl Locality {
 }
 
 /// One one-sided access in flight — a put, get, or NIC-executed active
-/// operation. All three ride the same `issue → hop → arrive → commit`
+/// operation — and, once its target NIC has answered, that answer on its
+/// way home. All three kinds ride the same `issue → hop → arrive → commit`
 /// pipeline; only [`Verb`] (and the response leg it implies) differs.
+///
+/// The box [`rdma_issue`] puts it in is the op's one record for the round
+/// trip: the committing NIC writes a get's bytes, an AMO's result or a
+/// NACK over the request's own fields, the same box rides the response
+/// legs, and the initiator unpacks it into a [`Packet`] and frees it. A
+/// put's two-word ack travels by value instead, and its box is freed at
+/// the commit.
 #[derive(Clone, Debug)]
 pub struct Access {
-    /// Locality whose NIC should commit the access (the believed owner).
+    /// Locality whose NIC should commit the access (the believed owner);
+    /// on the way back, the NIC that answered.
     pub target: LocalityId,
-    /// Where within the target it lands, as two words read back through
-    /// [`Access::at`]: the block key of a [`RdmaTarget::Virt`] target, or
-    /// [`PHYS_BLOCK`] for a physical one ...
-    block: u64,
-    /// ... and the offset within the block, or the physical address.
-    offset: u64,
-    /// What to do there.
-    pub verb: Verb,
     /// Completion token.
     pub op: OpId,
     /// Remaining NIC forwarding hops.
@@ -838,8 +806,8 @@ pub struct Access {
     /// its tombstone was retired at, plus one. 0 on the leg from the
     /// initiator, which claims no such knowledge.
     ///
-    /// Sixteen bits, saturating, because that is what fits beside `ttl`
-    /// and `class` in the record's last word: one more word would push the
+    /// Sixteen bits, saturating, because that is what fits beside
+    /// `target`, `ttl` and `class` in one word: one more word would push the
     /// boxed request from the 80-byte allocator chunk into the 96-byte one
     /// (a size class up cost 8 % of `gups_lanes2` host throughput). A
     /// saturated floor only under-claims: a tombstone retired at 65 535 or
@@ -848,6 +816,37 @@ pub struct Access {
     pub floor: u16,
     /// How the fault plane may abuse this request and its completions.
     pub class: FaultClass,
+    /// The request, or the answer that replaced it.
+    leg: Leg,
+}
+
+/// What an [`Access`] carries on the current leg of its round trip. The
+/// answers overlay the request they replace, so the record keeps one size
+/// both ways.
+#[derive(Clone, Debug)]
+enum Leg {
+    /// Outbound. `block` and `offset` are read back through
+    /// [`Access::at`]: the block key of a [`RdmaTarget::Virt`] target and
+    /// the offset within it, or [`PHYS_BLOCK`] and the physical address.
+    Request { block: u64, offset: u64, verb: Verb },
+    /// A get's bytes, bound for `local` in the initiator's arena.
+    Got {
+        data: Payload,
+        local: PhysAddr,
+        moved: Option<u32>,
+    },
+    /// An active operation's result.
+    Amo {
+        result: AmoResult,
+        moved: Option<u32>,
+    },
+    /// The target NIC refused the access; `block` is 0 for a physical
+    /// target.
+    Nack {
+        kind: OpKind,
+        reason: NackReason,
+        block: u64,
+    },
 }
 
 // Every outstanding one-sided access holds one box of these: 72 bytes is a
@@ -877,34 +876,48 @@ impl Access {
         };
         Access {
             target,
-            block,
-            offset,
-            verb,
             op,
             ttl,
             floor: 0,
             class,
+            leg: Leg::Request {
+                block,
+                offset,
+                verb,
+            },
         }
+    }
+
+    /// The request's raw block word, offset and verb.
+    fn request(&self) -> (u64, u64, &Verb) {
+        match &self.leg {
+            Leg::Request {
+                block,
+                offset,
+                verb,
+            } => (*block, *offset, verb),
+            answer => unreachable!("the access was answered: {answer:?}"),
+        }
+    }
+
+    /// What the access does at its target.
+    pub(crate) fn verb(&self) -> &Verb {
+        self.request().2
     }
 
     /// Where within the target the access lands.
     pub fn at(&self) -> RdmaTarget {
-        if self.block == PHYS_BLOCK {
-            RdmaTarget::Phys(self.offset)
-        } else {
-            RdmaTarget::Virt {
-                block: self.block,
-                offset: self.offset,
-            }
+        match self.request() {
+            (PHYS_BLOCK, addr, _) => RdmaTarget::Phys(addr),
+            (block, offset, _) => RdmaTarget::Virt { block, offset },
         }
     }
 
     /// The block key the access addresses (0 for a physical target).
     pub(crate) fn block(&self) -> u64 {
-        if self.block == PHYS_BLOCK {
-            0
-        } else {
-            self.block
+        match self.request().0 {
+            PHYS_BLOCK => 0,
+            block => block,
         }
     }
 
@@ -912,9 +925,67 @@ impl Access {
     /// forwarding hop): a put carries its data; get and AMO requests are
     /// control-sized (AMO operands ride in the request header).
     fn wire_bytes(&self, cfg: &NetConfig) -> u32 {
-        match &self.verb {
+        match self.verb() {
             Verb::Put { data, .. } => data.len() as u32,
             Verb::Get { .. } | Verb::Amo { .. } => cfg.ctrl_bytes,
+        }
+    }
+
+    /// Unpack an answer at its initiator: the NIC that answered, the
+    /// packet, and a get's bytes with the buffer they land in. The box is
+    /// freed here, at the initiator, before the handler can issue the next
+    /// op: taking the box, not the record, is the point.
+    #[allow(clippy::boxed_local)]
+    fn open<M>(self: Box<Self>) -> (LocalityId, Packet<M>, Option<(PhysAddr, Payload)>) {
+        let Access {
+            target, op, leg, ..
+        } = *self;
+        let (packet, bytes) = match leg {
+            Leg::Got { data, local, moved } => (Packet::GetDone { op, moved }, Some((local, data))),
+            Leg::Amo { result, moved } => (Packet::AmoDone { op, result, moved }, None),
+            Leg::Nack {
+                kind,
+                reason,
+                block,
+            } => {
+                let nack = Packet::Nack {
+                    op,
+                    kind,
+                    reason,
+                    block,
+                };
+                (nack, None)
+            }
+            Leg::Request { .. } => unreachable!("a request lands only at a NIC"),
+        };
+        (target, packet, bytes)
+    }
+
+    /// The answer as the initiator's handler sees it, copied: what a
+    /// fault-plane duplicate of the response leg delivers. A get's copy
+    /// carries no bytes — the duplicate's payload lands on a registration
+    /// the initiator may have retired, so the NIC discards it while the
+    /// completion still surfaces (the op table drops it as stale).
+    fn packet<M>(&self) -> Packet<M> {
+        let op = self.op;
+        match &self.leg {
+            &Leg::Got { moved, .. } => Packet::GetDone { op, moved },
+            Leg::Amo { result, moved } => Packet::AmoDone {
+                op,
+                result: result.clone(),
+                moved: *moved,
+            },
+            &Leg::Nack {
+                kind,
+                reason,
+                block,
+            } => Packet::Nack {
+                op,
+                kind,
+                reason,
+                block,
+            },
+            Leg::Request { .. } => unreachable!("a request is not an answer"),
         }
     }
 }
@@ -974,9 +1045,11 @@ pub fn rdma_get<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: Ge
 /// of the pipeline.
 ///
 /// The request is boxed once here (pass a `Box<Access>` to reuse one the
-/// caller already made) and travels by pointer from then on, so every
-/// hop's event captures two words and stays inline in its queue slot
-/// whatever size [`Access`] grows to.
+/// caller already made), and that box is the op's one record for the
+/// round trip: every hop's event, out and back, captures it as a pointer
+/// and stays inline in its queue slot, and the target NIC writes its
+/// answer into it. A remote get, AMO or NACK therefore allocates nothing
+/// after this call; a put's ack travels by value.
 pub fn rdma_issue<S: Protocol>(
     eng: &mut Engine<S>,
     initiator: LocalityId,
@@ -986,10 +1059,10 @@ pub fn rdma_issue<S: Protocol>(
     let now = eng.now();
     let cfg = eng.state.cluster().config;
     let bytes = req.wire_bytes(&cfg);
-    let kind = req.verb.kind();
+    let kind = req.verb().kind();
     {
         let (src, dst) = (initiator, req.target);
-        let touched = req.verb.touched_bytes();
+        let touched = req.verb().touched_bytes();
         let c = eng.state.cluster();
         let counters = &mut c.loc_mut(initiator).counters;
         counters.bytes_sent += bytes as u64;
@@ -1050,7 +1123,11 @@ fn hop<S: Protocol>(
         return;
     };
     if land.corrupt_mask != 0 {
-        if let Verb::Put { data, .. } = &mut req.verb {
+        if let Leg::Request {
+            verb: Verb::Put { data, .. },
+            ..
+        } = &mut req.leg
+        {
             // Only this copy goes bad: the initiator's retry still holds
             // the bytes it snapshotted.
             let mut bytes = data.to_vec();
@@ -1099,14 +1176,14 @@ fn commit<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, mut req: Box<
     let cfg = eng.state.cluster().config;
     let target = req.target;
     let class = response_class(req.class);
-    let is_amo = req.verb.kind() == OpKind::Amo;
+    let is_amo = req.verb().kind() == OpKind::Amo;
     let local = via == Via::Loopback;
     let block = req.block();
     // A duplicated or retried AMO re-acks its remembered result instead of
     // applying twice — before translation, so the replay needs no table
     // entry and leaves the table's recency order alone (a forwarded replay
     // peeks the generation for its hint without touching it either).
-    if let Some(key) = req.verb.amo_key() {
+    if let Some(key) = req.verb().amo_key() {
         let l = eng.state.cluster().loc_mut(target);
         if let Some(result) = l.nic.amo.lookup(key).cloned() {
             l.counters.amo_replays += 1;
@@ -1114,8 +1191,8 @@ fn commit<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, mut req: Box<
                 Via::Forward => l.nic.xlate.peek(block).map(|e| e.generation),
                 _ => None,
             };
-            let op = req.op;
-            let done = Packet::AmoDone { op, result, moved };
+            req.leg = Leg::Amo { result, moved };
+            let done = Answer::Boxed(req);
             respond(eng, target, initiator, done, now, local, class);
             return;
         }
@@ -1182,13 +1259,13 @@ fn commit<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, mut req: Box<
     let c = eng.state.cluster();
     let applied = resolved.and_then(|(base, len, offset)| {
         c.loc_mut(target)
-            .apply(block, base, len, offset, &req.verb)
+            .apply(block, base, len, offset, req.verb())
             .ok_or(NackReason::Bounds)
     });
     let applied = match applied {
         Ok(applied) => applied,
         Err(reason) => {
-            nack(eng, initiator, &req, reason, local);
+            nack(eng, initiator, req, reason, local);
             return;
         }
     };
@@ -1197,53 +1274,61 @@ fn commit<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, mut req: Box<
         c.tracer
             .record(now, TraceKind::XlateHit { at: target, block });
     }
-    let visible = now + cfg.dma(req.verb.touched_bytes());
-    match (applied, req.verb) {
-        (Applied::Get(data), Verb::Get { local: buf, .. }) => get_reply(
-            eng, target, initiator, req.op, moved, buf, data, visible, local, class,
-        ),
-        (Applied::Put, verb @ Verb::Put { .. }) => {
+    let visible = now + cfg.dma(req.verb().touched_bytes());
+    match (applied, req.verb()) {
+        (Applied::Get(data), &Verb::Get { local: buf, .. }) => {
+            req.leg = Leg::Got {
+                data,
+                local: buf,
+                moved,
+            };
+            get_reply(eng, initiator, req, visible, local, class);
+        }
+        (Applied::Put, verb) => {
             if let Some(tag) = verb.remote_tag() {
                 let len = verb.touched_bytes();
                 let note = Packet::RemoteNote { tag, len };
                 deliver_at(eng, visible, target, target, note);
             }
-            let done = Packet::PutDone { op: req.op, moved };
+            let done = Answer::PutDone { op: req.op, moved };
             respond(eng, target, initiator, done, visible, local, class);
         }
         (Applied::Amo { result, .. }, _) => {
             c.loc_mut(target).counters.amo_executed += 1;
-            let op = req.op;
-            let done = Packet::AmoDone { op, result, moved };
+            req.leg = Leg::Amo { result, moved };
+            let done = Answer::Boxed(req);
             respond(eng, target, initiator, done, visible, local, class);
         }
         _ => unreachable!("apply answers in the verb's own kind"),
     }
 }
 
-/// Refuse `req` at its current target NIC: NACK the initiator with `reason`.
+/// Refuse `req` at its current target NIC: NACK the initiator with `reason`,
+/// written into the request's own box.
 fn nack<S: Protocol>(
     eng: &mut Engine<S>,
     initiator: LocalityId,
-    req: &Access,
+    mut req: Box<Access>,
     reason: NackReason,
     local: bool,
 ) {
     let now = eng.now();
     let c = eng.state.cluster();
-    let kind = req.verb.kind();
+    let kind = req.verb().kind();
     if kind == OpKind::Amo {
         c.loc_mut(req.target).counters.amo_nacked += 1;
     }
-    let nack = Packet::Nack {
-        op: req.op,
-        kind,
-        reason,
-        block: req.block(),
-    };
     let ready = if local { now + c.config.loopback } else { now };
     let class = response_class(req.class);
-    respond(eng, req.target, initiator, nack, ready, local, class);
+    let block = req.block();
+    req.leg = Leg::Nack {
+        kind,
+        reason,
+        block,
+    };
+    let target = req.target;
+    let done = Answer::Boxed(req);
+    respond(eng, target, initiator, done, ready, local, class);
 }
 
 /// Hold a forwarded request in its target NIC's park queue until
@@ -1262,7 +1347,7 @@ fn park<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: Box<Access
         let l = eng.state.cluster().loc_mut(target);
         if let Some(Parked { initiator, req, .. }) = l.nic.parked.take_ticket(ticket) {
             l.counters.xlate_park_expired += 1;
-            nack(eng, initiator, &req, NackReason::TtlExceeded, false);
+            nack(eng, initiator, req, NackReason::TtlExceeded, false);
         }
     });
 }
@@ -1293,80 +1378,86 @@ pub fn install_xlate<S: Protocol>(
     }
 }
 
-/// Send a NIC-generated response — completion ack or NACK — from `target`
-/// back to `initiator` once it is `ready`: a loop-back visit delivers
-/// directly; a remote one rides a control message through the fault plane.
+/// A NIC-generated response on its way from the NIC that answered to the
+/// initiator.
+enum Answer {
+    /// A put's ack: two words, carried by value.
+    PutDone { op: OpId, moved: Option<u32> },
+    /// Any other answer, written into the request's box.
+    Boxed(Box<Access>),
+}
+
+impl Answer {
+    /// The answer as a packet, copied for a fault-plane duplicate.
+    fn packet<M>(&self) -> Packet<M> {
+        match *self {
+            Answer::PutDone { op, moved } => Packet::PutDone { op, moved },
+            Answer::Boxed(ref req) => req.packet(),
+        }
+    }
+}
+
+/// Send a control-sized response — put or AMO completion, or NACK — from
+/// `target` back to `initiator` once it is `ready`: a loop-back visit
+/// delivers directly; a remote one rides a control message through the
+/// fault plane.
 fn respond<S: Protocol>(
     eng: &mut Engine<S>,
     target: LocalityId,
     initiator: LocalityId,
-    packet: Packet<S::Msg>,
+    answer: Answer,
     ready: Time,
     local: bool,
     class: FaultClass,
 ) {
     let counters = &mut eng.state.cluster().loc_mut(target).counters;
-    match packet {
-        Packet::Nack { .. } => counters.nacks_sent += 1,
+    match &answer {
+        Answer::Boxed(req) if matches!(req.leg, Leg::Nack { .. }) => counters.nacks_sent += 1,
         _ if !local => counters.ctrl_sent += 1,
         _ => {}
     }
-    if local {
-        deliver_at(eng, ready, target, initiator, packet);
-        return;
-    }
-    let ctrl_bytes = eng.state.cluster().config.ctrl_bytes;
-    let Some(land) = launch(eng, target, initiator, ready, ctrl_bytes, class, true) else {
-        return;
+    let at = if local {
+        ready
+    } else {
+        let ctrl_bytes = eng.state.cluster().config.ctrl_bytes;
+        let Some(land) = launch(eng, target, initiator, ready, ctrl_bytes, class, true) else {
+            return;
+        };
+        if let Some(dup_at) = land.dup_at {
+            deliver_at(eng, dup_at, target, initiator, answer.packet());
+        }
+        land.at
     };
-    if let Some(dup_at) = land.dup_at {
-        if let Some(copy) = clone_ctrl(&packet) {
-            deliver_at(eng, dup_at, target, initiator, copy);
+    match answer {
+        Answer::PutDone { op, moved } => {
+            deliver_at(eng, at, target, initiator, Packet::PutDone { op, moved })
+        }
+        Answer::Boxed(req) => {
+            eng.schedule_at_loc(at, initiator, move |eng| land(eng, initiator, req))
         }
     }
-    deliver_at(eng, land.at, target, initiator, packet);
 }
 
-/// The get's own response leg: the payload travels `target → initiator`
-/// (tx, wire, fault verdict, rx at the initiator) and lands in `local_addr`
-/// before `GetDone { op, moved }` surfaces. A loop-back get is a DMA-speed
-/// copy within the node.
-#[allow(clippy::too_many_arguments)]
+/// The get's own response leg: the box carries the payload `target →
+/// initiator` (tx, wire, fault verdict, rx at the initiator), where
+/// [`land`] writes it into the buffer the request named before `GetDone`
+/// surfaces. A loop-back get is a DMA-speed copy within the node.
 fn get_reply<S: Protocol>(
     eng: &mut Engine<S>,
-    target: LocalityId,
     initiator: LocalityId,
-    op: OpId,
-    moved: Option<u32>,
-    local_addr: PhysAddr,
-    data: Payload,
+    req: Box<Access>,
     ready: Time,
     local: bool,
     class: FaultClass,
 ) {
-    let len = data.len() as u32;
-    // The landing rides two nested events (arrival, then rx done). Boxed
-    // once here, both carry the pointer inline; left bare, each would box
-    // its own copy of the captures.
-    let land = Box::new(move |eng: &mut Engine<S>| {
-        eng.state
-            .cluster()
-            .mem_mut(initiator)
-            .write(local_addr, &data)
-            .expect("get local buffer out of bounds");
-        S::deliver(
-            eng,
-            Envelope {
-                src: target,
-                dst: initiator,
-                packet: Packet::GetDone { op, moved },
-            },
-        );
-    });
     if local {
-        eng.schedule_at(ready, land);
+        eng.schedule_at(ready, move |eng| land(eng, initiator, req));
         return;
     }
+    let Leg::Got { ref data, .. } = req.leg else {
+        unreachable!("a get reply carries the bytes read");
+    };
+    let (target, len) = (req.target, data.len() as u32);
     let cfg = eng.state.cluster().config;
     {
         let l = eng.state.cluster().loc_mut(target);
@@ -1378,17 +1469,29 @@ fn get_reply<S: Protocol>(
     };
     let dur = cfg.serialize(len);
     if let Some(dup_at) = wire.dup_at {
-        // The duplicate's payload lands on a registration the initiator
-        // may have retired; model the NIC discarding the bytes while the
-        // completion event still surfaces (the op table drops it as stale).
-        let done = Packet::GetDone { op, moved };
-        deliver_at(eng, dup_at, target, initiator, done);
+        deliver_at(eng, dup_at, target, initiator, req.packet());
     }
     eng.schedule_at_loc(wire.at, initiator, move |eng| {
         let now = eng.now();
         let rx_done = eng.state.cluster().rx(initiator, now, dur);
-        eng.schedule_at(rx_done, land);
+        eng.schedule_at(rx_done, move |eng| land(eng, initiator, req));
     });
+}
+
+/// A boxed answer reaches its initiator: unpack it, land a get's bytes,
+/// and hand the packet to the protocol.
+fn land<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: Box<Access>) {
+    let (src, packet, bytes) = req.open();
+    let Some((local, data)) = bytes else {
+        return deliver_now(eng, src, initiator, packet);
+    };
+    eng.state
+        .cluster()
+        .mem_mut(initiator)
+        .write(local, &data)
+        .expect("get local buffer out of bounds");
+    let dst = initiator;
+    S::deliver(eng, Envelope { src, dst, packet });
 }
 
 #[cfg(test)]
@@ -1817,8 +1920,13 @@ mod tests {
     /// Allocate [`BLOCK`] (1 KiB) at `owner` with word 0 holding [`SEED`];
     /// returns its physical base and the entry that will translate it.
     fn place_block(eng: &mut Engine<TestWorld>, owner: LocalityId) -> (PhysAddr, XlateEntry) {
-        let base = eng.state.cluster.mem_mut(owner).alloc_block(10).unwrap();
-        seed_word(eng, owner, base, SEED);
+        place_block_in(&mut eng.state.cluster, owner)
+    }
+
+    /// [`place_block`] in any world's cluster.
+    fn place_block_in(c: &mut Cluster, owner: LocalityId) -> (PhysAddr, XlateEntry) {
+        let base = c.mem_mut(owner).alloc_block(10).unwrap();
+        c.mem_mut(owner).write(base, &SEED.to_le_bytes()).unwrap();
         let entry = XlateEntry {
             base,
             len: 1024,
@@ -2381,7 +2489,7 @@ mod tests {
         let op = eng.state.cluster.alloc_op();
         // First attempt: over the wire, executed by the NIC.
         let first = access(OpKind::Amo, 1, at, 0, op);
-        let verb = first.verb.clone();
+        let verb = first.verb().clone();
         rdma_issue(&mut eng, 0, first);
         eng.run();
         assert_eq!(read_word(&eng, 1, base), SEED + 2);
@@ -2423,7 +2531,7 @@ mod tests {
         // Out-of-extent accesses touch nothing, whatever the verb.
         let l = eng.state.cluster.loc_mut(1);
         for kind in KINDS {
-            let verb = access(kind, 1, at, 0, op).verb;
+            let verb = access(kind, 1, at, 0, op).verb().clone();
             let verb = match verb {
                 Verb::Amo { amo, .. } => Verb::amo(amo, (0, 7)),
                 v => v,
@@ -2434,5 +2542,131 @@ mod tests {
             );
         }
         assert_eq!(read_word(&eng, 1, base), SEED + 2);
+    }
+
+    /// A protocol that completes ops the way the layers above do, through a
+    /// generation-checked [`OpTable`](crate::optable::OpTable): the first
+    /// completion of an op is live and reads what it brought — the word in
+    /// a get's landing buffer at that instant, an AMO's result, a NACK's
+    /// words — and any later one is stale.
+    struct OwnerWorld {
+        cluster: Cluster,
+        /// Each op's landing buffer (unused by AMOs).
+        ops: crate::optable::OpTable<PhysAddr>,
+        live: Vec<String>,
+        stale: u32,
+    }
+
+    impl Protocol for OwnerWorld {
+        type Msg = ();
+        fn cluster(&mut self) -> &mut Cluster {
+            &mut self.cluster
+        }
+        fn cluster_ref(&self) -> &Cluster {
+            &self.cluster
+        }
+        fn deliver(eng: &mut Engine<Self>, env: Envelope<()>) {
+            let w = &mut eng.state;
+            let (op, desc) = match env.packet {
+                Packet::GetDone { op, .. } => (op, None),
+                Packet::AmoDone { op, result, .. } => (op, Some(format!("amo:{}", result.old))),
+                Packet::Nack {
+                    op,
+                    kind,
+                    reason,
+                    block,
+                } => (op, Some(format!("nack:{kind:?}:{reason:?}:{block:#x}"))),
+                _ => return,
+            };
+            let Ok(buf) = w.ops.remove(op) else {
+                w.stale += 1;
+                return;
+            };
+            let desc = desc.unwrap_or_else(|| {
+                let word = w.cluster.mem(env.dst).read(buf, 8).unwrap();
+                format!("get:{}", u64::from_le_bytes(word[..8].try_into().unwrap()))
+            });
+            w.live.push(desc);
+        }
+    }
+
+    /// Issue one 8-byte `kind` access from locality 0 at `target`'s view
+    /// of [`BLOCK`] (resident at `owner` when `resident`), with the
+    /// `owner → 0` link duplicating every message; run to quiescence.
+    fn answered(
+        kind: OpKind,
+        target: LocalityId,
+        owner: LocalityId,
+        resident: bool,
+    ) -> Engine<OwnerWorld> {
+        let cluster = Cluster::new(2, NetConfig::ideal(), 1 << 24);
+        let world = OwnerWorld {
+            cluster,
+            ops: Default::default(),
+            live: Vec::new(),
+            stale: 0,
+        };
+        let mut eng = Engine::new(world, 1);
+        if resident {
+            let (_, entry) = place_block_in(&mut eng.state.cluster, owner);
+            eng.state.cluster.install_xlate(owner, BLOCK, entry);
+        }
+        let mut plan = FaultPlan::lossless(3);
+        let twice = FaultRates {
+            dup: 1.0,
+            ..FaultRates::lossless()
+        };
+        plan.link_rates.push((owner, 0, twice));
+        eng.state.cluster.faults = Some(FaultPlane::new(plan));
+        let local = eng.state.cluster.mem_mut(0).alloc_block(10).unwrap();
+        let op = eng.state.ops.insert(local);
+        let at = RdmaTarget::Virt {
+            block: BLOCK,
+            offset: 0,
+        };
+        rdma_issue(&mut eng, 0, access(kind, target, at, local, op));
+        eng.run();
+        eng
+    }
+
+    #[test]
+    fn a_duplicated_get_reply_completes_once_with_its_bytes() {
+        let eng = answered(OpKind::Get, 1, 1, true);
+        let w = &eng.state;
+        assert_eq!(w.live, [format!("get:{SEED}")]);
+        assert_eq!(w.stale, 1, "the duplicate lands stale");
+        assert_eq!(w.cluster.fault_stats().duplicated, 1);
+        assert!(w.ops.is_empty());
+    }
+
+    #[test]
+    fn a_duplicated_amo_reply_completes_once_with_its_result() {
+        let eng = answered(OpKind::Amo, 1, 1, true);
+        let w = &eng.state;
+        assert_eq!(w.live, [format!("amo:{SEED}")]);
+        assert_eq!(w.stale, 1, "the duplicate lands stale");
+        assert_eq!(w.cluster.fault_stats().duplicated, 1);
+        let owner = &w.cluster.loc(1).counters;
+        assert_eq!((owner.amo_executed, owner.amo_replays), (1, 0));
+    }
+
+    #[test]
+    fn a_nack_carries_its_kind_reason_and_block_home() {
+        for kind in KINDS {
+            let eng = answered(kind, 1, 1, false);
+            let w = &eng.state;
+            assert_eq!(w.live, [format!("nack:{kind:?}:Miss:{BLOCK:#x}")]);
+            assert_eq!(w.stale, 1, "{kind:?}: the duplicate lands stale");
+            assert_eq!(w.cluster.total_counters().nacks_recv, 2, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn a_loop_back_get_lands_its_bytes() {
+        let eng = answered(OpKind::Get, 0, 0, true);
+        let w = &eng.state;
+        assert_eq!(w.live, [format!("get:{SEED}")]);
+        assert_eq!(w.stale, 0);
+        assert_eq!(w.cluster.fault_stats().duplicated, 0, "no wire leg");
     }
 }
