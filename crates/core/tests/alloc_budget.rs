@@ -19,12 +19,16 @@
 //!   densest instants: a closed loop of puts leaves its time wheel with
 //!   storage for the slots busy at one instant, not for every slot a
 //!   dense quantum passed through;
+//! * a local put, get or AMO allocates only what its completion hands
+//!   the caller, in every GAS mode, and an AGAS-SW get or AMO only its
+//!   request and one reply;
 //! * a retry re-sends the payload the op already holds: a put that bounces
 //!   through the directory, or loses its completion and is re-issued by the
 //!   deadline sweep, allocates no second buffer and still writes the right
 //!   bytes.
 //!
-//! The caller's own `Vec` is built outside the counted region every time.
+//! The caller's own `Vec` is built outside the counted region, except where
+//! [`spent_per_op`] counts it.
 
 use agas::migrate::migrate_block;
 use agas::ops::{memamo, memget, memput};
@@ -167,8 +171,19 @@ fn per_put(mode: GasMode, len: usize) -> f64 {
 /// Allocations per remote op from locality 0, in steady state (as
 /// [`per_put`]); `issue` starts op `i` on `gva`.
 fn per_op(mode: GasMode, issue: impl Fn(&mut Engine<SimWorld>, Gva, u64)) -> f64 {
+    spent_per_op(mode, 1, issue).0
+}
+
+/// Allocations and requested bytes per op from locality 0 on the block
+/// homed at locality `home`, in steady state (as [`per_put`]); `issue`
+/// starts op `i` on `gva`, and whatever it builds is counted too.
+fn spent_per_op(
+    mode: GasMode,
+    home: u64,
+    issue: impl Fn(&mut Engine<SimWorld>, Gva, u64),
+) -> (f64, f64) {
     let (mut eng, arr) = world(2, mode, NetConfig::ib_fdr());
-    let gva = arr.block(1);
+    let gva = arr.block(home);
     let op = |eng: &mut Engine<SimWorld>, i: u64| {
         issue(eng, gva, i);
         eng.run();
@@ -181,10 +196,31 @@ fn per_op(mode: GasMode, issue: impl Fn(&mut Engine<SimWorld>, Gva, u64)) -> f64
             op(&mut eng, WARM + i);
         }
     });
-    let acks = eng.state.get_acks() + eng.state.amo_acks();
+    let acks = eng.state.put_acks() + eng.state.get_acks() + eng.state.amo_acks();
     assert_eq!(acks, WARM + 256);
     assert_eq!(eng.state.op_failures(), 0);
-    spent.allocs as f64 / 256.0
+    (spent.allocs as f64 / 256.0, spent.bytes as f64 / 256.0)
+}
+
+/// An 8-byte put of `i`'s low byte, its `Vec` built by the call.
+fn put8(eng: &mut Engine<SimWorld>, gva: Gva, i: u64) {
+    memput(eng, 0, gva, vec![i as u8; 8], OpId::from_raw(i))
+}
+
+/// An 8-byte get.
+fn get8(eng: &mut Engine<SimWorld>, gva: Gva, i: u64) {
+    memget(eng, 0, gva, 8, OpId::from_raw(i))
+}
+
+/// A fetch-add of one.
+fn fetch_add(eng: &mut Engine<SimWorld>, gva: Gva, i: u64) {
+    memamo(
+        eng,
+        0,
+        gva,
+        AmoOp::FetchAdd { operand: 1 },
+        OpId::from_raw(i),
+    )
 }
 
 /// Allocations per remote `len`-byte get from locality 0 ([`per_op`]).
@@ -232,16 +268,46 @@ fn a_small_network_get_allocates_its_request_and_the_callers_vec() {
 #[test]
 fn a_network_amo_allocates_only_its_request() {
     // The boxed `Access`, which carries the result home.
-    let fetch_add = |eng: &mut Engine<SimWorld>, gva, i| {
-        memamo(
-            eng,
-            0,
-            gva,
-            AmoOp::FetchAdd { operand: 1 },
-            OpId::from_raw(i),
-        )
-    };
     assert_eq!(per_op(GasMode::AgasNetwork, fetch_add), 1.0);
+}
+
+/// Allocations and requested bytes of one local 8-byte put, get and
+/// fetch-add, the caller's `Vec` included: the put allocates only that
+/// `Vec` (8 B), whose bytes ride inline from there on, and its completion
+/// event fits the engine's inline slot; the get allocates the `Vec` its
+/// completion hands the caller (8 B) and the boxed completion event that
+/// carries it (40 B); the AMO only the boxed completion event with its
+/// result (56 B). A completion that outgrows the inline slot, or a wider
+/// capture, moves these.
+const LOCAL_PUT: (f64, f64) = (1.0, 8.0);
+const LOCAL_GET: (f64, f64) = (2.0, 48.0);
+const LOCAL_AMO: (f64, f64) = (1.0, 56.0);
+
+#[test]
+fn a_local_op_allocates_only_what_its_completion_carries() {
+    for mode in GasMode::ALL {
+        assert_eq!(spent_per_op(mode, 0, put8), LOCAL_PUT, "{mode:?} put");
+        assert_eq!(spent_per_op(mode, 0, get8), LOCAL_GET, "{mode:?} get");
+        assert_eq!(spent_per_op(mode, 0, fetch_add), LOCAL_AMO, "{mode:?} amo");
+    }
+}
+
+/// Allocations and requested bytes of one remote AGAS-SW 8-byte get: the
+/// boxed `SwAccess` (72 B), the boxed reply message (80 B) and the `Vec`
+/// it carries (8 B).
+const SW_GET: (f64, f64) = (3.0, 160.0);
+/// The same for one remote AGAS-SW fetch-add: the boxed `SwAccess` and the
+/// boxed reply message carrying the result.
+const SW_AMO: (f64, f64) = (2.0, 152.0);
+
+#[test]
+fn a_software_get_or_amo_allocates_its_request_and_one_reply() {
+    assert_eq!(spent_per_op(GasMode::AgasSoftware, 1, get8), SW_GET, "get");
+    assert_eq!(
+        spent_per_op(GasMode::AgasSoftware, 1, fetch_add),
+        SW_AMO,
+        "amo"
+    );
 }
 
 /// Gets issued per locality by
