@@ -668,7 +668,8 @@ fn gate(series: &str, bad: Vec<String>) {
 
 /// `ops` — freeze a mixed put/get/migration workload mid-flight and dump
 /// the unified op table (DESIGN.md §3.2), then run to quiescence and
-/// report the per-op outcome counters.
+/// report the per-op outcome counters from `GasStats`. Exits 1 unless the
+/// freeze caught ops in flight and every op issued completed or failed.
 fn ops_dump(json: bool) {
     use agas::Distribution;
 
@@ -691,10 +692,13 @@ fn ops_dump(json: bool) {
     rt.migrate(0, arr.block(2), 3);
     rt.migrate(1, arr.block(5), 0);
 
-    // Freeze the simulation while both hand-offs are on the wire: the ops
-    // still between issue and outcome are the ones their blocks' new NICs
-    // hold parked, exactly what the dump is for.
-    rt.eng.run_steps(140);
+    // Freeze the simulation at the first instant a NIC holds a request
+    // parked behind a hand-off: the ops still between issue and outcome
+    // then include the ones the blocks' new NICs hold, exactly what the
+    // dump is for.
+    let n = rt.n();
+    let parked = |w: &parcel_rt::World| (0..n).any(|l| !w.cluster.loc(l).nic.parked.is_empty());
+    while !parked(&rt.eng.state) && rt.eng.step() {}
     let now = rt.now();
     let snaps: Vec<(u32, Vec<agas::OpSnapshot>)> = (0..rt.n())
         .map(|l| (l, rt.eng.state.gas[l as usize].op_snapshots()))
@@ -710,24 +714,36 @@ fn ops_dump(json: bool) {
     }
 
     rt.run();
-    let o = rt.eng.state.total_outcomes();
-    let stats = rt.eng.state.total_gas_stats();
+    let o = rt.eng.state.total_gas_stats();
+    let nacked = o.nacked_miss + o.nacked_ttl + o.nacked_bounds;
     print_rows(
         json,
         &[row!("ops";
             "in_flight_at_freeze" => in_flight,
             "completed" => o.completed,
-            "nacked" => o.nacked(),
+            "nacked" => nacked,
             "nacked_miss" => o.nacked_miss,
             "nacked_ttl" => o.nacked_ttl,
             "nacked_bounds" => o.nacked_bounds,
-            "retried" => o.retried,
+            "retried" => o.retries,
             "deadline_exceeded" => o.deadline_exceeded,
             "protocol_violations" => o.protocol_violations,
-            "stale_completions" => stats.stale_completions,
-            "ops_failed" => stats.ops_failed,
+            "stale_completions" => o.stale_completions,
+            "ops_failed" => o.ops_failed,
         )],
     );
+    let mut bad = Vec::new();
+    if in_flight == 0 {
+        bad.push("ops: the freeze caught no op in flight".to_string());
+    }
+    let issued = o.puts + o.gets + o.amos;
+    if o.completed + o.ops_failed != issued {
+        bad.push(format!(
+            "ops: {} completed + {} failed of {issued} issued",
+            o.completed, o.ops_failed
+        ));
+    }
+    gate("ops", bad);
 }
 
 /// `chaos [seed]` — the fault-injection matrix (DESIGN.md §3.4): every GAS

@@ -1,6 +1,7 @@
 //! `nmvgas-cli` refuses malformed flag values, unknown flags, unknown
 //! workloads and flag combinations the runtime cannot honour with exit
-//! code 2 instead of running with a silently substituted default.
+//! code 2 instead of running with a silently substituted default; `repro
+//! ops` freezes its workload while ops are still in flight.
 
 use std::process::Command;
 
@@ -70,4 +71,27 @@ fn good_values_run() {
         "16",
     ]);
     assert_eq!(code, 0, "{err}");
+}
+
+#[test]
+fn repro_ops_freezes_with_ops_in_flight_and_accounts_for_all() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["ops", "--json"])
+        .output()
+        .expect("run repro");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    let row = stdout
+        .lines()
+        .find(|l| l.starts_with('{'))
+        .expect("one JSON row");
+    let field = |name: &str| -> u64 {
+        let key = format!("\"{name}\":");
+        let at = row.find(&key).unwrap_or_else(|| panic!("{name} in {row}")) + key.len();
+        let digits: String = row[at..].chars().take_while(char::is_ascii_digit).collect();
+        digits.parse().unwrap()
+    };
+    assert!(field("in_flight_at_freeze") > 0, "{row}");
+    // 24 puts and 8 gets, each completed or failed exactly once.
+    assert_eq!(field("completed") + field("ops_failed"), 32, "{row}");
 }

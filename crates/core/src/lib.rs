@@ -49,8 +49,8 @@ pub use simworld::{AmoPumpKind, SimData, SimEv, SimLoc, SimMsg, SimWorld};
 
 use netsim::flatmap::FlatTable;
 use netsim::{
-    AmoKey, AmoResult, Engine, LocalityId, OpError, OpId, OpKind, OpTable, OutcomeCounters,
-    PhysAddr, ServerPool, Time, Verb,
+    AmoKey, AmoResult, Applied, Engine, LocalityId, OpError, OpId, OpKind, OpTable, PhysAddr,
+    ServerPool, Time, Verb,
 };
 use photon::PhotonWorld;
 use std::collections::HashMap;
@@ -111,32 +111,20 @@ pub enum GasMsg {
     /// target cores. The AGAS-SW fast path for puts and gets, and for AMOs
     /// the emulated baseline (PGAS, AGAS-SW, network-mode fallback) the
     /// NIC-executed path is measured against. Answered by
-    /// [`GasMsg::SwPutAck`], [`GasMsg::SwGetReply`] or
-    /// [`GasMsg::SwAmoReply`] by kind, or [`GasMsg::SwRetry`] when the block
-    /// is not resident.
+    /// [`GasMsg::SwReply`], or [`GasMsg::SwRetry`] when the block is not
+    /// resident.
     ///
     /// Boxed by the initiator, once: the wire events, this message, a
     /// mid-migration queue and the target's handler event all pass the same
     /// box along.
     SwAccess(Box<SwAccess>),
-    /// Ack of a software write.
-    SwPutAck {
+    /// What the owner's handler did: a write's ack, a read's bytes or an
+    /// AMO's result.
+    SwReply {
         /// Initiator's operation handle.
         ctx: OpId,
-    },
-    /// Data reply of a software read.
-    SwGetReply {
-        /// Initiator's operation handle.
-        ctx: OpId,
-        /// The data.
-        data: Vec<u8>,
-    },
-    /// Result reply of a software active operation.
-    SwAmoReply {
-        /// Initiator's operation handle.
-        ctx: OpId,
-        /// What the op observed/returned.
-        result: AmoResult,
+        /// The answer, of the request's kind.
+        answer: Applied<Vec<u8>>,
     },
     /// The believed owner no longer holds the block: initiator must
     /// re-resolve through the home directory.
@@ -247,6 +235,10 @@ pub enum GasMsg {
     },
 }
 
+// Every GAS message the world boxes for the wire is this wide.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<GasMsg>() == 80);
+
 /// GAS-layer statistics (per locality).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GasStats {
@@ -260,8 +252,19 @@ pub struct GasStats {
     pub local_ops: u64,
     /// Operations sent to a remote owner.
     pub remote_ops: u64,
+    /// Operations that completed normally.
+    pub completed: u64,
     /// Bounce/retry cycles (stale owner hints, NIC misses).
     pub retries: u64,
+    /// NACK bounces (per bounce, not per op) whose NIC held no entry for
+    /// the block ([`netsim::NackReason::Miss`]).
+    pub nacked_miss: u64,
+    /// NACK bounces that ran out of forwarding hops, or out of time parked
+    /// behind a hand-off ([`netsim::NackReason::TtlExceeded`]).
+    pub nacked_ttl: u64,
+    /// NACK bounces for an access outside its block
+    /// ([`netsim::NackReason::Bounds`]).
+    pub nacked_bounds: u64,
     /// Directory queries issued.
     pub dir_queries: u64,
     /// Software put handlers executed here.
@@ -283,8 +286,8 @@ pub struct GasStats {
     pub migrations_done: u64,
     /// Completions/replies naming an unknown or stale op handle, dropped.
     pub stale_completions: u64,
-    /// Protocol-state-machine violations observed and dropped (late acks,
-    /// duplicate installs, frees of non-resident blocks).
+    /// Protocol-state-machine violations observed and dropped (answers of
+    /// the wrong kind, duplicate installs, frees of non-resident blocks).
     pub protocol_violations: u64,
     /// Ops reclaimed by the deadline sweep.
     pub deadline_exceeded: u64,
@@ -292,7 +295,8 @@ pub struct GasStats {
     /// failed ([`GasConfig::retry_on_deadline`] — the lost-message recovery
     /// path under fault injection).
     pub deadline_retries: u64,
-    /// Ops delivered to the initiator as failed (deadline or retry budget).
+    /// Ops delivered to the initiator as failed (deadline, retry budget or
+    /// protocol violation).
     pub ops_failed: u64,
     /// Remote operations that short-circuited the NIC over an intra-domain
     /// shared-memory mapping ([`netsim::ShmDomain`]): zero wire messages.
@@ -328,7 +332,11 @@ impl GasStats {
         self.amos += other.amos;
         self.local_ops += other.local_ops;
         self.remote_ops += other.remote_ops;
+        self.completed += other.completed;
         self.retries += other.retries;
+        self.nacked_miss += other.nacked_miss;
+        self.nacked_ttl += other.nacked_ttl;
+        self.nacked_bounds += other.nacked_bounds;
         self.dir_queries += other.dir_queries;
         self.sw_puts_handled += other.sw_puts_handled;
         self.sw_gets_handled += other.sw_gets_handled;
@@ -393,7 +401,7 @@ impl fmt::Display for OpPhase {
 pub struct OpSnapshot {
     /// The op handle.
     pub id: OpId,
-    /// `"put"` or `"get"`.
+    /// `"put"`, `"get"` or `"amo"`.
     pub kind: &'static str,
     /// The global address the op targets.
     pub gva: Gva,
@@ -564,8 +572,6 @@ pub struct GasLocal {
     pub amo_latency: netsim::LogHistogram,
     /// Statistics.
     pub stats: GasStats,
-    /// Terminal-event rollup for the ops issued here.
-    pub outcomes: OutcomeCounters,
     /// Serializability-checker log of every put/get/migrate observed here
     /// (empty unless [`GasConfig::record_history`] is on).
     pub history: Vec<HistEvent>,
@@ -600,7 +606,6 @@ impl GasLocal {
             get_latency: netsim::LogHistogram::new(),
             amo_latency: netsim::LogHistogram::new(),
             stats: GasStats::default(),
-            outcomes: OutcomeCounters::default(),
             history: Vec::new(),
             word_history: Vec::new(),
             member: MembershipView::default(),

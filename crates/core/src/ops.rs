@@ -17,6 +17,14 @@
 //!   stale target answers with a NACK (or NIC-forwards), and the initiator
 //!   re-resolves through the home and retries.
 //!
+//! Around the fast path every put, get and AMO, in every mode, runs one
+//! pipeline: `start` records and issues the op; whichever path answers it
+//! (a local commit, a shm commit, a [`GasMsg::SwReply`], a NIC completion)
+//! hands an [`Applied`] answer to `settle`, which checks the answer's kind
+//! against the op's and does the history, latency, landing-buffer and span
+//! bookkeeping; `fail_op` is the one way an op fails. [`crate::GasStats`]
+//! is the one ledger of those outcomes.
+//!
 //! In-flight operations live in the initiator's generational
 //! [`netsim::OpTable`]: wire messages carry the typed [`OpId`] handle, and a
 //! completion naming an unknown or stale handle is counted
@@ -35,8 +43,7 @@ use crate::{
 };
 use netsim::{
     send_held, send_user_classed, AmoOp, AmoResult, Applied, Engine, FaultClass, LocalityId,
-    NackReason, OpError, OpId, OpKind, OpOutcome, PhysAddr, RdmaTarget, ShmDomain, Time, TraceKind,
-    Verb,
+    NackReason, OpError, OpId, OpKind, PhysAddr, RdmaTarget, ShmDomain, Time, TraceKind, Verb,
 };
 use photon::pwc;
 
@@ -173,19 +180,24 @@ fn log_amo_failure<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, p: &Pendin
     }
 }
 
-/// Append the issue-side history event for an op (history recording on).
+/// Append the issue-side history event for a put or get (history
+/// recording on). AMO words are checked by the word-level oracle, not the
+/// byte-fingerprint history (workloads keep the slots disjoint).
 fn hist_issue(
     g: &mut crate::GasLocal,
     loc: LocalityId,
-    kind: HistKind,
     gva: Gva,
-    len: u32,
-    value: u64,
+    verb: &Verb,
     now: Time,
 ) -> Option<u32> {
     if !g.cfg.record_history {
         return None;
     }
+    let (kind, len, value) = match verb {
+        Verb::Put { data, .. } => (HistKind::Put, data.len() as u32, value_hash(data)),
+        Verb::Get { len, .. } => (HistKind::Get, *len, 0),
+        Verb::Amo { .. } => return None,
+    };
     g.history.push(HistEvent {
         kind,
         block: gva.block_key(),
@@ -251,27 +263,81 @@ fn close_span<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId, ok: b
         .record(t, TraceKind::OpSpanClose { at: loc, op, ok });
 }
 
-/// Record a successful outcome and close the span.
-fn finish_ok<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) {
-    eng.state.gas(loc).outcomes.record(OpOutcome::Completed);
+/// Account a removed op's `answer`, the one path every completed put, get
+/// and AMO takes: history (a get's value fingerprint, an AMO's words),
+/// latency to `done`, its landing buffer, the `completed` count and the
+/// span. Returns the initiator's handle to deliver the answer to; an
+/// answer of another kind than the op fails the op as a protocol
+/// violation instead, and returns `None`.
+fn settle<S: GasWorld>(
+    eng: &mut Engine<S>,
+    loc: LocalityId,
+    op: OpId,
+    p: PendingOp,
+    answer: &Applied<Vec<u8>>,
+    done: Time,
+) -> Option<OpId> {
+    let now = eng.now();
+    match (&p.verb, answer) {
+        (Verb::Put { .. }, Applied::Put) => hist_done(eng, loc, p.hist(), now, None),
+        (Verb::Get { .. }, Applied::Get(data)) => {
+            let vhash = p.hist().map(|_| value_hash(data));
+            hist_done(eng, loc, p.hist(), now, vhash);
+        }
+        (Verb::Amo { amo, .. }, Applied::Amo { result, .. }) => {
+            log_amo_words(eng, loc, p.gva, amo, result, p.issued, now)
+        }
+        _ => {
+            let detail = "answer of another kind than its op";
+            fail_op(eng, loc, op, p, OpError::ProtocolViolation { detail });
+            return None;
+        }
+    }
+    record_latency(eng, loc, &p, done);
+    free_scratch(eng, loc, &p);
+    eng.state.gas(loc).stats.completed += 1;
     close_span(eng, loc, op, true);
+    Some(p.ctx)
 }
 
-/// Terminally fail a removed op: release its scratch, count it, close its
-/// span, and deliver the typed error to the initiator.
+/// Finish the op `op` names with `answer`, whichever path brought it (a
+/// software reply, a shm commit, a NIC completion). A stale or duplicated
+/// answer is counted and dropped.
+fn complete<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId, answer: Applied<Vec<u8>>) {
+    let Ok(p) = eng.state.gas(loc).pending.remove(op) else {
+        eng.state.gas(loc).stats.stale_completions += 1;
+        return;
+    };
+    let now = eng.now();
+    let Some(ctx) = settle(eng, loc, op, p, &answer, now) else {
+        return;
+    };
+    match answer {
+        Applied::Put => S::gas_put_done(eng, loc, ctx),
+        Applied::Get(data) => S::gas_get_done(eng, loc, ctx, data),
+        Applied::Amo { result, .. } => S::gas_amo_done(eng, loc, ctx, result),
+    }
+}
+
+/// Terminally fail a removed op, the one failure path: release its
+/// scratch, count it (by error kind too), close its span, and deliver the
+/// typed error to the initiator.
 fn fail_op<S: GasWorld>(
     eng: &mut Engine<S>,
     loc: LocalityId,
     id: OpId,
     p: PendingOp,
     err: OpError,
-    outcome: OpOutcome,
 ) {
     log_amo_failure(eng, loc, &p);
     free_scratch(eng, loc, &p);
-    let g = eng.state.gas(loc);
-    g.stats.ops_failed += 1;
-    g.outcomes.record(outcome);
+    let stats = &mut eng.state.gas(loc).stats;
+    stats.ops_failed += 1;
+    match err {
+        OpError::DeadlineExceeded { .. } => stats.deadline_exceeded += 1,
+        OpError::ProtocolViolation { .. } => stats.protocol_violations += 1,
+        _ => {}
+    }
     close_span(eng, loc, id, false);
     S::gas_op_failed(eng, loc, p.ctx, p.gva, err);
 }
@@ -293,23 +359,8 @@ pub fn memput<S: GasWorld>(
         "memput crosses a block boundary"
     );
     assert!(!data.is_empty(), "empty memput");
-    let now = eng.now();
-    let g = eng.state.gas(loc);
-    g.stats.puts += 1;
-    let deadline = g.cfg.op_deadline.map(|d| now + d);
-    let vhash = if g.cfg.record_history {
-        value_hash(&data)
-    } else {
-        0
-    };
-    let hist = hist_issue(g, loc, HistKind::Put, gva, data.len() as u32, vhash, now);
-    let verb = Verb::put(data.into(), None);
-    let op = g
-        .pending
-        .insert(PendingOp::new(verb, gva, ctx, now, deadline, hist));
-    open_span(eng, loc, op);
-    arm_sweep(eng, loc);
-    issue(eng, loc, op);
+    eng.state.gas(loc).stats.puts += 1;
+    start(eng, loc, gva, Verb::put(data.into(), None), ctx);
 }
 
 /// Read `len` bytes from the global address `gva`. Completion (with the
@@ -321,20 +372,10 @@ pub fn memget<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, gva: Gva, len: 
         "memget crosses a block boundary"
     );
     assert!(len > 0, "empty memget");
-    let now = eng.now();
-    let g = eng.state.gas(loc);
-    g.stats.gets += 1;
-    let deadline = g.cfg.op_deadline.map(|d| now + d);
-    let hist = hist_issue(g, loc, HistKind::Get, gva, len, 0, now);
+    eng.state.gas(loc).stats.gets += 1;
     // `local` names the scratch landing buffer once an RDMA attempt has
     // allocated one.
-    let verb = Verb::Get { len, local: 0 };
-    let op = g
-        .pending
-        .insert(PendingOp::new(verb, gva, ctx, now, deadline, hist));
-    open_span(eng, loc, op);
-    arm_sweep(eng, loc);
-    issue(eng, loc, op);
+    start(eng, loc, gva, Verb::Get { len, local: 0 }, ctx);
 }
 
 /// Execute `amo` atomically against the word(s) at `gva`. Completion
@@ -355,25 +396,32 @@ pub fn memamo<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, gva: Gva, amo: 
         amo.bounds_ok(gva.offset(), gva.block_size()),
         "memamo touches words outside its block"
     );
+    eng.state.gas(loc).stats.amos += 1;
+    start(eng, loc, gva, Verb::amo(amo, (loc, 0)), ctx);
+}
+
+/// Submit a new op: record it with its deadline and history event, open
+/// its span, arm the sweep and issue it.
+fn start<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, gva: Gva, verb: Verb, ctx: OpId) {
     let now = eng.now();
     let g = eng.state.gas(loc);
-    g.stats.amos += 1;
     let deadline = g.cfg.op_deadline.map(|d| now + d);
-    // AMO words are checked by the word-level oracle, not the
-    // byte-fingerprint history (workloads keep the slots disjoint).
-    let verb = Verb::amo(amo, (loc, 0));
+    let hist = hist_issue(g, loc, gva, &verb, now);
+    let is_amo = verb.kind() == OpKind::Amo;
     let op = g
         .pending
-        .insert(PendingOp::new(verb, gva, ctx, now, deadline, None));
-    // The retry-stable responder-cache identity: the initiator plus this
-    // *GAS-level* handle, which survives transport re-issue (photon attempt
-    // ids do not) — known only now that the insert has minted it.
-    if let Ok(PendingOp {
-        verb: Verb::Amo { key_op, .. },
-        ..
-    }) = g.pending.get_mut(op)
-    {
-        *key_op = op.raw();
+        .insert(PendingOp::new(verb, gva, ctx, now, deadline, hist));
+    // An AMO's retry-stable responder-cache identity: the initiator plus
+    // this *GAS-level* handle, which survives transport re-issue (photon
+    // attempt ids do not) — known only now that the insert has minted it.
+    if is_amo {
+        if let Ok(PendingOp {
+            verb: Verb::Amo { key_op, .. },
+            ..
+        }) = g.pending.get_mut(op)
+        {
+            *key_op = op.raw();
+        }
     }
     open_span(eng, loc, op);
     arm_sweep(eng, loc);
@@ -418,52 +466,36 @@ fn issue<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) {
                 issue_rdma(eng, loc, op, home, target);
             }
         }
-        GasMode::AgasNetwork => {
+        GasMode::AgasNetwork | GasMode::AgasSoftware => {
             // One BTT probe decides residency AND yields the base for the
             // local commit (no second probe inside `commit_local`).
             if let Some(base) = resident_base(eng, loc, block) {
                 commit_local(eng, loc, op, Some(base));
-            } else {
-                let serving = eng.state.gas_ref(loc).member.resolve(block, home);
-                let target_loc = hint_owner(eng, loc, block, serving);
-                if try_shm(eng, loc, op, gva, target_loc) {
-                    // Intra-domain short-circuit. Valid even under
-                    // `force_sw`: the shm path touches no NIC table, so
-                    // capacity thrash cannot bounce it.
-                } else if force_sw {
-                    if target_loc == loc {
-                        bounce(eng, loc, op, block);
-                        return;
-                    }
-                    eng.state.gas(loc).stats.remote_ops += 1;
-                    issue_sw(eng, loc, op, gva, target_loc);
-                } else {
-                    let target = RdmaTarget::Virt {
-                        block,
-                        offset: gva.offset(),
-                    };
-                    eng.state.gas(loc).stats.remote_ops += 1;
-                    issue_rdma(eng, loc, op, target_loc, target);
-                }
+                return;
             }
-        }
-        GasMode::AgasSoftware => {
-            if let Some(base) = resident_base(eng, loc, block) {
-                commit_local(eng, loc, op, Some(base));
-            } else {
-                let serving = eng.state.gas_ref(loc).member.resolve(block, home);
-                let target_loc = hint_owner(eng, loc, block, serving);
-                if target_loc == loc {
-                    // A hint naming ourselves while the block is absent is
-                    // stale by construction; re-resolve.
-                    bounce(eng, loc, op, block);
-                    return;
-                }
-                if try_shm(eng, loc, op, gva, target_loc) {
-                    return;
-                }
+            let serving = eng.state.gas_ref(loc).member.resolve(block, home);
+            let target_loc = hint_owner(eng, loc, block, serving);
+            // The owner's CPU translates under AGAS-SW, and for an op whose
+            // NIC-table misses degraded it to software.
+            let sw = mode == GasMode::AgasSoftware || force_sw;
+            if try_shm(eng, loc, op, gva, target_loc) {
+                // Intra-domain short-circuit. Valid even under `force_sw`:
+                // the shm path touches no NIC table, so capacity thrash
+                // cannot bounce it.
+            } else if sw && target_loc == loc {
+                // A hint naming ourselves while the block is absent is
+                // stale by construction; re-resolve.
+                bounce(eng, loc, op, block);
+            } else if sw {
                 eng.state.gas(loc).stats.remote_ops += 1;
                 issue_sw(eng, loc, op, gva, target_loc);
+            } else {
+                let target = RdmaTarget::Virt {
+                    block,
+                    offset: gva.offset(),
+                };
+                eng.state.gas(loc).stats.remote_ops += 1;
+                issue_rdma(eng, loc, op, target_loc, target);
             }
         }
     }
@@ -611,11 +643,7 @@ fn shm_commit<S: GasWorld>(
     let (size, offset) = (gva.block_size(), gva.offset());
     let applied = apply_resident(eng, target, block, base, size, offset, &verb)
         .expect("shm access outside its block");
-    eng.schedule_at_loc(back, loc, move |eng| match applied {
-        Applied::Put => complete_put(eng, loc, op),
-        Applied::Get(data) => complete_get(eng, loc, op, data),
-        Applied::Amo { result, .. } => complete_amo(eng, loc, op, result),
-    });
+    eng.schedule_at_loc(back, loc, move |eng| complete(eng, loc, op, applied));
 }
 
 /// Apply `verb` at `offset` within `block`, resident as `size` bytes at
@@ -639,42 +667,6 @@ fn apply_resident<S: GasWorld>(
         eng.state.gas(at).stats.amo_replays += 1;
     }
     Some(applied)
-}
-
-/// Finish a put whose write is acknowledged (software ack or shm commit).
-fn complete_put<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) {
-    let p = match eng.state.gas(loc).pending.remove(op) {
-        Ok(p) => p,
-        Err(_) => {
-            eng.state.gas(loc).stats.stale_completions += 1;
-            return;
-        }
-    };
-    let now = eng.now();
-    record_latency(eng, loc, &p, now);
-    hist_done(eng, loc, p.hist(), now, None);
-    finish_ok(eng, loc, op);
-    S::gas_put_done(eng, loc, p.ctx);
-}
-
-/// Finish a get whose data arrived by value (software reply or shm commit).
-fn complete_get<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId, data: Vec<u8>) {
-    let p = match eng.state.gas(loc).pending.remove(op) {
-        Ok(p) => p,
-        Err(_) => {
-            eng.state.gas(loc).stats.stale_completions += 1;
-            return;
-        }
-    };
-    let now = eng.now();
-    record_latency(eng, loc, &p, now);
-    // An earlier RDMA attempt may have left a scratch buffer behind; these
-    // paths never need one.
-    free_scratch(eng, loc, &p);
-    let vhash = p.hist().map(|_| value_hash(&data));
-    hist_done(eng, loc, p.hist(), now, vhash);
-    finish_ok(eng, loc, op);
-    S::gas_get_done(eng, loc, p.ctx, data);
 }
 
 /// One BTT probe answering "resident here?" and, when yes, at what base —
@@ -777,41 +769,31 @@ fn commit_local<S: GasWorld>(
     let g = eng.state.gas(loc);
     g.stats.local_ops += 1;
     let delay = g.cfg.local_op + copy_time(per_byte, len);
-    // Perform the memory effect now (deterministic), deliver the callback
-    // after the modeled local latency.
-    let now = eng.now();
-    let Ok(p) = eng.state.gas(loc).pending.remove(op) else {
+    let Ok(p) = g.pending.remove(op) else {
         return;
     };
-    record_latency(eng, loc, &p, now + delay);
-    finish_ok(eng, loc, op);
-    free_scratch(eng, loc, &p);
-    // An AMO's earlier attempt may already have executed remotely (and its
-    // block since migrated here, responder-cache entries riding along);
-    // the shared kernel consults the cache before touching memory.
+    // Perform the memory effect now (deterministic), deliver the callback
+    // after the modeled local latency. An AMO's earlier attempt may already
+    // have executed remotely (and its block since migrated here,
+    // responder-cache entries riding along); the shared kernel consults the
+    // cache before touching memory.
     let (size, offset) = (gva.block_size(), gva.offset());
     let applied = apply_resident(eng, loc, block, base, size, offset, &p.verb)
         .expect("local op out of bounds");
-    let ctx = p.ctx;
+    let done = eng.now() + delay;
+    let Some(ctx) = settle(eng, loc, op, p, &applied, done) else {
+        return;
+    };
+    // One event per kind, each capturing only what its callback needs: a
+    // put's fits the engine's inline event slot (`alloc_budget.rs` pins
+    // what each allocates).
     match applied {
-        Applied::Put => {
-            hist_done(eng, loc, p.hist(), now, None);
-            eng.schedule_at_loc(now + delay, loc, move |eng| S::gas_put_done(eng, loc, ctx));
-        }
+        Applied::Put => eng.schedule_at_loc(done, loc, move |eng| S::gas_put_done(eng, loc, ctx)),
         Applied::Get(data) => {
-            let vhash = p.hist().map(|_| value_hash(&data));
-            hist_done(eng, loc, p.hist(), now, vhash);
-            eng.schedule_at_loc(now + delay, loc, move |eng| {
-                S::gas_get_done(eng, loc, ctx, data)
-            });
+            eng.schedule_at_loc(done, loc, move |eng| S::gas_get_done(eng, loc, ctx, data))
         }
         Applied::Amo { result, .. } => {
-            if let Verb::Amo { amo, .. } = &p.verb {
-                log_amo_words(eng, loc, gva, amo, &result, p.issued, now);
-            }
-            eng.schedule_at_loc(now + delay, loc, move |eng| {
-                S::gas_amo_done(eng, loc, ctx, result)
-            });
+            eng.schedule_at_loc(done, loc, move |eng| S::gas_amo_done(eng, loc, ctx, result))
         }
     }
 }
@@ -851,7 +833,6 @@ fn bounce<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId, block: u6
         if sw_fallback {
             g.stats.sw_fallbacks += 1;
         }
-        g.outcomes.record(OpOutcome::Retried { attempt: attempts });
         let give_up = attempts > g.cfg.max_attempts || saturated;
         (give_up, attempts, stale_attempt)
     };
@@ -865,17 +846,12 @@ fn bounce<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId, block: u6
         let Ok(p) = eng.state.gas(loc).pending.remove(op) else {
             return;
         };
-        let now = eng.now();
-        let age = now.saturating_sub(p.issued);
-        // Counted under deadline_exceeded: the op exceeded its retry budget
-        // and was given up on.
         fail_op(
             eng,
             loc,
             op,
             p,
             OpError::RetriesExhausted { id: op, attempts },
-            OpOutcome::DeadlineExceeded { age, attempts },
         );
         return;
     }
@@ -965,14 +941,12 @@ fn sweep<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId) {
     for (id, p) in expired {
         let age = now.saturating_sub(p.issued);
         let attempts = u32::from(p.attempts);
-        eng.state.gas(loc).stats.deadline_exceeded += 1;
         fail_op(
             eng,
             loc,
             id,
             p,
             OpError::DeadlineExceeded { id, age, attempts },
-            OpOutcome::DeadlineExceeded { age, attempts },
         );
     }
     let g = eng.state.gas(loc);
@@ -986,77 +960,32 @@ fn sweep<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId) {
 
 // ---------------------------------------------------------------- PWC glue
 
-/// Route a [`photon::PhotonWorld::pwc_complete`] callback here. A stale or
-/// unknown handle (the op was reclaimed by the deadline sweep, or the
-/// message is a duplicate) is counted and dropped.
+/// Route a [`photon::PhotonWorld::pwc_complete`] callback here. A bare
+/// completion answers a put, or a get whose bytes have landed in its
+/// scratch buffer; for any other op it is an answer of the wrong kind, and
+/// [`settle`] fails the op. A stale or unknown handle (the op was reclaimed
+/// by the deadline sweep, or the message is a duplicate) is counted and
+/// dropped.
 pub fn on_pwc_complete<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, ctx: OpId) {
-    let p = match eng.state.gas(loc).pending.remove(ctx) {
-        Ok(p) => p,
-        Err(_) => {
-            eng.state.gas(loc).stats.stale_completions += 1;
-            return;
-        }
+    let landed = match eng.state.gas(loc).pending.get(ctx) {
+        Ok(p) => match (&p.verb, p.scratch()) {
+            (&Verb::Get { len, .. }, Some((addr, _))) => Some((addr, len)),
+            _ => None,
+        },
+        Err(_) => None,
     };
-    let now = eng.now();
-    record_latency(eng, loc, &p, now);
-    match p.verb {
-        Verb::Put { .. } => {
-            hist_done(eng, loc, p.hist(), now, None);
-            finish_ok(eng, loc, ctx);
-            S::gas_put_done(eng, loc, p.ctx);
+    let answer = match landed {
+        Some((addr, len)) => {
+            let mem = eng.state.cluster().mem(loc);
+            Applied::Get(
+                mem.read(addr, len as usize)
+                    .expect("scratch vanished")
+                    .to_vec(),
+            )
         }
-        Verb::Get { len, .. } => {
-            let Some((addr, class)) = p.scratch() else {
-                // Unreachable via the wire (gets allocate scratch before
-                // issue); counted as a violation rather than panicking.
-                let g = eng.state.gas(loc);
-                g.stats.protocol_violations += 1;
-                g.stats.ops_failed += 1;
-                g.outcomes.record(OpOutcome::ProtocolViolation);
-                close_span(eng, loc, ctx, false);
-                S::gas_op_failed(
-                    eng,
-                    loc,
-                    p.ctx,
-                    p.gva,
-                    OpError::ProtocolViolation {
-                        detail: "get completed without a scratch buffer",
-                    },
-                );
-                return;
-            };
-            let data = eng
-                .state
-                .cluster()
-                .mem(loc)
-                .read(addr, len as usize)
-                .expect("scratch vanished")
-                .to_vec();
-            eng.state.cluster().mem_mut(loc).free_block(addr, class);
-            let vhash = p.hist().map(|_| value_hash(&data));
-            hist_done(eng, loc, p.hist(), now, vhash);
-            finish_ok(eng, loc, ctx);
-            S::gas_get_done(eng, loc, p.ctx, data);
-        }
-        Verb::Amo { .. } => {
-            // AMOs complete through the result-carrying path; a bare
-            // completion means crossed wires somewhere below us.
-            let g = eng.state.gas(loc);
-            g.stats.protocol_violations += 1;
-            g.stats.ops_failed += 1;
-            g.outcomes.record(OpOutcome::ProtocolViolation);
-            close_span(eng, loc, ctx, false);
-            S::gas_op_failed(
-                eng,
-                loc,
-                p.ctx,
-                p.gva,
-                OpError::ProtocolViolation {
-                    detail: "result-less completion for an AMO op",
-                },
-            );
-        }
-    }
+        None => Applied::Put,
+    };
+    complete(eng, loc, ctx, answer);
 }
 
 /// Route a [`photon::PhotonWorld::pwc_redirected`] callback here: the op's
@@ -1090,44 +1019,6 @@ pub fn on_pwc_redirected<S: GasWorld>(
     }
 }
 
-/// Finish a pending AMO with `result`, whichever path delivered it (NIC
-/// completion via [`on_pwc_amo_complete`], or a [`GasMsg::SwAmoReply`]).
-/// Stale or duplicated completions are counted and dropped.
-fn complete_amo<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, id: OpId, result: AmoResult) {
-    let p = match eng.state.gas(loc).pending.remove(id) {
-        Ok(p) => p,
-        Err(_) => {
-            eng.state.gas(loc).stats.stale_completions += 1;
-            return;
-        }
-    };
-    let now = eng.now();
-    record_latency(eng, loc, &p, now);
-    let Verb::Amo { amo, .. } = &p.verb else {
-        // An AMO completion naming a put/get op: the wire protocol was
-        // violated; fail the op rather than fabricating a result.
-        let g = eng.state.gas(loc);
-        g.stats.protocol_violations += 1;
-        g.stats.ops_failed += 1;
-        g.outcomes.record(OpOutcome::ProtocolViolation);
-        close_span(eng, loc, id, false);
-        S::gas_op_failed(
-            eng,
-            loc,
-            p.ctx,
-            p.gva,
-            OpError::ProtocolViolation {
-                detail: "AMO completion for a non-AMO op",
-            },
-        );
-        return;
-    };
-    let amo = amo.clone();
-    log_amo_words(eng, loc, p.gva, &amo, &result, p.issued, now);
-    finish_ok(eng, loc, id);
-    S::gas_amo_done(eng, loc, p.ctx, result);
-}
-
 /// Route a [`photon::PhotonWorld::pwc_amo_complete`] callback here: the
 /// target NIC executed (or replayed) the op and its result came back on
 /// the completion path.
@@ -1137,7 +1028,11 @@ pub fn on_pwc_amo_complete<S: GasWorld>(
     ctx: OpId,
     result: AmoResult,
 ) {
-    complete_amo(eng, loc, ctx, result);
+    let answer = Applied::Amo {
+        result,
+        replayed: false,
+    };
+    complete(eng, loc, ctx, answer);
 }
 
 /// Route a [`photon::PhotonWorld::xlate_miss_local`] callback here: the
@@ -1195,7 +1090,11 @@ pub fn on_pwc_failed<S: GasWorld>(
         g.stats.stale_completions += 1;
         return;
     }
-    g.outcomes.record(OpOutcome::Nacked { reason });
+    match reason {
+        NackReason::Miss => g.stats.nacked_miss += 1,
+        NackReason::TtlExceeded => g.stats.nacked_ttl += 1,
+        NackReason::Bounds => g.stats.nacked_bounds += 1,
+    }
     bounce(eng, loc, ctx, block);
 }
 
@@ -1217,9 +1116,7 @@ pub fn handle_msg<S: GasWorld>(eng: &mut Engine<S>, from: LocalityId, at: Locali
     }
     match msg {
         GasMsg::SwAccess(acc) => handle_sw_access(eng, at, acc),
-        GasMsg::SwAmoReply { ctx, result } => complete_amo(eng, at, ctx, result),
-        GasMsg::SwPutAck { ctx } => complete_put(eng, at, ctx),
-        GasMsg::SwGetReply { ctx, data } => complete_get(eng, at, ctx, data),
+        GasMsg::SwReply { ctx, answer } => complete(eng, at, ctx, answer),
         GasMsg::SwRetry { ctx, block } => {
             if !eng.state.gas(at).pending.contains(ctx) {
                 eng.state.gas(at).stats.stale_completions += 1;
@@ -1455,25 +1352,36 @@ fn run_sw_access<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, acc: Box<SwAc
                 return;
             };
             let stats = &mut eng.state.gas(at).stats;
-            match applied {
+            let wire = match &applied {
                 Applied::Put => {
                     stats.sw_puts_handled += 1;
                     // The ack is its `OpId`: the events hold that by value,
                     // not a boxed message.
-                    let open = |ctx| S::wrap_gas(GasMsg::SwPutAck { ctx });
+                    let open = |ctx| {
+                        S::wrap_gas(GasMsg::SwReply {
+                            ctx,
+                            answer: Applied::Put,
+                        })
+                    };
                     send_held(eng, at, reply_to, ctrl, ctx, open, FaultClass::Completion);
                     return;
                 }
                 Applied::Get(data) => {
                     stats.sw_gets_handled += 1;
-                    let wire = data.len() as u32;
-                    (GasMsg::SwGetReply { ctx, data }, wire)
+                    data.len() as u32
                 }
-                Applied::Amo { result, .. } => {
+                Applied::Amo { .. } => {
                     stats.sw_amos_handled += 1;
-                    (GasMsg::SwAmoReply { ctx, result }, ctrl)
+                    ctrl
                 }
-            }
+            };
+            (
+                GasMsg::SwReply {
+                    ctx,
+                    answer: applied,
+                },
+                wire,
+            )
         }
     };
     send_user_classed(

@@ -24,8 +24,7 @@ use netsim::rng::Xoshiro256;
 use netsim::shard::ShardMap;
 use netsim::{
     AmoOp, AmoResult, Cluster, Counters, Engine, Envelope, LocalityId, NackReason, NetConfig,
-    OpError, OpId, OpKind, OutcomeCounters, Packet, Protocol, ServerPool, SharedState, SplitWorld,
-    Time,
+    OpError, OpId, OpKind, Packet, Protocol, ServerPool, SharedState, SplitWorld, Time,
 };
 use photon::{PhotonConfig, PhotonEndpoint, PhotonMsg, PhotonWorld};
 use std::collections::HashMap;
@@ -298,15 +297,6 @@ impl SimWorld {
         let mut total = GasStats::default();
         for g in &self.data.gas {
             total.merge(&g.stats);
-        }
-        total
-    }
-
-    /// Aggregate op-outcome counters across localities.
-    pub fn total_outcomes(&self) -> OutcomeCounters {
-        let mut total = OutcomeCounters::default();
-        for g in &self.data.gas {
-            total.merge(&g.outcomes);
         }
         total
     }

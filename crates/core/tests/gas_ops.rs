@@ -3,11 +3,11 @@
 mod common;
 
 use agas::migrate::free_block;
-use agas::ops::{memget, memput};
-use agas::{alloc_array, Distribution, GasMode, SimEv, SimWorld};
+use agas::ops::{handle_msg, memget, memput};
+use agas::{alloc_array, Distribution, GasMode, GasMsg, SimEv, SimWorld};
 use common::{assert_consistent, engine};
-use netsim::OpId;
 use netsim::Time;
+use netsim::{Applied, OpId};
 
 fn find_put_done(eng: &netsim::Engine<SimWorld>, ctx: u64) -> Option<Time> {
     eng.state
@@ -134,10 +134,14 @@ fn stale_cache_recovers_via_directory() {
         memput(&mut eng, 0, gva, vec![9; 32], OpId::from_raw(7));
         eng.run();
         assert!(find_put_done(&eng, 7).is_some(), "{mode:?}");
-        assert!(
-            eng.state.data.gas[0].stats.retries >= 1,
-            "{mode:?}: no bounce?"
-        );
+        let stats = eng.state.data.gas[0].stats;
+        assert!(stats.retries >= 1, "{mode:?}: no bounce?");
+        // Only the NIC path bounces with a NACK: locality 3's NIC holds no
+        // entry for the block.
+        let nacked = u64::from(mode == GasMode::AgasNetwork) * stats.retries;
+        let split = (stats.nacked_miss, stats.nacked_ttl, stats.nacked_bounds);
+        assert_eq!(split, (nacked, 0, 0), "{mode:?}");
+        assert_eq!(stats.completed, 1, "{mode:?}");
         memget(&mut eng, 0, gva, 32, OpId::from_raw(8));
         eng.run();
         assert_eq!(find_get_data(&eng, 8).unwrap(), vec![9; 32], "{mode:?}");
@@ -293,4 +297,42 @@ fn nic_table_capacity_pressure_still_correct() {
     let total = eng.state.total_counters();
     assert!(total.xlate_evictions > 0, "table should have thrashed");
     assert!(total.nacks_sent > 0, "misses should have NACKed");
+}
+
+#[test]
+fn an_answer_of_another_kind_fails_the_op() {
+    // A software get answered with a put's ack: the get fails as a protocol
+    // violation instead of completing as the put it is not.
+    let mut eng = engine(2, GasMode::AgasSoftware);
+    let arr = alloc_array(&mut eng, 2, 12, Distribution::Cyclic);
+    eng.run();
+    memget(&mut eng, 0, arr.block(1), 8, OpId::from_raw(7));
+    let op = eng.state.data.gas[0].op_snapshots()[0].id;
+    let before = eng.state.data.gas[0].stats;
+    let answer = Applied::Put;
+    handle_msg(&mut eng, 1, 0, GasMsg::SwReply { ctx: op, answer });
+    let after = eng.state.data.gas[0].stats;
+    assert_eq!(after.ops_failed, before.ops_failed + 1);
+    assert_eq!(after.protocol_violations, before.protocol_violations + 1);
+    assert_eq!(after.completed, before.completed);
+    // The owner's real reply then names a retired op.
+    eng.run();
+    let stats = eng.state.data.gas[0].stats;
+    assert_eq!(stats.stale_completions, before.stale_completions + 1);
+    assert_eq!((eng.state.put_acks(), eng.state.get_acks()), (0, 0));
+    let failures: Vec<String> = eng
+        .state
+        .events()
+        .iter()
+        .filter_map(|(_, _, e)| match e {
+            SimEv::OpFailed(7, err) => Some(err.clone()),
+            SimEv::PutDone(_) | SimEv::GetDone(..) => panic!("completed: {e:?}"),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(failures.len(), 1, "{failures:?}");
+    assert!(
+        failures[0].starts_with("protocol violation"),
+        "{failures:?}"
+    );
 }

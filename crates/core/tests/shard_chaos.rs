@@ -25,7 +25,7 @@ use agas::{alloc_array, migrate::migrate_block, Distribution, GasMode, GasStats,
 use netsim::rng::mix64;
 use netsim::{
     Counters, FaultPlan, FaultPlane, FaultRates, FaultStats, Harness, LinkFlap, NetConfig, OpId,
-    OutcomeCounters, Partition, Time,
+    Partition, Time,
 };
 
 const LOCALITIES: usize = 4;
@@ -116,7 +116,6 @@ struct Report {
     op_failures: u64,
     data_mismatches: u64,
     gas: GasStats,
-    outcomes: OutcomeCounters,
     net: Counters,
     faults: FaultStats,
     violations: Vec<Violation>,
@@ -213,7 +212,6 @@ fn run_cell(
         op_failures: w.op_failures(),
         data_mismatches: w.data_mismatches(),
         gas: w.total_gas_stats(),
-        outcomes: w.total_outcomes(),
         net: w.total_counters(),
         faults: w.data.cluster.fault_stats(),
         violations: w.violations(&blocks),

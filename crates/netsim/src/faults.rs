@@ -46,7 +46,7 @@ pub enum FaultClass {
     /// it corrupted would silently poison memory.
     Request,
     /// A completion (PutDone / GetDone / Nack, get data response,
-    /// SwPutAck / SwGetReply / SwRetry / DirReply). May be dropped,
+    /// SwReply / SwRetry / DirReply). May be dropped,
     /// duplicated, or delayed; the initiator's deadline/retry machinery
     /// and generation-checked op table absorb the abuse.
     Completion,

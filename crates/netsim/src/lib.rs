@@ -58,7 +58,7 @@ pub use net::{
 pub use nic::{
     LocalityId, Nic, ParkQueue, Xlate, XlateEntry, XlateTable, PARK_DEPTH, PARK_TIMEOUT,
 };
-pub use optable::{OpError, OpId, OpOutcome, OpTable, OutcomeCounters};
+pub use optable::{OpError, OpId, OpTable};
 pub use payload::Payload;
 pub use queue::ServerPool;
 pub use shard::{Harness, ShardMap, ShardStats, ShardedEngine, SharedState, SplitWorld};

@@ -24,9 +24,6 @@
 //!   Ops that exhaust their retry budget or outlive their deadline are
 //!   delivered to the initiator as [`OpError::RetriesExhausted`] /
 //!   [`OpError::DeadlineExceeded`].
-//! * [`OpOutcome`] / [`OutcomeCounters`] — the terminal-event taxonomy
-//!   (completed, nacked, retried, deadline-exceeded, protocol-violation)
-//!   and the telemetry rollup `repro ops` prints.
 //!
 //! # Lifecycle
 //!
@@ -46,7 +43,6 @@
 //! or a protocol bug) into a deterministic, observable outcome instead of a
 //! silent hang at quiescence.
 
-use crate::net::NackReason;
 use crate::time::Time;
 use std::fmt;
 
@@ -179,96 +175,6 @@ impl fmt::Display for OpError {
 }
 
 impl std::error::Error for OpError {}
-
-/// Terminal event in an op's lifecycle, for telemetry and trace spans.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OpOutcome {
-    /// Completed normally (data delivered / ack received).
-    Completed,
-    /// Bounced off a non-owner with a NACK; recovery is in progress.
-    Nacked { reason: NackReason },
-    /// Re-issued after directory recovery; `attempt` counts from 1.
-    Retried { attempt: u32 },
-    /// Reclaimed by the deadline sweep.
-    DeadlineExceeded { age: Time, attempts: u32 },
-    /// Dropped on a protocol violation (stale/unknown handle, malformed
-    /// message) or after exhausting its retry budget.
-    ProtocolViolation,
-}
-
-/// Rollup of [`OpOutcome`]s, printed by `repro ops` and carried per
-/// locality by the GAS layer.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OutcomeCounters {
-    /// Ops that completed normally.
-    pub completed: u64,
-    /// NACK bounces observed (per bounce, not per op) whose NIC held no
-    /// entry for the block ([`NackReason::Miss`]).
-    pub nacked_miss: u64,
-    /// NACK bounces that ran out of forwarding hops, or out of time parked
-    /// behind a hand-off ([`NackReason::TtlExceeded`]).
-    pub nacked_ttl: u64,
-    /// NACK bounces for an access outside its block
-    /// ([`NackReason::Bounds`]).
-    pub nacked_bounds: u64,
-    /// Re-issues after directory recovery (per retry, not per op).
-    pub retried: u64,
-    /// Ops reclaimed by the deadline sweep.
-    pub deadline_exceeded: u64,
-    /// Stale/unknown-handle messages and retry-budget exhaustions dropped.
-    pub protocol_violations: u64,
-}
-
-impl OutcomeCounters {
-    /// Fold one outcome into the rollup.
-    pub fn record(&mut self, outcome: OpOutcome) {
-        match outcome {
-            OpOutcome::Completed => self.completed += 1,
-            OpOutcome::Nacked { reason } => match reason {
-                NackReason::Miss => self.nacked_miss += 1,
-                NackReason::TtlExceeded => self.nacked_ttl += 1,
-                NackReason::Bounds => self.nacked_bounds += 1,
-            },
-            OpOutcome::Retried { .. } => self.retried += 1,
-            OpOutcome::DeadlineExceeded { .. } => self.deadline_exceeded += 1,
-            OpOutcome::ProtocolViolation => self.protocol_violations += 1,
-        }
-    }
-
-    /// NACK bounces observed, whatever the reason.
-    pub fn nacked(&self) -> u64 {
-        self.nacked_miss + self.nacked_ttl + self.nacked_bounds
-    }
-
-    /// Merge another rollup into this one (for cluster-wide totals).
-    pub fn merge(&mut self, other: &OutcomeCounters) {
-        self.completed += other.completed;
-        self.nacked_miss += other.nacked_miss;
-        self.nacked_ttl += other.nacked_ttl;
-        self.nacked_bounds += other.nacked_bounds;
-        self.retried += other.retried;
-        self.deadline_exceeded += other.deadline_exceeded;
-        self.protocol_violations += other.protocol_violations;
-    }
-}
-
-impl fmt::Display for OutcomeCounters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "completed {} | nacked {} (miss {}, ttl {}, bounds {}) | retried {} | \
-             deadline-exceeded {} | protocol-violations {}",
-            self.completed,
-            self.nacked(),
-            self.nacked_miss,
-            self.nacked_ttl,
-            self.nacked_bounds,
-            self.retried,
-            self.deadline_exceeded,
-            self.protocol_violations
-        )
-    }
-}
 
 #[derive(Clone, Debug)]
 struct Slot<T> {
@@ -551,39 +457,6 @@ mod tests {
         assert_eq!(drained.iter().map(|(_, v)| *v).collect::<Vec<_>>(), [1, 3]);
         assert_eq!(t.len(), 1);
         assert_eq!(t.get(b), Ok(&2));
-    }
-
-    #[test]
-    fn outcome_counters_roll_up() {
-        let mut c = OutcomeCounters::default();
-        c.record(OpOutcome::Completed);
-        c.record(OpOutcome::Completed);
-        for reason in [
-            NackReason::Miss,
-            NackReason::TtlExceeded,
-            NackReason::TtlExceeded,
-            NackReason::Bounds,
-        ] {
-            c.record(OpOutcome::Nacked { reason });
-        }
-        c.record(OpOutcome::Retried { attempt: 1 });
-        c.record(OpOutcome::DeadlineExceeded {
-            age: Time::from_ns(10),
-            attempts: 2,
-        });
-        c.record(OpOutcome::ProtocolViolation);
-        assert_eq!(c.completed, 2);
-        assert_eq!((c.nacked_miss, c.nacked_ttl, c.nacked_bounds), (1, 2, 1));
-        assert_eq!(c.nacked(), 4, "the total is the split's sum");
-        assert_eq!(c.retried, 1);
-        assert_eq!(c.deadline_exceeded, 1);
-        assert_eq!(c.protocol_violations, 1);
-        let mut total = OutcomeCounters::default();
-        total.merge(&c);
-        total.merge(&c);
-        assert_eq!(total.completed, 4);
-        assert_eq!((total.nacked_ttl, total.nacked()), (4, 8));
-        assert!(format!("{total}").contains("nacked 8 (miss 2, ttl 4, bounds 2)"));
     }
 
     #[test]

@@ -301,15 +301,6 @@ impl World {
         }
         total
     }
-
-    /// Aggregate op-outcome counters across localities.
-    pub fn total_outcomes(&self) -> netsim::OutcomeCounters {
-        let mut total = netsim::OutcomeCounters::default();
-        for g in &self.gas {
-            total.merge(&g.outcomes);
-        }
-        total
-    }
 }
 
 /// Fire a registered completion by hand (driver utilities that bridge

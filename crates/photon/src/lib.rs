@@ -667,11 +667,11 @@ pub fn handle_completion<S: PhotonWorld>(
     match packet {
         Packet::PutDone { op, moved } | Packet::GetDone { op, moved } => {
             let hint = moved.map(|generation| (from, generation));
-            deliver_done(eng, at, op, hint);
+            deliver_done(eng, at, op, None, hint);
         }
         Packet::AmoDone { op, result, moved } => {
             let hint = moved.map(|generation| (from, generation));
-            deliver_amo_done(eng, at, op, result, hint);
+            deliver_done(eng, at, op, Some(result), hint);
         }
         Packet::RemoteNote { tag, len } => {
             if tag & RDV_NOTE_BIT != 0 {
@@ -722,50 +722,35 @@ pub fn handle_completion<S: PhotonWorld>(
     }
 }
 
-/// Deliver one `PutDone`/`GetDone` through the endpoint table. A redirect
-/// hint is surfaced first, and only for a live PWC handle — a stale
-/// completion's hint is dropped with it.
+/// Deliver one `PutDone`/`GetDone`, or an `AmoDone` with its `result`,
+/// through the endpoint table. A redirect hint is surfaced first, and only
+/// for a live PWC handle — a stale completion's hint is dropped with it.
 fn deliver_done<S: PhotonWorld>(
     eng: &mut Engine<S>,
     at: LocalityId,
     op: OpId,
+    result: Option<AmoResult>,
     hint: Option<Redirect>,
 ) {
-    match eng.state.endpoint(at).ops.remove(op) {
-        Ok(Pending::Pwc { ctx }) => {
+    match (eng.state.endpoint(at).ops.remove(op), result) {
+        (Ok(Pending::Pwc { ctx }), result) => {
             if let Some((owner, generation)) = hint {
                 S::pwc_redirected(eng, at, ctx, owner, generation);
             }
-            S::pwc_complete(eng, at, ctx)
-        }
-        Ok(Pending::RdvData { send_id }) => S::send_complete(eng, at, join_id(send_id)),
-        // Stale or unknown handle (slot already retired): a late
-        // duplicate, or the op was dropped by fault injection.
-        Err(_) => eng.state.endpoint(at).stats.stale_completions += 1,
-    }
-}
-
-/// Deliver one `AmoDone` through the endpoint table.
-fn deliver_amo_done<S: PhotonWorld>(
-    eng: &mut Engine<S>,
-    at: LocalityId,
-    op: OpId,
-    result: AmoResult,
-    hint: Option<Redirect>,
-) {
-    match eng.state.endpoint(at).ops.remove(op) {
-        Ok(Pending::Pwc { ctx }) => {
-            if let Some((owner, generation)) = hint {
-                S::pwc_redirected(eng, at, ctx, owner, generation);
+            match result {
+                None => S::pwc_complete(eng, at, ctx),
+                Some(result) => S::pwc_amo_complete(eng, at, ctx, result),
             }
-            S::pwc_amo_complete(eng, at, ctx, result)
         }
-        Ok(Pending::RdvData { .. }) => {
+        (Ok(Pending::RdvData { send_id }), None) => S::send_complete(eng, at, join_id(send_id)),
+        (Ok(Pending::RdvData { .. }), Some(_)) => {
             // Rendezvous data never issues AMOs; an AmoDone naming a
             // rendezvous op is a protocol violation, not a crash.
             eng.state.endpoint(at).stats.protocol_violations += 1;
         }
-        Err(_) => eng.state.endpoint(at).stats.stale_completions += 1,
+        // Stale or unknown handle (slot already retired): a late
+        // duplicate, or the op was dropped by fault injection.
+        (Err(_), _) => eng.state.endpoint(at).stats.stale_completions += 1,
     }
 }
 

@@ -25,7 +25,7 @@
 use agas::check::{check_blocks, check_history, Violation};
 use agas::{Distribution, GasConfig, GasMode, GasStats, Gva};
 use netsim::rng::mix64;
-use netsim::{Counters, FaultPlan, FaultRates, FaultStats, OutcomeCounters, Time};
+use netsim::{Counters, FaultPlan, FaultRates, FaultStats, Time};
 use parcel_rt::{ArgWriter, RtConfig, Runtime, Transport};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -121,8 +121,6 @@ pub struct ChaosReport {
     pub corrupt_parcels: u64,
     /// Aggregate GAS stats (includes `retries` and `deadline_retries`).
     pub gas: GasStats,
-    /// Aggregate per-op outcome counters.
-    pub outcomes: OutcomeCounters,
     /// Aggregate NIC/network counters (forwards, NACKs, …).
     pub net: Counters,
     /// What the fault plane actually injected.
@@ -430,7 +428,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         data_mismatches: data_mismatches.get(),
         corrupt_parcels: world.corrupt_parcels,
         gas: world.total_gas_stats(),
-        outcomes: world.total_outcomes(),
         net: world.cluster.total_counters(),
         faults: world.cluster.fault_stats(),
         violations,
