@@ -24,6 +24,7 @@
 use agas::GasMode;
 use bench::*;
 use netsim::NetConfig;
+use photon::PhotonConfig;
 use rayon::prelude::*;
 
 fn header(id: &str, title: &str) {
@@ -361,8 +362,8 @@ fn a1() {
         "A1",
         "ablation: registration cache (8 × 1 MiB rendezvous sends)",
     );
-    let on = rcache_ablation(true);
-    let off = rcache_ablation(false);
+    let on = rcache_ablation(PhotonConfig::default().rcache_pages);
+    let off = rcache_ablation(0);
     println!("rcache on : {on}");
     println!(
         "rcache off: {off}  ({:.2}x slower)",
@@ -408,8 +409,9 @@ fn a3() {
         "{:<14} {:>12} {:>12} {:>9} {:>7} {:>9} {:>7} {:>7}",
         "policy", "stale put", "fresh put", "forwards", "nacks", "retries", "hints", "parked"
     );
-    for (label, fwd) in [("forwarding", true), ("NACK-only", false)] {
-        let r = migration_race(fwd);
+    let ttl = NetConfig::ib_fdr().forward_ttl;
+    for (label, forward_ttl) in [("forwarding", ttl), ("NACK-only", 0)] {
+        let r = migration_race(forward_ttl);
         println!(
             "{:<14} {:>12} {:>12} {:>9} {:>7} {:>9} {:>7} {:>7}",
             label,

@@ -205,11 +205,12 @@ pub struct RaceRow {
 }
 
 /// A3 — the cost of a *stale* one-sided access after migration: with NIC
-/// forwarding the old owner's tombstone redirects it in hardware (one extra
-/// hop); with NACK-only the initiator must re-resolve through the home.
-pub fn migration_race(forwarding: bool) -> RaceRow {
+/// forwarding (`forward_ttl > 0`) the old owner's tombstone redirects it in
+/// hardware (one extra hop); with NACK-only (`forward_ttl` 0) the initiator
+/// must re-resolve through the home.
+pub fn migration_race(forward_ttl: u8) -> RaceRow {
     let net = NetConfig {
-        nic_forwarding: forwarding,
+        forward_ttl,
         ..NetConfig::ib_fdr()
     };
     let mut rt = Runtime::builder(4, GasMode::AgasNetwork).net(net).boot();
@@ -398,11 +399,12 @@ pub fn protocol_footprint(mode: GasMode, put: bool) -> FootprintRow {
     }
 }
 
-/// A1 — eight 1 MiB rendezvous sends from one registered buffer, with the
-/// registration cache enabled or disabled: total completion time.
-pub fn rcache_ablation(enabled: bool) -> Time {
+/// A1 — eight 1 MiB rendezvous sends from one registered buffer, with a
+/// registration cache of `rcache_pages` pages (0 = no cache): total
+/// completion time.
+pub fn rcache_ablation(rcache_pages: usize) -> Time {
     let pcfg = PhotonConfig {
-        rcache_enabled: enabled,
+        rcache_pages,
         ..PhotonConfig::default()
     };
     let mut rt = Runtime::builder(2, GasMode::AgasNetwork)

@@ -6,6 +6,7 @@
 use agas::GasMode;
 use bench::*;
 use netsim::{NetConfig, Time};
+use photon::PhotonConfig;
 
 #[test]
 fn e1_shape_net_tracks_pgas_sw_trails() {
@@ -223,13 +224,13 @@ fn e15_transpose_is_fabric_bound() {
 
 #[test]
 fn a1_rcache_saves_time() {
-    assert!(rcache_ablation(true) < rcache_ablation(false));
+    assert!(rcache_ablation(PhotonConfig::default().rcache_pages) < rcache_ablation(0));
 }
 
 #[test]
 fn a3_forwarding_beats_nack_for_stale_ops() {
-    let fwd = migration_race(true);
-    let nack = migration_race(false);
+    let fwd = migration_race(NetConfig::ib_fdr().forward_ttl);
+    let nack = migration_race(0);
     assert!(fwd.stale_put_latency < nack.stale_put_latency);
     assert!(fwd.forwards >= 1);
     assert_eq!(fwd.nacks, 0);

@@ -41,35 +41,6 @@ impl GasMode {
     }
 }
 
-/// How the membership plane recovers and evacuates blocks when the
-/// locality set changes (see `core::membership`).
-///
-/// Crash recovery always re-issues: every block whose directory record
-/// names the crashed locality as owner comes back at the locality serving
-/// its home as a zero-filled, generation-bumped replacement, and the dead
-/// home's census (including blocks still alive on survivors) is installed
-/// at the take-over locality.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Generation bump applied to re-issued blocks, large enough to
-    /// dominate any in-flight migration commit racing the recovery.
-    pub generation_bump: u32,
-    /// Blocks a draining locality evacuates per pump round.
-    pub evac_batch: usize,
-    /// Delay between evacuation pump rounds.
-    pub evac_interval: Time,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> RecoveryPolicy {
-        RecoveryPolicy {
-            generation_bump: 1 << 20,
-            evac_batch: 4,
-            evac_interval: Time::from_ns(2_000),
-        }
-    }
-}
-
 /// Cost parameters of the GAS software paths.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GasConfig {
@@ -89,29 +60,24 @@ pub struct GasConfig {
     /// Base back-off before re-issuing a bounced operation (doubled per
     /// attempt, capped, to guarantee progress past in-flight migrations).
     pub retry_backoff: Time,
-    /// If set, an in-flight op older than this is reclaimed by the
-    /// per-locality sweep and fails with `DeadlineExceeded` instead of
-    /// hanging forever on a lost completion. `None` (the default) disables
-    /// the sweep entirely and perturbs no schedule. A runtime booted with a
-    /// fault plan that is not lossless must set it (the builder refuses
-    /// the plan otherwise).
+    /// If set, an in-flight op older than this is presumed to have lost a
+    /// message (a lost completion looks identical to a slow one): the
+    /// per-locality sweep re-resolves it through its home while it has
+    /// [`Self::max_attempts`] budget left, and fails it with
+    /// `DeadlineExceeded` once the budget is spent — never a hang. `None`
+    /// (the default) disables the sweep entirely and perturbs no schedule.
+    /// Kept because lossy fault plans need it: a runtime booted with a
+    /// plan that is not lossless must set it (the builder refuses the plan
+    /// otherwise).
     pub op_deadline: Option<Time>,
     /// How often the deadline sweep wakes while ops are in flight.
     pub sweep_interval: Time,
-    /// When the deadline sweep reclaims an op that still has bounce budget
-    /// left, retry it through the directory-recovery path instead of
-    /// failing it — the recovery mode for messages *lost* by the fault
-    /// plane (a lost completion otherwise looks identical to a slow one).
-    /// Off by default: it perturbs no schedule and keeps the legacy
-    /// fail-on-deadline semantics.
-    pub retry_on_deadline: bool,
     /// Record every put/get/migrate issued or handled here into
-    /// [`crate::GasLocal::history`] for the serializability checker. Off by
-    /// default (zero cost, zero memory growth).
+    /// [`crate::GasLocal::history`] for the serializability checker. This
+    /// is the checker's input: the chaos matrix and the lock-free queue
+    /// turn it on; the benchmark leaves it off (zero cost, zero memory
+    /// growth).
     pub record_history: bool,
-    /// Membership-plane recovery/evacuation tuning. Inert until a
-    /// membership event fires (the defaults change no schedule).
-    pub recovery: RecoveryPolicy,
 }
 
 impl Default for GasConfig {
@@ -126,9 +92,7 @@ impl Default for GasConfig {
             retry_backoff: Time::from_ns(400),
             op_deadline: None,
             sweep_interval: Time::from_ns(2_000),
-            retry_on_deadline: false,
             record_history: false,
-            recovery: RecoveryPolicy::default(),
         }
     }
 }

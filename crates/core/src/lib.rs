@@ -40,7 +40,7 @@ pub use check::{
     assert_consistent, check_blocks, check_history, check_history_events,
     check_word_history_events, value_hash, HistEvent, HistKind, Violation, WordEvent, WordOp,
 };
-pub use config::{GasConfig, GasMode, RecoveryPolicy};
+pub use config::{GasConfig, GasMode};
 pub use directory::{Directory, OwnerRec};
 pub use dist::Distribution;
 pub use gva::Gva;
@@ -289,11 +289,11 @@ pub struct GasStats {
     /// Protocol-state-machine violations observed and dropped (answers of
     /// the wrong kind, duplicate installs, frees of non-resident blocks).
     pub protocol_violations: u64,
-    /// Ops reclaimed by the deadline sweep.
+    /// Ops the deadline sweep failed because their retry budget was spent.
     pub deadline_exceeded: u64,
-    /// Sweep-reclaimed ops re-issued through directory recovery instead of
-    /// failed ([`GasConfig::retry_on_deadline`] — the lost-message recovery
-    /// path under fault injection).
+    /// Expired ops the deadline sweep re-issued through directory recovery
+    /// ([`GasConfig::op_deadline`] — the lost-message recovery path under
+    /// fault injection).
     pub deadline_retries: u64,
     /// Ops delivered to the initiator as failed (deadline, retry budget or
     /// protocol violation).

@@ -8,8 +8,8 @@
 //! steps through `Draining` while it evacuates every resident block over
 //! the ordinary migration protocol, and ends `Left` (directory duty handed
 //! to a take-over locality) or `Crashed` (links severed by the fault
-//! plane, state torn down, home-directory blocks re-issued from a
-//! [`crate::config::RecoveryPolicy`]).
+//! plane, state torn down, home-directory blocks re-issued under a
+//! `REISSUE_GENERATION_BUMP`).
 //!
 //! ```text
 //!   Joining ──join──▶ Active ──drain──▶ Draining ──evacuated──▶ Left
@@ -51,6 +51,16 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Fault-plane seed used when a crash must install a plane on a cluster
 /// that booted without one (fixed: deterministic runs).
 const CRASH_FAULT_SEED: u64 = 0x000c_4a54_5eed;
+
+/// Generation bump applied to re-issued blocks, large enough to dominate
+/// any in-flight migration commit racing the recovery.
+const REISSUE_GENERATION_BUMP: u32 = 1 << 20;
+
+/// Blocks a draining locality evacuates per pump round.
+const EVAC_BATCH: usize = 4;
+
+/// Delay between evacuation pump rounds.
+const EVAC_INTERVAL: Time = Time::from_ns(2_000);
 
 /// Lifecycle state of one locality.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -299,8 +309,8 @@ pub fn join<S: GasWorld>(eng: &mut Engine<S>, joiner: LocalityId, donor: Localit
 
 /// Start draining `d`: every view marks it `Draining` one tick out, and an
 /// evacuation pump on `d` migrates resident blocks to the remaining
-/// `Active` localities in policy-sized batches while user traffic keeps
-/// flowing. When the last block (and in-flight hand-off) clears, `d`
+/// `Active` localities in `EVAC_BATCH`-sized batches while user traffic
+/// keeps flowing. When the last block (and in-flight hand-off) clears, `d`
 /// hands its directory shard to a take-over locality and broadcasts
 /// `Left`.
 pub fn drain<S: GasWorld>(eng: &mut Engine<S>, d: LocalityId) {
@@ -327,21 +337,18 @@ pub fn drain<S: GasWorld>(eng: &mut Engine<S>, d: LocalityId) {
 /// unpinned, not-yet-moving blocks and reschedule.
 fn evac_pump<S: GasWorld>(eng: &mut Engine<S>, d: LocalityId) {
     let n = eng.state.cluster_ref().len();
-    let (policy, interval) = {
-        let g = eng.state.gas(d);
-        if g.member.state_of(d) != MemberState::Draining {
-            return; // crashed (or otherwise superseded) mid-drain
-        }
-        if g.btt.is_empty()
-            && g.moving.is_empty()
-            && g.member.evac.is_empty()
-            && g.pending_installs.is_empty()
-        {
-            finish_drain(eng, d);
-            return;
-        }
-        (g.cfg.recovery, g.cfg.recovery.evac_interval)
-    };
+    let g = eng.state.gas(d);
+    if g.member.state_of(d) != MemberState::Draining {
+        return; // crashed (or otherwise superseded) mid-drain
+    }
+    if g.btt.is_empty()
+        && g.moving.is_empty()
+        && g.member.evac.is_empty()
+        && g.pending_installs.is_empty()
+    {
+        finish_drain(eng, d);
+        return;
+    }
     if !eng.state.gas_mode().supports_migration() {
         // PGAS cannot evacuate (static placement): the drain is
         // metadata-only — hand off directory duty and leave; the blocks
@@ -365,14 +372,14 @@ fn evac_pump<S: GasWorld>(eng: &mut Engine<S>, d: LocalityId) {
             })
             .collect();
         batch.sort_unstable();
-        batch.truncate(policy.evac_batch);
+        batch.truncate(EVAC_BATCH);
         for b in batch {
             eng.state.gas(d).member.evac.insert(b);
             let dst = targets[(b % targets.len() as u64) as usize];
             crate::migrate::migrate_block(eng, d, Gva(b), dst, evac_ctx(b));
         }
     }
-    eng.schedule(interval, move |eng| evac_pump(eng, d));
+    eng.schedule(EVAC_INTERVAL, move |eng| evac_pump(eng, d));
 }
 
 /// The drain's final act, run at `d` once it holds no blocks: hand the
@@ -408,8 +415,8 @@ fn finish_drain<S: GasWorld>(eng: &mut Engine<S>, d: LocalityId) {
 /// Crash `x`: sever every link to and from it (draw-free — survivor
 /// traffic keeps its schedule), tear down its state one tick out, and run
 /// recovery at the survivors — NIC/cache hygiene plus deterministic
-/// re-issue of the blocks whose only copy died with `x`, per the
-/// [`crate::config::RecoveryPolicy`].
+/// re-issue of the blocks whose only copy died with `x`, under a
+/// `REISSUE_GENERATION_BUMP`.
 pub fn crash<S: GasWorld>(eng: &mut Engine<S>, x: LocalityId) {
     let n = eng.state.cluster_ref().len();
     let t = eng.now() + Time::from_ns(1);
@@ -494,7 +501,6 @@ fn crash_notice<S: GasWorld>(
         .purge_forwards_via(x);
     eng.state.gas(l).stats.stale_xlate_dropped += dropped;
     eng.state.gas(l).cache.purge_owner(x);
-    let policy = eng.state.gas(l).cfg.recovery;
     // Blocks homed *here* whose only copy died at x.
     let lost: Vec<(u64, OwnerRec)> = eng
         .state
@@ -505,7 +511,7 @@ fn crash_notice<S: GasWorld>(
         .filter(|&(_, rec)| rec.owner == x)
         .collect();
     for (b, rec) in lost {
-        reissue_block(eng, l, b, rec.generation + policy.generation_bump, mode);
+        reissue_block(eng, l, b, rec.generation + REISSUE_GENERATION_BUMP, mode);
     }
     if l == takeover {
         eng.state.gas(l).stats.members_crashed += 1;
@@ -514,7 +520,7 @@ fn crash_notice<S: GasWorld>(
         for &(b, rec) in census {
             eng.state.gas(l).dir.install(b, rec);
             if rec.owner == x {
-                reissue_block(eng, l, b, rec.generation + policy.generation_bump, mode);
+                reissue_block(eng, l, b, rec.generation + REISSUE_GENERATION_BUMP, mode);
             }
         }
     }

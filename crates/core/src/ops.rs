@@ -31,7 +31,8 @@
 //! (`stale_completions`) and dropped instead of panicking. Each entry
 //! carries its issue time, attempt count, and optional deadline; the
 //! per-locality sweep ([`GasConfig::op_deadline`]) turns a lost completion
-//! into a deterministic [`OpError::DeadlineExceeded`] delivered through
+//! into a retry through the home, or, once the retry budget is spent, into
+//! a deterministic [`OpError::DeadlineExceeded`] delivered through
 //! [`GasWorld::gas_op_failed`].
 //!
 //! [`GasConfig::op_deadline`]: crate::GasConfig::op_deadline
@@ -887,50 +888,42 @@ pub(crate) fn arm_sweep<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId) {
     eng.schedule_at_loc(at, loc, move |eng| sweep(eng, loc));
 }
 
-/// Reclaim every in-flight op whose deadline has passed, delivering a
-/// deterministic [`OpError::DeadlineExceeded`] to each initiator. A lost
-/// completion (dropped NACK, vanished endpoint state) thus becomes a typed
-/// failure instead of a hang.
+/// Recover or fail every in-flight op whose deadline has passed
+/// ([`GasConfig::op_deadline`]). An expired op that still has bounce
+/// budget is presumed to have *lost* a message (the fault plane dropped a
+/// request or completion) rather than merely being slow: it is re-resolved
+/// through the home directory, and its deadline is refreshed so the next
+/// sweep leaves the retry alone. An op whose budget is spent fails with a
+/// deterministic [`OpError::DeadlineExceeded`]. A lost completion thus
+/// becomes a retry or a typed failure, never a hang.
 fn sweep<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId) {
     let now = eng.now();
-    let (retry_on, max_attempts, op_deadline) = {
-        let g = eng.state.gas(loc);
-        (
-            g.cfg.retry_on_deadline,
-            g.cfg.max_attempts,
-            g.cfg.op_deadline,
-        )
-    };
-    // Recovery mode ([`GasConfig::retry_on_deadline`]): an expired op that
-    // still has bounce budget is presumed to have *lost* a message (the
-    // fault plane dropped a request or completion) rather than merely being
-    // slow; re-resolve it through the home directory instead of failing it.
-    // The deadline is refreshed so the next sweep leaves the retry alone.
-    if retry_on {
-        let extension = op_deadline.expect("sweep runs only with deadlines configured");
-        let candidates: Vec<(OpId, u64)> = eng
-            .state
-            .gas(loc)
-            .pending
-            .iter()
-            .filter(|(_, p)| p.deadline <= now && u32::from(p.attempts) < max_attempts)
-            .map(|(id, p)| (id, p.gva.block_key()))
-            .collect();
-        for (id, block) in candidates {
-            let already_scheduled = {
-                let g = eng.state.gas(loc);
-                let Ok(p) = g.pending.get_mut(id) else {
-                    continue;
-                };
-                p.deadline = now + extension;
-                // A Backoff-phase op already has its re-issue scheduled;
-                // extending the deadline is the whole recovery.
-                p.phase == OpPhase::Backoff
+    let cfg = eng.state.gas(loc).cfg;
+    let extension = cfg
+        .op_deadline
+        .expect("sweep runs only with deadlines configured");
+    let candidates: Vec<(OpId, u64)> = eng
+        .state
+        .gas(loc)
+        .pending
+        .iter()
+        .filter(|(_, p)| p.deadline <= now && u32::from(p.attempts) < cfg.max_attempts)
+        .map(|(id, p)| (id, p.gva.block_key()))
+        .collect();
+    for (id, block) in candidates {
+        let already_scheduled = {
+            let g = eng.state.gas(loc);
+            let Ok(p) = g.pending.get_mut(id) else {
+                continue;
             };
-            if !already_scheduled {
-                eng.state.gas(loc).stats.deadline_retries += 1;
-                bounce(eng, loc, id, block);
-            }
+            p.deadline = now + extension;
+            // A Backoff-phase op already has its re-issue scheduled;
+            // extending the deadline is the whole recovery.
+            p.phase == OpPhase::Backoff
+        };
+        if !already_scheduled {
+            eng.state.gas(loc).stats.deadline_retries += 1;
+            bounce(eng, loc, id, block);
         }
     }
     let expired = eng
@@ -963,7 +956,7 @@ fn sweep<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId) {
 /// Route a [`photon::PhotonWorld::pwc_complete`] callback here. A bare
 /// completion answers a put, or a get whose bytes have landed in its
 /// scratch buffer; for any other op it is an answer of the wrong kind, and
-/// [`settle`] fails the op. A stale or unknown handle (the op was reclaimed
+/// `settle` fails the op. A stale or unknown handle (the op was reclaimed
 /// by the deadline sweep, or the message is a duplicate) is counted and
 /// dropped.
 pub fn on_pwc_complete<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, ctx: OpId) {

@@ -383,7 +383,6 @@ fn a_put_reissued_after_a_lost_completion_still_carries_its_bytes() {
     for g in &mut eng.state.data.gas {
         g.cfg.op_deadline = Some(Time::from_us(20));
         g.cfg.sweep_interval = Time::from_us(5);
-        g.cfg.retry_on_deadline = true;
     }
     let gva = arr.block(1);
     let data: Vec<u8> = (0..2048).map(|i| (i % 239) as u8).collect();

@@ -320,7 +320,6 @@ fn faulty_network_applies_each_amo_exactly_once() {
         let cfg = agas::GasConfig {
             op_deadline: Some(netsim::Time::from_us(300)),
             sweep_interval: netsim::Time::from_us(30),
-            retry_on_deadline: true,
             record_history: true,
             ..agas::GasConfig::default()
         };

@@ -17,8 +17,8 @@ pub const GOLDEN_JITTER_SW: Pin = (0xb831_c346_7e6b_691e, 6_637_400, 220);
 pub const GOLDEN_JITTER_NET: Pin = (0x76a2_88a3_a46e_eb66, 2_172_000, 162);
 pub const GOLDEN_MIG_SW: Pin = (0x291e_42a0_de64_f9f5, 101_999_600, 557);
 pub const GOLDEN_MIG_NET: Pin = (0x3923_5fd8_b2a3_779b, 171_691_800, 508);
-pub const GOLDEN_DEADLINE_11: Pin = (0x48ba_fc1c_d0b1_0312, 58_730_000, 113);
-pub const GOLDEN_DEADLINE_23: Pin = (0x7fc9_e0fe_3c43_412f, 58_831_000, 113);
+pub const GOLDEN_DEADLINE_11: Pin = (0xf464_4c92_98e5_f4d0, 58_730_000, 218);
+pub const GOLDEN_DEADLINE_23: Pin = (0x97df_585e_44b2_e496, 58_831_000, 218);
 pub const GOLDEN_CAPACITY: Pin = (0x4fbd_c903_69b7_9ea7, 316_233_600, 1083);
 pub const GOLDEN_FLUSH: Pin = (0xdb5e_ebab_2cfb_5f57, 22_953_000, 268);
 pub const GOLDEN_AMO_PGAS: Pin = (0xe2ee_84ee_cc52_1852, 17_025_800, 121);

@@ -116,7 +116,7 @@ pub fn migration_mix(mode: GasMode, lanes: Option<usize>, plan: Option<FaultPlan
 }
 
 /// The deadline-sweep fault scenario: locality 0 forgets its in-flight
-/// wire ops and the sweep converts the silence into failures.
+/// wire ops and the sweep re-issues the silent ops through their homes.
 pub fn deadline_fault(seed: u64, lanes: Option<usize>, plan: Option<FaultPlan>) -> Pin {
     let mut h = harness(4, GasMode::AgasNetwork, jittery(), seed, lanes, plan);
     for g in &mut h.world().data.gas {

@@ -137,7 +137,7 @@ fn puts_racing_migration_are_applied_exactly_once() {
 }
 
 #[test]
-fn nic_forwarding_rescues_in_flight_puts() {
+fn forwarding_rescues_in_flight_puts() {
     // NET mode: verify the forwarding tombstone actually fires during the
     // migration window.
     let mut eng = engine(4, GasMode::AgasNetwork);
@@ -176,9 +176,9 @@ fn nic_forwarding_rescues_in_flight_puts() {
 
 #[test]
 fn forwarding_disabled_still_converges_via_home() {
-    // Ablation A3: NACK-only recovery.
+    // Ablation A3: NACK-only recovery (a zero forwarding TTL).
     let net = NetConfig {
-        nic_forwarding: false,
+        forward_ttl: 0,
         ..NetConfig::ideal()
     };
     let mut eng = Engine::new(SimWorld::new(4, GasMode::AgasNetwork, net), 42);

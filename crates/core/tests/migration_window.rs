@@ -185,21 +185,18 @@ fn a_hammered_block_migrates_fifty_times_without_one_retry() {
 
 #[test]
 fn the_nack_only_arms_never_park() {
-    // A3's ablation arm (no NIC forwarding: nothing ever arrives by a
+    // A3's ablation arm (a zero forwarding TTL: nothing ever arrives by a
     // forward) and the no-NIC-table arm (nothing parked could ever be
     // released): both recover through NACK -> directory, as before.
     let no_forwarding = NetConfig {
-        nic_forwarding: false,
+        forward_ttl: 0,
         ..NetConfig::ideal()
     };
     let no_table = NetConfig {
         xlate_capacity: 0,
         ..NetConfig::ideal()
     };
-    for (label, net) in [
-        ("nic_forwarding off", no_forwarding),
-        ("capacity 0", no_table),
-    ] {
+    for (label, net) in [("forward_ttl 0", no_forwarding), ("capacity 0", no_table)] {
         let mut h = hammer(net, 10);
         assert_eq!(h.counters().xlate_parked, 0, "{label}");
         assert!(
@@ -220,7 +217,6 @@ fn a_destination_that_dies_holding_parked_requests_strands_nothing() {
     let cfg = GasConfig {
         op_deadline: Some(Time::from_us(300)),
         sweep_interval: Time::from_us(30),
-        retry_on_deadline: true,
         ..GasConfig::default()
     };
     for g in &mut eng.state.data.gas {

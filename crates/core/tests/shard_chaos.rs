@@ -146,7 +146,6 @@ fn run_cell(
     for g in &mut world.data.gas {
         g.cfg.op_deadline = Some(Time::from_us(300));
         g.cfg.sweep_interval = Time::from_us(30);
-        g.cfg.retry_on_deadline = true;
         g.cfg.record_history = true;
     }
     let mut h = Harness::new(world, seed, shards);

@@ -123,11 +123,11 @@ pub struct NetConfig {
     /// Capacity of the NIC translation table, in entries. Sweeping this is
     /// experiment E6; `usize::MAX` models an unbounded table.
     pub xlate_capacity: usize,
-    /// When an operation reaches a NIC holding a forwarding entry for a
-    /// migrated block: retransmit toward the new owner (`true`, one extra
-    /// hop) or NACK back to the initiator (`false`, ablation A3).
-    pub nic_forwarding: bool,
-    /// Maximum forwarding hops before the NIC gives up and NACKs.
+    /// Maximum forwarding hops before the NIC gives up and NACKs. An
+    /// operation that reaches a NIC holding a forwarding entry for a
+    /// migrated block is retransmitted toward the new owner while its hop
+    /// budget lasts; `0` NACKs it back to the initiator at once (ablation
+    /// A3's NACK-only arm).
     pub forward_ttl: u8,
     /// DMA engine cost per byte at the target (ps/B), modeling PCIe/memory
     /// copy bandwidth; applied to RDMA payloads and eager copies.
@@ -146,7 +146,8 @@ pub struct NetConfig {
     pub jitter_ns: u64,
     /// Shared-memory domains of co-located localities (`None` = every
     /// locality is its own node and all remote traffic takes the NIC).
-    /// Intra-domain puts/gets/AMOs short-circuit the fabric entirely.
+    /// Intra-domain puts/gets/AMOs short-circuit the fabric entirely. This
+    /// is `repro shm`'s experimental arm, run against `None`.
     pub shm: Option<ShmDomain>,
 }
 
@@ -165,7 +166,6 @@ impl NetConfig {
             loopback: Time::from_ns(120),
             xlate_ns: Time::from_ns(60),
             xlate_capacity: usize::MAX,
-            nic_forwarding: true,
             forward_ttl: 2,
             // Placement overlaps reception on real NICs; this is only the
             // residual memory-side cost beyond the rx serialization.
@@ -190,7 +190,6 @@ impl NetConfig {
             loopback: Time::from_ns(250),
             xlate_ns: Time::from_ns(120),
             xlate_capacity: usize::MAX,
-            nic_forwarding: true,
             forward_ttl: 2,
             dma_per_byte_ps: 12,
             nic_ports: 1,
@@ -214,7 +213,6 @@ impl NetConfig {
             loopback: Time::from_ns(100),
             xlate_ns: Time::from_ns(60),
             xlate_capacity: usize::MAX,
-            nic_forwarding: true,
             forward_ttl: 2,
             dma_per_byte_ps: 8,
             nic_ports: 1,
@@ -238,7 +236,6 @@ impl NetConfig {
             loopback: Time::from_ns(20),
             xlate_ns: Time::from_ns(5),
             xlate_capacity: usize::MAX,
-            nic_forwarding: true,
             forward_ttl: 2,
             dma_per_byte_ps: 0,
             nic_ports: 1,

@@ -181,7 +181,9 @@ pub struct Cluster {
     /// Per-byte cost on the switch core (0 = full bisection, skip).
     core_ps_per_byte: u64,
     /// Installed fault-injection plane (`None` ⇒ a perfectly reliable
-    /// fabric, the pre-chaos behavior, with zero decision overhead). Events
+    /// fabric, the pre-chaos behavior). It stays an `Option`, not an
+    /// always-present lossless plane, so that `launch` stays draw-free
+    /// and decision-free on the hot path of every fault-free run. Events
     /// only read it; what it did is counted per sender
     /// ([`Cluster::fault_stats`]).
     pub faults: Option<FaultPlane>,
@@ -1221,7 +1223,7 @@ fn commit<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, mut req: Box<
                     park(eng, initiator, req);
                     return;
                 }
-                Xlate::Forward { next, retired } if cfg.nic_forwarding && req.ttl > 0 => {
+                Xlate::Forward { next, retired } if req.ttl > 0 => {
                     // Store-and-forward hop toward the new owner.
                     let counters = &mut c.loc_mut(target).counters;
                     counters.xlate_forwards += 1;
@@ -1237,8 +1239,7 @@ fn commit<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, mut req: Box<
                     hop(eng, initiator, target, now, req, Via::Forward);
                     return;
                 }
-                Xlate::Forward { .. } if cfg.nic_forwarding => Err(NackReason::TtlExceeded),
-                Xlate::Forward { .. } => Err(NackReason::Miss),
+                Xlate::Forward { .. } => Err(NackReason::TtlExceeded),
                 Xlate::Miss => {
                     // The interrupt is raised whether or not the request
                     // waits: a resident-but-evicted entry is reinstalled by
@@ -2015,7 +2016,7 @@ mod tests {
         /// The same chain, its first tombstone far older than the second:
         /// a newer tombstone than the floor still forwards.
         ForwardNewer,
-        /// Same tombstone with `nic_forwarding` off.
+        /// Same tombstone, the request carrying `ttl` 0 (forwarding off).
         ForwardOff,
         /// A chain 1 -> 2 -> 3 -> ... one hop longer than the TTL.
         Ttl,
@@ -2086,7 +2087,7 @@ mod tests {
         forward:       Case::Forward,      None,                          { Put = 410, Get = 428, Amo = 410 };
         forward2:      Case::Forward2,     None,                          { Put = 551, Get = 569, Amo = 551 };
         forward_newer_tombstone: Case::ForwardNewer, None,                { Put = 551, Get = 569, Amo = 551 };
-        forward_off:   Case::ForwardOff,   Some(NackReason::Miss),        { Put = 269, Get = 269, Amo = 269 };
+        forward_off:   Case::ForwardOff,   Some(NackReason::TtlExceeded), { Put = 269, Get = 269, Amo = 269 };
         ttl:           Case::Ttl,          Some(NackReason::TtlExceeded), { Put = 551, Get = 551, Amo = 551 };
         loopback:      Case::Loopback,     None,                          { Put = 20,  Get = 20,  Amo = 20 };
         loopback_miss: Case::LoopbackMiss, Some(NackReason::Miss),        { Put = 40,  Get = 40,  Amo = 40 };
@@ -2108,11 +2109,7 @@ mod tests {
     /// its instant, the memory effect, every counter and the trace.
     fn run_cell(case: Case, kind: OpKind, nack: Option<NackReason>, at: Time) {
         let tag = format!("{case:?}/{kind:?}");
-        let cfg = NetConfig {
-            nic_forwarding: case != Case::ForwardOff,
-            ..NetConfig::ideal()
-        };
-        let mut eng = Engine::new(TestWorld::new(4, cfg), 1);
+        let mut eng = Engine::new(TestWorld::new(4, NetConfig::ideal()), 1);
         eng.state.cluster.tracer.enable(64);
         let parks = matches!(
             case,
@@ -2193,7 +2190,11 @@ mod tests {
         };
         let local = eng.state.cluster.mem_mut(0).alloc_block(10).unwrap();
         let op = eng.state.cluster.alloc_op();
-        rdma_issue(&mut eng, 0, access(kind, target, dst, local, op));
+        let mut req = access(kind, target, dst, local, op);
+        if case == Case::ForwardOff {
+            req.ttl = 0;
+        }
+        rdma_issue(&mut eng, 0, req);
         eng.run();
 
         // What the initiator hears, and when: a forwarded completion names

@@ -130,7 +130,8 @@ pub enum OpError {
     /// The handle's slot exists but has been recycled since (generation
     /// mismatch) — the classic ABA case, caught.
     StaleOp { id: OpId, current_generation: u32 },
-    /// The op outlived its deadline; the per-locality sweep reclaimed it.
+    /// The op outlived its deadline with its retry budget spent; the
+    /// per-locality sweep failed it.
     DeadlineExceeded { id: OpId, age: Time, attempts: u32 },
     /// The op bounced more than `max_attempts` times (livelock guard).
     RetriesExhausted { id: OpId, attempts: u32 },

@@ -9,8 +9,8 @@
 //!    to the locality that holds it *now*;
 //! 2. hands that heat to [`plan`], the policy, and requests the migrations
 //!    it returns;
-//! 3. reschedules itself — and stops after `idle_rounds_to_stop` rounds
-//!    with no traffic, so simulations still quiesce.
+//! 3. reschedules itself — and stops after `IDLE_ROUNDS_TO_STOP`
+//!    consecutive rounds with no traffic, so simulations still quiesce.
 //!
 //! A migration parks every access to the block for one hand-off, so the
 //! policy only moves what pays for that. Two rules, each the fix for a
@@ -41,6 +41,10 @@
 use crate::world::World;
 use netsim::{Engine, LocalityId, Time};
 
+/// The service stops after this many consecutive rounds with no observed
+/// traffic.
+const IDLE_ROUNDS_TO_STOP: u32 = 2;
+
 /// Balancer policy parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct BalancerConfig {
@@ -52,8 +56,6 @@ pub struct BalancerConfig {
     pub imbalance_ratio: f64,
     /// Ignore blocks with fewer hits than this in a round.
     pub min_heat: u64,
-    /// Stop after this many consecutive rounds with no observed traffic.
-    pub idle_rounds_to_stop: u32,
 }
 
 impl Default for BalancerConfig {
@@ -63,7 +65,6 @@ impl Default for BalancerConfig {
             moves_per_round: 4,
             imbalance_ratio: 1.5,
             min_heat: 8,
-            idle_rounds_to_stop: 2,
         }
     }
 }
@@ -238,7 +239,7 @@ fn round(eng: &mut Engine<World>, cfg: BalancerConfig, idle_rounds: u32) {
     let seen = drain_hits(eng);
     if seen.is_empty() {
         let idle = idle_rounds + 1;
-        if idle < cfg.idle_rounds_to_stop {
+        if idle < IDLE_ROUNDS_TO_STOP {
             eng.schedule(cfg.period, move |eng| round(eng, cfg, idle));
         }
         return;

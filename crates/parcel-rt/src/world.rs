@@ -46,7 +46,9 @@ pub struct RtConfig {
     /// [`Transport::Isir`]. A parcel for another locality waits in that
     /// peer's batch, and each flush sends the whole batch as a single wire
     /// message — the message-aggregation optimization the AM++/HPX graph
-    /// papers lean on. The flush rules are in [`crate::sched`].
+    /// papers lean on. The flush rules are in [`crate::sched`]. Kept
+    /// optional because `parcel_gups` and the coalescing experiments run
+    /// both arms, and the benchmark's API surface binds the field.
     pub ring: Option<RingConfig>,
     /// Worker threads per locality (the CPU pool shared by actions and GAS
     /// software handlers).

@@ -81,7 +81,6 @@ fn balancer_stops_when_idle() {
     let _data = rt.alloc(4, 12, Distribution::Cyclic);
     rt.start_balancer(BalancerConfig {
         period: Time::from_us(50),
-        idle_rounds_to_stop: 2,
         ..BalancerConfig::default()
     });
     // No traffic at all: the service must terminate so the engine quiesces.

@@ -6,7 +6,7 @@ use netsim::Time;
 ///
 /// The defaults mirror the published Photon configuration on FDR InfiniBand:
 /// a 4 KiB eager threshold, 64-deep ledgers, and an enabled registration
-/// cache. Ablations A1/A2 sweep `rcache_enabled` and `eager_threshold`.
+/// cache. Ablations A1/A2 sweep `rcache_pages` and `eager_threshold`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PhotonConfig {
     /// Two-sided messages at or below this payload size travel eagerly
@@ -20,10 +20,8 @@ pub struct PhotonConfig {
     /// Target-side cost of one tag-matching pass (queue walk + descriptor
     /// handling) on the two-sided path.
     pub match_overhead: Time,
-    /// Whether the registration cache is active (ablation A1). When
-    /// disabled every registered-buffer RMA pays the full pin cost.
-    pub rcache_enabled: bool,
-    /// Registration-cache capacity, in pages.
+    /// Registration-cache capacity, in pages. `0` caches nothing, so every
+    /// registered-buffer RMA pays the full pin cost (ablation A1's off arm).
     pub rcache_pages: usize,
     /// Fixed cost of a memory-registration (pin) syscall.
     pub reg_base: Time,
@@ -40,7 +38,6 @@ impl Default for PhotonConfig {
             ledger_slots: 64,
             copy_per_byte_ps: 25, // ~40 GB/s memcpy
             match_overhead: Time::from_ns(250),
-            rcache_enabled: true,
             rcache_pages: 1 << 16,
             reg_base: Time::from_us(10),
             reg_per_page: Time::from_ns(180),
@@ -58,7 +55,7 @@ mod tests {
         let c = PhotonConfig::default();
         assert!(c.eager_threshold >= 1024);
         assert!(c.ledger_slots >= 1);
-        assert!(c.rcache_enabled);
+        assert!(c.rcache_pages > 0);
         assert!(c.reg_base > Time::ZERO);
     }
 }

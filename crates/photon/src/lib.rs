@@ -5,8 +5,10 @@
 //! network-managed address space — is built on. Photon's defining primitive
 //! is **put/get-with-completion (PWC)**: a one-sided operation that delivers
 //! a *local* completion identifier to the initiator and, for puts, a
-//! *remote* completion identifier into a ledger at the target, letting a
-//! message-driven runtime attach rendezvous-free notifications to RDMA.
+//! *remote* completion identifier at the target (here the
+//! [`PhotonWorld::pwc_remote`] callback, the one remote-completion
+//! channel), letting a message-driven runtime attach rendezvous-free
+//! notifications to RDMA.
 //!
 //! Provided here, over the [`netsim`] substrate:
 //!
@@ -154,7 +156,6 @@ pub struct PhotonEndpoint {
     rdv_sends: HashMap<u64, RdvSend>,
     rdv_recvs: HashMap<u64, RdvRecv>,
     next_send_id: u64,
-    remote_ledger: VecDeque<(u64, u32)>,
 }
 
 impl PhotonEndpoint {
@@ -170,22 +171,8 @@ impl PhotonEndpoint {
             rdv_sends: HashMap::new(),
             rdv_recvs: HashMap::new(),
             next_send_id: 0,
-            remote_ledger: VecDeque::new(),
             cfg,
         }
-    }
-
-    /// Pop the oldest unconsumed remote-completion ledger entry
-    /// (`photon_probe_ledger` in the original API): `(tag, len)` of a PWC
-    /// put that landed here. Entries accumulate alongside the
-    /// [`PhotonWorld::pwc_remote`] callback; polling consumers drain them.
-    pub fn probe_ledger(&mut self) -> Option<(u64, u32)> {
-        self.remote_ledger.pop_front()
-    }
-
-    /// Unconsumed remote-ledger entries.
-    pub fn ledger_depth(&self) -> usize {
-        self.remote_ledger.len()
     }
 
     /// Registration-cache statistics: `(hits, misses)` in pages.
@@ -693,11 +680,6 @@ pub fn handle_completion<S: PhotonWorld>(
                     .free_block(rr.addr, rr.class);
                 S::recv_complete(eng, at, rr.src, rr.tag, data);
             } else {
-                let ep = eng.state.endpoint(at);
-                if ep.remote_ledger.len() >= 4096 {
-                    ep.remote_ledger.pop_front();
-                }
-                ep.remote_ledger.push_back((tag, len));
                 S::pwc_remote(eng, at, tag, len);
             }
         }
@@ -1108,9 +1090,9 @@ mod tests {
 
     #[test]
     fn registration_cache_amortizes_rendezvous_pins() {
-        let run = |rcache_enabled: bool| {
+        let run = |rcache_pages: usize| {
             let pcfg = PhotonConfig {
-                rcache_enabled,
+                rcache_pages,
                 ..PhotonConfig::default()
             };
             let mut eng = Engine::new(World::new(2, pcfg), 5);
@@ -1131,8 +1113,8 @@ mod tests {
             let now = eng.now();
             (now, eng.state.eps[0].rcache_stats())
         };
-        let (t_cached, (hits, _)) = run(true);
-        let (t_uncached, (hits_off, _)) = run(false);
+        let (t_cached, (hits, _)) = run(PhotonConfig::default().rcache_pages);
+        let (t_uncached, (hits_off, _)) = run(0);
         assert!(hits > 0);
         assert_eq!(hits_off, 0);
         assert!(t_cached < t_uncached, "{t_cached} !< {t_uncached}");
@@ -1391,59 +1373,5 @@ mod tests {
         eng.run();
         assert_eq!(events_of(&eng, 0).len(), 4);
         assert_eq!(eng.state.eps[0].stats.stale_completions, 1);
-    }
-
-    #[test]
-    fn remote_ledger_accumulates_and_drains() {
-        let mut eng = world(2);
-        install_block(&mut eng, 1, 5);
-        for tag in 0..4u64 {
-            pwc_put(
-                &mut eng,
-                0,
-                1,
-                RdmaTarget::Virt {
-                    block: 5,
-                    offset: tag * 64,
-                },
-                vec![1u8; 16],
-                OpId::from_raw(tag),
-                Some(100 + tag),
-                None,
-            );
-        }
-        eng.run();
-        assert_eq!(eng.state.eps[1].ledger_depth(), 4);
-        assert_eq!(eng.state.eps[1].probe_ledger(), Some((100, 16)));
-        assert_eq!(eng.state.eps[1].probe_ledger(), Some((101, 16)));
-        assert_eq!(eng.state.eps[1].ledger_depth(), 2);
-        assert_eq!(eng.state.eps[0].ledger_depth(), 0);
-    }
-
-    #[test]
-    fn remote_ledger_is_capacity_bounded() {
-        let mut eng = world(2);
-        install_block(&mut eng, 1, 5);
-        // Overflow the 4096-entry ring: oldest entries must be dropped,
-        // never unbounded growth.
-        for tag in 0..4200u64 {
-            pwc_put(
-                &mut eng,
-                0,
-                1,
-                RdmaTarget::Virt {
-                    block: 5,
-                    offset: 0,
-                },
-                vec![1u8; 8],
-                OpId::from_raw(tag),
-                Some(tag),
-                None,
-            );
-        }
-        eng.run();
-        assert_eq!(eng.state.eps[1].ledger_depth(), 4096);
-        // The oldest surviving entry is 4200 - 4096 = 104.
-        assert_eq!(eng.state.eps[1].probe_ledger(), Some((104, 8)));
     }
 }

@@ -3,7 +3,8 @@
 //! RDMA hardware can only address *pinned* (registered) memory, and pinning
 //! is a heavyweight kernel operation. Photon keeps an LRU cache of pinned
 //! pages so repeated RMA on the same buffers pays the cost once. Ablation A1
-//! disables the cache to show the penalty on bandwidth-bound transfers.
+//! sizes the cache at zero pages to show the penalty on bandwidth-bound
+//! transfers.
 //!
 //! The pinned set is a [`FlatTable`] bounded by
 //! [`PhotonConfig::rcache_pages`] at insert time, so an endpoint that never
@@ -46,19 +47,14 @@ impl RegCache {
     /// Account a registration of `[addr, addr+len)` and return the pin
     /// delay the caller must charge before posting its RMA operation.
     ///
-    /// With the cache enabled, only pages not already pinned cost anything;
-    /// with it disabled, every call pays the base cost plus every page.
+    /// Only pages not already pinned cost anything; a zero-page cache pins
+    /// nothing, so every call pays the base cost plus every page.
     pub fn register(&mut self, cfg: &PhotonConfig, addr: PhysAddr, len: u64) -> Time {
         if len == 0 {
             return Time::ZERO;
         }
         let first = addr / cfg.page_bytes;
         let last = (addr + len - 1) / cfg.page_bytes;
-        let total_pages = last - first + 1;
-        if !cfg.rcache_enabled {
-            self.misses += total_pages;
-            return cfg.reg_base + cfg.reg_per_page * total_pages;
-        }
         let mut new_pages = 0u64;
         for page in first..=last {
             if self.pages.promote(page).is_some() {
@@ -122,9 +118,9 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_always_pays() {
+    fn zero_page_cache_always_pays() {
         let c = PhotonConfig {
-            rcache_enabled: false,
+            rcache_pages: 0,
             ..cfg()
         };
         let mut rc = RegCache::new();

@@ -28,8 +28,7 @@ impl Model {
         let (first, last) = (addr / cfg.page_bytes, (addr + len - 1) / cfg.page_bytes);
         let mut pinned = 0;
         for page in first..=last {
-            let cached = self.pages.iter().position(|&p| p == page);
-            match cached.filter(|_| cfg.rcache_enabled) {
+            match self.pages.iter().position(|&p| p == page) {
                 Some(pos) => {
                     self.pages.remove(pos);
                     self.hits += 1;
@@ -39,13 +38,11 @@ impl Model {
                     pinned += 1;
                 }
             }
-            if cfg.rcache_enabled {
-                self.pages.insert(0, page);
-                self.pages.truncate(cfg.rcache_pages);
-            }
+            self.pages.insert(0, page);
+            self.pages.truncate(cfg.rcache_pages);
         }
-        // A disabled cache pays the syscall on every call; an enabled one
-        // only when something had to be pinned.
+        // The syscall is paid only when something had to be pinned, which
+        // a zero-page cache always has.
         if pinned == 0 {
             Time::ZERO
         } else {
@@ -58,12 +55,10 @@ proptest! {
     #[test]
     fn regcache_matches_the_model(
         capacity in 0usize..5,
-        rcache_enabled in any::<bool>(),
         regs in proptest::collection::vec((0u64..40 * 4096, 0u64..5 * 4096), 0..300),
     ) {
         let cfg = PhotonConfig {
             rcache_pages: [0, 1, 2, 7, 64][capacity],
-            rcache_enabled,
             ..PhotonConfig::default()
         };
         let translations = netsim::telemetry::snapshot().xlate_lookups;

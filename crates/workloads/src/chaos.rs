@@ -2,9 +2,9 @@
 //! injection (DESIGN.md §3.4).
 //!
 //! The driver boots a full runtime with a [`FaultPlan`] installed on the
-//! cluster's fault plane, turns on the GAS recovery machinery
-//! (`op_deadline` + `retry_on_deadline`) and the per-locality operation
-//! history, then drives rounds of remote puts/gets — optionally with
+//! cluster's fault plane, turns on the GAS recovery machinery (an
+//! `op_deadline`, whose sweep re-issues lost ops) and the per-locality
+//! operation history, then drives rounds of remote puts/gets — optionally with
 //! migration churn and rendezvous-sized parcels — and reports everything a
 //! correctness gate needs: completion accounting, injection counters,
 //! recovery counters, and the serializability verdict of the committed
@@ -226,7 +226,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         .gas_config(GasConfig {
             op_deadline: Some(Time::from_us(300)),
             sweep_interval: Time::from_us(30),
-            retry_on_deadline: true,
             record_history: true,
             ..GasConfig::default()
         });

@@ -50,7 +50,6 @@ fn boot(n: u32, mode: GasMode, seed: u64, plan: FaultPlan) -> Runtime {
         .gas_config(GasConfig {
             op_deadline: Some(Time::from_us(300)),
             sweep_interval: Time::from_us(30),
-            retry_on_deadline: true,
             record_history: true,
             ..GasConfig::default()
         })
