@@ -233,8 +233,7 @@ fn main() {
         }
         "stencil" => {
             let cfg = workloads::stencil::StencilConfig {
-                px: args.get("px", 4u32),
-                py: args.get("py", 4u32),
+                grid: vec![args.get("px", 4u32), args.get("py", 4u32)],
                 tile: args.get("tile", 32u32),
                 iters: args.get("iters", 4u32),
                 flop_time: Time::from_us(args.get("flop-us", 20u64)),

@@ -331,35 +331,36 @@ pub fn skew_row(mode: GasMode, rebalance: bool, n: usize) -> skew::SkewResult {
 /// E9 — one row of the stencil (application proxy) table.
 pub fn stencil_row(mode: GasMode, n: usize, net: NetConfig) -> stencil::StencilResult {
     let cfg = StencilConfig {
-        px: 8,
-        py: 8,
+        grid: vec![8, 8],
         tile: 32,
         iters: 4,
         flop_time: Time::from_us(40),
     };
-    let mut b = Runtime::builder(n, mode).net(net);
-    stencil::register_actions(&mut b);
-    let mut rt = b.boot();
-    let tiles = stencil::alloc_tiles(&mut rt, &cfg);
-    stencil::run(&mut rt, &cfg, &tiles)
+    run_stencil(mode, n, net, &cfg)
 }
 
-/// E9b — the 3-D (LULESH-class) stencil variant: per-iteration time.
-pub fn stencil3d_row(mode: GasMode, n: usize) -> workloads::stencil3d::Stencil3dResult {
-    use workloads::stencil3d::{self, Stencil3dConfig};
-    let cfg = Stencil3dConfig {
-        px: 4,
-        py: 2,
-        pz: 2,
+/// E9b — the stencil on a 3-D (LULESH-class) tile grid: per-iteration time.
+pub fn stencil3d_row(mode: GasMode, n: usize) -> stencil::StencilResult {
+    let cfg = StencilConfig {
+        grid: vec![4, 2, 2],
         tile: 16,
         iters: 3,
         flop_time: Time::from_us(60),
     };
-    let mut b = Runtime::builder(n, mode);
-    stencil3d::register_actions(&mut b);
+    run_stencil(mode, n, NetConfig::ib_fdr(), &cfg)
+}
+
+fn run_stencil(
+    mode: GasMode,
+    n: usize,
+    net: NetConfig,
+    cfg: &StencilConfig,
+) -> stencil::StencilResult {
+    let mut b = Runtime::builder(n, mode).net(net);
+    stencil::register_actions(&mut b);
     let mut rt = b.boot();
-    let tiles = stencil3d::alloc_tiles(&mut rt, &cfg);
-    stencil3d::run(&mut rt, &cfg, &tiles)
+    let tiles = stencil::alloc_tiles(&mut rt, cfg);
+    stencil::run(&mut rt, cfg, &tiles)
 }
 
 /// E10 — protocol footprint of one remote operation.

@@ -691,7 +691,8 @@ impl GasLocal {
 /// The world routes `Packet::User` payloads that decode to [`GasMsg`] into
 /// [`ops::handle_msg`], and forwards its [`PhotonWorld`] PWC callbacks to
 /// [`ops::on_pwc_complete`] / [`ops::on_pwc_redirected`] /
-/// [`ops::on_pwc_failed`] (the GAS is the only issuer of PWC operations).
+/// [`ops::on_pwc_amo_complete`] / [`ops::on_pwc_failed`] /
+/// [`ops::on_xlate_miss`] (the GAS is the only issuer of PWC operations).
 pub trait GasWorld: PhotonWorld {
     /// Per-locality GAS state.
     fn gas(&mut self, loc: LocalityId) -> &mut GasLocal;

@@ -86,9 +86,14 @@ const XLATE_SEED: u64 = 0x91C7_AB1E;
 
 /// The NIC-resident translation table: one flat, open-addressed,
 /// generation-tagged table ([`FlatTable`]) holding live entries (an exact
-/// LRU bounded by `capacity`), forwarding tombstones (unbounded — they are
-/// 16 B in hardware terms and short-lived), and per-entry hit counters,
-/// all inline in one slot array: a translation is a single probe sequence.
+/// LRU bounded by `capacity`), forwarding tombstones, and per-entry hit
+/// counters, all inline in one slot array: a translation is a single probe
+/// sequence. Tombstones are not bounded by `capacity`, and they are not
+/// short-lived: every migration leaves one behind, and only
+/// [`XlateTable::install`] (the block comes back) or
+/// [`XlateTable::purge_forwards_via`] (a crashed hop) drops it, so their
+/// count grows with the migrations a run makes. Bounding them is open
+/// (ROADMAP item 17).
 ///
 /// Hit telemetry follows the entry through its lifecycle: it survives
 /// `retire_to_forward`, eviction, and re-installation within a balancer

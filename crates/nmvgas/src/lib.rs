@@ -13,8 +13,8 @@
 //!   network-managed-AGAS behind one API, with block migration;
 //! * [`parcel_rt`] — the HPX-5-style message-driven runtime (parcels,
 //!   actions, LCOs, schedulers);
-//! * [`workloads`] — GUPS, halo-exchange stencil, pointer chase, and
-//!   skewed-access benchmarks.
+//! * [`workloads`] — GUPS, a 2-D / 3-D halo-exchange stencil, pointer
+//!   chase, and skewed-access benchmarks.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour and `DESIGN.md` for
 //! the system inventory and experiment index.

@@ -457,44 +457,20 @@ impl Runtime {
     }
 
     /// Read the contents of an entire global block (driver-side; the block
-    /// must be resident wherever the directory says it is).
+    /// must be resident wherever [`World::locate`] finds it).
     pub fn read_block(&self, gva: Gva) -> Vec<u8> {
-        let key = gva.block_key();
-        let w = &self.eng.state;
-        match w.mode {
-            GasMode::Pgas => {
-                let base = *w.pgas_map.get(&key).expect("unknown block");
-                self.read_local(gva.home(), base, 1 << gva.class())
-            }
-            _ => {
-                let owner = (0..w.cluster.len() as u32)
-                    .find(|&l| w.gas[l as usize].btt.is_resident(key))
-                    .expect("no resident owner");
-                let e = w.gas[owner as usize].btt.lookup(key).unwrap();
-                self.read_local(owner, e.base, 1 << e.class)
-            }
-        }
+        let (owner, base) = self.eng.state.locate(gva);
+        self.read_local(owner, base, 1 << gva.class())
     }
 
     /// Write bytes directly into a global block at `offset` (driver-side
     /// *setup* utility: bypasses the network and charges no simulated time;
     /// never use it to model application traffic).
     pub fn write_block(&mut self, gva: Gva, offset: u64, bytes: &[u8]) {
-        let key = gva.block_key();
-        let w = &mut self.eng.state;
-        let (owner, base) = match w.mode {
-            GasMode::Pgas => {
-                let base = *w.pgas_map.get(&key).expect("unknown block");
-                (gva.home(), base)
-            }
-            _ => {
-                let owner = (0..w.cluster.len() as u32)
-                    .find(|&l| w.gas[l as usize].btt.is_resident(key))
-                    .expect("no resident owner");
-                (owner, w.gas[owner as usize].btt.lookup(key).unwrap().base)
-            }
-        };
-        w.cluster
+        let (owner, base) = self.eng.state.locate(gva);
+        self.eng
+            .state
+            .cluster
             .mem_mut(owner)
             .write(base + offset, bytes)
             .expect("driver write out of bounds");

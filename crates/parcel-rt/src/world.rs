@@ -11,7 +11,7 @@ use crate::sched::{self, PeerBatch};
 use agas::{GasConfig, GasLocal, GasMode, GasMsg, GasWorld, PgasMap};
 use netsim::{
     AmoResult, Cluster, Engine, Envelope, LocalityId, NackReason, NetConfig, OpError, OpId, OpKind,
-    OpTable, Packet, Protocol, RingConfig, ServerPool, Time,
+    OpTable, Packet, PhysAddr, Protocol, RingConfig, ServerPool, Time,
 };
 use photon::{PhotonConfig, PhotonEndpoint, PhotonMsg, PhotonWorld};
 use std::rc::Rc;
@@ -255,6 +255,24 @@ impl World {
     /// Number of localities.
     pub fn n_localities(&self) -> u32 {
         self.cluster.len() as u32
+    }
+
+    /// Where block `gva` lives now: its PGAS home and `pgas_map` base, or
+    /// the locality whose BTT holds it resident and its base there. The
+    /// driver-side answer to "which locality holds this block, and at what
+    /// address" (setup, inspection, and the stencil's face reads); the GAS
+    /// protocol itself never asks it. Panics on an unknown block, or one
+    /// resident nowhere (mid-migration).
+    pub fn locate(&self, gva: agas::Gva) -> (LocalityId, PhysAddr) {
+        let key = gva.block_key();
+        if self.mode == GasMode::Pgas {
+            return (gva.home(), *self.pgas_map.get(&key).expect("unknown block"));
+        }
+        let owner = (0..self.n_localities())
+            .find(|&l| self.gas[l as usize].btt.is_resident(key))
+            .expect("no resident owner");
+        let entry = self.gas[owner as usize].btt.lookup(key);
+        (owner, entry.expect("a resident block has a BTT entry").base)
     }
 
     /// Look up a registered action id by name.

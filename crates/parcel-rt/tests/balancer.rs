@@ -31,11 +31,7 @@ fn traffic(
 fn placement(rt: &Runtime, data: &agas::GlobalArray) -> Vec<u32> {
     data.blocks
         .iter()
-        .map(|g| {
-            (0..rt.n())
-                .find(|&l| rt.eng.state.gas[l as usize].btt.is_resident(g.block_key()))
-                .expect("block resident nowhere")
-        })
+        .map(|&g| rt.eng.state.locate(g).0)
         .collect()
 }
 
@@ -154,14 +150,7 @@ fn identical_runs_make_identical_balancer_decisions() {
         hot_traffic(&mut rt, &data, 600);
         rt.run();
         rt.assert_quiescent();
-        let placement: Vec<u32> = (0..16u64)
-            .map(|i| {
-                let key = data.block(i).block_key();
-                (0..4u32)
-                    .find(|&l| rt.eng.state.gas[l as usize].btt.is_resident(key))
-                    .expect("block lost")
-            })
-            .collect();
+        let placement = placement(&rt, &data);
         (
             rt.eng.trace_hash(),
             rt.eng.state.balancer_stats.migrations,

@@ -329,6 +329,31 @@ fn runtime_free_block_releases() {
         .is_resident(arr.block(2).block_key()));
 }
 
+/// `World::locate` finds a PGAS block at its home and `pgas_map` base, and
+/// an AGAS block at the locality it migrated to; `write_block` and
+/// `read_block` reach it there.
+#[test]
+fn locate_finds_home_and_migrated_blocks() {
+    let mut rt = Runtime::builder(3, GasMode::Pgas).boot();
+    let g = rt.alloc(3, 12, Distribution::Cyclic).block(1);
+    let base = rt.eng.state.pgas_map[&g.block_key()];
+    assert_eq!(rt.eng.state.locate(g), (1, base));
+
+    for mode in [GasMode::AgasSoftware, GasMode::AgasNetwork] {
+        let mut rt = Runtime::builder(3, mode).boot();
+        let g = rt.alloc(3, 12, Distribution::Cyclic).block(1);
+        rt.migrate(0, g, 2);
+        rt.run();
+        let (owner, base) = rt.eng.state.locate(g);
+        assert_eq!(owner, 2, "{mode:?}");
+        let entry = rt.eng.state.gas[2].btt.lookup(g.block_key()).unwrap();
+        assert_eq!(base, entry.base, "{mode:?}");
+        rt.write_block(g, 40, &[9; 8]);
+        assert_eq!(rt.read_local(2, base + 40, 8), [9; 8], "{mode:?}");
+        assert_eq!(rt.read_block(g)[40..48], [9; 8], "{mode:?}");
+    }
+}
+
 #[test]
 fn range_ops_span_blocks() {
     for mode in GasMode::ALL {

@@ -3,8 +3,8 @@
 //! The workloads the reconstructed evaluation (DESIGN.md §5) runs:
 //!
 //! * [`gups`] — GUPS/RandomAccess uniform-random remote updates (E5, E6);
-//! * [`stencil`] — 2-D halo-exchange application proxy (E9), and
-//!   [`stencil3d`] its 3-D variant (E9b);
+//! * [`stencil`] — the halo-exchange application proxy on a 2-D (E9) or
+//!   3-D (E9b) tile grid;
 //! * [`chase`] — dependent pointer chase, the latency amplifier (the
 //!   translation-pressure end-to-end test walks it);
 //! * [`skew`] — Zipf-skewed access with migration rebalancing (E8);
@@ -29,7 +29,6 @@ pub mod gups;
 pub mod lockfree;
 pub mod skew;
 pub mod stencil;
-pub mod stencil3d;
 pub mod transpose;
 
 pub use bfs::{BfsConfig, BfsResult, Graph};
@@ -39,5 +38,4 @@ pub use gups::{GupsConfig, GupsResult};
 pub use lockfree::{run_mpsc, MpscConfig, MpscReport};
 pub use skew::{SkewConfig, SkewResult};
 pub use stencil::{StencilConfig, StencilResult};
-pub use stencil3d::{Stencil3dConfig, Stencil3dResult};
 pub use transpose::{TransposeConfig, TransposeResult};

@@ -252,11 +252,7 @@ mod tests {
             let owners: std::collections::HashSet<u32> = data
                 .blocks
                 .iter()
-                .map(|g| {
-                    (0..4u32)
-                        .find(|&l| rt.eng.state.gas[l as usize].btt.is_resident(g.block_key()))
-                        .unwrap()
-                })
+                .map(|&g| rt.eng.state.locate(g).0)
                 .collect();
             assert!(owners.len() > 2, "{mode:?}: owners {owners:?}");
         }

@@ -16,8 +16,7 @@ fn main() {
     let iters: u32 = args.next().and_then(|s| s.parse().ok()).unwrap_or(5);
 
     let cfg = StencilConfig {
-        px,
-        py,
+        grid: vec![px, py],
         tile,
         iters,
         flop_time: Time::from_us(40),
@@ -27,7 +26,7 @@ fn main() {
     println!("2-D stencil: {px}×{py} tiles of {tile}×{tile} cells, {iters} iters, {n} localities");
     println!(
         "halo traffic per iteration: {:.1} KiB",
-        (cfg.tiles() * 4 * tile as u64 * 8) as f64 / 1024.0
+        cfg.halo_bytes_per_iter() as f64 / 1024.0
     );
 
     for (fabric, net) in [

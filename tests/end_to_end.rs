@@ -62,8 +62,7 @@ fn mixed_workload_quiesces_consistently() {
 
         // Now a stencil on the same booted runtime.
         let scfg = stencil::StencilConfig {
-            px: 2,
-            py: 2,
+            grid: vec![2, 2],
             tile: 8,
             iters: 2,
             flop_time: Time::from_us(2),
