@@ -154,12 +154,6 @@ impl Gva {
         debug_assert!(off < self.block_size(), "GVA arithmetic left the block");
         Gva(self.block_key() | off)
     }
-
-    /// Bytes remaining in the block from this address.
-    #[inline]
-    pub fn remaining_in_block(self) -> u64 {
-        self.block_size() - self.offset()
-    }
 }
 
 impl fmt::Debug for Gva {
@@ -221,7 +215,6 @@ mod tests {
         assert_eq!(g.with_offset(100).offset(), 100);
         assert_eq!(g.add(10).add(20).offset(), 30);
         assert_eq!(g.with_offset(100).block_base(), g);
-        assert_eq!(g.with_offset(200).remaining_in_block(), 56);
     }
 
     #[test]

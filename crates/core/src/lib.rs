@@ -399,7 +399,8 @@ impl fmt::Display for OpPhase {
 /// `repro ops` dump).
 #[derive(Clone, Copy, Debug)]
 pub struct OpSnapshot {
-    /// The op handle.
+    /// The op's identity: the handle `start` minted, whichever handle a
+    /// retry has given the op since.
     pub id: OpId,
     /// `"put"`, `"get"` or `"amo"`.
     pub kind: &'static str,
@@ -430,6 +431,14 @@ impl OpSnapshot {
     }
 }
 
+/// The one record of an in-flight put, get or AMO, from `start` to its
+/// end. Its slot's handle is also the op's wire token: photon hands a PWC
+/// answer back under it, a software request carries it, and an answer
+/// naming a handle the slot no longer holds is stale. When a bounce gives
+/// up on an RDMA attempt, the op takes a fresh handle in its slot
+/// ([`OpTable::renew`]), so a late answer to that attempt drops as stale;
+/// its identity in spans, snapshots and errors stays the handle `start`
+/// minted ([`OpTable::origin`]).
 pub(crate) struct PendingOp {
     /// The access itself: the same snapshot every issue path (RDMA, shm,
     /// software, local commit) hands to the responder.
@@ -442,11 +451,6 @@ pub(crate) struct PendingOp {
     /// Absolute instant after which the deadline sweep reclaims the op
     /// ([`Time::MAX`] when [`GasConfig::op_deadline`] is off).
     pub deadline: Time,
-    /// The endpoint-table handle of the op's current photon attempt
-    /// ([`OpId::NONE`] when none is live), so a bounce can retire it and a
-    /// completion of a superseded attempt is recognized as stale rather
-    /// than double-completing.
-    pub attempt: OpId,
     /// Index of this op's [`HistEvent`] in the issuing locality's history
     /// log ([`NO_HIST`] unless [`GasConfig::record_history`] is on); read
     /// it through [`PendingOp::hist`].
@@ -472,14 +476,14 @@ const SCRATCH: u8 = 2;
 
 // Every op inserts and removes one entry, so the table's footprint is
 // host-time (32 bytes more cost ~4 % of AGAS-SW GUPS throughput) and, with
-// many ops outstanding, memory: a 96-byte slot per op in flight.
+// many ops outstanding, memory: an 88-byte slot per op in flight.
 #[cfg(target_pointer_width = "64")]
-const _: () = assert!(std::mem::size_of::<PendingOp>() <= 88);
+const _: () = assert!(std::mem::size_of::<PendingOp>() <= 80);
 #[cfg(target_pointer_width = "64")]
-const _: () = assert!(OpTable::<PendingOp>::SLOT_BYTES <= 96);
+const _: () = assert!(OpTable::<PendingOp>::SLOT_BYTES <= 88);
 
 impl PendingOp {
-    /// A freshly submitted op: no attempt, no retries, no landing buffer.
+    /// A freshly submitted op: no retries, no landing buffer.
     pub fn new(
         verb: Verb,
         gva: Gva,
@@ -494,7 +498,6 @@ impl PendingOp {
             ctx,
             issued,
             deadline: deadline.unwrap_or(Time::MAX),
-            attempt: OpId::NONE,
             hist: hist.unwrap_or(NO_HIST),
             attempts: 0,
             phase: OpPhase::Issued,
@@ -658,6 +661,23 @@ impl GasLocal {
         self.pending.len()
     }
 
+    /// Fault injection: every op with an RDMA attempt in flight gives it up
+    /// without a retry, as if the fabric lost each answer to it. Only the
+    /// deadline sweep ([`GasConfig::op_deadline`]) recovers those ops.
+    /// Returns how many ops it touched.
+    pub fn lose_rdma_answers(&mut self) -> usize {
+        let rdma: Vec<OpId> = self
+            .pending
+            .iter()
+            .filter(|(_, p)| p.phase == OpPhase::Rdma)
+            .map(|(id, _)| id)
+            .collect();
+        for &op in &rdma {
+            self.pending.renew(op).expect("live op");
+        }
+        rdma.len()
+    }
+
     /// Whether the deadline sweep currently has a tick scheduled. Always
     /// `false` when [`GasConfig::op_deadline`] is `None`.
     pub fn sweep_armed(&self) -> bool {
@@ -670,7 +690,7 @@ impl GasLocal {
         self.pending
             .iter()
             .map(|(id, p)| OpSnapshot {
-                id,
+                id: self.pending.origin(id).expect("live op"),
                 kind: match p.verb.kind() {
                     OpKind::Put => "put",
                     OpKind::Get => "get",

@@ -26,9 +26,12 @@
 //! is the one ledger of those outcomes.
 //!
 //! In-flight operations live in the initiator's generational
-//! [`netsim::OpTable`]: wire messages carry the typed [`OpId`] handle, and a
+//! [`netsim::OpTable`], the one record of each: wire messages carry the
+//! typed [`OpId`] handle (a PWC op's is its photon wire token), and a
 //! completion naming an unknown or stale handle is counted
-//! (`stale_completions`) and dropped instead of panicking. Each entry
+//! (`stale_completions`) and dropped instead of panicking. A bounce that
+//! gives up on an RDMA attempt renews the op's handle, so every answer to
+//! that attempt arrives stale. Each entry
 //! carries its issue time, attempt count, and optional deadline; the
 //! per-locality sweep ([`GasConfig::op_deadline`]) turns a lost completion
 //! into a retry through the home, or, once the retry budget is spent, into
@@ -267,13 +270,13 @@ fn close_span<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId, ok: b
 /// Account a removed op's `answer`, the one path every completed put, get
 /// and AMO takes: history (a get's value fingerprint, an AMO's words),
 /// latency to `done`, its landing buffer, the `completed` count and the
-/// span. Returns the initiator's handle to deliver the answer to; an
-/// answer of another kind than the op fails the op as a protocol
-/// violation instead, and returns `None`.
+/// span of the op `id` identifies. Returns the initiator's handle to
+/// deliver the answer to; an answer of another kind than the op fails the
+/// op as a protocol violation instead, and returns `None`.
 fn settle<S: GasWorld>(
     eng: &mut Engine<S>,
     loc: LocalityId,
-    op: OpId,
+    id: OpId,
     p: PendingOp,
     answer: &Applied<Vec<u8>>,
     done: Time,
@@ -290,27 +293,35 @@ fn settle<S: GasWorld>(
         }
         _ => {
             let detail = "answer of another kind than its op";
-            fail_op(eng, loc, op, p, OpError::ProtocolViolation { detail });
+            fail_op(eng, loc, id, p, OpError::ProtocolViolation { detail });
             return None;
         }
     }
     record_latency(eng, loc, &p, done);
     free_scratch(eng, loc, &p);
     eng.state.gas(loc).stats.completed += 1;
-    close_span(eng, loc, op, true);
+    close_span(eng, loc, id, true);
     Some(p.ctx)
+}
+
+/// Remove the live op `op` names, with its identity: the handle `start`
+/// minted, whatever handle the op holds now.
+fn take<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) -> Option<(OpId, PendingOp)> {
+    let pending = &mut eng.state.gas(loc).pending;
+    let id = pending.origin(op).ok()?;
+    pending.remove(op).ok().map(|p| (id, p))
 }
 
 /// Finish the op `op` names with `answer`, whichever path brought it (a
 /// software reply, a shm commit, a NIC completion). A stale or duplicated
 /// answer is counted and dropped.
 fn complete<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId, answer: Applied<Vec<u8>>) {
-    let Ok(p) = eng.state.gas(loc).pending.remove(op) else {
+    let Some((id, p)) = take(eng, loc, op) else {
         eng.state.gas(loc).stats.stale_completions += 1;
         return;
     };
     let now = eng.now();
-    let Some(ctx) = settle(eng, loc, op, p, &answer, now) else {
+    let Some(ctx) = settle(eng, loc, id, p, &answer, now) else {
         return;
     };
     match answer {
@@ -320,9 +331,9 @@ fn complete<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId, answer:
     }
 }
 
-/// Terminally fail a removed op, the one failure path: release its
-/// scratch, count it (by error kind too), close its span, and deliver the
-/// typed error to the initiator.
+/// Terminally fail the removed op `id` identifies, the one failure path:
+/// release its scratch, count it (by error kind too), close its span, and
+/// deliver the typed error to the initiator.
 fn fail_op<S: GasWorld>(
     eng: &mut Engine<S>,
     loc: LocalityId,
@@ -516,7 +527,6 @@ fn issue_sw<S: GasWorld>(
             return;
         };
         p.phase = OpPhase::Sw;
-        p.attempt = OpId::NONE; // any earlier photon attempt is superseded
         p.verb.clone()
     };
     let acc = Box::new(SwAccess {
@@ -579,7 +589,6 @@ fn try_shm<S: GasWorld>(
             return true; // reclaimed (deadline sweep); nothing to issue
         };
         p.phase = OpPhase::Shm;
-        p.attempt = OpId::NONE; // any earlier photon attempt is superseded
         p.verb.clone()
     };
     let bytes = verb.touched_bytes();
@@ -727,10 +736,7 @@ fn issue_rdma<S: GasWorld>(
             p.set_scratch();
         }
     }
-    let att = pwc(eng, loc, target_loc, target, verb, op, None);
-    if let Ok(p) = eng.state.gas(loc).pending.get_mut(op) {
-        p.attempt = att;
-    }
+    pwc(eng, loc, target_loc, target, verb, op, None);
 }
 
 /// Commit an operation against locally resident storage.
@@ -770,7 +776,7 @@ fn commit_local<S: GasWorld>(
     let g = eng.state.gas(loc);
     g.stats.local_ops += 1;
     let delay = g.cfg.local_op + copy_time(per_byte, len);
-    let Ok(p) = g.pending.remove(op) else {
+    let Some((id, p)) = take(eng, loc, op) else {
         return;
     };
     // Perform the memory effect now (deterministic), deliver the callback
@@ -782,7 +788,7 @@ fn commit_local<S: GasWorld>(
     let applied = apply_resident(eng, loc, block, base, size, offset, &p.verb)
         .expect("local op out of bounds");
     let done = eng.now() + delay;
-    let Some(ctx) = settle(eng, loc, op, p, &applied, done) else {
+    let Some(ctx) = settle(eng, loc, id, p, &applied, done) else {
         return;
     };
     // One event per kind, each capturing only what its callback needs: a
@@ -800,8 +806,11 @@ fn commit_local<S: GasWorld>(
 }
 
 /// A fast path bounced: invalidate the hint and re-resolve via the home.
-/// When the retry budget runs out the op fails terminally with
-/// [`OpError::RetriesExhausted`] instead of asserting.
+/// An op that gives up on an RDMA attempt takes a fresh handle first, so a
+/// late answer to that attempt (delayed or duplicated) drops as stale
+/// instead of completing the re-issued op. When the retry budget runs out
+/// the op fails terminally with [`OpError::RetriesExhausted`] instead of
+/// asserting.
 fn bounce<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId, block: u64) {
     // Re-resolve through the *serving* home: a membership event (join
     // slice, drain hand-off, crash take-over) may have moved the block's
@@ -811,12 +820,12 @@ fn bounce<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId, block: u6
         .gas_ref(loc)
         .member
         .resolve(block, Gva(block).home());
-    let (give_up, attempts, stale_attempt) = {
+    let (give_up, attempts, rdma) = {
         let g = eng.state.gas(loc);
         let Ok(p) = g.pending.get_mut(op) else {
             return; // completed (or reclaimed) concurrently; nothing to retry
         };
-        let stale_attempt = std::mem::replace(&mut p.attempt, OpId::NONE);
+        let rdma = p.phase == OpPhase::Rdma;
         p.attempts = p.attempts.saturating_add(1);
         p.phase = OpPhase::DirRecovery;
         let saturated = p.attempts == u16::MAX;
@@ -835,27 +844,20 @@ fn bounce<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId, block: u6
             g.stats.sw_fallbacks += 1;
         }
         let give_up = attempts > g.cfg.max_attempts || saturated;
-        (give_up, attempts, stale_attempt)
+        (give_up, attempts, rdma)
     };
-    // Retire the superseded photon attempt so a late echo of it (a delayed
-    // or duplicated completion) is dropped as stale instead of completing
-    // the re-issued op, and so a lost completion can't leak endpoint state.
-    if !stale_attempt.is_none() {
-        eng.state.endpoint(loc).cancel_op(stale_attempt);
-    }
     if give_up {
-        let Ok(p) = eng.state.gas(loc).pending.remove(op) else {
+        let Some((id, p)) = take(eng, loc, op) else {
             return;
         };
-        fail_op(
-            eng,
-            loc,
-            op,
-            p,
-            OpError::RetriesExhausted { id: op, attempts },
-        );
+        fail_op(eng, loc, id, p, OpError::RetriesExhausted { id, attempts });
         return;
     }
+    let op = if rdma {
+        eng.state.gas(loc).pending.renew(op).expect("live op")
+    } else {
+        op
+    };
     let ctrl = eng.state.cluster_ref().config.ctrl_bytes;
     send_user_classed(
         eng,
@@ -926,11 +928,20 @@ fn sweep<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId) {
             bounce(eng, loc, id, block);
         }
     }
-    let expired = eng
+    // Remove every expired op before a failure callback can issue a new
+    // one into a freed slot.
+    let expired: Vec<OpId> = eng
         .state
         .gas(loc)
         .pending
-        .drain_filter(|_, p| p.deadline <= now);
+        .iter()
+        .filter(|(_, p)| p.deadline <= now)
+        .map(|(op, _)| op)
+        .collect();
+    let expired: Vec<_> = expired
+        .into_iter()
+        .filter_map(|op| take(eng, loc, op))
+        .collect();
     for (id, p) in expired {
         let age = now.saturating_sub(p.issued);
         let attempts = u32::from(p.attempts);

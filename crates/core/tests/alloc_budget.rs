@@ -13,8 +13,8 @@
 //!   bytes inline), plus, for a get, the `Vec` its completion hands the
 //!   caller — also while a burst of thousands drains;
 //! * an outstanding get holds a fixed number of live heap bytes across the
-//!   layers (GAS pending op, photon slot, boxed request, queued event,
-//!   landing buffer), so a record that regrows fails;
+//!   layers (GAS pending op, boxed request, queued event, landing buffer),
+//!   so a record that regrows fails;
 //! * a drained engine keeps little of what its event queue held at its
 //!   densest instants: a closed loop of puts leaves its time wheel with
 //!   storage for the slots busy at one instant, not for every slot a
@@ -387,11 +387,11 @@ fn a_put_reissued_after_a_lost_completion_still_carries_its_bytes() {
     let gva = arr.block(1);
     let data: Vec<u8> = (0..2048).map(|i| (i % 239) as u8).collect();
     let payload = data.clone();
-    // The endpoint forgets the attempt while it is on the wire, so its ack
+    // The op gives up on its attempt while it is on the wire, so the ack
     // comes back stale; once the write has landed it is wiped, so only a
     // re-issue carrying the original bytes can restore it.
     eng.schedule(Time::from_ns(150), |eng| {
-        assert_eq!(eng.state.data.eps[0].drop_pending_ops(), 1);
+        assert_eq!(eng.state.data.gas[0].lose_rdma_answers(), 1);
     });
     eng.schedule(Time::from_us(10), move |eng| {
         let data = &mut *eng.state.data;
@@ -419,12 +419,11 @@ const OUTSTANDING: u64 = 4096;
 
 /// Live heap bytes one outstanding 8-byte AGAS-NET get holds, summed over
 /// every layer, as [`live_bytes_per_outstanding_get`] measures them
-/// (requested sizes, not allocator chunks): the GAS pending-op slot (96),
-/// photon's endpoint slot (16) and the boxed `Access` (72) — 184 — plus
-/// the request's queued wire event with its share of the time wheel's
-/// bucket growth, and its 8-byte landing buffer's share of the arena's
-/// growth (15).
-const LIVE_BYTES_PER_GET: i64 = 278;
+/// (requested sizes, not allocator chunks): the GAS pending-op slot (88)
+/// and the boxed `Access` (72) — 160 — plus the request's queued wire
+/// event with its share of the time wheel's bucket growth, and its 8-byte
+/// landing buffer's share of the arena's growth (15).
+const LIVE_BYTES_PER_GET: i64 = 254;
 
 #[test]
 fn an_outstanding_get_holds_its_byte_budget() {

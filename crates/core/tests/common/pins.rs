@@ -138,10 +138,10 @@ pub fn deadline_fault(seed: u64, lanes: Option<usize>, plan: Option<FaultPlan>) 
     h.drive_at(2, move |eng| {
         migrate_block(eng, 2, m2, 0, OpId::from_raw(901));
     });
-    // The injected endpoint amnesia touches eps[0]: locality 0's event.
+    // The injected answer loss touches gas[0]: locality 0's event.
     h.drive_at(0, |eng| {
         eng.schedule(Time::from_ns(150), |eng| {
-            eng.state.data.eps[0].drop_pending_ops();
+            eng.state.data.gas[0].lose_rdma_answers();
         });
     });
     finish(h)

@@ -1,5 +1,5 @@
-//! Fault injection: lost completions. The photon endpoint forgets its
-//! in-flight wire ops (simulating a dropped completion/NACK), and the
+//! Fault injection: lost completions. Locality 0 gives up on its
+//! in-flight RDMA attempts (simulating a dropped completion/NACK), and the
 //! per-locality deadline sweep must turn the resulting silence into a
 //! retry through the home while the op has budget left, and into a
 //! deterministic `DeadlineExceeded` failure once it has none — never a
@@ -31,9 +31,10 @@ struct Outcome {
     deadline_exceeded: u64,
 }
 
-/// Locality 0 forgets its in-flight wire ops every `every` until `until`.
+/// Locality 0 loses every answer to its in-flight RDMA attempts every
+/// `every` until `until`.
 fn keep_dropping(eng: &mut Engine<SimWorld>, every: Time, until: Time) {
-    eng.state.data.eps[0].drop_pending_ops();
+    eng.state.data.gas[0].lose_rdma_answers();
     if eng.now() + every <= until {
         eng.schedule(every, move |eng| keep_dropping(eng, every, until));
     }

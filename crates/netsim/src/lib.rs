@@ -62,7 +62,7 @@ pub use optable::{OpError, OpId, OpTable};
 pub use payload::Payload;
 pub use queue::ServerPool;
 pub use shard::{Harness, ShardMap, ShardStats, ShardedEngine, SharedState, SplitWorld};
-pub use stats::{Counters, LogHistogram, TimeWeighted};
+pub use stats::{Counters, LogHistogram};
 pub use time::Time;
 pub use timewheel::TimeWheel;
 pub use trace::{TraceEvent, TraceKind, Tracer};

@@ -267,7 +267,7 @@ impl Cluster {
     /// Allocate a fresh *untracked* operation token (generation 0, indices
     /// counting up). Substrate-level tests and layers without their own
     /// [`OpTable`](crate::optable::OpTable) use this; the protocol stack
-    /// above mints tracked handles from its per-endpoint tables instead.
+    /// above mints tracked handles from the GAS op table instead.
     pub fn alloc_op(&mut self) -> OpId {
         let op = OpId::from_parts(self.next_op as u32, 0);
         self.next_op += 1;

@@ -1,11 +1,12 @@
 //! # optable — generational in-flight operation table
 //!
-//! Every layer of the stack tracks *in-flight operations*: the photon
-//! endpoint remembers which PWC descriptors are on the wire, the GAS layer
-//! remembers which put/get/migrate requests await a completion or a
-//! directory answer, and the parcel runtime remembers which user-visible
+//! Every layer of the stack that owns an *in-flight operation* keeps it
+//! here: the GAS layer remembers which put/get/AMO requests await a
+//! completion or a directory answer (photon hands a PWC completion back
+//! under the very handle the GAS gave it, so that table is the one record
+//! of a one-sided op), and the parcel runtime remembers which user-visible
 //! completions (LCO sets, driver callbacks) fire when those finish. This
-//! module is the shared backbone for all of them:
+//! module is the shared backbone for both:
 //!
 //! * [`OpId`] — a typed handle `{ index, generation }` that replaces the
 //!   raw `u64` "ctx words" previously threaded through the protocol.
@@ -49,11 +50,12 @@ use std::fmt;
 /// Typed handle to an in-flight operation: a slab slot plus the generation
 /// the slot had when the op was inserted.
 ///
-/// `OpId` is the wire-visible "completion word": photon carries it in
-/// `PutDone`/`GetDone`/`Nack` packets, the GAS layer embeds it in its
-/// software-path messages, and the parcel runtime uses it to key user
-/// completions. A handle is only ever valid for the table that minted it;
-/// presenting it after the op finished yields [`OpError::StaleOp`].
+/// `OpId` is the wire-visible "completion word": a PWC op's request and its
+/// `PutDone`/`GetDone`/`Nack` answer carry it unchanged, the GAS layer
+/// embeds it in its software-path messages, and the parcel runtime uses it
+/// to key user completions. A handle is only ever valid for the table that
+/// minted it; presenting it after the op finished yields
+/// [`OpError::StaleOp`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OpId {
     index: u32,
@@ -180,6 +182,9 @@ impl std::error::Error for OpError {}
 #[derive(Clone, Debug)]
 struct Slot<T> {
     generation: u32,
+    /// The generation the live op was inserted under ([`OpTable::origin`]);
+    /// it fills the padding beside `generation` when `T` is 8-aligned.
+    born: u32,
     value: Option<T>,
 }
 
@@ -189,7 +194,8 @@ struct Slot<T> {
 /// * `get`/`get_mut`/`remove` are O(1): index + generation compare — no
 ///   hashing, unlike the `HashMap<u64, _>` registries this replaced.
 /// * `remove` bumps the slot's generation, so every handle the slot ever
-///   minted before is detectably stale ([`OpError::StaleOp`]).
+///   minted before is detectably stale ([`OpError::StaleOp`]); so does
+///   `renew`, which keeps the op live under a fresh handle.
 /// * `iter` walks live entries in slot-index order — deterministic, so it
 ///   is safe to drive scheduled work (the deadline sweep) from it.
 #[derive(Clone, Debug)]
@@ -236,6 +242,7 @@ impl<T> OpTable<T> {
             let slot = &mut self.slots[index as usize];
             debug_assert!(slot.value.is_none());
             slot.value = Some(value);
+            slot.born = slot.generation;
             OpId {
                 index,
                 generation: slot.generation,
@@ -245,6 +252,7 @@ impl<T> OpTable<T> {
             assert!(index != u32::MAX, "op table overflow");
             self.slots.push(Slot {
                 generation: 0,
+                born: 0,
                 value: Some(value),
             });
             OpId {
@@ -309,6 +317,31 @@ impl<T> OpTable<T> {
     /// ops, since a freed slot is reused before the table grows.
     pub fn capacity(&self) -> usize {
         self.slots.len()
+    }
+
+    /// Give a live op a fresh handle in its own slot: the slot's
+    /// generation is bumped, so every copy of `id` still in flight (the
+    /// answer to an attempt the op has given up on) fails the generation
+    /// check from now on, while the op itself stays live under the handle
+    /// returned. Its [`origin`](OpTable::origin) is unchanged.
+    pub fn renew(&mut self, id: OpId) -> Result<OpId, OpError> {
+        self.get(id)?;
+        let slot = &mut self.slots[id.index as usize];
+        slot.generation = slot.generation.wrapping_add(1);
+        Ok(OpId {
+            index: id.index,
+            generation: slot.generation,
+        })
+    }
+
+    /// The handle the live op `id` names was inserted under: `id` itself
+    /// unless the op has been [`renew`](OpTable::renew)ed since.
+    pub fn origin(&self, id: OpId) -> Result<OpId, OpError> {
+        self.get(id)?;
+        Ok(OpId {
+            index: id.index,
+            generation: self.slots[id.index as usize].born,
+        })
     }
 
     /// Remove a live op, retiring its handle: the slot's generation is
@@ -417,6 +450,22 @@ mod tests {
         let b = t.insert(2u32);
         assert_eq!(t.live_id(a.index()), Some(b));
         assert_eq!(t.capacity(), 1, "the freed slot was reused");
+    }
+
+    #[test]
+    fn renew_stales_the_old_handle_and_keeps_the_op() {
+        let mut t = OpTable::new();
+        let a = t.insert("a");
+        let b = t.renew(a).unwrap();
+        let c = t.renew(b).unwrap();
+        assert_eq!((c.index(), t.len()), (a.index(), 1));
+        assert!(matches!(t.get(b), Err(OpError::StaleOp { .. })));
+        assert!(t.renew(a).is_err(), "a stale handle renews nothing");
+        assert_eq!(t.origin(c), Ok(a), "the op keeps its first handle");
+        assert_eq!(t.remove(c), Ok("a"));
+        let d = t.insert("d");
+        assert!(![a, b, c].contains(&d), "the next tenant matches no handle");
+        assert_eq!(t.origin(d), Ok(d));
     }
 
     #[test]

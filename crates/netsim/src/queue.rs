@@ -32,7 +32,6 @@ pub struct ServerPool {
     /// original linear scan's lowest-index tie-break exactly, keeping
     /// server choice — and thus every trace hash — deterministic.
     free: BinaryHeap<Reverse<(Time, u32)>>,
-    all_idle: Time,
     busy_total: Time,
     jobs: u64,
 }
@@ -44,7 +43,6 @@ impl ServerPool {
         assert!(k <= u32::MAX as usize, "ServerPool index space is u32");
         ServerPool {
             free: (0..k as u32).map(|i| Reverse((Time::ZERO, i))).collect(),
-            all_idle: Time::ZERO,
             busy_total: Time::ZERO,
             jobs: 0,
         }
@@ -63,23 +61,9 @@ impl ServerPool {
         let start = arrival.max(free);
         let finish = start + service;
         self.free.push(Reverse((finish, idx)));
-        self.all_idle = self.all_idle.max(finish);
         self.busy_total += service;
         self.jobs += 1;
         (start, finish)
-    }
-
-    /// The earliest instant any server is free.
-    pub fn earliest_free(&self) -> Time {
-        self.free
-            .peek()
-            .map(|&Reverse((t, _))| t)
-            .unwrap_or(Time::ZERO)
-    }
-
-    /// The instant all admitted work drains.
-    pub fn all_idle_at(&self) -> Time {
-        self.all_idle
     }
 
     /// Total service time admitted so far.
@@ -138,8 +122,6 @@ mod tests {
         p.admit(Time::from_ns(0), Time::from_ns(30));
         assert_eq!(p.jobs(), 2);
         assert_eq!(p.busy_total(), Time::from_ns(40));
-        assert_eq!(p.all_idle_at(), Time::from_ns(30));
-        assert_eq!(p.earliest_free(), Time::from_ns(10));
         // 40ns busy across 2 servers over 40ns horizon = 0.5 utilization.
         assert_eq!(p.utilization(Time::from_ns(40)), 0.5);
     }

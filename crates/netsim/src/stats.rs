@@ -104,11 +104,6 @@ impl Counters {
         self.nic_tx_busy += other.nic_tx_busy;
         self.nic_rx_busy += other.nic_rx_busy;
     }
-
-    /// Total network operations (one- plus two-sided) initiated.
-    pub fn ops_initiated(&self) -> u64 {
-        self.msgs_sent + self.rdma_puts + self.rdma_gets + self.rdma_amos
-    }
 }
 
 /// A base-2 logarithmic histogram of `u64` samples (latencies in ps,
@@ -216,51 +211,6 @@ impl fmt::Display for LogHistogram {
     }
 }
 
-/// Accumulates a time-weighted integral of a step function (queue depth,
-/// outstanding ops) so its time-average can be reported.
-#[derive(Clone, Debug, Default)]
-pub struct TimeWeighted {
-    last_change: Time,
-    level: u64,
-    integral: u128, // level × picoseconds
-}
-
-impl TimeWeighted {
-    /// A fresh accumulator at level 0, time 0.
-    pub fn new() -> TimeWeighted {
-        TimeWeighted::default()
-    }
-
-    /// Record that the level changed to `level` at instant `now`.
-    pub fn set(&mut self, now: Time, level: u64) {
-        debug_assert!(now >= self.last_change);
-        self.integral += self.level as u128 * (now.ps() - self.last_change.ps()) as u128;
-        self.last_change = now;
-        self.level = level;
-    }
-
-    /// Adjust the level by a delta at instant `now`.
-    pub fn add(&mut self, now: Time, delta: i64) {
-        let level = (self.level as i64 + delta).max(0) as u64;
-        self.set(now, level);
-    }
-
-    /// Current level.
-    pub fn level(&self) -> u64 {
-        self.level
-    }
-
-    /// The time-average level over `[0, now]`.
-    pub fn average(&self, now: Time) -> f64 {
-        if now.ps() == 0 {
-            return self.level as f64;
-        }
-        let total = self.integral
-            + self.level as u128 * (now.ps().saturating_sub(self.last_change.ps())) as u128;
-        total as f64 / now.ps() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,7 +234,6 @@ mod tests {
         assert_eq!(a.rdma_puts, 7);
         assert_eq!(a.bytes_sent, 100);
         assert_eq!(a.cpu_busy, Time::from_ns(15));
-        assert_eq!(a.ops_initiated(), 12);
     }
 
     #[test]
@@ -330,24 +279,5 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.min(), Some(10));
         assert_eq!(a.max(), Some(1000));
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let mut tw = TimeWeighted::new();
-        tw.set(Time::from_ns(0), 2);
-        tw.set(Time::from_ns(10), 4);
-        // 2 for 10ns, then 4 for 10ns => average 3 at t=20ns.
-        assert_eq!(tw.average(Time::from_ns(20)), 3.0);
-        assert_eq!(tw.level(), 4);
-    }
-
-    #[test]
-    fn time_weighted_add_clamps_at_zero() {
-        let mut tw = TimeWeighted::new();
-        tw.add(Time::from_ns(1), -5);
-        assert_eq!(tw.level(), 0);
-        tw.add(Time::from_ns(2), 3);
-        assert_eq!(tw.level(), 3);
     }
 }

@@ -1,9 +1,10 @@
 //! The builder's boot guards: a fault plan that can drop messages needs
 //! an operation deadline, a lossless one boots as before; parcel batching
-//! needs the PWC transport.
+//! needs the PWC transport. And what a lossy plan with a deadline leaves
+//! behind: nothing, once every op has completed or failed.
 
-use agas::{Distribution, GasMode};
-use netsim::{FaultPlan, RingConfig};
+use agas::{Distribution, GasConfig, GasMode};
+use netsim::{FaultPlan, FaultRates, RingConfig, Time};
 use parcel_rt::{RtConfig, Runtime, Transport};
 
 #[test]
@@ -26,6 +27,34 @@ fn lossless_plan_without_a_deadline_boots_and_quiesces() {
     rt.run();
     rt.assert_quiescent();
     assert_eq!(rt.read_block(arr.block(3))[..64], [7u8; 64]);
+}
+
+#[test]
+fn ops_the_deadline_fails_leave_no_record_behind() {
+    // Half the answers from 1 to 0 are lost and no op may retry, so the
+    // sweep fails every op whose answer went missing.
+    let lossy = FaultRates {
+        drop: 0.5,
+        ..FaultRates::lossless()
+    };
+    let mut rt = Runtime::builder(2, GasMode::AgasNetwork)
+        .gas_config(GasConfig {
+            op_deadline: Some(Time::from_us(40)),
+            max_attempts: 1,
+            ..GasConfig::default()
+        })
+        .faults(FaultPlan {
+            link_rates: vec![(1, 0, lossy)],
+            ..FaultPlan::lossless(1)
+        })
+        .boot();
+    let arr = rt.alloc(2, 12, Distribution::Cyclic);
+    for i in 0..64 {
+        rt.memput(0, arr.block(1).with_offset(i * 8), vec![i as u8; 8]);
+    }
+    rt.run();
+    assert!(!rt.eng.state.op_failures.is_empty());
+    rt.assert_quiescent();
 }
 
 #[test]
