@@ -12,7 +12,7 @@
 //! probe over one cache line instead of a SipHash + bucket walk.
 
 use netsim::flatmap::FlatTable;
-use netsim::PhysAddr;
+use netsim::{PhysAddr, XlateEntry};
 
 /// Lifecycle of a locally owned block.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -40,6 +40,17 @@ pub struct BttEntry {
     pub state: BlockState,
 }
 
+impl BttEntry {
+    /// The NIC translation entry that serves this block under AGAS-NET.
+    pub fn xlate(&self) -> XlateEntry {
+        XlateEntry {
+            base: self.base,
+            len: 1u64 << self.class,
+            generation: self.generation,
+        }
+    }
+}
+
 /// Seed for the BTT's flat table (fixed: deterministic runs).
 const BTT_SEED: u64 = 0xb77_5eed;
 
@@ -62,19 +73,24 @@ impl Btt {
         }
     }
 
-    /// Record ownership of `block_key`.
-    pub fn insert(&mut self, block_key: u64, base: PhysAddr, class: u8, generation: u32) {
-        let prev = self.entries.insert(
-            block_key,
-            BttEntry {
-                base,
-                class,
-                generation,
-                pins: 0,
-                state: BlockState::Resident,
-            },
-        );
+    /// Record ownership of `block_key`; returns the new entry.
+    pub fn insert(
+        &mut self,
+        block_key: u64,
+        base: PhysAddr,
+        class: u8,
+        generation: u32,
+    ) -> BttEntry {
+        let entry = BttEntry {
+            base,
+            class,
+            generation,
+            pins: 0,
+            state: BlockState::Resident,
+        };
+        let prev = self.entries.insert(block_key, entry);
         debug_assert!(prev.is_none(), "BTT double-insert for {block_key:#x}");
+        entry
     }
 
     /// Drop ownership (block migrated away or freed). Returns the entry.

@@ -224,41 +224,40 @@ pub fn check_blocks<S: GasWorld>(world: &S, blocks: &[Gva]) -> Vec<Violation> {
             continue;
         }
         let owner = owners[0];
-        if mode != GasMode::Pgas {
-            // Membership may have re-homed the record; ask the resident
-            // owner's view (quiescence means every view agrees, but the
-            // owner's is the one the data path actually consulted).
-            let home = world.gas_ref(owner).member.resolve(key, gva.home());
-            match world.gas_ref(home).dir.peek(key) {
-                None => out.push(Violation::MissingDirectory { gva }),
-                Some(rec) if rec.owner != owner => out.push(Violation::StaleDirectory {
+        // Every mode registers a directory record (PGAS too). Membership
+        // may have re-homed it; ask the resident owner's view (quiescence
+        // means every view agrees, but the owner's is the one the data
+        // path actually consulted).
+        let home = world.gas_ref(owner).member.resolve(key, gva.home());
+        match world.gas_ref(home).dir.peek(key) {
+            None => out.push(Violation::MissingDirectory { gva }),
+            Some(rec) if rec.owner != owner => out.push(Violation::StaleDirectory {
+                gva,
+                dir_owner: rec.owner,
+                actual_owner: owner,
+            }),
+            Some(_) => {}
+        }
+        if mode == GasMode::AgasNetwork {
+            let btt = *world
+                .gas_ref(owner)
+                .btt
+                .lookup(key)
+                .expect("checked resident");
+            match world.cluster_ref().loc(owner).nic.xlate.peek(key) {
+                None => out.push(Violation::NicMismatch {
                     gva,
-                    dir_owner: rec.owner,
-                    actual_owner: owner,
+                    detail: "owner NIC has no live entry",
+                }),
+                Some(e) if e.base != btt.base => out.push(Violation::NicMismatch {
+                    gva,
+                    detail: "NIC base differs from BTT",
+                }),
+                Some(e) if e.generation != btt.generation => out.push(Violation::NicMismatch {
+                    gva,
+                    detail: "NIC generation differs from BTT",
                 }),
                 Some(_) => {}
-            }
-            if mode == GasMode::AgasNetwork {
-                let btt = *world
-                    .gas_ref(owner)
-                    .btt
-                    .lookup(key)
-                    .expect("checked resident");
-                match world.cluster_ref().loc(owner).nic.xlate.peek(key) {
-                    None => out.push(Violation::NicMismatch {
-                        gva,
-                        detail: "owner NIC has no live entry",
-                    }),
-                    Some(e) if e.base != btt.base => out.push(Violation::NicMismatch {
-                        gva,
-                        detail: "NIC base differs from BTT",
-                    }),
-                    Some(e) if e.generation != btt.generation => out.push(Violation::NicMismatch {
-                        gva,
-                        detail: "NIC generation differs from BTT",
-                    }),
-                    Some(_) => {}
-                }
             }
         }
     }

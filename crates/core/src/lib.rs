@@ -720,7 +720,9 @@ pub trait GasWorld: PhotonWorld {
     fn gas_ref(&self, loc: LocalityId) -> &GasLocal;
     /// The active GAS mode (uniform across the cluster).
     fn gas_mode(&self) -> GasMode;
-    /// The replicated PGAS physical-placement registry.
+    /// The PGAS initiators' address table: read by a PGAS remote access
+    /// to address its RDMA, written by allocation and free. Targets in
+    /// every mode resolve their blocks through their BTTs instead.
     fn pgas(&mut self) -> &mut PgasMap;
     /// The locality's CPU worker pool (shared with the runtime scheduler,
     /// so GAS software handlers and application actions contend for the

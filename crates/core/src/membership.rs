@@ -45,7 +45,7 @@
 use crate::gva::Gva;
 use crate::migrate::send_ctrl;
 use crate::{GasMode, GasMsg, GasWorld, HistEvent, HistKind, OwnerRec};
-use netsim::{Engine, FaultPlan, FaultPlane, LocalityId, OpId, Time, XlateEntry};
+use netsim::{Engine, FaultPlan, FaultPlane, LocalityId, OpId, Time};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Fault-plane seed used when a crash must install a plane on a cluster
@@ -429,7 +429,6 @@ pub fn crash<S: GasWorld>(eng: &mut Engine<S>, x: LocalityId) {
     // exactly this record set (deterministic, sorted by block key).
     let census = eng.state.gas(x).dir.records();
     let takeover = next_active(&eng.state.gas_ref(x).member, x, n).expect("crash with no survivor");
-    let mode = eng.state.gas_mode();
     eng.schedule_at_loc(t, x, move |eng| crash_teardown(eng, x));
     for l in 0..n as LocalityId {
         if l == x {
@@ -437,7 +436,7 @@ pub fn crash<S: GasWorld>(eng: &mut Engine<S>, x: LocalityId) {
         }
         let census = census.clone();
         eng.schedule_at_loc(t, l, move |eng| {
-            crash_notice(eng, l, x, takeover, &census, mode);
+            crash_notice(eng, l, x, takeover, &census);
         });
     }
 }
@@ -478,7 +477,6 @@ fn crash_notice<S: GasWorld>(
     x: LocalityId,
     takeover: LocalityId,
     census: &[(u64, OwnerRec)],
-    mode: GasMode,
 ) {
     let n = eng.state.cluster_ref().len();
     {
@@ -511,7 +509,7 @@ fn crash_notice<S: GasWorld>(
         .filter(|&(_, rec)| rec.owner == x)
         .collect();
     for (b, rec) in lost {
-        reissue_block(eng, l, b, rec.generation + REISSUE_GENERATION_BUMP, mode);
+        reissue_block(eng, l, b, rec.generation + REISSUE_GENERATION_BUMP);
     }
     if l == takeover {
         eng.state.gas(l).stats.members_crashed += 1;
@@ -520,7 +518,7 @@ fn crash_notice<S: GasWorld>(
         for &(b, rec) in census {
             eng.state.gas(l).dir.install(b, rec);
             if rec.owner == x {
-                reissue_block(eng, l, b, rec.generation + REISSUE_GENERATION_BUMP, mode);
+                reissue_block(eng, l, b, rec.generation + REISSUE_GENERATION_BUMP);
             }
         }
     }
@@ -530,13 +528,7 @@ fn crash_notice<S: GasWorld>(
 /// replacement under a bumped generation, recorded as a
 /// [`HistKind::Recover`] event so the checker accepts post-recovery
 /// zeros.
-fn reissue_block<S: GasWorld>(
-    eng: &mut Engine<S>,
-    l: LocalityId,
-    block: u64,
-    generation: u32,
-    mode: GasMode,
-) {
+fn reissue_block<S: GasWorld>(eng: &mut Engine<S>, l: LocalityId, block: u64, generation: u32) {
     if eng.state.gas(l).btt.lookup(block).is_some() {
         return; // already resident here (a racing hand-off won)
     }
@@ -547,44 +539,29 @@ fn reissue_block<S: GasWorld>(
         .mem_mut(l)
         .alloc_block(class)
         .expect("arena exhausted re-issuing a recovered block");
-    {
-        let g = eng.state.gas(l);
-        g.btt.insert(block, phys, class, generation);
-        g.dir.install(
+    crate::ops::make_resident(eng, l, block, phys, class, generation);
+    let now = eng.now();
+    let g = eng.state.gas(l);
+    g.dir.install(
+        block,
+        OwnerRec {
+            owner: l,
+            generation,
+        },
+    );
+    g.stats.blocks_recovered += 1;
+    if g.cfg.record_history {
+        g.history.push(HistEvent {
+            kind: HistKind::Recover,
             block,
-            OwnerRec {
-                owner: l,
-                generation,
-            },
-        );
-        g.stats.blocks_recovered += 1;
-        if g.cfg.record_history {
-            let now = eng.now();
-            let g = eng.state.gas(l);
-            g.history.push(HistEvent {
-                kind: HistKind::Recover,
-                block,
-                offset: 0,
-                len: 0,
-                value: 0,
-                issued: now,
-                done: Some(now),
-                ok: true,
-                loc: l,
-            });
-        }
-    }
-    if mode == GasMode::AgasNetwork {
-        netsim::install_xlate(
-            eng,
-            l,
-            block,
-            XlateEntry {
-                base: phys,
-                len: 1u64 << class,
-                generation,
-            },
-        );
+            offset: 0,
+            len: 0,
+            value: 0,
+            issued: now,
+            done: Some(now),
+            ok: true,
+            loc: l,
+        });
     }
 }
 

@@ -33,7 +33,7 @@ use crate::gva::Gva;
 use crate::{
     GasMode, GasMsg, GasWorld, MemberState, MovingState, OwnerOp, OwnerReq, PendingInstall,
 };
-use netsim::{send_user, Engine, LocalityId, OpId, Time, XlateEntry};
+use netsim::{send_user, Engine, LocalityId, OpId, Time};
 
 const MAX_ROUTE_HOPS: u8 = 64;
 
@@ -371,8 +371,10 @@ pub(crate) fn on_mig_data<S: GasWorld>(
             .nic
             .amo
             .absorb(block, amo_log);
+        // After `amo.absorb` above: a request parked here ahead of the
+        // block may be the duplicate of an AMO the old owner executed.
+        crate::ops::make_resident(eng, at, block, phys, class, generation);
         let g = eng.state.gas(at);
-        g.btt.insert(block, phys, class, generation);
         g.cache.update(
             block,
             crate::OwnerHint {
@@ -388,20 +390,6 @@ pub(crate) fn on_mig_data<S: GasWorld>(
                 old_owner: src,
             },
         );
-        if eng.state.gas_mode() == GasMode::AgasNetwork {
-            // After `amo.absorb` above: a request parked here ahead of the
-            // block may be the duplicate of an AMO the old owner executed.
-            netsim::install_xlate(
-                eng,
-                at,
-                block,
-                XlateEntry {
-                    base: phys,
-                    len: 1u64 << class,
-                    generation,
-                },
-            );
-        }
         eng.state.cluster().loc_mut(at).counters.migrations_in += 1;
         let home = eng
             .state

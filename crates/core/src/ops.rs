@@ -8,7 +8,7 @@
 //!
 //! * **PGAS** — the initiator *computes* the physical placement (home from
 //!   the address bits, physical base from the replicated allocation map)
-//!   and issues plain RDMA. No translation state anywhere; no mobility.
+//!   and issues plain RDMA. No translation at the target NIC; no mobility.
 //! * **AGAS-SW** — the initiator sends a two-sided [`GasMsg::SwAccess`]
 //!   parcel; the owner's **CPU** translates through its BTT, performs the
 //!   copy, and replies. Every byte of remote access consumes target cores.
@@ -451,23 +451,26 @@ fn issue<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) {
         (p.gva, p.verb.kind(), p.force_sw())
     };
     let block = gva.block_key();
+    // In every mode one BTT probe decides residency AND yields the base for
+    // the local commit; the mode only picks the remote path.
+    if let Some(base) = resident_base(eng, loc, block) {
+        commit_local(eng, loc, op, base);
+        return;
+    }
     let home = gva.home();
-
     match mode {
         GasMode::Pgas => {
-            if home == loc {
-                commit_local(eng, loc, op, None);
-            } else if try_shm(eng, loc, op, gva, home) {
+            if try_shm(eng, loc, op, gva, home) {
                 // Co-located home: the access went over shared memory and
                 // the NIC never saw it.
             } else if kind == OpKind::Amo {
                 // PGAS NICs translate nothing, so there is no virtual
                 // path for a remote AMO to ride; the home's CPU executes
-                // it (the software handler resolves through the
-                // replicated placement map).
+                // it (the software handler resolves through its BTT).
                 eng.state.gas(loc).stats.remote_ops += 1;
                 issue_sw(eng, loc, op, gva, home);
             } else {
+                // The initiator's address table: where the home placed it.
                 let base = *eng
                     .state
                     .pgas()
@@ -479,12 +482,6 @@ fn issue<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) {
             }
         }
         GasMode::AgasNetwork | GasMode::AgasSoftware => {
-            // One BTT probe decides residency AND yields the base for the
-            // local commit (no second probe inside `commit_local`).
-            if let Some(base) = resident_base(eng, loc, block) {
-                commit_local(eng, loc, op, Some(base));
-                return;
-            }
             let serving = eng.state.gas_ref(loc).member.resolve(block, home);
             let target_loc = hint_owner(eng, loc, block, serving);
             // The owner's CPU translates under AGAS-SW, and for an op whose
@@ -631,12 +628,9 @@ fn shm_commit<S: GasWorld>(
     shm: ShmDomain,
 ) {
     let block = gva.block_key();
-    // Re-check residency at commit time: a migration may have raced the
-    // access (PGAS placements never move, so the map lookup cannot fail).
-    let base = match eng.state.gas_mode() {
-        GasMode::Pgas => eng.state.pgas().get(&block).copied(),
-        _ => resident_base(eng, target, block),
-    };
+    // Re-check residency at commit time: a migration or a free may have
+    // raced the access.
+    let base = resident_base(eng, target, block);
     let back = eng.now() + shm.load_store;
     let Some(base) = base else {
         // The mapping is stale (block migrated / freed): hop home and run
@@ -690,6 +684,29 @@ fn resident_base<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, block: u64) 
         .and_then(|e| (e.state == crate::BlockState::Resident).then_some(e.base))
 }
 
+/// Place `block` at `loc` as `class` bytes at `phys` under `generation`:
+/// its BTT entry in every mode and, under AGAS-NET, the NIC entry built
+/// from it (releasing any request the NIC parked on the block). The one
+/// way a block becomes resident: allocation, a migration's install and a
+/// crash re-issue all come here.
+pub(crate) fn make_resident<S: GasWorld>(
+    eng: &mut Engine<S>,
+    loc: LocalityId,
+    block: u64,
+    phys: PhysAddr,
+    class: u8,
+    generation: u32,
+) {
+    let entry = eng
+        .state
+        .gas(loc)
+        .btt
+        .insert(block, phys, class, generation);
+    if eng.state.gas_mode() == GasMode::AgasNetwork {
+        netsim::install_xlate(eng, loc, block, entry.xlate());
+    }
+}
+
 fn hint_owner<S: GasWorld>(
     eng: &mut Engine<S>,
     loc: LocalityId,
@@ -739,16 +756,9 @@ fn issue_rdma<S: GasWorld>(
     pwc(eng, loc, target_loc, target, verb, op, None);
 }
 
-/// Commit an operation against locally resident storage.
-/// `base_hint` carries the physical base from the caller's own BTT probe
-/// (see [`resident_base`]) so the commit doesn't re-translate.
-fn commit_local<S: GasWorld>(
-    eng: &mut Engine<S>,
-    loc: LocalityId,
-    op: OpId,
-    base_hint: Option<netsim::PhysAddr>,
-) {
-    let mode = eng.state.gas_mode();
+/// Commit an operation against the block resident at `base` in `loc`'s
+/// arena (the caller's own BTT probe, [`resident_base`], found it).
+fn commit_local<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId, base: PhysAddr) {
     let (gva, len, per_byte) = {
         let g = eng.state.gas(loc);
         let Ok(p) = g.pending.get(op) else {
@@ -758,21 +768,6 @@ fn commit_local<S: GasWorld>(
         (p.gva, len, g.cfg.copy_per_byte_ps)
     };
     let block = gva.block_key();
-    let base = match mode {
-        GasMode::Pgas => *eng
-            .state
-            .pgas()
-            .get(&block)
-            .expect("PGAS local op on unknown block"),
-        _ => base_hint.unwrap_or_else(|| {
-            eng.state
-                .gas(loc)
-                .btt
-                .lookup(block)
-                .expect("local commit without residency")
-                .base
-        }),
-    };
     let g = eng.state.gas(loc);
     g.stats.local_ops += 1;
     let delay = g.cfg.local_op + copy_time(per_byte, len);
@@ -891,7 +886,7 @@ pub(crate) fn arm_sweep<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId) {
 }
 
 /// Recover or fail every in-flight op whose deadline has passed
-/// ([`GasConfig::op_deadline`]). An expired op that still has bounce
+/// ([`crate::GasConfig::op_deadline`]). An expired op that still has bounce
 /// budget is presumed to have *lost* a message (the fault plane dropped a
 /// request or completion) rather than merely being slow: it is re-resolved
 /// through the home directory, and its deadline is refreshed so the next
@@ -1067,16 +1062,7 @@ pub fn on_xlate_miss<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, block: u
         if !eng.state.gas(loc).btt.is_resident(block) {
             return;
         }
-        netsim::install_xlate(
-            eng,
-            loc,
-            block,
-            netsim::XlateEntry {
-                base: entry.base,
-                len: 1u64 << entry.class,
-                generation: entry.generation,
-            },
-        );
+        netsim::install_xlate(eng, loc, block, entry.xlate());
     });
 }
 
@@ -1332,19 +1318,15 @@ fn run_sw_access<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, acc: Box<SwAc
         ms.queued.push(acc);
         return;
     }
-    // Resolve storage: the BTT under AGAS; under PGAS (where the BTT is
-    // empty by design) the replicated placement map — the home always
-    // owns, so no retry path is needed there.
-    let resolved = match eng.state.gas(at).btt.lookup(block).copied() {
-        Some(e) => Some((e.base, 1u64 << e.class)),
-        None if eng.state.gas_mode() == GasMode::Pgas => eng
-            .state
-            .pgas()
-            .get(&block)
-            .copied()
-            .map(|base| (base, Gva(block).block_size())),
-        None => None,
-    };
+    // Resolve storage through the BTT, the placement record in every mode
+    // (a PGAS home holds its blocks there too); a block not here answers
+    // `SwRetry`.
+    let resolved = eng
+        .state
+        .gas(at)
+        .btt
+        .lookup(block)
+        .map(|e| (e.base, 1u64 << e.class));
     let ctrl = eng.state.cluster_ref().config.ctrl_bytes;
     let (reply, wire) = match resolved {
         None => (GasMsg::SwRetry { ctx, block }, ctrl),
@@ -1421,77 +1403,53 @@ pub enum Route {
 pub fn route<S: GasWorld>(world: &mut S, loc: LocalityId, gva: Gva) -> Route {
     let block = gva.block_key();
     let home = gva.home();
-    match world.gas_mode() {
-        GasMode::Pgas => {
-            if home == loc {
-                let base = *world
-                    .pgas()
-                    .get(&block)
-                    .expect("route on unallocated block");
-                Route::Local {
-                    base,
-                    class: gva.class(),
-                }
-            } else {
-                Route::Forward(home)
+    let pgas = world.gas_mode() == GasMode::Pgas;
+    let g = world.gas(loc);
+    // Membership may have re-homed the block's directory record (join
+    // slice, drain hand-off, crash takeover).
+    let serving = g.member.resolve(block, home);
+    if let Some(e) = g.btt.lookup(block) {
+        match e.state {
+            crate::BlockState::Resident => Route::Local {
+                base: e.base,
+                class: e.class,
+            },
+            crate::BlockState::Moving => {
+                let dst = g.moving.get(&block).map(|m| m.dst).unwrap_or(serving);
+                Route::Forward(dst)
             }
         }
-        GasMode::AgasSoftware | GasMode::AgasNetwork => {
-            let g = world.gas(loc);
-            // Membership may have re-homed the block's directory record
-            // (join slice, drain hand-off, crash takeover).
-            let serving = g.member.resolve(block, home);
-            if let Some(e) = g.btt.lookup(block) {
-                match e.state {
-                    crate::BlockState::Resident => Route::Local {
-                        base: e.base,
-                        class: e.class,
-                    },
-                    crate::BlockState::Moving => {
-                        let dst = g.moving.get(&block).map(|m| m.dst).unwrap_or(serving);
-                        Route::Forward(dst)
-                    }
-                }
-            } else if serving == loc {
-                // We are the authority: route to the directory's owner.
-                match g.dir.lookup_opt(block) {
-                    Some(rec) => Route::Forward(rec.owner),
-                    // Record still in flight to us (hand-off racing the
-                    // access): fall back to the encoded home, whose own
-                    // view will re-forward as it catches up.
-                    None => Route::Forward(home),
-                }
-            } else if let Some(h) = g.cache.lookup(block) {
-                Route::Forward(h.owner)
-            } else {
-                Route::Forward(serving)
-            }
+    } else if pgas {
+        // Static placement: the data stays at its encoded home whoever
+        // serves the block's directory record.
+        Route::Forward(home)
+    } else if serving == loc {
+        // We are the authority: route to the directory's owner.
+        match g.dir.lookup_opt(block) {
+            Some(rec) => Route::Forward(rec.owner),
+            // Record still in flight to us (hand-off racing the access):
+            // fall back to the encoded home, whose own view will re-forward
+            // as it catches up.
+            None => Route::Forward(home),
         }
+    } else if let Some(h) = g.cache.lookup(block) {
+        Route::Forward(h.owner)
+    } else {
+        Route::Forward(serving)
     }
 }
 
 /// Pin `gva`'s block for a local handler. Returns the physical base and
 /// class, or `None` if the block is not executable here (caller re-routes).
 pub fn pin<S: GasWorld>(world: &mut S, loc: LocalityId, gva: Gva) -> Option<(PhysAddr, u8)> {
-    let block = gva.block_key();
-    match world.gas_mode() {
-        GasMode::Pgas => {
-            if gva.home() == loc {
-                Some((*world.pgas().get(&block)?, gva.class()))
-            } else {
-                None
-            }
-        }
-        _ => world.gas(loc).btt.pin(block).map(|e| (e.base, e.class)),
-    }
+    let e = world.gas(loc).btt.pin(gva.block_key())?;
+    Some((e.base, e.class))
 }
 
-/// Release a pin taken with [`pin`]; may start a deferred migration.
+/// Release a pin taken with [`pin`]; may start a deferred migration or
+/// free.
 pub fn unpin<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, gva: Gva) {
     let block = gva.block_key();
-    if eng.state.gas_mode() == GasMode::Pgas {
-        return;
-    }
     let pins = eng.state.gas(loc).btt.unpin(block);
     if pins == 0 {
         crate::migrate::retry_deferred(eng, loc, block);

@@ -135,7 +135,8 @@ pub struct SimData {
     pub gas: Vec<GasLocal>,
     /// Per-locality CPU worker pools.
     pub cpus: Vec<ServerPool>,
-    /// The replicated PGAS placement registry (read-only at event time).
+    /// The PGAS initiators' address table (written only at allocation and
+    /// runtime free).
     pub pgas: PgasMap,
     /// The active GAS mode.
     pub mode: GasMode,
@@ -619,8 +620,9 @@ fn amo_pump_ctx(loc: LocalityId, p: &mut AmoPump) -> OpId {
 // at `loc` only touches `loc`'s slice, which belongs to the executing
 // lane. The shared structures (`pgas`, `pump_blocks`, `mode`,
 // `record_events`, the cluster-wide config) are read-only at event time:
-// `pgas` is only written on the allocation (drive-phase) and runtime-free
-// paths, and sharded workloads must not issue runtime frees. The wire is
+// `pgas` is written at allocation (drive phase) and at a runtime free (an
+// event at the block's serving home), and sharded workloads must not
+// issue runtime frees; every other access reads it at a PGAS initiator. The wire is
 // the sender's: netsim keys each message's jitter and fault draws by its
 // sending locality and counts fault verdicts there, events only read the
 // fault plane, and `ShardedEngine::new` keeps an oversubscribed switch

@@ -181,7 +181,8 @@ pub struct World {
     pub gas: Vec<GasLocal>,
     /// Worker pools, one per locality.
     pub cpus: Vec<ServerPool>,
-    /// The replicated PGAS placement registry.
+    /// The PGAS initiators' address table ([`PgasMap`]); targets read
+    /// their BTTs.
     pub pgas_map: PgasMap,
     /// The active GAS mode.
     pub mode: GasMode,
@@ -257,17 +258,14 @@ impl World {
         self.cluster.len() as u32
     }
 
-    /// Where block `gva` lives now: its PGAS home and `pgas_map` base, or
-    /// the locality whose BTT holds it resident and its base there. The
-    /// driver-side answer to "which locality holds this block, and at what
-    /// address" (setup, inspection, and the stencil's face reads); the GAS
-    /// protocol itself never asks it. Panics on an unknown block, or one
-    /// resident nowhere (mid-migration).
+    /// Where block `gva` lives now: the locality whose BTT holds it
+    /// resident and its base there, in every GAS mode. The driver-side
+    /// answer to "which locality holds this block, and at what address"
+    /// (setup, inspection, and the stencil's face reads); the GAS protocol
+    /// itself never asks it. Panics on an unknown block, or one resident
+    /// nowhere (mid-migration).
     pub fn locate(&self, gva: agas::Gva) -> (LocalityId, PhysAddr) {
         let key = gva.block_key();
-        if self.mode == GasMode::Pgas {
-            return (gva.home(), *self.pgas_map.get(&key).expect("unknown block"));
-        }
         let owner = (0..self.n_localities())
             .find(|&l| self.gas[l as usize].btt.is_resident(key))
             .expect("no resident owner");
