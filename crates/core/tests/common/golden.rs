@@ -27,6 +27,6 @@ pub const GOLDEN_AMO_NET: Pin = (0x6be9_dbae_6c3a_0418, 24_681_800, 141);
 pub const GOLDEN_MEMBER_PGAS: Pin = (0x2a3b_86b6_3bcd_b953, 22_274_800, 143);
 pub const GOLDEN_MEMBER_SW: Pin = (0xab7a_5c91_f2f5_d1e3, 61_046_200, 268);
 pub const GOLDEN_MEMBER_NET: Pin = (0x4136_753e_43d6_1c44, 48_286_200, 220);
-pub const GOLDEN_FREE_PGAS: Pin = (0x2eb9_a7d9_a915_feaa, 18_154_000, 96);
+pub const GOLDEN_FREE_PGAS: Pin = (0xf7d4_a909_e9ee_a527, 18_154_000, 96);
 pub const GOLDEN_FREE_SW: Pin = (0x3fdc_0c9d_dc02_dc6a, 74_072_600, 222);
 pub const GOLDEN_FREE_NET: Pin = (0x7a78_839b_3ccc_1eb3, 65_691_800, 190);

@@ -363,8 +363,8 @@ pub fn member_mix(mode: GasMode, lanes: Option<usize>, plan: Option<FaultPlan>) 
 /// while a hand-off is in flight, a block migrates to its current owner,
 /// and two migrations wait on one pin — on `unpin` the first hands off and
 /// the second re-chases through the home. In every mode a free waits on a
-/// pin released by `unpin` (PGAS pins do not defer) and the rest of the
-/// array is freed through `free_block`. Every free and migration must
+/// pin released by `unpin` and the rest of the array is freed through
+/// `free_block`. Every free and migration must
 /// complete and no block may stay resident.
 pub fn free_mix(mode: GasMode, plan: Option<FaultPlan>) -> Pin {
     let mut h = harness(4, mode, jittery(), 31, None, plan);
@@ -428,8 +428,20 @@ pub fn free_mix(mode: GasMode, plan: Option<FaultPlan>) -> Pin {
     assert!(pin(h.world(), 2, b2).is_some());
     h.drive_at(0, move |eng| free_block(eng, 0, b2, OpId::from_raw(802)));
     h.run();
-    h.drive_at(2, move |eng| unpin(eng, 2, b2));
+    let unpinned_at = h.drive_at(2, move |eng| {
+        unpin(eng, 2, b2);
+        eng.now()
+    });
     h.run();
+    let freed_at = h
+        .world_ref()
+        .events()
+        .iter()
+        .find_map(|&(t, _, ref e)| matches!(e, SimEv::FreeDone(802, _)).then_some(t));
+    assert!(
+        freed_at.is_some_and(|t| t > unpinned_at),
+        "{mode:?}: the free of pinned block 2 landed at {freed_at:?}, not after its unpin at {unpinned_at}"
+    );
     // Free the rest of the array.
     let freed_already = if mode.supports_migration() {
         vec![1, 2, 3]
