@@ -113,6 +113,15 @@ pub struct PhotonStats {
 /// caller's handle never collides with one.
 const RDV_TOKEN: u32 = u32::MAX;
 
+/// The remote-note tag of `src`'s rendezvous payload put for `send_id`,
+/// which also keys the receiver's landing record: every endpoint numbers
+/// its sends from 0, so only the sender beside its send id names one
+/// receive.
+fn rdv_note(src: LocalityId, send_id: u64) -> u64 {
+    debug_assert!(src < 1 << 31 && send_id <= u64::from(u32::MAX));
+    RDV_NOTE_BIT | u64::from(src) << 32 | send_id
+}
+
 /// A completion's redirect hint — `(owner, generation)`: the request was
 /// NIC-forwarded and committed at `owner` under that translation
 /// generation (the ack's source plus the packet's `moved`).
@@ -147,6 +156,7 @@ pub struct PhotonEndpoint {
     credits: HashMap<LocalityId, usize>,
     backlog: HashMap<LocalityId, VecDeque<(u64, u64, Vec<u8>)>>, // (tag, send_id, data)
     rdv_sends: HashMap<u64, RdvSend>,
+    /// Landing records, keyed by their payload put's [`rdv_note`] tag.
     rdv_recvs: HashMap<u64, RdvRecv>,
     /// Send ids stay within `u32` so a payload put's token carries one.
     next_send_id: u32,
@@ -525,7 +535,7 @@ fn start_rdv_recv_matched<S: PhotonWorld>(
         .alloc_block(class)
         .expect("rendezvous landing buffer allocation failed");
     eng.state.endpoint(loc).rdv_recvs.insert(
-        send_id,
+        rdv_note(src, send_id),
         RdvRecv {
             src,
             tag,
@@ -600,7 +610,7 @@ pub fn handle_msg<S: PhotonWorld>(
                 dst: RdmaTarget::Phys(dst),
                 data,
                 op: OpId::from_parts(RDV_TOKEN, send_id as u32),
-                remote_tag: Some(RDV_NOTE_BIT | send_id),
+                remote_tag: Some(rdv_note(at, send_id)),
                 ttl: eng.state.cluster_ref().config.forward_ttl,
                 class: FaultClass::Payload,
             };
@@ -646,8 +656,7 @@ pub fn handle_completion<S: PhotonWorld>(
         }
         Packet::RemoteNote { tag, len } => {
             if tag & RDV_NOTE_BIT != 0 {
-                let send_id = tag & !RDV_NOTE_BIT;
-                let Some(rr) = eng.state.endpoint(at).rdv_recvs.remove(&send_id) else {
+                let Some(rr) = eng.state.endpoint(at).rdv_recvs.remove(&tag) else {
                     eng.state.endpoint(at).stats.protocol_violations += 1;
                     return;
                 };
@@ -1026,6 +1035,36 @@ mod tests {
         assert_eq!(eng.state.payloads[0], payload);
         // The landing buffer was freed.
         assert_eq!(eng.state.cluster.mem(1).live_blocks(), 0);
+    }
+
+    /// Two senders rendezvous to one receiver at once. Both number their
+    /// first send 0; each payload must still land in its own receive.
+    #[test]
+    fn concurrent_rendezvous_from_two_senders_land_apart() {
+        let mut eng = world(3);
+        let before = eng.state.cluster.mem(2).live_blocks();
+        post_recv(&mut eng, 2, ANY_TAG);
+        post_recv(&mut eng, 2, ANY_TAG);
+        let len = PhotonConfig::default().eager_threshold as usize + 1;
+        for src in 0..2u32 {
+            send(&mut eng, src, 2, 5, vec![src as u8 + 1; len], None);
+        }
+        eng.run();
+        let mut got: Vec<(u32, &Vec<u8>)> = events_of(&eng, 2)
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::Recv { src, .. } => Some(*src),
+                _ => None,
+            })
+            .zip(&eng.state.payloads)
+            .collect();
+        got.sort_unstable_by_key(|&(src, _)| src);
+        assert_eq!(got.len(), 2, "one recv_complete per send");
+        for (src, data) in got {
+            assert_eq!(*data, vec![src as u8 + 1; len], "sender {src}'s bytes");
+        }
+        assert_eq!(eng.state.eps[2].stats.protocol_violations, 0);
+        assert_eq!(eng.state.cluster.mem(2).live_blocks(), before);
     }
 
     #[test]
