@@ -1,7 +1,8 @@
 //! End-to-end runtime tests: parcels, actions, LCOs, collectives, and the
 //! interaction of all of it with the three GAS modes.
 
-use agas::{Distribution, GasMode};
+use agas::ops::{pin, route, unpin, Route};
+use agas::{membership, Distribution, GasMode, MemberState};
 use parcel_rt::{ArgReader, ArgWriter, ReduceOp, Runtime};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -352,6 +353,37 @@ fn locate_finds_home_and_migrated_blocks() {
         assert_eq!(rt.read_local(2, base + 40, 8), [9; 8], "{mode:?}");
         assert_eq!(rt.read_block(g)[40..48], [9; 8], "{mode:?}");
     }
+}
+
+/// Under PGAS a membership join re-homes a block's directory record, not
+/// its data: from every other locality the block still routes to its
+/// encoded home (the one PGAS arm `route` keeps), and at the home `route`,
+/// `pin` and `World::locate` answer with the BTT's base and class.
+#[test]
+fn pgas_placement_survives_a_directory_rehome() {
+    let mut rt = Runtime::builder(4, GasMode::Pgas).boot();
+    membership::mark(&mut rt.eng, 3, MemberState::Joining);
+    let arr = rt.alloc(8, 12, Distribution::Cyclic);
+    membership::join(&mut rt.eng, 3, 0);
+    rt.run();
+    let w = &mut rt.eng.state;
+    let g = *arr
+        .blocks
+        .iter()
+        .find(|g| g.home() != 3 && w.gas[1].member.resolve(g.block_key(), g.home()) == 3)
+        .expect("the join re-homed a directory record to the joiner");
+    let home = g.home();
+    assert!(w.gas[3].dir.lookup_opt(g.block_key()).is_some());
+    for loc in (0..4).filter(|&l| l != home) {
+        assert_eq!(route(w, loc, g), Route::Forward(home), "from {loc}");
+        assert_eq!(pin(w, loc, g), None, "from {loc}");
+    }
+    let e = *w.gas[home as usize].btt.lookup(g.block_key()).unwrap();
+    let (base, class) = (e.base, e.class);
+    assert_eq!(route(w, home, g), Route::Local { base, class });
+    assert_eq!(pin(w, home, g), Some((base, class)));
+    unpin(&mut rt.eng, home, g);
+    assert_eq!(rt.eng.state.locate(g), (home, base));
 }
 
 #[test]
