@@ -157,8 +157,8 @@ pub struct SimWorld {
 
 impl SimWorld {
     /// Build a world with the integration suite's construction defaults:
-    /// 256 MiB arenas, default photon/GAS configs, two CPU workers per
-    /// locality.
+    /// 256 MiB arenas (reserved address space, backed as written),
+    /// default photon/GAS configs, two CPU workers per locality.
     pub fn new(n: usize, mode: GasMode, net: NetConfig) -> SimWorld {
         SimWorld {
             data: SharedState::new(SimData {

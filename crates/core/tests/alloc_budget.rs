@@ -93,6 +93,12 @@ unsafe impl GlobalAlloc for Counting {
         count(layout.size());
         System.alloc(layout)
     }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // Forwarded, not left to the default `alloc` + zero-fill, which
+        // would write (and make resident) every locality's whole arena.
+        count(layout.size());
+        System.alloc_zeroed(layout)
+    }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         count_free(layout.size());
         System.dealloc(ptr, layout)
@@ -421,9 +427,10 @@ const OUTSTANDING: u64 = 4096;
 /// every layer, as [`live_bytes_per_outstanding_get`] measures them
 /// (requested sizes, not allocator chunks): the GAS pending-op slot (88)
 /// and the boxed `Access` (72) — 160 — plus the request's queued wire
-/// event with its share of the time wheel's bucket growth, and its 8-byte
-/// landing buffer's share of the arena's growth (15).
-const LIVE_BYTES_PER_GET: i64 = 254;
+/// event with its share of the time wheel's bucket growth (79). Its 8-byte
+/// landing buffer costs no heap bytes: the arena is reserved whole when
+/// the world is built, so carving a block from it allocates nothing.
+const LIVE_BYTES_PER_GET: i64 = 239;
 
 #[test]
 fn an_outstanding_get_holds_its_byte_budget() {

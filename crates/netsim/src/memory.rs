@@ -18,10 +18,14 @@ pub enum MemError {
     Bounds,
 }
 
-/// A locality's memory arena and block allocator.
+/// A locality's memory arena and block allocator: one zeroed reservation
+/// of the whole limit, bumped through by `top`. The limit is reserved
+/// address space; the host backs a page when the simulation first writes
+/// it (a read of an unwritten page maps the shared zero page).
 pub struct Memory {
+    /// The reservation (`len()` is the limit).
     data: Vec<u8>,
-    limit: usize,
+    top: usize,
     /// Freed blocks by size class (LIFO), indexed by class: every RDMA get
     /// allocates and frees a landing buffer here.
     free: Vec<Vec<PhysAddr>>,
@@ -30,11 +34,13 @@ pub struct Memory {
 }
 
 impl Memory {
-    /// Create an arena that may grow up to `limit` bytes.
+    /// Reserve `limit` bytes of address space (above glibc's 32 MiB mmap
+    /// threshold, backed on first write; in 2 MiB pages under transparent
+    /// huge pages `always`): a live-heap count must not count it as resident.
     pub fn new(limit: usize) -> Memory {
         Memory {
-            data: Vec::new(),
-            limit,
+            data: vec![0; limit],
+            top: 0,
             free: Vec::new(),
             allocated_bytes: 0,
             live_blocks: 0,
@@ -63,12 +69,11 @@ impl Memory {
             self.data[a..a + size].fill(0);
             addr
         } else {
-            let addr = self.data.len() as PhysAddr;
-            if self.data.len() + size > self.limit {
+            if self.top + size > self.data.len() {
                 return Err(MemError::OutOfMemory);
             }
-            self.data.resize(self.data.len() + size, 0);
-            addr
+            self.top += size;
+            (self.top - size) as PhysAddr
         };
         self.allocated_bytes += size as u64;
         self.live_blocks += 1;
@@ -89,17 +94,13 @@ impl Memory {
     /// Read `len` bytes starting at `addr`.
     pub fn read(&self, addr: PhysAddr, len: usize) -> Result<&[u8], MemError> {
         let a = addr as usize;
-        self.data.get(a..a + len).ok_or(MemError::Bounds)
+        let live = &self.data[..self.top];
+        live.get(a..a + len).ok_or(MemError::Bounds)
     }
 
     /// Copy `src` into the arena starting at `addr`.
     pub fn write(&mut self, addr: PhysAddr, src: &[u8]) -> Result<(), MemError> {
-        let a = addr as usize;
-        let dst = self
-            .data
-            .get_mut(a..a + src.len())
-            .ok_or(MemError::Bounds)?;
-        dst.copy_from_slice(src);
+        self.slice_mut(addr, src.len())?.copy_from_slice(src);
         Ok(())
     }
 
@@ -107,17 +108,16 @@ impl Memory {
     /// pinned blocks through this).
     pub fn slice_mut(&mut self, addr: PhysAddr, len: usize) -> Result<&mut [u8], MemError> {
         let a = addr as usize;
-        self.data.get_mut(a..a + len).ok_or(MemError::Bounds)
+        let live = &mut self.data[..self.top];
+        live.get_mut(a..a + len).ok_or(MemError::Bounds)
     }
 
     /// Atomic-style read-modify-write of a little-endian `u64` cell
     /// (the GUPS update primitive).
     pub fn xor_u64(&mut self, addr: PhysAddr, val: u64) -> Result<u64, MemError> {
-        let bytes = self.slice_mut(addr, 8)?;
-        let mut cell = [0u8; 8];
-        cell.copy_from_slice(bytes);
-        let new = u64::from_le_bytes(cell) ^ val;
-        bytes.copy_from_slice(&new.to_le_bytes());
+        let cell: &mut [u8; 8] = self.slice_mut(addr, 8)?.try_into().expect("8 bytes");
+        let new = u64::from_le_bytes(*cell) ^ val;
+        *cell = new.to_le_bytes();
         Ok(new)
     }
 }

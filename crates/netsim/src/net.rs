@@ -191,7 +191,12 @@ pub struct Cluster {
 
 impl Cluster {
     /// Build a cluster of `n` localities, each with an arena limited to
-    /// `mem_limit` bytes.
+    /// `mem_limit` bytes. Each arena reserves its limit as address space
+    /// ([`Memory::new`]); the host backs a page on the simulation's first
+    /// write to it (2 MiB pages under transparent huge pages `always`), so
+    /// a live-heap count must take the reservation for address space, not
+    /// resident bytes. A limit the host refuses to reserve aborts here, as
+    /// any failed allocation does, rather than as `OutOfMemory` later.
     pub fn new(n: usize, config: NetConfig, mem_limit: usize) -> Cluster {
         let locs = (0..n)
             .map(|_| Locality {

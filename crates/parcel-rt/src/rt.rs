@@ -76,7 +76,12 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Cap each locality's arena.
+    /// Cap each locality's arena (default 1 GiB). The cap is reserved
+    /// address space, made once per locality: the host backs a page only
+    /// when the simulation first writes it (in 2 MiB pages under
+    /// transparent huge pages `always`), so a count of live heap bytes per
+    /// locality must not read the reservation as resident. The host must
+    /// be able to reserve it: see [`Cluster::new`](netsim::Cluster::new).
     pub fn mem_limit(mut self, bytes: usize) -> Self {
         self.mem_limit = bytes;
         self
