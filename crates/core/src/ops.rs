@@ -460,15 +460,25 @@ fn issue<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) {
     let home = gva.home();
     match mode {
         GasMode::Pgas => {
-            if try_shm(eng, loc, op, gva, home) {
+            // A crashed home's blocks were re-issued at its take-over, at a
+            // base no `PgasMap` entry names: only its CPU can place them.
+            let member = &eng.state.gas_ref(loc).member;
+            let crashed = member.is_crashed(home);
+            let target_loc = if crashed {
+                member.resolve(block, home)
+            } else {
+                home
+            };
+            if try_shm(eng, loc, op, gva, target_loc) {
                 // Co-located home: the access went over shared memory and
                 // the NIC never saw it.
-            } else if kind == OpKind::Amo {
+            } else if kind == OpKind::Amo || crashed {
                 // PGAS NICs translate nothing, so there is no virtual
                 // path for a remote AMO to ride; the home's CPU executes
-                // it (the software handler resolves through its BTT).
+                // it (the software handler resolves through its BTT), as
+                // a take-over's does every op.
                 eng.state.gas(loc).stats.remote_ops += 1;
-                issue_sw(eng, loc, op, gva, home);
+                issue_sw(eng, loc, op, gva, target_loc);
             } else {
                 // The initiator's address table: where the home placed it.
                 let base = *eng
@@ -1421,8 +1431,13 @@ pub fn route<S: GasWorld>(world: &mut S, loc: LocalityId, gva: Gva) -> Route {
         }
     } else if pgas {
         // Static placement: the data stays at its encoded home whoever
-        // serves the block's directory record.
-        Route::Forward(home)
+        // serves the block's directory record, unless that home crashed
+        // and its take-over re-issued the block.
+        if g.member.is_crashed(home) {
+            Route::Forward(serving)
+        } else {
+            Route::Forward(home)
+        }
     } else if serving == loc {
         // We are the authority: route to the directory's owner.
         match g.dir.lookup_opt(block) {

@@ -22,9 +22,9 @@
 
 mod common;
 
-use agas::ops::{memamo, memget, memput};
+use agas::ops::{memamo, memget, memput, route, Route};
 use agas::{alloc_array, membership, Distribution, GasMode, Gva, MemberState, SimEv, SimWorld};
-use netsim::{AmoOp, Engine, NetConfig, OpId};
+use netsim::{AmoOp, Engine, NetConfig, OpId, Time};
 use proptest::prelude::*;
 
 fn jittery() -> NetConfig {
@@ -253,4 +253,32 @@ fn drain_ladder_smoke_all_modes() {
     for mode in GasMode::ALL {
         drain_ladder(mode, 7, 2, 6, 2);
     }
+}
+
+/// Under PGAS a crashed home's blocks are re-issued at its take-over, at a
+/// base no initiator's `PgasMap` names: a survivor's put and get to such a
+/// block must reach the take-over's CPU, not RDMA into the severed links
+/// until the deadline fails them.
+#[test]
+fn pgas_ops_reach_a_crashed_homes_take_over() {
+    let mut eng = Engine::new(SimWorld::new(3, GasMode::Pgas, NetConfig::ideal()), 42);
+    for g in &mut eng.state.data.gas {
+        g.cfg.op_deadline = Some(Time::from_us(50));
+    }
+    let arr = alloc_array(&mut eng, 3, 12, Distribution::Cyclic);
+    eng.run();
+    let gva = arr.block(1);
+    assert_eq!(gva.home(), 1);
+    membership::crash(&mut eng, 1);
+    eng.run();
+    // Parcels go where the ops go.
+    assert_eq!(route(&mut eng.state, 0, gva), Route::Forward(2));
+    memput(&mut eng, 0, gva, vec![0x5A; 32], OpId::from_raw(1));
+    eng.run();
+    memget(&mut eng, 0, gva, 32, OpId::from_raw(2));
+    eng.run();
+    assert_eq!(completions(&eng, 1), 1, "the put completes");
+    assert_eq!(get_data(&eng, 2), Some(vec![0x5A; 32]), "the get reads it");
+    assert_eq!(eng.state.op_failures(), 0);
+    assert_eq!(eng.state.total_gas_stats().deadline_exceeded, 0);
 }
