@@ -33,10 +33,10 @@ fn header(id: &str, title: &str) {
 }
 
 fn fmt_cap(c: usize) -> String {
-    if c == usize::MAX {
-        "unbounded".into()
-    } else {
-        c.to_string()
+    match c {
+        usize::MAX => "unbounded".into(),
+        0 => "0 (AGAS-SW)".into(),
+        c => c.to_string(),
     }
 }
 
@@ -206,21 +206,20 @@ fn e6() {
         "{:>11} {:>10} {:>10} {:>13}",
         "capacity", "MUPS", "hit rate", "sw fallbacks"
     );
-    let rows: Vec<_> = CAPACITIES.par_iter().map(|&c| table_capacity(c)).collect();
+    let rows: Vec<_> = CAPACITIES
+        .par_iter()
+        .map(|&c| table_capacity(GasMode::AgasNetwork, c))
+        .collect();
     for r in rows {
         println!(
-            "{:>11} {:>10.2} {:>9.1}% {:>13}",
+            "{:>11} {:>10.2} {:>10} {:>13}",
             fmt_cap(r.capacity),
             r.mups,
-            r.hit_rate * 100.0,
+            r.hit_rate
+                .map_or("—".into(), |h| format!("{:.1}%", h * 100.0)),
             r.sw_fallbacks
         );
     }
-    let sw = gups_scaling(GasMode::AgasSoftware, 8, NetConfig::ib_fdr());
-    println!(
-        "{:>11} {:>10.2}   (software-AGAS floor)",
-        "AGAS-SW", sw.mups
-    );
 }
 
 fn e7() {

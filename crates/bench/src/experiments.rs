@@ -124,19 +124,19 @@ pub fn gups_scaling(mode: GasMode, n: usize, net: NetConfig) -> GupsRow {
 /// One row of E6 — NIC translation-table capacity sensitivity.
 #[derive(Clone, Copy, Debug)]
 pub struct CapacityRow {
-    /// Table capacity in entries (`usize::MAX` = unbounded).
+    /// Table capacity in entries (`usize::MAX` = unbounded, 0 = no table).
     pub capacity: usize,
     /// Aggregate MUPS.
     pub mups: f64,
-    /// NIC-table hit fraction.
-    pub hit_rate: f64,
+    /// NIC-table hit fraction (`None`: the NIC looked nothing up).
+    pub hit_rate: Option<f64>,
     /// Operations that fell back to the software path.
     pub sw_fallbacks: u64,
 }
 
-/// E6 — GUPS (8 localities, network-managed) with a capacity-limited NIC
-/// translation table.
-pub fn table_capacity(capacity: usize) -> CapacityRow {
+/// E6 — GUPS (8 localities) under `mode` with a capacity-limited NIC
+/// translation table. Under AGAS-NET, capacity 0 is no table: AGAS-SW.
+pub fn table_capacity(mode: GasMode, capacity: usize) -> CapacityRow {
     let net = NetConfig {
         xlate_capacity: capacity,
         ..NetConfig::ib_fdr()
@@ -150,7 +150,7 @@ pub fn table_capacity(capacity: usize) -> CapacityRow {
         block_class: 13,
         ..GupsConfig::default()
     };
-    let mut rt = Runtime::builder(8, GasMode::AgasNetwork).net(net).boot();
+    let mut rt = Runtime::builder(8, mode).net(net).boot();
     let table = gups::alloc_table(&mut rt, &cfg);
     let res = gups::run(&mut rt, &cfg, &table);
     let c = rt.counters();
@@ -158,11 +158,7 @@ pub fn table_capacity(capacity: usize) -> CapacityRow {
     CapacityRow {
         capacity,
         mups: res.gups * 1e3,
-        hit_rate: if lookups == 0 {
-            1.0
-        } else {
-            c.xlate_hits as f64 / lookups as f64
-        },
+        hit_rate: (lookups > 0).then(|| c.xlate_hits as f64 / lookups as f64),
         sw_fallbacks: rt.eng.state.total_gas_stats().sw_fallbacks,
     }
 }
@@ -737,7 +733,7 @@ pub const WINDOWS: [usize; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 pub const SCALES: [usize; 6] = [2, 4, 8, 16, 32, 64];
 
 /// Capacity sweep used by E6 (32 blocks resident per NIC at the E6 size).
-pub const CAPACITIES: [usize; 6] = [usize::MAX, 64, 32, 16, 8, 4];
+pub const CAPACITIES: [usize; 7] = [usize::MAX, 64, 32, 16, 8, 4, 0];
 
 /// Block-size-class sweep used by E7 (4 KiB – 4 MiB).
 pub const MIG_CLASSES: [u8; 6] = [12, 14, 16, 18, 20, 22];

@@ -74,6 +74,24 @@ fn good_values_run() {
 }
 
 #[test]
+fn agas_net_without_a_nic_table_prints_agas_sw_results() {
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_nmvgas-cli"))
+            .args(args)
+            .args(["--locs", "4", "--ops", "64"])
+            .output()
+            .expect("run nmvgas-cli");
+        assert!(out.status.success(), "{args:?}");
+        // Everything after the banner, which names the mode.
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        stdout.split_once('\n').unwrap().1.to_owned()
+    };
+    let sw = run(&["--mode", "sw"]);
+    assert!(sw.contains("simulated time"), "{sw}");
+    assert_eq!(run(&["--mode", "net", "--xlate-capacity", "0"]), sw);
+}
+
+#[test]
 fn repro_ops_freezes_with_ops_in_flight_and_accounts_for_all() {
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(["ops", "--json"])

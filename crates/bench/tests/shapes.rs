@@ -80,12 +80,18 @@ fn e5_gups_ordering_at_8_localities() {
 
 #[test]
 fn e6_capacity_cliff_and_fallback() {
-    let full = table_capacity(usize::MAX);
-    let starved = table_capacity(8);
-    assert!(full.hit_rate > 0.999);
-    assert!(starved.hit_rate < 0.5);
+    let net = |c| table_capacity(GasMode::AgasNetwork, c);
+    let (full, starved) = (net(usize::MAX), net(8));
+    assert!(full.hit_rate.unwrap() > 0.999);
+    assert!(starved.hit_rate.unwrap() < 0.5);
     assert!(starved.mups < full.mups / 2.0);
     assert!(starved.sw_fallbacks > 0, "fallback path never engaged");
+    // No table at all is AGAS-SW, bit for bit on E6's own config, and it
+    // beats a tiny table: NACK storms cost more than the owner's CPU.
+    let (none, sw) = (net(0), table_capacity(GasMode::AgasSoftware, usize::MAX));
+    assert_eq!(none.mups.to_bits(), sw.mups.to_bits(), "{none:?} vs {sw:?}");
+    assert_eq!((none.hit_rate, none.sw_fallbacks), (None, 0));
+    assert!(none.mups > net(4).mups, "capacity 4 beat no table");
 }
 
 #[test]

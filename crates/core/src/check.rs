@@ -24,7 +24,8 @@
 //! [`GasConfig::record_history`]: crate::GasConfig::record_history
 
 use crate::gva::Gva;
-use crate::{GasMode, GasWorld};
+use crate::ops::nic_table;
+use crate::GasWorld;
 use netsim::{LocalityId, Time};
 use std::collections::BTreeMap;
 
@@ -165,8 +166,8 @@ pub enum Violation {
         /// The block.
         gva: Gva,
     },
-    /// (Network mode) the owner's NIC entry is absent or points at the
-    /// wrong storage/generation.
+    /// The owner's NIC entry is absent or points at the wrong storage or
+    /// generation; or, without a NIC table, the owner's NIC holds anything.
     NicMismatch {
         /// The block.
         gva: Gva,
@@ -209,7 +210,6 @@ impl Violation {
 /// (empty = consistent). The cluster must be quiescent.
 pub fn check_blocks<S: GasWorld>(world: &S, blocks: &[Gva]) -> Vec<Violation> {
     let n = world.cluster_ref().len() as u32;
-    let mode = world.gas_mode();
     let mut out = Vec::new();
     for &gva in blocks {
         let key = gva.block_key();
@@ -238,27 +238,20 @@ pub fn check_blocks<S: GasWorld>(world: &S, blocks: &[Gva]) -> Vec<Violation> {
             }),
             Some(_) => {}
         }
-        if mode == GasMode::AgasNetwork {
-            let btt = *world
-                .gas_ref(owner)
-                .btt
-                .lookup(key)
-                .expect("checked resident");
-            match world.cluster_ref().loc(owner).nic.xlate.peek(key) {
-                None => out.push(Violation::NicMismatch {
-                    gva,
-                    detail: "owner NIC has no live entry",
-                }),
-                Some(e) if e.base != btt.base => out.push(Violation::NicMismatch {
-                    gva,
-                    detail: "NIC base differs from BTT",
-                }),
-                Some(e) if e.generation != btt.generation => out.push(Violation::NicMismatch {
-                    gva,
-                    detail: "NIC generation differs from BTT",
-                }),
-                Some(_) => {}
-            }
+        let xlate = &world.cluster_ref().loc(owner).nic.xlate;
+        let btt = world.gas_ref(owner).btt.lookup(key).expect("resident");
+        let detail = match xlate.peek(key) {
+            // No NIC table (PGAS, AGAS-SW): the owner's CPU resolves every
+            // access, so nothing may have written its NIC.
+            _ if !nic_table(world) => (xlate.live_entries() + xlate.forward_entries() > 0)
+                .then_some("owner NIC holds an entry without a table"),
+            None => Some("owner NIC has no live entry"),
+            Some(e) if e.base != btt.base => Some("NIC base differs from BTT"),
+            Some(e) if e.generation != btt.generation => Some("NIC generation differs from BTT"),
+            Some(_) => None,
+        };
+        if let Some(detail) = detail {
+            out.push(Violation::NicMismatch { gva, detail });
         }
     }
     for l in 0..n {

@@ -1,6 +1,6 @@
 //! GAS-layer tuning parameters.
 
-use netsim::Time;
+use netsim::{NetConfig, Time};
 
 /// Which global-address-space implementation is active.
 ///
@@ -12,13 +12,14 @@ pub enum GasMode {
     /// Remote access is direct RDMA on initiator-computed physical
     /// addresses; blocks can never move.
     Pgas,
-    /// Software-managed AGAS: blocks migrate, and every remote access is a
-    /// two-sided message handled by the owner's *CPU*, which performs the
-    /// BTT translation and the copy (the classic HPX-5 AGAS baseline).
+    /// Software-managed AGAS: AGAS with `xlate_capacity: 0`, so every remote
+    /// access is a two-sided message handled by the owner's *CPU*, which
+    /// performs the BTT translation and the copy (the classic HPX-5 AGAS baseline).
     AgasSoftware,
     /// Network-managed AGAS (the paper's contribution): blocks migrate, and
     /// remote accesses are one-sided RDMA on *virtual* addresses translated
-    /// by the target **NIC** with zero CPU involvement.
+    /// by the target **NIC** with zero CPU involvement. Over a fabric with
+    /// `xlate_capacity: 0` it is [`GasMode::AgasSoftware`].
     AgasNetwork,
 }
 
@@ -32,6 +33,19 @@ impl GasMode {
             GasMode::Pgas => "PGAS",
             GasMode::AgasSoftware => "AGAS-SW",
             GasMode::AgasNetwork => "AGAS-NET",
+        }
+    }
+
+    /// The fabric this mode runs on, as every world constructor builds it:
+    /// `net` without its NIC table (`xlate_capacity: 0`) unless the mode is
+    /// AGAS-NET. PGAS NICs translate nothing; AGAS-SW is AGAS without one.
+    pub fn net(self, net: NetConfig) -> NetConfig {
+        match self {
+            GasMode::AgasNetwork => net,
+            _ => NetConfig {
+                xlate_capacity: 0,
+                ..net
+            },
         }
     }
 

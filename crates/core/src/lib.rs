@@ -15,6 +15,9 @@
 //! | [`GasMode::AgasSoftware`] | target-CPU BTT lookup | two-sided parcel + reply | yes |
 //! | [`GasMode::AgasNetwork`] | **target-NIC table** | RDMA on *virtual* addresses | yes |
 //!
+//! AGAS-SW is AGAS with `xlate_capacity: 0`: both AGAS rows run one protocol,
+//! and whether the fabric keeps a NIC table ([`GasMode::net`]) picks the path.
+//!
 //! Supporting machinery: [`gva`] address encoding, [`btt`] block translation
 //! tables, [`directory`] home-based ownership, [`cache`] source-side owner
 //! hints, [`alloc`] collective allocation, [`migrate`] the migration

@@ -44,7 +44,8 @@
 
 use crate::gva::Gva;
 use crate::migrate::send_ctrl;
-use crate::{GasMode, GasMsg, GasWorld, HistEvent, HistKind, OwnerRec};
+use crate::ops::nic_table;
+use crate::{GasMsg, GasWorld, HistEvent, HistKind, OwnerRec};
 use netsim::{Engine, FaultPlan, FaultPlane, LocalityId, OpId, Time};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -252,7 +253,6 @@ pub fn mark<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, state: MemberStat
 pub fn join<S: GasWorld>(eng: &mut Engine<S>, joiner: LocalityId, donor: LocalityId) {
     assert_ne!(joiner, donor, "a locality cannot donate to itself");
     let n = eng.state.cluster_ref().len();
-    let mode = eng.state.gas_mode();
     let slice: Vec<(u64, OwnerRec)> = eng
         .state
         .gas(donor)
@@ -281,7 +281,7 @@ pub fn join<S: GasWorld>(eng: &mut Engine<S>, joiner: LocalityId, donor: Localit
     eng.schedule_at_loc(t, joiner, move |eng| {
         for &(b, rec) in &warm {
             eng.state.gas(joiner).dir.install(b, rec);
-            if mode == GasMode::AgasNetwork && rec.owner != joiner {
+            if nic_table(&eng.state) && rec.owner != joiner {
                 // Warm translation: a forward at the serving home lets
                 // one-sided traffic chase straight to the believed owner
                 // instead of paying a software miss first. The owner holds

@@ -30,9 +30,8 @@
 //!   re-resolve through the home, whose record is updated before MigDone.
 
 use crate::gva::Gva;
-use crate::{
-    GasMode, GasMsg, GasWorld, MemberState, MovingState, OwnerOp, OwnerReq, PendingInstall,
-};
+use crate::ops::nic_table;
+use crate::{GasMsg, GasWorld, MemberState, MovingState, OwnerOp, OwnerReq, PendingInstall};
 use netsim::{send_user, Engine, LocalityId, OpId, Time};
 
 const MAX_ROUTE_HOPS: u8 = 64;
@@ -251,7 +250,6 @@ fn start_handoff<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, req: OwnerReq
         reply_to,
         ..
     } = req;
-    let mode = eng.state.gas_mode();
     let g = eng.state.gas(at);
     // One BTT probe: snapshot the entry and flip it to Moving in place
     // (the old lookup + set_moving pair probed twice).
@@ -271,7 +269,7 @@ fn start_handoff<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, req: OwnerReq
             queued: Vec::new(),
         },
     );
-    if mode == GasMode::AgasNetwork {
+    if nic_table(&eng.state) {
         // The paper's mechanism: the NIC keeps a forwarding tombstone so
         // in-flight one-sided traffic chases the block in hardware. It
         // remembers the generation the block leaves under, so `dst`'s NIC

@@ -394,7 +394,7 @@ pub fn memget<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, gva: Gva, len: 
 /// (with the observed/old values) arrives via [`GasWorld::gas_amo_done`]
 /// with `ctx`; terminal failure via [`GasWorld::gas_op_failed`].
 ///
-/// Under [`GasMode::AgasNetwork`] the operation executes **at the target
+/// Under AGAS with a NIC table the operation executes **at the target
 /// NIC** in the same visit that translates the virtual block — the target
 /// CPU schedules nothing on the hot path. AMOs are not idempotent, so the
 /// retry machinery shares one dedup identity per op (its [`Verb::Amo`]
@@ -440,9 +440,14 @@ fn start<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, gva: Gva, verb: Verb
     issue(eng, loc, op);
 }
 
+/// Does this cluster translate in the NIC? Not over a fabric without a
+/// table (`xlate_capacity: 0`, [`GasMode::net`]): PGAS and AGAS-SW.
+pub(crate) fn nic_table<S: GasWorld>(world: &S) -> bool {
+    world.cluster_ref().config.xlate_capacity > 0
+}
+
 /// (Re-)issue a pending operation along the active mode's fast path.
 fn issue<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) {
-    let mode = eng.state.gas_mode();
     let (gva, kind, force_sw) = {
         let g = eng.state.gas(loc);
         let Ok(p) = g.pending.get(op) else {
@@ -458,7 +463,7 @@ fn issue<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) {
         return;
     }
     let home = gva.home();
-    match mode {
+    match eng.state.gas_mode() {
         GasMode::Pgas => {
             // A crashed home's blocks were re-issued at its take-over, at a
             // base no `PgasMap` entry names: only its CPU can place them.
@@ -491,12 +496,13 @@ fn issue<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) {
                 issue_rdma(eng, loc, op, home, target);
             }
         }
-        GasMode::AgasNetwork | GasMode::AgasSoftware => {
+        // AGAS, with or without a NIC table.
+        _ => {
             let serving = eng.state.gas_ref(loc).member.resolve(block, home);
             let target_loc = hint_owner(eng, loc, block, serving);
-            // The owner's CPU translates under AGAS-SW, and for an op whose
-            // NIC-table misses degraded it to software.
-            let sw = mode == GasMode::AgasSoftware || force_sw;
+            // The owner's CPU translates without a NIC table (AGAS-SW), and
+            // for an op whose NIC-table misses degraded it to software.
+            let sw = !nic_table(&eng.state) || force_sw;
             if try_shm(eng, loc, op, gva, target_loc) {
                 // Intra-domain short-circuit. Valid even under `force_sw`:
                 // the shm path touches no NIC table, so capacity thrash
@@ -695,10 +701,10 @@ fn resident_base<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, block: u64) 
 }
 
 /// Place `block` at `loc` as `class` bytes at `phys` under `generation`:
-/// its BTT entry in every mode and, under AGAS-NET, the NIC entry built
-/// from it (releasing any request the NIC parked on the block). The one
-/// way a block becomes resident: allocation, a migration's install and a
-/// crash re-issue all come here.
+/// its BTT entry in every mode and, where the NIC keeps a table, the NIC
+/// entry built from it (releasing any request the NIC parked on the
+/// block). The one way a block becomes resident: allocation, a
+/// migration's install and a crash re-issue all come here.
 pub(crate) fn make_resident<S: GasWorld>(
     eng: &mut Engine<S>,
     loc: LocalityId,
@@ -712,7 +718,7 @@ pub(crate) fn make_resident<S: GasWorld>(
         .gas(loc)
         .btt
         .insert(block, phys, class, generation);
-    if eng.state.gas_mode() == GasMode::AgasNetwork {
+    if nic_table(&eng.state) {
         netsim::install_xlate(eng, loc, block, entry.xlate());
     }
 }
@@ -1051,7 +1057,7 @@ pub fn on_pwc_amo_complete<S: GasWorld>(
 /// handler. The bounced initiator's retry then hits, and a forwarded
 /// request the NIC parked on the miss is released by the install.
 pub fn on_xlate_miss<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, block: u64) {
-    if eng.state.gas_mode() != GasMode::AgasNetwork {
+    if !nic_table(&eng.state) {
         return;
     }
     // One probe: the copied entry answers both "owned here?" and

@@ -162,7 +162,7 @@ impl SimWorld {
     pub fn new(n: usize, mode: GasMode, net: NetConfig) -> SimWorld {
         SimWorld {
             data: SharedState::new(SimData {
-                cluster: Cluster::new(n, net, 1 << 28),
+                cluster: Cluster::new(n, mode.net(net), 1 << 28),
                 eps: (0..n)
                     .map(|_| PhotonEndpoint::new(PhotonConfig::default()))
                     .collect(),

@@ -38,15 +38,41 @@ pub fn check(name: &str, lanes: Option<usize>, got: Pin, want: Pin) {
     );
 }
 
+/// A scenario's GAS arm: its mode, over the scenario's fabric with or
+/// without the NIC table. A bare [`GasMode`] keeps the fabric's table.
+#[derive(Clone, Copy, Debug)]
+pub struct Arm {
+    pub mode: GasMode,
+    pub nic_table: bool,
+}
+
+impl From<GasMode> for Arm {
+    fn from(mode: GasMode) -> Arm {
+        Arm {
+            mode,
+            nic_table: true,
+        }
+    }
+}
+
 fn harness(
     n: usize,
-    mode: GasMode,
+    arm: impl Into<Arm>,
     net: NetConfig,
     seed: u64,
     lanes: Option<usize>,
     plan: Option<FaultPlan>,
 ) -> Harness<SimWorld> {
-    let mut world = SimWorld::new(n, mode, net);
+    let arm = arm.into();
+    let net = if arm.nic_table {
+        net
+    } else {
+        NetConfig {
+            xlate_capacity: 0,
+            ..net
+        }
+    };
+    let mut world = SimWorld::new(n, arm.mode, net);
     world.data.cluster.faults = plan.map(FaultPlane::new);
     Harness::new(world, seed, lanes)
 }
@@ -61,8 +87,13 @@ fn finish(mut h: Harness<SimWorld>) -> Pin {
 }
 
 /// Remote puts + read-back on a jittery fabric, one pin per GAS mode.
-pub fn jitter_puts(mode: GasMode, seed: u64, lanes: Option<usize>, plan: Option<FaultPlan>) -> Pin {
-    let mut h = harness(3, mode, jittery(), seed, lanes, plan);
+pub fn jitter_puts(
+    arm: impl Into<Arm>,
+    seed: u64,
+    lanes: Option<usize>,
+    plan: Option<FaultPlan>,
+) -> Pin {
+    let mut h = harness(3, arm, jittery(), seed, lanes, plan);
     let arr = alloc(&mut h, 4);
     for i in 0..30u64 {
         let gva = arr.block(i % 4).with_offset((i / 4) * 16);
@@ -215,8 +246,10 @@ pub fn flush_recovery(lanes: Option<usize>, plan: Option<FaultPlan>) -> Pin {
 /// NIC-executed AMOs racing migrations under jitter: fetch-adds, CAS,
 /// scatters, and a gather audit, with churn forcing the NACK/forward arms
 /// of the AMO commit path into the pinned schedule.
-pub fn amo_mix(mode: GasMode, lanes: Option<usize>, plan: Option<FaultPlan>) -> Pin {
-    let mut h = harness(4, mode, jittery(), 19, lanes, plan);
+pub fn amo_mix(arm: impl Into<Arm>, lanes: Option<usize>, plan: Option<FaultPlan>) -> Pin {
+    let arm = arm.into();
+    let mode = arm.mode;
+    let mut h = harness(4, arm, jittery(), 19, lanes, plan);
     let arr = alloc(&mut h, 4);
     for i in 0..40u64 {
         let loc = (i % 4) as u32;
@@ -298,8 +331,10 @@ pub fn amo_mix(mode: GasMode, lanes: Option<usize>, plan: Option<FaultPlan>) -> 
 /// recovery re-issues its home blocks. Every transition is a per-locality
 /// engine event, so the whole ladder lands in the trace hash and no lane
 /// count can reorder it.
-pub fn member_mix(mode: GasMode, lanes: Option<usize>, plan: Option<FaultPlan>) -> Pin {
-    let mut h = harness(4, mode, jittery(), 29, lanes, plan);
+pub fn member_mix(arm: impl Into<Arm>, lanes: Option<usize>, plan: Option<FaultPlan>) -> Pin {
+    let arm = arm.into();
+    let mode = arm.mode;
+    let mut h = harness(4, arm, jittery(), 29, lanes, plan);
     h.drive(|eng| membership::mark(eng, 3, MemberState::Joining));
     let arr = alloc(&mut h, 8);
     for i in 0..24u64 {

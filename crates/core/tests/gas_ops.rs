@@ -4,7 +4,7 @@ mod common;
 
 use agas::migrate::free_block;
 use agas::ops::{handle_msg, memget, memput};
-use agas::{alloc_array, Distribution, GasMode, GasMsg, SimEv, SimWorld};
+use agas::{alloc_array, check_blocks, Distribution, GasMode, GasMsg, SimEv, SimWorld, Violation};
 use common::{assert_consistent, engine};
 use netsim::Time;
 use netsim::{Applied, OpId};
@@ -297,6 +297,28 @@ fn nic_table_capacity_pressure_still_correct() {
     let total = eng.state.total_counters();
     assert!(total.xlate_evictions > 0, "table should have thrashed");
     assert!(total.nacks_sent > 0, "misses should have NACKed");
+}
+
+#[test]
+fn a_nic_without_a_table_holds_no_entry() {
+    // PGAS and AGAS-SW run over a fabric with no NIC table: the owner's CPU
+    // resolves every access, so a tombstone at the owner's NIC is a
+    // violation the end-state check must name.
+    for mode in [GasMode::Pgas, GasMode::AgasSoftware] {
+        let mut eng = engine(2, mode);
+        let arr = alloc_array(&mut eng, 2, 12, Distribution::Cyclic);
+        memput(&mut eng, 0, arr.block(1), vec![1; 8], OpId::from_raw(1));
+        eng.run();
+        assert_eq!(check_blocks(&eng.state, &arr.blocks), [], "{mode:?}");
+        let key = arr.block(1).block_key();
+        let nic = &mut eng.state.data.cluster.loc_mut(1).nic;
+        nic.xlate.retire_to_forward(key, 0, 0);
+        let got = check_blocks(&eng.state, &arr.blocks);
+        assert!(
+            matches!(got[..], [Violation::NicMismatch { gva, .. }] if gva == arr.block(1)),
+            "{mode:?}: {got:?}"
+        );
+    }
 }
 
 #[test]

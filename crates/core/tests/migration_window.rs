@@ -113,13 +113,7 @@ fn hammer(net: NetConfig, migrations: u64) -> Hammered {
     let issued: u64 = next_seq.iter().sum();
     assert_eq!(completed, issued, "every op completed exactly once");
     assert_quiescent(&eng);
-    if net.xlate_capacity == 0 {
-        // The end-state check demands a live NIC entry at the owner, which
-        // this arm can never hold; the history rules still apply.
-        assert_eq!(agas::check::check_history(&eng.state), Vec::new());
-    } else {
-        assert_consistent(&eng, &[gva]);
-    }
+    assert_consistent(&eng, &[gva]);
     Hammered {
         eng,
         gva,
@@ -186,8 +180,10 @@ fn a_hammered_block_migrates_fifty_times_without_one_retry() {
 #[test]
 fn the_nack_only_arms_never_park() {
     // A3's ablation arm (a zero forwarding TTL: nothing ever arrives by a
-    // forward) and the no-NIC-table arm (nothing parked could ever be
-    // released): both recover through NACK -> directory, as before.
+    // forward) recovers through NACK -> directory. Without a NIC table the
+    // run is AGAS-SW: the owner's CPU translates, nothing reaches a NIC
+    // table to park, and a request that misses the moving block re-resolves
+    // through the directory.
     let no_forwarding = NetConfig {
         forward_ttl: 0,
         ..NetConfig::ideal()
@@ -196,12 +192,15 @@ fn the_nack_only_arms_never_park() {
         xlate_capacity: 0,
         ..NetConfig::ideal()
     };
-    for (label, net) in [("forward_ttl 0", no_forwarding), ("capacity 0", no_table)] {
+    for (label, net) in [
+        ("forward_ttl 0", no_forwarding),
+        ("capacity 0 (AGAS-SW)", no_table),
+    ] {
         let mut h = hammer(net, 10);
         assert_eq!(h.counters().xlate_parked, 0, "{label}");
         assert!(
             h.recoveries().0 > 0,
-            "{label}: the NACK ladder carried the window"
+            "{label}: retries through the directory carried the window"
         );
         assert_adds_counted_once(&mut h);
     }

@@ -24,6 +24,10 @@
 //! jittery shared-memory domain, where the load/store short-circuit
 //! shrinks the window, and demands the sequential witness at every lane
 //! count.
+//!
+//! `agas_net_without_a_nic_table_is_agas_sw` runs three scenarios as
+//! AGAS-NET over a zero-capacity fabric and demands the AGAS-SW pins:
+//! AGAS-SW is AGAS with `xlate_capacity: 0`, not a second protocol.
 
 #[path = "common/golden.rs"]
 mod golden;
@@ -296,6 +300,25 @@ fn shard_pin_member_mix() {
             member_mix(GasMode::AgasNetwork, shards, None),
             GOLDEN_MEMBER_NET,
         );
+    }
+}
+
+/// AGAS-SW is AGAS-NET over a fabric without a NIC table: run as AGAS-NET
+/// at `xlate_capacity: 0`, each scenario lands on its AGAS-SW pin,
+/// sequentially and on lanes.
+#[test]
+fn agas_net_without_a_nic_table_is_agas_sw() {
+    let arm = Arm {
+        mode: GasMode::AgasNetwork,
+        nic_table: false,
+    };
+    for shards in [None, Some(2), Some(4)] {
+        let jitter = jitter_puts(arm, 7, shards, None);
+        check("jitter_puts/net-cap0", shards, jitter, GOLDEN_JITTER_SW);
+        let amo = amo_mix(arm, shards, None);
+        check("amo_mix/net-cap0", shards, amo, GOLDEN_AMO_SW);
+        let member = member_mix(arm, shards, None);
+        check("member_mix/net-cap0", shards, member, GOLDEN_MEMBER_SW);
     }
 }
 

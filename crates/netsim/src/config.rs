@@ -121,7 +121,8 @@ pub struct NetConfig {
     /// One NIC translation-table lookup (the network-managed AGAS adder).
     pub xlate_ns: Time,
     /// Capacity of the NIC translation table, in entries. Sweeping this is
-    /// experiment E6; `usize::MAX` models an unbounded table.
+    /// experiment E6; `usize::MAX` models an unbounded table. 0 = no NIC
+    /// table: AGAS resolves remote accesses on the owner's CPU (AGAS-SW).
     pub xlate_capacity: usize,
     /// Maximum forwarding hops before the NIC gives up and NACKs. An
     /// operation that reaches a NIC holding a forwarding entry for a

@@ -157,26 +157,11 @@ impl XlateTable {
         }
     }
 
-    /// Install (or refresh) a live entry. Returns `true` if an unrelated
-    /// entry was evicted to make room (capacity pressure — experiment E6).
-    /// A forward tombstone or parked hit counter under the same key is
-    /// absorbed: the hit counter carries over.
+    /// Install (or refresh) a live entry. Returns `true` if an entry was
+    /// evicted to make room (capacity pressure — experiment E6; at capacity
+    /// 0, the new entry itself). A forward tombstone or parked hit counter
+    /// under the same key is absorbed: the hit counter carries over.
     pub fn install(&mut self, block_key: u64, entry: XlateEntry) -> bool {
-        if self.capacity == 0 {
-            // The "no NIC table" ablation: the install is rejected, but it
-            // still clears any forward tombstone (parking its counter).
-            if let Some(s) = self.table.get_mut(block_key) {
-                if s.state == XState::Forward {
-                    self.forwards -= 1;
-                    if s.hits > 0 {
-                        s.state = XState::Ghost;
-                    } else {
-                        self.table.remove(block_key);
-                    }
-                }
-            }
-            return true;
-        }
         // One probe sequence places or finds the slot; listing and
         // eviction work off slot indices after that.
         let (idx, existed) = self.table.upsert(block_key);
@@ -346,8 +331,8 @@ impl XlateTable {
         }
     }
 
-    /// Live entries the table has room for (0 = the "no NIC table"
-    /// ablation: every install is rejected).
+    /// Live entries the table has room for (0 = no NIC table: an install
+    /// evicts itself at once, and AGAS never issues one).
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -649,6 +634,10 @@ mod tests {
         let mut t = XlateTable::new(0);
         assert!(t.install(1, entry(0, 64, 1)));
         assert_eq!(t.lookup(1), Xlate::Miss);
+        // A tombstone under the key is absorbed all the same.
+        t.retire_to_forward(2, 3, 1);
+        assert!(t.install(2, entry(64, 64, 2)));
+        assert_eq!((t.lookup(2), t.forward_entries()), (Xlate::Miss, 0));
     }
 
     #[test]

@@ -223,7 +223,7 @@ impl World {
         mem_limit: usize,
     ) -> World {
         World {
-            cluster: Cluster::new(n, net, mem_limit),
+            cluster: Cluster::new(n, mode.net(net), mem_limit),
             eps: (0..n).map(|_| PhotonEndpoint::new(photon_cfg)).collect(),
             gas: (0..n).map(|_| GasLocal::new(gas_cfg)).collect(),
             cpus: (0..n).map(|_| ServerPool::new(rtcfg.workers)).collect(),
