@@ -711,6 +711,9 @@ fn ops_dump(json: bool) {
             for snap in s {
                 println!("  locality {l}: {}", snap.render(now));
             }
+            if let Some(line) = rt.eng.state.gas[*l as usize].send_queue_report() {
+                println!("  locality {l}: {line}");
+            }
         }
     }
 

@@ -56,7 +56,7 @@ use netsim::{
     ServerPool, Time, Verb,
 };
 use photon::PhotonWorld;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 /// The request of a [`GasMsg::SwAccess`].
@@ -371,7 +371,11 @@ impl GasStats {
 pub enum OpPhase {
     /// Submitted; routing decision not yet taken.
     Issued,
-    /// One-sided RDMA in flight (PGAS or network-managed path).
+    /// Waiting in its locality's PWC send queue for a posting credit
+    /// ([`POST_DEPTH`]); nothing is on the wire and no deadline runs.
+    Queued,
+    /// One-sided RDMA in flight (PGAS or network-managed path); holds one
+    /// of its locality's [`POST_DEPTH`] credits.
     Rdma,
     /// Two-sided software request in flight.
     Sw,
@@ -388,6 +392,7 @@ impl fmt::Display for OpPhase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             OpPhase::Issued => "issued",
+            OpPhase::Queued => "queued",
             OpPhase::Rdma => "rdma-in-flight",
             OpPhase::Sw => "sw-in-flight",
             OpPhase::Shm => "shm-in-flight",
@@ -508,6 +513,21 @@ impl PendingOp {
         }
     }
 
+    /// Move the op to `phase`, keeping `posted` equal to the ops in
+    /// [`OpPhase::Rdma`]: entering it takes a credit, leaving it gives one
+    /// back. Returns whether a credit came back; the caller then posts what
+    /// waits for it ([`ops::post_queued`]).
+    pub fn enter(&mut self, phase: OpPhase, posted: &mut u32) -> bool {
+        let (was, is) = (self.phase == OpPhase::Rdma, phase == OpPhase::Rdma);
+        self.phase = phase;
+        match (was, is) {
+            (true, false) => *posted -= 1,
+            (false, true) => *posted += 1,
+            _ => {}
+        }
+        was && !is
+    }
+
     /// Index of this op's history event, if one was recorded.
     pub fn hist(&self) -> Option<u32> {
         (self.hist != NO_HIST).then_some(self.hist)
@@ -554,6 +574,18 @@ pub(crate) struct PendingInstall {
     pub old_owner: LocalityId,
 }
 
+/// How many PWC ops one locality keeps posted: its send-queue depth, as a
+/// verbs send queue is bounded. Each op in [`OpPhase::Rdma`] holds one
+/// credit; a further one-sided op waits in its locality's FIFO as a bare
+/// [`OpId`] in [`OpPhase::Queued`] (its pending op already holds the verb,
+/// address and context) and is posted, in order, when an answer or the
+/// deadline sweep ends a posted attempt. 128 is the deepest window any
+/// experiment drives and about three times the one-port bandwidth-delay
+/// product on `ib_fdr` (≈ 2.4 µs round trip / ≈ 55 ns per control message
+/// ≈ 44), so a port never idles for want of a credit; 64 already costs E4b
+/// half its multi-port message rate.
+pub const POST_DEPTH: u32 = 128;
+
 /// Seed for the software heat map's flat table (fixed: deterministic runs).
 const HEAT_SEED: u64 = 0x4ea7_5eed;
 
@@ -590,6 +622,13 @@ pub struct GasLocal {
     /// overhead, zero schedule change — until a membership event fires).
     pub member: MembershipView,
     pub(crate) pending: OpTable<PendingOp>,
+    /// Posting credits in use: the ops in [`OpPhase::Rdma`], at most
+    /// [`POST_DEPTH`].
+    pub(crate) posted: u32,
+    /// The PWC send queue, oldest first: ops waiting for a credit. An entry
+    /// whose op has since left [`OpPhase::Queued`] is skipped when popped;
+    /// the queue is non-empty only while every credit is in use.
+    pub(crate) send_queue: VecDeque<OpId>,
     pub(crate) next_seq: HashMap<u8, u64>,
     pub(crate) moving: HashMap<u64, MovingState>,
     pub(crate) pending_installs: HashMap<u64, PendingInstall>,
@@ -616,6 +655,8 @@ impl GasLocal {
             word_history: Vec::new(),
             member: MembershipView::default(),
             pending: OpTable::new(),
+            posted: 0,
+            send_queue: VecDeque::new(),
             next_seq: HashMap::new(),
             moving: HashMap::new(),
             pending_installs: HashMap::new(),
@@ -662,6 +703,29 @@ impl GasLocal {
     /// Outstanding initiator-side operations.
     pub fn outstanding_ops(&self) -> usize {
         self.pending.len()
+    }
+
+    /// One-sided attempts posted and not yet answered or abandoned (at
+    /// most [`POST_DEPTH`]).
+    pub fn posted_ops(&self) -> u32 {
+        self.posted
+    }
+
+    /// Entries in the PWC send queue ([`POST_DEPTH`]).
+    pub fn queued_ops(&self) -> usize {
+        self.send_queue.len()
+    }
+
+    /// The send-queue line of a stuck-op report: credits in use and queue
+    /// length, or `None` when both are zero.
+    pub fn send_queue_report(&self) -> Option<String> {
+        (self.posted != 0 || !self.send_queue.is_empty()).then(|| {
+            format!(
+                "send queue: {} posted, {} queued (depth {POST_DEPTH})",
+                self.posted,
+                self.send_queue.len()
+            )
+        })
     }
 
     /// Fault injection: every op with an RDMA attempt in flight gives it up

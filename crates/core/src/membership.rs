@@ -456,6 +456,9 @@ fn crash_teardown<S: GasWorld>(eng: &mut Engine<S>, x: LocalityId) {
         g.deferred.clear();
         g.dir.clear();
         let _ = g.pending.drain_filter(|_, _| true);
+        // Its posted attempts and send queue die with the ops.
+        g.posted = 0;
+        g.send_queue.clear();
     }
     let blocks = eng.state.gas(x).btt.take_all();
     for &(_, e) in &blocks {

@@ -44,6 +44,7 @@ use crate::check::{value_hash, WordEvent, WordOp};
 use crate::gva::Gva;
 use crate::{
     GasMode, GasMsg, GasWorld, HistEvent, HistKind, OpPhase, OwnerHint, PendingOp, SwAccess,
+    POST_DEPTH,
 };
 use netsim::{
     send_held, send_user_classed, AmoOp, AmoResult, Applied, Engine, FaultClass, LocalityId,
@@ -305,11 +306,19 @@ fn settle<S: GasWorld>(
 }
 
 /// Remove the live op `op` names, with its identity: the handle `start`
-/// minted, whatever handle the op holds now.
+/// minted, whatever handle the op holds now. An op taken with an attempt
+/// posted gives its credit back, and the send queue's head is posted.
 fn take<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) -> Option<(OpId, PendingOp)> {
-    let pending = &mut eng.state.gas(loc).pending;
-    let id = pending.origin(op).ok()?;
-    pending.remove(op).ok().map(|p| (id, p))
+    let g = eng.state.gas(loc);
+    let id = g.pending.origin(op).ok()?;
+    let p = g.pending.remove(op).ok()?;
+    if p.phase == OpPhase::Rdma {
+        g.posted -= 1;
+        if !g.send_queue.is_empty() {
+            post_queued(eng, loc);
+        }
+    }
+    Some((id, p))
 }
 
 /// Finish the op `op` names with `answer`, whichever path brought it (a
@@ -492,7 +501,6 @@ fn issue<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) {
                     .get(&block)
                     .expect("PGAS op on unallocated block");
                 let target = RdmaTarget::Phys(base + gva.offset());
-                eng.state.gas(loc).stats.remote_ops += 1;
                 issue_rdma(eng, loc, op, home, target);
             }
         }
@@ -519,7 +527,6 @@ fn issue<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) {
                     block,
                     offset: gva.offset(),
                 };
-                eng.state.gas(loc).stats.remote_ops += 1;
                 issue_rdma(eng, loc, op, target_loc, target);
             }
         }
@@ -534,14 +541,16 @@ fn issue_sw<S: GasWorld>(
     gva: Gva,
     target_loc: LocalityId,
 ) {
-    let verb = {
+    let (verb, released) = {
         let g = eng.state.gas(loc);
         let Ok(p) = g.pending.get_mut(op) else {
             return;
         };
-        p.phase = OpPhase::Sw;
-        p.verb.clone()
+        (p.verb.clone(), p.enter(OpPhase::Sw, &mut g.posted))
     };
+    if released {
+        post_queued(eng, loc);
+    }
     let acc = Box::new(SwAccess {
         block: gva.block_key(),
         offset: gva.offset(),
@@ -596,14 +605,16 @@ fn try_shm<S: GasWorld>(
     if target_loc == loc || !shm.same_domain(loc, target_loc) {
         return false;
     }
-    let verb = {
+    let (verb, released) = {
         let g = eng.state.gas(loc);
         let Ok(p) = g.pending.get_mut(op) else {
             return true; // reclaimed (deadline sweep); nothing to issue
         };
-        p.phase = OpPhase::Shm;
-        p.verb.clone()
+        (p.verb.clone(), p.enter(OpPhase::Shm, &mut g.posted))
     };
+    if released {
+        post_queued(eng, loc);
+    }
     let bytes = verb.touched_bytes();
     {
         let g = eng.state.gas(loc);
@@ -737,9 +748,14 @@ fn hint_owner<S: GasWorld>(
         .unwrap_or(home)
 }
 
-/// Issue the one-sided access toward `target_loc` through photon: the
-/// target NIC translates (and, for an AMO, executes in the same visit), and
-/// the completion or NACK/forward outcome comes back like any PWC op.
+/// Issue the one-sided access toward `target_loc`. Decide: with every
+/// credit in use ([`POST_DEPTH`]) the op waits in its locality's send
+/// queue until an answer frees one ([`post_queued`]), and no deadline runs
+/// while it waits. Post: otherwise (or if the op already holds a credit)
+/// it takes a credit, its deadline starts if it was queued, and photon
+/// puts it on the wire: the target NIC translates (and, for an AMO,
+/// executes in the same visit), and the completion or NACK/forward outcome
+/// comes back like any PWC op.
 fn issue_rdma<S: GasWorld>(
     eng: &mut Engine<S>,
     loc: LocalityId,
@@ -747,12 +763,23 @@ fn issue_rdma<S: GasWorld>(
     target_loc: LocalityId,
     target: RdmaTarget,
 ) {
+    let now = eng.now();
     let (mut verb, scratch) = {
         let g = eng.state.gas(loc);
         let Ok(p) = g.pending.get_mut(op) else {
             return;
         };
-        p.phase = OpPhase::Rdma;
+        if p.phase != OpPhase::Rdma && g.posted >= POST_DEPTH {
+            p.phase = OpPhase::Queued;
+            p.deadline = Time::MAX;
+            g.send_queue.push_back(op);
+            return;
+        }
+        if p.phase == OpPhase::Queued {
+            p.deadline = g.cfg.op_deadline.map_or(Time::MAX, |d| now + d);
+        }
+        p.enter(OpPhase::Rdma, &mut g.posted);
+        g.stats.remote_ops += 1;
         (p.verb.clone(), p.scratch())
     };
     // A get lands in a scratch buffer from the runtime's pre-registered
@@ -770,6 +797,28 @@ fn issue_rdma<S: GasWorld>(
         }
     }
     pwc(eng, loc, target_loc, target, verb, op, None);
+}
+
+/// Post the send queue's oldest waiting ops while `loc` has credits free.
+/// Each is issued afresh, routed on what its locality knows now, so one
+/// that became local or shm-reachable while it waited takes that path and
+/// leaves the credit to the next. Out of line and cold: it runs only while
+/// a burst outruns the credits.
+#[cold]
+#[inline(never)]
+pub(crate) fn post_queued<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId) {
+    loop {
+        let g = eng.state.gas(loc);
+        if g.posted >= POST_DEPTH {
+            return;
+        }
+        let Some(op) = g.send_queue.pop_front() else {
+            return;
+        };
+        if g.pending.get(op).is_ok_and(|p| p.phase == OpPhase::Queued) {
+            issue(eng, loc, op);
+        }
+    }
 }
 
 /// Commit an operation against the block resident at `base` in `loc`'s
@@ -836,9 +885,9 @@ fn bounce<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId, block: u6
         let Ok(p) = g.pending.get_mut(op) else {
             return; // completed (or reclaimed) concurrently; nothing to retry
         };
-        let rdma = p.phase == OpPhase::Rdma;
+        // Giving up a posted attempt returns its credit.
+        let rdma = p.enter(OpPhase::DirRecovery, &mut g.posted);
         p.attempts = p.attempts.saturating_add(1);
-        p.phase = OpPhase::DirRecovery;
         let saturated = p.attempts == u16::MAX;
         let attempts = u32::from(p.attempts);
         let mut sw_fallback = false;
@@ -857,6 +906,9 @@ fn bounce<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId, block: u6
         let give_up = attempts > g.cfg.max_attempts || saturated;
         (give_up, attempts, rdma)
     };
+    if rdma {
+        post_queued(eng, loc);
+    }
     if give_up {
         let Some((id, p)) = take(eng, loc, op) else {
             return;
@@ -1169,16 +1221,21 @@ pub fn handle_msg<S: GasWorld>(eng: &mut Engine<S>, from: LocalityId, at: Locali
         } => {
             let g = eng.state.gas(at);
             g.cache.update(block, OwnerHint { owner, generation });
-            let backoff = match g.pending.get_mut(ctx) {
+            let (backoff, released) = match g.pending.get_mut(ctx) {
                 Ok(p) => {
-                    p.phase = OpPhase::Backoff;
+                    // A duplicated reply can find the op re-posted: it
+                    // gives that attempt's credit back.
+                    let released = p.enter(OpPhase::Backoff, &mut g.posted);
                     // Exponential back-off (capped): doubles per attempt so
                     // a contended block cannot livelock its initiators.
                     let shift = p.attempts.saturating_sub(1).min(12);
-                    Some(g.cfg.retry_backoff * (1u64 << shift))
+                    (Some(g.cfg.retry_backoff * (1u64 << shift)), released)
                 }
-                Err(_) => None,
+                Err(_) => (None, false),
             };
+            if released {
+                post_queued(eng, at);
+            }
             if let Some(backoff) = backoff {
                 eng.schedule(backoff, move |eng| {
                     if eng.state.gas(at).pending.contains(ctx) {

@@ -11,10 +11,12 @@
 //!   per holder, no box per nested event; a remote get or AMO allocates
 //!   only its request, whose box carries the answer home (a small get's
 //!   bytes inline), plus, for a get, the `Vec` its completion hands the
-//!   caller — also while a burst of thousands drains;
+//!   caller — also while a burst of thousands is issued and drains, with
+//!   no locality holding more than `POST_DEPTH` requests at once;
 //! * an outstanding get holds a fixed number of live heap bytes across the
-//!   layers (GAS pending op, boxed request, queued event, landing buffer),
-//!   so a record that regrows fails;
+//!   layers (GAS pending op and send-queue entry, and for the posted ones
+//!   the boxed request and its queued event), so a record that regrows
+//!   fails;
 //! * a drained engine keeps little of what its event queue held at its
 //!   densest instants: a closed loop of puts leaves its time wheel with
 //!   storage for the slots busy at one instant, not for every slot a
@@ -32,8 +34,8 @@
 
 use agas::migrate::migrate_block;
 use agas::ops::{memamo, memget, memput};
-use agas::{alloc_array, Distribution, GasMode, GlobalArray, Gva, SimWorld};
-use netsim::{AmoOp, Engine, NetConfig, OpId, Payload, Time};
+use agas::{alloc_array, Distribution, GasMode, GlobalArray, Gva, SimWorld, POST_DEPTH};
+use netsim::{Access, AmoOp, Engine, NetConfig, OpId, Payload, Time};
 use photon::{PhotonConfig, PhotonEndpoint};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -51,6 +53,10 @@ struct Tally {
     big: u64,
     /// Bytes handed back (requested sizes, like `bytes`).
     freed: u64,
+    /// Live allocations of an [`Access`]'s size: the requests in flight.
+    requests: i64,
+    /// The most `requests` ever reached.
+    peak_requests: i64,
 }
 
 impl Tally {
@@ -62,7 +68,7 @@ impl Tally {
 
 thread_local! {
     static TALLY: Cell<Tally> =
-        const { Cell::new(Tally { allocs: 0, bytes: 0, big: 0, freed: 0 }) };
+        const { Cell::new(Tally { allocs: 0, bytes: 0, big: 0, freed: 0, requests: 0, peak_requests: 0 }) };
 }
 
 struct Counting;
@@ -73,6 +79,10 @@ fn count(size: usize) {
         v.allocs += 1;
         v.bytes += size as u64;
         v.big += u64::from(size >= BIG);
+        if size == size_of::<Access>() {
+            v.requests += 1;
+            v.peak_requests = v.peak_requests.max(v.requests);
+        }
         t.set(v);
     });
 }
@@ -81,6 +91,7 @@ fn count_free(size: usize) {
     TALLY.with(|t| {
         let mut v = t.get();
         v.freed += size as u64;
+        v.requests -= i64::from(size == size_of::<Access>());
         t.set(v);
     });
 }
@@ -123,6 +134,8 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, Tally) {
         bytes: after.bytes - before.bytes,
         big: after.big - before.big,
         freed: after.freed - before.freed,
+        requests: after.requests - before.requests,
+        peak_requests: after.peak_requests - before.requests,
     };
     (r, spent)
 }
@@ -323,28 +336,41 @@ const BURST: u64 = 4096;
 #[test]
 fn a_burst_of_gets_drains_without_a_record_per_reply() {
     // 8 localities each issue BURST 8-byte gets to the next one's block,
-    // then the engine drains them all. Each reply rides its request's box
-    // home, so the drain allocates only the `Vec` each completion hands
-    // its caller, plus queue growth.
+    // then the engine drains them all. Each locality posts POST_DEPTH and
+    // queues the rest as bare handles; each reply rides its request's box
+    // home and its answer posts the next. So issue and drain together
+    // allocate one box per get and the `Vec` each completion hands its
+    // caller, plus table and queue growth, and no locality ever holds
+    // more than POST_DEPTH boxes.
     const N: usize = 8;
     let (mut eng, arr) = world(N, GasMode::AgasNetwork, NetConfig::ib_fdr());
-    for loc in 0..N as u32 {
-        let gva = arr.block((u64::from(loc) + 1) % N as u64);
-        for i in 0..BURST {
-            memget(&mut eng, loc, gva, 8, OpId::from_raw(i));
-        }
-    }
     let ((), spent) = counted(|| {
-        eng.run();
+        for loc in 0..N as u32 {
+            let gva = arr.block((u64::from(loc) + 1) % N as u64);
+            for i in 0..BURST {
+                memget(&mut eng, loc, gva, 8, OpId::from_raw(i));
+            }
+        }
+        while eng.step() {
+            for g in &eng.state.data.gas {
+                assert!(g.posted_ops() <= POST_DEPTH, "{} posted", g.posted_ops());
+            }
+        }
     });
     let gets = N as u64 * BURST;
     assert_eq!(eng.state.get_acks(), gets);
     assert_eq!(eng.state.op_failures(), 0);
     let per_get = spent.allocs as f64 / gets as f64;
     assert!(
-        per_get <= 1.05,
-        "{per_get:.3} allocations per get while the burst drained"
+        per_get <= 2.05,
+        "{per_get:.3} allocations per get while the burst was issued and drained"
     );
+    assert!(
+        spent.peak_requests <= N as i64 * i64::from(POST_DEPTH),
+        "{} requests live at once",
+        spent.peak_requests
+    );
+    assert_eq!(spent.requests, 0, "every request freed");
 }
 
 #[test]
@@ -426,11 +452,12 @@ const OUTSTANDING: u64 = 4096;
 /// Live heap bytes one outstanding 8-byte AGAS-NET get holds, summed over
 /// every layer, as [`live_bytes_per_outstanding_get`] measures them
 /// (requested sizes, not allocator chunks): the GAS pending-op slot (88)
-/// and the boxed `Access` (72) — 160 — plus the request's queued wire
-/// event with its share of the time wheel's bucket growth (79). Its 8-byte
-/// landing buffer costs no heap bytes: the arena is reserved whole when
-/// the world is built, so carving a block from it allocates nothing.
-const LIVE_BYTES_PER_GET: i64 = 239;
+/// and a send-queue entry (8, its `OpId`) — 96 — plus the posted gets'
+/// share: POST_DEPTH of the 4 096 hold a boxed `Access` (72) and a queued
+/// wire event with the time wheel's bucket growth, 3 bytes a get. Its
+/// 8-byte landing buffer costs no heap bytes: the arena is reserved whole
+/// when the world is built, so carving a block from it allocates nothing.
+const LIVE_BYTES_PER_GET: i64 = 99;
 
 #[test]
 fn an_outstanding_get_holds_its_byte_budget() {

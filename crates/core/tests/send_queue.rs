@@ -1,0 +1,153 @@
+//! The PWC send queue: each locality keeps at most [`POST_DEPTH`] one-sided
+//! attempts posted and queues the rest as bare handles. One credit per
+//! posted attempt, returned exactly once — by the first answer while the op
+//! is in `Rdma`, when the deadline sweep abandons the attempt, or when the
+//! op is taken — and a duplicated or stale answer returns none. So under a
+//! fabric that drops and duplicates messages the posted count always equals
+//! the ops in `Rdma`, and a burst drains to nothing posted and nothing
+//! queued, every op completed or failed with a typed error.
+
+use agas::ops::{memamo, memget, memput};
+use agas::{
+    alloc_array, Distribution, GasConfig, GasLocal, GasMode, OpPhase, SimEv, SimWorld, POST_DEPTH,
+};
+use netsim::{AmoOp, Engine, FaultPlan, FaultPlane, FaultRates, NetConfig, OpId, Time};
+use std::collections::HashMap;
+
+/// Every locality's credits: one per op in `Rdma`, at most [`POST_DEPTH`],
+/// and a queue only while every credit is in use.
+fn assert_credits(eng: &Engine<SimWorld>) {
+    for (l, g) in eng.state.data.gas.iter().enumerate() {
+        let snaps = g.op_snapshots();
+        let rdma = snaps.iter().filter(|s| s.phase == OpPhase::Rdma).count();
+        assert_eq!(
+            g.posted_ops() as usize,
+            rdma,
+            "locality {l} at {}: credits in use vs ops in Rdma",
+            eng.now()
+        );
+        assert!(g.posted_ops() <= POST_DEPTH);
+        assert!(
+            g.queued_ops() == 0 || g.posted_ops() == POST_DEPTH,
+            "locality {l}: {} queued behind {} posted",
+            g.queued_ops(),
+            g.posted_ops()
+        );
+    }
+}
+
+/// A world of `n` localities, one 4 KiB block homed at each, with
+/// deadlines on.
+fn world(n: usize, net: NetConfig, deadline: Time) -> (Engine<SimWorld>, Vec<agas::Gva>) {
+    let mut eng = Engine::new(SimWorld::new(n, GasMode::AgasNetwork, net), 42);
+    let cfg = GasConfig {
+        op_deadline: Some(deadline),
+        sweep_interval: Time::from_us(10),
+        ..GasConfig::default()
+    };
+    for g in &mut eng.state.data.gas {
+        *g = GasLocal::new(cfg);
+    }
+    let arr = alloc_array(&mut eng, n as u64, 12, Distribution::Cyclic);
+    eng.run();
+    (eng, arr.blocks)
+}
+
+#[test]
+fn a_lossy_burst_returns_every_credit() {
+    const N: u32 = 4;
+    let (mut eng, blocks) = world(N as usize, NetConfig::ideal(), Time::from_us(100));
+    eng.state.data.cluster.faults = Some(FaultPlane::new(FaultPlan {
+        rates: FaultRates {
+            drop: 0.03,
+            dup: 0.03,
+            ..FaultRates::lossless()
+        },
+        ..FaultPlan::lossless(5)
+    }));
+    let burst = 4 * u64::from(POST_DEPTH);
+    for l in 0..N {
+        for i in 0..burst {
+            let peer = (u64::from(l) + 1 + i % u64::from(N - 1)) % u64::from(N);
+            let gva = blocks[peer as usize].with_offset((i % 64) * 8);
+            let ctx = OpId::from_raw(i);
+            match i % 3 {
+                0 => memput(&mut eng, l, gva, vec![i as u8; 8], ctx),
+                1 => memget(&mut eng, l, gva, 8, ctx),
+                _ => memamo(&mut eng, l, gva, AmoOp::FetchAdd { operand: 1 }, ctx),
+            }
+        }
+        let g = &eng.state.data.gas[l as usize];
+        assert_eq!(g.posted_ops(), POST_DEPTH);
+        assert_eq!(g.queued_ops() as u64, burst - u64::from(POST_DEPTH));
+    }
+    assert_credits(&eng);
+    let mut steps = 0u64;
+    while eng.step() {
+        steps += 1;
+        if steps.is_multiple_of(64) {
+            assert_credits(&eng);
+        }
+    }
+    assert_credits(&eng);
+    let faults = eng.state.data.cluster.fault_stats();
+    assert!(faults.dropped > 0 && faults.duplicated > 0, "{faults:?}");
+    let stats = eng.state.total_gas_stats();
+    assert!(
+        stats.deadline_retries > 0,
+        "the sweep recovered lost messages"
+    );
+    assert!(stats.stale_completions > 0, "duplicated answers arrived");
+    // Every op ended exactly once: completed, or failed with a typed error.
+    let mut ends: HashMap<(u32, u64), u32> = HashMap::new();
+    for (_, l, ev) in eng.state.events() {
+        let ctx = match ev {
+            SimEv::PutDone(c) | SimEv::GetDone(c, _) | SimEv::AmoDone(c, _) => c,
+            SimEv::OpFailed(c, _) => c,
+            _ => continue,
+        };
+        *ends.entry((l, ctx)).or_default() += 1;
+    }
+    assert_eq!(ends.len() as u64, u64::from(N) * burst);
+    assert!(ends.values().all(|&n| n == 1), "an op ended twice");
+    for g in &eng.state.data.gas {
+        assert_eq!(g.outstanding_ops(), 0);
+        assert_eq!((g.posted_ops(), g.queued_ops()), (0, 0));
+        assert!(!g.sweep_armed());
+    }
+}
+
+#[test]
+fn a_queued_op_shows_as_queued_and_its_deadline_starts_when_posted() {
+    let deadline = Time::from_us(500);
+    let (mut eng, blocks) = world(2, NetConfig::ib_fdr(), deadline);
+    let burst = u64::from(POST_DEPTH) + 1;
+    for i in 0..burst {
+        memput(&mut eng, 0, blocks[1], vec![i as u8; 8], OpId::from_raw(i));
+    }
+    let g = &eng.state.data.gas[0];
+    let last = *g.op_snapshots().last().unwrap();
+    assert_eq!(last.phase, OpPhase::Queued);
+    assert_eq!(last.deadline, None, "no deadline runs while queued");
+    assert!(last.render(eng.now()).ends_with("state=queued"));
+    assert_eq!(
+        g.send_queue_report().as_deref(),
+        Some("send queue: 128 posted, 1 queued (depth 128)")
+    );
+    // The first answer posts it, and its deadline starts then.
+    while eng.step() {
+        let g = &eng.state.data.gas[0];
+        let snap = g.op_snapshots().into_iter().find(|s| s.id == last.id);
+        if let Some(snap) = snap.filter(|s| s.phase != OpPhase::Queued) {
+            assert_eq!(snap.phase, OpPhase::Rdma);
+            assert_eq!(snap.deadline, Some(eng.now() + deadline));
+            assert!(eng.now() > Time::ZERO);
+            assert_eq!(g.queued_ops(), 0);
+            break;
+        }
+    }
+    eng.run();
+    assert_eq!(eng.state.put_acks(), burst);
+    assert_eq!(eng.state.data.gas[0].stats.remote_ops, burst);
+    assert_eq!(eng.state.data.gas[0].send_queue_report(), None);
+}

@@ -25,6 +25,11 @@
 //! shrinks the window, and demands the sequential witness at every lane
 //! count.
 //!
+//! `send_queue_burst_is_lane_invariant` issues more one-sided ops per
+//! locality than the PWC send queue posts ([`agas::POST_DEPTH`]) and
+//! demands the sequential witness at every lane count: an answer posts the
+//! next queued op on its own locality's lane.
+//!
 //! `agas_net_without_a_nic_table_is_agas_sw` runs three scenarios as
 //! AGAS-NET over a zero-capacity fabric and demands the AGAS-SW pins:
 //! AGAS-SW is AGAS with `xlate_capacity: 0`, not a second protocol.
@@ -35,7 +40,7 @@ mod golden;
 mod pins;
 
 use agas::ops::{memamo, memget, memput};
-use agas::{alloc_array, Distribution, GasMode, SimWorld};
+use agas::{alloc_array, Distribution, GasMode, SimWorld, POST_DEPTH};
 use golden::*;
 use netsim::{AmoOp, Harness, NetConfig, OpId, ShardMap, ShmDomain, Time};
 use pins::*;
@@ -319,6 +324,56 @@ fn agas_net_without_a_nic_table_is_agas_sw() {
         check("amo_mix/net-cap0", shards, amo, GOLDEN_AMO_SW);
         let member = member_mix(arm, shards, None);
         check("member_mix/net-cap0", shards, member, GOLDEN_MEMBER_SW);
+    }
+}
+
+/// A burst deeper than the PWC send queue: each of 8 localities issues
+/// `POST_DEPTH + 64` puts and as many gets over a jittery fabric, so most
+/// ops wait queued and each answer posts the next from its completion, on
+/// the answering locality's lane. Returns the run's witness and the
+/// deepest send queue after issue.
+fn send_queue_burst(lanes: Option<usize>) -> (Pin, usize) {
+    const N: u32 = 8;
+    let world = SimWorld::new(N as usize, GasMode::AgasNetwork, jittery());
+    let mut h = Harness::new(world, 44, lanes);
+    let arr = h.drive(|e| alloc_array(e, u64::from(N), 12, Distribution::Cyclic));
+    let burst = u64::from(POST_DEPTH) + 64;
+    for l in 0..N {
+        let blocks = arr.blocks.clone();
+        h.drive_at(l, move |eng| {
+            for i in 0..burst {
+                let peer = (u64::from(l) + 1 + i % u64::from(N - 1)) % u64::from(N);
+                let gva = blocks[peer as usize].with_offset((i % 128) * 32);
+                memput(eng, l, gva, vec![i as u8; 32], OpId::from_raw(i));
+                memget(eng, l, gva, 32, OpId::from_raw(burst + i));
+            }
+        });
+    }
+    let w = h.world_ref();
+    let deepest = (0..N as usize).map(|l| w.data.gas[l].queued_ops()).max();
+    h.run();
+    let w = h.world_ref();
+    assert_eq!(w.put_acks() + w.get_acks(), 2 * burst * u64::from(N));
+    for g in &w.data.gas {
+        assert_eq!((g.posted_ops(), g.queued_ops()), (0, 0));
+    }
+    (h.witness(), deepest.unwrap_or(0))
+}
+
+/// The send-queue burst replays the sequential run bit for bit at every
+/// lane count: posting a queued op from a completion stays lane-local.
+#[test]
+fn send_queue_burst_is_lane_invariant() {
+    let (reference, deepest) = send_queue_burst(None);
+    // 2 * (POST_DEPTH + 64) ops per locality, POST_DEPTH of them posted.
+    assert_eq!(
+        deepest,
+        POST_DEPTH as usize + 128,
+        "ops queued behind the posted ones"
+    );
+    for lanes in GRID {
+        let (got, _) = send_queue_burst(lanes);
+        check("send_queue_burst", lanes, got, reference);
     }
 }
 

@@ -10,7 +10,7 @@ mod common;
 use agas::membership::crash;
 use agas::migrate::migrate_block;
 use agas::ops::{memamo, memput};
-use agas::{alloc_array, Distribution, GasMode, GlobalArray, SimEv, SimMsg, SimWorld};
+use agas::{alloc_array, Distribution, GasMode, GlobalArray, SimEv, SimMsg, SimWorld, POST_DEPTH};
 use common::engine;
 use netsim::{
     AmoOp, AmoResult, Engine, FaultPlan, FaultPlane, FaultRates, NackReason, NetConfig, OpId,
@@ -209,13 +209,19 @@ fn a_crash_leaves_no_record_of_the_rdma_ops_in_flight_from_the_dead() {
     let mut eng = engine(4, GasMode::AgasNetwork);
     let arr = alloc_array(&mut eng, 4, 12, Distribution::Cyclic);
     eng.run();
-    for i in 0..16u64 {
+    // Deeper than the send queue: some puts are posted, the rest queued.
+    let burst = u64::from(POST_DEPTH) + 16;
+    for i in 0..burst {
         let gva = arr.block([0, 1, 3][i as usize % 3]).with_offset(i * 8);
         memput(&mut eng, 2, gva, vec![i as u8; 8], OpId::from_raw(i));
     }
-    assert_eq!(eng.state.data.gas[2].outstanding_ops(), 16);
+    let g = &eng.state.data.gas[2];
+    assert_eq!(g.outstanding_ops(), burst as usize);
+    assert_eq!((g.posted_ops(), g.queued_ops()), (POST_DEPTH, 16));
     crash(&mut eng, 2);
     eng.run();
-    assert_eq!(eng.state.data.gas[2].outstanding_ops(), 0);
+    let g = &eng.state.data.gas[2];
+    assert_eq!(g.outstanding_ops(), 0);
+    assert_eq!((g.posted_ops(), g.queued_ops()), (0, 0));
     assert_eq!(eng.state.data.eps[2].outstanding_ops(), 0);
 }

@@ -794,7 +794,9 @@ impl Locality {
 /// pipeline; only [`Verb`] (and the response leg it implies) differs.
 ///
 /// The box [`rdma_issue`] puts it in is the op's one record for the round
-/// trip: the committing NIC writes a get's bytes, an AMO's result or a
+/// trip, made when the access is posted, not while a caller holds it back
+/// (the GAS queues one-sided ops past its send-queue depth as bare
+/// handles): the committing NIC writes a get's bytes, an AMO's result or a
 /// NACK over the request's own fields, the same box rides the response
 /// legs, and the initiator unpacks it into a [`Packet`] and frees it. A
 /// put's two-word ack travels by value instead, and its box is freed at
@@ -856,8 +858,9 @@ enum Leg {
     },
 }
 
-// Every outstanding one-sided access holds one box of these: 72 bytes is a
-// glibc 80-byte chunk.
+// Every *posted* one-sided access holds one box of these (the GAS posts at
+// most `agas::POST_DEPTH` per locality; a queued one holds none): 72 bytes
+// is a glibc 80-byte chunk.
 #[cfg(target_pointer_width = "64")]
 const _: () = assert!(size_of::<Access>() <= 72);
 
@@ -1052,8 +1055,8 @@ pub fn rdma_get<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: Ge
 /// of the pipeline.
 ///
 /// The request is boxed once here (pass a `Box<Access>` to reuse one the
-/// caller already made), and that box is the op's one record for the
-/// round trip: every hop's event, out and back, captures it as a pointer
+/// caller already made), and that box is the posted op's one record for
+/// the round trip — every *posted* access holds one: every hop's event, out and back, captures it as a pointer
 /// and stays inline in its queue slot, and the target NIC writes its
 /// answer into it. A remote get, AMO or NACK therefore allocates nothing
 /// after this call; a put's ack travels by value.

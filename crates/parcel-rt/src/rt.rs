@@ -486,7 +486,9 @@ impl Runtime {
     /// undelivered completions. Call after `run()` in tests/drivers to
     /// catch protocol leaks early. On failure one unified report lists
     /// every stuck item — GAS ops with kind, GVA, age, attempts, and last
-    /// protocol state; waiting batches with peer, parcel count, bytes, and
+    /// protocol state (`queued` for one waiting in its locality's PWC send
+    /// queue), and each such locality's posted and queued counts; waiting
+    /// batches with peer, parcel count, bytes, and
     /// the oldest parcel's age — followed by each locality's membership
     /// view and by the continuations that never ran
     /// ([`Self::pending_lcos`], unfired driver slots). Those alone never
@@ -497,8 +499,12 @@ impl Runtime {
         let now = self.eng.now();
         let mut stuck = Vec::new();
         for l in 0..w.cluster.len() as u32 {
-            for s in w.gas[l as usize].op_snapshots() {
+            let g = &w.gas[l as usize];
+            for s in g.op_snapshots() {
                 stuck.push(format!("  locality {l}: {}", s.render(now)));
+            }
+            if let Some(line) = g.send_queue_report() {
+                stuck.push(format!("  locality {l}: {line}"));
             }
             for (peer, b) in (0u32..).zip(&w.rt[l as usize].batches) {
                 if let Some(line) = b.report(peer, now) {

@@ -1,7 +1,8 @@
 //! The builder's boot guards: a fault plan that can drop messages needs
 //! an operation deadline, a lossless one boots as before; parcel batching
 //! needs the PWC transport. And what a lossy plan with a deadline leaves
-//! behind: nothing, once every op has completed or failed.
+//! behind: nothing, once every op has completed or failed. And what the
+//! stuck report says of ops waiting in a PWC send queue.
 
 use agas::{Distribution, GasConfig, GasMode};
 use netsim::{FaultPlan, FaultRates, RingConfig, Time};
@@ -67,4 +68,27 @@ fn ring_over_isir_is_refused() {
             ..RtConfig::default()
         })
         .boot();
+}
+
+#[test]
+fn a_stuck_report_names_queued_ops_and_each_send_queue() {
+    // More puts than one locality posts at once, checked before they run:
+    // the report lists the ones waiting for a credit as `queued`, and the
+    // locality's posted and queued counts.
+    let mut rt = Runtime::builder(2, GasMode::AgasNetwork).boot();
+    let arr = rt.alloc(2, 12, Distribution::Cyclic);
+    let burst = agas::POST_DEPTH as u64 + 2;
+    for i in 0..burst {
+        rt.memput(0, arr.block(1).with_offset(i * 8), vec![1u8; 8]);
+    }
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.assert_quiescent()))
+        .expect_err("ops in flight");
+    let msg = *err.downcast::<String>().unwrap();
+    assert_eq!(msg.matches("state=queued").count(), 2, "{msg}");
+    assert!(
+        msg.contains("locality 0: send queue: 128 posted, 2 queued (depth 128)"),
+        "{msg}"
+    );
+    rt.run();
+    rt.assert_quiescent();
 }

@@ -311,7 +311,10 @@ fn size_class_for(len: u32) -> u8 {
 /// e.g. the runtime's scratch allocator).
 ///
 /// The op is posted from the caller: it reaches the fabric before `pwc`
-/// returns, so its first wire leg is keyed from whoever issued it. The one
+/// returns, so its first wire leg is keyed from whoever issued it. Photon
+/// keeps no record of a PWC op, so bounding how many are posted is the
+/// caller's (the GAS posts at most `agas::POST_DEPTH` per locality and
+/// queues the rest as bare handles). The one
 /// wait PWC models is registration — a `local_src` that misses the
 /// registration cache is posted by a single event at `now + reg_delay`.
 ///
