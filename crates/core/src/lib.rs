@@ -372,7 +372,9 @@ pub enum OpPhase {
     /// Submitted; routing decision not yet taken.
     Issued,
     /// Waiting in its locality's PWC send queue for a posting credit
-    /// ([`POST_DEPTH`]); nothing is on the wire and no deadline runs.
+    /// ([`POST_DEPTH`]); nothing is on the wire and no deadline runs. A
+    /// fresh op waits there unadmitted, with no op-table slot (seen only
+    /// in [`GasLocal::op_snapshots`]); a re-issued one keeps its slot.
     Queued,
     /// One-sided RDMA in flight (PGAS or network-managed path); holds one
     /// of its locality's [`POST_DEPTH`] credits.
@@ -407,16 +409,18 @@ impl fmt::Display for OpPhase {
 /// `repro ops` dump).
 #[derive(Clone, Copy, Debug)]
 pub struct OpSnapshot {
-    /// The op's identity: the handle `start` minted, whichever handle a
-    /// retry has given the op since.
-    pub id: OpId,
+    /// The op's identity: the handle its admission to the op table minted,
+    /// whichever handle a retry has given the op since; `None` while it
+    /// waits in the send queue unadmitted.
+    pub id: Option<OpId>,
     /// `"put"`, `"get"` or `"amo"`.
     pub kind: &'static str,
     /// The global address the op targets.
     pub gva: Gva,
     /// Bounce/retry cycles consumed so far.
     pub attempts: u32,
-    /// When the op was submitted.
+    /// When the op was submitted (not admitted: a wait in the send queue
+    /// counts toward its age).
     pub issued: Time,
     /// Absolute deadline, if one was configured.
     pub deadline: Option<Time>,
@@ -427,10 +431,11 @@ pub struct OpSnapshot {
 impl OpSnapshot {
     /// Render the snapshot with `now` for the age computation.
     pub fn render(&self, now: Time) -> String {
+        let id = self.id.map_or_else(|| "-".to_string(), |id| id.to_string());
         format!(
             "{} {} gva={} age={} attempts={} state={}",
             self.kind,
-            self.id,
+            id,
             self.gva,
             now - self.issued,
             self.attempts,
@@ -439,14 +444,16 @@ impl OpSnapshot {
     }
 }
 
-/// The one record of an in-flight put, get or AMO, from `start` to its
-/// end. Its slot's handle is also the op's wire token: photon hands a PWC
-/// answer back under it, a software request carries it, and an answer
-/// naming a handle the slot no longer holds is stale. When a bounce gives
+/// The one record of an in-flight put, get or AMO, from its admission to
+/// its end: at submission, or, for one that waited in the send queue for a
+/// credit, when it is posted. Its slot's handle is also the op's wire
+/// token: photon hands a PWC answer back under it, a software request
+/// carries it, and an answer naming a handle the slot no longer holds is
+/// stale. When a bounce gives
 /// up on an RDMA attempt, the op takes a fresh handle in its slot
 /// ([`OpTable::renew`]), so a late answer to that attempt drops as stale;
-/// its identity in spans, snapshots and errors stays the handle `start`
-/// minted ([`OpTable::origin`]).
+/// its identity in spans, snapshots and errors stays the handle its
+/// admission minted ([`OpTable::origin`]).
 pub(crate) struct PendingOp {
     /// The access itself: the same snapshot every issue path (RDMA, shm,
     /// software, local commit) hands to the responder.
@@ -468,19 +475,23 @@ pub(crate) struct PendingOp {
     pub attempts: u16,
     /// Last lifecycle state, for diagnostics.
     pub phase: OpPhase,
-    /// [`FORCE_SW`] and [`SCRATCH`].
+    /// [`FORCE_SW`], [`SCRATCH`] and the [`MISSES`] count.
     flags: u8,
 }
 
 /// [`PendingOp::hist`]'s "not recorded" word.
 const NO_HIST: u32 = u32::MAX;
-/// Set after repeated NIC-table misses: degrade this operation to the
+/// Set after three NIC-table misses: degrade this operation to the
 /// software (two-sided) path, as real network-managed tables do under
 /// capacity thrash.
 const FORCE_SW: u8 = 1;
 /// A get's RDMA attempts have allocated their shared landing buffer: its
 /// address is the verb's `local`, its class follows from the length.
 const SCRATCH: u8 = 2;
+/// Two bits counting the op's NIC-table-miss NACKs, saturating at 3.
+const MISSES: u8 = 0b1100;
+/// One miss in [`MISSES`].
+const MISS: u8 = 0b0100;
 
 // Every op inserts and removes one entry, so the table's footprint is
 // host-time (32 bytes more cost ~4 % of AGAS-SW GUPS throughput) and, with
@@ -538,6 +549,14 @@ impl PendingOp {
         self.flags & FORCE_SW != 0
     }
 
+    /// Count a NIC-table-miss NACK; returns the misses so far (at most 3).
+    pub fn note_miss(&mut self) -> u8 {
+        if self.flags & MISSES != MISSES {
+            self.flags += MISS;
+        }
+        (self.flags & MISSES) / MISS
+    }
+
     /// Degrade the op to the software path for the rest of its life.
     pub fn set_force_sw(&mut self) {
         self.flags |= FORCE_SW;
@@ -560,6 +579,29 @@ impl PendingOp {
     }
 }
 
+/// An entry of a locality's PWC send queue ([`GasLocal::send_queue`]).
+pub(crate) enum SendEntry {
+    /// A fresh op that found every credit in use: not admitted yet, so it
+    /// holds no op-table slot and no span, only what admitting it takes.
+    /// Posting it admits it with its submission time.
+    Waiting {
+        verb: Verb,
+        gva: Gva,
+        ctx: OpId,
+        issued: Time,
+        hist: Option<u32>,
+    },
+    /// A re-issued op, in [`OpPhase::Queued`]: it keeps its slot, which
+    /// holds its identity, AMO key, landing buffer and attempt count. Skipped
+    /// when popped if the op has left that phase since.
+    Retry(OpId),
+}
+
+// A waiting op costs its queue entry alone; an admitted one costs an
+// 88-byte slot.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<SendEntry>() <= 72);
+
 pub(crate) struct MovingState {
     pub dst: LocalityId,
     /// Requests parked until the hand-off completes, in the boxes they
@@ -576,10 +618,10 @@ pub(crate) struct PendingInstall {
 
 /// How many PWC ops one locality keeps posted: its send-queue depth, as a
 /// verbs send queue is bounded. Each op in [`OpPhase::Rdma`] holds one
-/// credit; a further one-sided op waits in its locality's FIFO as a bare
-/// [`OpId`] in [`OpPhase::Queued`] (its pending op already holds the verb,
-/// address and context) and is posted, in order, when an answer or the
-/// deadline sweep ends a posted attempt. 128 is the deepest window any
+/// credit; a further one-sided op waits in its locality's FIFO, a fresh one
+/// unadmitted (no op-table slot until it is posted), a re-issued one as its
+/// bare [`OpId`], and is posted, in order, when an answer or the deadline sweep
+/// ends a posted attempt. 128 is the deepest window any
 /// experiment drives and about three times the one-port bandwidth-delay
 /// product on `ib_fdr` (≈ 2.4 µs round trip / ≈ 55 ns per control message
 /// ≈ 44), so a port never idles for want of a credit; 64 already costs E4b
@@ -625,10 +667,10 @@ pub struct GasLocal {
     /// Posting credits in use: the ops in [`OpPhase::Rdma`], at most
     /// [`POST_DEPTH`].
     pub(crate) posted: u32,
-    /// The PWC send queue, oldest first: ops waiting for a credit. An entry
-    /// whose op has since left [`OpPhase::Queued`] is skipped when popped;
-    /// the queue is non-empty only while every credit is in use.
-    pub(crate) send_queue: VecDeque<OpId>,
+    /// The PWC send queue, oldest first: ops waiting for a credit. It is
+    /// non-empty only while every credit is in use, and drops a buffer of
+    /// more than [`POST_DEPTH`] entries once it empties.
+    pub(crate) send_queue: VecDeque<SendEntry>,
     pub(crate) next_seq: HashMap<u8, u64>,
     pub(crate) moving: HashMap<u64, MovingState>,
     pub(crate) pending_installs: HashMap<u64, PendingInstall>,
@@ -700,9 +742,30 @@ impl GasLocal {
         out
     }
 
-    /// Outstanding initiator-side operations.
+    /// Outstanding initiator-side operations, admitted or waiting in the
+    /// send queue.
     pub fn outstanding_ops(&self) -> usize {
-        self.pending.len()
+        self.pending.len() + self.waiting().count()
+    }
+
+    /// The unadmitted ops in the send queue, oldest first.
+    fn waiting(&self) -> impl Iterator<Item = (&Verb, Gva, Time)> {
+        self.send_queue.iter().filter_map(|e| match e {
+            SendEntry::Waiting {
+                verb, gva, issued, ..
+            } => Some((verb, *gva, *issued)),
+            SendEntry::Retry(_) => None,
+        })
+    }
+
+    /// Op-table slots ever allocated: the most ops admitted at once.
+    pub fn op_slots(&self) -> usize {
+        self.pending.capacity()
+    }
+
+    /// Entries the send queue's buffer holds room for.
+    pub fn send_queue_capacity(&self) -> usize {
+        self.send_queue.capacity()
     }
 
     /// One-sided attempts posted and not yet answered or abandoned (at
@@ -751,25 +814,34 @@ impl GasLocal {
         self.sweep_armed
     }
 
-    /// Diagnostic snapshots of every in-flight op issued here, in slot
-    /// order (deterministic).
+    /// Diagnostic snapshots of every in-flight op issued here: the
+    /// admitted ones in slot order, then the unadmitted ones in queue order
+    /// (deterministic).
     pub fn op_snapshots(&self) -> Vec<OpSnapshot> {
-        self.pending
-            .iter()
-            .map(|(id, p)| OpSnapshot {
-                id: self.pending.origin(id).expect("live op"),
-                kind: match p.verb.kind() {
-                    OpKind::Put => "put",
-                    OpKind::Get => "get",
-                    OpKind::Amo => "amo",
-                },
-                gva: p.gva,
-                attempts: u32::from(p.attempts),
-                issued: p.issued,
-                deadline: (p.deadline != Time::MAX).then_some(p.deadline),
-                phase: p.phase,
-            })
-            .collect()
+        let kind = |verb: &Verb| match verb.kind() {
+            OpKind::Put => "put",
+            OpKind::Get => "get",
+            OpKind::Amo => "amo",
+        };
+        let admitted = self.pending.iter().map(|(id, p)| OpSnapshot {
+            id: Some(self.pending.origin(id).expect("live op")),
+            kind: kind(&p.verb),
+            gva: p.gva,
+            attempts: u32::from(p.attempts),
+            issued: p.issued,
+            deadline: (p.deadline != Time::MAX).then_some(p.deadline),
+            phase: p.phase,
+        });
+        let waiting = self.waiting().map(|(verb, gva, issued)| OpSnapshot {
+            id: None,
+            kind: kind(verb),
+            gva,
+            attempts: 0,
+            issued,
+            deadline: None,
+            phase: OpPhase::Queued,
+        });
+        admitted.chain(waiting).collect()
     }
 }
 

@@ -18,14 +18,15 @@
 //!   re-resolves through the home and retries.
 //!
 //! Around the fast path every put, get and AMO, in every mode, runs one
-//! pipeline: `start` records and issues the op; whichever path answers it
+//! pipeline: `start` records the op, chooses its path and, unless it must
+//! wait for a send credit, admits and issues it; whichever path answers it
 //! (a local commit, a shm commit, a [`GasMsg::SwReply`], a NIC completion)
 //! hands an [`Applied`] answer to `settle`, which checks the answer's kind
 //! against the op's and does the history, latency, landing-buffer and span
 //! bookkeeping; `fail_op` is the one way an op fails. [`crate::GasStats`]
 //! is the one ledger of those outcomes.
 //!
-//! In-flight operations live in the initiator's generational
+//! Admitted operations live in the initiator's generational
 //! [`netsim::OpTable`], the one record of each: wire messages carry the
 //! typed [`OpId`] handle (a PWC op's is its photon wire token), and a
 //! completion naming an unknown or stale handle is counted
@@ -43,14 +44,15 @@
 use crate::check::{value_hash, WordEvent, WordOp};
 use crate::gva::Gva;
 use crate::{
-    GasMode, GasMsg, GasWorld, HistEvent, HistKind, OpPhase, OwnerHint, PendingOp, SwAccess,
-    POST_DEPTH,
+    GasMode, GasMsg, GasWorld, HistEvent, HistKind, OpPhase, OwnerHint, PendingOp, SendEntry,
+    SwAccess, POST_DEPTH,
 };
 use netsim::{
     send_held, send_user_classed, AmoOp, AmoResult, Applied, Engine, FaultClass, LocalityId,
     NackReason, OpError, OpId, OpKind, PhysAddr, RdmaTarget, ShmDomain, Time, TraceKind, Verb,
 };
 use photon::pwc;
+use std::collections::VecDeque;
 
 fn copy_time(per_byte_ps: u64, len: usize) -> Time {
     Time::from_ps(len as u64 * per_byte_ps)
@@ -421,17 +423,49 @@ pub fn memamo<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, gva: Gva, amo: 
     start(eng, loc, gva, Verb::amo(amo, (loc, 0)), ctx);
 }
 
-/// Submit a new op: record it with its deadline and history event, open
-/// its span, arm the sweep and issue it.
+/// Submit a new op: record its history event, choose its path and arm the
+/// sweep. An op bound for the wire while every send credit is in use
+/// ([`POST_DEPTH`]) waits in the send queue unadmitted ([`SendEntry::Waiting`]):
+/// no op-table slot, no span, no deadline until [`post_queued`] admits it.
+/// Any other op is admitted and takes its path now.
 fn start<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, gva: Gva, verb: Verb, ctx: OpId) {
+    let now = eng.now();
+    let hist = hist_issue(eng.state.gas(loc), loc, gva, &verb, now);
+    let path = choose_path(eng, loc, gva, verb.kind(), false);
+    arm_sweep(eng, loc);
+    let g = eng.state.gas(loc);
+    if matches!(path, Path::Rdma(..)) && g.posted >= POST_DEPTH {
+        g.send_queue.push_back(SendEntry::Waiting {
+            verb,
+            gva,
+            ctx,
+            issued: now,
+            hist,
+        });
+        return;
+    }
+    let op = admit(eng, loc, verb, gva, ctx, now, hist);
+    take_path(eng, loc, op, gva, path);
+}
+
+/// Admit a submitted op to the op table: its record, with the submission
+/// time `issued` and a deadline from now, its AMO key and its span.
+fn admit<S: GasWorld>(
+    eng: &mut Engine<S>,
+    loc: LocalityId,
+    verb: Verb,
+    gva: Gva,
+    ctx: OpId,
+    issued: Time,
+    hist: Option<u32>,
+) -> OpId {
     let now = eng.now();
     let g = eng.state.gas(loc);
     let deadline = g.cfg.op_deadline.map(|d| now + d);
-    let hist = hist_issue(g, loc, gva, &verb, now);
     let is_amo = verb.kind() == OpKind::Amo;
     let op = g
         .pending
-        .insert(PendingOp::new(verb, gva, ctx, now, deadline, hist));
+        .insert(PendingOp::new(verb, gva, ctx, issued, deadline, hist));
     // An AMO's retry-stable responder-cache identity: the initiator plus
     // this *GAS-level* handle, which survives transport re-issue (photon
     // attempt ids do not) — known only now that the insert has minted it.
@@ -445,8 +479,7 @@ fn start<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, gva: Gva, verb: Verb
         }
     }
     open_span(eng, loc, op);
-    arm_sweep(eng, loc);
-    issue(eng, loc, op);
+    op
 }
 
 /// Does this cluster translate in the NIC? Not over a fabric without a
@@ -455,21 +488,37 @@ pub(crate) fn nic_table<S: GasWorld>(world: &S) -> bool {
     world.cluster_ref().config.xlate_capacity > 0
 }
 
-/// (Re-)issue a pending operation along the active mode's fast path.
-fn issue<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) {
-    let (gva, kind, force_sw) = {
-        let g = eng.state.gas(loc);
-        let Ok(p) = g.pending.get(op) else {
-            return; // reclaimed (deadline sweep) between schedule and fire
-        };
-        (p.gva, p.verb.kind(), p.force_sw())
-    };
+/// Where an op goes next, as [`choose_path`] finds it.
+#[derive(Clone, Copy)]
+enum Path {
+    /// Resident here at this base: commit locally.
+    Local(PhysAddr),
+    /// Co-located with this locality in its shared-memory domain.
+    Shm(LocalityId, ShmDomain),
+    /// Two-sided, to this locality's CPU.
+    Sw(LocalityId),
+    /// The software path's hint names the initiator, where the block is
+    /// absent: stale by construction, so re-resolve.
+    Stale,
+    /// One-sided, toward this locality and target.
+    Rdma(LocalityId, RdmaTarget),
+}
+
+/// Choose an op's path from what `loc` knows now, acting on nothing: the
+/// BTT probe, the membership resolve, the owner-cache hint, shm reach and
+/// whether the fabric translates, in that order.
+fn choose_path<S: GasWorld>(
+    eng: &mut Engine<S>,
+    loc: LocalityId,
+    gva: Gva,
+    kind: OpKind,
+    force_sw: bool,
+) -> Path {
     let block = gva.block_key();
     // In every mode one BTT probe decides residency AND yields the base for
     // the local commit; the mode only picks the remote path.
     if let Some(base) = resident_base(eng, loc, block) {
-        commit_local(eng, loc, op, base);
-        return;
+        return Path::Local(base);
     }
     let home = gva.home();
     match eng.state.gas_mode() {
@@ -483,16 +532,16 @@ fn issue<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) {
             } else {
                 home
             };
-            if try_shm(eng, loc, op, gva, target_loc) {
-                // Co-located home: the access went over shared memory and
-                // the NIC never saw it.
+            if let Some(shm) = shm_reach(&eng.state, loc, target_loc) {
+                // Co-located home: the access goes over shared memory and
+                // the NIC never sees it.
+                Path::Shm(target_loc, shm)
             } else if kind == OpKind::Amo || crashed {
                 // PGAS NICs translate nothing, so there is no virtual
                 // path for a remote AMO to ride; the home's CPU executes
                 // it (the software handler resolves through its BTT), as
                 // a take-over's does every op.
-                eng.state.gas(loc).stats.remote_ops += 1;
-                issue_sw(eng, loc, op, gva, target_loc);
+                Path::Sw(target_loc)
             } else {
                 // The initiator's address table: where the home placed it.
                 let base = *eng
@@ -500,8 +549,7 @@ fn issue<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) {
                     .pgas()
                     .get(&block)
                     .expect("PGAS op on unallocated block");
-                let target = RdmaTarget::Phys(base + gva.offset());
-                issue_rdma(eng, loc, op, home, target);
+                Path::Rdma(home, RdmaTarget::Phys(base + gva.offset()))
             }
         }
         // AGAS, with or without a NIC table.
@@ -511,26 +559,45 @@ fn issue<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) {
             // The owner's CPU translates without a NIC table (AGAS-SW), and
             // for an op whose NIC-table misses degraded it to software.
             let sw = !nic_table(&eng.state) || force_sw;
-            if try_shm(eng, loc, op, gva, target_loc) {
+            if let Some(shm) = shm_reach(&eng.state, loc, target_loc) {
                 // Intra-domain short-circuit. Valid even under `force_sw`:
                 // the shm path touches no NIC table, so capacity thrash
                 // cannot bounce it.
+                Path::Shm(target_loc, shm)
             } else if sw && target_loc == loc {
-                // A hint naming ourselves while the block is absent is
-                // stale by construction; re-resolve.
-                bounce(eng, loc, op, block);
+                Path::Stale
             } else if sw {
-                eng.state.gas(loc).stats.remote_ops += 1;
-                issue_sw(eng, loc, op, gva, target_loc);
+                Path::Sw(target_loc)
             } else {
-                let target = RdmaTarget::Virt {
-                    block,
-                    offset: gva.offset(),
-                };
-                issue_rdma(eng, loc, op, target_loc, target);
+                let offset = gva.offset();
+                Path::Rdma(target_loc, RdmaTarget::Virt { block, offset })
             }
         }
     }
+}
+
+/// Send the admitted op `op` along `path`.
+fn take_path<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId, gva: Gva, path: Path) {
+    match path {
+        Path::Local(base) => commit_local(eng, loc, op, base),
+        Path::Shm(target_loc, shm) => issue_shm(eng, loc, op, gva, target_loc, shm),
+        Path::Stale => bounce(eng, loc, op, gva.block_key(), false),
+        Path::Sw(target_loc) => {
+            eng.state.gas(loc).stats.remote_ops += 1;
+            issue_sw(eng, loc, op, gva, target_loc);
+        }
+        Path::Rdma(target_loc, target) => issue_rdma(eng, loc, op, target_loc, target),
+    }
+}
+
+/// Re-issue an admitted op: choose its path afresh and take it.
+fn issue<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId) {
+    let Ok(p) = eng.state.gas(loc).pending.get(op) else {
+        return; // reclaimed (deadline sweep) between schedule and fire
+    };
+    let (gva, kind, force_sw) = (p.gva, p.verb.kind(), p.force_sw());
+    let path = choose_path(eng, loc, gva, kind, force_sw);
+    take_path(eng, loc, op, gva, path);
 }
 
 /// Issue the software (two-sided) remote access toward `target_loc`.
@@ -583,32 +650,31 @@ pub(crate) fn send_sw_access<S: GasWorld>(
 
 // ------------------------------------------------------- shm fast path
 
-/// Try the intra-domain shared-memory short-circuit for a remote op
-/// believed to live at `target_loc`. Returns `true` when the op took the
-/// shm path (or was reclaimed concurrently); `false` means the caller
-/// issues over the fabric as usual.
+/// The shared-memory domain through which `loc` reaches `target_loc`, if
+/// the two are distinct members of one.
+fn shm_reach<S: GasWorld>(world: &S, loc: LocalityId, target_loc: LocalityId) -> Option<ShmDomain> {
+    let shm = world.cluster_ref().config.shm?;
+    (target_loc != loc && shm.same_domain(loc, target_loc)).then_some(shm)
+}
+
+/// Take the intra-domain shared-memory short-circuit to `target_loc`.
 ///
 /// The access pays [`ShmDomain::access`] for the mapped load/store plus
 /// copy, commits against the target's arena, and sends **zero wire
 /// messages**. If the block migrated out from under the mapping, the op
 /// falls back to ordinary directory recovery ([`bounce`]).
-fn try_shm<S: GasWorld>(
+fn issue_shm<S: GasWorld>(
     eng: &mut Engine<S>,
     loc: LocalityId,
     op: OpId,
     gva: Gva,
     target_loc: LocalityId,
-) -> bool {
-    let Some(shm) = eng.state.cluster_ref().config.shm else {
-        return false;
-    };
-    if target_loc == loc || !shm.same_domain(loc, target_loc) {
-        return false;
-    }
+    shm: ShmDomain,
+) {
     let (verb, released) = {
         let g = eng.state.gas(loc);
         let Ok(p) = g.pending.get_mut(op) else {
-            return true; // reclaimed (deadline sweep); nothing to issue
+            return;
         };
         (p.verb.clone(), p.enter(OpPhase::Shm, &mut g.posted))
     };
@@ -640,7 +706,6 @@ fn try_shm<S: GasWorld>(
     eng.schedule_at_loc(at, target_loc, move |eng| {
         shm_commit(eng, loc, target_loc, op, gva, verb, shm)
     });
-    true
 }
 
 /// Commit an intra-domain access at the co-located target's lane, then
@@ -664,7 +729,7 @@ fn shm_commit<S: GasWorld>(
         // ordinary directory recovery.
         eng.schedule_at_loc(back, loc, move |eng| {
             if eng.state.gas(loc).pending.contains(op) {
-                bounce(eng, loc, op, block);
+                bounce(eng, loc, op, block, false);
             } else {
                 eng.state.gas(loc).stats.stale_completions += 1;
             }
@@ -748,11 +813,13 @@ fn hint_owner<S: GasWorld>(
         .unwrap_or(home)
 }
 
-/// Issue the one-sided access toward `target_loc`. Decide: with every
-/// credit in use ([`POST_DEPTH`]) the op waits in its locality's send
-/// queue until an answer frees one ([`post_queued`]), and no deadline runs
-/// while it waits. Post: otherwise (or if the op already holds a credit)
-/// it takes a credit, its deadline starts if it was queued, and photon
+/// Issue the admitted op's one-sided access toward `target_loc`. Decide:
+/// with every credit in use ([`POST_DEPTH`]) a re-issued op waits in its
+/// locality's send queue, keeping its slot, until an answer frees one
+/// ([`post_queued`]), and no deadline runs while it waits (`start` keeps a
+/// fresh op out of the table instead). Post: otherwise (or if the op
+/// already holds a credit) it takes a credit, its deadline starts if it
+/// was queued, and photon
 /// puts it on the wire: the target NIC translates (and, for an AMO,
 /// executes in the same visit), and the completion or NACK/forward outcome
 /// comes back like any PWC op.
@@ -772,7 +839,7 @@ fn issue_rdma<S: GasWorld>(
         if p.phase != OpPhase::Rdma && g.posted >= POST_DEPTH {
             p.phase = OpPhase::Queued;
             p.deadline = Time::MAX;
-            g.send_queue.push_back(op);
+            g.send_queue.push_back(SendEntry::Retry(op));
             return;
         }
         if p.phase == OpPhase::Queued {
@@ -800,10 +867,11 @@ fn issue_rdma<S: GasWorld>(
 }
 
 /// Post the send queue's oldest waiting ops while `loc` has credits free.
-/// Each is issued afresh, routed on what its locality knows now, so one
-/// that became local or shm-reachable while it waited takes that path and
-/// leaves the credit to the next. Out of line and cold: it runs only while
-/// a burst outruns the credits.
+/// An unadmitted op is admitted first ([`admit`]). Each is issued afresh,
+/// routed on what its locality knows now, so one that became local or
+/// shm-reachable while it waited takes that path and leaves the credit to
+/// the next. The queue drops a buffer sized for a burst once it empties.
+/// Out of line and cold: it runs only while a burst outruns the credits.
 #[cold]
 #[inline(never)]
 pub(crate) fn post_queued<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId) {
@@ -812,11 +880,28 @@ pub(crate) fn post_queued<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId) {
         if g.posted >= POST_DEPTH {
             return;
         }
-        let Some(op) = g.send_queue.pop_front() else {
+        let Some(entry) = g.send_queue.pop_front() else {
             return;
         };
-        if g.pending.get(op).is_ok_and(|p| p.phase == OpPhase::Queued) {
-            issue(eng, loc, op);
+        if g.send_queue.is_empty() && g.send_queue.capacity() > POST_DEPTH as usize {
+            g.send_queue = VecDeque::new();
+        }
+        match entry {
+            SendEntry::Retry(op) => {
+                if g.pending.get(op).is_ok_and(|p| p.phase == OpPhase::Queued) {
+                    issue(eng, loc, op);
+                }
+            }
+            SendEntry::Waiting {
+                verb,
+                gva,
+                ctx,
+                issued,
+                hist,
+            } => {
+                let op = admit(eng, loc, verb, gva, ctx, issued, hist);
+                issue(eng, loc, op);
+            }
         }
     }
 }
@@ -868,10 +953,11 @@ fn commit_local<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId, bas
 /// A fast path bounced: invalidate the hint and re-resolve via the home.
 /// An op that gives up on an RDMA attempt takes a fresh handle first, so a
 /// late answer to that attempt (delayed or duplicated) drops as stale
-/// instead of completing the re-issued op. When the retry budget runs out
-/// the op fails terminally with [`OpError::RetriesExhausted`] instead of
-/// asserting.
-fn bounce<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId, block: u64) {
+/// instead of completing the re-issued op. `miss` says the bounce is a NIC
+/// table's miss NACK: the third degrades the op to the software path. When
+/// the retry budget runs out the op fails terminally with
+/// [`OpError::RetriesExhausted`] instead of asserting.
+fn bounce<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId, block: u64, miss: bool) {
     // Re-resolve through the *serving* home: a membership event (join
     // slice, drain hand-off, crash take-over) may have moved the block's
     // directory duty off its encoded home.
@@ -891,9 +977,10 @@ fn bounce<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, op: OpId, block: u6
         let saturated = p.attempts == u16::MAX;
         let attempts = u32::from(p.attempts);
         let mut sw_fallback = false;
-        if !p.force_sw() && attempts >= 3 {
+        if miss && !p.force_sw() && p.note_miss() >= 3 {
             // Persistent NIC-table misses (capacity thrash): degrade to the
-            // software path, which cannot miss at the true owner.
+            // software path, which cannot miss at the true owner. A lost
+            // message or a stale hint says nothing about the table.
             p.set_force_sw();
             sw_fallback = true;
         }
@@ -988,7 +1075,7 @@ fn sweep<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId) {
         };
         if !already_scheduled {
             eng.state.gas(loc).stats.deadline_retries += 1;
-            bounce(eng, loc, id, block);
+            bounce(eng, loc, id, block, false);
         }
     }
     // Remove every expired op before a failure callback can issue a new
@@ -1153,7 +1240,7 @@ pub fn on_pwc_failed<S: GasWorld>(
         NackReason::TtlExceeded => g.stats.nacked_ttl += 1,
         NackReason::Bounds => g.stats.nacked_bounds += 1,
     }
-    bounce(eng, loc, ctx, block);
+    bounce(eng, loc, ctx, block, reason == NackReason::Miss);
 }
 
 // ---------------------------------------------------------------- handlers
@@ -1180,7 +1267,7 @@ pub fn handle_msg<S: GasWorld>(eng: &mut Engine<S>, from: LocalityId, at: Locali
                 eng.state.gas(at).stats.stale_completions += 1;
                 return;
             }
-            bounce(eng, at, ctx, block);
+            bounce(eng, at, ctx, block, false);
         }
         GasMsg::DirQuery {
             block,

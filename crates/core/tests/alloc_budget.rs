@@ -14,9 +14,9 @@
 //!   caller — also while a burst of thousands is issued and drains, with
 //!   no locality holding more than `POST_DEPTH` requests at once;
 //! * an outstanding get holds a fixed number of live heap bytes across the
-//!   layers (GAS pending op and send-queue entry, and for the posted ones
-//!   the boxed request and its queued event), so a record that regrows
-//!   fails;
+//!   layers (a send-queue entry while it waits for a credit; once posted,
+//!   its GAS pending op, the boxed request and its queued event), so a
+//!   record that regrows fails;
 //! * a drained engine keeps little of what its event queue held at its
 //!   densest instants: a closed loop of puts leaves its time wheel with
 //!   storage for the slots busy at one instant, not for every slot a
@@ -451,13 +451,16 @@ const OUTSTANDING: u64 = 4096;
 
 /// Live heap bytes one outstanding 8-byte AGAS-NET get holds, summed over
 /// every layer, as [`live_bytes_per_outstanding_get`] measures them
-/// (requested sizes, not allocator chunks): the GAS pending-op slot (88)
-/// and a send-queue entry (8, its `OpId`) — 96 — plus the posted gets'
-/// share: POST_DEPTH of the 4 096 hold a boxed `Access` (72) and a queued
-/// wire event with the time wheel's bucket growth, 3 bytes a get. Its
-/// 8-byte landing buffer costs no heap bytes: the arena is reserved whole
-/// when the world is built, so carving a block from it allocates nothing.
-const LIVE_BYTES_PER_GET: i64 = 99;
+/// (requested sizes, not allocator chunks): a get past the send queue's
+/// depth is not admitted yet and holds only its queue entry (72: verb,
+/// address, context, submission time and history index), so the queue's
+/// buffer of 4 096 entries is 72 bytes a get; the posted gets' share adds
+/// 6: POST_DEPTH of the 4 096 hold a GAS pending-op slot (88), a boxed
+/// `Access` (72) and a queued wire event with the time wheel's bucket
+/// growth. Its 8-byte landing buffer costs no heap bytes: the arena is
+/// reserved whole when the world is built, so carving a block from it
+/// allocates nothing.
+const LIVE_BYTES_PER_GET: i64 = 78;
 
 #[test]
 fn an_outstanding_get_holds_its_byte_budget() {

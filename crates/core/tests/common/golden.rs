@@ -30,3 +30,5 @@ pub const GOLDEN_MEMBER_NET: Pin = (0x4136_753e_43d6_1c44, 48_286_200, 220);
 pub const GOLDEN_FREE_PGAS: Pin = (0xf7d4_a909_e9ee_a527, 18_154_000, 96);
 pub const GOLDEN_FREE_SW: Pin = (0x3fdc_0c9d_dc02_dc6a, 74_072_600, 222);
 pub const GOLDEN_FREE_NET: Pin = (0x7a78_839b_3ccc_1eb3, 65_691_800, 190);
+/// `shard_pin.rs::send_queue_burst_is_lane_invariant` (sequential engine).
+pub const GOLDEN_SEND_QUEUE: Pin = (0xfacb_4a76_1b7a_a529, 23_548_000, 10_752);

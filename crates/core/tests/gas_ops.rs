@@ -329,7 +329,7 @@ fn an_answer_of_another_kind_fails_the_op() {
     let arr = alloc_array(&mut eng, 2, 12, Distribution::Cyclic);
     eng.run();
     memget(&mut eng, 0, arr.block(1), 8, OpId::from_raw(7));
-    let op = eng.state.data.gas[0].op_snapshots()[0].id;
+    let op = eng.state.data.gas[0].op_snapshots()[0].id.unwrap();
     let before = eng.state.data.gas[0].stats;
     let answer = Applied::Put;
     handle_msg(&mut eng, 1, 0, GasMsg::SwReply { ctx: op, answer });
@@ -357,4 +357,32 @@ fn an_answer_of_another_kind_fails_the_op() {
         failures[0].starts_with("protocol violation"),
         "{failures:?}"
     );
+}
+
+#[test]
+fn an_op_degrades_to_software_after_its_third_nic_table_miss() {
+    // A table too small to keep the block: the owner's NIC loses its entry
+    // before every access, so each attempt is a miss NACK. The third sends
+    // the op to the owner's CPU, which cannot miss.
+    let mut eng = engine(2, GasMode::AgasNetwork);
+    let arr = alloc_array(&mut eng, 2, 12, Distribution::Cyclic);
+    eng.run();
+    memput(&mut eng, 0, arr.block(1), vec![7; 8], OpId::from_raw(1));
+    let mut misses = Vec::new();
+    loop {
+        eng.state.data.cluster.loc_mut(1).nic.xlate.flush_live();
+        let g = &eng.state.data.gas[0];
+        misses.push((g.stats.nacked_miss, g.stats.sw_fallbacks));
+        if !eng.step() {
+            break;
+        }
+    }
+    assert!(find_put_done(&eng, 1).is_some(), "put incomplete");
+    // Each miss count was reached without a fallback until the third.
+    for (miss, fallbacks) in misses {
+        assert_eq!(fallbacks, u64::from(miss >= 3), "{miss} misses");
+    }
+    let stats = eng.state.data.gas[0].stats;
+    assert_eq!((stats.nacked_miss, stats.sw_fallbacks), (3, 1));
+    assert_eq!(eng.state.data.gas[1].stats.sw_puts_handled, 1);
 }

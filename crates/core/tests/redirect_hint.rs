@@ -178,7 +178,7 @@ fn a_crash_purges_learned_hints_and_a_late_ack_cannot_replant_them() {
     assert_eq!(hint(&mut eng, 3, gva), None, "crash notice drops the hint");
     // An ack that left 2 just before it died surfaces afterwards.
     memput(&mut eng, 3, gva, vec![2; 8], OpId::from_raw(2));
-    let op = eng.state.data.gas[3].op_snapshots()[0].id;
+    let op = eng.state.data.gas[3].op_snapshots()[0].id.unwrap();
     on_pwc_redirected(&mut eng, 3, op, 2, 2);
     assert_eq!(hint(&mut eng, 3, gva), None);
     assert_eq!(

@@ -1,11 +1,13 @@
 //! The PWC send queue: each locality keeps at most [`POST_DEPTH`] one-sided
-//! attempts posted and queues the rest as bare handles. One credit per
+//! attempts posted and queues the rest, a fresh op unadmitted (no op-table
+//! slot until it is posted), a re-issued one as its bare handle. One credit per
 //! posted attempt, returned exactly once — by the first answer while the op
 //! is in `Rdma`, when the deadline sweep abandons the attempt, or when the
 //! op is taken — and a duplicated or stale answer returns none. So under a
 //! fabric that drops and duplicates messages the posted count always equals
 //! the ops in `Rdma`, and a burst drains to nothing posted and nothing
-//! queued, every op completed or failed with a typed error.
+//! queued, every op completed or failed with a typed error. A drained
+//! burst leaves no op table or queue buffer sized for it.
 
 use agas::ops::{memamo, memget, memput};
 use agas::{
@@ -34,6 +36,13 @@ fn assert_credits(eng: &Engine<SimWorld>) {
             g.posted_ops()
         );
     }
+}
+
+/// `(trace_hash, final ps, events executed)` of a run: each scenario pins
+/// its own, so a change to how ops wait for credits that moves any
+/// schedule fails here.
+fn witness(eng: &Engine<SimWorld>) -> (u64, u64, u64) {
+    (eng.trace_hash(), eng.now().ps(), eng.events_executed())
 }
 
 /// A world of `n` localities, one 4 KiB block homed at each, with
@@ -90,6 +99,7 @@ fn a_lossy_burst_returns_every_credit() {
         }
     }
     assert_credits(&eng);
+    assert_eq!(witness(&eng), (0xf7fe_a733_caae_b646, 330_000_000, 8044));
     let faults = eng.state.data.cluster.fault_stats();
     assert!(faults.dropped > 0 && faults.duplicated > 0, "{faults:?}");
     let stats = eng.state.total_gas_stats();
@@ -98,6 +108,10 @@ fn a_lossy_burst_returns_every_credit() {
         "the sweep recovered lost messages"
     );
     assert!(stats.stale_completions > 0, "duplicated answers arrived");
+    // Lost messages say nothing about the NIC tables, which hold every
+    // entry here: no op degrades to the software path.
+    let nacks = stats.nacked_miss + stats.nacked_ttl + stats.nacked_bounds;
+    assert_eq!((nacks, stats.sw_fallbacks), (0, 0));
     // Every op ended exactly once: completed, or failed with a typed error.
     let mut ends: HashMap<(u32, u64), u32> = HashMap::new();
     for (_, l, ev) in eng.state.events() {
@@ -126,28 +140,88 @@ fn a_queued_op_shows_as_queued_and_its_deadline_starts_when_posted() {
         memput(&mut eng, 0, blocks[1], vec![i as u8; 8], OpId::from_raw(i));
     }
     let g = &eng.state.data.gas[0];
+    assert_eq!(g.outstanding_ops() as u64, burst);
     let last = *g.op_snapshots().last().unwrap();
     assert_eq!(last.phase, OpPhase::Queued);
+    assert_eq!(last.id, None, "not admitted while it waits");
     assert_eq!(last.deadline, None, "no deadline runs while queued");
     assert!(last.render(eng.now()).ends_with("state=queued"));
     assert_eq!(
         g.send_queue_report().as_deref(),
         Some("send queue: 128 posted, 1 queued (depth 128)")
     );
-    // The first answer posts it, and its deadline starts then.
+    // The first answer posts it, and its deadline starts then. It is the
+    // one op whose deadline is not the burst's: the others were posted at
+    // time zero.
     while eng.step() {
         let g = &eng.state.data.gas[0];
-        let snap = g.op_snapshots().into_iter().find(|s| s.id == last.id);
-        if let Some(snap) = snap.filter(|s| s.phase != OpPhase::Queued) {
-            assert_eq!(snap.phase, OpPhase::Rdma);
-            assert_eq!(snap.deadline, Some(eng.now() + deadline));
-            assert!(eng.now() > Time::ZERO);
-            assert_eq!(g.queued_ops(), 0);
-            break;
+        if g.queued_ops() != 0 {
+            continue;
         }
+        let snaps = g.op_snapshots();
+        let posted: Vec<_> = snaps
+            .iter()
+            .filter(|s| s.deadline != Some(Time::ZERO + deadline))
+            .collect();
+        assert_eq!(posted.len(), 1, "{snaps:?}");
+        let snap = posted[0];
+        assert_eq!(snap.phase, OpPhase::Rdma);
+        assert!(snap.id.is_some(), "admitted when posted");
+        assert_eq!(snap.deadline, Some(eng.now() + deadline));
+        assert_eq!(snap.issued, last.issued, "its age counts from submission");
+        assert!(eng.now() > Time::ZERO);
+        break;
     }
     eng.run();
+    assert_eq!(witness(&eng), (0x71c5_bf09_6a0c_706f, 10_000_000, 388));
     assert_eq!(eng.state.put_acks(), burst);
     assert_eq!(eng.state.data.gas[0].stats.remote_ops, burst);
     assert_eq!(eng.state.data.gas[0].send_queue_report(), None);
+}
+
+/// The op-table slots a locality may keep past [`POST_DEPTH`] after a
+/// burst of remote gets: an op leaves its slot before the one it frees a
+/// credit for is admitted, so the posted ones are all a burst of remote
+/// one-sided ops ever admits at once.
+const SLOT_SLACK: usize = 0;
+
+#[test]
+fn a_drained_burst_keeps_no_slot_or_queue_buffer_sized_for_it() {
+    const N: u32 = 4;
+    let (mut eng, blocks) = world(N as usize, NetConfig::ib_fdr(), Time::from_ms(10));
+    let burst = 32 * u64::from(POST_DEPTH);
+    for l in 0..N {
+        let gva = blocks[((l + 1) % N) as usize];
+        for i in 0..burst {
+            memget(
+                &mut eng,
+                l,
+                gva.with_offset((i % 512) * 8),
+                8,
+                OpId::from_raw(i),
+            );
+        }
+        let g = &eng.state.data.gas[l as usize];
+        assert_eq!(g.queued_ops() as u64, burst - u64::from(POST_DEPTH));
+        assert_eq!(
+            g.op_slots(),
+            POST_DEPTH as usize,
+            "only posted ops admitted"
+        );
+    }
+    eng.run();
+    assert_eq!(eng.state.get_acks(), u64::from(N) * burst);
+    for (l, g) in eng.state.data.gas.iter().enumerate() {
+        assert_eq!(g.outstanding_ops(), 0);
+        assert!(
+            g.op_slots() <= POST_DEPTH as usize + SLOT_SLACK,
+            "locality {l}: {} op-table slots after the burst",
+            g.op_slots()
+        );
+        assert!(
+            g.send_queue_capacity() <= POST_DEPTH as usize,
+            "locality {l}: the send queue keeps room for {} entries",
+            g.send_queue_capacity()
+        );
+    }
 }

@@ -27,8 +27,9 @@
 //!
 //! `send_queue_burst_is_lane_invariant` issues more one-sided ops per
 //! locality than the PWC send queue posts ([`agas::POST_DEPTH`]) and
-//! demands the sequential witness at every lane count: an answer posts the
-//! next queued op on its own locality's lane.
+//! demands the sequential witness, pinned as `GOLDEN_SEND_QUEUE`, at every
+//! lane count: an answer posts the next queued op on its own locality's
+//! lane.
 //!
 //! `agas_net_without_a_nic_table_is_agas_sw` runs three scenarios as
 //! AGAS-NET over a zero-capacity fabric and demands the AGAS-SW pins:
@@ -365,6 +366,7 @@ fn send_queue_burst(lanes: Option<usize>) -> (Pin, usize) {
 #[test]
 fn send_queue_burst_is_lane_invariant() {
     let (reference, deepest) = send_queue_burst(None);
+    check("send_queue_burst", None, reference, GOLDEN_SEND_QUEUE);
     // 2 * (POST_DEPTH + 64) ops per locality, POST_DEPTH of them posted.
     assert_eq!(
         deepest,

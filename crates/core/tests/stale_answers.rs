@@ -29,7 +29,7 @@ fn world(n: usize, net: NetConfig) -> (Engine<SimWorld>, GlobalArray) {
 fn only_op(eng: &Engine<SimWorld>, loc: usize) -> OpId {
     let ops = eng.state.data.gas[loc].op_snapshots();
     assert_eq!(ops.len(), 1);
-    ops[0].id
+    ops[0].id.unwrap()
 }
 
 /// Deliver `packet` from `from` to `at` as if the NIC had.
@@ -220,6 +220,9 @@ fn a_crash_leaves_no_record_of_the_rdma_ops_in_flight_from_the_dead() {
     assert_eq!((g.posted_ops(), g.queued_ops()), (POST_DEPTH, 16));
     crash(&mut eng, 2);
     eng.run();
+    // The run's `(trace_hash, final ps, events executed)`.
+    let witness = (eng.trace_hash(), eng.now().ps(), eng.events_executed());
+    assert_eq!(witness, (0x4745_892b_0216_8037, 2_437_000, 260));
     let g = &eng.state.data.gas[2];
     assert_eq!(g.outstanding_ops(), 0);
     assert_eq!((g.posted_ops(), g.queued_ops()), (0, 0));
