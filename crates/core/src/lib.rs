@@ -579,28 +579,102 @@ impl PendingOp {
     }
 }
 
-/// An entry of a locality's PWC send queue ([`GasLocal::send_queue`]).
+/// An entry of a locality's PWC send queue ([`GasLocal::send_queue`]). A
+/// fresh op that found every credit in use is not admitted yet: it holds
+/// no op-table slot and no span, only what admitting it takes, and posting
+/// it admits it with its submission time. What that is depends on its
+/// kind, so each kind stores only its own.
 pub(crate) enum SendEntry {
-    /// A fresh op that found every credit in use: not admitted yet, so it
-    /// holds no op-table slot and no span, only what admitting it takes.
-    /// Posting it admits it with its submission time.
-    Waiting {
-        verb: Verb,
+    /// A fresh get, inline: its verb is only a length until posting
+    /// allocates its landing buffer (`Verb::Get::local` is 0 before).
+    Get {
         gva: Gva,
         ctx: OpId,
         issued: Time,
-        hist: Option<u32>,
+        len: u32,
+        /// The history index, [`NO_HIST`] when none was recorded.
+        hist: u32,
     },
+    /// A fresh put or AMO, whose verb carries a payload or operands: one
+    /// box, freed when it is admitted.
+    Boxed(Box<Waiting>),
     /// A re-issued op, in [`OpPhase::Queued`]: it keeps its slot, which
     /// holds its identity, AMO key, landing buffer and attempt count. Skipped
     /// when popped if the op has left that phase since.
     Retry(OpId),
 }
 
-// A waiting op costs its queue entry alone; an admitted one costs an
-// 88-byte slot.
+/// A fresh put or AMO waiting in the send queue ([`SendEntry::Boxed`]).
+pub(crate) struct Waiting {
+    pub verb: Verb,
+    pub gva: Gva,
+    pub ctx: OpId,
+    pub issued: Time,
+    pub hist: Option<u32>,
+}
+
+impl SendEntry {
+    /// The entry of a fresh op that waits for a credit. Out of line and
+    /// cold, like posting it: only a burst that outruns the credits queues.
+    #[cold]
+    #[inline(never)]
+    pub fn waiting(verb: Verb, gva: Gva, ctx: OpId, issued: Time, hist: Option<u32>) -> SendEntry {
+        match verb {
+            Verb::Get { len, .. } => SendEntry::Get {
+                gva,
+                ctx,
+                issued,
+                len,
+                hist: hist.unwrap_or(NO_HIST),
+            },
+            verb => SendEntry::Boxed(Box::new(Waiting {
+                verb,
+                gva,
+                ctx,
+                issued,
+                hist,
+            })),
+        }
+    }
+
+    /// What admitting a fresh op takes, a get's verb rebuilt with no
+    /// landing buffer yet (a boxed one's box is freed here); a re-issued
+    /// op's handle otherwise.
+    pub fn into_waiting(self) -> Result<Waiting, OpId> {
+        match self {
+            SendEntry::Get {
+                gva,
+                ctx,
+                issued,
+                len,
+                hist,
+            } => Ok(Waiting {
+                verb: Verb::Get { len, local: 0 },
+                gva,
+                ctx,
+                issued,
+                hist: (hist != NO_HIST).then_some(hist),
+            }),
+            SendEntry::Boxed(w) => Ok(*w),
+            SendEntry::Retry(op) => Err(op),
+        }
+    }
+
+    /// A waiting op's kind, address and submission time; `None` for a
+    /// re-issued op (it shows through its slot).
+    fn waiting_view(&self) -> Option<(OpKind, Gva, Time)> {
+        match self {
+            SendEntry::Get { gva, issued, .. } => Some((OpKind::Get, *gva, *issued)),
+            SendEntry::Boxed(w) => Some((w.verb.kind(), w.gva, w.issued)),
+            SendEntry::Retry(_) => None,
+        }
+    }
+}
+
+// A waiting get costs its queue entry alone, 4 096 of them a locality in
+// the benchmark's set-up burst; an admitted op costs an 88-byte slot.
 #[cfg(target_pointer_width = "64")]
-const _: () = assert!(std::mem::size_of::<SendEntry>() <= 72);
+const _: () = assert!(std::mem::size_of::<SendEntry>() <= 40);
 
 pub(crate) struct MovingState {
     pub dst: LocalityId,
@@ -619,8 +693,9 @@ pub(crate) struct PendingInstall {
 /// How many PWC ops one locality keeps posted: its send-queue depth, as a
 /// verbs send queue is bounded. Each op in [`OpPhase::Rdma`] holds one
 /// credit; a further one-sided op waits in its locality's FIFO, a fresh one
-/// unadmitted (no op-table slot until it is posted), a re-issued one as its
-/// bare [`OpId`], and is posted, in order, when an answer or the deadline sweep
+/// unadmitted (no op-table slot until it is posted: a get as a 40-byte
+/// `SendEntry`, a put or AMO boxed), a re-issued one as its bare
+/// [`OpId`], and is posted, in order, when an answer or the deadline sweep
 /// ends a posted attempt. 128 is the deepest window any
 /// experiment drives and about three times the one-port bandwidth-delay
 /// product on `ib_fdr` (≈ 2.4 µs round trip / ≈ 55 ns per control message
@@ -749,13 +824,8 @@ impl GasLocal {
     }
 
     /// The unadmitted ops in the send queue, oldest first.
-    fn waiting(&self) -> impl Iterator<Item = (&Verb, Gva, Time)> {
-        self.send_queue.iter().filter_map(|e| match e {
-            SendEntry::Waiting {
-                verb, gva, issued, ..
-            } => Some((verb, *gva, *issued)),
-            SendEntry::Retry(_) => None,
-        })
+    fn waiting(&self) -> impl Iterator<Item = (OpKind, Gva, Time)> + '_ {
+        self.send_queue.iter().filter_map(SendEntry::waiting_view)
     }
 
     /// Op-table slots ever allocated: the most ops admitted at once.
@@ -818,23 +888,23 @@ impl GasLocal {
     /// admitted ones in slot order, then the unadmitted ones in queue order
     /// (deterministic).
     pub fn op_snapshots(&self) -> Vec<OpSnapshot> {
-        let kind = |verb: &Verb| match verb.kind() {
+        let kind = |kind: OpKind| match kind {
             OpKind::Put => "put",
             OpKind::Get => "get",
             OpKind::Amo => "amo",
         };
         let admitted = self.pending.iter().map(|(id, p)| OpSnapshot {
             id: Some(self.pending.origin(id).expect("live op")),
-            kind: kind(&p.verb),
+            kind: kind(p.verb.kind()),
             gva: p.gva,
             attempts: u32::from(p.attempts),
             issued: p.issued,
             deadline: (p.deadline != Time::MAX).then_some(p.deadline),
             phase: p.phase,
         });
-        let waiting = self.waiting().map(|(verb, gva, issued)| OpSnapshot {
+        let waiting = self.waiting().map(|(op_kind, gva, issued)| OpSnapshot {
             id: None,
-            kind: kind(verb),
+            kind: kind(op_kind),
             gva,
             attempts: 0,
             issued,

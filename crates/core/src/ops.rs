@@ -425,8 +425,9 @@ pub fn memamo<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, gva: Gva, amo: 
 
 /// Submit a new op: record its history event, choose its path and arm the
 /// sweep. An op bound for the wire while every send credit is in use
-/// ([`POST_DEPTH`]) waits in the send queue unadmitted ([`SendEntry::Waiting`]):
-/// no op-table slot, no span, no deadline until [`post_queued`] admits it.
+/// ([`POST_DEPTH`]) waits in the send queue unadmitted ([`SendEntry::waiting`]:
+/// a get inline, a put or AMO boxed): no op-table slot, no span, no
+/// deadline until [`post_queued`] admits it.
 /// Any other op is admitted and takes its path now.
 fn start<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, gva: Gva, verb: Verb, ctx: OpId) {
     let now = eng.now();
@@ -435,13 +436,8 @@ fn start<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, gva: Gva, verb: Verb
     arm_sweep(eng, loc);
     let g = eng.state.gas(loc);
     if matches!(path, Path::Rdma(..)) && g.posted >= POST_DEPTH {
-        g.send_queue.push_back(SendEntry::Waiting {
-            verb,
-            gva,
-            ctx,
-            issued: now,
-            hist,
-        });
+        let entry = SendEntry::waiting(verb, gva, ctx, now, hist);
+        g.send_queue.push_back(entry);
         return;
     }
     let op = admit(eng, loc, verb, gva, ctx, now, hist);
@@ -886,20 +882,14 @@ pub(crate) fn post_queued<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId) {
         if g.send_queue.is_empty() && g.send_queue.capacity() > POST_DEPTH as usize {
             g.send_queue = VecDeque::new();
         }
-        match entry {
-            SendEntry::Retry(op) => {
+        match entry.into_waiting() {
+            Err(op) => {
                 if g.pending.get(op).is_ok_and(|p| p.phase == OpPhase::Queued) {
                     issue(eng, loc, op);
                 }
             }
-            SendEntry::Waiting {
-                verb,
-                gva,
-                ctx,
-                issued,
-                hist,
-            } => {
-                let op = admit(eng, loc, verb, gva, ctx, issued, hist);
+            Ok(w) => {
+                let op = admit(eng, loc, w.verb, w.gva, w.ctx, w.issued, w.hist);
                 issue(eng, loc, op);
             }
         }

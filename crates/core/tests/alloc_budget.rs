@@ -14,9 +14,10 @@
 //!   caller — also while a burst of thousands is issued and drains, with
 //!   no locality holding more than `POST_DEPTH` requests at once;
 //! * an outstanding get holds a fixed number of live heap bytes across the
-//!   layers (a send-queue entry while it waits for a credit; once posted,
-//!   its GAS pending op, the boxed request and its queued event), so a
-//!   record that regrows fails;
+//!   layers (a 40-byte send-queue entry while it waits for a credit; once
+//!   posted, its GAS pending op, the boxed request and its queued event),
+//!   so a record that regrows fails; a put or AMO that waits for a credit
+//!   boxes its verb once, and the box is freed when the op is admitted;
 //! * a drained engine keeps little of what its event queue held at its
 //!   densest instants: a closed loop of puts leaves its time wheel with
 //!   storage for the slots busy at one instant, not for every slot a
@@ -452,15 +453,15 @@ const OUTSTANDING: u64 = 4096;
 /// Live heap bytes one outstanding 8-byte AGAS-NET get holds, summed over
 /// every layer, as [`live_bytes_per_outstanding_get`] measures them
 /// (requested sizes, not allocator chunks): a get past the send queue's
-/// depth is not admitted yet and holds only its queue entry (72: verb,
-/// address, context, submission time and history index), so the queue's
-/// buffer of 4 096 entries is 72 bytes a get; the posted gets' share adds
-/// 6: POST_DEPTH of the 4 096 hold a GAS pending-op slot (88), a boxed
-/// `Access` (72) and a queued wire event with the time wheel's bucket
-/// growth. Its 8-byte landing buffer costs no heap bytes: the arena is
-/// reserved whole when the world is built, so carving a block from it
-/// allocates nothing.
-const LIVE_BYTES_PER_GET: i64 = 78;
+/// depth is not admitted yet and holds only its 40-byte queue entry
+/// (address, context, submission time, length and history index; no verb),
+/// so the queue's buffer of 4 096 entries is 40 bytes a get; the posted
+/// gets' share adds 6: POST_DEPTH of the 4 096 hold a GAS pending-op slot
+/// (88), a boxed `Access` (72) and a queued wire event with the time
+/// wheel's bucket growth. Its 8-byte landing buffer costs no heap bytes:
+/// the arena is reserved whole when the world is built, so carving a block
+/// from it allocates nothing.
+const LIVE_BYTES_PER_GET: i64 = 46;
 
 #[test]
 fn an_outstanding_get_holds_its_byte_budget() {
@@ -495,6 +496,82 @@ fn live_bytes_per_outstanding_get() -> i64 {
     assert_eq!(eng.state.get_acks(), ops as u64);
     assert_eq!(eng.state.op_failures(), 0);
     spent.live() / ops
+}
+
+/// Ops of each kind [`a_burst_of_puts_past_the_depth_boxes_each_waiting_put_once`]
+/// queues behind the posted gets.
+const QUEUED: u64 = 32;
+
+#[test]
+fn a_burst_of_puts_past_the_depth_boxes_each_waiting_put_once() {
+    // Locality 0 posts POST_DEPTH gets, taking every credit, then queues
+    // QUEUED 8-byte gets, puts and fetch-adds, in that order: 3 * QUEUED
+    // entries, within the buffer a drained queue keeps, so the burst runs
+    // twice and only the second, on a warm world, is counted.
+    const ACCESS: i64 = size_of::<Access>() as i64;
+    let (mut eng, arr) = world(2, GasMode::AgasNetwork, NetConfig::ib_fdr());
+    let gva = arr.block(1);
+    for round in 0..2 {
+        let ctx = |i: u64| OpId::from_raw(round * 1000 + i);
+        let mut payloads: Vec<Vec<u8>> = (0..QUEUED).map(|i| vec![i as u8; 8]).collect();
+        let ((), posted) = counted(|| {
+            for i in 0..u64::from(POST_DEPTH) {
+                memget(&mut eng, 0, gva, 8, ctx(i));
+            }
+        });
+        let ((), gets) = counted(|| {
+            for i in 0..QUEUED {
+                memget(&mut eng, 0, gva.with_offset(8), 8, ctx(200 + i));
+            }
+        });
+        let ((), puts) = counted(|| {
+            for i in 0..QUEUED {
+                let data = payloads.pop().unwrap();
+                memput(&mut eng, 0, gva.with_offset(16), data, ctx(300 + i));
+            }
+        });
+        let ((), amos) = counted(|| {
+            for i in 0..QUEUED {
+                fetch_add(&mut eng, gva.with_offset(24), 400 + i + round * 1000);
+            }
+        });
+        let g = &eng.state.data.gas[0];
+        assert_eq!(g.posted_ops(), POST_DEPTH);
+        assert_eq!(g.queued_ops() as u64, 3 * QUEUED);
+        if round == 0 {
+            // The first burst grows the queue's buffer and every table.
+            eng.run();
+            continue;
+        }
+        assert_eq!(posted.requests, i64::from(POST_DEPTH), "one per post");
+        assert_eq!(gets.allocs, 0, "a queued get is stored inline: {gets:?}");
+        assert_eq!(puts.allocs, QUEUED, "one box per queued put: {puts:?}");
+        assert_eq!(amos.allocs, QUEUED, "one box per queued AMO: {amos:?}");
+        assert_eq!(amos.freed, 0);
+        assert_eq!(puts.bytes, amos.bytes, "one box type for both kinds");
+        // When the queue has just emptied every queued op is admitted and
+        // the puts and AMOs, queued last, are all still posted: what the
+        // burst holds then is the posted ops' requests and no box (less
+        // the puts' 8-byte `Vec`s, built outside the count and freed when
+        // their bytes went inline).
+        let ((), drained) = counted(|| {
+            while eng.state.data.gas[0].queued_ops() != 0 {
+                assert!(eng.step());
+            }
+        });
+        let still = i64::from(eng.state.data.gas[0].posted_ops());
+        let issued = posted.live() + gets.live() + puts.live() + amos.live();
+        assert_eq!(
+            issued + drained.live(),
+            still * ACCESS - 8 * QUEUED as i64,
+            "each waiting op's box freed when it was admitted"
+        );
+        eng.run();
+    }
+    let ops = 2 * (u64::from(POST_DEPTH) + 3 * QUEUED);
+    let acks = eng.state.put_acks() + eng.state.get_acks() + eng.state.amo_acks();
+    assert_eq!(acks, ops);
+    assert_eq!(eng.state.op_failures(), 0);
 }
 
 /// Live heap bytes a drained run of [`self_pumped_puts`] may leave behind.

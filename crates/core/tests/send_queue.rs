@@ -11,7 +11,8 @@
 
 use agas::ops::{memamo, memget, memput};
 use agas::{
-    alloc_array, Distribution, GasConfig, GasLocal, GasMode, OpPhase, SimEv, SimWorld, POST_DEPTH,
+    alloc_array, check_history, value_hash, Distribution, GasConfig, GasLocal, GasMode, HistKind,
+    OpPhase, SimEv, SimWorld, POST_DEPTH,
 };
 use netsim::{AmoOp, Engine, FaultPlan, FaultPlane, FaultRates, NetConfig, OpId, Time};
 use std::collections::HashMap;
@@ -223,5 +224,116 @@ fn a_drained_burst_keeps_no_slot_or_queue_buffer_sized_for_it() {
             "locality {l}: the send queue keeps room for {} entries",
             g.send_queue_capacity()
         );
+    }
+}
+
+/// Puts of [`waiting_ops_of_every_kind_keep_their_verb`]: past `Payload`'s
+/// inline size, so each carries a shared buffer while it waits.
+const PUT_LEN: u64 = 64;
+
+#[test]
+fn waiting_ops_of_every_kind_keep_their_verb() {
+    // One locality issues POST_DEPTH + 64 ops of each kind, interleaved, to
+    // one 16 KiB block: 8-byte gets, 64-byte puts to disjoint slots and
+    // fetch-adds on one word. All but the first POST_DEPTH wait.
+    let (mut eng, _) = world(2, NetConfig::ib_fdr(), Time::from_ms(10));
+    let arr = alloc_array(&mut eng, 2, 14, Distribution::Cyclic);
+    eng.run();
+    let block = arr.blocks[1];
+    let per_kind = u64::from(POST_DEPTH) + 64;
+    let word = block.with_offset(per_kind * PUT_LEN);
+    let bytes = |i: u64| -> Vec<u8> { (0..PUT_LEN).map(|b| (i + b) as u8).collect() };
+    for i in 0..per_kind {
+        let get = block.with_offset(per_kind * PUT_LEN + 8);
+        memget(&mut eng, 0, get, 8, OpId::from_raw(3 * i));
+        let put = block.with_offset(i * PUT_LEN);
+        memput(&mut eng, 0, put, bytes(i), OpId::from_raw(3 * i + 1));
+        let add = AmoOp::FetchAdd { operand: 1 };
+        memamo(&mut eng, 0, word, add, OpId::from_raw(3 * i + 2));
+    }
+    let g = &eng.state.data.gas[0];
+    let queued = (3 * per_kind - u64::from(POST_DEPTH)) as usize;
+    assert_eq!((g.posted_ops(), g.queued_ops()), (POST_DEPTH, queued));
+    let snaps = g.op_snapshots();
+    let waiting = &snaps[POST_DEPTH as usize..];
+    assert_eq!(waiting.len(), queued);
+    for (n, s) in waiting.iter().enumerate() {
+        let i = u64::from(POST_DEPTH) + n as u64;
+        let kind = ["get", "put", "amo"][(i % 3) as usize];
+        assert_eq!((s.kind, s.id, s.phase), (kind, None, OpPhase::Queued));
+        let gva = match i % 3 {
+            0 => block.with_offset(per_kind * PUT_LEN + 8),
+            1 => block.with_offset(i / 3 * PUT_LEN),
+            _ => word,
+        };
+        assert_eq!(s.gva, gva, "op {i}");
+        assert!(s.render(eng.now()).starts_with(&format!("{kind} - ")));
+    }
+    eng.run();
+    let mut ends: HashMap<u64, u32> = HashMap::new();
+    let mut olds = Vec::new();
+    for (_, l, ev) in eng.state.events() {
+        let ctx = match ev {
+            SimEv::PutDone(c) | SimEv::GetDone(c, _) => c,
+            SimEv::AmoDone(c, r) => {
+                olds.push(r.old);
+                c
+            }
+            SimEv::OpFailed(c, e) => panic!("op {c} failed: {e}"),
+            _ => continue,
+        };
+        assert_eq!(l, 0);
+        *ends.entry(ctx).or_default() += 1;
+    }
+    assert_eq!(ends.len() as u64, 3 * per_kind);
+    assert!(ends.values().all(|&n| n == 1), "an op ended twice");
+    // Each fetch-add applied once: the word counts them, and each saw a
+    // distinct prior value.
+    olds.sort_unstable();
+    assert_eq!(olds, (0..per_kind).collect::<Vec<_>>());
+    let data = &mut *eng.state.data;
+    let base = data.gas[1].btt.lookup(block.block_key()).unwrap().base;
+    let mem = data.cluster.mem(1);
+    for i in 0..per_kind {
+        let at = base + i * PUT_LEN;
+        assert_eq!(mem.read(at, PUT_LEN as usize).unwrap(), bytes(i), "put {i}");
+    }
+    let counted = mem.read(base + per_kind * PUT_LEN, 8).unwrap();
+    assert_eq!(u64::from_le_bytes(counted.try_into().unwrap()), per_kind);
+}
+
+#[test]
+fn a_queued_get_burst_keeps_its_history() {
+    // With history on, each get records its issue event at submission and
+    // marks it done with the value it read when it completes: a get that
+    // waited unadmitted carries its event's index through the queue.
+    let (mut eng, blocks) = world(2, NetConfig::ib_fdr(), Time::from_ms(10));
+    for g in &mut eng.state.data.gas {
+        g.cfg.record_history = true;
+    }
+    let slot = |i: u64| blocks[1].with_offset((i % 64) * 8);
+    for i in 0..64u64 {
+        let data = (i + 1).to_le_bytes().to_vec();
+        memput(&mut eng, 0, slot(i), data, OpId::from_raw(i));
+    }
+    eng.run();
+    let burst = u64::from(POST_DEPTH) + 64;
+    for i in 0..burst {
+        memget(&mut eng, 0, slot(i), 8, OpId::from_raw(100 + i));
+    }
+    assert_eq!(eng.state.data.gas[0].queued_ops(), 64);
+    eng.run();
+    assert_eq!(eng.state.get_acks(), burst);
+    assert_eq!(check_history(&eng.state), vec![]);
+    let gets: Vec<_> = eng.state.data.gas[0]
+        .history
+        .iter()
+        .filter(|e| e.kind == HistKind::Get)
+        .collect();
+    assert_eq!(gets.len() as u64, burst);
+    for (i, e) in gets.iter().enumerate() {
+        let read = (i as u64 % 64 + 1).to_le_bytes();
+        assert!(e.ok && e.done.is_some(), "get {i} never completed: {e:?}");
+        assert_eq!(e.value, value_hash(&read), "get {i}");
     }
 }
