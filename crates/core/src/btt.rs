@@ -108,6 +108,12 @@ impl Btt {
         self.entries.get(block_key)
     }
 
+    /// A census read of the entry for `block_key`: not a translation, so
+    /// it stays out of the lookup telemetry.
+    pub fn peek(&self, block_key: u64) -> Option<&BttEntry> {
+        self.entries.peek(block_key)
+    }
+
     /// Mutable entry access.
     pub fn lookup_mut(&mut self, block_key: u64) -> Option<&mut BttEntry> {
         self.entries.get_mut(block_key)
@@ -116,8 +122,7 @@ impl Btt {
     /// Is the block resident (owned and not mid-migration)? A census read,
     /// not a translation: it stays out of the lookup telemetry.
     pub fn is_resident(&self, block_key: u64) -> bool {
-        self.entries
-            .peek(block_key)
+        self.peek(block_key)
             .is_some_and(|e| e.state == BlockState::Resident)
     }
 
@@ -183,6 +188,19 @@ impl Btt {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn census_reads_count_no_lookup() {
+        let mut btt = Btt::new();
+        btt.insert(100, 0x40, 6, 1);
+        let counts = btt.entries.pending_counts();
+        assert_eq!(btt.peek(100).map(|e| e.base), Some(0x40));
+        assert!(btt.peek(200).is_none());
+        assert!(btt.is_resident(100));
+        assert_eq!(btt.entries.pending_counts(), counts);
+        assert!(btt.lookup(100).is_some());
+        assert_eq!(btt.entries.pending_counts().0, counts.0 + 1);
+    }
 
     #[test]
     fn insert_lookup_remove() {

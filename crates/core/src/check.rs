@@ -239,7 +239,7 @@ pub fn check_blocks<S: GasWorld>(world: &S, blocks: &[Gva]) -> Vec<Violation> {
             Some(_) => {}
         }
         let xlate = &world.cluster_ref().loc(owner).nic.xlate;
-        let btt = world.gas_ref(owner).btt.lookup(key).expect("resident");
+        let btt = world.gas_ref(owner).btt.peek(key).expect("resident");
         let detail = match xlate.peek(key) {
             // No NIC table (PGAS, AGAS-SW): the owner's CPU resolves every
             // access, so nothing may have written its NIC.

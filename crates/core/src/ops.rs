@@ -1443,7 +1443,14 @@ fn handle_sw_access<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, acc: Box<S
         (g.cfg.sw_handler, g.cfg.copy_per_byte_ps)
     };
     let service = service + copy_time(per_byte, data_len);
-    eng.state.gas(at).note_heat(block);
+    let g = eng.state.gas(at);
+    g.note_heat(block);
+    // Host-cache hint for `run_sw_access`, which resolves the block the
+    // same way once the handler has sat in the CPU queue.
+    if let Some(base) = g.btt.peek(block).map(|e| e.base) {
+        let addr = base.saturating_add(acc.offset);
+        eng.state.cluster_ref().mem(at).prefetch(addr, data_len);
+    }
     let now = eng.now();
     let (_, finish) = eng.state.cpu(at).admit(now, service);
     {

@@ -177,6 +177,12 @@ impl<V: Copy + Default> FlatTable<V> {
         }
     }
 
+    /// `(lookups, probes)` this table has counted and not yet flushed to
+    /// the process totals.
+    pub fn pending_counts(&self) -> (u64, u64) {
+        (self.lookups.get(), self.probes.get())
+    }
+
     /// Non-touching, non-counting read (diagnostics/tests — not a
     /// translation, so it stays out of the telemetry).
     pub fn peek(&self, key: u64) -> Option<&V> {

@@ -112,6 +112,43 @@ impl Memory {
         live.get_mut(a..a + len).ok_or(MemError::Bounds)
     }
 
+    /// Host-cache hint: start loading the host cache lines that hold
+    /// `[addr, addr + len)`, so that an access the simulation is about to
+    /// make there does not wait for host memory. It changes nothing a
+    /// simulation can observe: no byte, no allocator state. An address
+    /// outside the live arena, and every address on a host other than
+    /// x86_64, is ignored.
+    #[inline]
+    pub fn prefetch(&self, addr: PhysAddr, len: usize) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            const LINE: usize = 64;
+            let Ok(a) = usize::try_from(addr) else {
+                return;
+            };
+            let end = a.saturating_add(len).min(self.top);
+            let Some(bytes) = self.data.get(a..end) else {
+                return;
+            };
+            let Some(last) = bytes.len().checked_sub(1) else {
+                return;
+            };
+            // Step from the line that holds the first byte to the one that
+            // holds the last, whatever the bytes' alignment.
+            let first = bytes.as_ptr();
+            let skew = first as usize % LINE;
+            for step in (0..=skew + last).step_by(LINE) {
+                // SAFETY: a prefetch is a hint that never faults and
+                // reads no value into the program, so any address is
+                // sound; SSE, which it needs, is part of x86_64.
+                unsafe { _mm_prefetch::<_MM_HINT_T0>(first.wrapping_add(step).cast()) };
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = (addr, len);
+    }
+
     /// Atomic-style read-modify-write of a little-endian `u64` cell
     /// (the GUPS update primitive).
     pub fn xor_u64(&mut self, addr: PhysAddr, val: u64) -> Result<u64, MemError> {
@@ -183,6 +220,29 @@ mod tests {
         assert_eq!(m.read(a + 60, 8), Err(MemError::Bounds));
         assert_eq!(m.write(1 << 20, &[1]), Err(MemError::Bounds));
         assert!(m.read(a, 64).is_ok());
+    }
+
+    #[test]
+    fn prefetch_is_inert_at_any_address() {
+        let limit = 1 << 12;
+        let mut m = Memory::new(limit);
+        let a = m.alloc_block(7).unwrap();
+        m.write(a, &[0x5A; 128]).unwrap();
+        let top = a + 128;
+        for (addr, len) in [
+            (a + 60, 8),
+            (a, 128),
+            (top, 64),
+            (top + 1, 64),
+            (limit as PhysAddr + 1, 8),
+            (u64::MAX, 8),
+            (u64::MAX - 3, usize::MAX),
+        ] {
+            m.prefetch(addr, len);
+            assert_eq!(m.read(a, 128).unwrap(), &[0x5A; 128][..]);
+            assert_eq!((m.top, m.allocated_bytes(), m.live_blocks()), (128, 128, 1));
+            assert!(m.data.iter().skip(128).all(|&b| b == 0), "{addr:#x}");
+        }
     }
 
     #[test]

@@ -1103,6 +1103,7 @@ pub fn rdma_issue<S: Protocol>(
     if initiator == req.target {
         // Loop-back: the local NIC still translates and commits, but no
         // wire or port serialization is paid.
+        prefetch_target(eng.state.cluster_ref().loc(initiator), &req);
         let at = now + cfg.loopback;
         eng.schedule_at_loc(at, initiator, move |eng| {
             commit(eng, initiator, req, Via::Loopback)
@@ -1156,6 +1157,7 @@ fn hop<S: Protocol>(
 /// serialization plus, for virtual targets, the NIC's translation.
 fn arrive<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: Box<Access>, via: Via) {
     let now = eng.now();
+    prefetch_target(eng.state.cluster_ref().loc(req.target), &req);
     let cfg = eng.state.cluster().config;
     let dur = cfg.serialize(req.wire_bytes(&cfg));
     let rx_done = eng.state.cluster().rx(req.target, now, dur);
@@ -1166,6 +1168,23 @@ fn arrive<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, req: Box<Acce
     eng.schedule_at(rx_done + xlate_cost, move |eng| {
         commit(eng, initiator, req, via)
     });
+}
+
+/// Host-cache hint for the [`commit`] that `req` has scheduled at `l`, its
+/// target: start loading the arena bytes the access will touch, found
+/// through a census read of the NIC table, so the commit's store or load
+/// (and its table probe) find their lines cached. A request the table
+/// cannot resolve now gets no hint. It reads only `l`'s own state and
+/// changes nothing the simulation can observe.
+fn prefetch_target(l: &Locality, req: &Access) {
+    let addr = match req.at() {
+        RdmaTarget::Phys(addr) => addr,
+        RdmaTarget::Virt { block, offset } => match l.nic.xlate.peek(block) {
+            Some(e) => e.base.saturating_add(offset),
+            None => return,
+        },
+    };
+    l.mem.prefetch(addr, req.verb().touched_bytes() as usize);
 }
 
 /// Translate and commit an access at its current target NIC; generate the

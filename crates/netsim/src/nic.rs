@@ -347,9 +347,11 @@ impl XlateTable {
         self.forwards
     }
 
-    /// Peek a live entry without touching recency.
+    /// A census read of the live entry for `block_key`: not a
+    /// translation, so it leaves recency, the hit counter and the lookup
+    /// telemetry as they were.
     pub fn peek(&self, block_key: u64) -> Option<&XlateEntry> {
-        match self.table.get(block_key) {
+        match self.table.peek(block_key) {
             Some(s) if s.state == XState::Live => Some(&s.entry),
             _ => None,
         }
@@ -512,6 +514,35 @@ mod tests {
         assert!(!t.install(42, entry(0x1000, 64, 1)));
         assert_eq!(t.lookup(42), Xlate::Hit(entry(0x1000, 64, 1)));
         assert_eq!(t.live_entries(), 1);
+    }
+
+    #[test]
+    fn a_census_read_leaves_no_trace() {
+        // Capacity 2, block 1 least recently used: a translation of 1
+        // would make 2 the victim of the next install; a census read of 1
+        // must not.
+        let mut t = XlateTable::new(2);
+        t.install(1, entry(0x40, 64, 1));
+        t.install(2, entry(0x80, 64, 1));
+        let counts = t.table.pending_counts();
+        for _ in 0..3 {
+            assert_eq!(t.peek(1), Some(&entry(0x40, 64, 1)));
+        }
+        assert_eq!(t.peek(3), None);
+        assert_eq!(t.table.pending_counts(), counts);
+        assert!(t.install(3, entry(0xc0, 64, 1)));
+        assert_eq!(t.peek(1), None, "the census read refreshed recency");
+        assert!(t.peek(2).is_some());
+        assert_eq!(t.take_hit_telemetry(), vec![]);
+        // The same sequence with a translation evicts the other entry.
+        let mut u = XlateTable::new(2);
+        u.install(1, entry(0x40, 64, 1));
+        u.install(2, entry(0x80, 64, 1));
+        assert_eq!(u.lookup(1), Xlate::Hit(entry(0x40, 64, 1)));
+        assert!(u.install(3, entry(0xc0, 64, 1)));
+        assert!(u.peek(1).is_some());
+        assert_eq!(u.peek(2), None);
+        assert_eq!(u.take_hit_telemetry(), vec![(1, 1)]);
     }
 
     #[test]

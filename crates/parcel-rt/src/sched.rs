@@ -178,7 +178,10 @@ pub fn parcel_arrive(eng: &mut Engine<World>, _src: LocalityId, dst: LocalityId,
         return;
     }
     match agas::ops::route(&mut eng.state, dst, parcel.target) {
-        agas::ops::Route::Local { .. } => {
+        agas::ops::Route::Local { base, .. } => {
+            // Host-cache hint for the action's access to the target word.
+            let addr = base.saturating_add(parcel.target.offset());
+            eng.state.cluster.mem(dst).prefetch(addr, 8);
             // Charge the action dispatch + argument handling to a worker.
             let c = eng.state.rtcfg;
             let service =
