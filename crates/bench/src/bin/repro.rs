@@ -701,19 +701,11 @@ fn ops_dump(json: bool) {
     let parked = |w: &parcel_rt::World| (0..n).any(|l| !w.cluster.loc(l).nic.parked.is_empty());
     while !parked(&rt.eng.state) && rt.eng.step() {}
     let now = rt.now();
-    let snaps: Vec<(u32, Vec<agas::OpSnapshot>)> = (0..rt.n())
-        .map(|l| (l, rt.eng.state.gas[l as usize].op_snapshots()))
-        .collect();
-    let in_flight: usize = snaps.iter().map(|(_, s)| s.len()).sum();
+    let in_flight: usize = rt.eng.state.gas.iter().map(|g| g.outstanding_ops()).sum();
     if !json {
         println!("-- frozen at {now} with {in_flight} op(s) in flight:");
-        for (l, s) in &snaps {
-            for snap in s {
-                println!("  locality {l}: {}", snap.render(now));
-            }
-            if let Some(line) = rt.eng.state.gas[*l as usize].send_queue_report() {
-                println!("  locality {l}: {line}");
-            }
+        for line in rt.eng.state.in_flight_report(now, false) {
+            println!("  {line}");
         }
     }
 

@@ -24,8 +24,7 @@
 //! [`GasConfig::record_history`]: crate::GasConfig::record_history
 
 use crate::gva::Gva;
-use crate::ops::nic_table;
-use crate::GasWorld;
+use crate::Stack;
 use netsim::{LocalityId, Time};
 use std::collections::BTreeMap;
 
@@ -208,13 +207,13 @@ impl Violation {
 
 /// Check every invariant for `blocks`; returns all violations found
 /// (empty = consistent). The cluster must be quiescent.
-pub fn check_blocks<S: GasWorld>(world: &S, blocks: &[Gva]) -> Vec<Violation> {
-    let n = world.cluster_ref().len() as u32;
+pub fn check_blocks(stack: &Stack, blocks: &[Gva]) -> Vec<Violation> {
+    let n = stack.n_localities();
     let mut out = Vec::new();
     for &gva in blocks {
         let key = gva.block_key();
         let owners: Vec<u32> = (0..n)
-            .filter(|&l| world.gas_ref(l).btt.is_resident(key))
+            .filter(|&l| stack.gas[l as usize].btt.is_resident(key))
             .collect();
         if owners.len() != 1 {
             out.push(Violation::OwnerCount {
@@ -228,8 +227,8 @@ pub fn check_blocks<S: GasWorld>(world: &S, blocks: &[Gva]) -> Vec<Violation> {
         // may have re-homed it; ask the resident owner's view (quiescence
         // means every view agrees, but the owner's is the one the data
         // path actually consulted).
-        let home = world.gas_ref(owner).member.resolve(key, gva.home());
-        match world.gas_ref(home).dir.peek(key) {
+        let home = stack.gas[owner as usize].member.resolve(key, gva.home());
+        match stack.gas[home as usize].dir.peek(key) {
             None => out.push(Violation::MissingDirectory { gva }),
             Some(rec) if rec.owner != owner => out.push(Violation::StaleDirectory {
                 gva,
@@ -238,12 +237,12 @@ pub fn check_blocks<S: GasWorld>(world: &S, blocks: &[Gva]) -> Vec<Violation> {
             }),
             Some(_) => {}
         }
-        let xlate = &world.cluster_ref().loc(owner).nic.xlate;
-        let btt = world.gas_ref(owner).btt.peek(key).expect("resident");
+        let xlate = &stack.cluster.loc(owner).nic.xlate;
+        let btt = stack.gas[owner as usize].btt.peek(key).expect("resident");
         let detail = match xlate.peek(key) {
             // No NIC table (PGAS, AGAS-SW): the owner's CPU resolves every
             // access, so nothing may have written its NIC.
-            _ if !nic_table(world) => (xlate.live_entries() + xlate.forward_entries() > 0)
+            _ if !stack.nic_table() => (xlate.live_entries() + xlate.forward_entries() > 0)
                 .then_some("owner NIC holds an entry without a table"),
             None => Some("owner NIC has no live entry"),
             Some(e) if e.base != btt.base => Some("NIC base differs from BTT"),
@@ -255,7 +254,7 @@ pub fn check_blocks<S: GasWorld>(world: &S, blocks: &[Gva]) -> Vec<Violation> {
         }
     }
     for l in 0..n {
-        let pending = world.gas_ref(l).outstanding_ops();
+        let pending = stack.gas[l as usize].outstanding_ops();
         if pending != 0 {
             out.push(Violation::PendingOps {
                 locality: l,
@@ -269,13 +268,13 @@ pub fn check_blocks<S: GasWorld>(world: &S, blocks: &[Gva]) -> Vec<Violation> {
 /// Run the serializability check over every locality's recorded history,
 /// and the word-level linearizability check over every AMO log.
 /// Empty when [`crate::GasConfig::record_history`] was off everywhere.
-pub fn check_history<S: GasWorld>(world: &S) -> Vec<Violation> {
-    let n = world.cluster_ref().len() as u32;
+pub fn check_history(stack: &Stack) -> Vec<Violation> {
+    let n = stack.n_localities();
     let mut events: Vec<HistEvent> = Vec::new();
     let mut words: Vec<WordEvent> = Vec::new();
     for l in 0..n {
-        events.extend(world.gas_ref(l).history.iter().copied());
-        words.extend(world.gas_ref(l).word_history.iter().copied());
+        events.extend(stack.gas[l as usize].history.iter().copied());
+        words.extend(stack.gas[l as usize].word_history.iter().copied());
     }
     let recovers: Vec<(u64, Time)> = events
         .iter()
@@ -544,10 +543,10 @@ pub fn check_word_history_events_with_recovery(
 
 /// The trailing history (up to `limit` events) touching `block`, across
 /// all localities, formatted one per line.
-fn history_suffix<S: GasWorld>(world: &S, block: u64, limit: usize) -> String {
-    let n = world.cluster_ref().len() as u32;
+fn history_suffix(stack: &Stack, block: u64, limit: usize) -> String {
+    let n = stack.n_localities();
     let mut events: Vec<HistEvent> = (0..n)
-        .flat_map(|l| world.gas_ref(l).history.iter().copied())
+        .flat_map(|l| stack.gas[l as usize].history.iter().copied())
         .filter(|e| e.block == block)
         .collect();
     if events.is_empty() {
@@ -579,13 +578,13 @@ fn history_suffix<S: GasWorld>(world: &S, block: u64, limit: usize) -> String {
 /// is violated. Every violation is listed (not just the first), each with
 /// its block key, the active GAS mode, and the offending block's trailing
 /// history.
-pub fn assert_consistent<S: GasWorld>(world: &S, blocks: &[Gva]) {
-    let mut violations = check_blocks(world, blocks);
-    violations.extend(check_history(world));
+pub fn assert_consistent(stack: &Stack, blocks: &[Gva]) {
+    let mut violations = check_blocks(stack, blocks);
+    violations.extend(check_history(stack));
     if violations.is_empty() {
         return;
     }
-    let mode = world.gas_mode();
+    let mode = stack.mode;
     let mut report = format!(
         "GAS consistency violated under {}: {} violation(s)\n",
         mode.label(),
@@ -598,7 +597,7 @@ pub fn assert_consistent<S: GasWorld>(world: &S, blocks: &[Gva]) {
                     "\n[{i}] block {key:#x} ({}): {v:?}\n",
                     mode.label()
                 ));
-                report.push_str(&history_suffix(world, key, 8));
+                report.push_str(&history_suffix(stack, key, 8));
             }
             None => report.push_str(&format!("\n[{i}] {v:?}\n")),
         }

@@ -21,7 +21,8 @@
 //! Supporting machinery: [`gva`] address encoding, [`btt`] block translation
 //! tables, [`directory`] home-based ownership, [`cache`] source-side owner
 //! hints, [`alloc`] collective allocation, [`migrate`] the migration
-//! protocol with NIC forwarding/NACK recovery.
+//! protocol with NIC forwarding/NACK recovery, and [`stack`] the
+//! per-locality state every world embeds.
 
 pub mod alloc;
 pub mod btt;
@@ -35,6 +36,7 @@ pub mod membership;
 pub mod migrate;
 pub mod ops;
 pub mod simworld;
+pub mod stack;
 
 pub use alloc::{alloc_array, GlobalArray, PgasMap};
 pub use btt::{BlockState, Btt, BttEntry};
@@ -49,6 +51,7 @@ pub use dist::Distribution;
 pub use gva::Gva;
 pub use membership::{MemberState, MemberUpdate, MembershipView};
 pub use simworld::{AmoPumpKind, SimData, SimEv, SimLoc, SimMsg, SimWorld};
+pub use stack::Stack;
 
 use netsim::flatmap::FlatTable;
 use netsim::{
@@ -917,26 +920,20 @@ impl GasLocal {
 
 /// The contract between the GAS and the world embedding it.
 ///
-/// The world routes `Packet::User` payloads that decode to [`GasMsg`] into
-/// [`ops::handle_msg`], and forwards its [`PhotonWorld`] PWC callbacks to
-/// [`ops::on_pwc_complete`] / [`ops::on_pwc_redirected`] /
+/// The world embeds one [`Stack`] — cluster, Photon endpoints, GAS tables,
+/// CPU pools, the PGAS address table and the mode — and lends it out
+/// through [`GasWorld::stack`] / [`GasWorld::stack_mut`]; the per-locality
+/// accessors below are written once on top of those and no world
+/// overrides them. The world routes `Packet::User` payloads that decode to
+/// [`GasMsg`] into [`ops::handle_msg`], and forwards its [`PhotonWorld`]
+/// PWC callbacks to [`ops::on_pwc_complete`] / [`ops::on_pwc_redirected`] /
 /// [`ops::on_pwc_amo_complete`] / [`ops::on_pwc_failed`] /
 /// [`ops::on_xlate_miss`] (the GAS is the only issuer of PWC operations).
 pub trait GasWorld: PhotonWorld {
-    /// Per-locality GAS state.
-    fn gas(&mut self, loc: LocalityId) -> &mut GasLocal;
-    /// Shared access to per-locality GAS state (diagnostics/checkers).
-    fn gas_ref(&self, loc: LocalityId) -> &GasLocal;
-    /// The active GAS mode (uniform across the cluster).
-    fn gas_mode(&self) -> GasMode;
-    /// The PGAS initiators' address table: read by a PGAS remote access
-    /// to address its RDMA, written by allocation and free. Targets in
-    /// every mode resolve their blocks through their BTTs instead.
-    fn pgas(&mut self) -> &mut PgasMap;
-    /// The locality's CPU worker pool (shared with the runtime scheduler,
-    /// so GAS software handlers and application actions contend for the
-    /// same cores — the effect the network-managed design eliminates).
-    fn cpu(&mut self, loc: LocalityId) -> &mut ServerPool;
+    /// The GAS stack this world embeds.
+    fn stack(&self) -> &Stack;
+    /// The GAS stack this world embeds, mutably.
+    fn stack_mut(&mut self) -> &mut Stack;
     /// Embed a GAS protocol message into the world's wire enum.
     fn wrap_gas(msg: GasMsg) -> Self::Msg;
 
@@ -954,4 +951,30 @@ pub trait GasWorld: PhotonWorld {
     /// reclaimed it) or its retry budget ran out. The typed error reaches
     /// the initiator here instead of a panic or a silent hang.
     fn gas_op_failed(eng: &mut Engine<Self>, loc: LocalityId, ctx: OpId, gva: Gva, err: OpError);
+
+    /// Per-locality GAS state.
+    #[inline]
+    fn gas(&mut self, loc: LocalityId) -> &mut GasLocal {
+        &mut self.stack_mut().gas[loc as usize]
+    }
+    /// Shared access to per-locality GAS state (diagnostics/checkers).
+    #[inline]
+    fn gas_ref(&self, loc: LocalityId) -> &GasLocal {
+        &self.stack().gas[loc as usize]
+    }
+    /// The active GAS mode (uniform across the cluster).
+    #[inline]
+    fn gas_mode(&self) -> GasMode {
+        self.stack().mode
+    }
+    /// The PGAS initiators' address table ([`Stack::pgas`]).
+    #[inline]
+    fn pgas(&mut self) -> &mut PgasMap {
+        &mut self.stack_mut().pgas
+    }
+    /// The locality's CPU worker pool ([`Stack::cpus`]).
+    #[inline]
+    fn cpu(&mut self, loc: LocalityId) -> &mut ServerPool {
+        &mut self.stack_mut().cpus[loc as usize]
+    }
 }

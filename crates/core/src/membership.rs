@@ -44,7 +44,6 @@
 
 use crate::gva::Gva;
 use crate::migrate::send_ctrl;
-use crate::ops::nic_table;
 use crate::{GasMsg, GasWorld, HistEvent, HistKind, OwnerRec};
 use netsim::{Engine, FaultPlan, FaultPlane, LocalityId, OpId, Time};
 use std::collections::{BTreeMap, BTreeSet};
@@ -281,7 +280,7 @@ pub fn join<S: GasWorld>(eng: &mut Engine<S>, joiner: LocalityId, donor: Localit
     eng.schedule_at_loc(t, joiner, move |eng| {
         for &(b, rec) in &warm {
             eng.state.gas(joiner).dir.install(b, rec);
-            if nic_table(&eng.state) && rec.owner != joiner {
+            if eng.state.stack().nic_table() && rec.owner != joiner {
                 // Warm translation: a forward at the serving home lets
                 // one-sided traffic chase straight to the believed owner
                 // instead of paying a software miss first. The owner holds

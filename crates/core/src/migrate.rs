@@ -30,8 +30,9 @@
 //!   re-resolve through the home, whose record is updated before MigDone.
 
 use crate::gva::Gva;
-use crate::ops::nic_table;
-use crate::{GasMsg, GasWorld, MemberState, MovingState, OwnerOp, OwnerReq, PendingInstall};
+use crate::{
+    GasMode, GasMsg, GasWorld, MemberState, MovingState, OwnerOp, OwnerReq, PendingInstall,
+};
 use netsim::{send_user, Engine, LocalityId, OpId, Time};
 
 const MAX_ROUTE_HOPS: u8 = 64;
@@ -269,7 +270,7 @@ fn start_handoff<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, req: OwnerReq
             queued: Vec::new(),
         },
     );
-    if nic_table(&eng.state) {
+    if eng.state.stack().nic_table() {
         // The paper's mechanism: the NIC keeps a forwarding tombstone so
         // in-flight one-sided traffic chases the block in hardware. It
         // remembers the generation the block leaves under, so `dst`'s NIC
@@ -512,7 +513,11 @@ pub(crate) fn on_dir_unregister<S: GasWorld>(
                 return;
             }
         }
-        eng.state.pgas().remove(&block);
+        // Only PGAS allocation placed the block in the shared address
+        // table; an AGAS free leaves that table alone.
+        if eng.state.gas_mode() == GasMode::Pgas {
+            eng.state.pgas().remove(&block);
+        }
         let ctrl = eng.state.cluster_ref().config.ctrl_bytes;
         send_ctrl(eng, at, reply_to, ctrl, GasMsg::FreeDone { ctx, block });
     });

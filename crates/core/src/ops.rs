@@ -45,7 +45,7 @@ use crate::check::{value_hash, WordEvent, WordOp};
 use crate::gva::Gva;
 use crate::{
     GasMode, GasMsg, GasWorld, HistEvent, HistKind, OpPhase, OwnerHint, PendingOp, SendEntry,
-    SwAccess, POST_DEPTH,
+    Stack, SwAccess, POST_DEPTH,
 };
 use netsim::{
     send_held, send_user_classed, AmoOp, AmoResult, Applied, Engine, FaultClass, LocalityId,
@@ -478,12 +478,6 @@ fn admit<S: GasWorld>(
     op
 }
 
-/// Does this cluster translate in the NIC? Not over a fabric without a
-/// table (`xlate_capacity: 0`, [`GasMode::net`]): PGAS and AGAS-SW.
-pub(crate) fn nic_table<S: GasWorld>(world: &S) -> bool {
-    world.cluster_ref().config.xlate_capacity > 0
-}
-
 /// Where an op goes next, as [`choose_path`] finds it.
 #[derive(Clone, Copy)]
 enum Path {
@@ -554,7 +548,7 @@ fn choose_path<S: GasWorld>(
             let target_loc = hint_owner(eng, loc, block, serving);
             // The owner's CPU translates without a NIC table (AGAS-SW), and
             // for an op whose NIC-table misses degraded it to software.
-            let sw = !nic_table(&eng.state) || force_sw;
+            let sw = !eng.state.stack().nic_table() || force_sw;
             if let Some(shm) = shm_reach(&eng.state, loc, target_loc) {
                 // Intra-domain short-circuit. Valid even under `force_sw`:
                 // the shm path touches no NIC table, so capacity thrash
@@ -790,7 +784,7 @@ pub(crate) fn make_resident<S: GasWorld>(
         .gas(loc)
         .btt
         .insert(block, phys, class, generation);
-    if nic_table(&eng.state) {
+    if eng.state.stack().nic_table() {
         netsim::install_xlate(eng, loc, block, entry.xlate());
     }
 }
@@ -1186,7 +1180,7 @@ pub fn on_pwc_amo_complete<S: GasWorld>(
 /// handler. The bounced initiator's retry then hits, and a forwarded
 /// request the NIC parked on the miss is released by the install.
 pub fn on_xlate_miss<S: GasWorld>(eng: &mut Engine<S>, loc: LocalityId, block: u64) {
-    if !nic_table(&eng.state) {
+    if !eng.state.stack().nic_table() {
         return;
     }
     // One probe: the copied entry answers both "owned here?" and
@@ -1557,11 +1551,11 @@ pub enum Route {
 /// Resolve the parcel route for `gva` at `loc`. Message-driven runtimes
 /// *forward* parcels toward data rather than keeping initiator state: a
 /// stale step costs an extra hop, never a lost parcel.
-pub fn route<S: GasWorld>(world: &mut S, loc: LocalityId, gva: Gva) -> Route {
+pub fn route(stack: &mut Stack, loc: LocalityId, gva: Gva) -> Route {
     let block = gva.block_key();
     let home = gva.home();
-    let pgas = world.gas_mode() == GasMode::Pgas;
-    let g = world.gas(loc);
+    let pgas = stack.mode == GasMode::Pgas;
+    let g = &mut stack.gas[loc as usize];
     // Membership may have re-homed the block's directory record (join
     // slice, drain hand-off, crash takeover).
     let serving = g.member.resolve(block, home);
@@ -1603,8 +1597,8 @@ pub fn route<S: GasWorld>(world: &mut S, loc: LocalityId, gva: Gva) -> Route {
 
 /// Pin `gva`'s block for a local handler. Returns the physical base and
 /// class, or `None` if the block is not executable here (caller re-routes).
-pub fn pin<S: GasWorld>(world: &mut S, loc: LocalityId, gva: Gva) -> Option<(PhysAddr, u8)> {
-    let e = world.gas(loc).btt.pin(gva.block_key())?;
+pub fn pin(stack: &mut Stack, loc: LocalityId, gva: Gva) -> Option<(PhysAddr, u8)> {
+    let e = stack.gas[loc as usize].btt.pin(gva.block_key())?;
     Some((e.base, e.class))
 }
 

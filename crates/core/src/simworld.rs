@@ -19,15 +19,16 @@
 //! makes the sharded speedup measurable.
 
 use crate::check::{check_blocks, check_history, Violation};
-use crate::{GasConfig, GasLocal, GasMode, GasMsg, GasStats, GasWorld, Gva, PgasMap};
+use crate::{GasConfig, GasMode, GasMsg, GasStats, GasWorld, Gva, Stack};
 use netsim::rng::Xoshiro256;
 use netsim::shard::ShardMap;
 use netsim::{
     AmoOp, AmoResult, Cluster, Counters, Engine, Envelope, LocalityId, NackReason, NetConfig,
-    OpError, OpId, OpKind, Packet, Protocol, ServerPool, SharedState, SplitWorld, Time,
+    OpError, OpId, OpKind, Packet, Protocol, SharedState, SplitWorld, Time,
 };
 use photon::{PhotonConfig, PhotonEndpoint, PhotonMsg, PhotonWorld};
 use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 
 /// Wire message: photon control or GAS protocol traffic.
 #[derive(Debug)]
@@ -56,11 +57,18 @@ pub enum SimEv {
 }
 
 /// Per-locality GUPS pump state: a private RNG and an op budget.
+///
+/// Once armed, the pump owns its locality's puts: every put completion
+/// there ([`GasWorld::gas_put_done`]) counts as one of its own and issues
+/// the next, and every terminal failure there, of any kind, re-issues in
+/// place of the failed op. A driver therefore does not mix its own ops
+/// with an armed pump's at the same locality.
 #[derive(Debug)]
 pub struct GupsPump {
     /// Puts this locality may still issue.
     pub remaining: u64,
-    /// Completions observed (pump-issued puts only).
+    /// Put completions observed at this locality since it was armed (every
+    /// put there, which is the pump's own when the driver keeps out).
     pub completed: u64,
     rng: Xoshiro256,
     next_op: u64,
@@ -80,11 +88,19 @@ pub enum AmoPumpKind {
 
 /// Per-locality AMO load generator: a private RNG, an op budget, and —
 /// for the CAS workload — the in-flight retry state.
+///
+/// Once armed, the pump owns its locality's AMOs: every AMO completion
+/// there ([`GasWorld::gas_amo_done`]) advances its chain, and every
+/// terminal failure there, of any kind, abandons the logical op in flight
+/// and starts the next. A driver therefore does not mix its own ops with
+/// an armed pump's at the same locality.
 #[derive(Debug)]
 pub struct AmoPump {
     /// Logical ops this locality may still start.
     pub remaining: u64,
-    /// Logical ops finished (for CAS, a landed swap).
+    /// Logical ops finished (for CAS, a landed swap), counted from the AMO
+    /// completions at this locality: every AMO there, which is the pump's
+    /// own when the driver keeps out.
     pub completed: u64,
     /// CAS attempts that lost the race and were re-issued.
     pub cas_retries: u64,
@@ -125,21 +141,14 @@ pub struct SimLoc {
 }
 
 /// The backing storage of a [`SimWorld`]; lanes alias it via
-/// [`SharedState`].
+/// [`SharedState`]. The GAS state is the embedded [`Stack`]; the rest is
+/// the driver's. It derefs to the stack so driver paths such as
+/// `data.gas[l]` and `data.cluster` read through; library code names
+/// `data.stack` where it borrows the stack beside a driver field.
 pub struct SimData {
-    /// The simulated cluster.
-    pub cluster: Cluster,
-    /// Per-locality photon endpoints.
-    pub eps: Vec<PhotonEndpoint>,
-    /// Per-locality GAS state.
-    pub gas: Vec<GasLocal>,
-    /// Per-locality CPU worker pools.
-    pub cpus: Vec<ServerPool>,
-    /// The PGAS initiators' address table (written only at allocation and
-    /// runtime free).
-    pub pgas: PgasMap,
-    /// The active GAS mode.
-    pub mode: GasMode,
+    /// The GAS stack: cluster, endpoints, GAS tables, CPU pools, the PGAS
+    /// address table and the mode.
+    pub stack: Stack,
     /// Whether completions append to [`SimLoc::events`] (off for long
     /// benchmark runs to avoid unbounded logs).
     pub record_events: bool,
@@ -147,6 +156,19 @@ pub struct SimData {
     pub pump_blocks: Vec<Gva>,
     /// Per-locality driver records.
     pub locs: Vec<SimLoc>,
+}
+
+impl Deref for SimData {
+    type Target = Stack;
+    fn deref(&self) -> &Stack {
+        &self.stack
+    }
+}
+
+impl DerefMut for SimData {
+    fn deref_mut(&mut self) -> &mut Stack {
+        &mut self.stack
+    }
 }
 
 /// The world handle: owner on the control engine, alias on each lane.
@@ -162,16 +184,15 @@ impl SimWorld {
     pub fn new(n: usize, mode: GasMode, net: NetConfig) -> SimWorld {
         SimWorld {
             data: SharedState::new(SimData {
-                cluster: Cluster::new(n, mode.net(net), 1 << 28),
-                eps: (0..n)
-                    .map(|_| PhotonEndpoint::new(PhotonConfig::default()))
-                    .collect(),
-                gas: (0..n)
-                    .map(|_| GasLocal::new(GasConfig::default()))
-                    .collect(),
-                cpus: (0..n).map(|_| ServerPool::new(2)).collect(),
-                pgas: PgasMap::new(),
-                mode,
+                stack: Stack::new(
+                    n,
+                    mode,
+                    net,
+                    PhotonConfig::default(),
+                    GasConfig::default(),
+                    2,
+                    1 << 28,
+                ),
                 record_events: true,
                 pump_blocks: Vec::new(),
                 locs: (0..n).map(|_| SimLoc::default()).collect(),
@@ -293,13 +314,9 @@ impl SimWorld {
         self.total(|l| l.amo_pump.as_ref().map_or(0, |p| p.cas_retries))
     }
 
-    /// Aggregate GAS stats across localities.
+    /// Aggregate GAS stats across localities ([`Stack::total_gas_stats`]).
     pub fn total_gas_stats(&self) -> GasStats {
-        let mut total = GasStats::default();
-        for g in &self.data.gas {
-            total.merge(&g.stats);
-        }
-        total
+        self.data.total_gas_stats()
     }
 
     /// Aggregate NIC/network counters across localities.
@@ -310,9 +327,23 @@ impl SimWorld {
     /// Structural + serializability violations over `blocks` (delegates to
     /// [`crate::check`]).
     pub fn violations(&self, blocks: &[Gva]) -> Vec<Violation> {
-        let mut v = check_blocks(self, blocks);
-        v.extend(check_history(self));
+        let mut v = check_blocks(&self.data, blocks);
+        v.extend(check_history(&self.data));
         v
+    }
+
+    /// Panic unless nothing is in flight anywhere: no GAS op, no send-queue
+    /// entry, no outstanding PWC op, no request parked at a NIC. The
+    /// message lists every record left ([`Stack::in_flight_report`], aged
+    /// at `now`).
+    pub fn assert_quiescent(&self, now: Time) {
+        let stuck = self.data.in_flight_report(now, true);
+        assert!(
+            stuck.is_empty(),
+            "{} record(s) still in flight:\n  {}",
+            stuck.len(),
+            stuck.join("\n  ")
+        );
     }
 }
 
@@ -320,7 +351,7 @@ impl Protocol for SimWorld {
     type Msg = SimMsg;
 
     fn cluster(&mut self) -> &mut Cluster {
-        &mut self.data.cluster
+        &mut self.data.stack.cluster
     }
 
     fn cluster_ref(&self) -> &Cluster {
@@ -338,7 +369,7 @@ impl Protocol for SimWorld {
 
 impl PhotonWorld for SimWorld {
     fn endpoint(&mut self, loc: LocalityId) -> &mut PhotonEndpoint {
-        &mut self.data.eps[loc as usize]
+        &mut self.data.stack.eps[loc as usize]
     }
     fn wrap(msg: PhotonMsg) -> SimMsg {
         SimMsg::Photon(msg)
@@ -384,47 +415,27 @@ impl PhotonWorld for SimWorld {
 }
 
 impl GasWorld for SimWorld {
-    fn gas(&mut self, loc: LocalityId) -> &mut GasLocal {
-        &mut self.data.gas[loc as usize]
+    fn stack(&self) -> &Stack {
+        &self.data.stack
     }
-    fn gas_ref(&self, loc: LocalityId) -> &GasLocal {
-        &self.data.gas[loc as usize]
-    }
-    fn gas_mode(&self) -> GasMode {
-        self.data.mode
-    }
-    fn pgas(&mut self) -> &mut PgasMap {
-        &mut self.data.pgas
-    }
-    fn cpu(&mut self, loc: LocalityId) -> &mut ServerPool {
-        &mut self.data.cpus[loc as usize]
+    fn stack_mut(&mut self) -> &mut Stack {
+        &mut self.data.stack
     }
     fn wrap_gas(msg: GasMsg) -> SimMsg {
         SimMsg::Gas(msg)
     }
 
     fn gas_put_done(eng: &mut Engine<Self>, loc: LocalityId, ctx: OpId) {
-        let now = eng.now();
-        let d = &mut *eng.state.data;
-        let record = d.record_events;
-        let sl = &mut d.locs[loc as usize];
+        let sl = logged(eng, loc, || SimEv::PutDone(ctx.raw()));
         sl.put_acks += 1;
-        if record {
-            sl.events.push((now, SimEv::PutDone(ctx.raw())));
-        }
-        if sl.pump.is_some() {
-            if let Some(p) = sl.pump.as_mut() {
-                p.completed += 1;
-            }
+        if let Some(p) = sl.pump.as_mut() {
+            p.completed += 1;
             pump_next(eng, loc);
         }
     }
 
     fn gas_get_done(eng: &mut Engine<Self>, loc: LocalityId, ctx: OpId, data: Vec<u8>) {
-        let now = eng.now();
-        let d = &mut *eng.state.data;
-        let record = d.record_events;
-        let sl = &mut d.locs[loc as usize];
+        let sl = &mut eng.state.data.locs[loc as usize];
         sl.get_acks += 1;
         if let Some(expect) = sl.expect.remove(&ctx.raw()) {
             let got = u64::from_le_bytes(data[..8].try_into().expect("audited get ≥ 8 bytes"));
@@ -432,58 +443,29 @@ impl GasWorld for SimWorld {
                 sl.data_mismatches += 1;
             }
         }
-        if record {
-            sl.events.push((now, SimEv::GetDone(ctx.raw(), data)));
-        }
+        logged(eng, loc, || SimEv::GetDone(ctx.raw(), data));
     }
 
     fn gas_migrate_done(eng: &mut Engine<Self>, loc: LocalityId, ctx: OpId, block: u64) {
-        let now = eng.now();
-        let d = &mut *eng.state.data;
-        let record = d.record_events;
-        let sl = &mut d.locs[loc as usize];
-        sl.migration_acks += 1;
-        if record {
-            sl.events.push((now, SimEv::MigDone(ctx.raw(), block)));
-        }
+        logged(eng, loc, || SimEv::MigDone(ctx.raw(), block)).migration_acks += 1;
     }
 
     fn gas_free_done(eng: &mut Engine<Self>, loc: LocalityId, ctx: OpId, block: u64) {
-        let now = eng.now();
-        let d = &mut *eng.state.data;
-        let record = d.record_events;
-        let sl = &mut d.locs[loc as usize];
-        if record {
-            sl.events.push((now, SimEv::FreeDone(ctx.raw(), block)));
-        }
+        logged(eng, loc, || SimEv::FreeDone(ctx.raw(), block));
     }
 
     fn gas_amo_done(eng: &mut Engine<Self>, loc: LocalityId, ctx: OpId, result: AmoResult) {
-        let now = eng.now();
-        let d = &mut *eng.state.data;
-        let record = d.record_events;
-        let sl = &mut d.locs[loc as usize];
+        let sl = logged(eng, loc, || SimEv::AmoDone(ctx.raw(), result.clone()));
         sl.amo_acks += 1;
-        if record {
-            sl.events
-                .push((now, SimEv::AmoDone(ctx.raw(), result.clone())));
-        }
         if sl.amo_pump.is_some() {
             amo_pump_advance(eng, loc, result);
         }
     }
 
     fn gas_op_failed(eng: &mut Engine<Self>, loc: LocalityId, ctx: OpId, _gva: Gva, err: OpError) {
-        let now = eng.now();
-        let d = &mut *eng.state.data;
-        let record = d.record_events;
-        let sl = &mut d.locs[loc as usize];
+        let sl = logged(eng, loc, || SimEv::OpFailed(ctx.raw(), err.to_string()));
         sl.op_failures += 1;
         sl.expect.remove(&ctx.raw());
-        if record {
-            sl.events
-                .push((now, SimEv::OpFailed(ctx.raw(), err.to_string())));
-        }
         let had_pump = sl.pump.is_some();
         // A terminally-failed AMO abandons its logical op; start the next.
         let had_amo = if let Some(p) = sl.amo_pump.as_mut() {
@@ -500,6 +482,18 @@ impl GasWorld for SimWorld {
             amo_pump_start(eng, loc);
         }
     }
+}
+
+/// `loc`'s driver record, after logging the completion `ev` there when
+/// [`SimData::record_events`] is on.
+fn logged(eng: &mut Engine<SimWorld>, loc: LocalityId, ev: impl FnOnce() -> SimEv) -> &mut SimLoc {
+    let now = eng.now();
+    let d = &mut *eng.state.data;
+    let sl = &mut d.locs[loc as usize];
+    if d.record_events {
+        sl.events.push((now, ev()));
+    }
+    sl
 }
 
 /// Issue the next pump put from `loc`, if budget remains. Draws target
@@ -615,14 +609,15 @@ fn amo_pump_ctx(loc: LocalityId, p: &mut AmoPump) -> OpId {
 }
 
 // SAFETY: the protocol stack above netsim partitions its mutable state by
-// locality — `eps[loc]`, `gas[loc]`, `cpus[loc]`, `locs[loc]`, and the
-// locality's NIC/memory/counters inside `cluster` — and an event delivered
-// at `loc` only touches `loc`'s slice, which belongs to the executing
-// lane. The shared structures (`pgas`, `pump_blocks`, `mode`,
+// locality — the stack's `eps[loc]`, `gas[loc]`, `cpus[loc]` and the
+// locality's NIC/memory/counters inside `cluster`, and `locs[loc]` — and an
+// event delivered at `loc` only touches `loc`'s slice, which belongs to the
+// executing lane. The shared structures (`pgas`, `pump_blocks`, `mode`,
 // `record_events`, the cluster-wide config) are read-only at event time:
-// `pgas` is written at allocation (drive phase) and at a runtime free (an
-// event at the block's serving home), and sharded workloads must not
-// issue runtime frees; every other access reads it at a PGAS initiator. The wire is
+// `pgas` is written at allocation (drive phase) and, under PGAS only, at a
+// runtime free (an event at the block's serving home), so sharded PGAS
+// workloads must not issue runtime frees; every other access reads it at a
+// PGAS initiator. The wire is
 // the sender's: netsim keys each message's jitter and fault draws by its
 // sending locality and counts fault verdicts there, events only read the
 // fault plane, and `ShardedEngine::new` keeps an oversubscribed switch

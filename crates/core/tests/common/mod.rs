@@ -13,5 +13,5 @@ pub fn engine(n: usize, mode: GasMode) -> Engine<SimWorld> {
 /// checker, `agas::check`).
 #[allow(dead_code)] // not every integration-test binary calls it
 pub fn assert_consistent(eng: &Engine<SimWorld>, blocks: &[agas::Gva]) {
-    agas::check::assert_consistent(&eng.state, blocks);
+    agas::check::assert_consistent(&eng.state.data, blocks);
 }

@@ -1,13 +1,12 @@
 //! The pinned scenarios: eight deterministic programs on [`SimWorld`] whose
 //! `(trace_hash, now, events executed)` are the golden constants in
 //! `golden.rs`. `shard_pin.rs` runs them on the sequential engine and at
-//! every lane count of [`GRID`] (`free_mix` on the sequential engine
-//! only); `faults_shadow.rs` runs them with a lossless fault plane
+//! every lane count of [`GRID`] (`free_mix` under PGAS on the sequential
+//! engine only); `faults_shadow.rs` runs them with a lossless fault plane
 //! installed, which must land on the same pins.
 //!
-//! Each scenario takes an optional fault plan, installed before any traffic
-//! flows, and all but `free_mix` take the lane count (`None` = the
-//! sequential engine).
+//! Each scenario takes the lane count (`None` = the sequential engine) and
+//! an optional fault plan, installed before any traffic flows.
 #![allow(dead_code)] // not every test binary runs every scenario
 
 use crate::golden::Pin;
@@ -392,17 +391,22 @@ pub fn member_mix(arm: impl Into<Arm>, lanes: Option<usize>, plan: Option<FaultP
     finish(h)
 }
 
-/// The runtime free path as a pinned schedule, on the sequential engine
-/// only: `SimWorld`'s `SplitWorld` contract forbids runtime frees on lanes.
-/// Under the AGAS modes a free chases a migrated block, a free is issued
-/// while a hand-off is in flight, a block migrates to its current owner,
-/// and two migrations wait on one pin — on `unpin` the first hands off and
-/// the second re-chases through the home. In every mode a free waits on a
-/// pin released by `unpin` and the rest of the array is freed through
-/// `free_block`. Every free and migration must
-/// complete and no block may stay resident.
-pub fn free_mix(mode: GasMode, plan: Option<FaultPlan>) -> Pin {
-    let mut h = harness(4, mode, jittery(), 31, None, plan);
+/// The runtime free path as a pinned schedule. Under PGAS on the
+/// sequential engine only: a PGAS free writes the shared address table, so
+/// `SimWorld`'s `SplitWorld` contract forbids PGAS runtime frees on lanes;
+/// an AGAS free touches only per-locality state. Under the AGAS modes a
+/// free chases a migrated block, a free is issued while a hand-off is in
+/// flight, a block migrates to its current owner, and two migrations wait
+/// on one pin — on `unpin` the first hands off and the second re-chases
+/// through the home. In every mode a free waits on a pin released by
+/// `unpin` and the rest of the array is freed through `free_block`. Every
+/// free and migration must complete and no block may stay resident.
+pub fn free_mix(mode: GasMode, lanes: Option<usize>, plan: Option<FaultPlan>) -> Pin {
+    assert!(
+        lanes.is_none() || mode.supports_migration(),
+        "PGAS runtime frees write the shared address table: sequential engine only"
+    );
+    let mut h = harness(4, mode, jittery(), 31, lanes, plan);
     let arr = alloc(&mut h, 8);
     for i in 0..16u64 {
         let gva = arr.block(i % 8).with_offset((i / 8) * 32);
@@ -446,7 +450,7 @@ pub fn free_mix(mode: GasMode, plan: Option<FaultPlan>) -> Pin {
         h.run();
         // Two migrations deferred by one pin on block 6 (owner 2).
         let b6 = arr.block(6);
-        assert!(pin(h.world(), 2, b6).is_some());
+        assert!(pin(&mut h.world().data, 2, b6).is_some());
         h.drive_at(0, move |eng| {
             migrate_block(eng, 0, b6, 1, OpId::from_raw(903));
         });
@@ -460,7 +464,7 @@ pub fn free_mix(mode: GasMode, plan: Option<FaultPlan>) -> Pin {
     }
     // A free deferred by a pin on block 2 (owner 2), released by `unpin`.
     let b2 = arr.block(2);
-    assert!(pin(h.world(), 2, b2).is_some());
+    assert!(pin(&mut h.world().data, 2, b2).is_some());
     h.drive_at(0, move |eng| free_block(eng, 0, b2, OpId::from_raw(802)));
     h.run();
     let unpinned_at = h.drive_at(2, move |eng| {

@@ -71,7 +71,7 @@ fn free_waits_for_pins() {
     let mut eng = engine(3, GasMode::AgasNetwork);
     let arr = alloc_array(&mut eng, 3, 12, Distribution::Cyclic);
     let gva = arr.block(1);
-    assert!(pin(&mut eng.state, 1, gva).is_some());
+    assert!(pin(&mut eng.state.data, 1, gva).is_some());
     free_block(&mut eng, 0, gva, OpId::from_raw(9));
     eng.run();
     assert!(!free_done(&eng, 9), "free must wait for the pin");
@@ -128,7 +128,7 @@ fn deferred_free_wins_over_a_deferred_migration() {
     let arr = alloc_array(&mut eng, 4, 12, Distribution::Cyclic);
     let gva = arr.block(1);
     let key = gva.block_key();
-    assert!(pin(&mut eng.state, 1, gva).is_some());
+    assert!(pin(&mut eng.state.data, 1, gva).is_some());
     migrate_block(&mut eng, 0, gva, 2, OpId::from_raw(1));
     eng.run();
     free_block(&mut eng, 3, gva, OpId::from_raw(2));
@@ -150,7 +150,7 @@ fn two_deferred_frees_panic() {
     let mut eng = engine(3, GasMode::AgasSoftware);
     let arr = alloc_array(&mut eng, 3, 12, Distribution::Cyclic);
     let gva = arr.block(1);
-    assert!(pin(&mut eng.state, 1, gva).is_some());
+    assert!(pin(&mut eng.state.data, 1, gva).is_some());
     free_block(&mut eng, 0, gva, OpId::from_raw(1));
     eng.run();
     free_block(&mut eng, 2, gva, OpId::from_raw(2));
@@ -164,7 +164,7 @@ fn deferred_migrations_run_first_then_rechase() {
     let arr = alloc_array(&mut eng, 4, 12, Distribution::Cyclic);
     let gva = arr.block(1);
     let key = gva.block_key();
-    assert!(pin(&mut eng.state, 1, gva).is_some());
+    assert!(pin(&mut eng.state.data, 1, gva).is_some());
     migrate_block(&mut eng, 0, gva, 2, OpId::from_raw(1));
     eng.run();
     migrate_block(&mut eng, 3, gva, 0, OpId::from_raw(2));

@@ -309,11 +309,11 @@ fn a_nic_without_a_table_holds_no_entry() {
         let arr = alloc_array(&mut eng, 2, 12, Distribution::Cyclic);
         memput(&mut eng, 0, arr.block(1), vec![1; 8], OpId::from_raw(1));
         eng.run();
-        assert_eq!(check_blocks(&eng.state, &arr.blocks), [], "{mode:?}");
+        assert_eq!(check_blocks(&eng.state.data, &arr.blocks), [], "{mode:?}");
         let key = arr.block(1).block_key();
         let nic = &mut eng.state.data.cluster.loc_mut(1).nic;
         nic.xlate.retire_to_forward(key, 0, 0);
-        let got = check_blocks(&eng.state, &arr.blocks);
+        let got = check_blocks(&eng.state.data, &arr.blocks);
         assert!(
             matches!(got[..], [Violation::NicMismatch { gva, .. }] if gva == arr.block(1)),
             "{mode:?}: {got:?}"

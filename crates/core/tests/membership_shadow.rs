@@ -272,7 +272,7 @@ fn pgas_ops_reach_a_crashed_homes_take_over() {
     membership::crash(&mut eng, 1);
     eng.run();
     // Parcels go where the ops go.
-    assert_eq!(route(&mut eng.state, 0, gva), Route::Forward(2));
+    assert_eq!(route(&mut eng.state.data, 0, gva), Route::Forward(2));
     memput(&mut eng, 0, gva, vec![0x5A; 32], OpId::from_raw(1));
     eng.run();
     memget(&mut eng, 0, gva, 32, OpId::from_raw(2));

@@ -217,7 +217,7 @@ fn pinned_block_defers_migration_until_unpin() {
     let arr = alloc_array(&mut eng, 3, 10, Distribution::Cyclic);
     let gva = arr.block(1);
     // Pin at the owner (as an executing handler would).
-    assert!(pin(&mut eng.state, 1, gva).is_some());
+    assert!(pin(&mut eng.state.data, 1, gva).is_some());
     migrate_block(&mut eng, 0, gva, 2, OpId::from_raw(7));
     eng.run();
     assert!(!mig_done(&eng, 7), "migration must wait for the pin");

@@ -112,31 +112,13 @@ fn hammer(net: NetConfig, migrations: u64) -> Hammered {
     assert_eq!(moved, migrations, "every migration completed");
     let issued: u64 = next_seq.iter().sum();
     assert_eq!(completed, issued, "every op completed exactly once");
-    assert_quiescent(&eng);
+    eng.state.assert_quiescent(eng.now());
     assert_consistent(&eng, &[gva]);
     Hammered {
         eng,
         gva,
         adds,
         olds,
-    }
-}
-
-/// Nothing in flight anywhere: no GAS op, no photon op, no parked request.
-fn assert_quiescent(eng: &Engine<SimWorld>) {
-    for l in 0..eng.state.data.cluster.len() {
-        assert_eq!(
-            eng.state.data.gas[l].outstanding_ops(),
-            0,
-            "locality {l}: GAS"
-        );
-        assert_eq!(
-            eng.state.data.eps[l].outstanding_ops(),
-            0,
-            "locality {l}: PWC"
-        );
-        let parked = eng.state.data.cluster.loc(l as u32).nic.parked.len();
-        assert_eq!(parked, 0, "locality {l}: parked requests");
     }
 }
 
@@ -254,5 +236,5 @@ fn a_destination_that_dies_holding_parked_requests_strands_nothing() {
             .count();
         assert_eq!(outcomes, 1, "op {seq}: completed or failed, exactly once");
     }
-    assert_quiescent(&eng);
+    eng.state.assert_quiescent(eng.now());
 }

@@ -324,7 +324,7 @@ fn a_queued_get_burst_keeps_its_history() {
     assert_eq!(eng.state.data.gas[0].queued_ops(), 64);
     eng.run();
     assert_eq!(eng.state.get_acks(), burst);
-    assert_eq!(check_history(&eng.state), vec![]);
+    assert_eq!(check_history(&eng.state.data), vec![]);
     let gets: Vec<_> = eng.state.data.gas[0]
         .history
         .iter()

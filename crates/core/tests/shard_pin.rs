@@ -9,8 +9,10 @@
 //! same-instant events runs first — shifts them; a refactor must leave them
 //! bit-for-bit unchanged. Each scenario runs on the sequential engine and
 //! under lane counts {1, 2, 4, 8}: the sharded engine contracts to
-//! reproduce the sequential run bit-for-bit. `free_mix` is the exception:
-//! lanes must not free at runtime, so it pins the sequential engine only.
+//! reproduce the sequential run bit-for-bit. `free_mix` is the exception,
+//! pinned on the sequential engine only: a PGAS runtime free writes the
+//! shared address table, so lanes must not issue one, and the AGAS arms do
+//! not replay on lanes yet (see `pin_free_mix`).
 //!
 //! A failure on the sequential row means the protocol itself moved; a
 //! failure only on lane rows means the sharded engine diverged from
@@ -379,8 +381,14 @@ fn send_queue_burst_is_lane_invariant() {
     }
 }
 
-/// Runtime frees are sequential-only (`SimWorld`'s `SplitWorld` contract),
-/// so `free_mix` pins the sequential engine alone.
+/// The runtime free path, on the sequential engine. A PGAS free writes the
+/// shared address table (`SimWorld`'s `SplitWorld` contract), so that arm
+/// never runs on lanes. An AGAS free touches only the per-locality state of
+/// the localities it visits, but the AGAS arms still diverge on lanes, from
+/// one lane up, at the driver-phase `unpin` of block 6: it re-routes the
+/// second deferred migration through `migrate::resend_via_home`, whose plain
+/// `schedule` is the driver's on the sequential engine and locality 2's on a
+/// lane (same clock and event count, another hash).
 #[test]
 fn pin_free_mix() {
     for (name, mode, want) in [
@@ -388,6 +396,6 @@ fn pin_free_mix() {
         ("free_mix/sw", GasMode::AgasSoftware, GOLDEN_FREE_SW),
         ("free_mix/net", GasMode::AgasNetwork, GOLDEN_FREE_NET),
     ] {
-        check(name, None, free_mix(mode, None), want);
+        check(name, None, free_mix(mode, None, None), want);
     }
 }

@@ -401,6 +401,12 @@ impl ParkQueue {
         self.items.is_empty()
     }
 
+    /// The parked requests in arrival order, each with its initiator
+    /// (diagnostics: stuck-record reports).
+    pub fn iter(&self) -> impl Iterator<Item = (LocalityId, &Access)> {
+        self.items.iter().map(|p| (p.initiator, &*p.req))
+    }
+
     /// Is there room for one more?
     pub(crate) fn has_room(&self) -> bool {
         self.items.len() < PARK_DEPTH

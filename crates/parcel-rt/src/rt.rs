@@ -11,7 +11,7 @@ use crate::lco::{self, ReduceOp};
 use crate::parcel::{ActionCtx, ActionId, ActionRegistry, Parcel};
 use crate::sched;
 use crate::world::{Completion, RtConfig, Transport, World, NO_COMPLETION, PARCEL_TAG};
-use agas::{alloc_array, Distribution, GasConfig, GasMode, GlobalArray, Gva};
+use agas::{alloc_array, Distribution, GasConfig, GasMode, GlobalArray, Gva, Stack};
 use netsim::{Engine, FaultPlan, FaultPlane, LocalityId, NetConfig, Time};
 use photon::PhotonConfig;
 
@@ -128,19 +128,17 @@ impl RuntimeBuilder {
             );
         }
         let collectives = collective::install(&mut self.registry);
-        let mut world = World::new(
+        let mut stack = Stack::new(
             self.n,
             self.mode,
             self.net,
             self.photon,
             self.gas,
-            self.rt,
-            self.registry,
+            self.rt.workers,
             self.mem_limit,
         );
-        if let Some(plan) = self.faults {
-            world.cluster.faults = Some(FaultPlane::new(plan));
-        }
+        stack.cluster.faults = self.faults.map(FaultPlane::new);
+        let world = World::new(stack, self.rt, self.registry);
         let mut eng = Engine::new(world, self.seed);
         if self.rt.transport == Transport::Isir {
             // Arm the tag-matching engine: one standing wildcard-class
@@ -482,59 +480,46 @@ impl Runtime {
     }
 
     /// Assert the cluster is truly quiescent: no pending GAS operations,
-    /// no parcels waiting in any per-peer batch, no outstanding PWC ops, no
-    /// undelivered completions. Call after `run()` in tests/drivers to
-    /// catch protocol leaks early. On failure one unified report lists
-    /// every stuck item — GAS ops with kind, GVA, age, attempts, and last
-    /// protocol state (`queued` for one waiting in its locality's PWC send
-    /// queue), and each such locality's posted and queued counts; waiting
-    /// batches with peer, parcel count, bytes, and
-    /// the oldest parcel's age — followed by each locality's membership
-    /// view and by the continuations that never ran
+    /// no outstanding PWC ops, no request parked at a NIC, no parcels
+    /// waiting in any per-peer batch, no undelivered completions. Call
+    /// after `run()` in tests/drivers to catch protocol leaks early. On
+    /// failure one unified report lists every stuck item — the stack's
+    /// records ([`agas::Stack::in_flight_report`]: GAS ops with kind, GVA,
+    /// age, attempts and last protocol state, each such locality's posted
+    /// and queued counts, outstanding PWC ops, parked requests with their
+    /// initiator and GVA), then waiting batches with peer, parcel count,
+    /// bytes, and the oldest parcel's age — followed by each locality's
+    /// membership view and by the continuations that never ran
     /// ([`Self::pending_lcos`], unfired driver slots). Those alone never
     /// fail the check: a program may legitimately end holding a gate it
     /// stopped caring about.
     pub fn assert_quiescent(&self) {
         let w = &self.eng.state;
         let now = self.eng.now();
-        let mut stuck = Vec::new();
-        for l in 0..w.cluster.len() as u32 {
-            let g = &w.gas[l as usize];
-            for s in g.op_snapshots() {
-                stuck.push(format!("  locality {l}: {}", s.render(now)));
-            }
-            if let Some(line) = g.send_queue_report() {
-                stuck.push(format!("  locality {l}: {line}"));
-            }
-            for (peer, b) in (0u32..).zip(&w.rt[l as usize].batches) {
+        let mut stuck = w.in_flight_report(now, true);
+        for (l, r) in (0u32..).zip(&w.rt) {
+            for (peer, b) in (0u32..).zip(&r.batches) {
                 if let Some(line) = b.report(peer, now) {
-                    stuck.push(format!("  locality {l}: {line}"));
+                    stuck.push(format!("locality {l}: {line}"));
                 }
             }
         }
-        let membership: String = (0..w.cluster.len() as u32)
-            .filter_map(|l| {
-                w.gas[l as usize]
-                    .member
+        let membership: String = (0u32..)
+            .zip(&w.gas)
+            .filter_map(|(l, g)| {
+                g.member
                     .render()
                     .map(|m| format!("  locality {l} view: {m}\n"))
             })
             .collect();
         assert!(
             stuck.is_empty(),
-            "{} GAS op(s)/parcel batch(es) still in flight after run():\n{}\n{}{}",
+            "{} record(s) still in flight after run():\n  {}\n{}{}",
             stuck.len(),
-            stuck.join("\n"),
+            stuck.join("\n  "),
             membership,
             self.continuation_report()
         );
-        for l in 0..w.cluster.len() as u32 {
-            assert_eq!(
-                w.eps[l as usize].outstanding_ops(),
-                0,
-                "locality {l}: outstanding PWC ops"
-            );
-        }
         assert!(
             w.completions.is_empty(),
             "{} completions never fired\n{}",

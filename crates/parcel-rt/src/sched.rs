@@ -69,7 +69,7 @@ pub fn send_parcel(eng: &mut Engine<World>, from: LocalityId, parcel: Parcel) {
     let first_hop = if parcel.target.class() == LCO_CLASS {
         parcel.target.home()
     } else {
-        match agas::ops::route(&mut eng.state, from, parcel.target) {
+        match agas::ops::route(&mut eng.state.stack, from, parcel.target) {
             agas::ops::Route::Local { .. } => from,
             agas::ops::Route::Forward(next) => next,
         }
@@ -177,7 +177,7 @@ pub fn parcel_arrive(eng: &mut Engine<World>, _src: LocalityId, dst: LocalityId,
         eng.schedule_at(finish, move |eng| lco::apply(eng, dst, lco, value));
         return;
     }
-    match agas::ops::route(&mut eng.state, dst, parcel.target) {
+    match agas::ops::route(&mut eng.state.stack, dst, parcel.target) {
         agas::ops::Route::Local { base, .. } => {
             // Host-cache hint for the action's access to the target word.
             let addr = base.saturating_add(parcel.target.offset());
@@ -237,7 +237,7 @@ fn forward(eng: &mut Engine<World>, at: LocalityId, mut parcel: Parcel, next: Lo
 
 /// Run the action: pin the target block, invoke the handler, unpin.
 fn execute(eng: &mut Engine<World>, dst: LocalityId, parcel: Parcel) {
-    let Some((base, class)) = agas::ops::pin(&mut eng.state, dst, parcel.target) else {
+    let Some((base, class)) = agas::ops::pin(&mut eng.state.stack, dst, parcel.target) else {
         // The block moved while the parcel queued; chase it.
         parcel_arrive(eng, dst, dst, parcel);
         return;

@@ -1,19 +1,20 @@
-//! The simulated world: cluster + Photon endpoints + GAS state + runtime
-//! schedulers, with all the protocol glue traits implemented. It is the
-//! runtime's one world: the scheduler ([`crate::sched`]) and the LCO layer
-//! ([`crate::lco`]) take `&mut Engine<World>` and reach its fields
-//! directly. It runs on the sequential [`Engine`] only — actions are boxed
+//! The simulated world: the GAS stack ([`agas::Stack`]: cluster, Photon
+//! endpoints, GAS state, CPU pools) + runtime schedulers, with all the
+//! protocol glue traits implemented. It is the runtime's one world: the
+//! scheduler ([`crate::sched`]) and the LCO layer ([`crate::lco`]) take
+//! `&mut Engine<World>` and reach its fields directly. It runs on the sequential [`Engine`] only — actions are boxed
 //! closures behind an `Rc` and driver callbacks capture `Rc`s.
 
 use crate::lco::LcoState;
 use crate::parcel::{ActionRegistry, Parcel};
 use crate::sched::{self, PeerBatch};
-use agas::{GasConfig, GasLocal, GasMode, GasMsg, GasWorld, PgasMap};
+use agas::{GasMsg, GasWorld, Stack};
 use netsim::{
-    AmoResult, Cluster, Engine, Envelope, LocalityId, NackReason, NetConfig, OpError, OpId, OpKind,
-    OpTable, Packet, PhysAddr, Protocol, RingConfig, ServerPool, Time,
+    AmoResult, Cluster, Engine, Envelope, LocalityId, NackReason, OpError, OpId, OpKind, OpTable,
+    Packet, Protocol, RingConfig, Time,
 };
-use photon::{PhotonConfig, PhotonEndpoint, PhotonMsg, PhotonWorld};
+use photon::{PhotonEndpoint, PhotonMsg, PhotonWorld};
+use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
 /// Marker for GAS operations that need no completion notification.
@@ -171,21 +172,16 @@ pub enum Completion {
     Driver(DriverCb),
 }
 
-/// The complete simulated world.
+/// The complete simulated world: the GAS stack plus the runtime's own
+/// state. It derefs to the stack, so `world.eps`, `world.gas[l]` and the
+/// stack's methods ([`Stack::locate`], [`Stack::total_gas_stats`]) read
+/// through; library code names `world.stack` where it borrows the stack
+/// beside a runtime field.
 pub struct World {
-    /// The hardware substrate.
-    pub cluster: Cluster,
-    /// Photon endpoints, one per locality.
-    pub eps: Vec<PhotonEndpoint>,
-    /// GAS state, one per locality.
-    pub gas: Vec<GasLocal>,
-    /// Worker pools, one per locality.
-    pub cpus: Vec<ServerPool>,
-    /// The PGAS initiators' address table ([`PgasMap`]); targets read
-    /// their BTTs.
-    pub pgas_map: PgasMap,
-    /// The active GAS mode.
-    pub mode: GasMode,
+    /// The GAS stack: cluster, endpoints, GAS tables, CPU pools (shared by
+    /// actions and GAS software handlers), the PGAS address table and the
+    /// mode.
+    pub stack: Stack,
     /// Runtime state, one per locality.
     pub rt: Vec<RtLocal>,
     /// Runtime tuning.
@@ -210,26 +206,12 @@ pub struct World {
 }
 
 impl World {
-    /// Assemble a world. Most callers use [`crate::rt::RuntimeBuilder`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        n: usize,
-        mode: GasMode,
-        net: NetConfig,
-        photon_cfg: PhotonConfig,
-        gas_cfg: GasConfig,
-        rtcfg: RtConfig,
-        registry: ActionRegistry,
-        mem_limit: usize,
-    ) -> World {
+    /// Assemble a world around `stack`, whose CPU pools run the actions
+    /// too. Most callers use [`crate::rt::RuntimeBuilder`].
+    pub fn new(stack: Stack, rtcfg: RtConfig, registry: ActionRegistry) -> World {
         World {
-            cluster: Cluster::new(n, mode.net(net), mem_limit),
-            eps: (0..n).map(|_| PhotonEndpoint::new(photon_cfg)).collect(),
-            gas: (0..n).map(|_| GasLocal::new(gas_cfg)).collect(),
-            cpus: (0..n).map(|_| ServerPool::new(rtcfg.workers)).collect(),
-            pgas_map: PgasMap::new(),
-            mode,
-            rt: (0..n).map(|_| RtLocal::new()).collect(),
+            rt: (0..stack.n_localities()).map(|_| RtLocal::new()).collect(),
+            stack,
             rtcfg,
             registry: Rc::new(registry),
             balancer_stats: crate::balancer::BalancerStats::default(),
@@ -251,26 +233,6 @@ impl World {
     /// Driver callbacks still waiting for their LCO to fire.
     pub fn live_driver_slots(&self) -> usize {
         self.driver_cbs.len()
-    }
-
-    /// Number of localities.
-    pub fn n_localities(&self) -> u32 {
-        self.cluster.len() as u32
-    }
-
-    /// Where block `gva` lives now: the locality whose BTT holds it
-    /// resident and its base there, in every GAS mode. The driver-side
-    /// answer to "which locality holds this block, and at what address"
-    /// (setup, inspection, and the stencil's face reads); the GAS protocol
-    /// itself never asks it. Panics on an unknown block, or one resident
-    /// nowhere (mid-migration).
-    pub fn locate(&self, gva: agas::Gva) -> (LocalityId, PhysAddr) {
-        let key = gva.block_key();
-        let owner = (0..self.n_localities())
-            .find(|&l| self.gas[l as usize].btt.is_resident(key))
-            .expect("no resident owner");
-        let entry = self.gas[owner as usize].btt.lookup(key);
-        (owner, entry.expect("a resident block has a BTT entry").base)
     }
 
     /// Look up a registered action id by name.
@@ -310,14 +272,18 @@ impl World {
         }
         total
     }
+}
 
-    /// Aggregate GAS stats across localities.
-    pub fn total_gas_stats(&self) -> agas::GasStats {
-        let mut total = agas::GasStats::default();
-        for g in &self.gas {
-            total.merge(&g.stats);
-        }
-        total
+impl Deref for World {
+    type Target = Stack;
+    fn deref(&self) -> &Stack {
+        &self.stack
+    }
+}
+
+impl DerefMut for World {
+    fn deref_mut(&mut self) -> &mut Stack {
+        &mut self.stack
     }
 }
 
@@ -347,7 +313,7 @@ fn complete(eng: &mut Engine<World>, ctx: OpId, data: Vec<u8>) {
 impl Protocol for World {
     type Msg = Msg;
     fn cluster(&mut self) -> &mut Cluster {
-        &mut self.cluster
+        &mut self.stack.cluster
     }
     fn cluster_ref(&self) -> &Cluster {
         &self.cluster
@@ -369,7 +335,7 @@ impl Protocol for World {
 
 impl PhotonWorld for World {
     fn endpoint(&mut self, loc: LocalityId) -> &mut PhotonEndpoint {
-        &mut self.eps[loc as usize]
+        &mut self.stack.eps[loc as usize]
     }
     fn wrap(msg: PhotonMsg) -> Msg {
         Msg::Photon(msg)
@@ -458,20 +424,11 @@ pub fn encode_amo_result(result: &AmoResult) -> Vec<u8> {
 }
 
 impl GasWorld for World {
-    fn gas(&mut self, loc: LocalityId) -> &mut GasLocal {
-        &mut self.gas[loc as usize]
+    fn stack(&self) -> &Stack {
+        &self.stack
     }
-    fn gas_ref(&self, loc: LocalityId) -> &GasLocal {
-        &self.gas[loc as usize]
-    }
-    fn gas_mode(&self) -> GasMode {
-        self.mode
-    }
-    fn pgas(&mut self) -> &mut PgasMap {
-        &mut self.pgas_map
-    }
-    fn cpu(&mut self, loc: LocalityId) -> &mut ServerPool {
-        &mut self.cpus[loc as usize]
+    fn stack_mut(&mut self) -> &mut Stack {
+        &mut self.stack
     }
     fn wrap_gas(msg: GasMsg) -> Msg {
         Msg::Gas(msg)

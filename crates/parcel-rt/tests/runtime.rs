@@ -330,14 +330,14 @@ fn runtime_free_block_releases() {
         .is_resident(arr.block(2).block_key()));
 }
 
-/// `World::locate` finds a PGAS block at its home and `pgas_map` base, and
+/// `World::locate` finds a PGAS block at its home and `pgas` base, and
 /// an AGAS block at the locality it migrated to; `write_block` and
 /// `read_block` reach it there.
 #[test]
 fn locate_finds_home_and_migrated_blocks() {
     let mut rt = Runtime::builder(3, GasMode::Pgas).boot();
     let g = rt.alloc(3, 12, Distribution::Cyclic).block(1);
-    let base = rt.eng.state.pgas_map[&g.block_key()];
+    let base = rt.eng.state.pgas[&g.block_key()];
     assert_eq!(rt.eng.state.locate(g), (1, base));
 
     for mode in [GasMode::AgasSoftware, GasMode::AgasNetwork] {
@@ -510,4 +510,47 @@ fn cray_fabric_is_faster_for_small_puts() {
         t.get()
     };
     assert!(lat(netsim::NetConfig::cray_gemini()) < lat(netsim::NetConfig::ib_fdr()));
+}
+
+/// A run frozen at the first request a NIC holds parked behind a hand-off
+/// (where `repro ops` freezes its dump) is not quiescent, and the
+/// quiescence report names that request: its wire token, its initiator and
+/// the address it targets. Run on, the cluster drains.
+#[test]
+fn quiescence_report_names_a_parked_request() {
+    let net = netsim::NetConfig {
+        jitter_ns: 300,
+        ..netsim::NetConfig::ib_fdr()
+    };
+    let mut rt = Runtime::builder(4, GasMode::AgasNetwork).net(net).boot();
+    let arr = rt.alloc(8, 13, Distribution::Cyclic);
+    for i in 0..24u64 {
+        let gva = arr.block(i % 8).with_offset((i / 8) * 128);
+        rt.memput(((i + 1) % 4) as u32, gva, vec![i as u8 + 1; 128]);
+    }
+    rt.migrate(0, arr.block(2), 3);
+    rt.migrate(1, arr.block(5), 0);
+    let want = loop {
+        let parked = (0..rt.n()).find_map(|l| {
+            let (initiator, req) = rt.eng.state.cluster.loc(l).nic.parked.iter().next()?;
+            let netsim::RdmaTarget::Virt { block, offset } = req.at() else {
+                panic!("a NIC parks virtual requests only");
+            };
+            let gva = agas::Gva(block).with_offset(offset);
+            Some(format!(
+                "locality {l}: parked request {} from locality {initiator} gva={gva}",
+                req.op
+            ))
+        });
+        if let Some(line) = parked {
+            break line;
+        }
+        assert!(rt.eng.step(), "the run never parked a request");
+    };
+    let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.assert_quiescent()))
+        .expect_err("a parked request is in flight");
+    let report = report.downcast_ref::<String>().expect("a formatted report");
+    assert!(report.contains(&want), "{want:?} missing from:\n{report}");
+    rt.run();
+    rt.assert_quiescent();
 }
