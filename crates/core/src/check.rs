@@ -269,12 +269,11 @@ pub fn check_blocks(stack: &Stack, blocks: &[Gva]) -> Vec<Violation> {
 /// and the word-level linearizability check over every AMO log.
 /// Empty when [`crate::GasConfig::record_history`] was off everywhere.
 pub fn check_history(stack: &Stack) -> Vec<Violation> {
-    let n = stack.n_localities();
     let mut events: Vec<HistEvent> = Vec::new();
     let mut words: Vec<WordEvent> = Vec::new();
-    for l in 0..n {
-        events.extend(stack.gas[l as usize].history.iter().copied());
-        words.extend(stack.gas[l as usize].word_history.iter().copied());
+    for g in &stack.gas {
+        events.extend(g.history.iter().copied());
+        words.extend(g.word_history.iter().copied());
     }
     let recovers: Vec<(u64, Time)> = events
         .iter()
@@ -544,9 +543,10 @@ pub fn check_word_history_events_with_recovery(
 /// The trailing history (up to `limit` events) touching `block`, across
 /// all localities, formatted one per line.
 fn history_suffix(stack: &Stack, block: u64, limit: usize) -> String {
-    let n = stack.n_localities();
-    let mut events: Vec<HistEvent> = (0..n)
-        .flat_map(|l| stack.gas[l as usize].history.iter().copied())
+    let mut events: Vec<HistEvent> = stack
+        .gas
+        .iter()
+        .flat_map(|g| g.history.iter().copied())
         .filter(|e| e.block == block)
         .collect();
     if events.is_empty() {

@@ -920,11 +920,9 @@ impl GasLocal {
 
 /// The contract between the GAS and the world embedding it.
 ///
-/// The world embeds one [`Stack`] — cluster, Photon endpoints, GAS tables,
-/// CPU pools, the PGAS address table and the mode — and lends it out
-/// through [`GasWorld::stack`] / [`GasWorld::stack_mut`]; the per-locality
-/// accessors below are written once on top of those and no world
-/// overrides them. The world routes `Packet::User` payloads that decode to
+/// The world embeds one [`Stack`] and lends it out through
+/// [`GasWorld::stack`]; the per-locality accessors are written once on top
+/// of it. The world routes `Packet::User` payloads that decode to
 /// [`GasMsg`] into [`ops::handle_msg`], and forwards its [`PhotonWorld`]
 /// PWC callbacks to [`ops::on_pwc_complete`] / [`ops::on_pwc_redirected`] /
 /// [`ops::on_pwc_amo_complete`] / [`ops::on_pwc_failed`] /
@@ -953,27 +951,22 @@ pub trait GasWorld: PhotonWorld {
     fn gas_op_failed(eng: &mut Engine<Self>, loc: LocalityId, ctx: OpId, gva: Gva, err: OpError);
 
     /// Per-locality GAS state.
-    #[inline]
     fn gas(&mut self, loc: LocalityId) -> &mut GasLocal {
         &mut self.stack_mut().gas[loc as usize]
     }
     /// Shared access to per-locality GAS state (diagnostics/checkers).
-    #[inline]
     fn gas_ref(&self, loc: LocalityId) -> &GasLocal {
         &self.stack().gas[loc as usize]
     }
     /// The active GAS mode (uniform across the cluster).
-    #[inline]
     fn gas_mode(&self) -> GasMode {
         self.stack().mode
     }
     /// The PGAS initiators' address table ([`Stack::pgas`]).
-    #[inline]
     fn pgas(&mut self) -> &mut PgasMap {
         &mut self.stack_mut().pgas
     }
     /// The locality's CPU worker pool ([`Stack::cpus`]).
-    #[inline]
     fn cpu(&mut self, loc: LocalityId) -> &mut ServerPool {
         &mut self.stack_mut().cpus[loc as usize]
     }

@@ -513,8 +513,7 @@ pub(crate) fn on_dir_unregister<S: GasWorld>(
                 return;
             }
         }
-        // Only PGAS allocation placed the block in the shared address
-        // table; an AGAS free leaves that table alone.
+        // Only PGAS allocation placed the block in the shared table.
         if eng.state.gas_mode() == GasMode::Pgas {
             eng.state.pgas().remove(&block);
         }

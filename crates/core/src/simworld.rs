@@ -56,19 +56,14 @@ pub enum SimEv {
     OpFailed(u64, String),
 }
 
-/// Per-locality GUPS pump state: a private RNG and an op budget.
-///
-/// Once armed, the pump owns its locality's puts: every put completion
-/// there ([`GasWorld::gas_put_done`]) counts as one of its own and issues
-/// the next, and every terminal failure there, of any kind, re-issues in
-/// place of the failed op. A driver therefore does not mix its own ops
-/// with an armed pump's at the same locality.
+/// Per-locality GUPS pump state: a private RNG and an op budget. An armed
+/// pump takes every put completion and every failed op of any kind at its
+/// locality as its own, so a driver issues no ops of its own there.
 #[derive(Debug)]
 pub struct GupsPump {
     /// Puts this locality may still issue.
     pub remaining: u64,
-    /// Put completions observed at this locality since it was armed (every
-    /// put there, which is the pump's own when the driver keeps out).
+    /// Put completions at this locality since it was armed.
     pub completed: u64,
     rng: Xoshiro256,
     next_op: u64,
@@ -87,20 +82,14 @@ pub enum AmoPumpKind {
 }
 
 /// Per-locality AMO load generator: a private RNG, an op budget, and —
-/// for the CAS workload — the in-flight retry state.
-///
-/// Once armed, the pump owns its locality's AMOs: every AMO completion
-/// there ([`GasWorld::gas_amo_done`]) advances its chain, and every
-/// terminal failure there, of any kind, abandons the logical op in flight
-/// and starts the next. A driver therefore does not mix its own ops with
-/// an armed pump's at the same locality.
+/// for the CAS workload — the in-flight retry state. Like [`GupsPump`], an
+/// armed pump takes every AMO completion and every failed op at its
+/// locality as its own.
 #[derive(Debug)]
 pub struct AmoPump {
     /// Logical ops this locality may still start.
     pub remaining: u64,
-    /// Logical ops finished (for CAS, a landed swap), counted from the AMO
-    /// completions at this locality: every AMO there, which is the pump's
-    /// own when the driver keeps out.
+    /// Logical ops finished (for CAS, a landed swap).
     pub completed: u64,
     /// CAS attempts that lost the race and were re-issued.
     pub cas_retries: u64,
@@ -141,13 +130,10 @@ pub struct SimLoc {
 }
 
 /// The backing storage of a [`SimWorld`]; lanes alias it via
-/// [`SharedState`]. The GAS state is the embedded [`Stack`]; the rest is
-/// the driver's. It derefs to the stack so driver paths such as
-/// `data.gas[l]` and `data.cluster` read through; library code names
-/// `data.stack` where it borrows the stack beside a driver field.
+/// [`SharedState`]. It derefs to its [`Stack`], so `data.gas[l]` reads
+/// through; library code names `data.stack` for split borrows.
 pub struct SimData {
-    /// The GAS stack: cluster, endpoints, GAS tables, CPU pools, the PGAS
-    /// address table and the mode.
+    /// The GAS stack.
     pub stack: Stack,
     /// Whether completions append to [`SimLoc::events`] (off for long
     /// benchmark runs to avoid unbounded logs).
@@ -332,10 +318,8 @@ impl SimWorld {
         v
     }
 
-    /// Panic unless nothing is in flight anywhere: no GAS op, no send-queue
-    /// entry, no outstanding PWC op, no request parked at a NIC. The
-    /// message lists every record left ([`Stack::in_flight_report`], aged
-    /// at `now`).
+    /// Panic unless nothing is in flight: the message lists every record
+    /// left ([`Stack::in_flight_report`], aged at `now`).
     pub fn assert_quiescent(&self, now: Time) {
         let stuck = self.data.in_flight_report(now, true);
         assert!(
@@ -468,12 +452,7 @@ impl GasWorld for SimWorld {
         sl.expect.remove(&ctx.raw());
         let had_pump = sl.pump.is_some();
         // A terminally-failed AMO abandons its logical op; start the next.
-        let had_amo = if let Some(p) = sl.amo_pump.as_mut() {
-            p.cas = None;
-            true
-        } else {
-            false
-        };
+        let had_amo = sl.amo_pump.as_mut().map(|p| p.cas = None).is_some();
         // A failed pump put still owes the chain its continuation.
         if had_pump {
             pump_next(eng, loc);
@@ -568,8 +547,15 @@ fn amo_pump_advance(eng: &mut Engine<SimWorld>, loc: LocalityId, result: AmoResu
             p.completed += 1;
             amo_pump_start(eng, loc);
         }
-        // The opening read came back: try to swap `old → old + 1`.
-        (AmoPumpKind::CasRetry, Some((gva, false))) => {
+        (AmoPumpKind::CasRetry, Some((_, true))) if result.applied => {
+            p.completed += 1;
+            p.cas = None;
+            amo_pump_start(eng, loc);
+        }
+        // The opening read came back, or the swap lost the race and its
+        // NACK carries the fresh value: try to swap `old → old + 1`.
+        (AmoPumpKind::CasRetry, Some((gva, swapped))) => {
+            p.cas_retries += u64::from(swapped);
             p.cas = Some((gva, true));
             let amo = AmoOp::CompareSwap {
                 expected: result.old,
@@ -577,23 +563,6 @@ fn amo_pump_advance(eng: &mut Engine<SimWorld>, loc: LocalityId, result: AmoResu
             };
             let ctx = amo_pump_ctx(loc, p);
             crate::ops::memamo(eng, loc, gva, amo, ctx);
-        }
-        (AmoPumpKind::CasRetry, Some((gva, true))) => {
-            if result.applied {
-                p.completed += 1;
-                p.cas = None;
-                amo_pump_start(eng, loc);
-            } else {
-                // Lost the race; the NACK carries the fresh value, so retry
-                // against it directly.
-                p.cas_retries += 1;
-                let amo = AmoOp::CompareSwap {
-                    expected: result.old,
-                    desired: result.old.wrapping_add(1),
-                };
-                let ctx = amo_pump_ctx(loc, p);
-                crate::ops::memamo(eng, loc, gva, amo, ctx);
-            }
         }
         // A completion with no CAS in flight: a stale chain link; restart.
         (AmoPumpKind::CasRetry, None) => amo_pump_start(eng, loc),

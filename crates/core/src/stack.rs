@@ -1,12 +1,7 @@
-//! The per-locality state the GAS runs on, written once: the cluster,
-//! a Photon endpoint, GAS tables and a CPU pool per locality, the PGAS
-//! initiators' address table and the mode. Both concrete worlds —
-//! [`crate::SimWorld`] (through [`crate::SimData`]) and the runtime's world
-//! — embed one [`Stack`] and hand it to the GAS through
-//! [`crate::GasWorld::stack`].
-//!
-//! The vectors are struct-of-arrays, indexed by locality: drivers bind
-//! `eps` as a slice and `gas` as an iterable vector.
+//! The per-locality state the GAS runs on, written once. Both concrete
+//! worlds — [`crate::SimData`] and the runtime's world — embed one
+//! [`Stack`] and hand it to the GAS through [`crate::GasWorld::stack`].
+//! The vectors are indexed by locality.
 
 use crate::{GasConfig, GasLocal, GasMode, GasStats, Gva, PgasMap};
 use netsim::{Cluster, LocalityId, NetConfig, PhysAddr, RdmaTarget, ServerPool, Time};
@@ -20,15 +15,11 @@ pub struct Stack {
     pub eps: Vec<PhotonEndpoint>,
     /// GAS state, one per locality.
     pub gas: Vec<GasLocal>,
-    /// CPU worker pools, one per locality, shared by GAS software handlers
-    /// and whatever else the world runs there (the runtime's actions), so
-    /// they contend for the same cores — the effect the network-managed
-    /// design eliminates.
+    /// CPU worker pools, one per locality: GAS software handlers contend
+    /// there with the runtime's actions.
     pub cpus: Vec<ServerPool>,
-    /// The PGAS initiators' address table: read by a PGAS remote access to
-    /// address its RDMA, written by allocation and, under PGAS, by a
-    /// runtime free. Targets in every mode resolve their blocks through
-    /// their BTTs instead.
+    /// The PGAS initiators' address table, written by allocation and, under
+    /// PGAS, by a runtime free. Targets resolve blocks through their BTTs.
     pub pgas: PgasMap,
     /// The active GAS mode (uniform across the cluster).
     pub mode: GasMode,
@@ -71,9 +62,7 @@ impl Stack {
     /// Aggregate GAS stats across localities.
     pub fn total_gas_stats(&self) -> GasStats {
         let mut total = GasStats::default();
-        for g in &self.gas {
-            total.merge(&g.stats);
-        }
+        self.gas.iter().for_each(|g| total.merge(&g.stats));
         total
     }
 
@@ -92,13 +81,10 @@ impl Stack {
         (owner, entry.expect("a resident block has a BTT entry").base)
     }
 
-    /// Every in-flight record the stack holds, one `locality {l}: …` line
-    /// each, locality by locality: the GAS ops issued there
-    /// ([`GasLocal::op_snapshots`], aged at `now`) and its send-queue line;
-    /// with `wire`, also the rendezvous puts its Photon endpoint has
-    /// outstanding and the requests its NIC holds parked behind a hand-off.
-    /// Empty when the stack is quiescent. Quiescence checks pass `wire`; the
-    /// `repro ops` dump, a view of the op table, does not.
+    /// Every in-flight record, one `locality {l}: …` line each: GAS ops
+    /// ([`GasLocal::op_snapshots`], aged at `now`) and the send-queue line;
+    /// with `wire` (quiescence checks), also outstanding PWC ops and
+    /// requests parked at the NIC. Empty when the stack is quiescent.
     pub fn in_flight_report(&self, now: Time, wire: bool) -> Vec<String> {
         let mut out = Vec::new();
         for (l, g) in (0u32..).zip(&self.gas) {

@@ -1,12 +1,13 @@
 //! The pinned scenarios: eight deterministic programs on [`SimWorld`] whose
 //! `(trace_hash, now, events executed)` are the golden constants in
 //! `golden.rs`. `shard_pin.rs` runs them on the sequential engine and at
-//! every lane count of [`GRID`] (`free_mix` under PGAS on the sequential
-//! engine only); `faults_shadow.rs` runs them with a lossless fault plane
+//! every lane count of [`GRID`] (`free_mix` on the sequential engine
+//! only); `faults_shadow.rs` runs them with a lossless fault plane
 //! installed, which must land on the same pins.
 //!
-//! Each scenario takes the lane count (`None` = the sequential engine) and
-//! an optional fault plan, installed before any traffic flows.
+//! Each scenario takes an optional fault plan, installed before any traffic
+//! flows, and all but `free_mix` take the lane count (`None` = the
+//! sequential engine).
 #![allow(dead_code)] // not every test binary runs every scenario
 
 use crate::golden::Pin;
@@ -391,22 +392,19 @@ pub fn member_mix(arm: impl Into<Arm>, lanes: Option<usize>, plan: Option<FaultP
     finish(h)
 }
 
-/// The runtime free path as a pinned schedule. Under PGAS on the
-/// sequential engine only: a PGAS free writes the shared address table, so
-/// `SimWorld`'s `SplitWorld` contract forbids PGAS runtime frees on lanes;
-/// an AGAS free touches only per-locality state. Under the AGAS modes a
-/// free chases a migrated block, a free is issued while a hand-off is in
-/// flight, a block migrates to its current owner, and two migrations wait
-/// on one pin — on `unpin` the first hands off and the second re-chases
-/// through the home. In every mode a free waits on a pin released by
-/// `unpin` and the rest of the array is freed through `free_block`. Every
-/// free and migration must complete and no block may stay resident.
-pub fn free_mix(mode: GasMode, lanes: Option<usize>, plan: Option<FaultPlan>) -> Pin {
-    assert!(
-        lanes.is_none() || mode.supports_migration(),
-        "PGAS runtime frees write the shared address table: sequential engine only"
-    );
-    let mut h = harness(4, mode, jittery(), 31, lanes, plan);
+/// The runtime free path as a pinned schedule, on the sequential engine
+/// only, in all three modes: a PGAS free writes the shared address table,
+/// which `SimWorld`'s `SplitWorld` contract forbids on lanes, and the AGAS
+/// arms, whose frees touch only per-locality state, do not replay on lanes
+/// yet (`shard_pin.rs::pin_free_mix`). Under the AGAS modes a free chases a
+/// migrated block, a free is issued while a hand-off is in flight, a block
+/// migrates to its current owner, and two migrations wait on one pin — on
+/// `unpin` the first hands off and the second re-chases through the home.
+/// In every mode a free waits on a pin released by `unpin` and the rest of
+/// the array is freed through `free_block`. Every free and migration must
+/// complete and no block may stay resident.
+pub fn free_mix(mode: GasMode, plan: Option<FaultPlan>) -> Pin {
+    let mut h = harness(4, mode, jittery(), 31, None, plan);
     let arr = alloc(&mut h, 8);
     for i in 0..16u64 {
         let gva = arr.block(i % 8).with_offset((i / 8) * 32);

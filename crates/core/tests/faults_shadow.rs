@@ -47,7 +47,7 @@ fn lossless_plane_reproduces_the_free_pins() {
         ("free_mix/net", GasMode::AgasNetwork, GOLDEN_FREE_NET),
     ] {
         let plan = Some(FaultPlan::lossless(0xDEAD_BEEF));
-        check(name, None, free_mix(mode, None, plan), want);
+        check(name, None, free_mix(mode, plan), want);
     }
 }
 

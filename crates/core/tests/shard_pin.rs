@@ -396,6 +396,6 @@ fn pin_free_mix() {
         ("free_mix/sw", GasMode::AgasSoftware, GOLDEN_FREE_SW),
         ("free_mix/net", GasMode::AgasNetwork, GOLDEN_FREE_NET),
     ] {
-        check(name, None, free_mix(mode, None, None), want);
+        check(name, None, free_mix(mode, None), want);
     }
 }

@@ -460,7 +460,7 @@ impl Runtime {
     }
 
     /// Read the contents of an entire global block (driver-side; the block
-    /// must be resident wherever [`World::locate`] finds it).
+    /// must be resident wherever [`Stack::locate`] finds it).
     pub fn read_block(&self, gva: Gva) -> Vec<u8> {
         let (owner, base) = self.eng.state.locate(gva);
         self.read_local(owner, base, 1 << gva.class())
@@ -479,16 +479,13 @@ impl Runtime {
             .expect("driver write out of bounds");
     }
 
-    /// Assert the cluster is truly quiescent: no pending GAS operations,
-    /// no outstanding PWC ops, no request parked at a NIC, no parcels
-    /// waiting in any per-peer batch, no undelivered completions. Call
-    /// after `run()` in tests/drivers to catch protocol leaks early. On
-    /// failure one unified report lists every stuck item — the stack's
-    /// records ([`agas::Stack::in_flight_report`]: GAS ops with kind, GVA,
-    /// age, attempts and last protocol state, each such locality's posted
-    /// and queued counts, outstanding PWC ops, parked requests with their
-    /// initiator and GVA), then waiting batches with peer, parcel count,
-    /// bytes, and the oldest parcel's age — followed by each locality's
+    /// Assert the cluster is truly quiescent: nothing in flight in the GAS
+    /// stack ([`agas::Stack::in_flight_report`]: GAS ops, send queues, PWC
+    /// ops, requests parked at a NIC), no parcels waiting in any per-peer
+    /// batch, no undelivered completions. Call after `run()` in
+    /// tests/drivers to catch protocol leaks early. On failure one report
+    /// lists every stuck record — waiting batches with peer, parcel count,
+    /// bytes and the oldest parcel's age — followed by each locality's
     /// membership view and by the continuations that never ran
     /// ([`Self::pending_lcos`], unfired driver slots). Those alone never
     /// fail the check: a program may legitimately end holding a gate it
@@ -497,21 +494,17 @@ impl Runtime {
         let w = &self.eng.state;
         let now = self.eng.now();
         let mut stuck = w.in_flight_report(now, true);
-        for (l, r) in (0u32..).zip(&w.rt) {
+        let mut membership = String::new();
+        for (l, (r, g)) in (0u32..).zip(w.rt.iter().zip(&w.gas)) {
             for (peer, b) in (0u32..).zip(&r.batches) {
                 if let Some(line) = b.report(peer, now) {
                     stuck.push(format!("locality {l}: {line}"));
                 }
             }
+            if let Some(m) = g.member.render() {
+                membership += &format!("  locality {l} view: {m}\n");
+            }
         }
-        let membership: String = (0u32..)
-            .zip(&w.gas)
-            .filter_map(|(l, g)| {
-                g.member
-                    .render()
-                    .map(|m| format!("  locality {l} view: {m}\n"))
-            })
-            .collect();
         assert!(
             stuck.is_empty(),
             "{} record(s) still in flight after run():\n  {}\n{}{}",

@@ -1,8 +1,8 @@
-//! The simulated world: the GAS stack ([`agas::Stack`]: cluster, Photon
-//! endpoints, GAS state, CPU pools) + runtime schedulers, with all the
-//! protocol glue traits implemented. It is the runtime's one world: the
-//! scheduler ([`crate::sched`]) and the LCO layer ([`crate::lco`]) take
-//! `&mut Engine<World>` and reach its fields directly. It runs on the sequential [`Engine`] only — actions are boxed
+//! The simulated world: the GAS stack ([`agas::Stack`]) + runtime
+//! schedulers, with all the protocol glue traits implemented. It is the
+//! runtime's one world: the scheduler ([`crate::sched`]) and the LCO layer
+//! ([`crate::lco`]) take `&mut Engine<World>` and reach its fields
+//! directly. It runs on the sequential [`Engine`] only — actions are boxed
 //! closures behind an `Rc` and driver callbacks capture `Rc`s.
 
 use crate::lco::LcoState;
@@ -172,15 +172,11 @@ pub enum Completion {
     Driver(DriverCb),
 }
 
-/// The complete simulated world: the GAS stack plus the runtime's own
-/// state. It derefs to the stack, so `world.eps`, `world.gas[l]` and the
-/// stack's methods ([`Stack::locate`], [`Stack::total_gas_stats`]) read
-/// through; library code names `world.stack` where it borrows the stack
-/// beside a runtime field.
+/// The complete simulated world. It derefs to its [`Stack`], so
+/// `world.eps` and [`Stack::locate`] read through; library code names
+/// `world.stack` for split borrows.
 pub struct World {
-    /// The GAS stack: cluster, endpoints, GAS tables, CPU pools (shared by
-    /// actions and GAS software handlers), the PGAS address table and the
-    /// mode.
+    /// The GAS stack; its CPU pools run the actions too.
     pub stack: Stack,
     /// Runtime state, one per locality.
     pub rt: Vec<RtLocal>,
@@ -206,8 +202,7 @@ pub struct World {
 }
 
 impl World {
-    /// Assemble a world around `stack`, whose CPU pools run the actions
-    /// too. Most callers use [`crate::rt::RuntimeBuilder`].
+    /// Assemble a world. Most callers use [`crate::rt::RuntimeBuilder`].
     pub fn new(stack: Stack, rtcfg: RtConfig, registry: ActionRegistry) -> World {
         World {
             rt: (0..stack.n_localities()).map(|_| RtLocal::new()).collect(),
@@ -287,13 +282,10 @@ impl DerefMut for World {
     }
 }
 
-/// Fire a registered completion by hand (driver utilities that bridge
-/// LCO waits into completion ctxs use this).
+/// Fire a registered completion: every GAS completion lands here, and
+/// driver utilities that bridge LCO waits into completion ctxs call it by
+/// hand.
 pub fn fire_completion(eng: &mut Engine<World>, ctx: OpId, data: Vec<u8>) {
-    complete(eng, ctx, data);
-}
-
-fn complete(eng: &mut Engine<World>, ctx: OpId, data: Vec<u8>) {
     if ctx.is_none() {
         return;
     }
@@ -434,19 +426,19 @@ impl GasWorld for World {
         Msg::Gas(msg)
     }
     fn gas_put_done(eng: &mut Engine<Self>, _loc: LocalityId, ctx: OpId) {
-        complete(eng, ctx, Vec::new());
+        fire_completion(eng, ctx, Vec::new());
     }
     fn gas_get_done(eng: &mut Engine<Self>, _loc: LocalityId, ctx: OpId, data: Vec<u8>) {
-        complete(eng, ctx, data);
+        fire_completion(eng, ctx, data);
     }
     fn gas_migrate_done(eng: &mut Engine<Self>, _loc: LocalityId, ctx: OpId, block: u64) {
-        complete(eng, ctx, block.to_le_bytes().to_vec());
+        fire_completion(eng, ctx, block.to_le_bytes().to_vec());
     }
     fn gas_amo_done(eng: &mut Engine<Self>, _loc: LocalityId, ctx: OpId, result: AmoResult) {
-        complete(eng, ctx, encode_amo_result(&result));
+        fire_completion(eng, ctx, encode_amo_result(&result));
     }
     fn gas_free_done(eng: &mut Engine<Self>, _loc: LocalityId, ctx: OpId, block: u64) {
-        complete(eng, ctx, block.to_le_bytes().to_vec());
+        fire_completion(eng, ctx, block.to_le_bytes().to_vec());
     }
     fn gas_op_failed(
         eng: &mut Engine<Self>,
