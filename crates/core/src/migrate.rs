@@ -191,8 +191,12 @@ fn rechase<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, req: OwnerReq) {
 }
 
 /// Send `req` one hop further, from `at` to the serving home, after `delay`.
+/// The re-send names `at`: a driver-phase `unpin` reaches here outside any
+/// event, and a plain `schedule` would key it to the driver on the
+/// sequential engine but to `at` on a shard lane.
 fn resend_via_home<S: GasWorld>(eng: &mut Engine<S>, at: LocalityId, req: OwnerReq, delay: Time) {
-    eng.schedule(delay, move |eng| {
+    let when = eng.now() + delay;
+    eng.schedule_at_loc(when, at, move |eng| {
         // Resolve the serving home at *send* time: by the time a backoff
         // fires, a drain hand-off or crash takeover may have moved the
         // record, and re-aiming at a Left locality would strand the chase.

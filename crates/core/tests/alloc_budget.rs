@@ -25,6 +25,9 @@
 //! * a local put, get or AMO allocates only what its completion hands
 //!   the caller, in every GAS mode, and an AGAS-SW get or AMO only its
 //!   request and one reply;
+//! * a NIC's AMO responder cache is fixed at its first install: once
+//!   `AMO_CACHE_CAP` completions wrap it many times over it holds at most
+//!   40 KiB, and further AMOs allocate nothing in it;
 //! * a retry re-sends the payload the op already holds: a put that bounces
 //!   through the directory, or loses its completion and is re-issued by the
 //!   deadline sweep, allocates no second buffer and still writes the right
@@ -36,6 +39,7 @@
 use agas::migrate::migrate_block;
 use agas::ops::{memamo, memget, memput};
 use agas::{alloc_array, Distribution, GasMode, GlobalArray, Gva, SimWorld, POST_DEPTH};
+use netsim::amo::AMO_CACHE_CAP;
 use netsim::{Access, AmoOp, Engine, NetConfig, OpId, Payload, Time};
 use photon::{PhotonConfig, PhotonEndpoint};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -289,6 +293,48 @@ fn a_small_network_get_allocates_its_request_and_the_callers_vec() {
 fn a_network_amo_allocates_only_its_request() {
     // The boxed `Access`, which carries the result home.
     assert_eq!(per_op(GasMode::AgasNetwork, fetch_add), 1.0);
+}
+
+/// The most heap one NIC's AMO responder cache may hold: a ring of
+/// `AMO_CACHE_CAP` 32-byte records and an index of twice as many 4-byte
+/// ring positions.
+const AMO_CACHE_BUDGET: u64 = 40 << 10;
+
+#[test]
+fn a_nics_amo_cache_holds_its_budget_and_stops_allocating() {
+    let cap = AMO_CACHE_CAP as u64;
+    let (mut eng, arr) = world(2, GasMode::AgasNetwork, NetConfig::ib_fdr());
+    let gva = arr.block(1);
+    let op = |eng: &mut Engine<SimWorld>, i: u64| {
+        fetch_add(eng, gva, i);
+        eng.run();
+    };
+    // Every AMO has its own key, so the cache fills and wraps ten times.
+    for i in 0..10 * cap {
+        op(&mut eng, i);
+    }
+    let ((), spent) = counted(|| {
+        for i in 10 * cap..20 * cap {
+            op(&mut eng, i);
+        }
+    });
+    assert_eq!(eng.state.amo_acks(), 20 * cap);
+    assert_eq!(eng.state.op_failures(), 0);
+    assert_eq!(
+        (spent.allocs, spent.live()),
+        (10 * cap, 0),
+        "a further {} AMOs allocated more than their requests",
+        10 * cap
+    );
+    // What the cache holds is what dropping it frees.
+    let cache = std::mem::take(&mut eng.state.data.cluster.loc_mut(1).nic.amo);
+    assert_eq!(cache.len(), AMO_CACHE_CAP);
+    let ((), dropped) = counted(|| drop(cache));
+    assert!(
+        dropped.freed <= AMO_CACHE_BUDGET,
+        "the AMO cache held {} B, budget {AMO_CACHE_BUDGET} B",
+        dropped.freed
+    );
 }
 
 /// Allocations and requested bytes of one local 8-byte put, get and

@@ -1,8 +1,8 @@
 //! The golden pins: `(trace_hash, final ps, events executed)` of the pinned
 //! scenarios in `pins.rs`, one table for `shard_pin.rs` (the sequential
-//! engine and 1 / 2 / 4 / 8 lanes; the `FREE` pins on the sequential engine
-//! only) and `faults_shadow.rs` (a lossless fault plane must land on them
-//! too).
+//! engine and 1 / 2 / 4 / 8 lanes; `GOLDEN_FREE_PGAS` on the sequential
+//! engine only) and `faults_shadow.rs` (a lossless fault plane must land on
+//! them too).
 //!
 //! If a *deliberate* protocol change moves a pin, re-capture with
 //! `cargo test -p agas --test shard_pin -- --nocapture` (each test prints
@@ -28,7 +28,7 @@ pub const GOLDEN_MEMBER_PGAS: Pin = (0x2a3b_86b6_3bcd_b953, 22_274_800, 143);
 pub const GOLDEN_MEMBER_SW: Pin = (0xab7a_5c91_f2f5_d1e3, 61_046_200, 268);
 pub const GOLDEN_MEMBER_NET: Pin = (0x4136_753e_43d6_1c44, 48_286_200, 220);
 pub const GOLDEN_FREE_PGAS: Pin = (0xf7d4_a909_e9ee_a527, 18_154_000, 96);
-pub const GOLDEN_FREE_SW: Pin = (0x3fdc_0c9d_dc02_dc6a, 74_072_600, 222);
-pub const GOLDEN_FREE_NET: Pin = (0x7a78_839b_3ccc_1eb3, 65_691_800, 190);
+pub const GOLDEN_FREE_SW: Pin = (0xcb9a_0339_bfb1_2c4e, 74_072_600, 222);
+pub const GOLDEN_FREE_NET: Pin = (0x77e9_9bbf_8e38_8e5e, 65_691_800, 190);
 /// `shard_pin.rs::send_queue_burst_is_lane_invariant` (sequential engine).
 pub const GOLDEN_SEND_QUEUE: Pin = (0xfacb_4a76_1b7a_a529, 23_548_000, 10_752);

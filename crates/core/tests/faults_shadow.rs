@@ -41,13 +41,16 @@ fn lossless_plane_reproduces_the_golden_pins() {
 
 #[test]
 fn lossless_plane_reproduces_the_free_pins() {
-    for (name, mode, want) in [
-        ("free_mix/pgas", GasMode::Pgas, GOLDEN_FREE_PGAS),
-        ("free_mix/sw", GasMode::AgasSoftware, GOLDEN_FREE_SW),
-        ("free_mix/net", GasMode::AgasNetwork, GOLDEN_FREE_NET),
-    ] {
-        let plan = Some(FaultPlan::lossless(0xDEAD_BEEF));
-        check(name, None, free_mix(mode, plan), want);
+    let plan = || Some(FaultPlan::lossless(0xDEAD_BEEF));
+    let pgas = free_mix(GasMode::Pgas, None, plan());
+    check("free_mix/pgas", None, pgas, GOLDEN_FREE_PGAS);
+    for lanes in GRID {
+        for (name, mode, want) in [
+            ("free_mix/sw", GasMode::AgasSoftware, GOLDEN_FREE_SW),
+            ("free_mix/net", GasMode::AgasNetwork, GOLDEN_FREE_NET),
+        ] {
+            check(name, lanes, free_mix(mode, lanes, plan()), want);
+        }
     }
 }
 

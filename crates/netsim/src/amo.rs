@@ -16,8 +16,6 @@
 //! instead of re-executing. Cache entries travel with their block on
 //! migration so a retry that chases a forward still deduplicates.
 
-use std::collections::{HashMap, VecDeque};
-
 use crate::nic::LocalityId;
 
 /// The operation a NIC executes against a translated virtual address.
@@ -148,14 +146,39 @@ pub struct AmoResult {
 /// and deadline-driven re-issue.
 pub type AmoKey = (LocalityId, u64);
 
-#[derive(Clone, Debug)]
-struct CachedAmo {
-    block: u64,
-    result: AmoResult,
-}
-
 /// Default bound on remembered completions per NIC.
 pub const AMO_CACHE_CAP: usize = 1024;
+
+/// One remembered completion. A cached AMO mutated memory, so it is never a
+/// gather: the word result and the compare flag are all it returned.
+#[derive(Clone, Copy, Default)]
+struct Record {
+    key_op: u64,
+    block: u64,
+    old: u64,
+    key_loc: LocalityId,
+    applied: bool,
+}
+
+// The ring holds `cap` of these: 32 KiB per NIC at the default cap.
+const _: () = assert!(size_of::<Record>() == 32);
+
+impl Record {
+    fn key(&self) -> AmoKey {
+        (self.key_loc, self.key_op)
+    }
+
+    fn result(&self) -> AmoResult {
+        AmoResult {
+            old: self.old,
+            applied: self.applied,
+            values: Vec::new(),
+        }
+    }
+}
+
+/// An empty index slot.
+const EMPTY: u32 = u32::MAX;
 
 /// Per-NIC responder cache giving AMOs exactly-once semantics.
 ///
@@ -165,62 +188,100 @@ pub const AMO_CACHE_CAP: usize = 1024;
 /// of magnitude. Entries are keyed by [`AmoKey`] and tagged with the
 /// block they executed against so [`AmoCache::take_for_block`] can ship
 /// them alongside a migrating block.
+///
+/// Storage is fixed at the first install: a ring of `cap` 32-byte records
+/// in FIFO order, and a linear-probing index of ring positions with at
+/// least twice `cap` slots, so it is never more than half full. Deletion
+/// shifts the probe run back instead of leaving a tombstone, so FIFO churn
+/// never degrades or regrows it: 40 KiB per NIC at the default cap, however
+/// many AMOs the NIC executes.
 #[derive(Default)]
 pub struct AmoCache {
-    map: HashMap<AmoKey, CachedAmo>,
-    fifo: VecDeque<AmoKey>,
+    /// Remembered completions, oldest at `head`; empty until the first
+    /// install, then exactly `cap` long.
+    ring: Box<[Record]>,
+    head: usize,
+    len: usize,
+    /// Ring positions by key hash; a power of two of at least `2 * cap`
+    /// slots once the ring exists.
+    index: Box<[u32]>,
     cap: usize,
 }
 
 impl AmoCache {
     /// A cache remembering up to `cap` completions.
     pub fn new(cap: usize) -> AmoCache {
+        assert!(cap < EMPTY as usize, "AMO cache capacity {cap} too large");
         AmoCache {
-            map: HashMap::new(),
-            fifo: VecDeque::new(),
             cap,
+            ..AmoCache::default()
         }
     }
 
     /// The result previously produced for `key`, if still remembered.
-    pub fn lookup(&self, key: AmoKey) -> Option<&AmoResult> {
-        self.map.get(&key).map(|c| &c.result)
+    pub fn lookup(&self, key: AmoKey) -> Option<AmoResult> {
+        self.find(key).map(|(_, pos)| self.ring[pos].result())
     }
 
     /// Remember the result of an executed AMO. Re-installing an existing
-    /// key refreshes the stored result without growing the FIFO.
+    /// key refreshes the stored result in place, keeping its FIFO position.
     pub fn install(&mut self, key: AmoKey, block: u64, result: AmoResult) {
-        if let Some(c) = self.map.get_mut(&key) {
-            c.block = block;
-            c.result = result;
+        debug_assert!(result.values.is_empty(), "a gather is never cached");
+        if let Some((_, pos)) = self.find(key) {
+            let r = &mut self.ring[pos];
+            (r.block, r.old, r.applied) = (block, result.old, result.applied);
             return;
         }
         if self.cap == 0 {
             return;
         }
-        while self.fifo.len() >= self.cap {
-            if let Some(old) = self.fifo.pop_front() {
-                self.map.remove(&old);
-            }
+        if self.ring.is_empty() {
+            self.ring = vec![Record::default(); self.cap].into_boxed_slice();
+            let slots = (2 * self.cap).next_power_of_two();
+            self.index = vec![EMPTY; slots].into_boxed_slice();
         }
-        self.fifo.push_back(key);
-        self.map.insert(key, CachedAmo { block, result });
+        if self.len == self.cap {
+            let oldest = self.ring[self.head].key();
+            self.unindex(oldest);
+            self.head = (self.head + 1) % self.cap;
+            self.len -= 1;
+        }
+        let pos = (self.head + self.len) % self.cap;
+        self.ring[pos] = Record {
+            key_op: key.1,
+            block,
+            old: result.old,
+            key_loc: key.0,
+            applied: result.applied,
+        };
+        self.len += 1;
+        self.index_at(key, pos);
     }
 
     /// Extract every remembered completion for `block`, in deterministic
     /// (installation) order — called when the block migrates away so the
-    /// new owner inherits the dedup state.
+    /// new owner inherits the dedup state. The survivors close up in FIFO
+    /// order and the index is rebuilt over their new positions.
     pub fn take_for_block(&mut self, block: u64) -> Vec<(AmoKey, AmoResult)> {
         let mut out = Vec::new();
-        self.fifo.retain(|key| {
-            let matches = matches!(self.map.get(key), Some(c) if c.block == block);
-            if matches {
-                if let Some(c) = self.map.remove(key) {
-                    out.push((*key, c.result));
-                }
+        let mut kept = 0;
+        for i in 0..self.len {
+            let r = self.ring[(self.head + i) % self.cap];
+            if r.block == block {
+                out.push((r.key(), r.result()));
+            } else {
+                self.ring[(self.head + kept) % self.cap] = r;
+                kept += 1;
             }
-            !matches
-        });
+        }
+        if !out.is_empty() {
+            self.len = kept;
+            self.index.fill(EMPTY);
+            for i in 0..kept {
+                let pos = (self.head + i) % self.cap;
+                self.index_at(self.ring[pos].key(), pos);
+            }
+        }
         out
     }
 
@@ -234,12 +295,75 @@ impl AmoCache {
 
     /// Remembered completions currently held.
     pub fn len(&self) -> usize {
-        self.fifo.len()
+        self.len
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.fifo.is_empty()
+        self.len == 0
+    }
+
+    /// The index slot `key`'s probe run starts at: a fixed multiply-mix,
+    /// so slot choice (and with it the run) is the same in every process.
+    fn home(&self, (loc, op): AmoKey) -> usize {
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        let x = (op ^ u64::from(loc).wrapping_mul(K)).wrapping_mul(K);
+        let x = (x ^ (x >> 29)).wrapping_mul(K);
+        (x >> 32) as usize & (self.index.len() - 1)
+    }
+
+    /// `key`'s index slot and ring position, if remembered.
+    fn find(&self, key: AmoKey) -> Option<(usize, usize)> {
+        if self.len == 0 {
+            return None;
+        }
+        let mask = self.index.len() - 1;
+        let mut slot = self.home(key);
+        loop {
+            let pos = self.index[slot];
+            if pos == EMPTY {
+                return None;
+            }
+            if self.ring[pos as usize].key() == key {
+                return Some((slot, pos as usize));
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Point the first free slot of `key`'s probe run at ring `pos`.
+    fn index_at(&mut self, key: AmoKey, pos: usize) {
+        let mask = self.index.len() - 1;
+        let mut slot = self.home(key);
+        while self.index[slot] != EMPTY {
+            slot = (slot + 1) & mask;
+        }
+        self.index[slot] = pos as u32;
+    }
+
+    /// Drop `key` from the index, shifting later members of its probe run
+    /// back into the gap so every run stays unbroken (no tombstones).
+    fn unindex(&mut self, key: AmoKey) {
+        let Some((mut gap, _)) = self.find(key) else {
+            return;
+        };
+        let mask = self.index.len() - 1;
+        let mut slot = gap;
+        loop {
+            slot = (slot + 1) & mask;
+            let pos = self.index[slot];
+            if pos == EMPTY {
+                break;
+            }
+            // An entry may fill the gap unless its home lies cyclically in
+            // (gap, slot]: then the gap is before where its probe begins.
+            let home = self.home(self.ring[pos as usize].key());
+            if (slot.wrapping_sub(home) & mask) >= (slot.wrapping_sub(gap) & mask) {
+                self.index[gap] = pos;
+                gap = slot;
+            }
+        }
+        self.index[gap] = EMPTY;
     }
 }
 

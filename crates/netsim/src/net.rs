@@ -765,7 +765,7 @@ impl Locality {
                 key_op,
             } => {
                 let key = (*key_loc, *key_op);
-                if let Some(result) = self.nic.amo.lookup(key).cloned() {
+                if let Some(result) = self.nic.amo.lookup(key) {
                     return Some(Applied::Amo {
                         result,
                         replayed: true,
@@ -1214,7 +1214,7 @@ fn commit<S: Protocol>(eng: &mut Engine<S>, initiator: LocalityId, mut req: Box<
     // peeks the generation for its hint without touching it either).
     if let Some(key) = req.verb().amo_key() {
         let l = eng.state.cluster().loc_mut(target);
-        if let Some(result) = l.nic.amo.lookup(key).cloned() {
+        if let Some(result) = l.nic.amo.lookup(key) {
             l.counters.amo_replays += 1;
             let moved = match via {
                 Via::Forward => l.nic.xlate.peek(block).map(|e| e.generation),
